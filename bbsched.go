@@ -18,10 +18,11 @@
 //
 // The engine can equally be driven step by step (Step / RunUntil) with
 // mid-run inspection, observed live (WithObserver, WithEventLog), or
-// fanned out over a methods × workloads × seeds grid with RunSweep. The
-// method registry (Methods / RegisterMethod / NewMethod) names every
-// shipped scheduling method; bbsched.Run(SimConfig) remains as a one-shot
-// compatibility wrapper.
+// fanned out over a methods × workloads × seeds grid with RunSweep.
+// NewSimulator is the one way to run a workload: a Workload that carries
+// jobs and a streamed trace (WithSource) go through the same engine path.
+// The method registry (Methods / RegisterMethod / NewMethod) names every
+// shipped scheduling method.
 //
 // Lower-level entry points expose the pieces directly: ClusterConfig /
 // NewCluster model the machine, SelectionProblem + SolveGA /
@@ -356,8 +357,7 @@ type (
 	// returns jobs in submit order until io.EOF. Materialized slices
 	// adapt via SliceSource; files via OpenSWF/OpenCSV.
 	JobSource = trace.JobSource
-	// SliceSource adapts a materialized job slice to JobSource (the
-	// compat bridge between the two workload representations).
+	// SliceSource adapts a materialized job slice to JobSource.
 	SliceSource = trace.SliceSource
 	// SourceHorizoner is the optional JobSource refinement reporting the
 	// last submit time, which resolves fractional measurement trims.
@@ -486,9 +486,6 @@ type (
 	Sweep = sim.Sweep
 	// SweepRun is one completed run of a sweep.
 	SweepRun = sim.SweepRun
-	// SimConfig parameterizes one run through the legacy Run entry point
-	// (see its zero-value quirk; NewSimulator options honor exact zeros).
-	SimConfig = sim.Config
 	// SimResult is a finished run's metrics.
 	SimResult = sim.Result
 	// Report is the §4.2 metric set.
@@ -591,10 +588,6 @@ var (
 	// SHA-256 under which its result is cached (FarmWorker.CacheDir).
 	FarmRecipeKey = farm.RecipeKey
 )
-
-// Run simulates a workload under a scheduling method: the legacy one-shot
-// entry point, now a thin compatibility wrapper over NewSimulator.
-var Run = sim.Run
 
 // ReadEventLog parses a JSONL simulation event log.
 var ReadEventLog = sim.ReadEventLog

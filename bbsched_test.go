@@ -92,12 +92,12 @@ func TestFacadeEngineSweepRegistry(t *testing.T) {
 		t.Fatalf("sweep produced %d runs, want 4", len(runs))
 	}
 
-	// The legacy one-shot wrapper reproduces a sweep cell exactly.
-	solo, err := bbsched.Run(bbsched.SimConfig{
-		Workload: w, Method: bb,
-		Plugin: bbsched.PluginConfig{WindowSize: 5, StarvationBound: 50},
-		Seed:   runs[2].Seed,
-	})
+	// A standalone simulator reproduces a sweep cell exactly.
+	s, err := bbsched.NewSimulator(w, bb, bbsched.WithWindow(5, 50), bbsched.WithSeed(runs[2].Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFacadeEngineSweepRegistry(t *testing.T) {
 		t.Fatalf("run order: %+v", runs[2])
 	}
 	if !reflect.DeepEqual(solo.Report, runs[2].Result.Report) {
-		t.Fatal("legacy Run diverges from the equivalent sweep cell")
+		t.Fatal("standalone run diverges from the equivalent sweep cell")
 	}
 
 	if len(bbsched.MethodNames()) < 9 {
@@ -122,12 +122,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	method := bbsched.New()
 	method.GA = bbsched.GAConfig{Generations: 60, Population: 12, MutationProb: 0.01}
 
-	res, err := bbsched.Run(bbsched.SimConfig{
-		Workload: workload,
-		Method:   method,
-		Plugin:   bbsched.DefaultPluginConfig(),
-		Seed:     1,
-	})
+	s, err := bbsched.NewSimulator(workload, method, bbsched.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +183,16 @@ func TestFacadeExtensions(t *testing.T) {
 	inner := bbsched.New()
 	inner.GA = bbsched.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}
 	var events bytes.Buffer
-	res, err := bbsched.Run(bbsched.SimConfig{
-		Workload: w,
-		Method:   bbsched.NewAdaptive(inner),
-		Plugin: bbsched.PluginConfig{
+	s, err := bbsched.NewSimulator(w, bbsched.NewAdaptive(inner),
+		bbsched.WithPlugin(bbsched.PluginConfig{
 			WindowPolicy:    bbsched.NewAdaptiveWindow(),
 			StarvationBound: 50,
-		},
-		Seed:     1,
-		EventLog: &events,
-	})
+		}),
+		bbsched.WithSeed(1), bbsched.WithEventLog(&events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

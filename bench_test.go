@@ -8,6 +8,7 @@
 package bbsched_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -38,9 +39,15 @@ func benchWorkload(jobs int) trace.Workload {
 	return trace.ExpandBB(base, "Theta-S4", 0.75, heavy, 46)
 }
 
-func benchSim(b *testing.B, w trace.Workload, m bbsched.Method) *sim.Result {
+// benchSim drains w under m at seed 1 with the paper-default options plus
+// any overrides.
+func benchSim(b *testing.B, w trace.Workload, m bbsched.Method, opts ...sim.Option) *sim.Result {
 	b.Helper()
-	res, err := sim.Run(sim.Config{Workload: w, Method: m, Plugin: bbsched.DefaultPluginConfig(), Seed: 1})
+	s, err := sim.NewSimulator(w, m, append([]sim.Option{sim.WithSeed(1)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,15 +331,7 @@ func BenchmarkTable3WindowSensitivity(b *testing.B) {
 		b.Run(fmt.Sprintf("w=%d", win), func(b *testing.B) {
 			var usage float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					Workload: w, Method: benchBBSched(),
-					Plugin: bbsched.PluginConfig{WindowSize: win, StarvationBound: 50},
-					Seed:   1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				usage = res.NodeUsage
+				usage = benchSim(b, w, benchBBSched(), sim.WithWindow(win, 50)).NodeUsage
 			}
 			b.ReportMetric(usage, "node_usage")
 		})
@@ -447,15 +446,7 @@ func BenchmarkAblationStarvation(b *testing.B) {
 		b.Run(fmt.Sprintf("bound=%d", bound), func(b *testing.B) {
 			var wait float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					Workload: w, Method: benchBBSched(),
-					Plugin: bbsched.PluginConfig{WindowSize: 20, StarvationBound: bound},
-					Seed:   1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wait = res.AvgWaitSec
+				wait = benchSim(b, w, benchBBSched(), sim.WithWindow(20, bound)).AvgWaitSec
 			}
 			b.ReportMetric(wait, "avg_wait_s")
 		})
@@ -498,11 +489,7 @@ func BenchmarkAblationWindowPolicy(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var wait float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{Workload: w, Method: benchBBSched(), Plugin: tc.plugin, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wait = res.AvgWaitSec
+				wait = benchSim(b, w, benchBBSched(), sim.WithPlugin(tc.plugin)).AvgWaitSec
 			}
 			b.ReportMetric(wait, "avg_wait_s")
 		})
@@ -539,16 +526,7 @@ func BenchmarkAblationBackfill(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var wait float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					Workload: w, Method: benchBBSched(),
-					Plugin:          bbsched.DefaultPluginConfig(),
-					DisableBackfill: tc.disable,
-					Seed:            1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wait = res.AvgWaitSec
+				wait = benchSim(b, w, benchBBSched(), sim.WithBackfill(!tc.disable)).AvgWaitSec
 			}
 			b.ReportMetric(wait, "avg_wait_s")
 		})

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,12 +37,11 @@ func main() {
 
 	fmt.Printf("workload %s on %d nodes (half 128 GB SSD, half 256 GB)\n\n", s6.Name, s6.System.Cluster.Nodes)
 	for _, m := range methods {
-		res, err := sim.Run(sim.Config{
-			Workload: s6,
-			Method:   m,
-			Plugin:   core.DefaultPluginConfig(),
-			Seed:     1,
-		})
+		s, err := sim.NewSimulator(s6, m, sim.WithSeed(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -40,13 +41,11 @@ func main() {
 
 	// Simulate with the event log enabled.
 	var events bytes.Buffer
-	res, err := sim.Run(sim.Config{
-		Workload: w,
-		Method:   core.New(),
-		Plugin:   core.DefaultPluginConfig(),
-		Seed:     1,
-		EventLog: &events,
-	})
+	s, err := sim.NewSimulator(w, core.New(), sim.WithSeed(1), sim.WithEventLog(&events))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,12 +32,11 @@ func main() {
 	for _, w := range []trace.Workload{base, s4} {
 		fmt.Printf("== workload %s\n", w.Name)
 		for _, method := range []sched.Method{sched.Baseline{}, core.New()} {
-			res, err := sim.Run(sim.Config{
-				Workload: w,
-				Method:   method,
-				Plugin:   core.DefaultPluginConfig(),
-				Seed:     1,
-			})
+			s, err := sim.NewSimulator(w, method, sim.WithSeed(1))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := s.Run(context.Background())
 			if err != nil {
 				log.Fatal(err)
 			}

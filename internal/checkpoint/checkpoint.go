@@ -1,7 +1,7 @@
 // Package checkpoint defines the versioned binary snapshot format for the
 // simulator's complete state — clock, event heap, queue membership,
 // running set with allocations, collector integrals, P² sketches, RNG
-// streams, and streaming-source position — so a run can pause on one
+// streams, and source position — so a run can pause on one
 // worker and resume bit-identically on another (the farm subsystem's
 // migration primitive).
 //
@@ -34,7 +34,11 @@ const magic = "BBCP"
 // Version is the snapshot format version this build reads and writes.
 // Any incompatible change to Snapshot or the field order below must bump
 // it; Decode rejects other versions with ErrVersion.
-const Version = 1
+//
+// Version 2 dropped the materialized/streaming split: every run records
+// its source position and watermark done-set, so the Streaming flag and
+// the DoneIDs list of version 1 are gone.
+const Version = 2
 
 // ErrVersion reports a snapshot written by an incompatible format version.
 var ErrVersion = fmt.Errorf("checkpoint: incompatible snapshot version")
@@ -48,9 +52,9 @@ const maxString = 1 << 16
 // fast on truncation instead.
 const prealloc = 4096
 
-// JobRecord is one job's full state: the static submission fields (so a
-// streaming run, which has no materialized workload to look jobs up in,
-// can reconstruct them) plus the simulator-owned mutable fields.
+// JobRecord is one job's full state: the static submission fields (so
+// restore can reconstruct the job without a materialized workload to look
+// it up in) plus the simulator-owned mutable fields.
 type JobRecord struct {
 	ID          int64
 	User        string
@@ -165,7 +169,6 @@ type Snapshot struct {
 	Workload    string
 	Method      string
 	Seed        uint64
-	Streaming   bool // the run is source-driven (WithSource)
 	StreamStats bool // bounded-memory metrics (WithStreamingMetrics)
 	NumClasses  int64
 	NumExtra    int64
@@ -194,9 +197,6 @@ type Snapshot struct {
 	// metric sums are accumulated in this order, so it is order-critical.
 	// Empty under StreamStats, which retains sums instead of jobs.
 	FinishedIDs []int64
-	// DoneIDs is the finished-job ID set, ascending (materialized runs).
-	// Streaming runs compact it into DoneLow + DoneSparse instead.
-	DoneIDs []int64
 
 	// Metric state.
 	Usage     UsageRecord
@@ -209,10 +209,10 @@ type Snapshot struct {
 	HaveInvStream bool
 	InvStream     RNGRecord
 
-	// Streaming-source position: jobs consumed off the source, the
-	// last admitted submit time, whether the source has drained, the
-	// look-ahead buffer (job IDs in pull order), and the finished-ID
-	// watermark + sparse overflow.
+	// Source position: jobs consumed off the source, the last admitted
+	// submit time, whether the source has drained, the look-ahead buffer
+	// (job IDs in pull order), and the finished-ID watermark + sparse
+	// overflow.
 	Pulled     int64
 	LastSubmit int64
 	SrcDone    bool
@@ -230,7 +230,6 @@ func Encode(w io.Writer, s *Snapshot) error {
 	e.str(s.Workload)
 	e.str(s.Method)
 	e.u64(s.Seed)
-	e.bool(s.Streaming)
 	e.bool(s.StreamStats)
 	e.i64(s.NumClasses)
 	e.i64(s.NumExtra)
@@ -258,7 +257,6 @@ func Encode(w io.Writer, s *Snapshot) error {
 		e.running(&s.Running[i])
 	}
 	e.i64s(s.FinishedIDs)
-	e.i64s(s.DoneIDs)
 
 	e.usage(&s.Usage)
 	e.collector(&s.Collector)
@@ -300,7 +298,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	s.Workload = d.str()
 	s.Method = d.str()
 	s.Seed = d.u64()
-	s.Streaming = d.bool()
 	s.StreamStats = d.bool()
 	s.NumClasses = d.i64()
 	s.NumExtra = d.i64()
@@ -329,7 +326,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		s.Running = append(s.Running, d.running())
 	}
 	s.FinishedIDs = d.i64s()
-	s.DoneIDs = d.i64s()
 
 	s.Usage = d.usage()
 	s.Collector = d.collector()

@@ -17,7 +17,6 @@ func sampleSnapshot() *Snapshot {
 		Workload:      "Theta-S4",
 		Method:        "BBSched",
 		Seed:          0xdeadbeefcafe,
-		Streaming:     true,
 		StreamStats:   true,
 		NumClasses:    2,
 		NumExtra:      1,
@@ -41,7 +40,6 @@ func sampleSnapshot() *Snapshot {
 			Alloc: AllocRecord{NodesByClass: []int64{0, 0}, BB: 128, WastedSSD: 32, Extra: []int64{0}},
 		}},
 		FinishedIDs: []int64{3, 1, 2},
-		DoneIDs:     []int64{1, 2, 3},
 		Usage:       UsageRecord{Nodes: 4, BBGB: 128, SSDAssignedGB: 64, SSDRequestedGB: 48, Extra: []int64{2}},
 		Collector: CollectorRecord{
 			LastT: 400, Started: true,
@@ -126,14 +124,18 @@ func TestDecodeVersionSkew(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	bumped := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bumped[4:8], Version+1)
-	_, err := Decode(bytes.NewReader(bumped))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("decoding version %d snapshot: got %v, want ErrVersion", Version+1, err)
-	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version error %q does not say 'version'", err)
+	// A newer build's stream, and a version-1 stream (the format that
+	// still carried Streaming and DoneIDs) a stale cache or relay may hold.
+	for _, v := range []uint32{Version + 1, 1} {
+		skewed := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(skewed[4:8], v)
+		_, err := Decode(bytes.NewReader(skewed))
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("decoding version %d snapshot: got %v, want ErrVersion", v, err)
+		}
+		if !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version error %q does not say 'version'", err)
+		}
 	}
 
 	garbage := append([]byte("XXXX"), raw[4:]...)

@@ -49,14 +49,8 @@ func Ablations(o Options) (string, error) {
 
 	var rows [][]string
 	for _, v := range variants {
-		res, err := sim.Run(sim.Config{
-			Workload:        v.w,
-			Method:          v.method,
-			Plugin:          v.plugin,
-			DisableBackfill: v.noBF,
-			Seed:            o.Seed,
-			Buckets:         buckets(v.w.System),
-		})
+		res, err := runOne(v.w, v.method, sim.WithPlugin(v.plugin), sim.WithBackfill(!v.noBF),
+			sim.WithSeed(o.Seed), sim.WithBuckets(buckets(v.w.System)))
 		if err != nil {
 			return "", fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 		}

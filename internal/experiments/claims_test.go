@@ -39,7 +39,7 @@ func TestPaperClaimsOnS4(t *testing.T) {
 
 	run := func(m sched.Method) *sim.Result {
 		t.Helper()
-		res, err := sim.Run(sim.Config{Workload: s4, Method: m, Plugin: o.plugin(), Seed: o.Seed})
+		res, err := runOne(s4, m, sim.WithPlugin(o.plugin()), sim.WithSeed(o.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}

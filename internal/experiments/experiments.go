@@ -140,6 +140,15 @@ func (m *Matrix) Get(workload, method string) *sim.Result {
 	return nil
 }
 
+// runOne drains one workload under one method.
+func runOne(w trace.Workload, m sched.Method, opts ...sim.Option) (*sim.Result, error) {
+	s, err := sim.NewSimulator(w, m, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background())
+}
+
 // runMatrix simulates every workload under every method on the sim
 // package's deterministic parallel sweep driver. Method instances are
 // shared across workloads — every shipped method is concurrency-safe and

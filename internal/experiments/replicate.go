@@ -87,10 +87,8 @@ func Replicate(o Options, build func(seed uint64) trace.Workload, seeds []uint64
 			go func(w trace.Workload, m sched.Method, seed uint64) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				res, err := sim.Run(sim.Config{
-					Workload: w, Method: m, Plugin: o.plugin(), Seed: seed,
-					Buckets: buckets(w.System),
-				})
+				res, err := runOne(w, m, sim.WithPlugin(o.plugin()), sim.WithSeed(seed),
+					sim.WithBuckets(buckets(w.System)))
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bbsched/internal/cluster"
-	"bbsched/internal/core"
 	"bbsched/internal/job"
 	"bbsched/internal/moo"
 	"bbsched/internal/registry"
@@ -211,13 +210,8 @@ func Table3(o Options) (string, error) {
 	var rows [][]string
 	for _, w := range s4 {
 		for _, win := range []int{10, 20, 50} {
-			res, err := sim.Run(sim.Config{
-				Workload: w,
-				Method:   bbsched2(o.GA),
-				Plugin:   core.PluginConfig{WindowSize: win, StarvationBound: o.Starvation},
-				Seed:     o.Seed,
-				Buckets:  buckets(w.System),
-			})
+			res, err := runOne(w, bbsched2(o.GA), sim.WithWindow(win, o.Starvation),
+				sim.WithSeed(o.Seed), sim.WithBuckets(buckets(w.System)))
 			if err != nil {
 				return "", fmt.Errorf("table3: %s w=%d: %w", w.Name, win, err)
 			}

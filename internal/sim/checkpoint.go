@@ -25,7 +25,7 @@ import (
 //
 // The snapshot covers the engine: clock, event heap, queue membership,
 // running set with live allocations, usage/collector integrals,
-// streaming sketches, RNG streams, and streaming-source position. It
+// streaming sketches, RNG streams, and source position. It
 // does not cover custom stateful components supplied by the caller —
 // Observers, a stateful method (e.g. core.Adaptive), or a method whose
 // solver carries cross-invocation state — which must be reconstructed
@@ -40,7 +40,6 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		Workload:      s.workload.Name,
 		Method:        s.plugin.Method().Name(),
 		Seed:          s.opt.seed,
-		Streaming:     s.source != nil,
 		StreamStats:   s.stats != nil,
 		NumClasses:    int64(s.cl.Snapshot().NumClasses()),
 		NumExtra:      int64(s.cl.NumExtra()),
@@ -53,6 +52,8 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	}
 
 	// Job table: every job still referenced by the engine, sorted by ID.
+	// Jobs not yet pulled are not state — restore re-reads them from the
+	// repositioned source.
 	byID := make(map[int]*job.Job)
 	for _, j := range s.q.Waiting(nil) {
 		byID[j.ID] = j
@@ -127,15 +128,6 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	for _, j := range s.finished {
 		snap.FinishedIDs = append(snap.FinishedIDs, int64(j.ID))
 	}
-	if s.done != nil {
-		snap.DoneIDs = make([]int64, 0, len(s.done))
-		for id, ok := range s.done {
-			if ok {
-				snap.DoneIDs = append(snap.DoneIDs, int64(id))
-			}
-		}
-		sort.Slice(snap.DoneIDs, func(a, b int) bool { return snap.DoneIDs[a] < snap.DoneIDs[b] })
-	}
 
 	snap.Usage = usageRecord(s.usage)
 	snap.Collector = collectorRecord(s.collector.State())
@@ -173,13 +165,16 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 //
 // The caller must pass the same workload, method, and options the
 // original run was built with — Restore validates the snapshot's
-// identity (workload and method names, seed, streaming mode, machine
-// shape, measurement window) against them and refuses mismatches. For
-// source-driven runs, pass a freshly opened source via WithSource;
-// Restore repositions it at the consumed-jobs mark by replaying (and
-// discarding) the consumed prefix through the full combinator pipeline,
-// so stateful per-job transforms (ExpandBBSource's RNG draws) advance
-// exactly as the original run advanced them.
+// identity (workload and method names, seed, metrics mode, machine
+// shape, measurement window) against them and refuses mismatches. How
+// the jobs are supplied may differ as long as they are the same jobs: a
+// snapshot of a run over a workload's own jobs restores under
+// WithSource(trace.SourceOf(w)) on the job-less shell, and the reverse.
+// For WithSource runs, pass a freshly opened source; Restore repositions
+// it at the consumed-jobs mark by replaying (and discarding) the consumed
+// prefix through the full combinator pipeline, so stateful per-job
+// transforms (ExpandBBSource's RNG draws) advance exactly as the original
+// run advanced them.
 func Restore(w trace.Workload, method sched.Method, r io.Reader, opts ...Option) (*Simulator, error) {
 	snap, err := checkpoint.Decode(r)
 	if err != nil {
@@ -207,9 +202,6 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	if snap.Seed != s.opt.seed {
 		return fmt.Errorf("snapshot has seed %d, run has %d", snap.Seed, s.opt.seed)
 	}
-	if snap.Streaming != (s.source != nil) {
-		return fmt.Errorf("snapshot streaming=%v, run streaming=%v (pass WithSource on restore iff the original run used it)", snap.Streaming, s.source != nil)
-	}
 	if snap.StreamStats != (s.stats != nil) {
 		return fmt.Errorf("snapshot streaming-metrics=%v, run=%v", snap.StreamStats, s.stats != nil)
 	}
@@ -227,52 +219,51 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 			snap.WarmEnd, snap.CoolStart, s.warmEnd, s.coolStart)
 	}
 
-	// Job table. Materialized runs map records onto the fresh workload
-	// clone's jobs (verifying the static fields still match the trace);
-	// streaming runs reconstruct jobs from the records.
+	// Source position. These fields decide which jobs count as finished
+	// and where the source resumes, so a corrupt value must not get as far
+	// as releasing a dependant early.
+	if snap.Pulled < 0 {
+		return fmt.Errorf("snapshot has negative pulled count %d", snap.Pulled)
+	}
+	if snap.DoneLow < 0 || snap.DoneLow > snap.Pulled {
+		return fmt.Errorf("snapshot done watermark %d outside [0, %d pulled]", snap.DoneLow, snap.Pulled)
+	}
+	for _, id := range snap.DoneSparse {
+		if id <= snap.DoneLow || id >= snap.Pulled {
+			return fmt.Errorf("snapshot sparse done ID %d outside (%d, %d)", id, snap.DoneLow, snap.Pulled)
+		}
+	}
+	for i, id := range snap.PendingIDs {
+		if want := snap.Pulled - int64(len(snap.PendingIDs)-i); id != want {
+			return fmt.Errorf("snapshot look-ahead buffer holds job %d where the tail of %d pulled jobs has %d", id, snap.Pulled, want)
+		}
+	}
+
+	// Job table: rebuilt from the records, cross-checked against the
+	// workload's own jobs when it carries them.
 	byID := make(map[int]*job.Job, len(snap.Jobs))
-	if s.source == nil {
-		if s.stats == nil && len(snap.Jobs) != len(s.workload.Jobs) {
-			return fmt.Errorf("snapshot covers %d jobs, workload has %d", len(snap.Jobs), len(s.workload.Jobs))
+	for i := range snap.Jobs {
+		rec := &snap.Jobs[i]
+		j, err := jobFromRecord(rec)
+		if err != nil {
+			return err
 		}
-		base := make(map[int]*job.Job, len(s.workload.Jobs))
-		for _, j := range s.workload.Jobs {
-			base[j.ID] = j
+		if _, dup := byID[j.ID]; dup {
+			return fmt.Errorf("snapshot repeats job %d", j.ID)
 		}
-		for i := range snap.Jobs {
-			rec := &snap.Jobs[i]
-			j, ok := base[int(rec.ID)]
-			if !ok {
-				return fmt.Errorf("snapshot job %d is not in the workload", rec.ID)
+		if base := s.workload.Jobs; len(base) > 0 {
+			if j.ID < 0 || j.ID >= len(base) {
+				return fmt.Errorf("snapshot job %d is not in the workload", j.ID)
 			}
-			if _, dup := byID[j.ID]; dup {
-				return fmt.Errorf("snapshot repeats job %d", j.ID)
-			}
-			if j.SubmitTime != rec.SubmitTime || j.Runtime != rec.Runtime || j.WalltimeEst != rec.WalltimeEst {
+			if b := base[j.ID]; b.SubmitTime != j.SubmitTime || b.Runtime != j.Runtime || b.WalltimeEst != j.WalltimeEst {
 				return fmt.Errorf("snapshot job %d static fields differ from the workload's", j.ID)
 			}
-			if err := applyMutable(j, rec); err != nil {
-				return err
-			}
-			byID[j.ID] = j
 		}
-	} else {
-		for i := range snap.Jobs {
-			rec := &snap.Jobs[i]
-			j, err := jobFromRecord(rec)
-			if err != nil {
-				return err
-			}
-			if _, dup := byID[j.ID]; dup {
-				return fmt.Errorf("snapshot repeats job %d", j.ID)
-			}
-			byID[j.ID] = j
-		}
+		byID[j.ID] = j
 	}
 
 	// Event heap: records are stored in total order; verify and load
 	// directly (a sorted array is a valid min-heap).
-	s.events = s.events[:0]
 	for i, ev := range snap.Events {
 		if ev.Kind < evEnd || ev.Kind > evArrive {
 			return fmt.Errorf("snapshot event %d has unknown kind %d", i, ev.Kind)
@@ -341,7 +332,6 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Finished list in completion order (empty under streaming metrics,
 	// which fold jobs into sums instead of retaining them).
 	if s.stats == nil {
-		s.finished = s.finished[:0]
 		for _, id := range snap.FinishedIDs {
 			j := byID[int(id)]
 			if j == nil {
@@ -354,20 +344,10 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 
-	// Finished-ID membership for dependency checks. Materialized runs
-	// use the done map (DoneIDs may reference jobs no longer in the job
-	// table under streaming metrics — membership is all that remains of
-	// them); streaming runs use the watermark + sparse overflow.
-	if s.done != nil {
-		for _, id := range snap.DoneIDs {
-			s.done[int(id)] = true
-		}
-	}
+	// Finished-ID membership for dependency checks.
 	s.doneLow = int(snap.DoneLow)
-	if s.doneSparse != nil {
-		for _, id := range snap.DoneSparse {
-			s.doneSparse[int(id)] = struct{}{}
-		}
+	for _, id := range snap.DoneSparse {
+		s.doneSparse[int(id)] = struct{}{}
 	}
 
 	// Metric state.
@@ -398,25 +378,21 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	s.decideTotal = time.Duration(snap.DecideTotalNS)
 	s.decideMax = time.Duration(snap.DecideMaxNS)
 
-	// Streaming-source position: rebuild the look-ahead buffer from the
-	// job table and skip the fresh source past the consumed prefix.
-	if s.source != nil {
-		s.pending = s.pending[:0]
-		s.pendHead = 0
-		for _, id := range snap.PendingIDs {
-			j := byID[int(id)]
-			if j == nil {
-				return fmt.Errorf("snapshot look-ahead buffer references unknown job %d", id)
-			}
-			s.pending = append(s.pending, j)
+	// Source position: rebuild the look-ahead buffer from the job table
+	// and skip the fresh source past the consumed prefix.
+	for _, id := range snap.PendingIDs {
+		j := byID[int(id)]
+		if j == nil {
+			return fmt.Errorf("snapshot look-ahead buffer references unknown job %d", id)
 		}
-		s.pulled = int(snap.Pulled)
-		s.lastSubmit = snap.LastSubmit
-		s.srcDone = snap.SrcDone
-		if !s.srcDone {
-			if err := trace.Skip(s.source, s.pulled); err != nil {
-				return fmt.Errorf("repositioning source at job %d: %w", s.pulled, err)
-			}
+		s.pending = append(s.pending, j)
+	}
+	s.pulled = int(snap.Pulled)
+	s.lastSubmit = snap.LastSubmit
+	s.srcDone = snap.SrcDone
+	if !s.srcDone {
+		if err := trace.Skip(s.source, s.pulled); err != nil {
+			return fmt.Errorf("repositioning source at job %d: %w", s.pulled, err)
 		}
 	}
 
@@ -464,21 +440,8 @@ func jobRecord(j *job.Job) checkpoint.JobRecord {
 	}
 }
 
-// applyMutable writes a record's simulator-owned fields onto a workload
-// clone's job.
-func applyMutable(j *job.Job, rec *checkpoint.JobRecord) error {
-	if rec.State < int64(job.Queued) || rec.State > int64(job.Finished) {
-		return fmt.Errorf("snapshot job %d has unknown state %d", rec.ID, rec.State)
-	}
-	j.State = job.State(rec.State)
-	j.StartTime = rec.StartTime
-	j.EndTime = rec.EndTime
-	j.WindowAge = int(rec.WindowAge)
-	return nil
-}
-
-// jobFromRecord reconstructs a job a streaming run pulled from its
-// source; the record carries the full static description.
+// jobFromRecord reconstructs a job the run had pulled from its source; the
+// record carries the full static description.
 func jobFromRecord(rec *checkpoint.JobRecord) (*job.Job, error) {
 	j := &job.Job{
 		ID:          int(rec.ID),

@@ -94,7 +94,10 @@ func TestGoldenCheckpointEquivalence(t *testing.T) {
 // restores it, runs both halves to completion, and requires the spliced
 // event stream and Result to match an uninterrupted run bit-for-bit —
 // the cheap fast-feedback version of the chained golden test, over the
-// WFP + stage-out regime.
+// WFP + stage-out regime. How the jobs are supplied is not part of a
+// snapshot's identity, so besides the plain round trip a snapshot of a
+// run over the workload's own jobs must restore under
+// WithSource(SourceOf(w)) on the job-less shell, and the reverse.
 func TestCheckpointRoundTripMaterialized(t *testing.T) {
 	jobs := 1200
 	if testing.Short() {
@@ -103,6 +106,14 @@ func TestCheckpointRoundTripMaterialized(t *testing.T) {
 	w := throughputWorkload(jobs, true)
 	w.System.Policy = trace.WFP
 	m := sched.BinPacking{}
+	shell := trace.Workload{Name: w.Name, System: w.System}
+	type supply func(log *bytes.Buffer) (trace.Workload, []Option)
+	own := func(log *bytes.Buffer) (trace.Workload, []Option) {
+		return w, []Option{WithSeed(7), WithEventLog(log)}
+	}
+	source := func(log *bytes.Buffer) (trace.Workload, []Option) {
+		return shell, []Option{WithSeed(7), WithEventLog(log), WithSource(trace.SourceOf(w))}
+	}
 
 	var wantLog bytes.Buffer
 	ref, err := NewSimulator(w, m, WithSeed(7), WithEventLog(&wantLog))
@@ -114,35 +125,48 @@ func TestCheckpointRoundTripMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var gotLog bytes.Buffer
-	s, err := NewSimulator(w, m, WithSeed(7), WithEventLog(&gotLog))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		from, to supply
+	}{
+		{"own-to-own", own, own},
+		{"own-to-source", own, source},
+		{"source-to-own", source, own},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var gotLog bytes.Buffer
+			fw, fopts := tc.from(&gotLog)
+			s, err := NewSimulator(fw, m, fopts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < jobs/2; i++ {
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var snap bytes.Buffer
+			if err := s.Checkpoint(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if s.RunningJobs() == 0 && s.QueueDepth() == 0 {
+				t.Fatal("mid-run checkpoint captured an idle machine; pick a busier instant")
+			}
+			tw, topts := tc.to(&gotLog)
+			restored, err := Restore(tw, m, bytes.NewReader(snap.Bytes()), topts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
+				t.Fatalf("spliced event stream diverges from uninterrupted run (%d vs %d bytes)", gotLog.Len(), wantLog.Len())
+			}
+			compareResults(t, got, want)
+		})
 	}
-	for i := 0; i < jobs/2; i++ {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var snap bytes.Buffer
-	if err := s.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if s.RunningJobs() == 0 && s.QueueDepth() == 0 {
-		t.Fatal("mid-run checkpoint captured an idle machine; pick a busier instant")
-	}
-	restored, err := Restore(w, m, bytes.NewReader(snap.Bytes()), WithSeed(7), WithEventLog(&gotLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
-		t.Fatalf("spliced event stream diverges from uninterrupted run (%d vs %d bytes)", gotLog.Len(), wantLog.Len())
-	}
-	compareResults(t, got, want)
 }
 
 // streamPipeline builds the streaming-source pipeline used by the
@@ -215,10 +239,12 @@ func TestCheckpointRoundTripStreaming(t *testing.T) {
 	compareResults(t, got, want)
 }
 
-// TestRestoreRejectsMismatchedRun pins the identity checks: a snapshot
-// must refuse to restore into a run with a different workload, method,
-// seed, or streaming mode — silently continuing a different experiment
-// would be far worse than failing.
+// TestRestoreRejectsMismatchedRun pins the identity checks — a snapshot
+// must refuse to restore into a run with a different workload, method, or
+// seed; silently continuing a different experiment would be far worse
+// than failing — and the source-position checks: a decoded snapshot whose
+// done watermark or look-ahead buffer disagrees with its pulled count
+// would mark unpulled jobs finished and release their dependants early.
 func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	w := throughputWorkload(300, false)
 	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(7))
@@ -236,6 +262,21 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	}
 	other := w
 	other.Name = "other-workload"
+	corrupt := func(mutate func(*checkpoint.Snapshot)) func() error {
+		return func() error {
+			decoded, err := checkpoint.Decode(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				return err
+			}
+			mutate(decoded)
+			var buf bytes.Buffer
+			if err := checkpoint.Encode(&buf, decoded); err != nil {
+				return err
+			}
+			_, err = Restore(w, sched.Baseline{}, &buf, WithSeed(7))
+			return err
+		}
+	}
 	cases := []struct {
 		name string
 		run  func() error
@@ -253,13 +294,10 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(snap.Bytes()), WithSeed(8))
 			return err
 		}, "seed"},
-		{"streaming", func() error {
-			shell := trace.Workload{Name: w.Name, System: w.System}
-			src := trace.NewSliceSource(nil)
-			_, err := Restore(shell, sched.Baseline{}, bytes.NewReader(snap.Bytes()),
-				WithSeed(7), WithSource(src), WithStreamingMetrics(), WithMeasurement(0, 0))
-			return err
-		}, "streaming"},
+		{"negative pulled", corrupt(func(s *checkpoint.Snapshot) { s.Pulled = -1 }), "pulled"},
+		{"watermark past pulled", corrupt(func(s *checkpoint.Snapshot) { s.DoneLow = s.Pulled + 1 }), "watermark"},
+		{"sparse done ID unpulled", corrupt(func(s *checkpoint.Snapshot) { s.DoneSparse = append(s.DoneSparse, s.Pulled) }), "sparse"},
+		{"look-ahead not the pulled tail", corrupt(func(s *checkpoint.Snapshot) { s.PendingIDs = append(s.PendingIDs, s.Pulled) }), "look-ahead"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,10 +343,10 @@ func TestRestoreRejectsTruncatedSnapshot(t *testing.T) {
 }
 
 // BenchmarkCheckpoint measures snapshot encode and decode over a mid-run
-// state of the 20k-job Theta-S4 throughput trace (every job is live in
-// the snapshot: queued, running, finished, or a pending arrival), and
-// reports the snapshot size. Tracked in BENCH_sim.json via `make
-// bench-json`.
+// state of the 20k-job Theta-S4 throughput trace (the snapshot holds the
+// jobs pulled so far — queued, running, retained finished, or in the
+// look-ahead buffer — not the arrivals still in the source), and reports
+// the snapshot size. Tracked in BENCH_sim.json via `make bench-json`.
 func BenchmarkCheckpoint(b *testing.B) {
 	jobs := 20000
 	if testing.Short() {

@@ -56,9 +56,8 @@ func (ev Event) Record(kind string) EventRecord {
 }
 
 // jsonlObserver streams EventRecords to a writer, one JSON object per
-// line. It is the Observer behind WithEventLog and the legacy
-// Config.EventLog hook. The first encode error is latched and surfaced to
-// the Simulator via Err.
+// line. It is the Observer behind WithEventLog. The first encode error is
+// latched and surfaced to the Simulator via Err.
 type jsonlObserver struct {
 	NopObserver
 	enc *json.Encoder

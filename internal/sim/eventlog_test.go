@@ -16,9 +16,7 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 	w := mkWorkload(tinySystem(10, 100), a, b)
 
 	var buf bytes.Buffer
-	cfg := runCfg(w, sched.Baseline{})
-	cfg.EventLog = &buf
-	if _, err := Run(cfg); err != nil {
+	if _, err := run(w, sched.Baseline{}, WithEventLog(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadEventLog(&buf)
@@ -55,7 +53,7 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 func TestEventLogDisabledByDefault(t *testing.T) {
 	j := job.MustNew(0, 0, 10, 10, job.NewDemand(1, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), j)
-	if _, err := Run(runCfg(w, sched.Baseline{})); err != nil {
+	if _, err := run(w, sched.Baseline{}); err != nil {
 		t.Fatal(err)
 	}
 }

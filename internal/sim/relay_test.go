@@ -71,16 +71,3 @@ func TestRunUntilPulledSegmentedMatchesOneShot(t *testing.T) {
 			want.TotalJobs, want.MeasuredJobs, want.SchedInvocations, want.MakespanSec)
 	}
 }
-
-// TestRunUntilPulledRequiresSource: materialized runs have no ingestion
-// position to stop at.
-func TestRunUntilPulledRequiresSource(t *testing.T) {
-	w := trace.Generate(trace.GenConfig{System: trace.Scale(trace.Theta(), 128), Jobs: 10, Seed: 1})
-	s, err := NewSimulator(w, sched.Baseline{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntilPulled(5); err == nil {
-		t.Fatal("RunUntilPulled accepted a materialized run")
-	}
-}

@@ -5,112 +5,24 @@
 // and metrics are integrated over the measured interval with warm-up and
 // cool-down trimming.
 //
-// The package has three layers:
+// The package has two layers:
 //
 //   - Simulator, the stateful engine: NewSimulator(workload, method,
 //     opts...) with functional options, Step / RunUntil / Run(ctx) with
 //     context cancellation, Observer callbacks, and mid-run inspection.
+//     Every job enters it through a trace.JobSource — the workload's own
+//     validated jobs or a stream given with WithSource.
 //   - RunSweep, a deterministic parallel driver over workloads × methods
 //     × seeds on a worker pool.
-//   - Run(Config), the legacy one-shot entry point, now a thin wrapper
-//     over Simulator.
 package sim
 
 import (
-	"context"
-	"io"
 	"time"
 
 	"bbsched/internal/cluster"
-	"bbsched/internal/core"
 	"bbsched/internal/job"
 	"bbsched/internal/metrics"
-	"bbsched/internal/sched"
-	"bbsched/internal/trace"
 )
-
-// Config parameterizes one simulation run through the legacy Run entry
-// point.
-//
-// Zero-value quirk: Run cannot distinguish an unset field from one
-// explicitly set to zero, so zero WarmupFrac, CooldownFrac, and
-// SlowdownFloor are silently replaced with their defaults (0.1, 0.1, 60),
-// and a zero-valued Plugin takes the paper defaults. To request an exact
-// zero, either pass a negative value (documented per field below) or use
-// NewSimulator, whose options honor explicit zeros.
-type Config struct {
-	// Workload is the trace to replay (cloned internally; the input is
-	// never mutated).
-	Workload trace.Workload
-	// Method is the window job-selection method under test.
-	Method sched.Method
-	// Plugin is the window configuration (§3.1). The zero value (no
-	// window size and no window policy) takes the paper defaults (w=20,
-	// starvation bound 50).
-	Plugin core.PluginConfig
-	// DisableBackfill turns EASY backfilling off (ablation; §4.3 runs all
-	// methods with backfilling on).
-	DisableBackfill bool
-	// Seed drives the method's stochastic solver.
-	Seed uint64
-	// WarmupFrac and CooldownFrac trim the measured interval: jobs
-	// submitted in the first WarmupFrac or last CooldownFrac of the
-	// submission horizon are excluded from per-job metrics, mirroring the
-	// paper's half-month warm-up/cool-down. Zero means the default (0.1
-	// each); a negative value means exactly zero (measure everything).
-	WarmupFrac, CooldownFrac float64
-	// SlowdownFloor bounds the slowdown denominator in seconds. Zero
-	// means the default (60); a negative value means exactly zero.
-	SlowdownFloor int64
-	// Buckets configures breakdown boundaries (zero = defaults).
-	Buckets metrics.Buckets
-	// EventLog, when non-nil, receives a JSONL record per job state
-	// change (see EventRecord). New code should prefer WithEventLog or a
-	// custom Observer on NewSimulator.
-	EventLog io.Writer
-}
-
-// withDefaults resolves the zero-value quirk documented on Config.
-func (c Config) withDefaults() Config {
-	if c.Plugin.WindowSize == 0 && c.Plugin.WindowPolicy == nil {
-		c.Plugin = core.DefaultPluginConfig()
-	}
-	switch {
-	case c.WarmupFrac == 0:
-		c.WarmupFrac = 0.1
-	case c.WarmupFrac < 0:
-		c.WarmupFrac = 0
-	}
-	switch {
-	case c.CooldownFrac == 0:
-		c.CooldownFrac = 0.1
-	case c.CooldownFrac < 0:
-		c.CooldownFrac = 0
-	}
-	switch {
-	case c.SlowdownFloor == 0:
-		c.SlowdownFloor = 60
-	case c.SlowdownFloor < 0:
-		c.SlowdownFloor = 0
-	}
-	return c
-}
-
-// options converts a resolved Config into Simulator options.
-func (c Config) options() []Option {
-	opts := []Option{
-		WithPlugin(c.Plugin),
-		WithBackfill(!c.DisableBackfill),
-		WithSeed(c.Seed),
-		WithMeasurement(c.WarmupFrac, c.CooldownFrac),
-		WithSlowdownFloor(c.SlowdownFloor),
-		WithBuckets(c.Buckets),
-	}
-	if c.EventLog != nil {
-		opts = append(opts, WithEventLog(c.EventLog))
-	}
-	return opts
-}
 
 // Result is a finished run's output.
 type Result struct {
@@ -159,13 +71,6 @@ func (h eventHeap) less(a, b int) bool {
 		return h[a].kind < h[b].kind
 	}
 	return h[a].j.ID < h[b].j.ID
-}
-
-// init establishes the heap property over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 func (h *eventHeap) push(e event) {
@@ -226,15 +131,3 @@ type runningJob struct {
 // reservation in the cluster's allocation table; job IDs are non-negative,
 // so it can never collide.
 const persistentReservationID = -1
-
-// Run simulates the workload under the method and returns the metrics. It
-// is the legacy one-shot entry point, a thin compatibility wrapper over
-// NewSimulator + Simulator.Run (see Config for its zero-value quirk).
-func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	s, err := NewSimulator(cfg.Workload, cfg.Method, cfg.options()...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
-}

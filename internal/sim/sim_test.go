@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"bbsched/internal/cluster"
@@ -34,21 +35,20 @@ func fastBBSched() *core.BBSched {
 	return b
 }
 
-func runCfg(w trace.Workload, m sched.Method) Config {
-	return Config{
-		Workload: w,
-		Method:   m,
-		Plugin:   core.PluginConfig{WindowSize: 5, StarvationBound: 50},
-		Seed:     1,
-		// Hand scenarios are tiny; measure everything.
-		WarmupFrac: 1e-9, CooldownFrac: 1e-9,
+// run drains w under m with the hand-scenario options (engineOpts: w=5
+// window, seed 1, every job measured) plus any overrides.
+func run(w trace.Workload, m sched.Method, extra ...Option) (*Result, error) {
+	s, err := NewSimulator(w, m, engineOpts(extra...)...)
+	if err != nil {
+		return nil, err
 	}
+	return s.Run(context.Background())
 }
 
 func TestSingleJobRuns(t *testing.T) {
 	j := job.MustNew(0, 0, 100, 100, job.NewDemand(4, 10, 0))
 	w := mkWorkload(tinySystem(10, 100), j)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSequentialWhenMachineFull(t *testing.T) {
 	a := job.MustNew(0, 0, 100, 100, job.NewDemand(10, 0, 0))
 	b := job.MustNew(1, 0, 100, 100, job.NewDemand(10, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestParallelWhenFits(t *testing.T) {
 	a := job.MustNew(0, 0, 100, 100, job.NewDemand(5, 0, 0))
 	b := job.MustNew(1, 0, 100, 100, job.NewDemand(5, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,11 @@ func TestBackfillShortensMakespan(t *testing.T) {
 	j2 := job.MustNew(2, 2, 50, 50, job.NewDemand(2, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), j0, j1, j2)
 
-	on, err := Run(runCfg(w, sched.Baseline{}))
+	on, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runCfg(w, sched.Baseline{})
-	cfg.DisableBackfill = true
-	off, err := Run(cfg)
+	off, err := run(w, sched.Baseline{}, WithBackfill(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	j1 := job.MustNew(1, 1, 100, 100, job.NewDemand(10, 0, 0))
 	j2 := job.MustNew(2, 2, 500, 500, job.NewDemand(2, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), j0, j1, j2)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +135,7 @@ func TestDependencyOrdering(t *testing.T) {
 	b := job.MustNew(1, 0, 50, 50, job.NewDemand(1, 0, 0))
 	b.Deps = []int{0}
 	w := mkWorkload(tinySystem(10, 0), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +150,7 @@ func TestUsageMetricsAccounting(t *testing.T) {
 	j := job.MustNew(0, 0, 1000, 1000, job.NewDemand(5, 50, 0))
 	j2 := job.MustNew(1, 1000, 1, 1, job.NewDemand(1, 0, 0)) // horizon marker
 	w := mkWorkload(tinySystem(10, 100), j, j2)
-	cfg := runCfg(w, sched.Baseline{})
-	res, err := Run(cfg)
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestWaitTimeMetric(t *testing.T) {
 	a := job.MustNew(0, 0, 100, 100, job.NewDemand(10, 0, 0))
 	b := job.MustNew(1, 0, 100, 100, job.NewDemand(10, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +186,7 @@ func TestWarmupCooldownTrimming(t *testing.T) {
 		jobs = append(jobs, job.MustNew(i, int64(i*100), 10, 10, job.NewDemand(1, 0, 0)))
 	}
 	w := mkWorkload(tinySystem(10, 0), jobs...)
-	cfg := runCfg(w, sched.Baseline{})
-	cfg.WarmupFrac = 0.25   // trims submit < 225
-	cfg.CooldownFrac = 0.25 // trims submit > 675
-	res, err := Run(cfg)
+	res, err := run(w, sched.Baseline{}, WithMeasurement(0.25, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +208,7 @@ func TestAllMethodsDrainGeneratedWorkload(t *testing.T) {
 		fastBBSched(),
 	}
 	for _, m := range methods {
-		cfg := runCfg(w, m)
-		res, err := Run(cfg)
+		res, err := run(w, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -231,7 +224,7 @@ func TestAllMethodsDrainGeneratedWorkload(t *testing.T) {
 func TestWFPWorkloadDrains(t *testing.T) {
 	sys := trace.Scale(trace.Theta(), 64)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 100, Seed: 7})
-	res, err := Run(runCfg(w, fastBBSched()))
+	res, err := run(w, fastBBSched())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +239,7 @@ func TestSSDWorkloadDrains(t *testing.T) {
 	w := trace.AddSSD(base, "ssd", trace.S6, 11)
 	b := core.NewFourObjective()
 	b.GA = fastGA()
-	res, err := Run(runCfg(w, b))
+	res, err := run(w, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +254,11 @@ func TestSSDWorkloadDrains(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	sys := trace.Scale(trace.Cori(), 128)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 100, Seed: 13})
-	a, err := Run(runCfg(w, fastBBSched()))
+	a, err := run(w, fastBBSched())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(runCfg(w, fastBBSched()))
+	b, err := run(w, fastBBSched())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +270,7 @@ func TestDeterminism(t *testing.T) {
 func TestDependentWorkloadDrains(t *testing.T) {
 	sys := trace.Scale(trace.Cori(), 128)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 100, Seed: 17, DependencyFraction: 0.3})
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +282,7 @@ func TestDependentWorkloadDrains(t *testing.T) {
 func TestInvalidWorkloadRejected(t *testing.T) {
 	j := job.MustNew(0, 0, 100, 100, job.NewDemand(100, 0, 0)) // > machine
 	w := mkWorkload(tinySystem(10, 0), j)
-	if _, err := Run(runCfg(w, sched.Baseline{})); err == nil {
+	if _, err := run(w, sched.Baseline{}); err == nil {
 		t.Fatal("oversized job accepted")
 	}
 }
@@ -297,9 +290,7 @@ func TestInvalidWorkloadRejected(t *testing.T) {
 func TestInvalidPluginConfigRejected(t *testing.T) {
 	j := job.MustNew(0, 0, 100, 100, job.NewDemand(1, 0, 0))
 	w := mkWorkload(tinySystem(10, 0), j)
-	cfg := runCfg(w, sched.Baseline{})
-	cfg.Plugin = core.PluginConfig{WindowSize: -3}
-	if _, err := Run(cfg); err == nil {
+	if _, err := run(w, sched.Baseline{}, WithWindow(-3, 0)); err == nil {
 		t.Fatal("invalid plugin config accepted")
 	}
 }
@@ -315,9 +306,7 @@ func TestStarvationBoundEventuallyRunsBigJob(t *testing.T) {
 		jobs = append(jobs, job.MustNew(i, int64(i), 40, 40, job.NewDemand(2, 0, 0)))
 	}
 	w := mkWorkload(tinySystem(10, 0), jobs...)
-	cfg := runCfg(w, sched.BinPacking{})
-	cfg.Plugin = core.PluginConfig{WindowSize: 4, StarvationBound: 5}
-	res, err := Run(cfg)
+	res, err := run(w, sched.BinPacking{}, WithWindow(4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +322,7 @@ func TestStarvationBoundEventuallyRunsBigJob(t *testing.T) {
 func TestSchedulerOverheadRecorded(t *testing.T) {
 	sys := trace.Scale(trace.Cori(), 128)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 60, Seed: 19})
-	res, err := Run(runCfg(w, fastBBSched()))
+	res, err := run(w, fastBBSched())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,9 @@ import (
 	"bbsched/internal/trace"
 )
 
-// options is the resolved configuration of a Simulator. Unlike the legacy
-// Config, every field holds exactly what the caller asked for: an option
-// explicitly set to zero stays zero, defaults apply only to options never
-// given.
+// options is the resolved configuration of a Simulator. Every field holds
+// exactly what the caller asked for: an option explicitly set to zero
+// stays zero, defaults apply only to options never given.
 type options struct {
 	plugin        core.PluginConfig
 	backfill      bool
@@ -130,9 +129,8 @@ func WithObserver(obs Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, obs) }
 }
 
-// WithEventLog streams a JSONL EventRecord per job state change to w, the
-// Observer equivalent of the legacy Config.EventLog hook. A write error
-// aborts the run.
+// WithEventLog streams a JSONL EventRecord per job state change to w. A
+// write error aborts the run.
 func WithEventLog(w io.Writer) Option {
 	return func(o *options) { o.observers = append(o.observers, newJSONLObserver(w)) }
 }
@@ -159,12 +157,13 @@ func WithSolverWorkers(n int) Option {
 }
 
 // WithSource drives the simulation from a streaming trace.JobSource
-// instead of a materialized job list: the event loop pulls arrivals
-// lazily through a bounded look-ahead buffer (WithLookahead), so memory
-// stays bounded by queue depth plus the look-ahead window rather than
-// trace length. The workload passed to NewSimulator must carry no jobs —
-// it contributes only the name and system model. Sources are single-use;
-// the simulator owns the one it is given.
+// instead of the workload's own job list. Every run pulls arrivals
+// lazily through a bounded look-ahead buffer (WithLookahead); with a
+// source that never holds the whole trace, memory stays bounded by queue
+// depth plus the look-ahead window rather than trace length. The workload
+// passed to NewSimulator must carry no jobs — it contributes only the
+// name and system model. Sources are single-use; the simulator owns the
+// one it is given.
 //
 // The source must satisfy the JobSource contract (non-decreasing submit
 // times, dense IDs, deps on earlier jobs only); violations surface as
@@ -175,9 +174,9 @@ func WithSource(src trace.JobSource) Option {
 	return func(o *options) { o.source = src }
 }
 
-// WithLookahead sets how many jobs beyond the current event frontier a
-// streaming source is buffered ahead (default 256, minimum 1). Larger
-// windows amortize source pulls; smaller ones tighten the memory bound.
+// WithLookahead sets how many jobs beyond the current event frontier
+// arrivals are buffered ahead (default 256, minimum 1). Larger windows
+// amortize source pulls; smaller ones tighten the memory bound.
 func WithLookahead(n int) Option {
 	return func(o *options) { o.lookahead = n }
 }
@@ -188,7 +187,7 @@ func WithLookahead(n int) Option {
 // long streams measure in constant space. Means and bucket breakdowns
 // are bit-identical to the default path; wait-time percentiles become
 // streaming estimates instead of exact nearest-rank values, which is why
-// exact legacy quantiles remain the default for materialized runs.
+// exact quantiles over retained jobs remain the default.
 func WithStreamingMetrics() Option {
 	return func(o *options) { o.streamStats = true }
 }
@@ -229,14 +228,15 @@ type Simulator struct {
 	events   eventHeap
 	now      int64
 	running  map[int]*runningJob
-	done     map[int]bool
 	finished []*job.Job
 
-	// Streaming ingestion state (WithSource). pending is the bounded
-	// look-ahead FIFO between the source and the event heap; doneLow is
-	// the watermark below which every dense job ID has finished, with
-	// doneSparse holding the (small) set of finished IDs above it — the
-	// bounded-memory replacement for the done map.
+	// Ingestion state. Every job enters through source: the caller's
+	// (WithSource) or an ownedSource over the workload clone. pending is
+	// the bounded look-ahead FIFO between the source and the event heap;
+	// doneLow is the watermark below which every dense job ID has
+	// finished, with doneSparse holding the (small) set of finished IDs
+	// above it, so the done-set tracks the in-flight spread, not trace
+	// length.
 	source     trace.JobSource
 	srcClosed  bool
 	admitCl    *cluster.Cluster // pristine machine for per-pull validation
@@ -285,10 +285,12 @@ type Simulator struct {
 // method. Defaults match the paper: w=20 window with starvation bound 50,
 // EASY backfilling on, 0.1 warm-up/cool-down trim, 60 s slowdown floor.
 //
+// A workload that carries jobs must satisfy trace.Workload.Validate (the
+// JobSource contract) and is fed through the same pull path as a stream.
 // With WithSource the workload is a job-less shell (name + system) and
-// arrivals are pulled lazily from the streaming source instead; pair it
-// with WithStreamingMetrics to run arbitrarily long traces in memory
-// bounded by queue depth plus the look-ahead window.
+// arrivals come from the given source instead; pair it with
+// WithStreamingMetrics to run arbitrarily long traces in memory bounded
+// by queue depth plus the look-ahead window.
 func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simulator, error) {
 	opt := defaultOptions()
 	for _, apply := range opts {
@@ -337,64 +339,52 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	horizon := int64(0)
-	for _, j := range wc.Jobs {
-		if j.SubmitTime > horizon {
-			horizon = j.SubmitTime
-		}
+	if opt.source == nil {
+		opt.source = &ownedSource{jobs: wc.Jobs}
 	}
 	// Resolve the measured interval. An absolute window wins; otherwise
-	// the fractional trim needs a horizon — known up front for
-	// materialized workloads, and for streams only when the source
-	// reports one (SliceSource does). A horizon-less stream with zero
-	// trims measures the full run (open-ended cool-down sentinel).
+	// the fractional trim needs a horizon, known only when the source
+	// reports one (a workload's own jobs and SliceSource do). A
+	// horizon-less stream with zero trims measures the full run
+	// (open-ended cool-down sentinel).
+	hz, known := int64(0), false
+	if h, ok := opt.source.(trace.Horizoner); ok {
+		hz, known = h.Horizon()
+	}
 	var warmEnd, coolStart int64
 	switch {
 	case opt.measureAbs:
 		warmEnd, coolStart = opt.measureStart, opt.measureEnd
-	case opt.source == nil:
-		warmEnd = int64(float64(horizon) * opt.warmupFrac)
-		coolStart = horizon - int64(float64(horizon)*opt.cooldownFrac)
+	case known:
+		warmEnd = int64(float64(hz) * opt.warmupFrac)
+		coolStart = hz - int64(float64(hz)*opt.cooldownFrac)
+	case opt.warmupFrac == 0 && opt.cooldownFrac == 0:
+		warmEnd, coolStart = 0, math.MaxInt64
 	default:
-		hz, known := int64(0), false
-		if h, ok := opt.source.(trace.Horizoner); ok {
-			hz, known = h.Horizon()
-		}
-		switch {
-		case known:
-			warmEnd = int64(float64(hz) * opt.warmupFrac)
-			coolStart = hz - int64(float64(hz)*opt.cooldownFrac)
-		case opt.warmupFrac == 0 && opt.cooldownFrac == 0:
-			warmEnd, coolStart = 0, math.MaxInt64
-		default:
-			return nil, fmt.Errorf("sim: source has no known horizon to resolve the fractional measurement trim; use WithMeasureWindow, WithMeasurement(0, 0), or a horizon-reporting source")
-		}
+		return nil, fmt.Errorf("sim: source has no known horizon to resolve the fractional measurement trim; use WithMeasureWindow, WithMeasurement(0, 0), or a horizon-reporting source")
 	}
 	s := &Simulator{
-		opt:       opt,
-		workload:  wc,
-		cl:        cl,
-		q:         queue.New(pol),
-		plugin:    plugin,
-		totals:    sched.TotalsOf(wc.System.Cluster),
-		extra:     wc.System.Cluster.Extra,
-		rand:      rng.New(opt.seed).Split("sim:" + wc.Name + ":" + method.Name()),
-		observers: opt.observers,
-		running:   make(map[int]*runningJob),
-		source:    opt.source,
-		warmEnd:   warmEnd,
-		coolStart: coolStart,
+		opt:        opt,
+		workload:   wc,
+		cl:         cl,
+		q:          queue.New(pol),
+		plugin:     plugin,
+		totals:     sched.TotalsOf(wc.System.Cluster),
+		extra:      wc.System.Cluster.Extra,
+		rand:       rng.New(opt.seed).Split("sim:" + wc.Name + ":" + method.Name()),
+		observers:  opt.observers,
+		events:     make(eventHeap, 0, opt.lookahead+1),
+		running:    make(map[int]*runningJob),
+		source:     opt.source,
+		pending:    make([]*job.Job, 0, opt.lookahead),
+		doneSparse: make(map[int]struct{}),
+		warmEnd:    warmEnd,
+		coolStart:  coolStart,
 	}
-	if s.source == nil {
-		s.done = make(map[int]bool, len(wc.Jobs))
-	} else {
-		s.doneSparse = make(map[int]struct{})
-		// A second pristine machine validates each pulled job's demand
-		// (the streaming analogue of Workload.Validate's fit check).
-		if s.admitCl, err = cluster.New(wc.System.Cluster); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		s.pending = make([]*job.Job, 0, opt.lookahead)
+	// A second pristine machine validates each pulled job's demand (the
+	// per-pull analogue of Workload.Validate's fit check).
+	if s.admitCl, err = cluster.New(wc.System.Cluster); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if opt.streamStats {
 		s.stats = metrics.NewJobStats(opt.slowdownFloor, opt.buckets)
@@ -422,30 +412,46 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		}
 		s.usage.BBGB += p
 	}
-	if s.source == nil {
-		s.events = make(eventHeap, 0, len(wc.Jobs)+1)
-		for _, j := range wc.Jobs {
-			s.events = append(s.events, event{t: j.SubmitTime, kind: evArrive, j: j})
-		}
-		s.events.init()
-	} else {
-		s.events = make(eventHeap, 0, opt.lookahead+1)
-	}
 	s.collector.Observe(0, metrics.Usage{})
 	return s, nil
 }
 
-// Close releases the simulator's streaming source, if it holds one that
-// can be released (trace.Closer). The simulator owns the source it was
-// given (see WithSource), so a caller abandoning a run early —
-// cancellation, a failed step — closes it through here rather than
-// keeping its own handle. Close is idempotent: the simulator forwards at
-// most one Close to the source, so sweep drivers can close on every exit
-// path without double-closing, and a source that already closed itself on
-// drain (the JobSource contract) sees at most one extra, harmless Close.
-// A Simulator without a source (materialized runs) closes trivially.
+// ownedSource is how a workload's own jobs enter the pull path: it hands
+// out the private clone NewSimulator took, as is. (trace.SliceSource
+// clones per pull, which here would copy every job twice and allocate on
+// every arrival.)
+type ownedSource struct {
+	jobs []*job.Job
+	next int
+}
+
+func (o *ownedSource) Next() (*job.Job, error) {
+	if o.next == len(o.jobs) {
+		return nil, io.EOF
+	}
+	j := o.jobs[o.next]
+	o.next++
+	return j, nil
+}
+
+// Horizon implements trace.Horizoner; validated jobs are in submit order.
+func (o *ownedSource) Horizon() (int64, bool) {
+	if len(o.jobs) == 0 {
+		return 0, true
+	}
+	return o.jobs[len(o.jobs)-1].SubmitTime, true
+}
+
+// Close releases the simulator's source, if it is one that can be
+// released (trace.Closer). The simulator owns the source it was given
+// (see WithSource), so a caller abandoning a run early — cancellation, a
+// failed step — closes it through here rather than keeping its own
+// handle. Close is idempotent: the simulator forwards at most one Close
+// to the source, so sweep drivers can close on every exit path without
+// double-closing, and a source that already closed itself on drain (the
+// JobSource contract) sees at most one extra, harmless Close.
 func (s *Simulator) Close() error {
-	if s.source == nil || s.srcClosed {
+	if s.srcClosed {
 		return nil
 	}
 	s.srcClosed = true
@@ -455,13 +461,8 @@ func (s *Simulator) Close() error {
 	return nil
 }
 
-// isDone reports whether the job with the given ID has finished, reading
-// the done map (materialized runs) or the watermark + sparse set
-// (streaming runs).
+// isDone reports whether the job with the given ID has finished.
 func (s *Simulator) isDone(id int) bool {
-	if s.done != nil {
-		return s.done[id]
-	}
 	if id < s.doneLow {
 		return true
 	}
@@ -469,15 +470,10 @@ func (s *Simulator) isDone(id int) bool {
 	return ok
 }
 
-// markDone records a finished job. Streaming runs compact the record into
-// a watermark over the dense submit-ordered IDs: the sparse overflow set
-// only holds jobs that finished ahead of a still-running earlier job, so
-// its size tracks the in-flight spread, not the trace length.
+// markDone records a finished job, compacting the record into a watermark
+// over the dense submit-ordered IDs: the sparse overflow set only holds
+// jobs that finished ahead of a still-running earlier job.
 func (s *Simulator) markDone(id int) {
-	if s.done != nil {
-		s.done[id] = true
-		return
-	}
 	if id != s.doneLow {
 		s.doneSparse[id] = struct{}{}
 		return
@@ -545,7 +541,7 @@ func (s *Simulator) refill() error {
 	return nil
 }
 
-// admit enforces the JobSource contract on a pulled job — the streaming
+// admit enforces the JobSource contract on a pulled job — the per-pull
 // analogue of Workload.Validate.
 func (s *Simulator) admit(j *job.Job) error {
 	if j == nil {
@@ -576,14 +572,11 @@ func (s *Simulator) admit(j *job.Job) error {
 	return nil
 }
 
-// Done reports whether the simulation has drained: no pending events
-// remain (and, for streaming runs, the source and look-ahead buffer are
-// exhausted) and Result is available.
+// Done reports whether the simulation has drained — no pending events
+// remain and the source and look-ahead buffer are exhausted — and Result
+// is available.
 func (s *Simulator) Done() bool {
-	if s.events.Len() != 0 {
-		return false
-	}
-	return s.source == nil || (s.srcDone && s.pendHead == len(s.pending))
+	return s.events.Len() == 0 && s.srcDone && s.pendHead == len(s.pending)
 }
 
 // Now returns the simulation clock in seconds (the time of the last
@@ -648,10 +641,8 @@ func (s *Simulator) Method() sched.Method { return s.plugin.Method() }
 // releases) and then runs one scheduling pass. It returns false when the
 // simulation had already drained and no work remains.
 func (s *Simulator) Step() (bool, error) {
-	if s.source != nil {
-		if err := s.fill(); err != nil {
-			return false, err
-		}
+	if err := s.fill(); err != nil {
+		return false, err
 	}
 	if s.events.Len() == 0 {
 		return false, nil
@@ -685,24 +676,20 @@ func (s *Simulator) Step() (bool, error) {
 	return true, nil
 }
 
-// SourcePulled returns how many jobs have been pulled from the streaming
-// source so far (0 for materialized runs). Together with RunUntilPulled
-// it is the farm's relay-sharding hook: a snapshot taken when SourcePulled
-// reaches a segment boundary records the exact source position, so the
-// next segment resumes bit-exactly on any worker.
+// SourcePulled returns how many jobs have been pulled from the source so
+// far. Together with RunUntilPulled it is the farm's relay-sharding hook:
+// a snapshot taken when SourcePulled reaches a segment boundary records
+// the exact source position, so the next segment resumes bit-exactly on
+// any worker.
 func (s *Simulator) SourcePulled() int { return s.pulled }
 
-// RunUntilPulled advances a source-driven simulation until at least n
-// jobs have been pulled from the source or the run drains, whichever
-// comes first. Like RunUntil it never stops mid-instant, so the state
-// afterwards is always checkpointable. The stop point overshoots n by at
-// most one look-ahead refill — deterministically, since fills depend only
-// on simulation state — which is what makes segment boundaries bit-exact
-// across workers.
+// RunUntilPulled advances the simulation until at least n jobs have been
+// pulled from the source or the run drains, whichever comes first. Like
+// RunUntil it never stops mid-instant, so the state afterwards is always
+// checkpointable. The stop point overshoots n by at most one look-ahead
+// refill — deterministically, since fills depend only on simulation state
+// — which is what makes segment boundaries bit-exact across workers.
 func (s *Simulator) RunUntilPulled(n int) error {
-	if s.source == nil {
-		return fmt.Errorf("sim: RunUntilPulled requires a source-driven run (WithSource)")
-	}
 	for s.pulled < n {
 		more, err := s.Step()
 		if err != nil {
@@ -721,10 +708,8 @@ func (s *Simulator) RunUntilPulled(n int) error {
 // instant; use Run to drain completely.
 func (s *Simulator) RunUntil(t int64) error {
 	for {
-		if s.source != nil {
-			if err := s.fill(); err != nil {
-				return err
-			}
+		if err := s.fill(); err != nil {
+			return err
 		}
 		if s.events.Len() == 0 || s.events[0].t > t {
 			return nil
@@ -791,15 +776,11 @@ func (s *Simulator) Result() (*Result, error) {
 		rep = metrics.Compute(&s.collector, capTotals, measured, s.opt.slowdownFloor, s.opt.buckets)
 		measuredCount = len(measured)
 	}
-	totalJobs := len(s.workload.Jobs)
-	if s.source != nil {
-		totalJobs = s.pulled
-	}
 	res := &Result{
 		Report:           rep,
 		Workload:         s.workload.Name,
 		Method:           s.plugin.Method().Name(),
-		TotalJobs:        totalJobs,
+		TotalJobs:        s.pulled,
 		MeasuredJobs:     measuredCount,
 		SchedInvocations: s.invocations,
 		MaxDecisionTime:  s.decideMax,

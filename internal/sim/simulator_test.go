@@ -8,13 +8,14 @@ import (
 	"reflect"
 	"testing"
 
-	"bbsched/internal/core"
 	"bbsched/internal/job"
 	"bbsched/internal/sched"
 	"bbsched/internal/trace"
 )
 
-// engineOpts mirrors runCfg for the options API.
+// engineOpts is the hand-scenario option set: w=5 window with starvation
+// bound 50, seed 1, and no warm-up/cool-down trim (hand scenarios are
+// tiny; measure everything).
 func engineOpts(extra ...Option) []Option {
 	return append([]Option{
 		WithWindow(5, 50),
@@ -138,11 +139,7 @@ func TestObserverEventLogRoundTrip(t *testing.T) {
 func TestRunUntilMidRunInspection(t *testing.T) {
 	sys := trace.Scale(trace.Cori(), 128)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 60, Seed: 7})
-	full, err := Run(Config{
-		Workload: w, Method: fastBBSched(),
-		Plugin: core.PluginConfig{WindowSize: 5, StarvationBound: 50},
-		Seed:   1, WarmupFrac: -1, CooldownFrac: -1,
-	})
+	full, err := run(w, fastBBSched())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +212,8 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestExplicitZeroMeasurement proves the options API distinguishes unset
-// from zero: WithMeasurement(0, 0) measures every job, while the legacy
-// Config's zero values silently take the 0.1 defaults (and negative
-// values opt into exact zero).
+// from zero: WithMeasurement(0, 0) measures every job, while leaving the
+// option out takes the 0.1 defaults.
 func TestExplicitZeroMeasurement(t *testing.T) {
 	var jobs []*job.Job
 	for i := 0; i < 10; i++ {
@@ -237,59 +233,24 @@ func TestExplicitZeroMeasurement(t *testing.T) {
 		t.Fatalf("explicit zero trim measured %d jobs, want all 10", res.MeasuredJobs)
 	}
 
-	// Legacy quirk: zero means default (0.1/0.1 trims the edges).
-	legacy, err := Run(Config{Workload: w, Method: sched.Baseline{}})
+	// Option left out: the default 0.1/0.1 trims the edges.
+	s, err = NewSimulator(w, sched.Baseline{}, WithWindow(5, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.MeasuredJobs >= 10 {
-		t.Fatalf("legacy zero values measured %d jobs, want trimmed (<10)", legacy.MeasuredJobs)
-	}
-
-	// Legacy escape hatch: negative means exact zero.
-	legacyZero, err := Run(Config{Workload: w, Method: sched.Baseline{}, WarmupFrac: -1, CooldownFrac: -1})
-	if err != nil {
+	if res, err = s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if legacyZero.MeasuredJobs != 10 {
-		t.Fatalf("negative fracs measured %d jobs, want all 10", legacyZero.MeasuredJobs)
+	if res.MeasuredJobs >= 10 {
+		t.Fatalf("default trim measured %d jobs, want trimmed (<10)", res.MeasuredJobs)
 	}
 }
 
-// TestLegacyConfigWindowPolicyPreserved guards the withDefaults fix: a
-// Config whose Plugin sets only a WindowPolicy (zero WindowSize) must use
-// that policy rather than silently falling back to the static default.
-func TestLegacyConfigWindowPolicyPreserved(t *testing.T) {
-	pol := &countingWindowPolicy{}
-	var jobs []*job.Job
-	for i := 0; i < 8; i++ {
-		jobs = append(jobs, job.MustNew(i, int64(i), 20, 20, job.NewDemand(2, 0, 0)))
-	}
-	w := mkWorkload(tinySystem(4, 0), jobs...)
-	if _, err := Run(Config{Workload: w, Method: sched.Baseline{}, Plugin: core.PluginConfig{WindowPolicy: pol}}); err != nil {
-		t.Fatal(err)
-	}
-	if pol.calls == 0 {
-		t.Fatal("window policy was dropped by withDefaults")
-	}
-}
-
-type countingWindowPolicy struct{ calls int }
-
-func (p *countingWindowPolicy) Name() string { return "counting" }
-func (p *countingWindowPolicy) Size(queueLen int) int {
-	p.calls++
-	if queueLen < 1 {
-		return 1
-	}
-	return queueLen
-}
-
-// TestLegacyRunFixedSeedRegression pins the exact pre-refactor Results of
-// the legacy entry point: values captured from the seed implementation
-// (PR 1 tree) before Run became a wrapper over Simulator. Identical
-// floats prove the wrapper is bit-for-bit compatible.
-func TestLegacyRunFixedSeedRegression(t *testing.T) {
+// TestFixedSeedRegression pins exact Results captured from the seed
+// implementation (PR 1 tree), before the Simulator existed: identical
+// floats prove every engine rework since has been bit-for-bit compatible.
+// The default 0.1/0.1 measurement trim applies.
+func TestFixedSeedRegression(t *testing.T) {
 	sys := trace.Scale(trace.Cori(), 128)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 100, Seed: 13})
 	want := []struct {
@@ -304,12 +265,11 @@ func TestLegacyRunFixedSeedRegression(t *testing.T) {
 			"936.80519480519479", "1.955131907796601", 39403, 77, 195},
 	}
 	for _, tc := range want {
-		res, err := Run(Config{
-			Workload: w,
-			Method:   tc.method,
-			Plugin:   core.PluginConfig{WindowSize: 5, StarvationBound: 50},
-			Seed:     1,
-		})
+		s, err := NewSimulator(w, tc.method, WithWindow(5, 50), WithSeed(1))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.method.Name(), err)
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.method.Name(), err)
 		}

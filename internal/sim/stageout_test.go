@@ -16,7 +16,7 @@ func TestStageOutHoldsBBAfterNodes(t *testing.T) {
 	a.StageOutSec = 50
 	b := job.MustNew(1, 0, 10, 10, job.NewDemand(5, 100, 0))
 	w := mkWorkload(tinySystem(10, 100), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestStageOutFreesNodesEarly(t *testing.T) {
 	a.StageOutSec = 500
 	b := job.MustNew(1, 0, 20, 20, job.NewDemand(10, 0, 0))
 	w := mkWorkload(tinySystem(10, 100), a, b)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStageOutBBUsageIntegral(t *testing.T) {
 	a.StageOutSec = 50
 	marker := job.MustNew(1, 150, 1, 1, job.NewDemand(1, 0, 0))
 	w := mkWorkload(tinySystem(10, 100), a, marker)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestStageOutBackfillRespectsDrain(t *testing.T) {
 	cand := job.MustNew(2, 2, 30, 30, job.NewDemand(2, 50, 0))
 	cand.StageOutSec = 200
 	w := mkWorkload(tinySystem(10, 100), hold, head, cand)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWithStageOutRetrofit(t *testing.T) {
 		}
 	}
 	// And the staged workload still drains through the simulator.
-	res, err := Run(runCfg(staged, sched.Baseline{}))
+	res, err := run(staged, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPersistentBBReservation(t *testing.T) {
 	sys.PersistentBBGB = 50
 	ok := job.MustNew(0, 0, 100, 100, job.NewDemand(1, 50, 0))
 	w := mkWorkload(sys, ok)
-	res, err := Run(runCfg(w, sched.Baseline{}))
+	res, err := run(w, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPersistentBBReservation(t *testing.T) {
 	// the sim surfaces this as a drain failure rather than hanging.
 	stuck := job.MustNew(0, 0, 100, 100, job.NewDemand(1, 60, 0))
 	w2 := mkWorkload(sys, stuck)
-	if _, err := Run(runCfg(w2, sched.Baseline{})); err == nil {
+	if _, err := run(w2, sched.Baseline{}); err == nil {
 		t.Fatal("unschedulable job (pool shrunk by reservation) not reported")
 	}
 }

@@ -138,35 +138,49 @@ func TestStreamHorizonResolution(t *testing.T) {
 	}
 }
 
+// TestStreamContractViolations tables the JobSource contract against both
+// ways jobs are supplied: a source trips over each fault mid-run (admit),
+// and the same jobs as a workload's own are refused by NewSimulator
+// (Workload.Validate) in the same words — a workload that validates is
+// exactly one that streams.
 func TestStreamContractViolations(t *testing.T) {
 	sys := streamTestSystem()
 	shell := trace.Workload{Name: "stream", System: sys}
-	mk := func(id int, submit int64) *job.Job {
-		return job.MustNew(id, submit, 60, 60, job.NewDemand(1, 0, 0))
+	mk := func(id int, submit int64, deps ...int) *job.Job {
+		j := job.MustNew(id, submit, 60, 60, job.NewDemand(1, 0, 0))
+		j.Deps = deps
+		return j
 	}
 	cases := []struct {
 		name string
-		src  trace.JobSource
+		jobs []*job.Job
+		err  error // terminal source failure after jobs; stream-only
 		want string
 	}{
-		{"non-dense IDs", &errSource{jobs: []*job.Job{mk(0, 0), mk(2, 10)}}, "dense"},
-		{"submit regression", &errSource{jobs: []*job.Job{mk(0, 50), mk(1, 10)}}, "before previous"},
-		{"forward dep", &errSource{jobs: []*job.Job{mk(0, 0), func() *job.Job {
-			j := mk(1, 10)
-			j.Deps = []int{2}
-			return j
-		}()}}, "earlier job"},
-		{"oversized job", &errSource{jobs: []*job.Job{mk(0, 0), job.MustNew(1, 5, 60, 60, job.NewDemand(sys.Cluster.Nodes+1, 0, 0))}}, "nodes"},
-		{"source failure", &errSource{jobs: []*job.Job{mk(0, 0)}, err: fmt.Errorf("disk on fire")}, "disk on fire"},
+		{"sparse IDs", []*job.Job{mk(0, 0), mk(2, 10)}, nil, "dense"},
+		{"ID out of submit order", []*job.Job{mk(1, 0), mk(0, 10)}, nil, "dense"},
+		{"submit regression", []*job.Job{mk(0, 50), mk(1, 10)}, nil, "before previous"},
+		{"forward dep", []*job.Job{mk(0, 0), mk(1, 10, 2)}, nil, "earlier job"},
+		{"dep on a same-instant later ID", []*job.Job{mk(0, 5, 1), mk(1, 5)}, nil, "earlier job"},
+		{"oversized job", []*job.Job{mk(0, 0), job.MustNew(1, 5, 60, 60, job.NewDemand(sys.Cluster.Nodes+1, 0, 0))}, nil, "nodes"},
+		{"source failure", []*job.Job{mk(0, 0)}, fmt.Errorf("disk on fire"), "disk on fire"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSimulator(shell, sched.Baseline{}, WithSource(tc.src), WithMeasurement(0, 0))
+			if tc.err == nil {
+				w := shell
+				w.Jobs = tc.jobs
+				if _, err := NewSimulator(w, sched.Baseline{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("NewSimulator err = %v, want substring %q", err, tc.want)
+				}
+			}
+			src := &errSource{jobs: tc.jobs, err: tc.err}
+			s, err := NewSimulator(shell, sched.Baseline{}, WithSource(src), WithMeasurement(0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.Run(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
+				t.Fatalf("streamed err = %v, want substring %q", err, tc.want)
 			}
 		})
 	}

@@ -191,24 +191,33 @@ func (w Workload) Clone() Workload {
 	return Workload{Name: w.Name, System: w.System, Jobs: job.CloneAll(w.Jobs)}
 }
 
-// Validate checks the workload's jobs and submission ordering.
+// Validate checks the workload against the JobSource contract — valid
+// jobs in non-decreasing submit order, IDs dense in that order, deps on
+// earlier IDs only — and the machine, so a workload that validates is
+// exactly one that streams (SourceOf) without a mid-run contract error.
 func (w Workload) Validate() error {
 	if err := w.System.Cluster.Validate(); err != nil {
 		return err
-	}
-	if err := job.ValidateWorkload(w.Jobs); err != nil {
-		return err
-	}
-	for i := 1; i < len(w.Jobs); i++ {
-		if w.Jobs[i].SubmitTime < w.Jobs[i-1].SubmitTime {
-			return fmt.Errorf("workload %s: jobs not sorted by submit time at index %d", w.Name, i)
-		}
 	}
 	empty, err := cluster.New(w.System.Cluster)
 	if err != nil {
 		return err
 	}
-	for _, j := range w.Jobs {
+	for i, j := range w.Jobs {
+		if err := j.Validate(); err != nil {
+			return err
+		}
+		if j.ID != i {
+			return fmt.Errorf("workload %s: job ID %d breaks the dense submit-order sequence (want %d)", w.Name, j.ID, i)
+		}
+		if i > 0 && j.SubmitTime < w.Jobs[i-1].SubmitTime {
+			return fmt.Errorf("workload %s: job %d submits at %d, before previous job's %d", w.Name, j.ID, j.SubmitTime, w.Jobs[i-1].SubmitTime)
+		}
+		for _, d := range j.Deps {
+			if d < 0 || d >= j.ID {
+				return fmt.Errorf("workload %s: job %d dep %d does not reference an earlier job", w.Name, j.ID, d)
+			}
+		}
 		if j.Demand.NodeCount() > w.System.Cluster.Nodes {
 			return fmt.Errorf("workload %s: job %d requests %d nodes on a %d-node system",
 				w.Name, j.ID, j.Demand.NodeCount(), w.System.Cluster.Nodes)

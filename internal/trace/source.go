@@ -46,9 +46,9 @@ type Closer interface {
 	Close() error
 }
 
-// SliceSource adapts a materialized job slice to the JobSource contract —
-// the compat bridge that makes every existing Workload a source. Next
-// clones each job, mirroring NewSimulator's defensive copy, so the
+// SliceSource adapts a materialized job slice to the JobSource contract,
+// so any Workload that validates can be replayed through WithSource.
+// Next clones each job, mirroring NewSimulator's defensive copy, so the
 // backing slice is never mutated by a run.
 type SliceSource struct {
 	jobs    []*job.Job

@@ -107,18 +107,17 @@ func ReadSWF(r io.Reader, opts SWFOptions) ([]*job.Job, error) {
 		return nil, fmt.Errorf("trace: swf: %w", err)
 	}
 	job.SortBySubmit(jobs)
+	// Renumber in submit order, then re-point every dependency once through
+	// the complete old→new map (remapping inside the renumbering loop would
+	// chain: an ID rewritten early could be rewritten again).
+	newID := make([]int, len(jobs))
 	for i, j := range jobs {
-		old := j.ID
+		newID[j.ID] = i
 		j.ID = i
-		// Re-point dependencies after the re-numbering.
-		if old != i {
-			for _, other := range jobs {
-				for k, d := range other.Deps {
-					if d == old {
-						other.Deps[k] = i
-					}
-				}
-			}
+	}
+	for _, j := range jobs {
+		for k, d := range j.Deps {
+			j.Deps[k] = newID[d]
 		}
 	}
 	if err := job.ValidateWorkload(jobs); err != nil {

@@ -46,6 +46,28 @@ func TestReadSWF(t *testing.T) {
 	}
 }
 
+// TestReadSWFDepsSurviveSubmitSort: records out of submit order are
+// renumbered by the sort, and a dependency must follow its target through
+// that renumbering exactly once. SWF job 3 depends on SWF job 2, which
+// sorts to ID 0; remapping inside the renumbering loop used to chain the
+// rewrite on to ID 1 (SWF job 1).
+func TestReadSWFDepsSurviveSubmitSort(t *testing.T) {
+	const log = `1 100 0 60 1 -1 -1 1 60 -1 1 1 -1 -1 -1 -1 -1 -1
+2 0 0 60 1 -1 -1 1 60 -1 1 2 -1 -1 -1 -1 -1 -1
+3 200 0 60 1 -1 -1 1 60 -1 1 3 -1 -1 -1 -1 2 -1
+`
+	jobs, err := ReadSWF(strings.NewReader(log), SWFOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 3 || jobs[0].User != "user002" || jobs[1].User != "user001" {
+		t.Fatalf("jobs not in submit order: %v", jobs)
+	}
+	if d := jobs[2].Deps; len(d) != 1 || d[0] != 0 {
+		t.Fatalf("job 2 deps = %v, want [0] (SWF job 2)", d)
+	}
+}
+
 func TestReadSWFSkipFailed(t *testing.T) {
 	jobs, err := ReadSWF(strings.NewReader(sampleSWF), SWFOptions{CoresPerNode: 32, SkipFailed: true})
 	if err != nil {
