@@ -86,17 +86,21 @@ sweep-smoke:
 # RunSweep — now also covering speculative duplicate leases
 # (first-result-wins), checkpoint-relay segment assembly, journal
 # crash/replay, and content-addressed cache hits; plus the checkpoint
-# golden-equivalence and version-skew tests.
+# golden-equivalence, version-skew and pinned-wire-bytes tests.
 farm-smoke:
 	$(GO) test -race -short -run '^TestFarm|^TestRecipeKey$$' ./internal/farm
 	$(GO) test -race -short -run '^TestGoldenCheckpointEquivalence$$|^TestCheckpointRoundTrip' ./internal/sim
-	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$' ./internal/checkpoint
+	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$' ./internal/checkpoint
 
-# Fuzz the trace parsers for 30s per target (CI smoke; seed corpora under
-# internal/trace/testdata/fuzz run in every plain `go test` too).
+# Fuzz the trace parsers and the snapshot decoder (which takes bytes off
+# the network) for 30s per target (CI smoke; the seed corpora run in every
+# plain `go test` too). The decoder's seed is a 1.5 KB snapshot: at the
+# default 60s of minimization per new input its budget buys a few hundred
+# execs, hence -fuzzminimizetime.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseCSV$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
 # internal/solver statement coverage must not drop below the floor

@@ -16,24 +16,35 @@
 // snapshot into a live engine through the same invariant-checked APIs the
 // original run used.
 //
-// The package deliberately has no dependencies on the engine packages:
-// records mirror engine state as plain integers, floats, and strings, so
-// the wire format cannot drift when an engine type gains a field without
-// a deliberate Version bump here.
+// The walk defines the wire. Snapshot.walk, and one codec method per
+// record and state type below it, hand every serialized field to a codec
+// in wire order, each in exactly one statement; the codec writes the
+// field when encoding and reads it when decoding, so the two directions
+// cannot disagree. Component state travels as the component's own state
+// type (metrics.Usage, metrics.CollectorState, metrics.JobStatsState,
+// rng.State) rather than as a mirror of it. The format still cannot drift
+// when one of those types gains a field: the walk, not the struct, decides
+// what is written, and a field it does not name stays off the wire. To
+// add a field: add it to the state type, name it in that type's walk,
+// bump Version, and update the hash pinned by TestWireFormatPinned.
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+
+	"bbsched/internal/metrics"
+	"bbsched/internal/rng"
 )
 
 // magic identifies a BBSched checkpoint stream.
 const magic = "BBCP"
 
 // Version is the snapshot format version this build reads and writes.
-// Any incompatible change to Snapshot or the field order below must bump
-// it; Decode rejects other versions with ErrVersion.
+// Any incompatible change to a walk below must bump it; Decode rejects
+// other versions with ErrVersion.
 //
 // Version 2 dropped the materialized/streaming split: every run records
 // its source position and watermark done-set, so the Streaming flag and
@@ -43,8 +54,8 @@ const Version = 2
 // ErrVersion reports a snapshot written by an incompatible format version.
 var ErrVersion = fmt.Errorf("checkpoint: incompatible snapshot version")
 
-// maxString bounds decoded string lengths (names only — nothing longer
-// belongs in a snapshot).
+// maxString bounds string lengths in both directions (names only —
+// nothing longer belongs in a snapshot).
 const maxString = 1 << 16
 
 // prealloc caps speculative slice preallocation so a corrupted length
@@ -98,68 +109,6 @@ type EventRecord struct {
 	JobID int64
 }
 
-// RNGRecord is one rng.Stream's state: seed plus xoshiro256** words.
-type RNGRecord struct {
-	Seed uint64
-	Src  [4]uint64
-}
-
-// UsageRecord mirrors metrics.Usage.
-type UsageRecord struct {
-	Nodes          int64
-	BBGB           int64
-	SSDAssignedGB  int64
-	SSDRequestedGB int64
-	Extra          []int64
-}
-
-// CollectorRecord mirrors metrics.CollectorState.
-type CollectorRecord struct {
-	LastT   int64
-	Started bool
-	Cur     UsageRecord
-
-	NodeSec         float64
-	BBSec           float64
-	SSDAssignedSec  float64
-	SSDRequestedSec float64
-	ExtraSec        []float64
-
-	FirstT int64
-	LastTs int64
-
-	Windowed bool
-	WinStart int64
-	WinEnd   int64
-}
-
-// QuantileRecord mirrors metrics.QuantileState (one P² sketch).
-type QuantileRecord struct {
-	P     float64
-	Count int64
-	Q     [5]float64
-	N     [5]float64
-	NP    [5]float64
-	DN    [5]float64
-}
-
-// JobStatsRecord mirrors metrics.JobStatsState (the bounded-memory
-// streaming accumulator).
-type JobStatsRecord struct {
-	N       int64
-	WaitSum float64
-	SdSum   float64
-
-	SizeSums   []float64
-	SizeCounts []int64
-	BBSums     []float64
-	BBCounts   []int64
-	RTSums     []float64
-	RTCounts   []int64
-
-	P50, P90, P99 QuantileRecord
-}
-
 // Snapshot is the complete serialized state of a Simulator at an event
 // boundary. internal/sim produces and consumes it; the farm ships it as
 // opaque bytes.
@@ -198,16 +147,16 @@ type Snapshot struct {
 	// Empty under StreamStats, which retains sums instead of jobs.
 	FinishedIDs []int64
 
-	// Metric state.
-	Usage     UsageRecord
-	Collector CollectorRecord
+	// Metric state; Stats is on the wire only when HaveStats.
+	Usage     metrics.Usage
+	Collector metrics.CollectorState
 	HaveStats bool
-	Stats     JobStatsRecord
+	Stats     metrics.JobStatsState
 
-	// RNG streams.
-	Rand          RNGRecord
+	// RNG streams; InvStream is on the wire only when HaveInvStream.
+	Rand          rng.State
 	HaveInvStream bool
-	InvStream     RNGRecord
+	InvStream     rng.State
 
 	// Source position: jobs consumed off the source, the last admitted
 	// submit time, whether the source has drained, the look-ahead buffer
@@ -223,497 +172,322 @@ type Snapshot struct {
 
 // Encode writes the snapshot to w in format Version.
 func Encode(w io.Writer, s *Snapshot) error {
-	e := &encoder{w: w}
-	e.bytes([]byte(magic))
-	e.u32(Version)
-
-	e.str(s.Workload)
-	e.str(s.Method)
-	e.u64(s.Seed)
-	e.bool(s.StreamStats)
-	e.i64(s.NumClasses)
-	e.i64(s.NumExtra)
-
-	e.i64(s.Now)
-	e.i64(s.Invocations)
-	e.i64(s.DecideTotalNS)
-	e.i64(s.DecideMaxNS)
-	e.i64(s.WarmEnd)
-	e.i64(s.CoolStart)
-
-	e.u32(uint32(len(s.Jobs)))
-	for i := range s.Jobs {
-		e.job(&s.Jobs[i])
-	}
-	e.u32(uint32(len(s.Events)))
-	for _, ev := range s.Events {
-		e.i64(ev.T)
-		e.i64(ev.Kind)
-		e.i64(ev.JobID)
-	}
-	e.i64s(s.QueueIDs)
-	e.u32(uint32(len(s.Running)))
-	for i := range s.Running {
-		e.running(&s.Running[i])
-	}
-	e.i64s(s.FinishedIDs)
-
-	e.usage(&s.Usage)
-	e.collector(&s.Collector)
-	e.bool(s.HaveStats)
-	if s.HaveStats {
-		e.stats(&s.Stats)
-	}
-
-	e.rng(&s.Rand)
-	e.bool(s.HaveInvStream)
-	if s.HaveInvStream {
-		e.rng(&s.InvStream)
-	}
-
-	e.i64(s.Pulled)
-	e.i64(s.LastSubmit)
-	e.bool(s.SrcDone)
-	e.i64s(s.PendingIDs)
-	e.i64(s.DoneLow)
-	e.i64s(s.DoneSparse)
-	return e.err
+	c := &codec{w: w}
+	c.bytes([]byte(magic))
+	v := uint32(Version)
+	c.u32(&v)
+	s.walk(c)
+	return c.err
 }
 
 // Decode reads a snapshot from r. It errors (never panics) on truncated,
-// corrupted, or version-skewed input.
+// corrupted, or version-skewed input, and never returns a partial
+// snapshot with the error.
 func Decode(r io.Reader) (*Snapshot, error) {
-	d := &decoder{r: r}
+	c := &codec{r: r}
 	var m [4]byte
-	d.bytes(m[:])
-	if d.err == nil && string(m[:]) != magic {
+	c.bytes(m[:])
+	if c.err == nil && string(m[:]) != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %q", m[:])
 	}
-	v := d.u32()
-	if d.err == nil && v != Version {
+	var v uint32
+	c.u32(&v)
+	if c.err == nil && v != Version {
 		return nil, fmt.Errorf("%w: snapshot has version %d, this build reads %d", ErrVersion, v, Version)
 	}
-
 	s := &Snapshot{}
-	s.Workload = d.str()
-	s.Method = d.str()
-	s.Seed = d.u64()
-	s.StreamStats = d.bool()
-	s.NumClasses = d.i64()
-	s.NumExtra = d.i64()
-
-	s.Now = d.i64()
-	s.Invocations = d.i64()
-	s.DecideTotalNS = d.i64()
-	s.DecideMaxNS = d.i64()
-	s.WarmEnd = d.i64()
-	s.CoolStart = d.i64()
-
-	n := d.u32()
-	s.Jobs = make([]JobRecord, 0, minInt(int(n), prealloc))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		s.Jobs = append(s.Jobs, d.job())
-	}
-	n = d.u32()
-	s.Events = make([]EventRecord, 0, minInt(int(n), prealloc))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		s.Events = append(s.Events, EventRecord{T: d.i64(), Kind: d.i64(), JobID: d.i64()})
-	}
-	s.QueueIDs = d.i64s()
-	n = d.u32()
-	s.Running = make([]RunningRecord, 0, minInt(int(n), prealloc))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		s.Running = append(s.Running, d.running())
-	}
-	s.FinishedIDs = d.i64s()
-
-	s.Usage = d.usage()
-	s.Collector = d.collector()
-	s.HaveStats = d.bool()
-	if s.HaveStats {
-		s.Stats = d.stats()
-	}
-
-	s.Rand = d.rng()
-	s.HaveInvStream = d.bool()
-	if s.HaveInvStream {
-		s.InvStream = d.rng()
-	}
-
-	s.Pulled = d.i64()
-	s.LastSubmit = d.i64()
-	s.SrcDone = d.bool()
-	s.PendingIDs = d.i64s()
-	s.DoneLow = d.i64()
-	s.DoneSparse = d.i64s()
-
-	if d.err != nil {
-		return nil, d.err
+	s.walk(c)
+	if c.err != nil {
+		return nil, c.err
 	}
 	return s, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+func (s *Snapshot) walk(c *codec) {
+	c.str(&s.Workload)
+	c.str(&s.Method)
+	c.u64(&s.Seed)
+	c.bool(&s.StreamStats)
+	c.i64(&s.NumClasses)
+	c.i64(&s.NumExtra)
+
+	c.i64(&s.Now)
+	c.i64(&s.Invocations)
+	c.i64(&s.DecideTotalNS)
+	c.i64(&s.DecideMaxNS)
+	c.i64(&s.WarmEnd)
+	c.i64(&s.CoolStart)
+
+	list(c, &s.Jobs, (*codec).job)
+	list(c, &s.Events, (*codec).event)
+	c.i64s(&s.QueueIDs)
+	list(c, &s.Running, (*codec).running)
+	c.i64s(&s.FinishedIDs)
+
+	c.usage(&s.Usage)
+	c.collector(&s.Collector)
+	c.bool(&s.HaveStats)
+	if s.HaveStats {
+		c.stats(&s.Stats)
 	}
-	return b
+
+	c.rng(&s.Rand)
+	c.bool(&s.HaveInvStream)
+	if s.HaveInvStream {
+		c.rng(&s.InvStream)
+	}
+
+	c.i64(&s.Pulled)
+	c.i64(&s.LastSubmit)
+	c.bool(&s.SrcDone)
+	c.i64s(&s.PendingIDs)
+	c.i64(&s.DoneLow)
+	c.i64s(&s.DoneSparse)
 }
 
-// encoder writes little-endian fixed-width values with a latched error.
-type encoder struct {
+func (c *codec) job(j *JobRecord) {
+	c.i64(&j.ID)
+	c.str(&j.User)
+	c.i64(&j.SubmitTime)
+	c.i64(&j.Runtime)
+	c.i64(&j.WalltimeEst)
+	c.i64s(&j.Res)
+	c.i64(&j.StageOutSec)
+	c.i64s(&j.Deps)
+	c.i64(&j.State)
+	c.i64(&j.StartTime)
+	c.i64(&j.EndTime)
+	c.i64(&j.WindowAge)
+}
+
+func (c *codec) event(e *EventRecord) {
+	c.i64(&e.T)
+	c.i64(&e.Kind)
+	c.i64(&e.JobID)
+}
+
+func (c *codec) running(r *RunningRecord) {
+	c.i64(&r.JobID)
+	c.i64(&r.Release)
+	c.bool(&r.Staging)
+	c.i64(&r.BBRelease)
+	c.i64s(&r.Alloc.NodesByClass)
+	c.i64(&r.Alloc.BB)
+	c.i64(&r.Alloc.WastedSSD)
+	c.i64s(&r.Alloc.Extra)
+}
+
+func (c *codec) usage(u *metrics.Usage) {
+	c.int(&u.Nodes)
+	c.i64(&u.BBGB)
+	c.i64(&u.SSDAssignedGB)
+	c.i64(&u.SSDRequestedGB)
+	c.i64s(&u.Extra)
+}
+
+func (c *codec) collector(s *metrics.CollectorState) {
+	c.i64(&s.LastT)
+	c.bool(&s.Started)
+	c.usage(&s.Cur)
+	c.f64(&s.NodeSec)
+	c.f64(&s.BBSec)
+	c.f64(&s.SSDAssignedSec)
+	c.f64(&s.SSDRequestedSec)
+	c.f64s(&s.ExtraSec)
+	c.i64(&s.FirstT)
+	c.i64(&s.LastTs)
+	c.bool(&s.Windowed)
+	c.i64(&s.WinStart)
+	c.i64(&s.WinEnd)
+}
+
+func (c *codec) quantile(q *metrics.QuantileState) {
+	c.f64(&q.P)
+	c.int(&q.Count)
+	c.f64x5(&q.Q)
+	c.f64x5(&q.N)
+	c.f64x5(&q.NP)
+	c.f64x5(&q.DN)
+}
+
+func (c *codec) stats(s *metrics.JobStatsState) {
+	c.int(&s.N)
+	c.f64(&s.WaitSum)
+	c.f64(&s.SdSum)
+	c.f64s(&s.SizeSums)
+	c.ints(&s.SizeCounts)
+	c.f64s(&s.BBSums)
+	c.ints(&s.BBCounts)
+	c.f64s(&s.RTSums)
+	c.ints(&s.RTCounts)
+	c.quantile(&s.P50)
+	c.quantile(&s.P90)
+	c.quantile(&s.P99)
+}
+
+func (c *codec) rng(s *rng.State) {
+	c.u64(&s.Seed)
+	for i := range s.Src {
+		c.u64(&s.Src[i])
+	}
+}
+
+// codec moves little-endian fixed-width values between a stream and the
+// variables a walk points it at: out of them when w is set (encoding),
+// into them when r is set (decoding). Encoding only reads its variables.
+// The first error latches; after it, encoding writes nothing more and
+// decoding stores zero values.
+type codec struct {
 	w   io.Writer
-	err error
-	buf [8]byte
-}
-
-func (e *encoder) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-func (e *encoder) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		e.buf[i] = byte(v >> (8 * i))
-	}
-	e.bytes(e.buf[:8])
-}
-
-func (e *encoder) u32(v uint32) {
-	for i := 0; i < 4; i++ {
-		e.buf[i] = byte(v >> (8 * i))
-	}
-	e.bytes(e.buf[:4])
-}
-
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *encoder) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.bytes([]byte{b})
-}
-
-func (e *encoder) str(s string) {
-	if len(s) > maxString {
-		if e.err == nil {
-			e.err = fmt.Errorf("checkpoint: string length %d exceeds %d", len(s), maxString)
-		}
-		return
-	}
-	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
-}
-
-func (e *encoder) i64s(v []int64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.i64(x)
-	}
-}
-
-func (e *encoder) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *encoder) f64x5(v [5]float64) {
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *encoder) job(j *JobRecord) {
-	e.i64(j.ID)
-	e.str(j.User)
-	e.i64(j.SubmitTime)
-	e.i64(j.Runtime)
-	e.i64(j.WalltimeEst)
-	e.i64s(j.Res)
-	e.i64(j.StageOutSec)
-	e.i64s(j.Deps)
-	e.i64(j.State)
-	e.i64(j.StartTime)
-	e.i64(j.EndTime)
-	e.i64(j.WindowAge)
-}
-
-func (e *encoder) running(r *RunningRecord) {
-	e.i64(r.JobID)
-	e.i64(r.Release)
-	e.bool(r.Staging)
-	e.i64(r.BBRelease)
-	e.i64s(r.Alloc.NodesByClass)
-	e.i64(r.Alloc.BB)
-	e.i64(r.Alloc.WastedSSD)
-	e.i64s(r.Alloc.Extra)
-}
-
-func (e *encoder) usage(u *UsageRecord) {
-	e.i64(u.Nodes)
-	e.i64(u.BBGB)
-	e.i64(u.SSDAssignedGB)
-	e.i64(u.SSDRequestedGB)
-	e.i64s(u.Extra)
-}
-
-func (e *encoder) collector(c *CollectorRecord) {
-	e.i64(c.LastT)
-	e.bool(c.Started)
-	e.usage(&c.Cur)
-	e.f64(c.NodeSec)
-	e.f64(c.BBSec)
-	e.f64(c.SSDAssignedSec)
-	e.f64(c.SSDRequestedSec)
-	e.f64s(c.ExtraSec)
-	e.i64(c.FirstT)
-	e.i64(c.LastTs)
-	e.bool(c.Windowed)
-	e.i64(c.WinStart)
-	e.i64(c.WinEnd)
-}
-
-func (e *encoder) quantile(q *QuantileRecord) {
-	e.f64(q.P)
-	e.i64(q.Count)
-	e.f64x5(q.Q)
-	e.f64x5(q.N)
-	e.f64x5(q.NP)
-	e.f64x5(q.DN)
-}
-
-func (e *encoder) stats(s *JobStatsRecord) {
-	e.i64(s.N)
-	e.f64(s.WaitSum)
-	e.f64(s.SdSum)
-	e.f64s(s.SizeSums)
-	e.i64s(s.SizeCounts)
-	e.f64s(s.BBSums)
-	e.i64s(s.BBCounts)
-	e.f64s(s.RTSums)
-	e.i64s(s.RTCounts)
-	e.quantile(&s.P50)
-	e.quantile(&s.P90)
-	e.quantile(&s.P99)
-}
-
-func (e *encoder) rng(r *RNGRecord) {
-	e.u64(r.Seed)
-	for _, w := range r.Src {
-		e.u64(w)
-	}
-}
-
-// decoder reads little-endian fixed-width values with a latched error.
-type decoder struct {
 	r   io.Reader
 	err error
 	buf [8]byte
 }
 
-func (d *decoder) bytes(b []byte) {
-	if d.err != nil {
-		for i := range b {
-			b[i] = 0
+func (c *codec) decoding() bool { return c.r != nil }
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("checkpoint: "+format, args...)
+	}
+}
+
+// bytes writes b, or fills it from the stream (with zeros on error).
+func (c *codec) bytes(b []byte) {
+	if !c.decoding() {
+		if c.err == nil {
+			_, c.err = c.w.Write(b)
 		}
 		return
 	}
-	if _, err := io.ReadFull(d.r, b); err != nil {
+	if c.err == nil {
+		_, err := io.ReadFull(c.r, b)
+		if err == nil {
+			return
+		}
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		d.err = fmt.Errorf("checkpoint: truncated snapshot: %w", err)
-		for i := range b {
-			b[i] = 0
-		}
+		c.err = fmt.Errorf("checkpoint: truncated snapshot: %w", err)
+	}
+	clear(b)
+}
+
+// word carries the low n bytes of x and returns the value carried: x
+// itself when encoding, what the stream held when decoding.
+func (c *codec) word(x uint64, n int) uint64 {
+	if !c.decoding() {
+		binary.LittleEndian.PutUint64(c.buf[:], x)
+		c.bytes(c.buf[:n])
+		return x
+	}
+	c.buf = [8]byte{}
+	c.bytes(c.buf[:n])
+	return binary.LittleEndian.Uint64(c.buf[:])
+}
+
+func (c *codec) u64(v *uint64) {
+	if x := c.word(*v, 8); c.decoding() {
+		*v = x
 	}
 }
 
-func (d *decoder) u64() uint64 {
-	d.bytes(d.buf[:8])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(d.buf[i]) << (8 * i)
+func (c *codec) u32(v *uint32) {
+	if x := c.word(uint64(*v), 4); c.decoding() {
+		*v = uint32(x)
 	}
-	return v
 }
 
-func (d *decoder) u32() uint32 {
-	d.bytes(d.buf[:4])
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(d.buf[i]) << (8 * i)
+func (c *codec) i64(v *int64) {
+	if x := c.word(uint64(*v), 8); c.decoding() {
+		*v = int64(x)
 	}
-	return v
 }
 
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) bool() bool {
-	var b [1]byte
-	d.bytes(b[:])
-	if d.err == nil && b[0] > 1 {
-		d.err = fmt.Errorf("checkpoint: corrupt bool byte %d", b[0])
+// int carries a platform int as 64 bits.
+func (c *codec) int(v *int) {
+	if x := c.word(uint64(*v), 8); c.decoding() {
+		*v = int(x)
 	}
-	return b[0] == 1
 }
 
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
+func (c *codec) f64(v *float64) {
+	if x := c.word(math.Float64bits(*v), 8); c.decoding() {
+		*v = math.Float64frombits(x)
 	}
+}
+
+func (c *codec) bool(v *bool) {
+	var x uint64
+	if *v {
+		x = 1
+	}
+	if x = c.word(x, 1); x > 1 {
+		c.fail("corrupt bool byte %d", x)
+	}
+	if c.decoding() {
+		*v = x == 1
+	}
+}
+
+func (c *codec) str(v *string) {
+	if len(*v) > maxString { // encoding: a decode target starts empty
+		c.fail("string length %d exceeds %d", len(*v), maxString)
+		return
+	}
+	n := uint32(len(*v))
+	c.u32(&n)
 	if n > maxString {
-		d.err = fmt.Errorf("checkpoint: string length %d exceeds %d", n, maxString)
-		return ""
+		c.fail("string length %d exceeds %d", n, maxString)
+	}
+	if c.err != nil {
+		return
 	}
 	b := make([]byte, n)
-	d.bytes(b)
-	if d.err != nil {
-		return ""
+	copy(b, *v)
+	c.bytes(b)
+	if c.decoding() && c.err == nil {
+		*v = string(b)
 	}
-	return string(b)
 }
 
-func (d *decoder) i64s() []int64 {
-	n := d.u32()
-	if d.err != nil || n == 0 {
-		return nil
+// list carries a length-prefixed sequence, one elem call per element.
+// Decoding never trusts the declared length: it preallocates at most
+// prealloc elements and grows by append, so a huge length on a short
+// stream fails on truncation after a bounded allocation. A decoded list
+// is empty, not nil, when its length is zero.
+func list[T any](c *codec, v *[]T, elem func(*codec, *T)) {
+	n := uint32(len(*v))
+	c.u32(&n)
+	if !c.decoding() {
+		for i := range *v {
+			elem(c, &(*v)[i])
+		}
+		return
 	}
-	out := make([]int64, 0, minInt(int(n), prealloc))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		out = append(out, d.i64())
+	*v = make([]T, 0, min(n, prealloc))
+	for i := uint32(0); i < n && c.err == nil; i++ {
+		var zero T
+		*v = append(*v, zero)
+		elem(c, &(*v)[i])
 	}
-	if d.err != nil {
-		return nil
-	}
-	return out
 }
 
-func (d *decoder) f64s() []float64 {
-	n := d.u32()
-	if d.err != nil || n == 0 {
-		return nil
+// scalars is list for slices of plain values, which decode to nil when
+// empty or cut short.
+func scalars[T any](c *codec, v *[]T, elem func(*codec, *T)) {
+	list(c, v, elem)
+	if c.decoding() && (c.err != nil || len(*v) == 0) {
+		*v = nil
 	}
-	out := make([]float64, 0, minInt(int(n), prealloc))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		out = append(out, d.f64())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
 }
 
-func (d *decoder) f64x5() [5]float64 {
-	var v [5]float64
+func (c *codec) i64s(v *[]int64)   { scalars(c, v, (*codec).i64) }
+func (c *codec) ints(v *[]int)     { scalars(c, v, (*codec).int) }
+func (c *codec) f64s(v *[]float64) { scalars(c, v, (*codec).f64) }
+
+func (c *codec) f64x5(v *[5]float64) {
 	for i := range v {
-		v[i] = d.f64()
+		c.f64(&v[i])
 	}
-	return v
-}
-
-func (d *decoder) job() JobRecord {
-	return JobRecord{
-		ID:          d.i64(),
-		User:        d.str(),
-		SubmitTime:  d.i64(),
-		Runtime:     d.i64(),
-		WalltimeEst: d.i64(),
-		Res:         d.i64s(),
-		StageOutSec: d.i64(),
-		Deps:        d.i64s(),
-		State:       d.i64(),
-		StartTime:   d.i64(),
-		EndTime:     d.i64(),
-		WindowAge:   d.i64(),
-	}
-}
-
-func (d *decoder) running() RunningRecord {
-	return RunningRecord{
-		JobID:     d.i64(),
-		Release:   d.i64(),
-		Staging:   d.bool(),
-		BBRelease: d.i64(),
-		Alloc: AllocRecord{
-			NodesByClass: d.i64s(),
-			BB:           d.i64(),
-			WastedSSD:    d.i64(),
-			Extra:        d.i64s(),
-		},
-	}
-}
-
-func (d *decoder) usage() UsageRecord {
-	return UsageRecord{
-		Nodes:          d.i64(),
-		BBGB:           d.i64(),
-		SSDAssignedGB:  d.i64(),
-		SSDRequestedGB: d.i64(),
-		Extra:          d.i64s(),
-	}
-}
-
-func (d *decoder) collector() CollectorRecord {
-	return CollectorRecord{
-		LastT:           d.i64(),
-		Started:         d.bool(),
-		Cur:             d.usage(),
-		NodeSec:         d.f64(),
-		BBSec:           d.f64(),
-		SSDAssignedSec:  d.f64(),
-		SSDRequestedSec: d.f64(),
-		ExtraSec:        d.f64s(),
-		FirstT:          d.i64(),
-		LastTs:          d.i64(),
-		Windowed:        d.bool(),
-		WinStart:        d.i64(),
-		WinEnd:          d.i64(),
-	}
-}
-
-func (d *decoder) quantile() QuantileRecord {
-	return QuantileRecord{
-		P:     d.f64(),
-		Count: d.i64(),
-		Q:     d.f64x5(),
-		N:     d.f64x5(),
-		NP:    d.f64x5(),
-		DN:    d.f64x5(),
-	}
-}
-
-func (d *decoder) stats() JobStatsRecord {
-	return JobStatsRecord{
-		N:          d.i64(),
-		WaitSum:    d.f64(),
-		SdSum:      d.f64(),
-		SizeSums:   d.f64s(),
-		SizeCounts: d.i64s(),
-		BBSums:     d.f64s(),
-		BBCounts:   d.i64s(),
-		RTSums:     d.f64s(),
-		RTCounts:   d.i64s(),
-		P50:        d.quantile(),
-		P90:        d.quantile(),
-		P99:        d.quantile(),
-	}
-}
-
-func (d *decoder) rng() RNGRecord {
-	var r RNGRecord
-	r.Seed = d.u64()
-	for i := range r.Src {
-		r.Src[i] = d.u64()
-	}
-	return r
 }

@@ -2,11 +2,18 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"bbsched/internal/metrics"
+	"bbsched/internal/rng"
 )
 
 // sampleSnapshot exercises every field of the format, including the
@@ -40,27 +47,27 @@ func sampleSnapshot() *Snapshot {
 			Alloc: AllocRecord{NodesByClass: []int64{0, 0}, BB: 128, WastedSSD: 32, Extra: []int64{0}},
 		}},
 		FinishedIDs: []int64{3, 1, 2},
-		Usage:       UsageRecord{Nodes: 4, BBGB: 128, SSDAssignedGB: 64, SSDRequestedGB: 48, Extra: []int64{2}},
-		Collector: CollectorRecord{
+		Usage:       metrics.Usage{Nodes: 4, BBGB: 128, SSDAssignedGB: 64, SSDRequestedGB: 48, Extra: []int64{2}},
+		Collector: metrics.CollectorState{
 			LastT: 400, Started: true,
-			Cur:     UsageRecord{Nodes: 4, BBGB: 128, Extra: []int64{2}},
+			Cur:     metrics.Usage{Nodes: 4, BBGB: 128, Extra: []int64{2}},
 			NodeSec: 1600.5, BBSec: 51200.25, SSDAssignedSec: 100, SSDRequestedSec: 75,
 			ExtraSec: []float64{800.125},
 			FirstT:   10, LastTs: 400, Windowed: true, WinStart: 3600, WinEnd: 82800,
 		},
 		HaveStats: true,
-		Stats: JobStatsRecord{
+		Stats: metrics.JobStatsState{
 			N: 3, WaitSum: 90.5, SdSum: 4.25,
-			SizeSums: []float64{10, 20}, SizeCounts: []int64{1, 2},
-			BBSums: []float64{5}, BBCounts: []int64{3},
-			RTSums: []float64{7, 8, 9}, RTCounts: []int64{1, 1, 1},
-			P50: QuantileRecord{P: 0.5, Count: 3, Q: [5]float64{1, 2, 3, 4, 5}, N: [5]float64{1, 2, 3, 4, 5}, NP: [5]float64{1, 2, 3, 4, 5}, DN: [5]float64{0, .25, .5, .75, 1}},
-			P90: QuantileRecord{P: 0.9, Count: 3},
-			P99: QuantileRecord{P: 0.99, Count: 3},
+			SizeSums: []float64{10, 20}, SizeCounts: []int{1, 2},
+			BBSums: []float64{5}, BBCounts: []int{3},
+			RTSums: []float64{7, 8, 9}, RTCounts: []int{1, 1, 1},
+			P50: metrics.QuantileState{P: 0.5, Count: 3, Q: [5]float64{1, 2, 3, 4, 5}, N: [5]float64{1, 2, 3, 4, 5}, NP: [5]float64{1, 2, 3, 4, 5}, DN: [5]float64{0, .25, .5, .75, 1}},
+			P90: metrics.QuantileState{P: 0.9, Count: 3},
+			P99: metrics.QuantileState{P: 0.99, Count: 3},
 		},
-		Rand:          RNGRecord{Seed: 42, Src: [4]uint64{1, 2, 3, 4}},
+		Rand:          rng.State{Seed: 42, Src: [4]uint64{1, 2, 3, 4}},
 		HaveInvStream: true,
-		InvStream:     RNGRecord{Seed: 43, Src: [4]uint64{5, 6, 7, 8}},
+		InvStream:     rng.State{Seed: 43, Src: [4]uint64{5, 6, 7, 8}},
 		Pulled:        8,
 		LastSubmit:    50,
 		SrcDone:       false,
@@ -101,6 +108,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("decoded snapshot fields diverge:\n got %+v\nwant %+v", got, tc.snap)
 			}
 		})
+	}
+}
+
+// TestWireFormatPinned pins the bytes of the format: sampleSnapshot sets
+// every field, so any change to a walk's order, widths or coverage moves
+// this hash. A deliberate format change bumps Version and this constant
+// together.
+func TestWireFormatPinned(t *testing.T) {
+	const want = "85529a11f41397ac11373c9a6f1de68b636c53a73fb9caef1cee1e761a5d5ae6"
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("format version %d encodes the sample snapshot (%d bytes) to %s, pinned %s",
+			Version, buf.Len(), got, want)
 	}
 }
 
@@ -156,6 +180,64 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("decoding %d/%d-byte prefix succeeded", cut, len(raw))
 		}
+	}
+}
+
+// TestDecodeDefences pins what the decoder does with hostile bytes: the
+// error it reports, that no partial snapshot comes back with it, and that
+// a declared length it cannot trust costs a bounded allocation.
+func TestDecodeDefences(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const header = 8 // magic + version
+	// Offsets of the first bool (StreamStats) and the first list length
+	// (Jobs) in the sample: two strings and the seed, then the identity and
+	// clock integers.
+	streamStats := header + 4 + len("Theta-S4") + 4 + len("BBSched") + 8
+	jobsLen := streamStats + 1 + 8*8
+
+	patch := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), raw[:at]...)
+		return append(out, b...)
+	}
+	// One job up to its Res length: ID, empty User, three times.
+	oneJob := append(patch(jobsLen, 1, 0, 0, 0), make([]byte, 8+4+3*8)...)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"short read", raw[:len(raw)-1], "truncated snapshot: unexpected EOF"},
+		{"empty", nil, "truncated snapshot: unexpected EOF"},
+		{"corrupt bool", append(patch(streamStats, 2), raw[streamStats+1:]...), "corrupt bool byte 2"},
+		{"oversized string", patch(header, 0x01, 0x00, 0x01, 0x00), "string length 65537 exceeds 65536"},
+		{"huge list", patch(jobsLen, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},
+		{"huge scalar slice", append(oneJob, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := Decode(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one containing %q", err, tc.want)
+			}
+			if s != nil {
+				t.Fatalf("Decode returned a partial snapshot with error %v", err)
+			}
+			// prealloc JobRecords are well under 1 MB; 2³²−1 of them are not.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+				t.Fatalf("decoding %d hostile bytes allocated %d bytes", len(tc.data), grew)
+			}
+		})
+	}
+
+	long := &Snapshot{Workload: strings.Repeat("x", maxString+1)}
+	if err := Encode(io.Discard, long); err == nil || !strings.Contains(err.Error(), "string length 65537 exceeds 65536") {
+		t.Fatalf("encoding an oversized string: got %v", err)
 	}
 }
 

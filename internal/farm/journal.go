@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"bbsched/internal/checkpoint"
 )
 
 // The coordinator journal is an append-only JSONL cell-state log that
@@ -19,15 +21,19 @@ import (
 // Only terminal state is journaled — results and relay-segment boundary
 // snapshots — never mid-run checkpoints, so the file grows with completed
 // work, not with checkpoint cadence. The first record pins the SHA-256 of
-// the grid; replaying a journal against a different grid is an error, not
-// a silent mismatch.
+// the grid and the snapshot format version the segment records were
+// written in; replaying a journal against a different grid, or under a
+// build that cannot restore its snapshots, is an error, not a silent
+// mismatch (or a cell burning its attempts on bytes no worker can read).
 
 // journalRec is one JSONL record.
 type journalRec struct {
 	// Kind discriminates: "grid" (header), "result", "segment".
 	Kind string `json:"kind"`
-	// GridSHA pins the grid on the header record.
-	GridSHA string `json:"grid_sha,omitempty"`
+	// GridSHA and Snapshot pin the grid and checkpoint.Version on the
+	// header record.
+	GridSHA  string `json:"grid_sha,omitempty"`
+	Snapshot int    `json:"snapshot,omitempty"`
 	// Cell is the grid-order cell index for result/segment records.
 	Cell int `json:"cell"`
 	// Result carries a completed cell's result.
@@ -90,6 +96,9 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 			if rec.GridSHA != sha {
 				return nil, nil, fmt.Errorf("farm: journal %s: grid mismatch (journal %s, grid %s) — the journal belongs to a different sweep", path, rec.GridSHA[:12], sha[:12])
 			}
+			if rec.Snapshot != checkpoint.Version {
+				return nil, nil, fmt.Errorf("farm: journal %s: snapshot format mismatch (journal: version %d, 0 meaning it recorded none; this build: version %d) — its relay snapshots cannot be restored", path, rec.Snapshot, checkpoint.Version)
+			}
 		}
 		recs = append(recs, rec)
 		valid += nl + 1
@@ -108,7 +117,7 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 	}
 	j := &journal{f: f, enc: json.NewEncoder(f)}
 	if len(recs) == 0 {
-		if err := j.append(journalRec{Kind: "grid", GridSHA: sha}); err != nil {
+		if err := j.append(journalRec{Kind: "grid", GridSHA: sha, Snapshot: checkpoint.Version}); err != nil {
 			f.Close()
 			return nil, nil, err
 		}

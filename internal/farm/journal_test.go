@@ -1,19 +1,25 @@
 package farm
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"bbsched/internal/checkpoint"
 )
 
 // TestFarmJournalReplay: a coordinator crash mid-grid loses nothing —
 // the replacement replays completed cells from the append-only journal
 // (tolerating a record cut mid-append by the crash), leases only the
 // remainder, and still assembles the grid identical to the serial
-// sweep. A journal written for a different grid is refused.
+// sweep. A journal written for a different grid, or under another
+// snapshot format version, is refused.
 func TestFarmJournalReplay(t *testing.T) {
 	g := matGrid(3, 4) // 4 cells
 	want := serialReference(t, g)
@@ -80,5 +86,38 @@ func TestFarmJournalReplay(t *testing.T) {
 	// The journal is bound to its grid: a different sweep must refuse it.
 	if _, err := NewCoordinator(matGrid(9), WithJournal(jpath)); err == nil {
 		t.Fatal("journal belonging to a different sweep accepted")
+	}
+
+	// ... and to the snapshot format its segment records are in: under
+	// another checkpoint.Version no worker could restore them, so the
+	// journal is refused up front, whether it names another version or
+	// predates the header field.
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := bytes.Cut(data, []byte("\n"))
+	current := fmt.Sprintf(`"snapshot":%d,`, checkpoint.Version)
+	if !bytes.Contains(header, []byte(current)) {
+		t.Fatalf("journal header %s does not record %s", header, current)
+	}
+	for _, tc := range []struct{ name, field, version string }{
+		{"other version", fmt.Sprintf(`"snapshot":%d,`, checkpoint.Version-1), fmt.Sprint(checkpoint.Version - 1)},
+		{"no version", "", "0"},
+	} {
+		stale := filepath.Join(t.TempDir(), "stale.jsonl")
+		skewed := bytes.Replace(header, []byte(current), []byte(tc.field), 1)
+		if err := os.WriteFile(stale, append(append(skewed, '\n'), rest...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewCoordinator(g, WithJournal(stale))
+		if err == nil {
+			t.Fatalf("%s: journal of another snapshot format accepted", tc.name)
+		}
+		for _, v := range []string{tc.version, fmt.Sprint(checkpoint.Version)} {
+			if !strings.Contains(err.Error(), "version "+v) {
+				t.Errorf("%s: error %q does not name version %s", tc.name, err, v)
+			}
+		}
 	}
 }

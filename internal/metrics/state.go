@@ -2,12 +2,13 @@ package metrics
 
 import "fmt"
 
-// Checkpoint state exposure: the simulator's checkpoint/restore subsystem
-// (internal/checkpoint) serializes the accumulators' complete private
-// state so a restored run continues with bit-identical integrals and
-// sketches. The State types are exported mirrors of the private fields;
-// SetState writes the fields directly (it is a restore, not a
-// configuration call, so the SetWindow-after-Observe guard does not
+// Checkpoint state: the State types below are the serialized form of the
+// accumulators. internal/checkpoint carries them on the wire as they are,
+// walking their fields in an explicit order, so a restored run continues
+// with bit-identical integrals and sketches. A field added here is not
+// serialized until that package's walk names it (and bumps the format
+// version). SetState writes the private fields directly (it is a restore,
+// not a configuration call, so the SetWindow-after-Observe guard does not
 // apply).
 
 // CollectorState is the complete serializable state of a Collector.

@@ -34,7 +34,10 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 	return checkpoint.Encode(w, s.snapshot())
 }
 
-// snapshot captures the simulator state as a checkpoint.Snapshot.
+// snapshot captures the simulator state as a checkpoint.Snapshot. The
+// snapshot borrows the engine's int64 slices (demand vectors, allocation
+// and usage extras) instead of copying them: it must be encoded before
+// the engine moves again, which Checkpoint does.
 func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Workload:      s.workload.Name,
@@ -117,7 +120,7 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 				NodesByClass: intsToI64(r.alloc.NodesByClass),
 				BB:           r.alloc.BB,
 				WastedSSD:    r.alloc.WastedSSD,
-				Extra:        append([]int64(nil), r.alloc.Extra...),
+				Extra:        r.alloc.Extra,
 			},
 		})
 	}
@@ -129,17 +132,17 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		snap.FinishedIDs = append(snap.FinishedIDs, int64(j.ID))
 	}
 
-	snap.Usage = usageRecord(s.usage)
-	snap.Collector = collectorRecord(s.collector.State())
+	snap.Usage = s.usage
+	snap.Collector = s.collector.State()
 	if s.stats != nil {
 		snap.HaveStats = true
-		snap.Stats = statsRecord(s.stats.State())
+		snap.Stats = s.stats.State()
 	}
 
-	snap.Rand = rngRecord(s.rand.State())
+	snap.Rand = s.rand.State()
 	if s.invStream != nil {
 		snap.HaveInvStream = true
-		snap.InvStream = rngRecord(s.invStream.State())
+		snap.InvStream = s.invStream.State()
 	}
 
 	snap.Pulled = int64(s.pulled)
@@ -190,7 +193,8 @@ func Restore(w trace.Workload, method sched.Method, r io.Reader, opts ...Option)
 	return s, nil
 }
 
-// restore overwrites a freshly constructed simulator with the snapshot.
+// restore overwrites a freshly constructed simulator with the snapshot,
+// which it owns: decoded slices are handed to the engine, not copied.
 func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Identity: the snapshot must describe this exact run configuration.
 	if snap.Workload != s.workload.Name {
@@ -242,6 +246,13 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Job table: rebuilt from the records, cross-checked against the
 	// workload's own jobs when it carries them.
 	byID := make(map[int]*job.Job, len(snap.Jobs))
+	// ref resolves a job ID one of the snapshot's containers holds.
+	ref := func(container string, id int64) (*job.Job, error) {
+		if j := byID[int(id)]; j != nil {
+			return j, nil
+		}
+		return nil, fmt.Errorf("snapshot %s references unknown job %d", container, id)
+	}
 	for i := range snap.Jobs {
 		rec := &snap.Jobs[i]
 		j, err := jobFromRecord(rec)
@@ -271,20 +282,31 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if i > 0 && !eventRecordLess(snap.Events[i-1], ev) {
 			return fmt.Errorf("snapshot events out of order at index %d", i)
 		}
-		j := byID[int(ev.JobID)]
-		if j == nil {
-			return fmt.Errorf("snapshot event references unknown job %d", ev.JobID)
+		j, err := ref("event", ev.JobID)
+		if err != nil {
+			return err
 		}
 		s.events = append(s.events, event{t: ev.T, kind: int(ev.Kind), j: j})
 	}
+
+	// The containers below must agree with each job's one State: a job
+	// waits (queue, look-ahead buffer) until it starts, and from then on
+	// is in the running set, on the finished list, or — while its burst
+	// buffer drains — both. Holding each member to the state its container
+	// implies also keeps an ID off both sides at once; a snapshot that
+	// contradicts itself here would restore and then die mid-run on an
+	// illegal state transition.
 
 	// Queue: re-Add in ascending ID order. Window extraction depends only
 	// on the queue's priority total order, so the rebuilt queue yields
 	// byte-identical windows regardless of the original insertion order.
 	for _, id := range snap.QueueIDs {
-		j := byID[int(id)]
-		if j == nil {
-			return fmt.Errorf("snapshot queue references unknown job %d", id)
+		j, err := ref("queue", id)
+		if err != nil {
+			return err
+		}
+		if j.State >= job.Running {
+			return fmt.Errorf("snapshot queue holds job %d, whose state is %s", id, j.State)
 		}
 		if err := s.q.Add(j); err != nil {
 			return err
@@ -294,17 +316,30 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Running set: reinstall allocations through the cluster's validated
 	// restore path and rebuild the release timeline exactly as start and
 	// finish would have left it.
+	var nodes []int // scratch: RestoreAllocation copies what it keeps
 	for _, rr := range snap.Running {
-		j := byID[int(rr.JobID)]
-		if j == nil {
-			return fmt.Errorf("snapshot running set references unknown job %d", rr.JobID)
+		j, err := ref("running set", rr.JobID)
+		if err != nil {
+			return err
+		}
+		want := job.Running
+		if rr.Staging {
+			want = job.Finished // done but for its draining burst buffer (see finish)
+		}
+		if j.State != want {
+			return fmt.Errorf("snapshot running set (staging=%v) holds job %d, whose state is %s, not %s",
+				rr.Staging, rr.JobID, j.State, want)
+		}
+		nodes = nodes[:0]
+		for _, n := range rr.Alloc.NodesByClass {
+			nodes = append(nodes, int(n))
 		}
 		stored, err := s.cl.RestoreAllocation(cluster.Allocation{
 			JobID:        int(rr.JobID),
-			NodesByClass: i64ToInts(rr.Alloc.NodesByClass),
+			NodesByClass: nodes,
 			BB:           rr.Alloc.BB,
 			WastedSSD:    rr.Alloc.WastedSSD,
-			Extra:        append([]int64(nil), rr.Alloc.Extra...),
+			Extra:        rr.Alloc.Extra,
 		})
 		if err != nil {
 			return err
@@ -333,9 +368,9 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// which fold jobs into sums instead of retaining them).
 	if s.stats == nil {
 		for _, id := range snap.FinishedIDs {
-			j := byID[int(id)]
-			if j == nil {
-				return fmt.Errorf("snapshot finished list references unknown job %d", id)
+			j, err := ref("finished list", id)
+			if err != nil {
+				return err
 			}
 			if j.State != job.Finished {
 				return fmt.Errorf("snapshot finished job %d is in state %s", id, j.State)
@@ -354,9 +389,9 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	if err := s.restoreUsage(snap.Usage); err != nil {
 		return err
 	}
-	s.collector.SetState(collectorState(snap.Collector))
+	s.collector.SetState(snap.Collector)
 	if s.stats != nil {
-		if err := s.stats.SetState(jobStatsState(snap.Stats)); err != nil {
+		if err := s.stats.SetState(snap.Stats); err != nil {
 			return err
 		}
 	}
@@ -365,10 +400,10 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// invocation stream is reconstructed when the snapshot carried one
 	// (it is reseeded at the top of every scheduling pass, but restoring
 	// it keeps the pre- and post-checkpoint state machines identical).
-	s.rand.SetState(rng.State{Seed: snap.Rand.Seed, Src: snap.Rand.Src})
+	s.rand.SetState(snap.Rand)
 	if snap.HaveInvStream {
 		s.invStream = rng.New(snap.InvStream.Seed)
-		s.invStream.SetState(rng.State{Seed: snap.InvStream.Seed, Src: snap.InvStream.Src})
+		s.invStream.SetState(snap.InvStream)
 	} else {
 		s.invStream = nil
 	}
@@ -381,9 +416,12 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Source position: rebuild the look-ahead buffer from the job table
 	// and skip the fresh source past the consumed prefix.
 	for _, id := range snap.PendingIDs {
-		j := byID[int(id)]
-		if j == nil {
-			return fmt.Errorf("snapshot look-ahead buffer references unknown job %d", id)
+		j, err := ref("look-ahead buffer", id)
+		if err != nil {
+			return err
+		}
+		if j.State >= job.Running {
+			return fmt.Errorf("snapshot look-ahead buffer holds job %d, whose state is %s", id, j.State)
 		}
 		s.pending = append(s.pending, j)
 	}
@@ -411,15 +449,15 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-func (s *Simulator) restoreUsage(u checkpoint.UsageRecord) error {
+// restoreUsage overwrites the usage sample, keeping the engine's own
+// Extra buffer.
+func (s *Simulator) restoreUsage(u metrics.Usage) error {
 	if len(u.Extra) != len(s.usage.Extra) {
 		return fmt.Errorf("snapshot usage has %d extra dimensions, machine has %d", len(u.Extra), len(s.usage.Extra))
 	}
-	s.usage.Nodes = int(u.Nodes)
-	s.usage.BBGB = u.BBGB
-	s.usage.SSDAssignedGB = u.SSDAssignedGB
-	s.usage.SSDRequestedGB = u.SSDRequestedGB
 	copy(s.usage.Extra, u.Extra)
+	u.Extra = s.usage.Extra
+	s.usage = u
 	return nil
 }
 
@@ -430,7 +468,7 @@ func jobRecord(j *job.Job) checkpoint.JobRecord {
 		SubmitTime:  j.SubmitTime,
 		Runtime:     j.Runtime,
 		WalltimeEst: j.WalltimeEst,
-		Res:         append([]int64(nil), j.Demand.Res...),
+		Res:         j.Demand.Res,
 		StageOutSec: j.StageOutSec,
 		Deps:        intsToI64(j.Deps),
 		State:       int64(j.State),
@@ -441,7 +479,8 @@ func jobRecord(j *job.Job) checkpoint.JobRecord {
 }
 
 // jobFromRecord reconstructs a job the run had pulled from its source; the
-// record carries the full static description.
+// record carries the full static description. The job takes over the
+// record's demand vector.
 func jobFromRecord(rec *checkpoint.JobRecord) (*job.Job, error) {
 	j := &job.Job{
 		ID:          int(rec.ID),
@@ -449,7 +488,7 @@ func jobFromRecord(rec *checkpoint.JobRecord) (*job.Job, error) {
 		SubmitTime:  rec.SubmitTime,
 		Runtime:     rec.Runtime,
 		WalltimeEst: rec.WalltimeEst,
-		Demand:      job.Demand{Res: append([]int64(nil), rec.Res...)},
+		Demand:      job.Demand{Res: rec.Res},
 		StageOutSec: rec.StageOutSec,
 		Deps:        i64ToInts(rec.Deps),
 		StartTime:   rec.StartTime,
@@ -474,104 +513,6 @@ func eventRecordLess(a, b checkpoint.EventRecord) bool {
 		return a.Kind < b.Kind
 	}
 	return a.JobID < b.JobID
-}
-
-func usageRecord(u metrics.Usage) checkpoint.UsageRecord {
-	return checkpoint.UsageRecord{
-		Nodes:          int64(u.Nodes),
-		BBGB:           u.BBGB,
-		SSDAssignedGB:  u.SSDAssignedGB,
-		SSDRequestedGB: u.SSDRequestedGB,
-		Extra:          append([]int64(nil), u.Extra...),
-	}
-}
-
-func collectorRecord(st metrics.CollectorState) checkpoint.CollectorRecord {
-	return checkpoint.CollectorRecord{
-		LastT:           st.LastT,
-		Started:         st.Started,
-		Cur:             usageRecord(st.Cur),
-		NodeSec:         st.NodeSec,
-		BBSec:           st.BBSec,
-		SSDAssignedSec:  st.SSDAssignedSec,
-		SSDRequestedSec: st.SSDRequestedSec,
-		ExtraSec:        append([]float64(nil), st.ExtraSec...),
-		FirstT:          st.FirstT,
-		LastTs:          st.LastTs,
-		Windowed:        st.Windowed,
-		WinStart:        st.WinStart,
-		WinEnd:          st.WinEnd,
-	}
-}
-
-func collectorState(rec checkpoint.CollectorRecord) metrics.CollectorState {
-	return metrics.CollectorState{
-		LastT:   rec.LastT,
-		Started: rec.Started,
-		Cur: metrics.Usage{
-			Nodes:          int(rec.Cur.Nodes),
-			BBGB:           rec.Cur.BBGB,
-			SSDAssignedGB:  rec.Cur.SSDAssignedGB,
-			SSDRequestedGB: rec.Cur.SSDRequestedGB,
-			Extra:          append([]int64(nil), rec.Cur.Extra...),
-		},
-		NodeSec:         rec.NodeSec,
-		BBSec:           rec.BBSec,
-		SSDAssignedSec:  rec.SSDAssignedSec,
-		SSDRequestedSec: rec.SSDRequestedSec,
-		ExtraSec:        append([]float64(nil), rec.ExtraSec...),
-		FirstT:          rec.FirstT,
-		LastTs:          rec.LastTs,
-		Windowed:        rec.Windowed,
-		WinStart:        rec.WinStart,
-		WinEnd:          rec.WinEnd,
-	}
-}
-
-func quantileRecord(st metrics.QuantileState) checkpoint.QuantileRecord {
-	return checkpoint.QuantileRecord{P: st.P, Count: int64(st.Count), Q: st.Q, N: st.N, NP: st.NP, DN: st.DN}
-}
-
-func quantileState(rec checkpoint.QuantileRecord) metrics.QuantileState {
-	return metrics.QuantileState{P: rec.P, Count: int(rec.Count), Q: rec.Q, N: rec.N, NP: rec.NP, DN: rec.DN}
-}
-
-func statsRecord(st metrics.JobStatsState) checkpoint.JobStatsRecord {
-	return checkpoint.JobStatsRecord{
-		N:          int64(st.N),
-		WaitSum:    st.WaitSum,
-		SdSum:      st.SdSum,
-		SizeSums:   append([]float64(nil), st.SizeSums...),
-		SizeCounts: intsToI64(st.SizeCounts),
-		BBSums:     append([]float64(nil), st.BBSums...),
-		BBCounts:   intsToI64(st.BBCounts),
-		RTSums:     append([]float64(nil), st.RTSums...),
-		RTCounts:   intsToI64(st.RTCounts),
-		P50:        quantileRecord(st.P50),
-		P90:        quantileRecord(st.P90),
-		P99:        quantileRecord(st.P99),
-	}
-}
-
-func jobStatsState(rec checkpoint.JobStatsRecord) metrics.JobStatsState {
-	return metrics.JobStatsState{
-		N:          int(rec.N),
-		WaitSum:    rec.WaitSum,
-		SdSum:      rec.SdSum,
-		SizeSums:   append([]float64(nil), rec.SizeSums...),
-		SizeCounts: i64ToInts(rec.SizeCounts),
-		BBSums:     append([]float64(nil), rec.BBSums...),
-		BBCounts:   i64ToInts(rec.BBCounts),
-		RTSums:     append([]float64(nil), rec.RTSums...),
-		RTCounts:   i64ToInts(rec.RTCounts),
-		P50:        quantileState(rec.P50),
-		P90:        quantileState(rec.P90),
-		P99:        quantileState(rec.P99),
-	}
-}
-
-func rngRecord(st rng.State) checkpoint.RNGRecord {
-	return checkpoint.RNGRecord{Seed: st.Seed, Src: st.Src}
 }
 
 func intsToI64(xs []int) []int64 {

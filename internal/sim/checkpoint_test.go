@@ -5,10 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"bbsched/internal/checkpoint"
+	"bbsched/internal/job"
 	"bbsched/internal/registry"
 	"bbsched/internal/sched"
 	"bbsched/internal/trace"
@@ -244,7 +246,10 @@ func TestCheckpointRoundTripStreaming(t *testing.T) {
 // seed; silently continuing a different experiment would be far worse
 // than failing — and the source-position checks: a decoded snapshot whose
 // done watermark or look-ahead buffer disagrees with its pulled count
-// would mark unpulled jobs finished and release their dependants early.
+// would mark unpulled jobs finished and release their dependants early —
+// and the container checks: a job the queue holds but whose State (or the
+// running set) says has started would restore and then die mid-run on an
+// illegal state transition.
 func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	w := throughputWorkload(300, false)
 	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(7))
@@ -298,6 +303,15 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 		{"watermark past pulled", corrupt(func(s *checkpoint.Snapshot) { s.DoneLow = s.Pulled + 1 }), "watermark"},
 		{"sparse done ID unpulled", corrupt(func(s *checkpoint.Snapshot) { s.DoneSparse = append(s.DoneSparse, s.Pulled) }), "sparse"},
 		{"look-ahead not the pulled tail", corrupt(func(s *checkpoint.Snapshot) { s.PendingIDs = append(s.PendingIDs, s.Pulled) }), "look-ahead"},
+		{"running job also queued", corrupt(func(s *checkpoint.Snapshot) {
+			s.QueueIDs = append([]int64{s.Running[0].JobID}, s.QueueIDs...)
+		}), "queue holds job"},
+		{"queued job marked finished", corrupt(func(s *checkpoint.Snapshot) {
+			jobByID(s, s.QueueIDs[0]).State = int64(job.Finished)
+		}), "queue holds job"},
+		{"running job marked queued", corrupt(func(s *checkpoint.Snapshot) {
+			jobByID(s, s.Running[0].JobID).State = int64(job.Queued)
+		}), "running set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -310,6 +324,16 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// jobByID returns the snapshot's record of one job.
+func jobByID(s *checkpoint.Snapshot, id int64) *checkpoint.JobRecord {
+	for i := range s.Jobs {
+		if s.Jobs[i].ID == id {
+			return &s.Jobs[i]
+		}
+	}
+	panic(fmt.Sprintf("snapshot has no job %d", id))
 }
 
 // TestRestoreRejectsTruncatedSnapshot truncates a valid snapshot at many
