@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-module bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -32,9 +32,18 @@ bench-smoke:
 bench-solver:
 	$(GO) test -bench='^BenchmarkSolveGA' -benchtime=20x -run='^$$' ./internal/moo
 
+# The repository benchmark (bench/, declared by BENCHMARK.json) is a Go
+# module of its own, so `go build ./...` and `go test ./...` at the root
+# never compile it. It calls queue, backfill, core, sim and farm through
+# their exported functions: vet and test it here so that an API change
+# that breaks bench/layers.go fails a PR, not the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Performance trajectory: the sim benches (materialized 20k-job engine,
-# the 1M-job streaming-ingestion bench with its peak-live-heap ceiling,
-# checkpoint encode/decode/restore) plus the window-solver benches
+# the deep-queue bench whose queue passes 1 000 waiting jobs, the 1M-job
+# streaming-ingestion bench with its peak-live-heap ceiling, checkpoint
+# encode/decode/restore) plus the window-solver benches
 # (MOGA BenchmarkSolveGA; LP BenchmarkSolveLP cold and warm-started vs
 # BenchmarkSolveGAWindow on 64/128-job windows; the racing
 # BenchmarkSolvePortfolio, capped at 20 iterations since each solve waits
@@ -44,13 +53,14 @@ bench-solver:
 # -require fails the parse if any bench silently dropped out (e.g. its
 # package failed to build: bench-run then stops early, and a pipeline's
 # exit status is its last command's).
-BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/warm/,BenchmarkSolveLP/w=1024/,BenchmarkSolveLP/w=2048/,BenchmarkSolveLP/w=4096/,BenchmarkSolveLP/w=8192/,BenchmarkSolveLP/warm/w=1024/,BenchmarkSolveLP/warm/w=8192/,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
+BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/warm/,BenchmarkSolveLP/w=1024/,BenchmarkSolveLP/w=2048/,BenchmarkSolveLP/w=4096/,BenchmarkSolveLP/w=8192/,BenchmarkSolveLP/warm/w=1024/,BenchmarkSolveLP/warm/w=8192/,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
 
 # The gated bench family, listed here and nowhere else: prints the
 # combined `go test -bench` output that bench-json, bench-check and the
 # nightly CI job consume.
 bench-run:
 	@$(GO) test -bench '^BenchmarkSimThroughput$$/^materialized-20k$$' -benchtime=3x -run '^$$' ./internal/sim
+	@$(GO) test -bench '^BenchmarkSimThroughput$$/^deep-queue$$' -benchtime=20x -run '^$$' ./internal/sim
 	@$(GO) test -bench '^BenchmarkSimThroughput$$/^stream-1M$$' -benchtime=1x -run '^$$' ./internal/sim
 	@$(GO) test -bench '^BenchmarkCheckpoint$$' -benchtime=10x -run '^$$' ./internal/sim
 	@$(GO) test -bench '^BenchmarkSolveGA$$' -benchtime=20x -run '^$$' ./internal/moo

@@ -5,9 +5,12 @@ package backfill
 // The simulator owns one Timeline for the whole run — job starts insert
 // entries, completions remove them — so a scheduling pass no longer
 // copies and re-sorts the running set, and one Planner whose scratch
-// buffers make the steady-state pass allocation-free. Plan (backfill.go)
-// remains the straightforward reference implementation the fuzz suite
-// compares against.
+// buffers make the steady-state pass allocation-free. The Planner reads
+// the queue as a lazy queue.Ranking — the same one the window pass took
+// its window from — and prunes it before ordering it, so a pass over a
+// deep queue sorts the handful of jobs that could still backfill, not
+// the queue. Plan (backfill.go) remains the straightforward reference
+// implementation the fuzz suite compares against.
 
 import (
 	"fmt"
@@ -15,6 +18,7 @@ import (
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
+	"bbsched/internal/queue"
 )
 
 // Timeline is a release list kept permanently sorted in canonical order
@@ -68,17 +72,38 @@ type Planner struct {
 	started    []*job.Job
 	nodeArena  []int
 	allocBuf   []int
+	none       queue.Ranking // the empty ranking behind Plan's ordered slice
+
+	// The pass's instant and, once phase 1 has found the reservation
+	// head, its shadow time; work then holds the shadow-time leftover.
+	now, shadow int64
 }
 
-// Plan is the EASY planning pass of the package doc, semantically
-// identical to the reference Plan but reading the persistent timeline and
-// allocating (amortized) nothing: jobs start in priority order while they
-// fit; the first that does not becomes the reservation head, and later
-// jobs start only if they fit now and either complete before the head's
-// shadow time or fit inside the shadow-time leftover.
+// Plan is PlanRanked over a queue the caller has already put in
+// base-priority order (dependency-blocked jobs filtered out).
 func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, now int64) []*job.Job {
+	return p.PlanRanked(snap, tl, waiting, &p.none, now)
+}
+
+// PlanRanked is the EASY planning pass of the package doc, semantically
+// identical to the reference Plan but reading the persistent timeline,
+// allocating (amortized) nothing, and ordering no more of the queue than
+// it has to. The queue arrives as ahead — jobs already in base order, all
+// ranked before anything in rest (the window jobs a pass left behind) —
+// followed by the lazy ranking rest.
+//
+// Phase 1 pops heads while they fit; the first that does not becomes the
+// reservation head. Phase 2 starts later jobs only if they fit now and
+// either complete before the head's shadow time or fit inside the
+// shadow-time leftover. Before ranking the remainder of rest, phase 2
+// drops every job that fails that test already: free and leftover only
+// shrink while phase 2 runs and Snapshot.CanFit is monotone in free
+// resources, so a job that fails now fails at its turn too, and the
+// survivors meet the same checks in the same relative order (`before` is
+// a total order). Only the survivors are sorted.
+func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []*job.Job, rest *queue.Ranking, now int64) []*job.Job {
 	p.started = p.started[:0]
-	if len(waiting) == 0 {
+	if len(ahead) == 0 && rest.Len() == 0 {
 		return nil
 	}
 	p.free.CopyFrom(snap)
@@ -87,13 +112,20 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 	if n := p.free.NumClasses(); cap(p.allocBuf) < n {
 		p.allocBuf = make([]int, n)
 	}
+	p.now = now
 
-	i := 0
 	// Phase 1: start heads in priority order while they fit outright.
-	for ; i < len(waiting); i++ {
-		j := waiting[i]
+	var head *job.Job
+	for {
+		var j *job.Job
+		if len(ahead) > 0 {
+			j, ahead = ahead[0], ahead[1:]
+		} else if j = rest.Next(); j == nil {
+			return p.started
+		}
 		placed, err := p.free.AllocInto(j.Demand, p.arenaBuf(p.free.NumClasses()))
 		if err != nil {
+			head = j
 			break
 		}
 		p.started = append(p.started, j)
@@ -105,49 +137,64 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 			p.insertScratch(Running{ReleaseTime: end, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
 		}
 	}
-	if i >= len(waiting) {
-		return p.started
-	}
 
 	// Phase 2: reserve for the head, then backfill behind the reservation.
-	head := waiting[i]
-	shadow, leftover, ok := p.reservation(head.Demand)
-	if !ok {
+	var ok bool
+	if p.shadow, ok = p.reservation(head.Demand); !ok {
 		// The head cannot fit even once everything drains — it is bigger
 		// than the machine. Workload validation prevents this; be safe.
 		return p.started
 	}
-	for _, j := range waiting[i+1:] {
-		if !p.free.CanFit(j.Demand) {
-			continue
-		}
-		// A staging-out job holds burst buffer past its walltime; count
-		// the job as "done" only once everything is released (conservative
-		// for the node dimension, safe for the head's reservation).
-		endsBeforeShadow := now+j.WalltimeEst+j.StageOutSec <= shadow
-		if !endsBeforeShadow && !leftover.CanFit(j.Demand) {
-			continue
-		}
-		if _, err := p.free.AllocInto(j.Demand, p.allocBuf); err != nil {
-			continue
-		}
-		if !endsBeforeShadow {
-			// Runs past the shadow: consume the head's leftover too.
-			if _, err := leftover.AllocInto(j.Demand, p.allocBuf); err != nil {
-				// CanFit above makes this unreachable; keep state exact.
-				continue
-			}
-		}
-		p.started = append(p.started, j)
+	for _, j := range ahead {
+		p.backfill(j)
+	}
+	rest.Prune(p.mayBackfill)
+	for _, j := range rest.Rest() {
+		p.backfill(j)
 	}
 	return p.started
 }
 
+// mayBackfill reports whether j fits now and either completes before the
+// head's shadow time or fits inside the shadow-time leftover.
+func (p *Planner) mayBackfill(j *job.Job) bool {
+	if !p.free.CanFit(j.Demand) {
+		return false
+	}
+	return p.endsBeforeShadow(j) || p.work.CanFit(j.Demand)
+}
+
+// endsBeforeShadow reports whether j, started now, has released everything
+// by the head's shadow time. A staging-out job holds burst buffer past its
+// walltime; it counts as done only once that is released too (conservative
+// for the node dimension, safe for the head's reservation).
+func (p *Planner) endsBeforeShadow(j *job.Job) bool {
+	return p.now+j.WalltimeEst+j.StageOutSec <= p.shadow
+}
+
+// backfill starts j behind the reservation if it may.
+func (p *Planner) backfill(j *job.Job) {
+	if !p.mayBackfill(j) {
+		return
+	}
+	if _, err := p.free.AllocInto(j.Demand, p.allocBuf); err != nil {
+		return
+	}
+	if !p.endsBeforeShadow(j) {
+		// Runs past the shadow: consume the head's leftover too.
+		if _, err := p.work.AllocInto(j.Demand, p.allocBuf); err != nil {
+			// mayBackfill makes this unreachable; keep state exact.
+			return
+		}
+	}
+	p.started = append(p.started, j)
+}
+
 // reservation computes the head job's shadow time — the earliest instant
-// the head fits as planned releases replay — and the leftover free
-// resources at that instant after setting the head's reservation aside.
-// The leftover snapshot is pooled scratch, valid until the next Plan.
-func (p *Planner) reservation(head job.Demand) (shadow int64, leftover *cluster.Snapshot, ok bool) {
+// the head fits as planned releases replay — and leaves in p.work the
+// leftover free resources at that instant after setting the head's
+// reservation aside.
+func (p *Planner) reservation(head job.Demand) (shadow int64, ok bool) {
 	p.work.CopyFrom(p.free)
 	for k := range p.releases {
 		r := &p.releases[k]
@@ -160,12 +207,12 @@ func (p *Planner) reservation(head job.Demand) (shadow int64, leftover *cluster.
 		}
 		if p.work.CanFit(head) {
 			if _, err := p.work.AllocInto(head, p.allocBuf); err != nil {
-				return 0, nil, false
+				return 0, false
 			}
-			return r.ReleaseTime, &p.work, true
+			return r.ReleaseTime, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // insertScratch keeps the pass's working release copy in canonical order,

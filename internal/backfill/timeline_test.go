@@ -8,6 +8,7 @@ import (
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
+	"bbsched/internal/queue"
 	"bbsched/internal/rng"
 	"bbsched/internal/trace"
 )
@@ -92,17 +93,24 @@ func TestTimelineRemoveMissing(t *testing.T) {
 	}
 }
 
-// TestPlannerMatchesReferencePlan fuzzes random machines, running sets,
-// and waiting queues through one pooled Planner (reused across all cases,
-// so scratch reuse is exercised) and checks every pass against the
-// reference Plan.
+// TestPlannerMatchesReferencePlan fuzzes random machines (SSD classes,
+// extra dimensions), running sets, and waiting queues (stage-out jobs,
+// the odd job bigger than the machine, which makes the reservation fail)
+// through one pooled Planner — reused across all cases, so scratch reuse
+// is exercised — and checks every pass against the reference Plan, twice:
+// fed the waiting jobs as an already-ordered slice, and fed the way the
+// engine feeds it — the lazy ranking of an unordered queue, after a
+// window pass took a prefix and started some of it — against reference
+// Plan over the fully sorted remainder.
 func TestPlannerMatchesReferencePlan(t *testing.T) {
 	r := rng.New(99)
 	var p Planner
-	trials := 400
+	trials := 600
 	if testing.Short() {
-		trials = 120
+		trials = 150
 	}
+	policies := []queue.Policy{queue.FCFS{}, queue.WFP{}, queue.Multifactor{MachineNodes: 32}}
+	ready := func(id int) bool { return id != 999 } // job 999 never finishes
 	for trial := 0; trial < trials; trial++ {
 		cfg := randMachine(r)
 		cl := cluster.MustNew(cfg)
@@ -129,22 +137,64 @@ func TestPlannerMatchesReferencePlan(t *testing.T) {
 		}
 
 		var waiting []*job.Job
-		for k := 0; k < r.Intn(12); k++ {
+		for k, n := 0, r.Intn(40); k < n; k++ {
 			d := randDemand(r, cfg)
+			if r.Bool(0.03) {
+				d = job.NewDemand(cfg.Nodes+1+r.Intn(4), 0, 0) // can never fit
+			}
 			wall := int64(1 + r.Intn(60))
-			j := job.MustNew(k+1, 0, wall, wall, d)
+			j := job.MustNew(k+1, int64(r.Intn(4))*5, wall, wall, d)
 			if r.Bool(0.2) {
 				j.StageOutSec = int64(1 + r.Intn(20))
 			}
 			waiting = append(waiting, j)
 		}
 
-		now := int64(r.Intn(10))
+		now := int64(20 + r.Intn(10))
 		want := Plan(snapshot, runs, waiting, now)
 		got := p.Plan(snapshot, NewTimelineFrom(runs), waiting, now)
 		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
 			t.Fatalf("trial %d: planner %v, reference %v (machine %+v, %d running, %d waiting)",
 				trial, ids(got), ids(want), cfg, len(runs), len(waiting))
+		}
+
+		// The engine's route: rank the unordered queue, let a window pass
+		// take a prefix and start some of it, then plan over what the
+		// window left behind plus the rest of the ranking.
+		q := queue.New(policies[r.Intn(len(policies))])
+		for _, j := range waiting {
+			if r.Bool(0.1) {
+				j.Deps = []int{999} // dependency-blocked: never ranked
+			}
+			if err := q.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ranking := q.Rank(now, ready)
+		window := ranking.Take(nil, r.Intn(8))
+		var left []*job.Job
+		picked := map[int]bool{}
+		for _, j := range window {
+			if r.Bool(0.5) {
+				if placed, err := snapshot.Alloc(j.Demand); err == nil {
+					picked[j.ID] = true
+					runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
+					continue
+				}
+			}
+			left = append(left, j)
+		}
+		var sorted []*job.Job
+		for _, j := range q.Sorted(now) {
+			if len(j.Deps) == 0 && !picked[j.ID] {
+				sorted = append(sorted, j)
+			}
+		}
+		want = Plan(snapshot, runs, sorted, now)
+		got = p.PlanRanked(snapshot, NewTimelineFrom(runs), left, ranking, now)
+		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
+			t.Fatalf("trial %d: ranked planner %v, reference %v (%s, machine %+v, %d running, window %v left %v of %d ready)",
+				trial, ids(got), ids(want), q.Policy().Name(), cfg, len(runs), ids(window), ids(left), len(sorted))
 		}
 	}
 }

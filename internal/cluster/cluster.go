@@ -518,7 +518,7 @@ func (s *Snapshot) CopyFrom(src Snapshot) {
 func (s Snapshot) NumExtra() int { return len(s.FreeExtra) }
 
 // FreeNodes returns the snapshot's total free node count.
-func (s Snapshot) FreeNodes() int {
+func (s *Snapshot) FreeNodes() int {
 	n := 0
 	for _, c := range s.FreeByClass {
 		n += c
@@ -607,7 +607,7 @@ func (s *Snapshot) AllocInto(d job.Demand, buf []int) (Placement, error) {
 // snapshot and without allocating. It mirrors Alloc's feasibility rule
 // exactly: Alloc's smallest-eligible-class-first placement succeeds iff
 // the eligible classes hold enough free nodes in aggregate.
-func (s Snapshot) CanFit(d job.Demand) bool {
+func (s *Snapshot) CanFit(d job.Demand) bool {
 	need := d.NodeCount()
 	if need <= 0 {
 		return false // Alloc rejects non-positive node demands

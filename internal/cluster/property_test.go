@@ -241,3 +241,31 @@ func TestSnapshotAllocReleaseSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// TestCanFitMonotoneUnderAlloc pins the premise EASY backfill's pruning
+// rests on: allocations only shrink a snapshot, and CanFit is monotone in
+// free resources, so a demand that fits after an Alloc fitted before it —
+// equivalently, a demand rejected now stays rejected however many jobs
+// are started first.
+func TestCanFitMonotoneUnderAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for iter := 0; iter < propertyIterations; iter++ {
+		cfg := randomConfig(r, iter)
+		snap := MustNew(cfg).Snapshot()
+		probes := make([]job.Demand, 16)
+		for i := range probes {
+			probes[i] = randomDemand(r, cfg)
+		}
+		for step := 0; step < 8; step++ {
+			before := snap.Clone()
+			if _, err := snap.Alloc(randomDemand(r, cfg)); err != nil {
+				continue
+			}
+			for _, d := range probes {
+				if snap.CanFit(d) && !before.CanFit(d) {
+					t.Fatalf("iter %d step %d: %+v fits %+v but not the larger %+v", iter, step, d, snap, before)
+				}
+			}
+		}
+	}
+}

@@ -283,6 +283,7 @@ type Plugin struct {
 	// pooled per-pass scratch
 	window   []*job.Job
 	rest     []*job.Job
+	left     []*job.Job
 	started  []*job.Job
 	chosen   []bool
 	scratch  cluster.Snapshot
@@ -320,14 +321,17 @@ func (p *Plugin) Config() PluginConfig { return p.cfg }
 type DecideContext struct {
 	// Now is the simulation time in seconds.
 	Now int64
-	// Queue is the waiting queue under the base policy.
-	Queue *queue.Queue
+	// Ranking is the dep-ready waiting queue in base-policy order at Now
+	// (queue.Queue.Rank). Decide takes its window off the front; what it
+	// leaves is what EASY backfilling walks after LeftBehind.
+	Ranking *queue.Ranking
+	// QueueLen is the number of waiting jobs, dependency-blocked ones
+	// included — what a WindowPolicy sizes the window from.
+	QueueLen int
 	// Snap is the machine's current free resources.
 	Snap cluster.Snapshot
 	// Totals provides machine capacities for normalization.
 	Totals sched.Totals
-	// DepsDone reports whether a job ID has finished (dependency gating).
-	DepsDone func(id int) bool
 	// Rand is the invocation's deterministic stream.
 	Rand *rng.Stream
 }
@@ -339,9 +343,10 @@ type DecideContext struct {
 func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	size := p.cfg.WindowSize
 	if p.cfg.WindowPolicy != nil {
-		size = p.cfg.WindowPolicy.Size(ctx.Queue.Len())
+		size = p.cfg.WindowPolicy.Size(ctx.QueueLen)
 	}
-	p.window = ctx.Queue.WindowInto(p.window[:0], ctx.Now, size, ctx.DepsDone)
+	p.window = ctx.Ranking.Take(p.window[:0], size)
+	p.left = p.left[:0]
 	if len(p.window) == 0 {
 		return nil, nil
 	}
@@ -405,7 +410,14 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	for i, j := range p.rest {
 		if !chosen[i] {
 			j.WindowAge++
+			p.left = append(p.left, j)
 		}
 	}
 	return p.started, nil
 }
+
+// LeftBehind returns the window jobs the last Decide call did not start,
+// in window (base-priority) order: the jobs that rank ahead of everything
+// still in that call's Ranking. Pooled scratch, valid until the next
+// Decide call.
+func (p *Plugin) LeftBehind() []*job.Job { return p.left }

@@ -182,10 +182,10 @@ func TestPluginConfigValidate(t *testing.T) {
 func pluginCtx(q *queue.Queue, c *cluster.Cluster, seed uint64) DecideContext {
 	return DecideContext{
 		Now:      10,
-		Queue:    q,
+		Ranking:  q.Rank(10, func(int) bool { return false }),
+		QueueLen: q.Len(),
 		Snap:     c.Snapshot(),
 		Totals:   sched.TotalsOf(c.Config()),
-		DepsDone: func(int) bool { return false },
 		Rand:     rng.New(seed),
 	}
 }
@@ -331,6 +331,7 @@ func TestPluginWindowRespectsBasePriority(t *testing.T) {
 	p, _ := NewPlugin(PluginConfig{WindowSize: 1, StarvationBound: 0}, sched.Baseline{})
 	ctx := pluginCtx(q, c, 1)
 	ctx.Now = 1000
+	ctx.Ranking = q.Rank(ctx.Now, func(int) bool { return false })
 	started, err := p.Decide(ctx)
 	if err != nil {
 		t.Fatal(err)

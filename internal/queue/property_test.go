@@ -135,6 +135,131 @@ func TestIndexMatchesSortedReference(t *testing.T) {
 	}
 }
 
+// nanEvery wraps a time-varying policy and returns NaN for every third
+// job: the ranking must apply Sorted's NaN→0 patch-up on every path.
+type nanEvery struct{ Policy }
+
+func (p nanEvery) Priority(j *job.Job, now int64) float64 {
+	if j.ID%3 == 0 {
+		return math.NaN()
+	}
+	return p.Policy.Priority(j, now)
+}
+
+// TestRankingMatchesSortedReference is the differential suite for the
+// lazy ranking: over random queues (key collisions, unmet dependencies,
+// NaN priorities) it drives random interleavings of Take, Next, Rest and Prune
+// — so every mix of heap pops, crossover sorts, re-heapifies after a
+// prune and the FCFS walk occurs — and requires the jobs to come out
+// exactly as filter(Sorted(now)) lists them. Jobs taken mid-sequence are
+// removed from the queue, as a scheduling pass does when it starts them;
+// the ranking must not notice.
+func TestRankingMatchesSortedReference(t *testing.T) {
+	policies := []Policy{
+		FCFS{},
+		WFP{},
+		Multifactor{MachineNodes: 64},
+		nanEvery{WFP{}},
+	}
+	for pi, pol := range policies {
+		t.Run(fmt.Sprintf("%d-%s", pi, pol.Name()), func(t *testing.T) {
+			r := rng.New(uint64(101 + pi))
+			trials := 400
+			if testing.Short() {
+				trials = 100
+			}
+			for trial := 0; trial < trials; trial++ {
+				q := New(pol)
+				n := r.Intn(90)
+				for id := 1; id <= n; id++ {
+					j := &job.Job{
+						ID:          id,
+						SubmitTime:  int64(r.Intn(6)) * 10,
+						WalltimeEst: []int64{100, 100, 500, 0}[r.Intn(4)],
+						Runtime:     50,
+						Demand:      job.NewDemand(1+r.Intn(4)*7, 0, 0),
+					}
+					if r.Bool(0.2) {
+						j.Deps = []int{1000 + r.Intn(4)} // 1000, 1001 finished; 1002, 1003 not
+					}
+					if err := q.Add(j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				depsDone := func(id int) bool { return id < 1002 }
+				now := int64(r.Intn(400))
+				want := refWindow(q.Sorted(now), q.Len(), depsDone)
+
+				rk := q.Rank(now, depsDone)
+				check := func(op string, got []*job.Job, k int) {
+					t.Helper()
+					if k > len(want) {
+						k = len(want)
+					}
+					if fmt.Sprint(jobIDs(got)) != fmt.Sprint(jobIDs(want[:k])) {
+						t.Fatalf("trial %d (n=%d, now=%d) %s: ranking %v, reference %v",
+							trial, n, now, op, jobIDs(got), jobIDs(want[:k]))
+					}
+					for _, j := range got { // the pass starts what it took
+						if r.Bool(0.5) {
+							if err := q.Remove(j.ID); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					want = want[k:]
+				}
+				for steps := 0; ; steps++ {
+					if rk.Len() != len(want) {
+						t.Fatalf("trial %d: Len %d, reference %d", trial, rk.Len(), len(want))
+					}
+					if len(want) == 0 {
+						break
+					}
+					switch r.Intn(5) {
+					case 0: // a short prefix: the window
+						k := r.Intn(5)
+						check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
+					case 1: // a long prefix: crosses the sort threshold
+						k := len(want)/2 + r.Intn(len(want)/2+2)
+						check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
+					case 2:
+						check("Next", []*job.Job{rk.Next()}, 1)
+					case 3:
+						if r.Bool(0.7) {
+							continue // drains the ranking: keep it rare
+						}
+						check("Rest", rk.Rest(), len(want))
+					case 4:
+						m, c := 2+r.Intn(3), r.Intn(2)
+						keep := func(j *job.Job) bool { return j.ID%m != c }
+						rk.Prune(keep)
+						kept := want[:0:0]
+						for _, j := range want {
+							if keep(j) {
+								kept = append(kept, j)
+							}
+						}
+						want = kept
+					}
+				}
+				if j := rk.Next(); j != nil {
+					t.Fatalf("trial %d: exhausted ranking yielded job %d", trial, j.ID)
+				}
+				if got := rk.Take(nil, 3); len(got) != 0 {
+					t.Fatalf("trial %d: exhausted ranking yielded %v", trial, jobIDs(got))
+				}
+			}
+		})
+	}
+	// The zero Ranking is empty and safe to drive.
+	var zero Ranking
+	zero.Prune(func(*job.Job) bool { return true })
+	if zero.Len() != 0 || zero.Next() != nil || len(zero.Take(nil, 5)) != 0 || len(zero.Rest()) != 0 {
+		t.Fatal("zero Ranking is not empty")
+	}
+}
+
 // TestWindowIntoReusesBuffer pins the pooling contract: with a
 // sufficiently large destination buffer, WindowInto returns a slice
 // aliasing it.

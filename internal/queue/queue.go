@@ -8,24 +8,28 @@
 // utility policy that favors large jobs that have waited long relative to
 // their requested walltime.
 //
-// The queue maintains an incremental order index so the simulator's event
-// loop never pays a full re-sort per event instant:
+// A scheduling pass ranks the queue once. Rank gathers the dep-ready
+// jobs — and, for a time-varying policy, their priorities at that instant
+// — into pooled arrays: one O(n) walk, no ordering work, no allocation.
+// The Ranking it returns then produces the base order only as far as the
+// pass consumes it, so the window pass and EASY backfilling share one
+// gather and nothing sorts the whole queue unless asked for most of it:
 //
 //   - Time-invariant policies (FCFS, or anything implementing
 //     TimeInvariant) keep the waiting set sorted incrementally: Add is an
-//     O(log n) search plus one shifted insert, Remove likewise, and
-//     WindowInto is a plain ordered walk.
+//     O(log n) search plus one shifted insert, Remove likewise, and the
+//     ranking is a plain ordered walk.
 //   - Time-varying policies (WFP, Multifactor) keep the waiting set
-//     unordered and extract windows with a pooled partial heap selection:
-//     O(n) heapify plus O(w log n) pops, with no per-call map or slice
-//     allocations. Past the w ≥ n/2 crossover — giant windows covering
-//     most of the queue — the selection falls back to one full pooled
-//     sort, which costs the same asymptotically with far better
-//     constants than n-ish heap pops.
+//     unordered. Taking a few jobs heapifies the gathered arrays (O(n))
+//     and pops (O(log n) each); taking at least half of what is left —
+//     giant windows, or a caller draining the ranking — sorts once
+//     instead, which costs the same asymptotically with far better
+//     constants than n-ish heap pops. Prune drops jobs the caller has
+//     ruled out, so a later sort touches only the survivors.
 //
-// Sorted remains the straightforward reference implementation (full
-// re-sort with fresh allocations); the property suite pins the index
-// against it.
+// WindowInto is Rank followed by one Take. Sorted remains the
+// straightforward reference implementation (full re-sort with fresh
+// allocations); the property suite pins the ranking against it.
 package queue
 
 import (
@@ -167,9 +171,8 @@ type Queue struct {
 	// pos maps job ID -> index in order (time-varying policies, where
 	// removal is a swap-with-last; time-invariant removal binary-searches).
 	pos map[int]int
-	// heapJobs/heapPrio are the pooled partial-selection heap.
-	heapJobs []*job.Job
-	heapPrio []float64
+	// rank is the pooled per-pass ranking Rank hands out.
+	rank Ranking
 }
 
 // New returns an empty queue ordered by policy.
@@ -286,8 +289,8 @@ func (q *Queue) Contains(id int) bool {
 
 // Sorted returns the waiting jobs in base-policy order at time now:
 // priority descending, ties FCFS. It is the reference implementation the
-// incremental index is property-tested against; the simulator's hot path
-// uses WindowInto instead.
+// ranking is property-tested against; the simulator's hot path uses Rank
+// instead.
 func (q *Queue) Sorted(now int64) []*job.Job {
 	out := make([]*job.Job, 0, len(q.order))
 	for _, j := range q.order {
@@ -323,98 +326,214 @@ func (q *Queue) Window(now int64, size int, depsDone func(id int) bool) []*job.J
 }
 
 // WindowInto is Window appending into dst (commonly a pooled buffer with
-// dst[:0]) instead of allocating the result. Passing size >= Len yields
-// the full dep-ready queue in base-policy order — what EASY backfilling
-// walks. The returned slice aliases dst's storage when capacity suffices.
+// dst[:0]) instead of allocating the result: it ranks the queue and takes
+// the first size jobs. Passing size >= Len yields the full dep-ready queue
+// in base-policy order. The returned slice aliases dst's storage when
+// capacity suffices. Like Rank, it invalidates any earlier Ranking.
 func (q *Queue) WindowInto(dst []*job.Job, now int64, size int, depsDone func(id int) bool) []*job.Job {
 	if size <= 0 || len(q.order) == 0 {
 		return dst
 	}
-	if q.static {
-		for _, j := range q.order {
-			if !depsReady(j, depsDone) {
-				continue
-			}
-			dst = append(dst, j)
-			if len(dst) >= size {
-				break
-			}
-		}
-		return dst
-	}
-	// Time-varying: pooled partial selection. Gather the dep-ready jobs
-	// with their priorities, heapify (O(n)), then pop the best size jobs
-	// (O(size log n)) — never a fresh map, and a full sort only past the
-	// crossover where the partial selection would cost as much anyway.
-	q.heapJobs = q.heapJobs[:0]
-	q.heapPrio = q.heapPrio[:0]
+	return q.Rank(now, depsDone).Take(dst, size)
+}
+
+// Ranking is one scheduling pass's view of the dep-ready waiting jobs in
+// base-policy order at one instant. Rank gathers the jobs (and, for a
+// time-varying policy, their priorities) once; the order itself is then
+// produced only as far as the caller consumes it: Take, Next and Rest pop
+// from the front, Prune drops jobs the caller no longer wants ranked. The
+// jobs come out in exactly the order filter(Sorted(now)) lists them,
+// whatever mix of calls is made — `before` is a total order, so heap
+// pops, a full sort and the FCFS walk cannot disagree.
+//
+// A Ranking is scratch on its queue's pooled arrays: the next Rank (or
+// WindowInto) call on the queue overwrites it. Add and Remove leave it
+// untouched, so a job started mid-pass is simply one the caller has
+// already taken. The zero Ranking is empty.
+type Ranking struct {
+	// jobs[lo:] are the jobs not yet consumed; prio is aligned with jobs
+	// until the ranking is sorted, after which nothing reads it.
+	jobs     []*job.Job
+	prio     []float64
+	lo       int
+	state    rankState
+	gathered int // len(jobs) as Rank left it
+}
+
+type rankState uint8
+
+const (
+	rankUnordered rankState = iota // gathered, no structure yet (lo == 0)
+	rankHeap                       // jobs is a max-heap under before (lo == 0)
+	rankSorted                     // jobs[lo:] is in base order
+)
+
+// Rank gathers every waiting job whose dependencies have all finished,
+// with its priority at now, into the queue's pooled ranking: one O(n)
+// pass, no allocation once the arrays have grown, and no ordering work
+// yet. A time-invariant policy's queue is already in order, so its
+// ranking is a plain copy of the dep-ready jobs.
+func (q *Queue) Rank(now int64, depsDone func(id int) bool) *Ranking {
+	r := &q.rank
+	r.jobs, r.prio, r.lo = r.jobs[:0], r.prio[:0], 0
 	for _, j := range q.order {
 		if !depsReady(j, depsDone) {
 			continue
 		}
-		q.heapJobs = append(q.heapJobs, j)
-		q.heapPrio = append(q.heapPrio, q.orderedPriority(j, now))
-	}
-	n := len(q.heapJobs)
-	if 2*size >= n {
-		// Giant windows: once w reaches half the dep-ready depth, the
-		// heap's w log n pops match a full sort's cost but with
-		// cache-hostile sift access; sort once instead. `before` is a
-		// total order, so the output is identical element-for-element.
-		sort.Sort((*windowSorter)(q))
-		if size > n {
-			size = n
+		r.jobs = append(r.jobs, j)
+		if !q.static {
+			r.prio = append(r.prio, q.orderedPriority(j, now))
 		}
-		return append(dst, q.heapJobs[:size]...)
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		q.siftDown(i, n)
+	// Drop the pointers a deeper earlier gather left past this one, so the
+	// pooled array never keeps long-finished jobs alive.
+	if n := len(r.jobs); n < r.gathered {
+		clear(r.jobs[n:r.gathered])
 	}
-	for n > 0 && len(dst) < size {
-		dst = append(dst, q.heapJobs[0])
-		n--
-		q.heapJobs[0], q.heapPrio[0] = q.heapJobs[n], q.heapPrio[n]
-		q.siftDown(0, n)
+	r.gathered = len(r.jobs)
+	r.state = rankUnordered
+	if q.static {
+		r.state = rankSorted
+	}
+	return r
+}
+
+// Len returns the number of ranked jobs not yet consumed.
+func (r *Ranking) Len() int { return len(r.jobs) - r.lo }
+
+// Take pops up to size jobs off the front of the ranking, appending them
+// to dst in base order.
+func (r *Ranking) Take(dst []*job.Job, size int) []*job.Job {
+	if size > r.Len() {
+		size = r.Len()
+	}
+	if size <= 0 {
+		return dst
+	}
+	r.prepare(size)
+	if r.state == rankSorted {
+		dst = append(dst, r.jobs[r.lo:r.lo+size]...)
+		r.lo += size
+		return dst
+	}
+	for ; size > 0; size-- {
+		dst = append(dst, r.pop())
 	}
 	return dst
 }
 
-// windowSorter views a Queue's pooled selection arrays as a
-// sort.Interface over the total order `before` — a defined-type
-// conversion, not a wrapper struct, so the crossover sort stays
-// allocation-free.
-type windowSorter Queue
-
-func (s *windowSorter) Len() int { return len(s.heapJobs) }
-
-func (s *windowSorter) Less(a, b int) bool {
-	return before(s.heapPrio[a], s.heapJobs[a], s.heapPrio[b], s.heapJobs[b])
+// Next pops the first remaining job, or returns nil when none is left.
+func (r *Ranking) Next() *job.Job {
+	if r.Len() == 0 {
+		return nil
+	}
+	r.prepare(1)
+	if r.state == rankSorted {
+		r.lo++
+		return r.jobs[r.lo-1]
+	}
+	return r.pop()
 }
 
-func (s *windowSorter) Swap(a, b int) {
-	s.heapJobs[a], s.heapJobs[b] = s.heapJobs[b], s.heapJobs[a]
-	s.heapPrio[a], s.heapPrio[b] = s.heapPrio[b], s.heapPrio[a]
+// Rest pops every remaining job, in base order. The slice aliases the
+// ranking's storage and is valid only until the queue is ranked again.
+func (r *Ranking) Rest() []*job.Job {
+	if r.Len() == 0 {
+		return nil
+	}
+	r.prepare(r.Len())
+	rest := r.jobs[r.lo:]
+	r.lo = len(r.jobs)
+	return rest
+}
+
+// Prune drops every remaining job keep rejects; the survivors keep their
+// relative order.
+func (r *Ranking) Prune(keep func(*job.Job) bool) {
+	sorted := r.state == rankSorted
+	w := r.lo
+	for i := r.lo; i < len(r.jobs); i++ {
+		if !keep(r.jobs[i]) {
+			continue
+		}
+		r.jobs[w] = r.jobs[i]
+		if !sorted {
+			r.prio[w] = r.prio[i]
+		}
+		w++
+	}
+	r.jobs = r.jobs[:w]
+	if !sorted {
+		r.prio = r.prio[:w]
+		r.state = rankUnordered // compaction broke any heap shape
+	}
+}
+
+// prepare puts the ranking in a state that can serve the next k jobs
+// (1 <= k <= Len). A caller about to consume at least half of what is
+// left gets one full sort: the heap's k log n pops would cost as much
+// with cache-hostile sift access. Anything less gets an O(n) heapify and
+// pays log n per job actually popped.
+func (r *Ranking) prepare(k int) {
+	switch {
+	case r.state == rankSorted:
+	case 2*k >= len(r.jobs):
+		sort.Sort((*rankSorter)(r))
+		r.state = rankSorted
+	case r.state == rankUnordered:
+		for i := len(r.jobs)/2 - 1; i >= 0; i-- {
+			r.siftDown(i)
+		}
+		r.state = rankHeap
+	}
+}
+
+// pop removes and returns the heap's root.
+func (r *Ranking) pop() *job.Job {
+	top := r.jobs[0]
+	last := len(r.jobs) - 1
+	r.jobs[0], r.prio[0] = r.jobs[last], r.prio[last]
+	r.jobs, r.prio = r.jobs[:last], r.prio[:last]
+	r.siftDown(0)
+	return top
 }
 
 // siftDown restores the max-heap property (root = first in queue order)
-// for the pooled selection heap over heapJobs[:n].
-func (q *Queue) siftDown(i, n int) {
+// below index i.
+func (r *Ranking) siftDown(i int) {
+	n := len(r.jobs)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		best := l
-		if r := l + 1; r < n && before(q.heapPrio[r], q.heapJobs[r], q.heapPrio[l], q.heapJobs[l]) {
-			best = r
+		if c := l + 1; c < n && before(r.prio[c], r.jobs[c], r.prio[l], r.jobs[l]) {
+			best = c
 		}
-		if !before(q.heapPrio[best], q.heapJobs[best], q.heapPrio[i], q.heapJobs[i]) {
+		if !before(r.prio[best], r.jobs[best], r.prio[i], r.jobs[i]) {
 			return
 		}
-		q.heapJobs[i], q.heapJobs[best] = q.heapJobs[best], q.heapJobs[i]
-		q.heapPrio[i], q.heapPrio[best] = q.heapPrio[best], q.heapPrio[i]
+		r.jobs[i], r.jobs[best] = r.jobs[best], r.jobs[i]
+		r.prio[i], r.prio[best] = r.prio[best], r.prio[i]
 		i = best
 	}
+}
+
+// rankSorter views an unsorted Ranking (lo == 0) as a sort.Interface over
+// the total order `before` — a defined-type conversion, not a wrapper
+// struct, so the sort stays allocation-free.
+type rankSorter Ranking
+
+func (s *rankSorter) Len() int { return len(s.jobs) }
+
+func (s *rankSorter) Less(a, b int) bool {
+	return before(s.prio[a], s.jobs[a], s.prio[b], s.jobs[b])
+}
+
+func (s *rankSorter) Swap(a, b int) {
+	s.jobs[a], s.jobs[b] = s.jobs[b], s.jobs[a]
+	s.prio[a], s.prio[b] = s.prio[b], s.prio[a]
 }
 
 func depsReady(j *job.Job, depsDone func(id int) bool) bool {

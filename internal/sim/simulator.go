@@ -260,7 +260,6 @@ type Simulator struct {
 	// reusable buffers and streams of the per-instant scheduling pass.
 	timeline  backfill.Timeline
 	planner   backfill.Planner
-	readyBuf  []*job.Job
 	passSnap  cluster.Snapshot
 	invStream *rng.Stream
 	depsDone  func(id int) bool
@@ -941,11 +940,15 @@ func (s *Simulator) observeBBRelease(r *runningJob) {
 	s.collector.Observe(s.now, s.usage)
 }
 
-// schedule runs one window pass plus backfilling. The steady-state pass
-// allocates (amortized) nothing: the free-state snapshot, the dep-ready
-// waiting list, the invocation stream, and the EASY planning scratch are
-// all pooled, and the release timeline is maintained incrementally by
-// start/finish instead of being rebuilt and re-sorted here.
+// schedule runs one window pass plus backfilling over one ranking of the
+// queue: the dep-ready jobs and their priorities are gathered once, the
+// plugin takes its window off the front, and EASY backfilling continues
+// where the window stopped — the window jobs left behind, then as much of
+// the rest as the planner asks for. The steady-state pass allocates
+// (amortized) nothing: the ranking, the free-state snapshot, the
+// invocation stream, and the EASY planning scratch are all pooled, and
+// the release timeline is maintained incrementally by start/finish
+// instead of being rebuilt and re-sorted here.
 func (s *Simulator) schedule() error {
 	if s.q.Len() == 0 {
 		return nil
@@ -956,15 +959,16 @@ func (s *Simulator) schedule() error {
 
 	s.invStream = s.rand.SplitIndexInto(s.invStream, uint64(s.invocations))
 
-	// Window pass: only worth invoking when something could start.
+	// Only worth ranking the queue when something could start.
 	if s.cl.FreeNodes() > 0 {
+		ranking := s.q.Rank(s.now, s.depsDone)
 		s.cl.SnapshotInto(&s.passSnap)
 		picked, err := s.plugin.Decide(core.DecideContext{
 			Now:      s.now,
-			Queue:    s.q,
+			Ranking:  ranking,
+			QueueLen: s.q.Len(),
 			Snap:     s.passSnap,
 			Totals:   s.totals,
-			DepsDone: s.depsDone,
 			Rand:     s.invStream,
 		})
 		if err != nil {
@@ -976,22 +980,21 @@ func (s *Simulator) schedule() error {
 			}
 		}
 		launched += len(picked)
-	}
 
-	// EASY backfilling over the remaining queue (§4.3: all methods use
-	// EASY backfilling to mitigate resource fragmentation). The timeline's
-	// canonical (release time, job ID) order fixes the tie-break among
-	// equal release times, keeping runs reproducible across processes.
-	if s.opt.backfill && s.q.Len() > 0 && s.cl.FreeNodes() > 0 {
-		s.readyBuf = s.q.WindowInto(s.readyBuf[:0], s.now, s.q.Len(), s.depsDone)
-		s.cl.SnapshotInto(&s.passSnap)
-		filled := s.planner.Plan(s.passSnap, &s.timeline, s.readyBuf, s.now)
-		for _, j := range filled {
-			if err := s.start(j); err != nil {
-				return err
+		// EASY backfilling over the remaining queue (§4.3: all methods use
+		// EASY backfilling to mitigate resource fragmentation). The timeline's
+		// canonical (release time, job ID) order fixes the tie-break among
+		// equal release times, keeping runs reproducible across processes.
+		if s.opt.backfill && s.q.Len() > 0 && s.cl.FreeNodes() > 0 {
+			s.cl.SnapshotInto(&s.passSnap)
+			filled := s.planner.PlanRanked(s.passSnap, &s.timeline, s.plugin.LeftBehind(), ranking, s.now)
+			for _, j := range filled {
+				if err := s.start(j); err != nil {
+					return err
+				}
 			}
+			launched += len(filled)
 		}
-		launched += len(filled)
 	}
 
 	d := time.Since(started)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bbsched/internal/job"
+	"bbsched/internal/queue"
 	"bbsched/internal/sched"
 	"bbsched/internal/trace"
 )
@@ -332,5 +333,65 @@ func TestNewSimulatorValidation(t *testing.T) {
 	}
 	if _, err := NewSimulator(w, sched.Baseline{}, WithWindow(-3, 0)); err == nil {
 		t.Fatal("invalid window accepted")
+	}
+}
+
+// countingWFP is WFP counting its Priority calls.
+type countingWFP struct {
+	queue.WFP
+	calls *int
+}
+
+func (p countingWFP) Priority(j *job.Job, now int64) float64 {
+	*p.calls++
+	return p.WFP.Priority(j, now)
+}
+
+// passGatherObserver checks, pass by pass, how many priorities were
+// evaluated against how many jobs were waiting when the pass began.
+type passGatherObserver struct {
+	NopObserver
+	t               *testing.T
+	calls           *int
+	seen            int
+	deepest, ranked int
+}
+
+func (o *passGatherObserver) OnSchedule(info ScheduleInfo) {
+	depth := info.QueueDepth + info.Started // waiting jobs when the pass began
+	gathered := *o.calls - o.seen
+	o.seen = *o.calls
+	if gathered > depth {
+		o.t.Errorf("pass %d: %d Priority calls for %d waiting jobs; a pass ranks the queue once",
+			info.Invocation, gathered, depth)
+	}
+	if depth > o.deepest {
+		o.deepest = depth
+	}
+	if gathered > 0 {
+		o.ranked++
+	}
+}
+
+// TestScheduleGathersQueueOncePerPass: the window pass and EASY backfill
+// share one ranking, so a pass evaluates each dep-ready job's priority at
+// most once (the parent evaluated it once per consumer).
+func TestScheduleGathersQueueOncePerPass(t *testing.T) {
+	w := trace.Generate(trace.GenConfig{
+		System: trace.Scale(trace.Theta(), 32), Jobs: 600, Seed: 3,
+		TargetLoad: 4, DependencyFraction: 0.1,
+	})
+	calls := 0
+	obs := &passGatherObserver{t: t, calls: &calls}
+	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1), WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.q = queue.New(countingWFP{calls: &calls}) // nothing is queued before the first Step
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if obs.deepest < 100 || obs.ranked < 100 {
+		t.Fatalf("queue peaked at %d over %d ranked passes; the test needs a deep queue to mean anything", obs.deepest, obs.ranked)
 	}
 }

@@ -150,8 +150,11 @@ func RunSweep(ctx context.Context, sw Sweep) ([]SweepRun, error) {
 			defer wg.Done()
 			for i := range idx {
 				tk := tasks[i]
+				// The identity is set on pick-up, so a cell that fails below
+				// for any reason still says which cell it was.
+				results[i] = SweepRun{Workload: tk.w.Name, Method: tk.m.Name(), Seed: tk.seed}
 				if err := ctx.Err(); err != nil {
-					results[i] = SweepRun{Workload: tk.w.Name, Method: tk.m.Name(), Seed: tk.seed, Canceled: true}
+					results[i].Canceled = true
 					errs[i] = err
 					continue
 				}
@@ -179,10 +182,7 @@ func RunSweep(ctx context.Context, sw Sweep) ([]SweepRun, error) {
 					// not closed twice).
 					var res *Result
 					if res, err = s.Run(ctx); err == nil {
-						results[i] = SweepRun{
-							Workload: tk.w.Name, Method: tk.m.Name(), Seed: tk.seed,
-							Result: res,
-						}
+						results[i].Result = res
 						s.Close()
 						continue
 					}
@@ -197,7 +197,7 @@ func RunSweep(ctx context.Context, sw Sweep) ([]SweepRun, error) {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					// Aborted mid-run by cancellation, not a genuine failure:
 					// mark the cell so the caller can resubmit it.
-					results[i] = SweepRun{Workload: tk.w.Name, Method: tk.m.Name(), Seed: tk.seed, Canceled: true}
+					results[i].Canceled = true
 				}
 				cancel()
 			}

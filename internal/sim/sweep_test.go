@@ -215,3 +215,47 @@ func TestRunSweepCancellationDrainsPartialResults(t *testing.T) {
 		t.Fatalf("want a mix of completed and canceled cells, got %d completed / %d canceled", completed, canceled)
 	}
 }
+
+// TestRunSweepFailedCellKeepsIdentity: a cell that fails for a genuine
+// reason — here an Open that errors in the middle of the grid — still
+// comes back identified, with no Result and not marked Canceled, between
+// a completed cell and a cancelled one.
+func TestRunSweepFailedCellKeepsIdentity(t *testing.T) {
+	sys := streamTestSystem()
+	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 30, Seed: 5})
+	stream := func(name string, open func() (trace.JobSource, error)) StreamWorkload {
+		return StreamWorkload{Name: name, System: sys, Open: open}
+	}
+	good := func() (trace.JobSource, error) { return trace.SourceOf(w), nil }
+	runs, err := RunSweep(context.Background(), Sweep{
+		Streams: []StreamWorkload{
+			stream("first", good),
+			stream("broken", func() (trace.JobSource, error) { return nil, errors.New("injected open failure") }),
+			stream("last", good),
+		},
+		Methods: []sched.Method{sched.Baseline{}},
+		Seeds:   []uint64{7},
+		Options: []Option{WithWindow(5, 50), WithMeasurement(0, 0)},
+		Workers: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected open failure") {
+		t.Fatalf("sweep error %v, want the injected open failure", err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("got %d cells, want the full 3-cell grid", len(runs))
+	}
+	for i, name := range []string{"first", "broken", "last"} {
+		if r := runs[i]; r.Workload != name || r.Method != "Baseline" || r.Seed != 7 {
+			t.Errorf("cell %d lost its identity: %+v", i, r)
+		}
+	}
+	if runs[0].Result == nil || runs[0].Canceled {
+		t.Errorf("cell before the failure: %+v, want a completed run", runs[0])
+	}
+	if runs[1].Result != nil || runs[1].Canceled {
+		t.Errorf("failed cell: %+v, want no Result and Canceled == false", runs[1])
+	}
+	if runs[2].Result != nil || !runs[2].Canceled {
+		t.Errorf("cell after the failure: %+v, want a cancellation marker", runs[2])
+	}
+}

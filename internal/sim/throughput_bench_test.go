@@ -4,6 +4,8 @@ package sim
 // drives the production Simulator over a 20k-job Theta-S4-like trace with
 // a cheap selection method, so the event loop — queue index, release
 // timeline, pooled scheduling pass, event heap — dominates the profile;
+// BenchmarkSimThroughput/deep-queue overloads a short trace until more
+// than a thousand jobs wait, so ranking the queue dominates instead;
 // BenchmarkSimThroughput/stream-1M replays a million-job generated stream
 // through the online ingestion path and reports peak live heap;
 // BenchmarkSimThroughputReference runs the materialized trace on the
@@ -72,9 +74,26 @@ func benchThroughput(b *testing.B, run func() (*Result, error), jobs, events int
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/float64(events), "B/event")
 }
 
-// BenchmarkSimThroughput measures the production engine in two regimes.
+// baselineRun is one benchmark op over a materialized workload: a full
+// simulation with the Baseline method, construction included.
+func baselineRun(w trace.Workload) func() (*Result, error) {
+	return func() (*Result, error) {
+		s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1))
+		if err != nil {
+			return nil, err
+		}
+		return s.Run(context.Background())
+	}
+}
+
+// BenchmarkSimThroughput measures the production engine in three regimes.
 // materialized-20k preloads a 20k-job trace (one op = one full
 // simulation, construction included) — the historical headline number.
+// deep-queue replays 2 500 Theta-S4 jobs arriving at four times the
+// machine's capacity, the shape of the repo benchmark's replay-deep-queue:
+// the queue passes 1 000 waiting jobs and every pass re-ranks it under
+// WFP, so a regression in queue.Rank or the EASY pruning shows here
+// whatever depth the 20k-job trace happens to reach.
 // stream-1M drives a million-job synthetic Theta trace through the
 // streaming ingestion path (WithSource + bounded-memory metrics) and
 // additionally reports "peak-B", the peak live heap above the pre-run
@@ -88,14 +107,16 @@ func BenchmarkSimThroughput(b *testing.B) {
 			jobs = 2000
 		}
 		w := throughputWorkload(jobs, false)
-		events := countEvents(w)
-		benchThroughput(b, func() (*Result, error) {
-			s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1))
-			if err != nil {
-				return nil, err
-			}
-			return s.Run(context.Background())
-		}, jobs, events)
+		benchThroughput(b, baselineRun(w), jobs, countEvents(w))
+	})
+	b.Run("deep-queue", func(b *testing.B) {
+		jobs := 2500
+		sys := trace.Scale(trace.Theta(), 32)
+		w, err := trace.ApplyVariant(trace.Generate(trace.GenConfig{System: sys, Jobs: jobs, Seed: 42, TargetLoad: 4}), "S4", 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchThroughput(b, baselineRun(w), jobs, countEvents(w))
 	})
 	b.Run("stream-1M", func(b *testing.B) {
 		benchStream(b, 1_000_000)
