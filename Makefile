@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-module bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -24,11 +24,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# The solver perf harness: new bitset/memoized GA vs the frozen seed
-# implementation on the same fixed-seed instances.
+# Smoke only: the internal/moo GA benches (SolveGA and the frozen seed
+# implementation it is compared against) build and finish one iteration
+# each. One iteration times nothing; bench-solver is the comparison.
 bench-smoke:
 	$(GO) test -bench=SolveGA -benchtime=1x -run='^$$' ./internal/moo
 
+# The solver perf harness: the member-loop GA vs the frozen seed
+# implementation (ga_reference_test.go) on the same fixed-seed instances,
+# 20 solves each.
 bench-solver:
 	$(GO) test -bench='^BenchmarkSolveGA' -benchtime=20x -run='^$$' ./internal/moo
 

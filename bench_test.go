@@ -54,33 +54,6 @@ func benchSim(b *testing.B, w trace.Workload, m bbsched.Method, opts ...sim.Opti
 	return res
 }
 
-// BenchmarkSolveGAWindow times the GA on real window-selection problems
-// (the production hot path: packed genomes + memoized evaluation + pooled
-// cluster scratch) at the paper's w=20 and the §4.4 w=50. The solver-level
-// before/after comparison lives in internal/moo (BenchmarkSolveGA vs
-// BenchmarkSolveGAReference).
-func BenchmarkSolveGAWindow(b *testing.B) {
-	sys := benchSystem()
-	cl, err := bbsched.NewCluster(sys.Cluster)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{20, 50} {
-		win := trace.Generate(trace.GenConfig{System: sys, Jobs: w, Seed: 7}).Jobs
-		p := sched.NewSelectionProblem(win, cl.Snapshot(), sched.TwoObjectives())
-		ev := moo.NewEvaluator(p)
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ev.Reset(p)
-				if _, err := moo.SolveGA(ev, moo.DefaultGAConfig(), rng.New(7)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable1Illustrative times one full BBSched decision (GA with
 // paper parameters + decision rule) on the Table 1 window.
 func BenchmarkTable1Illustrative(b *testing.B) {

@@ -18,9 +18,10 @@ const (
 	Crowding
 )
 
-// nonDominatedSort partitions pool into fronts: fronts[0] is the Pareto
-// front, fronts[1] the front once fronts[0] is removed, and so on.
-func nonDominatedSort(pool []Solution) [][]Solution {
+// nonDominatedSort partitions pool into fronts of pool indices: fronts[0]
+// is the Pareto front, fronts[1] the front once fronts[0] is removed, and
+// so on.
+func nonDominatedSort(pool []Solution) [][]int {
 	n := len(pool)
 	dominatedBy := make([]int, n) // how many solutions dominate i
 	dominates := make([][]int, n) // which solutions i dominates
@@ -36,7 +37,7 @@ func nonDominatedSort(pool []Solution) [][]Solution {
 			}
 		}
 	}
-	var fronts [][]Solution
+	var fronts [][]int
 	current := []int{}
 	for i := 0; i < n; i++ {
 		if dominatedBy[i] == 0 {
@@ -44,10 +45,8 @@ func nonDominatedSort(pool []Solution) [][]Solution {
 		}
 	}
 	for len(current) > 0 {
-		front := make([]Solution, 0, len(current))
 		var next []int
 		for _, i := range current {
-			front = append(front, pool[i])
 			for _, j := range dominates[i] {
 				dominatedBy[j]--
 				if dominatedBy[j] == 0 {
@@ -55,7 +54,7 @@ func nonDominatedSort(pool []Solution) [][]Solution {
 				}
 			}
 		}
-		fronts = append(fronts, front)
+		fronts = append(fronts, current)
 		current = next
 	}
 	return fronts
@@ -94,19 +93,24 @@ func crowdingDistances(front []Solution) []float64 {
 	return dist
 }
 
-// selectCrowding forms the next generation NSGA-II style: fill with whole
-// fronts in rank order; cut the overflowing front by descending crowding
-// distance (stable: equal distances keep front order). Only the cut front
-// computes distances, and only the surviving k members are ordered — a
-// stable partial selection instead of fully re-sorting the front.
-func selectCrowding(pool []Solution, p int) []Solution {
-	next := make([]Solution, 0, p)
+// selectCrowding forms the next generation NSGA-II style and returns it
+// as pool indices: fill with whole fronts in rank order; cut the
+// overflowing front by descending crowding distance (stable: equal
+// distances keep front order). Only the cut front computes distances, and
+// only the surviving k members are ordered — a stable partial selection
+// instead of fully re-sorting the front.
+func selectCrowding(pool []Solution, p int) []int {
+	next := make([]int, 0, p)
 	for _, front := range nonDominatedSort(pool) {
 		if len(next)+len(front) <= p {
 			next = append(next, front...)
 			continue
 		}
-		dist := crowdingDistances(front)
+		cut := make([]Solution, len(front))
+		for k, i := range front {
+			cut[k] = pool[i]
+		}
+		dist := crowdingDistances(cut)
 		picked := make([]bool, len(front))
 		for len(next) < p {
 			best := -1

@@ -21,7 +21,7 @@ func TestNonDominatedSortRanks(t *testing.T) {
 	if len(fronts[0]) != 2 || len(fronts[1]) != 1 || len(fronts[2]) != 1 {
 		t.Fatalf("front sizes = %d/%d/%d", len(fronts[0]), len(fronts[1]), len(fronts[2]))
 	}
-	if fronts[1][0].Objectives[0] != 9 {
+	if pool[fronts[1][0]].Objectives[0] != 9 {
 		t.Fatal("front 1 member wrong")
 	}
 }
@@ -85,16 +85,16 @@ func TestSelectCrowdingKeepsBoundaryPoints(t *testing.T) {
 	}
 	// The extreme points must survive; the crowded middle gets cut.
 	var hasMaxX, hasMaxY bool
-	for _, s := range next {
-		if s.Objectives[0] == 10 {
+	for _, i := range next {
+		if pool[i].Objectives[0] == 10 {
 			hasMaxX = true
 		}
-		if s.Objectives[1] == 10 {
+		if pool[i].Objectives[1] == 10 {
 			hasMaxY = true
 		}
 	}
 	if !hasMaxX || !hasMaxY {
-		t.Fatalf("boundary points evicted: %v", objsOf(next))
+		t.Fatalf("boundary points evicted: kept pool indices %v", next)
 	}
 }
 

@@ -16,11 +16,15 @@ type EvalStats struct {
 	Misses uint64
 }
 
-// evalEntry is one memoized evaluation. The once gate guarantees the
-// underlying Problem.Evaluate runs at most once per distinct genome even
-// when parallel GA workers race on the same child.
+// evalEntry is one memoized evaluation — one interned genotype. The once
+// gate guarantees the underlying Problem.Evaluate runs at most once per
+// distinct genome even when parallel GA workers race on the same child.
 type evalEntry struct {
-	once     sync.Once
+	once sync.Once
+	// id is the entry's dense index in creation order since the last
+	// Reset: two lookups return the same id exactly when their genomes are
+	// equal, so the GA compares, dedupes and indexes scratch by id.
+	id       int32
 	key      string
 	genome   Genome
 	objs     []float64
@@ -31,7 +35,9 @@ type evalEntry struct {
 // distinct genome is evaluated at most once per solve, after which every
 // re-encounter (re-evaluated survivors, crossover re-deriving a known
 // chromosome — the common case once the GA converges) is a map lookup.
-// Cached solutions also share canonical genome and objective storage, so
+// The cache is also the GA's intern table: every entry carries a dense id
+// and the canonical genome and objective storage of its genotype, so the
+// generation loop moves 8-byte (id, age) members instead of solutions and
 // steady-state generations allocate nothing.
 //
 // An Evaluator is safe for concurrent Evaluate calls. Reset rebinds it to
@@ -50,6 +56,12 @@ type Evaluator struct {
 	wordSlab  []uint64
 
 	hits, misses atomic.Uint64
+
+	// ga parks the solver scratch between solves on this Evaluator, so a
+	// scheduler that reuses one Evaluator across decisions reuses the
+	// generation buffers with it. SolveGA takes it for the duration of a
+	// solve; a concurrent solve finds nil and builds its own.
+	ga atomic.Pointer[gaSolver]
 }
 
 // entrySlabSize is the entry/word slab chunk length, in entries.
@@ -115,14 +127,7 @@ func (e *Evaluator) lookup(g Genome) *evalEntry {
 	e.mu.Lock()
 	ent, ok := e.entries[string(key)]
 	if !ok {
-		if len(e.entrySlab) == 0 {
-			e.entrySlab = make([]evalEntry, entrySlabSize)
-		}
-		ent = &e.entrySlab[0]
-		e.entrySlab = e.entrySlab[1:]
-		ent.key = string(key)
-		ent.genome = e.cloneGenome(g)
-		e.entries[ent.key] = ent
+		ent = e.intern(key, g)
 	}
 	e.mu.Unlock()
 	if ok {
@@ -156,14 +161,7 @@ func (e *Evaluator) lookupEntries(gs []Genome, use []bool, ents []*evalEntry) {
 		key := gs[i].appendKey(arr[:0])
 		ent, ok := e.entries[string(key)]
 		if !ok {
-			if len(e.entrySlab) == 0 {
-				e.entrySlab = make([]evalEntry, entrySlabSize)
-			}
-			ent = &e.entrySlab[0]
-			e.entrySlab = e.entrySlab[1:]
-			ent.key = string(key)
-			ent.genome = e.cloneGenome(gs[i])
-			e.entries[ent.key] = ent
+			ent = e.intern(key, gs[i])
 			misses++
 		} else {
 			hits++
@@ -215,6 +213,21 @@ func (e *Evaluator) evaluateEntries(ents []*evalEntry, workers int) {
 		}()
 	}
 	wg.Wait()
+}
+
+// intern creates g's cache entry under the next dense id, with a
+// canonical clone of g. Caller holds e.mu and has checked key is absent.
+func (e *Evaluator) intern(key []byte, g Genome) *evalEntry {
+	if len(e.entrySlab) == 0 {
+		e.entrySlab = make([]evalEntry, entrySlabSize)
+	}
+	ent := &e.entrySlab[0]
+	e.entrySlab = e.entrySlab[1:]
+	ent.id = int32(len(e.entries))
+	ent.key = string(key)
+	ent.genome = e.cloneGenome(g)
+	e.entries[ent.key] = ent
+	return ent
 }
 
 // cloneGenome copies g into slab-backed canonical storage. Caller holds

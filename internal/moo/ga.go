@@ -2,6 +2,7 @@ package moo
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +48,7 @@ func (c GAConfig) validate(p Problem) error {
 	if c.Population < 2 {
 		return fmt.Errorf("moo: population %d too small (need >= 2)", c.Population)
 	}
-	if c.MutationProb < 0 || c.MutationProb > 1 {
+	if !(c.MutationProb >= 0 && c.MutationProb <= 1) { // also rejects NaN
 		return fmt.Errorf("moo: mutation probability %v out of [0,1]", c.MutationProb)
 	}
 	if p.Dim() <= 0 {
@@ -70,37 +71,66 @@ func (c GAConfig) validate(p Problem) error {
 //
 // All evaluation goes through an Evaluator (p is wrapped in a fresh one
 // unless it already is one), so each distinct genome is evaluated at most
-// once per solve; per-generation buffers are pooled in solver-local
-// scratch, so steady-state generations allocate only on cache misses.
+// once per solve, and the Evaluator's cache doubles as the intern table:
+// the generation loop runs on member{id, age} — the cache entry's dense id
+// plus the chromosome's age — so the population, children, pool, Set 1,
+// Set 2 and the next generation are pointer-free 8-byte records, "same
+// genotype" is an id compare, and Pareto domination is computed once per
+// distinct id in the pool and shared by its copies. Solutions exist only
+// where they leave the loop: the returned front and the Crowding
+// ablation's pool. The buffers live with the Evaluator, so a caller that
+// reuses one across solves (ReuseEvaluator) allocates per cache miss, not
+// per solve or per generation.
 func SolveGA(p Problem, cfg GAConfig, s *rng.Stream) ([]Solution, error) {
 	if err := cfg.validate(p); err != nil {
 		return nil, err
 	}
-	g := &gaSolver{
-		ev:  NewEvaluator(p),
-		cfg: cfg,
-		s:   s,
-		dim: p.Dim(),
+	ev := NewEvaluator(p)
+	g := ev.ga.Swap(nil)
+	if g == nil {
+		g = &gaSolver{ev: ev}
 	}
-	g.rep = g.ev.repairer()
+	defer ev.ga.Store(g)
+	g.begin(cfg, s)
 	return g.run()
 }
 
-// gaSolver carries one solve's state and reused per-generation buffers.
-type gaSolver struct {
-	ev  *Evaluator
-	rep Repairer
-	cfg GAConfig
-	s   *rng.Stream
-	dim int
+// member is one chromosome of the generation loop: the interned id of its
+// genotype (evalEntry.id) and the generations it has survived.
+type member struct{ id, age int32 }
 
-	// Breeding scratch: raw child genomes (overwritten every generation;
-	// evaluated children reference canonical Evaluator storage instead).
+// gaSolver carries one solve's state and the buffers every generation
+// reuses; it is parked on its Evaluator between solves.
+type gaSolver struct {
+	ev     *Evaluator
+	rep    Repairer
+	cfg    GAConfig
+	s      *rng.Stream
+	dim    int
+	mutate rng.Bernoulli // cfg.MutationProb as an integer threshold
+
+	// byID maps a member's id to its cache entry (canonical genome,
+	// objectives, key). The solver fills it from the entries its own
+	// lookups return rather than reading the Evaluator's table, so other
+	// goroutines may Evaluate on the same Evaluator mid-solve. mark and
+	// dominated are indexed the same way: mark[id] == epoch stamps an id
+	// as seen in the current pass (no clearing between passes), and
+	// dominated[id] is valid for the ids the last markDominated stamped.
+	byID      []*evalEntry
+	mark      []int32
+	dominated []bool
+	epoch     int32
+	distinct  []int32
+
+	// Breeding scratch: raw child genomes and the mutation mask, carved
+	// from one word slab and overwritten every generation (evaluated
+	// children reference canonical Evaluator storage instead). childIDs[i]
+	// is child i's interned id, or needsEval/infeasible.
+	words    []uint64
 	raw      []Genome
-	children []Solution
-	feasible []bool
-	skipEval []bool
-	childOut []Solution
+	flip     Genome
+	childIDs []int32
+	children []member
 
 	// Batch-evaluation scratch (Parallelism > 1): per-child cache
 	// entries and the lookup/repair mask.
@@ -110,21 +140,83 @@ type gaSolver struct {
 	// Per-worker repair stream scratch (serial path); parallel workers
 	// keep their own. wsIntn caches the ws.Intn method value: the stream
 	// is reseeded in place, so the bound closure stays valid across
-	// children and generations.
+	// children, generations and solves.
 	ws     *rng.Stream
 	wsIntn func(int) int
 
 	// Selection scratch.
-	pool      []Solution
-	dominated []bool
-	set1      []Solution
-	set2      []Solution
-	next      []Solution
-	seen      map[string]bool
-	ageCounts []int
-	ageSorted []Solution
+	pop       []member
+	pool      []member
+	set1      []member
+	set2      []member
+	next      []member
+	ageSorted []member
+	sols      []Solution // the Crowding ablation's materialised pool
 
-	archive []Solution
+	archive []member
+}
+
+// Child states in childIDs that are not an id.
+const (
+	needsEval  int32 = -1
+	infeasible int32 = -2
+)
+
+// begin binds the solver to one solve and sizes the breeding scratch for
+// its (population, dimension).
+func (g *gaSolver) begin(cfg GAConfig, s *rng.Stream) {
+	g.cfg, g.s, g.dim = cfg, s, g.ev.Dim()
+	g.rep = g.ev.repairer()
+	g.mutate = rng.NewBernoulli(cfg.MutationProb)
+
+	clear(g.byID) // entries of the previous solve's problem
+	g.byID = g.byID[:0]
+	g.archive = g.archive[:0]
+
+	nw := (g.dim + 63) / 64
+	if need := (cfg.Population + 1) * nw; cap(g.words) < need {
+		g.words = make([]uint64, need)
+	} else {
+		// A previous solve's wider genomes may have left bits above dim,
+		// which every Genome must keep zero.
+		clear(g.words[:need])
+	}
+	genome := func(i int) Genome { return Genome{w: g.words[i*nw : (i+1)*nw : (i+1)*nw], n: g.dim} }
+	g.raw = g.raw[:0]
+	for i := 0; i < cfg.Population; i++ {
+		g.raw = append(g.raw, genome(i))
+	}
+	g.flip = genome(cfg.Population)
+	if cap(g.childIDs) < cfg.Population {
+		g.childIDs = make([]int32, cfg.Population)
+	}
+}
+
+// intern records ent as the holder of its id and returns the id, growing
+// the id-indexed scratch to cover it.
+func (g *gaSolver) intern(ent *evalEntry) int32 {
+	// Ids arrive densely, so each loop runs about once per new id.
+	for int(ent.id) >= len(g.byID) {
+		g.byID = append(g.byID, nil)
+	}
+	for len(g.mark) < len(g.byID) {
+		// Fresh stamps are zero and epochs start at one, so new ids read
+		// as unseen.
+		g.mark = append(g.mark, 0)
+		g.dominated = append(g.dominated, false)
+	}
+	g.byID[ent.id] = ent
+	return ent.id
+}
+
+// nextEpoch starts a new stamping pass over mark.
+func (g *gaSolver) nextEpoch() int32 {
+	if g.epoch == math.MaxInt32 {
+		clear(g.mark)
+		g.epoch = 0
+	}
+	g.epoch++
+	return g.epoch
 }
 
 func (g *gaSolver) run() ([]Solution, error) {
@@ -143,34 +235,46 @@ func (g *gaSolver) run() ([]Solution, error) {
 		g.record(children)
 		g.pool = append(append(g.pool[:0], pop...), children...)
 		if cfg.Selection == Crowding {
-			pop = selectCrowding(g.pool, cfg.Population)
+			pop = g.selectCrowding(g.pool, cfg.Population)
 		} else {
 			pop = g.selectNext(g.pool, cfg.Population)
 		}
 		for i := range pop {
-			pop[i].Age++
+			pop[i].age++
 		}
 	}
 
-	front := ParetoFilter(pop)
+	// The final front: the population's non-dominated members — joined,
+	// in Archive mode, by every feasible chromosome the run evaluated —
+	// one solution per genotype, first occurrence winning.
+	front := g.paretoFront(pop)
 	if cfg.Archive {
-		front = ParetoFilter(append(front, g.archive...))
+		g.pool = append(append(g.pool[:0], front...), g.archive...)
+		front = g.paretoFront(g.pool)
 	}
-	front = DedupeByBits(front)
-	out := make([]Solution, len(front))
-	for i, f := range front {
-		out[i] = f.Clone()
+	epoch := g.nextEpoch()
+	var out []Solution
+	for _, m := range front {
+		if g.mark[m.id] != epoch {
+			g.mark[m.id] = epoch
+			out = append(out, g.solution(m).Clone())
+		}
 	}
 	SortLexicographic(out)
 	return out, nil
 }
 
-// record accumulates feasible evaluated solutions in Archive mode.
-// Genomes and objective vectors are immutable shared storage, so no
-// defensive clone is needed.
-func (g *gaSolver) record(sols []Solution) {
+// solution materialises a member. Genome and objectives are the
+// Evaluator's shared canonical storage: Clone before handing it out.
+func (g *gaSolver) solution(m member) Solution {
+	ent := g.byID[m.id]
+	return Solution{Genome: ent.genome, Objectives: ent.objs, Age: int(m.age), key: ent.key}
+}
+
+// record accumulates feasible evaluated chromosomes in Archive mode.
+func (g *gaSolver) record(ms []member) {
 	if g.cfg.Archive {
-		g.archive = append(g.archive, sols...)
+		g.archive = append(g.archive, ms...)
 	}
 }
 
@@ -178,98 +282,95 @@ func (g *gaSolver) record(sols []Solution) {
 // infeasible ones; the all-zero solution (select nothing) is always
 // feasible for resource-allocation problems, so it seeds the population
 // when random draws fail.
-func (g *gaSolver) initialPopulation() []Solution {
+func (g *gaSolver) initialPopulation() []member {
 	cfg := g.cfg
-	pop := make([]Solution, 0, cfg.Population)
-	scratch := NewGenome(g.dim)
+	pop := g.pop[:0]
+	scratch := g.raw[0] // breeding has not started
+	drop := g.s.Intn    // initial candidates repair against the main stream directly
 	for tries := 0; len(pop) < cfg.Population && tries < cfg.Population*8; tries++ {
 		for i := 0; i < g.dim; i++ {
 			scratch.SetBit(i, g.s.Bool(0.5))
 		}
-		// Initial candidates repair against the main stream directly.
-		if sol, ok := g.makeFeasible(scratch, g.s); ok {
-			pop = append(pop, sol)
+		if id, ok := g.makeFeasible(scratch, drop); ok {
+			pop = append(pop, member{id: id})
 		}
 	}
 	if len(pop) < cfg.Population {
 		scratch.Zero()
 		if ent := g.ev.lookup(scratch); ent.feasible {
+			id := g.intern(ent)
 			for len(pop) < cfg.Population {
-				pop = append(pop, Solution{Genome: ent.genome, Objectives: ent.objs, key: ent.key})
+				pop = append(pop, member{id: id})
 			}
 		}
 	}
+	g.pop = pop
 	return pop
 }
 
 // makeFeasible evaluates the scratch genome through the cache, invoking
-// Repair against ws once if available and needed. The returned solution
-// references the Evaluator's canonical genome and objective storage,
-// never scratch.
-func (g *gaSolver) makeFeasible(scratch Genome, ws *rng.Stream) (Solution, bool) {
+// Repair with drop once if available and needed, and returns the feasible
+// genotype's id.
+func (g *gaSolver) makeFeasible(scratch Genome, drop func(int) int) (int32, bool) {
 	ent := g.ev.lookup(scratch)
 	if !ent.feasible {
 		if g.rep == nil {
-			return Solution{}, false
+			return 0, false
 		}
-		g.rep.Repair(scratch, ws.Intn)
+		g.rep.Repair(scratch, drop)
 		ent = g.ev.lookup(scratch)
 		if !ent.feasible {
-			return Solution{}, false
+			return 0, false
 		}
 	}
-	return Solution{Genome: ent.genome, Objectives: ent.objs, key: ent.key}, true
+	return g.intern(ent), true
+}
+
+// repairStream reseeds the serial path's scratch stream to child i's
+// split of the main stream and returns its Intn.
+func (g *gaSolver) repairStream(i int) func(int) int {
+	if g.ws == nil {
+		g.ws = g.s.SplitIndexInto(nil, uint64(i))
+		g.wsIntn = g.ws.Intn
+	} else {
+		g.s.SplitIndexInto(g.ws, uint64(i))
+	}
+	return g.wsIntn
 }
 
 // breed produces up to cfg.Population feasible children via crossover and
 // mutation, evaluating in parallel when configured. Child genomes are
-// written into reused scratch buffers; surviving children reference the
-// Evaluator's canonical storage.
-func (g *gaSolver) breed(pop []Solution) []Solution {
+// written into reused scratch buffers; surviving children are the ids of
+// their cache entries.
+func (g *gaSolver) breed(pop []member) []member {
 	cfg, s, dim := g.cfg, g.s, g.dim
-	if g.raw == nil {
-		g.raw = make([]Genome, cfg.Population)
-		for i := range g.raw {
-			g.raw[i] = NewGenome(dim)
-		}
-		g.children = make([]Solution, cfg.Population)
-		g.feasible = make([]bool, cfg.Population)
-		g.skipEval = make([]bool, cfg.Population)
-	}
 
 	// Generate raw children serially (RNG is not concurrent-safe): each
 	// crossover yields the cut's two complementary children, then each
-	// child's genes flip with probability p_m. A child of two identical
-	// parents with no mutation IS that parent — the dominant case once
-	// the population converges — so it reuses the parent's canonical
-	// solution outright and skips cache lookup and evaluation entirely.
-	count := 0
-	for count < cfg.Population {
-		pa := &pop[s.Intn(len(pop))]
-		pb := &pop[s.Intn(len(pop))]
-		parentsEqual := pa.Genome.Equal(pb.Genome)
-		cut := 1 + s.Intn(maxIntGA(1, dim-1)) // crossover position in [1, dim-1]
+	// child's genes flip with probability p_m — drawn as one mask, XORed
+	// in. A child of two identical parents with no mutation IS that parent
+	// — the dominant case once the population converges — so it takes the
+	// parent's id outright and skips crossover, cache lookup and
+	// evaluation entirely.
+	ids := g.childIDs[:cfg.Population]
+	for count := 0; count < cfg.Population; {
+		pa := pop[s.Intn(len(pop))].id
+		pb := pop[s.Intn(len(pop))].id
+		cut := 1 + s.Intn(max(1, dim-1)) // crossover position in [1, dim-1]
 		for k := 0; k < 2 && count < cfg.Population; k++ {
-			c := g.raw[count]
-			if k == 0 {
-				crossoverInto(c, pa.Genome, pb.Genome, cut)
+			mutated := s.FillBools(g.flip.w, dim, g.mutate)
+			if pa == pb && !mutated {
+				ids[count] = pa
 			} else {
-				crossoverInto(c, pb.Genome, pa.Genome, cut)
-			}
-			mutated := false
-			for i := 0; i < dim; i++ {
-				if s.Bool(cfg.MutationProb) {
-					c.FlipBit(i)
-					mutated = true
+				c, a, b := g.raw[count], g.byID[pa].genome, g.byID[pb].genome
+				if k == 1 {
+					a, b = b, a
 				}
-			}
-			if parentsEqual && !mutated {
-				src := pa
-				g.children[count] = Solution{Genome: src.Genome, Objectives: src.Objectives, key: src.key}
-				g.feasible[count] = true
-				g.skipEval[count] = true
-			} else {
-				g.skipEval[count] = false
+				crossoverInto(c, a, b, cut)
+				for i, w := range g.flip.w {
+					c.w[i] ^= w
+				}
+				ids[count] = needsEval
 			}
 			count++
 		}
@@ -281,53 +382,47 @@ func (g *gaSolver) breed(pop []Solution) []Solution {
 	// split reseeds a per-worker scratch stream in place, constructed
 	// lazily on each worker's first repair.
 	if cfg.Parallelism > 1 {
-		g.evalBatch(count, cfg.Parallelism)
+		g.evalBatch(ids, cfg.Parallelism)
 	} else {
-		for i := 0; i < count; i++ {
-			if g.skipEval[i] {
+		for i, id := range ids {
+			if id != needsEval {
 				continue
 			}
 			ent := g.ev.lookup(g.raw[i])
 			if !ent.feasible && g.rep != nil {
-				if g.ws == nil {
-					g.ws = s.SplitIndexInto(nil, uint64(i))
-					g.wsIntn = g.ws.Intn
-				} else {
-					s.SplitIndexInto(g.ws, uint64(i))
-				}
-				g.rep.Repair(g.raw[i], g.wsIntn)
+				g.rep.Repair(g.raw[i], g.repairStream(i))
 				ent = g.ev.lookup(g.raw[i])
 			}
 			if ent.feasible {
-				g.children[i] = Solution{Genome: ent.genome, Objectives: ent.objs, key: ent.key}
-				g.feasible[i] = true
+				ids[i] = g.intern(ent)
 			} else {
-				g.feasible[i] = false
+				ids[i] = infeasible
 			}
 		}
 	}
 
-	out := g.childOut[:0]
-	for i := 0; i < count; i++ {
-		if g.feasible[i] {
-			out = append(out, g.children[i])
+	out := g.children[:0]
+	for _, id := range ids {
+		if id >= 0 {
+			out = append(out, member{id: id})
 		}
 	}
-	g.childOut = out
+	g.children = out
 	return out
 }
 
-// evalBatch is the generation's batch-parallel evaluation. One locked
-// pass resolves cache entries for every bred child in ascending index
-// order (the canonical memo merge order — worker count never changes
-// what the cache holds or the order it was built), the entries evaluate
-// across workers behind their once gates, and children whose raw genome
-// proved infeasible are repaired against their per-child split streams
-// — the identical streams the serial path uses — then re-resolved and
-// re-evaluated the same way. The multiset of cache lookups matches the
-// serial path exactly, so fronts, populations, and Evaluator hit/miss
-// totals are bit-identical to Parallelism ≤ 1.
-func (g *gaSolver) evalBatch(count, workers int) {
+// evalBatch is the generation's batch-parallel evaluation of the children
+// marked needsEval in ids. One locked pass resolves cache entries for
+// them in ascending index order (the canonical memo merge order — worker
+// count never changes what the cache holds or the order it was built),
+// the entries evaluate across workers behind their once gates, and
+// children whose raw genome proved infeasible are repaired against their
+// per-child split streams — the identical streams the serial path uses —
+// then re-resolved and re-evaluated the same way. The multiset of cache
+// lookups matches the serial path exactly, so fronts, populations, and
+// Evaluator hit/miss totals are bit-identical to Parallelism ≤ 1.
+func (g *gaSolver) evalBatch(ids []int32, workers int) {
+	count := len(ids)
 	if cap(g.ents) < count {
 		g.ents = make([]*evalEntry, count)
 		g.redo = make([]bool, count)
@@ -335,84 +430,111 @@ func (g *gaSolver) evalBatch(count, workers int) {
 	ents := g.ents[:count]
 	redo := g.redo[:count]
 
-	// Phase 1: resolve and evaluate every non-skipped raw child.
-	for i := 0; i < count; i++ {
+	// Phase 1: resolve and evaluate every bred (non-inherited) raw child.
+	for i, id := range ids {
 		ents[i] = nil
-		redo[i] = !g.skipEval[i]
+		redo[i] = id == needsEval
 	}
 	g.ev.lookupEntries(g.raw[:count], redo, ents)
 	g.ev.evaluateEntries(ents, workers)
 
 	// Phase 2: repair raw-infeasible children and re-resolve them.
 	anyRedo := false
-	for i := 0; i < count; i++ {
+	for i := range ids {
 		redo[i] = redo[i] && !ents[i].feasible && g.rep != nil
 		anyRedo = anyRedo || redo[i]
 	}
 	if anyRedo {
-		if workers > 1 {
-			var wg sync.WaitGroup
-			var next atomic.Int64
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var ws *rng.Stream
-					var intn func(int) int
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= count {
-							return
-						}
-						if !redo[i] {
-							continue
-						}
-						if ws == nil {
-							ws = g.s.SplitIndexInto(nil, uint64(i))
-							intn = ws.Intn
-						} else {
-							g.s.SplitIndexInto(ws, uint64(i))
-						}
-						g.rep.Repair(g.raw[i], intn)
+		var wg sync.WaitGroup
+		var next atomic.Int64
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var ws *rng.Stream
+				var intn func(int) int
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= count {
+						return
 					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for i := 0; i < count; i++ {
-				if !redo[i] {
-					continue
+					if !redo[i] {
+						continue
+					}
+					if ws == nil {
+						ws = g.s.SplitIndexInto(nil, uint64(i))
+						intn = ws.Intn
+					} else {
+						g.s.SplitIndexInto(ws, uint64(i))
+					}
+					g.rep.Repair(g.raw[i], intn)
 				}
-				if g.ws == nil {
-					g.ws = g.s.SplitIndexInto(nil, uint64(i))
-					g.wsIntn = g.ws.Intn
-				} else {
-					g.s.SplitIndexInto(g.ws, uint64(i))
-				}
-				g.rep.Repair(g.raw[i], g.wsIntn)
-			}
+			}()
 		}
+		wg.Wait()
 		g.ev.lookupEntries(g.raw[:count], redo, ents)
 		g.ev.evaluateEntries(ents, workers)
 	}
 
-	// Assemble: skipped children were filled in by breed already.
-	for i := 0; i < count; i++ {
-		if g.skipEval[i] {
+	// Assemble: inherited children already hold their parent's id.
+	for i, id := range ids {
+		if id != needsEval {
 			continue
 		}
 		if ent := ents[i]; ent.feasible {
-			g.children[i] = Solution{Genome: ent.genome, Objectives: ent.objs, key: ent.key}
-			g.feasible[i] = true
+			ids[i] = g.intern(ent)
 		} else {
-			g.feasible[i] = false
+			ids[i] = infeasible
 		}
 	}
 }
 
+// markDominated sets dominated[id] for every id in pool: whether some
+// other pool member's objectives dominate it. Domination is decided once
+// per distinct id and shared by the copies, which is exact: copies share
+// one objective vector, a vector never dominates an equal one, and "j
+// dominates i" holds for every copy of i and j or for none. A converged
+// pool is copies of one or two genotypes, so this is a handful of
+// compares where the member-by-member pass was |pool|².
+func (g *gaSolver) markDominated(pool []member) {
+	epoch := g.nextEpoch()
+	distinct := g.distinct[:0]
+	for _, m := range pool {
+		if g.mark[m.id] != epoch {
+			g.mark[m.id] = epoch
+			distinct = append(distinct, m.id)
+		}
+	}
+	g.distinct = distinct
+	for _, i := range distinct {
+		dominated := false
+		for _, j := range distinct {
+			if i != j && Dominates(g.byID[j].objs, g.byID[i].objs) {
+				dominated = true
+				break
+			}
+		}
+		g.dominated[i] = dominated
+	}
+}
+
+// paretoFront returns pool's non-dominated members in pool order. The
+// result aliases set1.
+func (g *gaSolver) paretoFront(pool []member) []member {
+	g.markDominated(pool)
+	front := g.set1[:0]
+	for _, m := range pool {
+		if !g.dominated[m.id] {
+			front = append(front, m)
+		}
+	}
+	g.set1 = front
+	return front
+}
+
 // selectNext implements the paper's age-based selection: the pool's Pareto
 // front (Set 1) survives first — trimmed to P preferring newer (smaller
-// Age) chromosomes if oversized — then the remainder (Set 2) fills the
+// age) chromosomes if oversized — then the remainder (Set 2) fills the
 // population in age order, newest first.
 //
 // One refinement over the paper's description: within each set, duplicate
@@ -425,44 +547,40 @@ func (g *gaSolver) evalBatch(count, workers int) {
 //
 // The returned slice aliases solver scratch that is overwritten by the
 // next call; the caller copies it into the pool before reselecting.
-func (g *gaSolver) selectNext(pool []Solution, p int) []Solution {
-	g.dominated = dominatedFlagsInto(g.dominated, pool)
+func (g *gaSolver) selectNext(pool []member, p int) []member {
+	g.markDominated(pool)
 	set1, set2 := g.set1[:0], g.set2[:0]
-	for i, s := range pool {
-		if g.dominated[i] {
-			set2 = append(set2, s)
+	for _, m := range pool {
+		if g.dominated[m.id] {
+			set2 = append(set2, m)
 		} else {
-			set1 = append(set1, s)
+			set1 = append(set1, m)
 		}
 	}
 	g.set1, g.set2 = set1, set2
 
 	next := g.next[:0]
-	if g.seen == nil {
-		g.seen = make(map[string]bool, p)
-	} else {
-		clear(g.seen)
-	}
-	take := func(set []Solution) {
+	seen := g.nextEpoch()
+	take := func(set []member) {
 		g.sortByAge(set)
 		// First pass: distinct genotypes, newest first.
-		for i := range set {
+		for _, m := range set {
 			if len(next) == p {
 				return
 			}
-			if k := set[i].Key(); !g.seen[k] {
-				g.seen[k] = true
-				next = append(next, set[i])
+			if g.mark[m.id] != seen {
+				g.mark[m.id] = seen
+				next = append(next, m)
 			}
 		}
 	}
-	fill := func(set []Solution) {
+	fill := func(set []member) {
 		// Second pass: pad with duplicates if distinct genotypes ran out.
-		for _, s := range set {
+		for _, m := range set {
 			if len(next) == p {
 				return
 			}
-			next = append(next, s)
+			next = append(next, m)
 		}
 	}
 	take(set1)
@@ -473,49 +591,46 @@ func (g *gaSolver) selectNext(pool []Solution, p int) []Solution {
 	return next
 }
 
-// sortByAge stable-sorts set by ascending Age with a counting sort: ages
-// are small dense integers (bounded by the generation count), so this
-// replaces a comparison re-sort of both sets every generation.
-func (g *gaSolver) sortByAge(set []Solution) {
-	if len(set) < 2 {
-		return
+// selectCrowding is the NSGA-II ablation's selection over the pool
+// materialised as Solutions; like selectNext, the result aliases next.
+func (g *gaSolver) selectCrowding(pool []member, p int) []member {
+	sols := g.sols[:0]
+	for _, m := range pool {
+		sols = append(sols, g.solution(m))
 	}
-	maxAge := 0
-	for i := range set {
-		if set[i].Age > maxAge {
-			maxAge = set[i].Age
-		}
+	g.sols = sols
+	next := g.next[:0]
+	for _, i := range selectCrowding(sols, p) {
+		next = append(next, pool[i])
 	}
-	if cap(g.ageCounts) < maxAge+1 {
-		g.ageCounts = make([]int, maxAge+1)
-	}
-	counts := g.ageCounts[:maxAge+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range set {
-		counts[set[i].Age]++
-	}
-	sum := 0
-	for a, c := range counts {
-		counts[a] = sum
-		sum += c
-	}
-	if cap(g.ageSorted) < len(set) {
-		g.ageSorted = make([]Solution, len(set))
-	}
-	sorted := g.ageSorted[:len(set)]
-	for i := range set {
-		a := set[i].Age
-		sorted[counts[a]] = set[i]
-		counts[a]++
-	}
-	copy(set, sorted)
+	g.next = next
+	return next
 }
 
-func maxIntGA(a, b int) int {
-	if a > b {
-		return a
+// sortByAge stable-sorts set by ascending age in time that does not grow
+// with the ages themselves (a lone old Pareto point would otherwise make
+// every generation pay for its age). This generation's children — age 0,
+// at the pool's tail — move to the front in one stable partition; the
+// survivors behind them arrive as a few ascending runs (the passes of the
+// previous selection), which insertion sort merges in n + inversions.
+func (g *gaSolver) sortByAge(set []member) {
+	old := g.ageSorted[:0]
+	k := 0
+	for _, m := range set {
+		if m.age == 0 {
+			set[k] = m
+			k++
+		} else {
+			old = append(old, m)
+		}
 	}
-	return b
+	copy(set[k:], old)
+	g.ageSorted = old
+	for i := k + 1; i < len(set); i++ {
+		m, j := set[i], i
+		for ; j > k && set[j-1].age > m.age; j-- {
+			set[j] = set[j-1]
+		}
+		set[j] = m
+	}
 }

@@ -2,9 +2,15 @@
 // BBSched §3.2: packed-bitset solution encoding (Genome), Pareto
 // dominance and front extraction, the paper's multi-objective genetic
 // algorithm (single-point crossover, bit-flip mutation, age-based
-// Set1/Set2 selection) with a genome-memoizing Evaluator and pooled
-// per-generation buffers, an exhaustive 2^w reference solver, and
+// Set1/Set2 selection), an exhaustive 2^w reference solver, and
 // solution-quality metrics (generational distance, hypervolume).
+//
+// The GA evaluates through a genome-memoizing Evaluator, which is also its
+// intern table: each distinct genome gets a dense id at first lookup, and
+// the generation loop runs on (id, age) members — genotype equality,
+// deduplication and Pareto domination are per id, computed once for all
+// copies of a genotype — materialising Solutions only for the front it
+// returns. The loop's buffers are parked on the Evaluator between solves.
 //
 // All objectives are maximized. Minimization objectives (e.g. wasted local
 // SSD, §5's f4) are expressed by negating the value, exactly as the paper
@@ -100,19 +106,7 @@ func Dominates(a, b []float64) bool {
 
 // dominatedFlags marks solutions dominated by some other pool member.
 func dominatedFlags(sols []Solution) []bool {
-	return dominatedFlagsInto(make([]bool, len(sols)), sols)
-}
-
-// dominatedFlagsInto is dominatedFlags writing into a reused buffer
-// (grown as needed); the GA calls it every generation.
-func dominatedFlagsInto(dominated []bool, sols []Solution) []bool {
-	if cap(dominated) < len(sols) {
-		dominated = make([]bool, len(sols))
-	}
-	dominated = dominated[:len(sols)]
-	for i := range dominated {
-		dominated[i] = false
-	}
+	dominated := make([]bool, len(sols))
 	for i := range sols {
 		for j := range sols {
 			if i == j {

@@ -17,8 +17,9 @@ type knapsack2 struct {
 	nodes, bb       []float64
 	capNodes, capBB float64
 
-	// onesPool mirrors SelectionProblem's pooled repair scratch.
-	onesPool sync.Pool
+	// ones mirrors SelectionProblem's locked free list of repair scratch.
+	onesMu sync.Mutex
+	ones   [][]int
 }
 
 func (k *knapsack2) Dim() int           { return len(k.nodes) }
@@ -44,14 +45,16 @@ func (k *knapsack2) Evaluate(g Genome) ([]float64, bool) {
 
 // Repair mirrors SelectionProblem's incremental fast path: sums are
 // maintained across drops instead of re-evaluating per drop, and the
-// selected-index buffer is pooled.
+// selected-index buffer is reused.
 func (k *knapsack2) Repair(g Genome, drop func(int) int) {
-	buf, _ := k.onesPool.Get().(*[]int)
-	if buf == nil {
-		buf = new([]int)
+	var buf []int
+	k.onesMu.Lock()
+	if last := len(k.ones) - 1; last >= 0 {
+		buf, k.ones = k.ones[last], k.ones[:last]
 	}
+	k.onesMu.Unlock()
 	n, b := k.sums(g)
-	on := g.AppendOnes((*buf)[:0])
+	on := g.AppendOnes(buf[:0])
 	for (n > k.capNodes || b > k.capBB) && len(on) > 0 {
 		d := drop(len(on))
 		i := on[d]
@@ -60,8 +63,9 @@ func (k *knapsack2) Repair(g Genome, drop func(int) int) {
 		b -= k.bb[i]
 		on = append(on[:d], on[d+1:]...)
 	}
-	*buf = on[:0:cap(on)]
-	k.onesPool.Put(buf)
+	k.onesMu.Lock()
+	k.ones = append(k.ones, on[:0:cap(on)])
+	k.onesMu.Unlock()
 }
 
 // table1 returns the paper's illustrative example: 100 nodes, 100 TB BB,
@@ -386,6 +390,7 @@ func TestGAConfigValidation(t *testing.T) {
 		{Generations: 10, Population: 1, MutationProb: 0.1},
 		{Generations: 10, Population: 10, MutationProb: -0.5},
 		{Generations: 10, Population: 10, MutationProb: 1.5},
+		{Generations: 10, Population: 10, MutationProb: math.NaN()}, // neither < 0 nor > 1
 	}
 	for i, cfg := range bad {
 		if _, err := SolveGA(k, cfg, rng.New(1)); err == nil {

@@ -158,12 +158,17 @@ type SelectionProblem struct {
 	freeBB    int64
 	freeExtra []int64
 
-	// scratch pools per-evaluation cluster state so the slow (SSD-class)
-	// path reuses one snapshot + placement buffer across the GA's G×P
-	// candidate evaluations instead of cloning cluster state per
-	// candidate. A pool (not a single buffer) keeps Evaluate safe for the
-	// GA's parallel fitness workers.
-	scratch sync.Pool
+	// scratch holds the idle per-evaluation workspaces, so the slow
+	// (SSD-class) path reuses one snapshot + placement buffer across the
+	// GA's G×P candidate evaluations instead of cloning cluster state per
+	// candidate. A free list (not a single buffer) keeps Evaluate safe for
+	// the GA's parallel fitness workers; it is a locked slice rather than
+	// a sync.Pool because a problem lives for one scheduling decision and
+	// the runtime keeps every used Pool — and the problem around it —
+	// reachable until two collections later, so a replay's live heap grew
+	// with the number of decisions between collections.
+	scratchMu sync.Mutex
+	scratch   []*evalScratch
 }
 
 // evalScratch is one pooled evaluation workspace.
@@ -270,7 +275,7 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 		}
 		if nodes > p.freeNodes || bb > p.freeBB || (ex != nil && p.exceeds(ex)) {
 			if sc != nil {
-				p.scratch.Put(sc)
+				p.putScratch(sc)
 			}
 			return nil, false
 		}
@@ -304,7 +309,7 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 			}
 		}
 		if !ok {
-			p.scratch.Put(sc)
+			p.putScratch(sc)
 			return nil, false
 		}
 	}
@@ -328,14 +333,19 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 		}
 	}
 	if sc != nil {
-		p.scratch.Put(sc)
+		p.putScratch(sc)
 	}
 	return objs, true
 }
 
-// getScratch takes a pooled evaluation workspace.
+// getScratch takes an idle evaluation workspace, or builds one.
 func (p *SelectionProblem) getScratch() *evalScratch {
-	sc, _ := p.scratch.Get().(*evalScratch)
+	p.scratchMu.Lock()
+	var sc *evalScratch
+	if n := len(p.scratch); n > 0 {
+		sc, p.scratch = p.scratch[n-1], p.scratch[:n-1]
+	}
+	p.scratchMu.Unlock()
 	if sc == nil {
 		sc = &evalScratch{
 			placed: make([]int, p.snap.NumClasses()),
@@ -343,6 +353,13 @@ func (p *SelectionProblem) getScratch() *evalScratch {
 		}
 	}
 	return sc
+}
+
+// putScratch returns a workspace to the free list.
+func (p *SelectionProblem) putScratch(sc *evalScratch) {
+	p.scratchMu.Lock()
+	p.scratch = append(p.scratch, sc)
+	p.scratchMu.Unlock()
 }
 
 // Repair implements moo.Repairer by deselecting jobs (chosen by drop over
@@ -391,7 +408,7 @@ func (p *SelectionProblem) Repair(g moo.Genome, drop func(n int) int) {
 		}
 	}
 	sc.ones = on[:0:cap(on)]
-	p.scratch.Put(sc)
+	p.putScratch(sc)
 }
 
 // objectiveColumn returns the per-job linear coefficient column of one

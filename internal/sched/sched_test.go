@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -356,4 +358,54 @@ func TestGAFrontOnSelectionProblemMatchesExhaustive(t *testing.T) {
 	if gd := moo.GenerationalDistance(front, ref); gd > 1e-9 {
 		t.Fatalf("GD = %v on the 5-job example, want 0", gd)
 	}
+}
+
+// TestSelectionProblemScratchConcurrent drives the problem's free list of
+// evaluation workspaces from several goroutines at once — the GA's
+// parallel fitness workers do — on the SSD-class slow path, where every
+// Evaluate and Repair takes a workspace: each concurrent answer must be
+// the one a problem used by a single goroutine gives. Run with -race.
+func TestSelectionProblemScratchConcurrent(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{
+		Name: "ssd", Nodes: 16, BurstBufferGB: 200,
+		SSDClasses: []cluster.SSDClass{{CapacityGB: 128, Count: 8}, {CapacityGB: 256, Count: 8}},
+	})
+	var jobs []*job.Job
+	s := rng.New(5)
+	for i := 0; i < 12; i++ {
+		jobs = append(jobs, job.MustNew(i+1, int64(i), 10, 10,
+			job.NewDemand(1+s.Intn(4), int64(s.Intn(60)), int64(32*(1+s.Intn(7))))))
+	}
+	shared := NewSelectionProblem(jobs, c.Snapshot(), FourObjectives())
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := NewSelectionProblem(jobs, c.Snapshot(), FourObjectives())
+			pick := rng.New(uint64(100 + w))
+			for i := 0; i < 200; i++ {
+				bitvec := make([]bool, len(jobs))
+				for k := range bitvec {
+					bitvec[k] = pick.Bool(0.5)
+				}
+				g, h := moo.FromBools(bitvec), moo.FromBools(bitvec)
+				seed := pick.Uint64()
+				shared.Repair(g, rng.New(seed).Intn)
+				own.Repair(h, rng.New(seed).Intn)
+				if !g.Equal(h) {
+					t.Errorf("worker %d: concurrent Repair gave %s, serial %s", w, g, h)
+					return
+				}
+				got, gotOK := shared.Evaluate(g)
+				want, wantOK := own.Evaluate(h)
+				if gotOK != wantOK || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("worker %d: concurrent Evaluate gave %v/%v, serial %v/%v", w, got, gotOK, want, wantOK)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
