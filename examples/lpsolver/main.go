@@ -50,8 +50,8 @@ func main() {
 			frac++
 		}
 	}
-	fmt.Printf("LP relaxation: %d PDHG iters, %d restarts, gap %.1e, bound %.0f nodes (%d fractional of %d jobs)\n\n",
-		stats.Iters, stats.Restarts, stats.Gap, stats.Dual, frac, len(x))
+	fmt.Printf("LP relaxation: %d PDHG iters over %d live columns, %d restarts, gap %.1e, bound %.0f nodes (%d fractional of %d jobs)\n\n",
+		stats.Iters, stats.Active, stats.Restarts, stats.Gap, stats.Dual, frac, len(x))
 
 	// The same window through both Solver backends.
 	for _, solver := range []bbsched.Solver{

@@ -53,6 +53,31 @@ func busyContext(b *testing.B) (*sched.Context, func() *sched.Context) {
 	return contextOver(theta, w.Jobs, 10)
 }
 
+// saturatedContext is the decision a deep-queue replay hands the LP: a
+// w-job window of Theta-S4 jobs against a machine with a fiftieth of its
+// nodes and burst buffer free, so at least 95% of the jobs (at this seed,
+// all of them — the case 99.5% of replay-lp-w1024's solves are) cannot
+// start even alone: presolve pins them and PDHG runs over what is left.
+func saturatedContext(b *testing.B, w int) (*sched.Context, func() *sched.Context) {
+	b.Helper()
+	theta := trace.Scale(trace.Theta(), 8)
+	wl, err := trace.ApplyVariant(trace.Generate(trace.GenConfig{System: theta, Jobs: w, Seed: 1013, TargetLoad: 50}), "S4", 1013)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, reset := contextOver(theta, wl.Jobs, 50)
+	pinned := 0
+	for _, j := range wl.Jobs {
+		if j.Demand.NodeCount() > ctx.Snap.FreeNodes() || j.Demand.BB() > ctx.Snap.FreeBB {
+			pinned++
+		}
+	}
+	if pinned*100 < 95*w {
+		b.Fatalf("saturated window pins %d of %d jobs; want at least 95%%", pinned, w)
+	}
+	return ctx, reset
+}
+
 // contextOver is one scheduling invocation of jobs on sys with 1/freeDiv
 // of the machine's nodes and burst buffer free (as under sustained load);
 // totals stay at the full machine for normalization. The returned func
@@ -81,62 +106,48 @@ func contextOver(sys trace.SystemModel, jobs []*job.Job, freeDiv int) (*sched.Co
 // problem build, PDHG relaxation, rounding, repair — per window size,
 // cold (each solve from scratch) and warm (a solver.Memory on the
 // context, as every simulator run has: each PDHG solve re-seeds from the
-// previous iterate and inherits its adapted tolerance). Recorded in
-// BENCH_sim.json and gated in CI on solves/sec and allocs/op; the
-// warm/cold solves/sec ratio is the cross-pass warm-start win.
+// previous iterate and inherits its adapted tolerance), plus the
+// saturated w=1024 decision (see saturatedContext), warm as in a replay.
+// Recorded in BENCH_sim.json and gated in CI on solves/sec and allocs/op;
+// the warm/cold solves/sec ratio is the cross-pass warm-start win.
 func BenchmarkSolveLP(b *testing.B) {
-	for _, warm := range []bool{false, true} {
-		for _, w := range benchWindows {
-			name := fmt.Sprintf("w=%d", w)
+	run := func(name string, workers int, warm bool, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
+		b.Run(name, func(b *testing.B) {
+			m := sched.NewWeighted("Weighted_LP", 0.5, 0.5, moo.DefaultGAConfig())
+			m.SetSolver(lp.New(lp.DefaultConfig()))
+			ctx, reset := build(b)
+			ctx.Workers = workers
 			if warm {
-				name = "warm/" + name
+				// Persists across iterations — the warm-start path.
+				ctx.Memory = solver.NewMemory()
 			}
-			b.Run(name, func(b *testing.B) {
-				m := sched.NewWeighted("Weighted_LP", 0.5, 0.5, moo.DefaultGAConfig())
-				m.SetSolver(lp.New(lp.DefaultConfig()))
-				ctx, reset := benchContext(b, w)
-				if warm {
-					// Persists across iterations — the warm-start path.
-					ctx.Memory = solver.NewMemory()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Select(reset()); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := m.Select(reset()); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "solves/sec")
-			})
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "solves/sec")
+		})
+	}
+	window := func(w int) func(b *testing.B) (*sched.Context, func() *sched.Context) {
+		return func(b *testing.B) (*sched.Context, func() *sched.Context) { return benchContext(b, w) }
+	}
+	run("saturated/w=1024", 0, true, func(b *testing.B) (*sched.Context, func() *sched.Context) {
+		return saturatedContext(b, 1024)
+	})
+	for _, warm := range []bool{false, true} {
+		prefix := ""
+		if warm {
+			prefix = "warm/"
+		}
+		for _, w := range benchWindows {
+			run(fmt.Sprintf("%sw=%d", prefix, w), 0, warm, window(w))
 		}
 		for _, w := range giantWindows {
-			for _, workers := range []int{1, 0} {
-				mode := "parallel"
-				if workers == 1 {
-					mode = "serial"
-				}
-				name := fmt.Sprintf("w=%d/%s", w, mode)
-				if warm {
-					name = "warm/" + name
-				}
-				b.Run(name, func(b *testing.B) {
-					m := sched.NewWeighted("Weighted_LP", 0.5, 0.5, moo.DefaultGAConfig())
-					m.SetSolver(lp.New(lp.DefaultConfig()))
-					ctx, reset := benchContext(b, w)
-					ctx.Workers = workers
-					if warm {
-						ctx.Memory = solver.NewMemory()
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := m.Select(reset()); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "solves/sec")
-				})
-			}
+			run(fmt.Sprintf("%sw=%d/serial", prefix, w), 1, warm, window(w))
+			run(fmt.Sprintf("%sw=%d/parallel", prefix, w), 0, warm, window(w))
 		}
 	}
 }

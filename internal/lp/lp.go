@@ -12,12 +12,16 @@
 // formulations — and routes every rounded candidate through the memoizing
 // Evaluator it is handed, so repeated candidates cost one map lookup. On
 // large windows it is far cheaper than the genetic algorithm: a few
-// hundred O(m·n) iterations instead of G×P genome evaluations.
+// hundred O(m·n) iterations instead of G×P genome evaluations — with n
+// counting only the jobs that could start on the free machine at all,
+// since presolve (see relaxation) drops the rest before the first one.
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"bbsched/internal/moo"
@@ -91,7 +95,7 @@ type Solver struct {
 }
 
 // workspace is one pooled solve's state: the PDHG workspace plus rounding
-// buffers.
+// buffers (the support of the fractional solution, the candidate genome).
 type workspace struct {
 	rel   relaxation
 	order []int
@@ -163,30 +167,34 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		ws = &workspace{}
 	}
 	defer s.scratch.Put(ws)
-	ws.rel.load(form)
+	rel := &ws.rel
+	rel.load(form)
 
-	// Giant windows parallelize the chunked PDHG kernels across a bounded
+	// Giant instances parallelize the chunked PDHG kernels across a bounded
 	// per-solve pool (Options.Workers; 0 means GOMAXPROCS). Chunk grain
 	// and reduction order are worker-count-independent, so the result is
-	// bit-identical to the serial path — see parallel.go. Small windows
-	// skip the pool: dispatch overhead beats the win below parallelMinDim.
+	// bit-identical to the serial path — see parallel.go. The gate counts
+	// the columns presolve left live, which is what the kernels walk:
+	// dispatch overhead beats the win below parallelMinDim of them.
 	workers := opts.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 && ws.rel.n >= parallelMinDim {
+	if workers > 1 && len(rel.live) >= parallelMinDim {
 		pool := newWorkerPool(workers)
-		ws.rel.pool = pool
+		rel.pool = pool
 		defer func() {
-			ws.rel.pool = nil
+			rel.pool = nil
 			pool.close()
 		}()
 	}
-	st := ws.rel.solveFrom(cfg, warm)
+	st := rel.solveFrom(cfg, warm)
 	if st.WarmRejected {
-		logWarmRejected(warm, ws.rel.n, ws.rel.m)
+		logWarmRejected(warm, rel.n, rel.m)
 	}
-	x := ws.rel.x
+	// Pinned jobs have x = 0 and are infeasible even alone, so rounding
+	// and polish only ever look at the live columns.
+	x, live := rel.sol, rel.live
 
 	if ws.g.Len() != n {
 		ws.g = moo.NewGenome(n)
@@ -206,50 +214,39 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		}
 	}
 
-	// Greedy candidate: walk jobs by descending fractional value (ties
-	// toward the window front, i.e. base-policy order) and keep each one
-	// that still fits. Exact feasibility comes from the problem's own
-	// Evaluate, so placement-dependent constraints the relaxation only
-	// approximated are honored here.
-	if cap(ws.order) < n {
-		ws.order = make([]int, n)
-	}
-	order := ws.order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	sortByValueDesc(order, x)
-	g.Zero()
-	for _, i := range order {
-		if x[i] <= 0 {
-			break // order is sorted: nothing after this has LP support
-		}
-		g.SetBit(i, true)
-		if _, feasible := ev.Evaluate(g); !feasible {
-			g.SetBit(i, false)
+	// The support of the fractional solution, by descending value (ties
+	// toward the window front, i.e. base-policy order). When it is empty —
+	// on a saturated machine, usually because nothing is live — every
+	// candidate below is the empty selection and draws nothing from
+	// opts.Rand, so only the backstop runs.
+	support := ws.order[:0]
+	for _, i := range live {
+		if x[i] > 0 {
+			support = append(support, i)
 		}
 	}
-	consider()
+	ws.order = support
+	sortByValueDesc(support, x)
 
-	// Threshold candidate: the integral part of the fractional solution,
-	// repaired when the rounding pushed it over capacity.
-	g.Zero()
-	for i, xi := range x {
-		if xi >= 0.5 {
-			g.SetBit(i, true)
-		}
-	}
-	if _, feasible := ev.Evaluate(g); !feasible && rep != nil {
-		rep.Repair(g, opts.Rand.Intn)
-	}
-	consider()
-
-	// Randomized rounding: deterministic given the invocation stream —
-	// bit i is drawn with probability x_i, infeasible draws are repaired.
-	for t := 0; t < s.cfg.RoundTrials; t++ {
+	if len(support) > 0 {
+		// Greedy candidate: walk the support in order and keep each job
+		// that still fits. Exact feasibility comes from the problem's own
+		// Evaluate, so placement-dependent constraints the relaxation only
+		// approximated are honored here.
 		g.Zero()
-		for i, xi := range x {
-			if xi > 0 && opts.Rand.Float64() < xi {
+		for _, i := range support {
+			g.SetBit(i, true)
+			if _, feasible := ev.Evaluate(g); !feasible {
+				g.SetBit(i, false)
+			}
+		}
+		consider()
+
+		// Threshold candidate: the integral part of the fractional
+		// solution, repaired when the rounding pushed it over capacity.
+		g.Zero()
+		for _, i := range live {
+			if x[i] >= 0.5 {
 				g.SetBit(i, true)
 			}
 		}
@@ -257,6 +254,21 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 			rep.Repair(g, opts.Rand.Intn)
 		}
 		consider()
+
+		// Randomized rounding: deterministic given the invocation stream —
+		// bit i is drawn with probability x_i, infeasible draws are repaired.
+		for t := 0; t < s.cfg.RoundTrials; t++ {
+			g.Zero()
+			for _, i := range live {
+				if xi := x[i]; xi > 0 && opts.Rand.Float64() < xi {
+					g.SetBit(i, true)
+				}
+			}
+			if _, feasible := ev.Evaluate(g); !feasible && rep != nil {
+				rep.Repair(g, opts.Rand.Intn)
+			}
+			consider()
+		}
 	}
 
 	// The empty selection backstops over-tight instances (it is feasible
@@ -281,7 +293,7 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		swaps := n <= swapPolishMaxDim
 		for improved, sweeps := true, 0; improved && sweeps < 8; sweeps++ {
 			improved = false
-			for i := 0; i < n; i++ {
+			for _, i := range live {
 				g.FlipBit(i)
 				if objs, feasible := ev.Evaluate(g); feasible && objs[0] > bestObjs[0] {
 					bestObjs = objs
@@ -293,11 +305,11 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 			if !swaps {
 				continue
 			}
-			for i := 0; i < n; i++ {
+			for _, i := range live {
 				if !g.Bit(i) {
 					continue
 				}
-				for j := 0; j < n; j++ {
+				for _, j := range live {
 					if g.Bit(j) {
 						continue
 					}
@@ -340,8 +352,8 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		}
 		opts.Memory.Store(s, &memo{
 			it: Iterate{
-				X: append([]float64(nil), ws.rel.x...),
-				Y: append([]float64(nil), ws.rel.y...),
+				X: append([]float64(nil), x...),
+				Y: append([]float64(nil), rel.y...),
 			},
 			tol: tol,
 		})
@@ -353,15 +365,10 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 }
 
 // sortByValueDesc sorts idx by descending x value, ties by ascending
-// index (window front first). Insertion sort: windows are small enough
-// that this beats sort.Slice's closure overhead and allocates nothing.
+// index (window front first) — a total order, so the unstable sort is
+// deterministic.
 func sortByValueDesc(idx []int, x []float64) {
-	for i := 1; i < len(idx); i++ {
-		j, v := i, idx[i]
-		for j > 0 && (x[idx[j-1]] < x[v] || (x[idx[j-1]] == x[v] && idx[j-1] > v)) {
-			idx[j] = idx[j-1]
-			j--
-		}
-		idx[j] = v
-	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(x[b], x[a]), cmp.Compare(a, b))
+	})
 }

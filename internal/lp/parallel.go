@@ -14,9 +14,10 @@ import (
 // inside L1/L2 while amortizing dispatch overhead.
 const lpChunkSize = 512
 
-// parallelMinDim is the window size below which Solve stays serial even
-// when workers are available: under ~a thousand variables the pool
-// dispatch and barrier costs outweigh the product parallelism.
+// parallelMinDim is the live-column count below which Solve stays serial
+// even when workers are available: under ~a thousand variables the pool
+// dispatch and barrier costs outweigh the product parallelism. Live, not
+// window: a 1 024-job window of which 16 can fit is a 16-variable solve.
 const parallelMinDim = 1024
 
 // workerPool executes chunk loops across a bounded set of goroutines.
@@ -24,28 +25,31 @@ const parallelMinDim = 1024
 // the owner. Work is shared through an atomic next-chunk counter, so
 // scheduling is dynamic, but chunk results land in per-chunk slots that
 // the caller combines serially in ascending chunk order — determinism
-// never depends on which worker ran which chunk.
+// never depends on which worker ran which chunk. One chunk loop is in
+// flight at a time, so the counter and the barrier live in the pool and a
+// run allocates nothing.
 type workerPool struct {
 	workers int
 	runs    chan poolRun
+	next    atomic.Int64
+	wg      sync.WaitGroup
 }
 
-// poolRun is one chunk loop in flight: helpers drain the shared counter
+// poolRun is one chunk loop in flight: helpers drain the pool's counter
 // until it passes limit.
 type poolRun struct {
-	fn    func(chunk int)
-	next  *atomic.Int64
+	w     *relaxation
+	op    chunkOp
 	limit int64
-	wg    *sync.WaitGroup
 }
 
-func (r poolRun) drain() {
+func (p *workerPool) drain(r poolRun) {
 	for {
-		c := r.next.Add(1) - 1
+		c := p.next.Add(1) - 1
 		if c >= r.limit {
 			return
 		}
-		r.fn(int(c))
+		r.w.chunk(r.op, int(c))
 	}
 }
 
@@ -53,41 +57,41 @@ func (r poolRun) drain() {
 // calling run participates as the final worker, so a pool of 1 spawns
 // nothing and runs serially.
 func newWorkerPool(workers int) *workerPool {
+	// Buffered to the worker count: run never sends more than workers−1.
 	p := &workerPool{workers: workers, runs: make(chan poolRun, workers)}
 	for i := 0; i < workers-1; i++ {
 		go func() {
 			for r := range p.runs {
-				r.drain()
-				r.wg.Done()
+				p.drain(r)
+				p.wg.Done()
 			}
 		}()
 	}
 	return p
 }
 
-// run executes fn(0..chunks-1), blocking until every chunk completed.
-// A nil pool (or a single-worker pool, or a single chunk) runs the loop
-// inline — the serial reference path.
-func (p *workerPool) run(chunks int, fn func(chunk int)) {
+// run executes op on w's chunks 0..chunks-1, blocking until every chunk
+// completed. A nil pool (or a single-worker pool, or a single chunk) runs
+// the loop inline — the serial reference path.
+func (p *workerPool) run(w *relaxation, op chunkOp, chunks int) {
 	if p == nil || p.workers <= 1 || chunks <= 1 {
 		for c := 0; c < chunks; c++ {
-			fn(c)
+			w.chunk(op, c)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	helpers := p.workers - 1
 	if helpers > chunks-1 {
 		helpers = chunks - 1
 	}
-	r := poolRun{fn: fn, next: &next, limit: int64(chunks), wg: &wg}
-	wg.Add(helpers)
+	r := poolRun{w: w, op: op, limit: int64(chunks)}
+	p.next.Store(0)
+	p.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		p.runs <- r
 	}
-	r.drain() // the calling goroutine is a worker too
-	wg.Wait()
+	p.drain(r) // the calling goroutine is a worker too
+	p.wg.Wait()
 }
 
 // close releases the helper goroutines. Safe on a nil pool.

@@ -12,6 +12,11 @@ import (
 type Stats struct {
 	// Iters is the number of PDHG iterations performed.
 	Iters int
+	// Active is the number of live columns the iterations ran over: the
+	// window's jobs minus those presolve pinned to 0 because they cannot
+	// fit the free machine even alone. 0 on a 642-job window reads "642
+	// queued, none could start".
+	Active int
 	// Restarts counts fixed-frequency anchor restarts.
 	Restarts int
 	// Primal is the achieved relaxation objective C·x (original scale).
@@ -37,27 +42,37 @@ type Stats struct {
 // relaxation is the pooled workspace of one PDHG solve. All slices are
 // grown on demand and reused across solves.
 //
-// The demand data is struct-of-arrays: each constraint dimension is one
-// contiguous capacity-normalized []float64 column over the window's jobs,
-// and all dimensions share a single backing slab (rowStore), so the
-// matrix-free Ax/Aᵀy products stream m sequential lanes per chunk instead
-// of chasing per-row allocations. Every kernel walks the variable range
-// in fixed-size chunks (lpChunkSize) and reduces per-chunk partials in
-// ascending chunk order — the same arithmetic whether chunks run on one
-// goroutine or many, which is what keeps parallel solves bit-identical
-// to serial.
+// load presolves the instance: a column that cannot be 1 in any feasible
+// selection is pinned to 0 and dropped, and only the live columns are
+// stored — compactly, struct-of-arrays: each constraint dimension is one
+// contiguous capacity-normalized []float64 lane over the live columns, all
+// lanes in one backing slab (rowStore), so the matrix-free Ax/Aᵀy products
+// stream m sequential lanes per chunk. Dropping a pinned column is exact,
+// not approximate: its row entries, objective coefficient, bound and
+// iterate are all 0, so it adds +0 to every partial sum it takes part in.
+//
+// Every kernel walks the variables in fixed-size chunks of *window
+// positions* (lpChunkSize) — chunk c owns the live columns whose window
+// index lies in [c·lpChunkSize, (c+1)·lpChunkSize) — and per-chunk
+// partials are reduced in ascending chunk order. That is the same
+// arithmetic whether or not pinned columns are stored, and whether chunks
+// run on one goroutine or many, which keeps presolved solves bit-identical
+// to dense ones and parallel solves bit-identical to serial.
 type relaxation struct {
-	n, m int // variables (window jobs), kept constraint rows
+	n, m int // window jobs, kept constraint rows
 
-	rowStore []float64   // m×n slab backing the rows
-	rows     [][]float64 // capacity-normalized demand rows, pinned columns zeroed
-	c        []float64   // objective, scaled to max |c| = 1
-	u        []float64   // per-variable upper bound: 1, or 0 when pinned out
+	live []int // window index of each live column, ascending
+	off  []int // chunk c owns live columns [off[c], off[c+1])
 
-	x, xn, x0 []float64 // primal iterate, PDHG step, Halpern anchor
+	rowStore []float64   // m×len(live) slab backing the rows
+	rows     [][]float64 // capacity-normalized demand rows over the live columns
+	c        []float64   // live objective coefficients, scaled to max |c| = 1
+
+	x, xn, x0 []float64 // primal iterate, PDHG step, Halpern anchor (live columns)
 	y, yn, y0 []float64 // dual iterate, PDHG step, Halpern anchor
-	aty       []float64 // Aᵀy scratch (n)
+	v         []float64 // power-iteration vector (live columns)
 	ax        []float64 // A·(·) scratch (m)
+	sol       []float64 // x scattered back to window length, pinned entries 0
 
 	parts  []float64 // per-chunk per-row product partials (chunks×m)
 	pparts []float64 // per-chunk scalar partials, primal-side (chunks)
@@ -66,123 +81,170 @@ type relaxation struct {
 	cmax float64 // objective scale factor (original = normalized × cmax)
 
 	// pool executes chunk loops; nil means serial (the package-level
-	// SolveRelaxation entry points and every sub-parallelMinDim solve).
+	// SolveRelaxation entry points and every solve with fewer than
+	// parallelMinDim live columns).
 	pool *workerPool
 }
 
-// chunks is the number of fixed-size variable chunks of the instance.
+// chunkOp is one chunk-parallel kernel call. It travels by value — through
+// the pool's channel on parallel solves — so the iteration loop allocates
+// nothing; a closure per call would escape to the heap.
+type chunkOp struct {
+	kind    opKind
+	a       float64   // opStep: η; opHalpern: λ; opScale: divisor
+	restart bool      // opHalpern: also reset the anchor
+	src     []float64 // opMatVec: the vector multiplied
+}
+
+type opKind uint8
+
+const (
+	opMatVec opKind = iota
+	opMatVecT
+	opScale
+	opStep
+	opHalpern
+	opResiduals
+)
+
+// chunks is the number of fixed-size chunks of the window.
 func (w *relaxation) chunks() int {
 	return (w.n + lpChunkSize - 1) / lpChunkSize
 }
 
-// span returns chunk c's variable range [lo, hi).
-func (w *relaxation) span(c int) (lo, hi int) {
-	lo = c * lpChunkSize
-	hi = lo + lpChunkSize
-	if hi > w.n {
-		hi = w.n
+// run executes op over every chunk, inline when no pool is attached.
+func (w *relaxation) run(op chunkOp) {
+	w.pool.run(w, op, w.chunks())
+}
+
+// chunk executes op on chunk c's live columns [lo, hi).
+func (w *relaxation) chunk(op chunkOp, c int) {
+	lo, hi := w.off[c], w.off[c+1]
+	switch op.kind {
+	case opMatVec:
+		w.matVecChunk(c, lo, hi, op.src)
+	case opMatVecT:
+		w.matVecTChunk(c, lo, hi)
+	case opScale:
+		for k := lo; k < hi; k++ {
+			w.v[k] /= op.a
+		}
+	case opStep:
+		w.stepChunk(c, lo, hi, op.a)
+	case opHalpern:
+		w.halpernChunk(lo, hi, op.a, op.restart)
+	case opResiduals:
+		w.residualsChunk(c, lo, hi)
 	}
-	return lo, hi
 }
 
-// run executes fn over every chunk, inline when no pool is attached.
-func (w *relaxation) run(fn func(chunk int)) {
-	w.pool.run(w.chunks(), fn)
-}
-
-func (w *relaxation) grow(n, m int) {
-	growF := func(s *[]float64, k int) {
+// grow sizes the workspace for an n-job window with nl live columns and m
+// kept rows. Window-sized slabs are allocated at whole-chunk capacity, so
+// a window that grows by a job reuses them instead of reallocating.
+func (w *relaxation) grow(n, nl, m int) {
+	w.n, w.m = n, m
+	chunks := w.chunks()
+	capN := chunks * lpChunkSize
+	growF := func(s *[]float64, k, capK int) {
 		if cap(*s) < k {
-			*s = make([]float64, k)
+			*s = make([]float64, k, capK)
 		}
 		*s = (*s)[:k]
 	}
-	growF(&w.c, n)
-	growF(&w.u, n)
-	growF(&w.x, n)
-	growF(&w.xn, n)
-	growF(&w.x0, n)
-	growF(&w.aty, n)
-	growF(&w.y, m)
-	growF(&w.yn, m)
-	growF(&w.y0, m)
-	growF(&w.ax, m)
+	growF(&w.sol, n, capN)
+	growF(&w.c, nl, capN)
+	growF(&w.x, nl, capN)
+	growF(&w.xn, nl, capN)
+	growF(&w.x0, nl, capN)
+	growF(&w.v, nl, capN)
+	growF(&w.y, m, m)
+	growF(&w.yn, m, m)
+	growF(&w.y0, m, m)
+	growF(&w.ax, m, m)
 	// One contiguous slab for all constraint rows; rows are full-capacity
 	// views into it, so dimension r's coefficients stay adjacent in memory.
-	growF(&w.rowStore, n*m)
+	growF(&w.rowStore, nl*m, capN*m)
 	if cap(w.rows) < m {
 		w.rows = make([][]float64, m)
 	}
 	w.rows = w.rows[:m]
 	for r := range w.rows {
-		w.rows[r] = w.rowStore[r*n : (r+1)*n : (r+1)*n]
+		w.rows[r] = w.rowStore[r*nl : (r+1)*nl : (r+1)*nl]
 	}
-	chunks := (n + lpChunkSize - 1) / lpChunkSize
-	growF(&w.parts, chunks*m)
-	growF(&w.pparts, chunks)
-	growF(&w.dparts, chunks)
-	w.n, w.m = n, m
+	growF(&w.parts, chunks*m, chunks*m)
+	growF(&w.pparts, chunks, chunks)
+	growF(&w.dparts, chunks, chunks)
 }
 
-// load normalizes the instance into the workspace: constraint rows are
-// scaled by their capacities (caps become 1), the objective by its largest
-// coefficient, and variables that cannot be 1 in any feasible solution —
-// a demand exceeding a free capacity on its own, or any demand against a
-// zero capacity — are pinned to 0 via the bound vector u.
+// load presolves and normalizes the instance into the workspace. Variables
+// that cannot be 1 in any feasible solution — a demand exceeding a free
+// capacity on its own, or any demand against a zero capacity — are pinned
+// to 0 and left out; over the live ones, constraint rows are scaled by
+// their capacities (caps become 1) and the objective by its largest
+// coefficient. Rows with zero capacity only pin variables.
 func (w *relaxation) load(form solver.LinearForm) {
 	n := len(form.C)
-	// Count kept rows first: rows with positive capacity constrain the
-	// relaxation; zero-capacity rows only pin variables.
 	m := 0
-	for _, cap := range form.Caps {
-		if cap > 0 {
+	for _, capacity := range form.Caps {
+		if capacity > 0 {
 			m++
 		}
 	}
-	w.grow(n, m)
-
-	for i := range w.u {
-		w.u[i] = 1
+	w.n = n
+	chunks := w.chunks()
+	if cap(w.live) < n {
+		w.live = make([]int, 0, chunks*lpChunkSize)
 	}
+	if cap(w.off) < chunks+1 {
+		w.off = make([]int, chunks+1)
+	}
+	live, off := w.live[:0], w.off[:chunks+1]
+	for i := 0; i < n; i++ {
+		if i%lpChunkSize == 0 {
+			off[i/lpChunkSize] = len(live)
+		}
+		fits := true
+		for ri, row := range form.Rows {
+			limit := form.Caps[ri]
+			if limit < 0 {
+				limit = 0
+			}
+			if row[i] > limit {
+				fits = false
+				break
+			}
+		}
+		if fits {
+			live = append(live, i)
+		}
+	}
+	off[chunks] = len(live)
+	w.live, w.off = live, off
+	w.grow(n, len(live), m)
+
 	r := 0
 	for ri, row := range form.Rows {
 		capacity := form.Caps[ri]
 		if capacity <= 0 {
-			for i, a := range row {
-				if a > 0 {
-					w.u[i] = 0
-				}
-			}
 			continue
 		}
 		dst := w.rows[r]
-		for i, a := range row {
-			if a > capacity {
-				w.u[i] = 0
-			}
-			dst[i] = a / capacity
+		for k, i := range live {
+			dst[k] = row[i] / capacity
 		}
 		r++
 	}
-	// Zero pinned columns so the operator never moves mass onto them, and
-	// normalize the objective over the surviving variables.
 	w.cmax = 0
-	for i, ci := range form.C {
-		if w.u[i] == 0 {
-			w.c[i] = 0
-			for r := range w.rows {
-				w.rows[r][i] = 0
-			}
-			continue
-		}
-		w.c[i] = ci
+	for k, i := range live {
+		ci := form.C[i]
+		w.c[k] = ci
 		if a := math.Abs(ci); a > w.cmax {
 			w.cmax = a
 		}
 	}
 	if w.cmax > 0 {
-		for i := range w.c {
-			w.c[i] /= w.cmax
+		for k := range w.c {
+			w.c[k] /= w.cmax
 		}
 	} else {
 		w.cmax = 1 // flat objective; keep scale factor harmless
@@ -191,27 +253,20 @@ func (w *relaxation) load(form solver.LinearForm) {
 
 // operatorNorm estimates ‖A‖₂ of the normalized constraint matrix by
 // power iteration on AᵀA, matrix-free and deterministic (the chunked
-// products reduce in fixed order regardless of worker count).
+// products reduce in fixed order regardless of worker count). The start
+// vector is uniform over the window — 1/√n with the window's n, pinned
+// columns included — so the estimate is the dense matrix's.
 func (w *relaxation) operatorNorm() float64 {
-	if w.m == 0 || w.n == 0 {
+	if w.m == 0 || len(w.live) == 0 {
 		return 0
 	}
-	v := w.aty[:w.n] // reuse scratch; overwritten before the main loop
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(w.n))
+	for k := range w.v {
+		w.v[k] = 1 / math.Sqrt(float64(w.n))
 	}
 	norm := 0.0
 	for it := 0; it < 32; it++ {
-		w.matVec(v, w.ax)
-		w.matVecT(w.ax, v)
-		w.run(func(c int) {
-			lo, hi := w.span(c)
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += v[i] * v[i]
-			}
-			w.dparts[c] = s
-		})
+		w.matVec(w.v)
+		w.run(chunkOp{kind: opMatVecT})
 		s := 0.0
 		for c := 0; c < w.chunks(); c++ {
 			s += w.dparts[c]
@@ -220,101 +275,95 @@ func (w *relaxation) operatorNorm() float64 {
 		if s == 0 {
 			return 0
 		}
-		w.run(func(c int) {
-			lo, hi := w.span(c)
-			for i := lo; i < hi; i++ {
-				v[i] /= s
-			}
-		})
+		w.run(chunkOp{kind: opScale, a: s})
 		norm = math.Sqrt(s) // v was unit before the step, so ‖AᵀAv‖ ≈ λmax
 	}
 	return norm
 }
 
-// matVec writes A·v into out (one entry per kept row): per-chunk per-row
+// matVec writes A·v into w.ax (one entry per kept row): per-chunk per-row
 // partials, combined serially in chunk order.
-func (w *relaxation) matVec(v []float64, out []float64) {
-	w.run(func(c int) {
-		lo, hi := w.span(c)
-		part := w.parts[c*w.m : c*w.m+w.m]
-		for r := 0; r < w.m; r++ {
-			row := w.rows[r]
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += row[i] * v[i]
-			}
-			part[r] = s
-		}
-	})
+func (w *relaxation) matVec(v []float64) {
+	w.run(chunkOp{kind: opMatVec, src: v})
 	chunks := w.chunks()
 	for r := 0; r < w.m; r++ {
 		s := 0.0
 		for c := 0; c < chunks; c++ {
 			s += w.parts[c*w.m+r]
 		}
-		out[r] = s
+		w.ax[r] = s
 	}
 }
 
-// matVecT writes Aᵀ·v into out (one entry per variable). Entries are
-// independent, so chunks need no reduction step.
-func (w *relaxation) matVecT(v []float64, out []float64) {
-	w.run(func(c int) {
-		lo, hi := w.span(c)
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			for r := 0; r < w.m; r++ {
-				s += w.rows[r][i] * v[r]
-			}
-			out[i] = s
+func (w *relaxation) matVecChunk(c, lo, hi int, v []float64) {
+	part := w.parts[c*w.m : c*w.m+w.m]
+	for r := 0; r < w.m; r++ {
+		row := w.rows[r]
+		s := 0.0
+		for k := lo; k < hi; k++ {
+			s += row[k] * v[k]
 		}
-	})
+		part[r] = s
+	}
+}
+
+// matVecTChunk writes the chunk's entries of Aᵀ·ax into w.v and their sum
+// of squares into dparts[c]. Entries are independent across chunks.
+func (w *relaxation) matVecTChunk(c, lo, hi int) {
+	sq := 0.0
+	for k := lo; k < hi; k++ {
+		s := 0.0
+		for r := 0; r < w.m; r++ {
+			s += w.rows[r][k] * w.ax[r]
+		}
+		w.v[k] = s
+		sq += s * s
+	}
+	w.dparts[c] = sq
 }
 
 // stepChunk is the fused per-chunk PDHG step: Aᵀy, the projected primal
 // step, and the extrapolated-primal product partials in one pass over the
 // chunk's lanes — each row element is touched twice while hot.
-func (w *relaxation) stepChunk(c int, eta float64) {
-	lo, hi := w.span(c)
+func (w *relaxation) stepChunk(c, lo, hi int, eta float64) {
 	part := w.parts[c*w.m : c*w.m+w.m]
 	for r := range part {
 		part[r] = 0
 	}
-	for i := lo; i < hi; i++ {
+	for k := lo; k < hi; k++ {
 		s := 0.0
 		for r := 0; r < w.m; r++ {
-			s += w.rows[r][i] * w.y[r]
+			s += w.rows[r][k] * w.y[r]
 		}
-		// Primal step: x̂ = Π_[0,u](x + η(c − Aᵀy)).
-		v := w.x[i] + eta*(w.c[i]-s)
+		// Primal step: x̂ = Π_[0,1](x + η(c − Aᵀy)).
+		v := w.x[k] + eta*(w.c[k]-s)
 		if v < 0 {
 			v = 0
-		} else if ub := w.u[i]; v > ub {
-			v = ub
+		} else if v > 1 {
+			v = 1
 		}
-		w.xn[i] = v
+		w.xn[k] = v
 		// Extrapolation 2x̂−x feeds the dual product without a buffer.
-		e := 2*v - w.x[i]
+		e := 2*v - w.x[k]
 		for r := 0; r < w.m; r++ {
-			part[r] += w.rows[r][i] * e
+			part[r] += w.rows[r][k] * e
 		}
 	}
 }
 
 // halpernChunk averages the chunk's primal step toward the anchor and,
 // on restart iterations, resets the anchor in the same pass.
-func (w *relaxation) halpernChunk(c int, lam float64, restart bool) {
-	lo, hi := w.span(c)
+func (w *relaxation) halpernChunk(lo, hi int, lam float64, restart bool) {
 	if restart {
-		for i := lo; i < hi; i++ {
-			v := lam*w.xn[i] + (1-lam)*w.x0[i]
-			w.x[i] = v
-			w.x0[i] = v
+		for k := lo; k < hi; k++ {
+			v := lam*w.xn[k] + (1-lam)*w.x0[k]
+			w.x[k] = v
+			w.x0[k] = v
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		w.x[i] = lam*w.xn[i] + (1-lam)*w.x0[i]
+	for k := lo; k < hi; k++ {
+		w.x[k] = lam*w.xn[k] + (1-lam)*w.x0[k]
 	}
 }
 
@@ -322,29 +371,13 @@ func (w *relaxation) halpernChunk(c int, lam float64, restart bool) {
 // the current iterate (normalized scale) plus the primal and dual
 // objective values.
 func (w *relaxation) residuals() (infeas, gap, primal, dual float64) {
-	w.matVec(w.x, w.ax)
+	w.matVec(w.x)
 	for _, axr := range w.ax {
 		if v := axr - 1; v > infeas {
 			infeas = v
 		}
 	}
-	w.run(func(c int) {
-		lo, hi := w.span(c)
-		p, d := 0.0, 0.0
-		for i := lo; i < hi; i++ {
-			p += w.c[i] * w.x[i]
-			if w.u[i] > 0 {
-				s := 0.0
-				for r := 0; r < w.m; r++ {
-					s += w.rows[r][i] * w.y[r]
-				}
-				if rc := w.c[i] - s; rc > 0 {
-					d += rc // box upper bound u=1 absorbs the positive reduced cost
-				}
-			}
-		}
-		w.pparts[c], w.dparts[c] = p, d
-	})
+	w.run(chunkOp{kind: opResiduals})
 	for _, yr := range w.y {
 		dual += yr // normalized capacities are 1
 	}
@@ -357,40 +390,54 @@ func (w *relaxation) residuals() (infeas, gap, primal, dual float64) {
 	return infeas, gap, primal, dual
 }
 
-// solveRelaxation runs restarted Halpern PDHG on the loaded instance and
-// leaves the primal solution in w.x. Following Lu & Yang's rHPDHG, each
-// iteration takes one PDHG step and averages it toward the anchor z⁰ with
-// Halpern weight (k+1)/(k+2); the anchor is reset to the current iterate
-// every RestartPeriod iterations (fixed-frequency restarts). Stopping is
-// on relative duality gap plus primal feasibility.
-func (w *relaxation) solveRelaxation(cfg Config) Stats {
-	return w.solveFrom(cfg, nil)
+func (w *relaxation) residualsChunk(c, lo, hi int) {
+	p, d := 0.0, 0.0
+	for k := lo; k < hi; k++ {
+		p += w.c[k] * w.x[k]
+		s := 0.0
+		for r := 0; r < w.m; r++ {
+			s += w.rows[r][k] * w.y[r]
+		}
+		if rc := w.c[k] - s; rc > 0 {
+			d += rc // box upper bound u=1 absorbs the positive reduced cost
+		}
+	}
+	w.pparts[c], w.dparts[c] = p, d
 }
 
-// solveFrom runs the restarted Halpern PDHG iteration from the given
-// iterate, or from the origin when warm is nil (the historical cold
-// start). A warm iterate whose dimensions do not match the instance is
-// ignored rather than truncated — a stale checkpoint must never silently
-// bias the solve.
+// solveFrom runs restarted Halpern PDHG on the loaded instance from the
+// given iterate, or from the origin when warm is nil, and leaves the
+// window-length primal solution in w.sol. A warm iterate whose dimensions
+// do not match the instance is ignored rather than truncated — a stale
+// checkpoint must never silently bias the solve.
+//
+// Following Lu & Yang's rHPDHG, each iteration takes one PDHG step and
+// averages it toward the anchor z⁰ with Halpern weight (k+1)/(k+2); the
+// anchor is reset to the current iterate every RestartPeriod iterations
+// (fixed-frequency restarts). Stopping is on relative duality gap plus
+// primal feasibility. With no live column the dual iterate still takes
+// its steps — at O(m) each — so the iterate handed to the next window is
+// the one a dense solve would have produced.
 func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
-	var st Stats
-	for i := range w.x {
-		w.x[i] = 0
+	st := Stats{Active: len(w.live)}
+	for k := range w.x {
+		w.x[k] = 0
 	}
 	for r := range w.y {
 		w.y[r] = 0
 	}
 	if warm != nil {
-		if len(warm.X) != len(w.x) || len(warm.Y) != len(w.y) {
+		if len(warm.X) != w.n || len(warm.Y) != w.m {
 			st.WarmRejected = true
 		} else {
-			for i, v := range warm.X {
+			for k, i := range w.live {
+				v := warm.X[i]
 				if v < 0 {
 					v = 0
-				} else if ub := w.u[i]; v > ub {
-					v = ub
+				} else if v > 1 {
+					v = 1
 				}
-				w.x[i] = v
+				w.x[k] = v
 			}
 			for r, v := range warm.Y {
 				if v < 0 {
@@ -404,19 +451,28 @@ func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
 	if w.m == 0 {
 		// Unconstrained box LP: take every variable with positive reduced
 		// profit at its upper bound.
-		for i, ci := range w.c {
-			if ci > 0 {
-				w.x[i] = w.u[i]
+		for k, ck := range w.c {
+			if ck > 0 {
+				w.x[k] = 1
 			}
+			st.Primal += ck * w.x[k] * w.cmax
 		}
 		st.Converged = true
-		for i, ci := range w.c {
-			st.Primal += ci * w.x[i] * w.cmax
-		}
 		st.Dual = st.Primal
-		return st
+	} else {
+		w.iterate(cfg, &st)
 	}
+	for i := range w.sol {
+		w.sol[i] = 0
+	}
+	for k, i := range w.live {
+		w.sol[i] = w.x[k]
+	}
+	return st
+}
 
+// iterate is the PDHG loop proper. It allocates nothing.
+func (w *relaxation) iterate(cfg Config, st *Stats) {
 	norm := w.operatorNorm()
 	if norm == 0 {
 		norm = 1
@@ -429,7 +485,7 @@ func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
 	k := 0
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		// Fused primal step + extrapolated dual product, chunk-parallel.
-		w.run(func(c int) { w.stepChunk(c, eta) })
+		w.run(chunkOp{kind: opStep, a: eta})
 		// Combine the product partials in chunk order and take the dual
 		// step: ŷ = Π_{≥0}(y + η(A(2x̂−x) − 1)). m is small; serial.
 		for r := 0; r < w.m; r++ {
@@ -447,7 +503,7 @@ func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
 		lam := float64(k+1) / float64(k+2)
 		k++
 		restart := k >= cfg.RestartPeriod
-		w.run(func(c int) { w.halpernChunk(c, lam, restart) })
+		w.run(chunkOp{kind: opHalpern, a: lam, restart: restart})
 		for r := range w.y {
 			w.y[r] = lam*w.yn[r] + (1-lam)*w.y0[r]
 		}
@@ -463,11 +519,10 @@ func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
 			st.Primal, st.Dual = primal*w.cmax, dual*w.cmax
 			if infeas <= cfg.Tol && gap <= cfg.Tol {
 				st.Converged = true
-				break
+				return
 			}
 		}
 	}
-	return st
 }
 
 // SolveRelaxation solves the LP relaxation of a linear selection instance
@@ -479,8 +534,8 @@ func SolveRelaxation(form solver.LinearForm, cfg Config) ([]float64, Stats) {
 	cfg = cfg.withDefaults()
 	w := &relaxation{}
 	w.load(form)
-	st := w.solveRelaxation(cfg)
-	return append([]float64(nil), w.x...), st
+	st := w.solveFrom(cfg, nil)
+	return append([]float64(nil), w.sol...), st
 }
 
 // Iterate is a serializable primal/dual iterate of the LP relaxation —
@@ -525,8 +580,8 @@ func SolveRelaxationWarm(form solver.LinearForm, cfg Config, warm *Iterate) ([]f
 	if st.WarmRejected {
 		logWarmRejected(warm, w.n, w.m)
 	}
-	return append([]float64(nil), w.x...), st, Iterate{
-		X: append([]float64(nil), w.x...),
+	return append([]float64(nil), w.sol...), st, Iterate{
+		X: append([]float64(nil), w.sol...),
 		Y: append([]float64(nil), w.y...),
 	}
 }

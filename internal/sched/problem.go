@@ -411,23 +411,24 @@ func (p *SelectionProblem) Repair(g moo.Genome, drop func(n int) int) {
 	p.putScratch(sc)
 }
 
-// objectiveColumn returns the per-job linear coefficient column of one
-// objective: the amount job i contributes to o when selected. It reports
-// false exactly when !o.Linearizable().
-func (p *SelectionProblem) objectiveColumn(o Objective) ([]float64, bool) {
-	col := make([]float64, len(p.jobs))
+// addObjectiveColumn adds w times one objective's per-job linear
+// coefficient column — the amount job i contributes to o when selected —
+// into c, with no temporary column: a scalarization sums its objectives
+// in objective-then-job order either way, so c is the same bit for bit.
+// It reports false exactly when !o.Linearizable().
+func (p *SelectionProblem) addObjectiveColumn(c []float64, w float64, o Objective) bool {
 	switch {
 	case o == NodeUtil:
 		for i, v := range p.nodes {
-			col[i] = float64(v)
+			c[i] += w * float64(v)
 		}
 	case o == BBUtil:
 		for i, v := range p.bb {
-			col[i] = float64(v)
+			c[i] += w * float64(v)
 		}
 	case o == SSDUtil:
 		for i, j := range p.jobs {
-			col[i] = float64(j.Demand.TotalSSD())
+			c[i] += w * float64(j.Demand.TotalSSD())
 		}
 	case o == SSDWasteNeg:
 		// Build-time linearization of the §5 waste term: each job is
@@ -440,20 +441,20 @@ func (p *SelectionProblem) objectiveColumn(o Objective) ([]float64, bool) {
 		// is exact there.
 		if !p.fastPath {
 			for i, j := range p.jobs {
-				col[i] = -float64(p.linearWaste(j.Demand))
+				c[i] += w * -float64(p.linearWaste(j.Demand))
 			}
 		}
 	case o.IsExtra() && o.ExtraIndex() < len(p.extras):
 		for i, v := range p.extras[o.ExtraIndex()] {
-			col[i] = float64(v)
+			c[i] += w * float64(v)
 		}
 	case o.IsExtra():
 		// Objective over a dimension this machine lacks: Evaluate scores
 		// it 0 for every selection, so the zero column is exact.
 	default:
-		return nil, false // unknown objective
+		return false // unknown objective
 	}
-	return col, true
+	return true
 }
 
 // linearWaste is the SSD volume job d wastes when placed alone on the
@@ -533,8 +534,8 @@ func (p *SelectionProblem) LinearForm() (solver.LinearForm, bool) {
 	if len(p.objectives) != 1 {
 		return solver.LinearForm{}, false
 	}
-	c, ok := p.objectiveColumn(p.objectives[0])
-	if !ok {
+	c := make([]float64, len(p.jobs))
+	if !p.addObjectiveColumn(c, 1, p.objectives[0]) {
 		return solver.LinearForm{}, false
 	}
 	rows, caps := p.linearConstraints()
@@ -591,16 +592,12 @@ func (s *scalarized) LinearForm() (solver.LinearForm, bool) {
 	n := s.inner.Dim()
 	c := make([]float64, n)
 	for k, o := range s.inner.objectives {
-		col, ok := s.inner.objectiveColumn(o)
-		if !ok {
-			return solver.LinearForm{}, false
-		}
 		w := s.weights[k]
 		if s.denom[k] > 0 {
 			w /= s.denom[k]
 		}
-		for i, v := range col {
-			c[i] += w * v
+		if !s.inner.addObjectiveColumn(c, w, o) {
+			return solver.LinearForm{}, false
 		}
 	}
 	rows, caps := s.inner.linearConstraints()
