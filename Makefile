@@ -49,16 +49,17 @@ bench-module:
 # streaming-ingestion bench with its peak-live-heap ceiling, checkpoint
 # encode/decode/restore) plus the window-solver benches
 # (MOGA BenchmarkSolveGA; LP BenchmarkSolveLP cold and warm-started vs
-# BenchmarkSolveGAWindow on 64/128-job windows, plus its saturated
-# w=1024 decision where presolve pins the window; the racing
-# BenchmarkSolvePortfolio, capped at 20 iterations since each solve waits
-# out its slowest member); write/refresh the committed BENCH_sim.json
+# BenchmarkSolveGAWindow on 64/128-job windows, one row per half-loaded
+# giant window w=1024…8192, plus its saturated w=1024 decision where
+# presolve pins the window; the racing BenchmarkSolvePortfolio, capped at
+# 20 iterations since each solve waits out its slowest member);
+# write/refresh the committed BENCH_sim.json
 # baseline from their combined output. The stream-1M bench runs once
 # (-benchtime=1x): one iteration already replays a million jobs.
 # -require fails the parse if any bench silently dropped out (e.g. its
 # package failed to build: bench-run then stops early, and a pipeline's
 # exit status is its last command's).
-BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/saturated/w=1024,BenchmarkSolveLP/warm/,BenchmarkSolveLP/w=1024/,BenchmarkSolveLP/w=2048/,BenchmarkSolveLP/w=4096/,BenchmarkSolveLP/w=8192/,BenchmarkSolveLP/warm/w=1024/,BenchmarkSolveLP/warm/w=8192/,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
+BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/saturated/w=1024,BenchmarkSolveLP/warm/,BenchmarkSolveLP/w=1024,BenchmarkSolveLP/w=2048,BenchmarkSolveLP/w=4096,BenchmarkSolveLP/w=8192,BenchmarkSolveLP/warm/w=1024,BenchmarkSolveLP/warm/w=8192,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
 
 # The gated bench family, listed here and nowhere else: prints the
 # combined `go test -bench` output that bench-json, bench-check and the

@@ -209,8 +209,8 @@ var (
 	SolveLPRelaxationWarm = lp.SolveRelaxationWarm
 	// NewGreedySolver returns the density-ratio baseline backend.
 	NewGreedySolver = solver.NewGreedy
-	// NewPortfolioSolver returns a racing portfolio over the given members
-	// with a per-decision deadline (0 waits for every member).
+	// NewPortfolioSolver returns a racing portfolio over the given members;
+	// a decision waits for all of them.
 	NewPortfolioSolver = solver.NewPortfolio
 	// NewExactSolver returns the branch-and-bound backend.
 	NewExactSolver = lp.NewExact

@@ -136,7 +136,6 @@ func main() {
 		sweep      = flag.String("sweep", "", "comma-separated methods (or 'all') to sweep instead of one -method run")
 		seedList   = flag.String("seeds", "", "comma-separated sweep seeds (default: -seed)")
 		workers    = flag.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS)")
-		solWorkers = flag.Int("solver-workers", 0, "per-solve worker pool for parallel solver backends (0 = backend default, 1 = serial; results are bit-identical at any setting)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
 
@@ -182,7 +181,7 @@ func main() {
 		}
 		if err := runStream(*streamFile, *system, *scale, *variant, *maxJobs, *seed,
 			*methodName, *solverName, *sweep, *seedList, *workers, ga, *stageOut,
-			*eventLog, *adaptive, baseOptions(*window, *starve, *solWorkers, *dynWindow, *noBackfill)); err != nil {
+			*eventLog, *adaptive, baseOptions(*window, *starve, *dynWindow, *noBackfill)); err != nil {
 			fail(err)
 		}
 		return
@@ -224,7 +223,7 @@ func main() {
 	// variants; plain workloads with the two-objective §4 ones.
 	ssd := len(w.System.Cluster.SSDClasses) > 0
 
-	opts := baseOptions(*window, *starve, *solWorkers, *dynWindow, *noBackfill)
+	opts := baseOptions(*window, *starve, *dynWindow, *noBackfill)
 
 	if *sweep != "" {
 		// Per-run flags that cannot apply to a grid of parallel runs.
@@ -278,7 +277,7 @@ func main() {
 }
 
 // baseOptions are the simulator options shared by every run mode.
-func baseOptions(window, starve, solverWorkers int, dynWindow, noBackfill bool) []sim.Option {
+func baseOptions(window, starve int, dynWindow, noBackfill bool) []sim.Option {
 	plugin := core.PluginConfig{WindowSize: window, StarvationBound: starve}
 	if dynWindow {
 		plugin.WindowPolicy = core.NewAdaptiveWindow()
@@ -286,9 +285,6 @@ func baseOptions(window, starve, solverWorkers int, dynWindow, noBackfill bool) 
 	opts := []sim.Option{
 		sim.WithPlugin(plugin),
 		sim.WithBackfill(!noBackfill),
-	}
-	if solverWorkers != 0 {
-		opts = append(opts, sim.WithSolverWorkers(solverWorkers))
 	}
 	return opts
 }

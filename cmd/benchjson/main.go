@@ -62,8 +62,8 @@ type File struct {
 	// suffix the bench harness appends to names; on single-core runs,
 	// where the harness omits the suffix, -out falls back to its own
 	// GOMAXPROCS), so throughput numbers carry the core count they were
-	// measured at — essential provenance now that the parallel solver
-	// benches scale with available cores.
+	// measured at: the sweep, farm and portfolio benches run concurrent
+	// goroutines.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	// Benchmarks lists the parsed results, sorted by name.
 	Benchmarks []Benchmark `json:"benchmarks"`

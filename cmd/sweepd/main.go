@@ -80,16 +80,27 @@ func main() {
 	}
 }
 
-func runCoordinator(ctx context.Context, gridPath, addr, out string, workers int, ttl time.Duration, attempts int, cacheDir, journal string, steal bool) error {
-	raw, err := os.ReadFile(gridPath)
-	if err != nil {
-		return err
-	}
+// loadGrid reads a grid file strictly: a field the build does not know —
+// a typo, or an option a later build removed — is an error naming it, not
+// a setting silently dropped.
+func loadGrid(path string) (farm.Grid, error) {
 	var grid farm.Grid
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return grid, err
+	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&grid); err != nil {
-		return fmt.Errorf("parsing %s: %w", gridPath, err)
+		return grid, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return grid, nil
+}
+
+func runCoordinator(ctx context.Context, gridPath, addr, out string, workers int, ttl time.Duration, attempts int, cacheDir, journal string, steal bool) error {
+	grid, err := loadGrid(gridPath)
+	if err != nil {
+		return err
 	}
 	copts := []farm.CoordinatorOption{
 		farm.WithLeaseTTL(ttl),
@@ -163,8 +174,13 @@ func runWorker(ctx context.Context, url, id, cacheDir string) error {
 
 // emitTemplate prints a small runnable grid as a starting point.
 func emitTemplate() {
+	blob, _ := json.MarshalIndent(templateGrid(), "", "  ")
+	fmt.Println(string(blob))
+}
+
+func templateGrid() farm.Grid {
 	sys := trace.Scale(trace.Cori(), 64)
-	grid := farm.Grid{
+	return farm.Grid{
 		Workloads: []farm.WorkloadSpec{
 			{Name: "cori-s2", Gen: trace.GenConfig{System: sys, Jobs: 200, Seed: 42}, Variant: "S2", VariantSeed: 42},
 		},
@@ -176,6 +192,4 @@ func emitTemplate() {
 		Opts:             farm.RunOptions{Window: 20, StarvationBound: 50},
 		CheckpointEvents: 200,
 	}
-	blob, _ := json.MarshalIndent(grid, "", "  ")
-	fmt.Println(string(blob))
 }

@@ -130,7 +130,7 @@ func (b *BBSched) ParetoFront(ctx *sched.Context) ([]moo.Solution, error) {
 	p := sched.NewSelectionProblem(ctx.Window, ctx.Snap, b.Objectives)
 	ev, _ := b.evals.Get().(*moo.Evaluator)
 	ev = moo.ReuseEvaluator(ev, p)
-	front, err := b.backend.Resolve(b.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory, Workers: ctx.Workers})
+	front, err := b.backend.Resolve(b.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
 	b.evals.Put(ev)
 	return front, err
 }
@@ -236,12 +236,6 @@ type PluginConfig struct {
 	// queue length instead of the static WindowSize (§3.1's dynamic
 	// adjustment option).
 	WindowPolicy WindowPolicy
-	// SolverWorkers bounds parallel solver backends' per-solve worker
-	// pools (sched.Context.Workers / solver.Options.Workers): 0 takes
-	// each backend's default (the LP backend uses GOMAXPROCS on giant
-	// windows), 1 forces serial solves, n > 1 caps the pool. Selections
-	// are bit-identical across every setting for a fixed seed.
-	SolverWorkers int
 }
 
 // DefaultPluginConfig returns the paper's defaults: w=20, bound=50.
@@ -256,9 +250,6 @@ func (c PluginConfig) Validate() error {
 	}
 	if c.StarvationBound < 0 {
 		return fmt.Errorf("core: negative starvation bound %d", c.StarvationBound)
-	}
-	if c.SolverWorkers < 0 {
-		return fmt.Errorf("core: negative solver worker count %d", c.SolverWorkers)
 	}
 	if c.WindowPolicy != nil && c.WindowPolicy.Size(1) < 1 {
 		return fmt.Errorf("core: window policy %s returns a non-positive size", c.WindowPolicy.Name())
@@ -307,7 +298,6 @@ func NewPlugin(cfg PluginConfig, method sched.Method) (*Plugin, error) {
 	// (see solver.Memory); it never crosses runs, so parallel sweeps stay
 	// deterministic run for run.
 	p.mctx.Memory = solver.NewMemory()
-	p.mctx.Workers = cfg.SolverWorkers
 	return p, nil
 }
 

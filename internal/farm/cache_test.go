@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -75,6 +76,18 @@ func TestRecipeKey(t *testing.T) {
 	if again, _ := RecipeKey(cells[0]); again != k0 {
 		t.Fatalf("key not stable: %s vs %s", k0, again)
 	}
+	// Stable across commits too: both literals were computed at the commit
+	// before RunOptions lost its per-solve worker count (omitempty, so
+	// never hashed) and moo.GAConfig lost Parallelism (no tag, so always
+	// hashed — as 0, which methodWire keeps writing). A change that moves either orphans
+	// every cache entry and journal in the field; if that is meant, bump
+	// recipeKeySchema and re-pin.
+	if want := "b604d43ffe881d47ddbfa71595e5ef45bdbdc7cc87856f52700160c67d66eac4"; k0 != want {
+		t.Fatalf("recipe key of the first test cell moved: %s, want %s", k0, want)
+	}
+	if got, want := gridSHA(testGrid()), "3a4d14f28caa40f3fd9efee048051fb195b6b12a7b204d8a251d5a310f395599"; got != want {
+		t.Fatalf("journal identity of the test grid moved: %s, want %s", got, want)
+	}
 	seen := map[string]bool{k0: true}
 	for _, c := range cells[1:] {
 		k, err := RecipeKey(c)
@@ -100,6 +113,46 @@ func TestRecipeKey(t *testing.T) {
 	mut.Solver = "greedy"
 	if k, _ := RecipeKey(mut); k == k0 {
 		t.Fatal("solver change did not change the key")
+	}
+}
+
+// TestMethodSpecWire: every moo.GAConfig field survives the wire (a field
+// added there must be added to methodWire), the retired Parallelism field
+// is written as 0 and accepted as 0 only, and the decode is strict.
+func TestMethodSpecWire(t *testing.T) {
+	in := MethodSpec{Name: "BBSched", SSD: true}
+	ga := reflect.ValueOf(&in.GA).Elem()
+	for i := 0; i < ga.NumField(); i++ {
+		switch f := ga.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(0.25)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("GAConfig.%s: unhandled kind %s", ga.Type().Field(i).Name, f.Kind())
+		}
+	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"BBSched","ga":{"Generations":1,"Population":2,"MutationProb":0.25,"Parallelism":0,"Archive":true,"Selection":5},"ssd":true}`; string(data) != want {
+		t.Fatalf("wire form %s, want %s", data, want)
+	}
+	var out MethodSpec
+	if err := json.Unmarshal(data, &out); err != nil || out != in {
+		t.Fatalf("round trip gave %+v (err %v), want %+v", out, err, in)
+	}
+	for _, bad := range []string{
+		`{"name":"BBSched","ga":{"Parallelism":4}}`,
+		`{"name":"BBSched","ga":{"Generatoins":60}}`,
+		`{"name":"BBSched","sdd":true}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), &out); err == nil {
+			t.Errorf("%s decoded without error", bad)
+		}
 	}
 }
 

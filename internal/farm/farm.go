@@ -15,6 +15,8 @@
 package farm
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -133,6 +135,55 @@ type MethodSpec struct {
 	SSD bool `json:"ssd,omitempty"`
 }
 
+// methodWire is MethodSpec as grid files, journal headers and recipe keys
+// have spelled it since the farm existed: the GA parameters under their Go
+// field names, in this order. Parallelism was a moo.GAConfig field until
+// the GA's batch-parallel evaluation was deleted (it never changed a
+// result); it stays on the wire, always 0, so that every grid file still
+// parses and every cache entry and journal keeps its address.
+type methodWire struct {
+	Name string `json:"name"`
+	GA   gaWire `json:"ga"`
+	SSD  bool   `json:"ssd,omitempty"`
+}
+
+type gaWire struct {
+	Generations  int
+	Population   int
+	MutationProb float64
+	Parallelism  int
+	Archive      bool
+	Selection    moo.SelectionPolicy
+}
+
+// MarshalJSON implements json.Marshaler; see methodWire.
+func (ms MethodSpec) MarshalJSON() ([]byte, error) {
+	return json.Marshal(methodWire{Name: ms.Name, SSD: ms.SSD, GA: gaWire{
+		Generations: ms.GA.Generations, Population: ms.GA.Population, MutationProb: ms.GA.MutationProb,
+		Archive: ms.GA.Archive, Selection: ms.GA.Selection,
+	}})
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It is strict — an unknown
+// field is an error, as sweepd's grid decode has always required — and
+// rejects a non-zero Parallelism rather than silently running serially.
+func (ms *MethodSpec) UnmarshalJSON(data []byte) error {
+	var w methodWire
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return err
+	}
+	if w.GA.Parallelism != 0 {
+		return fmt.Errorf("farm: method %q: ga.Parallelism = %d, but the GA evaluates serially; remove the field", w.Name, w.GA.Parallelism)
+	}
+	*ms = MethodSpec{Name: w.Name, SSD: w.SSD, GA: moo.GAConfig{
+		Generations: w.GA.Generations, Population: w.GA.Population, MutationProb: w.GA.MutationProb,
+		Archive: w.GA.Archive, Selection: w.GA.Selection,
+	}}
+	return nil
+}
+
 // Build instantiates the method for the given machine, optionally
 // overriding its solver backend with the named registry solver.
 func (ms MethodSpec) Build(cfg cluster.Config, solverName string) (sched.Method, error) {
@@ -162,10 +213,6 @@ type RunOptions struct {
 	Measure      string `json:"measure,omitempty"`
 	MeasureStart int64  `json:"measure_start,omitempty"`
 	MeasureEnd   int64  `json:"measure_end,omitempty"`
-	// SolverWorkers bounds the per-solve worker pool of parallel solver
-	// backends (zero keeps the backend default, 1 forces serial). Purely a
-	// wall-clock knob: cell results are bit-identical at every setting.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 }
 
 // Options lowers the serializable options to simulator options.
@@ -182,9 +229,6 @@ func (ro RunOptions) Options() ([]sim.Option, error) {
 		opts = append(opts, sim.WithMeasureWindow(ro.MeasureStart, ro.MeasureEnd))
 	default:
 		return nil, fmt.Errorf("farm: unknown measure mode %q (want \"\", \"full\", or \"window\")", ro.Measure)
-	}
-	if ro.SolverWorkers != 0 {
-		opts = append(opts, sim.WithSolverWorkers(ro.SolverWorkers))
 	}
 	return opts, nil
 }

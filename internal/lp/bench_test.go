@@ -2,8 +2,8 @@ package lp_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
-	"time"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
@@ -20,11 +20,9 @@ import (
 // throughput at w ≥ 64.
 var benchWindows = []int{64, 128}
 
-// giantWindows are the §5-scale windows where the SoA-batched parallel
-// PDHG products earn their keep; each size runs serial (Workers=1) and
-// parallel (Workers=0 → GOMAXPROCS) on the identical decision, so the
-// parallel speedup is read directly off the pair. Results are
-// bit-identical between the two by the determinism contract.
+// giantWindows are the §5-scale windows: half-loaded, so hundreds to
+// thousands of columns stay live and the chunked PDHG kernels — not
+// presolve — set the solve time.
 var giantWindows = []int{1024, 2048, 4096, 8192}
 
 // benchContext builds one realistic scheduling invocation: w
@@ -111,12 +109,11 @@ func contextOver(sys trace.SystemModel, jobs []*job.Job, freeDiv int) (*sched.Co
 // Recorded in BENCH_sim.json and gated in CI on solves/sec and allocs/op;
 // the warm/cold solves/sec ratio is the cross-pass warm-start win.
 func BenchmarkSolveLP(b *testing.B) {
-	run := func(name string, workers int, warm bool, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
+	run := func(name string, warm bool, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
 		b.Run(name, func(b *testing.B) {
 			m := sched.NewWeighted("Weighted_LP", 0.5, 0.5, moo.DefaultGAConfig())
 			m.SetSolver(lp.New(lp.DefaultConfig()))
 			ctx, reset := build(b)
-			ctx.Workers = workers
 			if warm {
 				// Persists across iterations — the warm-start path.
 				ctx.Memory = solver.NewMemory()
@@ -134,7 +131,7 @@ func BenchmarkSolveLP(b *testing.B) {
 	window := func(w int) func(b *testing.B) (*sched.Context, func() *sched.Context) {
 		return func(b *testing.B) (*sched.Context, func() *sched.Context) { return benchContext(b, w) }
 	}
-	run("saturated/w=1024", 0, true, func(b *testing.B) (*sched.Context, func() *sched.Context) {
+	run("saturated/w=1024", true, func(b *testing.B) (*sched.Context, func() *sched.Context) {
 		return saturatedContext(b, 1024)
 	})
 	for _, warm := range []bool{false, true} {
@@ -142,26 +139,21 @@ func BenchmarkSolveLP(b *testing.B) {
 		if warm {
 			prefix = "warm/"
 		}
-		for _, w := range benchWindows {
-			run(fmt.Sprintf("%sw=%d", prefix, w), 0, warm, window(w))
-		}
-		for _, w := range giantWindows {
-			run(fmt.Sprintf("%sw=%d/serial", prefix, w), 1, warm, window(w))
-			run(fmt.Sprintf("%sw=%d/parallel", prefix, w), 0, warm, window(w))
+		for _, w := range slices.Concat(benchWindows, giantWindows) {
+			run(fmt.Sprintf("%sw=%d", prefix, w), warm, window(w))
 		}
 	}
 }
 
 // BenchmarkSolvePortfolio times the racing portfolio (ga, lp, greedy in
 // parallel, best feasible objective wins) on the identical decision. Its
-// wall clock tracks the slowest member at these window sizes — the
-// deadline is a liveness backstop — so the metric of interest is how
+// wall clock tracks the slowest member, so the metric of interest is how
 // little the race costs over running the members' max alone.
 func BenchmarkSolvePortfolio(b *testing.B) {
 	for _, w := range benchWindows {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			m := sched.NewWeighted("Weighted_Portfolio", 0.5, 0.5, moo.DefaultGAConfig())
-			m.SetSolver(solver.NewPortfolio(2*time.Second,
+			m.SetSolver(solver.NewPortfolio(
 				solver.NewGA(moo.DefaultGAConfig()), lp.New(lp.DefaultConfig()), solver.NewGreedy()))
 			_, reset := benchContext(b, w)
 			b.ReportAllocs()

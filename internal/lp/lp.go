@@ -20,7 +20,6 @@ package lp
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -170,24 +169,6 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 	rel := &ws.rel
 	rel.load(form)
 
-	// Giant instances parallelize the chunked PDHG kernels across a bounded
-	// per-solve pool (Options.Workers; 0 means GOMAXPROCS). Chunk grain
-	// and reduction order are worker-count-independent, so the result is
-	// bit-identical to the serial path — see parallel.go. The gate counts
-	// the columns presolve left live, which is what the kernels walk:
-	// dispatch overhead beats the win below parallelMinDim of them.
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && len(rel.live) >= parallelMinDim {
-		pool := newWorkerPool(workers)
-		rel.pool = pool
-		defer func() {
-			rel.pool = nil
-			pool.close()
-		}()
-	}
 	st := rel.solveFrom(cfg, warm)
 	if st.WarmRejected {
 		logWarmRejected(warm, rel.n, rel.m)

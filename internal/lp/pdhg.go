@@ -55,9 +55,8 @@ type Stats struct {
 // positions* (lpChunkSize) — chunk c owns the live columns whose window
 // index lies in [c·lpChunkSize, (c+1)·lpChunkSize) — and per-chunk
 // partials are reduced in ascending chunk order. That is the same
-// arithmetic whether or not pinned columns are stored, and whether chunks
-// run on one goroutine or many, which keeps presolved solves bit-identical
-// to dense ones and parallel solves bit-identical to serial.
+// arithmetic whether or not pinned columns are stored, which keeps
+// presolved solves bit-identical to dense ones.
 type relaxation struct {
 	n, m int // window jobs, kept constraint rows
 
@@ -79,63 +78,20 @@ type relaxation struct {
 	dparts []float64 // per-chunk scalar partials, dual-side (chunks)
 
 	cmax float64 // objective scale factor (original = normalized × cmax)
-
-	// pool executes chunk loops; nil means serial (the package-level
-	// SolveRelaxation entry points and every solve with fewer than
-	// parallelMinDim live columns).
-	pool *workerPool
 }
 
-// chunkOp is one chunk-parallel kernel call. It travels by value — through
-// the pool's channel on parallel solves — so the iteration loop allocates
-// nothing; a closure per call would escape to the heap.
-type chunkOp struct {
-	kind    opKind
-	a       float64   // opStep: η; opHalpern: λ; opScale: divisor
-	restart bool      // opHalpern: also reset the anchor
-	src     []float64 // opMatVec: the vector multiplied
-}
-
-type opKind uint8
-
-const (
-	opMatVec opKind = iota
-	opMatVecT
-	opScale
-	opStep
-	opHalpern
-	opResiduals
-)
+// lpChunkSize is the fixed grain of the chunked PDHG kernels. Every sum
+// over the variables is taken as per-chunk partials combined in ascending
+// chunk order, so the grain *is* the floating-point summation order: the
+// golden runs, the dense oracle in presolve_test.go and the pinned
+// benchmark digests all hold only while it stays 512. A chunk of 512
+// variables × a handful of constraint rows also keeps its working set
+// inside L1/L2.
+const lpChunkSize = 512
 
 // chunks is the number of fixed-size chunks of the window.
 func (w *relaxation) chunks() int {
 	return (w.n + lpChunkSize - 1) / lpChunkSize
-}
-
-// run executes op over every chunk, inline when no pool is attached.
-func (w *relaxation) run(op chunkOp) {
-	w.pool.run(w, op, w.chunks())
-}
-
-// chunk executes op on chunk c's live columns [lo, hi).
-func (w *relaxation) chunk(op chunkOp, c int) {
-	lo, hi := w.off[c], w.off[c+1]
-	switch op.kind {
-	case opMatVec:
-		w.matVecChunk(c, lo, hi, op.src)
-	case opMatVecT:
-		w.matVecTChunk(c, lo, hi)
-	case opScale:
-		for k := lo; k < hi; k++ {
-			w.v[k] /= op.a
-		}
-	case opStep:
-		w.stepChunk(c, lo, hi, op.a)
-	case opHalpern:
-		w.halpernChunk(lo, hi, op.a, op.restart)
-	case opResiduals:
-		w.residualsChunk(c, lo, hi)
-	}
 }
 
 // grow sizes the workspace for an n-job window with nl live columns and m
@@ -253,9 +209,9 @@ func (w *relaxation) load(form solver.LinearForm) {
 
 // operatorNorm estimates ‖A‖₂ of the normalized constraint matrix by
 // power iteration on AᵀA, matrix-free and deterministic (the chunked
-// products reduce in fixed order regardless of worker count). The start
-// vector is uniform over the window — 1/√n with the window's n, pinned
-// columns included — so the estimate is the dense matrix's.
+// products reduce in fixed order). The start vector is uniform over the
+// window — 1/√n with the window's n, pinned columns included — so the
+// estimate is the dense matrix's.
 func (w *relaxation) operatorNorm() float64 {
 	if w.m == 0 || len(w.live) == 0 {
 		return 0
@@ -266,16 +222,18 @@ func (w *relaxation) operatorNorm() float64 {
 	norm := 0.0
 	for it := 0; it < 32; it++ {
 		w.matVec(w.v)
-		w.run(chunkOp{kind: opMatVecT})
 		s := 0.0
 		for c := 0; c < w.chunks(); c++ {
+			w.matVecTChunk(c, w.off[c], w.off[c+1])
 			s += w.dparts[c]
 		}
 		s = math.Sqrt(s)
 		if s == 0 {
 			return 0
 		}
-		w.run(chunkOp{kind: opScale, a: s})
+		for k := range w.v {
+			w.v[k] /= s
+		}
 		norm = math.Sqrt(s) // v was unit before the step, so ‖AᵀAv‖ ≈ λmax
 	}
 	return norm
@@ -284,8 +242,10 @@ func (w *relaxation) operatorNorm() float64 {
 // matVec writes A·v into w.ax (one entry per kept row): per-chunk per-row
 // partials, combined serially in chunk order.
 func (w *relaxation) matVec(v []float64) {
-	w.run(chunkOp{kind: opMatVec, src: v})
 	chunks := w.chunks()
+	for c := 0; c < chunks; c++ {
+		w.matVecChunk(c, w.off[c], w.off[c+1], v)
+	}
 	for r := 0; r < w.m; r++ {
 		s := 0.0
 		for c := 0; c < chunks; c++ {
@@ -308,7 +268,7 @@ func (w *relaxation) matVecChunk(c, lo, hi int, v []float64) {
 }
 
 // matVecTChunk writes the chunk's entries of Aᵀ·ax into w.v and their sum
-// of squares into dparts[c]. Entries are independent across chunks.
+// of squares into dparts[c].
 func (w *relaxation) matVecTChunk(c, lo, hi int) {
 	sq := 0.0
 	for k := lo; k < hi; k++ {
@@ -351,18 +311,18 @@ func (w *relaxation) stepChunk(c, lo, hi int, eta float64) {
 	}
 }
 
-// halpernChunk averages the chunk's primal step toward the anchor and,
-// on restart iterations, resets the anchor in the same pass.
-func (w *relaxation) halpernChunk(lo, hi int, lam float64, restart bool) {
+// halpern averages the primal step toward the anchor and, on restart
+// iterations, resets the anchor in the same pass.
+func (w *relaxation) halpern(lam float64, restart bool) {
 	if restart {
-		for k := lo; k < hi; k++ {
+		for k := range w.x {
 			v := lam*w.xn[k] + (1-lam)*w.x0[k]
 			w.x[k] = v
 			w.x0[k] = v
 		}
 		return
 	}
-	for k := lo; k < hi; k++ {
+	for k := range w.x {
 		w.x[k] = lam*w.xn[k] + (1-lam)*w.x0[k]
 	}
 }
@@ -377,12 +337,11 @@ func (w *relaxation) residuals() (infeas, gap, primal, dual float64) {
 			infeas = v
 		}
 	}
-	w.run(chunkOp{kind: opResiduals})
 	for _, yr := range w.y {
 		dual += yr // normalized capacities are 1
 	}
-	chunks := w.chunks()
-	for c := 0; c < chunks; c++ {
+	for c := 0; c < w.chunks(); c++ {
+		w.residualsChunk(c, w.off[c], w.off[c+1])
 		primal += w.pparts[c]
 		dual += w.dparts[c]
 	}
@@ -484,10 +443,12 @@ func (w *relaxation) iterate(cfg Config, st *Stats) {
 	chunks := w.chunks()
 	k := 0
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		// Fused primal step + extrapolated dual product, chunk-parallel.
-		w.run(chunkOp{kind: opStep, a: eta})
+		// Fused primal step + extrapolated dual product, chunk by chunk.
+		for c := 0; c < chunks; c++ {
+			w.stepChunk(c, w.off[c], w.off[c+1], eta)
+		}
 		// Combine the product partials in chunk order and take the dual
-		// step: ŷ = Π_{≥0}(y + η(A(2x̂−x) − 1)). m is small; serial.
+		// step: ŷ = Π_{≥0}(y + η(A(2x̂−x) − 1)).
 		for r := 0; r < w.m; r++ {
 			s := 0.0
 			for c := 0; c < chunks; c++ {
@@ -503,7 +464,7 @@ func (w *relaxation) iterate(cfg Config, st *Stats) {
 		lam := float64(k+1) / float64(k+2)
 		k++
 		restart := k >= cfg.RestartPeriod
-		w.run(chunkOp{kind: opHalpern, a: lam, restart: restart})
+		w.halpern(lam, restart)
 		for r := range w.y {
 			w.y[r] = lam*w.yn[r] + (1-lam)*w.y0[r]
 		}
@@ -528,8 +489,7 @@ func (w *relaxation) iterate(cfg Config, st *Stats) {
 // SolveRelaxation solves the LP relaxation of a linear selection instance
 // and returns the fractional primal solution x ∈ [0,1]ⁿ with solve
 // statistics. It is the low-level entry point behind Solver.Solve, exposed
-// for diagnostics, examples, and convergence tests. It always runs
-// serially; parallel solves go through Solver.Solve with Options.Workers.
+// for diagnostics, examples, and convergence tests.
 func SolveRelaxation(form solver.LinearForm, cfg Config) ([]float64, Stats) {
 	cfg = cfg.withDefaults()
 	w := &relaxation{}

@@ -213,43 +213,37 @@ func sameStats(a, b Stats) bool {
 
 // TestPresolveMatchesDenseReference pins the presolve contract: dropping
 // the pinned columns changes no bit of the primal solution, the dual
-// iterate or the statistics — cold and warm-started, serial and pooled,
-// through restarts, on one workspace reused across shrinking and growing
-// windows — because chunk membership and reduction order follow window
-// positions, not live positions.
+// iterate or the statistics — cold and warm-started, through restarts,
+// on one workspace reused across shrinking and growing windows — because
+// chunk membership and reduction order follow window positions, not live
+// positions.
 func TestPresolveMatchesDenseReference(t *testing.T) {
 	// Saturated instances stop at the first residual check; the others run
 	// through three restarts to a budget that is not a check multiple.
 	cfg := Config{MaxIters: 130, RestartPeriod: 40}.withDefaults()
-	for _, workers := range []int{1, 4} {
-		w := &relaxation{}
-		if workers > 1 {
-			w.pool = newWorkerPool(workers)
-			defer w.pool.close()
-		}
-		seed := uint64(0)
-		for _, n := range []int{1, 19, 511, 512, 513, 1500} {
-			for _, m := range []int{0, 1, 2, 4} { // 0: only a zero-capacity row, the box-LP branch
-				for _, pinFrac := range []float64{0, 0.5, 0.99, 1} {
-					seed++
-					form := pinnedInstance(rng.New(seed), n, m, pinFrac, m == 0 || seed%3 == 0)
-					name := fmt.Sprintf("workers=%d n=%d m=%d pinned=%v", workers, n, m, pinFrac)
-					var warm *Iterate
-					for _, phase := range []string{"cold", "warm"} {
-						wantX, wantY, wantSt := denseSolve(form, cfg, warm)
-						w.load(form)
-						st := w.solveFrom(cfg, warm)
-						if !sameStats(st, wantSt) {
-							t.Fatalf("%s %s: stats %+v, dense %+v", name, phase, st, wantSt)
-						}
-						if !sameBits(w.sol, wantX) || !sameBits(w.y, wantY) {
-							t.Fatalf("%s %s: iterate differs from the dense reference (stats %+v)", name, phase, st)
-						}
-						if pinFrac == 1 && st.Active != 0 || pinFrac == 0 && st.Active != n {
-							t.Fatalf("%s: %d live columns of %d", name, st.Active, n)
-						}
-						warm = &Iterate{X: wantX, Y: wantY}
+	w := &relaxation{}
+	seed := uint64(0)
+	for _, n := range []int{1, 19, 511, 512, 513, 1500} {
+		for _, m := range []int{0, 1, 2, 4} { // 0: only a zero-capacity row, the box-LP branch
+			for _, pinFrac := range []float64{0, 0.5, 0.99, 1} {
+				seed++
+				form := pinnedInstance(rng.New(seed), n, m, pinFrac, m == 0 || seed%3 == 0)
+				name := fmt.Sprintf("n=%d m=%d pinned=%v", n, m, pinFrac)
+				var warm *Iterate
+				for _, phase := range []string{"cold", "warm"} {
+					wantX, wantY, wantSt := denseSolve(form, cfg, warm)
+					w.load(form)
+					st := w.solveFrom(cfg, warm)
+					if !sameStats(st, wantSt) {
+						t.Fatalf("%s %s: stats %+v, dense %+v", name, phase, st, wantSt)
 					}
+					if !sameBits(w.sol, wantX) || !sameBits(w.y, wantY) {
+						t.Fatalf("%s %s: iterate differs from the dense reference (stats %+v)", name, phase, st)
+					}
+					if pinFrac == 1 && st.Active != 0 || pinFrac == 0 && st.Active != n {
+						t.Fatalf("%s: %d live columns of %d", name, st.Active, n)
+					}
+					warm = &Iterate{X: wantX, Y: wantY}
 				}
 			}
 		}
@@ -338,21 +332,14 @@ func TestSolveNothingFits(t *testing.T) {
 }
 
 // TestIterationLoopAllocs pins the PDHG loop at zero allocations on a
-// loaded workspace, serial and pooled: kernels are dispatched as chunkOp
-// values, not closures.
+// loaded workspace.
 func TestIterationLoopAllocs(t *testing.T) {
 	form := pinnedInstance(rng.New(11), 1500, 2, 0.5, false)
 	cfg := Config{MaxIters: 120, Tol: 1e-12}.withDefaults()
-	for _, workers := range []int{1, 4} {
-		w := &relaxation{}
-		if workers > 1 {
-			w.pool = newWorkerPool(workers)
-			defer w.pool.close()
-		}
-		w.load(form)
-		if allocs := testing.AllocsPerRun(5, func() { w.solveFrom(cfg, nil) }); allocs != 0 {
-			t.Errorf("workers=%d: %.1f allocations per solve, want 0", workers, allocs)
-		}
+	w := &relaxation{}
+	w.load(form)
+	if allocs := testing.AllocsPerRun(5, func() { w.solveFrom(cfg, nil) }); allocs != 0 {
+		t.Errorf("%.1f allocations per solve, want 0", allocs)
 	}
 }
 

@@ -9,52 +9,7 @@ import (
 	"bbsched/internal/moo"
 	"bbsched/internal/rng"
 	"bbsched/internal/sched"
-	"bbsched/internal/solver"
 )
-
-// TestParallelSolveMatchesSerial pins the PDHG determinism contract on
-// giant windows (past the parallel threshold): the chunk grain is fixed
-// and per-chunk partials combine serially in ascending chunk order, so a
-// worker-pooled solve is bit-for-bit the serial solve — identical
-// selection and objective, cold and warm.
-func TestParallelSolveMatchesSerial(t *testing.T) {
-	lps := lp.New(lp.DefaultConfig())
-	for _, w := range []int{1024, 2048} {
-		p := windowProblem(t, w, 31+uint64(w))
-		serial, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial[0].Genome.Equal(parallel[0].Genome) {
-			t.Fatalf("w=%d: parallel selection differs from serial", w)
-		}
-		if serial[0].Objectives[0] != parallel[0].Objectives[0] {
-			t.Fatalf("w=%d: parallel objective %v != serial %v", w, parallel[0].Objectives[0], serial[0].Objectives[0])
-		}
-	}
-
-	// Warm path: the stored iterate and adapted tolerance must evolve
-	// identically, so a whole Memory-carrying sequence matches too.
-	p := windowProblem(t, 1024, 77)
-	memS, memP := solver.NewMemory(), solver.NewMemory()
-	for pass := 0; pass < 3; pass++ {
-		serial, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: memS, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: memP, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial[0].Genome.Equal(parallel[0].Genome) || serial[0].Objectives[0] != parallel[0].Objectives[0] {
-			t.Fatalf("warm pass %d: parallel solve diverged from serial", pass)
-		}
-	}
-}
 
 // ssdWindow builds a window of random SSD-demanding jobs on a two-class
 // SSD machine tight enough that the node row binds and placement wastes

@@ -18,7 +18,7 @@ type EvalStats struct {
 
 // evalEntry is one memoized evaluation — one interned genotype. The once
 // gate guarantees the underlying Problem.Evaluate runs at most once per
-// distinct genome even when parallel GA workers race on the same child.
+// distinct genome even when concurrent callers race on the same one.
 type evalEntry struct {
 	once sync.Once
 	// id is the entry's dense index in creation order since the last
@@ -139,80 +139,6 @@ func (e *Evaluator) lookup(g Genome) *evalEntry {
 		ent.objs, ent.feasible = e.inner.Evaluate(ent.genome)
 	})
 	return ent
-}
-
-// lookupEntries batch-resolves cache entries for the masked genomes of
-// gs: ents[i] is set for every i with use[i] (untouched otherwise), and
-// missing entries are created in ascending index order under a single
-// lock acquisition — the canonical memo merge order, so what the cache
-// contains and the order it was built in never depend on how many
-// workers later evaluate. Entries are returned possibly unevaluated;
-// run evaluateEntries before reading objs/feasible. Hit/miss accounting
-// is identical to element-wise serial lookups: misses count distinct
-// new genomes, which is order-independent.
-func (e *Evaluator) lookupEntries(gs []Genome, use []bool, ents []*evalEntry) {
-	var arr [keyBufSize]byte
-	var hits, misses uint64
-	e.mu.Lock()
-	for i := range gs {
-		if !use[i] {
-			continue
-		}
-		key := gs[i].appendKey(arr[:0])
-		ent, ok := e.entries[string(key)]
-		if !ok {
-			ent = e.intern(key, gs[i])
-			misses++
-		} else {
-			hits++
-		}
-		ents[i] = ent
-	}
-	e.mu.Unlock()
-	e.hits.Add(hits)
-	e.misses.Add(misses)
-}
-
-// evaluateEntries forces every non-nil entry's first evaluation across
-// at most workers goroutines. Entries already evaluated — including
-// duplicates appearing at several indices — cost one once-gate check,
-// and results land on the entries themselves, so goroutine completion
-// order never shows in the cache.
-func (e *Evaluator) evaluateEntries(ents []*evalEntry, workers int) {
-	force := func(ent *evalEntry) {
-		ent.once.Do(func() {
-			ent.objs, ent.feasible = e.inner.Evaluate(ent.genome)
-		})
-	}
-	if workers > len(ents) {
-		workers = len(ents)
-	}
-	if workers <= 1 {
-		for _, ent := range ents {
-			if ent != nil {
-				force(ent)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ents) {
-					return
-				}
-				if ent := ents[i]; ent != nil {
-					force(ent)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // intern creates g's cache entry under the next dense id, with a

@@ -93,8 +93,8 @@ func TestNewEvaluatorIdempotent(t *testing.T) {
 
 // TestEvaluatorAtMostOncePerGenomeConcurrent drives many goroutines at a
 // small genome set and asserts the underlying problem saw each distinct
-// genome exactly once — the at-most-once guarantee the parallel GA breed
-// path relies on. Run with -race in CI.
+// genome exactly once — the at-most-once guarantee concurrent Evaluate
+// callers rely on. Run with -race in CI.
 func TestEvaluatorAtMostOncePerGenomeConcurrent(t *testing.T) {
 	k := randomKnapsack(70, 7) // crosses the 64-gene word boundary
 	cp := &countingProblem{knapsack2: k}
@@ -130,26 +130,6 @@ func TestEvaluatorAtMostOncePerGenomeConcurrent(t *testing.T) {
 	}
 	if st.Hits+st.Misses != 8*50*distinct {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*50*distinct)
-	}
-}
-
-// TestGAParallelBreedRace exercises the parallel fitness-evaluation path
-// on a multi-word genome under the race detector: workers share one
-// Evaluator and repair infeasible children concurrently.
-func TestGAParallelBreedRace(t *testing.T) {
-	k := randomKnapsack(70, 9)
-	cfg := GAConfig{Generations: 30, Population: 16, MutationProb: 0.05, Parallelism: 8}
-	front, err := SolveGA(k, cfg, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front) == 0 {
-		t.Fatal("empty front")
-	}
-	for _, s := range front {
-		if _, ok := k.Evaluate(s.Genome); !ok {
-			t.Fatal("infeasible front member")
-		}
 	}
 }
 

@@ -3,8 +3,6 @@ package moo
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"bbsched/internal/rng"
 )
@@ -18,13 +16,6 @@ type GAConfig struct {
 	// MutationProb is p_m, the per-gene bit-flip probability applied to
 	// children. Paper default 0.0005 (0.05%).
 	MutationProb float64
-	// Parallelism > 1 evaluates each generation's children concurrently,
-	// the acceleration §3.2.2 notes: uncached child genomes are batch
-	// evaluated across that many workers, with memo writes merged in
-	// canonical (child index) order, so fronts and Evaluator statistics
-	// are bit-identical to the serial path at any width. Zero or one
-	// evaluates serially.
-	Parallelism int
 	// Archive, when true, additionally accumulates every feasible
 	// evaluated solution into the returned front instead of reporting only
 	// the final generation's Set 1. Off by default (paper behaviour);
@@ -132,14 +123,8 @@ type gaSolver struct {
 	childIDs []int32
 	children []member
 
-	// Batch-evaluation scratch (Parallelism > 1): per-child cache
-	// entries and the lookup/repair mask.
-	ents []*evalEntry
-	redo []bool
-
-	// Per-worker repair stream scratch (serial path); parallel workers
-	// keep their own. wsIntn caches the ws.Intn method value: the stream
-	// is reseeded in place, so the bound closure stays valid across
+	// Repair stream scratch. wsIntn caches the ws.Intn method value: the
+	// stream is reseeded in place, so the bound closure stays valid across
 	// children, generations and solves.
 	ws     *rng.Stream
 	wsIntn func(int) int
@@ -326,8 +311,8 @@ func (g *gaSolver) makeFeasible(scratch Genome, drop func(int) int) (int32, bool
 	return g.intern(ent), true
 }
 
-// repairStream reseeds the serial path's scratch stream to child i's
-// split of the main stream and returns its Intn.
+// repairStream reseeds the scratch stream to child i's split of the main
+// stream and returns its Intn.
 func (g *gaSolver) repairStream(i int) func(int) int {
 	if g.ws == nil {
 		g.ws = g.s.SplitIndexInto(nil, uint64(i))
@@ -339,19 +324,17 @@ func (g *gaSolver) repairStream(i int) func(int) int {
 }
 
 // breed produces up to cfg.Population feasible children via crossover and
-// mutation, evaluating in parallel when configured. Child genomes are
-// written into reused scratch buffers; surviving children are the ids of
-// their cache entries.
+// mutation. Child genomes are written into reused scratch buffers;
+// surviving children are the ids of their cache entries.
 func (g *gaSolver) breed(pop []member) []member {
 	cfg, s, dim := g.cfg, g.s, g.dim
 
-	// Generate raw children serially (RNG is not concurrent-safe): each
-	// crossover yields the cut's two complementary children, then each
-	// child's genes flip with probability p_m — drawn as one mask, XORed
-	// in. A child of two identical parents with no mutation IS that parent
-	// — the dominant case once the population converges — so it takes the
-	// parent's id outright and skips crossover, cache lookup and
-	// evaluation entirely.
+	// Generate the raw children: each crossover yields the cut's two
+	// complementary children, then each child's genes flip with
+	// probability p_m — drawn as one mask, XORed in. A child of two
+	// identical parents with no mutation IS that parent — the dominant
+	// case once the population converges — so it takes the parent's id
+	// outright and skips crossover, cache lookup and evaluation entirely.
 	ids := g.childIDs[:cfg.Population]
 	for count := 0; count < cfg.Population; {
 		pa := pop[s.Intn(len(pop))].id
@@ -376,28 +359,23 @@ func (g *gaSolver) breed(pop []member) []member {
 		}
 	}
 
-	// …then evaluate/repair: batch-parallel when configured, else the
-	// serial reference path. Each child that needs repair draws from its
-	// own split stream so results do not depend on scheduling order; the
-	// split reseeds a per-worker scratch stream in place, constructed
-	// lazily on each worker's first repair.
-	if cfg.Parallelism > 1 {
-		g.evalBatch(ids, cfg.Parallelism)
-	} else {
-		for i, id := range ids {
-			if id != needsEval {
-				continue
-			}
-			ent := g.ev.lookup(g.raw[i])
-			if !ent.feasible && g.rep != nil {
-				g.rep.Repair(g.raw[i], g.repairStream(i))
-				ent = g.ev.lookup(g.raw[i])
-			}
-			if ent.feasible {
-				ids[i] = g.intern(ent)
-			} else {
-				ids[i] = infeasible
-			}
+	// …then evaluate/repair. Each child that needs repair draws from its
+	// own split of the main stream (the seed solver's draw sequence, which
+	// fixed-seed fronts depend on); the split reseeds one scratch stream
+	// in place, constructed lazily on the first repair.
+	for i, id := range ids {
+		if id != needsEval {
+			continue
+		}
+		ent := g.ev.lookup(g.raw[i])
+		if !ent.feasible && g.rep != nil {
+			g.rep.Repair(g.raw[i], g.repairStream(i))
+			ent = g.ev.lookup(g.raw[i])
+		}
+		if ent.feasible {
+			ids[i] = g.intern(ent)
+		} else {
+			ids[i] = infeasible
 		}
 	}
 
@@ -409,84 +387,6 @@ func (g *gaSolver) breed(pop []member) []member {
 	}
 	g.children = out
 	return out
-}
-
-// evalBatch is the generation's batch-parallel evaluation of the children
-// marked needsEval in ids. One locked pass resolves cache entries for
-// them in ascending index order (the canonical memo merge order — worker
-// count never changes what the cache holds or the order it was built),
-// the entries evaluate across workers behind their once gates, and
-// children whose raw genome proved infeasible are repaired against their
-// per-child split streams — the identical streams the serial path uses —
-// then re-resolved and re-evaluated the same way. The multiset of cache
-// lookups matches the serial path exactly, so fronts, populations, and
-// Evaluator hit/miss totals are bit-identical to Parallelism ≤ 1.
-func (g *gaSolver) evalBatch(ids []int32, workers int) {
-	count := len(ids)
-	if cap(g.ents) < count {
-		g.ents = make([]*evalEntry, count)
-		g.redo = make([]bool, count)
-	}
-	ents := g.ents[:count]
-	redo := g.redo[:count]
-
-	// Phase 1: resolve and evaluate every bred (non-inherited) raw child.
-	for i, id := range ids {
-		ents[i] = nil
-		redo[i] = id == needsEval
-	}
-	g.ev.lookupEntries(g.raw[:count], redo, ents)
-	g.ev.evaluateEntries(ents, workers)
-
-	// Phase 2: repair raw-infeasible children and re-resolve them.
-	anyRedo := false
-	for i := range ids {
-		redo[i] = redo[i] && !ents[i].feasible && g.rep != nil
-		anyRedo = anyRedo || redo[i]
-	}
-	if anyRedo {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var ws *rng.Stream
-				var intn func(int) int
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= count {
-						return
-					}
-					if !redo[i] {
-						continue
-					}
-					if ws == nil {
-						ws = g.s.SplitIndexInto(nil, uint64(i))
-						intn = ws.Intn
-					} else {
-						g.s.SplitIndexInto(ws, uint64(i))
-					}
-					g.rep.Repair(g.raw[i], intn)
-				}
-			}()
-		}
-		wg.Wait()
-		g.ev.lookupEntries(g.raw[:count], redo, ents)
-		g.ev.evaluateEntries(ents, workers)
-	}
-
-	// Assemble: inherited children already hold their parent's id.
-	for i, id := range ids {
-		if id != needsEval {
-			continue
-		}
-		if ent := ents[i]; ent.feasible {
-			ids[i] = g.intern(ent)
-		} else {
-			ids[i] = infeasible
-		}
-	}
 }
 
 // markDominated sets dominated[id] for every id in pool: whether some

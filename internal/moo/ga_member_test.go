@@ -152,7 +152,6 @@ func TestSolveGAReusedEvaluatorMatchesFresh(t *testing.T) {
 		{table1(), GAConfig{Generations: 30, Population: 8, MutationProb: 0.02}},
 		{randomKnapsack(70, 103), GAConfig{Generations: 30, Population: 14, MutationProb: 0.01, Archive: true}},
 		{randomKnapsack(20, 101), GAConfig{Generations: 30, Population: 12, MutationProb: 0.01, Selection: Crowding}},
-		{randomKnapsack(64, 102), GAConfig{Generations: 30, Population: 12, MutationProb: 0.02, Parallelism: 4}},
 		{table1(), GAConfig{Generations: 30, Population: 30, MutationProb: 0.3}},
 	}
 	var ev *Evaluator

@@ -15,7 +15,6 @@ package moo
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"bbsched/internal/rng"
@@ -288,38 +287,11 @@ func refBreed(p refProblem, cfg GAConfig, pop []refSolution, s *rng.Stream) []re
 		}
 	}
 
-	children := make([]refSolution, len(raw))
-	feasible := make([]bool, len(raw))
-	eval := func(i int) {
+	var out []refSolution
+	for i := range raw {
 		ws := s.SplitIndex(uint64(i))
 		if sol, ok := refMakeFeasible(p, raw[i], ws); ok {
-			children[i] = sol
-			feasible[i] = true
-		}
-	}
-	if cfg.Parallelism > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Parallelism)
-		for i := range raw {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				eval(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range raw {
-			eval(i)
-		}
-	}
-
-	out := children[:0]
-	for i := range children {
-		if feasible[i] {
-			out = append(out, children[i])
+			out = append(out, sol)
 		}
 	}
 	return out
@@ -473,8 +445,7 @@ func randomKnapsack(dim int, seed uint64) *knapsack2 {
 // for fixed seeds, the bitset/memoized solver must return exactly the
 // Pareto front of the seed implementation — same genomes, same objective
 // vectors, same order — across dimensions (including the 65+-gene
-// word-boundary crossing), selection policies, archive mode, and the
-// parallel evaluation path.
+// word-boundary crossing), selection policies and archive mode.
 func TestSolveGAMatchesSeedReference(t *testing.T) {
 	type instance struct {
 		name string
@@ -492,7 +463,6 @@ func TestSolveGAMatchesSeedReference(t *testing.T) {
 		cfg  GAConfig
 	}{
 		{"serial", GAConfig{Generations: 60, Population: 14, MutationProb: 0.01}},
-		{"parallel", GAConfig{Generations: 40, Population: 12, MutationProb: 0.02, Parallelism: 4}},
 		{"archive", GAConfig{Generations: 40, Population: 12, MutationProb: 0.01, Archive: true}},
 		{"crowding", GAConfig{Generations: 50, Population: 12, MutationProb: 0.01, Selection: Crowding}},
 	}

@@ -281,28 +281,6 @@ func TestGADeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestGAParallelMatchesSerial(t *testing.T) {
-	serial := GAConfig{Generations: 80, Population: 16, MutationProb: 0.01}
-	parallel := serial
-	parallel.Parallelism = 4
-	a, err := SolveGA(table1(), serial, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SolveGA(table1(), parallel, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("parallel front differs in size: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			t.Fatal("parallel evaluation changed results")
-		}
-	}
-}
-
 func TestGAFrontIsFeasibleAndNonDominated(t *testing.T) {
 	s := rng.New(17)
 	f := func(seed uint16) bool {

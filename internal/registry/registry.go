@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/core"
@@ -434,11 +433,7 @@ func init() {
 		Name: "portfolio",
 		Desc: "race ga, lp and greedy per decision, keep the best feasible roster (scalarized problems)",
 		New: func(ga moo.GAConfig) solver.Solver {
-			// The 2s deadline is a liveness backstop, not a pacing device:
-			// window solves finish in micro-to-milliseconds, so fixed-seed
-			// runs wait for every member and stay deterministic.
-			return solver.NewPortfolio(2*time.Second,
-				solver.NewGA(ga), lp.New(lp.DefaultConfig()), solver.NewGreedy())
+			return solver.NewPortfolio(solver.NewGA(ga), lp.New(lp.DefaultConfig()), solver.NewGreedy())
 		},
 	})
 

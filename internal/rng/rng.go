@@ -147,7 +147,7 @@ func (s *Stream) SplitIndex(i uint64) *Stream {
 // place to the exact state SplitIndex(i) would return, avoiding the
 // per-split stream construction. A nil dst allocates a fresh stream. The
 // genetic solver splits one stream per repaired child per generation;
-// reseeding a per-worker scratch stream makes that allocation-free.
+// reseeding one scratch stream makes that allocation-free.
 func (s *Stream) SplitIndexInto(dst *Stream, i uint64) *Stream {
 	seed := splitMix64(s.seed ^ splitMix64(i+0x51ed2701))
 	if dst == nil {

@@ -35,11 +35,6 @@ type Context struct {
 	// Nil means stateless solves — the historical behaviour. Callers that
 	// reuse a Context across runs must give each run a fresh Memory.
 	Memory *solver.Memory
-	// Workers bounds parallel backends' per-solve worker pools, handed
-	// through as solver.Options.Workers: 0 takes each backend's default,
-	// 1 forces serial, n > 1 caps the pool. Fixed-seed selections are
-	// bit-identical across every setting.
-	Workers int
 
 	// pooled scratch for the in-package heuristic methods (lazily grown;
 	// meaningful reuse requires the caller to reuse the Context itself)
@@ -259,7 +254,7 @@ func (w *Weighted) Select(ctx *Context) ([]int, error) {
 	p := &scalarized{inner: inner, weights: w.Weights, denom: ctx.Totals.Denominators(w.Objectives)}
 	ev, _ := w.evals.Get().(*moo.Evaluator)
 	ev = moo.ReuseEvaluator(ev, p)
-	front, err := w.backend.Resolve(w.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory, Workers: ctx.Workers})
+	front, err := w.backend.Resolve(w.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
 	w.evals.Put(ev)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", w.MethodName, err)
@@ -310,7 +305,7 @@ func (c *Constrained) Select(ctx *Context) ([]int, error) {
 	p := NewSelectionProblem(ctx.Window, ctx.Snap, []Objective{c.Target})
 	ev, _ := c.evals.Get().(*moo.Evaluator)
 	ev = moo.ReuseEvaluator(ev, p)
-	front, err := c.backend.Resolve(c.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory, Workers: ctx.Workers})
+	front, err := c.backend.Resolve(c.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
 	c.evals.Put(ev)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", c.MethodName, err)

@@ -32,7 +32,6 @@ type options struct {
 	buckets       metrics.Buckets
 	observers     []Observer
 	solver        solver.Solver
-	solverWorkers int
 	source        trace.JobSource
 	lookahead     int
 	streamStats   bool
@@ -144,16 +143,6 @@ func WithEventLog(w io.Writer) Option {
 // may apply it concurrently; all runs use the backend set last.
 func WithSolver(s solver.Solver) Option {
 	return func(o *options) { o.solver = s }
-}
-
-// WithSolverWorkers bounds the worker pool that parallel solver backends
-// (the LP relaxation's batched PDHG products, the GA's batch evaluation)
-// may use per solve. Zero keeps the backend default — the LP sizes its
-// pool to GOMAXPROCS on giant windows, the GA stays serial unless its
-// GAConfig asks otherwise; 1 forces serial. The knob trades wall clock
-// only: fixed-seed results are bit-identical across every setting.
-func WithSolverWorkers(n int) Option {
-	return func(o *options) { o.solverWorkers = n }
 }
 
 // WithSource drives the simulation from a streaming trace.JobSource
@@ -329,9 +318,6 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	pol, err := queue.ByName(string(wc.System.Policy))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if opt.solverWorkers != 0 {
-		opt.plugin.SolverWorkers = opt.solverWorkers
 	}
 	plugin, err := core.NewPlugin(opt.plugin, method)
 	if err != nil {

@@ -3,38 +3,30 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"bbsched/internal/moo"
 )
 
 // Portfolio races several backends on the same window instance and keeps
 // the best feasible roster: every member solves concurrently on its own
-// split of the invocation stream, and when all members finish — or the
-// per-decision deadline expires with at least one result in hand — the
+// split of the invocation stream, and when all members have finished the
 // highest-objective feasible solution wins, ties breaking toward the
 // earlier member. The portfolio is therefore never worse than its best
-// finished member, and its wall clock is the fastest of "slowest member"
-// and "deadline".
+// member, and its wall clock is the slowest member's.
 //
-// With Deadline zero the race waits for every member, so fixed-seed runs
-// are fully deterministic (each member's stream depends only on its index
-// and the invocation stream). With a deadline, members that miss it are
-// dropped from that decision — quality degrades gracefully under time
-// pressure, but which members finish can vary run to run, so
-// deadline-bounded portfolios trade determinism for latency.
+// The race waits for every member — each is bounded by work (G·P
+// evaluations, an iteration budget, one greedy pass), never by the clock —
+// so fixed-seed runs are fully deterministic: each member's stream
+// depends only on its index and the invocation stream, and no decision
+// depends on machine load.
 type Portfolio struct {
 	// Members are the raced backends, in tie-break priority order.
 	Members []Solver
-	// Deadline bounds one Solve call; zero waits for every member. A
-	// decision never returns empty-handed: if nothing finished by the
-	// deadline the race waits for the first member to finish.
-	Deadline time.Duration
 }
 
 // NewPortfolio builds a racing portfolio over the given members.
-func NewPortfolio(deadline time.Duration, members ...Solver) *Portfolio {
-	return &Portfolio{Members: members, Deadline: deadline}
+func NewPortfolio(members ...Solver) *Portfolio {
+	return &Portfolio{Members: members}
 }
 
 // Name implements Solver.
@@ -77,50 +69,31 @@ func (pf *Portfolio) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) 
 	for i, m := range pf.Members {
 		go func(i int, m Solver) {
 			front, err := m.Solve(moo.NewEvaluator(p), Options{
-				Rand:    opts.Rand.SplitIndex(uint64(i)),
-				Memory:  opts.Memory,
-				Workers: opts.Workers,
+				Rand:   opts.Rand.SplitIndex(uint64(i)),
+				Memory: opts.Memory,
 			})
 			results <- outcome{member: i, front: front, err: err}
 		}(i, m)
 	}
 
-	var timeout <-chan time.Time
-	if pf.Deadline > 0 {
-		t := time.NewTimer(pf.Deadline)
-		defer t.Stop()
-		timeout = t.C
-	}
-
 	bestMember := -1
 	var best moo.Solution
 	var errs []error
-	done := 0
-	expired := false
-	for done < len(pf.Members) {
-		if expired && bestMember >= 0 {
-			break // deadline passed with a result in hand; late members lose
+	for range pf.Members {
+		out := <-results
+		if out.err != nil {
+			errs = append(errs, fmt.Errorf("portfolio member %s: %w", pf.Members[out.member].Name(), out.err))
+			continue
 		}
-		select {
-		case out := <-results:
-			done++
-			if out.err != nil {
-				errs = append(errs, fmt.Errorf("portfolio member %s: %w", pf.Members[out.member].Name(), out.err))
-				continue
+		for _, sol := range out.front {
+			// Strictly-better objective wins; exact ties break toward
+			// the earlier member (and, within one member, toward the
+			// front's first entry) — a deterministic rule, so arrival
+			// order under goroutine scheduling never shows.
+			if bestMember < 0 || sol.Objectives[0] > best.Objectives[0] ||
+				(sol.Objectives[0] == best.Objectives[0] && out.member < bestMember) {
+				best, bestMember = sol, out.member
 			}
-			for _, sol := range out.front {
-				// Strictly-better objective wins; exact ties break toward
-				// the earlier member (and, within one member, toward the
-				// front's first entry) — a deterministic rule, so arrival
-				// order under goroutine scheduling never shows.
-				if bestMember < 0 || sol.Objectives[0] > best.Objectives[0] ||
-					(sol.Objectives[0] == best.Objectives[0] && out.member < bestMember) {
-					best, bestMember = sol, out.member
-				}
-			}
-		case <-timeout:
-			expired = true
-			timeout = nil
 		}
 	}
 	if bestMember < 0 {

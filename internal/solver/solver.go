@@ -34,14 +34,6 @@ type Options struct {
 	// here, keyed by their own instance. A nil Memory means the solve is
 	// stateless — exactly the historical behaviour.
 	Memory *Memory
-	// Workers bounds the worker pool of backends that parallelize within
-	// one solve. 0 means the backend default: the LP backend sizes its
-	// pool to GOMAXPROCS on giant windows, while the GA stays serial
-	// unless its own GAConfig.Parallelism asks otherwise. 1 forces the
-	// serial path; n > 1 allows at most n workers. Parallel backends must
-	// keep fixed-seed results bit-identical across every Workers setting —
-	// the knob trades wall clock, never determinism.
-	Workers int
 }
 
 // Memory is per-run cross-invocation solver state. One Memory belongs to
@@ -165,14 +157,7 @@ func (g *GA) Name() string { return "ga" }
 // needs nothing beyond black-box evaluation.
 func (g *GA) Capabilities() Capabilities { return Capabilities{ParetoFront: true} }
 
-// Solve implements Solver by running moo.SolveGA. An explicit
-// GAConfig.Parallelism wins; otherwise Options.Workers > 1 turns on the
-// GA's batch-parallel evaluation at that width (Workers ≤ 1 keeps the
-// serial reference path, the backend default).
+// Solve implements Solver by running moo.SolveGA.
 func (g *GA) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) {
-	cfg := g.Config
-	if cfg.Parallelism == 0 && opts.Workers > 1 {
-		cfg.Parallelism = opts.Workers
-	}
-	return moo.SolveGA(p, cfg, opts.Rand)
+	return moo.SolveGA(p, g.Config, opts.Rand)
 }

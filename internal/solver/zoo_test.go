@@ -2,7 +2,6 @@ package solver_test
 
 import (
 	"testing"
-	"time"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
@@ -80,14 +79,13 @@ func TestGreedyFeasibleAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestPortfolioEqualsBestMember pins the racing contract under a deadline
-// generous enough that every member finishes: the portfolio's objective
-// equals the best objective any member achieves on its own split of the
-// invocation stream — never worse than its best member.
+// TestPortfolioEqualsBestMember pins the racing contract: the portfolio's
+// objective equals the best objective any member achieves on its own
+// split of the invocation stream — never worse than its best member.
 func TestPortfolioEqualsBestMember(t *testing.T) {
 	for _, w := range []int{16, 48} {
 		p := windowProblem(t, w, 100+uint64(w))
-		pf := solver.NewPortfolio(time.Minute, members()...)
+		pf := solver.NewPortfolio(members()...)
 
 		front, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(5)})
 		if err != nil {
@@ -124,12 +122,12 @@ func TestPortfolioEqualsBestMember(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministic pins fixed-seed reproducibility with the
-// deadline disabled: with no clock in the race, the winner depends only
-// on seeds, so repeated solves must return the identical selection.
+// TestPortfolioDeterministic pins fixed-seed reproducibility: with no
+// clock in the race, the winner depends only on seeds, so repeated solves
+// must return the identical selection.
 func TestPortfolioDeterministic(t *testing.T) {
 	p := windowProblem(t, 32, 77)
-	pf := solver.NewPortfolio(0, members()...)
+	pf := solver.NewPortfolio(members()...)
 	a, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(9)})
 	if err != nil {
 		t.Fatal(err)
@@ -145,33 +143,11 @@ func TestPortfolioDeterministic(t *testing.T) {
 	}
 }
 
-// TestPortfolioParallelMatchesSerial pins that Options.Workers — passed
-// through to every racing member on its own split of the invocation
-// stream — never changes the fixed-seed result. The window is past the
-// LP's parallel threshold, so the lp member actually pools its PDHG
-// products and the ga member runs its batch evaluation; both must stay
-// bit-identical to the serial race.
-func TestPortfolioParallelMatchesSerial(t *testing.T) {
-	p := windowProblem(t, 1200, 123)
-	pf := solver.NewPortfolio(0, members()...)
-	serial, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(9), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(9), Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial[0].Genome.Equal(parallel[0].Genome) || serial[0].Objectives[0] != parallel[0].Objectives[0] {
-		t.Fatal("worker-pooled portfolio race diverged from the serial race")
-	}
-}
-
 // TestPortfolioCapabilities pins the race's capability surface: it keeps
 // one best solution (no Pareto front — BBSched must veto it) and only
 // needs the linear form when every member does.
 func TestPortfolioCapabilities(t *testing.T) {
-	pf := solver.NewPortfolio(0, members()...)
+	pf := solver.NewPortfolio(members()...)
 	caps := pf.Capabilities()
 	if caps.ParetoFront {
 		t.Error("portfolio claims Pareto fronts; the race keeps one best solution")
@@ -179,7 +155,7 @@ func TestPortfolioCapabilities(t *testing.T) {
 	if caps.NeedsLinear {
 		t.Error("portfolio with a ga member claims NeedsLinear")
 	}
-	linOnly := solver.NewPortfolio(0, lp.New(lp.DefaultConfig()), solver.NewGreedy())
+	linOnly := solver.NewPortfolio(lp.New(lp.DefaultConfig()), solver.NewGreedy())
 	if !linOnly.Capabilities().NeedsLinear {
 		t.Error("all-linear portfolio does not claim NeedsLinear")
 	}
