@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -43,6 +43,16 @@ bench-solver:
 # that breaks bench/layers.go fails a PR, not the next benchmark run.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# One short untraced round of each of the five BENCHMARK.json workloads at
+# seed 42 (about a minute): the run fails on any result digest or quality
+# pin in bench/pinned.json that moved. The digests hash every Result
+# float — the exact wait percentiles on the replays, the P² ones on
+# stream-1m — so this is the end-to-end guard that a refactor of the
+# engine or its metrics left every schedule and report bit-identical.
+# One second times nothing; the benchmark's own runs do the timing.
+bench-digests:
+	bash bench/run.sh --workload all --seconds 1 --trace 0
 
 # Performance trajectory: the sim benches (materialized 20k-job engine,
 # the deep-queue bench whose queue passes 1 000 waiting jobs, the 1M-job

@@ -513,10 +513,11 @@ var (
 	WithSolver        = sim.WithSolver
 	// Streaming ingestion: WithSource replaces the preloaded trace with
 	// online arrivals from a JobSource; WithLookahead bounds how many
-	// pending arrivals are buffered; WithStreamingMetrics swaps the exact
-	// per-job metric slice for constant-memory accumulation (P²
-	// percentile sketches); WithMeasureWindow measures an absolute
-	// submit-time window when a stream's horizon is unknown.
+	// pending arrivals are buffered; WithStreamingMetrics swaps the
+	// float64 kept per measured job (exact wait percentiles) for
+	// constant-memory P² percentile sketches, every other metric being
+	// the same accumulator either way; WithMeasureWindow measures an
+	// absolute submit-time window when a stream's horizon is unknown.
 	WithSource           = sim.WithSource
 	WithLookahead        = sim.WithLookahead
 	WithStreamingMetrics = sim.WithStreamingMetrics

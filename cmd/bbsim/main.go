@@ -172,6 +172,16 @@ func main() {
 
 	ga := moo.GAConfig{Generations: *gens, Population: *pop, MutationProb: 0.0005}
 
+	if *sweep != "" {
+		// Per-run flags that cannot apply to a grid of parallel runs.
+		if *eventLog != "" {
+			fail(fmt.Errorf("-eventlog is incompatible with -sweep (one log per run; use the single-run mode)"))
+		}
+		if *adaptive {
+			fail(fmt.Errorf("-adaptive is incompatible with -sweep (the controller is stateful per run)"))
+		}
+	}
+
 	if *streamFile != "" {
 		if *traceFile != "" {
 			fail(fmt.Errorf("-stream and -trace are mutually exclusive"))
@@ -226,54 +236,63 @@ func main() {
 	opts := baseOptions(*window, *starve, *dynWindow, *noBackfill)
 
 	if *sweep != "" {
-		// Per-run flags that cannot apply to a grid of parallel runs.
-		if *eventLog != "" {
-			fail(fmt.Errorf("-eventlog is incompatible with -sweep (one log per run; use the single-run mode)"))
-		}
-		if *adaptive {
-			fail(fmt.Errorf("-adaptive is incompatible with -sweep (the controller is stateful per run)"))
-		}
-		if err := runSweep(w, nil, *sweep, *seedList, *seed, ga, ssd, *solverName, *workers, opts); err != nil {
-			fail(err)
-		}
-		return
+		err = runSweep(w, nil, *sweep, *seedList, *seed, ga, ssd, *solverName, *workers, opts)
+	} else {
+		err = runSingle(w, nil, *methodName, *solverName, *adaptive, *eventLog, *seed, ga, ssd, opts)
 	}
-
-	method, err := registry.NewForCluster(*methodName, ga, w.System.Cluster, ssd)
 	if err != nil {
 		fail(err)
 	}
-	if *solverName != "" {
-		if err := registry.ApplySolver(method, *solverName, ga); err != nil {
-			fail(err)
+}
+
+// runSingle is the one single-run path: it builds the method (-method,
+// the -solver override, the -adaptive wrap), opens -eventlog, runs the
+// workload to completion and prints the report. A non-nil open supplies
+// the jobs of a job-less workload shell as a stream.
+func runSingle(w trace.Workload, open func() (trace.JobSource, error), methodName, solverName string,
+	adaptive bool, eventLog string, seed uint64, ga moo.GAConfig, ssd bool, opts []sim.Option) error {
+	method, err := registry.NewForCluster(methodName, ga, w.System.Cluster, ssd)
+	if err != nil {
+		return err
+	}
+	if solverName != "" {
+		if err := registry.ApplySolver(method, solverName, ga); err != nil {
+			return err
 		}
 	}
-	if *adaptive {
+	if adaptive {
 		bb, isBB := method.(*core.BBSched)
 		if !isBB {
-			fail(fmt.Errorf("-adaptive requires a BBSched method, got %s", method.Name()))
+			return fmt.Errorf("-adaptive requires a BBSched method, got %s", method.Name())
 		}
 		method = core.NewAdaptive(bb)
 	}
-	if *eventLog != "" {
-		f, err := os.Create(*eventLog)
+	if eventLog != "" {
+		f, err := os.Create(eventLog)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		opts = append(opts, sim.WithEventLog(f))
 	}
-	opts = append(opts, sim.WithSeed(*seed))
-
+	if open != nil {
+		src, err := open()
+		if err != nil {
+			return err
+		}
+		opts = append(opts, sim.WithSource(src))
+	}
+	opts = append(opts, sim.WithSeed(seed))
 	s, err := sim.NewSimulator(w, method, opts...)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	res, err := s.Run(context.Background())
 	if err != nil {
-		fail(err)
+		return err
 	}
 	printResult(res)
+	return nil
 }
 
 // baseOptions are the simulator options shared by every run mode.
@@ -334,60 +353,15 @@ func runStream(path, system string, scale int, variant string, maxJobs int, seed
 	ssd := len(sys.Cluster.SSDClasses) > 0
 	opts = append(opts, sim.WithStreamingMetrics(), sim.WithMeasurement(0, 0))
 
+	shell := trace.Workload{Name: path, System: sys}
+	open := func() (trace.JobSource, error) {
+		src, _, err := openStream(path, system, scale, variant, maxJobs, seed, drainGBps)
+		return src, err
+	}
 	if sweepCSV != "" {
-		if eventLog != "" {
-			return fmt.Errorf("-eventlog is incompatible with -sweep (one log per run; use the single-run mode)")
-		}
-		if adaptive {
-			return fmt.Errorf("-adaptive is incompatible with -sweep (the controller is stateful per run)")
-		}
-		shell := trace.Workload{Name: path, System: sys}
-		open := func() (trace.JobSource, error) {
-			src, _, err := openStream(path, system, scale, variant, maxJobs, seed, drainGBps)
-			return src, err
-		}
 		return runSweep(shell, open, sweepCSV, seedCSV, seed, ga, ssd, solverName, workers, opts)
 	}
-
-	method, err := registry.NewForCluster(methodName, ga, sys.Cluster, ssd)
-	if err != nil {
-		return err
-	}
-	if solverName != "" {
-		if err := registry.ApplySolver(method, solverName, ga); err != nil {
-			return err
-		}
-	}
-	if adaptive {
-		bb, isBB := method.(*core.BBSched)
-		if !isBB {
-			return fmt.Errorf("-adaptive requires a BBSched method, got %s", method.Name())
-		}
-		method = core.NewAdaptive(bb)
-	}
-	if eventLog != "" {
-		f, err := os.Create(eventLog)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opts = append(opts, sim.WithEventLog(f))
-	}
-	src, _, err := openStream(path, system, scale, variant, maxJobs, seed, drainGBps)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, sim.WithSource(src), sim.WithSeed(seed))
-	s, err := sim.NewSimulator(trace.Workload{Name: path, System: sys}, method, opts...)
-	if err != nil {
-		return err
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	printResult(res)
-	return nil
+	return runSingle(shell, open, methodName, solverName, adaptive, eventLog, seed, ga, ssd, opts)
 }
 
 // runSweep runs method × seed combinations over one workload on the

@@ -1,8 +1,8 @@
 // Package checkpoint defines the versioned binary snapshot format for the
 // simulator's complete state — clock, event heap, queue membership,
-// running set with allocations, collector integrals, P² sketches, RNG
-// streams, and source position — so a run can pause on one
-// worker and resume bit-identically on another (the farm subsystem's
+// running set with allocations, collector integrals, per-job metric
+// accumulators, RNG streams, and source position — so a run can pause on
+// one worker and resume bit-identically on another (the farm subsystem's
 // migration primitive).
 //
 // The format is deterministic: encoding the same Snapshot always yields
@@ -49,7 +49,13 @@ const magic = "BBCP"
 // Version 2 dropped the materialized/streaming split: every run records
 // its source position and watermark done-set, so the Streaming flag and
 // the DoneIDs list of version 1 are gone.
-const Version = 2
+//
+// Version 3 dropped the materialized/streaming split for metrics: every
+// run folds a finished job into its JobStats and keeps the wait, not the
+// job. Finished jobs left the job table, the metrics-mode identity flag,
+// the stats-present flag and the finished-ID list of version 2 are gone,
+// and Stats is always on the wire.
+const Version = 3
 
 // ErrVersion reports a snapshot written by an incompatible format version.
 var ErrVersion = fmt.Errorf("checkpoint: incompatible snapshot version")
@@ -115,12 +121,11 @@ type EventRecord struct {
 type Snapshot struct {
 	// Identity — Restore refuses a snapshot whose identity does not match
 	// the run it is being restored into.
-	Workload    string
-	Method      string
-	Seed        uint64
-	StreamStats bool // bounded-memory metrics (WithStreamingMetrics)
-	NumClasses  int64
-	NumExtra    int64
+	Workload   string
+	Method     string
+	Seed       uint64
+	NumClasses int64
+	NumExtra   int64
 
 	// Clock and counters.
 	Now           int64
@@ -131,8 +136,10 @@ type Snapshot struct {
 	CoolStart     int64
 
 	// Jobs holds every job still referenced by the engine (events, queue,
-	// running set, look-ahead buffer, retained finished list), sorted by
-	// ID. The collections below reference entries by ID.
+	// running set, look-ahead buffer), sorted by ID. A finished job is not
+	// among them unless its burst buffer is still draining: what the
+	// metrics need of it is already in Stats. The collections below
+	// reference entries by ID.
 	Jobs []JobRecord
 	// Events is the pending event set sorted by (T, Kind, JobID).
 	Events []EventRecord
@@ -142,15 +149,11 @@ type Snapshot struct {
 	QueueIDs []int64
 	// Running is the running set sorted by job ID.
 	Running []RunningRecord
-	// FinishedIDs is the retained finished list in completion order —
-	// metric sums are accumulated in this order, so it is order-critical.
-	// Empty under StreamStats, which retains sums instead of jobs.
-	FinishedIDs []int64
 
-	// Metric state; Stats is on the wire only when HaveStats.
+	// Metric state. Stats says which percentile back-end it is of
+	// (WithStreamingMetrics); restoring it into the other one is refused.
 	Usage     metrics.Usage
 	Collector metrics.CollectorState
-	HaveStats bool
 	Stats     metrics.JobStatsState
 
 	// RNG streams; InvStream is on the wire only when HaveInvStream.
@@ -207,7 +210,6 @@ func (s *Snapshot) walk(c *codec) {
 	c.str(&s.Workload)
 	c.str(&s.Method)
 	c.u64(&s.Seed)
-	c.bool(&s.StreamStats)
 	c.i64(&s.NumClasses)
 	c.i64(&s.NumExtra)
 
@@ -222,14 +224,10 @@ func (s *Snapshot) walk(c *codec) {
 	list(c, &s.Events, (*codec).event)
 	c.i64s(&s.QueueIDs)
 	list(c, &s.Running, (*codec).running)
-	c.i64s(&s.FinishedIDs)
 
 	c.usage(&s.Usage)
 	c.collector(&s.Collector)
-	c.bool(&s.HaveStats)
-	if s.HaveStats {
-		c.stats(&s.Stats)
-	}
+	c.stats(&s.Stats)
 
 	c.rng(&s.Rand)
 	c.bool(&s.HaveInvStream)
@@ -320,9 +318,14 @@ func (c *codec) stats(s *metrics.JobStatsState) {
 	c.ints(&s.BBCounts)
 	c.f64s(&s.RTSums)
 	c.ints(&s.RTCounts)
-	c.quantile(&s.P50)
-	c.quantile(&s.P90)
-	c.quantile(&s.P99)
+	c.bool(&s.Sketch)
+	if s.Sketch {
+		c.quantile(&s.P50)
+		c.quantile(&s.P90)
+		c.quantile(&s.P99)
+	} else {
+		c.f64s(&s.Waits)
+	}
 }
 
 func (c *codec) rng(s *rng.State) {

@@ -16,15 +16,15 @@ import (
 	"bbsched/internal/rng"
 )
 
-// sampleSnapshot exercises every field of the format, including the
-// optional stats and invocation-stream sections and empty-vs-populated
-// slices.
+// sampleSnapshot exercises every field of the format but Stats.Waits,
+// including the optional invocation-stream section and empty-vs-populated
+// slices. Its Stats are of the sketch back-end; exactSample is the same
+// snapshot with the exact one, whose waits travel instead of the sketches.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		Workload:      "Theta-S4",
 		Method:        "BBSched",
 		Seed:          0xdeadbeefcafe,
-		StreamStats:   true,
 		NumClasses:    2,
 		NumExtra:      1,
 		Now:           86400,
@@ -46,8 +46,7 @@ func sampleSnapshot() *Snapshot {
 			JobID: 0, Release: 400, Staging: true, BBRelease: 464,
 			Alloc: AllocRecord{NodesByClass: []int64{0, 0}, BB: 128, WastedSSD: 32, Extra: []int64{0}},
 		}},
-		FinishedIDs: []int64{3, 1, 2},
-		Usage:       metrics.Usage{Nodes: 4, BBGB: 128, SSDAssignedGB: 64, SSDRequestedGB: 48, Extra: []int64{2}},
+		Usage: metrics.Usage{Nodes: 4, BBGB: 128, SSDAssignedGB: 64, SSDRequestedGB: 48, Extra: []int64{2}},
 		Collector: metrics.CollectorState{
 			LastT: 400, Started: true,
 			Cur:     metrics.Usage{Nodes: 4, BBGB: 128, Extra: []int64{2}},
@@ -55,15 +54,15 @@ func sampleSnapshot() *Snapshot {
 			ExtraSec: []float64{800.125},
 			FirstT:   10, LastTs: 400, Windowed: true, WinStart: 3600, WinEnd: 82800,
 		},
-		HaveStats: true,
 		Stats: metrics.JobStatsState{
 			N: 3, WaitSum: 90.5, SdSum: 4.25,
 			SizeSums: []float64{10, 20}, SizeCounts: []int{1, 2},
 			BBSums: []float64{5}, BBCounts: []int{3},
 			RTSums: []float64{7, 8, 9}, RTCounts: []int{1, 1, 1},
-			P50: metrics.QuantileState{P: 0.5, Count: 3, Q: [5]float64{1, 2, 3, 4, 5}, N: [5]float64{1, 2, 3, 4, 5}, NP: [5]float64{1, 2, 3, 4, 5}, DN: [5]float64{0, .25, .5, .75, 1}},
-			P90: metrics.QuantileState{P: 0.9, Count: 3},
-			P99: metrics.QuantileState{P: 0.99, Count: 3},
+			Sketch: true,
+			P50:    metrics.QuantileState{P: 0.5, Count: 3, Q: [5]float64{1, 2, 3, 4, 5}, N: [5]float64{1, 2, 3, 4, 5}, NP: [5]float64{1, 2, 3, 4, 5}, DN: [5]float64{0, .25, .5, .75, 1}},
+			P90:    metrics.QuantileState{P: 0.9, Count: 3},
+			P99:    metrics.QuantileState{P: 0.99, Count: 3},
 		},
 		Rand:          rng.State{Seed: 42, Src: [4]uint64{1, 2, 3, 4}},
 		HaveInvStream: true,
@@ -77,12 +76,21 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
+func exactSample() *Snapshot {
+	s := sampleSnapshot()
+	s.Stats.Sketch = false
+	s.Stats.Waits = []float64{30.5, 10, 50}
+	s.Stats.P50, s.Stats.P90, s.Stats.P99 = metrics.QuantileState{}, metrics.QuantileState{}, metrics.QuantileState{}
+	return s
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		snap *Snapshot
 	}{
 		{"full", sampleSnapshot()},
+		{"exact", exactSample()},
 		{"minimal", &Snapshot{Workload: "w", Method: "m"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,27 +112,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("re-encoded snapshot differs (%d vs %d bytes)", buf.Len(), again.Len())
 			}
 			if got.Workload != tc.snap.Workload || got.Seed != tc.snap.Seed ||
-				got.HaveStats != tc.snap.HaveStats || !reflect.DeepEqual(got.Events, decodedOrNilEvents(tc.snap.Events)) {
+				!reflect.DeepEqual(got.Stats, tc.snap.Stats) || !reflect.DeepEqual(got.Events, decodedOrNilEvents(tc.snap.Events)) {
 				t.Fatalf("decoded snapshot fields diverge:\n got %+v\nwant %+v", got, tc.snap)
 			}
 		})
 	}
 }
 
-// TestWireFormatPinned pins the bytes of the format: sampleSnapshot sets
-// every field, so any change to a walk's order, widths or coverage moves
-// this hash. A deliberate format change bumps Version and this constant
-// together.
+// TestWireFormatPinned pins the bytes of the format: between them the two
+// samples set every field, so any change to a walk's order, widths or
+// coverage moves a hash. A deliberate format change bumps Version and
+// these constants together (version 3: finished jobs and the metrics-mode
+// flags left the wire, the exact back-end's waits joined it).
 func TestWireFormatPinned(t *testing.T) {
-	const want = "85529a11f41397ac11373c9a6f1de68b636c53a73fb9caef1cee1e761a5d5ae6"
-	var buf bytes.Buffer
-	if err := Encode(&buf, sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("format version %d encodes the sample snapshot (%d bytes) to %s, pinned %s",
-			Version, buf.Len(), got, want)
+	for _, tc := range []struct {
+		name string
+		snap *Snapshot
+		want string
+	}{
+		{"sketch", sampleSnapshot(), "9c0aaacc9bba44ddbf46f19ae88260395aef9262b60b182b2bb641cdbbe963dc"},
+		{"exact", exactSample(), "e24053f3f38550237367afbb9229cba85d34d331b3fe9c9ed25c95f8b55ddcc4"},
+	} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, tc.snap); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("format version %d encodes the %s sample (%d bytes) to %s, pinned %s",
+				Version, tc.name, buf.Len(), got, tc.want)
+		}
 	}
 }
 
@@ -148,9 +165,10 @@ func TestDecodeVersionSkew(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	// A newer build's stream, and a version-1 stream (the format that
-	// still carried Streaming and DoneIDs) a stale cache or relay may hold.
-	for _, v := range []uint32{Version + 1, 1} {
+	// A newer build's stream, and the version-1 and version-2 streams
+	// (the formats that still carried Streaming and DoneIDs, then the
+	// finished jobs and their ID list) a stale cache or relay may hold.
+	for _, v := range []uint32{Version + 1, 1, 2} {
 		skewed := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(skewed[4:8], v)
 		_, err := Decode(bytes.NewReader(skewed))
@@ -193,11 +211,11 @@ func TestDecodeDefences(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	const header = 8 // magic + version
-	// Offsets of the first bool (StreamStats) and the first list length
-	// (Jobs) in the sample: two strings and the seed, then the identity and
-	// clock integers.
-	streamStats := header + 4 + len("Theta-S4") + 4 + len("BBSched") + 8
-	jobsLen := streamStats + 1 + 8*8
+	// Offsets of the first list length (Jobs) in the sample — two strings
+	// and the seed, then the identity and clock integers — and of the last
+	// bool (SrcDone), which two one-ID lists and DoneLow follow.
+	jobsLen := header + 4 + len("Theta-S4") + 4 + len("BBSched") + 8 + 8*8
+	srcDone := len(raw) - (1 + (4 + 8) + 8 + (4 + 8))
 
 	patch := func(at int, b ...byte) []byte {
 		out := append([]byte(nil), raw[:at]...)
@@ -212,7 +230,7 @@ func TestDecodeDefences(t *testing.T) {
 	}{
 		{"short read", raw[:len(raw)-1], "truncated snapshot: unexpected EOF"},
 		{"empty", nil, "truncated snapshot: unexpected EOF"},
-		{"corrupt bool", append(patch(streamStats, 2), raw[streamStats+1:]...), "corrupt bool byte 2"},
+		{"corrupt bool", append(patch(srcDone, 2), raw[srcDone+1:]...), "corrupt bool byte 2"},
 		{"oversized string", patch(header, 0x01, 0x00, 0x01, 0x00), "string length 65537 exceeds 65536"},
 		{"huge list", patch(jobsLen, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},
 		{"huge scalar slice", append(oneJob, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},

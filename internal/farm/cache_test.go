@@ -76,13 +76,17 @@ func TestRecipeKey(t *testing.T) {
 	if again, _ := RecipeKey(cells[0]); again != k0 {
 		t.Fatalf("key not stable: %s vs %s", k0, again)
 	}
-	// Stable across commits too: both literals were computed at the commit
-	// before RunOptions lost its per-solve worker count (omitempty, so
-	// never hashed) and moo.GAConfig lost Parallelism (no tag, so always
-	// hashed — as 0, which methodWire keeps writing). A change that moves either orphans
-	// every cache entry and journal in the field; if that is meant, bump
-	// recipeKeySchema and re-pin.
-	if want := "b604d43ffe881d47ddbfa71595e5ef45bdbdc7cc87856f52700160c67d66eac4"; k0 != want {
+	// Stable across commits too. The grid literal was computed at the
+	// commit before RunOptions lost its per-solve worker count (omitempty,
+	// so never hashed) and moo.GAConfig lost Parallelism (no tag, so always
+	// hashed — as 0, which methodWire keeps writing). The key literal moved
+	// once since, on purpose: the key hashes checkpoint.Version, which went
+	// 2 → 3 when finished jobs left the snapshot, and a result cached beside
+	// relay snapshots no build can restore is rightly orphaned. The
+	// derivation did not change, so recipeKeySchema stayed 1. A change that
+	// moves either orphans every cache entry and journal in the field; if
+	// that is meant, bump recipeKeySchema and re-pin.
+	if want := "3b9414bf04ac322df9670f9b0293bc3b18d2f96c2079e096b3ffe5163115fd2a"; k0 != want {
 		t.Fatalf("recipe key of the first test cell moved: %s, want %s", k0, want)
 	}
 	if got, want := gridSHA(testGrid()), "3a4d14f28caa40f3fd9efee048051fb195b6b12a7b204d8a251d5a310f395599"; got != want {

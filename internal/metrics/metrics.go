@@ -185,9 +185,8 @@ type Report struct {
 	// AvgSlowdown is the mean bounded slowdown (§4.2).
 	AvgSlowdown float64
 	// WaitP50Sec, WaitP90Sec and WaitP99Sec are wait-time percentiles over
-	// the measured jobs: exact (nearest-rank) when computed from a
-	// materialized job list, P²-sketch estimates under bounded-memory
-	// streaming accumulation (JobStats).
+	// the measured jobs: exact (nearest-rank) by default, P²-sketch
+	// estimates from a JobStats built with sketch set.
 	WaitP50Sec float64
 	WaitP90Sec float64
 	WaitP99Sec float64
@@ -244,53 +243,20 @@ func DefaultBuckets() Buckets {
 }
 
 // Compute builds the report from the usage integrals and the jobs that
-// completed inside the measured interval. slowdownFloor bounds the
+// completed inside the measured interval, in completion order: the slice
+// front-end of JobStats with exact percentiles. slowdownFloor bounds the
 // slowdown denominator (§4.2 filters abnormal short jobs; the standard
 // bounded-slowdown formulation achieves the same robustly).
 func Compute(c *Collector, cap Capacity, finished []*job.Job, slowdownFloor int64, b Buckets) Report {
-	r := usageReport(c, cap)
-	if len(finished) == 0 {
-		return r
-	}
-	var waitSum, sdSum float64
+	s := NewJobStats(slowdownFloor, b, false, len(finished))
 	for _, j := range finished {
-		waitSum += float64(j.WaitTime())
-		sdSum += j.Slowdown(slowdownFloor)
+		s.Observe(j)
 	}
-	r.CompletedJobs = len(finished)
-	r.AvgWaitSec = waitSum / float64(len(finished))
-	r.AvgSlowdown = sdSum / float64(len(finished))
-
-	waits := make([]float64, len(finished))
-	for i, j := range finished {
-		waits[i] = float64(j.WaitTime())
-	}
-	sort.Float64s(waits)
-	r.WaitP50Sec = nearestRank(waits, 0.50)
-	r.WaitP90Sec = nearestRank(waits, 0.90)
-	r.WaitP99Sec = nearestRank(waits, 0.99)
-
-	if len(b.SizeBounds) == 0 && len(b.BBBoundsGB) == 0 && len(b.RuntimeBounds) == 0 {
-		b = DefaultBuckets()
-	}
-	r.WaitBySize = breakdown(finished, sizeLabels(b.SizeBounds), func(j *job.Job) int {
-		return bucketIndex(int64(j.Demand.NodeCount()), toInt64(b.SizeBounds))
-	})
-	r.WaitByBB = breakdown(finished, bbLabels(b.BBBoundsGB), func(j *job.Job) int {
-		if j.Demand.BB() == 0 {
-			return 0
-		}
-		return 1 + bucketIndex(j.Demand.BB(), b.BBBoundsGB)
-	})
-	r.WaitByRuntime = breakdown(finished, runtimeLabels(b.RuntimeBounds), func(j *job.Job) int {
-		return bucketIndex(j.Runtime, b.RuntimeBounds)
-	})
-	return r
+	return s.Report(c, cap)
 }
 
 // usageReport fills the resource-usage ratios from the collector's
-// integrals — the part of the report shared by Compute (materialized) and
-// JobStats.Report (streaming).
+// integrals.
 func usageReport(c *Collector, cap Capacity) Report {
 	var r Report
 	first, last := c.Span()
@@ -348,24 +314,6 @@ func toInt64(xs []int) []int64 {
 	out := make([]int64, len(xs))
 	for i, x := range xs {
 		out[i] = int64(x)
-	}
-	return out
-}
-
-func breakdown(jobs []*job.Job, labels []string, idx func(*job.Job) int) []BucketStat {
-	sums := make([]float64, len(labels))
-	counts := make([]int, len(labels))
-	for _, j := range jobs {
-		i := idx(j)
-		sums[i] += float64(j.WaitTime())
-		counts[i]++
-	}
-	out := make([]BucketStat, len(labels))
-	for i := range labels {
-		out[i] = BucketStat{Label: labels[i], Jobs: counts[i]}
-		if counts[i] > 0 {
-			out[i].AvgWaitSec = sums[i] / float64(counts[i])
-		}
 	}
 	return out
 }

@@ -122,6 +122,22 @@ func TestComputePerJobMetrics(t *testing.T) {
 	if math.Abs(r.AvgSlowdown-want) > 1e-12 {
 		t.Errorf("AvgSlowdown = %v, want %v", r.AvgSlowdown, want)
 	}
+
+	// Exact percentiles over ten waits given out of order: nearest rank
+	// takes the 5th, 9th and 10th smallest. The literals were computed by
+	// the Compute of the commit before JobStats became its body, so they
+	// are an oracle for the exact back-end that is not the back-end.
+	jobs = jobs[:0]
+	for i, wait := range []int64{700, 30, 910, 50, 10, 400, 90, 1000, 20, 60} {
+		jobs = append(jobs, finishedJob(i, 0, wait, 100, 1, 0))
+	}
+	r = Compute(&c, Capacity{Nodes: 10}, jobs, 60, Buckets{})
+	if r.WaitP50Sec != 60 || r.WaitP90Sec != 910 || r.WaitP99Sec != 1000 {
+		t.Errorf("wait p50/p90/p99 = %v/%v/%v, want 60/910/1000", r.WaitP50Sec, r.WaitP90Sec, r.WaitP99Sec)
+	}
+	if r.AvgWaitSec != 327 {
+		t.Errorf("AvgWaitSec = %v, want 327", r.AvgWaitSec)
+	}
 }
 
 func TestSlowdownFloorApplied(t *testing.T) {

@@ -110,6 +110,10 @@ type JobStatsState struct {
 	RTSums     []float64
 	RTCounts   []int
 
+	// Sketch says which percentile back-end the state is of: the three
+	// sketches when set, otherwise Waits, in completion order.
+	Sketch        bool
+	Waits         []float64
 	P50, P90, P99 QuantileState
 }
 
@@ -126,6 +130,8 @@ func (s *JobStats) State() JobStatsState {
 		BBCounts:   append([]int(nil), s.bbCounts...),
 		RTSums:     append([]float64(nil), s.rtSums...),
 		RTCounts:   append([]int(nil), s.rtCounts...),
+		Sketch:     s.sketch,
+		Waits:      append([]float64(nil), s.waits...),
 		P50:        s.p50.state(),
 		P90:        s.p90.state(),
 		P99:        s.p99.state(),
@@ -133,17 +139,53 @@ func (s *JobStats) State() JobStatsState {
 }
 
 // SetState restores a state captured by State into an accumulator built
-// with the same bucket configuration. It errors when the state's bucket
-// counts do not match the accumulator's — the snapshot came from a run
-// with different buckets and silently truncating or padding it would
-// mis-restore the breakdowns.
+// with the same bucket configuration and percentile back-end. The state
+// may have come off the network, so every count in it is checked against
+// N: one that is off restores cleanly and reports a wrong average at the
+// end of the run. It also errors when the state's bucket counts do not
+// match the accumulator's — the snapshot came from a run with different
+// buckets and silently truncating or padding it would mis-restore the
+// breakdowns.
 func (s *JobStats) SetState(st JobStatsState) error {
+	if st.Sketch != s.sketch {
+		return fmt.Errorf("metrics: job-stats state is of the other metrics mode (Sketch=%v, accumulator sketch=%v)", st.Sketch, s.sketch)
+	}
 	if len(st.SizeSums) != len(s.sizeSums) || len(st.SizeCounts) != len(s.sizeCounts) ||
 		len(st.BBSums) != len(s.bbSums) || len(st.BBCounts) != len(s.bbCounts) ||
 		len(st.RTSums) != len(s.rtSums) || len(st.RTCounts) != len(s.rtCounts) {
 		return fmt.Errorf("metrics: job-stats state has %d/%d/%d buckets, accumulator has %d/%d/%d",
 			len(st.SizeSums), len(st.BBSums), len(st.RTSums),
 			len(s.sizeSums), len(s.bbSums), len(s.rtSums))
+	}
+	if st.N < 0 {
+		return fmt.Errorf("metrics: job-stats state has negative N %d", st.N)
+	}
+	for _, f := range []struct {
+		name   string
+		counts []int
+	}{{"SizeCounts", st.SizeCounts}, {"BBCounts", st.BBCounts}, {"RTCounts", st.RTCounts}} {
+		sum := 0
+		for _, c := range f.counts {
+			if c < 0 || c > st.N {
+				return fmt.Errorf("metrics: job-stats state %s holds %d, outside [0, N=%d]", f.name, c, st.N)
+			}
+			sum += c
+		}
+		if sum != st.N {
+			return fmt.Errorf("metrics: job-stats state %s sum to %d, N is %d", f.name, sum, st.N)
+		}
+	}
+	if s.sketch {
+		for _, q := range []struct {
+			name string
+			st   QuantileState
+		}{{"P50", st.P50}, {"P90", st.P90}, {"P99", st.P99}} {
+			if q.st.Count != st.N {
+				return fmt.Errorf("metrics: job-stats state %s.Count is %d, N is %d", q.name, q.st.Count, st.N)
+			}
+		}
+	} else if len(st.Waits) != st.N {
+		return fmt.Errorf("metrics: job-stats state has %d Waits, N is %d", len(st.Waits), st.N)
 	}
 	s.n = st.N
 	s.waitSum = st.WaitSum
@@ -154,6 +196,7 @@ func (s *JobStats) SetState(st JobStatsState) error {
 	copy(s.bbCounts, st.BBCounts)
 	copy(s.rtSums, st.RTSums)
 	copy(s.rtCounts, st.RTCounts)
+	s.waits = append(s.waits[:0], st.Waits...)
 	s.p50.setState(st.P50)
 	s.p90.setState(st.P90)
 	s.p99.setState(st.P99)

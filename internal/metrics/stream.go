@@ -6,17 +6,16 @@ import (
 	"bbsched/internal/job"
 )
 
-// Streaming metric accumulation: JobStats replaces the unbounded
-// per-job slice the materialized path retains with O(1)-memory running
-// sums plus P² percentile sketches, so million-job streams measure in
-// constant space. Sums are accumulated in completion order with exactly
-// the additions Compute performs over its finished slice, so every mean
-// and bucket breakdown is bit-identical between the two paths; only the
-// percentiles differ (exact nearest-rank vs streaming estimate), which
-// is why the exact path stays the default for materialized runs.
+// Per-job metric accumulation: JobStats is the one accumulator of the
+// per-job half of §4.2. A run folds each measured job into it as the job
+// completes and keeps nothing else of the job. Sums are accumulated in
+// completion order, so every mean and bucket breakdown is a function of
+// that order alone. The wait-time percentiles come from one of two
+// back-ends fixed at construction: exact nearest-rank over one float64
+// per observed job (the default), or three O(1) P² sketches for runs
+// too long to keep a float per job.
 
-// JobStats accumulates per-job §4.2 metrics one completed job at a time
-// in constant memory.
+// JobStats accumulates per-job §4.2 metrics one completed job at a time.
 type JobStats struct {
 	slowdownFloor int64
 	b             Buckets
@@ -36,13 +35,19 @@ type JobStats struct {
 	rtSums     []float64
 	rtCounts   []int
 
+	// Percentile back-end: the three sketches when sketch is set, else the
+	// observed waits in completion order. The other stays zero.
+	sketch        bool
+	waits         []float64
 	p50, p90, p99 p2Quantile
 }
 
 // NewJobStats returns an accumulator using the given slowdown floor and
-// breakdown buckets (zero buckets fall back to DefaultBuckets, as in
-// Compute).
-func NewJobStats(slowdownFloor int64, b Buckets) *JobStats {
+// breakdown buckets (zero buckets fall back to DefaultBuckets). sketch
+// selects P² percentile estimates in constant memory; otherwise the
+// percentiles are exact and the accumulator keeps one float64 per
+// observed job, with room for sizeHint of them up front.
+func NewJobStats(slowdownFloor int64, b Buckets, sketch bool, sizeHint int) *JobStats {
 	if len(b.SizeBounds) == 0 && len(b.BBBoundsGB) == 0 && len(b.RuntimeBounds) == 0 {
 		b = DefaultBuckets()
 	}
@@ -53,6 +58,7 @@ func NewJobStats(slowdownFloor int64, b Buckets) *JobStats {
 		bbLabels:      bbLabels(b.BBBoundsGB),
 		rtLabels:      runtimeLabels(b.RuntimeBounds),
 		sizeBounds:    toInt64(b.SizeBounds),
+		sketch:        sketch,
 	}
 	s.sizeSums = make([]float64, len(s.sizeLabels))
 	s.sizeCounts = make([]int, len(s.sizeLabels))
@@ -60,24 +66,31 @@ func NewJobStats(slowdownFloor int64, b Buckets) *JobStats {
 	s.bbCounts = make([]int, len(s.bbLabels))
 	s.rtSums = make([]float64, len(s.rtLabels))
 	s.rtCounts = make([]int, len(s.rtLabels))
-	s.p50.init(0.50)
-	s.p90.init(0.90)
-	s.p99.init(0.99)
+	if sketch {
+		s.p50.init(0.50)
+		s.p90.init(0.90)
+		s.p99.init(0.99)
+	} else {
+		s.waits = make([]float64, 0, sizeHint)
+	}
 	return s
 }
 
-// Observe folds one completed job into the running statistics. Call it in
-// completion order with the same jobs Compute would receive and the sums
-// reproduce Compute's floats exactly.
+// Observe folds one completed job into the running statistics. The sums
+// are floating-point, so the order of the calls is part of the result.
 func (s *JobStats) Observe(j *job.Job) {
 	wait := float64(j.WaitTime())
 	s.n++
 	s.waitSum += wait
 	s.sdSum += j.Slowdown(s.slowdownFloor)
 
-	s.p50.observe(wait)
-	s.p90.observe(wait)
-	s.p99.observe(wait)
+	if s.sketch {
+		s.p50.observe(wait)
+		s.p90.observe(wait)
+		s.p99.observe(wait)
+	} else {
+		s.waits = append(s.waits, wait)
+	}
 
 	i := bucketIndex(int64(j.Demand.NodeCount()), s.sizeBounds)
 	s.sizeSums[i] += wait
@@ -97,7 +110,7 @@ func (s *JobStats) Observe(j *job.Job) {
 func (s *JobStats) Count() int { return s.n }
 
 // Report assembles the full §4.2 report from the usage collector and the
-// accumulated per-job statistics — the streaming counterpart of Compute.
+// accumulated per-job statistics.
 func (s *JobStats) Report(c *Collector, cap Capacity) Report {
 	r := usageReport(c, cap)
 	if s.n == 0 {
@@ -106,9 +119,18 @@ func (s *JobStats) Report(c *Collector, cap Capacity) Report {
 	r.CompletedJobs = s.n
 	r.AvgWaitSec = s.waitSum / float64(s.n)
 	r.AvgSlowdown = s.sdSum / float64(s.n)
-	r.WaitP50Sec = s.p50.value()
-	r.WaitP90Sec = s.p90.value()
-	r.WaitP99Sec = s.p99.value()
+	if s.sketch {
+		r.WaitP50Sec = s.p50.value()
+		r.WaitP90Sec = s.p90.value()
+		r.WaitP99Sec = s.p99.value()
+	} else {
+		// Sort a copy: the stored completion order is checkpoint state.
+		sorted := append([]float64(nil), s.waits...)
+		sort.Float64s(sorted)
+		r.WaitP50Sec = nearestRank(sorted, 0.50)
+		r.WaitP90Sec = nearestRank(sorted, 0.90)
+		r.WaitP99Sec = nearestRank(sorted, 0.99)
+	}
 	r.WaitBySize = bucketStats(s.sizeLabels, s.sizeSums, s.sizeCounts)
 	r.WaitByBB = bucketStats(s.bbLabels, s.bbSums, s.bbCounts)
 	r.WaitByRuntime = bucketStats(s.rtLabels, s.rtSums, s.rtCounts)

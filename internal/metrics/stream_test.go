@@ -33,15 +33,16 @@ func streamFixture(n int, seed uint64) (*Collector, Capacity, []*job.Job) {
 	return &c, cap, jobs
 }
 
-// TestJobStatsMatchesCompute pins the streaming accumulator's contract:
-// after observing the same finished jobs in the same order, every mean
-// and bucket breakdown is bit-identical to Compute's, and the streaming
-// percentiles track the exact ones.
+// TestJobStatsMatchesCompute compares the two percentile back-ends of
+// the one accumulator — Compute is its exact back-end behind a slice
+// front-end: after observing the same finished jobs in the same order,
+// every mean and bucket breakdown is bit-identical, and the P² estimates
+// track the exact nearest-rank percentiles.
 func TestJobStatsMatchesCompute(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 500} {
 		c, cap, jobs := streamFixture(n, uint64(n)+7)
 		want := Compute(c, cap, jobs, 10, Buckets{})
-		s := NewJobStats(10, Buckets{})
+		s := NewJobStats(10, Buckets{}, true, 0)
 		for _, j := range jobs {
 			s.Observe(j)
 		}
@@ -88,13 +89,13 @@ func TestJobStatsMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestJobStatsCustomBuckets checks the DefaultBuckets fallback mirrors
-// Compute and custom buckets thread through.
+// TestJobStatsCustomBuckets checks custom buckets thread through both
+// back-ends alike.
 func TestJobStatsCustomBuckets(t *testing.T) {
 	b := Buckets{SizeBounds: []int{2}, BBBoundsGB: []int64{50}, RuntimeBounds: []int64{100}}
 	c, cap, jobs := streamFixture(60, 3)
 	want := Compute(c, cap, jobs, 10, b)
-	s := NewJobStats(10, b)
+	s := NewJobStats(10, b, true, 0)
 	for _, j := range jobs {
 		s.Observe(j)
 	}

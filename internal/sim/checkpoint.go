@@ -24,8 +24,8 @@ import (
 // continues with a byte-identical event stream and an identical Result.
 //
 // The snapshot covers the engine: clock, event heap, queue membership,
-// running set with live allocations, usage/collector integrals,
-// streaming sketches, RNG streams, and source position. It
+// running set with live allocations, usage/collector integrals, the
+// per-job metric accumulator, RNG streams, and source position. It
 // does not cover custom stateful components supplied by the caller —
 // Observers, a stateful method (e.g. core.Adaptive), or a method whose
 // solver carries cross-invocation state — which must be reconstructed
@@ -43,7 +43,6 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		Workload:      s.workload.Name,
 		Method:        s.plugin.Method().Name(),
 		Seed:          s.opt.seed,
-		StreamStats:   s.stats != nil,
 		NumClasses:    int64(s.cl.Snapshot().NumClasses()),
 		NumExtra:      int64(s.cl.NumExtra()),
 		Now:           s.now,
@@ -56,7 +55,8 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 
 	// Job table: every job still referenced by the engine, sorted by ID.
 	// Jobs not yet pulled are not state — restore re-reads them from the
-	// repositioned source.
+	// repositioned source — and neither are finished ones, which finish
+	// has already folded into stats.
 	byID := make(map[int]*job.Job)
 	for _, j := range s.q.Waiting(nil) {
 		byID[j.ID] = j
@@ -68,9 +68,6 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		byID[ev.j.ID] = ev.j
 	}
 	for _, j := range s.pending[s.pendHead:] {
-		byID[j.ID] = j
-	}
-	for _, j := range s.finished {
 		byID[j.ID] = j
 	}
 	ids := make([]int, 0, len(byID))
@@ -125,19 +122,9 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		})
 	}
 
-	// Completion order — metric sums accumulate in this order, so it is
-	// part of the state, not an implementation detail.
-	snap.FinishedIDs = make([]int64, 0, len(s.finished))
-	for _, j := range s.finished {
-		snap.FinishedIDs = append(snap.FinishedIDs, int64(j.ID))
-	}
-
 	snap.Usage = s.usage
 	snap.Collector = s.collector.State()
-	if s.stats != nil {
-		snap.HaveStats = true
-		snap.Stats = s.stats.State()
-	}
+	snap.Stats = s.stats.State()
 
 	snap.Rand = s.rand.State()
 	if s.invStream != nil {
@@ -205,12 +192,6 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	}
 	if snap.Seed != s.opt.seed {
 		return fmt.Errorf("snapshot has seed %d, run has %d", snap.Seed, s.opt.seed)
-	}
-	if snap.StreamStats != (s.stats != nil) {
-		return fmt.Errorf("snapshot streaming-metrics=%v, run=%v", snap.StreamStats, s.stats != nil)
-	}
-	if snap.HaveStats != snap.StreamStats {
-		return fmt.Errorf("snapshot carries stats=%v but declares streaming-metrics=%v", snap.HaveStats, snap.StreamStats)
 	}
 	if nc := s.cl.Snapshot().NumClasses(); int(snap.NumClasses) != nc {
 		return fmt.Errorf("snapshot has %d node classes, machine has %d", snap.NumClasses, nc)
@@ -291,8 +272,8 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 
 	// The containers below must agree with each job's one State: a job
 	// waits (queue, look-ahead buffer) until it starts, and from then on
-	// is in the running set, on the finished list, or — while its burst
-	// buffer drains — both. Holding each member to the state its container
+	// is in the running set, where it stays past Finished while its burst
+	// buffer drains. Holding each member to the state its container
 	// implies also keeps an ID off both sides at once; a snapshot that
 	// contradicts itself here would restore and then die mid-run on an
 	// illegal state transition.
@@ -364,21 +345,6 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 
-	// Finished list in completion order (empty under streaming metrics,
-	// which fold jobs into sums instead of retaining them).
-	if s.stats == nil {
-		for _, id := range snap.FinishedIDs {
-			j, err := ref("finished list", id)
-			if err != nil {
-				return err
-			}
-			if j.State != job.Finished {
-				return fmt.Errorf("snapshot finished job %d is in state %s", id, j.State)
-			}
-			s.finished = append(s.finished, j)
-		}
-	}
-
 	// Finished-ID membership for dependency checks.
 	s.doneLow = int(snap.DoneLow)
 	for _, id := range snap.DoneSparse {
@@ -390,10 +356,8 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		return err
 	}
 	s.collector.SetState(snap.Collector)
-	if s.stats != nil {
-		if err := s.stats.SetState(snap.Stats); err != nil {
-			return err
-		}
+	if err := s.stats.SetState(snap.Stats); err != nil {
+		return err
 	}
 
 	// RNG streams: the simulator stream resumes mid-sequence; the pooled

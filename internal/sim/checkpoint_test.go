@@ -99,7 +99,9 @@ func TestGoldenCheckpointEquivalence(t *testing.T) {
 // WFP + stage-out regime. How the jobs are supplied is not part of a
 // snapshot's identity, so besides the plain round trip a snapshot of a
 // run over the workload's own jobs must restore under
-// WithSource(SourceOf(w)) on the job-less shell, and the reverse.
+// WithSource(SourceOf(w)) on the job-less shell, and the reverse. The
+// snapshot's job table must hold exactly the jobs its containers
+// reference: a finished job is in the accumulated metrics, not on the wire.
 func TestCheckpointRoundTripMaterialized(t *testing.T) {
 	jobs := 1200
 	if testing.Short() {
@@ -153,6 +155,32 @@ func TestCheckpointRoundTripMaterialized(t *testing.T) {
 			}
 			if s.RunningJobs() == 0 && s.QueueDepth() == 0 {
 				t.Fatal("mid-run checkpoint captured an idle machine; pick a busier instant")
+			}
+			decoded, err := checkpoint.Decode(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			referenced := map[int64]bool{}
+			for _, id := range decoded.QueueIDs {
+				referenced[id] = true
+			}
+			for _, r := range decoded.Running {
+				referenced[r.JobID] = true
+			}
+			for _, ev := range decoded.Events {
+				referenced[ev.JobID] = true
+			}
+			for _, id := range decoded.PendingIDs {
+				referenced[id] = true
+			}
+			for _, rec := range decoded.Jobs {
+				if !referenced[rec.ID] {
+					t.Fatalf("snapshot carries job %d (state %d), which no container references", rec.ID, rec.State)
+				}
+				delete(referenced, rec.ID)
+			}
+			if len(referenced) != 0 {
+				t.Fatalf("snapshot containers reference %d jobs the job table lacks", len(referenced))
 			}
 			tw, topts := tc.to(&gotLog)
 			restored, err := Restore(tw, m, bytes.NewReader(snap.Bytes()), topts...)
@@ -249,7 +277,9 @@ func TestCheckpointRoundTripStreaming(t *testing.T) {
 // would mark unpulled jobs finished and release their dependants early —
 // and the container checks: a job the queue holds but whose State (or the
 // running set) says has started would restore and then die mid-run on an
-// illegal state transition.
+// illegal state transition — and the per-job metric state: a job count
+// the bucket counts, the kept waits or the sketches disagree with would
+// restore cleanly and report a wrong average at the end of the run.
 func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	w := throughputWorkload(300, false)
 	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(7))
@@ -267,7 +297,7 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	}
 	other := w
 	other.Name = "other-workload"
-	corrupt := func(mutate func(*checkpoint.Snapshot)) func() error {
+	corrupt := func(mutate func(*checkpoint.Snapshot), opts ...Option) func() error {
 		return func() error {
 			decoded, err := checkpoint.Decode(bytes.NewReader(snap.Bytes()))
 			if err != nil {
@@ -278,7 +308,7 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 			if err := checkpoint.Encode(&buf, decoded); err != nil {
 				return err
 			}
-			_, err = Restore(w, sched.Baseline{}, &buf, WithSeed(7))
+			_, err = Restore(w, sched.Baseline{}, &buf, append(opts, WithSeed(7))...)
 			return err
 		}
 	}
@@ -312,6 +342,16 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 		{"running job marked queued", corrupt(func(s *checkpoint.Snapshot) {
 			jobByID(s, s.Running[0].JobID).State = int64(job.Queued)
 		}), "running set"},
+		{"negative stats count", corrupt(func(s *checkpoint.Snapshot) { s.Stats.N = -1 }), "negative N"},
+		{"size counts off", corrupt(func(s *checkpoint.Snapshot) { s.Stats.SizeCounts[0]++ }), "SizeCounts"},
+		{"BB counts off", corrupt(func(s *checkpoint.Snapshot) { s.Stats.BBCounts[0]++ }), "BBCounts"},
+		{"runtime counts off", corrupt(func(s *checkpoint.Snapshot) { s.Stats.RTCounts[0]++ }), "RTCounts"},
+		{"a wait too many", corrupt(func(s *checkpoint.Snapshot) { s.Stats.Waits = append(s.Stats.Waits, 0) }), "Waits"},
+		{"sketch count off", corrupt(func(s *checkpoint.Snapshot) {
+			s.Stats.Sketch = true
+			s.Stats.P50.Count, s.Stats.P90.Count, s.Stats.P99.Count = s.Stats.N, s.Stats.N, s.Stats.N+1
+		}, WithStreamingMetrics()), "P99.Count"},
+		{"other metrics mode", corrupt(func(s *checkpoint.Snapshot) { s.Stats.Sketch = true }), "other metrics mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -368,7 +408,7 @@ func TestRestoreRejectsTruncatedSnapshot(t *testing.T) {
 
 // BenchmarkCheckpoint measures snapshot encode and decode over a mid-run
 // state of the 20k-job Theta-S4 throughput trace (the snapshot holds the
-// jobs pulled so far — queued, running, retained finished, or in the
+// jobs pulled so far and not yet finished — queued, running, or in the
 // look-ahead buffer — not the arrivals still in the source), and reports
 // the snapshot size. Tracked in BENCH_sim.json via `make bench-json`.
 func BenchmarkCheckpoint(b *testing.B) {

@@ -170,13 +170,12 @@ func WithLookahead(n int) Option {
 	return func(o *options) { o.lookahead = n }
 }
 
-// WithStreamingMetrics switches per-job metric accumulation to the
-// bounded-memory streaming path (metrics.JobStats): running sums and P²
-// percentile sketches replace the retained per-job slice, so arbitrarily
-// long streams measure in constant space. Means and bucket breakdowns
-// are bit-identical to the default path; wait-time percentiles become
-// streaming estimates instead of exact nearest-rank values, which is why
-// exact quantiles over retained jobs remain the default.
+// WithStreamingMetrics makes the run's metrics.JobStats estimate the
+// wait-time percentiles with P² sketches instead of keeping one float64
+// per measured job for exact nearest-rank values, so arbitrarily long
+// streams measure in constant space. Means and bucket breakdowns are
+// the same accumulator either way and bit-identical; only the
+// percentiles become estimates, which is why exact is the default.
 func WithStreamingMetrics() Option {
 	return func(o *options) { o.streamStats = true }
 }
@@ -195,7 +194,10 @@ func WithMeasureWindow(start, end int64) Option {
 // arrive per the trace, a window-based scheduling pass (core.Plugin
 // wrapping any §4.3 method) runs on every arrival and completion, EASY
 // backfilling mops up fragmentation, and metrics are integrated over the
-// measured interval.
+// measured interval. A finished job is folded into the run's one
+// metrics.JobStats and not kept, so beyond the workload it was given a
+// run holds the jobs in flight plus one float64 per measured job (none
+// under WithStreamingMetrics).
 //
 // A Simulator advances either one event instant at a time (Step,
 // RunUntil) — inspecting queue depth, utilization, and the clock between
@@ -214,10 +216,9 @@ type Simulator struct {
 	extra  []cluster.ResourceSpec // the machine's extra resource dimensions
 	rand   *rng.Stream
 
-	events   eventHeap
-	now      int64
-	running  map[int]*runningJob
-	finished []*job.Job
+	events  eventHeap
+	now     int64
+	running map[int]*runningJob
 
 	// Ingestion state. Every job enters through source: the caller's
 	// (WithSource) or an ownedSource over the workload clone. pending is
@@ -237,8 +238,8 @@ type Simulator struct {
 	doneLow    int
 	doneSparse map[int]struct{}
 
-	// stats accumulates per-job metrics in bounded memory
-	// (WithStreamingMetrics) instead of retaining finished.
+	// stats accumulates the per-job metrics: finish folds each measured
+	// job into it, and the job itself is not kept.
 	stats *metrics.JobStats
 
 	warmEnd, coolStart int64
@@ -277,8 +278,9 @@ type Simulator struct {
 // JobSource contract) and is fed through the same pull path as a stream.
 // With WithSource the workload is a job-less shell (name + system) and
 // arrivals come from the given source instead; pair it with
-// WithStreamingMetrics to run arbitrarily long traces in memory bounded
-// by queue depth plus the look-ahead window.
+// WithStreamingMetrics, which drops the float64 kept per measured job,
+// to run arbitrarily long traces in memory bounded by queue depth plus
+// the look-ahead window.
 func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simulator, error) {
 	opt := defaultOptions()
 	for _, apply := range opts {
@@ -363,6 +365,7 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		source:     opt.source,
 		pending:    make([]*job.Job, 0, opt.lookahead),
 		doneSparse: make(map[int]struct{}),
+		stats:      metrics.NewJobStats(opt.slowdownFloor, opt.buckets, opt.streamStats, len(wc.Jobs)),
 		warmEnd:    warmEnd,
 		coolStart:  coolStart,
 	}
@@ -370,11 +373,6 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	// per-pull analogue of Workload.Validate's fit check).
 	if s.admitCl, err = cluster.New(wc.System.Cluster); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if opt.streamStats {
-		s.stats = metrics.NewJobStats(opt.slowdownFloor, opt.buckets)
-	} else {
-		s.finished = make([]*job.Job, 0, len(wc.Jobs))
 	}
 	s.depsDone = s.isDone
 	if len(s.extra) > 0 {
@@ -746,27 +744,12 @@ func (s *Simulator) Result() (*Result, error) {
 	for _, r := range s.extra {
 		capTotals.Extra = append(capTotals.Extra, metrics.DimCapacity{Name: r.Name, Total: r.Capacity})
 	}
-	var rep metrics.Report
-	var measuredCount int
-	if s.stats != nil {
-		rep = s.stats.Report(&s.collector, capTotals)
-		measuredCount = s.stats.Count()
-	} else {
-		var measured []*job.Job
-		for _, j := range s.finished {
-			if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {
-				measured = append(measured, j)
-			}
-		}
-		rep = metrics.Compute(&s.collector, capTotals, measured, s.opt.slowdownFloor, s.opt.buckets)
-		measuredCount = len(measured)
-	}
 	res := &Result{
-		Report:           rep,
+		Report:           s.stats.Report(&s.collector, capTotals),
 		Workload:         s.workload.Name,
 		Method:           s.plugin.Method().Name(),
 		TotalJobs:        s.pulled,
-		MeasuredJobs:     measuredCount,
+		MeasuredJobs:     s.stats.Count(),
 		SchedInvocations: s.invocations,
 		MaxDecisionTime:  s.decideMax,
 		MakespanSec:      s.now,
@@ -826,16 +809,10 @@ func (s *Simulator) finish(j *job.Job) error {
 	}
 	j.EndTime = s.now
 	s.markDone(j.ID)
-	// Per-job metrics: the streaming accumulator applies the measurement
-	// filter here, in completion order — the same jobs, in the same
-	// order, as Result's filter over a retained finished slice, so the
-	// accumulated floats are bit-identical between the two paths.
-	if s.stats != nil {
-		if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {
-			s.stats.Observe(j)
-		}
-	} else {
-		s.finished = append(s.finished, j)
+	// Per-job metrics cover the jobs submitted inside the measured
+	// interval, folded in completion order (the sums are floating-point).
+	if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {
+		s.stats.Observe(j)
 	}
 
 	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
