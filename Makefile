@@ -129,15 +129,16 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
-# internal/solver statement coverage must not drop below the floor
-# (cluster/sched floor captured with the N-dimension harness; lp joined
-# with the solver refactor at 95%+ package coverage; solver joined with
-# the zoo — greedy, portfolio, memory).
+# internal/solver + internal/queue statement coverage must not drop below
+# the floor (cluster/sched floor captured with the N-dimension harness; lp
+# joined with the solver refactor at 95%+ package coverage; solver joined
+# with the zoo — greedy, portfolio, memory; queue joined when it began to
+# carry its order from one scheduling pass to the next).
 COVER_FLOOR = 75.0
 cover-gate:
-	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver
+	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
-	echo "cluster+sched+lp+solver coverage: $$total% (floor $(COVER_FLOOR)%)"; \
+	echo "cluster+sched+lp+solver+queue coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 

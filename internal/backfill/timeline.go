@@ -6,11 +6,10 @@ package backfill
 // entries, completions remove them — so a scheduling pass no longer
 // copies and re-sorts the running set, and one Planner whose scratch
 // buffers make the steady-state pass allocation-free. The Planner reads
-// the queue as a lazy queue.Ranking — the same one the window pass took
-// its window from — and prunes it before ordering it, so a pass over a
-// deep queue sorts the handful of jobs that could still backfill, not
-// the queue. Plan (backfill.go) remains the straightforward reference
-// implementation the fuzz suite compares against.
+// the queue as a queue.Ranking — the same one the window pass took its
+// window from — so a pass orders the queue once. Plan (backfill.go)
+// remains the straightforward reference implementation the fuzz suite
+// compares against.
 
 import (
 	"fmt"
@@ -86,21 +85,19 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 }
 
 // PlanRanked is the EASY planning pass of the package doc, semantically
-// identical to the reference Plan but reading the persistent timeline,
-// allocating (amortized) nothing, and ordering no more of the queue than
-// it has to. The queue arrives as ahead — jobs already in base order, all
-// ranked before anything in rest (the window jobs a pass left behind) —
-// followed by the lazy ranking rest.
+// identical to the reference Plan but reading the persistent timeline
+// and allocating (amortized) nothing. The queue arrives as ahead — jobs
+// already in base order, all ranked before anything in rest (the window
+// jobs a pass left behind) — followed by the ranking rest.
 //
 // Phase 1 pops heads while they fit; the first that does not becomes the
 // reservation head. Phase 2 starts later jobs only if they fit now and
 // either complete before the head's shadow time or fit inside the
-// shadow-time leftover. Before ranking the remainder of rest, phase 2
+// shadow-time leftover. Before walking the remainder of rest, phase 2
 // drops every job that fails that test already: free and leftover only
 // shrink while phase 2 runs and Snapshot.CanFit is monotone in free
 // resources, so a job that fails now fails at its turn too, and the
-// survivors meet the same checks in the same relative order (`before` is
-// a total order). Only the survivors are sorted.
+// survivors meet the same checks in the same relative order.
 func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []*job.Job, rest *queue.Ranking, now int64) []*job.Job {
 	p.started = p.started[:0]
 	if len(ahead) == 0 && rest.Len() == 0 {

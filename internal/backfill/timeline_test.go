@@ -99,9 +99,9 @@ func TestTimelineRemoveMissing(t *testing.T) {
 // through one pooled Planner — reused across all cases, so scratch reuse
 // is exercised — and checks every pass against the reference Plan, twice:
 // fed the waiting jobs as an already-ordered slice, and fed the way the
-// engine feeds it — the lazy ranking of an unordered queue, after a
-// window pass took a prefix and started some of it — against reference
-// Plan over the fully sorted remainder.
+// engine feeds it — the ranking of a queue, after a window pass took a
+// prefix and started some of it — against reference Plan over the fully
+// sorted remainder.
 func TestPlannerMatchesReferencePlan(t *testing.T) {
 	r := rng.New(99)
 	var p Planner

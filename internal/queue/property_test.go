@@ -146,14 +146,103 @@ func (p nanEvery) Priority(j *job.Job, now int64) float64 {
 	return p.Policy.Priority(j, now)
 }
 
-// TestRankingMatchesSortedReference is the differential suite for the
-// lazy ranking: over random queues (key collisions, unmet dependencies,
-// NaN priorities) it drives random interleavings of Take, Next, Rest and Prune
-// — so every mix of heap pops, crossover sorts, re-heapifies after a
-// prune and the FCFS walk occurs — and requires the jobs to come out
-// exactly as filter(Sorted(now)) lists them. Jobs taken mid-sequence are
-// removed from the queue, as a scheduling pass does when it starts them;
-// the ranking must not notice.
+// reversing is the adversarial time-varying policy: every odd step of the
+// clock turns the whole base order around, so no pass finds anything of
+// the last pass's order to keep and Rank's repair must give up and sort.
+type reversing struct{}
+
+func (reversing) Name() string { return "reversing" }
+
+func (reversing) Priority(j *job.Job, now int64) float64 {
+	if now%2 == 0 {
+		return float64(j.ID)
+	}
+	return -float64(j.ID)
+}
+
+// randomJob draws a job with heavy key collisions: few distinct submit
+// times, sizes and walltimes, and sometimes a dependency on one of
+// 1000..1003.
+func randomJob(r *rng.Stream, id int) *job.Job {
+	j := &job.Job{
+		ID:          id,
+		SubmitTime:  int64(r.Intn(6)) * 10,
+		WalltimeEst: []int64{100, 100, 500, 0}[r.Intn(4)],
+		Runtime:     50,
+		Demand:      job.NewDemand(1+r.Intn(4)*7, 0, 0),
+	}
+	if r.Bool(0.2) {
+		j.Deps = []int{1000 + r.Intn(4)}
+	}
+	return j
+}
+
+// driveRanking consumes rk with up to ops random Take, Next, Rest and
+// Prune calls and requires the jobs to come out exactly as want — the
+// reference filter(Sorted(now)) — lists them. Half the jobs taken are
+// removed from q, as a scheduling pass does when it starts them; the
+// ranking must not notice. It returns what of want is left.
+func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*job.Job, ops int, label string) []*job.Job {
+	t.Helper()
+	check := func(op string, got []*job.Job, k int) {
+		t.Helper()
+		if k > len(want) {
+			k = len(want)
+		}
+		if fmt.Sprint(jobIDs(got)) != fmt.Sprint(jobIDs(want[:k])) {
+			t.Fatalf("%s %s: ranking %v, reference %v", label, op, jobIDs(got), jobIDs(want[:k]))
+		}
+		for _, j := range got { // the pass starts what it took
+			if r.Bool(0.5) {
+				if err := q.Remove(j.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want = want[k:]
+	}
+	for ; ops > 0; ops-- {
+		if rk.Len() != len(want) {
+			t.Fatalf("%s: Len %d, reference %d", label, rk.Len(), len(want))
+		}
+		if len(want) == 0 {
+			break
+		}
+		switch r.Intn(5) {
+		case 0: // a short prefix: the window
+			k := r.Intn(5)
+			check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
+		case 1: // a long prefix: a giant window
+			k := len(want)/2 + r.Intn(len(want)/2+2)
+			check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
+		case 2:
+			check("Next", []*job.Job{rk.Next()}, 1)
+		case 3:
+			if r.Bool(0.7) {
+				continue // drains the ranking: keep it rare
+			}
+			check("Rest", rk.Rest(), len(want))
+		case 4:
+			m, c := 2+r.Intn(3), r.Intn(2)
+			keep := func(j *job.Job) bool { return j.ID%m != c }
+			rk.Prune(keep)
+			kept := want[:0:0]
+			for _, j := range want {
+				if keep(j) {
+					kept = append(kept, j)
+				}
+			}
+			want = kept
+		}
+	}
+	return want
+}
+
+// TestRankingMatchesSortedReference is the differential suite for one
+// ranking: over random queues (key collisions, unmet dependencies, NaN
+// priorities), each ranked once, it drives random interleavings of Take,
+// Next, Rest and Prune until the ranking is empty and requires the jobs
+// to come out exactly as filter(Sorted(now)) lists them.
 func TestRankingMatchesSortedReference(t *testing.T) {
 	policies := []Policy{
 		FCFS{},
@@ -172,77 +261,16 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 				q := New(pol)
 				n := r.Intn(90)
 				for id := 1; id <= n; id++ {
-					j := &job.Job{
-						ID:          id,
-						SubmitTime:  int64(r.Intn(6)) * 10,
-						WalltimeEst: []int64{100, 100, 500, 0}[r.Intn(4)],
-						Runtime:     50,
-						Demand:      job.NewDemand(1+r.Intn(4)*7, 0, 0),
-					}
-					if r.Bool(0.2) {
-						j.Deps = []int{1000 + r.Intn(4)} // 1000, 1001 finished; 1002, 1003 not
-					}
-					if err := q.Add(j); err != nil {
+					if err := q.Add(randomJob(r, id)); err != nil {
 						t.Fatal(err)
 					}
 				}
 				depsDone := func(id int) bool { return id < 1002 }
 				now := int64(r.Intn(400))
 				want := refWindow(q.Sorted(now), q.Len(), depsDone)
-
 				rk := q.Rank(now, depsDone)
-				check := func(op string, got []*job.Job, k int) {
-					t.Helper()
-					if k > len(want) {
-						k = len(want)
-					}
-					if fmt.Sprint(jobIDs(got)) != fmt.Sprint(jobIDs(want[:k])) {
-						t.Fatalf("trial %d (n=%d, now=%d) %s: ranking %v, reference %v",
-							trial, n, now, op, jobIDs(got), jobIDs(want[:k]))
-					}
-					for _, j := range got { // the pass starts what it took
-						if r.Bool(0.5) {
-							if err := q.Remove(j.ID); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					want = want[k:]
-				}
-				for steps := 0; ; steps++ {
-					if rk.Len() != len(want) {
-						t.Fatalf("trial %d: Len %d, reference %d", trial, rk.Len(), len(want))
-					}
-					if len(want) == 0 {
-						break
-					}
-					switch r.Intn(5) {
-					case 0: // a short prefix: the window
-						k := r.Intn(5)
-						check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
-					case 1: // a long prefix: crosses the sort threshold
-						k := len(want)/2 + r.Intn(len(want)/2+2)
-						check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
-					case 2:
-						check("Next", []*job.Job{rk.Next()}, 1)
-					case 3:
-						if r.Bool(0.7) {
-							continue // drains the ranking: keep it rare
-						}
-						check("Rest", rk.Rest(), len(want))
-					case 4:
-						m, c := 2+r.Intn(3), r.Intn(2)
-						keep := func(j *job.Job) bool { return j.ID%m != c }
-						rk.Prune(keep)
-						kept := want[:0:0]
-						for _, j := range want {
-							if keep(j) {
-								kept = append(kept, j)
-							}
-						}
-						want = kept
-					}
-				}
+				label := fmt.Sprintf("trial %d (n=%d, now=%d)", trial, n, now)
+				driveRanking(t, r, q, rk, want, math.MaxInt, label)
 				if j := rk.Next(); j != nil {
 					t.Fatalf("trial %d: exhausted ranking yielded job %d", trial, j.ID)
 				}
@@ -257,6 +285,152 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 	zero.Prune(func(*job.Job) bool { return true })
 	if zero.Len() != 0 || zero.Next() != nil || len(zero.Take(nil, 5)) != 0 || len(zero.Rest()) != 0 {
 		t.Fatal("zero Ranking is not empty")
+	}
+}
+
+// TestRankingCarriedAcrossPasses ranks one queue again and again, the way
+// the engine does, so that every Rank starts from the order the last one
+// left: between passes jobs arrive, jobs anywhere in the queue leave,
+// dependencies finish, and the clock advances, repeats or goes backwards
+// (in odd steps, so that `reversing` turns the order around whenever it
+// moves). After every Rank the queue's own arrays must be in Sorted(now)
+// order, and the ranking, consumed by a few random calls, must match
+// filter(Sorted(now)).
+func TestRankingCarriedAcrossPasses(t *testing.T) {
+	policies := []Policy{
+		FCFS{},
+		WFP{},
+		Multifactor{MachineNodes: 64},
+		nanEvery{WFP{}},
+		reversing{},
+	}
+	for pi, pol := range policies {
+		t.Run(fmt.Sprintf("%d-%s", pi, pol.Name()), func(t *testing.T) {
+			r := rng.New(uint64(211 + pi))
+			trials := 40
+			if testing.Short() {
+				trials = 10
+			}
+			for trial := 0; trial < trials; trial++ {
+				q := New(pol)
+				waiting := map[int]*job.Job{}
+				nextID, doneBelow, now := 1, 1001, int64(r.Intn(100))
+				depsDone := func(id int) bool { return id < doneBelow }
+				for pass := 0; pass < 60; pass++ {
+					for n := r.Intn(12); n > 0; n-- {
+						j := randomJob(r, nextID)
+						j.SubmitTime += now / 2 // arrivals follow the clock
+						nextID++
+						if err := q.Add(j); err != nil {
+							t.Fatal(err)
+						}
+						waiting[j.ID] = j
+					}
+					for n := r.Intn(3); n > 0 && len(waiting) > 0; n-- {
+						id := pickAny(r, waiting)
+						if err := q.Remove(id); err != nil {
+							t.Fatal(err)
+						}
+						delete(waiting, id)
+					}
+					step := int64(2*r.Intn(30) + 1)
+					switch {
+					case r.Bool(0.15): // the clock repeats
+					case r.Bool(0.15):
+						now -= step
+					default:
+						now += step
+					}
+					if doneBelow < 1004 && r.Bool(0.05) {
+						doneBelow++
+					}
+
+					sorted := q.Sorted(now)
+					rk := q.Rank(now, depsDone)
+					if fmt.Sprint(jobIDs(q.order)) != fmt.Sprint(jobIDs(sorted)) {
+						t.Fatalf("trial %d pass %d (now=%d): queue order %v, reference %v",
+							trial, pass, now, jobIDs(q.order), jobIDs(sorted))
+					}
+					label := fmt.Sprintf("trial %d pass %d (n=%d, now=%d)", trial, pass, q.Len(), now)
+					driveRanking(t, r, q, rk, refWindow(sorted, len(sorted), depsDone), 1+r.Intn(4), label)
+					for id := range waiting {
+						if !q.Contains(id) {
+							delete(waiting, id)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRankingHistoryIndependent pins what checkpoint restore relies on:
+// a ranking depends on the waiting set and the instant, not on how the
+// queue's arrays got there. A queue carried through many passes and a
+// fresh one, re-Added in ID order as restore does, rank identically.
+func TestRankingHistoryIndependent(t *testing.T) {
+	ready := func(int) bool { return true }
+	for _, pol := range []Policy{FCFS{}, WFP{}, Multifactor{MachineNodes: 64}, reversing{}} {
+		r := rng.New(307)
+		carried := New(pol)
+		nextID, now := 1, int64(0)
+		for pass := 0; pass < 50; pass++ {
+			for n := 2 + r.Intn(6); n > 0; n-- {
+				j := randomJob(r, nextID)
+				j.SubmitTime += now
+				nextID++
+				if err := carried.Add(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now += int64(r.Intn(60))
+			for _, j := range carried.Rank(now, ready).Take(nil, r.Intn(4)) {
+				if err := carried.Remove(j.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		set := carried.Waiting(nil)
+		sort.Slice(set, func(a, b int) bool { return set[a].ID < set[b].ID })
+		fresh := New(pol)
+		for _, j := range set {
+			if err := fresh.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, at := range []int64{now, now + 1, now + 500, now - 40} {
+			got := jobIDs(carried.Rank(at, ready).Rest())
+			want := jobIDs(fresh.Rank(at, ready).Rest())
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s at %d: carried queue ranks %v, re-added queue %v", pol.Name(), at, got, want)
+			}
+		}
+	}
+}
+
+// TestRankAllocs pins a steady-state pass at zero allocations on both of
+// Rank's paths: the repair (WFP, the clock creeping forward) and the
+// fallback sort (reversing, the order turned around every pass).
+func TestRankAllocs(t *testing.T) {
+	ready := func(int) bool { return true }
+	for _, pol := range []Policy{WFP{}, reversing{}} {
+		r := rng.New(401)
+		q := New(pol)
+		for id := 1; id <= 200; id++ {
+			if err := q.Add(randomJob(r, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]*job.Job, 0, q.Len())
+		now := int64(100)
+		q.Rank(now, ready) // grow the pooled arrays
+		allocs := testing.AllocsPerRun(50, func() {
+			now++
+			buf = q.Rank(now, ready).Take(buf[:0], 20)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Rank+Take allocates %v times a pass, want 0", pol.Name(), allocs)
+		}
 	}
 }
 

@@ -8,28 +8,27 @@
 // utility policy that favors large jobs that have waited long relative to
 // their requested walltime.
 //
-// A scheduling pass ranks the queue once. Rank gathers the dep-ready
-// jobs — and, for a time-varying policy, their priorities at that instant
-// — into pooled arrays: one O(n) walk, no ordering work, no allocation.
-// The Ranking it returns then produces the base order only as far as the
-// pass consumes it, so the window pass and EASY backfilling share one
-// gather and nothing sorts the whole queue unless asked for most of it:
+// A scheduling pass ranks the queue once, and the queue keeps the order it
+// found: order and prio hold the waiting jobs in the base order of the
+// last Rank. Add puts a job where a time-invariant policy (FCFS, or
+// anything implementing TimeInvariant) fixes it for good and appends it
+// otherwise; Remove deletes in place, keeping the order. Rank(now)
+// re-evaluates a time-varying policy's priorities (WFP, Multifactor) and
+// repairs the order with an insertion sort. Those priorities are
+// continuous in time, so between two passes a few neighbours swap and the
+// repair costs what moved — a mean 0.26 single-slot moves per waiting job
+// on a 680-deep WFP replay — where a sort pays n log n comparisons for an
+// order it mostly had. A queue that did scramble (a restored one, a clock
+// set back) exceeds the repair's move budget and is sorted once, so the
+// worst case stays O(n log n).
 //
-//   - Time-invariant policies (FCFS, or anything implementing
-//     TimeInvariant) keep the waiting set sorted incrementally: Add is an
-//     O(log n) search plus one shifted insert, Remove likewise, and the
-//     ranking is a plain ordered walk.
-//   - Time-varying policies (WFP, Multifactor) keep the waiting set
-//     unordered. Taking a few jobs heapifies the gathered arrays (O(n))
-//     and pops (O(log n) each); taking at least half of what is left —
-//     giant windows, or a caller draining the ranking — sorts once
-//     instead, which costs the same asymptotically with far better
-//     constants than n-ish heap pops. Prune drops jobs the caller has
-//     ruled out, so a later sort touches only the survivors.
-//
-// WindowInto is Rank followed by one Take. Sorted remains the
-// straightforward reference implementation (full re-sort with fresh
-// allocations); the property suite pins the ranking against it.
+// The Ranking Rank returns is a copy of the dep-ready jobs in that order:
+// the window pass and EASY backfilling consume one ranking from the front,
+// and jobs started mid-pass leave the queue without disturbing it.
+// WindowInto is Rank followed by one Take. Nothing allocates once the
+// arrays have grown. Sorted remains the straightforward reference
+// implementation (full re-sort with fresh allocations); the property
+// suite pins the ranking against it, pass after pass on one queue.
 package queue
 
 import (
@@ -50,8 +49,8 @@ type Policy interface {
 }
 
 // TimeInvariant marks a Policy whose Priority does not depend on now.
-// The queue keeps such policies' waiting sets sorted incrementally (no
-// per-event re-sort); Priority is evaluated once, at Add time.
+// The queue evaluates such a policy's Priority once, at Add time, and
+// inserts the job where it belongs; Rank has nothing to repair.
 type TimeInvariant interface {
 	// PriorityTimeInvariant is a marker; it is never called.
 	PriorityTimeInvariant()
@@ -160,17 +159,14 @@ func ByName(name string) (Policy, error) {
 type Queue struct {
 	policy Policy
 	static bool // policy implements TimeInvariant
-	// waiting maps job ID -> job for O(1) membership in both modes.
+	// waiting maps job ID -> job for O(1) membership.
 	waiting map[int]*job.Job
-	// order holds the waiting jobs: sorted by (priority desc, submit, ID)
-	// for time-invariant policies, insertion-unordered otherwise. prio is
-	// aligned with order (time-invariant: the fixed Add-time priority;
-	// time-varying: unused).
+	// order holds the waiting jobs and prio, aligned with it, their
+	// priorities. A time-invariant policy's arrays are always in base
+	// order; a time-varying policy's are in the base order of the last
+	// Rank, with the jobs added since at the end and their prio unset.
 	order []*job.Job
 	prio  []float64
-	// pos maps job ID -> index in order (time-varying policies, where
-	// removal is a swap-with-last; time-invariant removal binary-searches).
-	pos map[int]int
 	// rank is the pooled per-pass ranking Rank hands out.
 	rank Ranking
 }
@@ -178,11 +174,7 @@ type Queue struct {
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
 	_, static := policy.(TimeInvariant)
-	q := &Queue{policy: policy, static: static, waiting: make(map[int]*job.Job)}
-	if !static {
-		q.pos = make(map[int]int)
-	}
-	return q
+	return &Queue{policy: policy, static: static, waiting: make(map[int]*job.Job)}
 }
 
 // Policy returns the queue's ordering policy.
@@ -219,56 +211,41 @@ func (q *Queue) Add(j *job.Job) error {
 		return fmt.Errorf("queue: job %d already waiting", j.ID)
 	}
 	q.waiting[j.ID] = j
+	i, p := len(q.order), 0.0
 	if q.static {
-		p := q.orderedPriority(j, 0) // time-invariant: now is irrelevant
-		i := sort.Search(len(q.order), func(k int) bool {
+		p = q.orderedPriority(j, 0) // time-invariant: now is irrelevant
+		i = sort.Search(len(q.order), func(k int) bool {
 			return before(p, j, q.prio[k], q.order[k])
 		})
-		q.order = append(q.order, nil)
-		copy(q.order[i+1:], q.order[i:])
-		q.order[i] = j
-		q.prio = append(q.prio, 0)
-		copy(q.prio[i+1:], q.prio[i:])
-		q.prio[i] = p
-		return nil
 	}
-	q.pos[j.ID] = len(q.order)
-	q.order = append(q.order, j)
+	q.order = append(q.order, nil)
+	copy(q.order[i+1:], q.order[i:])
+	q.order[i] = j
+	q.prio = append(q.prio, 0)
+	copy(q.prio[i+1:], q.prio[i:])
+	q.prio[i] = p
 	return nil
 }
 
-// Remove dequeues the job with the given ID (when it starts running).
+// Remove dequeues the job with the given ID (when it starts running),
+// leaving the others in order. A pass starts jobs from the front of the
+// order, so the scan for the job's slot is short.
 func (q *Queue) Remove(id int) error {
 	j, ok := q.waiting[id]
 	if !ok {
 		return fmt.Errorf("queue: job %d not waiting", id)
 	}
 	delete(q.waiting, id)
-	if q.static {
-		// The total order makes the position recoverable by binary search:
-		// re-derive the Add-time key and find its unique slot.
-		p := q.orderedPriority(j, 0)
-		i := sort.Search(len(q.order), func(k int) bool {
-			return !before(q.prio[k], q.order[k], p, j) // first k not before j
-		})
-		if i >= len(q.order) || q.order[i].ID != id {
-			return fmt.Errorf("queue: index out of sync for job %d", id)
-		}
-		copy(q.order[i:], q.order[i+1:])
-		q.order[len(q.order)-1] = nil
-		q.order = q.order[:len(q.order)-1]
-		copy(q.prio[i:], q.prio[i+1:])
-		q.prio = q.prio[:len(q.prio)-1]
-		return nil
+	i := 0
+	for q.order[i] != j {
+		i++
 	}
-	i := q.pos[id]
 	last := len(q.order) - 1
-	moved := q.order[last]
-	q.order[i] = moved
+	copy(q.order[i:], q.order[i+1:])
 	q.order[last] = nil
 	q.order = q.order[:last]
-	q.pos[moved.ID] = i
-	delete(q.pos, id)
+	copy(q.prio[i:], q.prio[i+1:])
+	q.prio = q.prio[:last]
 	return nil
 }
 
@@ -338,51 +315,44 @@ func (q *Queue) WindowInto(dst []*job.Job, now int64, size int, depsDone func(id
 }
 
 // Ranking is one scheduling pass's view of the dep-ready waiting jobs in
-// base-policy order at one instant. Rank gathers the jobs (and, for a
-// time-varying policy, their priorities) once; the order itself is then
-// produced only as far as the caller consumes it: Take, Next and Rest pop
-// from the front, Prune drops jobs the caller no longer wants ranked. The
-// jobs come out in exactly the order filter(Sorted(now)) lists them,
-// whatever mix of calls is made — `before` is a total order, so heap
-// pops, a full sort and the FCFS walk cannot disagree.
+// base-policy order at one instant: Take, Next and Rest consume it from
+// the front, Prune drops jobs the caller no longer wants ranked. The jobs
+// come out in exactly the order filter(Sorted(now)) lists them, whatever
+// mix of calls is made and whatever the queue went through before —
+// `before` is a total order, so there is one answer.
 //
-// A Ranking is scratch on its queue's pooled arrays: the next Rank (or
+// A Ranking is a copy on its queue's pooled array: the next Rank (or
 // WindowInto) call on the queue overwrites it. Add and Remove leave it
 // untouched, so a job started mid-pass is simply one the caller has
 // already taken. The zero Ranking is empty.
 type Ranking struct {
-	// jobs[lo:] are the jobs not yet consumed; prio is aligned with jobs
-	// until the ranking is sorted, after which nothing reads it.
-	jobs     []*job.Job
-	prio     []float64
+	jobs     []*job.Job // jobs[lo:] are the jobs not yet consumed
 	lo       int
-	state    rankState
 	gathered int // len(jobs) as Rank left it
 }
 
-type rankState uint8
+// repairBudget bounds Rank's insertion sort: past repairBudget
+// single-slot moves per waiting job the order is scrambled, not drifting,
+// and one sort finishes the job. Consecutive passes of a replay need a
+// fraction of a move per job; a restored queue, still in ID order, or a
+// clock set back lands here.
+const repairBudget = 4
 
-const (
-	rankUnordered rankState = iota // gathered, no structure yet (lo == 0)
-	rankHeap                       // jobs is a max-heap under before (lo == 0)
-	rankSorted                     // jobs[lo:] is in base order
-)
-
-// Rank gathers every waiting job whose dependencies have all finished,
-// with its priority at now, into the queue's pooled ranking: one O(n)
-// pass, no allocation once the arrays have grown, and no ordering work
-// yet. A time-invariant policy's queue is already in order, so its
-// ranking is a plain copy of the dep-ready jobs.
+// Rank puts the queue in base-policy order at now and returns the waiting
+// jobs whose dependencies have all finished, in that order, as the
+// queue's pooled ranking. A time-varying policy's priorities are
+// re-evaluated and the order the last Rank left is repaired; a
+// time-invariant policy's queue is always in order. No allocation once
+// the arrays have grown.
 func (q *Queue) Rank(now int64, depsDone func(id int) bool) *Ranking {
+	if !q.static {
+		q.reorder(now)
+	}
 	r := &q.rank
-	r.jobs, r.prio, r.lo = r.jobs[:0], r.prio[:0], 0
+	r.jobs, r.lo = r.jobs[:0], 0
 	for _, j := range q.order {
-		if !depsReady(j, depsDone) {
-			continue
-		}
-		r.jobs = append(r.jobs, j)
-		if !q.static {
-			r.prio = append(r.prio, q.orderedPriority(j, now))
+		if depsReady(j, depsDone) {
+			r.jobs = append(r.jobs, j)
 		}
 	}
 	// Drop the pointers a deeper earlier gather left past this one, so the
@@ -391,11 +361,50 @@ func (q *Queue) Rank(now int64, depsDone func(id int) bool) *Ranking {
 		clear(r.jobs[n:r.gathered])
 	}
 	r.gathered = len(r.jobs)
-	r.state = rankUnordered
-	if q.static {
-		r.state = rankSorted
-	}
 	return r
+}
+
+// reorder evaluates every waiting job's priority at now and restores the
+// base order: an insertion sort, whose work is the distance the jobs have
+// moved since the order was last right, abandoned for sort.Sort once that
+// distance passes repairBudget per job.
+func (q *Queue) reorder(now int64) {
+	order, prio := q.order, q.prio
+	for i, j := range order {
+		prio[i] = q.orderedPriority(j, now)
+	}
+	budget := repairBudget * len(order)
+	for i := 1; i < len(order); i++ {
+		j, p := order[i], prio[i]
+		k := i
+		for ; k > 0 && before(p, j, prio[k-1], order[k-1]); k-- {
+			order[k], prio[k] = order[k-1], prio[k-1]
+		}
+		if k == i {
+			continue
+		}
+		order[k], prio[k] = j, p
+		if budget -= i - k; budget < 0 {
+			sort.Sort((*byOrder)(q))
+			return
+		}
+	}
+}
+
+// byOrder views a Queue's arrays as a sort.Interface over the total order
+// `before` — a defined-type conversion, not a wrapper struct, so the sort
+// stays allocation-free.
+type byOrder Queue
+
+func (s *byOrder) Len() int { return len(s.order) }
+
+func (s *byOrder) Less(a, b int) bool {
+	return before(s.prio[a], s.order[a], s.prio[b], s.order[b])
+}
+
+func (s *byOrder) Swap(a, b int) {
+	s.order[a], s.order[b] = s.order[b], s.order[a]
+	s.prio[a], s.prio[b] = s.prio[b], s.prio[a]
 }
 
 // Len returns the number of ranked jobs not yet consumed.
@@ -410,15 +419,8 @@ func (r *Ranking) Take(dst []*job.Job, size int) []*job.Job {
 	if size <= 0 {
 		return dst
 	}
-	r.prepare(size)
-	if r.state == rankSorted {
-		dst = append(dst, r.jobs[r.lo:r.lo+size]...)
-		r.lo += size
-		return dst
-	}
-	for ; size > 0; size-- {
-		dst = append(dst, r.pop())
-	}
+	dst = append(dst, r.jobs[r.lo:r.lo+size]...)
+	r.lo += size
 	return dst
 }
 
@@ -427,12 +429,8 @@ func (r *Ranking) Next() *job.Job {
 	if r.Len() == 0 {
 		return nil
 	}
-	r.prepare(1)
-	if r.state == rankSorted {
-		r.lo++
-		return r.jobs[r.lo-1]
-	}
-	return r.pop()
+	r.lo++
+	return r.jobs[r.lo-1]
 }
 
 // Rest pops every remaining job, in base order. The slice aliases the
@@ -441,7 +439,6 @@ func (r *Ranking) Rest() []*job.Job {
 	if r.Len() == 0 {
 		return nil
 	}
-	r.prepare(r.Len())
 	rest := r.jobs[r.lo:]
 	r.lo = len(r.jobs)
 	return rest
@@ -450,90 +447,14 @@ func (r *Ranking) Rest() []*job.Job {
 // Prune drops every remaining job keep rejects; the survivors keep their
 // relative order.
 func (r *Ranking) Prune(keep func(*job.Job) bool) {
-	sorted := r.state == rankSorted
 	w := r.lo
-	for i := r.lo; i < len(r.jobs); i++ {
-		if !keep(r.jobs[i]) {
-			continue
+	for _, j := range r.jobs[r.lo:] {
+		if keep(j) {
+			r.jobs[w] = j
+			w++
 		}
-		r.jobs[w] = r.jobs[i]
-		if !sorted {
-			r.prio[w] = r.prio[i]
-		}
-		w++
 	}
 	r.jobs = r.jobs[:w]
-	if !sorted {
-		r.prio = r.prio[:w]
-		r.state = rankUnordered // compaction broke any heap shape
-	}
-}
-
-// prepare puts the ranking in a state that can serve the next k jobs
-// (1 <= k <= Len). A caller about to consume at least half of what is
-// left gets one full sort: the heap's k log n pops would cost as much
-// with cache-hostile sift access. Anything less gets an O(n) heapify and
-// pays log n per job actually popped.
-func (r *Ranking) prepare(k int) {
-	switch {
-	case r.state == rankSorted:
-	case 2*k >= len(r.jobs):
-		sort.Sort((*rankSorter)(r))
-		r.state = rankSorted
-	case r.state == rankUnordered:
-		for i := len(r.jobs)/2 - 1; i >= 0; i-- {
-			r.siftDown(i)
-		}
-		r.state = rankHeap
-	}
-}
-
-// pop removes and returns the heap's root.
-func (r *Ranking) pop() *job.Job {
-	top := r.jobs[0]
-	last := len(r.jobs) - 1
-	r.jobs[0], r.prio[0] = r.jobs[last], r.prio[last]
-	r.jobs, r.prio = r.jobs[:last], r.prio[:last]
-	r.siftDown(0)
-	return top
-}
-
-// siftDown restores the max-heap property (root = first in queue order)
-// below index i.
-func (r *Ranking) siftDown(i int) {
-	n := len(r.jobs)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if c := l + 1; c < n && before(r.prio[c], r.jobs[c], r.prio[l], r.jobs[l]) {
-			best = c
-		}
-		if !before(r.prio[best], r.jobs[best], r.prio[i], r.jobs[i]) {
-			return
-		}
-		r.jobs[i], r.jobs[best] = r.jobs[best], r.jobs[i]
-		r.prio[i], r.prio[best] = r.prio[best], r.prio[i]
-		i = best
-	}
-}
-
-// rankSorter views an unsorted Ranking (lo == 0) as a sort.Interface over
-// the total order `before` — a defined-type conversion, not a wrapper
-// struct, so the sort stays allocation-free.
-type rankSorter Ranking
-
-func (s *rankSorter) Len() int { return len(s.jobs) }
-
-func (s *rankSorter) Less(a, b int) bool {
-	return before(s.prio[a], s.jobs[a], s.prio[b], s.jobs[b])
-}
-
-func (s *rankSorter) Swap(a, b int) {
-	s.jobs[a], s.jobs[b] = s.jobs[b], s.jobs[a]
-	s.prio[a], s.prio[b] = s.prio[b], s.prio[a]
 }
 
 func depsReady(j *job.Job, depsDone func(id int) bool) bool {

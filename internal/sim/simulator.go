@@ -904,8 +904,8 @@ func (s *Simulator) observeBBRelease(r *runningJob) {
 }
 
 // schedule runs one window pass plus backfilling over one ranking of the
-// queue: the dep-ready jobs and their priorities are gathered once, the
-// plugin takes its window off the front, and EASY backfilling continues
+// queue: the base order is brought up to date once, the plugin takes its
+// window off the front of the dep-ready jobs, and EASY backfilling continues
 // where the window stopped — the window jobs left behind, then as much of
 // the rest as the planner asks for. The steady-state pass allocates
 // (amortized) nothing: the ranking, the free-state snapshot, the
