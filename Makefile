@@ -118,15 +118,17 @@ farm-smoke:
 	$(GO) test -race -short -run '^TestGoldenCheckpointEquivalence$$|^TestCheckpointRoundTrip' ./internal/sim
 	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$' ./internal/checkpoint
 
-# Fuzz the trace parsers and the snapshot decoder (which takes bytes off
-# the network) for 30s per target (CI smoke; the seed corpora run in every
-# plain `go test` too). The decoder's seed is a 1.5 KB snapshot: at the
-# default 60s of minimization per new input its budget buys a few hundred
-# execs, hence -fuzzminimizetime.
+# Fuzz the trace parsers, the snapshot decoder (which takes bytes off
+# the network) and the dead-window shortcut (skipped answer == solved
+# answer, over generated windows) for 30s per target (CI smoke; the seed
+# corpora run in every plain `go test` too). The decoder's seed is a
+# 1.5 KB snapshot: at the default 60s of minimization per new input its
+# budget buys a few hundred execs, hence -fuzzminimizetime.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseCSV$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
 # internal/solver + internal/queue statement coverage must not drop below

@@ -173,3 +173,27 @@ type brokenPolicy struct{}
 
 func (brokenPolicy) Name() string { return "broken" }
 func (brokenPolicy) Size(int) int { return 0 }
+
+// TestAdaptiveFactorMovesOnDeadWindow: the controller reads the snapshot
+// before it delegates, so its factor steps on a pass whose window holds
+// no job that fits — a pass BBSched answers without solving — exactly as
+// on a live one. A dead-window shortcut placed above the method instead of
+// below it would freeze the factor here.
+func TestAdaptiveFactorMovesOnDeadWindow(t *testing.T) {
+	a := NewAdaptive(fastInner())
+	_, c := table1()
+	// 10 of 100 nodes free, 90 of 100 GB free: nodes are the bottleneck.
+	if _, err := c.Allocate(job.MustNew(90, 0, 10, 10, job.NewDemand(90, 10, 0))); err != nil {
+		t.Fatal(err)
+	}
+	dead := []*job.Job{job.MustNew(91, 0, 10, 10, job.NewDemand(50, 1, 0))}
+	for pass, want := range []float64{2.5, 3.125} {
+		idx, err := a.Select(ctxFor(dead, c, uint64(pass)))
+		if err != nil || idx != nil {
+			t.Fatalf("pass %d: dead window answered %v, %v", pass, idx, err)
+		}
+		if a.Factor() != want || a.Inner.TradeoffFactor != want {
+			t.Fatalf("pass %d: factor %v (inner %v), want %v", pass, a.Factor(), a.Inner.TradeoffFactor, want)
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
@@ -44,19 +43,13 @@ type BBSched struct {
 	// uses 2 for the two-objective problem and 4 for four objectives.
 	TradeoffFactor float64
 
-	// evals pools reusable window evaluators: each carries the solver's
-	// genome-memoization cache (and keeps its allocated capacity) across
-	// scheduling decisions. A pool rather than a single field keeps
-	// BBSched safe for concurrent Select calls, as the seed's stateless
-	// implementation was — concurrent solves just draw separate
-	// evaluators.
-	evals sync.Pool
-
 	// Pluggable backend (SetSolver); unset runs the genetic algorithm
 	// over the GA configuration. BBSched's §3.2.4 decision rule consumes
 	// a Pareto set, so the backend must report the ParetoFront capability
 	// — scalar-only backends (lp) are vetoed at configuration time; they
 	// back the scalarized methods (Weighted_LP, Constrained_LP) instead.
+	// The slot also keeps the storage solves are built in — one binding
+	// per concurrent solve, so BBSched stays safe for concurrent Selects.
 	backend sched.SolverSlot
 }
 
@@ -119,20 +112,15 @@ func (b *BBSched) validate() error {
 }
 
 // ParetoFront solves the window-selection MOO problem and returns the
-// Pareto set, for decision support and the Fig. 2/4 experiments.
+// Pareto set, for decision support and the Fig. 2/4 experiments. The
+// front is nil when the window is empty or no job in it fits the free
+// machine: the empty selection is then the only feasible one and nothing
+// is solved (sched.SolverSlot.SolveWindow).
 func (b *BBSched) ParetoFront(ctx *sched.Context) ([]moo.Solution, error) {
 	if err := b.validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Window) == 0 {
-		return nil, nil
-	}
-	p := sched.NewSelectionProblem(ctx.Window, ctx.Snap, b.Objectives)
-	ev, _ := b.evals.Get().(*moo.Evaluator)
-	ev = moo.ReuseEvaluator(ev, p)
-	front, err := b.backend.Resolve(b.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
-	b.evals.Put(ev)
-	return front, err
+	return b.backend.SolveWindow(ctx, b.GA, b.Objectives, nil)
 }
 
 // Select implements sched.Method: solve the MOO problem, then apply the

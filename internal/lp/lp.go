@@ -109,7 +109,7 @@ type workspace struct {
 // once stored; every solve stores a fresh one, so a racing portfolio
 // member never observes a half-written iterate.
 type memo struct {
-	it  Iterate
+	warmStart
 	tol float64
 }
 
@@ -121,9 +121,13 @@ func (s *Solver) Name() string { return "lp" }
 
 // Capabilities implements solver.Solver: the backend solves scalarized
 // (single-objective) instances with an exposed linear form; it does not
-// produce Pareto fronts.
+// produce Pareto fronts. It keeps a memo in solver.Memory — the PDHG
+// iterate the next window warm-starts from and the adapted tolerance — so
+// it must see every window of a run, dead ones included: with no live
+// column the dual iterate still takes its O(m) steps (see solveFrom), and
+// skipping them would hand the next live window a different start.
 func (s *Solver) Capabilities() solver.Capabilities {
-	return solver.Capabilities{NeedsLinear: true}
+	return solver.Capabilities{NeedsLinear: true, KeepsMemory: true}
 }
 
 // Config returns the backend parameters (defaults resolved).
@@ -150,11 +154,11 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 	// from the run's solver memory. A nil Memory (stateless callers, the
 	// historical default) cold-starts with the configured tolerance.
 	cfg := s.cfg
-	var warm *Iterate
+	var warm *warmStart
 	if opts.Memory != nil {
 		if v, ok := opts.Memory.Load(s); ok {
 			prev := v.(*memo)
-			warm = &prev.it
+			warm = &prev.warmStart
 			if prev.tol > 0 {
 				cfg.Tol = prev.tol
 			}
@@ -331,13 +335,14 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		if max := s.cfg.Tol * 8; tol > max {
 			tol = max
 		}
-		opts.Memory.Store(s, &memo{
-			it: Iterate{
-				X: append([]float64(nil), x...),
-				Y: append([]float64(nil), rel.y...),
-			},
-			tol: tol,
-		})
+		next := &memo{warmStart: warmStart{n: n, y: append([]float64(nil), rel.y...)}, tol: tol}
+		if len(live) > 0 {
+			// With no live column x is n zeros, which n alone says: the
+			// dead windows of a saturated machine, nearly all of a deep
+			// queue's, store no window-length vector.
+			next.x = append([]float64(nil), x...)
+		}
+		opts.Memory.Store(s, next)
 	}
 	return []moo.Solution{{
 		Genome:     bestGenome,

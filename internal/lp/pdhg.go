@@ -377,7 +377,7 @@ func (w *relaxation) residualsChunk(c, lo, hi int) {
 // primal feasibility. With no live column the dual iterate still takes
 // its steps — at O(m) each — so the iterate handed to the next window is
 // the one a dense solve would have produced.
-func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
+func (w *relaxation) solveFrom(cfg Config, warm *warmStart) Stats {
 	st := Stats{Active: len(w.live)}
 	for k := range w.x {
 		w.x[k] = 0
@@ -386,19 +386,21 @@ func (w *relaxation) solveFrom(cfg Config, warm *Iterate) Stats {
 		w.y[r] = 0
 	}
 	if warm != nil {
-		if len(warm.X) != w.n || len(warm.Y) != w.m {
+		if warm.n != w.n || len(warm.y) != w.m {
 			st.WarmRejected = true
 		} else {
-			for k, i := range w.live {
-				v := warm.X[i]
-				if v < 0 {
-					v = 0
-				} else if v > 1 {
-					v = 1
+			if warm.x != nil {
+				for k, i := range w.live {
+					v := warm.x[i]
+					if v < 0 {
+						v = 0
+					} else if v > 1 {
+						v = 1
+					}
+					w.x[k] = v
 				}
-				w.x[k] = v
 			}
-			for r, v := range warm.Y {
+			for r, v := range warm.y {
 				if v < 0 {
 					v = 0
 				}
@@ -511,6 +513,23 @@ type Iterate struct {
 	Y []float64 `json:"y"`
 }
 
+// warmStart is an Iterate as the solver carries it from one window to the
+// next: x is nil when all n primal entries are 0, so the iterate of a
+// window with no live column costs its dual entries only.
+type warmStart struct {
+	n int       // primal length (window jobs)
+	x []float64 // nil, or n entries
+	y []float64
+}
+
+// asWarmStart views a caller's iterate as a warm start; nil stays nil.
+func (it *Iterate) asWarmStart() *warmStart {
+	if it == nil {
+		return nil
+	}
+	return &warmStart{n: len(it.X), x: it.X, y: it.Y}
+}
+
 // warmRejectOnce rate-limits the warm-start rejection warning to one line
 // per process: a rejected seed is legitimate after a window-size change,
 // but a caller whose shape never matches cold-starts every solve, and that
@@ -518,10 +537,10 @@ type Iterate struct {
 // carries the per-solve signal).
 var warmRejectOnce sync.Once
 
-func logWarmRejected(warm *Iterate, nx, ny int) {
+func logWarmRejected(warm *warmStart, nx, ny int) {
 	warmRejectOnce.Do(func() {
 		log.Printf("lp: warm-start iterate rejected: seed is %dx%d, instance is %dx%d; cold-starting (further rejections reported only via Stats.WarmRejected)",
-			len(warm.X), len(warm.Y), nx, ny)
+			warm.n, len(warm.y), nx, ny)
 	})
 }
 
@@ -536,9 +555,10 @@ func SolveRelaxationWarm(form solver.LinearForm, cfg Config, warm *Iterate) ([]f
 	cfg = cfg.withDefaults()
 	w := &relaxation{}
 	w.load(form)
-	st := w.solveFrom(cfg, warm)
+	ws := warm.asWarmStart()
+	st := w.solveFrom(cfg, ws)
 	if st.WarmRejected {
-		logWarmRejected(warm, w.n, w.m)
+		logWarmRejected(ws, w.n, w.m)
 	}
 	return append([]float64(nil), w.sol...), st, Iterate{
 		X: append([]float64(nil), w.sol...),

@@ -233,7 +233,7 @@ func TestPresolveMatchesDenseReference(t *testing.T) {
 				for _, phase := range []string{"cold", "warm"} {
 					wantX, wantY, wantSt := denseSolve(form, cfg, warm)
 					w.load(form)
-					st := w.solveFrom(cfg, warm)
+					st := w.solveFrom(cfg, warm.asWarmStart())
 					if !sameStats(st, wantSt) {
 						t.Fatalf("%s %s: stats %+v, dense %+v", name, phase, st, wantSt)
 					}
@@ -282,6 +282,16 @@ func (p *fullMachine) Evaluate(g moo.Genome) ([]float64, bool) {
 	return []float64{value}, nodes <= f.Caps[0] && bb <= f.Caps[1]
 }
 
+// iterate is the dense Iterate a memo stands for: a primal vector it left
+// out is all zeros.
+func (m *memo) iterate() *Iterate {
+	x := m.x
+	if x == nil {
+		x = make([]float64, m.n)
+	}
+	return &Iterate{X: x, Y: m.y}
+}
+
 // TestSolveNothingFits drives Solver.Solve over successive windows of one
 // run: after a window with a few startable jobs has left a positive dual
 // iterate in the memo, windows in which no job can start return the empty
@@ -303,16 +313,19 @@ func TestSolveNothingFits(t *testing.T) {
 		// What a dense solve makes of the same window from the same memo.
 		cfg, warm := s.cfg, (*Iterate)(nil)
 		if prev != nil {
-			cfg.Tol, warm = prev.tol, &prev.it
+			cfg.Tol, warm = prev.tol, prev.iterate()
 		}
 		form, _ := p.LinearForm()
 		wantX, wantY, wantSt := denseSolve(form, cfg, warm)
 		v, _ := mem.Load(s)
 		got := v.(*memo)
-		if !sameBits(got.it.X, wantX) || !sameBits(got.it.Y, wantY) {
-			t.Fatalf("pass %d: memo iterate Y=%v, dense Y=%v", pass, got.it.Y, wantY)
+		if (got.x == nil) != (fit == 0) {
+			t.Fatalf("pass %d: memo stores a primal vector: %v, with %d live columns", pass, got.x != nil, fit)
 		}
-		if wantSt.Active != fit || wantY[0] <= 0 || (prev != nil && wantY[0] >= prev.it.Y[0]) {
+		if it := got.iterate(); !sameBits(it.X, wantX) || !sameBits(it.Y, wantY) {
+			t.Fatalf("pass %d: memo iterate Y=%v, dense Y=%v", pass, it.Y, wantY)
+		}
+		if wantSt.Active != fit || wantY[0] <= 0 || (prev != nil && wantY[0] >= prev.y[0]) {
 			t.Fatalf("pass %d: dense reference %+v Y=%v: not the case under test", pass, wantSt, wantY)
 		}
 		prev = got
@@ -328,6 +341,50 @@ func TestSolveNothingFits(t *testing.T) {
 		if stream.State() != before {
 			t.Errorf("pass %d: solve drew from opts.Rand", pass)
 		}
+	}
+}
+
+// TestLPMemoAdvancesOnDeadWindow is the reason lp declares KeepsMemory
+// and is therefore handed the windows sched answers on its own for every
+// other backend: a window in which nothing can start, solved after a live
+// one, stores a dual iterate different from the one it loaded (and no
+// primal vector — all zeros need only their length), and the next live
+// window starts from that iterate, not from the one a skipped dead window
+// would have left in place.
+func TestLPMemoAdvancesOnDeadWindow(t *testing.T) {
+	s := New(DefaultConfig())
+	mem := solver.NewMemory()
+	stream := rng.New(9)
+	solve := func(fit int) *memo {
+		if _, err := s.Solve(&fullMachine{n: 642, fit: fit}, solver.Options{Rand: stream, Memory: mem}); err != nil {
+			t.Fatal(err)
+		}
+		v, _ := mem.Load(s)
+		return v.(*memo)
+	}
+	live := solve(12)
+	dead := solve(0)
+	if dead.x != nil || dead.n != 642 {
+		t.Fatalf("dead window stored a primal vector of %d entries (n=%d), want none for 642", len(dead.x), dead.n)
+	}
+	if sameBits(dead.y, live.y) {
+		t.Fatalf("the dead window left the dual iterate at %v: lp could be skipped on it after all", live.y)
+	}
+	next := solve(12)
+
+	form, _ := (&fullMachine{n: 642, fit: 12}).LinearForm()
+	from := func(m *memo) ([]float64, []float64) {
+		cfg := s.cfg
+		cfg.Tol = m.tol
+		x, y, _ := denseSolve(form, cfg, m.iterate())
+		return x, y
+	}
+	wantX, wantY := from(dead)
+	if it := next.iterate(); !sameBits(it.X, wantX) || !sameBits(it.Y, wantY) {
+		t.Fatalf("live window after a dead one: iterate Y=%v, dense solve from the dead window's memo Y=%v", it.Y, wantY)
+	}
+	if skipX, skipY := from(live); sameBits(skipX, wantX) && sameBits(skipY, wantY) {
+		t.Fatal("skipping the dead window would have changed nothing: not the case under test")
 	}
 }
 

@@ -171,10 +171,11 @@ func (g Genome) Key() string {
 	return string(g.appendKey(arr[:0]))
 }
 
-// keyBufSize fits the stack-allocated key scratch for genomes up to 512
-// genes (64 digest bytes + 2 uvarint bytes); longer genomes spill to the
-// heap inside append.
-const keyBufSize = 66
+// keyBufSize fits the stack-allocated key scratch for genomes up to 1024
+// genes (128 digest bytes + 2 uvarint bytes) — the largest window a
+// registered workload solves; longer genomes spill to the heap inside
+// append.
+const keyBufSize = 130
 
 // crossoverInto writes single-point crossover a[:cut] + b[cut:] into dst,
 // word-at-a-time. All three genomes must share dst's length; cut must be

@@ -416,7 +416,7 @@ func init() {
 	})
 	MustRegisterSolver(SolverSpec{
 		Name: "lp",
-		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; parallel SoA products on giant windows, bit-identical at any worker count)",
+		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; presolved to the jobs that fit the free machine, warm-started from the previous window's iterate)",
 		New:  func(moo.GAConfig) solver.Solver { return lp.New(lp.DefaultConfig()) },
 	})
 	MustRegisterSolver(SolverSpec{

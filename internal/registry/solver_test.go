@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"bbsched/internal/cluster"
+	"bbsched/internal/job"
 	"bbsched/internal/lp"
 	"bbsched/internal/moo"
+	"bbsched/internal/rng"
 	"bbsched/internal/sched"
 	"bbsched/internal/solver"
 )
@@ -28,6 +30,38 @@ func TestSolverRoster(t *testing.T) {
 	}
 	if _, err := NewSolver("nope", ga()); err == nil {
 		t.Fatal("unknown solver accepted")
+	}
+}
+
+// TestSolverMemoryCapabilityHonest holds every registered backend to what
+// it declares in Capabilities.KeepsMemory: after one dead and one live
+// window solved against a fresh solver.Memory, the memory holds something
+// exactly when the backend said it keeps one. sched skips dead windows for
+// the backends that say they do not, which is sound only if they told the
+// truth.
+func TestSolverMemoryCapabilityHonest(t *testing.T) {
+	cl := cluster.MustNew(cluster.Config{Name: "cap", Nodes: 100, BurstBufferGB: 1000})
+	snap := cl.Snapshot()
+	snap.FreeByClass[0] = 8
+	window := func(minNodes int) []*job.Job {
+		jobs := make([]*job.Job, 12)
+		for i := range jobs {
+			jobs[i] = job.MustNew(i+1, 0, 600, 600, job.NewDemand(minNodes+i, int64(10*i), 0))
+		}
+		return jobs
+	}
+	for _, spec := range Solvers() {
+		sv := spec.New(moo.GAConfig{Generations: 20, Population: 8, MutationProb: 0.01})
+		mem := solver.NewMemory()
+		for _, minNodes := range []int{9, 1} { // dead, then live
+			p := sched.NewSelectionProblem(window(minNodes), snap, []sched.Objective{sched.NodeUtil})
+			if _, err := sv.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(3), Memory: mem}); err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+		}
+		if keeps := sv.Capabilities().KeepsMemory; keeps != (mem.Len() > 0) {
+			t.Errorf("%s declares KeepsMemory=%v and left %d entries in the run's memory", spec.Name, keeps, mem.Len())
+		}
 	}
 }
 

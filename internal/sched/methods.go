@@ -139,15 +139,34 @@ func SolverNameOf(m Method) string {
 // SolverSlot holds a method's pluggable backend: the configured override
 // (guarded — Set may race with in-flight Selects on a shared method
 // instance) or a lazily built (once) GA backend over the method's GA
-// configuration — the pre-refactor behaviour, bit for bit. Embed one to
-// give a custom method the same SetSolver/Select concurrency contract
-// the built-in methods have.
+// configuration — the pre-refactor behaviour, bit for bit — and the
+// storage its solves are built in (SolveWindow), kept between them. Embed one to give a
+// custom method the same SetSolver/Select concurrency contract the
+// built-in methods have.
 type SolverSlot struct {
 	mu       sync.RWMutex
 	override solver.Solver
 
 	once sync.Once
 	ga   *solver.GA
+
+	// idle holds the bindings no solve is using (guarded by mu). A free
+	// list rather than a field keeps the method safe for concurrent
+	// Selects — they draw separate bindings, as many as ever ran at once —
+	// and rather than a sync.Pool keeps one run at exactly one binding: a
+	// Pool holds one per P and drops them at every other collection, which
+	// a deep-queue replay's live heap and allocation count both showed.
+	idle []*binding
+}
+
+// binding is the storage one solve is built in, kept from one scheduling
+// decision to the next: the memoizing evaluator (its cache capacity and
+// the GA generation buffers parked on it), the selection problem and the
+// scalarization around it, each with its linear-form buffers.
+type binding struct {
+	ev   *moo.Evaluator
+	prob SelectionProblem
+	scal scalarized
 }
 
 // Set installs the backend override; nil restores the GA default.
@@ -168,6 +187,78 @@ func (b *SolverSlot) Resolve(cfg moo.GAConfig) solver.Solver {
 	}
 	b.once.Do(func() { b.ga = solver.NewGA(cfg) })
 	return b.ga
+}
+
+// SolveWindow is the one solve path under every solver-backed method
+// (Weighted, Constrained, core.BBSched): it states ctx's window as the
+// selection problem over objectives — scalarized by weights against
+// ctx.Totals when weights is non-nil — and hands it, wrapped in a
+// memoizing evaluator, to the resolved backend. It returns the backend's
+// front; a nil front means the empty selection.
+//
+// A window that has one answer is not solved. When no window job fits
+// ctx.Snap even alone the empty selection is the only feasible one, so a
+// backend that keeps no cross-pass memory (solver.Capabilities) is not
+// called, and no problem, evaluator or linear form is built: the pass
+// costs one early-exit CanFit walk. On the paper's own path that is most
+// passes — the machine is full and the window waits for a job to end. A
+// backend that does keep memory sees every window, because what it stores
+// on a dead one shapes its later answers.
+//
+// What is built is built in place: problem, scalarization, evaluator and
+// linear form live in one kept binding and are rebound to the window,
+// so a steady-state solve allocates nothing that grows with it. A custom
+// Method that wants neither the shortcut nor the kept storage calls its
+// solver directly.
+func (b *SolverSlot) SolveWindow(ctx *Context, cfg moo.GAConfig, objectives []Objective, weights []float64) ([]moo.Solution, error) {
+	if len(ctx.Window) == 0 {
+		return nil, nil
+	}
+	backend := b.Resolve(cfg)
+	if !backend.Capabilities().KeepsMemory && windowDead(ctx) {
+		return nil, nil
+	}
+	bd := b.takeBinding()
+	bd.prob.Reset(ctx.Window, ctx.Snap, objectives)
+	var p moo.Problem = &bd.prob
+	if weights != nil {
+		bd.scal.reset(&bd.prob, weights, ctx.Totals)
+		p = &bd.scal
+	}
+	bd.ev = moo.ReuseEvaluator(bd.ev, p)
+	front, err := backend.Solve(bd.ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
+	b.mu.Lock()
+	b.idle = append(b.idle, bd)
+	b.mu.Unlock()
+	return front, err
+}
+
+// takeBinding returns an idle binding, or a new one.
+func (b *SolverSlot) takeBinding() *binding {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.idle)
+	if n == 0 {
+		return &binding{}
+	}
+	bd := b.idle[n-1]
+	b.idle = b.idle[:n-1]
+	return bd
+}
+
+// windowDead reports whether no job of ctx's window fits the free
+// snapshot even alone — exactly when no single-job genome is feasible
+// under SelectionProblem.Evaluate, and hence (demands are non-negative)
+// when the empty selection is the only feasible one. Snapshot.CanFit
+// mirrors AllocInto, which is what Evaluate's slow path runs and what its
+// column-sum fast path reduces to on validated (≥ 1 node) demands.
+func windowDead(ctx *Context) bool {
+	for _, j := range ctx.Window {
+		if ctx.Snap.CanFit(j.Demand) {
+			return false
+		}
+	}
+	return true
 }
 
 // vetoNonLinear rejects linear-only backends when any optimized
@@ -199,10 +290,6 @@ type Weighted struct {
 	// backend entirely (nil restores the GA — the paper's behaviour).
 	GA GASolverConfig
 
-	// evals pools reusable evaluators so the solver keeps its
-	// memoization-cache capacity across scheduling decisions while
-	// staying safe for concurrent Select calls.
-	evals   sync.Pool
 	backend SolverSlot
 }
 
@@ -241,29 +328,17 @@ func (w *Weighted) VetoSolver(s solver.Solver) error {
 func (w *Weighted) SolverName() string { return w.backend.Resolve(w.GA).Name() }
 
 // Select implements Method: scalarize the utilization objectives and hand
-// the single-objective problem — wrapped in the method's pooled memoizing
-// evaluator — to the configured backend.
+// the single-objective problem to the configured backend (see
+// SolverSlot.SolveWindow).
 func (w *Weighted) Select(ctx *Context) ([]int, error) {
 	if len(w.Weights) != len(w.Objectives) {
 		return nil, fmt.Errorf("sched: %s has %d weights for %d objectives", w.MethodName, len(w.Weights), len(w.Objectives))
 	}
-	if len(ctx.Window) == 0 {
-		return nil, nil
-	}
-	inner := NewSelectionProblem(ctx.Window, ctx.Snap, w.Objectives)
-	p := &scalarized{inner: inner, weights: w.Weights, denom: ctx.Totals.Denominators(w.Objectives)}
-	ev, _ := w.evals.Get().(*moo.Evaluator)
-	ev = moo.ReuseEvaluator(ev, p)
-	front, err := w.backend.Resolve(w.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
-	w.evals.Put(ev)
+	front, err := w.backend.SolveWindow(ctx, w.GA, w.Objectives, w.Weights)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", w.MethodName, err)
 	}
-	best := bestScalar(front)
-	if best == nil {
-		return nil, nil
-	}
-	return Selected(best.Genome), nil
+	return bestScalar(front), nil
 }
 
 // Constrained maximizes one resource's utilization with the remaining
@@ -278,8 +353,6 @@ type Constrained struct {
 	// backend entirely (see Weighted).
 	GA GASolverConfig
 
-	// evals pools reusable evaluators (see Weighted.evals).
-	evals   sync.Pool
 	backend SolverSlot
 }
 
@@ -299,28 +372,17 @@ func (c *Constrained) SolverName() string { return c.backend.Resolve(c.GA).Name(
 
 // Select implements Method.
 func (c *Constrained) Select(ctx *Context) ([]int, error) {
-	if len(ctx.Window) == 0 {
-		return nil, nil
-	}
-	p := NewSelectionProblem(ctx.Window, ctx.Snap, []Objective{c.Target})
-	ev, _ := c.evals.Get().(*moo.Evaluator)
-	ev = moo.ReuseEvaluator(ev, p)
-	front, err := c.backend.Resolve(c.GA).Solve(ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
-	c.evals.Put(ev)
+	front, err := c.backend.SolveWindow(ctx, c.GA, []Objective{c.Target}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", c.MethodName, err)
 	}
-	best := bestScalar(front)
-	if best == nil {
-		return nil, nil
-	}
-	return Selected(best.Genome), nil
+	return bestScalar(front), nil
 }
 
-// bestScalar picks the solution with the highest first objective; ties
-// break toward selections earlier in the window (preserving base order),
-// then fewer selected jobs.
-func bestScalar(front []moo.Solution) *moo.Solution {
+// bestScalar returns the window indices of the front's solution with the
+// highest first objective — the first such solution in front order when
+// several tie — and nil for an empty front or an empty selection.
+func bestScalar(front []moo.Solution) []int {
 	if len(front) == 0 {
 		return nil
 	}
@@ -330,7 +392,7 @@ func bestScalar(front []moo.Solution) *moo.Solution {
 			best = i
 		}
 	}
-	return &front[best]
+	return Selected(front[best].Genome)
 }
 
 // BinPacking is the Tetris-style heuristic of [18] (§4.3): repeatedly

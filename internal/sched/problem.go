@@ -141,6 +141,13 @@ func ObjectivesFor(cfg cluster.Config, ssd bool) []Objective {
 // SelectionProblem is the window job-selection MOO problem of §3.2.1: bit
 // i selects window job i; objectives are maximized subject to the free
 // resources in the snapshot. It implements moo.Problem and moo.Repairer.
+//
+// A problem is storage as much as it is an instance: Reset rebinds it to
+// the next window in place, so the solver-backed methods keep one per
+// concurrent solve (see SolverSlot.SolveWindow) and a scheduling pass builds
+// its problem without allocating once the columns have grown to the
+// window. Between two Resets the instance is read-only and safe for
+// concurrent Evaluate, Repair and LinearForm calls.
 type SelectionProblem struct {
 	jobs       []*job.Job
 	snap       cluster.Snapshot
@@ -158,15 +165,16 @@ type SelectionProblem struct {
 	freeBB    int64
 	freeExtra []int64
 
+	// lin is the instance's LP structure, built when a backend first asks.
+	lin linearCache
+
 	// scratch holds the idle per-evaluation workspaces, so the slow
 	// (SSD-class) path reuses one snapshot + placement buffer across the
 	// GA's G×P candidate evaluations instead of cloning cluster state per
-	// candidate. A free list (not a single buffer) keeps Evaluate safe for
-	// the GA's parallel fitness workers; it is a locked slice rather than
-	// a sync.Pool because a problem lives for one scheduling decision and
-	// the runtime keeps every used Pool — and the problem around it —
-	// reachable until two collections later, so a replay's live heap grew
-	// with the number of decisions between collections.
+	// candidate. It is a free list, not a single buffer, because
+	// solver.Portfolio's members evaluate one problem concurrently, and it
+	// outlives a bind: the workspaces depend on the machine's shape only,
+	// so Reset keeps them unless that changed.
 	scratchMu sync.Mutex
 	scratch   []*evalScratch
 }
@@ -180,47 +188,57 @@ type evalScratch struct {
 }
 
 // NewSelectionProblem builds the problem over the window jobs and the
-// machine's current free resources. The snapshot is cloned; callers may
+// machine's current free resources. The snapshot is copied; callers may
 // keep using theirs.
 func NewSelectionProblem(window []*job.Job, snap cluster.Snapshot, objectives []Objective) *SelectionProblem {
+	p := &SelectionProblem{}
+	p.Reset(window, snap, objectives)
+	return p
+}
+
+// Reset rebinds p to a new window, free-resource snapshot and objective
+// list, reusing the demand columns, the snapshot copy, the linear-form
+// buffers and the evaluation workspaces of the previous bind. The window
+// slice is kept, the snapshot and the objective list are copied. Nothing of
+// the previous instance survives it, so no call on p may be in flight.
+func (p *SelectionProblem) Reset(window []*job.Job, snap cluster.Snapshot, objectives []Objective) {
 	if len(objectives) == 0 {
 		panic("sched: selection problem with no objectives")
 	}
-	p := &SelectionProblem{jobs: window, snap: snap.Clone(), objectives: objectives}
-	p.nodes = make([]int64, len(window))
-	p.bb = make([]int64, len(window))
-	nExtra := snap.NumExtra()
-	if nExtra > 0 {
-		p.extras = make([][]int64, nExtra)
-		for k := range p.extras {
-			p.extras[k] = make([]int64, len(window))
-		}
-		p.freeExtra = append([]int64(nil), snap.FreeExtra...)
+	n, nExtra := len(window), snap.NumExtra()
+	if p.snap.NumClasses() != snap.NumClasses() || len(p.extras) != nExtra {
+		p.scratch = nil // workspaces are sized by the machine's shape
 	}
+	p.jobs = window
+	p.objectives = append(p.objectives[:0], objectives...) // copied: a caller's list may live on its stack
+	p.snap.CopyFrom(snap)
+	p.lin.reset()
+
+	p.nodes = resized(p.nodes, n)
+	p.bb = resized(p.bb, n)
+	p.extras = resized(p.extras, nExtra)
+	for k := range p.extras {
+		p.extras[k] = resized(p.extras[k], n)
+	}
+	p.freeExtra = append(p.freeExtra[:0], snap.FreeExtra...)
+	p.freeNodes = int64(snap.FreeNodes())
+	p.freeBB = snap.FreeBB
+	p.fastPath = snap.NumClasses() == 1
 	for i, j := range window {
 		p.nodes[i] = int64(j.Demand.NodeCount())
 		p.bb[i] = j.Demand.BB()
 		for k := range p.extras {
 			p.extras[k][i] = j.Demand.Extra(k)
 		}
-	}
-	if snap.NumClasses() == 1 {
-		p.fastPath = true
-		p.freeNodes = int64(snap.FreeNodes())
-		p.freeBB = snap.FreeBB
-		for _, j := range window {
-			// A per-node SSD demand on a single-class machine still consumes
-			// capacity uniformly; feasibility reduces to the class capacity
-			// check, which Alloc enforces — fall back if any job wants SSD.
-			// Likewise fall back when a demand carries dimensions beyond the
-			// machine's (only Alloc knows they make the job unfittable).
-			if j.Demand.SSDPerNode() > 0 || j.Demand.NumExtra() > nExtra {
-				p.fastPath = false
-				break
-			}
+		// A per-node SSD demand on a single-class machine still consumes
+		// capacity uniformly; feasibility reduces to the class capacity
+		// check, which Alloc enforces — fall back if any job wants SSD.
+		// Likewise fall back when a demand carries dimensions beyond the
+		// machine's (only Alloc knows they make the job unfittable).
+		if j.Demand.SSDPerNode() > 0 || j.Demand.NumExtra() > nExtra {
+			p.fastPath = false
 		}
 	}
-	return p
 }
 
 // exceeds reports whether any extra-dimension selection total sums[k]
@@ -483,35 +501,90 @@ func (p *SelectionProblem) linearWaste(d job.Demand) int64 {
 	return waste
 }
 
-// linearConstraints returns the knapsack rows of the instance: one demand
-// row per machine resource against its free capacity. On SSD-class
-// machines the per-class placement constraint is relaxed to the aggregate
-// free SSD capacity — a valid LP relaxation; exact feasibility of rounded
-// selections still comes from Evaluate.
-func (p *SelectionProblem) linearConstraints() (rows [][]float64, caps []float64) {
+// linearCache holds a bound problem's LP structure. The form is built when
+// a backend first asks for it and only read from then on —
+// solver.Portfolio hands one problem to concurrent members and each of
+// them linearizes it — and its C, Rows and Caps storage is what the next
+// bind builds into.
+type linearCache struct {
+	mu    sync.Mutex
+	built bool
+	ok    bool
+	form  solver.LinearForm
+}
+
+// reset forgets the built form, keeping its storage.
+func (lc *linearCache) reset() { lc.built = false }
+
+// get returns the bind's form, calling build — which fills the form in
+// place and reports whether the instance has one — on the first request.
+func (lc *linearCache) get(build func(*solver.LinearForm) bool) (solver.LinearForm, bool) {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	if !lc.built {
+		lc.ok = build(&lc.form)
+		lc.built = true
+	}
+	if !lc.ok {
+		return solver.LinearForm{}, false
+	}
+	return lc.form, true
+}
+
+// resized returns buf at length n with unspecified contents, reusing its
+// storage when that is large enough. New storage is a whole number of
+// 64-entry blocks: a window that grows by a job a pass reallocates once
+// in 64 passes, and what is kept is never a block larger than the window.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, (n+63)&^63)
+	}
+	return buf[:n]
+}
+
+// zeroed is resized with every entry 0.
+func zeroed(buf []float64, n int) []float64 {
+	buf = resized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// linearConstraints fills f's knapsack rows: one demand row per machine
+// resource against its free capacity. On SSD-class machines the per-class
+// placement constraint is relaxed to the aggregate free SSD capacity — a
+// valid LP relaxation; exact feasibility of rounded selections still
+// comes from Evaluate.
+func (p *SelectionProblem) linearConstraints(f *solver.LinearForm) {
 	n := len(p.jobs)
-	intRow := func(col []int64) []float64 {
-		row := make([]float64, n)
+	f.Rows, f.Caps = f.Rows[:0], f.Caps[:0]
+	addRow := func(capacity float64) []float64 {
+		k := len(f.Rows)
+		if k < cap(f.Rows) {
+			f.Rows = f.Rows[:k+1] // the row an earlier bind left here is this one's storage
+		} else {
+			f.Rows = append(f.Rows, nil)
+		}
+		f.Rows[k] = zeroed(f.Rows[k], n)
+		f.Caps = append(f.Caps, capacity)
+		return f.Rows[k]
+	}
+	intRow := func(col []int64, free int64) {
+		row := addRow(float64(free))
 		for i, v := range col {
 			row[i] = float64(v)
 		}
-		return row
 	}
-	rows = append(rows, intRow(p.nodes))
-	caps = append(caps, float64(p.snap.FreeNodes()))
-	rows = append(rows, intRow(p.bb))
-	caps = append(caps, float64(p.snap.FreeBB))
+	intRow(p.nodes, int64(p.snap.FreeNodes()))
+	intRow(p.bb, p.snap.FreeBB)
 	for k := range p.extras {
-		rows = append(rows, intRow(p.extras[k]))
-		caps = append(caps, float64(p.snap.FreeExtra[k]))
+		intRow(p.extras[k], p.snap.FreeExtra[k])
 	}
 	if !p.fastPath {
-		ssd := make([]float64, n)
 		any := false
-		for i, j := range p.jobs {
-			if d := j.Demand.TotalSSD(); d > 0 {
-				ssd[i] = float64(d)
+		for _, j := range p.jobs {
+			if j.Demand.TotalSSD() > 0 {
 				any = true
+				break
 			}
 		}
 		if any {
@@ -519,40 +592,55 @@ func (p *SelectionProblem) linearConstraints() (rows [][]float64, caps []float64
 			for c := 0; c < p.snap.NumClasses(); c++ {
 				free += int64(p.snap.FreeByClass[c]) * p.snap.ClassCapacity(c)
 			}
-			rows = append(rows, ssd)
-			caps = append(caps, float64(free))
+			ssd := addRow(float64(free))
+			for i, j := range p.jobs {
+				ssd[i] = float64(j.Demand.TotalSSD())
+			}
 		}
 	}
-	return rows, caps
 }
 
 // LinearForm implements solver.Linearizable for single-objective
 // instances (the constrained methods' formulation): maximize the
 // objective's demand column under the machine's knapsack rows.
-// Multi-objective instances have no scalar linear form.
+// Multi-objective instances have no scalar linear form. The form is built
+// once per bind and shared by every caller, who must only read it.
 func (p *SelectionProblem) LinearForm() (solver.LinearForm, bool) {
 	if len(p.objectives) != 1 {
 		return solver.LinearForm{}, false
 	}
-	c := make([]float64, len(p.jobs))
-	if !p.addObjectiveColumn(c, 1, p.objectives[0]) {
-		return solver.LinearForm{}, false
-	}
-	rows, caps := p.linearConstraints()
-	return solver.LinearForm{C: c, Rows: rows, Caps: caps}, true
+	return p.lin.get(func(f *solver.LinearForm) bool {
+		f.C = zeroed(f.C, len(p.jobs))
+		if !p.addObjectiveColumn(f.C, 1, p.objectives[0]) {
+			return false
+		}
+		p.linearConstraints(f)
+		return true
+	})
 }
 
 // Selected converts a solution genome to window indices.
 func Selected(g moo.Genome) []int { return g.Ones() }
 
 // scalarized wraps a SelectionProblem into a single weighted-sum objective
-// over machine-normalized utilizations, for the weighted and constrained
-// methods. Weights align with TwoObjectives/FourObjectives order.
+// over machine-normalized utilizations, for the weighted methods. Weights
+// align with the inner problem's objective list.
 type scalarized struct {
 	inner   *SelectionProblem
 	weights []float64
 	// denom[k] normalizes objective k to [0,1] (machine totals).
 	denom []float64
+
+	// lin is the scalarization's LP structure (see linearCache).
+	lin linearCache
+}
+
+// reset rebinds the wrapper around a freshly Reset inner problem, reusing
+// the denominator and linear-form buffers.
+func (s *scalarized) reset(inner *SelectionProblem, weights []float64, t Totals) {
+	s.inner, s.weights = inner, weights
+	s.denom = t.appendDenominators(s.denom[:0], inner.objectives)
+	s.lin.reset()
 }
 
 // Dim implements moo.Problem.
@@ -587,21 +675,23 @@ func (s *scalarized) Repair(g moo.Genome, drop func(n int) int) { s.inner.Repair
 // contributes a column — including SSDWasteNeg, whose negative
 // coefficients the LP and branch-and-bound backends handle — so
 // four-objective scalarizations get the fast path; it reports false only
-// when some combined objective has no linear column at all.
+// when some combined objective has no linear column at all. Like
+// SelectionProblem.LinearForm it is built once per bind and read-only.
 func (s *scalarized) LinearForm() (solver.LinearForm, bool) {
-	n := s.inner.Dim()
-	c := make([]float64, n)
-	for k, o := range s.inner.objectives {
-		w := s.weights[k]
-		if s.denom[k] > 0 {
-			w /= s.denom[k]
+	return s.lin.get(func(f *solver.LinearForm) bool {
+		f.C = zeroed(f.C, s.inner.Dim())
+		for k, o := range s.inner.objectives {
+			w := s.weights[k]
+			if s.denom[k] > 0 {
+				w /= s.denom[k]
+			}
+			if !s.inner.addObjectiveColumn(f.C, w, o) {
+				return false
+			}
 		}
-		if !s.inner.addObjectiveColumn(c, w, o) {
-			return solver.LinearForm{}, false
-		}
-	}
-	rows, caps := s.inner.linearConstraints()
-	return solver.LinearForm{C: c, Rows: rows, Caps: caps}, true
+		s.inner.linearConstraints(f)
+		return true
+	})
 }
 
 // Totals carries machine capacity totals used to normalize objectives in
@@ -644,18 +734,24 @@ func (t Totals) ExtraTotal(k int) int64 {
 // Denominators maps objectives to their machine-capacity normalization
 // constants (0 when the machine lacks the dimension).
 func (t Totals) Denominators(objectives []Objective) []float64 {
-	out := make([]float64, len(objectives))
-	for k, o := range objectives {
+	return t.appendDenominators(make([]float64, 0, len(objectives)), objectives)
+}
+
+// appendDenominators appends the objectives' Denominators to dst.
+func (t Totals) appendDenominators(dst []float64, objectives []Objective) []float64 {
+	for _, o := range objectives {
+		var d float64
 		switch {
 		case o == NodeUtil:
-			out[k] = float64(t.Nodes)
+			d = float64(t.Nodes)
 		case o == BBUtil:
-			out[k] = float64(t.BBGB)
+			d = float64(t.BBGB)
 		case o == SSDUtil || o == SSDWasteNeg:
-			out[k] = float64(t.SSDGB)
+			d = float64(t.SSDGB)
 		case o.IsExtra():
-			out[k] = float64(t.ExtraTotal(o.ExtraIndex()))
+			d = float64(t.ExtraTotal(o.ExtraIndex()))
 		}
+		dst = append(dst, d)
 	}
-	return out
+	return dst
 }

@@ -34,15 +34,17 @@ func (*Portfolio) Name() string { return "portfolio" }
 
 // Capabilities implements Solver: the race keeps one best solution, not a
 // merged front, so it is scalar-only; it needs the linear form only when
-// every member does (a ga member handles any problem the others reject).
+// every member does (a ga member handles any problem the others reject),
+// and it keeps cross-pass memory as soon as one member does (every member
+// is handed opts.Memory).
 func (pf *Portfolio) Capabilities() Capabilities {
-	needsLinear := len(pf.Members) > 0
+	caps := Capabilities{NeedsLinear: len(pf.Members) > 0}
 	for _, m := range pf.Members {
-		if !m.Capabilities().NeedsLinear {
-			needsLinear = false
-		}
+		mc := m.Capabilities()
+		caps.NeedsLinear = caps.NeedsLinear && mc.NeedsLinear
+		caps.KeepsMemory = caps.KeepsMemory || mc.KeepsMemory
 	}
-	return Capabilities{NeedsLinear: needsLinear}
+	return caps
 }
 
 // Solve implements Solver by racing every member concurrently. Each

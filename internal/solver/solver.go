@@ -68,9 +68,19 @@ func (mem *Memory) Store(key, value any) {
 	mem.m[key] = value
 }
 
-// Capabilities describes what a backend can solve, so methods can reject
+// Len returns the number of entries stored: 0 after a run on backends that
+// keep no memory, which is what Capabilities.KeepsMemory is checked against.
+func (mem *Memory) Len() int {
+	mem.mu.Lock()
+	defer mem.mu.Unlock()
+	return len(mem.m)
+}
+
+// Capabilities is what a backend declares about itself — facts of its
+// implementation, never settings: what it can solve, so methods can reject
 // an incompatible solver at configuration time instead of failing deep in
-// a scheduling pass.
+// a scheduling pass, and whether a scheduling pass may answer for it when
+// a window has only one answer (KeepsMemory).
 type Capabilities struct {
 	// ParetoFront reports that Solve returns a full Pareto set over
 	// multi-objective problems. Backends without it handle only
@@ -80,6 +90,16 @@ type Capabilities struct {
 	// NeedsLinear reports that the backend requires the problem to expose
 	// an LP structure via Linearizable and fails on problems that do not.
 	NeedsLinear bool
+	// KeepsMemory reports that Solve loads and stores state in
+	// Options.Memory, so what it returns for one window depends on every
+	// window it was shown before. sched answers a window in which no job
+	// fits the free machine — one whose only feasible selection is the
+	// empty one — without calling a backend that keeps no memory; a
+	// backend that does keep one is handed such windows too, because the
+	// state it would have stored is part of its later answers (lp takes
+	// its dual steps on a dead window and warm-starts the next live one
+	// from them). A backend that touches Options.Memory must declare it.
+	KeepsMemory bool
 }
 
 // Solver solves one window-selection problem instance. Implementations

@@ -159,6 +159,14 @@ func TestPortfolioCapabilities(t *testing.T) {
 	if !linOnly.Capabilities().NeedsLinear {
 		t.Error("all-linear portfolio does not claim NeedsLinear")
 	}
+	// Every member is handed the run's memory, so the race keeps memory as
+	// soon as one member does — and only then.
+	if !caps.KeepsMemory {
+		t.Error("portfolio with an lp member does not claim KeepsMemory")
+	}
+	if solver.NewPortfolio(solver.NewGA(moo.DefaultGAConfig()), solver.NewGreedy()).Capabilities().KeepsMemory {
+		t.Error("portfolio of memoryless members claims KeepsMemory")
+	}
 }
 
 // TestMemoryLoadStore pins the Memory map's basic contract.
@@ -171,7 +179,7 @@ func TestMemoryLoadStore(t *testing.T) {
 	mem.Store(key, 41)
 	mem.Store(key, 42)
 	v, ok := mem.Load(key)
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Load = (%v, %v), want (42, true)", v, ok)
+	if !ok || v.(int) != 42 || mem.Len() != 1 {
+		t.Fatalf("Load = (%v, %v) of %d entries, want (42, true) of 1", v, ok, mem.Len())
 	}
 }
