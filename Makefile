@@ -119,8 +119,10 @@ farm-smoke:
 	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$' ./internal/checkpoint
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
-# the network) and the dead-window shortcut (skipped answer == solved
-# answer, over generated windows) for 30s per target (CI smoke; the seed
+# the network), the dead-window shortcut (skipped answer == solved
+# answer, over generated windows) and the ranked planner (prefiltered
+# PlanRanked == reference Plan over Sorted, over generated machines and
+# queues) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.
@@ -129,18 +131,20 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
+	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
-# internal/solver + internal/queue statement coverage must not drop below
-# the floor (cluster/sched floor captured with the N-dimension harness; lp
-# joined with the solver refactor at 95%+ package coverage; solver joined
-# with the zoo — greedy, portfolio, memory; queue joined when it began to
-# carry its order from one scheduling pass to the next).
+# internal/solver + internal/queue + internal/backfill statement coverage
+# must not drop below the floor (cluster/sched floor captured with the
+# N-dimension harness; lp joined with the solver refactor at 95%+ package
+# coverage; solver joined with the zoo — greedy, portfolio, memory; queue
+# joined when it began to carry its order from one scheduling pass to the
+# next; backfill when its planner began to reject jobs on flat keys).
 COVER_FLOOR = 75.0
 cover-gate:
-	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue
+	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue ./internal/backfill
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
-	echo "cluster+sched+lp+solver+queue coverage: $$total% (floor $(COVER_FLOOR)%)"; \
+	echo "cluster+sched+lp+solver+queue+backfill coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 

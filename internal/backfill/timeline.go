@@ -7,9 +7,10 @@ package backfill
 // copies and re-sorts the running set, and one Planner whose scratch
 // buffers make the steady-state pass allocation-free. The Planner reads
 // the queue as a queue.Ranking — the same one the window pass took its
-// window from — so a pass orders the queue once. Plan (backfill.go)
-// remains the straightforward reference implementation the fuzz suite
-// compares against.
+// window from — so a pass orders the queue once, and tests each entry's
+// two flat demands against the free totals before it touches the job.
+// Plan (backfill.go) remains the straightforward reference implementation
+// the fuzz suite compares against.
 
 import (
 	"fmt"
@@ -67,11 +68,13 @@ func (tl *Timeline) Remove(releaseTime int64, jobID int) bool {
 // use, and the slice returned by Plan is valid only until the next call.
 type Planner struct {
 	free, work cluster.Snapshot
+	freeNodes  int // p.free.FreeNodes(), kept current through phase 2
 	releases   []Running
 	started    []*job.Job
 	nodeArena  []int
 	allocBuf   []int
-	none       queue.Ranking // the empty ranking behind Plan's ordered slice
+	ahead      []queue.Entry // Plan's ordered slice as entries
+	none       queue.Ranking // the empty ranking behind it
 
 	// The pass's instant and, once phase 1 has found the reservation
 	// head, its shadow time; work then holds the shadow-time leftover.
@@ -81,7 +84,11 @@ type Planner struct {
 // Plan is PlanRanked over a queue the caller has already put in
 // base-priority order (dependency-blocked jobs filtered out).
 func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, now int64) []*job.Job {
-	return p.PlanRanked(snap, tl, waiting, &p.none, now)
+	p.ahead = p.ahead[:0]
+	for _, j := range waiting {
+		p.ahead = append(p.ahead, queue.EntryOf(j))
+	}
+	return p.PlanRanked(snap, tl, p.ahead, &p.none, now)
 }
 
 // PlanRanked is the EASY planning pass of the package doc, semantically
@@ -98,7 +105,15 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 // shrink while phase 2 runs and Snapshot.CanFit is monotone in free
 // resources, so a job that fails now fails at its turn too, and the
 // survivors meet the same checks in the same relative order.
-func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []*job.Job, rest *queue.Ranking, now int64) []*job.Job {
+//
+// Every phase-2 fit question is first put to the entry (queue.Entry.MayFit
+// against the free node and burst-buffer totals, refreshed after each
+// start): most of a deep queue cannot fit a nearly full machine, and is
+// rejected on two integers without the job being loaded. MayFit is only
+// necessary for CanFit — an SSD-class or extra-dimension shortfall passes
+// it — so CanFit and AllocInto still decide every job it lets through and
+// the plan is the reference Plan's, job for job.
+func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []queue.Entry, rest *queue.Ranking, now int64) []*job.Job {
 	p.started = p.started[:0]
 	if len(ahead) == 0 && rest.Len() == 0 {
 		return nil
@@ -116,8 +131,10 @@ func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []*job.J
 	for {
 		var j *job.Job
 		if len(ahead) > 0 {
-			j, ahead = ahead[0], ahead[1:]
-		} else if j = rest.Next(); j == nil {
+			j, ahead = ahead[0].Job, ahead[1:]
+		} else if e, ok := rest.Next(); ok {
+			j = e.Job
+		} else {
 			return p.started
 		}
 		placed, err := p.free.AllocInto(j.Demand, p.arenaBuf(p.free.NumClasses()))
@@ -142,12 +159,13 @@ func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []*job.J
 		// than the machine. Workload validation prevents this; be safe.
 		return p.started
 	}
-	for _, j := range ahead {
-		p.backfill(j)
+	p.freeNodes = p.free.FreeNodes()
+	for _, e := range ahead {
+		p.backfill(e)
 	}
-	rest.Prune(p.mayBackfill)
-	for _, j := range rest.Rest() {
-		p.backfill(j)
+	rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
+	for _, e := range rest.Rest() {
+		p.backfill(e)
 	}
 	return p.started
 }
@@ -169,14 +187,16 @@ func (p *Planner) endsBeforeShadow(j *job.Job) bool {
 	return p.now+j.WalltimeEst+j.StageOutSec <= p.shadow
 }
 
-// backfill starts j behind the reservation if it may.
-func (p *Planner) backfill(j *job.Job) {
-	if !p.mayBackfill(j) {
+// backfill starts e's job behind the reservation if it may.
+func (p *Planner) backfill(e queue.Entry) {
+	if !e.MayFit(p.freeNodes, p.free.FreeBB) || !p.mayBackfill(e.Job) {
 		return
 	}
+	j := e.Job
 	if _, err := p.free.AllocInto(j.Demand, p.allocBuf); err != nil {
 		return
 	}
+	p.freeNodes -= j.Demand.NodeCount()
 	if !p.endsBeforeShadow(j) {
 		// Runs past the shadow: consume the head's leftover too.
 		if _, err := p.work.AllocInto(j.Demand, p.allocBuf); err != nil {

@@ -95,7 +95,8 @@ func TestTimelineRemoveMissing(t *testing.T) {
 
 // TestPlannerMatchesReferencePlan fuzzes random machines (SSD classes,
 // extra dimensions), running sets, and waiting queues (stage-out jobs,
-// the odd job bigger than the machine, which makes the reservation fail)
+// the odd job bigger than the machine, which makes the reservation fail,
+// and the demands awkwardDemand draws to get past the planner's prefilter)
 // through one pooled Planner — reused across all cases, so scratch reuse
 // is exercised — and checks every pass against the reference Plan, twice:
 // fed the waiting jobs as an already-ordered slice, and fed the way the
@@ -109,93 +110,172 @@ func TestPlannerMatchesReferencePlan(t *testing.T) {
 	if testing.Short() {
 		trials = 150
 	}
+	blind := 0
+	for trial := 0; trial < trials; trial++ {
+		blind += plannerCase(t, r, &p, fmt.Sprintf("trial %d", trial))
+	}
+	if blind < trials {
+		t.Fatalf("%d (job, snapshot) pairs in %d trials passed the prefilter and failed CanFit; the generator no longer reaches the prefilter's blind side", blind, trials)
+	}
+}
+
+// FuzzPlanRankedMatchesPlan is the same differential check with the case
+// drawn from a fuzzed seed: ranked planner == reference Plan over Sorted.
+func FuzzPlanRankedMatchesPlan(f *testing.F) {
+	for seed := uint64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		var p Planner
+		r := rng.New(seed)
+		for pass := 0; pass < 3; pass++ { // later passes reuse p's scratch
+			plannerCase(t, r, &p, fmt.Sprintf("seed %d pass %d", seed, pass))
+		}
+	})
+}
+
+// plannerCase draws one machine, running set and waiting queue from r and
+// checks p against the reference Plan on it, both ways. It returns how
+// many (job, snapshot) pairs it drew that only CanFit could reject.
+func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind int) {
 	policies := []queue.Policy{queue.FCFS{}, queue.WFP{}, queue.Multifactor{MachineNodes: 32}}
 	ready := func(id int) bool { return id != 999 } // job 999 never finishes
-	for trial := 0; trial < trials; trial++ {
-		cfg := randMachine(r)
-		cl := cluster.MustNew(cfg)
-		snapshot := cl.Snapshot()
+	cfg := randMachine(r)
+	cl := cluster.MustNew(cfg)
+	snapshot := cl.Snapshot()
 
-		// Pre-occupy the machine with a random running set.
-		var runs []Running
-		nRunning := r.Intn(8)
-		for k := 0; k < nRunning; k++ {
-			d := randDemand(r, cfg)
-			placed, err := snapshot.Alloc(d)
-			if err != nil {
+	// Pre-occupy the machine with a random running set.
+	var runs []Running
+	nRunning := r.Intn(8)
+	for k := 0; k < nRunning; k++ {
+		d := randDemand(r, cfg)
+		placed, err := snapshot.Alloc(d)
+		if err != nil {
+			continue
+		}
+		release := int64(1 + r.Intn(40))
+		id := 1000 + k
+		if r.Bool(0.3) && d.BB() > 0 {
+			runs = append(runs,
+				Running{ReleaseTime: release, JobID: id, NodesByClass: placed.NodesByClass, Extra: placed.Extra},
+				Running{ReleaseTime: release + 1 + int64(r.Intn(10)), JobID: id, BB: d.BB()})
+		} else {
+			runs = append(runs, Running{ReleaseTime: release, JobID: id, NodesByClass: placed.NodesByClass, BB: d.BB(), Extra: placed.Extra})
+		}
+	}
+
+	var waiting []*job.Job
+	for k, n := 0, r.Intn(40); k < n; k++ {
+		d := randDemand(r, cfg)
+		switch {
+		case r.Bool(0.03):
+			d = job.NewDemand(cfg.Nodes+1+r.Intn(4), 0, 0) // can never fit
+		case r.Bool(0.2):
+			d = awkwardDemand(r, cfg, snapshot)
+		}
+		wall := int64(1 + r.Intn(60))
+		// Hand-built: job.New refuses the zero-node demand awkwardDemand draws.
+		j := &job.Job{ID: k + 1, SubmitTime: int64(r.Intn(4)) * 5, Runtime: wall, WalltimeEst: wall, Demand: d, StartTime: -1, EndTime: -1}
+		if r.Bool(0.2) {
+			j.StageOutSec = int64(1 + r.Intn(20))
+		}
+		waiting = append(waiting, j)
+	}
+	blind = prefilterOnlyRejects(t, snapshot, waiting, label)
+
+	now := int64(20 + r.Intn(10))
+	want := Plan(snapshot, runs, waiting, now)
+	got := p.Plan(snapshot, NewTimelineFrom(runs), waiting, now)
+	if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
+		t.Fatalf("%s: planner %v, reference %v (machine %+v, %d running, %d waiting)",
+			label, ids(got), ids(want), cfg, len(runs), len(waiting))
+	}
+
+	// The engine's route: rank the unordered queue, let a window pass
+	// take a prefix and start some of it, then plan over what the
+	// window left behind plus the rest of the ranking.
+	q := queue.New(policies[r.Intn(len(policies))])
+	for _, j := range waiting {
+		if r.Bool(0.1) {
+			j.Deps = []int{999} // dependency-blocked: never ranked
+		}
+		if err := q.Add(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranking := q.Rank(now, ready)
+	window := ranking.Front(r.Intn(8))
+	var left []queue.Entry
+	picked := map[int]bool{}
+	for _, e := range window {
+		j := e.Job
+		if r.Bool(0.5) {
+			if placed, err := snapshot.Alloc(j.Demand); err == nil {
+				picked[j.ID] = true
+				runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
 				continue
 			}
-			release := int64(1 + r.Intn(40))
-			id := 1000 + k
-			if r.Bool(0.3) && d.BB() > 0 {
-				runs = append(runs,
-					Running{ReleaseTime: release, JobID: id, NodesByClass: placed.NodesByClass, Extra: placed.Extra},
-					Running{ReleaseTime: release + 1 + int64(r.Intn(10)), JobID: id, BB: d.BB()})
-			} else {
-				runs = append(runs, Running{ReleaseTime: release, JobID: id, NodesByClass: placed.NodesByClass, BB: d.BB(), Extra: placed.Extra})
-			}
 		}
+		left = append(left, e)
+	}
+	blind += prefilterOnlyRejects(t, snapshot, waiting, label)
+	var sorted []*job.Job
+	for _, j := range q.Sorted(now) {
+		if len(j.Deps) == 0 && !picked[j.ID] {
+			sorted = append(sorted, j)
+		}
+	}
+	want = Plan(snapshot, runs, sorted, now)
+	got = p.PlanRanked(snapshot, NewTimelineFrom(runs), left, ranking, now)
+	if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
+		t.Fatalf("%s: ranked planner %v, reference %v (%s, machine %+v, %d running, %d left of %d ready)",
+			label, ids(got), ids(want), q.Policy().Name(), cfg, len(runs), len(left), len(sorted))
+	}
+	return blind
+}
 
-		var waiting []*job.Job
-		for k, n := 0, r.Intn(40); k < n; k++ {
-			d := randDemand(r, cfg)
-			if r.Bool(0.03) {
-				d = job.NewDemand(cfg.Nodes+1+r.Intn(4), 0, 0) // can never fit
-			}
-			wall := int64(1 + r.Intn(60))
-			j := job.MustNew(k+1, int64(r.Intn(4))*5, wall, wall, d)
-			if r.Bool(0.2) {
-				j.StageOutSec = int64(1 + r.Intn(20))
-			}
-			waiting = append(waiting, j)
+// prefilterOnlyRejects requires of every job that the planner's prefilter
+// says no only where Snapshot.CanFit says no, and counts the jobs it
+// passes on for CanFit to reject.
+func prefilterOnlyRejects(t *testing.T, snap cluster.Snapshot, jobs []*job.Job, label string) (blind int) {
+	t.Helper()
+	for _, j := range jobs {
+		may, fits := queue.EntryOf(j).MayFit(snap.FreeNodes(), snap.FreeBB), snap.CanFit(j.Demand)
+		if fits && !may {
+			t.Fatalf("%s: prefilter rejects job %d, demand %v, which fits %+v", label, j.ID, j.Demand, snap)
 		}
+		if may && !fits {
+			blind++
+		}
+	}
+	return blind
+}
 
-		now := int64(20 + r.Intn(10))
-		want := Plan(snapshot, runs, waiting, now)
-		got := p.Plan(snapshot, NewTimelineFrom(runs), waiting, now)
-		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
-			t.Fatalf("trial %d: planner %v, reference %v (machine %+v, %d running, %d waiting)",
-				trial, ids(got), ids(want), cfg, len(runs), len(waiting))
+// awkwardDemand draws a demand on the prefilter's blind side or on its
+// edge: node and burst-buffer totals that fit free while the demand does
+// not (more nodes than the SSD classes big enough for it hold free, an
+// extra dimension over its free amount or one the machine lacks), a
+// burst-buffer request of exactly what is free, or no nodes at all.
+func awkwardDemand(r *rng.Stream, cfg cluster.Config, free cluster.Snapshot) job.Demand {
+	nodes := 1 + r.Intn(max(1, free.FreeNodes()))
+	switch r.Intn(5) {
+	case 0:
+		if n := free.NumClasses(); n > 1 {
+			nodes = min(free.FreeByClass[n-1]+1+r.Intn(3), max(1, free.FreeNodes()))
+			return job.NewDemand(nodes, 0, free.ClassCapacity(n-1))
 		}
-
-		// The engine's route: rank the unordered queue, let a window pass
-		// take a prefix and start some of it, then plan over what the
-		// window left behind plus the rest of the ranking.
-		q := queue.New(policies[r.Intn(len(policies))])
-		for _, j := range waiting {
-			if r.Bool(0.1) {
-				j.Deps = []int{999} // dependency-blocked: never ranked
-			}
-			if err := q.Add(j); err != nil {
-				t.Fatal(err)
-			}
+		return job.NewDemand(nodes, 0, 1<<20) // an SSD no class has
+	case 1:
+		if free.NumExtra() > 0 {
+			return job.NewDemandVector(nodes, 0, 0, free.FreeExtra[0]+1+int64(r.Intn(5)))
 		}
-		ranking := q.Rank(now, ready)
-		window := ranking.Take(nil, r.Intn(8))
-		var left []*job.Job
-		picked := map[int]bool{}
-		for _, j := range window {
-			if r.Bool(0.5) {
-				if placed, err := snapshot.Alloc(j.Demand); err == nil {
-					picked[j.ID] = true
-					runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
-					continue
-				}
-			}
-			left = append(left, j)
-		}
-		var sorted []*job.Job
-		for _, j := range q.Sorted(now) {
-			if len(j.Deps) == 0 && !picked[j.ID] {
-				sorted = append(sorted, j)
-			}
-		}
-		want = Plan(snapshot, runs, sorted, now)
-		got = p.PlanRanked(snapshot, NewTimelineFrom(runs), left, ranking, now)
-		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
-			t.Fatalf("trial %d: ranked planner %v, reference %v (%s, machine %+v, %d running, window %v left %v of %d ready)",
-				trial, ids(got), ids(want), q.Policy().Name(), cfg, len(runs), ids(window), ids(left), len(sorted))
-		}
+		return job.NewDemandVector(nodes, 0, 0, 1) // a dimension the machine lacks
+	case 2:
+		return job.NewDemandVector(nodes, 0, 0, 0, 1+int64(r.Intn(3))) // a second extra dimension: no machine here has one
+	case 3:
+		return job.NewDemand(nodes, free.FreeBB, 0)
+	default:
+		return job.Demand{Res: []int64{0, int64(r.Intn(3)), 0}}
 	}
 }
 

@@ -259,10 +259,9 @@ type Plugin struct {
 	cfg    PluginConfig
 	method sched.Method
 
-	// pooled per-pass scratch
-	window   []*job.Job
+	// pooled per-pass scratch; left aliases the ranking's storage
 	rest     []*job.Job
-	left     []*job.Job
+	left     []queue.Entry
 	started  []*job.Job
 	chosen   []bool
 	scratch  cluster.Snapshot
@@ -323,9 +322,12 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	if p.cfg.WindowPolicy != nil {
 		size = p.cfg.WindowPolicy.Size(ctx.QueueLen)
 	}
-	p.window = ctx.Ranking.Take(p.window[:0], size)
-	p.left = p.left[:0]
-	if len(p.window) == 0 {
+	// The window is the ranking's own storage (queue.Ranking.Front): the
+	// two loops below compact it in place, first to the jobs handed to the
+	// method, then to the jobs left behind, so no entry is copied.
+	window := ctx.Ranking.Front(size)
+	p.left = window[:0]
+	if len(window) == 0 {
 		return nil, nil
 	}
 	p.scratch.CopyFrom(ctx.Snap)
@@ -337,16 +339,22 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	// Starvation forcing (§3.1): jobs over the bound must be selected.
 	// They are dispatched first, in window (base-priority) order, when
 	// they fit; a starved job that does not fit cannot be started by any
-	// selection, so it stays and keeps aging.
+	// selection, so it stays and keeps aging. On a full machine that is
+	// most starved jobs, so the entry's necessary condition (MayFit against
+	// the free totals, refreshed after each start) is asked first.
 	p.started = p.started[:0]
 	p.rest = p.rest[:0]
-	for _, j := range p.window {
-		if p.cfg.StarvationBound > 0 && j.WindowAge >= p.cfg.StarvationBound {
+	freeNodes := p.scratch.FreeNodes()
+	for _, e := range window {
+		j := e.Job
+		if p.cfg.StarvationBound > 0 && j.WindowAge >= p.cfg.StarvationBound && e.MayFit(freeNodes, p.scratch.FreeBB) {
 			if _, err := p.scratch.AllocInto(j.Demand, buf); err == nil {
 				p.started = append(p.started, j)
+				freeNodes -= j.Demand.NodeCount()
 				continue
 			}
 		}
+		window[len(p.rest)] = e
 		p.rest = append(p.rest, j)
 	}
 
@@ -388,7 +396,7 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	for i, j := range p.rest {
 		if !chosen[i] {
 			j.WindowAge++
-			p.left = append(p.left, j)
+			p.left = append(p.left, window[i])
 		}
 	}
 	return p.started, nil
@@ -396,6 +404,6 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 
 // LeftBehind returns the window jobs the last Decide call did not start,
 // in window (base-priority) order: the jobs that rank ahead of everything
-// still in that call's Ranking. Pooled scratch, valid until the next
-// Decide call.
-func (p *Plugin) LeftBehind() []*job.Job { return p.left }
+// still in that call's Ranking. It aliases that Ranking's storage, valid
+// until the queue is ranked again.
+func (p *Plugin) LeftBehind() []queue.Entry { return p.left }

@@ -242,30 +242,55 @@ func TestPluginStarvationForcing(t *testing.T) {
 }
 
 func TestPluginStarvedJobTooBigKeepsAging(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{Name: "x", Nodes: 10, BurstBufferGB: 10})
-	big := job.MustNew(1, 0, 10, 10, job.NewDemand(10, 0, 0))
-	big.WindowAge = 99
-	small := job.MustNew(2, 1, 10, 10, job.NewDemand(2, 0, 0))
-	// Occupy most of the machine so the starved job cannot fit.
-	occ := job.MustNew(3, 0, 10, 10, job.NewDemand(5, 0, 0))
-	if _, err := c.Allocate(occ); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		cfg      cluster.Config
+		occupied job.Demand
+		starved  job.Demand
+		mayFit   bool // the starved job passes the pass's prefilter
+	}{
+		// Most of the machine is occupied: the starved job's node count
+		// alone rules it out.
+		{"too many nodes", cluster.Config{Name: "x", Nodes: 10, BurstBufferGB: 10},
+			job.NewDemand(5, 0, 0), job.NewDemand(10, 0, 0), false},
+		// The prefilter's blind side: nodes and burst buffer fit the free
+		// totals (4 ≤ 8, 10 ≤ 10), but only 3 nodes carry a 256 GB SSD, so
+		// queue.Entry.MayFit passes the job on and AllocInto refuses it.
+		{"too few nodes of its SSD class", cluster.Config{Name: "x", Nodes: 10, BurstBufferGB: 10,
+			SSDClasses: []cluster.SSDClass{{CapacityGB: 128, Count: 7}, {CapacityGB: 256, Count: 3}}},
+			job.NewDemand(2, 0, 0), job.NewDemand(4, 10, 256), true},
 	}
-	q := queue.New(queue.FCFS{})
-	q.Add(big)
-	q.Add(small)
-	p, _ := NewPlugin(PluginConfig{WindowSize: 5, StarvationBound: 50}, sched.Baseline{})
-	started, err := p.Decide(pluginCtx(q, c, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starved-but-unfittable big job falls through to the method, which
-	// (baseline) stops at it immediately: nothing starts, ages increase.
-	if len(started) != 0 {
-		t.Fatalf("started %v, want none", idsOf(started))
-	}
-	if big.WindowAge != 100 {
-		t.Fatalf("big job age = %d, want 100", big.WindowAge)
+	for _, tc := range cases {
+		c := cluster.MustNew(tc.cfg)
+		if _, err := c.Allocate(job.MustNew(3, 0, 10, 10, tc.occupied)); err != nil {
+			t.Fatal(err)
+		}
+		big := job.MustNew(1, 0, 10, 10, tc.starved)
+		big.WindowAge = 99
+		small := job.MustNew(2, 1, 10, 10, job.NewDemand(2, 0, 0))
+		q := queue.New(queue.FCFS{})
+		q.Add(big)
+		q.Add(small)
+		ctx := pluginCtx(q, c, 1)
+		if may := queue.EntryOf(big).MayFit(ctx.Snap.FreeNodes(), ctx.Snap.FreeBB); may != tc.mayFit || ctx.Snap.CanFit(big.Demand) {
+			t.Fatalf("%s: prefilter says %v, want %v, and CanFit must refuse", tc.name, may, tc.mayFit)
+		}
+		p, _ := NewPlugin(PluginConfig{WindowSize: 5, StarvationBound: 50}, sched.Baseline{})
+		started, err := p.Decide(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Starved-but-unfittable big job falls through to the method, which
+		// (baseline) stops at it immediately: nothing starts, ages increase.
+		if len(started) != 0 {
+			t.Fatalf("%s: started %v, want none", tc.name, idsOf(started))
+		}
+		if big.WindowAge != 100 || small.WindowAge != 1 {
+			t.Fatalf("%s: ages %d and %d, want 100 and 1", tc.name, big.WindowAge, small.WindowAge)
+		}
+		if left := p.LeftBehind(); len(left) != 2 || left[0].Job != big || left[1].Job != small {
+			t.Fatalf("%s: left behind %v, want both jobs in window order", tc.name, left)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bbsched/internal/job"
@@ -83,5 +84,41 @@ func BenchmarkRankSuccessivePasses(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkQueueBytesPerJob reports what a waiting job costs the queue in
+// live heap — its slot plus its entry in the pooled ranking, at the
+// capacities append grew them to — as B/job: the queue's share of a
+// replay's peak_heap_mb. The jobs themselves are allocated before the
+// baseline and do not count.
+func BenchmarkQueueBytesPerJob(b *testing.B) {
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ready := func(int) bool { return true }
+	for _, depth := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", depth), func(b *testing.B) {
+			r := rng.New(1013)
+			jobs := make([]*job.Job, depth)
+			for i := range jobs {
+				jobs[i] = benchJob(r, i+1, 0)
+			}
+			var bytes uint64
+			for i := 0; i < b.N; i++ {
+				base := liveHeap()
+				q := New(WFP{})
+				for _, j := range jobs {
+					q.Add(j)
+				}
+				q.Rank(4000, ready)
+				bytes = liveHeap() - base
+				runtime.KeepAlive(q)
+			}
+			b.ReportMetric(float64(bytes)/float64(depth), "B/job")
+		})
 	}
 }

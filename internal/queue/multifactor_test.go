@@ -7,17 +7,17 @@ import (
 func TestMultifactorAgeGrowsAndSaturates(t *testing.T) {
 	m := Multifactor{MaxAgeSec: 1000}
 	j := mkJob(1, 0, 10, 100)
-	p1 := m.Priority(j, 100)
-	p2 := m.Priority(j, 900)
+	p1 := priorityOf(m, j, 100)
+	p2 := priorityOf(m, j, 900)
 	if p2 <= p1 {
 		t.Fatalf("age factor not growing: %v then %v", p1, p2)
 	}
-	atMax := m.Priority(j, 1000)
-	beyond := m.Priority(j, 50000)
+	atMax := priorityOf(m, j, 1000)
+	beyond := priorityOf(m, j, 50000)
 	if beyond != atMax {
 		t.Fatalf("age factor not saturating: %v vs %v", beyond, atMax)
 	}
-	if m.Priority(j, -50) != 0+m.Priority(j, 0) {
+	if priorityOf(m, j, -50) != 0+priorityOf(m, j, 0) {
 		t.Fatal("negative wait should clamp to zero age")
 	}
 }
@@ -26,7 +26,7 @@ func TestMultifactorSizeFactor(t *testing.T) {
 	m := Multifactor{MachineNodes: 100}
 	small := mkJob(1, 0, 1, 100)
 	big := mkJob(2, 0, 50, 100)
-	if m.Priority(big, 0) <= m.Priority(small, 0) {
+	if priorityOf(m, big, 0) <= priorityOf(m, small, 0) {
 		t.Fatal("larger job should score higher at equal age")
 	}
 }
@@ -37,7 +37,7 @@ func TestMultifactorWeights(t *testing.T) {
 	ageOnly := Multifactor{AgeWeight: 100, SizeWeight: 1e-9, MaxAgeSec: 100}
 	big := mkJob(1, 0, 1000, 100)
 	smallOld := mkJob(2, 0, 1, 100)
-	if ageOnly.Priority(big, 50) > ageOnly.Priority(smallOld, 50)+1e-3 {
+	if priorityOf(ageOnly, big, 50) > priorityOf(ageOnly, smallOld, 50)+1e-3 {
 		t.Fatal("size dominated despite negligible size weight")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"bbsched/internal/job"
 	"bbsched/internal/rng"
@@ -19,19 +20,171 @@ import (
 func TestWFPPriorityNoNaN(t *testing.T) {
 	j := &job.Job{ID: 1, SubmitTime: 100, WalltimeEst: 0, Demand: job.NewDemand(4, 0, 0)}
 	p := WFP{}
-	if got := p.Priority(j, 100); got != 0 {
+	if got := priorityOf(p, j, 100); got != 0 {
 		t.Fatalf("wait=0, est=0: priority = %v, want 0", got)
 	}
 	for _, now := range []int64{0, 100, 101, 1000} {
-		got := p.Priority(j, now)
+		got := priorityOf(p, j, now)
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Fatalf("est=0, now=%d: priority = %v, want finite", now, got)
 		}
 	}
 	// Valid estimates are untouched: the clamp only fires for est <= 0.
 	valid := &job.Job{ID: 2, SubmitTime: 0, WalltimeEst: 1000, Demand: job.NewDemand(8, 0, 0)}
-	if got, want := p.Priority(valid, 1000), 8.0; got != want {
+	if got, want := priorityOf(p, valid, 1000), 8.0; got != want {
 		t.Fatalf("valid job priority = %v, want %v", got, want)
+	}
+}
+
+// TestPolicyKeyMatchesJobFormula pins the slot-based policies, bit for
+// bit, to the job-based formulas they replaced (kept here): same float
+// operations in the same order, on the edges where a reordering would
+// show — now before submit, a zero or negative estimate, one node and
+// job.MaxDemand nodes, waits up to 1e9 s, the age factor at saturation.
+func TestPolicyKeyMatchesJobFormula(t *testing.T) {
+	wfp := func(j *job.Job, now int64) float64 {
+		wait := float64(now - j.SubmitTime)
+		if wait < 0 {
+			wait = 0
+		}
+		est := float64(j.WalltimeEst)
+		if est <= 0 {
+			est = 1
+		}
+		r := wait / est
+		return float64(j.Demand.NodeCount()) * r * r * r
+	}
+	multifactor := func(m Multifactor) func(*job.Job, int64) float64 {
+		return func(j *job.Job, now int64) float64 {
+			ageW, sizeW := m.AgeWeight, m.SizeWeight
+			if ageW == 0 {
+				ageW = 1000
+			}
+			if sizeW == 0 {
+				sizeW = 100
+			}
+			maxAge := m.MaxAgeSec
+			if maxAge <= 0 {
+				maxAge = 7 * 24 * 3600
+			}
+			wait := now - j.SubmitTime
+			if wait < 0 {
+				wait = 0
+			}
+			if wait > maxAge {
+				wait = maxAge
+			}
+			age := float64(wait) / float64(maxAge)
+			size := float64(j.Demand.NodeCount())
+			if m.MachineNodes > 0 {
+				size /= float64(m.MachineNodes)
+			}
+			return ageW*age + sizeW*size
+		}
+	}
+	mf, mfTuned := Multifactor{}, Multifactor{AgeWeight: 3, SizeWeight: 0.7, MaxAgeSec: 1000, MachineNodes: 4392}
+	cases := []struct {
+		pol Policy
+		ref func(*job.Job, int64) float64
+	}{
+		{FCFS{}, func(*job.Job, int64) float64 { return 0 }},
+		{WFP{}, wfp},
+		{mf, multifactor(mf)},
+		{mfTuned, multifactor(mfTuned)},
+	}
+	var jobs []*job.Job
+	for _, nodes := range []int64{1, 3, 4392, job.MaxDemand} {
+		for _, est := range []int64{-5, 0, 1, 7, 3600, 86400} {
+			for _, submit := range []int64{0, 999, 1_000_000_000} {
+				jobs = append(jobs, &job.Job{ID: len(jobs), SubmitTime: submit, WalltimeEst: est, Demand: job.Demand{Res: []int64{nodes, 50, 0}}})
+			}
+		}
+	}
+	slots := make([]Slot, len(jobs))
+	for _, c := range cases {
+		for _, now := range []int64{-10, 0, 998, 999, 1000, 1999, 2000, 604800, 604801, 1_000_000_000, 2_000_000_000} {
+			for i, j := range jobs {
+				slots[i] = SlotOf(j)
+			}
+			c.pol.Prioritize(slots, now)
+			for i, j := range jobs {
+				if got, want := slots[i].Prio, c.ref(j, now); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, now %d, job %+v: slot priority %v (%#x), job formula %v (%#x)",
+						c.pol.Name(), now, *j, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestSlotAndEntrySizes pins the two numbers a deep queue's memory scales
+// with — a slot per waiting job, an entry per ranked job — and that an
+// entry's clamped demands still never make the prefilter reject a job
+// whose exact demands would pass.
+func TestSlotAndEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(Slot{}); n > 64 {
+		t.Errorf("a Slot is %d bytes, want at most 64 (one cache line)", n)
+	}
+	if n := unsafe.Sizeof(Entry{}); n > 24 {
+		t.Errorf("an Entry is %d bytes, want at most 24", n)
+	}
+	huge := EntryOf(&job.Job{Demand: job.Demand{Res: []int64{job.MaxDemand, job.MaxDemand}}})
+	if !huge.MayFit(math.MaxInt, math.MaxInt64) {
+		t.Error("a job.MaxDemand entry is rejected by a machine that holds it")
+	}
+	if huge.MayFit(1<<20, 1<<20) {
+		t.Error("a clamped entry fits a machine smaller than its clamp")
+	}
+	for _, d := range []job.Demand{{}, {Res: []int64{0, 0}}, {Res: []int64{-3, -7}}} {
+		if !EntryOf(&job.Job{Demand: d}).MayFit(0, 0) {
+			t.Errorf("demand %v: the prefilter rejects what it must leave to CanFit", d)
+		}
+	}
+}
+
+// TestCheckInvariantCatches shows the invariant has teeth: a job edited
+// while it waits (the stale copy Add's contract forbids), a job waiting
+// twice, and a time-invariant queue out of base order are each reported.
+func TestCheckInvariantCatches(t *testing.T) {
+	build := func() *Queue {
+		q := New(FCFS{})
+		for id := 1; id <= 3; id++ {
+			if err := q.Add(mkJob(id, int64(id), 2, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkInvariant(t, q)
+		return q
+	}
+	for name, corrupt := range map[string]func(q *Queue){
+		"stale key":    func(q *Queue) { q.slots[1].Job.WalltimeEst++ },
+		"stale entry":  func(q *Queue) { q.slots[1].Job.Demand.Set(job.BurstBufferGB, 9) },
+		"waits twice":  func(q *Queue) { q.slots = append(q.slots, q.slots[2]) },
+		"out of order": func(q *Queue) { q.slots[0], q.slots[1] = q.slots[1], q.slots[0] },
+	} {
+		q := build()
+		corrupt(q)
+		if q.CheckInvariant() == nil {
+			t.Errorf("%s: CheckInvariant found nothing", name)
+		}
+	}
+}
+
+// TestAddRemoveErrors pins the two error texts callers (the simulator's
+// restore path among them) wrap.
+func TestAddRemoveErrors(t *testing.T) {
+	q := New(WFP{})
+	if err := q.Add(mkJob(7, 0, 1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Add(mkJob(7, 5, 2, 20)); err == nil || err.Error() != "queue: job 7 already waiting" {
+		t.Errorf("duplicate Add: %v", err)
+	}
+	if err := q.Remove(8); err == nil || err.Error() != "queue: job 8 not waiting" {
+		t.Errorf("Remove of an absent job: %v", err)
+	}
+	if q.Len() != 1 || !q.Contains(7) {
+		t.Error("a rejected Add or Remove changed the queue")
 	}
 }
 
@@ -110,6 +263,9 @@ func TestIndexMatchesSortedReference(t *testing.T) {
 					if q.Len() != len(oracle.jobs) {
 						t.Fatalf("trial %d: Len %d, oracle %d", trial, q.Len(), len(oracle.jobs))
 					}
+					if err := q.CheckInvariant(); err != nil {
+						t.Fatalf("trial %d op %d: %v", trial, op, err)
+					}
 					ref := refWindow(q.Sorted(now), q.Len(), depsDone)
 					for _, k := range []int{1, 3, q.Len(), q.Len() + 5} {
 						if k <= 0 {
@@ -139,11 +295,13 @@ func TestIndexMatchesSortedReference(t *testing.T) {
 // job: the ranking must apply Sorted's NaN→0 patch-up on every path.
 type nanEvery struct{ Policy }
 
-func (p nanEvery) Priority(j *job.Job, now int64) float64 {
-	if j.ID%3 == 0 {
-		return math.NaN()
+func (p nanEvery) Prioritize(slots []Slot, now int64) {
+	p.Policy.Prioritize(slots, now)
+	for i := range slots {
+		if slots[i].ID%3 == 0 {
+			slots[i].Prio = math.NaN()
+		}
 	}
-	return p.Policy.Priority(j, now)
 }
 
 // reversing is the adversarial time-varying policy: every odd step of the
@@ -153,11 +311,13 @@ type reversing struct{}
 
 func (reversing) Name() string { return "reversing" }
 
-func (reversing) Priority(j *job.Job, now int64) float64 {
-	if now%2 == 0 {
-		return float64(j.ID)
+func (reversing) Prioritize(slots []Slot, now int64) {
+	for i := range slots {
+		slots[i].Prio = float64(slots[i].ID)
+		if now%2 != 0 {
+			slots[i].Prio = -slots[i].Prio
+		}
 	}
-	return -float64(j.ID)
 }
 
 // randomJob draws a job with heavy key collisions: few distinct submit
@@ -169,7 +329,7 @@ func randomJob(r *rng.Stream, id int) *job.Job {
 		SubmitTime:  int64(r.Intn(6)) * 10,
 		WalltimeEst: []int64{100, 100, 500, 0}[r.Intn(4)],
 		Runtime:     50,
-		Demand:      job.NewDemand(1+r.Intn(4)*7, 0, 0),
+		Demand:      job.NewDemand(1+r.Intn(4)*7, int64(r.Intn(3))*100, 0),
 	}
 	if r.Bool(0.2) {
 		j.Deps = []int{1000 + r.Intn(4)}
@@ -177,8 +337,21 @@ func randomJob(r *rng.Stream, id int) *job.Job {
 	return j
 }
 
-// driveRanking consumes rk with up to ops random Take, Next, Rest and
-// Prune calls and requires the jobs to come out exactly as want — the
+// entryJobs unwraps entries, requiring each to carry its job's demands.
+func entryJobs(t *testing.T, entries []Entry) []*job.Job {
+	t.Helper()
+	jobs := make([]*job.Job, len(entries))
+	for i, e := range entries {
+		if e != EntryOf(e.Job) {
+			t.Fatalf("entry %+v does not carry job %d's demand %v", e, e.Job.ID, e.Job.Demand)
+		}
+		jobs[i] = e.Job
+	}
+	return jobs
+}
+
+// driveRanking consumes rk with up to ops random Take, Front, Next, Rest
+// and Prune calls and requires the jobs to come out exactly as want — the
 // reference filter(Sorted(now)) — lists them. Half the jobs taken are
 // removed from q, as a scheduling pass does when it starts them; the
 // ranking must not notice. It returns what of want is left.
@@ -211,24 +384,43 @@ func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*jo
 		switch r.Intn(5) {
 		case 0: // a short prefix: the window
 			k := r.Intn(5)
+			if r.Bool(0.5) {
+				check(fmt.Sprintf("Front(%d)", k), entryJobs(t, rk.Front(k)), k)
+				continue
+			}
 			check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
 		case 1: // a long prefix: a giant window
 			k := len(want)/2 + r.Intn(len(want)/2+2)
 			check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
 		case 2:
-			check("Next", []*job.Job{rk.Next()}, 1)
+			e, ok := rk.Next()
+			if !ok {
+				t.Fatalf("%s Next: nothing left of %d ranked jobs", label, rk.Len())
+			}
+			check("Next", entryJobs(t, []Entry{e}), 1)
 		case 3:
 			if r.Bool(0.7) {
 				continue // drains the ranking: keep it rare
 			}
-			check("Rest", rk.Rest(), len(want))
+			check("Rest", entryJobs(t, rk.Rest()), len(want))
 		case 4:
+			// The prefilter's totals sit among the demands randomJob draws
+			// or are out of the way; keep is only asked about jobs that pass.
 			m, c := 2+r.Intn(3), r.Intn(2)
-			keep := func(j *job.Job) bool { return j.ID%m != c }
-			rk.Prune(keep)
+			freeNodes, freeBB := 1+r.Intn(4)*7, int64(r.Intn(3))*100
+			if r.Bool(0.3) {
+				freeNodes, freeBB = math.MaxInt, math.MaxInt64
+			}
+			keep := func(j *job.Job) bool {
+				if !EntryOf(j).MayFit(freeNodes, freeBB) {
+					t.Fatalf("%s Prune(%d, %d): asked about job %d, demand %v", label, freeNodes, freeBB, j.ID, j.Demand)
+				}
+				return j.ID%m != c
+			}
+			rk.Prune(freeNodes, freeBB, keep)
 			kept := want[:0:0]
 			for _, j := range want {
-				if keep(j) {
+				if EntryOf(j).MayFit(freeNodes, freeBB) && keep(j) {
 					kept = append(kept, j)
 				}
 			}
@@ -271,8 +463,8 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 				rk := q.Rank(now, depsDone)
 				label := fmt.Sprintf("trial %d (n=%d, now=%d)", trial, n, now)
 				driveRanking(t, r, q, rk, want, math.MaxInt, label)
-				if j := rk.Next(); j != nil {
-					t.Fatalf("trial %d: exhausted ranking yielded job %d", trial, j.ID)
+				if e, ok := rk.Next(); ok {
+					t.Fatalf("trial %d: exhausted ranking yielded job %d", trial, e.Job.ID)
 				}
 				if got := rk.Take(nil, 3); len(got) != 0 {
 					t.Fatalf("trial %d: exhausted ranking yielded %v", trial, jobIDs(got))
@@ -282,8 +474,8 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 	}
 	// The zero Ranking is empty and safe to drive.
 	var zero Ranking
-	zero.Prune(func(*job.Job) bool { return true })
-	if zero.Len() != 0 || zero.Next() != nil || len(zero.Take(nil, 5)) != 0 || len(zero.Rest()) != 0 {
+	zero.Prune(math.MaxInt, math.MaxInt64, func(*job.Job) bool { return true })
+	if _, ok := zero.Next(); ok || zero.Len() != 0 || len(zero.Take(nil, 5)) != 0 || len(zero.Front(5)) != 0 || len(zero.Rest()) != 0 {
 		t.Fatal("zero Ranking is not empty")
 	}
 }
@@ -325,6 +517,7 @@ func TestRankingCarriedAcrossPasses(t *testing.T) {
 							t.Fatal(err)
 						}
 						waiting[j.ID] = j
+						checkInvariant(t, q)
 					}
 					for n := r.Intn(3); n > 0 && len(waiting) > 0; n-- {
 						id := pickAny(r, waiting)
@@ -332,6 +525,7 @@ func TestRankingCarriedAcrossPasses(t *testing.T) {
 							t.Fatal(err)
 						}
 						delete(waiting, id)
+						checkInvariant(t, q)
 					}
 					step := int64(2*r.Intn(30) + 1)
 					switch {
@@ -347,12 +541,14 @@ func TestRankingCarriedAcrossPasses(t *testing.T) {
 
 					sorted := q.Sorted(now)
 					rk := q.Rank(now, depsDone)
-					if fmt.Sprint(jobIDs(q.order)) != fmt.Sprint(jobIDs(sorted)) {
+					checkInvariant(t, q)
+					if order := jobIDs(q.Waiting(nil)); fmt.Sprint(order) != fmt.Sprint(jobIDs(sorted)) {
 						t.Fatalf("trial %d pass %d (now=%d): queue order %v, reference %v",
-							trial, pass, now, jobIDs(q.order), jobIDs(sorted))
+							trial, pass, now, order, jobIDs(sorted))
 					}
 					label := fmt.Sprintf("trial %d pass %d (n=%d, now=%d)", trial, pass, q.Len(), now)
 					driveRanking(t, r, q, rk, refWindow(sorted, len(sorted), depsDone), 1+r.Intn(4), label)
+					checkInvariant(t, q)
 					for id := range waiting {
 						if !q.Contains(id) {
 							delete(waiting, id)
@@ -399,8 +595,10 @@ func TestRankingHistoryIndependent(t *testing.T) {
 			}
 		}
 		for _, at := range []int64{now, now + 1, now + 500, now - 40} {
-			got := jobIDs(carried.Rank(at, ready).Rest())
-			want := jobIDs(fresh.Rank(at, ready).Rest())
+			got := jobIDs(entryJobs(t, carried.Rank(at, ready).Rest()))
+			want := jobIDs(entryJobs(t, fresh.Rank(at, ready).Rest()))
+			checkInvariant(t, carried)
+			checkInvariant(t, fresh)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s at %d: carried queue ranks %v, re-added queue %v", pol.Name(), at, got, want)
 			}
@@ -451,6 +649,13 @@ func TestWindowIntoReusesBuffer(t *testing.T) {
 		if &out[0] != &buf[0:1][0] {
 			t.Fatalf("%s: WindowInto did not reuse the provided buffer", pol.Name())
 		}
+	}
+}
+
+func checkInvariant(t *testing.T, q *Queue) {
+	t.Helper()
+	if err := q.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }
 

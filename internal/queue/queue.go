@@ -8,165 +8,91 @@
 // utility policy that favors large jobs that have waited long relative to
 // their requested walltime.
 //
-// A scheduling pass ranks the queue once, and the queue keeps the order it
-// found: order and prio hold the waiting jobs in the base order of the
-// last Rank. Add puts a job where a time-invariant policy (FCFS, or
-// anything implementing TimeInvariant) fixes it for good and appends it
-// otherwise; Remove deletes in place, keeping the order. Rank(now)
-// re-evaluates a time-varying policy's priorities (WFP, Multifactor) and
-// repairs the order with an insertion sort. Those priorities are
-// continuous in time, so between two passes a few neighbours swap and the
-// repair costs what moved — a mean 0.26 single-slot moves per waiting job
-// on a 680-deep WFP replay — where a sort pays n log n comparisons for an
-// order it mostly had. A queue that did scramble (a restored one, a clock
-// set back) exceeds the repair's move budget and is sorted once, so the
-// worst case stays O(n log n).
+// The queue is one array of slots, one per waiting job: the job, its
+// priority, and a flat copy, made once at Add, of what a scheduling pass
+// reads of the job — the Key a Policy ranks by (ID, submit time, walltime
+// estimate, node count, whether it has dependencies) and the node and
+// burst-buffer demand of its ranking Entry. All of it is fixed before a
+// job is admitted, so the copy cannot go stale, and a pass ranks, gathers
+// and fit-tests the queue over this one array without following a pointer
+// per job; CheckInvariant pins copy == job.
 //
-// The Ranking Rank returns is a copy of the dep-ready jobs in that order:
-// the window pass and EASY backfilling consume one ranking from the front,
-// and jobs started mid-pass leave the queue without disturbing it.
-// WindowInto is Rank followed by one Take. Nothing allocates once the
-// arrays have grown. Sorted remains the straightforward reference
-// implementation (full re-sort with fresh allocations); the property
-// suite pins the ranking against it, pass after pass on one queue.
+// The queue keeps the order a pass found: Add puts a job where a
+// time-invariant policy (FCFS, or anything implementing TimeInvariant)
+// fixes it for good and appends it otherwise; Remove deletes in place.
+// Rank(now) re-evaluates a time-varying policy's priorities (WFP,
+// Multifactor) and repairs the order with an insertion sort. Those
+// priorities are continuous in time, so between two passes a few
+// neighbours swap and the repair costs what moved — a mean 0.26
+// single-slot moves per waiting job on a 680-deep WFP replay — where a
+// sort pays n log n comparisons for an order it mostly had. A queue that
+// did scramble (a restored one, a clock set back) exceeds the repair's
+// move budget and is sorted once, so the worst case stays O(n log n).
+//
+// The Ranking Rank returns is a copy of the dep-ready jobs in that order,
+// each an Entry carrying its node and burst-buffer demand: the window pass
+// and EASY backfilling consume one ranking from the front, and jobs started
+// mid-pass leave the queue without disturbing it. Entry.MayFit is the
+// pass's prefilter: nodes ≤ all free nodes and bb ≤ free burst buffer is
+// necessary for Snapshot.CanFit on every machine shape (the SSD classes a
+// job is eligible for are a subset of all classes), so a pass rejects most
+// jobs on two integers it already holds and asks CanFit only about the
+// rest. It never accepts: CanFit or AllocInto still decides every job that
+// passes. WindowInto is Rank followed by one Take. Nothing allocates once
+// the arrays have grown. Sorted remains the straightforward reference
+// implementation (full re-sort with fresh allocations); the property suite
+// pins the ranking against it, pass after pass on one queue.
 package queue
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bbsched/internal/job"
 )
 
-// Policy orders the waiting queue. Implementations must be deterministic.
-type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Priority returns job j's priority at time now; higher runs earlier.
-	// Ties are broken FCFS (submit time, then ID).
-	Priority(j *job.Job, now int64) float64
+// Key is the flat copy of what ranking the queue reads of a waiting job:
+// what a Policy ranks by and the order's tie-breaks, and whether the
+// gather has dependencies to look up.
+type Key struct {
+	ID          int
+	SubmitTime  int64
+	WalltimeEst int64
+	// Nodes is the job's node demand, exact (it may legally reach
+	// job.MaxDemand).
+	Nodes int64
+	// HasDeps reports whether the job lists any dependency.
+	HasDeps bool
 }
 
-// TimeInvariant marks a Policy whose Priority does not depend on now.
-// The queue evaluates such a policy's Priority once, at Add time, and
-// inserts the job where it belongs; Rank has nothing to repair.
-type TimeInvariant interface {
-	// PriorityTimeInvariant is a marker; it is never called.
-	PriorityTimeInvariant()
+// Slot is one waiting job as the queue holds it: its ranking entry (the
+// job and its fit demands), its priority at the last evaluation, and its
+// key.
+type Slot struct {
+	Entry
+	Prio float64
+	Key
 }
 
-// FCFS orders jobs by arrival.
-type FCFS struct{}
-
-// Name implements Policy.
-func (FCFS) Name() string { return "FCFS" }
-
-// Priority implements Policy: all jobs are equal, so the FCFS tie-break
-// (submit time) decides the order.
-func (FCFS) Priority(*job.Job, int64) float64 { return 0 }
-
-// PriorityTimeInvariant implements TimeInvariant.
-func (FCFS) PriorityTimeInvariant() {}
-
-// WFP is ALCF's utility policy: priority grows with job size and with the
-// cube of waiting time relative to the requested walltime, so large jobs
-// and long-waiting jobs climb the queue (§2.1, [10,42]).
-type WFP struct{}
-
-// Name implements Policy.
-func (WFP) Name() string { return "WFP" }
-
-// Priority implements Policy. A non-positive walltime estimate (rejected
-// by job validation, but representable on a hand-built Job) is clamped to
-// one second so the ratio is always finite — previously wait == 0 with
-// WalltimeEst == 0 produced 0/0 → NaN and leaned on Sorted's NaN→0
-// patch-up.
-func (WFP) Priority(j *job.Job, now int64) float64 {
-	wait := float64(now - j.SubmitTime)
-	if wait < 0 {
-		wait = 0
-	}
-	est := float64(j.WalltimeEst)
-	if est <= 0 {
-		est = 1
-	}
-	r := wait / est
-	return float64(j.Demand.NodeCount()) * r * r * r
-}
-
-// Multifactor approximates Slurm's multifactor priority plugin with its
-// two site-universal terms: an age factor (wait time saturating at
-// MaxAge) and a job-size factor (nodes relative to the machine), combined
-// with configurable weights. QOS/fair-share terms are deliberately out of
-// scope — §2.3 argues fair-share is not an HPC scheduling goal.
-type Multifactor struct {
-	// AgeWeight and SizeWeight scale the two factors (Slurm defaults give
-	// age the larger weight; zero values fall back to 1000 and 100).
-	AgeWeight, SizeWeight float64
-	// MaxAgeSec saturates the age factor (default 7 days).
-	MaxAgeSec int64
-	// MachineNodes normalizes the size factor (default: raw node count).
-	MachineNodes int
-}
-
-// Name implements Policy.
-func (Multifactor) Name() string { return "Multifactor" }
-
-// Priority implements Policy.
-func (m Multifactor) Priority(j *job.Job, now int64) float64 {
-	ageW, sizeW := m.AgeWeight, m.SizeWeight
-	if ageW == 0 {
-		ageW = 1000
-	}
-	if sizeW == 0 {
-		sizeW = 100
-	}
-	maxAge := m.MaxAgeSec
-	if maxAge <= 0 {
-		maxAge = 7 * 24 * 3600
-	}
-	wait := now - j.SubmitTime
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxAge {
-		wait = maxAge
-	}
-	age := float64(wait) / float64(maxAge)
-	size := float64(j.Demand.NodeCount())
-	if m.MachineNodes > 0 {
-		size /= float64(m.MachineNodes)
-	}
-	return ageW*age + sizeW*size
-}
-
-// ByName returns the policy with the given name.
-func ByName(name string) (Policy, error) {
-	switch name {
-	case "FCFS":
-		return FCFS{}, nil
-	case "WFP":
-		return WFP{}, nil
-	case "Multifactor":
-		return Multifactor{}, nil
-	default:
-		return nil, fmt.Errorf("queue: unknown policy %q", name)
-	}
+// SlotOf returns j's slot, priority unset.
+func SlotOf(j *job.Job) Slot {
+	return Slot{Entry: EntryOf(j), Key: Key{
+		ID: j.ID, SubmitTime: j.SubmitTime, WalltimeEst: j.WalltimeEst,
+		Nodes: j.Demand.Get(job.Nodes), HasDeps: len(j.Deps) > 0,
+	}}
 }
 
 // Queue is the waiting queue. It is not safe for concurrent use.
 type Queue struct {
 	policy Policy
 	static bool // policy implements TimeInvariant
-	// waiting maps job ID -> job for O(1) membership.
-	waiting map[int]*job.Job
-	// order holds the waiting jobs and prio, aligned with it, their
-	// priorities. A time-invariant policy's arrays are always in base
-	// order; a time-varying policy's are in the base order of the last
-	// Rank, with the jobs added since at the end and their prio unset.
-	order []*job.Job
-	prio  []float64
+	// slots holds the waiting jobs. A time-invariant policy's slots are
+	// always in base order; a time-varying policy's are in the base order
+	// of the last Rank, with the jobs added since at the end and their
+	// prio unset.
+	slots []Slot
 	// rank is the pooled per-pass ranking Rank hands out.
 	rank Ranking
 }
@@ -174,30 +100,31 @@ type Queue struct {
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
 	_, static := policy.(TimeInvariant)
-	return &Queue{policy: policy, static: static, waiting: make(map[int]*job.Job)}
+	return &Queue{policy: policy, static: static}
 }
 
 // Policy returns the queue's ordering policy.
 func (q *Queue) Policy() Policy { return q.policy }
 
 // Len returns the number of waiting jobs.
-func (q *Queue) Len() int { return len(q.order) }
+func (q *Queue) Len() int { return len(q.slots) }
 
-// orderedPriority evaluates the policy priority with the reference NaN→0
+// prioritize evaluates the policy over slots with the reference NaN→0
 // patch-up applied, so index and reference paths agree bit-for-bit.
-func (q *Queue) orderedPriority(j *job.Job, now int64) float64 {
-	p := q.policy.Priority(j, now)
-	if math.IsNaN(p) {
-		return 0
+func (q *Queue) prioritize(slots []Slot, now int64) {
+	q.policy.Prioritize(slots, now)
+	for i := range slots {
+		if p := slots[i].Prio; p != p {
+			slots[i].Prio = 0
+		}
 	}
-	return p
 }
 
 // before is the queue's total order: priority descending, ties FCFS
 // (submit time, then ID — unique, so the order is total).
-func before(pa float64, a *job.Job, pb float64, b *job.Job) bool {
-	if pa != pb {
-		return pa > pb
+func before(a, b *Slot) bool {
+	if a.Prio != b.Prio {
+		return a.Prio > b.Prio
 	}
 	if a.SubmitTime != b.SubmitTime {
 		return a.SubmitTime < b.SubmitTime
@@ -205,47 +132,46 @@ func before(pa float64, a *job.Job, pb float64, b *job.Job) bool {
 	return a.ID < b.ID
 }
 
-// Add enqueues a job. Double-adds are rejected.
+// find returns the index of job id's slot, or -1. A pass starts jobs from
+// the front of the order, so Remove's scan is short.
+func (q *Queue) find(id int) int {
+	for i := range q.slots {
+		if q.slots[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// Add enqueues a job. Double-adds are rejected. The job's key is copied
+// here and never refreshed: ID, SubmitTime, WalltimeEst, Demand and Deps
+// must not change while the job waits (only the trace generators and
+// loaders write them, before admission).
 func (q *Queue) Add(j *job.Job) error {
-	if _, dup := q.waiting[j.ID]; dup {
+	if q.find(j.ID) >= 0 {
 		return fmt.Errorf("queue: job %d already waiting", j.ID)
 	}
-	q.waiting[j.ID] = j
-	i, p := len(q.order), 0.0
+	q.slots = append(q.slots, SlotOf(j))
 	if q.static {
-		p = q.orderedPriority(j, 0) // time-invariant: now is irrelevant
-		i = sort.Search(len(q.order), func(k int) bool {
-			return before(p, j, q.prio[k], q.order[k])
-		})
+		last := len(q.slots) - 1
+		s := &q.slots[last]
+		q.prioritize(q.slots[last:], 0) // time-invariant: now is irrelevant
+		i := sort.Search(last, func(k int) bool { return before(s, &q.slots[k]) })
+		added := *s
+		copy(q.slots[i+1:], q.slots[i:last])
+		q.slots[i] = added
 	}
-	q.order = append(q.order, nil)
-	copy(q.order[i+1:], q.order[i:])
-	q.order[i] = j
-	q.prio = append(q.prio, 0)
-	copy(q.prio[i+1:], q.prio[i:])
-	q.prio[i] = p
 	return nil
 }
 
 // Remove dequeues the job with the given ID (when it starts running),
-// leaving the others in order. A pass starts jobs from the front of the
-// order, so the scan for the job's slot is short.
+// leaving the others in order.
 func (q *Queue) Remove(id int) error {
-	j, ok := q.waiting[id]
-	if !ok {
+	i := q.find(id)
+	if i < 0 {
 		return fmt.Errorf("queue: job %d not waiting", id)
 	}
-	delete(q.waiting, id)
-	i := 0
-	for q.order[i] != j {
-		i++
-	}
-	last := len(q.order) - 1
-	copy(q.order[i:], q.order[i+1:])
-	q.order[last] = nil
-	q.order = q.order[:last]
-	copy(q.prio[i:], q.prio[i+1:])
-	q.prio = q.prio[:last]
+	q.slots = slices.Delete(q.slots, i, i+1)
 	return nil
 }
 
@@ -255,42 +181,65 @@ func (q *Queue) Remove(id int) error {
 // behavior depends only on the queue's total order, never on internal
 // array order.
 func (q *Queue) Waiting(dst []*job.Job) []*job.Job {
-	return append(dst, q.order...)
+	for i := range q.slots {
+		dst = append(dst, q.slots[i].Job)
+	}
+	return dst
 }
 
 // Contains reports whether job id is waiting.
-func (q *Queue) Contains(id int) bool {
-	_, ok := q.waiting[id]
-	return ok
+func (q *Queue) Contains(id int) bool { return q.find(id) >= 0 }
+
+// CheckInvariant verifies that every slot's key is its job's, that IDs
+// are unique and that a time-invariant policy's slots are in base order;
+// tests call it after random operation sequences.
+func (q *Queue) CheckInvariant() error {
+	seen := make(map[int]bool, len(q.slots))
+	for i := range q.slots {
+		s := &q.slots[i]
+		if want := SlotOf(s.Job); s.Key != want.Key || s.Entry != want.Entry {
+			return fmt.Errorf("queue: slot %d holds %+v, job %d has %+v", i, *s, s.Job.ID, want)
+		}
+		if seen[s.ID] {
+			return fmt.Errorf("queue: job %d waits twice", s.ID)
+		}
+		seen[s.ID] = true
+		if q.static && i > 0 && !before(&q.slots[i-1], s) {
+			return fmt.Errorf("queue: slot %d (job %d) out of base order", i, s.ID)
+		}
+	}
+	return nil
 }
 
 // Sorted returns the waiting jobs in base-policy order at time now:
 // priority descending, ties FCFS. It is the reference implementation the
-// ranking is property-tested against; the simulator's hot path uses Rank
-// instead.
+// ranking is property-tested against — fresh slots built from the jobs,
+// not the ones the queue stored; the simulator's hot path uses Rank.
 func (q *Queue) Sorted(now int64) []*job.Job {
-	out := make([]*job.Job, 0, len(q.order))
-	for _, j := range q.order {
-		out = append(out, j)
+	slots := make([]Slot, len(q.slots))
+	for i := range slots {
+		slots[i] = SlotOf(q.slots[i].Job)
 	}
-	prio := make(map[int]float64, len(out))
-	for _, j := range out {
-		p := q.policy.Priority(j, now)
-		if math.IsNaN(p) {
-			p = 0
+	q.policy.Prioritize(slots, now)
+	for i := range slots {
+		if math.IsNaN(slots[i].Prio) {
+			slots[i].Prio = 0
 		}
-		prio[j.ID] = p
 	}
-	sort.Slice(out, func(a, b int) bool {
-		pa, pb := prio[out[a].ID], prio[out[b].ID]
-		if pa != pb {
-			return pa > pb
+	sort.Slice(slots, func(a, b int) bool {
+		ja, jb := slots[a].Job, slots[b].Job
+		if slots[a].Prio != slots[b].Prio {
+			return slots[a].Prio > slots[b].Prio
 		}
-		if out[a].SubmitTime != out[b].SubmitTime {
-			return out[a].SubmitTime < out[b].SubmitTime
+		if ja.SubmitTime != jb.SubmitTime {
+			return ja.SubmitTime < jb.SubmitTime
 		}
-		return out[a].ID < out[b].ID
+		return ja.ID < jb.ID
 	})
+	out := make([]*job.Job, len(slots))
+	for i := range slots {
+		out[i] = slots[i].Job
+	}
 	return out
 }
 
@@ -308,27 +257,51 @@ func (q *Queue) Window(now int64, size int, depsDone func(id int) bool) []*job.J
 // in base-policy order. The returned slice aliases dst's storage when
 // capacity suffices. Like Rank, it invalidates any earlier Ranking.
 func (q *Queue) WindowInto(dst []*job.Job, now int64, size int, depsDone func(id int) bool) []*job.Job {
-	if size <= 0 || len(q.order) == 0 {
+	if size <= 0 || len(q.slots) == 0 {
 		return dst
 	}
 	return q.Rank(now, depsDone).Take(dst, size)
 }
 
+// Entry is one ranked job with the two demands a pass's fit prefilter
+// reads, so that a job that cannot fit is rejected without being touched.
+// They are clamped to 32 bits — an entry is what a pass's memory scales
+// with — which only ever makes the prefilter pass a job on to CanFit.
+type Entry struct {
+	Job       *job.Job
+	nodes, bb uint32
+}
+
+// EntryOf returns j's ranking entry, for callers that hold jobs the queue
+// did not rank.
+func EntryOf(j *job.Job) Entry {
+	clamp := func(v int64) uint32 { return uint32(min(max(v, 0), math.MaxUint32)) }
+	return Entry{Job: j, nodes: clamp(j.Demand.Get(job.Nodes)), bb: clamp(j.Demand.BB())}
+}
+
+// MayFit reports whether the job could fit a snapshot with freeNodes free
+// nodes over all classes and freeBB free burst buffer. It is necessary for
+// Snapshot.CanFit, never sufficient: false means CanFit is false, true
+// means ask CanFit.
+func (e Entry) MayFit(freeNodes int, freeBB int64) bool {
+	return int64(e.nodes) <= int64(freeNodes) && int64(e.bb) <= freeBB
+}
+
 // Ranking is one scheduling pass's view of the dep-ready waiting jobs in
-// base-policy order at one instant: Take, Next and Rest consume it from
-// the front, Prune drops jobs the caller no longer wants ranked. The jobs
-// come out in exactly the order filter(Sorted(now)) lists them, whatever
-// mix of calls is made and whatever the queue went through before —
-// `before` is a total order, so there is one answer.
+// base-policy order at one instant: Take, Front, Next and Rest consume it
+// from the front, Prune drops jobs the caller no longer wants ranked. The
+// jobs come out in exactly the order filter(Sorted(now)) lists them,
+// whatever mix of calls is made and whatever the queue went through
+// before — `before` is a total order, so there is one answer.
 //
 // A Ranking is a copy on its queue's pooled array: the next Rank (or
 // WindowInto) call on the queue overwrites it. Add and Remove leave it
 // untouched, so a job started mid-pass is simply one the caller has
 // already taken. The zero Ranking is empty.
 type Ranking struct {
-	jobs     []*job.Job // jobs[lo:] are the jobs not yet consumed
+	entries  []Entry // entries[lo:] are the jobs not yet consumed
 	lo       int
-	gathered int // len(jobs) as Rank left it
+	gathered int // len(entries) as Rank left it
 }
 
 // repairBudget bounds Rank's insertion sort: past repairBudget
@@ -342,119 +315,105 @@ const repairBudget = 4
 // jobs whose dependencies have all finished, in that order, as the
 // queue's pooled ranking. A time-varying policy's priorities are
 // re-evaluated and the order the last Rank left is repaired; a
-// time-invariant policy's queue is always in order. No allocation once
-// the arrays have grown.
+// time-invariant policy's queue is always in order. Only a job that has
+// dependencies is dereferenced. No allocation once the arrays have grown.
 func (q *Queue) Rank(now int64, depsDone func(id int) bool) *Ranking {
 	if !q.static {
 		q.reorder(now)
 	}
 	r := &q.rank
-	r.jobs, r.lo = r.jobs[:0], 0
-	for _, j := range q.order {
-		if depsReady(j, depsDone) {
-			r.jobs = append(r.jobs, j)
+	r.entries, r.lo = r.entries[:0], 0
+	for i := range q.slots {
+		s := &q.slots[i]
+		if !s.HasDeps || depsReady(s.Job, depsDone) {
+			r.entries = append(r.entries, s.Entry)
 		}
 	}
 	// Drop the pointers a deeper earlier gather left past this one, so the
 	// pooled array never keeps long-finished jobs alive.
-	if n := len(r.jobs); n < r.gathered {
-		clear(r.jobs[n:r.gathered])
+	if n := len(r.entries); n < r.gathered {
+		clear(r.entries[n:r.gathered])
 	}
-	r.gathered = len(r.jobs)
+	r.gathered = len(r.entries)
 	return r
 }
 
 // reorder evaluates every waiting job's priority at now and restores the
 // base order: an insertion sort, whose work is the distance the jobs have
-// moved since the order was last right, abandoned for sort.Sort once that
+// moved since the order was last right, abandoned for one sort once that
 // distance passes repairBudget per job.
 func (q *Queue) reorder(now int64) {
-	order, prio := q.order, q.prio
-	for i, j := range order {
-		prio[i] = q.orderedPriority(j, now)
-	}
-	budget := repairBudget * len(order)
-	for i := 1; i < len(order); i++ {
-		j, p := order[i], prio[i]
-		k := i
-		for ; k > 0 && before(p, j, prio[k-1], order[k-1]); k-- {
-			order[k], prio[k] = order[k-1], prio[k-1]
-		}
-		if k == i {
+	slots := q.slots
+	q.prioritize(slots, now)
+	budget := repairBudget * len(slots)
+	for i := 1; i < len(slots); i++ {
+		if !before(&slots[i], &slots[i-1]) {
 			continue
 		}
-		order[k], prio[k] = j, p
+		s, k := slots[i], i
+		for ; k > 0 && before(&s, &slots[k-1]); k-- {
+			slots[k] = slots[k-1]
+		}
+		slots[k] = s
 		if budget -= i - k; budget < 0 {
-			sort.Sort((*byOrder)(q))
+			slices.SortFunc(slots, func(a, b Slot) int {
+				if before(&a, &b) {
+					return -1
+				}
+				return 1
+			})
 			return
 		}
 	}
 }
 
-// byOrder views a Queue's arrays as a sort.Interface over the total order
-// `before` — a defined-type conversion, not a wrapper struct, so the sort
-// stays allocation-free.
-type byOrder Queue
-
-func (s *byOrder) Len() int { return len(s.order) }
-
-func (s *byOrder) Less(a, b int) bool {
-	return before(s.prio[a], s.order[a], s.prio[b], s.order[b])
-}
-
-func (s *byOrder) Swap(a, b int) {
-	s.order[a], s.order[b] = s.order[b], s.order[a]
-	s.prio[a], s.prio[b] = s.prio[b], s.prio[a]
-}
-
 // Len returns the number of ranked jobs not yet consumed.
-func (r *Ranking) Len() int { return len(r.jobs) - r.lo }
+func (r *Ranking) Len() int { return len(r.entries) - r.lo }
+
+// Front pops up to size entries off the front of the ranking, in base
+// order. The slice aliases the ranking's storage, which no later call on
+// the ranking reads or writes: it is the caller's, to reorder or compact,
+// until the queue is ranked again.
+func (r *Ranking) Front(size int) []Entry {
+	size = max(0, min(size, r.Len()))
+	r.lo += size
+	return r.entries[r.lo-size : r.lo : r.lo]
+}
 
 // Take pops up to size jobs off the front of the ranking, appending them
 // to dst in base order.
 func (r *Ranking) Take(dst []*job.Job, size int) []*job.Job {
-	if size > r.Len() {
-		size = r.Len()
+	for _, e := range r.Front(size) {
+		dst = append(dst, e.Job)
 	}
-	if size <= 0 {
-		return dst
-	}
-	dst = append(dst, r.jobs[r.lo:r.lo+size]...)
-	r.lo += size
 	return dst
 }
 
-// Next pops the first remaining job, or returns nil when none is left.
-func (r *Ranking) Next() *job.Job {
+// Next pops the first remaining entry; ok is false when none is left.
+func (r *Ranking) Next() (e Entry, ok bool) {
 	if r.Len() == 0 {
-		return nil
+		return Entry{}, false
 	}
 	r.lo++
-	return r.jobs[r.lo-1]
+	return r.entries[r.lo-1], true
 }
 
-// Rest pops every remaining job, in base order. The slice aliases the
+// Rest pops every remaining entry, in base order. The slice aliases the
 // ranking's storage and is valid only until the queue is ranked again.
-func (r *Ranking) Rest() []*job.Job {
-	if r.Len() == 0 {
-		return nil
-	}
-	rest := r.jobs[r.lo:]
-	r.lo = len(r.jobs)
-	return rest
-}
+func (r *Ranking) Rest() []Entry { return r.Front(r.Len()) }
 
-// Prune drops every remaining job keep rejects; the survivors keep their
-// relative order.
-func (r *Ranking) Prune(keep func(*job.Job) bool) {
+// Prune drops every remaining job that cannot fit freeNodes free nodes and
+// freeBB free burst buffer (Entry.MayFit, tested without touching the job)
+// or that keep rejects; the survivors keep their relative order.
+func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(*job.Job) bool) {
 	w := r.lo
-	for _, j := range r.jobs[r.lo:] {
-		if keep(j) {
-			r.jobs[w] = j
+	for _, e := range r.entries[r.lo:] {
+		if e.MayFit(freeNodes, freeBB) && keep(e.Job) {
+			r.entries[w] = e
 			w++
 		}
 	}
-	r.jobs = r.jobs[:w]
+	r.entries = r.entries[:w]
 }
 
 func depsReady(j *job.Job, depsDone func(id int) bool) bool {

@@ -10,6 +10,13 @@ func mkJob(id int, submit int64, nodes int, walltime int64) *job.Job {
 	return job.MustNew(id, submit, walltime, walltime, job.NewDemand(nodes, 0, 0))
 }
 
+// priorityOf evaluates p for one job.
+func priorityOf(p Policy, j *job.Job, now int64) float64 {
+	s := []Slot{SlotOf(j)}
+	p.Prioritize(s, now)
+	return s[0].Prio
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"FCFS", "WFP"} {
 		p, err := ByName(name)
@@ -90,12 +97,12 @@ func TestWFPFavorsLargeAndLongWaiting(t *testing.T) {
 func TestWFPPriorityCubicGrowth(t *testing.T) {
 	p := WFP{}
 	j := mkJob(1, 0, 8, 1000)
-	p1 := p.Priority(j, 1000) // ratio 1
-	p2 := p.Priority(j, 2000) // ratio 2
+	p1 := priorityOf(p, j, 1000) // ratio 1
+	p2 := priorityOf(p, j, 2000) // ratio 2
 	if p2 != 8*p1 {
 		t.Fatalf("cubic growth violated: %v then %v", p1, p2)
 	}
-	if p.Priority(j, -100) != 0 {
+	if priorityOf(p, j, -100) != 0 {
 		t.Fatal("negative wait should clamp to zero priority")
 	}
 }

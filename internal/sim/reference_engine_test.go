@@ -76,7 +76,9 @@ func (q *refQueue) Sorted(now int64) []*job.Job {
 	}
 	prio := make(map[int]float64, len(out))
 	for _, j := range out {
-		p := q.policy.Priority(j, now)
+		one := []queue.Slot{queue.SlotOf(j)}
+		q.policy.Prioritize(one, now)
+		p := one[0].Prio
 		if math.IsNaN(p) {
 			p = 0
 		}

@@ -336,15 +336,15 @@ func TestNewSimulatorValidation(t *testing.T) {
 	}
 }
 
-// countingWFP is WFP counting its Priority calls.
+// countingWFP is WFP counting the priorities it evaluates.
 type countingWFP struct {
 	queue.WFP
 	calls *int
 }
 
-func (p countingWFP) Priority(j *job.Job, now int64) float64 {
-	*p.calls++
-	return p.WFP.Priority(j, now)
+func (p countingWFP) Prioritize(slots []queue.Slot, now int64) {
+	*p.calls += len(slots)
+	p.WFP.Prioritize(slots, now)
 }
 
 // passGatherObserver checks, pass by pass, how many priorities were
@@ -362,7 +362,7 @@ func (o *passGatherObserver) OnSchedule(info ScheduleInfo) {
 	gathered := *o.calls - o.seen
 	o.seen = *o.calls
 	if gathered > depth {
-		o.t.Errorf("pass %d: %d Priority calls for %d waiting jobs; a pass ranks the queue once",
+		o.t.Errorf("pass %d: %d priorities evaluated for %d waiting jobs; a pass ranks the queue once",
 			info.Invocation, gathered, depth)
 	}
 	if depth > o.deepest {
