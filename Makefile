@@ -120,9 +120,10 @@ farm-smoke:
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
 # the network), the dead-window shortcut (skipped answer == solved
-# answer, over generated windows) and the ranked planner (prefiltered
-# PlanRanked == reference Plan over Sorted, over generated machines and
-# queues) for 30s per target (CI smoke; the seed
+# answer, over generated windows), the GA's termination certificate
+# (certified stop == full run, same windows) and the ranked planner
+# (prefiltered PlanRanked == reference Plan over Sorted, over generated
+# machines and queues) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.
@@ -131,6 +132,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +

@@ -313,8 +313,57 @@ func SolverComparison(o Options) (string, error) {
 			fmt.Sprintf("%v", r.Result.AvgDecisionTime),
 		})
 	}
+	gens, err := gaGenerations(o, s4)
+	if err != nil {
+		return "", fmt.Errorf("experiments: %w", err)
+	}
 	return fmt.Sprintf("Solver comparison on %s: MOGA vs LP-relaxation backends\n", s4.Name) +
-		table([]string{"method", "solver", "cpu_usage", "bb_usage", "avg_wait", "avg_slowdown", "avg_decision"}, rows), nil
+		table([]string{"method", "solver", "cpu_usage", "bb_usage", "avg_wait", "avg_slowdown", "avg_decision"}, rows) +
+		"\n" + gens, nil
+}
+
+// gaGenerations reports how long the GA behind the comparison's MOGA rows
+// runs before its answer is settled (moo.SolveGA's certificate, read off
+// moo.EvalStats.Generations): consecutive windows of the workload against
+// a machine with a quarter of every resource free, per window size. A
+// solve is certified when it stopped before generation G; one over more
+// live jobs than 2^L ≤ G·P allows never is.
+func gaGenerations(o Options, w trace.Workload) (string, error) {
+	snap := cluster.MustNew(w.System.Cluster).Snapshot()
+	for c := range snap.FreeByClass {
+		snap.FreeByClass[c] /= 4
+	}
+	snap.FreeBB /= 4
+	const solves = 12
+	var rows [][]string
+	var live []int
+	for _, size := range []int{5, 10, 20, 50} {
+		var liveSum, genSum, certified, n int
+		for k := 0; k < solves && (k+1)*size <= len(w.Jobs); k++ {
+			p := sched.NewSelectionProblem(w.Jobs[k*size:(k+1)*size], snap, sched.TwoObjectives())
+			live, _ = p.LiveSet(live[:0])
+			ev := moo.NewEvaluator(p)
+			if _, err := moo.SolveGA(ev, o.GA, rng.New(o.Seed+uint64(k))); err != nil {
+				return "", err
+			}
+			gens := int(ev.Stats().Generations)
+			n++
+			liveSum += len(live)
+			genSum += gens
+			if gens < o.GA.Generations {
+				certified++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		rows = append(rows, []string{
+			fmt.Sprintf("%d", size), f2(float64(liveSum) / float64(n)),
+			f2(float64(genSum) / float64(n)), fmt.Sprintf("%d/%d", certified, n),
+		})
+	}
+	return fmt.Sprintf("GA generations run of G=%d (P=%d) on %s windows, machine a quarter free\n", o.GA.Generations, o.GA.Population, w.Name) +
+		table([]string{"window", "live_jobs", "generations", "certified"}, rows), nil
 }
 
 // namedMethod renames a wrapped method in output.

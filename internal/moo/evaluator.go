@@ -5,7 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// EvalStats is the Evaluator's cache accounting.
+// EvalStats is the Evaluator's accounting since its last Reset: the cache,
+// and how long the GA ran on it.
 type EvalStats struct {
 	// Hits counts Evaluate calls answered from the cache (including calls
 	// that waited for a concurrent first evaluation of the same genome).
@@ -14,6 +15,10 @@ type EvalStats struct {
 	// underlying Problem. Misses equals the number of distinct genomes
 	// evaluated since the last Reset.
 	Misses uint64
+	// Generations is how many generations the last SolveGA through this
+	// Evaluator ran: GAConfig.Generations, or fewer when the solve stopped
+	// on its certificate. Zero before any solve.
+	Generations uint64
 }
 
 // evalEntry is one memoized evaluation — one interned genotype. The once
@@ -52,10 +57,16 @@ type Evaluator struct {
 	// entrySlab and wordSlab chunk-allocate cache entries and canonical
 	// genome words (both guarded by mu): one slab allocation amortizes
 	// over entrySlabSize misses instead of two heap objects per miss.
+	// Entries are carved in creation order, entrySlab[:used] so far, so the
+	// chunk's tail lists the newest ones — what Reset deletes by.
 	entrySlab []evalEntry
+	used      int
 	wordSlab  []uint64
+	// peak is the largest number of entries a Reset has found: what the
+	// table has grown to hold, and costs to wipe.
+	peak int
 
-	hits, misses atomic.Uint64
+	hits, misses, generations atomic.Uint64
 
 	// ga parks the solver scratch between solves on this Evaluator, so a
 	// scheduler that reuses one Evaluator across decisions reuses the
@@ -64,8 +75,14 @@ type Evaluator struct {
 	ga atomic.Pointer[gaSolver]
 }
 
-// entrySlabSize is the entry/word slab chunk length, in entries.
+// entrySlabSize is the entry/word slab chunk length, in entries, and the
+// size the table starts at.
 const entrySlabSize = 256
+
+// wipeRatio is how many entries of table capacity clear() wipes in the
+// time one delete() takes: a 512-slot table clears in ≈ 0.5 µs, a key
+// deletes in ≈ 30 ns.
+const wipeRatio = 16
 
 // NewEvaluator wraps p with a fresh cache. Wrapping an Evaluator returns
 // it unchanged.
@@ -73,7 +90,7 @@ func NewEvaluator(p Problem) *Evaluator {
 	if e, ok := p.(*Evaluator); ok {
 		return e
 	}
-	return &Evaluator{inner: p, entries: make(map[string]*evalEntry, 256)}
+	return &Evaluator{inner: p, entries: make(map[string]*evalEntry, entrySlabSize)}
 }
 
 // ReuseEvaluator rebinds e to p, clearing the cache but keeping its
@@ -89,16 +106,32 @@ func ReuseEvaluator(e *Evaluator, p Problem) *Evaluator {
 
 // Reset rebinds the Evaluator to p and clears the cache and statistics,
 // retaining allocated capacity.
+//
+// clear() on a map wipes its whole table, so it costs what the largest
+// solve the Evaluator ever held costs — and most solves of a replay leave
+// one entry (a window with a single candidate) or a handful. When the
+// cache holds few entries for the table's size and the current slab chunk
+// lists them all (the newest n entries are its tail whenever n fit in it),
+// Reset deletes those keys instead.
 func (e *Evaluator) Reset(p Problem) {
 	if inner, ok := p.(*Evaluator); ok {
 		p = inner.inner
 	}
 	e.mu.Lock()
 	e.inner = p
-	clear(e.entries)
+	n := len(e.entries)
+	e.peak = max(e.peak, n)
+	if n <= e.used && n*wipeRatio <= max(e.peak, entrySlabSize) {
+		for i := e.used - n; i < e.used; i++ {
+			delete(e.entries, e.entrySlab[i].key)
+		}
+	} else {
+		clear(e.entries)
+	}
 	e.mu.Unlock()
 	e.hits.Store(0)
 	e.misses.Store(0)
+	e.generations.Store(0)
 }
 
 // Problem returns the wrapped problem.
@@ -144,11 +177,11 @@ func (e *Evaluator) lookup(g Genome) *evalEntry {
 // intern creates g's cache entry under the next dense id, with a
 // canonical clone of g. Caller holds e.mu and has checked key is absent.
 func (e *Evaluator) intern(key []byte, g Genome) *evalEntry {
-	if len(e.entrySlab) == 0 {
-		e.entrySlab = make([]evalEntry, entrySlabSize)
+	if e.used == len(e.entrySlab) {
+		e.entrySlab, e.used = make([]evalEntry, entrySlabSize), 0
 	}
-	ent := &e.entrySlab[0]
-	e.entrySlab = e.entrySlab[1:]
+	ent := &e.entrySlab[e.used]
+	e.used++
 	ent.id = int32(len(e.entries))
 	ent.key = string(key)
 	ent.genome = e.cloneGenome(g)
@@ -180,5 +213,5 @@ func (e *Evaluator) repairer() Repairer {
 
 // Stats returns the cache accounting since the last Reset.
 func (e *Evaluator) Stats() EvalStats {
-	return EvalStats{Hits: e.hits.Load(), Misses: e.misses.Load()}
+	return EvalStats{Hits: e.hits.Load(), Misses: e.misses.Load(), Generations: e.generations.Load()}
 }

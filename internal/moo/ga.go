@@ -3,6 +3,7 @@ package moo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bbsched/internal/rng"
 )
@@ -51,6 +52,29 @@ func (c GAConfig) validate(p Problem) error {
 // SolveGA runs the paper's multi-objective genetic algorithm and returns
 // the Pareto set of the final generation (deduplicated by genome,
 // lexicographically sorted). The stream makes runs reproducible.
+//
+// The run ends before generation G when nothing it returns can change any
+// more. If p declares a live set of L ≥ 1 variables (LiveSetter) with
+// 2^L ≤ G·P — the certificate may cost at most the evaluations the run was
+// budgeted — the solver enumerates the 2^L selections once and keeps F*,
+// every feasible genotype no feasible genotype dominates (equal objective
+// vectors all kept). Under age-based selection with |F*| ≤ P it stops at
+// the first generation whose population holds all of F*, because:
+//
+//   - F* stays. Every pool member is feasible, so it is in F* or dominated
+//     by a member of F*; with F* ⊆ pop ⊆ pool, Set 1's distinct genotypes
+//     are exactly F*, and selection's first pass takes them all (≤ P).
+//   - The front is F*. Whenever F* ⊆ pop the population's non-dominated
+//     genotypes are F* and nothing else (in Archive mode too: everything
+//     archived is feasible), so genomes and objectives returned are those
+//     generation G would return. Only Solution.Age differs.
+//   - Nothing reads what was skipped, provided the caller draws nothing
+//     from s after the solve: a certified solve leaves s at an earlier
+//     position than G generations would (sim hands each pass its own stream).
+//
+// No certificate, and all G generations as ever: no LiveSetter or !ok,
+// L = 0, 2^L > G·P, |F*| > P, or Crowding selection (its distance trim can
+// drop a Set 1 genotype). EvalStats.Generations reports what a solve ran.
 //
 // Evolution per generation: P children are bred by single-point crossover
 // of uniformly chosen parents, each child's genes flip with probability
@@ -139,6 +163,13 @@ type gaSolver struct {
 	sols      []Solution // the Crowding ablation's materialised pool
 
 	archive []member
+
+	// The termination certificate (see SolveGA): the problem's live set,
+	// the enumeration's running non-dominated list, and the ids of F* —
+	// empty when the solve has no certificate.
+	live  []int
+	exact []point
+	cert  []int32
 }
 
 // Child states in childIDs that are not an id.
@@ -214,8 +245,10 @@ func (g *gaSolver) run() ([]Solution, error) {
 		return nil, fmt.Errorf("moo: no feasible initial solution for %d-dim problem", g.dim)
 	}
 	g.record(pop)
+	g.certify()
 
-	for gen := 0; gen < cfg.Generations; gen++ {
+	gen := 0
+	for ; gen < cfg.Generations && !g.settled(pop); gen++ {
 		children := g.breed(pop)
 		g.record(children)
 		g.pool = append(append(g.pool[:0], pop...), children...)
@@ -228,6 +261,7 @@ func (g *gaSolver) run() ([]Solution, error) {
 			pop[i].age++
 		}
 	}
+	g.ev.generations.Store(uint64(gen))
 
 	// The final front: the population's non-dominated members — joined,
 	// in Archive mode, by every feasible chromosome the run evaluated —
@@ -247,6 +281,57 @@ func (g *gaSolver) run() ([]Solution, error) {
 	}
 	SortLexicographic(out)
 	return out, nil
+}
+
+// certify builds the solve's termination certificate when it has one:
+// cert becomes the interned ids of F*, the feasible genotypes that no
+// feasible genotype dominates. The enumeration evaluates the raw problem,
+// not the cache — 2^L entries interned in an Evaluator kept across solves
+// would dwarf what the generations leave there — and compares with
+// Dominates on Evaluate's own values, which is what selection does.
+func (g *gaSolver) certify() {
+	g.cert = g.cert[:0]
+	ls, ok := g.ev.inner.(LiveSetter)
+	if !ok || g.cfg.Selection == Crowding {
+		return
+	}
+	g.live, ok = ls.LiveSet(g.live[:0])
+	n := len(g.live)
+	// n ≤ 62: a selection over the live set is one word, and 1<<n cannot wrap.
+	if !ok || n == 0 || n > 62 || uint64(1)<<uint(n) > uint64(g.cfg.Generations)*uint64(g.cfg.Population) {
+		return
+	}
+	scratch := g.raw[0] // breeding has not started
+	scratch.Zero()
+	g.exact = paretoOver(g.ev.inner, scratch, g.live, true, g.exact[:0])
+	if len(g.exact) <= g.cfg.Population {
+		for _, pt := range g.exact {
+			scratch.Zero()
+			for m := pt.mask; m != 0; m &= m - 1 {
+				scratch.SetBit(g.live[bits.TrailingZeros64(m)], true)
+			}
+			g.cert = append(g.cert, g.intern(g.ev.lookup(scratch)))
+		}
+	}
+	clear(g.exact) // the objective vectors are the problem's: hold none past the solve
+}
+
+// settled reports whether pop holds every genotype of the certificate:
+// from here on no generation changes what run returns.
+func (g *gaSolver) settled(pop []member) bool {
+	if len(g.cert) == 0 {
+		return false
+	}
+	epoch := g.nextEpoch()
+	for _, m := range pop {
+		g.mark[m.id] = epoch
+	}
+	for _, id := range g.cert {
+		if g.mark[id] != epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // solution materialises a member. Genome and objectives are the

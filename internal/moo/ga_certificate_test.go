@@ -1,0 +1,284 @@
+package moo
+
+import (
+	"math"
+	"testing"
+
+	"bbsched/internal/rng"
+)
+
+// liveKnapsack is a knapsack2 that declares its live set: the items that
+// fit the caps alone. Weights are non-negative, so the guarantee holds.
+type liveKnapsack struct{ *knapsack2 }
+
+func (k liveKnapsack) LiveSet(dst []int) ([]int, bool) {
+	for i := range k.nodes {
+		if k.nodes[i] <= k.capNodes && k.bb[i] <= k.capBB {
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
+}
+
+// liveTable is a tableProblem over which every variable is live.
+type liveTable struct{ *tableProblem }
+
+func (liveTable) LiveSet(dst []int) ([]int, bool) {
+	return append(dst, 0, 1, 2, 3, 4, 5, 6, 7), true
+}
+
+// antiDiagonal returns an always-feasible table whose exact Pareto set is
+// the genotypes 1…n, on (i, n−i); every other genotype scores below all.
+func antiDiagonal(n int) *tableProblem {
+	p := &tableProblem{}
+	for v := range p.objs {
+		p.objs[v] = []float64{-1, -1}
+		if 1 <= v && v <= n {
+			p.objs[v] = []float64{float64(v), float64(n - v)}
+		}
+	}
+	return p
+}
+
+// solveCounted runs SolveGA through its own Evaluator and returns the
+// front with the generations the solve ran.
+func solveCounted(t *testing.T, p Problem, cfg GAConfig, seed uint64) ([]Solution, uint64) {
+	t.Helper()
+	ev := NewEvaluator(p)
+	front, err := SolveGA(ev, cfg, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return front, ev.Stats().Generations
+}
+
+// sameFront requires equal genomes and bit-equal objectives, in order.
+func sameFront(t *testing.T, label string, got, want []Solution) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: front of %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Genome.Equal(want[i].Genome) {
+			t.Fatalf("%s: member %d is %s, want %s", label, i, got[i].Genome, want[i].Genome)
+		}
+		for k := range want[i].Objectives {
+			if math.Float64bits(got[i].Objectives[k]) != math.Float64bits(want[i].Objectives[k]) {
+				t.Fatalf("%s: member %d objectives %v, want %v", label, i, got[i].Objectives, want[i].Objectives)
+			}
+		}
+	}
+}
+
+// TestSelectNextKeepsParetoSet is the persistence lemma behind the
+// certificate: when the pool holds every genotype of F* — the feasible
+// genotypes no feasible genotype dominates — and |F*| ≤ P, so does the
+// next generation, whatever else the pool holds: random dominated
+// genotypes of any age, a flood of age-0 clones of one chromosome, distinct
+// genotypes sharing one objective vector (few levels make them common).
+func TestSelectNextKeepsParetoSet(t *testing.T) {
+	s := rng.New(53)
+	checked := 0
+	for trial := 0; trial < 600; trial++ {
+		p := &tableProblem{}
+		m := 2 + s.Intn(2)
+		levels := 3 + s.Intn(6)
+		for v := range p.objs {
+			p.objs[v] = make([]float64, m)
+			for k := range p.objs[v] {
+				p.objs[v][k] = float64(s.Intn(levels))
+			}
+		}
+		g := &gaSolver{ev: NewEvaluator(p)}
+		scratch := NewGenome(8)
+		idOf := func(v int) int32 {
+			scratch.w[0] = uint64(v)
+			return g.intern(g.ev.lookup(scratch))
+		}
+
+		// F* over all 256 genotypes (all feasible), ties kept.
+		var all []Solution
+		for v := range p.objs {
+			all = append(all, Solution{Objectives: p.objs[v], Age: v})
+		}
+		var fstar []int32
+		for _, sol := range ParetoFilter(all) {
+			fstar = append(fstar, idOf(sol.Age))
+		}
+		pop := len(fstar) + s.Intn(6)
+		if pop < 2 {
+			pop = 2
+		}
+
+		var pool []member
+		for _, id := range fstar {
+			for c := 1 + s.Intn(3); c > 0; c-- {
+				pool = append(pool, member{id: id, age: int32(s.Intn(40))})
+			}
+		}
+		for len(pool) < 2*pop-s.Intn(pop) {
+			pool = append(pool, member{id: idOf(s.Intn(256)), age: int32(s.Intn(40))})
+		}
+		flood := idOf(s.Intn(256))
+		for c := s.Intn(2 * pop); c > 0; c-- {
+			pool = append(pool, member{id: flood})
+		}
+		for i := range pool { // pool order is not the lemma's business
+			j := i + s.Intn(len(pool)-i)
+			pool[i], pool[j] = pool[j], pool[i]
+		}
+
+		g.cert = fstar
+		if !g.settled(pool) {
+			t.Fatalf("trial %d: settled denies a pool built around F*", trial)
+		}
+		next := g.selectNext(pool, pop)
+		if !g.settled(next) {
+			t.Fatalf("trial %d: P=%d, |F*|=%d, pool of %d: selection dropped a member of F*", trial, pop, len(fstar), len(pool))
+		}
+		if len(fstar) > 1 {
+			if g.settled(next[:0]) || g.settled(pool[:0]) {
+				t.Fatalf("trial %d: settled accepts an empty population", trial)
+			}
+			checked++
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d trials had more than one Pareto genotype", checked)
+	}
+}
+
+// TestGACertificateEdges pins when a solve may stop early and when it must
+// run all G generations, through EvalStats.Generations; and that stopping
+// changes nothing the solve returns.
+func TestGACertificateEdges(t *testing.T) {
+	small := GAConfig{Generations: 3000, Population: 4, MutationProb: 0.1}
+	def := DefaultGAConfig()
+	crowd := def
+	crowd.Selection = Crowding
+	arch := def
+	arch.Archive = true
+	fourteen := randomKnapsack(14, 77) // caps far above any one item: L = 14
+	thirteen := randomKnapsack(13, 77)
+
+	cases := []struct {
+		name   string
+		p      Problem
+		hidden Problem // p with its live set hidden
+		cfg    GAConfig
+		full   bool // must run cfg.Generations
+	}{
+		{"table1", liveKnapsack{table1()}, table1(), def, false},
+		{"table1/archive", liveKnapsack{table1()}, table1(), arch, false},
+		{"front of P", liveTable{antiDiagonal(4)}, antiDiagonal(4), small, false},
+		{"front of P+1", liveTable{antiDiagonal(5)}, antiDiagonal(5), small, true},
+		{"crowding", liveKnapsack{table1()}, table1(), crowd, true},
+		{"no interface", table1(), table1(), def, true},
+		{"L=14 at the defaults", liveKnapsack{fourteen}, fourteen, def, true},
+		{"zero generations", liveKnapsack{table1()}, table1(), GAConfig{Population: 20}, true},
+	}
+	for _, tc := range cases {
+		front, gens := solveCounted(t, tc.p, tc.cfg, 5)
+		switch {
+		case tc.full && gens != uint64(tc.cfg.Generations):
+			t.Errorf("%s: ran %d generations, must run all %d", tc.name, gens, tc.cfg.Generations)
+		case !tc.full && gens >= uint64(tc.cfg.Generations):
+			t.Errorf("%s: ran all %d generations, the certificate never held", tc.name, gens)
+		}
+		// With its live set hidden the problem runs to G, and must return
+		// the same front.
+		want, fullGens := solveCounted(t, tc.hidden, tc.cfg, 5)
+		if fullGens != uint64(tc.cfg.Generations) {
+			t.Errorf("%s: hidden live set, yet %d of %d generations", tc.name, fullGens, tc.cfg.Generations)
+		}
+		sameFront(t, tc.name, front, want)
+	}
+
+	// L = 13 is inside the default budget (2^13 ≤ 500·20): whether the GA
+	// reaches F* in time is the instance's business, the front is not.
+	got, _ := solveCounted(t, liveKnapsack{thirteen}, def, 5)
+	want, _ := solveCounted(t, thirteen, def, 5)
+	sameFront(t, "L=13", got, want)
+}
+
+// TestGACertifiedStopMatchesFullRunKnapsack is the differential check on
+// moo's own instances: busy knapsacks (few live items, the replay's shape)
+// and loose ones, every seed, Archive on and off — SolveGA with the live
+// set declared returns what it returns with the live set hidden.
+func TestGACertifiedStopMatchesFullRunKnapsack(t *testing.T) {
+	cfg := GAConfig{Generations: 120, Population: 12, MutationProb: 0.01}
+	stopped := 0
+	for seed := uint64(0); seed < 60; seed++ {
+		k := busyKnapsack(6+int(seed%20), 2000+seed)
+		if seed%3 == 0 {
+			k = randomKnapsack(4+int(seed%8), 3000+seed)
+		}
+		cfg.Archive = seed%2 == 1
+		got, gens := solveCounted(t, liveKnapsack{k}, cfg, seed)
+		want, _ := solveCounted(t, k, cfg, seed)
+		sameFront(t, "knapsack", got, want)
+		if gens < uint64(cfg.Generations) {
+			stopped++
+		}
+	}
+	if stopped < 20 {
+		t.Fatalf("only %d of 60 solves stopped on their certificate", stopped)
+	}
+}
+
+// TestParetoOverSubsetMatchesExhaustive checks the shared enumeration from
+// both ends: over the live variables only it finds the objective points
+// SolveExhaustive finds over all of them, and with ties it keeps every
+// genotype on those points.
+func TestParetoOverSubsetMatchesExhaustive(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		k := busyKnapsack(8+int(seed%9), 4000+seed)
+		live, _ := liveKnapsack{k}.LiveSet(nil)
+		want, err := SolveExhaustive(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := paretoOver(k, NewGenome(k.Dim()), live, false, nil)
+		if len(points) != len(want) {
+			t.Fatalf("seed %d: %d points over %d live variables, %d over all %d", seed, len(points), len(live), len(want), k.Dim())
+		}
+		tied := paretoOver(k, NewGenome(k.Dim()), live, true, nil)
+		for _, set := range [][]point{points, tied} {
+			for _, pt := range set {
+				found := false
+				for _, w := range want {
+					found = found || equalObjs(pt.objs, w.Objectives)
+				}
+				if !found {
+					t.Fatalf("seed %d: point %v is not on the exhaustive front", seed, pt.objs)
+				}
+			}
+		}
+		if len(tied) < len(points) {
+			t.Fatalf("seed %d: keeping ties lost points: %d < %d", seed, len(tied), len(points))
+		}
+	}
+}
+
+// TestEvaluatorResetAfterLargeSolve drives Reset down both of its paths —
+// key-by-key after a small fill, the wipe after a large one, and a fill
+// that straddles a slab chunk — and requires an empty cache after each.
+func TestEvaluatorResetAfterLargeSolve(t *testing.T) {
+	k := randomKnapsack(12, 9)
+	cp := &countingProblem{knapsack2: k}
+	ev := NewEvaluator(cp)
+	g := NewGenome(12)
+	for round, fill := range []int{3000, 1, 5, 100, 200, 7, 300, 2, 0, 1} {
+		for v := 0; v < fill; v++ {
+			g.w[0] = uint64(v)
+			ev.Evaluate(g)
+		}
+		if st := ev.Stats(); st.Misses != uint64(fill) || st.Hits != 0 {
+			t.Fatalf("round %d: %d lookups after Reset gave %+v: a stale entry was served", round, fill, st)
+		}
+		ev.Reset(cp)
+		if n := len(ev.entries); n != 0 {
+			t.Fatalf("round %d: %d entries survive Reset after a fill of %d", round, n, fill)
+		}
+	}
+}

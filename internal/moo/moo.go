@@ -12,6 +12,13 @@
 // copies of a genotype — materialising Solutions only for the front it
 // returns. The loop's buffers are parked on the Evaluator between solves.
 //
+// The GA stops when its answer is settled: for a problem that declares
+// which variables can be selected at all (LiveSetter), the exact Pareto
+// set over those variables — the same enumeration SolveExhaustive runs
+// over all of them — certifies the generation after which nothing SolveGA
+// returns can change, and the run ends there (see SolveGA for the proof
+// and for when no certificate exists).
+//
 // All objectives are maximized. Minimization objectives (e.g. wasted local
 // SSD, §5's f4) are expressed by negating the value, exactly as the paper
 // writes f4 with a leading minus sign.
@@ -47,6 +54,19 @@ type Repairer interface {
 	Repair(g Genome, drop func(n int) int)
 }
 
+// LiveSetter is an optional Problem extension for problems whose
+// constraints only tighten as variables are selected — a variable that is
+// infeasible selected alone is infeasible in every selection. SolveGA uses
+// it to learn when its answer is settled (see there); a problem that
+// cannot give the guarantee (negative demands, say) reports !ok, or does
+// not implement the interface, and loses nothing but that.
+type LiveSetter interface {
+	// LiveSet appends to dst the variables i whose one-variable genome
+	// {i} is feasible under Evaluate, in ascending order. ok promises that
+	// every feasible genome selects variables from that list only.
+	LiveSet(dst []int) (live []int, ok bool)
+}
+
 // Solution is an evaluated candidate.
 type Solution struct {
 	// Genome is the selection vector; gene i selects window job i. It
@@ -56,8 +76,10 @@ type Solution struct {
 	// Objectives is the evaluated objective vector (maximization). Like
 	// Genome it may be shared between solutions and must not be mutated.
 	Objectives []float64
-	// Age counts generations survived (paper §3.2.2: selection prefers
-	// newer chromosomes, i.e. smaller Age).
+	// Age counts the generations survived when the solve stopped (paper
+	// §3.2.2: selection prefers newer chromosomes, i.e. smaller Age). A
+	// solve that stops on its certificate (see SolveGA) reports smaller
+	// ages than one that runs all G generations; nothing else differs.
 	Age int
 
 	// key caches Key(); the GA consults genotype identity every

@@ -140,7 +140,8 @@ func ObjectivesFor(cfg cluster.Config, ssd bool) []Objective {
 
 // SelectionProblem is the window job-selection MOO problem of §3.2.1: bit
 // i selects window job i; objectives are maximized subject to the free
-// resources in the snapshot. It implements moo.Problem and moo.Repairer.
+// resources in the snapshot. It implements moo.Problem, moo.Repairer and
+// moo.LiveSetter.
 //
 // A problem is storage as much as it is an instance: Reset rebinds it to
 // the next window in place, so the solver-backed methods keep one per
@@ -354,6 +355,39 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 		p.putScratch(sc)
 	}
 	return objs, true
+}
+
+// LiveSet implements moo.LiveSetter: the window jobs that fit the free
+// snapshot alone. Allocation only consumes, so a job that does not fit the
+// snapshot does not fit what other jobs left of it, and every feasible
+// selection is made of live jobs — provided no demand is negative (a
+// hand-built negative one hands resources back to the jobs after it);
+// with one in the window the problem declares no live set.
+//
+// "Fits alone" is Evaluate's answer on the one-job genome, restated
+// without the objective vector: the column compare on the fast path —
+// which, unlike CanFit, passes a hand-built zero-node demand — and CanFit,
+// the mirror of the AllocInto the slow path runs, on the other.
+func (p *SelectionProblem) LiveSet(dst []int) ([]int, bool) {
+	for i, j := range p.jobs {
+		if p.nodes[i] < 0 || p.bb[i] < 0 {
+			return dst, false
+		}
+		fits := p.nodes[i] <= p.freeNodes && p.bb[i] <= p.freeBB
+		for k := range p.extras {
+			if p.extras[k][i] < 0 {
+				return dst, false
+			}
+			fits = fits && p.extras[k][i] <= p.freeExtra[k]
+		}
+		if !p.fastPath {
+			fits = p.snap.CanFit(j.Demand)
+		}
+		if fits {
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
 }
 
 // getScratch takes an idle evaluation workspace, or builds one.
@@ -667,6 +701,10 @@ func (s *scalarized) Evaluate(g moo.Genome) ([]float64, bool) {
 
 // Repair implements moo.Repairer.
 func (s *scalarized) Repair(g moo.Genome, drop func(n int) int) { s.inner.Repair(g, drop) }
+
+// LiveSet implements moo.LiveSetter: the scalarization is feasible exactly
+// where the inner problem is.
+func (s *scalarized) LiveSet(dst []int) ([]int, bool) { return s.inner.LiveSet(dst) }
 
 // LinearForm implements solver.Linearizable: the weighted sum of linear
 // objective columns is itself linear, with coefficients
