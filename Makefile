@@ -120,7 +120,9 @@ farm-smoke:
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
 # the network), the dead-window shortcut (skipped answer == solved
-# answer, over generated windows), the GA's termination certificate
+# answer, over generated windows), the pinned-window arm (a run told
+# SolvePinned == the same run solved, for the backends that keep
+# memory), the GA's termination certificate
 # (certified stop == full run, same windows) and the ranked planner
 # (prefiltered PlanRanked == reference Plan over Sorted, over generated
 # machines and queues) for 30s per target (CI smoke; the seed
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzPinnedWindow$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 

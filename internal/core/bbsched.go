@@ -115,7 +115,9 @@ func (b *BBSched) validate() error {
 // Pareto set, for decision support and the Fig. 2/4 experiments. The
 // front is nil when the window is empty or no job in it fits the free
 // machine: the empty selection is then the only feasible one and nothing
-// is solved (sched.SolverSlot.SolveWindow).
+// is solved (sched.SolverSlot.SolveWindow; a backend that keeps memory
+// may be told of the window through SolvePinned). Nil starts what a front
+// holding only the empty selection starts: nothing.
 func (b *BBSched) ParetoFront(ctx *sched.Context) ([]moo.Solution, error) {
 	if err := b.validate(); err != nil {
 		return nil, err
@@ -340,14 +342,15 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	// They are dispatched first, in window (base-priority) order, when
 	// they fit; a starved job that does not fit cannot be started by any
 	// selection, so it stays and keeps aging. On a full machine that is
-	// most starved jobs, so the entry's necessary condition (MayFit against
-	// the free totals, refreshed after each start) is asked first.
+	// most window jobs, so the entry's necessary condition (MayFit against
+	// the free totals, refreshed after each start) is asked first, before
+	// the job's age is loaded: a job that cannot fit costs no load of it.
 	p.started = p.started[:0]
 	p.rest = p.rest[:0]
 	freeNodes := p.scratch.FreeNodes()
 	for _, e := range window {
 		j := e.Job
-		if p.cfg.StarvationBound > 0 && j.WindowAge >= p.cfg.StarvationBound && e.MayFit(freeNodes, p.scratch.FreeBB) {
+		if p.cfg.StarvationBound > 0 && e.MayFit(freeNodes, p.scratch.FreeBB) && j.WindowAge >= p.cfg.StarvationBound {
 			if _, err := p.scratch.AllocInto(j.Demand, buf); err == nil {
 				p.started = append(p.started, j)
 				freeNodes -= j.Demand.NodeCount()

@@ -49,6 +49,9 @@ func (*Exact) Capabilities() solver.Capabilities {
 	return solver.Capabilities{NeedsLinear: true}
 }
 
+// SolvePinned implements solver.Solver: branch-and-bound keeps no memory.
+func (*Exact) SolvePinned(int, []float64, solver.Options) {}
+
 // Solve implements solver.Solver. It is deterministic and draws nothing
 // from opts.Rand.
 func (e *Exact) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, error) {

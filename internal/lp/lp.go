@@ -15,6 +15,8 @@
 // hundred O(m·n) iterations instead of G×P genome evaluations — with n
 // counting only the jobs that could start on the free machine at all,
 // since presolve (see relaxation) drops the rest before the first one.
+// A window in which a row pins every job costs its m dual steps only:
+// sched hands it to SolvePinned as (n, caps), with no problem or form.
 package lp
 
 import (
@@ -125,7 +127,9 @@ func (s *Solver) Name() string { return "lp" }
 // iterate the next window warm-starts from and the adapted tolerance — so
 // it must see every window of a run, dead ones included: with no live
 // column the dual iterate still takes its O(m) steps (see solveFrom), and
-// skipping them would hand the next live window a different start.
+// skipping them would hand the next live window a different start. A
+// window sched knows a row pins whole comes in through SolvePinned and
+// costs those steps alone.
 func (s *Solver) Capabilities() solver.Capabilities {
 	return solver.Capabilities{NeedsLinear: true, KeepsMemory: true}
 }
@@ -150,33 +154,12 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 	ev := moo.NewEvaluator(p) // no-op when p already is one
 	rep, _ := ev.Problem().(moo.Repairer)
 
-	// Warm start: reload the previous window's iterate and tuned tolerance
-	// from the run's solver memory. A nil Memory (stateless callers, the
-	// historical default) cold-starts with the configured tolerance.
-	cfg := s.cfg
-	var warm *warmStart
-	if opts.Memory != nil {
-		if v, ok := opts.Memory.Load(s); ok {
-			prev := v.(*memo)
-			warm = &prev.warmStart
-			if prev.tol > 0 {
-				cfg.Tol = prev.tol
-			}
-		}
-	}
-
-	ws, _ := s.scratch.Get().(*workspace)
-	if ws == nil {
-		ws = &workspace{}
-	}
+	ws := s.workspace()
 	defer s.scratch.Put(ws)
 	rel := &ws.rel
 	rel.load(form)
+	tol, st := s.relax(rel, opts.Memory)
 
-	st := rel.solveFrom(cfg, warm)
-	if st.WarmRejected {
-		logWarmRejected(warm, rel.n, rel.m)
-	}
 	// Pinned jobs have x = 0 and are infeasible even alone, so rounding
 	// and polish only ever look at the live columns.
 	x, live := rel.sol, rel.live
@@ -313,41 +296,99 @@ func (s *Solver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, erro
 		bestGenome = g.Clone()
 	}
 
-	// Carry the final iterate forward for the next window and adapt the
-	// tolerance to observed rounding quality: when the rounded selection
-	// already recovers ≥99.5% of the relaxation bound the gap tail buys
-	// nothing, so loosen; when it recovers <90% the fractional point was
-	// too sloppy to round well, so tighten. Clamped to [Tol/8, Tol·8]
-	// around the configured value.
 	if opts.Memory != nil {
-		tol := cfg.Tol
-		if st.Primal > 0 && bestObjs[0] > 0 {
-			switch q := bestObjs[0] / st.Primal; {
-			case q >= 0.995:
-				tol *= 2
-			case q < 0.9:
-				tol /= 2
-			}
-		}
-		if min := s.cfg.Tol / 8; tol < min {
-			tol = min
-		}
-		if max := s.cfg.Tol * 8; tol > max {
-			tol = max
-		}
-		next := &memo{warmStart: warmStart{n: n, y: append([]float64(nil), rel.y...)}, tol: tol}
-		if len(live) > 0 {
-			// With no live column x is n zeros, which n alone says: the
-			// dead windows of a saturated machine, nearly all of a deep
-			// queue's, store no window-length vector.
-			next.x = append([]float64(nil), x...)
-		}
-		opts.Memory.Store(s, next)
+		s.remember(opts.Memory, rel, tol, st.Primal, bestObjs[0])
 	}
 	return []moo.Solution{{
 		Genome:     bestGenome,
 		Objectives: append([]float64(nil), bestObjs...),
 	}}, nil
+}
+
+// SolvePinned implements solver.Solver: Solve's no-live-column arm without
+// the form. When every column is pinned, what Solve carries to the next
+// window depends on n, on the positive entries of caps (the kept rows), on
+// the stored iterate and on the tolerance, and on nothing else: every
+// chunk loop is empty, operatorNorm returns 0, each partial sum is +0, so
+// the dual iterate takes the same O(m) steps; Primal is 0, so only the
+// tolerance clamp applies; x is n zeros and is stored as nil. So the
+// workspace is sized to (n, kept rows, no live column), solved by the same
+// solveFrom and stored by the same remember — memo, WarmRejected and its
+// one-time log as Solve leaves them. Solve draws nothing on such a window
+// either: the support is empty, so only the empty selection is evaluated.
+func (s *Solver) SolvePinned(n int, caps []float64, opts solver.Options) {
+	if opts.Memory == nil {
+		return // a stateless solve carries nothing forward
+	}
+	ws := s.workspace()
+	defer s.scratch.Put(ws)
+	rel := &ws.rel
+	rel.pin(n, caps)
+	tol, st := s.relax(rel, opts.Memory)
+	s.remember(opts.Memory, rel, tol, st.Primal, 0)
+}
+
+// workspace takes a pooled workspace, or builds one.
+func (s *Solver) workspace() *workspace {
+	if ws, _ := s.scratch.Get().(*workspace); ws != nil {
+		return ws
+	}
+	return &workspace{}
+}
+
+// relax solves the loaded relaxation, warm-started from the previous
+// window's iterate at the tolerance it tuned when mem holds them; a nil
+// Memory (stateless callers, the historical default) cold-starts at the
+// configured tolerance. It returns the tolerance it solved at.
+func (s *Solver) relax(rel *relaxation, mem *solver.Memory) (float64, Stats) {
+	cfg := s.cfg
+	var warm *warmStart
+	if mem != nil {
+		if v, ok := mem.Load(s); ok {
+			prev := v.(*memo)
+			warm = &prev.warmStart
+			if prev.tol > 0 {
+				cfg.Tol = prev.tol
+			}
+		}
+	}
+	st := rel.solveFrom(cfg, warm)
+	if st.WarmRejected {
+		logWarmRejected(warm, rel.n, rel.m)
+	}
+	return cfg.Tol, st
+}
+
+// remember carries the final iterate forward for the next window and
+// adapts the tolerance tol the window was solved at to observed rounding
+// quality: when the rounded selection's objective best already recovers
+// ≥99.5% of the relaxation's primal bound the gap tail buys nothing, so
+// loosen; when it recovers <90% the fractional point was too sloppy to
+// round well, so tighten. Clamped to [Tol/8, Tol·8] around the configured
+// value.
+func (s *Solver) remember(mem *solver.Memory, rel *relaxation, tol, primal, best float64) {
+	if primal > 0 && best > 0 {
+		switch q := best / primal; {
+		case q >= 0.995:
+			tol *= 2
+		case q < 0.9:
+			tol /= 2
+		}
+	}
+	if min := s.cfg.Tol / 8; tol < min {
+		tol = min
+	}
+	if max := s.cfg.Tol * 8; tol > max {
+		tol = max
+	}
+	next := &memo{warmStart: warmStart{n: rel.n, y: append([]float64(nil), rel.y...)}, tol: tol}
+	if len(rel.live) > 0 {
+		// With no live column x is n zeros, which n alone says: the dead
+		// windows of a saturated machine, nearly all of a deep queue's,
+		// store no window-length vector.
+		next.x = append([]float64(nil), rel.sol...)
+	}
+	mem.Store(s, next)
 }
 
 // sortByValueDesc sorts idx by descending x value, ties by ascending

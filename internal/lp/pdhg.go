@@ -140,21 +140,8 @@ func (w *relaxation) grow(n, nl, m int) {
 // coefficient. Rows with zero capacity only pin variables.
 func (w *relaxation) load(form solver.LinearForm) {
 	n := len(form.C)
-	m := 0
-	for _, capacity := range form.Caps {
-		if capacity > 0 {
-			m++
-		}
-	}
-	w.n = n
-	chunks := w.chunks()
-	if cap(w.live) < n {
-		w.live = make([]int, 0, chunks*lpChunkSize)
-	}
-	if cap(w.off) < chunks+1 {
-		w.off = make([]int, chunks+1)
-	}
-	live, off := w.live[:0], w.off[:chunks+1]
+	live, off := w.index(n)
+	chunks := len(off) - 1
 	for i := 0; i < n; i++ {
 		if i%lpChunkSize == 0 {
 			off[i/lpChunkSize] = len(live)
@@ -176,7 +163,7 @@ func (w *relaxation) load(form solver.LinearForm) {
 	}
 	off[chunks] = len(live)
 	w.live, w.off = live, off
-	w.grow(n, len(live), m)
+	w.grow(n, len(live), keptRows(form.Caps))
 
 	r := 0
 	for ri, row := range form.Rows {
@@ -205,6 +192,44 @@ func (w *relaxation) load(form solver.LinearForm) {
 	} else {
 		w.cmax = 1 // flat objective; keep scale factor harmless
 	}
+}
+
+// pin loads what load leaves for an n-job form with capacities caps in
+// which every column is pinned: no live column, a kept row per positive
+// capacity, and a flat objective.
+func (w *relaxation) pin(n int, caps []float64) {
+	live, off := w.index(n)
+	clear(off)
+	w.live, w.off = live, off
+	w.grow(n, 0, keptRows(caps))
+	w.cmax = 1
+}
+
+// index sets the window length to n and returns the live-column list,
+// empty, and the chunk offsets, one per chunk plus one, with their storage
+// grown to the window.
+func (w *relaxation) index(n int) (live, off []int) {
+	w.n = n
+	chunks := w.chunks()
+	if cap(w.live) < n {
+		w.live = make([]int, 0, chunks*lpChunkSize)
+	}
+	if cap(w.off) < chunks+1 {
+		w.off = make([]int, chunks+1)
+	}
+	return w.live[:0], w.off[:chunks+1]
+}
+
+// keptRows is the number of constraint rows the kernels iterate over: the
+// ones with positive capacity.
+func keptRows(caps []float64) int {
+	m := 0
+	for _, capacity := range caps {
+		if capacity > 0 {
+			m++
+		}
+	}
+	return m
 }
 
 // operatorNorm estimates ‖A‖₂ of the normalized constraint matrix by

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"bbsched/internal/moo"
@@ -251,23 +252,34 @@ func TestPresolveMatchesDenseReference(t *testing.T) {
 }
 
 // fullMachine is a window against 3 free nodes and 50 GB of free burst
-// buffer: its first fit jobs are small enough to start, the rest need more
-// nodes than are free. Evaluate is the exact knapsack the rows describe.
+// buffer, or against caps when set: its first fit jobs are small enough to
+// start, the rest need more of the first row than is free. Evaluate is the
+// exact knapsack the rows describe, each capacity taken at max(cap, 0) as
+// presolve takes it, so the empty selection is always feasible.
 type fullMachine struct {
 	n, fit int
+	caps   []float64
 	evals  int
 }
 
 func (p *fullMachine) Dim() int           { return p.n }
 func (p *fullMachine) NumObjectives() int { return 1 }
 func (p *fullMachine) LinearForm() (solver.LinearForm, bool) {
-	f := solver.LinearForm{C: make([]float64, p.n), Rows: [][]float64{make([]float64, p.n), make([]float64, p.n)}, Caps: []float64{3, 50}}
+	f := solver.LinearForm{C: make([]float64, p.n), Caps: p.caps}
+	if f.Caps == nil {
+		f.Caps = []float64{3, 50}
+	}
+	for range f.Caps {
+		f.Rows = append(f.Rows, make([]float64, p.n))
+	}
 	for i := range f.C {
 		f.C[i] = 1 + float64(i%7)
-		f.Rows[0][i] = 4 + float64(i%5)
-		f.Rows[1][i] = float64(i % 40)
+		f.Rows[0][i] = math.Max(f.Caps[0], 0) + 1 + float64(i%5)
 		if i < p.fit {
 			f.Rows[0][i] = 1
+		}
+		for _, row := range f.Rows[1:] {
+			row[i] = float64(i % 40)
 		}
 	}
 	return f, true
@@ -275,11 +287,19 @@ func (p *fullMachine) LinearForm() (solver.LinearForm, bool) {
 func (p *fullMachine) Evaluate(g moo.Genome) ([]float64, bool) {
 	p.evals++
 	f, _ := p.LinearForm()
-	var value, nodes, bb float64
+	value, use := 0.0, make([]float64, len(f.Caps))
 	for _, i := range g.Ones() {
-		value, nodes, bb = value+f.C[i], nodes+f.Rows[0][i], bb+f.Rows[1][i]
+		value += f.C[i]
+		for r, row := range f.Rows {
+			use[r] += row[i]
+		}
 	}
-	return []float64{value}, nodes <= f.Caps[0] && bb <= f.Caps[1]
+	for r, u := range use {
+		if u > math.Max(f.Caps[r], 0) {
+			return nil, false
+		}
+	}
+	return []float64{value}, true
 }
 
 // iterate is the dense Iterate a memo stands for: a primal vector it left
@@ -345,12 +365,13 @@ func TestSolveNothingFits(t *testing.T) {
 }
 
 // TestLPMemoAdvancesOnDeadWindow is the reason lp declares KeepsMemory
-// and is therefore handed the windows sched answers on its own for every
-// other backend: a window in which nothing can start, solved after a live
-// one, stores a dual iterate different from the one it loaded (and no
-// primal vector — all zeros need only their length), and the next live
-// window starts from that iterate, not from the one a skipped dead window
-// would have left in place.
+// and is therefore told about the windows sched answers on its own for
+// every other backend (through SolvePinned when a row pins every job; see
+// TestSolvePinnedMatchesSolve): a window in which nothing can start,
+// solved after a live one, stores a dual iterate different from the one it
+// loaded (and no primal vector — all zeros need only their length), and
+// the next live window starts from that iterate, not from the one a
+// skipped dead window would have left in place.
 func TestLPMemoAdvancesOnDeadWindow(t *testing.T) {
 	s := New(DefaultConfig())
 	mem := solver.NewMemory()
@@ -385,6 +406,84 @@ func TestLPMemoAdvancesOnDeadWindow(t *testing.T) {
 	}
 	if skipX, skipY := from(live); sameBits(skipX, wantX) && sameBits(skipY, wantY) {
 		t.Fatal("skipping the dead window would have changed nothing: not the case under test")
+	}
+}
+
+// TestSolvePinnedMatchesSolve: SolvePinned leaves in the run's memory, bit
+// for bit, the memo Solve leaves on the same window stated as a problem in
+// which a row pins every job — over window lengths around the chunk
+// boundaries, capacity lists with zero and negative entries (0 to 4 kept
+// rows), and a memo that is absent, fits the window, or is rejected for
+// its length or its row count, stored at tolerances on and beyond both
+// clamps. Neither draws from opts.Rand, and SolvePinned allocates only the
+// memo: the memo itself and, with a kept row, its dual vector.
+func TestSolvePinnedMatchesSolve(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the workspace pool
+	s := New(DefaultConfig())
+	tol := s.cfg.Tol
+	for _, n := range []int{1, 511, 512, 513, 642, 1025} {
+		for _, caps := range [][]float64{{0}, {-2, 0}, {-1, 50}, {3, 50}, {0, 7, -4, 30}, {3, 50, 0, 9, 1e6}} {
+			m := keptRows(caps)
+			for _, prior := range []string{"none", "fits", "other n", "other m"} {
+				for _, priorTol := range []float64{tol / 64, tol / 8, tol * 8, tol * 64} {
+					name := fmt.Sprintf("n=%d caps=%v memo=%s tol=%g", n, caps, prior, priorTol)
+					var prev *memo
+					if prior != "none" {
+						prev = &memo{warmStart: warmStart{n: n, x: make([]float64, n), y: make([]float64, m)}, tol: priorTol}
+						for r := range prev.y {
+							prev.y[r] = 0.4 + float64(r)
+						}
+						for i := range prev.x {
+							prev.x[i] = 0.5
+						}
+						switch prior {
+						case "other n":
+							prev.n, prev.x = n+1, nil
+						case "other m":
+							prev.y = append(prev.y, 1)
+						}
+					}
+					solveMem, pinnedMem := solver.NewMemory(), solver.NewMemory()
+					if prev != nil {
+						solveMem.Store(s, prev)
+						pinnedMem.Store(s, prev)
+					}
+					stream := rng.New(uint64(n))
+					before := stream.State()
+					front, err := s.Solve(&fullMachine{n: n, caps: caps}, solver.Options{Rand: stream, Memory: solveMem})
+					if err != nil || len(front) != 1 || front[0].Genome.OnesCount() != 0 {
+						t.Fatalf("%s: Solve answered %v, %v; the window is not pinned", name, front, err)
+					}
+					s.SolvePinned(n, caps, solver.Options{Rand: stream, Memory: pinnedMem})
+					if stream.State() != before {
+						t.Fatalf("%s: a solve drew from opts.Rand", name)
+					}
+					v, _ := solveMem.Load(s)
+					want := v.(*memo)
+					v, _ = pinnedMem.Load(s)
+					got := v.(*memo)
+					if got.n != want.n || got.x != nil || want.x != nil || !sameBits(got.y, want.y) ||
+						math.Float64bits(got.tol) != math.Float64bits(want.tol) {
+						t.Fatalf("%s: SolvePinned stored n=%d x=%v y=%v tol=%v, Solve n=%d x=%v y=%v tol=%v",
+							name, got.n, got.x, got.y, got.tol, want.n, want.x, want.y, want.tol)
+					}
+					if prior == "fits" && m > 0 && sameBits(got.y, prev.y) {
+						t.Fatalf("%s: the dual iterate took no step: not the case under test", name)
+					}
+					if prior == "none" {
+						break // the stored tolerance plays no part
+					}
+				}
+			}
+			if raceEnabled {
+				continue // the race detector drops pooled workspaces at random
+			}
+			mem := solver.NewMemory()
+			allocs := testing.AllocsPerRun(20, func() { s.SolvePinned(n, caps, solver.Options{Memory: mem}) })
+			if want := 1 + min(m, 1); allocs > float64(want) {
+				t.Errorf("n=%d caps=%v: SolvePinned makes %v allocations, want the memo's %d", n, caps, allocs, want)
+			}
+		}
 	}
 }
 

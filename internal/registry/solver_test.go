@@ -34,11 +34,12 @@ func TestSolverRoster(t *testing.T) {
 }
 
 // TestSolverMemoryCapabilityHonest holds every registered backend to what
-// it declares in Capabilities.KeepsMemory: after one dead and one live
-// window solved against a fresh solver.Memory, the memory holds something
-// exactly when the backend said it keeps one. sched skips dead windows for
-// the backends that say they do not, which is sound only if they told the
-// truth.
+// it declares in Capabilities.KeepsMemory: after a pinned window told
+// through SolvePinned, and again after one dead and one live window solved,
+// against a fresh solver.Memory, the memory holds something exactly when
+// the backend said it keeps one. sched skips dead windows for the backends
+// that say they do not, which is sound only if they told the truth. No
+// backend draws from opts.Rand on the pinned window.
 func TestSolverMemoryCapabilityHonest(t *testing.T) {
 	cl := cluster.MustNew(cluster.Config{Name: "cap", Nodes: 100, BurstBufferGB: 1000})
 	snap := cl.Snapshot()
@@ -50,9 +51,20 @@ func TestSolverMemoryCapabilityHonest(t *testing.T) {
 		}
 		return jobs
 	}
+	pinned, _ := sched.NewSelectionProblem(window(9), snap, []sched.Objective{sched.NodeUtil}).LinearForm()
 	for _, spec := range Solvers() {
 		sv := spec.New(moo.GAConfig{Generations: 20, Population: 8, MutationProb: 0.01})
 		mem := solver.NewMemory()
+		stream := rng.New(3)
+		before := stream.State()
+		sv.SolvePinned(len(pinned.C), pinned.Caps, solver.Options{Rand: stream, Memory: mem})
+		if stream.State() != before {
+			t.Errorf("%s: SolvePinned drew from opts.Rand", spec.Name)
+		}
+		if keeps := sv.Capabilities().KeepsMemory; keeps != (mem.Len() > 0) {
+			t.Errorf("%s declares KeepsMemory=%v and left %d entries in the run's memory after SolvePinned", spec.Name, keeps, mem.Len())
+		}
+		mem = solver.NewMemory()
 		for _, minNodes := range []int{9, 1} { // dead, then live
 			p := sched.NewSelectionProblem(window(minNodes), snap, []sched.Objective{sched.NodeUtil})
 			if _, err := sv.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(3), Memory: mem}); err != nil {

@@ -162,11 +162,13 @@ type SolverSlot struct {
 // binding is the storage one solve is built in, kept from one scheduling
 // decision to the next: the memoizing evaluator (its cache capacity and
 // the GA generation buffers parked on it), the selection problem and the
-// scalarization around it, each with its linear-form buffers.
+// scalarization around it, each with its linear-form buffers, and the
+// capacities a pinned window is stated in.
 type binding struct {
 	ev   *moo.Evaluator
 	prob SelectionProblem
 	scal scalarized
+	caps []float64
 }
 
 // Set installs the backend override; nil restores the GA default.
@@ -202,31 +204,47 @@ func (b *SolverSlot) Resolve(cfg moo.GAConfig) solver.Solver {
 // called, and no problem, evaluator or linear form is built: the pass
 // costs one early-exit CanFit walk. On the paper's own path that is most
 // passes — the machine is full and the window waits for a job to end. A
-// backend that does keep memory sees every window, because what it stores
-// on a dead one shapes its later answers.
+// backend that does keep memory is told about every window, because what
+// it stores on a dead one shapes its later answers; when a row pins every
+// job of the window (windowPinned) it is told through SolvePinned, with
+// the row capacities and no problem, and the pass costs one walk over the
+// window plus the backend's memory update.
 //
 // What is built is built in place: problem, scalarization, evaluator and
 // linear form live in one kept binding and are rebound to the window,
 // so a steady-state solve allocates nothing that grows with it. A custom
-// Method that wants neither the shortcut nor the kept storage calls its
+// Method that wants neither the shortcuts nor the kept storage calls its
 // solver directly.
 func (b *SolverSlot) SolveWindow(ctx *Context, cfg moo.GAConfig, objectives []Objective, weights []float64) ([]moo.Solution, error) {
 	if len(ctx.Window) == 0 {
 		return nil, nil
 	}
 	backend := b.Resolve(cfg)
-	if !backend.Capabilities().KeepsMemory && windowDead(ctx) {
-		return nil, nil
+	opts := solver.Options{Rand: ctx.Rand, Memory: ctx.Memory}
+	var pinned, ssd bool
+	if !backend.Capabilities().KeepsMemory {
+		if windowDead(ctx) {
+			return nil, nil
+		}
+	} else if hasLinearForm(objectives, weights) {
+		pinned, ssd = windowPinned(ctx)
 	}
 	bd := b.takeBinding()
-	bd.prob.Reset(ctx.Window, ctx.Snap, objectives)
-	var p moo.Problem = &bd.prob
-	if weights != nil {
-		bd.scal.reset(&bd.prob, weights, ctx.Totals)
-		p = &bd.scal
+	var front []moo.Solution
+	var err error
+	if pinned {
+		bd.caps = appendCaps(bd.caps[:0], &ctx.Snap, ssd)
+		backend.SolvePinned(len(ctx.Window), bd.caps, opts)
+	} else {
+		bd.prob.Reset(ctx.Window, ctx.Snap, objectives)
+		var p moo.Problem = &bd.prob
+		if weights != nil {
+			bd.scal.reset(&bd.prob, weights, ctx.Totals)
+			p = &bd.scal
+		}
+		bd.ev = moo.ReuseEvaluator(bd.ev, p)
+		front, err = backend.Solve(bd.ev, opts)
 	}
-	bd.ev = moo.ReuseEvaluator(bd.ev, p)
-	front, err := backend.Solve(bd.ev, solver.Options{Rand: ctx.Rand, Memory: ctx.Memory})
 	b.mu.Lock()
 	b.idle = append(b.idle, bd)
 	b.mu.Unlock()

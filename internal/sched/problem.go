@@ -8,6 +8,7 @@ package sched
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"bbsched/internal/cluster"
@@ -583,15 +584,99 @@ func zeroed(buf []float64, n int) []float64 {
 	return buf
 }
 
+// appendCaps appends the capacity of each knapsack row of a window's
+// linear form over snap, in row order: free nodes, free burst buffer, the
+// free pool of each extra dimension and — when ssd, i.e. some window job
+// demands local SSD — the aggregate free local SSD. It is the one list of
+// rows: linearConstraints builds its rows in this order, and
+// SolverSlot.SolveWindow hands a pinned window's caps to the backend
+// without building them.
+func appendCaps(dst []float64, snap *cluster.Snapshot, ssd bool) []float64 {
+	dst = append(dst, float64(snap.FreeNodes()), float64(snap.FreeBB))
+	for _, free := range snap.FreeExtra {
+		dst = append(dst, float64(free))
+	}
+	if ssd {
+		var free int64
+		for c := 0; c < snap.NumClasses(); c++ {
+			free += int64(snap.FreeByClass[c]) * snap.ClassCapacity(c)
+		}
+		dst = append(dst, float64(free))
+	}
+	return dst
+}
+
+// windowPinned reports whether every job of ctx's window demands more
+// nodes, burst buffer or of an extra dimension than ctx.Snap has free —
+// lp's presolve rule (demand > max(cap, 0)) on the node, burst-buffer and
+// extra-dimension rows every linear form has (appendCaps) — and whether
+// some job demands local SSD, which adds the aggregate-SSD row. The rule
+// is the form's own: its rows are these demands and free amounts as
+// float64, and demands up to job.MaxDemand = 2⁴⁰ convert exactly, so the
+// integer comparison is the float one. The SSD row may pin jobs too; it
+// is not asked, so a window it alone pins is solved as before.
+//
+// Pinned is dead: CanFit requires each of these rows, so the only
+// feasible selection is the empty one and Solve's answer starts nothing,
+// which a nil front says as well. A snapshot with a negative free amount
+// is never called pinned: there even the empty selection may be
+// infeasible, and the backend's own answer to that is kept.
+func windowPinned(ctx *Context) (pinned, ssd bool) {
+	snap := &ctx.Snap
+	freeNodes, freeBB := int64(snap.FreeNodes()), snap.FreeBB
+	if freeNodes < 0 || freeBB < 0 || slices.ContainsFunc(snap.FreeExtra, func(v int64) bool { return v < 0 }) {
+		return false, false
+	}
+	for _, j := range ctx.Window {
+		d := j.Demand
+		ssd = ssd || d.TotalSSD() > 0
+		if int64(d.NodeCount()) > freeNodes || d.BB() > freeBB {
+			continue
+		}
+		k := 0
+		for k < len(snap.FreeExtra) && d.Extra(k) <= snap.FreeExtra[k] {
+			k++
+		}
+		if k == len(snap.FreeExtra) {
+			return false, false // no row pins j
+		}
+	}
+	return true, ssd
+}
+
+// hasLinearForm reports whether the problem SolveWindow states over
+// objectives — scalarized when weights is non-nil — has a linear form
+// (SelectionProblem.LinearForm, scalarized.LinearForm): a pinned window's
+// caps are that form's, so a problem without one is handed to Solve.
+func hasLinearForm(objectives []Objective, weights []float64) bool {
+	if weights == nil && len(objectives) != 1 {
+		return false
+	}
+	for _, o := range objectives {
+		if !o.Linearizable() {
+			return false
+		}
+	}
+	return true
+}
+
 // linearConstraints fills f's knapsack rows: one demand row per machine
-// resource against its free capacity. On SSD-class machines the per-class
-// placement constraint is relaxed to the aggregate free SSD capacity — a
-// valid LP relaxation; exact feasibility of rounded selections still
-// comes from Evaluate.
+// resource against its free capacity (appendCaps). On SSD-class machines
+// the per-class placement constraint is relaxed to the aggregate free SSD
+// capacity — a valid LP relaxation; exact feasibility of rounded
+// selections still comes from Evaluate.
 func (p *SelectionProblem) linearConstraints(f *solver.LinearForm) {
 	n := len(p.jobs)
-	f.Rows, f.Caps = f.Rows[:0], f.Caps[:0]
-	addRow := func(capacity float64) []float64 {
+	ssd := false
+	for _, j := range p.jobs {
+		if j.Demand.TotalSSD() > 0 {
+			ssd = true
+			break
+		}
+	}
+	f.Caps = appendCaps(f.Caps[:0], &p.snap, ssd)
+	f.Rows = f.Rows[:0]
+	addRow := func() []float64 {
 		k := len(f.Rows)
 		if k < cap(f.Rows) {
 			f.Rows = f.Rows[:k+1] // the row an earlier bind left here is this one's storage
@@ -599,37 +684,23 @@ func (p *SelectionProblem) linearConstraints(f *solver.LinearForm) {
 			f.Rows = append(f.Rows, nil)
 		}
 		f.Rows[k] = zeroed(f.Rows[k], n)
-		f.Caps = append(f.Caps, capacity)
 		return f.Rows[k]
 	}
-	intRow := func(col []int64, free int64) {
-		row := addRow(float64(free))
+	intRow := func(col []int64) {
+		row := addRow()
 		for i, v := range col {
 			row[i] = float64(v)
 		}
 	}
-	intRow(p.nodes, int64(p.snap.FreeNodes()))
-	intRow(p.bb, p.snap.FreeBB)
+	intRow(p.nodes)
+	intRow(p.bb)
 	for k := range p.extras {
-		intRow(p.extras[k], p.snap.FreeExtra[k])
+		intRow(p.extras[k])
 	}
-	if !p.fastPath {
-		any := false
-		for _, j := range p.jobs {
-			if j.Demand.TotalSSD() > 0 {
-				any = true
-				break
-			}
-		}
-		if any {
-			var free int64
-			for c := 0; c < p.snap.NumClasses(); c++ {
-				free += int64(p.snap.FreeByClass[c]) * p.snap.ClassCapacity(c)
-			}
-			ssd := addRow(float64(free))
-			for i, j := range p.jobs {
-				ssd[i] = float64(j.Demand.TotalSSD())
-			}
+	if ssd {
+		row := addRow()
+		for i, j := range p.jobs {
+			row[i] = float64(j.Demand.TotalSSD())
 		}
 	}
 }

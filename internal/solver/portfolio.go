@@ -103,3 +103,12 @@ func (pf *Portfolio) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) 
 	}
 	return []moo.Solution{best}, nil
 }
+
+// SolvePinned implements Solver by telling every member, in order: Solve
+// hands each member opts.Memory, so each advances its own memory. Members
+// draw nothing here, so they need no split of opts.Rand and no goroutine.
+func (pf *Portfolio) SolvePinned(n int, caps []float64, opts Options) {
+	for _, m := range pf.Members {
+		m.SolvePinned(n, caps, opts)
+	}
+}

@@ -95,19 +95,21 @@ type Capabilities struct {
 	// window it was shown before. sched answers a window in which no job
 	// fits the free machine — one whose only feasible selection is the
 	// empty one — without calling a backend that keeps no memory; a
-	// backend that does keep one is handed such windows too, because the
+	// backend that does keep one is told about such windows, because the
 	// state it would have stored is part of its later answers (lp takes
 	// its dual steps on a dead window and warm-starts the next live one
-	// from them). A backend that touches Options.Memory must declare it.
+	// from them). When a row pins every job of the window, the backend is
+	// told through SolvePinned and no problem is built; other dead windows
+	// reach Solve. A backend that touches Options.Memory must declare it.
 	KeepsMemory bool
 }
 
 // Solver solves one window-selection problem instance. Implementations
-// must be safe for concurrent Solve calls (methods are shared across
-// parallel sweep runs) and must route every candidate evaluation through
-// p — which is typically a memoizing *moo.Evaluator — so repeated
-// genomes, including ones revisited by rounding or repair phases, reuse
-// cached objective evaluations.
+// must be safe for concurrent Solve and SolvePinned calls (methods are
+// shared across parallel sweep runs) and must route every candidate
+// evaluation through p — which is typically a memoizing *moo.Evaluator —
+// so repeated genomes, including ones revisited by rounding or repair
+// phases, reuse cached objective evaluations.
 type Solver interface {
 	// Name is the backend's short registry name (e.g. "ga", "lp").
 	Name() string
@@ -117,6 +119,15 @@ type Solver interface {
 	// for multi-objective backends, a best-found singleton for scalar
 	// ones. The returned solutions must not alias solver scratch.
 	Solve(p moo.Problem, opts Options) ([]moo.Solution, error)
+	// SolvePinned is Solve on a window whose answer is known: each of its
+	// n jobs is pinned to 0 by a row of the linear form — its demand
+	// exceeds max(cap, 0), lp's presolve rule — and the empty selection is
+	// feasible, so the only feasible selection is the empty one. caps is
+	// what LinearForm.Caps would list for the window. The backend advances
+	// any cross-pass memory exactly as Solve would on that window, draws
+	// nothing from opts.Rand and returns nothing; a backend that keeps no
+	// memory does nothing.
+	SolvePinned(n int, caps []float64, opts Options)
 }
 
 // LinearForm is the LP structure of a 0/1 selection problem:
@@ -181,3 +192,6 @@ func (g *GA) Capabilities() Capabilities { return Capabilities{ParetoFront: true
 func (g *GA) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) {
 	return moo.SolveGA(p, g.Config, opts.Rand)
 }
+
+// SolvePinned implements Solver: the GA keeps no memory.
+func (*GA) SolvePinned(int, []float64, Options) {}

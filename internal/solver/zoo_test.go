@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"fmt"
 	"testing"
 
 	"bbsched/internal/cluster"
@@ -166,6 +167,49 @@ func TestPortfolioCapabilities(t *testing.T) {
 	}
 	if solver.NewPortfolio(solver.NewGA(moo.DefaultGAConfig()), solver.NewGreedy()).Capabilities().KeepsMemory {
 		t.Error("portfolio of memoryless members claims KeepsMemory")
+	}
+}
+
+// TestPortfolioMemoryMatchesMember: a portfolio hands its members the
+// run's memory on every window, solved or told through SolvePinned, so a
+// Portfolio{lp} and a bare lp on the portfolio's split of each window's
+// stream, fed the same windows, leave bit-equal memos after every one.
+func TestPortfolioMemoryMatchesMember(t *testing.T) {
+	l := lp.New(lp.DefaultConfig())
+	pf := solver.NewPortfolio(l)
+	viaPortfolio, bare := solver.NewMemory(), solver.NewMemory()
+	memo := func(mem *solver.Memory) string {
+		v, ok := mem.Load(l)
+		if !ok {
+			t.Fatal("lp left no memo")
+		}
+		return fmt.Sprint(v)
+	}
+	const w = 24
+	pinnedCaps := []float64{0.5, 4000} // a half-node row pins every job; two kept rows, as in the live windows
+	var prev string
+	for k, live := range []bool{true, false, false, true, false, true, true} {
+		seed := uint64(40 + k)
+		if live {
+			p := windowProblem(t, w, seed)
+			if _, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(seed), Memory: viaPortfolio}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(seed).SplitIndex(0), Memory: bare}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			pf.SolvePinned(w, pinnedCaps, solver.Options{Rand: rng.New(seed), Memory: viaPortfolio})
+			l.SolvePinned(w, pinnedCaps, solver.Options{Rand: rng.New(seed).SplitIndex(0), Memory: bare})
+		}
+		got, want := memo(viaPortfolio), memo(bare)
+		if got != want {
+			t.Fatalf("window %d (live %v): portfolio left lp's memo %s, bare lp %s", k, live, got, want)
+		}
+		if got == prev {
+			t.Fatalf("window %d (live %v): the memo did not move: not the case under test", k, live)
+		}
+		prev = got
 	}
 }
 
