@@ -124,8 +124,9 @@ farm-smoke:
 # SolvePinned == the same run solved, for the backends that keep
 # memory), the GA's termination certificate
 # (certified stop == full run, same windows) and the ranked planner
-# (prefiltered PlanRanked == reference Plan over Sorted, over generated
-# machines and queues) for 30s per target (CI smoke; the seed
+# (prefiltered, best-first PlanRanked == reference Plan over Sorted, over
+# generated machines and queues ranked at the window as their front, one
+# pass and several carried) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.

@@ -7,8 +7,10 @@ package backfill
 // copies and re-sorts the running set, and one Planner whose scratch
 // buffers make the steady-state pass allocation-free. The Planner reads
 // the queue as a queue.Ranking — the same one the window pass took its
-// window from — so a pass orders the queue once, and tests each entry's
-// two flat demands against the free totals before it touches the job.
+// window from — and takes the jobs behind the window best-first from what
+// its prune keeps, so a pass orders only the jobs it starts, and tests
+// each entry's two flat demands against the free totals before it touches
+// the job.
 // Plan (backfill.go) remains the straightforward reference implementation
 // the fuzz suite compares against.
 
@@ -68,7 +70,6 @@ func (tl *Timeline) Remove(releaseTime int64, jobID int) bool {
 // use, and the slice returned by Plan is valid only until the next call.
 type Planner struct {
 	free, work cluster.Snapshot
-	freeNodes  int // p.free.FreeNodes(), kept current through phase 2
 	releases   []Running
 	started    []*job.Job
 	nodeArena  []int
@@ -79,6 +80,8 @@ type Planner struct {
 	// The pass's instant and, once phase 1 has found the reservation
 	// head, its shadow time; work then holds the shadow-time leftover.
 	now, shadow int64
+	// free's and work's node totals, kept current through phase 2.
+	freeNodes, workNodes int
 }
 
 // Plan is PlanRanked over a queue the caller has already put in
@@ -100,11 +103,13 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 // Phase 1 pops heads while they fit; the first that does not becomes the
 // reservation head. Phase 2 starts later jobs only if they fit now and
 // either complete before the head's shadow time or fit inside the
-// shadow-time leftover. Before walking the remainder of rest, phase 2
-// drops every job that fails that test already: free and leftover only
-// shrink while phase 2 runs and Snapshot.CanFit is monotone in free
-// resources, so a job that fails now fails at its turn too, and the
-// survivors meet the same checks in the same relative order.
+// shadow-time leftover. After the window jobs left behind, phase 2 prunes
+// rest to the jobs that pass that test now and takes them best-first
+// (queue.Ranking.Next), pruning again after each start: free and leftover
+// only shrink while phase 2 runs and Snapshot.CanFit is monotone in free
+// resources, so a job that fails now fails at its turn too, and the best
+// survivor is the next job the reference walk would start. Only jobs that
+// start are ever ordered.
 //
 // Every phase-2 fit question is first put to the entry (queue.Entry.MayFit
 // against the free node and burst-buffer totals, refreshed after each
@@ -159,24 +164,30 @@ func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []queue.
 		// than the machine. Workload validation prevents this; be safe.
 		return p.started
 	}
-	p.freeNodes = p.free.FreeNodes()
+	p.freeNodes, p.workNodes = p.free.FreeNodes(), p.work.FreeNodes()
 	for _, e := range ahead {
 		p.backfill(e)
 	}
 	rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
-	for _, e := range rest.Rest() {
-		p.backfill(e)
+	for e, ok := rest.Next(); ok; e, ok = rest.Next() {
+		if p.backfill(e) {
+			rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
+		}
 	}
 	return p.started
 }
 
-// mayBackfill reports whether j fits now and either completes before the
-// head's shadow time or fits inside the shadow-time leftover.
-func (p *Planner) mayBackfill(j *job.Job) bool {
-	if !p.free.CanFit(j.Demand) {
+// mayBackfill reports whether e's job fits now and either completes
+// before the head's shadow time or fits inside the shadow-time leftover.
+// It asks the cheapest test that can say no first: the shadow time, the
+// entry against the leftover's node and burst-buffer totals, the leftover,
+// and what is free last.
+func (p *Planner) mayBackfill(e queue.Entry) bool {
+	j := e.Job
+	if !p.endsBeforeShadow(j) && (!e.MayFit(p.workNodes, p.work.FreeBB) || !p.work.CanFit(j.Demand)) {
 		return false
 	}
-	return p.endsBeforeShadow(j) || p.work.CanFit(j.Demand)
+	return p.free.CanFit(j.Demand)
 }
 
 // endsBeforeShadow reports whether j, started now, has released everything
@@ -187,24 +198,27 @@ func (p *Planner) endsBeforeShadow(j *job.Job) bool {
 	return p.now+j.WalltimeEst+j.StageOutSec <= p.shadow
 }
 
-// backfill starts e's job behind the reservation if it may.
-func (p *Planner) backfill(e queue.Entry) {
-	if !e.MayFit(p.freeNodes, p.free.FreeBB) || !p.mayBackfill(e.Job) {
-		return
+// backfill starts e's job behind the reservation if it may, reporting
+// whether it did.
+func (p *Planner) backfill(e queue.Entry) bool {
+	if !e.MayFit(p.freeNodes, p.free.FreeBB) || !p.mayBackfill(e) {
+		return false
 	}
 	j := e.Job
 	if _, err := p.free.AllocInto(j.Demand, p.allocBuf); err != nil {
-		return
+		return false
 	}
 	p.freeNodes -= j.Demand.NodeCount()
 	if !p.endsBeforeShadow(j) {
 		// Runs past the shadow: consume the head's leftover too.
 		if _, err := p.work.AllocInto(j.Demand, p.allocBuf); err != nil {
 			// mayBackfill makes this unreachable; keep state exact.
-			return
+			return false
 		}
+		p.workNodes -= j.Demand.NodeCount()
 	}
 	p.started = append(p.started, j)
+	return true
 }
 
 // reservation computes the head job's shadow time — the earliest instant

@@ -3,6 +3,7 @@ package backfill
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -98,11 +99,11 @@ func TestTimelineRemoveMissing(t *testing.T) {
 // the odd job bigger than the machine, which makes the reservation fail,
 // and the demands awkwardDemand draws to get past the planner's prefilter)
 // through one pooled Planner — reused across all cases, so scratch reuse
-// is exercised — and checks every pass against the reference Plan, twice:
-// fed the waiting jobs as an already-ordered slice, and fed the way the
-// engine feeds it — the ranking of a queue, after a window pass took a
-// prefix and started some of it — against reference Plan over the fully
-// sorted remainder.
+// is exercised — and checks every pass against the reference Plan, three
+// ways: fed the waiting jobs as an already-ordered slice; fed the way the
+// engine feeds it — the ranking of a queue whose front is the window a
+// pass took a prefix of and started some of — against reference Plan over
+// the fully sorted remainder; and over one queue ranked pass after pass.
 func TestPlannerMatchesReferencePlan(t *testing.T) {
 	r := rng.New(99)
 	var p Planner
@@ -113,6 +114,7 @@ func TestPlannerMatchesReferencePlan(t *testing.T) {
 	blind := 0
 	for trial := 0; trial < trials; trial++ {
 		blind += plannerCase(t, r, &p, fmt.Sprintf("trial %d", trial))
+		plannerCarriedCase(t, r, &p, fmt.Sprintf("trial %d, carried", trial))
 	}
 	if blind < trials {
 		t.Fatalf("%d (job, snapshot) pairs in %d trials passed the prefilter and failed CanFit; the generator no longer reaches the prefilter's blind side", blind, trials)
@@ -120,7 +122,8 @@ func TestPlannerMatchesReferencePlan(t *testing.T) {
 }
 
 // FuzzPlanRankedMatchesPlan is the same differential check with the case
-// drawn from a fuzzed seed: ranked planner == reference Plan over Sorted.
+// drawn from a fuzzed seed: ranked planner == reference Plan over Sorted,
+// on one ranking and on a queue carried across passes.
 func FuzzPlanRankedMatchesPlan(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -131,14 +134,16 @@ func FuzzPlanRankedMatchesPlan(f *testing.F) {
 		for pass := 0; pass < 3; pass++ { // later passes reuse p's scratch
 			plannerCase(t, r, &p, fmt.Sprintf("seed %d pass %d", seed, pass))
 		}
+		plannerCarriedCase(t, r, &p, fmt.Sprintf("seed %d, carried", seed))
 	})
 }
+
+var plannerPolicies = []queue.Policy{queue.FCFS{}, queue.WFP{}, queue.Multifactor{MachineNodes: 32}}
 
 // plannerCase draws one machine, running set and waiting queue from r and
 // checks p against the reference Plan on it, both ways. It returns how
 // many (job, snapshot) pairs it drew that only CanFit could reject.
 func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind int) {
-	policies := []queue.Policy{queue.FCFS{}, queue.WFP{}, queue.Multifactor{MachineNodes: 32}}
 	ready := func(id int) bool { return id != 999 } // job 999 never finishes
 	cfg := randMachine(r)
 	cl := cluster.MustNew(cfg)
@@ -166,20 +171,7 @@ func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind i
 
 	var waiting []*job.Job
 	for k, n := 0, r.Intn(40); k < n; k++ {
-		d := randDemand(r, cfg)
-		switch {
-		case r.Bool(0.03):
-			d = job.NewDemand(cfg.Nodes+1+r.Intn(4), 0, 0) // can never fit
-		case r.Bool(0.2):
-			d = awkwardDemand(r, cfg, snapshot)
-		}
-		wall := int64(1 + r.Intn(60))
-		// Hand-built: job.New refuses the zero-node demand awkwardDemand draws.
-		j := &job.Job{ID: k + 1, SubmitTime: int64(r.Intn(4)) * 5, Runtime: wall, WalltimeEst: wall, Demand: d, StartTime: -1, EndTime: -1}
-		if r.Bool(0.2) {
-			j.StageOutSec = int64(1 + r.Intn(20))
-		}
-		waiting = append(waiting, j)
+		waiting = append(waiting, randWaitingJob(r, cfg, snapshot, k+1, 0))
 	}
 	blind = prefilterOnlyRejects(t, snapshot, waiting, label)
 
@@ -191,10 +183,10 @@ func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind i
 			label, ids(got), ids(want), cfg, len(runs), len(waiting))
 	}
 
-	// The engine's route: rank the unordered queue, let a window pass
-	// take a prefix and start some of it, then plan over what the
-	// window left behind plus the rest of the ranking.
-	q := queue.New(policies[r.Intn(len(policies))])
+	// The engine's route: rank the unordered queue with the window as its
+	// front, let the window pass take it and start some of it, then plan
+	// over what the window left behind plus the rest of the ranking.
+	q := queue.New(plannerPolicies[r.Intn(len(plannerPolicies))])
 	for _, j := range waiting {
 		if r.Bool(0.1) {
 			j.Deps = []int{999} // dependency-blocked: never ranked
@@ -203,35 +195,138 @@ func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind i
 			t.Fatal(err)
 		}
 	}
-	ranking := q.Rank(now, ready)
-	window := ranking.Front(r.Intn(8))
+	w := r.Intn(8)
+	ranking := q.Rank(now, ready, w)
 	var left []queue.Entry
-	picked := map[int]bool{}
-	for _, e := range window {
+	for _, e := range ranking.Front(w) {
 		j := e.Job
 		if r.Bool(0.5) {
 			if placed, err := snapshot.Alloc(j.Demand); err == nil {
-				picked[j.ID] = true
 				runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
+				if err := q.Remove(j.ID); err != nil { // as the engine starts it
+					t.Fatal(err)
+				}
 				continue
 			}
 		}
 		left = append(left, e)
 	}
 	blind += prefilterOnlyRejects(t, snapshot, waiting, label)
-	var sorted []*job.Job
-	for _, j := range q.Sorted(now) {
-		if len(j.Deps) == 0 && !picked[j.ID] {
-			sorted = append(sorted, j)
-		}
-	}
-	want = Plan(snapshot, runs, sorted, now)
+	want = Plan(snapshot, runs, readySorted(q, now, ready), now)
 	got = p.PlanRanked(snapshot, NewTimelineFrom(runs), left, ranking, now)
 	if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
-		t.Fatalf("%s: ranked planner %v, reference %v (%s, machine %+v, %d running, %d left of %d ready)",
-			label, ids(got), ids(want), q.Policy().Name(), cfg, len(runs), len(left), len(sorted))
+		t.Fatalf("%s: ranked planner %v, reference %v (%s, window %d, machine %+v, %d running, %d left of %d waiting)",
+			label, ids(got), ids(want), q.Policy().Name(), w, cfg, len(runs), len(left), q.Len())
 	}
 	return blind
+}
+
+// plannerCarriedCase runs passes over one queue the way the engine does:
+// each ranks the queue with the window it takes as the front, starts some
+// of the window and removes those jobs from the queue, plans with
+// PlanRanked and starts and removes what it planned. Between passes the
+// clock moves, running jobs due by then finish — which lets the jobs that
+// depend on them into the ranking — and jobs arrive. Every pass is checked
+// against the reference Plan over Sorted.
+func plannerCarriedCase(t *testing.T, r *rng.Stream, p *Planner, label string) {
+	cfg := randMachine(r)
+	snapshot := cluster.MustNew(cfg).Snapshot()
+	q := queue.New(plannerPolicies[r.Intn(len(plannerPolicies))])
+	done := map[int]bool{}
+	ready := func(id int) bool { return done[id] }
+	var runs []Running
+	start := func(j *job.Job, now int64) {
+		t.Helper()
+		placed, err := snapshot.Alloc(j.Demand)
+		if err != nil {
+			t.Fatalf("%s: starting job %d: %v", label, j.ID, err)
+		}
+		runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
+		if err := q.Remove(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextID, now := 1, int64(0)
+	for pass := 0; pass < 6; pass++ {
+		kept := runs[:0]
+		for _, run := range runs {
+			if run.ReleaseTime > now {
+				kept = append(kept, run)
+				continue
+			}
+			for c, n := range run.NodesByClass {
+				snapshot.FreeByClass[c] += n
+			}
+			snapshot.FreeBB += run.BB
+			for k, v := range run.Extra {
+				snapshot.FreeExtra[k] += v
+			}
+			done[run.JobID] = true
+		}
+		runs = kept
+		for n := r.Intn(15); n > 0; n-- {
+			j := randWaitingJob(r, cfg, snapshot, nextID, now-15)
+			if r.Bool(0.15) {
+				j.Deps = []int{1 + r.Intn(nextID)} // waiting, running or done
+			}
+			nextID++
+			if err := q.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		w := r.Intn(8)
+		ranking := q.Rank(now, ready, w)
+		var left []queue.Entry
+		for _, e := range ranking.Front(w) {
+			if r.Bool(0.5) && snapshot.CanFit(e.Job.Demand) {
+				start(e.Job, now)
+				continue
+			}
+			left = append(left, e)
+		}
+		want := Plan(snapshot, runs, readySorted(q, now, ready), now)
+		got := p.PlanRanked(snapshot, NewTimelineFrom(runs), left, ranking, now)
+		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
+			t.Fatalf("%s pass %d: ranked planner %v, reference %v (%s, window %d, machine %+v, %d running, %d left of %d waiting)",
+				label, pass, ids(got), ids(want), q.Policy().Name(), w, cfg, len(runs), len(left), q.Len())
+		}
+		for _, j := range append([]*job.Job(nil), got...) {
+			start(j, now)
+		}
+		now += int64(1 + r.Intn(15))
+	}
+}
+
+// randWaitingJob draws waiting job id, submitted up to 15 s after submit,
+// for the machine cfg whose free state is free.
+func randWaitingJob(r *rng.Stream, cfg cluster.Config, free cluster.Snapshot, id int, submit int64) *job.Job {
+	d := randDemand(r, cfg)
+	switch {
+	case r.Bool(0.03):
+		d = job.NewDemand(cfg.Nodes+1+r.Intn(4), 0, 0) // can never fit
+	case r.Bool(0.2):
+		d = awkwardDemand(r, cfg, free)
+	}
+	wall := int64(1 + r.Intn(60))
+	// Hand-built: job.New refuses the zero-node demand awkwardDemand draws.
+	j := &job.Job{ID: id, SubmitTime: submit + int64(r.Intn(4))*5, Runtime: wall, WalltimeEst: wall, Demand: d, StartTime: -1, EndTime: -1}
+	if r.Bool(0.2) {
+		j.StageOutSec = int64(1 + r.Intn(20))
+	}
+	return j
+}
+
+// readySorted is the reference queue a plan reads: q's dep-ready jobs in
+// Sorted(now) order.
+func readySorted(q *queue.Queue, now int64, ready func(int) bool) []*job.Job {
+	var out []*job.Job
+	for _, j := range q.Sorted(now) {
+		if !slices.ContainsFunc(j.Deps, func(d int) bool { return !ready(d) }) {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // prefilterOnlyRejects requires of every job that the planner's prefilter

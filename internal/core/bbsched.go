@@ -315,15 +315,23 @@ type DecideContext struct {
 	Rand *rng.Stream
 }
 
+// WindowSize returns the window a pass over queueLen waiting jobs takes:
+// the configured size, or the window policy's. The caller ranks the queue
+// with it as the front (queue.Queue.Rank), so the window is what the
+// queue keeps in order.
+func (p *Plugin) WindowSize(queueLen int) int {
+	if p.cfg.WindowPolicy != nil {
+		return p.cfg.WindowPolicy.Size(queueLen)
+	}
+	return p.cfg.WindowSize
+}
+
 // Decide runs one scheduling pass and returns the jobs to start, in start
 // order. It mutates only jobs' WindowAge (incremented for window jobs left
 // behind); resource allocation is the caller's job. The returned slice is
 // pooled scratch, valid only until the next Decide call.
 func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
-	size := p.cfg.WindowSize
-	if p.cfg.WindowPolicy != nil {
-		size = p.cfg.WindowPolicy.Size(ctx.QueueLen)
-	}
+	size := p.WindowSize(ctx.QueueLen)
 	// The window is the ranking's own storage (queue.Ranking.Front): the
 	// two loops below compact it in place, first to the jobs handed to the
 	// method, then to the jobs left behind, so no entry is copied.

@@ -182,7 +182,7 @@ func TestPluginConfigValidate(t *testing.T) {
 func pluginCtx(q *queue.Queue, c *cluster.Cluster, seed uint64) DecideContext {
 	return DecideContext{
 		Now:      10,
-		Ranking:  q.Rank(10, func(int) bool { return false }),
+		Ranking:  q.Rank(10, func(int) bool { return false }, q.Len()),
 		QueueLen: q.Len(),
 		Snap:     c.Snapshot(),
 		Totals:   sched.TotalsOf(c.Config()),
@@ -356,7 +356,7 @@ func TestPluginWindowRespectsBasePriority(t *testing.T) {
 	p, _ := NewPlugin(PluginConfig{WindowSize: 1, StarvationBound: 0}, sched.Baseline{})
 	ctx := pluginCtx(q, c, 1)
 	ctx.Now = 1000
-	ctx.Ranking = q.Rank(ctx.Now, func(int) bool { return false })
+	ctx.Ranking = q.Rank(ctx.Now, func(int) bool { return false }, 1)
 	started, err := p.Decide(ctx)
 	if err != nil {
 		t.Fatal(err)

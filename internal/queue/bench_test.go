@@ -31,12 +31,13 @@ func benchQueue(depth int) *Queue {
 	return q
 }
 
-// BenchmarkWindowInto re-ranks a queue that never changes while now jumps
-// by a minute a call and back to zero every thousand. The first minutes,
-// when cubic WFP priorities leave zero, and the rewind scramble the order
-// and Rank falls back to its sort (2% of calls at n=1024, 8% at n=8192);
-// the rest is repair. The window size does not enter the cost any more;
-// the rows stay to show it.
+// BenchmarkWindowInto re-ranks a queue that never changes, with the window
+// as the front, while now jumps by a minute a call and back to zero every
+// thousand. The first minutes, when cubic WFP priorities leave zero, and
+// the rewind scramble the order: at w=depth Rank falls back to its sort on
+// 2% of calls at n=1024 and 8% at n=8192 and repairs the whole queue on
+// the rest; at w=20 it scans the queue once against the front's last
+// member and never sorts.
 func BenchmarkWindowInto(b *testing.B) {
 	ready := func(int) bool { return true }
 	for _, depth := range []int{1024, 8192} {
@@ -59,8 +60,8 @@ func BenchmarkWindowInto(b *testing.B) {
 
 // BenchmarkRankSuccessivePasses is the pass the engine makes: between two
 // rankings the clock advances some tens of seconds, the front job starts
-// and one job arrives, so the order the last pass left needs a repair,
-// not a sort.
+// and one job arrives, so the front the last pass left needs a repair
+// (and, at w=20, some ten promotions a pass), not a sort.
 func BenchmarkRankSuccessivePasses(b *testing.B) {
 	ready := func(int) bool { return true }
 	for _, depth := range []int{1024, 8192} {
@@ -88,10 +89,10 @@ func BenchmarkRankSuccessivePasses(b *testing.B) {
 }
 
 // BenchmarkQueueBytesPerJob reports what a waiting job costs the queue in
-// live heap — its slot plus its entry in the pooled ranking, at the
-// capacities append grew them to — as B/job: the queue's share of a
-// replay's peak_heap_mb. The jobs themselves are allocated before the
-// baseline and do not count.
+// live heap — its slot, at the capacity append grew the array to, plus its
+// share of a ranking at the paper's window of 20 — as B/job: the queue's
+// share of a replay's peak_heap_mb. The jobs themselves are allocated
+// before the baseline and do not count.
 func BenchmarkQueueBytesPerJob(b *testing.B) {
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
@@ -114,7 +115,7 @@ func BenchmarkQueueBytesPerJob(b *testing.B) {
 				for _, j := range jobs {
 					q.Add(j)
 				}
-				q.Rank(4000, ready)
+				q.Rank(4000, ready, 20)
 				bytes = liveHeap() - base
 				runtime.KeepAlive(q)
 			}

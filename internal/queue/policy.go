@@ -19,8 +19,8 @@ type Policy interface {
 }
 
 // TimeInvariant marks a Policy whose priorities do not depend on now.
-// The queue evaluates such a policy once per job, at Add time, and
-// inserts the job where it belongs; Rank has nothing to repair.
+// The queue evaluates such a policy once per job, at Add time, and Rank
+// never evaluates it again.
 type TimeInvariant interface {
 	// PriorityTimeInvariant is a marker; it is never called.
 	PriorityTimeInvariant()

@@ -144,28 +144,33 @@ func TestSlotAndEntrySizes(t *testing.T) {
 
 // TestCheckInvariantCatches shows the invariant has teeth: a job edited
 // while it waits (the stale copy Add's contract forbids), a job waiting
-// twice, and a time-invariant queue out of base order are each reported.
+// twice, a front out of base order after a Rank and a front longer than
+// the queue are each reported.
 func TestCheckInvariantCatches(t *testing.T) {
-	build := func() *Queue {
-		q := New(FCFS{})
-		for id := 1; id <= 3; id++ {
-			if err := q.Add(mkJob(id, int64(id), 2, 100)); err != nil {
+	build := func(pol Policy) *Queue {
+		q := New(pol)
+		for id := 1; id <= 4; id++ {
+			if err := q.Add(mkJob(id, int64(id), id, 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		q.Rank(500, func(int) bool { return true }, 3)
 		checkInvariant(t, q)
 		return q
 	}
 	for name, corrupt := range map[string]func(q *Queue){
-		"stale key":    func(q *Queue) { q.slots[1].Job.WalltimeEst++ },
-		"stale entry":  func(q *Queue) { q.slots[1].Job.Demand.Set(job.BurstBufferGB, 9) },
-		"waits twice":  func(q *Queue) { q.slots = append(q.slots, q.slots[2]) },
-		"out of order": func(q *Queue) { q.slots[0], q.slots[1] = q.slots[1], q.slots[0] },
+		"stale key":          func(q *Queue) { q.slots[1].Job.WalltimeEst++ },
+		"stale entry":        func(q *Queue) { q.slots[1].Job.Demand.Set(job.BurstBufferGB, 9) },
+		"waits twice":        func(q *Queue) { q.slots = append(q.slots, q.slots[2]) },
+		"front out of order": func(q *Queue) { q.slots[1], q.slots[2] = q.slots[2], q.slots[1] },
+		"front past its end": func(q *Queue) { q.front = len(q.slots) + 1 },
 	} {
-		q := build()
-		corrupt(q)
-		if q.CheckInvariant() == nil {
-			t.Errorf("%s: CheckInvariant found nothing", name)
+		for _, pol := range []Policy{FCFS{}, WFP{}} {
+			q := build(pol)
+			corrupt(q)
+			if q.CheckInvariant() == nil {
+				t.Errorf("%s, %s: CheckInvariant found nothing", pol.Name(), name)
+			}
 		}
 	}
 }
@@ -350,12 +355,35 @@ func entryJobs(t *testing.T, entries []Entry) []*job.Job {
 	return jobs
 }
 
-// driveRanking consumes rk with up to ops random Take, Front, Next, Rest
-// and Prune calls and requires the jobs to come out exactly as want — the
-// reference filter(Sorted(now)) — lists them. Half the jobs taken are
-// removed from q, as a scheduling pass does when it starts them; the
-// ranking must not notice. It returns what of want is left.
-func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*job.Job, ops int, label string) []*job.Job {
+// testFronts are the fronts the ranking suites rank at: a window of one,
+// a short and the paper's window, the whole queue (frontLen) and past it.
+// frontDrawn draws a fresh one from these for every pass.
+const (
+	frontLen   = -1
+	frontDrawn = -2
+)
+
+var testFronts = []int{1, 3, 20, frontLen, math.MaxInt}
+
+// frontFor resolves a testFronts value for a queue of n jobs.
+func frontFor(r *rng.Stream, front, n int) int {
+	switch front {
+	case frontLen:
+		return n
+	case frontDrawn:
+		return frontFor(r, testFronts[r.Intn(len(testFronts))], n)
+	}
+	return front
+}
+
+// driveRanking consumes rk, ranked at front, with up to ops random Take,
+// Front, Next, Rest and Prune calls and requires the jobs to come out
+// exactly as want — the reference filter(Sorted(now)) — lists them. Half
+// the jobs taken are removed from q, as a scheduling pass does when it
+// starts them; the ranking must not notice. Half the time it first makes
+// the engine's calls: Front(front), Prune, Next and Prune again. It
+// returns what of want is left.
+func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, front int, want []*job.Job, ops int, label string) []*job.Job {
 	t.Helper()
 	check := func(op string, got []*job.Job, k int) {
 		t.Helper()
@@ -373,6 +401,52 @@ func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*jo
 			}
 		}
 		want = want[k:]
+	}
+	// prune draws the prefilter's totals among the demands randomJob
+	// draws or out of the way; keep may be asked only about the jobs still
+	// ranked that pass the prefilter.
+	prune := func() {
+		t.Helper()
+		m, c := 2+r.Intn(3), r.Intn(2)
+		freeNodes, freeBB := 1+r.Intn(4)*7, int64(r.Intn(3))*100
+		if r.Bool(0.3) {
+			freeNodes, freeBB = math.MaxInt, math.MaxInt64
+		}
+		ranked := map[*job.Job]bool{}
+		for _, j := range want {
+			ranked[j] = true
+		}
+		keep := func(e Entry) bool {
+			j := e.Job
+			if e != EntryOf(j) || !ranked[j] || !e.MayFit(freeNodes, freeBB) {
+				t.Fatalf("%s Prune(%d, %d): asked about job %d, demand %v, ranked %v", label, freeNodes, freeBB, j.ID, j.Demand, ranked[j])
+			}
+			return j.ID%m != c
+		}
+		rk.Prune(freeNodes, freeBB, keep)
+		kept := want[:0:0]
+		for _, j := range want {
+			if EntryOf(j).MayFit(freeNodes, freeBB) && j.ID%m != c {
+				kept = append(kept, j)
+			}
+		}
+		want = kept
+	}
+	next := func() {
+		t.Helper()
+		e, ok := rk.Next()
+		if ok != (len(want) > 0) {
+			t.Fatalf("%s Next: ok %v with %d ranked jobs left", label, ok, len(want))
+		}
+		if ok {
+			check("Next", entryJobs(t, []Entry{e}), 1)
+		}
+	}
+	if r.Bool(0.5) {
+		check(fmt.Sprintf("Front(%d)", front), entryJobs(t, rk.Front(front)), front)
+		prune()
+		next()
+		prune()
 	}
 	for ; ops > 0; ops-- {
 		if rk.Len() != len(want) {
@@ -393,38 +467,14 @@ func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*jo
 			k := len(want)/2 + r.Intn(len(want)/2+2)
 			check(fmt.Sprintf("Take(%d)", k), rk.Take(nil, k), k)
 		case 2:
-			e, ok := rk.Next()
-			if !ok {
-				t.Fatalf("%s Next: nothing left of %d ranked jobs", label, rk.Len())
-			}
-			check("Next", entryJobs(t, []Entry{e}), 1)
+			next()
 		case 3:
 			if r.Bool(0.7) {
 				continue // drains the ranking: keep it rare
 			}
 			check("Rest", entryJobs(t, rk.Rest()), len(want))
 		case 4:
-			// The prefilter's totals sit among the demands randomJob draws
-			// or are out of the way; keep is only asked about jobs that pass.
-			m, c := 2+r.Intn(3), r.Intn(2)
-			freeNodes, freeBB := 1+r.Intn(4)*7, int64(r.Intn(3))*100
-			if r.Bool(0.3) {
-				freeNodes, freeBB = math.MaxInt, math.MaxInt64
-			}
-			keep := func(j *job.Job) bool {
-				if !EntryOf(j).MayFit(freeNodes, freeBB) {
-					t.Fatalf("%s Prune(%d, %d): asked about job %d, demand %v", label, freeNodes, freeBB, j.ID, j.Demand)
-				}
-				return j.ID%m != c
-			}
-			rk.Prune(freeNodes, freeBB, keep)
-			kept := want[:0:0]
-			for _, j := range want {
-				if EntryOf(j).MayFit(freeNodes, freeBB) && keep(j) {
-					kept = append(kept, j)
-				}
-			}
-			want = kept
+			prune()
 		}
 	}
 	return want
@@ -432,9 +482,10 @@ func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, want []*jo
 
 // TestRankingMatchesSortedReference is the differential suite for one
 // ranking: over random queues (key collisions, unmet dependencies, NaN
-// priorities), each ranked once, it drives random interleavings of Take,
-// Next, Rest and Prune until the ranking is empty and requires the jobs
-// to come out exactly as filter(Sorted(now)) lists them.
+// priorities), each ranked once at each of testFronts, it drives random
+// interleavings of Take, Front, Next, Rest and Prune until the ranking is
+// empty and requires the jobs to come out exactly as filter(Sorted(now))
+// lists them.
 func TestRankingMatchesSortedReference(t *testing.T) {
 	policies := []Policy{
 		FCFS{},
@@ -450,44 +501,52 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 				trials = 100
 			}
 			for trial := 0; trial < trials; trial++ {
-				q := New(pol)
-				n := r.Intn(90)
-				for id := 1; id <= n; id++ {
-					if err := q.Add(randomJob(r, id)); err != nil {
-						t.Fatal(err)
-					}
+				jobs := make([]*job.Job, r.Intn(90))
+				for i := range jobs {
+					jobs[i] = randomJob(r, i+1)
 				}
 				depsDone := func(id int) bool { return id < 1002 }
 				now := int64(r.Intn(400))
-				want := refWindow(q.Sorted(now), q.Len(), depsDone)
-				rk := q.Rank(now, depsDone)
-				label := fmt.Sprintf("trial %d (n=%d, now=%d)", trial, n, now)
-				driveRanking(t, r, q, rk, want, math.MaxInt, label)
-				if e, ok := rk.Next(); ok {
-					t.Fatalf("trial %d: exhausted ranking yielded job %d", trial, e.Job.ID)
-				}
-				if got := rk.Take(nil, 3); len(got) != 0 {
-					t.Fatalf("trial %d: exhausted ranking yielded %v", trial, jobIDs(got))
+				for _, tf := range testFronts {
+					q := New(pol)
+					for _, j := range jobs {
+						if err := q.Add(j); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want := refWindow(q.Sorted(now), q.Len(), depsDone)
+					front := frontFor(r, tf, q.Len())
+					rk := q.Rank(now, depsDone, front)
+					label := fmt.Sprintf("trial %d (n=%d, now=%d, front=%d)", trial, len(jobs), now, front)
+					driveRanking(t, r, q, rk, front, want, math.MaxInt, label)
+					if e, ok := rk.Next(); ok {
+						t.Fatalf("%s: exhausted ranking yielded job %d", label, e.Job.ID)
+					}
+					if got := rk.Take(nil, 3); len(got) != 0 {
+						t.Fatalf("%s: exhausted ranking yielded %v", label, jobIDs(got))
+					}
 				}
 			}
 		})
 	}
 	// The zero Ranking is empty and safe to drive.
 	var zero Ranking
-	zero.Prune(math.MaxInt, math.MaxInt64, func(*job.Job) bool { return true })
+	zero.Prune(math.MaxInt, math.MaxInt64, func(Entry) bool { return true })
 	if _, ok := zero.Next(); ok || zero.Len() != 0 || len(zero.Take(nil, 5)) != 0 || len(zero.Front(5)) != 0 || len(zero.Rest()) != 0 {
 		t.Fatal("zero Ranking is not empty")
 	}
 }
 
 // TestRankingCarriedAcrossPasses ranks one queue again and again, the way
-// the engine does, so that every Rank starts from the order the last one
+// the engine does, so that every Rank starts from the front the last one
 // left: between passes jobs arrive, jobs anywhere in the queue leave,
-// dependencies finish, and the clock advances, repeats or goes backwards
+// dependencies finish (and, now and then, the predicate takes one back),
+// and the clock advances, repeats or goes backwards
 // (in odd steps, so that `reversing` turns the order around whenever it
-// moves). After every Rank the queue's own arrays must be in Sorted(now)
-// order, and the ranking, consumed by a few random calls, must match
-// filter(Sorted(now)).
+// moves). Each case runs at each of testFronts and at a front drawn anew
+// every pass. After every Rank the queue's front must be the first front
+// dep-ready jobs of Sorted(now), and the ranking, consumed by a few random
+// calls, must match filter(Sorted(now)).
 func TestRankingCarriedAcrossPasses(t *testing.T) {
 	policies := []Policy{
 		FCFS{},
@@ -504,59 +563,75 @@ func TestRankingCarriedAcrossPasses(t *testing.T) {
 				trials = 10
 			}
 			for trial := 0; trial < trials; trial++ {
-				q := New(pol)
-				waiting := map[int]*job.Job{}
-				nextID, doneBelow, now := 1, 1001, int64(r.Intn(100))
-				depsDone := func(id int) bool { return id < doneBelow }
-				for pass := 0; pass < 60; pass++ {
-					for n := r.Intn(12); n > 0; n-- {
-						j := randomJob(r, nextID)
-						j.SubmitTime += now / 2 // arrivals follow the clock
-						nextID++
-						if err := q.Add(j); err != nil {
-							t.Fatal(err)
-						}
-						waiting[j.ID] = j
-						checkInvariant(t, q)
-					}
-					for n := r.Intn(3); n > 0 && len(waiting) > 0; n-- {
-						id := pickAny(r, waiting)
-						if err := q.Remove(id); err != nil {
-							t.Fatal(err)
-						}
-						delete(waiting, id)
-						checkInvariant(t, q)
-					}
-					step := int64(2*r.Intn(30) + 1)
-					switch {
-					case r.Bool(0.15): // the clock repeats
-					case r.Bool(0.15):
-						now -= step
-					default:
-						now += step
-					}
-					if doneBelow < 1004 && r.Bool(0.05) {
-						doneBelow++
-					}
-
-					sorted := q.Sorted(now)
-					rk := q.Rank(now, depsDone)
-					checkInvariant(t, q)
-					if order := jobIDs(q.Waiting(nil)); fmt.Sprint(order) != fmt.Sprint(jobIDs(sorted)) {
-						t.Fatalf("trial %d pass %d (now=%d): queue order %v, reference %v",
-							trial, pass, now, order, jobIDs(sorted))
-					}
-					label := fmt.Sprintf("trial %d pass %d (n=%d, now=%d)", trial, pass, q.Len(), now)
-					driveRanking(t, r, q, rk, refWindow(sorted, len(sorted), depsDone), 1+r.Intn(4), label)
-					checkInvariant(t, q)
-					for id := range waiting {
-						if !q.Contains(id) {
-							delete(waiting, id)
-						}
-					}
+				for _, tf := range append(testFronts, frontDrawn) {
+					carryRanking(t, r, pol, tf, fmt.Sprintf("trial %d front %d", trial, tf))
 				}
 			}
 		})
+	}
+}
+
+// carryRanking is one TestRankingCarriedAcrossPasses case: 60 passes over
+// one queue ranked at front tf.
+func carryRanking(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) {
+	t.Helper()
+	q := New(pol)
+	waiting := map[int]*job.Job{}
+	nextID, doneBelow, now := 1, 1001, int64(r.Intn(100))
+	depsDone := func(id int) bool { return id < doneBelow }
+	for pass := 0; pass < 60; pass++ {
+		for n := r.Intn(12); n > 0; n-- {
+			j := randomJob(r, nextID)
+			j.SubmitTime += now / 2 // arrivals follow the clock
+			nextID++
+			if err := q.Add(j); err != nil {
+				t.Fatal(err)
+			}
+			waiting[j.ID] = j
+			checkInvariant(t, q)
+		}
+		for n := r.Intn(3); n > 0 && len(waiting) > 0; n-- {
+			id := pickAny(r, waiting)
+			if err := q.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(waiting, id)
+			checkInvariant(t, q)
+		}
+		step := int64(2*r.Intn(30) + 1)
+		switch {
+		case r.Bool(0.15): // the clock repeats
+		case r.Bool(0.15):
+			now -= step
+		default:
+			now += step
+		}
+		switch {
+		case doneBelow < 1004 && r.Bool(0.05):
+			doneBelow++
+		case doneBelow > 1001 && r.Bool(0.03):
+			// Taken back: front jobs waiting on it must leave the front.
+			doneBelow--
+		}
+
+		sorted := q.Sorted(now)
+		front := frontFor(r, tf, q.Len())
+		rk := q.Rank(now, depsDone, front)
+		checkInvariant(t, q)
+		ref := refWindow(sorted, len(sorted), depsDone)
+		wantFront := ref[:min(front, len(ref))]
+		if got := slotIDs(q.slots[:q.front]); fmt.Sprint(got) != fmt.Sprint(jobIDs(wantFront)) {
+			t.Fatalf("%s pass %d (now=%d, front=%d): queue front %v, reference %v",
+				label, pass, now, front, got, jobIDs(wantFront))
+		}
+		passLabel := fmt.Sprintf("%s pass %d (n=%d, now=%d, front=%d)", label, pass, q.Len(), now, front)
+		driveRanking(t, r, q, rk, front, ref, 1+r.Intn(4), passLabel)
+		checkInvariant(t, q)
+		for id := range waiting {
+			if !q.Contains(id) {
+				delete(waiting, id)
+			}
+		}
 	}
 }
 
@@ -580,7 +655,8 @@ func TestRankingHistoryIndependent(t *testing.T) {
 				}
 			}
 			now += int64(r.Intn(60))
-			for _, j := range carried.Rank(now, ready).Take(nil, r.Intn(4)) {
+			k := r.Intn(4)
+			for _, j := range carried.Rank(now, ready, k).Take(nil, k) {
 				if err := carried.Remove(j.ID); err != nil {
 					t.Fatal(err)
 				}
@@ -594,9 +670,9 @@ func TestRankingHistoryIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, at := range []int64{now, now + 1, now + 500, now - 40} {
-			got := jobIDs(entryJobs(t, carried.Rank(at, ready).Rest()))
-			want := jobIDs(entryJobs(t, fresh.Rank(at, ready).Rest()))
+		for i, at := range []int64{now, now + 1, now + 500, now - 40} {
+			got := jobIDs(entryJobs(t, carried.Rank(at, ready, 3).Rest()))
+			want := jobIDs(entryJobs(t, fresh.Rank(at, ready, 1+7*i).Rest()))
 			checkInvariant(t, carried)
 			checkInvariant(t, fresh)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -607,8 +683,10 @@ func TestRankingHistoryIndependent(t *testing.T) {
 }
 
 // TestRankAllocs pins a steady-state pass at zero allocations on both of
-// Rank's paths: the repair (WFP, the clock creeping forward) and the
-// fallback sort (reversing, the order turned around every pass).
+// Rank's paths — the repair (WFP, the clock creeping forward) and the
+// fallback sort (reversing, the order turned around every pass) — with
+// the window taken off the front and backfilling's Prune and Next behind
+// it.
 func TestRankAllocs(t *testing.T) {
 	ready := func(int) bool { return true }
 	for _, pol := range []Policy{WFP{}, reversing{}} {
@@ -621,13 +699,42 @@ func TestRankAllocs(t *testing.T) {
 		}
 		buf := make([]*job.Job, 0, q.Len())
 		now := int64(100)
-		q.Rank(now, ready) // grow the pooled arrays
-		allocs := testing.AllocsPerRun(50, func() {
+		pass := func() {
 			now++
-			buf = q.Rank(now, ready).Take(buf[:0], 20)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Rank+Take allocates %v times a pass, want 0", pol.Name(), allocs)
+			rk := q.Rank(now, ready, 20)
+			buf = rk.Take(buf[:0], 20)
+			rk.Prune(15, 100, func(e Entry) bool { return e.Job.ID%2 == 0 })
+			rk.Next()
+		}
+		pass() // grow the pooled arrays
+		if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+			t.Errorf("%s: Rank+Take+Prune+Next allocates %v times a pass, want 0", pol.Name(), allocs)
+		}
+	}
+}
+
+// TestRankSortsScrambledFront pins Rank's fallback: a restored queue —
+// 4 096 jobs re-Added in ID order — ranked at a front of 1 024 has no
+// order to repair, so Rank sorts once instead of inserting a thousand
+// jobs one by one, and the next pass, a few seconds on, repairs what the
+// sort left without sorting again.
+func TestRankSortsScrambledFront(t *testing.T) {
+	ready := func(int) bool { return true }
+	r := rng.New(509)
+	q := New(WFP{})
+	for id := 1; id <= 4096; id++ {
+		if err := q.Add(randomJob(r, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass, now := range []int64{600, 603} {
+		q.Rank(now, ready, 1024)
+		checkInvariant(t, q)
+		if want := refWindow(q.Sorted(now), 1024, ready); fmt.Sprint(slotIDs(q.slots[:q.front])) != fmt.Sprint(jobIDs(want)) {
+			t.Fatalf("pass %d: the front is not the first 1 024 jobs of Sorted", pass)
+		}
+		if q.sorts != 1 {
+			t.Fatalf("pass %d: %d fallback sorts so far, want 1", pass, q.sorts)
 		}
 	}
 }
@@ -691,6 +798,14 @@ func pickAny(r *rng.Stream, m map[int]*job.Job) int {
 	}
 	sort.Ints(keys)
 	return keys[r.Intn(len(keys))]
+}
+
+func slotIDs(slots []Slot) []int {
+	out := make([]int, len(slots))
+	for i := range slots {
+		out[i] = slots[i].ID
+	}
+	return out
 }
 
 func jobIDs(jobs []*job.Job) []int {

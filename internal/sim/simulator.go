@@ -904,14 +904,15 @@ func (s *Simulator) observeBBRelease(r *runningJob) {
 }
 
 // schedule runs one window pass plus backfilling over one ranking of the
-// queue: the base order is brought up to date once, the plugin takes its
-// window off the front of the dep-ready jobs, and EASY backfilling continues
-// where the window stopped — the window jobs left behind, then as much of
-// the rest as the planner asks for. The steady-state pass allocates
-// (amortized) nothing: the ranking, the free-state snapshot, the
-// invocation stream, and the EASY planning scratch are all pooled, and
-// the release timeline is maintained incrementally by start/finish
-// instead of being rebuilt and re-sorted here.
+// queue: the queue's front — as many dep-ready jobs as the window takes —
+// is brought up to date once, the plugin takes its window off it, and EASY
+// backfilling continues where the window stopped — the window jobs left
+// behind, then, best-first, the rest the planner can still start. The
+// steady-state pass allocates (amortized) nothing: the ranking, the
+// free-state snapshot, the invocation stream, and the EASY planning
+// scratch are all pooled, and the release timeline is maintained
+// incrementally by start/finish instead of being rebuilt and re-sorted
+// here.
 func (s *Simulator) schedule() error {
 	if s.q.Len() == 0 {
 		return nil
@@ -924,7 +925,7 @@ func (s *Simulator) schedule() error {
 
 	// Only worth ranking the queue when something could start.
 	if s.cl.FreeNodes() > 0 {
-		ranking := s.q.Rank(s.now, s.depsDone)
+		ranking := s.q.Rank(s.now, s.depsDone, s.plugin.WindowSize(s.q.Len()))
 		s.cl.SnapshotInto(&s.passSnap)
 		picked, err := s.plugin.Decide(core.DecideContext{
 			Now:      s.now,
