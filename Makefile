@@ -58,10 +58,10 @@ bench-digests:
 # the deep-queue bench whose queue passes 1 000 waiting jobs, the 1M-job
 # streaming-ingestion bench with its peak-live-heap ceiling, checkpoint
 # encode/decode/restore) plus the window-solver benches
-# (MOGA BenchmarkSolveGA; LP BenchmarkSolveLP cold and warm-started vs
-# BenchmarkSolveGAWindow on 64/128-job windows, one row per half-loaded
-# giant window w=1024…8192, plus its saturated w=1024 decision where
-# presolve pins the window; the racing BenchmarkSolvePortfolio, capped at
+# (MOGA BenchmarkSolveGA; LP BenchmarkSolveLP vs BenchmarkSolveGAWindow
+# on 64/128-job windows, one row per half-loaded giant window
+# w=1024…8192, plus its saturated w=1024 decision, a dead window answered
+# without a solve; the racing BenchmarkSolvePortfolio, capped at
 # 20 iterations since each solve waits out its slowest member);
 # write/refresh the committed BENCH_sim.json
 # baseline from their combined output. The stream-1M bench runs once
@@ -69,7 +69,7 @@ bench-digests:
 # -require fails the parse if any bench silently dropped out (e.g. its
 # package failed to build: bench-run then stops early, and a pipeline's
 # exit status is its last command's).
-BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/saturated/w=1024,BenchmarkSolveLP/warm/,BenchmarkSolveLP/w=1024,BenchmarkSolveLP/w=2048,BenchmarkSolveLP/w=4096,BenchmarkSolveLP/w=8192,BenchmarkSolveLP/warm/w=1024,BenchmarkSolveLP/warm/w=8192,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
+BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/saturated/w=1024,BenchmarkSolveLP/w=1024,BenchmarkSolveLP/w=2048,BenchmarkSolveLP/w=4096,BenchmarkSolveLP/w=8192,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
 
 # The gated bench family, listed here and nowhere else: prints the
 # combined `go test -bench` output that bench-json, bench-check and the
@@ -112,7 +112,9 @@ sweep-smoke:
 # RunSweep — now also covering speculative duplicate leases
 # (first-result-wins), checkpoint-relay segment assembly, journal
 # crash/replay, and content-addressed cache hits; plus the checkpoint
-# golden-equivalence, version-skew and pinned-wire-bytes tests.
+# golden-equivalence (its -short set includes theta-wfp-s4/Weighted_LP,
+# the LP run a restore at every event must reproduce), version-skew and
+# pinned-wire-bytes tests.
 farm-smoke:
 	$(GO) test -race -short -run '^TestFarm|^TestRecipeKey$$' ./internal/farm
 	$(GO) test -race -short -run '^TestGoldenCheckpointEquivalence$$|^TestCheckpointRoundTrip' ./internal/sim
@@ -120,10 +122,9 @@ farm-smoke:
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
 # the network), the dead-window shortcut (skipped answer == solved
-# answer, over generated windows), the pinned-window arm (a run told
-# SolvePinned == the same run solved, for the backends that keep
-# memory), the GA's termination certificate
-# (certified stop == full run, same windows) and the ranked planner
+# answer, over generated windows, on every registered backend), the GA's
+# termination certificate (certified stop == full run, same windows) and
+# the ranked planner
 # (prefiltered, best-first PlanRanked == reference Plan over Sorted, over
 # generated machines and queues ranked at the window as their front, one
 # pass and several carried) for 30s per target (CI smoke; the seed
@@ -135,7 +136,6 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
-	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzPinnedWindow$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 
@@ -143,7 +143,7 @@ fuzz-smoke:
 # internal/solver + internal/queue + internal/backfill statement coverage
 # must not drop below the floor (cluster/sched floor captured with the
 # N-dimension harness; lp joined with the solver refactor at 95%+ package
-# coverage; solver joined with the zoo — greedy, portfolio, memory; queue
+# coverage; solver joined with the zoo — greedy, portfolio; queue
 # joined when it began to carry its order from one scheduling pass to the
 # next; backfill when its planner began to reject jobs on flat keys).
 COVER_FLOOR = 75.0

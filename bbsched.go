@@ -160,10 +160,6 @@ type (
 	LPConfig = lp.Config
 	// LPStats reports one LP-relaxation solve.
 	LPStats = lp.Stats
-	// LPIterate is a serializable PDHG iterate for warm-starting
-	// SolveLPRelaxationWarm across related instances (checkpoint resume,
-	// successive scheduling passes).
-	LPIterate = lp.Iterate
 	// GreedySolver is the density-ratio baseline backend: fill by
 	// objective value per capacity-normalized demand.
 	GreedySolver = solver.Greedy
@@ -173,10 +169,6 @@ type (
 	// ExactSolver is the branch-and-bound backend with LP-relaxation
 	// bounds — exact optima on windows up to DefaultMaxExactDim jobs.
 	ExactSolver = lp.Exact
-	// SolverMemory is the per-run cross-invocation store backends use to
-	// carry state between scheduling passes (the LP backend keeps its
-	// previous PDHG iterate there for warm starts).
-	SolverMemory = solver.Memory
 	// SolverSpec describes one registered backend.
 	SolverSpec = registry.SolverSpec
 	// SolverConfigurable is implemented by methods whose backend is
@@ -201,12 +193,8 @@ var (
 	NewLPSolver     = lp.New
 	DefaultLPConfig = lp.DefaultConfig
 	// SolveLPRelaxation solves just the fractional relaxation of a linear
-	// selection instance (diagnostics and custom rounding schemes);
-	// SolveLPRelaxationWarm additionally seeds PDHG from a prior iterate
-	// and returns the final one (a dimension-mismatched seed cold-starts
-	// the solve and sets LPStats.WarmRejected).
-	SolveLPRelaxation     = lp.SolveRelaxation
-	SolveLPRelaxationWarm = lp.SolveRelaxationWarm
+	// selection instance (diagnostics and custom rounding schemes).
+	SolveLPRelaxation = lp.SolveRelaxation
 	// NewGreedySolver returns the density-ratio baseline backend.
 	NewGreedySolver = solver.NewGreedy
 	// NewPortfolioSolver returns a racing portfolio over the given members;
@@ -214,8 +202,6 @@ var (
 	NewPortfolioSolver = solver.NewPortfolio
 	// NewExactSolver returns the branch-and-bound backend.
 	NewExactSolver = lp.NewExact
-	// NewSolverMemory returns an empty cross-invocation solver store.
-	NewSolverMemory = solver.NewMemory
 	// ErrIncompatibleSolver marks a method×solver pair that can never work
 	// (match with errors.Is to skip instead of fail).
 	ErrIncompatibleSolver = registry.ErrIncompatibleSolver

@@ -115,8 +115,7 @@ func (b *BBSched) validate() error {
 // Pareto set, for decision support and the Fig. 2/4 experiments. The
 // front is nil when the window is empty or no job in it fits the free
 // machine: the empty selection is then the only feasible one and nothing
-// is solved (sched.SolverSlot.SolveWindow; a backend that keeps memory
-// may be told of the window through SolvePinned). Nil starts what a front
+// is solved (sched.SolverSlot.SolveWindow). Nil starts what a front
 // holding only the empty selection starts: nothing.
 func (b *BBSched) ParetoFront(ctx *sched.Context) ([]moo.Solution, error) {
 	if err := b.validate(); err != nil {
@@ -280,14 +279,7 @@ func NewPlugin(cfg PluginConfig, method sched.Method) (*Plugin, error) {
 	if method == nil {
 		return nil, errors.New("core: nil method")
 	}
-	p := &Plugin{cfg: cfg, method: method}
-	// One solver memory per plugin — i.e. per run, since every run owns
-	// its plugin while method and backend instances may be shared across
-	// concurrent runs. Backends use it to warm-start from earlier passes
-	// (see solver.Memory); it never crosses runs, so parallel sweeps stay
-	// deterministic run for run.
-	p.mctx.Memory = solver.NewMemory()
-	return p, nil
+	return &Plugin{cfg: cfg, method: method}, nil
 }
 
 // Method returns the wrapped selection method.

@@ -28,7 +28,7 @@ func isDead(ctx *sched.Context) bool {
 // checkBBSchedDeadWindowSkip is sched's differential check for BBSched:
 // on the decision drawn from seed, over the machine's full objective list
 // and over node utilization alone (which admits the scalar backends),
-// Select on every memoryless backend the method accepts must pick what
+// Select on every registered backend the method accepts must pick what
 // the §3.2.4 rule picks from the front that backend returns for a freshly
 // built problem. It reports whether the window was dead (Select answered
 // nil while no job fit).
@@ -43,7 +43,7 @@ func checkBBSchedDeadWindowSkip(t testing.TB, b *core.BBSched, seed uint64) bool
 		solved := 0
 		for _, spec := range registry.Solvers() {
 			sv := spec.New(smallGA)
-			if sv.Capabilities().KeepsMemory || b.VetoSolver(sv) != nil {
+			if b.VetoSolver(sv) != nil {
 				continue
 			}
 			solved++
@@ -69,7 +69,7 @@ func checkBBSchedDeadWindowSkip(t testing.TB, b *core.BBSched, seed uint64) bool
 			}
 		}
 		if solved == 0 {
-			t.Fatalf("no registered memoryless backend accepts BBSched%v", objectives)
+			t.Fatalf("no registered backend accepts BBSched%v", objectives)
 		}
 	}
 	return dead

@@ -24,8 +24,12 @@ import (
 
 // recipeKeySchema versions the key derivation itself; bump it whenever
 // the hashed material or its encoding changes so stale cache entries can
-// never be mistaken for current ones.
-const recipeKeySchema = 1
+// never be mistaken for current ones. It is 2 because the results a
+// recipe produces changed while the hashed material did not: the lp
+// backend stopped carrying a warm start from one scheduling pass to the
+// next, which moved every *_LP cell's Result. Until the key hashes an
+// engine version, a change of results bumps this constant.
+const recipeKeySchema = 2
 
 // recipe is the canonical hashed material. Field order is fixed and the
 // encoding is encoding/json with its deterministic struct-field order, so

@@ -82,11 +82,13 @@ func TestRecipeKey(t *testing.T) {
 	// hashed — as 0, which methodWire keeps writing). The key literal moved
 	// once since, on purpose: the key hashes checkpoint.Version, which went
 	// 2 → 3 when finished jobs left the snapshot, and a result cached beside
-	// relay snapshots no build can restore is rightly orphaned. The
-	// derivation did not change, so recipeKeySchema stayed 1. A change that
+	// relay snapshots no build can restore is rightly orphaned. It moved
+	// again when recipeKeySchema went 1 → 2: the lp backend stopped
+	// carrying state between scheduling passes, so *_LP recipes produce
+	// other Results and their cached ones must not be served. A change that
 	// moves either orphans every cache entry and journal in the field; if
 	// that is meant, bump recipeKeySchema and re-pin.
-	if want := "3b9414bf04ac322df9670f9b0293bc3b18d2f96c2079e096b3ffe5163115fd2a"; k0 != want {
+	if want := "64bfa28a903433b373f4a7ef5591a05ea9a08e73d572e70891f5c8ed9fa84e57"; k0 != want {
 		t.Fatalf("recipe key of the first test cell moved: %s, want %s", k0, want)
 	}
 	if got, want := gridSHA(testGrid()), "3a4d14f28caa40f3fd9efee048051fb195b6b12a7b204d8a251d5a310f395599"; got != want {

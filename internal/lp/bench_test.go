@@ -54,8 +54,8 @@ func busyContext(b *testing.B) (*sched.Context, func() *sched.Context) {
 // saturatedContext is the decision a deep-queue replay hands the LP: a
 // w-job window of Theta-S4 jobs against a machine with a fiftieth of its
 // nodes and burst buffer free, so at least 95% of the jobs (at this seed,
-// all of them — the case 99.5% of replay-lp-w1024's solves are) cannot
-// start even alone: presolve pins them and PDHG runs over what is left.
+// all of them — the case 99.5% of replay-lp-w1024's passes are) cannot
+// start even alone: the window is dead and the pass is its fit walk.
 func saturatedContext(b *testing.B, w int) (*sched.Context, func() *sched.Context) {
 	b.Helper()
 	theta := trace.Scale(trace.Theta(), 8)
@@ -101,23 +101,15 @@ func contextOver(sys trace.SystemModel, jobs []*job.Job, freeDiv int) (*sched.Co
 }
 
 // BenchmarkSolveLP times one full Weighted_LP-style scheduling decision —
-// problem build, PDHG relaxation, rounding, repair — per window size,
-// cold (each solve from scratch) and warm (a solver.Memory on the
-// context, as every simulator run has: each PDHG solve re-seeds from the
-// previous iterate and inherits its adapted tolerance), plus the
-// saturated w=1024 decision (see saturatedContext), warm as in a replay.
-// Recorded in BENCH_sim.json and gated in CI on solves/sec and allocs/op;
-// the warm/cold solves/sec ratio is the cross-pass warm-start win.
+// problem build, PDHG relaxation, rounding, repair — per window size, plus
+// the saturated w=1024 decision (see saturatedContext). Recorded in
+// BENCH_sim.json and gated in CI on solves/sec and allocs/op.
 func BenchmarkSolveLP(b *testing.B) {
-	run := func(name string, warm bool, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
+	run := func(name string, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
 		b.Run(name, func(b *testing.B) {
 			m := sched.NewWeighted("Weighted_LP", 0.5, 0.5, moo.DefaultGAConfig())
 			m.SetSolver(lp.New(lp.DefaultConfig()))
-			ctx, reset := build(b)
-			if warm {
-				// Persists across iterations — the warm-start path.
-				ctx.Memory = solver.NewMemory()
-			}
+			_, reset := build(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -131,17 +123,11 @@ func BenchmarkSolveLP(b *testing.B) {
 	window := func(w int) func(b *testing.B) (*sched.Context, func() *sched.Context) {
 		return func(b *testing.B) (*sched.Context, func() *sched.Context) { return benchContext(b, w) }
 	}
-	run("saturated/w=1024", true, func(b *testing.B) (*sched.Context, func() *sched.Context) {
+	run("saturated/w=1024", func(b *testing.B) (*sched.Context, func() *sched.Context) {
 		return saturatedContext(b, 1024)
 	})
-	for _, warm := range []bool{false, true} {
-		prefix := ""
-		if warm {
-			prefix = "warm/"
-		}
-		for _, w := range slices.Concat(benchWindows, giantWindows) {
-			run(fmt.Sprintf("%sw=%d", prefix, w), warm, window(w))
-		}
+	for _, w := range slices.Concat(benchWindows, giantWindows) {
+		run(fmt.Sprintf("w=%d", w), window(w))
 	}
 }
 

@@ -297,60 +297,6 @@ func TestWeightedLPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSolveRelaxationWarm pins the warm-start contract: resuming from a
-// converged iterate reproduces the solution in (far) fewer iterations,
-// and a dimensionally stale iterate is ignored, not truncated.
-func TestSolveRelaxationWarm(t *testing.T) {
-	f := form([]float64{3, 2, 1}, [][]float64{{1, 1, 0}, {0, 1, 1}}, []float64{1.5, 1.0})
-	cfg := lp.Config{MaxIters: 4000, Tol: 1e-6}
-
-	xCold, stCold, it := lp.SolveRelaxationWarm(f, cfg, nil)
-	if !stCold.Converged {
-		t.Fatalf("cold solve did not converge: %+v", stCold)
-	}
-	if len(it.X) != 3 || len(it.Y) != 2 {
-		t.Fatalf("iterate has shape (%d, %d), want (3, 2)", len(it.X), len(it.Y))
-	}
-
-	xWarm, stWarm, _ := lp.SolveRelaxationWarm(f, cfg, &it)
-	if !stWarm.Converged {
-		t.Fatalf("warm solve did not converge: %+v", stWarm)
-	}
-	if stWarm.Iters > stCold.Iters {
-		t.Errorf("warm start took %d iters, cold took %d", stWarm.Iters, stCold.Iters)
-	}
-	for i := range xCold {
-		if d := xWarm[i] - xCold[i]; d > 1e-3 || d < -1e-3 {
-			t.Errorf("x[%d]: warm %v vs cold %v", i, xWarm[i], xCold[i])
-		}
-	}
-
-	// The accepted seeds must not be flagged as rejections.
-	if stCold.WarmRejected {
-		t.Error("cold solve (nil warm iterate) reported WarmRejected")
-	}
-	if stWarm.WarmRejected {
-		t.Error("matching warm iterate reported WarmRejected")
-	}
-
-	// Stale shape: must match the cold solve exactly (ignored, not used) —
-	// and, the regression this test pins, the rejection must be surfaced
-	// in Stats instead of silently cold-starting.
-	stale := &lp.Iterate{X: []float64{9, 9}, Y: []float64{9}}
-	xStale, stStale, _ := lp.SolveRelaxationWarm(f, cfg, stale)
-	if !stStale.WarmRejected {
-		t.Error("dimension-mismatched warm iterate was not reported via Stats.WarmRejected")
-	}
-	if stStale.Iters != stCold.Iters {
-		t.Errorf("stale warm iterate changed the solve: %d iters vs cold %d", stStale.Iters, stCold.Iters)
-	}
-	for i := range xCold {
-		if xStale[i] != xCold[i] {
-			t.Errorf("x[%d]: stale-warm %v != cold %v", i, xStale[i], xCold[i])
-		}
-	}
-}
-
 // TestExactMatchesExhaustive pins the exact backend's optimality contract
 // against full 2^w enumeration on windows where both are cheap, and its
 // size guard above MaxDim.
@@ -386,62 +332,5 @@ func TestExactMatchesExhaustive(t *testing.T) {
 	caps := bnb.Capabilities()
 	if caps.ParetoFront || !caps.NeedsLinear {
 		t.Errorf("exact capabilities = %+v, want NeedsLinear without ParetoFront", caps)
-	}
-}
-
-// TestSolveWarmMemory pins the warm-start wiring through solver.Memory:
-// a Memory-carrying solve stores the backend's iterate for the next
-// window, re-solving with that memory stays feasible and deterministic,
-// and a nil Memory keeps the stateless path bit-for-bit.
-func TestSolveWarmMemory(t *testing.T) {
-	lps := lp.New(lp.DefaultConfig())
-	p := windowProblem(t, 48, 9)
-
-	cold, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem := solver.NewMemory()
-	first, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first Memory-carrying solve has nothing to warm from, so it must
-	// match the stateless solve exactly.
-	if !first[0].Genome.Equal(cold[0].Genome) || first[0].Objectives[0] != cold[0].Objectives[0] {
-		t.Fatal("first solve with empty memory diverged from the stateless solve")
-	}
-	if _, ok := mem.Load(lps); !ok {
-		t.Fatal("solve did not store its iterate in the run's solver memory")
-	}
-
-	// Re-solving the same window warm-started must still return a feasible
-	// selection at least as good (the warm iterate is the converged saddle
-	// point, so rounding sees an equal-or-better fractional solution).
-	warm, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, feasible := p.Evaluate(warm[0].Genome); !feasible {
-		t.Fatal("warm-started solve returned an infeasible selection")
-	}
-	if warm[0].Objectives[0] < cold[0].Objectives[0]-1e-9 {
-		t.Errorf("warm-started objective %v below stateless %v", warm[0].Objectives[0], cold[0].Objectives[0])
-	}
-
-	// Determinism with memory: replaying the same sequence from a fresh
-	// memory reproduces the same selections.
-	mem2 := solver.NewMemory()
-	r1, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: mem2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := lps.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(42), Memory: mem2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1[0].Genome.Equal(first[0].Genome) || !r2[0].Genome.Equal(warm[0].Genome) {
-		t.Fatal("memory-carrying solve sequence is not reproducible")
 	}
 }

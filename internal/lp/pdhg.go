@@ -1,9 +1,7 @@
 package lp
 
 import (
-	"log"
 	"math"
-	"sync"
 
 	"bbsched/internal/solver"
 )
@@ -31,12 +29,6 @@ type Stats struct {
 	// Converged reports that Gap and Infeas reached Config.Tol before the
 	// iteration budget ran out.
 	Converged bool
-	// WarmRejected reports that a warm-start iterate was supplied but
-	// discarded because its dimensions did not match the instance — the
-	// solve cold-started from the origin. Callers carrying iterates across
-	// windows should watch this: a shape that never matches means every
-	// "warm" solve silently pays the cold-start price.
-	WarmRejected bool
 }
 
 // relaxation is the pooled workspace of one PDHG solve. All slices are
@@ -140,8 +132,21 @@ func (w *relaxation) grow(n, nl, m int) {
 // coefficient. Rows with zero capacity only pin variables.
 func (w *relaxation) load(form solver.LinearForm) {
 	n := len(form.C)
-	live, off := w.index(n)
-	chunks := len(off) - 1
+	m := 0
+	for _, capacity := range form.Caps {
+		if capacity > 0 {
+			m++
+		}
+	}
+	w.n = n
+	chunks := w.chunks()
+	if cap(w.live) < n {
+		w.live = make([]int, 0, chunks*lpChunkSize)
+	}
+	if cap(w.off) < chunks+1 {
+		w.off = make([]int, chunks+1)
+	}
+	live, off := w.live[:0], w.off[:chunks+1]
 	for i := 0; i < n; i++ {
 		if i%lpChunkSize == 0 {
 			off[i/lpChunkSize] = len(live)
@@ -163,7 +168,7 @@ func (w *relaxation) load(form solver.LinearForm) {
 	}
 	off[chunks] = len(live)
 	w.live, w.off = live, off
-	w.grow(n, len(live), keptRows(form.Caps))
+	w.grow(n, len(live), m)
 
 	r := 0
 	for ri, row := range form.Rows {
@@ -192,44 +197,6 @@ func (w *relaxation) load(form solver.LinearForm) {
 	} else {
 		w.cmax = 1 // flat objective; keep scale factor harmless
 	}
-}
-
-// pin loads what load leaves for an n-job form with capacities caps in
-// which every column is pinned: no live column, a kept row per positive
-// capacity, and a flat objective.
-func (w *relaxation) pin(n int, caps []float64) {
-	live, off := w.index(n)
-	clear(off)
-	w.live, w.off = live, off
-	w.grow(n, 0, keptRows(caps))
-	w.cmax = 1
-}
-
-// index sets the window length to n and returns the live-column list,
-// empty, and the chunk offsets, one per chunk plus one, with their storage
-// grown to the window.
-func (w *relaxation) index(n int) (live, off []int) {
-	w.n = n
-	chunks := w.chunks()
-	if cap(w.live) < n {
-		w.live = make([]int, 0, chunks*lpChunkSize)
-	}
-	if cap(w.off) < chunks+1 {
-		w.off = make([]int, chunks+1)
-	}
-	return w.live[:0], w.off[:chunks+1]
-}
-
-// keptRows is the number of constraint rows the kernels iterate over: the
-// ones with positive capacity.
-func keptRows(caps []float64) int {
-	m := 0
-	for _, capacity := range caps {
-		if capacity > 0 {
-			m++
-		}
-	}
-	return m
 }
 
 // operatorNorm estimates ‖A‖₂ of the normalized constraint matrix by
@@ -389,49 +356,22 @@ func (w *relaxation) residualsChunk(c, lo, hi int) {
 	w.pparts[c], w.dparts[c] = p, d
 }
 
-// solveFrom runs restarted Halpern PDHG on the loaded instance from the
-// given iterate, or from the origin when warm is nil, and leaves the
-// window-length primal solution in w.sol. A warm iterate whose dimensions
-// do not match the instance is ignored rather than truncated — a stale
-// checkpoint must never silently bias the solve.
+// solve runs restarted Halpern PDHG on the loaded instance from the
+// origin and leaves the window-length primal solution in w.sol.
 //
 // Following Lu & Yang's rHPDHG, each iteration takes one PDHG step and
 // averages it toward the anchor z⁰ with Halpern weight (k+1)/(k+2); the
 // anchor is reset to the current iterate every RestartPeriod iterations
 // (fixed-frequency restarts). Stopping is on relative duality gap plus
 // primal feasibility. With no live column the dual iterate still takes
-// its steps — at O(m) each — so the iterate handed to the next window is
-// the one a dense solve would have produced.
-func (w *relaxation) solveFrom(cfg Config, warm *warmStart) Stats {
+// its steps — at O(m) each — exactly as a dense solve takes them.
+func (w *relaxation) solve(cfg Config) Stats {
 	st := Stats{Active: len(w.live)}
 	for k := range w.x {
 		w.x[k] = 0
 	}
 	for r := range w.y {
 		w.y[r] = 0
-	}
-	if warm != nil {
-		if warm.n != w.n || len(warm.y) != w.m {
-			st.WarmRejected = true
-		} else {
-			if warm.x != nil {
-				for k, i := range w.live {
-					v := warm.x[i]
-					if v < 0 {
-						v = 0
-					} else if v > 1 {
-						v = 1
-					}
-					w.x[k] = v
-				}
-			}
-			for r, v := range warm.y {
-				if v < 0 {
-					v = 0
-				}
-				w.y[r] = v
-			}
-		}
 	}
 
 	if w.m == 0 {
@@ -521,72 +461,6 @@ func SolveRelaxation(form solver.LinearForm, cfg Config) ([]float64, Stats) {
 	cfg = cfg.withDefaults()
 	w := &relaxation{}
 	w.load(form)
-	st := w.solveFrom(cfg, nil)
+	st := w.solve(cfg)
 	return append([]float64(nil), w.sol...), st
-}
-
-// Iterate is a serializable primal/dual iterate of the LP relaxation —
-// the hand-off state for warm-started solves. A distributed sweep worker
-// uploads it alongside a simulator checkpoint so a retry (or a window
-// re-solve over a near-identical instance) resumes the PDHG iteration
-// instead of restarting from the origin. Plain JSON-able floats: no
-// solver internals leak into the wire format.
-type Iterate struct {
-	// X is the primal iterate, one entry per decision variable in [0, u].
-	X []float64 `json:"x"`
-	// Y is the dual iterate, one entry per coupling row, non-negative.
-	Y []float64 `json:"y"`
-}
-
-// warmStart is an Iterate as the solver carries it from one window to the
-// next: x is nil when all n primal entries are 0, so the iterate of a
-// window with no live column costs its dual entries only.
-type warmStart struct {
-	n int       // primal length (window jobs)
-	x []float64 // nil, or n entries
-	y []float64
-}
-
-// asWarmStart views a caller's iterate as a warm start; nil stays nil.
-func (it *Iterate) asWarmStart() *warmStart {
-	if it == nil {
-		return nil
-	}
-	return &warmStart{n: len(it.X), x: it.X, y: it.Y}
-}
-
-// warmRejectOnce rate-limits the warm-start rejection warning to one line
-// per process: a rejected seed is legitimate after a window-size change,
-// but a caller whose shape never matches cold-starts every solve, and that
-// deserves one loud hint rather than per-solve noise (Stats.WarmRejected
-// carries the per-solve signal).
-var warmRejectOnce sync.Once
-
-func logWarmRejected(warm *warmStart, nx, ny int) {
-	warmRejectOnce.Do(func() {
-		log.Printf("lp: warm-start iterate rejected: seed is %dx%d, instance is %dx%d; cold-starting (further rejections reported only via Stats.WarmRejected)",
-			warm.n, len(warm.y), nx, ny)
-	})
-}
-
-// SolveRelaxationWarm is SolveRelaxation with an optional warm-start
-// iterate. It returns the fractional solution, solve statistics, and the
-// final iterate for the caller to carry forward. A nil or dimensionally
-// mismatched warm iterate falls back to the cold start, so callers can
-// pass whatever their last checkpoint held without pre-validating it; a
-// rejected seed is surfaced via Stats.WarmRejected and logged once per
-// process.
-func SolveRelaxationWarm(form solver.LinearForm, cfg Config, warm *Iterate) ([]float64, Stats, Iterate) {
-	cfg = cfg.withDefaults()
-	w := &relaxation{}
-	w.load(form)
-	ws := warm.asWarmStart()
-	st := w.solveFrom(cfg, ws)
-	if st.WarmRejected {
-		logWarmRejected(ws, w.n, w.m)
-	}
-	return append([]float64(nil), w.sol...), st, Iterate{
-		X: append([]float64(nil), w.sol...),
-		Y: append([]float64(nil), w.y...),
-	}
 }

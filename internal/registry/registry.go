@@ -416,7 +416,7 @@ func init() {
 	})
 	MustRegisterSolver(SolverSpec{
 		Name: "lp",
-		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; presolved to the jobs that fit the free machine, warm-started from the previous window's iterate)",
+		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; presolved to the jobs that fit the free machine)",
 		New:  func(moo.GAConfig) solver.Solver { return lp.New(lp.DefaultConfig()) },
 	})
 	MustRegisterSolver(SolverSpec{

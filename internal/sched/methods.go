@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,11 +31,6 @@ type Context struct {
 	Totals Totals
 	// Rand is a per-invocation deterministic stream for stochastic solvers.
 	Rand *rng.Stream
-	// Memory is the run's cross-invocation solver memory, handed through
-	// to backends that warm-start from earlier passes (see solver.Memory).
-	// Nil means stateless solves — the historical behaviour. Callers that
-	// reuse a Context across runs must give each run a fresh Memory.
-	Memory *solver.Memory
 
 	// pooled scratch for the in-package heuristic methods (lazily grown;
 	// meaningful reuse requires the caller to reuse the Context itself)
@@ -161,14 +157,12 @@ type SolverSlot struct {
 
 // binding is the storage one solve is built in, kept from one scheduling
 // decision to the next: the memoizing evaluator (its cache capacity and
-// the GA generation buffers parked on it), the selection problem and the
-// scalarization around it, each with its linear-form buffers, and the
-// capacities a pinned window is stated in.
+// the GA generation buffers parked on it), and the selection problem and
+// the scalarization around it, each with its linear-form buffers.
 type binding struct {
 	ev   *moo.Evaluator
 	prob SelectionProblem
 	scal scalarized
-	caps []float64
 }
 
 // Set installs the backend override; nil restores the GA default.
@@ -198,53 +192,33 @@ func (b *SolverSlot) Resolve(cfg moo.GAConfig) solver.Solver {
 // memoizing evaluator, to the resolved backend. It returns the backend's
 // front; a nil front means the empty selection.
 //
-// A window that has one answer is not solved. When no window job fits
-// ctx.Snap even alone the empty selection is the only feasible one, so a
-// backend that keeps no cross-pass memory (solver.Capabilities) is not
-// called, and no problem, evaluator or linear form is built: the pass
-// costs one early-exit CanFit walk. On the paper's own path that is most
-// passes — the machine is full and the window waits for a job to end. A
-// backend that does keep memory is told about every window, because what
-// it stores on a dead one shapes its later answers; when a row pins every
-// job of the window (windowPinned) it is told through SolvePinned, with
-// the row capacities and no problem, and the pass costs one walk over the
-// window plus the backend's memory update.
+// A window that has one answer is not solved. When the window is dead
+// (windowDead) the empty selection is the only feasible one, so the
+// backend is not called and no problem, evaluator or linear form is built:
+// the pass costs one early-exit walk over the window. On the paper's own
+// path that is most passes — the machine is full and the window waits for
+// a job to end. No backend keeps state between solves (solver.Solver), so
+// this rule holds for every one.
 //
 // What is built is built in place: problem, scalarization, evaluator and
 // linear form live in one kept binding and are rebound to the window,
 // so a steady-state solve allocates nothing that grows with it. A custom
-// Method that wants neither the shortcuts nor the kept storage calls its
+// Method that wants neither the shortcut nor the kept storage calls its
 // solver directly.
 func (b *SolverSlot) SolveWindow(ctx *Context, cfg moo.GAConfig, objectives []Objective, weights []float64) ([]moo.Solution, error) {
-	if len(ctx.Window) == 0 {
+	if len(ctx.Window) == 0 || windowDead(ctx) {
 		return nil, nil
 	}
 	backend := b.Resolve(cfg)
-	opts := solver.Options{Rand: ctx.Rand, Memory: ctx.Memory}
-	var pinned, ssd bool
-	if !backend.Capabilities().KeepsMemory {
-		if windowDead(ctx) {
-			return nil, nil
-		}
-	} else if hasLinearForm(objectives, weights) {
-		pinned, ssd = windowPinned(ctx)
-	}
 	bd := b.takeBinding()
-	var front []moo.Solution
-	var err error
-	if pinned {
-		bd.caps = appendCaps(bd.caps[:0], &ctx.Snap, ssd)
-		backend.SolvePinned(len(ctx.Window), bd.caps, opts)
-	} else {
-		bd.prob.Reset(ctx.Window, ctx.Snap, objectives)
-		var p moo.Problem = &bd.prob
-		if weights != nil {
-			bd.scal.reset(&bd.prob, weights, ctx.Totals)
-			p = &bd.scal
-		}
-		bd.ev = moo.ReuseEvaluator(bd.ev, p)
-		front, err = backend.Solve(bd.ev, opts)
+	bd.prob.Reset(ctx.Window, ctx.Snap, objectives)
+	var p moo.Problem = &bd.prob
+	if weights != nil {
+		bd.scal.reset(&bd.prob, weights, ctx.Totals)
+		p = &bd.scal
 	}
+	bd.ev = moo.ReuseEvaluator(bd.ev, p)
+	front, err := backend.Solve(bd.ev, solver.Options{Rand: ctx.Rand})
 	b.mu.Lock()
 	b.idle = append(b.idle, bd)
 	b.mu.Unlock()
@@ -269,10 +243,30 @@ func (b *SolverSlot) takeBinding() *binding {
 // under SelectionProblem.Evaluate, and hence (demands are non-negative)
 // when the empty selection is the only feasible one. Snapshot.CanFit
 // mirrors AllocInto, which is what Evaluate's slow path runs and what its
-// column-sum fast path reduces to on validated (≥ 1 node) demands.
+// column-sum fast path reduces to on validated (≥ 1 node) demands. A job
+// that needs more nodes, burst buffer or of an extra dimension than is
+// free in total cannot fit, so those compares go first and CanFit runs
+// only on the jobs they pass.
+//
+// A snapshot with a negative free amount is never called dead: there even
+// the empty selection may be infeasible, and the backend's own answer to
+// that — an error, for every built-in one — is kept.
 func windowDead(ctx *Context) bool {
+	snap := &ctx.Snap
+	freeNodes, freeBB := int64(snap.FreeNodes()), snap.FreeBB
+	if freeNodes < 0 || freeBB < 0 || slices.ContainsFunc(snap.FreeExtra, func(v int64) bool { return v < 0 }) {
+		return false
+	}
 	for _, j := range ctx.Window {
-		if ctx.Snap.CanFit(j.Demand) {
+		d := j.Demand
+		if int64(d.NodeCount()) > freeNodes || d.BB() > freeBB {
+			continue
+		}
+		k := 0
+		for k < len(snap.FreeExtra) && d.Extra(k) <= snap.FreeExtra[k] {
+			k++
+		}
+		if k == len(snap.FreeExtra) && snap.CanFit(d) {
 			return false
 		}
 	}

@@ -21,8 +21,8 @@ const MaxWindow = 24
 // free machine even alone — because most machines are drawn nearly full
 // in one resource; some jobs cannot fit any machine state (a per-node SSD
 // demand no class holds, a demand in a dimension the machine lacks). The
-// returned Context carries Window, Snap and Totals; Rand and Memory are
-// the caller's to set.
+// returned Context carries Window, Snap and Totals; Rand is the caller's
+// to set.
 func Window(seed uint64) (cluster.Config, *sched.Context) {
 	s := rng.New(seed)
 	cfg := cluster.Config{Name: "schedtest", Nodes: 64, BurstBufferGB: 2000}

@@ -179,7 +179,6 @@ func (f fakeSolver) Capabilities() solver.Capabilities { return solver.Capabilit
 func (f fakeSolver) Solve(p moo.Problem, opts solver.Options) ([]moo.Solution, error) {
 	return nil, nil
 }
-func (f fakeSolver) SolvePinned(int, []float64, solver.Options) {}
 
 // TestSolverNameOf covers the reporting helper across method kinds and
 // the SetSolver override.

@@ -29,9 +29,6 @@ func (*Greedy) Name() string { return "greedy" }
 // and demand columns, and the fill produces one selection, not a front.
 func (*Greedy) Capabilities() Capabilities { return Capabilities{NeedsLinear: true} }
 
-// SolvePinned implements Solver: greedy keeps no memory.
-func (*Greedy) SolvePinned(int, []float64, Options) {}
-
 // Solve implements Solver. It is deterministic and draws nothing from
 // opts.Rand.
 func (g *Greedy) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) {

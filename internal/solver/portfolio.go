@@ -34,15 +34,11 @@ func (*Portfolio) Name() string { return "portfolio" }
 
 // Capabilities implements Solver: the race keeps one best solution, not a
 // merged front, so it is scalar-only; it needs the linear form only when
-// every member does (a ga member handles any problem the others reject),
-// and it keeps cross-pass memory as soon as one member does (every member
-// is handed opts.Memory).
+// every member does (a ga member handles any problem the others reject).
 func (pf *Portfolio) Capabilities() Capabilities {
 	caps := Capabilities{NeedsLinear: len(pf.Members) > 0}
 	for _, m := range pf.Members {
-		mc := m.Capabilities()
-		caps.NeedsLinear = caps.NeedsLinear && mc.NeedsLinear
-		caps.KeepsMemory = caps.KeepsMemory || mc.KeepsMemory
+		caps.NeedsLinear = caps.NeedsLinear && m.Capabilities().NeedsLinear
 	}
 	return caps
 }
@@ -70,10 +66,7 @@ func (pf *Portfolio) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) 
 	results := make(chan outcome, len(pf.Members))
 	for i, m := range pf.Members {
 		go func(i int, m Solver) {
-			front, err := m.Solve(moo.NewEvaluator(p), Options{
-				Rand:   opts.Rand.SplitIndex(uint64(i)),
-				Memory: opts.Memory,
-			})
+			front, err := m.Solve(moo.NewEvaluator(p), Options{Rand: opts.Rand.SplitIndex(uint64(i))})
 			results <- outcome{member: i, front: front, err: err}
 		}(i, m)
 	}
@@ -102,13 +95,4 @@ func (pf *Portfolio) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) 
 		return nil, fmt.Errorf("portfolio: every member failed: %w", errors.Join(errs...))
 	}
 	return []moo.Solution{best}, nil
-}
-
-// SolvePinned implements Solver by telling every member, in order: Solve
-// hands each member opts.Memory, so each advances its own memory. Members
-// draw nothing here, so they need no split of opts.Rand and no goroutine.
-func (pf *Portfolio) SolvePinned(n int, caps []float64, opts Options) {
-	for _, m := range pf.Members {
-		m.SolvePinned(n, caps, opts)
-	}
 }

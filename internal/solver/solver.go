@@ -11,12 +11,12 @@
 // — typically already wrapped in a memoizing *moo.Evaluator — and returns
 // a set of non-dominated solutions. Backends that need more structure
 // than black-box evaluation declare it via Capabilities and discover it
-// via optional problem interfaces (Linearizable).
+// via optional problem interfaces (Linearizable). A backend keeps no state
+// from one solve to the next, so every window's answer depends on that
+// window alone.
 package solver
 
 import (
-	"sync"
-
 	"bbsched/internal/moo"
 	"bbsched/internal/rng"
 )
@@ -27,60 +27,12 @@ type Options struct {
 	// all randomness from it (and only it), so a fixed simulation seed
 	// reproduces every selection exactly.
 	Rand *rng.Stream
-	// Memory, when non-nil, is the run's cross-invocation solver memory:
-	// backends that can exploit state from earlier scheduling passes (the
-	// LP backend warm-starts PDHG from the previous window's iterate and
-	// adapts its tolerance to observed rounding quality) load and store it
-	// here, keyed by their own instance. A nil Memory means the solve is
-	// stateless — exactly the historical behaviour.
-	Memory *Memory
-}
-
-// Memory is per-run cross-invocation solver state. One Memory belongs to
-// one simulation run (core.Plugin owns one per engine), while backend
-// instances are shared across concurrent sweep runs — so backends key
-// their entries by instance and every run keeps its own map, which keeps
-// parallel sweeps deterministic run-for-run. The map is mutex-guarded:
-// a portfolio races backends concurrently within one invocation.
-type Memory struct {
-	mu sync.Mutex
-	m  map[any]any
-}
-
-// NewMemory returns an empty solver memory.
-func NewMemory() *Memory { return &Memory{} }
-
-// Load returns the state stored under key, if any.
-func (mem *Memory) Load(key any) (any, bool) {
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	v, ok := mem.m[key]
-	return v, ok
-}
-
-// Store saves state under key, replacing any previous entry.
-func (mem *Memory) Store(key, value any) {
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	if mem.m == nil {
-		mem.m = make(map[any]any)
-	}
-	mem.m[key] = value
-}
-
-// Len returns the number of entries stored: 0 after a run on backends that
-// keep no memory, which is what Capabilities.KeepsMemory is checked against.
-func (mem *Memory) Len() int {
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	return len(mem.m)
 }
 
 // Capabilities is what a backend declares about itself — facts of its
 // implementation, never settings: what it can solve, so methods can reject
 // an incompatible solver at configuration time instead of failing deep in
-// a scheduling pass, and whether a scheduling pass may answer for it when
-// a window has only one answer (KeepsMemory).
+// a scheduling pass.
 type Capabilities struct {
 	// ParetoFront reports that Solve returns a full Pareto set over
 	// multi-objective problems. Backends without it handle only
@@ -90,26 +42,16 @@ type Capabilities struct {
 	// NeedsLinear reports that the backend requires the problem to expose
 	// an LP structure via Linearizable and fails on problems that do not.
 	NeedsLinear bool
-	// KeepsMemory reports that Solve loads and stores state in
-	// Options.Memory, so what it returns for one window depends on every
-	// window it was shown before. sched answers a window in which no job
-	// fits the free machine — one whose only feasible selection is the
-	// empty one — without calling a backend that keeps no memory; a
-	// backend that does keep one is told about such windows, because the
-	// state it would have stored is part of its later answers (lp takes
-	// its dual steps on a dead window and warm-starts the next live one
-	// from them). When a row pins every job of the window, the backend is
-	// told through SolvePinned and no problem is built; other dead windows
-	// reach Solve. A backend that touches Options.Memory must declare it.
-	KeepsMemory bool
 }
 
-// Solver solves one window-selection problem instance. Implementations
-// must be safe for concurrent Solve and SolvePinned calls (methods are
-// shared across parallel sweep runs) and must route every candidate
-// evaluation through p — which is typically a memoizing *moo.Evaluator —
-// so repeated genomes, including ones revisited by rounding or repair
-// phases, reuse cached objective evaluations.
+// Solver solves one window-selection problem instance. A solve is a pure
+// function of its problem and its stream: a backend keeps nothing from one
+// call to the next, so a run restored from a checkpoint chooses what the
+// uninterrupted run chooses. Implementations must be safe for concurrent
+// Solve calls (methods are shared across parallel sweep runs) and must
+// route every candidate evaluation through p — which is typically a
+// memoizing *moo.Evaluator — so repeated genomes, including ones revisited
+// by rounding or repair phases, reuse cached objective evaluations.
 type Solver interface {
 	// Name is the backend's short registry name (e.g. "ga", "lp").
 	Name() string
@@ -119,15 +61,6 @@ type Solver interface {
 	// for multi-objective backends, a best-found singleton for scalar
 	// ones. The returned solutions must not alias solver scratch.
 	Solve(p moo.Problem, opts Options) ([]moo.Solution, error)
-	// SolvePinned is Solve on a window whose answer is known: each of its
-	// n jobs is pinned to 0 by a row of the linear form — its demand
-	// exceeds max(cap, 0), lp's presolve rule — and the empty selection is
-	// feasible, so the only feasible selection is the empty one. caps is
-	// what LinearForm.Caps would list for the window. The backend advances
-	// any cross-pass memory exactly as Solve would on that window, draws
-	// nothing from opts.Rand and returns nothing; a backend that keeps no
-	// memory does nothing.
-	SolvePinned(n int, caps []float64, opts Options)
 }
 
 // LinearForm is the LP structure of a 0/1 selection problem:
@@ -192,6 +125,3 @@ func (g *GA) Capabilities() Capabilities { return Capabilities{ParetoFront: true
 func (g *GA) Solve(p moo.Problem, opts Options) ([]moo.Solution, error) {
 	return moo.SolveGA(p, g.Config, opts.Rand)
 }
-
-// SolvePinned implements Solver: the GA keeps no memory.
-func (*GA) SolvePinned(int, []float64, Options) {}

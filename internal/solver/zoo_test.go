@@ -1,7 +1,6 @@
 package solver_test
 
 import (
-	"fmt"
 	"testing"
 
 	"bbsched/internal/cluster"
@@ -159,71 +158,5 @@ func TestPortfolioCapabilities(t *testing.T) {
 	linOnly := solver.NewPortfolio(lp.New(lp.DefaultConfig()), solver.NewGreedy())
 	if !linOnly.Capabilities().NeedsLinear {
 		t.Error("all-linear portfolio does not claim NeedsLinear")
-	}
-	// Every member is handed the run's memory, so the race keeps memory as
-	// soon as one member does — and only then.
-	if !caps.KeepsMemory {
-		t.Error("portfolio with an lp member does not claim KeepsMemory")
-	}
-	if solver.NewPortfolio(solver.NewGA(moo.DefaultGAConfig()), solver.NewGreedy()).Capabilities().KeepsMemory {
-		t.Error("portfolio of memoryless members claims KeepsMemory")
-	}
-}
-
-// TestPortfolioMemoryMatchesMember: a portfolio hands its members the
-// run's memory on every window, solved or told through SolvePinned, so a
-// Portfolio{lp} and a bare lp on the portfolio's split of each window's
-// stream, fed the same windows, leave bit-equal memos after every one.
-func TestPortfolioMemoryMatchesMember(t *testing.T) {
-	l := lp.New(lp.DefaultConfig())
-	pf := solver.NewPortfolio(l)
-	viaPortfolio, bare := solver.NewMemory(), solver.NewMemory()
-	memo := func(mem *solver.Memory) string {
-		v, ok := mem.Load(l)
-		if !ok {
-			t.Fatal("lp left no memo")
-		}
-		return fmt.Sprint(v)
-	}
-	const w = 24
-	pinnedCaps := []float64{0.5, 4000} // a half-node row pins every job; two kept rows, as in the live windows
-	var prev string
-	for k, live := range []bool{true, false, false, true, false, true, true} {
-		seed := uint64(40 + k)
-		if live {
-			p := windowProblem(t, w, seed)
-			if _, err := pf.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(seed), Memory: viaPortfolio}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := l.Solve(moo.NewEvaluator(p), solver.Options{Rand: rng.New(seed).SplitIndex(0), Memory: bare}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			pf.SolvePinned(w, pinnedCaps, solver.Options{Rand: rng.New(seed), Memory: viaPortfolio})
-			l.SolvePinned(w, pinnedCaps, solver.Options{Rand: rng.New(seed).SplitIndex(0), Memory: bare})
-		}
-		got, want := memo(viaPortfolio), memo(bare)
-		if got != want {
-			t.Fatalf("window %d (live %v): portfolio left lp's memo %s, bare lp %s", k, live, got, want)
-		}
-		if got == prev {
-			t.Fatalf("window %d (live %v): the memo did not move: not the case under test", k, live)
-		}
-		prev = got
-	}
-}
-
-// TestMemoryLoadStore pins the Memory map's basic contract.
-func TestMemoryLoadStore(t *testing.T) {
-	mem := solver.NewMemory()
-	key := &struct{}{}
-	if _, ok := mem.Load(key); ok {
-		t.Fatal("empty memory reported a hit")
-	}
-	mem.Store(key, 41)
-	mem.Store(key, 42)
-	v, ok := mem.Load(key)
-	if !ok || v.(int) != 42 || mem.Len() != 1 {
-		t.Fatalf("Load = (%v, %v) of %d entries, want (42, true) of 1", v, ok, mem.Len())
 	}
 }
