@@ -121,8 +121,10 @@ farm-smoke:
 	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$' ./internal/checkpoint
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
-# the network), the dead-window shortcut (skipped answer == solved
-# answer, over generated windows, on every registered backend), the GA's
+# the network), the dead-window shortcuts (skipped answer == solved
+# answer, over generated windows, on every registered backend; and the
+# Plugin's unasked answer == the answer with every registered method
+# asked, over the same windows aged past the starvation bound), the GA's
 # termination certificate (certified stop == full run, same windows) and
 # the ranked planner
 # (prefiltered, best-first PlanRanked == reference Plan over Sorted, over
@@ -136,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindow$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 

@@ -166,7 +166,9 @@ func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []queue.
 	}
 	p.freeNodes, p.workNodes = p.free.FreeNodes(), p.work.FreeNodes()
 	for _, e := range ahead {
-		p.backfill(e)
+		if e.MayFit(p.freeNodes, p.free.FreeBB) {
+			p.backfill(e)
+		}
 	}
 	rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
 	for e, ok := rest.Next(); ok; e, ok = rest.Next() {
@@ -199,9 +201,11 @@ func (p *Planner) endsBeforeShadow(j *job.Job) bool {
 }
 
 // backfill starts e's job behind the reservation if it may, reporting
-// whether it did.
+// whether it did. Its callers have put e to MayFit against the free
+// totals as they stand: phase 2 inline, for each window job left behind,
+// and the Prune that kept it, for the rest.
 func (p *Planner) backfill(e queue.Entry) bool {
-	if !e.MayFit(p.freeNodes, p.free.FreeBB) || !p.mayBackfill(e) {
+	if !p.mayBackfill(e) {
 		return false
 	}
 	j := e.Job

@@ -38,6 +38,11 @@ func NewAdaptive(inner *BBSched) *Adaptive {
 // Name implements sched.Method.
 func (a *Adaptive) Name() string { return "BBSched_Adaptive" }
 
+// SeesEveryPass implements sched.EveryPass: the controller steps its factor
+// on every invocation, so Plugin calls it even on a pass no window job can
+// start from.
+func (a *Adaptive) SeesEveryPass() {}
+
 // Factor returns the current adapted trade-off factor (for observability).
 func (a *Adaptive) Factor() float64 {
 	if a.factor == 0 {

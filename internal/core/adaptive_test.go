@@ -176,9 +176,10 @@ func (brokenPolicy) Size(int) int { return 0 }
 
 // TestAdaptiveFactorMovesOnDeadWindow: the controller reads the snapshot
 // before it delegates, so its factor steps on a pass whose window holds
-// no job that fits — a pass BBSched answers without solving — exactly as
-// on a live one. A dead-window shortcut placed above the method instead of
-// below it would freeze the factor here.
+// no job that fits — a pass BBSched answers without solving, and Plugin
+// answers without calling any method that has not opted in to every pass
+// (sched.EveryPass) — exactly as on a live one. Adaptive opts in; without
+// that, its factor would freeze on the Plugin's dead passes below.
 func TestAdaptiveFactorMovesOnDeadWindow(t *testing.T) {
 	a := NewAdaptive(fastInner())
 	_, c := table1()
@@ -186,14 +187,33 @@ func TestAdaptiveFactorMovesOnDeadWindow(t *testing.T) {
 	if _, err := c.Allocate(job.MustNew(90, 0, 10, 10, job.NewDemand(90, 10, 0))); err != nil {
 		t.Fatal(err)
 	}
-	dead := []*job.Job{job.MustNew(91, 0, 10, 10, job.NewDemand(50, 1, 0))}
+	dead := job.MustNew(91, 0, 10, 10, job.NewDemand(50, 1, 0))
 	for pass, want := range []float64{2.5, 3.125} {
-		idx, err := a.Select(ctxFor(dead, c, uint64(pass)))
+		idx, err := a.Select(ctxFor([]*job.Job{dead}, c, uint64(pass)))
 		if err != nil || idx != nil {
-			t.Fatalf("pass %d: dead window answered %v, %v", pass, idx, err)
+			t.Fatalf("direct pass %d: dead window answered %v, %v", pass, idx, err)
 		}
 		if a.Factor() != want || a.Inner.TradeoffFactor != want {
-			t.Fatalf("pass %d: factor %v (inner %v), want %v", pass, a.Factor(), a.Inner.TradeoffFactor, want)
+			t.Fatalf("direct pass %d: factor %v (inner %v), want %v", pass, a.Factor(), a.Inner.TradeoffFactor, want)
 		}
+	}
+
+	p, err := NewPlugin(DefaultPluginConfig(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queue.New(queue.FCFS{})
+	q.Add(dead)
+	for pass, want := range []float64{3.90625, 4.8828125} {
+		started, err := p.Decide(pluginCtx(q, c, uint64(pass)))
+		if err != nil || len(started) != 0 {
+			t.Fatalf("plugin pass %d: dead window started %v, %v", pass, idsOf(started), err)
+		}
+		if a.Factor() != want || a.Inner.TradeoffFactor != want {
+			t.Fatalf("plugin pass %d: factor %v (inner %v), want %v", pass, a.Factor(), a.Inner.TradeoffFactor, want)
+		}
+	}
+	if dead.WindowAge != 2 {
+		t.Fatalf("dead window job aged %d times over two passes, want 2", dead.WindowAge)
 	}
 }

@@ -248,7 +248,8 @@ func (c PluginConfig) Validate() error {
 
 // Plugin performs window-based scheduling passes: it extracts the window
 // from the base-ordered queue, force-starts starved jobs, and delegates
-// the remaining selection to the wrapped method. The same Plugin wraps
+// the remaining selection to the wrapped method when some window job can
+// start (see Decide). The same Plugin wraps
 // BBSched and every §4.3 comparison method, so all methods see identical
 // window semantics (§4.3: "we use the same window size for all methods").
 //
@@ -259,6 +260,9 @@ func (c PluginConfig) Validate() error {
 type Plugin struct {
 	cfg    PluginConfig
 	method sched.Method
+	// everyPass: the method implements sched.EveryPass, so Decide calls it
+	// on dead windows too.
+	everyPass bool
 
 	// pooled per-pass scratch; left aliases the ranking's storage
 	rest     []*job.Job
@@ -279,7 +283,8 @@ func NewPlugin(cfg PluginConfig, method sched.Method) (*Plugin, error) {
 	if method == nil {
 		return nil, errors.New("core: nil method")
 	}
-	return &Plugin{cfg: cfg, method: method}, nil
+	_, everyPass := method.(sched.EveryPass)
+	return &Plugin{cfg: cfg, method: method, everyPass: everyPass}, nil
 }
 
 // Method returns the wrapped selection method.
@@ -322,11 +327,19 @@ func (p *Plugin) WindowSize(queueLen int) int {
 // order. It mutates only jobs' WindowAge (incremented for window jobs left
 // behind); resource allocation is the caller's job. The returned slice is
 // pooled scratch, valid only until the next Decide call.
+//
+// A dead window — one where, after starvation forcing, no job fits the
+// free machine on its own (sched.FitsAlone), on a snapshot that is not
+// over capacity (sched.OverCapacity) — has one answer, the empty
+// selection, and Decide gives it without calling the method: the jobs the
+// forcing loop kept are aged and left behind as they stand. Only a method
+// that implements sched.EveryPass is called on such a pass.
 func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	size := p.WindowSize(ctx.QueueLen)
 	// The window is the ranking's own storage (queue.Ranking.Front): the
-	// two loops below compact it in place, first to the jobs handed to the
-	// method, then to the jobs left behind, so no entry is copied.
+	// forcing loop compacts it in place to the jobs it keeps, and a live
+	// window is compacted again to the jobs left behind, so no entry is
+	// copied out.
 	window := ctx.Ranking.Front(size)
 	p.left = window[:0]
 	if len(window) == 0 {
@@ -345,22 +358,37 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	// most window jobs, so the entry's necessary condition (MayFit against
 	// the free totals, refreshed after each start) is asked first, before
 	// the job's age is loaded: a job that cannot fit costs no load of it.
+	// Whether any kept job passed it is what tells a dead window.
 	p.started = p.started[:0]
-	p.rest = p.rest[:0]
 	freeNodes := p.scratch.FreeNodes()
+	kept, mayFit := 0, false
 	for _, e := range window {
-		j := e.Job
-		if p.cfg.StarvationBound > 0 && e.MayFit(freeNodes, p.scratch.FreeBB) && j.WindowAge >= p.cfg.StarvationBound {
-			if _, err := p.scratch.AllocInto(j.Demand, buf); err == nil {
-				p.started = append(p.started, j)
-				freeNodes -= j.Demand.NodeCount()
+		may := e.MayFit(freeNodes, p.scratch.FreeBB)
+		if may && p.cfg.StarvationBound > 0 && e.Job.WindowAge >= p.cfg.StarvationBound {
+			if _, err := p.scratch.AllocInto(e.Job.Demand, buf); err == nil {
+				p.started = append(p.started, e.Job)
+				freeNodes -= e.Job.Demand.NodeCount()
 				continue
 			}
 		}
-		window[len(p.rest)] = e
-		p.rest = append(p.rest, j)
+		window[kept] = e
+		kept++
+		mayFit = mayFit || may
+	}
+	window = window[:kept]
+
+	if !p.everyPass && !p.live(window, mayFit, freeNodes) {
+		for _, e := range window {
+			e.Job.WindowAge++
+		}
+		p.left = window
+		return p.started, nil
 	}
 
+	p.rest = p.rest[:0]
+	for _, e := range window {
+		p.rest = append(p.rest, e.Job)
+	}
 	p.mctx.Now, p.mctx.Window, p.mctx.Snap = ctx.Now, p.rest, p.scratch
 	p.mctx.Totals, p.mctx.Rand = ctx.Totals, ctx.Rand
 	idx, err := p.method.Select(&p.mctx)
@@ -403,6 +431,23 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 		}
 	}
 	return p.started, nil
+}
+
+// live reports whether the method must be asked about window, the jobs
+// the forcing loop kept: some job fits the free scratch snapshot on its
+// own, or the snapshot is over capacity. mayFit reports whether any of
+// them passed MayFit during the loop; those that still pass against the
+// totals the loop left (freeNodes and the scratch's burst buffer) are the
+// only ones put to sched.FitsAlone.
+func (p *Plugin) live(window []queue.Entry, mayFit bool, freeNodes int) bool {
+	if mayFit {
+		for _, e := range window {
+			if e.MayFit(freeNodes, p.scratch.FreeBB) && sched.FitsAlone(&p.scratch, e.Job.Demand) {
+				return true
+			}
+		}
+	}
+	return sched.OverCapacity(&p.scratch)
 }
 
 // LeftBehind returns the window jobs the last Decide call did not start,

@@ -280,8 +280,10 @@ func TestPluginStarvedJobTooBigKeepsAging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Starved-but-unfittable big job falls through to the method, which
-		// (baseline) stops at it immediately: nothing starts, ages increase.
+		// The starved big job cannot be forced, so it stays in the window.
+		// The small job fits alone, so the window is live and the method is
+		// asked; Baseline stops at the big job at its head: nothing starts,
+		// and both jobs age.
 		if len(started) != 0 {
 			t.Fatalf("%s: started %v, want none", tc.name, idsOf(started))
 		}

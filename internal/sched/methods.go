@@ -59,11 +59,28 @@ func (c *Context) placementBuf() []int {
 // Method selects which window jobs to start now, returning indices into
 // ctx.Window. Implementations never allocate on the live cluster; the
 // caller does, in the returned order.
+//
+// core.Plugin calls Select only on a pass that can start a window job: one
+// where some job of the window fits the free snapshot on its own
+// (FitsAlone), or where the snapshot is over capacity (OverCapacity). On
+// every other pass the empty selection is the only one that fits, so the
+// Plugin answers it without the method. A method that must see those
+// passes too — one that keeps state stepped by every call, like
+// core.Adaptive — implements EveryPass. A method that is misconfigured
+// (bad weights, a vetoed backend) therefore reports its error on the
+// first pass that can start a job, not on the first pass.
 type Method interface {
 	// Name identifies the method in experiment output (§4.3 names).
 	Name() string
 	// Select returns the chosen window indices.
 	Select(ctx *Context) ([]int, error)
+}
+
+// EveryPass is implemented by a method that core.Plugin must call on every
+// scheduling pass, including those whose window no job can start from
+// (see Method). core.Plugin checks for it once, when it wraps the method.
+type EveryPass interface {
+	SeesEveryPass()
 }
 
 // Baseline is the naive method (§1, §4.3): allocate window jobs strictly
@@ -195,10 +212,12 @@ func (b *SolverSlot) Resolve(cfg moo.GAConfig) solver.Solver {
 // A window that has one answer is not solved. When the window is dead
 // (windowDead) the empty selection is the only feasible one, so the
 // backend is not called and no problem, evaluator or linear form is built:
-// the pass costs one early-exit walk over the window. On the paper's own
-// path that is most passes — the machine is full and the window waits for
-// a job to end. No backend keeps state between solves (solver.Solver), so
-// this rule holds for every one.
+// the pass costs one early-exit walk over the window. No backend keeps
+// state between solves (solver.Solver), so this rule holds for every one.
+// core.Plugin answers such windows before it calls the method (see
+// Method), so under a scheduling pass this check is only reached by
+// methods that see every pass; it stays for direct callers —
+// core.BBSched.ParetoFront, the experiments and tests.
 //
 // What is built is built in place: problem, scalarization, evaluator and
 // linear form live in one kept binding and are rebound to the window,
@@ -244,33 +263,46 @@ func (b *SolverSlot) takeBinding() *binding {
 // when the empty selection is the only feasible one. Snapshot.CanFit
 // mirrors AllocInto, which is what Evaluate's slow path runs and what its
 // column-sum fast path reduces to on validated (≥ 1 node) demands. A job
-// that needs more nodes, burst buffer or of an extra dimension than is
-// free in total cannot fit, so those compares go first and CanFit runs
-// only on the jobs they pass.
-//
-// A snapshot with a negative free amount is never called dead: there even
-// the empty selection may be infeasible, and the backend's own answer to
-// that — an error, for every built-in one — is kept.
+// that needs more nodes or burst buffer than is free in total cannot fit,
+// so those compares go first and FitsAlone runs only on the jobs they
+// pass. An over-capacity snapshot is never dead (OverCapacity).
 func windowDead(ctx *Context) bool {
 	snap := &ctx.Snap
-	freeNodes, freeBB := int64(snap.FreeNodes()), snap.FreeBB
-	if freeNodes < 0 || freeBB < 0 || slices.ContainsFunc(snap.FreeExtra, func(v int64) bool { return v < 0 }) {
+	if OverCapacity(snap) {
 		return false
 	}
+	freeNodes, freeBB := int64(snap.FreeNodes()), snap.FreeBB
 	for _, j := range ctx.Window {
 		d := j.Demand
-		if int64(d.NodeCount()) > freeNodes || d.BB() > freeBB {
-			continue
-		}
-		k := 0
-		for k < len(snap.FreeExtra) && d.Extra(k) <= snap.FreeExtra[k] {
-			k++
-		}
-		if k == len(snap.FreeExtra) && snap.CanFit(d) {
+		if int64(d.NodeCount()) <= freeNodes && d.BB() <= freeBB && FitsAlone(snap, d) {
 			return false
 		}
 	}
 	return true
+}
+
+// FitsAlone reports whether demand d fits snap's free resources on its
+// own (Snapshot.CanFit), for a caller that has already compared d's node
+// and burst-buffer demands with the free totals: the extra dimensions'
+// totals are compared first, and CanFit runs only on a demand they pass.
+// It is the one fit-alone test behind a dead window, in windowDead and
+// core.Plugin alike.
+func FitsAlone(snap *cluster.Snapshot, d job.Demand) bool {
+	for k, free := range snap.FreeExtra {
+		if d.Extra(k) > free {
+			return false
+		}
+	}
+	return snap.CanFit(d)
+}
+
+// OverCapacity reports whether snap holds a negative free amount — nodes
+// in total, burst buffer or an extra dimension. Such a snapshot is never
+// called dead: there even the empty selection may be infeasible, and the
+// method's or backend's own answer to that — an error, for every built-in
+// one — is kept.
+func OverCapacity(snap *cluster.Snapshot) bool {
+	return snap.FreeNodes() < 0 || snap.FreeBB < 0 || slices.ContainsFunc(snap.FreeExtra, func(v int64) bool { return v < 0 })
 }
 
 // vetoNonLinear rejects linear-only backends when any optimized
