@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests bench-run bench-json bench-check bench-check-file sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -20,7 +20,10 @@ test-full:
 race:
 	$(GO) test -race -short ./...
 
-# Full benchmark pass (one iteration each; for timing runs raise -benchtime).
+# One pass of every package micro-benchmark (one iteration each): they
+# build and run, and nothing gates their numbers. They are for local
+# profiling — raise -benchtime on one of them. The gated benchmark list
+# is BENCHMARK.json's workloads (bench-digests below, bench/run.sh).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -53,53 +56,6 @@ bench-module:
 # One second times nothing; the benchmark's own runs do the timing.
 bench-digests:
 	bash bench/run.sh --workload all --seconds 1 --trace 0
-
-# Performance trajectory: the sim benches (materialized 20k-job engine,
-# the deep-queue bench whose queue passes 1 000 waiting jobs, the 1M-job
-# streaming-ingestion bench with its peak-live-heap ceiling, checkpoint
-# encode/decode/restore) plus the window-solver benches
-# (MOGA BenchmarkSolveGA; LP BenchmarkSolveLP vs BenchmarkSolveGAWindow
-# on 64/128-job windows, one row per half-loaded giant window
-# w=1024…8192, plus its saturated w=1024 decision, a dead window answered
-# without a solve; the racing BenchmarkSolvePortfolio, capped at
-# 20 iterations since each solve waits out its slowest member);
-# write/refresh the committed BENCH_sim.json
-# baseline from their combined output. The stream-1M bench runs once
-# (-benchtime=1x): one iteration already replays a million jobs.
-# -require fails the parse if any bench silently dropped out (e.g. its
-# package failed to build: bench-run then stops early, and a pipeline's
-# exit status is its last command's).
-BENCH_REQUIRE = BenchmarkSimThroughput/materialized,BenchmarkSimThroughput/deep-queue,BenchmarkSimThroughput/stream-1M,BenchmarkSolveGA/,BenchmarkSolveLP/,BenchmarkSolveLP/saturated/w=1024,BenchmarkSolveLP/w=1024,BenchmarkSolveLP/w=2048,BenchmarkSolveLP/w=4096,BenchmarkSolveLP/w=8192,BenchmarkSolveGAWindow/,BenchmarkSolvePortfolio/,BenchmarkCheckpoint/,BenchmarkFarm/
-
-# The gated bench family, listed here and nowhere else: prints the
-# combined `go test -bench` output that bench-json, bench-check and the
-# nightly CI job consume.
-bench-run:
-	@$(GO) test -bench '^BenchmarkSimThroughput$$/^materialized-20k$$' -benchtime=3x -run '^$$' ./internal/sim
-	@$(GO) test -bench '^BenchmarkSimThroughput$$/^deep-queue$$' -benchtime=20x -run '^$$' ./internal/sim
-	@$(GO) test -bench '^BenchmarkSimThroughput$$/^stream-1M$$' -benchtime=1x -run '^$$' ./internal/sim
-	@$(GO) test -bench '^BenchmarkCheckpoint$$' -benchtime=10x -run '^$$' ./internal/sim
-	@$(GO) test -bench '^BenchmarkSolveGA$$' -benchtime=20x -run '^$$' ./internal/moo
-	@$(GO) test -bench '^BenchmarkSolve(LP|GAWindow)$$' -benchtime=5s -run '^$$' ./internal/lp
-	@$(GO) test -bench '^BenchmarkSolvePortfolio$$' -benchtime=20x -run '^$$' ./internal/lp
-	@$(GO) test -bench '^BenchmarkFarm$$' -benchtime=3x -run '^$$' ./internal/farm
-
-bench-json:
-	$(MAKE) -s bench-run | $(GO) run ./cmd/benchjson -out BENCH_sim.json -require '$(BENCH_REQUIRE)'
-
-# Regression gate: re-run the benches and fail if a rate metric
-# (jobs/sec, solves/sec) drops >20%, an allocation metric (allocs/event,
-# allocs/op) grows >20%, or the streaming engine's memory ceiling
-# (peak-B from stream-1M) grows >20% vs the committed baseline. The
-# nightly CI job tees bench-run's output into an artifact and gates that
-# same file through bench-check-file.
-BENCH_GATE = $(GO) run ./cmd/benchjson -check BENCH_sim.json -max-regress 0.20 -require '$(BENCH_REQUIRE)'
-
-bench-check:
-	$(MAKE) -s bench-run | $(BENCH_GATE)
-
-bench-check-file:
-	$(BENCH_GATE) < $(FILE)
 
 # Guard the parallel RunSweep driver against races and nondeterminism:
 # tiny method × seed grids (2 × 2) under -race, parallel vs serial.

@@ -124,11 +124,11 @@ func benchCache(b *testing.B, warm bool) {
 	}
 }
 
-// BenchmarkFarm records the farm's fleet-scale throughput levers in the
-// committed baseline: grid makespan with work-stealing off vs on under a
-// rigged 10×-slow straggler, and with a cold vs pre-warmed
-// content-addressed result cache. makespan-ms is a gated metric — losing
-// either lever shows up in bench-check as a multiple, not a percentage.
+// BenchmarkFarm times the farm's fleet-scale throughput levers: grid
+// makespan with work-stealing off vs on under a rigged 10×-slow
+// straggler, and with a cold vs pre-warmed content-addressed result
+// cache. Ungated, for local profiling — losing either lever shows up in
+// makespan-ms as a multiple, not a percentage.
 func BenchmarkFarm(b *testing.B) {
 	b.Run("steal-off", func(b *testing.B) { benchStraggler(b, false) })
 	b.Run("steal-on", func(b *testing.B) { benchStraggler(b, true) })

@@ -102,8 +102,8 @@ func contextOver(sys trace.SystemModel, jobs []*job.Job, freeDiv int) (*sched.Co
 
 // BenchmarkSolveLP times one full Weighted_LP-style scheduling decision —
 // problem build, PDHG relaxation, rounding, repair — per window size, plus
-// the saturated w=1024 decision (see saturatedContext). Recorded in
-// BENCH_sim.json and gated in CI on solves/sec and allocs/op.
+// the saturated w=1024 decision (see saturatedContext). Ungated, for
+// local profiling; CI runs it once per push as a smoke.
 func BenchmarkSolveLP(b *testing.B) {
 	run := func(name string, build func(b *testing.B) (*sched.Context, func() *sched.Context)) {
 		b.Run(name, func(b *testing.B) {

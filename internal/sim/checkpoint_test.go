@@ -411,31 +411,79 @@ func TestRestoreRejectsTruncatedSnapshot(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint measures snapshot encode and decode over a mid-run
-// state of the 20k-job Theta-S4 throughput trace (the snapshot holds the
-// jobs pulled so far and not yet finished — queued, running, or in the
-// look-ahead buffer — not the arrivals still in the source), and reports
-// the snapshot size. Tracked in BENCH_sim.json via `make bench-json`.
+// midRunSnapshot steps the jobs-job Theta-S4 throughput trace (with
+// stage-out) halfway and returns the workload, the paused simulator and
+// its snapshot.
+func midRunSnapshot(tb testing.TB, jobs int) (trace.Workload, *Simulator, []byte) {
+	tb.Helper()
+	w := throughputWorkload(jobs, true)
+	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < jobs/2; i++ {
+		if _, err := s.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return w, s, buf.Bytes()
+}
+
+// TestCheckpointAllocs holds the allocation counts of encoding, decoding
+// and restoring a mid-run snapshot of the 2 000-job throughput trace.
+// Allocation counts do not depend on the machine, so each ceiling is the
+// count measured when it was set (202, 450 and 4 737) plus 20%. The
+// snapshot holds 138 jobs, so one more allocation per snapshot record
+// crosses the encode and decode ceilings; restore rebuilds the whole
+// 2 000-job workload, so one more per workload job crosses its ceiling.
+func TestCheckpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	w, s, data := midRunSnapshot(t, 2000)
+	var buf bytes.Buffer
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		op      func() error
+	}{
+		{"encode", 242, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
+		{"decode", 540, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
+		{"restore", 5684, func() error {
+			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(data), WithSeed(1))
+			return err
+		}},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(5, func() { err = tc.op() })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		t.Logf("%s: %.0f allocs/op (ceiling %.0f)", tc.name, allocs, tc.ceiling)
+		if allocs > tc.ceiling {
+			t.Errorf("%s makes %.0f allocs/op, ceiling %.0f", tc.name, allocs, tc.ceiling)
+		}
+	}
+}
+
+// BenchmarkCheckpoint measures snapshot encode, decode and restore over a
+// mid-run state of the 20k-job Theta-S4 throughput trace (the snapshot
+// holds the jobs pulled so far and not yet finished — queued, running,
+// or in the look-ahead buffer — not the arrivals still in the source),
+// and reports the snapshot size. Ungated, for local profiling:
+// TestCheckpointAllocs holds the allocation ceilings, and bench/ reports
+// checkpoint.* as per-layer metrics of the farm-grid workload.
 func BenchmarkCheckpoint(b *testing.B) {
 	jobs := 20000
 	if testing.Short() {
 		jobs = 2000
 	}
-	w := throughputWorkload(jobs, true)
-	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < jobs/2; i++ {
-		if _, err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	w, s, data := midRunSnapshot(b, jobs)
 	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
 
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
