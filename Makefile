@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke examples-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -61,6 +61,15 @@ bench-digests:
 # tiny method × seed grids (2 × 2) under -race, parallel vs serial.
 sweep-smoke:
 	$(GO) test -race -run '^TestRunSweep|^TestFacadeEngineSweepRegistry$$' ./internal/sim .
+
+# Run each example program once. go build ./... only compiles them, so
+# an API change that breaks one at run time (the facade in bbsched.go is
+# what most of them call) fails here instead.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Distributed-farm smoke under -race: an in-process coordinator, three
 # HTTP workers, and two injected crashes (one pre-checkpoint, one

@@ -4,7 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"bbsched"
@@ -108,8 +116,8 @@ func TestFacadeEngineSweepRegistry(t *testing.T) {
 		t.Fatal("standalone run diverges from the equivalent sweep cell")
 	}
 
-	if len(bbsched.MethodNames()) < 9 {
-		t.Fatalf("registry lists %d methods", len(bbsched.MethodNames()))
+	if len(bbsched.Methods()) < 9 {
+		t.Fatalf("registry lists %d methods", len(bbsched.Methods()))
 	}
 }
 
@@ -138,57 +146,68 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeWindowSolve exercises the lower-level window API.
+// TestFacadeWindowSolve exercises the lower-level window API on the
+// paper's Table 1 window: the exact and the GA solve of its node
+// objective both find the only full-machine selection, J1 + J5.
 func TestFacadeWindowSolve(t *testing.T) {
 	machine, err := bbsched.NewCluster(bbsched.ClusterConfig{Name: "m", Nodes: 100, BurstBufferGB: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var window []*bbsched.Job
-	for i, d := range []bbsched.Demand{
-		bbsched.NewDemand(80, 20, 0),
-		bbsched.NewDemand(10, 85, 0),
-		bbsched.NewDemand(40, 5, 0),
-		bbsched.NewDemand(10, 0, 0),
-		bbsched.NewDemand(20, 0, 0),
-	} {
-		j, err := bbsched.NewJob(i+1, int64(i), 100, 100, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window = append(window, j)
+	window := []*bbsched.Job{
+		bbsched.MustNewJob(1, 0, 100, 100, bbsched.NewDemand(80, 20, 0)),
+		bbsched.MustNewJob(2, 1, 100, 100, bbsched.NewDemand(10, 85, 0)),
+		bbsched.MustNewJob(3, 2, 100, 100, bbsched.NewDemand(40, 5, 0)),
+		bbsched.MustNewJob(4, 3, 100, 100, bbsched.NewDemand(10, 0, 0)),
+		bbsched.MustNewJob(5, 4, 100, 100, bbsched.NewDemand(20, 0, 0)),
 	}
-	p := bbsched.NewSelectionProblem(window, machine.Snapshot(), bbsched.TwoObjectives())
-	front, err := bbsched.SolveExhaustive(p)
+	p := bbsched.NewSelectionProblem(window, machine.Snapshot(), []bbsched.Objective{bbsched.NodeUtil})
+	exact, err := bbsched.SolveExhaustive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick := bbsched.Decide(front, bbsched.TwoObjectives(), bbsched.TotalsOf(machine.Config()), 2)
-	objs := front[pick].Objectives
-	if objs[0] != 80 || objs[1] != 90 {
-		t.Fatalf("decision rule picked %v, want the paper's (80, 90)", objs)
+	ga, err := bbsched.SolveGA(p, bbsched.DefaultGAConfig(), bbsched.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, front := range map[string][]bbsched.Solution{"exhaustive": exact, "ga": ga} {
+		if len(front) == 0 {
+			t.Fatalf("%s: empty front", name)
+		}
+		for _, s := range front {
+			if picked := s.Genome.Ones(); s.Objectives[0] != 100 || !reflect.DeepEqual(picked, []int{0, 4}) {
+				t.Fatalf("%s: front holds jobs %v at %v nodes, want J1 + J5 at 100", name, picked, s.Objectives)
+			}
+		}
 	}
 }
 
-// TestFacadeExtensions exercises the beyond-the-paper API surface:
-// adaptive controller, dynamic window, stage-out, persistent reservations,
-// SWF, and the event log, end to end in one simulation.
-func TestFacadeExtensions(t *testing.T) {
-	system := bbsched.WithPersistentBB(bbsched.ScaleSystem(bbsched.Theta(), 64), 0.1)
-	base := bbsched.Generate(bbsched.GenConfig{System: system, Jobs: 60, Seed: 2})
-	_, heavy := bbsched.BBFloors(base)
-	w := bbsched.ExpandBB(base, "ext-S4", 0.5, heavy, 3)
-	w = bbsched.WithStageOut(w, 25)
+// passCounter counts scheduling passes.
+type passCounter struct {
+	bbsched.NopObserver
+	passes int
+}
 
-	inner := bbsched.New()
-	inner.GA = bbsched.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}
+func (c *passCounter) OnSchedule(bbsched.ScheduleInfo) { c.passes++ }
+
+// TestFacadeExtensions exercises the beyond-the-paper surface the facade
+// keeps: an extra resource dimension with per-dimension objectives, run
+// under an Observer and the JSONL event log.
+func TestFacadeExtensions(t *testing.T) {
+	sys := bbsched.WithExtraResource(bbsched.ScaleSystem(bbsched.Theta(), 64),
+		bbsched.ResourceSpec{Name: "power_kw", Capacity: 150, Unit: "kW"})
+	base := bbsched.Generate(bbsched.GenConfig{System: sys, Jobs: 60, Seed: 2})
+	w := bbsched.AddExtraDemand(base, "ext-power", 0, 1, 4, 1.0, 2)
+
+	ga := bbsched.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}
+	m, err := bbsched.NewMethodForCluster("BBSched", ga, w.System.Cluster, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var events bytes.Buffer
-	s, err := bbsched.NewSimulator(w, bbsched.NewAdaptive(inner),
-		bbsched.WithPlugin(bbsched.PluginConfig{
-			WindowPolicy:    bbsched.NewAdaptiveWindow(),
-			StarvationBound: 50,
-		}),
-		bbsched.WithSeed(1), bbsched.WithEventLog(&events))
+	counter := &passCounter{}
+	s, err := bbsched.NewSimulator(w, m, bbsched.WithSeed(1),
+		bbsched.WithEventLog(&events), bbsched.WithObserver(counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,64 +215,42 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Method != "BBSched_Adaptive" {
-		t.Fatalf("method = %s", res.Method)
+	if len(res.ExtraUsage) != 1 || res.ExtraUsage[0].Usage <= 0 {
+		t.Fatalf("extra-dimension usage = %+v", res.ExtraUsage)
 	}
-	recs, err := bbsched.ReadEventLog(&events)
-	if err != nil {
-		t.Fatal(err)
+	if n := bytes.Count(events.Bytes(), []byte("\n")); n < 120 { // 60 submits + 60 starts at minimum
+		t.Fatalf("event log has %d records", n)
 	}
-	if len(recs) < 120 { // 60 submits + 60 starts at minimum
-		t.Fatalf("event log has %d records", len(recs))
-	}
-
-	// SWF round-trips through the facade too.
-	var swf bytes.Buffer
-	if err := bbsched.WriteSWF(&swf, base.Jobs, 64); err != nil {
-		t.Fatal(err)
-	}
-	back, err := bbsched.ReadSWF(&swf, bbsched.SWFOptions{CoresPerNode: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(base.Jobs) {
-		t.Fatalf("swf round trip: %d jobs", len(back))
+	if counter.passes == 0 {
+		t.Fatal("observer saw no scheduling pass")
 	}
 }
 
-// TestFacadeStreaming drives the streaming surface through the facade:
-// a generated stream piped through the incremental CSV writer, re-opened
-// as a CSVSource, capped, run with bounded-memory metrics, and
-// cross-checked against the same jobs preloaded.
+// TestFacadeStreaming drives the streaming surface through the facade: a
+// generated stream replayed online with bounded-memory metrics matches
+// the same jobs preloaded, and a variant derived from a stream runs.
 func TestFacadeStreaming(t *testing.T) {
 	sys := bbsched.ScaleSystem(bbsched.Theta(), 128)
-	cfg := bbsched.GenConfig{System: sys, Jobs: 80, Seed: 5}
+	cfg := bbsched.GenConfig{System: sys, Jobs: 50, Seed: 5}
 
-	// GenSource agrees with nothing else — it is its own distribution —
-	// so materialize it once via CollectSource for the comparison run.
-	jobs, err := bbsched.CollectSource(bbsched.GenSource(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cw := bbsched.NewTraceCSVWriter(&buf)
-	for _, j := range jobs {
-		if err := cw.Write(j); err != nil {
+	// GenSource is its own distribution, so drain a second copy of the
+	// same stream for the materialized comparison run.
+	var jobs []*bbsched.Job
+	for src := bbsched.GenSource(cfg); ; {
+		j, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
+		jobs = append(jobs, j)
 	}
 
-	src, err := bbsched.NewCSVSource(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	shell := bbsched.Workload{Name: "stream", System: sys}
 	s, err := bbsched.NewSimulator(shell, bbsched.Baseline{},
-		bbsched.WithSource(bbsched.LimitSource(src, 50)),
-		bbsched.WithStreamingMetrics(), bbsched.WithMeasurement(0, 0), bbsched.WithLookahead(16))
+		bbsched.WithSource(bbsched.GenSource(cfg)),
+		bbsched.WithStreamingMetrics(), bbsched.WithMeasurement(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +259,11 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.TotalJobs != 50 {
-		t.Fatalf("limited stream ran %d jobs, want 50", res.TotalJobs)
+		t.Fatalf("stream ran %d jobs, want 50", res.TotalJobs)
 	}
 
 	mat, err := bbsched.NewSimulator(
-		bbsched.Workload{Name: "stream", System: sys, Jobs: jobs[:50]},
+		bbsched.Workload{Name: "stream", System: sys, Jobs: jobs},
 		bbsched.Baseline{}, bbsched.WithMeasurement(0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -280,18 +277,106 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatalf("streamed run diverges from materialized: %+v vs %+v", res.Report, wantRes.Report)
 	}
 
-	// The streaming variant pipeline exists on the facade too.
-	floor5, _ := bbsched.EstimateBBFloors(sys, 5)
-	exp, err := bbsched.CollectSource(bbsched.ExpandBBSource(
-		bbsched.StageOutSource(bbsched.SourceOf(bbsched.Workload{System: sys, Jobs: jobs}), 2),
-		sys, 0.75, floor5, 5))
+	src, vsys, name, err := bbsched.ApplyVariantSource(bbsched.GenSource(cfg), sys, "S3", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp) != len(jobs) {
-		t.Fatalf("combinator pipeline changed job count: %d vs %d", len(exp), len(jobs))
-	}
-	if _, _, _, err := bbsched.ApplyVariantSource(bbsched.NewSliceSource(jobs), sys, "S3", 5); err != nil {
+	vs, err := bbsched.NewSimulator(bbsched.Workload{Name: name, System: vsys}, bbsched.Baseline{},
+		bbsched.WithSource(src), bbsched.WithMeasurement(0, 0))
+	if err != nil {
 		t.Fatal(err)
+	}
+	vres, err := vs.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vres.TotalJobs != 50 {
+		t.Fatalf("variant stream ran %d jobs, want 50", vres.TotalJobs)
+	}
+}
+
+// TestFacadeExportsAreUsed keeps the facade to the names its callers use:
+// every name bbsched.go exports must be referenced as bbsched.Name by an
+// example program (examples/*/main.go) or an Example function, or appear
+// in a README.md Go code block or the package doc.
+func TestFacadeExportsAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "bbsched.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	add := func(re *regexp.Regexp, text string) {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			used[m[1]] = true
+		}
+	}
+	word := regexp.MustCompile(`\b([A-Z][A-Za-z0-9_]*)`)
+	qualified := regexp.MustCompile(`\bbbsched\.([A-Z][A-Za-z0-9_]*)`)
+
+	add(word, facade.Doc.Text())
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range regexp.MustCompile("(?s)```go\n(.*?)```").FindAllStringSubmatch(string(readme), -1) {
+		add(word, block[1])
+	}
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no example programs found (%v)", err)
+	}
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(qualified, string(src))
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Example") {
+				add(qualified, string(src[fset.Position(fn.Pos()).Offset:fset.Position(fn.End()).Offset]))
+			}
+		}
+	}
+
+	var unused []string
+	for _, decl := range facade.Decls {
+		var names []*ast.Ident
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name)
+				case *ast.ValueSpec:
+					names = append(names, s.Names...)
+				}
+			}
+		}
+		for _, n := range names {
+			if n.IsExported() && !used[n.Name] {
+				unused = append(unused, n.Name)
+			}
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("bbsched.go exports %d names no example, Example function, README Go block or package doc references: %s",
+			len(unused), strings.Join(unused, " "))
 	}
 }

@@ -130,8 +130,8 @@ type SolverConfigurable interface {
 
 // SolverVetoer is implemented by methods that can reject an incompatible
 // backend at configuration time (core.BBSched requires the Pareto-front
-// capability). registry.ApplySolver and sim.WithSolver consult it before
-// SetSolver, so misconfiguration fails at setup instead of mid-run.
+// capability). registry.ApplySolver consults it before SetSolver, so
+// misconfiguration fails at setup instead of mid-run.
 type SolverVetoer interface {
 	VetoSolver(s solver.Solver) error
 }

@@ -650,7 +650,7 @@ func (s *refSimulator) result() (*Result, error) {
 	for _, r := range s.extra {
 		capTotals.Extra = append(capTotals.Extra, metrics.DimCapacity{Name: r.Name, Total: r.Capacity})
 	}
-	rep := metrics.Compute(&s.collector, capTotals, measured, s.opt.slowdownFloor, s.opt.buckets)
+	rep := metrics.Compute(&s.collector, capTotals, measured, slowdownFloorSec, s.opt.buckets)
 	res := &Result{
 		Report:           rep,
 		Workload:         s.workload.Name,

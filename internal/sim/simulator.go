@@ -15,7 +15,6 @@ import (
 	"bbsched/internal/queue"
 	"bbsched/internal/rng"
 	"bbsched/internal/sched"
-	"bbsched/internal/solver"
 	"bbsched/internal/trace"
 )
 
@@ -23,31 +22,36 @@ import (
 // exactly what the caller asked for: an option explicitly set to zero
 // stays zero, defaults apply only to options never given.
 type options struct {
-	plugin        core.PluginConfig
-	backfill      bool
-	seed          uint64
-	warmupFrac    float64
-	cooldownFrac  float64
-	slowdownFloor int64
-	buckets       metrics.Buckets
-	observers     []Observer
-	solver        solver.Solver
-	source        trace.JobSource
-	lookahead     int
-	streamStats   bool
-	measureAbs    bool
-	measureStart  int64
-	measureEnd    int64
+	plugin       core.PluginConfig
+	backfill     bool
+	seed         uint64
+	warmupFrac   float64
+	cooldownFrac float64
+	buckets      metrics.Buckets
+	observers    []Observer
+	source       trace.JobSource
+	lookahead    int // Lookahead; in-package tests shrink it to hit the refill boundary
+	streamStats  bool
+	measureAbs   bool
+	measureStart int64
+	measureEnd   int64
 }
+
+// Lookahead is how many jobs beyond the current event frontier every run
+// buffers ahead of its source: large enough to amortize source pulls,
+// small enough that memory stays bounded by queue depth plus this window.
+const Lookahead = 256
+
+// slowdownFloorSec bounds the bounded-slowdown denominator in seconds.
+const slowdownFloorSec = 60
 
 func defaultOptions() options {
 	return options{
-		plugin:        core.DefaultPluginConfig(),
-		backfill:      true,
-		warmupFrac:    0.1,
-		cooldownFrac:  0.1,
-		slowdownFloor: 60,
-		lookahead:     256,
+		plugin:       core.DefaultPluginConfig(),
+		backfill:     true,
+		warmupFrac:   0.1,
+		cooldownFrac: 0.1,
+		lookahead:    Lookahead,
 	}
 }
 
@@ -57,12 +61,6 @@ func (o options) validate() error {
 	}
 	if o.cooldownFrac < 0 || o.cooldownFrac > 1 {
 		return fmt.Errorf("sim: cool-down fraction %v outside [0,1]", o.cooldownFrac)
-	}
-	if o.slowdownFloor < 0 {
-		return fmt.Errorf("sim: negative slowdown floor %d", o.slowdownFloor)
-	}
-	if o.lookahead < 1 {
-		return fmt.Errorf("sim: look-ahead %d, need at least 1", o.lookahead)
 	}
 	if o.measureAbs && o.measureEnd < o.measureStart {
 		return fmt.Errorf("sim: measurement window end %d before start %d", o.measureEnd, o.measureStart)
@@ -111,12 +109,6 @@ func WithMeasurement(warmupFrac, cooldownFrac float64) Option {
 	}
 }
 
-// WithSlowdownFloor bounds the slowdown denominator in seconds (default
-// 60). Zero is honored as zero (unbounded denominator).
-func WithSlowdownFloor(seconds int64) Option {
-	return func(o *options) { o.slowdownFloor = seconds }
-}
-
 // WithBuckets configures the breakdown boundaries of Figs. 9–11.
 func WithBuckets(b metrics.Buckets) Option {
 	return func(o *options) { o.buckets = b }
@@ -134,20 +126,9 @@ func WithEventLog(w io.Writer) Option {
 	return func(o *options) { o.observers = append(o.observers, newJSONLObserver(w)) }
 }
 
-// WithSolver overrides the method's optimization backend (e.g. the LP
-// relaxation solver instead of the genetic algorithm). The method must be
-// solver-configurable (Weighted, Constrained, BBSched); NewSimulator
-// rejects fixed heuristics and backends the method vetoes (BBSched
-// requires Pareto-front capability). The override configures the method
-// itself — SetSolver is synchronized, so sweep workers sharing a method
-// may apply it concurrently; all runs use the backend set last.
-func WithSolver(s solver.Solver) Option {
-	return func(o *options) { o.solver = s }
-}
-
 // WithSource drives the simulation from a streaming trace.JobSource
 // instead of the workload's own job list. Every run pulls arrivals
-// lazily through a bounded look-ahead buffer (WithLookahead); with a
+// lazily through a bounded look-ahead buffer (Lookahead jobs); with a
 // source that never holds the whole trace, memory stays bounded by queue
 // depth plus the look-ahead window rather than trace length. The workload
 // passed to NewSimulator must carry no jobs — it contributes only the
@@ -161,13 +142,6 @@ func WithSolver(s solver.Solver) Option {
 // does); otherwise use WithMeasureWindow or WithMeasurement(0, 0).
 func WithSource(src trace.JobSource) Option {
 	return func(o *options) { o.source = src }
-}
-
-// WithLookahead sets how many jobs beyond the current event frontier
-// arrivals are buffered ahead (default 256, minimum 1). Larger windows
-// amortize source pulls; smaller ones tighten the memory bound.
-func WithLookahead(n int) Option {
-	return func(o *options) { o.lookahead = n }
 }
 
 // WithStreamingMetrics makes the run's metrics.JobStats estimate the
@@ -292,19 +266,6 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	if method == nil {
 		return nil, fmt.Errorf("sim: nil method")
 	}
-	if opt.solver != nil {
-		sc, ok := method.(sched.SolverConfigurable)
-		if !ok {
-			return nil, fmt.Errorf("sim: method %s has a fixed selection heuristic; WithSolver needs a solver-backed method", method.Name())
-		}
-		if v, ok := method.(sched.SolverVetoer); ok {
-			if err := v.VetoSolver(opt.solver); err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-		}
-		sc.SetSolver(opt.solver)
-	}
-
 	if opt.source != nil && len(w.Jobs) > 0 {
 		return nil, fmt.Errorf("sim: WithSource on a workload that already carries %d materialized jobs; pass the job-less workload shell", len(w.Jobs))
 	}
@@ -365,7 +326,7 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		source:     opt.source,
 		pending:    make([]*job.Job, 0, opt.lookahead),
 		doneSparse: make(map[int]struct{}),
-		stats:      metrics.NewJobStats(opt.slowdownFloor, opt.buckets, opt.streamStats, len(wc.Jobs)),
+		stats:      metrics.NewJobStats(slowdownFloorSec, opt.buckets, opt.streamStats, len(wc.Jobs)),
 		warmEnd:    warmEnd,
 		coolStart:  coolStart,
 	}

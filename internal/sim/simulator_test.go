@@ -328,9 +328,6 @@ func TestNewSimulatorValidation(t *testing.T) {
 	if _, err := NewSimulator(w, sched.Baseline{}, WithMeasurement(0, 1.5)); err == nil {
 		t.Fatal("cool-down fraction > 1 accepted")
 	}
-	if _, err := NewSimulator(w, sched.Baseline{}, WithSlowdownFloor(-1)); err == nil {
-		t.Fatal("negative slowdown floor accepted")
-	}
 	if _, err := NewSimulator(w, sched.Baseline{}, WithWindow(-3, 0)); err == nil {
 		t.Fatal("invalid window accepted")
 	}

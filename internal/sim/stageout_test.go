@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
+	"bbsched/internal/core"
 	"bbsched/internal/job"
+	"bbsched/internal/moo"
 	"bbsched/internal/sched"
 	"bbsched/internal/trace"
 )
@@ -182,5 +186,44 @@ func TestWithPersistentBBHelper(t *testing.T) {
 	scaled := trace.Scale(m, 64)
 	if scaled.PersistentBBGB != m.PersistentBBGB/64 {
 		t.Fatal("Scale should scale the persistent reservation")
+	}
+}
+
+// TestExtensionsComposeInOneRun runs the beyond-the-paper pieces together
+// in one simulation: a persistent BB reservation, an S4-style expansion
+// with stage-out phases, the adaptive trade-off controller under a
+// dynamic window, and the event log.
+func TestExtensionsComposeInOneRun(t *testing.T) {
+	system := trace.WithPersistentBB(trace.Scale(trace.Theta(), 64), 0.1)
+	base := trace.Generate(trace.GenConfig{System: system, Jobs: 60, Seed: 2})
+	_, heavy := trace.BBFloors(base)
+	w := trace.ExpandBB(base, "ext-S4", 0.5, heavy, 3)
+	w = trace.WithStageOut(w, 25)
+
+	inner := core.New()
+	inner.GA = moo.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}
+	var events bytes.Buffer
+	s, err := NewSimulator(w, core.NewAdaptive(inner),
+		WithPlugin(core.PluginConfig{
+			WindowPolicy:    core.NewAdaptiveWindow(),
+			StarvationBound: 50,
+		}),
+		WithSeed(1), WithEventLog(&events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != "BBSched_Adaptive" {
+		t.Fatalf("method = %s", res.Method)
+	}
+	recs, err := ReadEventLog(&events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 120 { // 60 submits + 60 starts at minimum
+		t.Fatalf("event log has %d records", len(recs))
 	}
 }

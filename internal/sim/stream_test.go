@@ -59,7 +59,7 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 				extra []Option
 			}{
 				{"stream", nil},
-				{"stream-lookahead1", []Option{WithLookahead(1)}},
+				{"stream-lookahead1", []Option{func(o *options) { o.lookahead = 1 }}},
 				{"stream-bounded-metrics", []Option{WithStreamingMetrics()}},
 			}
 			for _, v := range variants {
@@ -261,7 +261,7 @@ func peakLiveHeap(t *testing.T, n int) uint64 {
 	src := trace.GenSource(trace.GenConfig{System: sys, Jobs: n, Seed: 42, TargetLoad: 0.9})
 	shell := trace.Workload{Name: "stream-mem", System: sys}
 	s, err := NewSimulator(shell, sched.Baseline{}, WithSource(src),
-		WithStreamingMetrics(), WithMeasurement(0, 0), WithLookahead(64), WithSeed(1))
+		WithStreamingMetrics(), WithMeasurement(0, 0), func(o *options) { o.lookahead = 64 }, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestSweepClosesSourcesOnce(t *testing.T) {
 			Methods: []sched.Method{sched.Baseline{}},
 			Seeds:   []uint64{1},
 			PerRun: func(trace.Workload, sched.Method, uint64) []Option {
-				return []Option{WithLookahead(0)} // rejected by option validation
+				return []Option{WithMeasurement(-1, 0)} // rejected by option validation
 			},
 			Workers: 1,
 		}

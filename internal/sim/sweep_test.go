@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"bbsched/internal/job"
+	"bbsched/internal/moo"
+	"bbsched/internal/registry"
 	"bbsched/internal/sched"
 	"bbsched/internal/trace"
 )
@@ -257,5 +259,39 @@ func TestRunSweepFailedCellKeepsIdentity(t *testing.T) {
 	}
 	if runs[2].Result != nil || !runs[2].Canceled {
 		t.Errorf("cell after the failure: %+v, want a cancellation marker", runs[2])
+	}
+}
+
+// TestRunSweepWithSolverShared drives a sweep whose parallel workers all
+// share one method instance whose backend registry.ApplySolver attached
+// once beforehand: concurrent Select calls on one solver-backed method,
+// exercised under -race by the CI short suite.
+func TestRunSweepWithSolverShared(t *testing.T) {
+	theta := trace.Scale(trace.Theta(), 64)
+	w := trace.Generate(trace.GenConfig{System: theta, Jobs: 40, Seed: 3})
+	w.Name = "sweep-withsolver"
+	m := sched.NewWeighted("Weighted", 0.5, 0.5, moo.DefaultGAConfig())
+	if err := registry.ApplySolver(m, "lp", moo.DefaultGAConfig()); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := RunSweep(context.Background(), Sweep{
+		Workloads: []trace.Workload{w},
+		Methods:   []sched.Method{m},
+		Seeds:     []uint64{1, 2, 3, 4},
+		Workers:   4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 4 {
+		t.Fatalf("got %d runs, want 4", len(runs))
+	}
+	for _, r := range runs {
+		if r.Result == nil {
+			t.Fatalf("seed %d: missing result", r.Seed)
+		}
+	}
+	if got := sched.SolverNameOf(m); got != "lp" {
+		t.Fatalf("shared method backend = %q, want lp", got)
 	}
 }
