@@ -259,9 +259,9 @@ func Overhead(o Options) (string, error) {
 // SolverComparison pits the MOGA-backed scalarized methods against the
 // rest of the solver zoo on the representative Theta-S4 workload: the
 // LP-relaxation (restarted Halpern PDHG + rounding) variants, the greedy
-// density-ratio baseline, and the racing portfolio, all under identical
-// window semantics and seed, with a solver column distinguishing the
-// backends and the per-decision latency showing each backend's cost.
+// density-ratio baseline, and the ga/lp/greedy portfolio, all under
+// identical window semantics and seed, with a solver column distinguishing
+// the backends and the per-decision latency showing each backend's cost.
 func SolverComparison(o Options) (string, error) {
 	cori, theta := o.systems()
 	var s4 trace.Workload
@@ -283,7 +283,7 @@ func SolverComparison(o Options) (string, error) {
 		methods = append(methods, m)
 	}
 	// Zoo-backed variants: the same Weighted scalarization under the
-	// greedy density-ratio baseline and the ga/lp/greedy racing portfolio.
+	// greedy density-ratio baseline and the ga/lp/greedy portfolio.
 	for _, v := range []struct{ name, solver string }{
 		{"Weighted_Greedy", "greedy"},
 		{"Weighted_Portfolio", "portfolio"},

@@ -131,10 +131,10 @@ func BenchmarkSolveLP(b *testing.B) {
 	}
 }
 
-// BenchmarkSolvePortfolio times the racing portfolio (ga, lp, greedy in
-// parallel, best feasible objective wins) on the identical decision. Its
-// wall clock tracks the slowest member, so the metric of interest is how
-// little the race costs over running the members' max alone.
+// BenchmarkSolvePortfolio times the portfolio (ga, lp, greedy in turn,
+// best feasible objective wins) on the identical decision. Its wall clock
+// is the sum of its members', so the metric of interest is how little it
+// costs over running the members alone.
 func BenchmarkSolvePortfolio(b *testing.B) {
 	for _, w := range benchWindows {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {

@@ -1,15 +1,9 @@
 package moo
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // EvalStats is the Evaluator's accounting since its last Reset: the cache,
 // and how long the GA ran on it.
 type EvalStats struct {
-	// Hits counts Evaluate calls answered from the cache (including calls
-	// that waited for a concurrent first evaluation of the same genome).
+	// Hits counts Evaluate calls answered from the cache.
 	Hits uint64
 	// Misses counts first evaluations, i.e. calls forwarded to the
 	// underlying Problem. Misses equals the number of distinct genomes
@@ -21,11 +15,8 @@ type EvalStats struct {
 	Generations uint64
 }
 
-// evalEntry is one memoized evaluation — one interned genotype. The once
-// gate guarantees the underlying Problem.Evaluate runs at most once per
-// distinct genome even when concurrent callers race on the same one.
+// evalEntry is one memoized evaluation — one interned genotype.
 type evalEntry struct {
-	once sync.Once
 	// id is the entry's dense index in creation order since the last
 	// Reset: two lookups return the same id exactly when their genomes are
 	// equal, so the GA compares, dedupes and indexes scratch by id.
@@ -45,18 +36,19 @@ type evalEntry struct {
 // generation loop moves 8-byte (id, age) members instead of solutions and
 // steady-state generations allocate nothing.
 //
-// An Evaluator is safe for concurrent Evaluate calls. Reset rebinds it to
-// a new problem instance while keeping the allocated cache capacity —
-// schedulers reuse one Evaluator across scheduling decisions (the window
-// changes per decision, so Reset must be called between solves).
+// An Evaluator is not safe for concurrent use: it serves one solve at a
+// time, as each sched.SolverSlot binding gives a solve its own. Reset
+// rebinds it to a new problem instance while keeping the allocated cache
+// capacity — schedulers reuse one Evaluator across scheduling decisions
+// (the window changes per decision, so Reset must be called between
+// solves).
 type Evaluator struct {
 	inner Problem
 
-	mu      sync.Mutex
 	entries map[string]*evalEntry
 	// entrySlab and wordSlab chunk-allocate cache entries and canonical
-	// genome words (both guarded by mu): one slab allocation amortizes
-	// over entrySlabSize misses instead of two heap objects per miss.
+	// genome words: one slab allocation amortizes over entrySlabSize
+	// misses instead of two heap objects per miss.
 	// Entries are carved in creation order, entrySlab[:used] so far, so the
 	// chunk's tail lists the newest ones — what Reset deletes by.
 	entrySlab []evalEntry
@@ -66,13 +58,12 @@ type Evaluator struct {
 	// table has grown to hold, and costs to wipe.
 	peak int
 
-	hits, misses, generations atomic.Uint64
+	stats EvalStats
 
 	// ga parks the solver scratch between solves on this Evaluator, so a
 	// scheduler that reuses one Evaluator across decisions reuses the
-	// generation buffers with it. SolveGA takes it for the duration of a
-	// solve; a concurrent solve finds nil and builds its own.
-	ga atomic.Pointer[gaSolver]
+	// generation buffers with it.
+	ga *gaSolver
 }
 
 // entrySlabSize is the entry/word slab chunk length, in entries, and the
@@ -117,7 +108,6 @@ func (e *Evaluator) Reset(p Problem) {
 	if inner, ok := p.(*Evaluator); ok {
 		p = inner.inner
 	}
-	e.mu.Lock()
 	e.inner = p
 	n := len(e.entries)
 	e.peak = max(e.peak, n)
@@ -128,10 +118,7 @@ func (e *Evaluator) Reset(p Problem) {
 	} else {
 		clear(e.entries)
 	}
-	e.mu.Unlock()
-	e.hits.Store(0)
-	e.misses.Store(0)
-	e.generations.Store(0)
+	e.stats = EvalStats{}
 }
 
 // Problem returns the wrapped problem.
@@ -157,25 +144,18 @@ func (e *Evaluator) lookup(g Genome) *evalEntry {
 	var arr [keyBufSize]byte
 	key := g.appendKey(arr[:0])
 
-	e.mu.Lock()
-	ent, ok := e.entries[string(key)]
-	if !ok {
-		ent = e.intern(key, g)
+	if ent, ok := e.entries[string(key)]; ok {
+		e.stats.Hits++
+		return ent
 	}
-	e.mu.Unlock()
-	if ok {
-		e.hits.Add(1)
-	} else {
-		e.misses.Add(1)
-	}
-	ent.once.Do(func() {
-		ent.objs, ent.feasible = e.inner.Evaluate(ent.genome)
-	})
+	e.stats.Misses++
+	ent := e.intern(key, g)
+	ent.objs, ent.feasible = e.inner.Evaluate(ent.genome)
 	return ent
 }
 
 // intern creates g's cache entry under the next dense id, with a
-// canonical clone of g. Caller holds e.mu and has checked key is absent.
+// canonical clone of g. The caller has checked key is absent.
 func (e *Evaluator) intern(key []byte, g Genome) *evalEntry {
 	if e.used == len(e.entrySlab) {
 		e.entrySlab, e.used = make([]evalEntry, entrySlabSize), 0
@@ -189,8 +169,7 @@ func (e *Evaluator) intern(key []byte, g Genome) *evalEntry {
 	return ent
 }
 
-// cloneGenome copies g into slab-backed canonical storage. Caller holds
-// e.mu.
+// cloneGenome copies g into slab-backed canonical storage.
 func (e *Evaluator) cloneGenome(g Genome) Genome {
 	n := len(g.w)
 	if len(e.wordSlab) < n {
@@ -212,6 +191,4 @@ func (e *Evaluator) repairer() Repairer {
 }
 
 // Stats returns the cache accounting since the last Reset.
-func (e *Evaluator) Stats() EvalStats {
-	return EvalStats{Hits: e.hits.Load(), Misses: e.misses.Load(), Generations: e.generations.Load()}
-}
+func (e *Evaluator) Stats() EvalStats { return e.stats }

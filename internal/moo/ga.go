@@ -101,13 +101,11 @@ func SolveGA(p Problem, cfg GAConfig, s *rng.Stream) ([]Solution, error) {
 		return nil, err
 	}
 	ev := NewEvaluator(p)
-	g := ev.ga.Swap(nil)
-	if g == nil {
-		g = &gaSolver{ev: ev}
+	if ev.ga == nil {
+		ev.ga = &gaSolver{ev: ev}
 	}
-	defer ev.ga.Store(g)
-	g.begin(cfg, s)
-	return g.run()
+	ev.ga.begin(cfg, s)
+	return ev.ga.run()
 }
 
 // member is one chromosome of the generation loop: the interned id of its
@@ -125,12 +123,12 @@ type gaSolver struct {
 	mutate rng.Bernoulli // cfg.MutationProb as an integer threshold
 
 	// byID maps a member's id to its cache entry (canonical genome,
-	// objectives, key). The solver fills it from the entries its own
-	// lookups return rather than reading the Evaluator's table, so other
-	// goroutines may Evaluate on the same Evaluator mid-solve. mark and
-	// dominated are indexed the same way: mark[id] == epoch stamps an id
-	// as seen in the current pass (no clearing between passes), and
-	// dominated[id] is valid for the ids the last markDominated stamped.
+	// objectives, key). The Evaluator finds entries by genome key only, so
+	// the solver fills this index from the entries its own lookups return.
+	// mark and dominated are indexed the same way: mark[id] == epoch
+	// stamps an id as seen in the current pass (no clearing between
+	// passes), and dominated[id] is valid for the ids the last
+	// markDominated stamped.
 	byID      []*evalEntry
 	mark      []int32
 	dominated []bool
@@ -261,7 +259,7 @@ func (g *gaSolver) run() ([]Solution, error) {
 			pop[i].age++
 		}
 	}
-	g.ev.generations.Store(uint64(gen))
+	g.ev.stats.Generations = uint64(gen)
 
 	// The final front: the population's non-dominated members — joined,
 	// in Archive mode, by every feasible chromosome the run evaluated —

@@ -31,10 +31,9 @@ import (
 )
 
 // Problem is a pseudo-boolean multi-objective maximization problem over
-// packed bit-vector genomes of fixed dimension. Implementations must be
-// safe for concurrent Evaluate calls (a portfolio's racing members
-// evaluate one problem at once) and must not retain or mutate the genome
-// argument (solvers pass reused scratch buffers).
+// packed bit-vector genomes of fixed dimension. A solve calls a problem
+// from one goroutine. Implementations must not retain or mutate the
+// genome argument (solvers pass reused scratch buffers).
 type Problem interface {
 	// Dim is the solution bit-vector length (the scheduling window size).
 	Dim() int

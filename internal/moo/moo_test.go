@@ -3,7 +3,6 @@ package moo
 import (
 	"math"
 	mathbits "math/bits"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,9 +16,8 @@ type knapsack2 struct {
 	nodes, bb       []float64
 	capNodes, capBB float64
 
-	// ones mirrors SelectionProblem's locked free list of repair scratch.
-	onesMu sync.Mutex
-	ones   [][]int
+	// ones mirrors SelectionProblem's kept repair workspace.
+	ones []int
 }
 
 func (k *knapsack2) Dim() int           { return len(k.nodes) }
@@ -47,14 +45,8 @@ func (k *knapsack2) Evaluate(g Genome) ([]float64, bool) {
 // maintained across drops instead of re-evaluating per drop, and the
 // selected-index buffer is reused.
 func (k *knapsack2) Repair(g Genome, drop func(int) int) {
-	var buf []int
-	k.onesMu.Lock()
-	if last := len(k.ones) - 1; last >= 0 {
-		buf, k.ones = k.ones[last], k.ones[:last]
-	}
-	k.onesMu.Unlock()
 	n, b := k.sums(g)
-	on := g.AppendOnes(buf[:0])
+	on := g.AppendOnes(k.ones[:0])
 	for (n > k.capNodes || b > k.capBB) && len(on) > 0 {
 		d := drop(len(on))
 		i := on[d]
@@ -63,9 +55,7 @@ func (k *knapsack2) Repair(g Genome, drop func(int) int) {
 		b -= k.bb[i]
 		on = append(on[:d], on[d+1:]...)
 	}
-	k.onesMu.Lock()
-	k.ones = append(k.ones, on[:0:cap(on)])
-	k.onesMu.Unlock()
+	k.ones = on[:0:cap(on)]
 }
 
 // table1 returns the paper's illustrative example: 100 nodes, 100 TB BB,

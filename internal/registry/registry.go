@@ -1,17 +1,17 @@
 // Package registry is the single roster of scheduling methods and window
-// solvers: every shipped §4.3 / §5 method registers here once, every
-// optimization backend (the genetic algorithm, the LP-relaxation PDHG
-// solver) registers once, and every consumer — the bbsim CLI's
-// -method/-methods/-solver flags, the experiments matrices, sweep
-// drivers — lists or instantiates from the same tables, so the rosters
-// can never drift apart. RegisterMethod and RegisterSolver let downstream
-// code add its own entries to the same namespaces.
+// solvers: every shipped §4.3 / §5 method is one entry of the methods
+// table, every optimization backend (the genetic algorithm, the
+// LP-relaxation PDHG solver, ...) one entry of the solvers table, and
+// every consumer — the bbsim CLI's -method/-methods/-solver flags, the
+// experiments matrices, sweep drivers — lists or instantiates from the
+// same tables, so the rosters can never drift apart. Adding a method or a
+// backend means adding a table entry; the tables are fixed at build time.
 package registry
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/core"
@@ -61,9 +61,9 @@ type MethodSpec struct {
 	// Weighted_LP are self-describing.
 	Solver string
 	// Section4 and Section5 flag membership in the §4.3 and §5 rosters
-	// returned by the Section4/Section5 builders. Custom methods
-	// registered by downstream code may leave both false: they are
-	// instantiable by name without joining the paper rosters.
+	// returned by the Section4/Section5 builders. A method with both false
+	// (the LP variants) is instantiable by name without joining the paper
+	// rosters.
 	Section4, Section5 bool
 }
 
@@ -82,66 +82,27 @@ func (s MethodSpec) builder(ssd bool) Builder {
 	return b
 }
 
-var (
-	mu     sync.RWMutex
-	order  []string
-	byName = make(map[string]MethodSpec)
-)
+// Methods returns every registered method in table order (the paper's
+// presentation order first).
+func Methods() []MethodSpec { return slices.Clone(methods) }
 
-// Register adds a method to the registry. The name must be unique and at
-// least one builder must be present.
-func Register(spec MethodSpec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("registry: method with empty name")
-	}
-	if spec.New == nil && spec.NewSSD == nil {
-		return fmt.Errorf("registry: method %q has no builder", spec.Name)
-	}
-	if spec.Section4 && spec.New == nil {
-		return fmt.Errorf("registry: method %q is in the §4 roster without a two-objective builder", spec.Name)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := byName[spec.Name]; dup {
-		return fmt.Errorf("registry: method %q already registered", spec.Name)
-	}
-	byName[spec.Name] = spec
-	order = append(order, spec.Name)
-	return nil
-}
-
-// MustRegister is Register but panics on error; for package init blocks.
-func MustRegister(spec MethodSpec) {
-	if err := Register(spec); err != nil {
-		panic(err)
-	}
-}
-
-// Methods returns every registered method in registration order (built-in
-// methods in the paper's presentation order first).
-func Methods() []MethodSpec {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]MethodSpec, len(order))
-	for i, name := range order {
-		out[i] = byName[name]
+// Names returns the registered method names in table order.
+func Names() []string {
+	out := make([]string, len(methods))
+	for i, spec := range methods {
+		out[i] = spec.Name
 	}
 	return out
 }
 
-// Names returns the registered method names in registration order.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]string(nil), order...)
-}
-
 // Lookup returns the spec registered under name.
 func Lookup(name string) (MethodSpec, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	spec, ok := byName[name]
-	return spec, ok
+	for _, spec := range methods {
+		if spec.Name == name {
+			return spec, true
+		}
+	}
+	return MethodSpec{}, false
 }
 
 // New instantiates the named method. ssd selects the four-objective §5
@@ -190,7 +151,7 @@ func Section5(ga moo.GAConfig) []sched.Method {
 // one.
 func roster(ga moo.GAConfig, ssd bool) []sched.Method {
 	var out []sched.Method
-	for _, spec := range Methods() {
+	for _, spec := range methods {
 		if (ssd && !spec.Section5) || (!ssd && !spec.Section4) {
 			continue
 		}
@@ -206,7 +167,7 @@ func roster(ga moo.GAConfig, ssd bool) []sched.Method {
 // machine without extra dimensions it is exactly Section4/Section5.
 func RosterForCluster(ga moo.GAConfig, cfg cluster.Config, ssd bool) ([]sched.Method, error) {
 	var out []sched.Method
-	for _, spec := range Methods() {
+	for _, spec := range methods {
 		if (ssd && !spec.Section5) || (!ssd && !spec.Section4) {
 			continue
 		}
@@ -219,15 +180,17 @@ func RosterForCluster(ga moo.GAConfig, cfg cluster.Config, ssd bool) ([]sched.Me
 	return out, nil
 }
 
-func init() {
-	MustRegister(MethodSpec{
+// methods is the method roster, in listing order: the paper's §4.3
+// presentation order, then the variants outside the paper rosters.
+var methods = []MethodSpec{
+	{
 		Name:     "Baseline",
 		Desc:     "Slurm-style naive: walk the queue in base order until a job does not fit",
 		New:      func(moo.GAConfig) sched.Method { return sched.Baseline{} },
 		Section4: true, Section5: true,
 		// Dimension-agnostic: feasibility in every dimension gates the walk.
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:   "Weighted",
 		Desc:   "maximize an equally weighted utilization sum (§4: node+BB 50/50; §5: four objectives; N dims: 1/n each)",
 		New:    func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted", 0.5, 0.5, ga) },
@@ -237,50 +200,50 @@ func init() {
 		},
 		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
 		Section4:   true, Section5: true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:       "Weighted_CPU",
 		Desc:       "weighted utilization sum favoring nodes (80/20)",
 		New:        func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted_CPU", 0.8, 0.2, ga) },
 		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
 		Section4:   true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:       "Weighted_BB",
 		Desc:       "weighted utilization sum favoring burst buffer (20/80)",
 		New:        func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted_BB", 0.2, 0.8, ga) },
 		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
 		Section4:   true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:       "Constrained_CPU",
 		Desc:       "maximize node utilization under the other resources' constraints",
 		New:        constrained("Constrained_CPU", sched.NodeUtil),
 		Dimensions: []string{cluster.ResourceNodes},
 		Section4:   true, Section5: true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:       "Constrained_BB",
 		Desc:       "maximize burst-buffer utilization under the other resources' constraints",
 		New:        constrained("Constrained_BB", sched.BBUtil),
 		Dimensions: []string{cluster.ResourceBB},
 		Section4:   true, Section5: true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:       "Constrained_SSD",
 		Desc:       "maximize local-SSD utilization under the other resources' constraints (§5 only)",
 		NewSSD:     constrained("Constrained_SSD", sched.SSDUtil),
 		Dimensions: []string{cluster.ResourceSSD},
 		Section5:   true,
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name:     "Bin_Packing",
 		Desc:     "Tetris-style alignment heuristic: repeatedly start the best-aligned fitting job",
 		New:      func(moo.GAConfig) sched.Method { return sched.BinPacking{} },
 		Section4: true, Section5: true,
 		// Dimension-agnostic: the alignment score spans every machine dimension.
-	})
-	MustRegister(MethodSpec{
+	},
+	{
 		Name: "BBSched",
 		Desc: "the paper's method: MOO solve + §3.2.4 decision rule (§5: four objectives, 4x trade-off; N dims: one objective per dimension)",
 		New: func(ga moo.GAConfig) sched.Method {
@@ -299,7 +262,38 @@ func init() {
 			return b
 		},
 		Section4: true, Section5: true,
-	})
+	},
+
+	// LP-backed method variants: the scalarized formulations re-solved by
+	// the first-order backend. Not part of the paper's §4/§5 rosters —
+	// those stay MOGA-backed and golden-pinned — but instantiable by name
+	// everywhere methods are.
+	{
+		Name: "Weighted_LP",
+		Desc: "Weighted's equally weighted utilization sum solved by LP relaxation + rounding",
+		New: func(ga moo.GAConfig) sched.Method {
+			return withLP(sched.NewWeighted("Weighted_LP", 0.5, 0.5, ga))
+		},
+		NewDim: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
+			// Every canonical objective now has a linear column — the §5
+			// SSD-waste term linearizes at build time via the allocator's
+			// smallest-eligible-class-first rule — so on SSD machines this
+			// is the full four-objective scalarization. The filter stays as
+			// a guard for future placement-only objectives.
+			return withLP(sched.NewWeightedFor("Weighted_LP", sched.LinearObjectives(objs), ga))
+		},
+		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
+		Solver:     "lp",
+	},
+	{
+		Name: "Constrained_LP",
+		Desc: "Constrained_CPU's node-utilization maximization solved by LP relaxation + rounding",
+		New: func(ga moo.GAConfig) sched.Method {
+			return withLP(&sched.Constrained{MethodName: "Constrained_LP", Target: sched.NodeUtil, GA: ga})
+		},
+		Dimensions: []string{cluster.ResourceNodes},
+		Solver:     "lp",
+	},
 }
 
 // SolverSpec describes one registered optimization backend.
@@ -315,65 +309,57 @@ type SolverSpec struct {
 	New func(ga moo.GAConfig) solver.Solver
 }
 
-var (
-	solverMu     sync.RWMutex
-	solverOrder  []string
-	solverByName = make(map[string]SolverSpec)
-)
-
-// RegisterSolver adds an optimization backend to the registry. The name
-// must be unique and the builder non-nil.
-func RegisterSolver(spec SolverSpec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("registry: solver with empty name")
-	}
-	if spec.New == nil {
-		return fmt.Errorf("registry: solver %q has no builder", spec.Name)
-	}
-	solverMu.Lock()
-	defer solverMu.Unlock()
-	if _, dup := solverByName[spec.Name]; dup {
-		return fmt.Errorf("registry: solver %q already registered", spec.Name)
-	}
-	solverByName[spec.Name] = spec
-	solverOrder = append(solverOrder, spec.Name)
-	return nil
+// solvers is the backend roster, in listing order.
+var solvers = []SolverSpec{
+	{
+		Name: "ga",
+		Desc: "the paper's §3.2.2 multi-objective genetic algorithm (Pareto fronts; any problem)",
+		New:  func(ga moo.GAConfig) solver.Solver { return solver.NewGA(ga) },
+	},
+	{
+		Name: "lp",
+		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; presolved to the jobs that fit the free machine)",
+		New:  func(moo.GAConfig) solver.Solver { return lp.New(lp.DefaultConfig()) },
+	},
+	{
+		Name: "greedy",
+		Desc: "density-ratio baseline: fill by objective value per capacity-normalized demand (scalarized problems; near-free at huge windows)",
+		New:  func(moo.GAConfig) solver.Solver { return solver.NewGreedy() },
+	},
+	{
+		Name: "exact",
+		Desc: fmt.Sprintf("exact branch-and-bound with LP-relaxation bounds (scalarized problems, windows ≤ %d jobs)", lp.DefaultMaxExactDim),
+		New:  func(moo.GAConfig) solver.Solver { return lp.NewExact(lp.DefaultConfig()) },
+	},
+	{
+		Name: "portfolio",
+		Desc: "race ga, lp and greedy per decision, keep the best feasible roster (scalarized problems)",
+		New: func(ga moo.GAConfig) solver.Solver {
+			return solver.NewPortfolio(solver.NewGA(ga), lp.New(lp.DefaultConfig()), solver.NewGreedy())
+		},
+	},
 }
 
-// MustRegisterSolver is RegisterSolver but panics on error.
-func MustRegisterSolver(spec SolverSpec) {
-	if err := RegisterSolver(spec); err != nil {
-		panic(err)
-	}
-}
+// Solvers returns every registered backend in table order.
+func Solvers() []SolverSpec { return slices.Clone(solvers) }
 
-// Solvers returns every registered backend in registration order.
-func Solvers() []SolverSpec {
-	solverMu.RLock()
-	defer solverMu.RUnlock()
-	out := make([]SolverSpec, len(solverOrder))
-	for i, name := range solverOrder {
-		out[i] = solverByName[name]
+// SolverNames returns the registered backend names in table order.
+func SolverNames() []string {
+	out := make([]string, len(solvers))
+	for i, spec := range solvers {
+		out[i] = spec.Name
 	}
 	return out
 }
 
-// SolverNames returns the registered backend names in registration order.
-func SolverNames() []string {
-	solverMu.RLock()
-	defer solverMu.RUnlock()
-	return append([]string(nil), solverOrder...)
-}
-
 // NewSolver instantiates the named backend.
 func NewSolver(name string, ga moo.GAConfig) (solver.Solver, error) {
-	solverMu.RLock()
-	spec, ok := solverByName[name]
-	solverMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown solver %q (have %v)", name, SolverNames())
+	for _, spec := range solvers {
+		if spec.Name == name {
+			return spec.New(ga), nil
+		}
 	}
-	return spec.New(ga), nil
+	return nil, fmt.Errorf("registry: unknown solver %q (have %v)", name, SolverNames())
 }
 
 // ErrIncompatibleSolver marks a method×solver pair that can never work:
@@ -406,67 +392,6 @@ func ApplySolver(m sched.Method, name string, ga moo.GAConfig) error {
 	}
 	sc.SetSolver(sv)
 	return nil
-}
-
-func init() {
-	MustRegisterSolver(SolverSpec{
-		Name: "ga",
-		Desc: "the paper's §3.2.2 multi-objective genetic algorithm (Pareto fronts; any problem)",
-		New:  func(ga moo.GAConfig) solver.Solver { return solver.NewGA(ga) },
-	})
-	MustRegisterSolver(SolverSpec{
-		Name: "lp",
-		Desc: "matrix-free LP relaxation via restarted Halpern PDHG + randomized rounding (scalarized problems; presolved to the jobs that fit the free machine)",
-		New:  func(moo.GAConfig) solver.Solver { return lp.New(lp.DefaultConfig()) },
-	})
-	MustRegisterSolver(SolverSpec{
-		Name: "greedy",
-		Desc: "density-ratio baseline: fill by objective value per capacity-normalized demand (scalarized problems; near-free at huge windows)",
-		New:  func(moo.GAConfig) solver.Solver { return solver.NewGreedy() },
-	})
-	MustRegisterSolver(SolverSpec{
-		Name: "exact",
-		Desc: fmt.Sprintf("exact branch-and-bound with LP-relaxation bounds (scalarized problems, windows ≤ %d jobs)", lp.DefaultMaxExactDim),
-		New:  func(moo.GAConfig) solver.Solver { return lp.NewExact(lp.DefaultConfig()) },
-	})
-	MustRegisterSolver(SolverSpec{
-		Name: "portfolio",
-		Desc: "race ga, lp and greedy per decision, keep the best feasible roster (scalarized problems)",
-		New: func(ga moo.GAConfig) solver.Solver {
-			return solver.NewPortfolio(solver.NewGA(ga), lp.New(lp.DefaultConfig()), solver.NewGreedy())
-		},
-	})
-
-	// LP-backed method variants: the scalarized formulations re-solved by
-	// the first-order backend. Not part of the paper's §4/§5 rosters —
-	// those stay MOGA-backed and golden-pinned — but instantiable by name
-	// everywhere methods are.
-	MustRegister(MethodSpec{
-		Name: "Weighted_LP",
-		Desc: "Weighted's equally weighted utilization sum solved by LP relaxation + rounding",
-		New: func(ga moo.GAConfig) sched.Method {
-			return withLP(sched.NewWeighted("Weighted_LP", 0.5, 0.5, ga))
-		},
-		NewDim: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
-			// Every canonical objective now has a linear column — the §5
-			// SSD-waste term linearizes at build time via the allocator's
-			// smallest-eligible-class-first rule — so on SSD machines this
-			// is the full four-objective scalarization. The filter stays as
-			// a guard for future placement-only objectives.
-			return withLP(sched.NewWeightedFor("Weighted_LP", sched.LinearObjectives(objs), ga))
-		},
-		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
-		Solver:     "lp",
-	})
-	MustRegister(MethodSpec{
-		Name: "Constrained_LP",
-		Desc: "Constrained_CPU's node-utilization maximization solved by LP relaxation + rounding",
-		New: func(ga moo.GAConfig) sched.Method {
-			return withLP(&sched.Constrained{MethodName: "Constrained_LP", Target: sched.NodeUtil, GA: ga})
-		},
-		Dimensions: []string{cluster.ResourceNodes},
-		Solver:     "lp",
-	})
 }
 
 // withLP attaches the default LP backend to a solver-configurable method.

@@ -101,51 +101,47 @@ func TestNewVariantSelection(t *testing.T) {
 	}
 }
 
+// TestRegisterValidation checks the methods table: names are non-empty
+// and unique, every method has a builder and every §4 member a
+// two-objective one; and Methods hands out a copy.
 func TestRegisterValidation(t *testing.T) {
-	if err := Register(MethodSpec{Name: "", New: func(moo.GAConfig) sched.Method { return sched.Baseline{} }}); err == nil {
-		t.Fatal("empty name accepted")
+	seen := map[string]bool{}
+	for _, spec := range methods {
+		switch {
+		case spec.Name == "" || seen[spec.Name]:
+			t.Errorf("method name %q is empty or repeated", spec.Name)
+		case spec.New == nil && spec.NewSSD == nil:
+			t.Errorf("method %q has no builder", spec.Name)
+		case spec.Section4 && spec.New == nil:
+			t.Errorf("method %q is in the §4 roster without a two-objective builder", spec.Name)
+		}
+		seen[spec.Name] = true
 	}
-	if err := Register(MethodSpec{Name: "NoBuilder"}); err == nil {
-		t.Fatal("spec without builder accepted")
-	}
-	if err := Register(MethodSpec{Name: "BBSched", New: func(moo.GAConfig) sched.Method { return sched.Baseline{} }}); err == nil {
-		t.Fatal("duplicate name accepted")
-	}
-	if err := Register(MethodSpec{
-		Name:     "SSDOnlyIn4",
-		NewSSD:   constrained("SSDOnlyIn4", sched.SSDUtil),
-		Section4: true,
-	}); err == nil {
-		t.Fatal("§4 membership without a §4 builder accepted")
+
+	ms := Methods()
+	first := ms[0].Name
+	ms[0] = MethodSpec{}
+	if Methods()[0].Name != first {
+		t.Fatal("a caller's edit to the methods listing reached the registry's table")
 	}
 }
 
-// TestRegisterCustomMethod: downstream registration lands in listings and
-// resolves by name without joining the paper rosters.
-func TestRegisterCustomMethod(t *testing.T) {
-	spec := MethodSpec{
-		Name: "Custom_Test_Method",
-		Desc: "test-only",
-		New: func(ga moo.GAConfig) sched.Method {
-			return sched.NewWeighted("Custom_Test_Method", 0.7, 0.3, ga)
-		},
-	}
-	if err := Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := Lookup("Custom_Test_Method"); !ok {
-		t.Fatal("custom method not listed")
-	}
-	m, err := New("Custom_Test_Method", ga(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name() != "Custom_Test_Method" {
-		t.Fatalf("built %q", m.Name())
-	}
-	for _, m := range append(Section4(ga()), Section5(ga())...) {
-		if m.Name() == "Custom_Test_Method" {
-			t.Fatal("custom method leaked into a paper roster")
+// TestRegisterSolverValidation checks the solvers table: names are
+// non-empty and unique and every solver has a builder; and Solvers hands
+// out a copy.
+func TestRegisterSolverValidation(t *testing.T) {
+	seen := map[string]bool{}
+	for _, spec := range solvers {
+		if spec.Name == "" || seen[spec.Name] || spec.New == nil {
+			t.Errorf("solver %q has an empty or repeated name or no builder", spec.Name)
 		}
+		seen[spec.Name] = true
+	}
+
+	ss := Solvers()
+	first := ss[0].Name
+	ss[0] = SolverSpec{}
+	if Solvers()[0].Name != first {
+		t.Fatal("a caller's edit to the solvers listing reached the registry's table")
 	}
 }

@@ -5,9 +5,7 @@ import (
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/lp"
-	"bbsched/internal/moo"
 	"bbsched/internal/sched"
-	"bbsched/internal/solver"
 )
 
 // TestSolverRoster checks the built-in backend registry and name-based
@@ -28,19 +26,6 @@ func TestSolverRoster(t *testing.T) {
 	}
 	if _, err := NewSolver("nope", ga()); err == nil {
 		t.Fatal("unknown solver accepted")
-	}
-}
-
-// TestRegisterSolverValidation covers duplicate and malformed specs.
-func TestRegisterSolverValidation(t *testing.T) {
-	if err := RegisterSolver(SolverSpec{Name: "", New: func(moo.GAConfig) solver.Solver { return nil }}); err == nil {
-		t.Error("empty solver name accepted")
-	}
-	if err := RegisterSolver(SolverSpec{Name: "x"}); err == nil {
-		t.Error("builderless solver accepted")
-	}
-	if err := RegisterSolver(SolverSpec{Name: "ga", New: func(moo.GAConfig) solver.Solver { return solver.NewGA(ga()) }}); err == nil {
-		t.Error("duplicate solver name accepted")
 	}
 }
 

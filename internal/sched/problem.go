@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
@@ -148,8 +147,8 @@ func ObjectivesFor(cfg cluster.Config, ssd bool) []Objective {
 // the next window in place, so the solver-backed methods keep one per
 // concurrent solve (see SolverSlot.SolveWindow) and a scheduling pass builds
 // its problem without allocating once the columns have grown to the
-// window. Between two Resets the instance is read-only and safe for
-// concurrent Evaluate, Repair and LinearForm calls.
+// window. A problem is not safe for concurrent use: one solve on one
+// goroutine uses it at a time.
 type SelectionProblem struct {
 	jobs       []*job.Job
 	snap       cluster.Snapshot
@@ -170,18 +169,16 @@ type SelectionProblem struct {
 	// lin is the instance's LP structure, built when a backend first asks.
 	lin linearCache
 
-	// scratch holds the idle per-evaluation workspaces, so the slow
-	// (SSD-class) path reuses one snapshot + placement buffer across the
-	// GA's G×P candidate evaluations instead of cloning cluster state per
-	// candidate. It is a free list, not a single buffer, because
-	// solver.Portfolio's members evaluate one problem concurrently, and it
-	// outlives a bind: the workspaces depend on the machine's shape only,
-	// so Reset keeps them unless that changed.
-	scratchMu sync.Mutex
-	scratch   []*evalScratch
+	// scratch is the evaluation workspace, so the slow (SSD-class) path
+	// reuses one snapshot + placement buffer across the GA's G×P candidate
+	// evaluations instead of cloning cluster state per candidate. It
+	// outlives a bind: it depends on the machine's shape only, so Reset
+	// keeps it unless that changed. Nil until a call needs it.
+	scratch *evalScratch
 }
 
-// evalScratch is one pooled evaluation workspace.
+// evalScratch is the evaluation workspace. Repair holds ones across the
+// Evaluate calls of its slow path, so Evaluate uses only the other fields.
 type evalScratch struct {
 	snap   cluster.Snapshot
 	placed []int
@@ -200,7 +197,7 @@ func NewSelectionProblem(window []*job.Job, snap cluster.Snapshot, objectives []
 
 // Reset rebinds p to a new window, free-resource snapshot and objective
 // list, reusing the demand columns, the snapshot copy, the linear-form
-// buffers and the evaluation workspaces of the previous bind. The window
+// buffers and the evaluation workspace of the previous bind. The window
 // slice is kept, the snapshot and the objective list are copied. Nothing of
 // the previous instance survives it, so no call on p may be in flight.
 func (p *SelectionProblem) Reset(window []*job.Job, snap cluster.Snapshot, objectives []Objective) {
@@ -209,7 +206,7 @@ func (p *SelectionProblem) Reset(window []*job.Job, snap cluster.Snapshot, objec
 	}
 	n, nExtra := len(window), snap.NumExtra()
 	if p.snap.NumClasses() != snap.NumClasses() || len(p.extras) != nExtra {
-		p.scratch = nil // workspaces are sized by the machine's shape
+		p.scratch = nil // the workspace is sized by the machine's shape
 	}
 	p.jobs = window
 	p.objectives = append(p.objectives[:0], objectives...) // copied: a caller's list may live on its stack
@@ -261,7 +258,7 @@ func (p *SelectionProblem) Dim() int { return len(p.jobs) }
 func (p *SelectionProblem) NumObjectives() int { return len(p.objectives) }
 
 // Evaluate implements moo.Problem: it allocates the selected jobs into a
-// pooled scratch copy of the snapshot (feasibility, and SSD waste for f4)
+// scratch copy of the snapshot (feasibility, and SSD waste for f4)
 // and returns the objective vector. Placement totals are order-independent
 // (see internal/cluster), so evaluating jobs in window order is exact.
 // Selected jobs are walked word-at-a-time off the packed genome; the
@@ -271,15 +268,9 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 		panic(fmt.Sprintf("sched: evaluating %d bits over %d jobs", g.Len(), len(p.jobs)))
 	}
 	var nodes, bb, ssd, waste int64
-	var sc *evalScratch
-	var ex []int64
-	if len(p.extras) > 0 {
-		sc = p.getScratch()
-		ex = sc.sums[:len(p.extras)]
-		for k := range ex {
-			ex[k] = 0
-		}
-	}
+	sc := p.workspace()
+	ex := sc.sums[:len(p.extras)]
+	clear(ex)
 	if p.fastPath {
 		for wi, w := range g.Words() {
 			base := wi * 64
@@ -293,16 +284,10 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 				}
 			}
 		}
-		if nodes > p.freeNodes || bb > p.freeBB || (ex != nil && p.exceeds(ex)) {
-			if sc != nil {
-				p.putScratch(sc)
-			}
+		if nodes > p.freeNodes || bb > p.freeBB || p.exceeds(ex) {
 			return nil, false
 		}
 	} else {
-		if sc == nil {
-			sc = p.getScratch()
-		}
 		sc.snap.CopyFrom(p.snap)
 		ok := true
 		for wi, w := range g.Words() {
@@ -329,7 +314,6 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 			}
 		}
 		if !ok {
-			p.putScratch(sc)
 			return nil, false
 		}
 	}
@@ -351,9 +335,6 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 		default:
 			panic("sched: unknown objective " + o.String())
 		}
-	}
-	if sc != nil {
-		p.putScratch(sc)
 	}
 	return objs, true
 }
@@ -391,37 +372,24 @@ func (p *SelectionProblem) LiveSet(dst []int) ([]int, bool) {
 	return dst, true
 }
 
-// getScratch takes an idle evaluation workspace, or builds one.
-func (p *SelectionProblem) getScratch() *evalScratch {
-	p.scratchMu.Lock()
-	var sc *evalScratch
-	if n := len(p.scratch); n > 0 {
-		sc, p.scratch = p.scratch[n-1], p.scratch[:n-1]
-	}
-	p.scratchMu.Unlock()
-	if sc == nil {
-		sc = &evalScratch{
+// workspace returns the evaluation workspace, building it on first use.
+func (p *SelectionProblem) workspace() *evalScratch {
+	if p.scratch == nil {
+		p.scratch = &evalScratch{
 			placed: make([]int, p.snap.NumClasses()),
 			sums:   make([]int64, len(p.extras)),
 		}
 	}
-	return sc
-}
-
-// putScratch returns a workspace to the free list.
-func (p *SelectionProblem) putScratch(sc *evalScratch) {
-	p.scratchMu.Lock()
-	p.scratch = append(p.scratch, sc)
-	p.scratchMu.Unlock()
+	return p.scratch
 }
 
 // Repair implements moo.Repairer by deselecting jobs (chosen by drop over
 // the currently selected positions) until the selection fits. On the
 // single-class fast path the resource sums are maintained incrementally,
 // so each drop is O(1) instead of a full re-evaluation; the selected-index
-// buffer comes from the scratch pool.
+// buffer is the workspace's.
 func (p *SelectionProblem) Repair(g moo.Genome, drop func(n int) int) {
-	sc := p.getScratch()
+	sc := p.workspace()
 	on := g.AppendOnes(sc.ones[:0])
 	if p.fastPath {
 		var nodes, bb int64
@@ -461,7 +429,6 @@ func (p *SelectionProblem) Repair(g moo.Genome, drop func(n int) int) {
 		}
 	}
 	sc.ones = on[:0:cap(on)]
-	p.putScratch(sc)
 }
 
 // addObjectiveColumn adds w times one objective's per-job linear
@@ -537,12 +504,10 @@ func (p *SelectionProblem) linearWaste(d job.Demand) int64 {
 }
 
 // linearCache holds a bound problem's LP structure. The form is built when
-// a backend first asks for it and only read from then on —
-// solver.Portfolio hands one problem to concurrent members and each of
-// them linearizes it — and its C, Rows and Caps storage is what the next
-// bind builds into.
+// a backend first asks for it and only read from then on — each member of
+// a solver.Portfolio linearizes the same problem — and its C, Rows and
+// Caps storage is what the next bind builds into.
 type linearCache struct {
-	mu    sync.Mutex
 	built bool
 	ok    bool
 	form  solver.LinearForm
@@ -554,8 +519,6 @@ func (lc *linearCache) reset() { lc.built = false }
 // get returns the bind's form, calling build — which fills the form in
 // place and reports whether the instance has one — on the first request.
 func (lc *linearCache) get(build func(*solver.LinearForm) bool) (solver.LinearForm, bool) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
 	if !lc.built {
 		lc.ok = build(&lc.form)
 		lc.built = true

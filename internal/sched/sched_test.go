@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -360,12 +359,12 @@ func TestGAFrontOnSelectionProblemMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSelectionProblemScratchConcurrent drives the problem's free list of
-// evaluation workspaces from several goroutines at once — the GA's
-// parallel fitness workers do — on the SSD-class slow path, where every
-// Evaluate and Repair takes a workspace: each concurrent answer must be
-// the one a problem used by a single goroutine gives. Run with -race.
-func TestSelectionProblemScratchConcurrent(t *testing.T) {
+// TestSelectionProblemWorkspaceReuse reuses one SSD-class problem across
+// interleaved Repair and Evaluate calls. On this slow path every call
+// takes the problem's one workspace, and Repair holds its selected-index
+// buffer while the Evaluate calls it makes reuse that workspace: each
+// answer must be the one a fresh problem gives for the same call.
+func TestSelectionProblemWorkspaceReuse(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{
 		Name: "ssd", Nodes: 16, BurstBufferGB: 200,
 		SSDClasses: []cluster.SSDClass{{CapacityGB: 128, Count: 8}, {CapacityGB: 256, Count: 8}},
@@ -376,36 +375,33 @@ func TestSelectionProblemScratchConcurrent(t *testing.T) {
 		jobs = append(jobs, job.MustNew(i+1, int64(i), 10, 10,
 			job.NewDemand(1+s.Intn(4), int64(s.Intn(60)), int64(32*(1+s.Intn(7))))))
 	}
-	shared := NewSelectionProblem(jobs, c.Snapshot(), FourObjectives())
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := NewSelectionProblem(jobs, c.Snapshot(), FourObjectives())
-			pick := rng.New(uint64(100 + w))
-			for i := 0; i < 200; i++ {
-				bitvec := make([]bool, len(jobs))
-				for k := range bitvec {
-					bitvec[k] = pick.Bool(0.5)
-				}
-				g, h := moo.FromBools(bitvec), moo.FromBools(bitvec)
-				seed := pick.Uint64()
-				shared.Repair(g, rng.New(seed).Intn)
-				own.Repair(h, rng.New(seed).Intn)
-				if !g.Equal(h) {
-					t.Errorf("worker %d: concurrent Repair gave %s, serial %s", w, g, h)
-					return
-				}
-				got, gotOK := shared.Evaluate(g)
-				want, wantOK := own.Evaluate(h)
-				if gotOK != wantOK || fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("worker %d: concurrent Evaluate gave %v/%v, serial %v/%v", w, got, gotOK, want, wantOK)
-					return
-				}
-			}
-		}(w)
+	fresh := func() *SelectionProblem { return NewSelectionProblem(jobs, c.Snapshot(), FourObjectives()) }
+	reused := fresh()
+	pick := rng.New(100)
+	random := func() []bool {
+		bitvec := make([]bool, len(jobs))
+		for k := range bitvec {
+			bitvec[k] = pick.Bool(0.5)
+		}
+		return bitvec
 	}
-	wg.Wait()
+	evaluate := func(i int, g moo.Genome) {
+		got, gotOK := reused.Evaluate(g)
+		want, wantOK := fresh().Evaluate(g)
+		if gotOK != wantOK || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("call %d: Evaluate(%s) on the reused problem gave %v/%v, a fresh one %v/%v", i, g, got, gotOK, want, wantOK)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		bitvec := random()
+		g, h := moo.FromBools(bitvec), moo.FromBools(bitvec)
+		seed := pick.Uint64()
+		reused.Repair(g, rng.New(seed).Intn)
+		fresh().Repair(h, rng.New(seed).Intn)
+		if !g.Equal(h) {
+			t.Fatalf("call %d: Repair(%s) on the reused problem gave %s, a fresh one %s", i, moo.FromBools(bitvec), g, h)
+		}
+		evaluate(i, g)
+		evaluate(i, moo.FromBools(random()))
+	}
 }

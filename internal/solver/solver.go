@@ -48,10 +48,12 @@ type Capabilities struct {
 // function of its problem and its stream: a backend keeps nothing from one
 // call to the next, so a run restored from a checkpoint chooses what the
 // uninterrupted run chooses. Implementations must be safe for concurrent
-// Solve calls (methods are shared across parallel sweep runs) and must
-// route every candidate evaluation through p — which is typically a
-// memoizing *moo.Evaluator — so repeated genomes, including ones revisited
-// by rounding or repair phases, reuse cached objective evaluations.
+// Solve calls on different problems (methods are shared across parallel
+// sweep runs); one problem is used by one goroutine, the one solving it.
+// They must route every candidate evaluation through p — which is
+// typically a memoizing *moo.Evaluator — so repeated genomes, including
+// ones revisited by rounding or repair phases, reuse cached objective
+// evaluations.
 type Solver interface {
 	// Name is the backend's short registry name (e.g. "ga", "lp").
 	Name() string

@@ -143,14 +143,14 @@ func TestPortfolioDeterministic(t *testing.T) {
 	}
 }
 
-// TestPortfolioCapabilities pins the race's capability surface: it keeps
+// TestPortfolioCapabilities pins the portfolio's capability surface: it keeps
 // one best solution (no Pareto front — BBSched must veto it) and only
 // needs the linear form when every member does.
 func TestPortfolioCapabilities(t *testing.T) {
 	pf := solver.NewPortfolio(members()...)
 	caps := pf.Capabilities()
 	if caps.ParetoFront {
-		t.Error("portfolio claims Pareto fronts; the race keeps one best solution")
+		t.Error("portfolio claims Pareto fronts; it keeps one best solution")
 	}
 	if caps.NeedsLinear {
 		t.Error("portfolio with a ga member claims NeedsLinear")
