@@ -90,11 +90,13 @@ farm-smoke:
 # answer, over generated windows, on every registered backend; and the
 # Plugin's unasked answer == the answer with every registered method
 # asked, over the same windows aged past the starvation bound), the GA's
-# termination certificate (certified stop == full run, same windows) and
-# the ranked planner
+# termination certificate (certified stop == full run, same windows), the
+# ranked planner
 # (prefiltered, best-first PlanRanked == reference Plan over Sorted, over
 # generated machines and queues ranked at the window as their front, one
-# pass and several carried) for 30s per target (CI smoke; the seed
+# pass and several carried) and the queue's tail tournament (its winner ==
+# the brute-force best job behind the front, over clocks that advance,
+# repeat and go back) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindow$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
+	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
 # internal/solver + internal/queue + internal/backfill statement coverage

@@ -1,10 +1,14 @@
 package queue
 
-// This file holds Policy and the built-in base-scheduler policies. A
-// policy sees the queue's slots, not its jobs: one Prioritize call per
-// scheduling pass runs the formula in a plain loop over flat keys.
+// This file holds Policy, Overtaker and the built-in base-scheduler
+// policies. A policy sees the queue's slots, not its jobs: Prioritize runs
+// the formula in a plain loop over flat keys, and Overtake bounds how long
+// the order of two of them can last.
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Policy orders the waiting queue. Implementations must be deterministic.
 type Policy interface {
@@ -12,18 +16,48 @@ type Policy interface {
 	Name() string
 	// Prioritize sets every slot's Prio to its job's priority at time now,
 	// computed from the slot's Key; higher runs earlier. Ties are broken
-	// FCFS (submit time, then ID). It writes nothing but Prio. A pass makes
-	// one call for the whole queue, so the formula runs in a plain loop
-	// over flat keys.
+	// FCFS (submit time, then ID). It writes nothing but Prio. A pass calls
+	// it once for its front and once per job behind the front that it
+	// compares or gathers.
 	Prioritize(slots []Slot, now int64)
 }
 
-// TimeInvariant marks a Policy whose priorities do not depend on now.
-// The queue evaluates such a policy once per job, at Add time, and Rank
-// never evaluates it again.
-type TimeInvariant interface {
-	// PriorityTimeInvariant is a marker; it is never called.
-	PriorityTimeInvariant()
+// Overtaker is implemented by a Policy that can tell how long the order of
+// two jobs lasts. The queue's tournament over the jobs behind its front
+// re-decides a pair only once the instant Overtake returned has come; a
+// policy without the method has every pair re-decided at the next second.
+// The queue finds the method by type assertion, so a policy that embeds a
+// built-in one and changes its Prioritize must override Overtake too, or
+// hide it by embedding the Policy interface instead of the struct: an
+// inherited Overtake certifies the built-in formula, not the new one.
+type Overtaker interface {
+	// Overtake is asked about two slots whose Prio is their priority at
+	// now, with a ordered before b there (priority descending, ties
+	// FCFS). It returns an instant after now such that a stays ordered
+	// before b, in the float priorities Prioritize computes, at every
+	// instant from now until then: never later than the first flip. A
+	// near tie answers now+1; math.MaxInt64 means never.
+	Overtake(a, b *Slot, now int64) int64
+}
+
+// margin is the relative gap two jobs' priorities must keep, in real
+// arithmetic, for Overtake to call their order safe. A policy's float
+// priorities are a few roundings (≈ 1e-16 each) from the real ones, so a
+// gap of 2^-30 cannot be closed by rounding. The gap is tested in float at
+// the instants it bounds, rather than trusted from algebra.
+const margin = 1.0 / (1 << 30)
+
+// horizon caps how far ahead Overtake certifies an order (about 35 000
+// years in seconds), so that instants never overflow.
+const horizon = int64(1) << 40
+
+// after returns now+d+1, the instant after a stretch of d safe seconds,
+// without overflowing.
+func after(now, d int64) int64 {
+	if d >= math.MaxInt64-1-now {
+		return math.MaxInt64
+	}
+	return now + d + 1
 }
 
 // FCFS orders jobs by arrival.
@@ -40,8 +74,8 @@ func (FCFS) Prioritize(slots []Slot, _ int64) {
 	}
 }
 
-// PriorityTimeInvariant implements TimeInvariant.
-func (FCFS) PriorityTimeInvariant() {}
+// Overtake implements Overtaker: the order of two FCFS jobs never changes.
+func (FCFS) Overtake(_, _ *Slot, _ int64) int64 { return math.MaxInt64 }
 
 // WFP is ALCF's utility policy: priority grows with job size and with the
 // cube of waiting time relative to the requested walltime, so large jobs
@@ -72,6 +106,56 @@ func (WFP) Prioritize(slots []Slot, now int64) {
 	}
 }
 
+// Overtake implements Overtaker. Once both jobs have waited, each priority
+// is the cube of a line, ∛nodes/est · (t − submit), so a, ahead now, stays
+// ahead while its line keeps a margin over b's: for good if b's line is
+// the slower, until they cross if it is the faster. Before b has waited
+// its priority is 0, which a's, never falling, cannot drop below.
+func (WFP) Overtake(a, b *Slot, now int64) int64 {
+	ea, eb := max(a.WalltimeEst, 1), max(b.WalltimeEst, 1)
+	switch {
+	case a.Nodes == b.Nodes && ea == eb && a.SubmitTime == b.SubmitTime:
+		return math.MaxInt64 // equal priorities forever: the tie-break holds
+	case a.Nodes < 0:
+		return now + 1
+	case b.Nodes <= 0:
+		return math.MaxInt64 // a's priority never falls, b's never rises
+	case now < b.SubmitTime:
+		return b.SubmitTime // b's priority is 0 until then
+	case now < a.SubmitTime:
+		return now + 1
+	}
+	// d seconds on, a is ahead with the margin while wait_a+d exceeds
+	// rho·(wait_b+d), rho being b's line slope over a's with the margin
+	// folded in, num/den its cube. The test compares cubes, multiplied
+	// out, so that only aiming at the crossing divides or takes a root.
+	ea3, eb3 := float64(ea)*float64(ea)*float64(ea), float64(eb)*float64(eb)*float64(eb)
+	num := (1 + margin) * (1 + margin) * (1 + margin) * float64(b.Nodes) * ea3
+	den := float64(a.Nodes) * eb3
+	wa, wb := now-a.SubmitTime, now-b.SubmitTime
+	switch {
+	case !wfpAhead(wa+1, wb+1, num, den):
+		return now + 1
+	case num <= den:
+		return math.MaxInt64 // b's line, the margin on it, is no faster
+	}
+	// b's line is the faster: aim a little short of the crossing.
+	rho := math.Cbrt(num / den)
+	if x := min((float64(wa)-rho*float64(wb))/(rho-1), float64(horizon)); x > 2 {
+		if d := int64(x * (1 - 1.0/(1<<20))); wfpAhead(wa+d, wb+d, num, den) {
+			return after(now, d)
+		}
+	}
+	return now + 2
+}
+
+// wfpAhead reports whether waits wa and wb keep a ahead of b, their lines'
+// slopes being in the ratio num/den cubed.
+func wfpAhead(wa, wb int64, num, den float64) bool {
+	x, y := float64(wa), float64(wb)
+	return x*x*x*den > y*y*y*num
+}
+
 // Multifactor approximates Slurm's multifactor priority plugin with its
 // two site-universal terms: an age factor (wait time saturating at
 // MaxAge) and a job-size factor (nodes relative to the machine), combined
@@ -90,35 +174,92 @@ type Multifactor struct {
 // Name implements Policy.
 func (Multifactor) Name() string { return "Multifactor" }
 
-// Prioritize implements Policy.
-func (m Multifactor) Prioritize(slots []Slot, now int64) {
-	ageW, sizeW := m.AgeWeight, m.SizeWeight
+// weights returns m's weights and saturation age with the defaults
+// applied.
+func (m Multifactor) weights() (ageW, sizeW float64, maxAge int64) {
+	ageW, sizeW, maxAge = m.AgeWeight, m.SizeWeight, m.MaxAgeSec
 	if ageW == 0 {
 		ageW = 1000
 	}
 	if sizeW == 0 {
 		sizeW = 100
 	}
-	maxAge := m.MaxAgeSec
 	if maxAge <= 0 {
 		maxAge = 7 * 24 * 3600
 	}
-	for i := range slots {
-		k := &slots[i]
-		wait := now - k.SubmitTime
-		if wait < 0 {
-			wait = 0
-		}
-		if wait > maxAge {
-			wait = maxAge
-		}
-		age := float64(wait) / float64(maxAge)
-		size := float64(k.Nodes)
-		if m.MachineNodes > 0 {
-			size /= float64(m.MachineNodes)
-		}
-		k.Prio = ageW*age + sizeW*size
+	return ageW, sizeW, maxAge
+}
+
+// size is k's job-size factor.
+func (m Multifactor) size(k *Slot) float64 {
+	size := float64(k.Nodes)
+	if m.MachineNodes > 0 {
+		size /= float64(m.MachineNodes)
 	}
+	return size
+}
+
+// priority is k's priority at now.
+func (m Multifactor) priority(k *Slot, now int64, ageW, sizeW float64, maxAge int64) float64 {
+	wait := min(max(now-k.SubmitTime, 0), maxAge)
+	age := float64(wait) / float64(maxAge)
+	return ageW*age + sizeW*m.size(k)
+}
+
+// Prioritize implements Policy.
+func (m Multifactor) Prioritize(slots []Slot, now int64) {
+	ageW, sizeW, maxAge := m.weights()
+	for i := range slots {
+		slots[i].Prio = m.priority(&slots[i], now, ageW, sizeW, maxAge)
+	}
+}
+
+// Overtake implements Overtaker. A job's age factor grows at one rate from
+// its submit time until it saturates, so between those instants — the
+// kinks — the gap between two priorities is linear, and constant while
+// both jobs age or both have saturated: a, ahead now, stays ahead up to
+// the next kink while the gap keeps a margin at both ends, and for good
+// once both have saturated.
+func (m Multifactor) Overtake(a, b *Slot, now int64) int64 {
+	if a.Nodes == b.Nodes && a.SubmitTime == b.SubmitTime {
+		return math.MaxInt64 // equal priorities forever: the tie-break holds
+	}
+	ageW, sizeW, maxAge := m.weights()
+	tol := margin * (math.Abs(ageW) + math.Abs(sizeW)*(math.Abs(m.size(a))+math.Abs(m.size(b))))
+	gap := func(d int64) float64 {
+		return m.priority(a, now+d, ageW, sizeW, maxAge) - m.priority(b, now+d, ageW, sizeW, maxAge) - tol
+	}
+	safe := func(d int64) bool { return gap(d) > 0 }
+	kink := int64(math.MaxInt64)
+	rate := func(s int64) float64 { // the job's age slope up to the next kink
+		for _, k := range [2]int64{s, s + maxAge} {
+			if k > now {
+				kink = min(kink, k)
+			}
+		}
+		if s <= now && now < s+maxAge {
+			return ageW / float64(maxAge)
+		}
+		return 0
+	}
+	k := rate(a.SubmitTime) - rate(b.SubmitTime)
+	span := horizon
+	if kink != math.MaxInt64 {
+		span = min(kink-now, horizon)
+	}
+	switch {
+	case !safe(1):
+		return now + 1
+	case safe(span):
+		return after(now, span)
+	}
+	// The gap closes inside the span: aim a little short of the crossing.
+	if x := 1 + gap(1)/-k; x > 2 && x < float64(span) {
+		if d := int64(x * (1 - 1.0/(1<<20))); safe(d) {
+			return after(now, d)
+		}
+	}
+	return now + 2
 }
 
 // ByName returns the policy with the given name.

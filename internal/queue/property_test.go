@@ -297,7 +297,9 @@ func TestIndexMatchesSortedReference(t *testing.T) {
 }
 
 // nanEvery wraps a time-varying policy and returns NaN for every third
-// job: the ranking must apply Sorted's NaN→0 patch-up on every path.
+// job: the ranking must apply Sorted's NaN→0 patch-up on every path. It
+// embeds the Policy interface, not a policy struct, so it has no Overtake
+// and every pair it ranks behind the front is re-decided the next second.
 type nanEvery struct{ Policy }
 
 func (p nanEvery) Prioritize(slots []Slot, now int64) {
@@ -682,14 +684,15 @@ func TestRankingHistoryIndependent(t *testing.T) {
 	}
 }
 
-// TestRankAllocs pins a steady-state pass at zero allocations on both of
-// Rank's paths — the repair (WFP, the clock creeping forward) and the
-// fallback sort (reversing, the order turned around every pass) — with
-// the window taken off the front and backfilling's Prune and Next behind
-// it.
+// TestRankAllocs pins a steady-state pass at zero allocations — the
+// tournament behind the front kept up as the clock creeps forward (WFP,
+// Multifactor) or re-decided whole every pass (reversing, which turns the
+// order around) — with the window taken off the front and backfilling's
+// Prune and Next behind it, and then Rank's fallback sort, forced every
+// other pass by a front that jumps from one job to the whole queue.
 func TestRankAllocs(t *testing.T) {
 	ready := func(int) bool { return true }
-	for _, pol := range []Policy{WFP{}, reversing{}} {
+	for _, pol := range []Policy{WFP{}, Multifactor{}, reversing{}} {
 		r := rng.New(401)
 		q := New(pol)
 		for id := 1; id <= 200; id++ {
@@ -709,6 +712,18 @@ func TestRankAllocs(t *testing.T) {
 		pass() // grow the pooled arrays
 		if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
 			t.Errorf("%s: Rank+Take+Prune+Next allocates %v times a pass, want 0", pol.Name(), allocs)
+		}
+		front := 1
+		jump := func() {
+			now++
+			front = q.Len() + 1 - front
+			q.Rank(now, ready, front)
+		}
+		jump()
+		jump()
+		sorts := q.sorts
+		if allocs := testing.AllocsPerRun(50, jump); allocs != 0 || q.sorts == sorts {
+			t.Errorf("%s: %v allocations a pass over %d fallback sorts, want 0 over some", pol.Name(), allocs, q.sorts-sorts)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 // The queue is one array of slots, one per waiting job: the job, its
 // priority, and a flat copy, made once at Add, of what a scheduling pass
 // reads of the job — the Key a Policy ranks by (ID, submit time, walltime
-// estimate, node count, whether it has dependencies) and the node and
+// estimate, node count), whether it has dependencies, and the node and
 // burst-buffer demand of its ranking Entry. All of it is fixed before a
 // job is admitted, so the copy cannot go stale, and a pass ranks, gathers
 // and fit-tests the queue over this one array without following a pointer
@@ -19,23 +19,41 @@
 //
 // A pass reads little of the order: a window of w jobs, and behind it the
 // few jobs EASY backfilling can start. So the queue orders only its front.
-// slots[:front] holds the best front dep-ready jobs in base order; the rest
-// of the array is unordered. Add appends; Remove deletes a front job in
-// place and a later one by moving the array's last slot into its hole.
-// Rank(now, depsDone, front) re-evaluates a time-varying policy's
-// priorities (WFP, Multifactor), patching NaN to 0 in the same scan that
-// reads them, repairs the front with an insertion sort and promotes every
-// later job that outranks the front's last member. Priorities are
-// continuous in time, so between two passes a few neighbours swap and the
-// repair costs what moved. A queue that did scramble (a restored one, the
-// first pass, a clock set back, a front as deep as the queue) exceeds the
-// repair's move budget and is sorted once, so the worst case stays
-// O(n log n).
+// slots[:front] holds the best front dep-ready jobs in base order; behind
+// it the tail holds the rest in no order but grouped by node class (class
+// 0 asks for no node, class c ≥ 1 for [2^(c-1), 2^c) nodes), with one
+// boundary per class. Add puts a job at the end of its class and Remove
+// closes its hole; either moves at most one job across each boundary.
+//
+// The tail's dep-ready jobs compete in a kinetic tournament (Basch, Guibas
+// & Hershberger, "Data Structures for Mobile Data", SODA 1997). Each node
+// holds its subtree's best job by the policy's exact priority and before at
+// the instant it was decided, and the earliest instant at which that
+// winner could change. A time-varying policy orders jobs by functions of
+// time whose pairwise order flips at computable instants, and one that
+// implements Overtaker names, for two jobs in order, an instant no later
+// than the first float flip of before: WFP the crossing of the lines
+// ∛nodes/est·(t − submit) whose cubes its priorities are, Multifactor the
+// next instant a job starts or stops ageing, FCFS never. A near tie, and a
+// policy without the method, gets the next second, so every policy is
+// ranked exactly on the one path. Rank(now, depsDone, front) re-evaluates
+// the front's priorities, patching NaN to 0, repairs the front with an
+// insertion sort, brings the tournament to now — re-deciding only the
+// pairs whose instant has come or whose members changed — and promotes
+// its winner while the front has room or the winner outranks the front's
+// last member. Add enters a job without dependencies at its submit time;
+// Rank enters the others once their dependencies hold. Behind the front a priority is evaluated only for
+// a job that is compared or gathered, so a pass costs what changed, not
+// the queue's depth. A queue that did scramble (a restored one, the first
+// pass, a clock set back, a front as deep as the queue) exceeds the
+// repair's move budget, or needs more jobs promoted than a sort costs, and
+// is sorted once, so the worst case stays O(n log n).
 //
 // The Ranking Rank returns lists the dep-ready jobs in base order, each an
 // Entry carrying its node and burst-buffer demand: the front as a copy, and
-// behind it the rest of the queue, which the ranking gathers only when a
-// caller first reads past the front. Prune then copies only the jobs that
+// behind it the tail, which the ranking gathers only when a caller first
+// reads past the front, and then only from the node classes whose
+// smallest member fits the free nodes. Prune then copies only the jobs that
 // survive it, Next hands them out best-first with one linear scan, and a
 // caller that wants the rest in order (Front, Take, Rest) has it sorted
 // once. The window pass and EASY backfilling consume one ranking, and jobs
@@ -55,15 +73,15 @@ package queue
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"bbsched/internal/job"
 )
 
-// Key is the flat copy of what ranking the queue reads of a waiting job:
-// what a Policy ranks by and the order's tie-breaks, and whether the
-// gather has dependencies to look up.
+// Key is the flat copy of what a Policy ranks a waiting job by, with the
+// order's tie-breaks.
 type Key struct {
 	ID          int
 	SubmitTime  int64
@@ -71,36 +89,42 @@ type Key struct {
 	// Nodes is the job's node demand, exact (it may legally reach
 	// job.MaxDemand).
 	Nodes int64
-	// HasDeps reports whether the job lists any dependency.
-	HasDeps bool
 }
 
 // Slot is one waiting job as the queue holds it: its ranking entry (the
-// job and its fit demands), its priority at the last evaluation, and its
-// key.
+// job and its fit demands), its priority at the last evaluation, its key,
+// whether the job lists any dependency, and its leaf in the tail's
+// tournament, -1 in the front.
 type Slot struct {
 	Entry
 	Prio float64
 	Key
+	HasDeps bool
+	leaf    int32
 }
 
 // SlotOf returns j's slot, priority unset.
 func SlotOf(j *job.Job) Slot {
 	return Slot{Entry: EntryOf(j), Key: Key{
 		ID: j.ID, SubmitTime: j.SubmitTime, WalltimeEst: j.WalltimeEst,
-		Nodes: j.Demand.Get(job.Nodes), HasDeps: len(j.Deps) > 0,
-	}}
+		Nodes: j.Demand.Get(job.Nodes),
+	}, HasDeps: len(j.Deps) > 0, leaf: -1}
 }
 
 // Queue is the waiting queue. It is not safe for concurrent use.
 type Queue struct {
 	policy Policy
-	static bool // policy implements TimeInvariant
+	over   Overtaker // policy's, or nil
 	// slots holds the waiting jobs: slots[:front] the best front dep-ready
-	// jobs of the last Rank, in its base order, and the rest in no order,
-	// the jobs added since at the end (a time-varying policy's prio unset).
-	slots []Slot
-	front int
+	// jobs of the last Rank, in its base order, then the tail in no order
+	// but grouped by node class: class c's jobs are slots[start(c):cut[c]],
+	// and the classes outside [low, top) are empty.
+	slots    []Slot
+	front    int
+	cut      [classes]int
+	low, top int
+	// tour keeps the tail's best dep-ready job.
+	tour tournament
 	// sorts counts Rank's fallback sorts.
 	sorts int
 	// rank is the pooled per-pass ranking Rank hands out.
@@ -109,8 +133,8 @@ type Queue struct {
 
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
-	_, static := policy.(TimeInvariant)
-	return &Queue{policy: policy, static: static}
+	over, _ := policy.(Overtaker)
+	return &Queue{policy: policy, over: over, tour: tournament{ids: map[int]int32{}}}
 }
 
 // Policy returns the queue's ordering policy.
@@ -181,53 +205,40 @@ func compareRanked(a, b ranked) int {
 	return 1
 }
 
-// find returns the index of job id's slot, or -1. A pass starts jobs from
-// the front of the order, so Remove's scan is short.
-func (q *Queue) find(id int) int {
-	for i := range q.slots {
-		if q.slots[i].ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// Add enqueues a job at the end of the array. Double-adds are rejected.
-// The job's key is copied here and never refreshed: ID, SubmitTime,
-// WalltimeEst, Demand and Deps must not change while the job waits (only
-// the trace generators and loaders write them, before admission).
+// Add enqueues a job into the tail. Double-adds are rejected. The job's
+// key is copied here and never refreshed: ID, SubmitTime, WalltimeEst,
+// Demand and Deps must not change while the job waits (only the trace
+// generators and loaders write them, before admission). A job without
+// dependencies enters the tournament at once, brought to its submit time
+// (the engine adds a job the instant it arrives), so that the next Rank
+// finds its pairs decided; Rank's dependency check enters the others.
 func (q *Queue) Add(j *job.Job) error {
-	if q.find(j.ID) >= 0 {
+	if _, ok := q.tour.ids[j.ID]; ok {
 		return fmt.Errorf("queue: job %d already waiting", j.ID)
 	}
-	q.slots = append(q.slots, SlotOf(j))
-	if q.static {
-		// Time-invariant: the priority is fixed now, and Rank never
-		// evaluates it again.
-		s := q.slots[len(q.slots)-1:]
-		q.policy.Prioritize(s, 0)
-		patchNaN(&s[0])
+	s := SlotOf(j)
+	i := q.open(classOf(&s))
+	q.slots[i] = s
+	q.attach(i, !s.HasDeps, math.MinInt64)
+	q.tour.ids[j.ID] = q.slots[i].leaf
+	if !s.HasDeps {
+		q.settle(max(q.tour.now, s.SubmitTime))
 	}
 	return nil
 }
 
 // Remove dequeues the job with the given ID (when it starts running). A
-// front job's hole closes up, so the front stays in order; the hole behind
-// the front is filled from the array's end.
+// front job's hole closes up, so the front stays in order.
 func (q *Queue) Remove(id int) error {
 	i := q.find(id)
 	if i < 0 {
 		return fmt.Errorf("queue: job %d not waiting", id)
 	}
-	if i < q.front {
-		q.front--
-		copy(q.slots[i:q.front], q.slots[i+1:q.front+1])
-		i = q.front
+	delete(q.tour.ids, id)
+	if ref := q.slots[i].leaf; ref >= 0 {
+		q.release(ref)
 	}
-	last := len(q.slots) - 1
-	q.slots[i] = q.slots[last]
-	q.slots[last] = Slot{} // drop the job pointer
-	q.slots = q.slots[:last]
+	q.close(i)
 	return nil
 }
 
@@ -244,28 +255,60 @@ func (q *Queue) Waiting(dst []*job.Job) []*job.Job {
 }
 
 // Contains reports whether job id is waiting.
-func (q *Queue) Contains(id int) bool { return q.find(id) >= 0 }
+func (q *Queue) Contains(id int) bool {
+	return q.find(id) >= 0
+}
 
 // CheckInvariant verifies that every slot's key is its job's, that IDs
-// are unique and that the front is in base order at the priorities the
-// last Rank set; tests call it after random operation sequences.
+// are unique, that the front is in base order at the priorities the last
+// Rank set, that the tail is grouped by class with every job on its own
+// leaf, and that the ID map finds each job;
+// tests call it after random operation sequences.
 func (q *Queue) CheckInvariant() error {
 	if q.front < 0 || q.front > len(q.slots) {
 		return fmt.Errorf("queue: front %d of %d slots", q.front, len(q.slots))
 	}
+	if q.top < 0 || q.top > classes || q.top > 0 && (q.low >= q.top || q.low < 0 || q.cut[q.top-1] != len(q.slots)) {
+		return fmt.Errorf("queue: classes [%d, %d) in use, ending at %v of %d slots", q.low, q.top, q.cut, len(q.slots))
+	}
+	t := &q.tour
 	seen := make(map[int]bool, len(q.slots))
+	live := 0
 	for i := range q.slots {
 		s := &q.slots[i]
-		if want := SlotOf(s.Job); s.Key != want.Key || s.Entry != want.Entry {
+		if want := SlotOf(s.Job); s.Key != want.Key || s.Entry != want.Entry || s.HasDeps != want.HasDeps {
 			return fmt.Errorf("queue: slot %d holds %+v, job %d has %+v", i, *s, s.Job.ID, want)
 		}
 		if seen[s.ID] {
 			return fmt.Errorf("queue: job %d waits twice", s.ID)
 		}
 		seen[s.ID] = true
-		if i > 0 && i < q.front && !before(&q.slots[i-1], s) {
-			return fmt.Errorf("queue: front slot %d (job %d) out of base order", i, s.ID)
+		if ref, ok := t.ids[s.ID]; !ok || ref != s.leaf || q.find(s.ID) != i || (i < q.front) != (s.leaf == -1) ||
+			s.leaf >= 0 && (int(s.leaf) >= len(t.leaves) || t.leaves[s.leaf].pos != int32(i)) {
+			return fmt.Errorf("queue: slot %d (job %d) on leaf %d, which is not its", i, s.ID, s.leaf)
 		}
+		if i < q.front {
+			if i > 0 && !before(&q.slots[i-1], s) {
+				return fmt.Errorf("queue: front slot %d (job %d) out of base order", i, s.ID)
+			}
+			continue
+		}
+		l := t.leaves[s.leaf]
+		if c := classOf(s); c < q.low || c >= q.top || i < q.start(c) || i >= q.cut[c] {
+			return fmt.Errorf("queue: tail slot %d (job %d, class %d) outside its class", i, s.ID, c)
+		}
+		if !l.ready && !s.HasDeps {
+			return fmt.Errorf("queue: job %d has no dependency but its leaf is out", s.ID)
+		}
+		if l.ready {
+			live++
+		}
+	}
+	if len(t.ids) != len(q.slots) {
+		return fmt.Errorf("queue: %d IDs mapped for %d waiting jobs", len(t.ids), len(q.slots))
+	}
+	if live != t.live {
+		return fmt.Errorf("queue: %d dep-ready tail jobs counted as %d", live, t.live)
 	}
 	return nil
 }
@@ -373,6 +416,7 @@ type Ranking struct {
 	// tail, in no order.
 	q        *Queue
 	depsDone func(id int) bool
+	now      int64
 	pending  int
 	tail     []ranked
 	// How far entries and tail have reached since Rank last cleared them:
@@ -384,25 +428,24 @@ type Ranking struct {
 // repairBudget bounds Rank's insertion moves: past repairBudget
 // single-slot moves per waiting job the front is scrambled, not drifting,
 // and one sort finishes the job. Consecutive passes of a replay need a
-// fraction of a move per job; a restored queue, still in ID order, a
-// first pass, a front as deep as a scrambled queue or a clock set back
-// lands here.
+// fraction of a move per job; a restored queue, a first pass, a front as
+// deep as a scrambled queue or a clock set back lands here.
 const repairBudget = 4
 
 // Rank brings the queue's front up to date at now and returns the waiting
 // jobs whose dependencies have all finished, in base order, as the
 // queue's pooled ranking. front is how many of them the caller reads in
 // order (the window): the queue keeps the best front of them in order,
-// the rest unordered until a caller reads past them. A time-varying
-// policy's priorities are re-evaluated, the front the last Rank left is
-// repaired, and any later job that outranks its last member is promoted
-// into it. Only a job that has dependencies is dereferenced. No allocation
-// once the arrays have grown.
+// the rest in its tail until a caller reads past them. The front is
+// re-prioritized and repaired, the tail's tournament is brought to now,
+// and its winner is promoted while it outranks the front's last member;
+// behind the front only the jobs compared or gathered are prioritized.
+// Only a job that has dependencies is dereferenced. No allocation once
+// the arrays have grown.
 func (q *Queue) Rank(now int64, depsDone func(id int) bool, front int) *Ranking {
-	if !q.static {
-		q.policy.Prioritize(q.slots, now)
-	}
-	ready := q.repair(depsDone, max(front, 0))
+	q.checkDeps(depsDone)
+	q.policy.Prioritize(q.slots[:q.front], now)
+	q.repair(now, depsDone, max(front, 0))
 	r := &q.rank
 	r.entries, r.lo = r.entries[:0], 0
 	for i := range q.slots[:q.front] {
@@ -414,71 +457,65 @@ func (q *Queue) Rank(now int64, depsDone func(id int) bool, front int) *Ranking 
 	r.entriesHW = len(r.entries)
 	clear(r.tail[:r.tailHW])
 	r.tail, r.tailHW = r.tail[:0], 0
-	r.q, r.depsDone, r.pending = q, depsDone, ready-q.front
+	r.q, r.depsDone, r.now, r.pending = q, depsDone, now, q.tour.live
 	return r
 }
 
-// repair makes slots[:front] the best front dep-ready jobs in base order
-// and returns how many waiting jobs are dep-ready. It patches each
-// priority before comparing it. Its work is the insertion moves the front
-// needs, abandoned for one sort once they pass repairBudget per job.
-func (q *Queue) repair(depsDone func(id int) bool, front int) (ready int) {
-	slots := q.slots
-	budget := repairBudget * len(slots)
-	// A front asked smaller keeps its first members; the others join the
-	// rest.
-	f := min(q.front, front)
-	for i := 0; i < f; i++ {
-		s := &slots[i]
+// repair makes slots[:front] the best front dep-ready jobs in base order.
+// It sorts the front by insertion, sends members whose dependencies no
+// longer hold, and those past a front asked smaller, to the tail, and
+// then promotes the tail's winner while there is room or it outranks the
+// last member. Its work is the insertion moves and the tournament's
+// re-decisions, abandoned for one sort when the moves pass repairBudget
+// per job, when the front must take in more jobs than a sort costs, or
+// when the tail has shrunk to under a quarter of the tournament's width,
+// whose paths the sort's rebuild shortens.
+func (q *Queue) repair(now int64, depsDone func(id int) bool, front int) {
+	budget := repairBudget * len(q.slots)
+	for i := 0; i < q.front; i++ {
+		s := &q.slots[i]
 		if s.HasDeps && !depsReady(s.Job, depsDone) {
-			// Its dependencies no longer hold: it joins the rest too, and
-			// the front closes up behind it.
-			out := *s
-			f--
-			copy(slots[i:f], slots[i+1:f+1])
-			slots[f] = out
+			q.demote(i, false, now)
 			i--
 			continue
 		}
 		patchNaN(s)
-		if i > 0 && before(s, &slots[i-1]) {
-			if budget -= sink(slots, i); budget < 0 {
-				return q.sortReady(depsDone, front)
+		if i > 0 && before(s, &q.slots[i-1]) {
+			if budget -= sink(q.slots, i); budget < 0 {
+				q.sortReady(now, depsDone, front)
+				return
 			}
 		}
 	}
-	ready = f
-	// The rest is scanned over slots[f:hi]. A member the scan pushes out of
-	// the front goes to slots[hi-1], past the scan, and the slot there is
-	// scanned in the promoted job's place: pushed-out members written back
-	// where the scan stood would leave the rest ascending in scan order, and
-	// the next pass would promote nearly every job it met.
-	hi := len(slots)
-	for i := f; i < hi; i++ {
-		s := &slots[i]
-		patchNaN(s)
-		if s.HasDeps && !depsReady(s.Job, depsDone) {
-			continue
+	for q.front > front {
+		q.demote(q.front-1, true, now)
+	}
+	if n := len(q.slots); min(front-q.front, q.tour.live)*bits.Len(uint(n)) > n || q.tour.size > 16 && 4*(n-q.front) < q.tour.size {
+		q.sortReady(now, depsDone, front)
+		return
+	}
+	for q.tour.live > 0 {
+		q.settle(now)
+		w := q.tour.winner()
+		s := q.leafSlot(w, now)
+		if q.front == front {
+			if front == 0 || !before(s, &q.slots[front-1]) {
+				return
+			}
+			q.demote(front-1, true, now)
 		}
-		ready++
-		switch {
-		case f < front: // the front has room
-			slots[f], slots[i] = slots[i], slots[f]
-			f++
-		case f > 0 && before(s, &slots[f-1]): // it outranks the last member
-			hi--
-			promoted := *s
-			slots[i], slots[hi], slots[f-1] = slots[hi], slots[f-1], promoted
-			i--
-		default:
-			continue
+		q.promote(w)
+		moved := sink(q.slots, q.front-1)
+		if budget -= moved; budget < 0 {
+			q.sortReady(now, depsDone, front)
+			return
 		}
-		if budget -= sink(slots, f-1); budget < 0 {
-			return q.sortReady(depsDone, front)
+		if moved == 0 && q.front == front {
+			// It is the front's last member, and it ranked before every
+			// job still behind: the next settle can re-decide its path.
+			return
 		}
 	}
-	q.front = f
-	return ready
 }
 
 // sink moves slots[i] down to its place in slots[:i+1], in base order but
@@ -492,15 +529,20 @@ func sink(slots []Slot, i int) int {
 	return i - k
 }
 
-// sortReady is repair's fallback: it moves the dep-ready jobs to the
-// start of the array, sorts them once and makes the first front of them
-// the front. It returns how many are dep-ready.
-func (q *Queue) sortReady(depsDone func(id int) bool, front int) (ready int) {
+// sortReady is repair's fallback: it prioritizes every job not yet
+// prioritized at now, sorts the dep-ready ones once, makes the first front
+// of them the front and builds the tail afresh from the rest.
+func (q *Queue) sortReady(now int64, depsDone func(id int) bool, front int) {
 	q.sorts++
+	for i := q.front; i < len(q.slots); i++ {
+		q.prioAt(i, now)
+	}
 	slots := q.slots
+	ready := 0
 	for i := range slots {
-		patchNaN(&slots[i])
-		if !slots[i].HasDeps || depsReady(slots[i].Job, depsDone) {
+		s := &slots[i]
+		patchNaN(s)
+		if !s.HasDeps || depsReady(s.Job, depsDone) {
 			if ready != i {
 				slots[ready], slots[i] = slots[i], slots[ready]
 			}
@@ -509,7 +551,7 @@ func (q *Queue) sortReady(depsDone func(id int) bool, front int) (ready int) {
 	}
 	slices.SortFunc(slots[:ready], compare)
 	q.front = min(front, ready)
-	return ready
+	q.rebuild(now, depsDone)
 }
 
 // Len returns the number of ranked jobs not yet consumed.
@@ -589,17 +631,19 @@ func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
 }
 
 // gather copies into the tail the dep-ready jobs behind the queue's front
-// that MayFit and keep pass (every one when keep is nil). The jobs taken
-// since Rank are front jobs, whose Remove leaves that set as it was.
+// that MayFit and keep pass (every one when keep is nil), with their
+// priorities. It reads only the node classes that may hold a job of at
+// most freeNodes nodes. The jobs taken since Rank are front jobs, whose
+// Remove leaves that set as it was.
 func (r *Ranking) gather(freeNodes int, freeBB int64, keep func(Entry) bool) {
 	q := r.q
-	for i := q.front; i < len(q.slots); i++ {
+	for i, hi := q.front, q.readable(freeNodes); i < hi; i++ {
 		s := &q.slots[i]
 		if !s.MayFit(freeNodes, freeBB) || s.HasDeps && !depsReady(s.Job, r.depsDone) {
 			continue
 		}
 		if keep == nil || keep(s.Entry) {
-			r.tail = append(r.tail, ranked{s.Entry, s.Prio})
+			r.tail = append(r.tail, ranked{s.Entry, q.prioAt(i, r.now).Prio})
 		}
 	}
 	r.pending = 0

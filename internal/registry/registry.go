@@ -333,7 +333,7 @@ var solvers = []SolverSpec{
 	},
 	{
 		Name: "portfolio",
-		Desc: "race ga, lp and greedy per decision, keep the best feasible roster (scalarized problems)",
+		Desc: "run ga, lp and greedy in turn per decision, keep the best feasible roster (scalarized problems)",
 		New: func(ga moo.GAConfig) solver.Solver {
 			return solver.NewPortfolio(solver.NewGA(ga), lp.New(lp.DefaultConfig()), solver.NewGreedy())
 		},

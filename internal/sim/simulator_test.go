@@ -333,62 +333,105 @@ func TestNewSimulatorValidation(t *testing.T) {
 	}
 }
 
-// countingWFP is WFP counting the priorities it evaluates.
+// passCounts is what the queue cost from one scheduling pass to the next,
+// the jobs added in between included: the priorities evaluated and the
+// pairs the tournament behind the front compared, and, the most seen at
+// any evaluation, the window and the waiting jobs that asked for no more
+// nodes than were free.
+type passCounts struct {
+	evals, compares int
+	front, fit      int
+}
+
+// countingWFP is WFP counting, into n, the priorities it evaluates and the
+// pairs it is asked to certify, reading s at every evaluation.
 type countingWFP struct {
 	queue.WFP
-	calls *int
+	n *passCounts
+	s *Simulator
 }
 
 func (p countingWFP) Prioritize(slots []queue.Slot, now int64) {
-	*p.calls += len(slots)
+	n, fit := p.n, 0
+	for _, j := range p.s.q.Waiting(nil) {
+		if j.Demand.NodeCount() <= p.s.cl.FreeNodes() {
+			fit++
+		}
+	}
+	n.front, n.fit = max(n.front, p.s.plugin.WindowSize(p.s.q.Len())), max(n.fit, fit)
+	n.evals += len(slots)
 	p.WFP.Prioritize(slots, now)
 }
 
+func (p countingWFP) Overtake(a, b *queue.Slot, now int64) int64 {
+	p.n.compares++
+	return p.WFP.Overtake(a, b, now)
+}
+
 // passGatherObserver checks, pass by pass, how many priorities were
-// evaluated against how many jobs were waiting when the pass began.
+// evaluated against what the pass read of the queue and against how many
+// jobs were waiting when the pass began.
 type passGatherObserver struct {
 	NopObserver
 	t               *testing.T
-	calls           *int
-	seen            int
+	n               *passCounts
 	deepest, ranked int
+	// Over the passes that began with at least 100 jobs waiting: the
+	// priorities they evaluated and the jobs waiting.
+	deepEvals, deepDepth int
 }
 
 func (o *passGatherObserver) OnSchedule(info ScheduleInfo) {
 	depth := info.QueueDepth + info.Started // waiting jobs when the pass began
-	gathered := *o.calls - o.seen
-	o.seen = *o.calls
-	if gathered > depth {
+	n := *o.n
+	*o.n = passCounts{}
+	if n.evals > depth {
 		o.t.Errorf("pass %d: %d priorities evaluated for %d waiting jobs; a pass ranks the queue once",
-			info.Invocation, gathered, depth)
+			info.Invocation, n.evals, depth)
+	}
+	// The front carried in and the jobs promoted into it (one more for the
+	// candidate that failed), both members of compared pairs, and the jobs
+	// a gather copied, which all fit the nodes free when it ran.
+	if bound := 2*n.front + 1 + 2*n.compares + n.fit; n.evals > bound {
+		o.t.Errorf("pass %d: %d priorities evaluated, more than a front of %d twice, %d compared pairs and %d jobs that could fit",
+			info.Invocation, n.evals, n.front, n.compares, n.fit)
+	}
+	if depth >= 100 {
+		o.deepEvals += n.evals
+		o.deepDepth += depth
 	}
 	if depth > o.deepest {
 		o.deepest = depth
 	}
-	if gathered > 0 {
+	if n.evals > 0 {
 		o.ranked++
 	}
 }
 
 // TestScheduleGathersQueueOncePerPass: the window pass and EASY backfill
-// share one ranking, so a pass evaluates each dep-ready job's priority at
-// most once (the parent evaluated it once per consumer).
+// share one ranking, and behind its front the queue evaluates only the
+// priorities it compares or gathers, so a pass evaluates at most one
+// priority per waiting job, and on a deep queue far fewer.
 func TestScheduleGathersQueueOncePerPass(t *testing.T) {
 	w := trace.Generate(trace.GenConfig{
 		System: trace.Scale(trace.Theta(), 32), Jobs: 600, Seed: 3,
 		TargetLoad: 4, DependencyFraction: 0.1,
 	})
-	calls := 0
-	obs := &passGatherObserver{t: t, calls: &calls}
+	var n passCounts
+	obs := &passGatherObserver{t: t, n: &n}
 	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(1), WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.q = queue.New(countingWFP{calls: &calls}) // nothing is queued before the first Step
+	s.q = queue.New(countingWFP{n: &n, s: s}) // nothing is queued before the first Step
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if obs.deepest < 100 || obs.ranked < 100 {
 		t.Fatalf("queue peaked at %d over %d ranked passes; the test needs a deep queue to mean anything", obs.deepest, obs.ranked)
+	}
+	t.Logf("deep passes: %d priorities evaluated for %d waiting jobs", obs.deepEvals, obs.deepDepth)
+	if obs.deepEvals*4 > obs.deepDepth {
+		t.Errorf("passes over a deep queue evaluated %d priorities for %d waiting jobs; want at most a quarter", obs.deepEvals, obs.deepDepth)
 	}
 }
