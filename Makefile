@@ -89,14 +89,17 @@ farm-smoke:
 # the network), the dead-window shortcuts (skipped answer == solved
 # answer, over generated windows, on every registered backend; and the
 # Plugin's unasked answer == the answer with every registered method
-# asked, over the same windows aged past the starvation bound), the GA's
+# asked, over the same windows aged past the starvation bound, ranked in
+# order and on the engine's unordered Pass with the EASY plan), the GA's
 # termination certificate (certified stop == full run, same windows), the
 # ranked planner
 # (prefiltered, best-first PlanRanked == reference Plan over Sorted, over
 # generated machines and queues ranked at the window as their front, one
-# pass and several carried) and the queue's tail tournament (its winner ==
+# pass and several carried), the queue's tail tournament (its winner ==
 # the brute-force best job behind the front, over clocks that advance,
-# repeat and go back) for 30s per target (CI smoke; the seed
+# repeat and go back) and the engine's unordered window (pass by pass ==
+# the reference engine that orders every window and writes every age,
+# across a checkpoint) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.
@@ -106,9 +109,11 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindow$$' -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindowOnPass$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLazyWindow$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
 # internal/solver + internal/queue + internal/backfill statement coverage

@@ -11,6 +11,16 @@
 //     sched.Method (BBSched or a §4.3 comparison method) behind a base
 //     scheduler's job ordering, with dependency gating and the starvation
 //     bound.
+//
+// The Plugin orders its window on demand. A pass first reads the window
+// unordered (queue.Ranking.Window): starvation forcing and the test for a
+// dead window need only the window jobs that may fit the free machine,
+// compared with each other. Only a live window, or a method that sees
+// every pass (sched.EveryPass), is read in base order and handed to the
+// method. A dead window is aged by counting, not writing: the queue counts
+// the pass for its front and writes a job's WindowAge when the job leaves
+// the window (queue.Ranking.Age). Backfilling reads only what it needs of
+// a dead window (Plugin.Ahead); Plugin.LeftBehind orders it on demand.
 package core
 
 import (
@@ -264,10 +274,14 @@ type Plugin struct {
 	// on dead windows too.
 	everyPass bool
 
-	// pooled per-pass scratch; left aliases the ranking's storage
+	// pooled per-pass scratch; left aliases the ranking's storage, which
+	// after a dead pass (aged) holds only what backfilling needs of it
 	rest     []*job.Job
 	left     []queue.Entry
+	ranking  *queue.Ranking
+	aged     bool
 	started  []*job.Job
+	forced   []bool
 	chosen   []bool
 	scratch  cluster.Snapshot
 	verify   cluster.Snapshot
@@ -298,8 +312,8 @@ type DecideContext struct {
 	// Now is the simulation time in seconds.
 	Now int64
 	// Ranking is the dep-ready waiting queue in base-policy order at Now
-	// (queue.Queue.Rank). Decide takes its window off the front; what it
-	// leaves is what EASY backfilling walks after LeftBehind.
+	// (queue.Queue.Pass or Rank). Decide takes its window off the front;
+	// what it leaves is what EASY backfilling walks after Ahead.
 	Ranking *queue.Ranking
 	// QueueLen is the number of waiting jobs, dependency-blocked ones
 	// included — what a WindowPolicy sizes the window from.
@@ -314,8 +328,8 @@ type DecideContext struct {
 
 // WindowSize returns the window a pass over queueLen waiting jobs takes:
 // the configured size, or the window policy's. The caller ranks the queue
-// with it as the front (queue.Queue.Rank), so the window is what the
-// queue keeps in order.
+// with it as the front (queue.Queue.Pass), so the window is the queue's
+// front.
 func (p *Plugin) WindowSize(queueLen int) int {
 	if p.cfg.WindowPolicy != nil {
 		return p.cfg.WindowPolicy.Size(queueLen)
@@ -324,71 +338,94 @@ func (p *Plugin) WindowSize(queueLen int) int {
 }
 
 // Decide runs one scheduling pass and returns the jobs to start, in start
-// order. It mutates only jobs' WindowAge (incremented for window jobs left
-// behind); resource allocation is the caller's job. The returned slice is
+// order. It mutates only jobs' WindowAge (window jobs left behind age by
+// one pass); resource allocation is the caller's job. The returned slice is
 // pooled scratch, valid only until the next Decide call.
 //
 // A dead window — one where, after starvation forcing, no job fits the
 // free machine on its own (sched.FitsAlone), on a snapshot that is not
 // over capacity (sched.OverCapacity) — has one answer, the empty
-// selection, and Decide gives it without calling the method: the jobs the
-// forcing loop kept are aged and left behind as they stand. Only a method
-// that implements sched.EveryPass is called on such a pass.
+// selection, and Decide gives it without calling the method. Only a method
+// that implements sched.EveryPass is called on such a pass. Decide first
+// reads the window unordered (queue.Ranking.Window): forcing can start,
+// and the liveness test can find, only jobs that pass MayFit against the
+// free totals before forcing starts any, since forcing only takes from
+// them. Only a live window, or a method that sees every pass, is read in
+// order; a dead one is aged and taken unordered (queue.Ranking.Age).
 func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	size := p.WindowSize(ctx.QueueLen)
-	// The window is the ranking's own storage (queue.Ranking.Front): the
-	// forcing loop compacts it in place to the jobs it keeps, and a live
-	// window is compacted again to the jobs left behind, so no entry is
-	// copied out.
-	window := ctx.Ranking.Front(size)
-	p.left = window[:0]
-	if len(window) == 0 {
+	r := ctx.Ranking
+	p.scratch.CopyFrom(ctx.Snap)
+	freeNodes := p.scratch.FreeNodes()
+	// The window is the ranking's own storage: its jobs that may fit.
+	window := r.Window(freeNodes, p.scratch.FreeBB)
+	p.left, p.ranking, p.aged = window[:0], r, false
+	if min(size, r.Len()) == 0 {
 		return nil, nil
 	}
-	p.scratch.CopyFrom(ctx.Snap)
 	if n := p.scratch.NumClasses(); cap(p.placeBuf) < n {
 		p.placeBuf = make([]int, n)
 	}
 	buf := p.placeBuf[:p.scratch.NumClasses()]
+	if cap(p.forced) < len(window) {
+		p.forced = make([]bool, len(window))
+	}
+	forced := p.forced[:len(window)]
+	clear(forced)
 
 	// Starvation forcing (§3.1): jobs over the bound must be selected.
 	// They are dispatched first, in window (base-priority) order, when
 	// they fit; a starved job that does not fit cannot be started by any
-	// selection, so it stays and keeps aging. On a full machine that is
-	// most window jobs, so the entry's necessary condition (MayFit against
-	// the free totals, refreshed after each start) is asked first, before
-	// the job's age is loaded: a job that cannot fit costs no load of it.
-	// Whether any kept job passed it is what tells a dead window.
+	// selection, so it stays and keeps aging. Each start is the best job
+	// ranked after the last that is starved and fits what is left. On a
+	// full machine that is few window jobs, so the entry's necessary
+	// condition (MayFit against the free totals, refreshed after each
+	// start) is asked first, before the job's age is loaded: a job that
+	// cannot fit costs no load of it.
 	p.started = p.started[:0]
-	freeNodes := p.scratch.FreeNodes()
-	kept, mayFit := 0, false
-	for _, e := range window {
-		may := e.MayFit(freeNodes, p.scratch.FreeBB)
-		if may && p.cfg.StarvationBound > 0 && e.Job.WindowAge >= p.cfg.StarvationBound {
-			if _, err := p.scratch.AllocInto(e.Job.Demand, buf); err == nil {
-				p.started = append(p.started, e.Job)
-				freeNodes -= e.Job.Demand.NodeCount()
+	for last := -1; p.cfg.StarvationBound > 0; {
+		pick := -1
+		for k, e := range window {
+			if forced[k] || !e.MayFit(freeNodes, p.scratch.FreeBB) || last >= 0 && r.Before(k, last) || pick >= 0 && r.Before(pick, k) {
 				continue
 			}
+			if r.WindowAge(k) >= p.cfg.StarvationBound && p.scratch.CanFit(e.Job.Demand) {
+				pick = k
+			}
 		}
-		window[kept] = e
-		kept++
-		mayFit = mayFit || may
+		if pick < 0 {
+			break
+		}
+		j := window[pick].Job
+		if _, err := p.scratch.AllocInto(j.Demand, buf); err != nil {
+			return nil, fmt.Errorf("core: starved job %d fits but does not allocate: %w", j.ID, err)
+		}
+		p.started = append(p.started, j)
+		freeNodes -= j.Demand.NodeCount()
+		forced[pick], last = true, pick
 	}
-	window = window[:kept]
 
-	if !p.everyPass && !p.live(window, mayFit, freeNodes) {
-		for _, e := range window {
-			e.Job.WindowAge++
-		}
-		p.left = window
+	if !p.everyPass && !p.live(window, forced, freeNodes) {
+		p.left, p.aged = r.Age(p.started, freeNodes, p.scratch.FreeBB), true
 		return p.started, nil
 	}
 
+	// The method sees the whole window in order, but for the jobs forcing
+	// started, which come in the same order. The jobs it leaves behind are
+	// compacted in place.
+	started, kept := p.started, 0
+	window = r.Front(size)
 	p.rest = p.rest[:0]
 	for _, e := range window {
+		if len(started) > 0 && e.Job == started[0] {
+			started = started[1:]
+			continue
+		}
+		window[kept] = e
+		kept++
 		p.rest = append(p.rest, e.Job)
 	}
+	window, p.left = window[:kept], window[:0]
 	p.mctx.Now, p.mctx.Window, p.mctx.Snap = ctx.Now, p.rest, p.scratch
 	p.mctx.Totals, p.mctx.Rand = ctx.Totals, ctx.Rand
 	idx, err := p.method.Select(&p.mctx)
@@ -433,18 +470,15 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	return p.started, nil
 }
 
-// live reports whether the method must be asked about window, the jobs
-// the forcing loop kept: some job fits the free scratch snapshot on its
-// own, or the snapshot is over capacity. mayFit reports whether any of
-// them passed MayFit during the loop; those that still pass against the
-// totals the loop left (freeNodes and the scratch's burst buffer) are the
-// only ones put to sched.FitsAlone.
-func (p *Plugin) live(window []queue.Entry, mayFit bool, freeNodes int) bool {
-	if mayFit {
-		for _, e := range window {
-			if e.MayFit(freeNodes, p.scratch.FreeBB) && sched.FitsAlone(&p.scratch, e.Job.Demand) {
-				return true
-			}
+// live reports whether the method must be asked about window, whose
+// forced jobs forcing started: some other job fits the free scratch
+// snapshot on its own, or the snapshot is over capacity. Only the jobs
+// that pass MayFit against the totals forcing left (freeNodes and the
+// scratch's burst buffer) are put to sched.FitsAlone.
+func (p *Plugin) live(window []queue.Entry, forced []bool, freeNodes int) bool {
+	for k, e := range window {
+		if !forced[k] && e.MayFit(freeNodes, p.scratch.FreeBB) && sched.FitsAlone(&p.scratch, e.Job.Demand) {
+			return true
 		}
 	}
 	return sched.OverCapacity(&p.scratch)
@@ -452,6 +486,22 @@ func (p *Plugin) live(window []queue.Entry, mayFit bool, freeNodes int) bool {
 
 // LeftBehind returns the window jobs the last Decide call did not start,
 // in window (base-priority) order: the jobs that rank ahead of everything
-// still in that call's Ranking. It aliases that Ranking's storage, valid
-// until the queue is ranked again.
-func (p *Plugin) LeftBehind() []queue.Entry { return p.left }
+// still in that call's Ranking. After a dead pass it is that window's
+// ordered read (queue.Ranking.Aged), so it must come before anything
+// changes the queue; backfilling reads Ahead instead. It aliases that
+// Ranking's storage, valid until the queue is ranked again.
+func (p *Plugin) LeftBehind() []queue.Entry {
+	if p.aged {
+		p.left, p.aged = p.ranking.Aged(p.left[:0], p.started), false
+	}
+	return p.left
+}
+
+// Ahead returns what EASY backfilling must walk, after the last Decide
+// call, ahead of the rest of its Ranking: the jobs LeftBehind returns,
+// but after a dead pass at most the best of them (queue.Ranking.Age) —
+// none of them fits what the pass left free, so backfilling needs only
+// the job to reserve for, and even that only if a job behind the window
+// may fit. It aliases that Ranking's storage, valid until the queue is
+// ranked again.
+func (p *Plugin) Ahead() []queue.Entry { return p.left }

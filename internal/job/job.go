@@ -262,7 +262,11 @@ type Job struct {
 	StartTime, EndTime int64
 	// WindowAge counts scheduler iterations this job has spent in the
 	// window without being selected; the starvation bound forces selection
-	// once it passes the configured limit (§3.1).
+	// once it passes the configured limit (§3.1). While the job waits in a
+	// queue's front (package queue), the field can lag: the queue counts
+	// the passes that aged the front and writes them when the job leaves
+	// it, when the front is read in order, or at Queue.WriteAges.
+	// Queue.WindowAge gives the true value at any time.
 	WindowAge int
 }
 

@@ -18,12 +18,13 @@
 // per job; CheckInvariant pins copy == job.
 //
 // A pass reads little of the order: a window of w jobs, and behind it the
-// few jobs EASY backfilling can start. So the queue orders only its front.
-// slots[:front] holds the best front dep-ready jobs in base order; behind
-// it the tail holds the rest in no order but grouped by node class (class
-// 0 asks for no node, class c ≥ 1 for [2^(c-1), 2^c) nodes), with one
-// boundary per class. Add puts a job at the end of its class and Remove
-// closes its hole; either moves at most one job across each boundary.
+// few jobs EASY backfilling can start. So the queue keeps only its front's
+// membership exact: slots[:front] holds the best front dep-ready jobs, and
+// behind it the tail holds the rest in no order but grouped by node class
+// (class 0 asks for no node, class c ≥ 1 for [2^(c-1), 2^c) nodes), with
+// one boundary per class. Add puts a job at the end of its class and
+// Remove closes its hole; either moves at most one job across each
+// boundary.
 //
 // The tail's dep-ready jobs compete in a kinetic tournament (Basch, Guibas
 // & Hershberger, "Data Structures for Mobile Data", SODA 1997). Each node
@@ -36,24 +37,46 @@
 // ∛nodes/est·(t − submit) whose cubes its priorities are, Multifactor the
 // next instant a job starts or stops ageing, FCFS never. A near tie, and a
 // policy without the method, gets the next second, so every policy is
-// ranked exactly on the one path. Rank(now, depsDone, front) re-evaluates
-// the front's priorities, patching NaN to 0, repairs the front with an
-// insertion sort, brings the tournament to now — re-deciding only the
-// pairs whose instant has come or whose members changed — and promotes
-// its winner while the front has room or the winner outranks the front's
-// last member. Add enters a job without dependencies at its submit time;
-// Rank enters the others once their dependencies hold. Behind the front a priority is evaluated only for
-// a job that is compared or gathered, so a pass costs what changed, not
-// the queue's depth. A queue that did scramble (a restored one, the first
-// pass, a clock set back, a front as deep as the queue) exceeds the
-// repair's move budget, or needs more jobs promoted than a sort costs, and
-// is sorted once, so the worst case stays O(n log n).
+// ranked exactly on the one path. Pass(now, depsDone, front) sends front
+// members whose dependencies no longer hold to the tail, brings the
+// tournament to now — re-deciding only the pairs whose instant has come or
+// whose members changed — and promotes its winner while the front has
+// room, or swaps it for the front's worst member while it outranks it. Add
+// enters a job without dependencies at its submit time; Pass enters the
+// others once their dependencies hold.
 //
-// The Ranking Rank returns lists the dep-ready jobs in base order, each an
-// Entry carrying its node and burst-buffer demand: the front as a copy, and
-// behind it the tail, which the ranking gathers only when a caller first
-// reads past the front, and then only from the node classes whose
-// smallest member fits the free nodes. Prune then copies only the jobs that
+// The front is ordered on demand. Its priorities are evaluated only when a
+// swap needs its worst member or a read needs an order, and it is put in
+// base order, by insertion from the order it last had, only when the
+// ranking is first read in order (Front, Take, Next, Rest, Prune, Aged;
+// Rank is Pass followed by that). Window reads it as it lies instead: one
+// pass over the front's demands finds the window's jobs that may fit the
+// free totals, and the front's priorities are evaluated only if Before
+// compares two of them. A job promoted into the front brings its priority
+// at the instant it was promoted, so no priority is evaluated twice at
+// one instant. Behind the front a priority is evaluated only for a job that is compared
+// or gathered, so a pass that reads no order costs a read of the window's
+// demands plus what changed, not the queue's depth. A queue that did
+// scramble (a restored one, the first pass, a clock set back, a front as
+// deep as the queue) exceeds the ordering's move budget, or needs more
+// jobs promoted than a sort costs, and is sorted once, so the worst case
+// stays O(n log n).
+//
+// Ageing is counted, not written. The queue counts the passes whose window
+// it aged unread (Ranking.Age), and a front job holds the count at which
+// its WindowAge was last written; its age is the field plus the passes
+// since. The field is written when the job leaves the front, when the
+// front is read in order, and by WriteAges, which a snapshot calls first;
+// WindowAge reads it without writing. A pass ended by Age hands
+// backfilling only the window's best job, and only if a job behind the
+// window may fit; Aged is that window's ordered read, for a caller that
+// wants every job left behind.
+//
+// The Ranking Pass returns lists the dep-ready jobs in base order, each an
+// Entry carrying its node and burst-buffer demand: the front, and behind
+// it the tail, which the ranking gathers only when a caller first reads
+// past the front, and then only from the node classes whose smallest
+// member fits the free nodes. Prune then copies only the jobs that
 // survive it, Next hands them out best-first with one linear scan, and a
 // caller that wants the rest in order (Front, Take, Rest) has it sorted
 // once. The window pass and EASY backfilling consume one ranking, and jobs
@@ -94,7 +117,9 @@ type Key struct {
 // Slot is one waiting job as the queue holds it: its ranking entry (the
 // job and its fit demands), its priority at the last evaluation, its key,
 // whether the job lists any dependency, and its leaf in the tail's
-// tournament, -1 in the front.
+// tournament. A front job holds no leaf; there the field is the queue's
+// count of window passes when the job's WindowAge was last written, which
+// its counted age runs from.
 type Slot struct {
 	Entry
 	Prio float64
@@ -123,18 +148,30 @@ type Queue struct {
 	front    int
 	cut      [classes]int
 	low, top int
+	// slots[:fresh]'s priorities are for frontAt (math.MinInt64 if not for
+	// one instant), and those of the jobs promoted after them,
+	// slots[fresh:front], for freshAt; ordered reports whether the front is
+	// in base order at them. frontDeps counts the front's jobs that list a
+	// dependency.
+	frontAt, freshAt int64
+	fresh            int
+	ordered          bool
+	frontDeps        int
+	// passes counts the window passes the front was aged by (Ranking.Age),
+	// modulo 2^32.
+	passes uint32
 	// tour keeps the tail's best dep-ready job.
 	tour tournament
-	// sorts counts Rank's fallback sorts.
+	// sorts counts the fallback sorts.
 	sorts int
-	// rank is the pooled per-pass ranking Rank hands out.
+	// rank is the pooled per-pass ranking Pass and Rank hand out.
 	rank Ranking
 }
 
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
 	over, _ := policy.(Overtaker)
-	return &Queue{policy: policy, over: over, tour: tournament{ids: map[int]int32{}}}
+	return &Queue{policy: policy, over: over, frontAt: math.MinInt64, freshAt: math.MinInt64, tour: tournament{ids: map[int]int32{}}}
 }
 
 // Policy returns the queue's ordering policy.
@@ -235,8 +272,10 @@ func (q *Queue) Remove(id int) error {
 		return fmt.Errorf("queue: job %d not waiting", id)
 	}
 	delete(q.tour.ids, id)
-	if ref := q.slots[i].leaf; ref >= 0 {
-		q.release(ref)
+	if i < q.front {
+		q.writeAge(i)
+	} else {
+		q.release(q.slots[i].leaf)
 	}
 	q.close(i)
 	return nil
@@ -260,9 +299,9 @@ func (q *Queue) Contains(id int) bool {
 }
 
 // CheckInvariant verifies that every slot's key is its job's, that IDs
-// are unique, that the front is in base order at the priorities the last
-// Rank set, that the tail is grouped by class with every job on its own
-// leaf, and that the ID map finds each job;
+// are unique, that a front last ordered is in base order at the priorities
+// last evaluated, that the tail is grouped by class with every job on its
+// own leaf, and that the ID map finds each job;
 // tests call it after random operation sequences.
 func (q *Queue) CheckInvariant() error {
 	if q.front < 0 || q.front > len(q.slots) {
@@ -283,12 +322,12 @@ func (q *Queue) CheckInvariant() error {
 			return fmt.Errorf("queue: job %d waits twice", s.ID)
 		}
 		seen[s.ID] = true
-		if ref, ok := t.ids[s.ID]; !ok || ref != s.leaf || q.find(s.ID) != i || (i < q.front) != (s.leaf == -1) ||
-			s.leaf >= 0 && (int(s.leaf) >= len(t.leaves) || t.leaves[s.leaf].pos != int32(i)) {
+		if ref, ok := t.ids[s.ID]; !ok || q.find(s.ID) != i || i < q.front && ref != -1 ||
+			i >= q.front && (ref != s.leaf || s.leaf < 0 || int(s.leaf) >= len(t.leaves) || t.leaves[s.leaf].pos != int32(i)) {
 			return fmt.Errorf("queue: slot %d (job %d) on leaf %d, which is not its", i, s.ID, s.leaf)
 		}
 		if i < q.front {
-			if i > 0 && !before(&q.slots[i-1], s) {
+			if q.ordered && i > 0 && !before(&q.slots[i-1], s) {
 				return fmt.Errorf("queue: front slot %d (job %d) out of base order", i, s.ID)
 			}
 			continue
@@ -397,98 +436,109 @@ func (e Entry) MayFit(freeNodes int, freeBB int64) bool {
 // whatever mix of calls is made and whatever the queue went through
 // before — `before` is a total order, so there is one answer.
 //
-// Rank copies the queue's front into the ranking; the rest stays in the
-// queue until a call first reads past the front. A Prune then copies only
-// the jobs it keeps, and Next hands those out best-first, one linear scan
-// per job; Front, Take and Rest, and a Next that nothing has pruned before
-// it, copy every dep-ready job behind the front and sort them once. So a
-// Ranking is valid until the next Rank, WindowInto or Add on its queue. A
-// Remove of a job already taken leaves it untouched, so a job started
-// mid-pass is simply one the caller has already taken. The zero Ranking is
-// empty.
+// Rank hands out a ranking whose front is ordered and copied; Pass one
+// whose front stays in the queue, in no order, until a read needs it.
+// Window reads the front as it lies, ordered or not, and Age takes it
+// without ordering it; every other read first orders it, by insertion from
+// the order it had, and copies it. The rest stays in the queue until a call
+// first reads past the front. A Prune then copies only the jobs it keeps,
+// and Next hands those out best-first, one linear scan per job; Front,
+// Take and Rest, and a Next that nothing has pruned before it, copy every
+// dep-ready job behind the front and sort them once. So a Ranking is valid
+// until the next Pass, Rank, WindowInto or Add on its queue. A Remove of a
+// job already taken leaves it untouched, so a job started mid-pass is
+// simply one the caller has already taken. The zero Ranking is empty.
 type Ranking struct {
 	// entries[lo:] are the ordered jobs not yet consumed, every one ranked
 	// ahead of the tail.
 	entries []Entry
 	lo      int
+	// unread is how many jobs of q's front no read has copied yet: all of
+	// them from Pass until the first ordered read or Age, none after.
+	unread int
+	// window is what the last Window returned, at the front slots its jobs
+	// sit in and, once Before has needed them, prio their priorities at
+	// now, evaluated in one.
+	window []Entry
+	at     []int32
+	prio   []float64
+	one    [1]Slot
 	// The tail is the rest: while pending > 0, that many dep-ready jobs
 	// behind q's front, not yet gathered; after, the gathered copies in
 	// tail, in no order.
 	q        *Queue
 	depsDone func(id int) bool
 	now      int64
+	front    int // the front the ranking was made with
 	pending  int
 	tail     []ranked
-	// How far entries and tail have reached since Rank last cleared them:
-	// Rank drops the job pointers up to there, so the pooled arrays never
+	// How far entries and tail have reached since Pass last cleared them:
+	// Pass drops the job pointers up to there, so the pooled arrays never
 	// keep long-finished jobs alive.
 	entriesHW, tailHW int
 }
 
-// repairBudget bounds Rank's insertion moves: past repairBudget
+// repairBudget bounds an ordering's insertion moves: past repairBudget
 // single-slot moves per waiting job the front is scrambled, not drifting,
 // and one sort finishes the job. Consecutive passes of a replay need a
 // fraction of a move per job; a restored queue, a first pass, a front as
 // deep as a scrambled queue or a clock set back lands here.
 const repairBudget = 4
 
-// Rank brings the queue's front up to date at now and returns the waiting
+// Pass brings the queue's front up to date at now and returns the waiting
 // jobs whose dependencies have all finished, in base order, as the
-// queue's pooled ranking. front is how many of them the caller reads in
-// order (the window): the queue keeps the best front of them in order,
-// the rest in its tail until a caller reads past them. The front is
-// re-prioritized and repaired, the tail's tournament is brought to now,
-// and its winner is promoted while it outranks the front's last member;
-// behind the front only the jobs compared or gathered are prioritized.
-// Only a job that has dependencies is dereferenced. No allocation once
-// the arrays have grown.
-func (q *Queue) Rank(now int64, depsDone func(id int) bool, front int) *Ranking {
-	q.checkDeps(depsDone)
-	q.policy.Prioritize(q.slots[:q.front], now)
-	q.repair(now, depsDone, max(front, 0))
+// queue's pooled ranking. front is how many of them the caller's window
+// takes: the queue keeps the best front of them in its front, in no order,
+// the rest in its tail until a caller reads past them. The tail's
+// tournament is brought to now and its winner promoted while the front
+// has room or it outranks the front's worst member. The front's priorities
+// are evaluated only when something compares them: that swap test, or a
+// read of the ranking that needs an order. Behind the front only the jobs
+// compared or gathered are prioritized. Only a job that has dependencies
+// is dereferenced. No allocation once the arrays have grown.
+func (q *Queue) Pass(now int64, depsDone func(id int) bool, front int) *Ranking {
+	front = max(front, 0)
 	r := &q.rank
-	r.entries, r.lo = r.entries[:0], 0
-	for i := range q.slots[:q.front] {
-		r.entries = append(r.entries, q.slots[i].Entry)
-	}
-	if n := len(r.entries); n < r.entriesHW {
-		clear(r.entries[n:r.entriesHW])
-	}
-	r.entriesHW = len(r.entries)
+	clear(r.entries[:r.entriesHW])
+	r.entries, r.lo, r.entriesHW = r.entries[:0], 0, 0
+	clear(r.window)
+	r.window, r.at, r.prio = r.window[:0], r.at[:0], r.prio[:0]
 	clear(r.tail[:r.tailHW])
 	r.tail, r.tailHW = r.tail[:0], 0
-	r.q, r.depsDone, r.now, r.pending = q, depsDone, now, q.tour.live
+	q.checkDeps(depsDone)
+	q.admit(now, depsDone, front)
+	r.q, r.depsDone, r.now, r.front = q, depsDone, now, front
+	r.unread, r.pending = q.front, q.tour.live
 	return r
 }
 
-// repair makes slots[:front] the best front dep-ready jobs in base order.
-// It sorts the front by insertion, sends members whose dependencies no
-// longer hold, and those past a front asked smaller, to the tail, and
-// then promotes the tail's winner while there is room or it outranks the
-// last member. Its work is the insertion moves and the tournament's
-// re-decisions, abandoned for one sort when the moves pass repairBudget
-// per job, when the front must take in more jobs than a sort costs, or
-// when the tail has shrunk to under a quarter of the tournament's width,
-// whose paths the sort's rebuild shortens.
-func (q *Queue) repair(now int64, depsDone func(id int) bool, front int) {
-	budget := repairBudget * len(q.slots)
-	for i := 0; i < q.front; i++ {
-		s := &q.slots[i]
-		if s.HasDeps && !depsReady(s.Job, depsDone) {
-			q.demote(i, false, now)
-			i--
-			continue
-		}
-		patchNaN(s)
-		if i > 0 && before(s, &q.slots[i-1]) {
-			if budget -= sink(q.slots, i); budget < 0 {
-				q.sortReady(now, depsDone, front)
-				return
+// Rank is Pass with the front ordered and copied into the ranking at once,
+// as a pass that reads its window in order needs it.
+func (q *Queue) Rank(now int64, depsDone func(id int) bool, front int) *Ranking {
+	r := q.Pass(now, depsDone, front)
+	r.orderFront()
+	return r
+}
+
+// admit makes slots[:front] the best front dep-ready jobs, in no order:
+// members whose dependencies no longer hold go to the tail, a front asked
+// smaller is ordered and cut from its end, and then the tail's winner is
+// promoted while the front has room, or put in place of the worst member
+// while it outranks it — only then are the front's priorities evaluated,
+// and the worst found again after each swap. A front that must take in
+// more jobs than a sort costs, or a tail shrunk to under a quarter of the
+// tournament's width, whose paths the sort's rebuild shortens, is sorted
+// once instead.
+func (q *Queue) admit(now int64, depsDone func(id int) bool, front int) {
+	q.dropBroken(depsDone)
+	worst := -1
+	if q.front > front {
+		if q.order(now, depsDone, front) {
+			for q.front > front {
+				q.demote(q.front-1, true)
 			}
 		}
-	}
-	for q.front > front {
-		q.demote(q.front-1, true, now)
+		worst = q.front - 1
 	}
 	if n := len(q.slots); min(front-q.front, q.tour.live)*bits.Len(uint(n)) > n || q.tour.size > 16 && 4*(n-q.front) < q.tour.size {
 		q.sortReady(now, depsDone, front)
@@ -499,23 +549,131 @@ func (q *Queue) repair(now int64, depsDone func(id int) bool, front int) {
 		w := q.tour.winner()
 		s := q.leafSlot(w, now)
 		if q.front == front {
-			if front == 0 || !before(s, &q.slots[front-1]) {
+			if worst < 0 {
+				q.prioritize(now)
+				worst = q.worst()
+			}
+			if front == 0 || !before(s, &q.slots[worst]) {
 				return
 			}
-			q.demote(front-1, true, now)
+			q.demote(worst, true)
+			worst = -1
 		}
-		q.promote(w)
-		moved := sink(q.slots, q.front-1)
-		if budget -= moved; budget < 0 {
-			q.sortReady(now, depsDone, front)
-			return
-		}
-		if moved == 0 && q.front == front {
-			// It is the front's last member, and it ranked before every
-			// job still behind: the next settle can re-decide its path.
-			return
+		q.promote(w, now)
+		if last := q.front - 1; worst >= 0 {
+			if before(&q.slots[worst], &q.slots[last]) {
+				worst = last
+			}
+			if worst == last && q.front == front {
+				// The newcomer is the front's worst and ranked before every
+				// job still behind: the next settle can re-decide its path.
+				return
+			}
 		}
 	}
+}
+
+// dropBroken sends the front's members whose dependencies no longer hold
+// to the tail. It reads only the slots' flags unless some member lists a
+// dependency.
+func (q *Queue) dropBroken(depsDone func(id int) bool) {
+	for i, held := 0, 0; held < q.frontDeps && i < q.front; i++ {
+		switch s := &q.slots[i]; {
+		case !s.HasDeps:
+		case depsReady(s.Job, depsDone):
+			held++
+		default:
+			q.demote(i, false)
+			i--
+		}
+	}
+}
+
+// prioritize evaluates at now the front's priorities that are not for now
+// already. A job promoted at now holds its priority at now, so no job's is
+// evaluated twice at one instant.
+func (q *Queue) prioritize(now int64) {
+	if q.frontAt != now {
+		q.evaluate(0, q.fresh, now)
+	}
+	if q.freshAt != now {
+		q.evaluate(q.fresh, q.front, now)
+	}
+	q.frontAt, q.fresh = now, q.front
+}
+
+// evaluate evaluates the priorities of slots[lo:hi] at now, but for those
+// of the jobs Ranking.Before evaluated at now, which it copies in.
+func (q *Queue) evaluate(lo, hi int, now int64) {
+	if lo < hi {
+		q.ordered = false
+	}
+	r := &q.rank
+	at := r.at
+	if r.now != now || len(r.prio) != len(at) {
+		at = nil
+	}
+	k, _ := slices.BinarySearch(at, int32(lo))
+	for lo < hi {
+		end := hi
+		if k < len(at) && int(at[k]) < hi {
+			end = int(at[k])
+		}
+		if lo < end {
+			q.policy.Prioritize(q.slots[lo:end], now)
+			for i := lo; i < end; i++ {
+				patchNaN(&q.slots[i])
+			}
+		}
+		if end < hi {
+			q.slots[end].Prio = r.prio[k]
+			k, end = k+1, end+1
+		}
+		lo = end
+	}
+}
+
+// prioAtFront returns the instant front slot i's priority is for,
+// math.MinInt64 if unknown.
+func (q *Queue) prioAtFront(i int) int64 {
+	if i < q.fresh {
+		return q.frontAt
+	}
+	return q.freshAt
+}
+
+// worst returns the index of the front's worst member, -1 for an empty
+// front.
+func (q *Queue) worst() int {
+	worst := -1
+	for i := range q.slots[:q.front] {
+		if worst < 0 || before(&q.slots[worst], &q.slots[i]) {
+			worst = i
+		}
+	}
+	return worst
+}
+
+// order puts the front in base order at now by insertion from the order it
+// has, and reports whether it did: past repairBudget moves per waiting job
+// it is sorted once instead (sortReady, which makes the best front
+// dep-ready jobs the front afresh).
+func (q *Queue) order(now int64, depsDone func(id int) bool, front int) bool {
+	q.prioritize(now)
+	if q.ordered {
+		return true
+	}
+	budget := repairBudget * len(q.slots)
+	for i := 1; i < q.front; i++ {
+		if before(&q.slots[i], &q.slots[i-1]) {
+			if budget -= sink(q.slots, i); budget < 0 {
+				q.sortReady(now, depsDone, front)
+				return false
+			}
+		}
+	}
+	q.ordered = true
+	return true
 }
 
 // sink moves slots[i] down to its place in slots[:i+1], in base order but
@@ -529,13 +687,16 @@ func sink(slots []Slot, i int) int {
 	return i - k
 }
 
-// sortReady is repair's fallback: it prioritizes every job not yet
-// prioritized at now, sorts the dep-ready ones once, makes the first front
-// of them the front and builds the tail afresh from the rest.
+// sortReady is the fallback: it prioritizes every job not yet prioritized
+// at now, sorts the dep-ready ones once, makes the first front of them the
+// front and builds the tail afresh from the rest. A job that stays in the
+// front keeps counting its age from where it did, one that leaves has its
+// age written, and one that joins counts from now.
 func (q *Queue) sortReady(now int64, depsDone func(id int) bool, front int) {
 	q.sorts++
+	q.prioritize(now)
 	for i := q.front; i < len(q.slots); i++ {
-		q.prioAt(i, now)
+		q.prioAt(i, now).leaf = int32(q.passes)
 	}
 	slots := q.slots
 	ready := 0
@@ -552,10 +713,204 @@ func (q *Queue) sortReady(now int64, depsDone func(id int) bool, front int) {
 	slices.SortFunc(slots[:ready], compare)
 	q.front = min(front, ready)
 	q.rebuild(now, depsDone)
+	q.frontAt, q.fresh, q.ordered = now, q.front, true
+}
+
+// counted returns the window passes counted for front slot i since its
+// job's WindowAge was last written.
+func (q *Queue) counted(i int) int { return int(q.passes - uint32(q.slots[i].leaf)) }
+
+// writeAge writes into front slot i's job's WindowAge the passes counted
+// for it.
+func (q *Queue) writeAge(i int) {
+	if d := q.counted(i); d != 0 {
+		q.slots[i].Job.WindowAge += d
+		q.slots[i].leaf = int32(q.passes)
+	}
+}
+
+// WriteAges writes into every waiting job's WindowAge the window passes
+// the queue has counted for it (Ranking.Age), so that the field reads true
+// until the queue next ages its front; a snapshot calls it first.
+func (q *Queue) WriteAges() {
+	for i := range q.slots[:q.front] {
+		q.writeAge(i)
+	}
+}
+
+// WindowAge returns waiting job id's WindowAge with the window passes the
+// queue has counted for it and not yet written, -1 if the job is not
+// waiting. It writes nothing.
+func (q *Queue) WindowAge(id int) int {
+	i := q.find(id)
+	switch {
+	case i < 0:
+		return -1
+	case i < q.front:
+		return q.slots[i].Job.WindowAge + q.counted(i)
+	}
+	return q.slots[i].Job.WindowAge
 }
 
 // Len returns the number of ranked jobs not yet consumed.
-func (r *Ranking) Len() int { return len(r.entries) - r.lo + r.pending + len(r.tail) }
+func (r *Ranking) Len() int {
+	return len(r.entries) - r.lo + r.unread + r.pending + len(r.tail)
+}
+
+// Window returns the jobs of the pass's window, the queue's front, that
+// MayFit freeNodes and freeBB, in the order the front holds them, before
+// the pass knows whether it needs the window's order: it reads only the
+// front's entries. Window takes nothing: the pass goes on to read the
+// window in order (Front, Take) or ends it with Age. Before and WindowAge
+// read the jobs it returned by index; the slice is the caller's until the
+// queue is ranked again.
+func (r *Ranking) Window(freeNodes int, freeBB int64) []Entry {
+	q := r.q
+	r.window, r.at, r.prio = r.window[:0], r.at[:0], r.prio[:0]
+	for i := range q.slots[:q.front] {
+		if e := q.slots[i].Entry; e.MayFit(freeNodes, freeBB) {
+			r.at = append(r.at, int32(i))
+			r.window = append(r.window, e)
+		}
+	}
+	return r.window
+}
+
+// Before reports whether the a-th job the last Window returned ranks
+// before the b-th. The first call evaluates the priorities at now of the
+// jobs Window returned, and only theirs.
+func (r *Ranking) Before(a, b int) bool {
+	if len(r.prio) < len(r.at) {
+		r.evaluate()
+	}
+	if r.prio[a] != r.prio[b] {
+		return r.prio[a] > r.prio[b]
+	}
+	ja, jb := r.window[a].Job, r.window[b].Job
+	if ja.SubmitTime != jb.SubmitTime {
+		return ja.SubmitTime < jb.SubmitTime
+	}
+	return ja.ID < jb.ID
+}
+
+// evaluate sets prio to the priorities at now of the jobs Window returned,
+// evaluating, in the scratch slot one, those whose slot does not hold it
+// already.
+func (r *Ranking) evaluate() {
+	q, one := r.q, r.one[:]
+	for _, i := range r.at {
+		one[0] = q.slots[i]
+		if q.prioAtFront(int(i)) != r.now {
+			q.policy.Prioritize(one, r.now)
+			patchNaN(&one[0])
+		}
+		r.prio = append(r.prio, one[0].Prio)
+	}
+}
+
+// WindowAge returns the WindowAge of the a-th job the last Window
+// returned, the window passes the queue has counted for it included.
+func (r *Ranking) WindowAge(a int) int {
+	i := int(r.at[a])
+	return r.q.slots[i].Job.WindowAge + r.q.counted(i)
+}
+
+// Age ends a pass that read its window only through Window and found no
+// job in it but those in skip, which it starts, fits the machine alone. It
+// takes the window off the ranking, and every job in it but skip ages by
+// one pass: the queue counts the pass for its front, and writes a job's
+// WindowAge when the job leaves the front, on an ordered read (Aged among
+// them) or at WriteAges. Age returns what backfilling must walk ahead of
+// the rest of the ranking: no window job fits what the pass leaves free,
+// so only the best of them, for backfilling to reserve for. If no job
+// behind the window MayFit freeNodes and freeBB either, none can start,
+// whatever the reservation: Age empties the ranking and returns nothing.
+// The slice is the ranking's, valid until the queue is ranked again.
+func (r *Ranking) Age(skip []*job.Job, freeNodes int, freeBB int64) []Entry {
+	q := r.q
+	for k, e := range r.window {
+		if slices.Contains(skip, e.Job) {
+			i := int(r.at[k])
+			q.writeAge(i)
+			q.slots[i].leaf++ // counted from the next pass on
+		}
+	}
+	q.passes++
+	r.lo += q.front - r.unread // the window's jobs an ordered read copied
+	r.unread = 0
+	if !r.MayFit(freeNodes, freeBB) {
+		r.pending, r.tail = 0, r.tail[:0]
+		return nil
+	}
+	q.prioritize(r.now)
+	best := -1
+	for i := range q.slots[:q.front] {
+		if s := &q.slots[i]; !slices.Contains(skip, s.Job) && (best < 0 || before(s, &q.slots[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	r.window = append(r.window[:0], q.slots[best].Entry)
+	return r.window
+}
+
+// Aged appends to dst the window jobs a pass Age ended left behind, those
+// not in skip, in base order, and returns the extended slice. It is that
+// window's ordered read: it orders the queue's front and writes every
+// job's counted age. Backfilling needs none of it, only what Age returned;
+// it is for a caller that wants every job left behind. It must come before
+// anything changes the queue.
+func (r *Ranking) Aged(dst []Entry, skip []*job.Job) []Entry {
+	q := r.q
+	q.order(r.now, r.depsDone, r.front)
+	for i := range q.slots[:q.front] {
+		q.writeAge(i)
+		if s := &q.slots[i]; !slices.Contains(skip, s.Job) {
+			dst = append(dst, s.Entry)
+		}
+	}
+	return dst
+}
+
+// MayFit reports whether some job left in the ranking passes MayFit for
+// freeNodes and freeBB. Behind the front it reads only the node classes
+// that may hold such a job, and stops at the first.
+func (r *Ranking) MayFit(freeNodes int, freeBB int64) bool {
+	fits := func(e Entry) bool { return e.MayFit(freeNodes, freeBB) }
+	if slices.ContainsFunc(r.entries[r.lo:], fits) {
+		return true
+	}
+	q := r.q
+	for i := range r.unread {
+		if fits(q.slots[i].Entry) {
+			return true
+		}
+	}
+	if r.pending == 0 {
+		return slices.ContainsFunc(r.tail, func(g ranked) bool { return fits(g.Entry) })
+	}
+	for i, hi := q.front, q.readable(freeNodes); i < hi; i++ {
+		if s := &q.slots[i]; s.MayFit(freeNodes, freeBB) && (!s.HasDeps || depsReady(s.Job, r.depsDone)) {
+			return true
+		}
+	}
+	return false
+}
+
+// orderFront orders the queue's front the first time a read needs it, and
+// copies it into the ranking with every job's counted passes written.
+func (r *Ranking) orderFront() {
+	q := r.q
+	q.order(r.now, r.depsDone, r.front)
+	for i := range q.slots[:q.front] {
+		q.writeAge(i)
+		r.entries = append(r.entries, q.slots[i].Entry)
+	}
+	r.entriesHW = max(r.entriesHW, len(r.entries))
+	r.unread = 0
+}
 
 // Front pops up to size entries off the front of the ranking, in base
 // order; reaching past the ordered entries sorts the rest once. The slice
@@ -563,6 +918,9 @@ func (r *Ranking) Len() int { return len(r.entries) - r.lo + r.pending + len(r.t
 // or writes: it is the caller's, to reorder or compact, until the queue is
 // ranked again.
 func (r *Ranking) Front(size int) []Entry {
+	if r.unread > 0 {
+		r.orderFront()
+	}
 	size = max(0, min(size, r.Len()))
 	if r.lo+size > len(r.entries) {
 		r.order()
@@ -584,6 +942,9 @@ func (r *Ranking) Take(dst []*job.Job, size int) []*job.Job {
 // the ordered entries it takes the best of the jobs a Prune kept with one
 // linear scan, and sorts a rest nothing has pruned once.
 func (r *Ranking) Next() (e Entry, ok bool) {
+	if r.unread > 0 {
+		r.orderFront()
+	}
 	switch {
 	case r.lo < len(r.entries):
 	case r.pending > 0:
@@ -608,6 +969,9 @@ func (r *Ranking) Rest() []Entry { return r.Front(r.Len()) }
 // job. Made before anything reads past the queue's front, it is the
 // gather: only the jobs it keeps are copied.
 func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
+	if r.unread > 0 {
+		r.orderFront()
+	}
 	w := r.lo
 	for _, e := range r.entries[r.lo:] {
 		if e.MayFit(freeNodes, freeBB) && keep(e) {
@@ -633,7 +997,7 @@ func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
 // gather copies into the tail the dep-ready jobs behind the queue's front
 // that MayFit and keep pass (every one when keep is nil), with their
 // priorities. It reads only the node classes that may hold a job of at
-// most freeNodes nodes. The jobs taken since Rank are front jobs, whose
+// most freeNodes nodes. The jobs taken since Pass are front jobs, whose
 // Remove leaves that set as it was.
 func (r *Ranking) gather(freeNodes int, freeBB int64, keep func(Entry) bool) {
 	q := r.q

@@ -90,8 +90,7 @@ func (q *Queue) open(c int) int {
 func (q *Queue) close(i int) {
 	d := q.low
 	if i < q.front {
-		q.front--
-		copy(q.slots[i:q.front], q.slots[i+1:q.front+1])
+		q.leaveFront(i)
 		i = q.front
 	} else {
 		d = classOf(&q.slots[i])
@@ -285,9 +284,18 @@ func cut(list []int32, id int32) []int32 {
 	return list[:len(list)-1]
 }
 
-// promote moves leaf id's job to the end of the front: the first job of
-// each class from its own down moves up into the hole it leaves.
-func (q *Queue) promote(id int32) {
+// promote moves leaf id's job, prioritized at now, to the end of the
+// front, its age counted from now on: the first job of each class from its
+// own down moves up into the hole it leaves.
+func (q *Queue) promote(id int32, now int64) {
+	if q.fresh == q.front || q.freshAt != now {
+		// The jobs promoted before join the rest, whose priorities are for
+		// one instant only if theirs are for it too.
+		if q.fresh < q.front && q.freshAt != q.frontAt {
+			q.frontAt = math.MinInt64
+		}
+		q.fresh, q.freshAt = q.front, now
+	}
 	i := int(q.tour.leaves[id].pos)
 	q.release(id)
 	s := q.slots[i]
@@ -300,21 +308,25 @@ func (q *Queue) promote(id int32) {
 			q.cut[d-1]++
 		}
 	}
-	s.leaf, q.tour.ids[s.ID] = -1, -1
+	s.leaf, q.tour.ids[s.ID] = int32(q.passes), -1
 	q.slots[i] = s
 	q.front++
+	q.ordered = false
+	if s.HasDeps {
+		q.frontDeps++
+	}
 }
 
-// demote moves the front job at slots[i], prioritized at now, to the start
-// of its class in the tail: the front closes up, and the last job of each
-// class below moves down into the hole.
-func (q *Queue) demote(i int, ready bool, now int64) {
-	s := q.slots[i]
+// demote moves the front job at slots[i] to the start of its class in the
+// tail, its counted age written: the front closes up, and the last job of
+// each class below moves down into the hole.
+func (q *Queue) demote(i int, ready bool) {
+	q.writeAge(i)
+	s, at := q.slots[i], q.prioAtFront(i)
 	patchNaN(&s)
 	c := classOf(&s)
 	q.use(c)
-	q.front--
-	copy(q.slots[i:q.front], q.slots[i+1:q.front+1])
+	q.leaveFront(i)
 	i = q.front
 	for d := q.low; d < c; d++ {
 		if q.cut[d]--; q.cut[d] != i {
@@ -323,8 +335,22 @@ func (q *Queue) demote(i int, ready bool, now int64) {
 		}
 	}
 	q.slots[i] = s
-	q.attach(i, ready, now)
+	q.attach(i, ready, at)
 	q.tour.ids[s.ID] = q.slots[i].leaf
+}
+
+// leaveFront takes front slot i out of the front: the front closes up over
+// it, leaving its last slot, slots[front], free.
+func (q *Queue) leaveFront(i int) {
+	if q.slots[i].HasDeps {
+		q.frontDeps--
+	}
+	if i < q.fresh {
+		q.fresh--
+	}
+	q.rank.prio = q.rank.prio[:0] // Before's values are for slots that move
+	q.front--
+	copy(q.slots[i:q.front], q.slots[i+1:q.front+1])
 }
 
 // checkDeps brings the dep-readiness of the tail's jobs with dependencies
@@ -410,13 +436,20 @@ func (q *Queue) child(c int, now int64) (int32, int64) {
 }
 
 // rebuild makes slots[front:] the tail afresh: grouped by class, every
-// priority evaluated at now, the tail on leaves by slot order, in a tree as wide as the tail, every pair to decide anew.
+// priority evaluated at now, the tail on leaves by slot order, in a tree
+// as wide as the tail, every pair to decide anew. Every slot's leaf field
+// holds its age count, and a job that was in the front has its age
+// written as it joins the tail.
 func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	tail := q.slots[q.front:]
 	slices.SortFunc(tail, compareClass)
 	t := &q.tour
+	q.frontDeps = 0
 	for i := range q.slots[:q.front] {
-		q.slots[i].leaf, t.ids[q.slots[i].ID] = -1, -1
+		t.ids[q.slots[i].ID] = -1
+		if q.slots[i].HasDeps {
+			q.frontDeps++
+		}
 	}
 	t.leaves = slices.Grow(t.leaves[:0], len(tail))[:len(tail)]
 	t.free, t.freed, t.deps, t.live = t.free[:0], t.freed[:0], t.deps[:0], 0
@@ -424,6 +457,9 @@ func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	q.top = 0
 	for k := range tail {
 		s, i := &tail[k], q.front+k
+		if t.ids[s.ID] < 0 {
+			q.writeAge(i) // it leaves the front
+		}
 		c := classOf(s)
 		if q.top == 0 {
 			q.low, q.top = c, c

@@ -56,7 +56,9 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	// Job table: every job still referenced by the engine, sorted by ID.
 	// Jobs not yet pulled are not state — restore re-reads them from the
 	// repositioned source — and neither are finished ones, which finish
-	// has already folded into stats.
+	// has already folded into stats. The queue writes the window passes it
+	// has counted into its jobs' WindowAge first.
+	s.q.WriteAges()
 	byID := make(map[int]*job.Job)
 	for _, j := range s.q.Waiting(nil) {
 		byID[j.ID] = j

@@ -28,11 +28,12 @@ import (
 // Restore at every event boundary: before each Step the state is
 // serialized and a brand-new simulator is rebuilt from the snapshot, with
 // the event log continuing into the same hash.
-func runChained(t *testing.T, w trace.Workload, m sched.Method) (goldenResult, string, int) {
+func runChained(t *testing.T, w trace.Workload, m sched.Method, extra ...Option) (goldenResult, string, int) {
 	t.Helper()
 	h := sha256.New()
 	ch := &countingHash{h: h}
-	s, err := NewSimulator(w, m, goldenOpts(1, WithEventLog(ch))...)
+	opts := goldenOpts(1, append(extra, WithEventLog(ch))...)
+	s, err := NewSimulator(w, m, opts...)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", w.Name, m.Name(), err)
 	}
@@ -42,7 +43,7 @@ func runChained(t *testing.T, w trace.Workload, m sched.Method) (goldenResult, s
 		if err := s.Checkpoint(&buf); err != nil {
 			t.Fatalf("%s/%s: checkpoint at t=%d: %v", w.Name, m.Name(), s.Now(), err)
 		}
-		s, err = Restore(w, m, bytes.NewReader(buf.Bytes()), goldenOpts(1, WithEventLog(ch))...)
+		s, err = Restore(w, m, bytes.NewReader(buf.Bytes()), opts...)
 		if err != nil {
 			t.Fatalf("%s/%s: restore at t=%d: %v", w.Name, m.Name(), s.Now(), err)
 		}
@@ -69,8 +70,23 @@ func runChained(t *testing.T, w trace.Workload, m sched.Method) (goldenResult, s
 // restore holds no solver state, so a backend that carried any from one
 // pass to the next would diverge under it. Short mode keeps one cheap and
 // one solver-backed method per scenario, and theta-wfp-s4/Weighted_LP;
-// the full run covers all 23 golden pairs and the six LP ones.
+// the full run covers all 23 golden pairs and the six LP ones. One more
+// case runs theta-wfp-s4/Weighted_LP at a window of 1 024 jobs, which
+// holds the whole queue, and a starvation bound of 50: the window passes
+// the queue counts for its jobs but has not written into their WindowAge
+// must cross every snapshot for forcing to start the same jobs.
 func TestGoldenCheckpointEquivalence(t *testing.T) {
+	check := func(t *testing.T, w trace.Workload, m sched.Method, extra ...Option) {
+		wantRes, wantEvents, wantLines := runGoldenSerial(t, w, m, extra...)
+		gotRes, gotEvents, gotLines := runChained(t, w, m, extra...)
+		if gotEvents != wantEvents || gotLines != wantLines {
+			t.Errorf("event stream diverged under chained restore: %d lines hash %s, want %d lines hash %s",
+				gotLines, gotEvents, wantLines, wantEvents)
+		}
+		if gotRes != wantRes {
+			t.Errorf("result diverged under chained restore:\n  got:  %+v\n  want: %+v", gotRes, wantRes)
+		}
+	}
 	for _, sc := range goldenScenarios() {
 		w := sc.build()
 		for _, name := range slices.Concat(sc.methods, []string{"Weighted_LP", "Constrained_LP"}) {
@@ -82,17 +98,10 @@ func TestGoldenCheckpointEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Run(sc.name+"/"+name, func(t *testing.T) {
-				wantRes, wantEvents, wantLines := runGoldenSerial(t, w, m)
-				gotRes, gotEvents, gotLines := runChained(t, w, m)
-				if gotEvents != wantEvents || gotLines != wantLines {
-					t.Errorf("event stream diverged under chained restore: %d lines hash %s, want %d lines hash %s",
-						gotLines, gotEvents, wantLines, wantEvents)
-				}
-				if gotRes != wantRes {
-					t.Errorf("result diverged under chained restore:\n  got:  %+v\n  want: %+v", gotRes, wantRes)
-				}
-			})
+			t.Run(sc.name+"/"+name, func(t *testing.T) { check(t, w, m) })
+			if lpCase {
+				t.Run(sc.name+"/"+name+"/window-1024", func(t *testing.T) { check(t, w, m, WithWindow(1024, 50)) })
+			}
 		}
 	}
 }

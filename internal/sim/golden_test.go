@@ -167,11 +167,11 @@ func goldenOpts(seed uint64, extra ...Option) []Option {
 	return append(opts, extra...)
 }
 
-func runGoldenSerial(t *testing.T, w trace.Workload, m sched.Method) (goldenResult, string, int) {
+func runGoldenSerial(t *testing.T, w trace.Workload, m sched.Method, extra ...Option) (goldenResult, string, int) {
 	t.Helper()
 	h := sha256.New()
 	ch := &countingHash{h: h}
-	s, err := NewSimulator(w, m, goldenOpts(1, WithEventLog(ch))...)
+	s, err := NewSimulator(w, m, goldenOpts(1, append(extra, WithEventLog(ch))...)...)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", w.Name, m.Name(), err)
 	}

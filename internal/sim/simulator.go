@@ -866,9 +866,10 @@ func (s *Simulator) observeBBRelease(r *runningJob) {
 
 // schedule runs one window pass plus backfilling over one ranking of the
 // queue: the queue's front — as many dep-ready jobs as the window takes —
-// is brought up to date once, the plugin takes its window off it, and EASY
-// backfilling continues where the window stopped — the window jobs left
-// behind, then, best-first, the rest the planner can still start. The
+// is brought up to date once (queue.Queue.Pass, which orders it only if
+// the plugin reads it in order), the plugin takes its window off it, and
+// EASY backfilling continues where the window stopped — the window jobs
+// left behind, then, best-first, the rest the planner can still start. The
 // steady-state pass allocates (amortized) nothing: the ranking, the
 // free-state snapshot, the invocation stream, and the EASY planning
 // scratch are all pooled, and the release timeline is maintained
@@ -886,7 +887,7 @@ func (s *Simulator) schedule() error {
 
 	// Only worth ranking the queue when something could start.
 	if s.cl.FreeNodes() > 0 {
-		ranking := s.q.Rank(s.now, s.depsDone, s.plugin.WindowSize(s.q.Len()))
+		ranking := s.q.Pass(s.now, s.depsDone, s.plugin.WindowSize(s.q.Len()))
 		s.cl.SnapshotInto(&s.passSnap)
 		picked, err := s.plugin.Decide(core.DecideContext{
 			Now:      s.now,
@@ -912,7 +913,7 @@ func (s *Simulator) schedule() error {
 		// equal release times, keeping runs reproducible across processes.
 		if s.opt.backfill && s.q.Len() > 0 && s.cl.FreeNodes() > 0 {
 			s.cl.SnapshotInto(&s.passSnap)
-			filled := s.planner.PlanRanked(s.passSnap, &s.timeline, s.plugin.LeftBehind(), ranking, s.now)
+			filled := s.planner.PlanRanked(s.passSnap, &s.timeline, s.plugin.Ahead(), ranking, s.now)
 			for _, j := range filled {
 				if err := s.start(j); err != nil {
 					return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bbsched/internal/job"
@@ -434,4 +435,112 @@ func TestScheduleGathersQueueOncePerPass(t *testing.T) {
 	if obs.deepEvals*4 > obs.deepDepth {
 		t.Errorf("passes over a deep queue evaluated %d priorities for %d waiting jobs; want at most a quarter", obs.deepEvals, obs.deepDepth)
 	}
+
+	// A window of 1 024 over a queue a thousand deep on a full machine
+	// (replay-lp-w1024's shape): almost no pass finds a window job that
+	// fits. Such a dead pass reads the window unordered and ages it by
+	// counting the pass: it writes the WindowAge only of a job that has left
+	// the window. An ordered read, the only thing that moves the front's
+	// jobs to order them, writes the counted age of every job that stays,
+	// so none happens. Its evaluations stay within the bound above.
+	n = passCounts{}
+	obs = &passGatherObserver{t: t, n: &n}
+	calls := 0
+	dead := &deadPassObserver{t: t, calls: &calls, ages: map[int]int{}}
+	s, err = NewSimulator(deepWindowWorkload(3), countedSelect{sched.Baseline{}, &calls}, WithSeed(1), WithWindow(1024, 50), WithObserver(dead), WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.q = queue.New(countingWFP{n: &n, s: s})
+	dead.s = s
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("window 1 024: %d dead passes aged %d window jobs and wrote %d ages; %d live passes", dead.dead, dead.aged, dead.wrote, dead.live)
+	if dead.dead < 10*dead.live || dead.aged < 500*dead.dead {
+		t.Fatalf("%d dead passes over %d window jobs, %d live: the test needs deep, dead windows to mean anything", dead.dead, dead.aged, dead.live)
+	}
+}
+
+// countedSelect counts its method's Select calls.
+type countedSelect struct {
+	sched.Method
+	calls *int
+}
+
+func (c countedSelect) Select(ctx *sched.Context) ([]int, error) {
+	*c.calls++
+	return c.Method.Select(ctx)
+}
+
+// deadPassObserver checks every pass that ranked the queue without asking
+// the method — a dead window — for WindowAge written into a job that
+// stayed in the window: its window when the pass began and when the last
+// one did, read off the reference queue over the jobs waiting then.
+type deadPassObserver struct {
+	NopObserver
+	t     *testing.T
+	s     *Simulator
+	calls *int
+	// ages holds each waiting job's WindowAge field after the last pass,
+	// and last the jobs waiting when it began and its instant; started the
+	// jobs this pass has started; asked the method's calls by the last
+	// pass, and free the nodes free since the last event.
+	ages          map[int]int
+	last, started []*job.Job
+	lastT         int64
+	asked         int
+	free          int
+	dead, live    int
+	aged, wrote   int
+}
+
+func (o *deadPassObserver) OnJobEnd(Event) { o.free = o.s.cl.FreeNodes() }
+
+func (o *deadPassObserver) OnJobStart(e Event) { o.started = append(o.started, e.Job) }
+
+// window returns the IDs of the window of 1 024 jobs the reference queue
+// takes off jobs at now.
+func (o *deadPassObserver) window(jobs []*job.Job, now int64) map[int]bool {
+	ref := newRefQueue(queue.WFP{})
+	for _, j := range jobs {
+		if err := ref.Add(j); err != nil {
+			o.t.Fatal(err)
+		}
+	}
+	ids := map[int]bool{}
+	for _, j := range ref.Window(now, 1024, o.s.depsDone) {
+		ids[j.ID] = true
+	}
+	return ids
+}
+
+func (o *deadPassObserver) OnSchedule(info ScheduleInfo) {
+	waiting := o.s.q.Waiting(nil)
+	began := append(slices.Clone(waiting), o.started...)
+	switch {
+	case *o.calls != o.asked:
+		o.live++
+	case o.free > 0: // the pass ranked the queue: only a full machine skips it
+		o.dead++
+		o.aged += min(1024, len(began))
+		var was, is map[int]bool
+		for _, j := range waiting {
+			if age := o.ages[j.ID]; j.WindowAge != age {
+				o.wrote++
+				if was == nil {
+					was, is = o.window(o.last, o.lastT), o.window(began, info.T)
+				}
+				if is[j.ID] || !was[j.ID] {
+					o.t.Errorf("dead pass %d wrote the WindowAge of job %d, which did not leave its window: %d, was %d", info.Invocation, j.ID, j.WindowAge, age)
+				}
+			}
+		}
+	}
+	clear(o.ages)
+	for _, j := range waiting {
+		o.ages[j.ID] = j.WindowAge
+	}
+	o.last, o.lastT, o.started = began, info.T, o.started[:0]
+	o.asked, o.free = *o.calls, o.s.cl.FreeNodes()
 }

@@ -35,6 +35,16 @@ type GenConfig struct {
 	BBDrainGBps float64
 }
 
+// userNames returns the names of n submitting users, user000 on, which the
+// generators draw from: built once, so that a job costs no formatting.
+func userNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("user%03d", i)
+	}
+	return names
+}
+
 func (c GenConfig) withDefaults() GenConfig {
 	if c.TargetLoad == 0 {
 		c.TargetLoad = 1.1
@@ -61,6 +71,7 @@ func Generate(cfg GenConfig) Workload {
 	deps := root.Split("deps")
 
 	jobs := make([]*job.Job, cfg.Jobs)
+	names := userNames(cfg.Users)
 	var totalNodeSec int64
 	for i := range jobs {
 		n := sampleNodes(sizes, cfg.System)
@@ -70,7 +81,7 @@ func Generate(cfg GenConfig) Workload {
 			bb = sampleBB(bbs, 1, cfg.System.MaxBBRequestGB)
 		}
 		j := job.MustNew(i, 0, runtime, walltime, job.NewDemand(n, bb, 0))
-		j.User = fmt.Sprintf("user%03d", users.Intn(cfg.Users))
+		j.User = names[users.Intn(cfg.Users)]
 		if bb > 0 && cfg.BBDrainGBps > 0 {
 			j.StageOutSec = int64(float64(bb) / cfg.BBDrainGBps)
 		}

@@ -336,6 +336,7 @@ type genSource struct {
 	users   *rng.Stream
 	deps    *rng.Stream
 	arrive  *rng.Stream
+	names   []string // userNames(cfg.Users)
 	i       int
 	t       float64
 	nodeSec int64 // running Σ nodes×runtime, for load self-calibration
@@ -362,6 +363,7 @@ func GenSource(cfg GenConfig) JobSource {
 		users:  root.Split("users"),
 		deps:   root.Split("deps"),
 		arrive: root.Split("arrivals"),
+		names:  userNames(cfg.Users),
 	}
 }
 
@@ -387,7 +389,7 @@ func (g *genSource) Next() (*job.Job, error) {
 	g.t += g.arrive.Weibull(shape, scale)
 
 	j := job.MustNew(g.i, int64(g.t), runtime, walltime, job.NewDemand(n, bb, 0))
-	j.User = fmt.Sprintf("user%03d", g.users.Intn(g.cfg.Users))
+	j.User = g.names[g.users.Intn(g.cfg.Users)]
 	if bb > 0 && g.cfg.BBDrainGBps > 0 {
 		j.StageOutSec = int64(float64(bb) / g.cfg.BBDrainGBps)
 	}
