@@ -507,13 +507,17 @@ func bindTraceExtras(w trace.Workload, csvNames []string) (trace.Workload, error
 				"trace column res:%s names no declared dimension; declare it with -extra %s:<capacity>", name, name)
 		}
 	}
-	for _, j := range w.Jobs {
+	jobs := make([]*job.Job, len(w.Jobs))
+	for n, j := range w.Jobs {
 		aligned := make([]int64, len(specs))
 		for k, i := range perm {
 			aligned[i] = j.Demand.Extra(k)
 		}
-		j.Demand = job.NewDemandVector(j.Demand.NodeCount(), j.Demand.BB(), j.Demand.SSDPerNode(), aligned...)
+		c := *j
+		c.Demand = job.NewDemandVector(j.Demand.NodeCount(), j.Demand.BB(), j.Demand.SSDPerNode(), aligned...)
+		jobs[n] = &c
 	}
+	w.Jobs = jobs
 	return w, nil
 }
 

@@ -203,7 +203,7 @@ func plannerCase(t *testing.T, r *rng.Stream, p *Planner, label string) (blind i
 		if r.Bool(0.5) {
 			if placed, err := snapshot.Alloc(j.Demand); err == nil {
 				runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
-				if err := q.Remove(j.ID); err != nil { // as the engine starts it
+				if _, err := q.Remove(j.ID); err != nil { // as the engine starts it
 					t.Fatal(err)
 				}
 				continue
@@ -242,7 +242,7 @@ func plannerCarriedCase(t *testing.T, r *rng.Stream, p *Planner, label string) {
 			t.Fatalf("%s: starting job %d: %v", label, j.ID, err)
 		}
 		runs = append(runs, Running{ReleaseTime: now + j.WalltimeEst, JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), Extra: placed.Extra})
-		if err := q.Remove(j.ID); err != nil {
+		if _, err := q.Remove(j.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func randWaitingJob(r *rng.Stream, cfg cluster.Config, free cluster.Snapshot, id
 	}
 	wall := int64(1 + r.Intn(60))
 	// Hand-built: job.New refuses the zero-node demand awkwardDemand draws.
-	j := &job.Job{ID: id, SubmitTime: submit + int64(r.Intn(4))*5, Runtime: wall, WalltimeEst: wall, Demand: d, StartTime: -1, EndTime: -1}
+	j := &job.Job{ID: id, SubmitTime: submit + int64(r.Intn(4))*5, Runtime: wall, WalltimeEst: wall, Demand: d}
 	if r.Bool(0.2) {
 		j.StageOutSec = int64(1 + r.Intn(20))
 	}

@@ -150,7 +150,7 @@ func TestPluginWithWindowPolicy(t *testing.T) {
 	// Unselected jobs behind the 1-wide window must NOT age (they were
 	// never in the window).
 	for _, j := range jobs[1:] {
-		if j.WindowAge != 0 {
+		if q.WindowAge(j.ID) != 0 {
 			t.Fatalf("job %d aged outside the window", j.ID)
 		}
 	}
@@ -213,7 +213,7 @@ func TestAdaptiveFactorMovesOnDeadWindow(t *testing.T) {
 			t.Fatalf("plugin pass %d: factor %v (inner %v), want %v", pass, a.Factor(), a.Inner.TradeoffFactor, want)
 		}
 	}
-	if dead.WindowAge != 2 {
-		t.Fatalf("dead window job aged %d times over two passes, want 2", dead.WindowAge)
+	if age := q.WindowAge(dead.ID); age != 2 {
+		t.Fatalf("dead window job aged %d times over two passes, want 2", age)
 	}
 }

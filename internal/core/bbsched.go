@@ -17,10 +17,11 @@
 // dead window need only the window jobs that may fit the free machine,
 // compared with each other. Only a live window, or a method that sees
 // every pass (sched.EveryPass), is read in base order and handed to the
-// method. A dead window is aged by counting, not writing: the queue counts
-// the pass for its front and writes a job's WindowAge when the job leaves
-// the window (queue.Ranking.Age). Backfilling reads only what it needs of
-// a dead window (Plugin.Ahead); Plugin.LeftBehind orders it on demand.
+// method. Either way the window is aged by counting: the queue counts the
+// pass for its front, whose slots hold their jobs' window ages
+// (queue.Ranking.AgeWindow and Age); no job is written. Backfilling reads
+// only what it needs of a dead window (Plugin.Ahead); Plugin.LeftBehind
+// orders it on demand.
 package core
 
 import (
@@ -338,8 +339,9 @@ func (p *Plugin) WindowSize(queueLen int) int {
 }
 
 // Decide runs one scheduling pass and returns the jobs to start, in start
-// order. It mutates only jobs' WindowAge (window jobs left behind age by
-// one pass); resource allocation is the caller's job. The returned slice is
+// order. It mutates no job: the window jobs left behind age by one pass in
+// the ranking's queue (queue.Ranking.AgeWindow, or Age on a dead pass),
+// and resource allocation is the caller's job. The returned slice is
 // pooled scratch, valid only until the next Decide call.
 //
 // A dead window — one where, after starvation forcing, no job fits the
@@ -460,13 +462,13 @@ func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 		}
 	}
 
-	// Age the window jobs left behind.
-	for i, j := range p.rest {
+	// The window jobs left behind age by the pass.
+	for i := range p.rest {
 		if !chosen[i] {
-			j.WindowAge++
 			p.left = append(p.left, window[i])
 		}
 	}
+	r.AgeWindow(p.started)
 	return p.started, nil
 }
 

@@ -209,11 +209,11 @@ func TestPluginBaselinePass(t *testing.T) {
 	}
 	// Unselected window jobs aged.
 	for _, j := range jobs[1:] {
-		if j.WindowAge != 1 {
-			t.Fatalf("job %d age = %d, want 1", j.ID, j.WindowAge)
+		if age := q.WindowAge(j.ID); age != 1 {
+			t.Fatalf("job %d age = %d, want 1", j.ID, age)
 		}
 	}
-	if jobs[0].WindowAge != 0 {
+	if q.WindowAge(jobs[0].ID) != 0 {
 		t.Fatal("started job should not age")
 	}
 }
@@ -221,12 +221,11 @@ func TestPluginBaselinePass(t *testing.T) {
 func TestPluginStarvationForcing(t *testing.T) {
 	jobs, c := table1()
 	q := queue.New(queue.FCFS{})
-	for _, j := range jobs {
-		q.Add(j)
-	}
 	// J2 has sat in the window past the bound: it must start even though
 	// the baseline method would stop at it.
-	jobs[1].WindowAge = 50
+	for i, j := range jobs {
+		q.AddAged(j, map[int]int{1: 50}[i])
+	}
 	p, err := NewPlugin(PluginConfig{WindowSize: 5, StarvationBound: 50}, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
@@ -266,10 +265,9 @@ func TestPluginStarvedJobTooBigKeepsAging(t *testing.T) {
 			t.Fatal(err)
 		}
 		big := job.MustNew(1, 0, 10, 10, tc.starved)
-		big.WindowAge = 99
 		small := job.MustNew(2, 1, 10, 10, job.NewDemand(2, 0, 0))
 		q := queue.New(queue.FCFS{})
-		q.Add(big)
+		q.AddAged(big, 99)
 		q.Add(small)
 		ctx := pluginCtx(q, c, 1)
 		if may := queue.EntryOf(big).MayFit(ctx.Snap.FreeNodes(), ctx.Snap.FreeBB); may != tc.mayFit || ctx.Snap.CanFit(big.Demand) {
@@ -287,8 +285,8 @@ func TestPluginStarvedJobTooBigKeepsAging(t *testing.T) {
 		if len(started) != 0 {
 			t.Fatalf("%s: started %v, want none", tc.name, idsOf(started))
 		}
-		if big.WindowAge != 100 || small.WindowAge != 1 {
-			t.Fatalf("%s: ages %d and %d, want 100 and 1", tc.name, big.WindowAge, small.WindowAge)
+		if b, s := q.WindowAge(big.ID), q.WindowAge(small.ID); b != 100 || s != 1 {
+			t.Fatalf("%s: ages %d and %d, want 100 and 1", tc.name, b, s)
 		}
 		if left := p.LeftBehind(); len(left) != 2 || left[0].Job != big || left[1].Job != small {
 			t.Fatalf("%s: left behind %v, want both jobs in window order", tc.name, left)
@@ -299,10 +297,9 @@ func TestPluginStarvedJobTooBigKeepsAging(t *testing.T) {
 func TestPluginZeroBoundDisablesForcing(t *testing.T) {
 	jobs, c := table1()
 	q := queue.New(queue.FCFS{})
-	for _, j := range jobs {
-		q.Add(j)
+	for i, j := range jobs {
+		q.AddAged(j, map[int]int{1: 1000}[i])
 	}
-	jobs[1].WindowAge = 1000
 	p, _ := NewPlugin(PluginConfig{WindowSize: 5, StarvationBound: 0}, sched.Baseline{})
 	started, err := p.Decide(pluginCtx(q, c, 1))
 	if err != nil {

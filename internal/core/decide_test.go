@@ -37,7 +37,7 @@ func (c counted) Select(ctx *sched.Context) ([]int, error) {
 }
 
 // passOutcome is what one Decide call leaves: the jobs started and left
-// behind, by ID in order, every window job's WindowAge after the pass,
+// behind, by ID in order, every window job's window age after the pass,
 // and the error text.
 type passOutcome struct {
 	started, left, ages []int
@@ -45,12 +45,11 @@ type passOutcome struct {
 }
 
 // decidePass runs one Plugin pass of m over jobs, in ID order, against
-// ctx's snapshot, with every job's WindowAge reset to ages first.
+// ctx's snapshot, every job entering the queue with its age in ages.
 func decidePass(t testing.TB, m sched.Method, jobs []*job.Job, ages []int, ctx *sched.Context, seed uint64) passOutcome {
 	q := queue.New(queue.FCFS{})
 	for i, j := range jobs {
-		j.WindowAge = ages[i]
-		if err := q.Add(j); err != nil {
+		if err := q.AddAged(j, ages[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +75,7 @@ func decidePass(t testing.TB, m sched.Method, jobs []*job.Job, ages []int, ctx *
 		out.left = append(out.left, e.Job.ID)
 	}
 	for _, j := range jobs {
-		out.ages = append(out.ages, j.WindowAge)
+		out.ages = append(out.ages, q.WindowAge(j.ID))
 	}
 	return out
 }

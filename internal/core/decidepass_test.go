@@ -21,13 +21,13 @@ const passesOnPass = 3
 
 // onPassOutcome is what a run of passes over one queue leaves, pass by
 // pass: the jobs Decide started and the EASY plan started, by ID in
-// order, every job's WindowAge as the queue reads it (-1 once gone), the
-// error text, and after the last pass the window jobs left behind and
-// every job's WindowAge field.
+// order, every job's window age as the queue reads it (-1 once gone), the
+// age each started job left the queue with, the error text, and after the
+// last pass the window jobs left behind.
 type onPassOutcome struct {
-	started, planned, ages [][]int
-	left, fields           []int
-	err                    string
+	started, planned, ages, leftWith [][]int
+	left                             []int
+	err                              string
 }
 
 // decideOnPass runs passesOnPass passes of m, opted in to every pass if
@@ -38,14 +38,13 @@ type onPassOutcome struct {
 // on the snapshot the forced starts leave, against a timeline that frees
 // everything in use an hour on. The jobs either started leave the queue;
 // the passes stop early once it is empty.
-// Every job's WindowAge is reset to ages first. It returns the outcome
+// Every job enters the queue with its age in ages. It returns the outcome
 // and, per pass, whether the method was called and how many jobs Ahead
 // held.
 func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, jobs []*job.Job, ages []int, ctx *sched.Context, seed uint64) (out onPassOutcome, called []bool, ahead []int) {
 	q := queue.New(queue.WFP{})
 	for i, j := range jobs {
-		j.WindowAge = ages[i]
-		if err := q.Add(j); err != nil {
+		if err := q.AddAged(j, ages[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,19 +94,20 @@ func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, 
 				out.left = append(out.left, e.Job.ID)
 			}
 		}
+		var leftWith []int
 		for _, j := range append(slices.Clone(started), planned...) {
-			if err := q.Remove(j.ID); err != nil {
+			age, err := q.Remove(j.ID)
+			if err != nil {
 				t.Fatal(err)
 			}
+			leftWith = append(leftWith, age)
 		}
+		out.leftWith = append(out.leftWith, leftWith)
 		var passAges []int
 		for _, j := range jobs {
 			passAges = append(passAges, q.WindowAge(j.ID))
 		}
 		out.ages = append(out.ages, passAges)
-	}
-	for _, j := range jobs {
-		out.fields = append(out.fields, j.WindowAge)
 	}
 	return out, called, ahead
 }

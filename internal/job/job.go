@@ -1,7 +1,9 @@
 // Package job defines the batch-job model shared by every subsystem: jobs
 // with multi-resource demands (compute nodes, shared burst buffer, per-node
-// local SSD), user runtime estimates, dependencies, and a lifecycle state
-// machine (Queued → InWindow → Running → Finished).
+// local SSD), user runtime estimates and dependencies. A job is its trace
+// record: once a trace builds it, it is read-only, and every run of the
+// trace shares it. What happens to a job in one run — when it starts and
+// ends, how long it waits in the window — lives in that run's engine.
 //
 // Units follow the paper: node counts are integers, burst buffer and local
 // SSD are gibibyte-granular int64 values (GB in the paper's notation), and
@@ -191,17 +193,20 @@ func (d Demand) Validate() error {
 	return nil
 }
 
-// State is a job's lifecycle state.
+// State is where a job is in one run, as a checkpoint records it: a job
+// in the waiting queue or the look-ahead buffer is Queued (or InWindow,
+// which no engine writes any more), one holding an allocation is Running,
+// and one whose burst buffer still drains after it ended is Finished.
 type State int
 
 const (
-	// Queued means the job is waiting and not yet visible to the optimizer.
+	// Queued means the job is waiting.
 	Queued State = iota
 	// InWindow means the job is in the scheduling window (§3.1).
 	InWindow
 	// Running means the job holds an allocation.
 	Running
-	// Finished means the job has completed and released its resources.
+	// Finished means the job's compute phase has completed.
 	Finished
 )
 
@@ -221,16 +226,10 @@ func (s State) String() string {
 	}
 }
 
-// validTransitions enumerates the legal state machine edges.
-var validTransitions = map[State][]State{
-	Queued:   {InWindow, Running}, // Running directly when backfilled
-	InWindow: {Running, Queued},
-	Running:  {Finished},
-}
-
-// Job is a batch job. Static fields describe the submission; mutable fields
-// are owned by the simulator/scheduler and guarded by the simulation's
-// single-threaded event loop.
+// Job is a batch job as its trace describes it. It is read-only once the
+// trace has built it: the engine, the queue and every method only read it,
+// so one job is shared by every run, worker and restore of its workload,
+// and a trace transform that changes a job hands on a changed copy.
 type Job struct {
 	// ID is unique within a workload and dense from 0 when generated.
 	ID int
@@ -256,23 +255,18 @@ type Job struct {
 	// scheduling window (§3.1).
 	Deps []int
 
-	// State is the current lifecycle state.
-	State State
-	// StartTime and EndTime are set by the simulator once known.
-	StartTime, EndTime int64
-	// WindowAge counts scheduler iterations this job has spent in the
-	// window without being selected; the starvation bound forces selection
-	// once it passes the configured limit (§3.1). While the job waits in a
-	// queue's front (package queue), the field can lag: the queue counts
-	// the passes that aged the front and writes them when the job leaves
-	// it, when the front is read in order, or at Queue.WriteAges.
-	// Queue.WindowAge gives the true value at any time.
+	// State, StartTime and WindowAge are not the engine's: it neither
+	// reads nor writes them, and keeps each run's state of a job in its
+	// own containers. They remain only for the benchmark's queue probe,
+	// which fills them from a snapshot record.
+	State     State
+	StartTime int64
 	WindowAge int
 }
 
 // New constructs a validated job.
 func New(id int, submit, runtime, walltime int64, d Demand) (*Job, error) {
-	j := &Job{ID: id, SubmitTime: submit, Runtime: runtime, WalltimeEst: walltime, Demand: d, StartTime: -1, EndTime: -1}
+	j := &Job{ID: id, SubmitTime: submit, Runtime: runtime, WalltimeEst: walltime, Demand: d}
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
@@ -316,40 +310,8 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Transition moves the job to state next, enforcing the lifecycle machine.
-func (j *Job) Transition(next State) error {
-	for _, ok := range validTransitions[j.State] {
-		if ok == next {
-			j.State = next
-			return nil
-		}
-	}
-	return fmt.Errorf("job %d: illegal transition %s -> %s", j.ID, j.State, next)
-}
-
-// WaitTime returns the queued interval (start - submit); it panics if the
-// job has not started, so metrics code cannot silently read garbage.
-func (j *Job) WaitTime() int64 {
-	if j.StartTime < 0 {
-		panic(fmt.Sprintf("job %d: WaitTime before start", j.ID))
-	}
-	return j.StartTime - j.SubmitTime
-}
-
-// Slowdown returns (wait + runtime) / runtime, the responsiveness metric of
-// §4.2. The denominator is floored at minRuntime seconds (bounded slowdown)
-// so abnormally short jobs do not dominate the average.
-func (j *Job) Slowdown(minRuntime int64) float64 {
-	r := j.Runtime
-	if r < minRuntime {
-		r = minRuntime
-	}
-	return float64(j.WaitTime()+j.Runtime) / float64(r)
-}
-
-// Clone returns a deep copy (Deps and the demand vector included). The
-// simulator clones workloads so that repeated runs over the same trace
-// never share mutable state.
+// Clone returns a deep copy (Deps and the demand vector included), for a
+// trace transform that derives changed jobs from a workload's.
 func (j *Job) Clone() *Job {
 	c := *j
 	c.Demand = j.Demand.Clone()

@@ -88,12 +88,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, 0, 10, 0, NewDemand(1, 0, 0)); err == nil {
 		t.Error("zero walltime accepted")
 	}
-	j, err := New(1, 0, 10, 20, NewDemand(4, 8, 0))
-	if err != nil {
+	if _, err := New(1, 0, 10, 20, NewDemand(4, 8, 0)); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
-	}
-	if j.StartTime != -1 || j.EndTime != -1 {
-		t.Error("fresh job should have unset start/end times")
 	}
 }
 
@@ -105,83 +101,13 @@ func TestSelfDependencyRejected(t *testing.T) {
 	}
 }
 
-func TestTransitions(t *testing.T) {
-	j := MustNew(1, 0, 10, 10, NewDemand(1, 0, 0))
-	legal := []State{InWindow, Running, Finished}
-	for _, s := range legal {
-		if err := j.Transition(s); err != nil {
-			t.Fatalf("legal transition to %s rejected: %v", s, err)
-		}
-	}
-	if err := j.Transition(Running); err == nil {
-		t.Error("transition out of Finished accepted")
-	}
-}
-
-func TestBackfillTransition(t *testing.T) {
-	// Queued -> Running directly models backfilled jobs that skip the window.
-	j := MustNew(1, 0, 10, 10, NewDemand(1, 0, 0))
-	if err := j.Transition(Running); err != nil {
-		t.Fatalf("Queued->Running rejected: %v", err)
-	}
-}
-
-func TestWindowBounce(t *testing.T) {
-	// InWindow -> Queued models jobs evicted when the window re-forms.
-	j := MustNew(1, 0, 10, 10, NewDemand(1, 0, 0))
-	mustTransition(t, j, InWindow)
-	mustTransition(t, j, Queued)
-	mustTransition(t, j, InWindow)
-	mustTransition(t, j, Running)
-}
-
-func mustTransition(t *testing.T, j *Job, s State) {
-	t.Helper()
-	if err := j.Transition(s); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitTimePanicsBeforeStart(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WaitTime before start did not panic")
-		}
-	}()
-	MustNew(1, 0, 10, 10, NewDemand(1, 0, 0)).WaitTime()
-}
-
-func TestSlowdownBounded(t *testing.T) {
-	j := MustNew(1, 100, 2, 10, NewDemand(1, 0, 0))
-	j.StartTime = 200 // waited 100s, ran 2s
-	// Unbounded slowdown would be 102/2 = 51; bounded with 10s floor: 102/10.
-	if got := j.Slowdown(10); got != 10.2 {
-		t.Errorf("bounded slowdown = %v, want 10.2", got)
-	}
-	if got := j.Slowdown(1); got != 51 {
-		t.Errorf("unbounded slowdown = %v, want 51", got)
-	}
-}
-
-func TestSlowdownNeverBelowOneForZeroWait(t *testing.T) {
-	f := func(runRaw uint16) bool {
-		run := int64(runRaw%10000) + 1
-		j := MustNew(1, 50, run, run, NewDemand(1, 0, 0))
-		j.StartTime = 50
-		return j.Slowdown(1) >= 1.0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	j := MustNew(1, 0, 10, 10, NewDemand(1, 5, 0))
 	j.Deps = []int{0}
 	c := j.Clone()
 	c.Deps[0] = 99
-	c.State = Running
-	if j.Deps[0] != 0 || j.State != Queued {
+	c.Demand.Res[1] = 7
+	if j.Deps[0] != 0 || j.Demand.BB() != 5 {
 		t.Error("Clone shares state with original")
 	}
 }
@@ -189,8 +115,8 @@ func TestCloneIsDeep(t *testing.T) {
 func TestCloneAll(t *testing.T) {
 	js := []*Job{MustNew(1, 0, 10, 10, NewDemand(1, 0, 0)), MustNew(2, 5, 10, 10, NewDemand(2, 0, 0))}
 	cs := CloneAll(js)
-	cs[0].StartTime = 42
-	if js[0].StartTime != -1 {
+	cs[0].SubmitTime = 42
+	if js[0].SubmitTime != 0 {
 		t.Error("CloneAll shares jobs")
 	}
 }

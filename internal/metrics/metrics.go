@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"bbsched/internal/job"
 )
 
 // Usage is an instantaneous resource usage sample.
@@ -240,19 +238,6 @@ func DefaultBuckets() Buckets {
 		BBBoundsGB:    []int64{100_000, 200_000},
 		RuntimeBounds: []int64{3600, 4 * 3600, 12 * 3600},
 	}
-}
-
-// Compute builds the report from the usage integrals and the jobs that
-// completed inside the measured interval, in completion order: the slice
-// front-end of JobStats with exact percentiles. slowdownFloor bounds the
-// slowdown denominator (§4.2 filters abnormal short jobs; the standard
-// bounded-slowdown formulation achieves the same robustly).
-func Compute(c *Collector, cap Capacity, finished []*job.Job, slowdownFloor int64, b Buckets) Report {
-	s := NewJobStats(slowdownFloor, b, false, len(finished))
-	for _, j := range finished {
-		s.Observe(j)
-	}
-	return s.Report(c, cap)
 }
 
 // usageReport fills the resource-usage ratios from the collector's

@@ -73,11 +73,24 @@ func TestSetWindowValidation(t *testing.T) {
 	c2.SetWindow(10, 0)
 }
 
-func finishedJob(id int, submit, start, runtime int64, nodes int, bb int64) *job.Job {
-	j := job.MustNew(id, submit, runtime, runtime, job.NewDemand(nodes, bb, 0))
-	j.StartTime = start
-	j.EndTime = start + runtime
-	return j
+// finished is a completed job and the instant it started.
+type finished struct {
+	j     *job.Job
+	start int64
+}
+
+func finishedJob(id int, submit, start, runtime int64, nodes int, bb int64) finished {
+	return finished{job.MustNew(id, submit, runtime, runtime, job.NewDemand(nodes, bb, 0)), start}
+}
+
+// Compute is the report of JobStats' exact back-end over the finished
+// jobs, observed in order.
+func Compute(c *Collector, cap Capacity, jobs []finished, slowdownFloor int64, b Buckets) Report {
+	s := NewJobStats(slowdownFloor, b, false, len(jobs))
+	for _, f := range jobs {
+		s.Observe(f.j, f.start)
+	}
+	return s.Report(c, cap)
 }
 
 func TestComputeUsageRatios(t *testing.T) {
@@ -107,7 +120,7 @@ func TestComputePerJobMetrics(t *testing.T) {
 	var c Collector
 	c.Observe(0, Usage{})
 	c.Observe(1000, Usage{})
-	jobs := []*job.Job{
+	jobs := []finished{
 		finishedJob(1, 0, 100, 400, 4, 0),  // wait 100, slowdown (100+400)/400
 		finishedJob(2, 50, 250, 100, 2, 0), // wait 200, slowdown (200+100)/100
 	}
@@ -145,7 +158,7 @@ func TestSlowdownFloorApplied(t *testing.T) {
 	c.Observe(0, Usage{})
 	c.Observe(10, Usage{})
 	short := finishedJob(1, 0, 1000, 1, 1, 0) // 1s runtime, wait 1000
-	r := Compute(&c, Capacity{Nodes: 1}, []*job.Job{short}, 60, Buckets{})
+	r := Compute(&c, Capacity{Nodes: 1}, []finished{short}, 60, Buckets{})
 	want := 1001.0 / 60
 	if math.Abs(r.AvgSlowdown-want) > 1e-9 {
 		t.Errorf("bounded slowdown = %v, want %v", r.AvgSlowdown, want)
@@ -156,7 +169,7 @@ func TestBreakdowns(t *testing.T) {
 	var c Collector
 	c.Observe(0, Usage{})
 	c.Observe(10, Usage{})
-	jobs := []*job.Job{
+	jobs := []finished{
 		finishedJob(1, 0, 100, 1800, 4, 0),            // 1-8 nodes, no BB, <=1h
 		finishedJob(2, 0, 300, 7200, 64, 50_000),      // 9-128, <=100TB, 1-4h
 		finishedJob(3, 0, 500, 50_000, 2000, 250_000), // >1024, >200TB, >12h

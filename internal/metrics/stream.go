@@ -76,13 +76,14 @@ func NewJobStats(slowdownFloor int64, b Buckets, sketch bool, sizeHint int) *Job
 	return s
 }
 
-// Observe folds one completed job into the running statistics. The sums
-// are floating-point, so the order of the calls is part of the result.
-func (s *JobStats) Observe(j *job.Job) {
-	wait := float64(j.WaitTime())
+// Observe folds one completed job, started at start, into the running
+// statistics. The sums are floating-point, so the order of the calls is
+// part of the result.
+func (s *JobStats) Observe(j *job.Job, start int64) {
+	wait := float64(start - j.SubmitTime)
 	s.n++
 	s.waitSum += wait
-	s.sdSum += j.Slowdown(s.slowdownFloor)
+	s.sdSum += slowdown(start-j.SubmitTime, j.Runtime, s.slowdownFloor)
 
 	if s.sketch {
 		s.p50.observe(wait)
@@ -104,6 +105,13 @@ func (s *JobStats) Observe(j *job.Job) {
 	i = bucketIndex(j.Runtime, s.b.RuntimeBounds)
 	s.rtSums[i] += wait
 	s.rtCounts[i]++
+}
+
+// slowdown returns (wait + runtime) / runtime, the responsiveness metric
+// of §4.2. The denominator is floored at minRuntime seconds (bounded
+// slowdown) so abnormally short jobs do not dominate the average.
+func slowdown(wait, runtime, minRuntime int64) float64 {
+	return float64(wait+runtime) / float64(max(runtime, minRuntime))
 }
 
 // Count returns the number of jobs observed.

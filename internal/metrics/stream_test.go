@@ -6,19 +6,20 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"bbsched/internal/job"
 )
 
 // streamFixture builds a collector plus a finished-job set with varied
 // sizes, BB requests, runtimes, and waits.
-func streamFixture(n int, seed uint64) (*Collector, Capacity, []*job.Job) {
+func streamFixture(n int, seed uint64) (*Collector, Capacity, []finished) {
 	r := rand.New(rand.NewPCG(seed, 0))
 	var c Collector
 	c.Observe(0, Usage{Nodes: 40, BBGB: 1000})
 	c.Observe(5000, Usage{})
 	cap := Capacity{Nodes: 100, BBGB: 10_000}
-	jobs := make([]*job.Job, n)
+	jobs := make([]finished, n)
 	for i := range jobs {
 		nodes := 1 << r.IntN(12)
 		var bb int64
@@ -27,8 +28,7 @@ func streamFixture(n int, seed uint64) (*Collector, Capacity, []*job.Job) {
 		}
 		rt := int64(r.IntN(15*3600)) + 1
 		j := job.MustNew(i, int64(i), rt, rt+60, job.NewDemand(nodes, bb, 0))
-		j.StartTime = j.SubmitTime + int64(r.IntN(5000))
-		jobs[i] = j
+		jobs[i] = finished{j, j.SubmitTime + int64(r.IntN(5000))}
 	}
 	return &c, cap, jobs
 }
@@ -43,8 +43,8 @@ func TestJobStatsMatchesCompute(t *testing.T) {
 		c, cap, jobs := streamFixture(n, uint64(n)+7)
 		want := Compute(c, cap, jobs, 10, Buckets{})
 		s := NewJobStats(10, Buckets{}, true, 0)
-		for _, j := range jobs {
-			s.Observe(j)
+		for _, f := range jobs {
+			s.Observe(f.j, f.start)
 		}
 		if s.Count() != n {
 			t.Fatalf("n=%d: Count() = %d", n, s.Count())
@@ -55,8 +55,8 @@ func TestJobStatsMatchesCompute(t *testing.T) {
 		// exact nearest-rank vs P² estimate. Compare them with tolerance,
 		// then zero them and require everything else identical.
 		waits := make([]float64, 0, n)
-		for _, j := range jobs {
-			waits = append(waits, float64(j.WaitTime()))
+		for _, f := range jobs {
+			waits = append(waits, float64(f.start-f.j.SubmitTime))
 		}
 		sort.Float64s(waits)
 		for _, pc := range []struct {
@@ -96,8 +96,8 @@ func TestJobStatsCustomBuckets(t *testing.T) {
 	c, cap, jobs := streamFixture(60, 3)
 	want := Compute(c, cap, jobs, 10, b)
 	s := NewJobStats(10, b, true, 0)
-	for _, j := range jobs {
-		s.Observe(j)
+	for _, f := range jobs {
+		s.Observe(f.j, f.start)
 	}
 	got := s.Report(c, cap)
 	if !reflect.DeepEqual(got.WaitBySize, want.WaitBySize) ||
@@ -143,6 +143,27 @@ func TestP2Quantile(t *testing.T) {
 	e.observe(1)
 	if e.value() != 1 {
 		t.Fatalf("2-sample p50 = %v, want exact nearest-rank 1", e.value())
+	}
+}
+
+// TestSlowdownBounded pins the bounded slowdown: a 2 s job that waited
+// 100 s has slowdown 102/2 = 51 unbounded and 102/10 with a 10 s floor.
+func TestSlowdownBounded(t *testing.T) {
+	if got := slowdown(100, 2, 10); got != 10.2 {
+		t.Errorf("bounded slowdown = %v, want 10.2", got)
+	}
+	if got := slowdown(100, 2, 1); got != 51 {
+		t.Errorf("unbounded slowdown = %v, want 51", got)
+	}
+}
+
+func TestSlowdownNeverBelowOneForZeroWait(t *testing.T) {
+	f := func(runRaw uint16) bool {
+		run := int64(runRaw%10000) + 1
+		return slowdown(0, run, 1) >= 1.0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestAddRemoveErrors(t *testing.T) {
 	if err := q.Add(mkJob(7, 5, 2, 20)); err == nil || err.Error() != "queue: job 7 already waiting" {
 		t.Errorf("duplicate Add: %v", err)
 	}
-	if err := q.Remove(8); err == nil || err.Error() != "queue: job 8 not waiting" {
+	if _, err := q.Remove(8); err == nil || err.Error() != "queue: job 8 not waiting" {
 		t.Errorf("Remove of an absent job: %v", err)
 	}
 	if q.Len() != 1 || !q.Contains(7) {
@@ -230,7 +230,7 @@ func TestIndexMatchesSortedReference(t *testing.T) {
 					case len(oracle.jobs) > 0 && r.Bool(0.35):
 						// Remove a random waiting job.
 						victim := pickAny(r, oracle.jobs)
-						if err := q.Remove(victim); err != nil {
+						if _, err := q.Remove(victim); err != nil {
 							t.Fatalf("trial %d: remove %d: %v", trial, victim, err)
 						}
 						delete(oracle.jobs, victim)
@@ -397,7 +397,7 @@ func driveRanking(t *testing.T, r *rng.Stream, q *Queue, rk *Ranking, front int,
 		}
 		for _, j := range got { // the pass starts what it took
 			if r.Bool(0.5) {
-				if err := q.Remove(j.ID); err != nil {
+				if _, err := q.Remove(j.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -594,7 +594,7 @@ func carryRanking(t *testing.T, r *rng.Stream, pol Policy, tf int, label string)
 		}
 		for n := r.Intn(3); n > 0 && len(waiting) > 0; n-- {
 			id := pickAny(r, waiting)
-			if err := q.Remove(id); err != nil {
+			if _, err := q.Remove(id); err != nil {
 				t.Fatal(err)
 			}
 			delete(waiting, id)
@@ -659,12 +659,15 @@ func TestRankingHistoryIndependent(t *testing.T) {
 			now += int64(r.Intn(60))
 			k := r.Intn(4)
 			for _, j := range carried.Rank(now, ready, k).Take(nil, k) {
-				if err := carried.Remove(j.ID); err != nil {
+				if _, err := carried.Remove(j.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		set := carried.Waiting(nil)
+		var set []*job.Job
+		for j := range carried.Waiting() {
+			set = append(set, j)
+		}
 		sort.Slice(set, func(a, b int) bool { return set[a].ID < set[b].ID })
 		fresh := New(pol)
 		for _, j := range set {

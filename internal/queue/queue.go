@@ -62,15 +62,17 @@
 // jobs promoted than a sort costs, and is sorted once, so the worst case
 // stays O(n log n).
 //
-// Ageing is counted, not written. The queue counts the passes whose window
-// it aged unread (Ranking.Age), and a front job holds the count at which
-// its WindowAge was last written; its age is the field plus the passes
-// since. The field is written when the job leaves the front, when the
-// front is read in order, and by WriteAges, which a snapshot calls first;
-// WindowAge reads it without writing. A pass ended by Age hands
-// backfilling only the window's best job, and only if a job behind the
-// window may fit; Aged is that window's ordered read, for a caller that
-// wants every job left behind.
+// A job's window age — the passes it has spent in the window without
+// being started, which starvation forcing reads — is the queue's: the job
+// itself is read-only. Ageing is counted, not written. The queue counts
+// the passes that aged its front (Ranking.AgeWindow, and Ranking.Age for a
+// pass that read its window unordered), and a front slot holds its job's
+// age less that count, so a pass writes only the slots of the jobs it
+// started. A job that leaves the front takes its age with it, beside its
+// leaf in the tournament's ID map. A pass ended by Age hands backfilling
+// only the window's best job, and only if a job behind the window may
+// fit; Aged is that window's ordered read, for a caller that wants every
+// job left behind.
 //
 // The Ranking Pass returns lists the dep-ready jobs in base order, each an
 // Entry carrying its node and burst-buffer demand: the front, and behind
@@ -95,6 +97,7 @@ package queue
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -117,9 +120,9 @@ type Key struct {
 // Slot is one waiting job as the queue holds it: its ranking entry (the
 // job and its fit demands), its priority at the last evaluation, its key,
 // whether the job lists any dependency, and its leaf in the tail's
-// tournament. A front job holds no leaf; there the field is the queue's
-// count of window passes when the job's WindowAge was last written, which
-// its counted age runs from.
+// tournament. A front job holds no leaf; there the field is the job's
+// window age less the window passes the queue has counted, so that
+// counting a pass ages the whole front.
 type Slot struct {
 	Entry
 	Prio float64
@@ -171,7 +174,7 @@ type Queue struct {
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
 	over, _ := policy.(Overtaker)
-	return &Queue{policy: policy, over: over, frontAt: math.MinInt64, freshAt: math.MinInt64, tour: tournament{ids: map[int]int32{}}}
+	return &Queue{policy: policy, over: over, frontAt: math.MinInt64, freshAt: math.MinInt64, tour: tournament{ids: map[int]place{}}}
 }
 
 // Policy returns the queue's ordering policy.
@@ -242,55 +245,65 @@ func compareRanked(a, b ranked) int {
 	return 1
 }
 
-// Add enqueues a job into the tail. Double-adds are rejected. The job's
-// key is copied here and never refreshed: ID, SubmitTime, WalltimeEst,
-// Demand and Deps must not change while the job waits (only the trace
-// generators and loaders write them, before admission). A job without
-// dependencies enters the tournament at once, brought to its submit time
-// (the engine adds a job the instant it arrives), so that the next Rank
-// finds its pairs decided; Rank's dependency check enters the others.
-func (q *Queue) Add(j *job.Job) error {
+// Add enqueues a job into the tail, its window age zero. Double-adds are
+// rejected. The job's key is copied here and never refreshed; the queue
+// only reads the job, which is read-only once its trace has built it. A
+// job without dependencies enters the tournament at once, brought to its
+// submit time (the engine adds a job the instant it arrives), so that the
+// next Rank finds its pairs decided; Rank's dependency check enters the
+// others.
+func (q *Queue) Add(j *job.Job) error { return q.AddAged(j, 0) }
+
+// AddAged is Add for a job that has already spent age passes in the
+// window: a restored queue re-enters its jobs with it.
+func (q *Queue) AddAged(j *job.Job, age int) error {
 	if _, ok := q.tour.ids[j.ID]; ok {
 		return fmt.Errorf("queue: job %d already waiting", j.ID)
+	}
+	if age < 0 || age > math.MaxInt32 {
+		return fmt.Errorf("queue: job %d has window age %d, outside [0, %d]", j.ID, age, math.MaxInt32)
 	}
 	s := SlotOf(j)
 	i := q.open(classOf(&s))
 	q.slots[i] = s
 	q.attach(i, !s.HasDeps, math.MinInt64)
-	q.tour.ids[j.ID] = q.slots[i].leaf
+	q.tour.ids[j.ID] = place{q.slots[i].leaf, int32(age)}
 	if !s.HasDeps {
 		q.settle(max(q.tour.now, s.SubmitTime))
 	}
 	return nil
 }
 
-// Remove dequeues the job with the given ID (when it starts running). A
-// front job's hole closes up, so the front stays in order.
-func (q *Queue) Remove(id int) error {
+// Remove dequeues the job with the given ID (when it starts running) and
+// returns its window age. A front job's hole closes up, so the front stays
+// in order.
+func (q *Queue) Remove(id int) (int, error) {
 	i := q.find(id)
 	if i < 0 {
-		return fmt.Errorf("queue: job %d not waiting", id)
+		return 0, fmt.Errorf("queue: job %d not waiting", id)
 	}
+	age := q.ageAt(i)
 	delete(q.tour.ids, id)
-	if i < q.front {
-		q.writeAge(i)
-	} else {
+	if i >= q.front {
 		q.release(q.slots[i].leaf)
 	}
 	q.close(i)
-	return nil
+	return age, nil
 }
 
-// Waiting appends every waiting job to dst in unspecified order and
-// returns the extended slice. Checkpointing uses it to enumerate the
-// waiting set; a restored queue is rebuilt by re-Adding the jobs, whose
-// behavior depends only on the queue's total order, never on internal
-// array order.
-func (q *Queue) Waiting(dst []*job.Job) []*job.Job {
-	for i := range q.slots {
-		dst = append(dst, q.slots[i].Job)
+// Waiting yields every waiting job with its window age, in unspecified
+// order. Checkpointing uses it to enumerate the waiting set; a restored
+// queue is rebuilt by re-entering the jobs with their ages (AddAged),
+// whose behavior depends only on the queue's total order, never on
+// internal array order.
+func (q *Queue) Waiting() iter.Seq2[*job.Job, int] {
+	return func(yield func(*job.Job, int) bool) {
+		for i := range q.slots {
+			if !yield(q.slots[i].Job, q.ageAt(i)) {
+				return
+			}
+		}
 	}
-	return dst
 }
 
 // Contains reports whether job id is waiting.
@@ -322,8 +335,8 @@ func (q *Queue) CheckInvariant() error {
 			return fmt.Errorf("queue: job %d waits twice", s.ID)
 		}
 		seen[s.ID] = true
-		if ref, ok := t.ids[s.ID]; !ok || q.find(s.ID) != i || i < q.front && ref != -1 ||
-			i >= q.front && (ref != s.leaf || s.leaf < 0 || int(s.leaf) >= len(t.leaves) || t.leaves[s.leaf].pos != int32(i)) {
+		if ref, ok := t.ids[s.ID]; !ok || q.find(s.ID) != i || i < q.front && ref.leaf != -1 ||
+			i >= q.front && (ref.leaf != s.leaf || s.leaf < 0 || int(s.leaf) >= len(t.leaves) || t.leaves[s.leaf].pos != int32(i)) {
 			return fmt.Errorf("queue: slot %d (job %d) on leaf %d, which is not its", i, s.ID, s.leaf)
 		}
 		if i < q.front {
@@ -689,14 +702,15 @@ func sink(slots []Slot, i int) int {
 
 // sortReady is the fallback: it prioritizes every job not yet prioritized
 // at now, sorts the dep-ready ones once, makes the first front of them the
-// front and builds the tail afresh from the rest. A job that stays in the
-// front keeps counting its age from where it did, one that leaves has its
-// age written, and one that joins counts from now.
+// front and builds the tail afresh from the rest. Every slot holds its
+// job's age as a front slot does while the slots are sorted; rebuild gives
+// the tail's jobs theirs back.
 func (q *Queue) sortReady(now int64, depsDone func(id int) bool, front int) {
 	q.sorts++
 	q.prioritize(now)
 	for i := q.front; i < len(q.slots); i++ {
-		q.prioAt(i, now).leaf = int32(q.passes)
+		s := q.prioAt(i, now)
+		s.leaf = q.tour.ids[s.ID].age - int32(q.passes) // as a front slot's, for now
 	}
 	slots := q.slots
 	ready := 0
@@ -716,40 +730,22 @@ func (q *Queue) sortReady(now int64, depsDone func(id int) bool, front int) {
 	q.frontAt, q.fresh, q.ordered = now, q.front, true
 }
 
-// counted returns the window passes counted for front slot i since its
-// job's WindowAge was last written.
-func (q *Queue) counted(i int) int { return int(q.passes - uint32(q.slots[i].leaf)) }
-
-// writeAge writes into front slot i's job's WindowAge the passes counted
-// for it.
-func (q *Queue) writeAge(i int) {
-	if d := q.counted(i); d != 0 {
-		q.slots[i].Job.WindowAge += d
-		q.slots[i].leaf = int32(q.passes)
+// ageAt returns slot i's window age.
+func (q *Queue) ageAt(i int) int {
+	s := &q.slots[i]
+	if i < q.front {
+		return int(s.leaf + int32(q.passes))
 	}
+	return int(q.tour.ids[s.ID].age)
 }
 
-// WriteAges writes into every waiting job's WindowAge the window passes
-// the queue has counted for it (Ranking.Age), so that the field reads true
-// until the queue next ages its front; a snapshot calls it first.
-func (q *Queue) WriteAges() {
-	for i := range q.slots[:q.front] {
-		q.writeAge(i)
-	}
-}
-
-// WindowAge returns waiting job id's WindowAge with the window passes the
-// queue has counted for it and not yet written, -1 if the job is not
-// waiting. It writes nothing.
+// WindowAge returns waiting job id's window age, -1 if the job is not
+// waiting.
 func (q *Queue) WindowAge(id int) int {
-	i := q.find(id)
-	switch {
-	case i < 0:
-		return -1
-	case i < q.front:
-		return q.slots[i].Job.WindowAge + q.counted(i)
+	if i := q.find(id); i >= 0 {
+		return q.ageAt(i)
 	}
-	return q.slots[i].Job.WindowAge
+	return -1
 }
 
 // Len returns the number of ranked jobs not yet consumed.
@@ -808,31 +804,40 @@ func (r *Ranking) evaluate() {
 	}
 }
 
-// WindowAge returns the WindowAge of the a-th job the last Window
-// returned, the window passes the queue has counted for it included.
-func (r *Ranking) WindowAge(a int) int {
-	i := int(r.at[a])
-	return r.q.slots[i].Job.WindowAge + r.q.counted(i)
+// WindowAge returns the window age of the a-th job the last Window
+// returned.
+func (r *Ranking) WindowAge(a int) int { return r.q.ageAt(int(r.at[a])) }
+
+// AgeWindow ages by one pass every job the pass took off the front of the
+// ranking in order (Front, Take, Next) — its window — but those in skip,
+// the jobs it starts: the queue counts the pass for its front, and every
+// other front job sits it out. A pass that read its window in order calls
+// it once it knows what it starts.
+func (r *Ranking) AgeWindow(skip []*job.Job) {
+	q := r.q
+	for i := range q.slots[:q.front] {
+		if s := &q.slots[i]; i >= r.lo || slices.Contains(skip, s.Job) {
+			s.leaf--
+		}
+	}
+	q.passes++
 }
 
 // Age ends a pass that read its window only through Window and found no
 // job in it but those in skip, which it starts, fits the machine alone. It
 // takes the window off the ranking, and every job in it but skip ages by
-// one pass: the queue counts the pass for its front, and writes a job's
-// WindowAge when the job leaves the front, on an ordered read (Aged among
-// them) or at WriteAges. Age returns what backfilling must walk ahead of
-// the rest of the ranking: no window job fits what the pass leaves free,
-// so only the best of them, for backfilling to reserve for. If no job
-// behind the window MayFit freeNodes and freeBB either, none can start,
-// whatever the reservation: Age empties the ranking and returns nothing.
-// The slice is the ranking's, valid until the queue is ranked again.
+// one pass, as AgeWindow ages them. Age returns what backfilling must walk
+// ahead of the rest of the ranking: no window job fits what the pass
+// leaves free, so only the best of them, for backfilling to reserve for.
+// If no job behind the window MayFit freeNodes and freeBB either, none can
+// start, whatever the reservation: Age empties the ranking and returns
+// nothing. The slice is the ranking's, valid until the queue is ranked
+// again.
 func (r *Ranking) Age(skip []*job.Job, freeNodes int, freeBB int64) []Entry {
 	q := r.q
 	for k, e := range r.window {
 		if slices.Contains(skip, e.Job) {
-			i := int(r.at[k])
-			q.writeAge(i)
-			q.slots[i].leaf++ // counted from the next pass on
+			q.slots[r.at[k]].leaf-- // sits the pass out
 		}
 	}
 	q.passes++
@@ -858,15 +863,13 @@ func (r *Ranking) Age(skip []*job.Job, freeNodes int, freeBB int64) []Entry {
 
 // Aged appends to dst the window jobs a pass Age ended left behind, those
 // not in skip, in base order, and returns the extended slice. It is that
-// window's ordered read: it orders the queue's front and writes every
-// job's counted age. Backfilling needs none of it, only what Age returned;
-// it is for a caller that wants every job left behind. It must come before
-// anything changes the queue.
+// window's ordered read: it orders the queue's front. Backfilling needs
+// none of it, only what Age returned; it is for a caller that wants every
+// job left behind. It must come before anything changes the queue.
 func (r *Ranking) Aged(dst []Entry, skip []*job.Job) []Entry {
 	q := r.q
 	q.order(r.now, r.depsDone, r.front)
 	for i := range q.slots[:q.front] {
-		q.writeAge(i)
 		if s := &q.slots[i]; !slices.Contains(skip, s.Job) {
 			dst = append(dst, s.Entry)
 		}
@@ -900,12 +903,11 @@ func (r *Ranking) MayFit(freeNodes int, freeBB int64) bool {
 }
 
 // orderFront orders the queue's front the first time a read needs it, and
-// copies it into the ranking with every job's counted passes written.
+// copies it into the ranking.
 func (r *Ranking) orderFront() {
 	q := r.q
 	q.order(r.now, r.depsDone, r.front)
 	for i := range q.slots[:q.front] {
-		q.writeAge(i)
 		r.entries = append(r.entries, q.slots[i].Entry)
 	}
 	r.entriesHW = max(r.entriesHW, len(r.entries))

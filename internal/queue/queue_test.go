@@ -41,10 +41,10 @@ func TestAddRemove(t *testing.T) {
 	if !q.Contains(1) || q.Len() != 1 {
 		t.Fatal("queue state wrong after add")
 	}
-	if err := q.Remove(1); err != nil {
+	if _, err := q.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Remove(1); err == nil {
+	if _, err := q.Remove(1); err == nil {
 		t.Fatal("double remove accepted")
 	}
 	if q.Contains(1) || q.Len() != 0 {

@@ -117,8 +117,9 @@ func (q *Queue) close(i int) {
 // marks its path to visit.
 //
 // Only tail jobs hold leaves, each keeping its slot's index. ids maps
-// every waiting job's ID to its leaf, or to -1 for a front job, which a
-// scan of the short front then finds. A pair is known by its two leaves,
+// every waiting job's ID to its place: its leaf and its window age, or
+// leaf -1 for a front job, which a scan of the short front then finds and
+// whose slot holds its age. A pair is known by its two leaves,
 // so a freed leaf is handed out again only after a settle has passed over
 // its path.
 type tournament struct {
@@ -132,8 +133,12 @@ type tournament struct {
 	deps   []int32 // leaves of the tail's jobs with dependencies
 	live   int     // dep-ready tail leaves
 	now    int64   // the instant of the last settle
-	ids    map[int]int32
+	ids    map[int]place
 }
+
+// place is where a waiting job is: on a leaf of the tail with its window
+// age, or in the front (leaf -1).
+type place struct{ leaf, age int32 }
 
 // find returns job id's slot, -1 if it is not waiting.
 func (q *Queue) find(id int) int {
@@ -141,8 +146,8 @@ func (q *Queue) find(id int) int {
 	switch {
 	case !ok:
 		return -1
-	case ref >= 0:
-		return int(q.tour.leaves[ref].pos)
+	case ref.leaf >= 0:
+		return int(q.tour.leaves[ref.leaf].pos)
 	}
 	for i := range q.slots[:q.front] {
 		if q.slots[i].ID == id {
@@ -285,8 +290,8 @@ func cut(list []int32, id int32) []int32 {
 }
 
 // promote moves leaf id's job, prioritized at now, to the end of the
-// front, its age counted from now on: the first job of each class from its
-// own down moves up into the hole it leaves.
+// front, its age held as a front slot's: the first job of each class from
+// its own down moves up into the hole it leaves.
 func (q *Queue) promote(id int32, now int64) {
 	if q.fresh == q.front || q.freshAt != now {
 		// The jobs promoted before join the rest, whose priorities are for
@@ -308,7 +313,8 @@ func (q *Queue) promote(id int32, now int64) {
 			q.cut[d-1]++
 		}
 	}
-	s.leaf, q.tour.ids[s.ID] = int32(q.passes), -1
+	s.leaf = q.tour.ids[s.ID].age - int32(q.passes)
+	q.tour.ids[s.ID] = place{leaf: -1}
 	q.slots[i] = s
 	q.front++
 	q.ordered = false
@@ -318,11 +324,10 @@ func (q *Queue) promote(id int32, now int64) {
 }
 
 // demote moves the front job at slots[i] to the start of its class in the
-// tail, its counted age written: the front closes up, and the last job of
-// each class below moves down into the hole.
+// tail, with its age: the front closes up, and the last job of each class
+// below moves down into the hole.
 func (q *Queue) demote(i int, ready bool) {
-	q.writeAge(i)
-	s, at := q.slots[i], q.prioAtFront(i)
+	s, at, age := q.slots[i], q.prioAtFront(i), int32(q.ageAt(i))
 	patchNaN(&s)
 	c := classOf(&s)
 	q.use(c)
@@ -336,7 +341,7 @@ func (q *Queue) demote(i int, ready bool) {
 	}
 	q.slots[i] = s
 	q.attach(i, ready, at)
-	q.tour.ids[s.ID] = q.slots[i].leaf
+	q.tour.ids[s.ID] = place{q.slots[i].leaf, age}
 }
 
 // leaveFront takes front slot i out of the front: the front closes up over
@@ -437,16 +442,15 @@ func (q *Queue) child(c int, now int64) (int32, int64) {
 
 // rebuild makes slots[front:] the tail afresh: grouped by class, every
 // priority evaluated at now, the tail on leaves by slot order, in a tree
-// as wide as the tail, every pair to decide anew. Every slot's leaf field
-// holds its age count, and a job that was in the front has its age
-// written as it joins the tail.
+// as wide as the tail, every pair to decide anew. Every slot holds its
+// job's age as a front slot does, and a tail job takes its own back.
 func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	tail := q.slots[q.front:]
 	slices.SortFunc(tail, compareClass)
 	t := &q.tour
 	q.frontDeps = 0
 	for i := range q.slots[:q.front] {
-		t.ids[q.slots[i].ID] = -1
+		t.ids[q.slots[i].ID] = place{leaf: -1}
 		if q.slots[i].HasDeps {
 			q.frontDeps++
 		}
@@ -457,9 +461,7 @@ func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	q.top = 0
 	for k := range tail {
 		s, i := &tail[k], q.front+k
-		if t.ids[s.ID] < 0 {
-			q.writeAge(i) // it leaves the front
-		}
+		age := s.leaf + int32(q.passes)
 		c := classOf(s)
 		if q.top == 0 {
 			q.low, q.top = c, c
@@ -468,7 +470,7 @@ func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 			q.cut[q.top] = i
 		}
 		q.cut[q.top-1] = i + 1
-		s.leaf, t.leaves[k], t.ids[s.ID] = int32(k), leaf{pos: int32(i), at: now}, int32(k)
+		s.leaf, t.leaves[k], t.ids[s.ID] = int32(k), leaf{pos: int32(i), at: now}, place{int32(k), age}
 		if s.HasDeps {
 			t.deps = append(t.deps, int32(k))
 		}

@@ -118,7 +118,7 @@ func FuzzTailTournament(f *testing.F) {
 			case 3:
 				if len(waiting) > 0 {
 					id := pickAny(r, waiting)
-					if err := q.Remove(id); err != nil {
+					if _, err := q.Remove(id); err != nil {
 						t.Fatal(err)
 					}
 					delete(waiting, id)

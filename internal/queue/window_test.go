@@ -21,8 +21,9 @@ import (
 // if a job behind the window may fit. An ordered read must return the
 // window in order, and so must Aged after Age, but for the jobs started.
 // A Pass whose front does not shrink, on a queue it does not sort, must
-// move no job of the front past another. After every pass, and for every
-// job that leaves, the ages must be the model's.
+// move no job of the front past another. Some jobs enter already aged
+// (AddAged). After every pass, and for every job that leaves, the ages
+// must be the model's.
 func TestPassWindowMatchesReference(t *testing.T) {
 	policies := []Policy{FCFS{}, WFP{}, Multifactor{MachineNodes: 64}, nanEvery{WFP{}}, reversing{}}
 	for pi, pol := range policies {
@@ -50,11 +51,12 @@ func carryWindow(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) 
 	nextID, doneBelow, now := 1, 1001, int64(r.Intn(100))
 	depsDone := func(id int) bool { return id < doneBelow }
 	leave := func(id int, at string) {
-		if err := q.Remove(id); err != nil {
+		age, err := q.Remove(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if j := waiting[id]; j.WindowAge != ages[id] {
-			t.Fatalf("%s: job %d left with WindowAge %d, model %d", at, id, j.WindowAge, ages[id])
+		if age != ages[id] {
+			t.Fatalf("%s: job %d left with window age %d, model %d", at, id, age, ages[id])
 		}
 		delete(waiting, id)
 	}
@@ -63,8 +65,15 @@ func carryWindow(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) 
 			j := randomJob(r, nextID)
 			j.SubmitTime += now / 2
 			nextID++
-			if err := q.Add(j); err != nil {
-				t.Fatal(err)
+			if r.Bool(0.7) {
+				if err := q.Add(j); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ages[j.ID] = r.Intn(100) // as a restored queue re-enters it
+				if err := q.AddAged(j, ages[j.ID]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			waiting[j.ID] = j
 		}
@@ -165,8 +174,8 @@ func carryWindow(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) 
 					t.Fatalf("%s: Aged read %v, want the window but for the jobs started, %v", at, got, kept)
 				}
 				for _, j := range aged {
-					if j.WindowAge != ages[j.ID] {
-						t.Fatalf("%s: Aged wrote WindowAge %d into job %d, model %d", at, j.WindowAge, j.ID, ages[j.ID])
+					if age := q.WindowAge(j.ID); age != ages[j.ID] {
+						t.Fatalf("%s: after Aged job %d has window age %d, model %d", at, j.ID, age, ages[j.ID])
 					}
 				}
 			}
@@ -180,9 +189,9 @@ func carryWindow(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) 
 					started = append(started, j)
 					continue
 				}
-				j.WindowAge++ // the live pass writes what it leaves behind
 				ages[j.ID]++
 			}
+			rk.AgeWindow(started) // the live pass ages what it leaves behind
 		}
 		for _, j := range started {
 			leave(j.ID, at)

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,34 +55,35 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 		CoolStart:     s.coolStart,
 	}
 
-	// Job table: every job still referenced by the engine, sorted by ID.
-	// Jobs not yet pulled are not state — restore re-reads them from the
-	// repositioned source — and neither are finished ones, which finish
-	// has already folded into stats. The queue writes the window passes it
-	// has counted into its jobs' WindowAge first.
-	s.q.WriteAges()
-	byID := make(map[int]*job.Job)
-	for _, j := range s.q.Waiting(nil) {
-		byID[j.ID] = j
+	// Job table: every job still referenced by the engine, sorted by ID,
+	// with the state its container holds of it. Each such job is in one
+	// container: the queue, the running set, an arrival event or the
+	// look-ahead buffer (the other events name running jobs). Jobs not yet
+	// pulled are not state — restore re-reads them from the repositioned
+	// source — and neither are finished ones, which finish has already
+	// folded into stats.
+	snap.QueueIDs = make([]int64, 0, s.q.Len())
+	for j, age := range s.q.Waiting() {
+		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, age))
+		snap.QueueIDs = append(snap.QueueIDs, int64(j.ID))
 	}
+	slices.Sort(snap.QueueIDs)
 	for _, r := range s.running {
-		byID[r.j.ID] = r.j
+		state := job.Running
+		if r.staging {
+			state = job.Finished // done but for its draining burst buffer (see finish)
+		}
+		snap.Jobs = append(snap.Jobs, jobRecord(r.j, state, r.start, r.end, r.age))
 	}
 	for _, ev := range s.events {
-		byID[ev.j.ID] = ev.j
+		if ev.kind == evArrive {
+			snap.Jobs = append(snap.Jobs, jobRecord(ev.j, job.Queued, -1, -1, 0))
+		}
 	}
 	for _, j := range s.pending[s.pendHead:] {
-		byID[j.ID] = j
+		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, 0))
 	}
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	snap.Jobs = make([]checkpoint.JobRecord, 0, len(ids))
-	for _, id := range ids {
-		snap.Jobs = append(snap.Jobs, jobRecord(byID[id]))
-	}
+	slices.SortFunc(snap.Jobs, func(a, b checkpoint.JobRecord) int { return cmp.Compare(a.ID, b.ID) })
 
 	// Event heap, serialized in total (time, kind, job ID) order. A
 	// sorted array satisfies the heap property, so restore reloads it
@@ -94,13 +97,6 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	sort.Slice(snap.Events, func(a, b int) bool {
 		return eventRecordLess(snap.Events[a], snap.Events[b])
 	})
-
-	waiting := s.q.Waiting(nil)
-	snap.QueueIDs = make([]int64, 0, len(waiting))
-	for _, j := range waiting {
-		snap.QueueIDs = append(snap.QueueIDs, int64(j.ID))
-	}
-	sort.Slice(snap.QueueIDs, func(a, b int) bool { return snap.QueueIDs[a] < snap.QueueIDs[b] })
 
 	runIDs := make([]int, 0, len(s.running))
 	for id := range s.running {
@@ -226,34 +222,33 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 
-	// Job table: rebuilt from the records, cross-checked against the
-	// workload's own jobs when it carries them.
-	byID := make(map[int]*job.Job, len(snap.Jobs))
+	// Job table: each record names its job — the workload's own when it
+	// carries jobs — and the state the run holds of it.
+	type held struct {
+		j   *job.Job
+		rec *checkpoint.JobRecord
+	}
+	byID := make(map[int64]held, len(snap.Jobs))
 	// ref resolves a job ID one of the snapshot's containers holds.
-	ref := func(container string, id int64) (*job.Job, error) {
-		if j := byID[int(id)]; j != nil {
-			return j, nil
+	ref := func(container string, id int64) (held, error) {
+		if h, ok := byID[id]; ok {
+			return h, nil
 		}
-		return nil, fmt.Errorf("snapshot %s references unknown job %d", container, id)
+		return held{}, fmt.Errorf("snapshot %s references unknown job %d", container, id)
 	}
 	for i := range snap.Jobs {
 		rec := &snap.Jobs[i]
-		j, err := jobFromRecord(rec)
+		if _, dup := byID[rec.ID]; dup {
+			return fmt.Errorf("snapshot repeats job %d", rec.ID)
+		}
+		if rec.State < int64(job.Queued) || rec.State > int64(job.Finished) {
+			return fmt.Errorf("snapshot job %d has unknown state %d", rec.ID, rec.State)
+		}
+		j, err := s.recordJob(rec, snap.Pulled)
 		if err != nil {
 			return err
 		}
-		if _, dup := byID[j.ID]; dup {
-			return fmt.Errorf("snapshot repeats job %d", j.ID)
-		}
-		if base := s.workload.Jobs; len(base) > 0 {
-			if j.ID < 0 || j.ID >= len(base) {
-				return fmt.Errorf("snapshot job %d is not in the workload", j.ID)
-			}
-			if b := base[j.ID]; b.SubmitTime != j.SubmitTime || b.Runtime != j.Runtime || b.WalltimeEst != j.WalltimeEst {
-				return fmt.Errorf("snapshot job %d static fields differ from the workload's", j.ID)
-			}
-		}
-		byID[j.ID] = j
+		byID[rec.ID] = held{j, rec}
 	}
 
 	// Event heap: records are stored in total order; verify and load
@@ -265,33 +260,32 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if i > 0 && !eventRecordLess(snap.Events[i-1], ev) {
 			return fmt.Errorf("snapshot events out of order at index %d", i)
 		}
-		j, err := ref("event", ev.JobID)
+		h, err := ref("event", ev.JobID)
 		if err != nil {
 			return err
 		}
-		s.events = append(s.events, event{t: ev.T, kind: int(ev.Kind), j: j})
+		s.events = append(s.events, event{t: ev.T, kind: int(ev.Kind), j: h.j})
 	}
 
-	// The containers below must agree with each job's one State: a job
+	// The containers below must agree with each record's one State: a job
 	// waits (queue, look-ahead buffer) until it starts, and from then on
 	// is in the running set, where it stays past Finished while its burst
 	// buffer drains. Holding each member to the state its container
-	// implies also keeps an ID off both sides at once; a snapshot that
-	// contradicts itself here would restore and then die mid-run on an
-	// illegal state transition.
+	// implies also keeps an ID off both sides at once.
 
-	// Queue: re-Add in ascending ID order. Window extraction depends only
-	// on the queue's priority total order, so the rebuilt queue yields
-	// byte-identical windows regardless of the original insertion order.
+	// Queue: re-enter in ascending ID order, each job with its window age.
+	// Window extraction depends only on the queue's priority total order,
+	// so the rebuilt queue yields byte-identical windows regardless of the
+	// original insertion order.
 	for _, id := range snap.QueueIDs {
-		j, err := ref("queue", id)
+		h, err := ref("queue", id)
 		if err != nil {
 			return err
 		}
-		if j.State >= job.Running {
-			return fmt.Errorf("snapshot queue holds job %d, whose state is %s", id, j.State)
+		if st := job.State(h.rec.State); st >= job.Running {
+			return fmt.Errorf("snapshot queue holds job %d, whose state is %s", id, st)
 		}
-		if err := s.q.Add(j); err != nil {
+		if err := s.q.AddAged(h.j, int(h.rec.WindowAge)); err != nil {
 			return err
 		}
 	}
@@ -301,7 +295,7 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// finish would have left it.
 	var nodes []int // scratch: RestoreAllocation copies what it keeps
 	for _, rr := range snap.Running {
-		j, err := ref("running set", rr.JobID)
+		h, err := ref("running set", rr.JobID)
 		if err != nil {
 			return err
 		}
@@ -309,10 +303,11 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if rr.Staging {
 			want = job.Finished // done but for its draining burst buffer (see finish)
 		}
-		if j.State != want {
+		if st := job.State(h.rec.State); st != want {
 			return fmt.Errorf("snapshot running set (staging=%v) holds job %d, whose state is %s, not %s",
-				rr.Staging, rr.JobID, j.State, want)
+				rr.Staging, rr.JobID, st, want)
 		}
+		j := h.j
 		nodes = nodes[:0]
 		for _, n := range rr.Alloc.NodesByClass {
 			nodes = append(nodes, int(n))
@@ -327,7 +322,8 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		r := &runningJob{j: j, alloc: stored, release: rr.Release, staging: rr.Staging, bbRelease: rr.BBRelease}
+		r := &runningJob{j: j, alloc: stored, release: rr.Release, staging: rr.Staging, bbRelease: rr.BBRelease,
+			start: h.rec.StartTime, end: h.rec.EndTime, age: int(h.rec.WindowAge)}
 		s.running[j.ID] = r
 		switch {
 		case r.staging:
@@ -382,14 +378,14 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Source position: rebuild the look-ahead buffer from the job table
 	// and skip the fresh source past the consumed prefix.
 	for _, id := range snap.PendingIDs {
-		j, err := ref("look-ahead buffer", id)
+		h, err := ref("look-ahead buffer", id)
 		if err != nil {
 			return err
 		}
-		if j.State >= job.Running {
-			return fmt.Errorf("snapshot look-ahead buffer holds job %d, whose state is %s", id, j.State)
+		if st := job.State(h.rec.State); st >= job.Running {
+			return fmt.Errorf("snapshot look-ahead buffer holds job %d, whose state is %s", id, st)
 		}
-		s.pending = append(s.pending, j)
+		s.pending = append(s.pending, h.j)
 	}
 	s.pulled = int(snap.Pulled)
 	s.lastSubmit = snap.LastSubmit
@@ -427,7 +423,8 @@ func (s *Simulator) restoreUsage(u metrics.Usage) error {
 	return nil
 }
 
-func jobRecord(j *job.Job) checkpoint.JobRecord {
+// jobRecord records job j with the state the run holds of it.
+func jobRecord(j *job.Job, state job.State, start, end int64, age int) checkpoint.JobRecord {
 	return checkpoint.JobRecord{
 		ID:          int64(j.ID),
 		User:        j.User,
@@ -437,17 +434,35 @@ func jobRecord(j *job.Job) checkpoint.JobRecord {
 		Res:         j.Demand.Res,
 		StageOutSec: j.StageOutSec,
 		Deps:        intsToI64(j.Deps),
-		State:       int64(j.State),
-		StartTime:   j.StartTime,
-		EndTime:     j.EndTime,
-		WindowAge:   int64(j.WindowAge),
+		State:       int64(state),
+		StartTime:   start,
+		EndTime:     end,
+		WindowAge:   int64(age),
 	}
 }
 
-// jobFromRecord reconstructs a job the run had pulled from its source; the
-// record carries the full static description. The job takes over the
-// record's demand vector.
-func jobFromRecord(rec *checkpoint.JobRecord) (*job.Job, error) {
+// recordJob returns the job a snapshot record names, one of the pulled
+// jobs. A run over a workload's own jobs takes the workload's, once the
+// record matches it in every static field. A run fed by a source builds
+// it from the record, which carries the full static description (the job
+// takes over the record's demand vector), and holds it to what the
+// source's contract asks of a pulled job.
+func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64) (*job.Job, error) {
+	if rec.ID < 0 || rec.ID >= pulled {
+		return nil, fmt.Errorf("snapshot job %d is not one of the %d jobs pulled", rec.ID, pulled)
+	}
+	if base := s.workload.Jobs; len(base) > 0 {
+		if rec.ID >= int64(len(base)) {
+			return nil, fmt.Errorf("snapshot job %d is not in the workload", rec.ID)
+		}
+		j := base[rec.ID]
+		if j.User != rec.User || j.SubmitTime != rec.SubmitTime || j.Runtime != rec.Runtime ||
+			j.WalltimeEst != rec.WalltimeEst || !j.Demand.Equal(job.Demand{Res: rec.Res}) ||
+			j.StageOutSec != rec.StageOutSec || !slices.EqualFunc(j.Deps, rec.Deps, func(d int, r int64) bool { return int64(d) == r }) {
+			return nil, fmt.Errorf("snapshot job %d static fields differ from the workload's", rec.ID)
+		}
+		return j, nil
+	}
 	j := &job.Job{
 		ID:          int(rec.ID),
 		User:        rec.User,
@@ -457,17 +472,10 @@ func jobFromRecord(rec *checkpoint.JobRecord) (*job.Job, error) {
 		Demand:      job.Demand{Res: rec.Res},
 		StageOutSec: rec.StageOutSec,
 		Deps:        i64ToInts(rec.Deps),
-		StartTime:   rec.StartTime,
-		EndTime:     rec.EndTime,
-		WindowAge:   int(rec.WindowAge),
 	}
-	if err := j.Validate(); err != nil {
+	if err := s.admissible(j); err != nil {
 		return nil, fmt.Errorf("snapshot job %d: %w", rec.ID, err)
 	}
-	if rec.State < int64(job.Queued) || rec.State > int64(job.Finished) {
-		return nil, fmt.Errorf("snapshot job %d has unknown state %d", rec.ID, rec.State)
-	}
-	j.State = job.State(rec.State)
 	return j, nil
 }
 

@@ -289,9 +289,9 @@ func TestCheckpointRoundTripStreaming(t *testing.T) {
 // than failing — and the source-position checks: a decoded snapshot whose
 // done watermark or look-ahead buffer disagrees with its pulled count
 // would mark unpulled jobs finished and release their dependants early —
-// and the container checks: a job the queue holds but whose State (or the
-// running set) says has started would restore and then die mid-run on an
-// illegal state transition — and the per-job metric state: a job count
+// and the container checks: a job the queue holds but whose record (or
+// the running set) says has started would sit in two containers at once —
+// and the per-job metric state: a job count
 // the bucket counts, the kept waits or the sketches disagree with would
 // restore cleanly and report a wrong average at the end of the run.
 func TestRestoreRejectsMismatchedRun(t *testing.T) {
@@ -380,6 +380,61 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
+// TestRestoreChecksEveryStaticField: a snapshot record must describe the
+// job it names. Over a workload's own jobs restore takes the workload's
+// job, so a record that differs from it in any static field is refused —
+// here the first queued job's burst buffer raised by 7 GB, its user, its
+// stage-out, or a dependency on a job 100 000 IDs on, which can never
+// finish. A run fed by a source builds the job from the record and holds
+// it to what a pulled job must satisfy, so the dependency on a later job
+// is refused there too.
+func TestRestoreChecksEveryStaticField(t *testing.T) {
+	w, _, snap := midRunSnapshot(t, 2000)
+	shell := trace.Workload{Name: w.Name, System: w.System}
+	restore := func(mutate func(*checkpoint.JobRecord), source bool) error {
+		decoded, err := checkpoint.Decode(bytes.NewReader(snap))
+		if err != nil {
+			return err
+		}
+		if len(decoded.QueueIDs) == 0 {
+			t.Fatal("the snapshot holds no queued job")
+		}
+		mutate(jobByID(decoded, decoded.QueueIDs[0]))
+		var buf bytes.Buffer
+		if err := checkpoint.Encode(&buf, decoded); err != nil {
+			return err
+		}
+		if source {
+			_, err = Restore(shell, sched.Baseline{}, &buf, WithSeed(1), WithSource(trace.SourceOf(w)))
+		} else {
+			_, err = Restore(w, sched.Baseline{}, &buf, WithSeed(1))
+		}
+		return err
+	}
+	laterDep := func(r *checkpoint.JobRecord) { r.Deps = append(r.Deps, r.ID+100_000) }
+	for _, source := range []bool{false, true} {
+		if err := restore(func(*checkpoint.JobRecord) {}, source); err != nil {
+			t.Fatalf("source=%v: the snapshot as taken does not restore: %v", source, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*checkpoint.JobRecord)
+	}{
+		{"burst buffer", func(r *checkpoint.JobRecord) { r.Res[job.BurstBufferGB] += 7 }},
+		{"user", func(r *checkpoint.JobRecord) { r.User += "x" }},
+		{"stage-out", func(r *checkpoint.JobRecord) { r.StageOutSec++ }},
+		{"later dependency", laterDep},
+	} {
+		if err := restore(tc.mutate, false); err == nil || !strings.Contains(err.Error(), "static fields differ") {
+			t.Errorf("%s: restore over the workload's jobs returned %v, want the record refused", tc.name, err)
+		}
+	}
+	if err := restore(laterDep, true); err == nil || !strings.Contains(err.Error(), "does not reference an earlier job") {
+		t.Errorf("later dependency: restore from a source returned %v, want the record refused", err)
+	}
+}
+
 // jobByID returns the snapshot's record of one job.
 func jobByID(s *checkpoint.Snapshot, id int64) *checkpoint.JobRecord {
 	for i := range s.Jobs {
@@ -445,10 +500,10 @@ func midRunSnapshot(tb testing.TB, jobs int) (trace.Workload, *Simulator, []byte
 // TestCheckpointAllocs holds the allocation counts of encoding, decoding
 // and restoring a mid-run snapshot of the 2 000-job throughput trace.
 // Allocation counts do not depend on the machine, so each ceiling is the
-// count measured when it was set (202, 450 and 4 737) plus 20%. The
+// count measured when it was set (185, 450 and 610) plus 20%. The
 // snapshot holds 138 jobs, so one more allocation per snapshot record
-// crosses the encode and decode ceilings; restore rebuilds the whole
-// 2 000-job workload, so one more per workload job crosses its ceiling.
+// crosses every ceiling. Restore shares the workload's jobs: it builds the
+// engine and the state of the jobs in flight, not a copy of the 2 000.
 func TestCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -460,9 +515,9 @@ func TestCheckpointAllocs(t *testing.T) {
 		ceiling float64
 		op      func() error
 	}{
-		{"encode", 242, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
+		{"encode", 222, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
 		{"decode", 540, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
-		{"restore", 5684, func() error {
+		{"restore", 732, func() error {
 			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(data), WithSeed(1))
 			return err
 		}},

@@ -21,9 +21,9 @@ type seesEveryPass struct{ sched.Method }
 func (seesEveryPass) SeesEveryPass() {}
 
 // passLog records a run pass by pass: the jobs each pass started, in start
-// order and with the WindowAge each left the queue with, so that the
-// window's picks and the EASY plan behind them both show, and every job
-// still waiting after it with its WindowAge, read through ages.
+// order and with the window age each left the queue with, read through
+// ages, so that the window's picks and the EASY plan behind them both
+// show, and every job still waiting after it with its window age.
 type passLog struct {
 	NopObserver
 	ages    func(j *job.Job) int
@@ -33,7 +33,7 @@ type passLog struct {
 }
 
 func (l *passLog) OnJobStart(e Event) {
-	l.started = append(l.started, fmt.Sprintf("%d@%d", e.Job.ID, e.Job.WindowAge))
+	l.started = append(l.started, fmt.Sprintf("%d@%d", e.Job.ID, l.ages(e.Job)))
 }
 
 func (l *passLog) OnSchedule(info ScheduleInfo) {
@@ -50,7 +50,7 @@ func (l *passLog) OnSchedule(info ScheduleInfo) {
 
 // referencePasses runs w on the frozen reference engine, which re-sorts
 // the whole queue for every window, asks the method on every pass and
-// writes every window job's age as it goes.
+// writes every window job's age into its own copy of the job as it goes.
 func referencePasses(t testing.TB, w trace.Workload, m sched.Method, opts []Option) []string {
 	var ref *refSimulator
 	log := &passLog{
@@ -78,8 +78,13 @@ func referencePasses(t testing.TB, w trace.Workload, m sched.Method, opts []Opti
 func enginePasses(t testing.TB, w trace.Workload, m sched.Method, opts []Option, at int) []string {
 	var s *Simulator
 	log := &passLog{
-		ages:    func(j *job.Job) int { return s.q.WindowAge(j.ID) },
-		waiting: func() []*job.Job { return s.q.Waiting(nil) },
+		ages: func(j *job.Job) int {
+			if r, ok := s.running[j.ID]; ok {
+				return r.age
+			}
+			return s.q.WindowAge(j.ID)
+		},
+		waiting: func() []*job.Job { return waitingJobs(s.q) },
 	}
 	opts = append(opts, WithObserver(log))
 	s, err := NewSimulator(w, m, opts...)

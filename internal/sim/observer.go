@@ -12,9 +12,11 @@ import (
 type Event struct {
 	// T is the simulation time in seconds.
 	T int64
-	// Job is the job whose state changed. Observers must treat it as
-	// read-only; it is the simulator's live copy.
+	// Job is the job whose state changed: its trace record, which every
+	// run of the workload shares and no one writes.
 	Job *job.Job
+	// Start is when the job started, -1 before it has.
+	Start int64
 	// UsedNodes and UsedBBGB are machine usage after the event.
 	UsedNodes int
 	UsedBBGB  int64

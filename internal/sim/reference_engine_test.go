@@ -260,7 +260,7 @@ type refSimulator struct {
 	now      int64
 	running  map[int]*runningJob
 	done     map[int]bool
-	finished []*job.Job
+	finished []*runningJob
 
 	warmEnd, coolStart int64
 
@@ -517,11 +517,7 @@ func (s *refSimulator) start(j *job.Job) error {
 	if err := s.q.Remove(j.ID); err != nil {
 		return err
 	}
-	if err := j.Transition(job.Running); err != nil {
-		return err
-	}
-	j.StartTime = s.now
-	r := &runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst}
+	r := &runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst, start: s.now}
 	s.running[j.ID] = r
 	heap.Push(&s.events, event{t: s.now + j.Runtime, kind: evEnd, j: j})
 	s.observeStart(r)
@@ -533,12 +529,8 @@ func (s *refSimulator) finish(j *job.Job) error {
 	if !ok {
 		return fmt.Errorf("refsim: job %d finished but not running", j.ID)
 	}
-	if err := j.Transition(job.Finished); err != nil {
-		return err
-	}
-	j.EndTime = s.now
 	s.done[j.ID] = true
-	s.finished = append(s.finished, j)
+	s.finished = append(s.finished, r)
 
 	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
 		if err := s.cl.ReleaseNodes(j.ID); err != nil {
@@ -640,23 +632,22 @@ func (s *refSimulator) result() (*Result, error) {
 		return nil, err
 	}
 	s.collector.Observe(s.now, s.usage)
-	var measured []*job.Job
-	for _, j := range s.finished {
-		if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {
-			measured = append(measured, j)
+	stats := metrics.NewJobStats(slowdownFloorSec, s.opt.buckets, false, 0)
+	for _, r := range s.finished {
+		if r.j.SubmitTime >= s.warmEnd && r.j.SubmitTime <= s.coolStart {
+			stats.Observe(r.j, r.start)
 		}
 	}
 	capTotals := metrics.Capacity{Nodes: s.totals.Nodes, BBGB: s.totals.BBGB, SSDGB: s.totals.SSDGB}
 	for _, r := range s.extra {
 		capTotals.Extra = append(capTotals.Extra, metrics.DimCapacity{Name: r.Name, Total: r.Capacity})
 	}
-	rep := metrics.Compute(&s.collector, capTotals, measured, slowdownFloorSec, s.opt.buckets)
 	res := &Result{
-		Report:           rep,
+		Report:           stats.Report(&s.collector, capTotals),
 		Workload:         s.workload.Name,
 		Method:           s.plugin.Method().Name(),
 		TotalJobs:        len(s.workload.Jobs),
-		MeasuredJobs:     len(measured),
+		MeasuredJobs:     stats.Count(),
 		SchedInvocations: s.invocations,
 		MakespanSec:      s.now,
 	}

@@ -116,15 +116,19 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// runningJob tracks a live allocation for backfill planning and release.
+// runningJob is a started job in the run: its live allocation, for
+// backfill planning and release, and the run's state of the job — when it
+// started and ended, and the window age it left the queue with.
 type runningJob struct {
 	j       *job.Job
 	alloc   cluster.Allocation
 	release int64 // expected node release (start + walltime estimate)
 	// staging is true once the job has ended but its burst buffer is
 	// still draining (stage-out); bbRelease is the actual drain end.
-	staging   bool
-	bbRelease int64
+	staging    bool
+	bbRelease  int64
+	start, end int64 // end is -1 until the job ends
+	age        int
 }
 
 // persistentReservationID keys the §4.1 persistent burst-buffer

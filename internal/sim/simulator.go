@@ -171,7 +171,10 @@ func WithMeasureWindow(start, end int64) Option {
 // measured interval. A finished job is folded into the run's one
 // metrics.JobStats and not kept, so beyond the workload it was given a
 // run holds the jobs in flight plus one float64 per measured job (none
-// under WithStreamingMetrics).
+// under WithStreamingMetrics). A run never writes a job: what happens to
+// a job in the run — its window age, start and end — lives in the
+// containers that hold it (the queue, the running set), so any number of
+// runs share one workload.
 //
 // A Simulator advances either one event instant at a time (Step,
 // RunUntil) — inspecting queue depth, utilization, and the clock between
@@ -181,7 +184,7 @@ func WithMeasureWindow(start, end int64) Option {
 // one (or use RunSweep) for repeated runs.
 type Simulator struct {
 	opt      options
-	workload trace.Workload // private clone; jobs mutate as the run advances
+	workload trace.Workload // the caller's: its jobs are read, never written
 
 	cl     *cluster.Cluster
 	q      *queue.Queue
@@ -195,7 +198,7 @@ type Simulator struct {
 	running map[int]*runningJob
 
 	// Ingestion state. Every job enters through source: the caller's
-	// (WithSource) or an ownedSource over the workload clone. pending is
+	// (WithSource) or a trace.SliceSource over the workload. pending is
 	// the bounded look-ahead FIFO between the source and the event heap;
 	// doneLow is the watermark below which every dense job ID has
 	// finished, with doneSparse holding the (small) set of finished IDs
@@ -243,10 +246,10 @@ type Simulator struct {
 	result *Result
 }
 
-// NewSimulator builds a Simulator over a private clone of the workload
-// (the input is never mutated) driving the given window job-selection
-// method. Defaults match the paper: w=20 window with starvation bound 50,
-// EASY backfilling on, 0.1 warm-up/cool-down trim, 60 s slowdown floor.
+// NewSimulator builds a Simulator over the workload, which it shares and
+// never writes, driving the given window job-selection method. Defaults
+// match the paper: w=20 window with starvation bound 50, EASY backfilling
+// on, 0.1 warm-up/cool-down trim, 60 s slowdown floor.
 //
 // A workload that carries jobs must satisfy trace.Workload.Validate (the
 // JobSource contract) and is fed through the same pull path as a stream.
@@ -270,15 +273,14 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		return nil, fmt.Errorf("sim: WithSource on a workload that already carries %d materialized jobs; pass the job-less workload shell", len(w.Jobs))
 	}
 
-	wc := w.Clone()
-	if err := wc.Validate(); err != nil {
+	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	cl, err := cluster.New(wc.System.Cluster)
+	cl, err := cluster.New(w.System.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	pol, err := queue.ByName(string(wc.System.Policy))
+	pol, err := queue.ByName(string(w.System.Policy))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -288,7 +290,7 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	}
 
 	if opt.source == nil {
-		opt.source = &ownedSource{jobs: wc.Jobs}
+		opt.source = trace.SourceOf(w)
 	}
 	// Resolve the measured interval. An absolute window wins; otherwise
 	// the fractional trim needs a horizon, known only when the source
@@ -313,26 +315,26 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	}
 	s := &Simulator{
 		opt:        opt,
-		workload:   wc,
+		workload:   w,
 		cl:         cl,
 		q:          queue.New(pol),
 		plugin:     plugin,
-		totals:     sched.TotalsOf(wc.System.Cluster),
-		extra:      wc.System.Cluster.Extra,
-		rand:       rng.New(opt.seed).Split("sim:" + wc.Name + ":" + method.Name()),
+		totals:     sched.TotalsOf(w.System.Cluster),
+		extra:      w.System.Cluster.Extra,
+		rand:       rng.New(opt.seed).Split("sim:" + w.Name + ":" + method.Name()),
 		observers:  opt.observers,
 		events:     make(eventHeap, 0, opt.lookahead+1),
 		running:    make(map[int]*runningJob),
 		source:     opt.source,
 		pending:    make([]*job.Job, 0, opt.lookahead),
 		doneSparse: make(map[int]struct{}),
-		stats:      metrics.NewJobStats(slowdownFloorSec, opt.buckets, opt.streamStats, len(wc.Jobs)),
+		stats:      metrics.NewJobStats(slowdownFloorSec, opt.buckets, opt.streamStats, len(w.Jobs)),
 		warmEnd:    warmEnd,
 		coolStart:  coolStart,
 	}
 	// A second pristine machine validates each pulled job's demand (the
 	// per-pull analogue of Workload.Validate's fit check).
-	if s.admitCl, err = cluster.New(wc.System.Cluster); err != nil {
+	if s.admitCl, err = cluster.New(w.System.Cluster); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s.depsDone = s.isDone
@@ -350,7 +352,7 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	// Persistent burst-buffer reservations (§4.1) are taken before any job
 	// arrives and never released; they shrink the schedulable pool and
 	// count as used burst buffer for the whole run.
-	if p := wc.System.PersistentBBGB; p > 0 {
+	if p := w.System.PersistentBBGB; p > 0 {
 		if err := cl.ReserveBB(persistentReservationID, p); err != nil {
 			return nil, fmt.Errorf("sim: persistent reservation: %w", err)
 		}
@@ -358,32 +360,6 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	}
 	s.collector.Observe(0, metrics.Usage{})
 	return s, nil
-}
-
-// ownedSource is how a workload's own jobs enter the pull path: it hands
-// out the private clone NewSimulator took, as is. (trace.SliceSource
-// clones per pull, which here would copy every job twice and allocate on
-// every arrival.)
-type ownedSource struct {
-	jobs []*job.Job
-	next int
-}
-
-func (o *ownedSource) Next() (*job.Job, error) {
-	if o.next == len(o.jobs) {
-		return nil, io.EOF
-	}
-	j := o.jobs[o.next]
-	o.next++
-	return j, nil
-}
-
-// Horizon implements trace.Horizoner; validated jobs are in submit order.
-func (o *ownedSource) Horizon() (int64, bool) {
-	if len(o.jobs) == 0 {
-		return 0, true
-	}
-	return o.jobs[len(o.jobs)-1].SubmitTime, true
 }
 
 // Close releases the simulator's source, if it is one that can be
@@ -497,22 +473,32 @@ func (s *Simulator) admit(j *job.Job) error {
 	if j.SubmitTime < s.lastSubmit {
 		return fmt.Errorf("sim: source job %d submits at %d, before previous job's %d", j.ID, j.SubmitTime, s.lastSubmit)
 	}
-	if err := j.Validate(); err != nil {
+	if err := s.admissible(j); err != nil {
 		return fmt.Errorf("sim: source job %d: %w", j.ID, err)
-	}
-	if n := j.Demand.NodeCount(); n > s.workload.System.Cluster.Nodes {
-		return fmt.Errorf("sim: source job %d requests %d nodes on a %d-node system", j.ID, n, s.workload.System.Cluster.Nodes)
-	}
-	if !s.admitCl.CanFit(j.Demand) {
-		return fmt.Errorf("sim: source job %d demand %v cannot fit the empty machine", j.ID, j.Demand)
-	}
-	for _, d := range j.Deps {
-		if d < 0 || d >= j.ID {
-			return fmt.Errorf("sim: source job %d dep %d does not reference an earlier job", j.ID, d)
-		}
 	}
 	s.lastSubmit = j.SubmitTime
 	s.pulled++
+	return nil
+}
+
+// admissible checks what the JobSource contract asks of one job on its
+// own: a valid job that fits the empty machine, whose dependencies name
+// earlier jobs.
+func (s *Simulator) admissible(j *job.Job) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if n := j.Demand.NodeCount(); n > s.workload.System.Cluster.Nodes {
+		return fmt.Errorf("requests %d nodes on a %d-node system", n, s.workload.System.Cluster.Nodes)
+	}
+	if !s.admitCl.CanFit(j.Demand) {
+		return fmt.Errorf("demand %v cannot fit the empty machine", j.Demand)
+	}
+	for _, d := range j.Deps {
+		if d < 0 || d >= j.ID {
+			return fmt.Errorf("dep %d does not reference an earlier job", d)
+		}
+	}
 	return nil
 }
 
@@ -601,7 +587,7 @@ func (s *Simulator) Step() (bool, error) {
 			if err := s.q.Add(ev.j); err != nil {
 				return false, fmt.Errorf("sim: %w", err)
 			}
-			if err := s.emitJob("submit", ev.j); err != nil {
+			if err := s.emitJob("submit", ev.j, -1); err != nil {
 				return false, err
 			}
 		case evEnd:
@@ -722,14 +708,14 @@ func (s *Simulator) Result() (*Result, error) {
 	return res, nil
 }
 
-// emitJob notifies every observer of a job state change and surfaces the
-// first sink failure.
-func (s *Simulator) emitJob(kind string, j *job.Job) error {
+// emitJob notifies every observer of a state change of job j, started at
+// start (-1 if it has not), and surfaces the first sink failure.
+func (s *Simulator) emitJob(kind string, j *job.Job, start int64) error {
 	if len(s.observers) == 0 {
 		return nil
 	}
 	ev := Event{
-		T: s.now, Job: j,
+		T: s.now, Job: j, Start: start,
 		UsedNodes: s.cl.UsedNodes(), UsedBBGB: s.cl.UsedBB(),
 		UsedExtra: s.cl.UsedExtras(),
 		Queued:    s.q.Len(),
@@ -765,15 +751,12 @@ func (s *Simulator) finish(j *job.Job) error {
 	if !ok {
 		return fmt.Errorf("sim: job %d finished but not running", j.ID)
 	}
-	if err := j.Transition(job.Finished); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	j.EndTime = s.now
+	r.end = s.now
 	s.markDone(j.ID)
 	// Per-job metrics cover the jobs submitted inside the measured
 	// interval, folded in completion order (the sums are floating-point).
 	if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {
-		s.stats.Observe(j)
+		s.stats.Observe(j, r.start)
 	}
 
 	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
@@ -793,7 +776,7 @@ func (s *Simulator) finish(j *job.Job) error {
 		s.timeline.Insert(backfill.Running{ReleaseTime: r.bbRelease, JobID: j.ID, BB: j.Demand.BB()})
 		s.events.push(event{t: r.bbRelease, kind: evBBRelease, j: j})
 		s.observeNodeRelease(r)
-		return s.emitJob("end", j)
+		return s.emitJob("end", j, r.start)
 	}
 	if err := s.timelineRemove(r.release, j.ID); err != nil {
 		return err
@@ -805,7 +788,7 @@ func (s *Simulator) finish(j *job.Job) error {
 	s.observeNodeRelease(r)
 	s.observeBBRelease(r)
 	s.rjFree = append(s.rjFree, r)
-	return s.emitJob("end", j)
+	return s.emitJob("end", j, r.start)
 }
 
 // timelineRemove drops one release entry, surfacing timeline/running-set
@@ -832,7 +815,7 @@ func (s *Simulator) releaseBB(j *job.Job) error {
 	}
 	s.observeBBRelease(r)
 	s.rjFree = append(s.rjFree, r)
-	return s.emitJob("bb_release", j)
+	return s.emitJob("bb_release", j, r.start)
 }
 
 func (s *Simulator) observeStart(r *runningJob) {
@@ -945,21 +928,18 @@ func (s *Simulator) start(j *job.Job) error {
 	if err != nil {
 		return fmt.Errorf("sim: starting job %d: %w", j.ID, err)
 	}
-	if err := s.q.Remove(j.ID); err != nil {
+	age, err := s.q.Remove(j.ID)
+	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := j.Transition(job.Running); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	j.StartTime = s.now
 	var r *runningJob
 	if n := len(s.rjFree); n > 0 {
 		r = s.rjFree[n-1]
 		s.rjFree = s.rjFree[:n-1]
-		*r = runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst}
 	} else {
-		r = &runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst}
+		r = new(runningJob)
 	}
+	*r = runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst, start: s.now, end: -1, age: age}
 	s.running[j.ID] = r
 	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
 		// Stage-out: nodes (and compute-coupled extras) are expected back
@@ -977,5 +957,5 @@ func (s *Simulator) start(j *job.Job) error {
 	}
 	s.events.push(event{t: s.now + j.Runtime, kind: evEnd, j: j})
 	s.observeStart(r)
-	return s.emitJob("start", j)
+	return s.emitJob("start", j, s.now)
 }

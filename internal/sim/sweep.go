@@ -15,7 +15,8 @@ import (
 // seed combination, each an independent Simulator run sharing the same
 // base Options. The paper's evaluation (§4, §5) is exactly such a grid.
 type Sweep struct {
-	// Workloads are the traces to replay.
+	// Workloads are the traces to replay. Every run of a workload shares
+	// its jobs, on every worker, and none copies or writes them.
 	Workloads []trace.Workload
 	// Streams are stream-backed workloads swept after Workloads: each run
 	// opens a fresh JobSource (sources are single-use) and drives it
@@ -81,7 +82,9 @@ type SweepRun struct {
 // RunSweep executes every run of the sweep on a worker pool and returns
 // the results in deterministic workload-major order (workload, then
 // method, then seed) — the same runs, in the same order, with the same
-// per-run Reports, for any worker count. A failure cancels the remaining
+// per-run Reports, for any worker count. Concurrent runs share each
+// workload rather than copy it: a run never writes a job. A failure
+// cancels the remaining
 // runs and the lowest-indexed genuine failure (cancellation fallout is
 // filtered out) is returned.
 //

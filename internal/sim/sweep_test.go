@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -293,5 +296,77 @@ func TestRunSweepWithSolverShared(t *testing.T) {
 	}
 	if got := sched.SolverNameOf(m); got != "lp" {
 		t.Fatalf("shared method backend = %q, want lp", got)
+	}
+}
+
+// TestSharedWorkloadNeverWritten: runs share their workload instead of
+// copying it, which is sound only because nothing writes a job once its
+// trace has built it. One materialized workload — dependencies, stage-out
+// and starvation forcing included — is swept at two workers over several
+// methods, replayed as a stream through a transform, and, at the same
+// time, checkpointed mid-run and restored into a new run over the same
+// jobs. Every field of every job must hash the same after as before, and
+// under -race no run may write what another reads.
+func TestSharedWorkloadNeverWritten(t *testing.T) {
+	sys := trace.Scale(trace.Theta(), 32)
+	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 150, Seed: 8, TargetLoad: 2, DependencyFraction: 0.2, BBDrainGBps: 20})
+	w.System.Policy = trace.WFP
+	hash := func() [sha256.Size]byte {
+		h := sha256.New()
+		for _, j := range w.Jobs {
+			fmt.Fprintf(h, "%#v\n", *j)
+		}
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	before := hash()
+	opts := engineOpts(WithWindow(8, 3))
+
+	done := make(chan error, 1)
+	go func() {
+		s, err := NewSimulator(w, sched.BinPacking{}, append(opts, WithSeed(3))...)
+		if err != nil {
+			done <- err
+			return
+		}
+		for i := 0; i < len(w.Jobs)/2; i++ {
+			if _, err := s.Step(); err != nil {
+				done <- err
+				return
+			}
+		}
+		var snap bytes.Buffer
+		if err := s.Checkpoint(&snap); err != nil {
+			done <- err
+			return
+		}
+		r, err := Restore(w, sched.BinPacking{}, &snap, append(opts, WithSeed(3))...)
+		if err == nil {
+			_, err = r.Run(context.Background())
+		}
+		done <- err
+	}()
+	runs, err := RunSweep(context.Background(), Sweep{
+		Workloads: []trace.Workload{w},
+		Streams: []StreamWorkload{{Name: w.Name + "-stream", System: w.System, Open: func() (trace.JobSource, error) {
+			return trace.StageOutSource(trace.SourceOf(w), 5), nil
+		}}},
+		Methods: []sched.Method{sched.Baseline{}, sched.BinPacking{}, fastBBSched()},
+		Seeds:   []uint64{1, 2},
+		Options: opts,
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if r.Result == nil || r.Result.TotalJobs != len(w.Jobs) {
+			t.Fatalf("%s/%s/seed %d did not run every job: %+v", r.Workload, r.Method, r.Seed, r.Result)
+		}
+	}
+	if hash() != before {
+		t.Fatal("a run wrote a job of the workload it shares")
 	}
 }

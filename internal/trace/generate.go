@@ -426,7 +426,7 @@ func ApplyVariant(base Workload, variant string, seed uint64) (Workload, error) 
 	v := strings.ToUpper(strings.TrimSpace(variant))
 	name := base.System.Cluster.Name
 	if v == "" || v == "ORIGINAL" {
-		out := base.Clone()
+		out := base
 		out.Name = name + "-Original"
 		return out, nil
 	}

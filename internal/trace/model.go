@@ -185,8 +185,8 @@ type Workload struct {
 	Jobs []*job.Job
 }
 
-// Clone deep-copies the workload so repeated simulations never share
-// mutable job state.
+// Clone deep-copies the workload, for a transform that derives changed
+// jobs from it (ExpandBB, AddSSD, …). Runs share a workload uncopied.
 func (w Workload) Clone() Workload {
 	return Workload{Name: w.Name, System: w.System, Jobs: job.CloneAll(w.Jobs)}
 }

@@ -23,9 +23,14 @@ func joinVariants() string { return strings.Join(Variants(), ", ") }
 //
 // Sources are single-use. A drained (or failed) source stays drained;
 // callers that need to replay open a fresh source.
+//
+// Returned jobs are read-only: a source may hand the same job to every
+// run that reads it (SliceSource hands out its slice's own jobs), and a
+// transform (StageOutSource, ExpandBBSource, AddSSDSource) hands on a
+// changed copy instead of writing the job it pulled.
 type JobSource interface {
 	// Next returns the next job in submit order, or io.EOF when the
-	// stream is exhausted. Returned jobs are owned by the caller.
+	// stream is exhausted.
 	Next() (*job.Job, error)
 }
 
@@ -47,9 +52,8 @@ type Closer interface {
 }
 
 // SliceSource adapts a materialized job slice to the JobSource contract,
-// so any Workload that validates can be replayed through WithSource.
-// Next clones each job, mirroring NewSimulator's defensive copy, so the
-// backing slice is never mutated by a run.
+// so any Workload that validates can be replayed through WithSource. Next
+// hands out the slice's own jobs, which no reader writes.
 type SliceSource struct {
 	jobs    []*job.Job
 	i       int
@@ -71,7 +75,7 @@ func (s *SliceSource) Next() (*job.Job, error) {
 	if s.i >= len(s.jobs) {
 		return nil, io.EOF
 	}
-	j := s.jobs[s.i].Clone()
+	j := s.jobs[s.i]
 	s.i++
 	return j, nil
 }
@@ -195,8 +199,9 @@ func (l *limitSource) Close() error {
 	return nil
 }
 
-// mapSource applies a per-job transform. Transforms never change submit
-// times, so a known horizon passes through.
+// mapSource applies a per-job transform, which returns the job it was
+// given when it changes nothing and a changed copy otherwise. Transforms
+// never change submit times, so a known horizon passes through.
 type mapSource struct {
 	src JobSource
 	fn  func(*job.Job) *job.Job
@@ -232,12 +237,16 @@ func StageOutSource(src JobSource, drainGBps float64) JobSource {
 		return src
 	}
 	return &mapSource{src: src, fn: func(j *job.Job) *job.Job {
+		var sec int64
 		if bb := j.Demand.BB(); bb > 0 {
-			j.StageOutSec = int64(float64(bb) / drainGBps)
-		} else {
-			j.StageOutSec = 0
+			sec = int64(float64(bb) / drainGBps)
 		}
-		return j
+		if sec == j.StageOutSec {
+			return j
+		}
+		c := *j
+		c.StageOutSec = sec
+		return &c
 	}}
 }
 
@@ -260,7 +269,7 @@ func ExpandBBSource(src JobSource, sys SystemModel, frac float64, floorGB int64,
 	s := rng.New(seed).Split("expand-stream:" + sys.Cluster.Name)
 	return &mapSource{src: src, fn: func(j *job.Job) *job.Job {
 		if j.Demand.BB() == 0 && s.Bool(p) {
-			j.Demand.Set(job.BurstBufferGB, sampleBB(s, floorGB, sys.MaxBBRequestGB))
+			return withDemand(j, job.BurstBufferGB, sampleBB(s, floorGB, sys.MaxBBRequestGB))
 		}
 		return j
 	}}
@@ -286,9 +295,16 @@ func AddSSDSource(src JobSource, sys SystemModel, mix SSDMix, seed uint64) (JobS
 		} else {
 			ssd = 128 + s.Int63n(128) + 1
 		}
-		j.Demand.Set(job.LocalSSDGBPerNode, ssd)
-		return j
+		return withDemand(j, job.LocalSSDGBPerNode, ssd)
 	}}, out
+}
+
+// withDemand returns a copy of j whose demand in dimension r is v.
+func withDemand(j *job.Job, r job.Resource, v int64) *job.Job {
+	c := *j
+	c.Demand = j.Demand.Clone()
+	c.Demand.Set(r, v)
+	return &c
 }
 
 // EstimateBBFloors returns S1/S2 and S3/S4 resample floors for streams

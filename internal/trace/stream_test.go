@@ -14,8 +14,8 @@ import (
 func testStreamSystem() SystemModel { return Scale(Theta(), 128) }
 
 // TestSliceSourceRoundTrip pins the compat bridge: draining SourceOf(w)
-// yields clones of exactly w's jobs, and the source reports the
-// workload's horizon.
+// yields exactly w's jobs, the jobs themselves and not copies, and the
+// source reports the workload's horizon.
 func TestSliceSourceRoundTrip(t *testing.T) {
 	w := Generate(GenConfig{System: testStreamSystem(), Jobs: 40, Seed: 9, DependencyFraction: 0.2})
 	src := SourceOf(w)
@@ -29,21 +29,49 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, w.Jobs) {
 		t.Fatal("collected stream differs from backing jobs")
 	}
-	// Clone semantics: mutating a pulled job must not touch the workload.
+	// Jobs are read-only, so a pull hands out the backing job itself.
 	src = SourceOf(w)
 	j, err := src.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SubmitTime = -999
-	if w.Jobs[0].SubmitTime == -999 {
-		t.Fatal("SliceSource.Next returned an alias of the backing job")
+	if j != w.Jobs[0] {
+		t.Fatal("SliceSource.Next copied the backing job")
 	}
 	if _, err := Collect(src); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Next(); err != io.EOF {
 		t.Fatalf("drained source Next err = %v, want io.EOF", err)
+	}
+}
+
+// TestTransformsCopyWhatTheyChange: a stream transform hands on a changed
+// copy of a job and never writes the job it pulled, so a transform over a
+// workload's own jobs (SourceOf) leaves the workload as it was.
+func TestTransformsCopyWhatTheyChange(t *testing.T) {
+	sys := testStreamSystem()
+	w := Generate(GenConfig{System: sys, Jobs: 60, Seed: 3, DependencyFraction: 0.2})
+	was := make([]job.Job, len(w.Jobs))
+	for i, j := range w.Jobs {
+		was[i] = *j.Clone()
+	}
+	ssd, _ := AddSSDSource(ExpandBBSource(StageOutSource(SourceOf(w), 0.5), sys, 0.9, 16, 5), sys, S6, 7)
+	got, err := Collect(ssd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for i, j := range w.Jobs {
+		if !reflect.DeepEqual(*j, was[i]) {
+			t.Fatalf("job %d was written by a transform: %+v, was %+v", j.ID, *j, was[i])
+		}
+		if got[i] != j {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the transforms changed no job; the test needs changed jobs to mean anything")
 	}
 }
 

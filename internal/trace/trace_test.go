@@ -410,8 +410,9 @@ func TestDependencyGeneration(t *testing.T) {
 func TestWorkloadCloneIndependent(t *testing.T) {
 	w := Generate(GenConfig{System: smallCori(), Jobs: 50, Seed: 31})
 	c := w.Clone()
-	c.Jobs[0].StartTime = 42
-	if w.Jobs[0].StartTime != -1 {
+	c.Jobs[0].Demand.Res[0]++
+	c.Jobs[1].SubmitTime = -1
+	if w.Jobs[0].Demand.Res[0] == c.Jobs[0].Demand.Res[0] || w.Jobs[1].SubmitTime == -1 {
 		t.Fatal("Clone shares jobs")
 	}
 }
