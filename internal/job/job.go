@@ -193,10 +193,10 @@ func (d Demand) Validate() error {
 	return nil
 }
 
-// State is where a job is in one run, as a checkpoint records it: a job
-// in the waiting queue or the look-ahead buffer is Queued (or InWindow,
-// which no engine writes any more), one holding an allocation is Running,
-// and one whose burst buffer still drains after it ended is Finished.
+// State is where a job is in one run, as a checkpoint records it: waiting
+// (Queued, or InWindow) in the queue or the look-ahead buffer, Running
+// while it holds an allocation, and Finished once it has ended but its
+// burst buffer still drains.
 type State int
 
 const (

@@ -80,10 +80,11 @@ func NewJobStats(slowdownFloor int64, b Buckets, sketch bool, sizeHint int) *Job
 // statistics. The sums are floating-point, so the order of the calls is
 // part of the result.
 func (s *JobStats) Observe(j *job.Job, start int64) {
-	wait := float64(start - j.SubmitTime)
+	w := start - j.SubmitTime
+	wait := float64(w)
 	s.n++
 	s.waitSum += wait
-	s.sdSum += slowdown(start-j.SubmitTime, j.Runtime, s.slowdownFloor)
+	s.sdSum += slowdown(w, j.Runtime, s.slowdownFloor)
 
 	if s.sketch {
 		s.p50.observe(wait)

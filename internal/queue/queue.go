@@ -12,8 +12,8 @@
 // priority, and a flat copy, made once at Add, of what a scheduling pass
 // reads of the job — the Key a Policy ranks by (ID, submit time, walltime
 // estimate, node count), whether it has dependencies, and the node and
-// burst-buffer demand of its ranking Entry. All of it is fixed before a
-// job is admitted, so the copy cannot go stale, and a pass ranks, gathers
+// burst-buffer demand of its ranking Entry. A job is read-only once its
+// trace has built it, so the copy cannot go stale, and a pass ranks, gathers
 // and fit-tests the queue over this one array without following a pointer
 // per job; CheckInvariant pins copy == job.
 //
