@@ -140,7 +140,9 @@ func TestPluginWithWindowPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started, err := p.Decide(pluginCtx(q, c, 1))
+	ctx := pluginCtx(q, c, 1)
+	ctx.Ranking = q.Rank(ctx.Now, func(int) bool { return false }, p.WindowSize(q.Len()))
+	started, err := p.Decide(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

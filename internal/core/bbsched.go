@@ -313,8 +313,11 @@ type DecideContext struct {
 	// Now is the simulation time in seconds.
 	Now int64
 	// Ranking is the dep-ready waiting queue in base-policy order at Now
-	// (queue.Queue.Pass or Rank). Decide takes its window off the front;
-	// what it leaves is what EASY backfilling walks after Ahead.
+	// (queue.Queue.Pass or Rank), made with WindowSize(QueueLen) as its
+	// front: Decide reads, forces from and ages only the queue's front,
+	// and fails on a ranking whose front is not the window. Decide takes
+	// its window off the front; what it leaves is what EASY backfilling
+	// walks after Ahead.
 	Ranking *queue.Ranking
 	// QueueLen is the number of waiting jobs, dependency-blocked ones
 	// included — what a WindowPolicy sizes the window from.
@@ -357,6 +360,9 @@ func (p *Plugin) WindowSize(queueLen int) int {
 func (p *Plugin) Decide(ctx DecideContext) ([]*job.Job, error) {
 	size := p.WindowSize(ctx.QueueLen)
 	r := ctx.Ranking
+	if w := min(size, r.Len()); r.FrontLen() != w {
+		return nil, fmt.Errorf("core: the ranking's front holds %d jobs, the window %d: rank the queue with WindowSize(QueueLen) as the front", r.FrontLen(), w)
+	}
 	p.scratch.CopyFrom(ctx.Snap)
 	freeNodes := p.scratch.FreeNodes()
 	// The window is the ranking's own storage: its jobs that may fit.

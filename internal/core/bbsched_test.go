@@ -218,6 +218,33 @@ func TestPluginBaselinePass(t *testing.T) {
 	}
 }
 
+// TestPluginRefusesRankingNotMadeForWindow: Decide reads, forces from and
+// ages only the queue's front, so a ranking whose front is wider or
+// narrower than the window fails loudly instead of forcing a job from
+// outside the window or leaving window jobs unaged.
+func TestPluginRefusesRankingNotMadeForWindow(t *testing.T) {
+	jobs, c := table1()
+	q := queue.New(queue.FCFS{})
+	for _, j := range jobs {
+		q.Add(j)
+	}
+	p, err := NewPlugin(PluginConfig{WindowSize: 3, StarvationBound: 50}, sched.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := pluginCtx(q, c, 1)
+	for _, front := range []int{1, 2, 4, 5} {
+		ctx.Ranking = q.Pass(ctx.Now, func(int) bool { return false }, front)
+		if _, err := p.Decide(ctx); err == nil {
+			t.Errorf("a ranking made with front %d for a window of 3 was accepted", front)
+		}
+	}
+	ctx.Ranking = q.Pass(ctx.Now, func(int) bool { return false }, 3)
+	if _, err := p.Decide(ctx); err != nil {
+		t.Fatalf("a ranking made for the window: %v", err)
+	}
+}
+
 func TestPluginStarvationForcing(t *testing.T) {
 	jobs, c := table1()
 	q := queue.New(queue.FCFS{})

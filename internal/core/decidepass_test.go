@@ -30,6 +30,30 @@ type onPassOutcome struct {
 	err                              string
 }
 
+// slotOrder returns the IDs of the jobs waiting in q, in the order the
+// queue's slots hold them.
+func slotOrder(q *queue.Queue) []int {
+	var order []int
+	for j := range q.Waiting() {
+		order = append(order, j.ID)
+	}
+	return order
+}
+
+// checkNoOrderedRead fails t if a pass Decide answered without the method
+// moved a slot of q: once Pass has run, only an ordered read of the window
+// (an insertion repair or a sort of the queue's front) moves one, and a
+// dead pass makes none. before is the slot order Decide began with, and w
+// the window's width. It reports whether the window's slots were out of
+// base order then, so that an ordered read would have moved one.
+func checkNoOrderedRead(t testing.TB, q *queue.Queue, before []int, w int, now int64, what string) (stale bool) {
+	t.Helper()
+	if after := slotOrder(q); !slices.Equal(after, before) {
+		t.Fatalf("%s: a dead pass reordered the queue's slots\nfrom %v\nto   %v", what, before, after)
+	}
+	return !slices.Equal(before[:w], ids(q.Sorted(now)[:w]))
+}
+
 // decideOnPass runs passesOnPass passes of m, opted in to every pass if
 // every is set, over jobs the way the engine
 // does: the queue is brought up to date with the window as its front
@@ -40,8 +64,10 @@ type onPassOutcome struct {
 // the passes stop early once it is empty.
 // Every job enters the queue with its age in ages. It returns the outcome
 // and, per pass, whether the method was called and how many jobs Ahead
-// held.
-func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, jobs []*job.Job, ages []int, ctx *sched.Context, seed uint64) (out onPassOutcome, called []bool, ahead []int) {
+// held. On every pass answered without the method it checks that Decide
+// made no ordered read of the window (checkNoOrderedRead), and counts in
+// stale those whose window an ordered read would have moved.
+func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, jobs []*job.Job, ages []int, ctx *sched.Context, seed uint64) (out onPassOutcome, called []bool, ahead []int, stale int) {
 	q := queue.New(queue.WFP{})
 	for i, j := range jobs {
 		if err := q.AddAged(j, ages[i]); err != nil {
@@ -69,15 +95,19 @@ func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, 
 	done := func(int) bool { return true }
 	for pass := 0; pass < passesOnPass && q.Len() > 0; pass++ {
 		now := int64(4000 + 3000*pass)
-		ranking := q.Pass(now, done, p.WindowSize(q.Len()))
-		before := calls
+		w := min(p.WindowSize(q.Len()), q.Len())
+		ranking := q.Pass(now, done, w)
+		before, order := calls, slotOrder(q)
 		started, err := p.Decide(core.DecideContext{
 			Now: now, Ranking: ranking, QueueLen: q.Len(),
 			Snap: ctx.Snap, Totals: ctx.Totals, Rand: rng.New(seed + uint64(pass)),
 		})
 		if err != nil {
 			out.err = err.Error()
-			return out, called, ahead
+			return out, called, ahead, stale
+		}
+		if !every && calls == before && checkNoOrderedRead(t, q, order, w, now, fmt.Sprintf("seed %d pass %d", seed, pass)) {
+			stale++
 		}
 		called, ahead = append(called, calls > before), append(ahead, len(p.Ahead()))
 		snap := ctx.Snap.Clone()
@@ -109,7 +139,7 @@ func decideOnPass(t testing.TB, m sched.Method, every bool, cfg cluster.Config, 
 		}
 		out.ages = append(out.ages, passAges)
 	}
-	return out, called, ahead
+	return out, called, ahead, stale
 }
 
 func ids(jobs []*job.Job) []int {
@@ -122,9 +152,10 @@ func ids(jobs []*job.Job) []int {
 
 // onPassCase is what a run of passes exercised, for the test's coverage
 // counts: passes answered without the method, and of those the ones that
-// forced a start, the ones that handed backfilling a job to reserve for
-// and the ones whose plan started a job.
-type onPassCase struct{ skipped, forced, reserved, planned int }
+// forced a start, the ones that handed backfilling a job to reserve for,
+// the ones whose plan started a job and the ones whose window was out of
+// base order when Decide began.
+type onPassCase struct{ skipped, forced, reserved, planned, stale int }
 
 // checkDecideOnPass is the differential check behind the test and the
 // fuzz target, on the path the engine takes: over passes on one queue,
@@ -150,8 +181,9 @@ func checkDecideOnPass(t testing.TB, seed uint64) (c onPassCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, called, ahead := decideOnPass(t, m, false, cfg, ctx.Window, ages, ctx, seed)
-		want, asked, _ := decideOnPass(t, m, true, cfg, ctx.Window, ages, ctx, seed)
+		got, called, ahead, stale := decideOnPass(t, m, false, cfg, ctx.Window, ages, ctx, seed)
+		want, asked, _, _ := decideOnPass(t, m, true, cfg, ctx.Window, ages, ctx, seed)
+		c.stale += stale
 		if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
 			t.Fatalf("seed %d: %s: on Pass, Decide and EASY gave\n%s\ncalled on every pass\n%s", seed, spec.Name, g, w)
 		}
@@ -181,7 +213,8 @@ func checkDecideOnPass(t testing.TB, seed uint64) (c onPassCase) {
 // Plugin gives a dead window without calling the method — its starts, the
 // ages it counts, the job it hands backfilling and so the EASY plan, and
 // the window it leaves behind — is the answer the method gives, for every
-// registered method.
+// registered method; and such a pass moves no slot of the queue, so it
+// made no ordered read of the window.
 func TestDecideDeadWindowMatchesSelectOnPass(t *testing.T) {
 	windows := uint64(300)
 	if testing.Short() {
@@ -194,10 +227,11 @@ func TestDecideDeadWindowMatchesSelectOnPass(t *testing.T) {
 		total.forced += c.forced
 		total.reserved += c.reserved
 		total.planned += c.planned
+		total.stale += c.stale
 	}
-	t.Logf("%d passes answered without the method; %d forced a start, %d handed backfilling a job to reserve for, %d planned a start",
-		total.skipped, total.forced, total.reserved, total.planned)
-	if total.skipped == 0 || total.forced == 0 || total.reserved == 0 || total.planned == 0 {
+	t.Logf("%d passes answered without the method; %d forced a start, %d handed backfilling a job to reserve for, %d planned a start, %d began on a window out of order",
+		total.skipped, total.forced, total.reserved, total.planned, total.stale)
+	if total.skipped == 0 || total.forced == 0 || total.reserved == 0 || total.planned == 0 || total.stale == 0 {
 		t.Fatalf("%+v: the cases under test are missing", total)
 	}
 }
@@ -216,7 +250,7 @@ func FuzzDecideDeadWindowOnPass(f *testing.F) {
 // TestDecideDeadWindowOnPassAllocatesNothing: a dead window on the
 // engine's Pass is answered with no method call, no copy and no order of
 // the window, so the pass allocates nothing at all, however long the
-// window, whether or not a job behind it may fit.
+// window, whether or not a job behind it may fit; nor does it move a slot.
 func TestDecideDeadWindowOnPassAllocatesNothing(t *testing.T) {
 	cfg := cluster.Config{Name: "full", Nodes: 128, BurstBufferGB: 4000}
 	snap := cluster.MustNew(cfg).Snapshot()
@@ -254,6 +288,17 @@ func TestDecideDeadWindowOnPassAllocatesNothing(t *testing.T) {
 			}
 			if left := p.LeftBehind(); len(left) != n {
 				t.Fatalf("w=%d: %d jobs left behind, want all", n, len(left))
+			}
+			// LeftBehind ordered the window at now; an hour on, WFP ranks
+			// it otherwise, and the dead pass must still not reorder it.
+			now += 3600
+			ctx.Now, ctx.Ranking = now, q.Pass(now, func(int) bool { return true }, n)
+			order := slotOrder(q)
+			if _, err := p.Decide(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !checkNoOrderedRead(t, q, order, n, now, fmt.Sprintf("w=%d", n)) {
+				t.Fatalf("w=%d: the window is in base order before the pass, so the check cannot see an ordered read", n)
 			}
 		}
 	}

@@ -772,6 +772,12 @@ func (r *Ranking) Window(freeNodes int, freeBB int64) []Entry {
 	return r.window
 }
 
+// FrontLen returns how many jobs the queue's front holds: the best
+// FrontLen dep-ready jobs, the ones Window reads and AgeWindow ages. A
+// ranking made with a front of f holds min(f, Len()) of them until a read
+// consumes one.
+func (r *Ranking) FrontLen() int { return r.q.front }
+
 // Before reports whether the a-th job the last Window returned ranks
 // before the b-th. The first call evaluates the priorities at now of the
 // jobs Window returned, and only theirs.

@@ -438,7 +438,9 @@ func TestScheduleGathersQueueOncePerPass(t *testing.T) {
 	// A window of 1 024 over a queue a thousand deep on a full machine
 	// (replay-lp-w1024's shape): almost no pass finds a window job that
 	// fits. Such a dead pass reads the window unordered and ages it by
-	// counting the pass. Its evaluations stay within the bound above.
+	// counting the pass. Its evaluations stay within the bound above; that
+	// it moves no slot, so makes no ordered read of the window, is checked
+	// pass by pass in internal/core (checkNoOrderedRead).
 	n = passCounts{}
 	obs = &passGatherObserver{t: t, n: &n}
 	calls := 0
