@@ -170,10 +170,10 @@ func (p *Planner) PlanRanked(snap cluster.Snapshot, tl *Timeline, ahead []queue.
 			p.backfill(e)
 		}
 	}
-	rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
+	rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill, p.cut())
 	for e, ok := rest.Next(); ok; e, ok = rest.Next() {
 		if p.backfill(e) {
-			rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill)
+			rest.Prune(p.freeNodes, p.free.FreeBB, p.mayBackfill, p.cut())
 		}
 	}
 	return p.started
@@ -190,6 +190,13 @@ func (p *Planner) mayBackfill(e queue.Entry) bool {
 		return false
 	}
 	return p.free.CanFit(j.Demand)
+}
+
+// cut is the part of mayBackfill the queue applies itself: a job that
+// neither ends by the shadow time nor asks for at most the leftover's nodes
+// is rejected.
+func (p *Planner) cut() queue.Cut {
+	return queue.Cut{Span: p.shadow - p.now, Nodes: p.workNodes}
 }
 
 // endsBeforeShadow reports whether j, started now, has released everything

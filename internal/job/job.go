@@ -282,7 +282,10 @@ func MustNew(id int, submit, runtime, walltime int64, d Demand) *Job {
 	return j
 }
 
-// Validate checks submission-time invariants.
+// Validate checks submission-time invariants. Every time is capped at
+// MaxDemand, as every demand is, so that the engine's sums of an instant
+// and a job's times (now + walltime estimate + stage-out, against EASY's
+// shadow time) cannot overflow.
 func (j *Job) Validate() error {
 	if j.SubmitTime < 0 {
 		return fmt.Errorf("job %d: negative submit time %d", j.ID, j.SubmitTime)
@@ -298,6 +301,14 @@ func (j *Job) Validate() error {
 	}
 	if j.StageOutSec < 0 {
 		return fmt.Errorf("job %d: negative stage-out %d", j.ID, j.StageOutSec)
+	}
+	for _, t := range [...]struct {
+		name string
+		v    int64
+	}{{"submit time", j.SubmitTime}, {"runtime", j.Runtime}, {"walltime estimate", j.WalltimeEst}, {"stage-out", j.StageOutSec}} {
+		if t.v > MaxDemand {
+			return fmt.Errorf("job %d: %s %d is above the %d cap", j.ID, t.name, t.v, MaxDemand)
+		}
 	}
 	if j.StageOutSec > 0 && j.Demand.BB() == 0 {
 		return fmt.Errorf("job %d: stage-out without a burst-buffer request", j.ID)

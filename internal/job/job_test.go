@@ -1,6 +1,7 @@
 package job
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,25 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(1, 0, 10, 20, NewDemand(4, 8, 0)); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
+	}
+}
+
+// TestTimesCappedAtMaxDemand: a submit time, runtime, walltime estimate
+// or stage-out above MaxDemand is refused, one at it accepted.
+func TestTimesCappedAtMaxDemand(t *testing.T) {
+	for name, set := range map[string]func(j *Job, v int64){
+		"submit time":       func(j *Job, v int64) { j.SubmitTime = v },
+		"runtime":           func(j *Job, v int64) { j.Runtime = v },
+		"walltime estimate": func(j *Job, v int64) { j.WalltimeEst = v },
+		"stage-out":         func(j *Job, v int64) { j.StageOutSec = v },
+	} {
+		for _, v := range []int64{MaxDemand, MaxDemand + 1, math.MaxInt64} {
+			j := MustNew(1, 0, 10, 10, NewDemand(1, 8, 0))
+			set(j, v)
+			if err := j.Validate(); (err == nil) != (v == MaxDemand) {
+				t.Errorf("%s %d: Validate = %v", name, v, err)
+			}
+		}
 	}
 }
 

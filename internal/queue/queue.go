@@ -119,15 +119,16 @@ type Key struct {
 
 // Slot is one waiting job as the queue holds it: its ranking entry (the
 // job and its fit demands), its priority at the last evaluation, its key,
-// whether the job lists any dependency, and its leaf in the tail's
-// tournament. A front job holds no leaf; there the field is the job's
-// window age less the window passes the queue has counted, so that
+// whether the job lists any dependency, its span class, and its leaf in
+// the tail's tournament. A front job holds no leaf; there the field is the
+// job's window age less the window passes the queue has counted, so that
 // counting a pass ages the whole front.
 type Slot struct {
 	Entry
 	Prio float64
 	Key
 	HasDeps bool
+	span    uint8
 	leaf    int32
 }
 
@@ -136,7 +137,7 @@ func SlotOf(j *job.Job) Slot {
 	return Slot{Entry: EntryOf(j), Key: Key{
 		ID: j.ID, SubmitTime: j.SubmitTime, WalltimeEst: j.WalltimeEst,
 		Nodes: j.Demand.Get(job.Nodes),
-	}, HasDeps: len(j.Deps) > 0, leaf: -1}
+	}, HasDeps: len(j.Deps) > 0, span: spanClass(j.WalltimeEst + j.StageOutSec), leaf: -1}
 }
 
 // Queue is the waiting queue. It is not safe for concurrent use.
@@ -328,7 +329,7 @@ func (q *Queue) CheckInvariant() error {
 	live := 0
 	for i := range q.slots {
 		s := &q.slots[i]
-		if want := SlotOf(s.Job); s.Key != want.Key || s.Entry != want.Entry || s.HasDeps != want.HasDeps {
+		if want := SlotOf(s.Job); s.Key != want.Key || s.Entry != want.Entry || s.HasDeps != want.HasDeps || s.span != want.span {
 			return fmt.Errorf("queue: slot %d holds %+v, job %d has %+v", i, *s, s.Job.ID, want)
 		}
 		if seen[s.ID] {
@@ -970,13 +971,27 @@ func (r *Ranking) Next() (e Entry, ok bool) {
 // ranking's storage and is valid only until the queue is ranked again.
 func (r *Ranking) Rest() []Entry { return r.Front(r.Len()) }
 
+// Cut is part of a Prune's keep test that the queue can apply itself: keep
+// rejects every job whose span — walltime estimate plus stage-out — is
+// above Span unless its entry asks for at most Nodes nodes. EASY's test is
+// one: a job it keeps fits now and either ends by the head's shadow time,
+// span ≤ shadow − now, or fits the leftover at that time.
+type Cut struct {
+	Span  int64
+	Nodes int
+}
+
+// none is the cut that rejects nothing.
+var none = Cut{Span: math.MaxInt64, Nodes: math.MaxInt}
+
 // Prune drops every remaining job that cannot fit freeNodes free nodes and
 // freeBB free burst buffer (Entry.MayFit, tested without touching the job)
 // or that keep rejects; keep is asked only about the jobs MayFit passes,
 // with their entries, so it can test more flat totals before it loads a
 // job. Made before anything reads past the queue's front, it is the
-// gather: only the jobs it keeps are copied.
-func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
+// gather: only the jobs it keeps are copied, and given a cut (at most
+// one), the gather skips the jobs the cut rejects without asking keep.
+func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool, cut ...Cut) {
 	if r.unread > 0 {
 		r.orderFront()
 	}
@@ -989,7 +1004,11 @@ func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
 	}
 	r.entries = r.entries[:w]
 	if r.pending > 0 {
-		r.gather(freeNodes, freeBB, keep)
+		c := none
+		if len(cut) > 0 {
+			c = cut[0]
+		}
+		r.gather(freeNodes, freeBB, c, keep)
 		return
 	}
 	w = 0
@@ -1003,15 +1022,17 @@ func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool) {
 }
 
 // gather copies into the tail the dep-ready jobs behind the queue's front
-// that MayFit and keep pass (every one when keep is nil), with their
+// that MayFit, cut and keep pass (every one when keep is nil), with their
 // priorities. It reads only the node classes that may hold a job of at
-// most freeNodes nodes. The jobs taken since Pass are front jobs, whose
-// Remove leaves that set as it was.
-func (r *Ranking) gather(freeNodes int, freeBB int64, keep func(Entry) bool) {
+// most freeNodes nodes, and skips a job whose span class and node class
+// are both above the cut's. The jobs taken since Pass are front jobs,
+// whose Remove leaves that set as it was.
+func (r *Ranking) gather(freeNodes int, freeBB int64, cut Cut, keep func(Entry) bool) {
 	q := r.q
+	sc, nc := spanClass(cut.Span), nodeClass(cut.Nodes)
 	for i, hi := q.front, q.readable(freeNodes); i < hi; i++ {
 		s := &q.slots[i]
-		if !s.MayFit(freeNodes, freeBB) || s.HasDeps && !depsReady(s.Job, r.depsDone) {
+		if s.span > sc && classOf(s) > nc || !s.MayFit(freeNodes, freeBB) || s.HasDeps && !depsReady(s.Job, r.depsDone) {
 			continue
 		}
 		if keep == nil || keep(s.Entry) {
@@ -1026,7 +1047,7 @@ func (r *Ranking) gather(freeNodes int, freeBB int64, keep func(Entry) bool) {
 // it first if nothing has.
 func (r *Ranking) order() {
 	if r.pending > 0 {
-		r.gather(math.MaxInt, math.MaxInt64, nil)
+		r.gather(math.MaxInt, math.MaxInt64, none, nil)
 	}
 	slices.SortFunc(r.tail, compareRanked)
 	for i := range r.tail {

@@ -18,6 +18,20 @@ const classes = 33
 
 func classOf(s *Slot) int { return bits.Len32(s.nodes) }
 
+// nodeClass returns the class of a job asking for n nodes, 0 for n ≤ 0.
+func nodeClass(n int) int { return bits.Len(uint(max(n, 0))) }
+
+// spanClasses is the number of span classes. A job's span is its walltime
+// estimate plus its stage-out, what EASY adds to now to test it against
+// the head's shadow time; class 0 holds the spans ≤ 0, class k the spans
+// in [2^(k-1), 2^k), and the last class every span from 2^(spanClasses-2)
+// up (34 years; job.Validate caps each time at job.MaxDemand).
+const spanClasses = 32
+
+func spanClass(span int64) uint8 {
+	return uint8(min(bits.Len64(uint64(max(span, 0))), spanClasses-1))
+}
+
 // compareClass orders slots by class, for the fallback sort's tail.
 func compareClass(a, b Slot) int { return cmp.Compare(classOf(&a), classOf(&b)) }
 
@@ -46,10 +60,7 @@ func (q *Queue) use(c int) {
 // most freeNodes nodes end: a class is read when its smallest possible
 // member fits.
 func (q *Queue) readable(freeNodes int) int {
-	c := 0
-	if freeNodes > 0 {
-		c = bits.Len(uint(freeNodes))
-	}
+	c := nodeClass(freeNodes)
 	switch {
 	case c >= q.top:
 		return len(q.slots)

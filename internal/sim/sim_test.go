@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,6 +130,29 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	// J1 must start at 100 (when J0 ends), J2 only after J1 at 200.
 	if w2 := res; w2.MakespanSec != 700 {
 		t.Fatalf("makespan = %d, want 700 (J2 after J1)", res.MakespanSec)
+	}
+}
+
+// TestOverflowingWalltimeRefused: a walltime estimate past job.MaxDemand
+// would wrap now + estimate negative, so EASY would take a job that runs
+// for ever for one that ends before the head's shadow time and start it
+// ahead of the head. Such a job is refused; one at the cap waits behind
+// the head.
+func TestOverflowingWalltimeRefused(t *testing.T) {
+	j0 := job.MustNew(0, 0, 100, 100, job.NewDemand(9, 0, 0))
+	j1 := job.MustNew(1, 1, 100, 100, job.NewDemand(10, 0, 0))
+	j2 := &job.Job{ID: 2, SubmitTime: 2, Runtime: 1000, WalltimeEst: math.MaxInt64, Demand: job.NewDemand(1, 0, 0)}
+	if _, err := NewSimulator(mkWorkload(tinySystem(10, 0), j0, j1, j2), sched.Baseline{}, engineOpts()...); err == nil {
+		t.Fatal("a walltime estimate of MaxInt64 was accepted")
+	}
+	j2.WalltimeEst = job.MaxDemand
+	res, err := run(mkWorkload(tinySystem(10, 0), j0, j1, j2), sched.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// J1 runs [100, 200) as J0 ends; J2 after it, [200, 1200).
+	if res.MakespanSec != 1200 {
+		t.Fatalf("makespan = %d, want 1200 (J2 after J1)", res.MakespanSec)
 	}
 }
 
