@@ -97,7 +97,10 @@ farm-smoke:
 # generated machines and queues ranked at the window as their front, one
 # pass and several carried), the queue's tail tournament (its winner ==
 # the brute-force best job behind the front, over clocks that advance,
-# repeat and go back) and the engine's unordered window (pass by pass ==
+# repeat and go back), the backfill gather's cells (what a pass keeps and
+# hands out == a flat scan of Sorted, over jobs, free totals and EASY cuts
+# at the node-class and span-class edges) and the engine's unordered
+# window (pass by pass ==
 # the reference engine that orders every window and writes every age,
 # across a checkpoint) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
@@ -113,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
+	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzGatherCells$$' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLazyWindow$$' -fuzztime 30s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +

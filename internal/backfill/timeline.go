@@ -109,7 +109,12 @@ func (p *Planner) Plan(snap cluster.Snapshot, tl *Timeline, waiting []*job.Job, 
 // only shrink while phase 2 runs and Snapshot.CanFit is monotone in free
 // resources, so a job that fails now fails at its turn too, and the best
 // survivor is the next job the reference walk would start. Only jobs that
-// start are ever ordered.
+// start are ever ordered. Each prune hands the queue the part of that test
+// it can apply on its own (queue.Cut): a job must end by the shadow time,
+// span ≤ shadow − now, or ask for at most the leftover's nodes. The first
+// prune gathers the rest of the queue and reads only the (node class,
+// span class) cells that may hold such a job; mayBackfill still decides
+// every job the gather reads.
 //
 // Every phase-2 fit question is first put to the entry (queue.Entry.MayFit
 // against the free node and burst-buffer totals, refreshed after each

@@ -302,13 +302,9 @@ func (j *Job) Validate() error {
 	if j.StageOutSec < 0 {
 		return fmt.Errorf("job %d: negative stage-out %d", j.ID, j.StageOutSec)
 	}
-	for _, t := range [...]struct {
-		name string
-		v    int64
-	}{{"submit time", j.SubmitTime}, {"runtime", j.Runtime}, {"walltime estimate", j.WalltimeEst}, {"stage-out", j.StageOutSec}} {
-		if t.v > MaxDemand {
-			return fmt.Errorf("job %d: %s %d is above the %d cap", j.ID, t.name, t.v, MaxDemand)
-		}
+	if max(j.SubmitTime, j.Runtime, j.WalltimeEst, j.StageOutSec) > MaxDemand {
+		return fmt.Errorf("job %d: submit time %d, runtime %d, walltime estimate %d or stage-out %d is above the %d cap",
+			j.ID, j.SubmitTime, j.Runtime, j.WalltimeEst, j.StageOutSec, MaxDemand)
 	}
 	if j.StageOutSec > 0 && j.Demand.BB() == 0 {
 		return fmt.Errorf("job %d: stage-out without a burst-buffer request", j.ID)

@@ -20,11 +20,14 @@
 // A pass reads little of the order: a window of w jobs, and behind it the
 // few jobs EASY backfilling can start. So the queue keeps only its front's
 // membership exact: slots[:front] holds the best front dep-ready jobs, and
-// behind it the tail holds the rest in no order but grouped by node class
-// (class 0 asks for no node, class c ≥ 1 for [2^(c-1), 2^c) nodes), with
-// one boundary per class. Add puts a job at the end of its class and
-// Remove closes its hole; either moves at most one job across each
-// boundary.
+// behind it the tail holds the rest in no order but laid out in cells: by
+// node class (class 0 asks for no node, class c ≥ 1 for [2^(c-1), 2^c)
+// nodes), and within a node class by span class, the same powers of two
+// over the job's span, walltime estimate plus stage-out — what EASY adds to
+// now to test a job against the head's shadow time. Each node class keeps
+// its end, and each of its cells its size. Add puts a job at the end of
+// its cell and Remove closes its hole; either moves at most one job across
+// each boundary of a cell that holds jobs, and changes one cell's size.
 //
 // The tail's dep-ready jobs compete in a kinetic tournament (Basch, Guibas
 // & Hershberger, "Data Structures for Mobile Data", SODA 1997). Each node
@@ -78,15 +81,20 @@
 // Entry carrying its node and burst-buffer demand: the front, and behind
 // it the tail, which the ranking gathers only when a caller first reads
 // past the front, and then only from the node classes whose smallest
-// member fits the free nodes. Prune then copies only the jobs that
-// survive it, Next hands them out best-first with one linear scan, and a
-// caller that wants the rest in order (Front, Take, Rest) has it sorted
-// once. The window pass and EASY backfilling consume one ranking, and jobs
-// started mid-pass leave the queue without disturbing it. Entry.MayFit is
-// the pass's prefilter: nodes ≤ all free nodes and bb ≤ free burst buffer
-// is necessary for Snapshot.CanFit on every machine shape (the SSD classes
-// a job is eligible for are a subset of all classes), so a pass rejects
-// most jobs on two integers it already holds and asks CanFit only about
+// member fits the free nodes. Given EASY's cut — its span bound and
+// leftover nodes — a Prune's gather reads of those classes whole only the
+// ones whose smallest member fits the leftover, and of the others only the
+// span classes that may end by the shadow time: it reads the cells that
+// may hold a job EASY can keep, and keep still decides each job it reads.
+// Prune then copies only the jobs that survive it, Next hands them out
+// best-first with one linear scan, and a caller that wants the rest in
+// order (Front, Take, Rest) has it sorted once. The window pass and EASY
+// backfilling consume one ranking, and jobs started mid-pass leave the
+// queue without disturbing it. Entry.MayFit is the pass's prefilter:
+// nodes ≤ all free nodes and bb ≤ free burst buffer is necessary for
+// Snapshot.CanFit on every machine shape (the SSD classes a job is
+// eligible for are a subset of all classes), so a pass rejects most jobs
+// on two integers it already holds and asks CanFit only about
 // the rest. It never accepts: CanFit or AllocInto still decides every job
 // that passes. WindowInto is Rank with the window as its front, followed
 // by one Take. Nothing allocates once the arrays have grown. Sorted
@@ -146,12 +154,16 @@ type Queue struct {
 	over   Overtaker // policy's, or nil
 	// slots holds the waiting jobs: slots[:front] the best front dep-ready
 	// jobs of the last Rank, in its base order, then the tail in no order
-	// but grouped by node class: class c's jobs are slots[start(c):cut[c]],
-	// and the classes outside [low, top) are empty.
+	// but laid out in cells: node class c's jobs are
+	// slots[start(c):cut[c]], and the classes outside [low, top) are empty;
+	// within class c come its span classes in order, span class k's
+	// sizes[c][k] jobs, and cells[c] has bit k set when there are any.
 	slots    []Slot
 	front    int
 	cut      [classes]int
 	low, top int
+	sizes    [classes][spanClasses]int32
+	cells    [classes]uint32
 	// slots[:fresh]'s priorities are for frontAt (math.MinInt64 if not for
 	// one instant), and those of the jobs promoted after them,
 	// slots[fresh:front], for freshAt; ordered reports whether the front is
@@ -265,7 +277,7 @@ func (q *Queue) AddAged(j *job.Job, age int) error {
 		return fmt.Errorf("queue: job %d has window age %d, outside [0, %d]", j.ID, age, math.MaxInt32)
 	}
 	s := SlotOf(j)
-	i := q.open(classOf(&s))
+	i := q.open(classOf(&s), int(s.span))
 	q.slots[i] = s
 	q.attach(i, !s.HasDeps, math.MinInt64)
 	q.tour.ids[j.ID] = place{q.slots[i].leaf, int32(age)}
@@ -312,17 +324,33 @@ func (q *Queue) Contains(id int) bool {
 	return q.find(id) >= 0
 }
 
-// CheckInvariant verifies that every slot's key is its job's, that IDs
-// are unique, that a front last ordered is in base order at the priorities
-// last evaluated, that the tail is grouped by class with every job on its
-// own leaf, and that the ID map finds each job;
-// tests call it after random operation sequences.
+// CheckInvariant verifies that every slot's key and span class are its
+// job's, that IDs are unique, that a front last ordered is in base order
+// at the priorities last evaluated, that the tail is laid out in cells
+// whose sizes add up to their node class, with every job inside its own
+// cell and on its own leaf, and that the ID map finds each job; tests
+// call it after random operation sequences.
 func (q *Queue) CheckInvariant() error {
 	if q.front < 0 || q.front > len(q.slots) {
 		return fmt.Errorf("queue: front %d of %d slots", q.front, len(q.slots))
 	}
 	if q.top < 0 || q.top > classes || q.top > 0 && (q.low >= q.top || q.low < 0 || q.cut[q.top-1] != len(q.slots)) {
 		return fmt.Errorf("queue: classes [%d, %d) in use, ending at %v of %d slots", q.low, q.top, q.cut, len(q.slots))
+	}
+	for c := range classes {
+		size := 0
+		if c >= q.low && c < q.top {
+			size = q.cut[c] - q.start(c)
+		}
+		for k, n := range q.sizes[c] {
+			if n < 0 || q.cells[c]>>k&1 != 0 != (n > 0) {
+				return fmt.Errorf("queue: class %d has cells of %v jobs, marked %032b", c, q.sizes[c], q.cells[c])
+			}
+			size -= int(n)
+		}
+		if size != 0 {
+			return fmt.Errorf("queue: class %d's cells of %v jobs miss %d of its slots", c, q.sizes[c], size)
+		}
 	}
 	t := &q.tour
 	seen := make(map[int]bool, len(q.slots))
@@ -347,8 +375,8 @@ func (q *Queue) CheckInvariant() error {
 			continue
 		}
 		l := t.leaves[s.leaf]
-		if c := classOf(s); c < q.low || c >= q.top || i < q.start(c) || i >= q.cut[c] {
-			return fmt.Errorf("queue: tail slot %d (job %d, class %d) outside its class", i, s.ID, c)
+		if c, k := classOf(s), int(s.span); c < q.low || c >= q.top || i < q.start(c)+q.cellStart(c, k) || i >= q.start(c)+q.cellStart(c, k)+int(q.sizes[c][k]) {
+			return fmt.Errorf("queue: tail slot %d (job %d, class %d, span class %d) outside its cell", i, s.ID, c, k)
 		}
 		if !l.ready && !s.HasDeps {
 			return fmt.Errorf("queue: job %d has no dependency but its leaf is out", s.ID)
@@ -989,8 +1017,11 @@ var none = Cut{Span: math.MaxInt64, Nodes: math.MaxInt}
 // or that keep rejects; keep is asked only about the jobs MayFit passes,
 // with their entries, so it can test more flat totals before it loads a
 // job. Made before anything reads past the queue's front, it is the
-// gather: only the jobs it keeps are copied, and given a cut (at most
-// one), the gather skips the jobs the cut rejects without asking keep.
+// gather: only the jobs it keeps are copied. Given a cut (at most one),
+// the part of keep's test the queue applies itself, the gather reads only
+// the tail's cells that may hold a job the cut does not reject, and keep
+// still decides every job it reads; a later Prune reads the gathered jobs
+// only.
 func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool, cut ...Cut) {
 	if r.unread > 0 {
 		r.orderFront()
@@ -1023,20 +1054,27 @@ func (r *Ranking) Prune(freeNodes int, freeBB int64, keep func(Entry) bool, cut 
 
 // gather copies into the tail the dep-ready jobs behind the queue's front
 // that MayFit, cut and keep pass (every one when keep is nil), with their
-// priorities. It reads only the node classes that may hold a job of at
-// most freeNodes nodes, and skips a job whose span class and node class
-// are both above the cut's. The jobs taken since Pass are front jobs,
-// whose Remove leaves that set as it was.
+// priorities. It reads only the cells that may hold a job the cut does not
+// reject, in the node classes that may hold a job of at most freeNodes
+// nodes: all of a class whose smallest member fits the cut's nodes, and of
+// any other only the span classes up to the cut's span. The jobs taken
+// since Pass are front jobs, whose Remove leaves that set as it was.
 func (r *Ranking) gather(freeNodes int, freeBB int64, cut Cut, keep func(Entry) bool) {
 	q := r.q
-	sc, nc := spanClass(cut.Span), nodeClass(cut.Nodes)
-	for i, hi := q.front, q.readable(freeNodes); i < hi; i++ {
-		s := &q.slots[i]
-		if s.span > sc && classOf(s) > nc || !s.MayFit(freeNodes, freeBB) || s.HasDeps && !depsReady(s.Job, r.depsDone) {
-			continue
+	sc, nc := int(spanClass(cut.Span)), nodeClass(cut.Nodes)
+	for c, top := q.low, min(q.top, nodeClass(freeNodes)+1); c < top; c++ {
+		lo, hi := q.start(c), q.cut[c]
+		if c > nc {
+			hi = lo + q.cellStart(c, sc+1)
 		}
-		if keep == nil || keep(s.Entry) {
-			r.tail = append(r.tail, ranked{s.Entry, q.prioAt(i, r.now).Prio})
+		for i := lo; i < hi; i++ {
+			s := &q.slots[i]
+			if !s.MayFit(freeNodes, freeBB) || s.HasDeps && !depsReady(s.Job, r.depsDone) {
+				continue
+			}
+			if keep == nil || keep(s.Entry) {
+				r.tail = append(r.tail, ranked{s.Entry, q.prioAt(i, r.now).Prio})
+			}
 		}
 	}
 	r.pending = 0

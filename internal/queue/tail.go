@@ -1,8 +1,8 @@
 package queue
 
-// This file holds the queue's tail: the jobs behind the front, grouped by
-// node class in the slot array, and the kinetic tournament that keeps
-// their best dep-ready job.
+// This file holds the queue's tail: the jobs behind the front, laid out in
+// (node class, span class) cells in the slot array, and the kinetic
+// tournament that keeps their best dep-ready job.
 
 import (
 	"cmp"
@@ -32,8 +32,11 @@ func spanClass(span int64) uint8 {
 	return uint8(min(bits.Len64(uint64(max(span, 0))), spanClasses-1))
 }
 
-// compareClass orders slots by class, for the fallback sort's tail.
-func compareClass(a, b Slot) int { return cmp.Compare(classOf(&a), classOf(&b)) }
+// compareCell orders slots by node class, then span class, for the
+// fallback sort's tail.
+func compareCell(a, b Slot) int {
+	return cmp.Or(cmp.Compare(classOf(&a), classOf(&b)), cmp.Compare(a.span, b.span))
+}
 
 // start returns where class c's slots begin.
 func (q *Queue) start(c int) int {
@@ -70,6 +73,31 @@ func (q *Queue) readable(freeNodes int) int {
 	return q.cut[c]
 }
 
+// above returns the cells of class c from span class k up that hold a job.
+func (q *Queue) above(c, k int) uint32 { return q.cells[c] >> k << k }
+
+// below returns the cells of class c under span class k that hold a job.
+func (q *Queue) below(c, k int) uint32 { return q.cells[c] &^ q.above(c, k) }
+
+// cellStart returns where cell (c, k)'s jobs begin, counted from class c's
+// start: the sizes of the class's cells below it.
+func (q *Queue) cellStart(c, k int) int {
+	n := 0
+	for m := q.below(c, k); m != 0; m &= m - 1 {
+		n += int(q.sizes[c][bits.TrailingZeros32(m)])
+	}
+	return n
+}
+
+// resize grows cell (c, k) by delta jobs.
+func (q *Queue) resize(c, k, delta int) {
+	if q.sizes[c][k] += int32(delta); q.sizes[c][k] > 0 {
+		q.cells[c] |= 1 << k
+	} else {
+		q.cells[c] &^= 1 << k
+	}
+}
+
 // move copies the tail job at slots[from] to slots[to], keeping its leaf
 // on it.
 func (q *Queue) move(from, to int) {
@@ -77,27 +105,56 @@ func (q *Queue) move(from, to int) {
 	q.tour.leaves[q.slots[to].leaf].pos = int32(to)
 }
 
-// open makes room for one more job at the end of class c by moving the
-// first job of each class above it to that class's end, and returns the
-// free index.
-func (q *Queue) open(c int) int {
+// raise moves each cell of class c in cells, the highest of which ends at
+// end and each of which ends where the next begins, one slot up, highest
+// first: the hole is in or at the end of the highest, and each cell's first
+// job moves into it. It returns where the hole ends, at the lowest cell's
+// start.
+func (q *Queue) raise(c int, cells uint32, end, hole int) int {
+	for ; cells != 0; cells &^= 1 << (bits.Len32(cells) - 1) {
+		if end -= int(q.sizes[c][bits.Len32(cells)-1]); end != hole {
+			q.move(end, hole)
+			hole = end
+		}
+	}
+	return hole
+}
+
+// lower moves each cell of class c in cells, the lowest of which begins at
+// start and each of which begins where the one below ends, one slot down,
+// lowest first: the hole is in or just below the lowest, and each cell's
+// last job moves into it. It returns where the hole ends, at the highest
+// cell's end less one.
+func (q *Queue) lower(c int, cells uint32, start, hole int) int {
+	for ; cells != 0; cells &= cells - 1 {
+		if start += int(q.sizes[c][bits.TrailingZeros32(cells)]); start-1 != hole {
+			q.move(start-1, hole)
+			hole = start - 1
+		}
+	}
+	return hole
+}
+
+// open makes room for one more job at the end of cell (c, k) by moving the
+// first job of each cell above it, in its class and in every class above,
+// to that cell's end, and returns the free index.
+func (q *Queue) open(c, k int) int {
 	q.use(c)
 	q.slots = append(q.slots, Slot{})
 	hole := len(q.slots) - 1
 	for d := q.top - 1; d > c; d-- {
-		if st := q.start(d); st < hole {
-			q.move(st, hole)
-			hole = st
-		}
+		hole = q.raise(d, q.cells[d], q.cut[d], hole)
 		q.cut[d]++
 	}
+	hole = q.raise(c, q.above(c, k+1), q.cut[c], hole)
 	q.cut[c]++
+	q.resize(c, k, 1)
 	return hole
 }
 
 // close removes slots[i], undoing open: a front job's hole closes up, so
-// the front stays in order; a tail job's is filled with its class's last
-// job, and so on up the classes.
+// the front stays in order; a tail job's is filled with its cell's last
+// job, and so on up the cells and classes.
 func (q *Queue) close(i int) {
 	d := q.low
 	if i < q.front {
@@ -105,12 +162,15 @@ func (q *Queue) close(i int) {
 		i = q.front
 	} else {
 		d = classOf(&q.slots[i])
+		k := int(q.slots[i].span)
+		i = q.lower(d, q.above(d, k), q.start(d)+q.cellStart(d, k), i)
+		q.cut[d]--
+		q.resize(d, k, -1)
+		d++
 	}
 	for ; d < q.top; d++ {
-		if q.cut[d]--; q.cut[d] != i {
-			q.move(q.cut[d], i)
-			i = q.cut[d]
-		}
+		i = q.lower(d, q.cells[d], i+1, i)
+		q.cut[d]--
 	}
 	last := len(q.slots) - 1
 	q.slots[last] = Slot{}
@@ -301,7 +361,7 @@ func cut(list []int32, id int32) []int32 {
 }
 
 // promote moves leaf id's job, prioritized at now, to the end of the
-// front, its age held as a front slot's: the first job of each class from
+// front, its age held as a front slot's: the first job of each cell from
 // its own down moves up into the hole it leaves.
 func (q *Queue) promote(id int32, now int64) {
 	if q.fresh == q.front || q.freshAt != now {
@@ -315,14 +375,12 @@ func (q *Queue) promote(id int32, now int64) {
 	i := int(q.tour.leaves[id].pos)
 	q.release(id)
 	s := q.slots[i]
-	for d := classOf(&s); d >= q.low; d-- {
-		if st := q.start(d); st < i {
-			q.move(st, i)
-			i = st
-		}
-		if d > q.low {
-			q.cut[d-1]++
-		}
+	c, k := classOf(&s), int(s.span)
+	i = q.raise(c, q.below(c, k+1), q.start(c)+q.cellStart(c, k+1), i)
+	q.resize(c, k, -1)
+	for d := c - 1; d >= q.low; d-- {
+		i = q.raise(d, q.cells[d], q.cut[d], i)
+		q.cut[d]++
 	}
 	s.leaf = q.tour.ids[s.ID].age - int32(q.passes)
 	q.tour.ids[s.ID] = place{leaf: -1}
@@ -334,22 +392,22 @@ func (q *Queue) promote(id int32, now int64) {
 	}
 }
 
-// demote moves the front job at slots[i] to the start of its class in the
-// tail, with its age: the front closes up, and the last job of each class
+// demote moves the front job at slots[i] to the start of its cell in the
+// tail, with its age: the front closes up, and the last job of each cell
 // below moves down into the hole.
 func (q *Queue) demote(i int, ready bool) {
 	s, at, age := q.slots[i], q.prioAtFront(i), int32(q.ageAt(i))
 	patchNaN(&s)
-	c := classOf(&s)
+	c, k := classOf(&s), int(s.span)
 	q.use(c)
 	q.leaveFront(i)
 	i = q.front
 	for d := q.low; d < c; d++ {
-		if q.cut[d]--; q.cut[d] != i {
-			q.move(q.cut[d], i)
-			i = q.cut[d]
-		}
+		i = q.lower(d, q.cells[d], i+1, i)
+		q.cut[d]--
 	}
+	i = q.lower(c, q.below(c, k), i+1, i)
+	q.resize(c, k, 1)
 	q.slots[i] = s
 	q.attach(i, ready, at)
 	q.tour.ids[s.ID] = place{q.slots[i].leaf, age}
@@ -451,13 +509,14 @@ func (q *Queue) child(c int, now int64) (int32, int64) {
 	return -1, math.MaxInt64
 }
 
-// rebuild makes slots[front:] the tail afresh: grouped by class, every
+// rebuild makes slots[front:] the tail afresh: laid out in cells, every
 // priority evaluated at now, the tail on leaves by slot order, in a tree
 // as wide as the tail, every pair to decide anew. Every slot holds its
 // job's age as a front slot does, and a tail job takes its own back.
 func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	tail := q.slots[q.front:]
-	slices.SortFunc(tail, compareClass)
+	slices.SortFunc(tail, compareCell)
+	q.sizes, q.cells = [classes][spanClasses]int32{}, [classes]uint32{}
 	t := &q.tour
 	q.frontDeps = 0
 	for i := range q.slots[:q.front] {
@@ -481,6 +540,7 @@ func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 			q.cut[q.top] = i
 		}
 		q.cut[q.top-1] = i + 1
+		q.resize(c, int(s.span), 1)
 		s.leaf, t.leaves[k], t.ids[s.ID] = int32(k), leaf{pos: int32(i), at: now}, place{int32(k), age}
 		if s.HasDeps {
 			t.deps = append(t.deps, int32(k))
