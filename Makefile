@@ -102,7 +102,8 @@ farm-smoke:
 # at the node-class and span-class edges) and the engine's unordered
 # window (pass by pass ==
 # the reference engine that orders every window and writes every age,
-# across a checkpoint) for 30s per target (CI smoke; the seed
+# across a checkpoint) and the snapshot restore (a snapshot with mutated
+# containers is refused or runs to the end) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime.
@@ -118,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzGatherCells$$' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLazyWindow$$' -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
 # internal/solver + internal/queue + internal/backfill statement coverage

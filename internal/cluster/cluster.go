@@ -8,11 +8,17 @@
 // feasibility checks O(#classes) even for 12,076-node systems and lets
 // schedulers clone the whole free-state in a few words when evaluating
 // candidate job sets.
+//
+// The cluster keeps the free pools only. What a job or reservation holds
+// is the Allocation Allocate, ReserveBB or RestoreAllocation returned,
+// which the caller owns and hands back to Release; CheckInvariants checks
+// the pools against the allocations the caller says are live.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 
 	"bbsched/internal/job"
@@ -67,19 +73,6 @@ type Config struct {
 	Extra []ResourceSpec
 }
 
-// Resources returns the machine's ordered resource dimensions: the two
-// canonical pool dimensions (nodes, shared burst buffer) followed by the
-// extra specs. The per-node local SSD dimension is class-structured, not a
-// single pool, and is reported separately (see SSDClasses).
-func (c Config) Resources() []ResourceSpec {
-	out := make([]ResourceSpec, 0, 2+len(c.Extra))
-	out = append(out,
-		ResourceSpec{Name: ResourceNodes, Capacity: int64(c.Nodes), Unit: "nodes"},
-		ResourceSpec{Name: ResourceBB, Capacity: c.BurstBufferGB, Unit: "GB"},
-	)
-	return append(out, c.Extra...)
-}
-
 // Validate checks the configuration invariants.
 func (c Config) Validate() error {
 	if c.Nodes <= 0 {
@@ -131,9 +124,10 @@ func (c Config) normClasses() []SSDClass {
 	return out
 }
 
-// Allocation records the resources a running job holds.
+// Allocation records the resources a running job, or a reservation,
+// holds. Its holder keeps it and passes it back to Release.
 type Allocation struct {
-	// JobID identifies the owner.
+	// JobID identifies the job holding it; a reservation's is -1.
 	JobID int
 	// NodesByClass[i] is the number of nodes taken from class i.
 	NodesByClass []int
@@ -167,7 +161,6 @@ type Cluster struct {
 	cfg     Config
 	classes []SSDClass // normalized, ascending capacity
 	free    Snapshot
-	allocs  map[int]Allocation
 	// nodeBufs recycles released allocations' NodesByClass buffers, so the
 	// steady-state allocate/release cycle stops producing per-job garbage.
 	nodeBufs [][]int
@@ -194,7 +187,7 @@ func New(cfg Config) (*Cluster, error) {
 			free.FreeExtra[i] = r.Capacity
 		}
 	}
-	return &Cluster{cfg: cfg, classes: classes, free: free, allocs: make(map[int]Allocation)}, nil
+	return &Cluster{cfg: cfg, classes: classes, free: free}, nil
 }
 
 // MustNew is New but panics on error; for tests and fixed experiment setups.
@@ -208,9 +201,6 @@ func MustNew(cfg Config) *Cluster {
 
 // Config returns the machine description.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// TotalNodes returns the machine's node count.
-func (c *Cluster) TotalNodes() int { return c.cfg.Nodes }
 
 // TotalBB returns the machine's burst-buffer pool size in GB.
 func (c *Cluster) TotalBB() int64 { return c.cfg.BurstBufferGB }
@@ -230,15 +220,6 @@ func (c *Cluster) UsedBB() int64 { return c.cfg.BurstBufferGB - c.free.FreeBB }
 // NumExtra returns the number of extra resource dimensions.
 func (c *Cluster) NumExtra() int { return len(c.cfg.Extra) }
 
-// FreeExtras returns the currently unallocated amount per extra dimension
-// (a copy; nil when the machine has none).
-func (c *Cluster) FreeExtras() []int64 {
-	if len(c.free.FreeExtra) == 0 {
-		return nil
-	}
-	return append([]int64(nil), c.free.FreeExtra...)
-}
-
 // UsedExtras returns the currently allocated amount per extra dimension
 // (nil when the machine has none).
 func (c *Cluster) UsedExtras() []int64 {
@@ -251,9 +232,6 @@ func (c *Cluster) UsedExtras() []int64 {
 	}
 	return used
 }
-
-// RunningJobs returns the number of live allocations.
-func (c *Cluster) RunningJobs() int { return len(c.allocs) }
 
 // Snapshot returns a copy of the free state that schedulers may mutate
 // freely while evaluating candidate job sets.
@@ -270,14 +248,11 @@ func (c *Cluster) SnapshotInto(dst *Snapshot) {
 	dst.CopyFrom(c.free)
 }
 
-// Allocate assigns resources for j, recording the allocation. It fails with
-// ErrNoFit if the demand does not fit, and rejects double allocation. The
-// returned allocation's buffers are owned by the cluster and recycled once
-// the job is fully released — callers must not retain them past Release.
+// Allocate assigns resources for j. It fails with ErrNoFit if the demand
+// does not fit. The caller owns the returned allocation and hands it back
+// to Release; its buffers are the cluster's, recycled once it is fully
+// released, so they must not be kept past Release.
 func (c *Cluster) Allocate(j *job.Job) (Allocation, error) {
-	if _, dup := c.allocs[j.ID]; dup {
-		return Allocation{}, fmt.Errorf("cluster: job %d already allocated", j.ID)
-	}
 	var buf []int
 	if n := len(c.nodeBufs); n > 0 {
 		buf = c.nodeBufs[n-1]
@@ -290,42 +265,29 @@ func (c *Cluster) Allocate(j *job.Job) (Allocation, error) {
 		c.nodeBufs = append(c.nodeBufs, buf)
 		return Allocation{}, err
 	}
-	a := Allocation{JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), WastedSSD: placed.WastedSSD, Extra: placed.Extra}
-	c.allocs[j.ID] = a
-	return a, nil
+	return Allocation{JobID: j.ID, NodesByClass: placed.NodesByClass, BB: j.Demand.BB(), WastedSSD: placed.WastedSSD, Extra: placed.Extra}, nil
 }
 
-// Release returns all of job jobID's remaining resources to the free pool.
-func (c *Cluster) Release(jobID int) error {
-	a, ok := c.allocs[jobID]
-	if !ok {
-		return fmt.Errorf("cluster: job %d has no allocation", jobID)
-	}
-	delete(c.allocs, jobID)
-	for i, n := range a.NodesByClass {
-		c.free.FreeByClass[i] += n
-	}
+// Release returns everything a still holds to the free pools and empties
+// it, so releasing it again returns nothing.
+func (c *Cluster) Release(a *Allocation) {
+	c.ReleaseNodes(a)
 	c.free.FreeBB += a.BB
-	for i, v := range a.Extra {
-		c.free.FreeExtra[i] += v
-	}
+	a.BB = 0
 	if cap(a.NodesByClass) >= len(c.free.FreeByClass) {
 		c.nodeBufs = append(c.nodeBufs, a.NodesByClass[:cap(a.NodesByClass)])
 	}
-	return nil
+	a.NodesByClass, a.Extra = nil, nil
 }
 
-// ReleaseNodes returns only job jobID's compute nodes — and its extra
-// dimensions, which are compute-coupled — keeping its burst buffer held.
-// Models Slurm-style stage-out: data drains from the burst buffer to the
+// ReleaseNodes returns only a's compute nodes — and its extra dimensions,
+// which are compute-coupled — keeping its burst buffer held. Models
+// Slurm-style stage-out: data drains from the burst buffer to the
 // parallel file system after the job's nodes are freed, so the BB
-// allocation outlives the node allocation. Release (or a second
-// ReleaseNodes + Release) finishes the job later. Idempotent on nodes.
-func (c *Cluster) ReleaseNodes(jobID int) error {
-	a, ok := c.allocs[jobID]
-	if !ok {
-		return fmt.Errorf("cluster: job %d has no allocation", jobID)
-	}
+// allocation outlives the node allocation. Release finishes the job
+// later. The released amounts are zeroed in a, so a second ReleaseNodes
+// returns nothing.
+func (c *Cluster) ReleaseNodes(a *Allocation) {
 	for i, n := range a.NodesByClass {
 		c.free.FreeByClass[i] += n
 		a.NodesByClass[i] = 0
@@ -334,40 +296,30 @@ func (c *Cluster) ReleaseNodes(jobID int) error {
 		c.free.FreeExtra[i] += v
 		a.Extra[i] = 0
 	}
-	c.allocs[jobID] = a
-	return nil
 }
 
-// ReserveBB permanently allocates amount GB of burst buffer outside any
-// job — Cori's persistent reservations (§4.1: one-third of the pool has
-// job-independent lifetime). The reservation is keyed by ownerID (must not
-// collide with job IDs) and can be released like a job.
-func (c *Cluster) ReserveBB(ownerID int, amount int64) error {
+// ReserveBB allocates amount GB of burst buffer outside any job — Cori's
+// persistent reservations (§4.1: one-third of the pool has
+// job-independent lifetime). The caller holds the returned reservation
+// like a job's allocation and may Release it.
+func (c *Cluster) ReserveBB(amount int64) (Allocation, error) {
 	if amount < 0 {
-		return fmt.Errorf("cluster: negative reservation %d", amount)
-	}
-	if _, dup := c.allocs[ownerID]; dup {
-		return fmt.Errorf("cluster: reservation owner %d already allocated", ownerID)
+		return Allocation{}, fmt.Errorf("cluster: negative reservation %d", amount)
 	}
 	if amount > c.free.FreeBB {
-		return ErrNoFit
+		return Allocation{}, ErrNoFit
 	}
 	c.free.FreeBB -= amount
-	c.allocs[ownerID] = Allocation{JobID: ownerID, NodesByClass: make([]int, len(c.classes)), BB: amount}
-	return nil
+	return Allocation{JobID: -1, BB: amount}, nil
 }
 
 // RestoreAllocation installs a previously recorded allocation — the
 // checkpoint/restore counterpart of Allocate. The record is validated
-// (no duplicate owner, class/extra arity matching the machine,
-// non-negative amounts, within the remaining free capacity), deep-copied
-// into cluster-owned buffers, and subtracted from the free pools. As with
-// Allocate, the returned allocation's buffers are owned by the cluster
-// and recycled on Release.
+// (class/extra arity matching the machine, non-negative amounts, within
+// the remaining free capacity), deep-copied into cluster-owned buffers,
+// and subtracted from the free pools. As with Allocate, the caller holds
+// the returned allocation, whose buffers are recycled on Release.
 func (c *Cluster) RestoreAllocation(a Allocation) (Allocation, error) {
-	if _, dup := c.allocs[a.JobID]; dup {
-		return Allocation{}, fmt.Errorf("cluster: job %d already allocated", a.JobID)
-	}
 	if len(a.NodesByClass) != len(c.classes) {
 		return Allocation{}, fmt.Errorf("cluster: job %d allocation spans %d classes, machine has %d",
 			a.JobID, len(a.NodesByClass), len(c.classes))
@@ -408,17 +360,17 @@ func (c *Cluster) RestoreAllocation(a Allocation) (Allocation, error) {
 	for i, v := range stored.Extra {
 		c.free.FreeExtra[i] -= v
 	}
-	c.allocs[stored.JobID] = stored
 	return stored, nil
 }
 
-// CheckInvariants verifies conservation: free + allocated equals machine
-// totals in every dimension. Tests call it after random workloads.
-func (c *Cluster) CheckInvariants() error {
+// CheckInvariants verifies conservation: free plus what the held
+// allocations hold equals the machine totals in every dimension. held
+// must yield every allocation not yet fully released, each once.
+func (c *Cluster) CheckInvariants(held iter.Seq[Allocation]) error {
 	usedByClass := make([]int, len(c.classes))
 	usedExtra := make([]int64, len(c.cfg.Extra))
 	var usedBB int64
-	for _, a := range c.allocs {
+	for a := range held {
 		for i, n := range a.NodesByClass {
 			usedByClass[i] += n
 		}
@@ -636,11 +588,4 @@ func (s *Snapshot) CanFit(d job.Demand) bool {
 		}
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

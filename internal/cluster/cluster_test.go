@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,32 +62,42 @@ func TestAllocateRelease(t *testing.T) {
 	if c.UsedNodes() != 40 || c.UsedBB() != 600 {
 		t.Fatalf("used = %d nodes, %d bb", c.UsedNodes(), c.UsedBB())
 	}
-	if err := c.Release(1); err != nil {
+	if err := c.CheckInvariants(slices.Values([]Allocation{a})); err != nil {
 		t.Fatal(err)
 	}
+	c.Release(&a)
 	if c.FreeNodes() != 100 || c.FreeBB() != 1000 {
 		t.Fatal("release did not restore resources")
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.CheckInvariants(slices.Values([]Allocation{a})); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDoubleAllocateRejected(t *testing.T) {
-	c := MustNew(simpleCfg())
-	j := job.MustNew(1, 0, 10, 10, job.NewDemand(1, 0, 0))
-	if _, err := c.Allocate(j); err != nil {
+// TestReleaseEmptiesAllocation: the caller holds the allocation, so
+// Release empties it — a second Release returns nothing, and the node
+// buffer it recycled is handed out once, not twice.
+func TestReleaseEmptiesAllocation(t *testing.T) {
+	c := MustNew(ssdCfg())
+	a, err := c.Allocate(job.MustNew(1, 0, 10, 10, job.NewDemand(4, 60, 64)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Allocate(j); err == nil {
-		t.Fatal("double allocation accepted")
+	c.Release(&a)
+	if a.TotalNodes() != 0 || a.BB != 0 || a.NodesByClass != nil {
+		t.Fatalf("released allocation still holds %+v", a)
 	}
-}
-
-func TestReleaseUnknownRejected(t *testing.T) {
-	c := MustNew(simpleCfg())
-	if err := c.Release(42); err == nil {
-		t.Fatal("release of unknown job accepted")
+	c.Release(&a)
+	if c.FreeNodes() != 10 || c.FreeBB() != 100 {
+		t.Fatalf("second release freed more: %d nodes, %d GB", c.FreeNodes(), c.FreeBB())
+	}
+	b, _ := c.Allocate(job.MustNew(2, 0, 10, 10, job.NewDemand(1, 0, 0)))
+	d, _ := c.Allocate(job.MustNew(3, 0, 10, 10, job.NewDemand(1, 0, 0)))
+	if &b.NodesByClass[0] == &d.NodesByClass[0] {
+		t.Fatal("two live allocations share one recycled node buffer")
+	}
+	if err := c.CheckInvariants(slices.Values([]Allocation{a, b, d})); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -149,7 +160,8 @@ func TestSSDLargeRequestNeedsLargeNodes(t *testing.T) {
 	c := MustNew(ssdCfg())
 	// >128 GB per node: only the five 256 GB nodes qualify.
 	ok := job.MustNew(1, 0, 10, 10, job.NewDemand(5, 0, 200))
-	if _, err := c.Allocate(ok); err != nil {
+	a1, err := c.Allocate(ok)
+	if err != nil {
 		t.Fatal(err)
 	}
 	toobig := job.MustNew(2, 0, 10, 10, job.NewDemand(1, 0, 200))
@@ -158,10 +170,11 @@ func TestSSDLargeRequestNeedsLargeNodes(t *testing.T) {
 	}
 	// But a small request still fits on the remaining 128 GB nodes.
 	small := job.MustNew(3, 0, 10, 10, job.NewDemand(5, 0, 64))
-	if _, err := c.Allocate(small); err != nil {
+	a3, err := c.Allocate(small)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.CheckInvariants(slices.Values([]Allocation{a1, a3})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,15 +236,12 @@ func TestConservationProperty(t *testing.T) {
 			Name: "prop", Nodes: 64, BurstBufferGB: 512,
 			SSDClasses: []SSDClass{{128, 32}, {256, 32}},
 		})
-		live := []int{}
+		var live []Allocation
 		nextID := 0
 		for step := 0; step < 200; step++ {
 			if len(live) > 0 && s.Bool(0.4) {
 				idx := s.Intn(len(live))
-				if err := c.Release(live[idx]); err != nil {
-					t.Logf("release: %v", err)
-					return false
-				}
+				c.Release(&live[idx])
 				live = append(live[:idx], live[idx+1:]...)
 			} else {
 				var ssd int64
@@ -241,24 +251,22 @@ func TestConservationProperty(t *testing.T) {
 				d := job.NewDemand(1+s.Intn(32), s.Int63n(300), ssd)
 				j := job.MustNew(nextID, 0, 10, 10, d)
 				nextID++
-				if _, err := c.Allocate(j); err == nil {
-					live = append(live, j.ID)
+				if a, err := c.Allocate(j); err == nil {
+					live = append(live, a)
 				} else if !errors.Is(err, ErrNoFit) {
 					t.Logf("allocate: %v", err)
 					return false
 				}
 			}
-			if err := c.CheckInvariants(); err != nil {
+			if err := c.CheckInvariants(slices.Values(live)); err != nil {
 				t.Logf("invariant: %v", err)
 				return false
 			}
 		}
-		for _, id := range live {
-			if err := c.Release(id); err != nil {
-				return false
-			}
+		for i := range live {
+			c.Release(&live[i])
 		}
-		return c.FreeNodes() == 64 && c.FreeBB() == 512 && c.RunningJobs() == 0
+		return c.FreeNodes() == 64 && c.FreeBB() == 512
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -278,12 +286,12 @@ func TestCanFitMatchesAllocate(t *testing.T) {
 		d := job.NewDemand(1+r.Intn(12), r.Int63n(120), ssd)
 		fit := c.CanFit(d)
 		j := job.MustNew(i, 0, 10, 10, d)
-		_, err := c.Allocate(j)
+		a, err := c.Allocate(j)
 		if fit != (err == nil) {
 			t.Fatalf("CanFit=%v but Allocate err=%v for %v", fit, err, d)
 		}
 		if err == nil {
-			c.Release(i)
+			c.Release(&a)
 		}
 	}
 }

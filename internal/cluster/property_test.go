@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"testing"
 
@@ -89,8 +90,9 @@ func checkNonNegative(t *testing.T, c *Cluster) {
 }
 
 // checkSnapshotRoundTrip asserts Clone and CopyFrom reproduce the free
-// state exactly, into both fresh and dirty destinations.
-func checkSnapshotRoundTrip(t *testing.T, c *Cluster, dirty *Snapshot) {
+// state exactly, into both fresh and dirty destinations; held yields the
+// live allocations.
+func checkSnapshotRoundTrip(t *testing.T, c *Cluster, dirty *Snapshot, held iter.Seq[Allocation]) {
 	t.Helper()
 	snap := c.Snapshot()
 	clone := snap.Clone()
@@ -124,7 +126,7 @@ func checkSnapshotRoundTrip(t *testing.T, c *Cluster, dirty *Snapshot) {
 	for k := range clone.FreeExtra {
 		clone.FreeExtra[k] = -999
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.CheckInvariants(held); err != nil {
 		t.Fatalf("mutating a clone corrupted live state: %v", err)
 	}
 }
@@ -139,11 +141,26 @@ func TestClusterPropertyRandomWorkloads(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 
+		// The test holds every allocation it takes, as the simulator does,
+		// and hands them all to CheckInvariants.
 		type live struct {
-			id      int
+			a       Allocation
 			staging bool
 		}
 		var running []live
+		var reserved []Allocation
+		held := func(yield func(Allocation) bool) {
+			for _, l := range running {
+				if !yield(l.a) {
+					return
+				}
+			}
+			for _, r := range reserved {
+				if !yield(r) {
+					return
+				}
+			}
+		}
 		nextID := 0
 
 		steps := 5 + r.Intn(40)
@@ -161,53 +178,52 @@ func TestClusterPropertyRandomWorkloads(t *testing.T) {
 					if got := a.TotalNodes(); got != d.NodeCount() {
 						t.Fatalf("iter %d step %d: allocation has %d nodes, want %d", iter, s, got, d.NodeCount())
 					}
-					running = append(running, live{id: nextID})
+					running = append(running, live{a: a})
 					nextID++
 				}
 			case op < 7 && len(running) > 0: // full release
 				k := r.Intn(len(running))
-				if err := c.Release(running[k].id); err != nil {
-					t.Fatalf("iter %d step %d: release: %v", iter, s, err)
-				}
+				c.Release(&running[k].a)
 				running = append(running[:k], running[k+1:]...)
 			case op < 9 && len(running) > 0: // stage-out: nodes first, then the rest
 				k := r.Intn(len(running))
 				if !running[k].staging {
-					if err := c.ReleaseNodes(running[k].id); err != nil {
-						t.Fatalf("iter %d step %d: release nodes: %v", iter, s, err)
-					}
+					c.ReleaseNodes(&running[k].a)
 					running[k].staging = true
 				} else {
-					if err := c.Release(running[k].id); err != nil {
-						t.Fatalf("iter %d step %d: finish staging: %v", iter, s, err)
-					}
+					c.Release(&running[k].a)
 					running = append(running[:k], running[k+1:]...)
 				}
-			default: // persistent reservation (negative owner IDs)
+			default: // persistent reservation
 				if c.FreeBB() > 0 && r.Intn(4) == 0 {
-					owner := -(s + 2) // distinct negative ID per step
 					amount := r.Int63n(c.FreeBB() + 1)
-					if err := c.ReserveBB(owner, amount); err != nil && err != ErrNoFit {
+					res, err := c.ReserveBB(amount)
+					if err != nil {
 						t.Fatalf("iter %d step %d: reserve: %v", iter, s, err)
 					}
+					reserved = append(reserved, res)
 				}
 			}
 
-			if err := c.CheckInvariants(); err != nil {
+			if err := c.CheckInvariants(held); err != nil {
 				t.Fatalf("iter %d step %d: %v", iter, s, err)
 			}
 			checkNonNegative(t, c)
 		}
-		checkSnapshotRoundTrip(t, c, &dirty)
+		checkSnapshotRoundTrip(t, c, &dirty, held)
 
 		// Drain everything; the machine must come back to full capacity.
-		for _, l := range running {
-			if err := c.Release(l.id); err != nil {
-				t.Fatalf("iter %d: drain: %v", iter, err)
-			}
+		for i := range running {
+			c.Release(&running[i].a)
 		}
-		if err := c.CheckInvariants(); err != nil {
+		for i := range reserved {
+			c.Release(&reserved[i])
+		}
+		if err := c.CheckInvariants(held); err != nil {
 			t.Fatalf("iter %d after drain: %v", iter, err)
+		}
+		if c.FreeNodes() != cfg.Nodes || c.FreeBB() != cfg.BurstBufferGB {
+			t.Fatalf("iter %d after drain: %d nodes, %d GB free", iter, c.FreeNodes(), c.FreeBB())
 		}
 	}
 }

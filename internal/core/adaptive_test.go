@@ -30,7 +30,8 @@ func TestAdaptiveFactorTracksScarcity(t *testing.T) {
 
 	// Make BB scarce: factor must fall.
 	occ := job.MustNew(90, 0, 10, 10, job.NewDemand(1, 80, 0))
-	if _, err := c.Allocate(occ); err != nil {
+	held, err := c.Allocate(occ)
+	if err != nil {
 		t.Fatal(err)
 	}
 	small := []*job.Job{job.MustNew(91, 0, 10, 10, job.NewDemand(1, 1, 0))}
@@ -43,7 +44,7 @@ func TestAdaptiveFactorTracksScarcity(t *testing.T) {
 	}
 
 	// Make nodes scarce instead: factor must rise again.
-	c.Release(90)
+	c.Release(&held)
 	occ2 := job.MustNew(92, 0, 10, 10, job.NewDemand(90, 1, 0))
 	if _, err := c.Allocate(occ2); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"bbsched/internal/backfill"
 	"bbsched/internal/checkpoint"
 	"bbsched/internal/cluster"
 	"bbsched/internal/job"
@@ -39,7 +38,9 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 // snapshot captures the simulator state as a checkpoint.Snapshot. The
 // snapshot borrows the engine's int64 slices (demand vectors, allocation
 // and usage extras) instead of copying them: it must be encoded before
-// the engine moves again, which Checkpoint does.
+// the engine moves again, which Checkpoint does. The running set is read
+// off the event heap, each running job off its one end or burst-buffer
+// release event.
 func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Workload:      s.workload.Name,
@@ -58,56 +59,40 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	// Job table: every job still referenced by the engine, sorted by ID,
 	// with the state its container holds of it. Each such job is in one
 	// container: the queue, the running set, an arrival event or the
-	// look-ahead buffer (the other events name running jobs). Jobs not yet
-	// pulled are not state — restore re-reads them from the repositioned
-	// source — and neither are finished ones, which finish has already
-	// folded into stats.
+	// look-ahead buffer. Jobs not yet pulled are not state — restore
+	// re-reads them from the repositioned source — and neither are
+	// finished ones, which finish has already folded into stats.
+	snap.Jobs = make([]checkpoint.JobRecord, 0, s.q.Len()+len(s.events)+len(s.pending)-s.pendHead)
 	snap.QueueIDs = make([]int64, 0, s.q.Len())
 	for j, age := range s.q.Waiting() {
 		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, age))
 		snap.QueueIDs = append(snap.QueueIDs, int64(j.ID))
 	}
 	slices.Sort(snap.QueueIDs)
-	for _, r := range s.running {
+	for _, j := range s.pending[s.pendHead:] {
+		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, 0))
+	}
+
+	// Event heap, serialized in total (time, kind, job ID) order. A
+	// sorted array satisfies the heap property, so restore reloads it
+	// without re-sifting and pops in the identical order. Running records
+	// are stored in ID order.
+	snap.Events = make([]checkpoint.EventRecord, 0, len(s.events))
+	snap.Running = make([]checkpoint.RunningRecord, 0, len(s.events))
+	for _, ev := range s.events {
+		snap.Events = append(snap.Events, checkpoint.EventRecord{T: ev.t, Kind: int64(ev.kind), JobID: int64(ev.j.ID)})
+		r := ev.r
+		if r == nil {
+			snap.Jobs = append(snap.Jobs, jobRecord(ev.j, job.Queued, -1, -1, 0))
+			continue
+		}
 		state := job.Running
 		if r.staging {
 			state = job.Finished // done but for its draining burst buffer (see finish)
 		}
 		snap.Jobs = append(snap.Jobs, jobRecord(r.j, state, r.start, r.end, r.age))
-	}
-	for _, ev := range s.events {
-		if ev.kind == evArrive {
-			snap.Jobs = append(snap.Jobs, jobRecord(ev.j, job.Queued, -1, -1, 0))
-		}
-	}
-	for _, j := range s.pending[s.pendHead:] {
-		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, 0))
-	}
-	slices.SortFunc(snap.Jobs, func(a, b checkpoint.JobRecord) int { return cmp.Compare(a.ID, b.ID) })
-
-	// Event heap, serialized in total (time, kind, job ID) order. A
-	// sorted array satisfies the heap property, so restore reloads it
-	// without re-sifting and pops in the identical order.
-	snap.Events = make([]checkpoint.EventRecord, 0, len(s.events))
-	for _, ev := range s.events {
-		snap.Events = append(snap.Events, checkpoint.EventRecord{
-			T: ev.t, Kind: int64(ev.kind), JobID: int64(ev.j.ID),
-		})
-	}
-	sort.Slice(snap.Events, func(a, b int) bool {
-		return eventRecordLess(snap.Events[a], snap.Events[b])
-	})
-
-	runIDs := make([]int, 0, len(s.running))
-	for id := range s.running {
-		runIDs = append(runIDs, id)
-	}
-	sort.Ints(runIDs)
-	snap.Running = make([]checkpoint.RunningRecord, 0, len(runIDs))
-	for _, id := range runIDs {
-		r := s.running[id]
 		snap.Running = append(snap.Running, checkpoint.RunningRecord{
-			JobID:     int64(id),
+			JobID:     int64(r.j.ID),
 			Release:   r.release,
 			Staging:   r.staging,
 			BBRelease: r.bbRelease,
@@ -119,6 +104,11 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 			},
 		})
 	}
+	sort.Slice(snap.Events, func(a, b int) bool {
+		return eventRecordLess(snap.Events[a], snap.Events[b])
+	})
+	slices.SortFunc(snap.Running, func(a, b checkpoint.RunningRecord) int { return cmp.Compare(a.JobID, b.JobID) })
+	slices.SortFunc(snap.Jobs, func(a, b checkpoint.JobRecord) int { return cmp.Compare(a.ID, b.ID) })
 
 	snap.Usage = s.usage
 	snap.Collector = s.collector.State()
@@ -227,14 +217,28 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	type held struct {
 		j   *job.Job
 		rec *checkpoint.JobRecord
+		in  string      // the container holding the job; "" until one does
+		r   *runningJob // the job's running record, if it has started
+		ev  bool        // r's end or release event is loaded
 	}
-	byID := make(map[int64]held, len(snap.Jobs))
-	// ref resolves a job ID one of the snapshot's containers holds.
-	ref := func(container string, id int64) (held, error) {
-		if h, ok := byID[id]; ok {
-			return h, nil
+	hs := make([]held, len(snap.Jobs))
+	byID := make(map[int64]*held, len(snap.Jobs))
+	// place puts job id in a container, which must be its only one and
+	// hold jobs in the job's recorded state, one of lo to hi.
+	place := func(container string, id int64, lo, hi job.State) (*held, error) {
+		h := byID[id]
+		switch {
+		case h == nil:
+			return nil, fmt.Errorf("snapshot %s references unknown job %d", container, id)
+		case job.State(h.rec.State) < lo || job.State(h.rec.State) > hi:
+			return nil, fmt.Errorf("snapshot %s holds job %d, whose state is %s", container, id, job.State(h.rec.State))
+		case h.in == container:
+			return nil, fmt.Errorf("snapshot %s lists job %d twice", container, id)
+		case h.in != "":
+			return nil, fmt.Errorf("snapshot holds job %d in both the %s and the %s", id, h.in, container)
 		}
-		return held{}, fmt.Errorf("snapshot %s references unknown job %d", container, id)
+		h.in = container
+		return h, nil
 	}
 	for i := range snap.Jobs {
 		rec := &snap.Jobs[i]
@@ -248,66 +252,30 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		byID[rec.ID] = held{j, rec}
-	}
-
-	// Event heap: records are stored in total order; verify and load
-	// directly (a sorted array is a valid min-heap).
-	for i, ev := range snap.Events {
-		if ev.Kind < evEnd || ev.Kind > evArrive {
-			return fmt.Errorf("snapshot event %d has unknown kind %d", i, ev.Kind)
-		}
-		if i > 0 && !eventRecordLess(snap.Events[i-1], ev) {
-			return fmt.Errorf("snapshot events out of order at index %d", i)
-		}
-		h, err := ref("event", ev.JobID)
-		if err != nil {
-			return err
-		}
-		s.events = append(s.events, event{t: ev.T, kind: int(ev.Kind), j: h.j})
+		hs[i] = held{j: j, rec: rec}
+		byID[rec.ID] = &hs[i]
 	}
 
 	// The containers below must agree with each record's one State: a job
-	// waits (queue, look-ahead buffer) until it starts, and from then on
-	// is in the running set, where it stays past Finished while its burst
-	// buffer drains. Holding each member to the state its container
-	// implies also keeps an ID off both sides at once.
-
-	// Queue: re-enter in ascending ID order, each job with its window age.
-	// Window extraction depends only on the queue's priority total order,
-	// so the rebuilt queue yields byte-identical windows regardless of the
-	// original insertion order.
-	for _, id := range snap.QueueIDs {
-		h, err := ref("queue", id)
-		if err != nil {
-			return err
-		}
-		if st := job.State(h.rec.State); st >= job.Running {
-			return fmt.Errorf("snapshot queue holds job %d, whose state is %s", id, st)
-		}
-		if err := s.q.AddAged(h.j, int(h.rec.WindowAge)); err != nil {
-			return err
-		}
-	}
+	// waits (queue, arrival event, look-ahead buffer) until it starts, and
+	// from then on is in the running set, where it stays past Finished
+	// while its burst buffer drains. Every record is in exactly one of
+	// them, and every running job has exactly one event: its end, or its
+	// burst-buffer release while it stages out.
 
 	// Running set: reinstall allocations through the cluster's validated
 	// restore path and rebuild the release timeline exactly as start and
 	// finish would have left it.
 	var nodes []int // scratch: RestoreAllocation copies what it keeps
 	for _, rr := range snap.Running {
-		h, err := ref("running set", rr.JobID)
-		if err != nil {
-			return err
-		}
 		want := job.Running
 		if rr.Staging {
 			want = job.Finished // done but for its draining burst buffer (see finish)
 		}
-		if st := job.State(h.rec.State); st != want {
-			return fmt.Errorf("snapshot running set (staging=%v) holds job %d, whose state is %s, not %s",
-				rr.Staging, rr.JobID, st, want)
+		h, err := place("running set", rr.JobID, want, want)
+		if err != nil {
+			return err
 		}
-		j := h.j
 		nodes = nodes[:0]
 		for _, n := range rr.Alloc.NodesByClass {
 			nodes = append(nodes, int(n))
@@ -322,31 +290,104 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		r := &runningJob{j: j, alloc: stored, release: rr.Release, staging: rr.Staging, bbRelease: rr.BBRelease,
+		h.r = &runningJob{j: h.j, alloc: stored, release: rr.Release, staging: rr.Staging, bbRelease: rr.BBRelease,
 			start: h.rec.StartTime, end: h.rec.EndTime, age: int(h.rec.WindowAge)}
-		s.running[j.ID] = r
-		switch {
-		case r.staging:
-			// Nodes already released; only the draining burst buffer remains.
-			s.timeline.Insert(backfill.Running{ReleaseTime: r.bbRelease, JobID: j.ID, BB: j.Demand.BB()})
-		case j.StageOutSec > 0 && j.Demand.BB() > 0:
-			s.timeline.Insert(backfill.Running{ReleaseTime: r.release, JobID: j.ID, NodesByClass: stored.NodesByClass, Extra: stored.Extra})
-			s.timeline.Insert(backfill.Running{ReleaseTime: r.release + j.StageOutSec, JobID: j.ID, BB: j.Demand.BB()})
-		default:
-			s.timeline.Insert(backfill.Running{
-				ReleaseTime:  r.release,
-				JobID:        j.ID,
-				NodesByClass: stored.NodesByClass,
-				BB:           j.Demand.BB(),
-				Extra:        stored.Extra,
-			})
+		s.planRelease(h.r)
+	}
+
+	// Queue: re-enter in ascending ID order, each job with its window age.
+	// Window extraction depends only on the queue's priority total order,
+	// so the rebuilt queue yields byte-identical windows regardless of the
+	// original insertion order.
+	for _, id := range snap.QueueIDs {
+		h, err := place("queue", id, job.Queued, job.InWindow)
+		if err != nil {
+			return err
+		}
+		if err := s.q.AddAged(h.j, int(h.rec.WindowAge)); err != nil {
+			return err
 		}
 	}
 
-	// Finished-ID membership for dependency checks.
+	// Look-ahead buffer, from the job table.
+	for _, id := range snap.PendingIDs {
+		h, err := place("look-ahead buffer", id, job.Queued, job.InWindow)
+		if err != nil {
+			return err
+		}
+		s.pending = append(s.pending, h.j)
+	}
+
+	// Event heap: records are stored in total order; verify and load
+	// directly (a sorted array is a valid min-heap). An arrival event is
+	// its job's container; an end or release event carries the running
+	// job it ends, due when start or finish would have pushed it.
+	for i, ev := range snap.Events {
+		if ev.Kind < evEnd || ev.Kind > evArrive {
+			return fmt.Errorf("snapshot event %d has unknown kind %d", i, ev.Kind)
+		}
+		if i > 0 && !eventRecordLess(snap.Events[i-1], ev) {
+			return fmt.Errorf("snapshot events out of order at index %d", i)
+		}
+		if ev.Kind == evArrive {
+			h, err := place("arrival event", ev.JobID, job.Queued, job.InWindow)
+			if err != nil {
+				return err
+			}
+			if ev.T != h.j.SubmitTime {
+				return fmt.Errorf("snapshot arrival event for job %d at %d, which submits at %d", ev.JobID, ev.T, h.j.SubmitTime)
+			}
+			s.events = append(s.events, event{t: ev.T, kind: evArrive, j: h.j})
+			continue
+		}
+		h := byID[ev.JobID]
+		switch {
+		case h == nil || h.r == nil:
+			return fmt.Errorf("snapshot event %d ends job %d, which is not running", i, ev.JobID)
+		case h.ev:
+			return fmt.Errorf("snapshot has a second event for running job %d", ev.JobID)
+		case h.r.staging != (ev.Kind == evBBRelease):
+			return fmt.Errorf("snapshot event %d has kind %d for job %d, whose staging is %v", i, ev.Kind, ev.JobID, h.r.staging)
+		}
+		due := h.r.start + h.j.Runtime
+		if h.r.staging {
+			due = h.r.bbRelease
+		}
+		if ev.T != due {
+			return fmt.Errorf("snapshot event %d ends job %d at %d, not %d", i, ev.JobID, ev.T, due)
+		}
+		h.ev = true
+		s.events = append(s.events, event{t: ev.T, kind: int(ev.Kind), j: h.j, r: h.r})
+	}
+
+	// Finished-ID membership for dependency checks. The done set and the
+	// containers partition the pulled jobs: a job is done or in flight,
+	// and only a job staging out is both.
 	s.doneLow = int(snap.DoneLow)
 	for _, id := range snap.DoneSparse {
 		s.doneSparse[int(id)] = struct{}{}
+	}
+	for i := range hs {
+		h := &hs[i]
+		staging, done := h.r != nil && h.r.staging, s.isDone(h.j.ID)
+		switch {
+		case h.in == "":
+			return fmt.Errorf("snapshot job %d is in no container", h.j.ID)
+		case h.r != nil && !h.ev:
+			return fmt.Errorf("snapshot running job %d has no pending event", h.j.ID)
+		case done && !staging:
+			return fmt.Errorf("snapshot done set names job %d, which is still in the %s", h.j.ID, h.in)
+		case staging && !done:
+			return fmt.Errorf("snapshot done set leaves out job %d, which is staging out", h.j.ID)
+		}
+	}
+	if snap.Pulled-snap.DoneLow > int64(len(snap.Jobs)+len(snap.DoneSparse)) {
+		return fmt.Errorf("snapshot done set leaves out some of the %d pulled jobs above its watermark", snap.Pulled-snap.DoneLow)
+	}
+	for id := s.doneLow; id < int(snap.Pulled); id++ {
+		if _, ok := byID[int64(id)]; !ok && !s.isDone(id) {
+			return fmt.Errorf("snapshot done set leaves out pulled job %d, which is in no container", id)
+		}
 	}
 
 	// Metric state.
@@ -375,18 +416,7 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	s.decideTotal = time.Duration(snap.DecideTotalNS)
 	s.decideMax = time.Duration(snap.DecideMaxNS)
 
-	// Source position: rebuild the look-ahead buffer from the job table
-	// and skip the fresh source past the consumed prefix.
-	for _, id := range snap.PendingIDs {
-		h, err := ref("look-ahead buffer", id)
-		if err != nil {
-			return err
-		}
-		if st := job.State(h.rec.State); st >= job.Running {
-			return fmt.Errorf("snapshot look-ahead buffer holds job %d, whose state is %s", id, st)
-		}
-		s.pending = append(s.pending, h.j)
-	}
+	// Source position: skip the fresh source past the consumed prefix.
 	s.pulled = int(snap.Pulled)
 	s.lastSubmit = snap.LastSubmit
 	s.srcDone = snap.SrcDone
@@ -398,7 +428,7 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 
 	// Cross-checks: the restored state must satisfy the same invariants
 	// the live engine maintains.
-	if err := s.cl.CheckInvariants(); err != nil {
+	if err := s.cl.CheckInvariants(s.held); err != nil {
 		return err
 	}
 	if err := s.timeline.CheckInvariant(); err != nil {

@@ -290,7 +290,10 @@ func TestCheckpointRoundTripStreaming(t *testing.T) {
 // done watermark or look-ahead buffer disagrees with its pulled count
 // would mark unpulled jobs finished and release their dependants early —
 // and the container checks: a job the queue holds but whose record (or
-// the running set) says has started would sit in two containers at once —
+// the running set) says has started would sit in two containers at once,
+// and a running job must have exactly one end event, naming it —
+// and the done set: a job it names as finished that is still in flight
+// could release a dependant early —
 // and the per-job metric state: a job count
 // the bucket counts, the kept waits or the sketches disagree with would
 // restore cleanly and report a wrong average at the end of the run.
@@ -356,6 +359,34 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 		{"running job marked queued", corrupt(func(s *checkpoint.Snapshot) {
 			jobByID(s, s.Running[0].JobID).State = int64(job.Queued)
 		}), "running set"},
+		{"running job listed twice", corrupt(func(s *checkpoint.Snapshot) {
+			s.Running = append(s.Running, s.Running[0])
+		}), "running set lists job"},
+		{"end event dropped", corrupt(func(s *checkpoint.Snapshot) {
+			i := endEvent(s, s.Running[0].JobID)
+			s.Events = slices.Delete(s.Events, i, i+1)
+		}), "no pending event"},
+		{"end event duplicated", corrupt(func(s *checkpoint.Snapshot) {
+			ev := s.Events[endEvent(s, s.Running[0].JobID)]
+			ev.T++
+			s.Events = append(s.Events, ev)
+			sortEvents(s)
+		}), "second event"},
+		{"end event names a queued job", corrupt(func(s *checkpoint.Snapshot) {
+			s.Events[endEvent(s, s.Running[0].JobID)].JobID = s.QueueIDs[0]
+			sortEvents(s)
+		}), "not running"},
+		{"queued job done", corrupt(func(s *checkpoint.Snapshot) {
+			s.DoneSparse = append(s.DoneSparse, s.QueueIDs[len(s.QueueIDs)-1])
+		}), "done set names job"},
+		{"running job done", corrupt(func(s *checkpoint.Snapshot) {
+			s.DoneSparse = append(s.DoneSparse, s.Running[len(s.Running)-1].JobID)
+		}), "done set names job"},
+		{"watermark raised past a queued job", corrupt(func(s *checkpoint.Snapshot) {
+			s.DoneLow = s.QueueIDs[0] + 1
+			s.DoneSparse = slices.DeleteFunc(s.DoneSparse, func(id int64) bool { return id <= s.DoneLow })
+		}), "done set names job"},
+		{"watermark lowered past a finished job", corrupt(func(s *checkpoint.Snapshot) { s.DoneLow-- }), "done set leaves out"},
 		{"negative stats count", corrupt(func(s *checkpoint.Snapshot) { s.Stats.N = -1 }), "negative N"},
 		{"size counts off", corrupt(func(s *checkpoint.Snapshot) { s.Stats.SizeCounts[0]++ }), "SizeCounts"},
 		{"BB counts off", corrupt(func(s *checkpoint.Snapshot) { s.Stats.BBCounts[0]++ }), "BBCounts"},
@@ -435,6 +466,127 @@ func TestRestoreChecksEveryStaticField(t *testing.T) {
 	}
 }
 
+// FuzzRestore mutates the containers of a mid-run snapshot of a trace
+// with stage-out, so that some running jobs are staging: an event's kind
+// or job, a running record's job or staging flag, queue membership, the
+// done watermark and the sparse done set. Each three bytes of the input
+// are one mutation (which, where, by how much). Restore must refuse the
+// snapshot, or return a simulator that runs to the end with no error.
+func FuzzRestore(f *testing.F) {
+	w := throughputWorkload(300, true)
+	s, err := NewSimulator(w, sched.Baseline{}, WithSeed(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := s.Step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Checkpoint(&snap); err != nil {
+		f.Fatal(err)
+	}
+	if decoded, err := checkpoint.Decode(bytes.NewReader(snap.Bytes())); err != nil ||
+		!slices.ContainsFunc(decoded.Running, func(r checkpoint.RunningRecord) bool { return r.Staging }) {
+		f.Fatalf("the seed snapshot holds no staging job (decode error %v)", err)
+	}
+	f.Add([]byte{})
+	for op := byte(0); op < 8; op++ {
+		f.Add([]byte{op, 3, 1})
+		f.Add([]byte{op, 5, 255})
+	}
+	f.Add([]byte{1, 2, 1, 1, 3, 255}) // two events trade jobs
+	f.Add([]byte{2, 0, 1, 2, 1, 255}) // two running records trade jobs
+	f.Fuzz(func(t *testing.T, muts []byte) {
+		decoded, err := checkpoint.Decode(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutated := len(muts) >= 3
+		for ; len(muts) >= 3; muts = muts[3:] {
+			mutateContainers(decoded, muts[0], int(muts[1]), int64(int8(muts[2])))
+		}
+		sortEvents(decoded)
+		var buf bytes.Buffer
+		if err := checkpoint.Encode(&buf, decoded); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(w, sched.Baseline{}, &buf, WithSeed(7))
+		if err != nil {
+			if !mutated {
+				t.Fatalf("the snapshot as taken does not restore: %v", err)
+			}
+			return
+		}
+		if _, err := r.Run(context.Background()); err != nil {
+			t.Fatalf("restore accepted the snapshot, but the run fails: %v", err)
+		}
+	})
+}
+
+// mutateContainers applies one FuzzRestore mutation: op picks the field,
+// at the record and by the amount it changes.
+func mutateContainers(s *checkpoint.Snapshot, op byte, at int, by int64) {
+	switch op % 8 {
+	case 0:
+		if len(s.Events) > 0 {
+			s.Events[at%len(s.Events)].Kind = (by%3 + 3) % 3
+		}
+	case 1:
+		if len(s.Events) > 0 {
+			s.Events[at%len(s.Events)].JobID += by
+		}
+	case 2:
+		if len(s.Running) > 0 {
+			s.Running[at%len(s.Running)].JobID += by
+		}
+	case 3:
+		if len(s.Running) > 0 {
+			r := &s.Running[at%len(s.Running)]
+			r.Staging = !r.Staging
+		}
+	case 4:
+		s.QueueIDs = append(s.QueueIDs, s.DoneLow+int64(at))
+	case 5:
+		if len(s.QueueIDs) > 0 {
+			s.QueueIDs = slices.Delete(s.QueueIDs, at%len(s.QueueIDs), at%len(s.QueueIDs)+1)
+		}
+	case 6:
+		s.DoneLow += by
+	case 7:
+		if by >= 0 || len(s.DoneSparse) == 0 {
+			s.DoneSparse = append(s.DoneSparse, s.DoneLow+int64(at))
+		} else {
+			s.DoneSparse = slices.Delete(s.DoneSparse, at%len(s.DoneSparse), at%len(s.DoneSparse)+1)
+		}
+	}
+}
+
+// endEvent returns the index of running job id's end or burst-buffer
+// release event.
+func endEvent(s *checkpoint.Snapshot, id int64) int {
+	for i, ev := range s.Events {
+		if ev.JobID == id && ev.Kind != evArrive {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("snapshot has no end event for job %d", id))
+}
+
+// sortEvents puts a mutated snapshot's events back in their stored order.
+func sortEvents(s *checkpoint.Snapshot) {
+	slices.SortFunc(s.Events, func(a, b checkpoint.EventRecord) int {
+		switch {
+		case eventRecordLess(a, b):
+			return -1
+		case eventRecordLess(b, a):
+			return 1
+		}
+		return 0
+	})
+}
+
 // jobByID returns the snapshot's record of one job.
 func jobByID(s *checkpoint.Snapshot, id int64) *checkpoint.JobRecord {
 	for i := range s.Jobs {
@@ -500,7 +652,7 @@ func midRunSnapshot(tb testing.TB, jobs int) (trace.Workload, *Simulator, []byte
 // TestCheckpointAllocs holds the allocation counts of encoding, decoding
 // and restoring a mid-run snapshot of the 2 000-job throughput trace.
 // Allocation counts do not depend on the machine, so each ceiling is the
-// count measured when it was set (185, 450 and 610) plus 20%. The
+// count measured when it was set (177, 450 and 598) plus 20%. The
 // snapshot holds 138 jobs, so one more allocation per snapshot record
 // crosses every ceiling. Restore shares the workload's jobs: it builds the
 // engine and the state of the jobs in flight, not a copy of the 2 000.
@@ -515,9 +667,9 @@ func TestCheckpointAllocs(t *testing.T) {
 		ceiling float64
 		op      func() error
 	}{
-		{"encode", 222, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
+		{"encode", 213, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
 		{"decode", 540, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
-		{"restore", 732, func() error {
+		{"restore", 718, func() error {
 			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(data), WithSeed(1))
 			return err
 		}},

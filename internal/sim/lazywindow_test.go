@@ -79,8 +79,10 @@ func enginePasses(t testing.TB, w trace.Workload, m sched.Method, opts []Option,
 	var s *Simulator
 	log := &passLog{
 		ages: func(j *job.Job) int {
-			if r, ok := s.running[j.ID]; ok {
-				return r.age
+			for _, ev := range s.events { // a started job's age is on its one event
+				if ev.r != nil && ev.r.j == j {
+					return ev.r.age
+				}
 			}
 			return s.q.WindowAge(j.ID)
 		},

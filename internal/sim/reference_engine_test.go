@@ -26,6 +26,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bbsched/internal/backfill"
@@ -261,6 +262,7 @@ type refSimulator struct {
 	running  map[int]*runningJob
 	done     map[int]bool
 	finished []*runningJob
+	reserved cluster.Allocation // the persistent burst-buffer reservation
 
 	warmEnd, coolStart int64
 
@@ -327,7 +329,7 @@ func newRefSimulator(w trace.Workload, method sched.Method, opts ...Option) (*re
 		s.collector.SetWindow(s.warmEnd, s.coolStart)
 	}
 	if p := wc.System.PersistentBBGB; p > 0 {
-		if err := cl.ReserveBB(persistentReservationID, p); err != nil {
+		if s.reserved, err = cl.ReserveBB(p); err != nil {
 			return nil, err
 		}
 		s.usage.BBGB += p
@@ -533,9 +535,7 @@ func (s *refSimulator) finish(j *job.Job) error {
 	s.finished = append(s.finished, r)
 
 	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
-		if err := s.cl.ReleaseNodes(j.ID); err != nil {
-			return err
-		}
+		s.cl.ReleaseNodes(&r.alloc)
 		r.staging = true
 		r.bbRelease = s.now + j.StageOutSec
 		heap.Push(&s.events, event{t: r.bbRelease, kind: evBBRelease, j: j})
@@ -543,9 +543,7 @@ func (s *refSimulator) finish(j *job.Job) error {
 		return s.emitJob("end", j)
 	}
 	delete(s.running, j.ID)
-	if err := s.cl.Release(j.ID); err != nil {
-		return err
-	}
+	s.cl.Release(&r.alloc)
 	s.observeNodeRelease(r)
 	s.observeBBRelease(r)
 	return s.emitJob("end", j)
@@ -557,9 +555,7 @@ func (s *refSimulator) releaseBB(j *job.Job) error {
 		return fmt.Errorf("refsim: job %d has no staging burst buffer", j.ID)
 	}
 	delete(s.running, j.ID)
-	if err := s.cl.Release(j.ID); err != nil {
-		return err
-	}
+	s.cl.Release(&r.alloc)
 	s.observeBBRelease(r)
 	return s.emitJob("bb_release", j)
 }
@@ -628,7 +624,7 @@ func (s *refSimulator) result() (*Result, error) {
 	if len(s.running) != 0 || s.q.Len() != 0 {
 		return nil, fmt.Errorf("refsim: %d running, %d queued after drain", len(s.running), s.q.Len())
 	}
-	if err := s.cl.CheckInvariants(); err != nil {
+	if err := s.cl.CheckInvariants(slices.Values([]cluster.Allocation{s.reserved})); err != nil {
 		return nil, err
 	}
 	s.collector.Observe(s.now, s.usage)

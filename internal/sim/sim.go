@@ -49,10 +49,14 @@ const (
 	evArrive
 )
 
+// event is one pending event. An end or burst-buffer release event also
+// carries the started job it ends: every started job has exactly one
+// such event pending between instants, so the heap is the running set.
 type event struct {
 	t    int64
 	kind int
 	j    *job.Job
+	r    *runningJob // nil for an arrival
 }
 
 // eventHeap is a typed binary min-heap ordered by (time, kind, job ID) —
@@ -116,9 +120,10 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// runningJob is a started job in the run: its live allocation, for
-// backfill planning and release, and the run's state of the job — when it
-// started and ended, and the window age it left the queue with.
+// runningJob is a started job in the run: its live allocation, which the
+// run holds and hands back to the cluster on release, and the run's state
+// of the job — when it started and ended, and the window age it left the
+// queue with. Its one pending event is the only reference to it.
 type runningJob struct {
 	j       *job.Job
 	alloc   cluster.Allocation
@@ -130,8 +135,3 @@ type runningJob struct {
 	start, end int64 // end is -1 until the job ends
 	age        int
 }
-
-// persistentReservationID keys the §4.1 persistent burst-buffer
-// reservation in the cluster's allocation table; job IDs are non-negative,
-// so it can never collide.
-const persistentReservationID = -1

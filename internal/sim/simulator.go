@@ -174,7 +174,9 @@ func WithMeasureWindow(start, end int64) Option {
 // under WithStreamingMetrics). A run never writes a job: what happens to
 // a job in the run — its window age, start and end — lives in the
 // containers that hold it (the queue, the running set), so any number of
-// runs share one workload.
+// runs share one workload. The running set is the event heap: a started
+// job's one record, its allocation included, hangs off its one pending
+// end or burst-buffer release event.
 //
 // A Simulator advances either one event instant at a time (Step,
 // RunUntil) — inspecting queue depth, utilization, and the clock between
@@ -193,9 +195,11 @@ type Simulator struct {
 	extra  []cluster.ResourceSpec // the machine's extra resource dimensions
 	rand   *rng.Stream
 
-	events  eventHeap
-	now     int64
-	running map[int]*runningJob
+	events eventHeap
+	now    int64
+	// reserved is the §4.1 persistent burst-buffer reservation, held for
+	// the whole run (empty when the system has none).
+	reserved cluster.Allocation
 
 	// Ingestion state. Every job enters through source: the caller's
 	// (WithSource) or a trace.SliceSource over the workload. pending is
@@ -324,7 +328,6 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		rand:       rng.New(opt.seed).Split("sim:" + w.Name + ":" + method.Name()),
 		observers:  opt.observers,
 		events:     make(eventHeap, 0, opt.lookahead+1),
-		running:    make(map[int]*runningJob),
 		source:     opt.source,
 		pending:    make([]*job.Job, 0, opt.lookahead),
 		doneSparse: make(map[int]struct{}),
@@ -353,7 +356,7 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 	// arrives and never released; they shrink the schedulable pool and
 	// count as used burst buffer for the whole run.
 	if p := w.System.PersistentBBGB; p > 0 {
-		if err := cl.ReserveBB(persistentReservationID, p); err != nil {
+		if s.reserved, err = cl.ReserveBB(p); err != nil {
 			return nil, fmt.Errorf("sim: persistent reservation: %w", err)
 		}
 		s.usage.BBGB += p
@@ -518,8 +521,29 @@ func (s *Simulator) QueueDepth() int { return s.q.Len() }
 
 // RunningJobs returns the number of jobs holding resources (including
 // jobs whose compute phase ended but whose burst buffer is still
-// draining).
-func (s *Simulator) RunningJobs() int { return len(s.running) }
+// draining): the end and burst-buffer release events pending.
+func (s *Simulator) RunningJobs() int {
+	n := 0
+	for _, ev := range s.events {
+		if ev.r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// held yields what the run holds of the machine: the persistent
+// reservation and every running job's allocation.
+func (s *Simulator) held(yield func(cluster.Allocation) bool) {
+	if !yield(s.reserved) {
+		return
+	}
+	for _, ev := range s.events {
+		if ev.r != nil && !yield(ev.r.alloc) {
+			return
+		}
+	}
+}
 
 // Usage returns the instantaneous resource usage.
 func (s *Simulator) Usage() metrics.Usage { return s.usage }
@@ -591,11 +615,11 @@ func (s *Simulator) Step() (bool, error) {
 				return false, err
 			}
 		case evEnd:
-			if err := s.finish(ev.j); err != nil {
+			if err := s.finish(ev.r); err != nil {
 				return false, err
 			}
 		case evBBRelease:
-			if err := s.releaseBB(ev.j); err != nil {
+			if err := s.releaseBB(ev.r); err != nil {
 				return false, err
 			}
 		}
@@ -679,10 +703,10 @@ func (s *Simulator) Result() (*Result, error) {
 	if !s.Done() {
 		return nil, fmt.Errorf("sim: simulation not drained (%d events pending)", s.events.Len())
 	}
-	if len(s.running) != 0 || s.q.Len() != 0 {
-		return nil, fmt.Errorf("sim: %d running, %d queued after drain", len(s.running), s.q.Len())
+	if s.q.Len() != 0 {
+		return nil, fmt.Errorf("sim: %d queued after drain", s.q.Len())
 	}
-	if err := s.cl.CheckInvariants(); err != nil {
+	if err := s.cl.CheckInvariants(s.held); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// Close the usage integral at the last event time.
@@ -746,11 +770,8 @@ func (s *Simulator) observerErr() error {
 
 // finish completes a running job: its nodes release now; its burst buffer
 // releases now too unless a stage-out phase holds it longer.
-func (s *Simulator) finish(j *job.Job) error {
-	r, ok := s.running[j.ID]
-	if !ok {
-		return fmt.Errorf("sim: job %d finished but not running", j.ID)
-	}
+func (s *Simulator) finish(r *runningJob) error {
+	j := r.j
 	r.end = s.now
 	s.markDone(j.ID)
 	// Per-job metrics cover the jobs submitted inside the measured
@@ -768,27 +789,39 @@ func (s *Simulator) finish(j *job.Job) error {
 		if err := s.timelineRemove(r.release+j.StageOutSec, j.ID); err != nil {
 			return err
 		}
-		if err := s.cl.ReleaseNodes(j.ID); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
+		s.cl.ReleaseNodes(&r.alloc)
 		r.staging = true
 		r.bbRelease = s.now + j.StageOutSec
-		s.timeline.Insert(backfill.Running{ReleaseTime: r.bbRelease, JobID: j.ID, BB: j.Demand.BB()})
-		s.events.push(event{t: r.bbRelease, kind: evBBRelease, j: j})
+		s.planRelease(r)
+		s.events.push(event{t: r.bbRelease, kind: evBBRelease, j: j, r: r})
 		s.observeNodeRelease(r)
 		return s.emitJob("end", j, r.start)
 	}
 	if err := s.timelineRemove(r.release, j.ID); err != nil {
 		return err
 	}
-	delete(s.running, j.ID)
-	if err := s.cl.Release(j.ID); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
+	s.cl.Release(&r.alloc)
 	s.observeNodeRelease(r)
 	s.observeBBRelease(r)
 	s.rjFree = append(s.rjFree, r)
 	return s.emitJob("end", j, r.start)
+}
+
+// planRelease adds r's expected releases to the timeline. A running job
+// gives its nodes (and compute-coupled extras) back at the walltime
+// estimate, and its burst buffer with them or, under stage-out, after the
+// drain; a staging job holds only its burst buffer, until the drain ends.
+func (s *Simulator) planRelease(r *runningJob) {
+	j := r.j
+	switch {
+	case r.staging:
+		s.timeline.Insert(backfill.Running{ReleaseTime: r.bbRelease, JobID: j.ID, BB: j.Demand.BB()})
+	case j.StageOutSec > 0 && j.Demand.BB() > 0:
+		s.timeline.Insert(backfill.Running{ReleaseTime: r.release, JobID: j.ID, NodesByClass: r.alloc.NodesByClass, Extra: r.alloc.Extra})
+		s.timeline.Insert(backfill.Running{ReleaseTime: r.release + j.StageOutSec, JobID: j.ID, BB: j.Demand.BB()})
+	default:
+		s.timeline.Insert(backfill.Running{ReleaseTime: r.release, JobID: j.ID, NodesByClass: r.alloc.NodesByClass, BB: j.Demand.BB(), Extra: r.alloc.Extra})
+	}
 }
 
 // timelineRemove drops one release entry, surfacing timeline/running-set
@@ -801,21 +834,14 @@ func (s *Simulator) timelineRemove(releaseTime int64, jobID int) error {
 }
 
 // releaseBB ends a job's stage-out phase.
-func (s *Simulator) releaseBB(j *job.Job) error {
-	r, ok := s.running[j.ID]
-	if !ok || !r.staging {
-		return fmt.Errorf("sim: job %d has no staging burst buffer", j.ID)
-	}
-	if err := s.timelineRemove(r.bbRelease, j.ID); err != nil {
+func (s *Simulator) releaseBB(r *runningJob) error {
+	if err := s.timelineRemove(r.bbRelease, r.j.ID); err != nil {
 		return err
 	}
-	delete(s.running, j.ID)
-	if err := s.cl.Release(j.ID); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
+	s.cl.Release(&r.alloc)
 	s.observeBBRelease(r)
 	s.rjFree = append(s.rjFree, r)
-	return s.emitJob("bb_release", j, r.start)
+	return s.emitJob("bb_release", r.j, r.start)
 }
 
 func (s *Simulator) observeStart(r *runningJob) {
@@ -940,22 +966,8 @@ func (s *Simulator) start(j *job.Job) error {
 		r = new(runningJob)
 	}
 	*r = runningJob{j: j, alloc: alloc, release: s.now + j.WalltimeEst, start: s.now, end: -1, age: age}
-	s.running[j.ID] = r
-	if j.StageOutSec > 0 && j.Demand.BB() > 0 {
-		// Stage-out: nodes (and compute-coupled extras) are expected back
-		// at the walltime estimate, the burst buffer after the drain.
-		s.timeline.Insert(backfill.Running{ReleaseTime: r.release, JobID: j.ID, NodesByClass: alloc.NodesByClass, Extra: alloc.Extra})
-		s.timeline.Insert(backfill.Running{ReleaseTime: r.release + j.StageOutSec, JobID: j.ID, BB: j.Demand.BB()})
-	} else {
-		s.timeline.Insert(backfill.Running{
-			ReleaseTime:  r.release,
-			JobID:        j.ID,
-			NodesByClass: alloc.NodesByClass,
-			BB:           j.Demand.BB(),
-			Extra:        alloc.Extra,
-		})
-	}
-	s.events.push(event{t: s.now + j.Runtime, kind: evEnd, j: j})
+	s.planRelease(r)
+	s.events.push(event{t: s.now + j.Runtime, kind: evEnd, j: j, r: r})
 	s.observeStart(r)
 	return s.emitJob("start", j, s.now)
 }
