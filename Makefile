@@ -76,7 +76,10 @@ examples-smoke:
 # post-checkpoint) must still assemble a grid identical to serial
 # RunSweep — now also covering speculative duplicate leases
 # (first-result-wins), checkpoint-relay segment assembly, journal
-# crash/replay, and content-addressed cache hits; plus the checkpoint
+# crash/replay, content-addressed cache hits, the raw-checkpoint route
+# (TestFarmCheckpointRoute: bad query, old JSON body, empty, stale and
+# over-cap uploads) and per-worker recipe reuse
+# (TestFarmWorkerBuildsEachRecipeOnce); plus the checkpoint
 # golden-equivalence (its -short set includes theta-wfp-s4/Weighted_LP,
 # the LP run a restore at every event must reproduce), version-skew and
 # pinned-wire-bytes tests.

@@ -230,7 +230,7 @@ var (
 )
 
 // Distributed sweep farm: a coordinator shards a workloads × methods ×
-// solvers × seeds grid onto FarmWorkers over HTTP/JSON, retrying failed or
+// solvers × seeds grid onto FarmWorkers over HTTP, retrying failed or
 // preempted cells from their last uploaded checkpoint, and assembles
 // results in grid order identical to a serial RunSweep.
 type (

@@ -1,6 +1,6 @@
 // Command sweepd is the distributed sweep farm: a coordinator that
 // shards a workloads × methods × solvers × seeds grid onto workers over
-// HTTP/JSON, and the worker that executes leased cells — resuming from
+// HTTP, and the worker that executes leased cells — resuming from
 // the coordinator's last stored checkpoint after a failure.
 //
 // The grid is a JSON farm.Grid (see -print-grid for a template). Every

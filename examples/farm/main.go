@@ -4,7 +4,7 @@
 // checkpoint.
 //
 // Everything here runs in one process — a localhost coordinator and a
-// few worker goroutines — but the workers only talk HTTP/JSON, so the
+// few worker goroutines — but the workers only talk HTTP, so the
 // same code spans machines by pointing FarmWorker.Coordinator at a
 // remote URL (or running `sweepd -coordinator`). Three acts:
 //

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -25,7 +27,9 @@ const (
 	cellSkipped
 )
 
-// Wire messages. Checkpoints travel as JSON []byte (base64).
+// Wire messages. Every route but /checkpoint carries a JSON body; a
+// snapshot upload is the raw snapshot bytes, with the rest of its
+// CheckpointMsg in the query string (see Handler).
 
 // LeaseRequest asks for work.
 type LeaseRequest struct {
@@ -53,13 +57,15 @@ type LeaseResponse struct {
 
 // CheckpointMsg uploads a mid-run snapshot; accepting it renews the lease.
 // Terminal marks a relay segment's boundary snapshot: accepting it
-// finishes the segment and makes the next one leasable immediately.
+// finishes the segment and makes the next one leasable immediately. On
+// the wire Data is the request body and the other fields are query
+// parameters.
 type CheckpointMsg struct {
-	Cell     int    `json:"cell"`
-	Attempt  int    `json:"attempt"`
-	Worker   string `json:"worker"`
-	Data     []byte `json:"data"`
-	Terminal bool   `json:"terminal,omitempty"`
+	Cell     int
+	Attempt  int
+	Worker   string
+	Data     []byte
+	Terminal bool
 }
 
 // ResultMsg reports a completed cell.
@@ -334,9 +340,13 @@ func (c *Coordinator) Close() error {
 // Handler returns the coordinator's HTTP API:
 //
 //	POST /lease      LeaseRequest  → LeaseResponse
-//	POST /checkpoint CheckpointMsg → Ack
+//	POST /checkpoint?cell=&attempt=&worker=[&terminal=1]
+//	                 snapshot bytes → Ack
 //	POST /result     ResultMsg     → Ack
 //	POST /fail       FailMsg       → Ack
+//
+// A /checkpoint body is the snapshot itself, sent as
+// application/octet-stream; every other body and every reply is JSON.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
@@ -347,8 +357,8 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, c.lease(req.Worker))
 	})
 	mux.HandleFunc("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		var msg CheckpointMsg
-		if !decodeBody(w, r, &msg) {
+		msg, ok := readCheckpoint(w, r)
+		if !ok {
 			return
 		}
 		writeJSON(w, Ack{Stale: !c.acceptCheckpoint(msg)})
@@ -374,13 +384,53 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps every request body the coordinator reads.
+const maxBodyBytes = 256 << 20
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}
 	return true
+}
+
+// readCheckpoint parses a raw snapshot upload: the message fields from
+// the query string, the snapshot from the body. The body must declare its
+// length, which is checked against the cap before any of it is read and
+// sizes the one buffer it is read into.
+func readCheckpoint(w http.ResponseWriter, r *http.Request) (CheckpointMsg, bool) {
+	if ct := r.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		http.Error(w, fmt.Sprintf("checkpoint body has content type %q, want application/octet-stream", ct), http.StatusUnsupportedMediaType)
+		return CheckpointMsg{}, false
+	}
+	q := r.URL.Query()
+	msg := CheckpointMsg{Worker: q.Get("worker")}
+	var errCell, errAttempt, errTerminal error
+	msg.Cell, errCell = strconv.Atoi(q.Get("cell"))
+	msg.Attempt, errAttempt = strconv.Atoi(q.Get("attempt"))
+	if t := q.Get("terminal"); t != "" {
+		msg.Terminal, errTerminal = strconv.ParseBool(t)
+	}
+	if err := errors.Join(errCell, errAttempt, errTerminal); err != nil {
+		http.Error(w, fmt.Sprintf("bad checkpoint query: %v", err), http.StatusBadRequest)
+		return CheckpointMsg{}, false
+	}
+	switch {
+	case r.ContentLength < 0:
+		http.Error(w, "checkpoint body without a Content-Length", http.StatusLengthRequired)
+		return CheckpointMsg{}, false
+	case r.ContentLength > maxBodyBytes:
+		http.Error(w, fmt.Sprintf("checkpoint body of %d bytes exceeds %d", r.ContentLength, maxBodyBytes), http.StatusRequestEntityTooLarge)
+		return CheckpointMsg{}, false
+	}
+	msg.Data = make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, msg.Data); err != nil {
+		http.Error(w, fmt.Sprintf("bad checkpoint body: %v", err), http.StatusBadRequest)
+		return CheckpointMsg{}, false
+	}
+	return msg, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,8 +1,9 @@
 // Package farm is the distributed sweep service: a coordinator that
 // shards a workloads × methods × solvers × seeds grid of simulation runs
-// onto workers over HTTP/JSON, streams per-run Reports back, and retries
+// onto workers over HTTP, streams per-run Reports back, and retries
 // failed or preempted workers by resuming from their last uploaded
-// simulator checkpoint (internal/checkpoint).
+// simulator checkpoint (internal/checkpoint). Leases, results and
+// failures travel as JSON; a checkpoint upload is the raw snapshot bytes.
 //
 // Every run is deterministic in its grid cell — the workload is rebuilt
 // from a generation recipe, the method from the registry, the engine from
@@ -12,6 +13,8 @@
 // of worker count, scheduling, or mid-run failures. Checkpoint resume
 // rides on the engine's bit-identical restore guarantee: a cell retried
 // from a snapshot produces the same Report as one run uninterrupted.
+// Jobs are read-only, so a worker builds a materialized recipe once and
+// runs every consecutive cell of that workload over the same jobs.
 package farm
 
 import (

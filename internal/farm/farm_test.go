@@ -257,6 +257,49 @@ func TestFarmSingleWorkerMatchesSerial(t *testing.T) {
 	compareRuns(t, got, want)
 }
 
+// TestFarmWorkerBuildsEachRecipeOnce: one worker sweeping a grid in its
+// workload-major order builds each materialized workload once and shares
+// it across that workload's cells, and opens a stream-backed workload's
+// source afresh for every cell; either way the grid equals serial
+// RunSweep.
+func TestFarmWorkerBuildsEachRecipeOnce(t *testing.T) {
+	sys := trace.Scale(trace.Cori(), 128)
+	g := Grid{
+		Workloads: []WorkloadSpec{
+			{Name: "farm-mat-a", Gen: trace.GenConfig{System: sys, Jobs: 40, Seed: 5}, Variant: "S2", VariantSeed: 11},
+			{Name: "farm-mat-b", Gen: trace.GenConfig{System: sys, Jobs: 40, Seed: 8}},
+		},
+		Methods: []MethodSpec{
+			{Name: "Baseline", GA: testGA()},
+			{Name: "Bin_Packing", GA: testGA()},
+		},
+		Seeds:            []uint64{3, 4},
+		Opts:             RunOptions{Window: 5, StarvationBound: 50, Measure: "full"},
+		CheckpointEvents: 5,
+	}
+	sweep := func(g Grid) WorkerStats {
+		t.Helper()
+		coord, err := NewCoordinator(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &Worker{ID: "solo", Poll: 10 * time.Millisecond}
+		compareRuns(t, runFarm(t, coord, []*Worker{w}, time.Minute), serialReference(t, g))
+		return w.Stats()
+	}
+	if st := sweep(g); st.Builds != 2 {
+		t.Errorf("Builds = %d over 8 cells of 2 materialized workloads, want 2", st.Builds)
+	}
+
+	g.Workloads = append(g.Workloads, WorkloadSpec{
+		Name: "farm-stream", Gen: trace.GenConfig{System: sys, Jobs: 50, Seed: 6}, Stream: true,
+	})
+	streamCells := len(g.Methods) * len(g.Seeds)
+	if st := sweep(g); st.Builds != 2+streamCells {
+		t.Errorf("Builds = %d with a stream workload of %d cells, want %d", st.Builds, streamCells, 2+streamCells)
+	}
+}
+
 // TestFarmWaitCancellationDrains: cancelling Wait returns the full grid
 // in grid order with unfinished cells marked Canceled — mirroring
 // sim.RunSweep's drain contract.

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -32,6 +33,10 @@ type WorkerStats struct {
 	CacheHits, CacheStores int
 	// Segments counts relay-segment terminal snapshots uploaded.
 	Segments int
+	// Builds counts workloads made from a recipe: each materialized
+	// workload built (a run of cells sharing one recipe builds it once)
+	// and each stream source opened (once per attempt, never reused).
+	Builds int
 	// TransientRetries counts transient coordinator-transport failures
 	// absorbed by backoff instead of killing the worker.
 	TransientRetries int
@@ -39,7 +44,11 @@ type WorkerStats struct {
 
 // Worker leases grid cells from a coordinator, runs them to completion —
 // resuming from the lease's checkpoint when one is attached — and posts
-// periodic checkpoints and final results back.
+// periodic checkpoints and final results back. It keeps the last
+// materialized workload it built and reuses it for the next cell with the
+// same WorkloadSpec, which the grid's workload-major order makes the usual
+// case. One Worker value runs one Run loop at a time; start another Worker
+// for more parallelism.
 type Worker struct {
 	// Coordinator is the coordinator's base URL.
 	Coordinator string
@@ -67,6 +76,12 @@ type Worker struct {
 
 	mu    sync.Mutex
 	stats WorkerStats
+
+	// built is the last materialized workload and builtSpec the canonical
+	// JSON of the WorkloadSpec it was built from. Jobs are read-only, so
+	// every run over the recipe shares them.
+	builtSpec []byte
+	built     trace.Workload
 }
 
 // Stats returns a snapshot of the worker's counters.
@@ -206,7 +221,8 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 }
 
 // buildSimulator rebuilds the cell's run from its recipe — and from the
-// lease's checkpoint when the cell is being resumed.
+// lease's checkpoint when the cell is being resumed. A materialized
+// workload comes from materialize; a stream source is opened fresh.
 func (w *Worker) buildSimulator(lease LeaseResponse) (*sim.Simulator, error) {
 	cell := lease.Spec
 	opts, err := cell.Opts.Options()
@@ -222,11 +238,12 @@ func (w *Worker) buildSimulator(lease LeaseResponse) (*sim.Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
+		w.bump(func(st *WorkerStats) { st.Builds++ })
 		wl = shell
 		src = opened
 		opts = append(opts, sim.WithSource(src), sim.WithStreamingMetrics())
 	} else {
-		built, err := cell.Workload.Build()
+		built, err := w.materialize(cell.Workload)
 		if err != nil {
 			return nil, err
 		}
@@ -257,6 +274,25 @@ func (w *Worker) buildSimulator(lease LeaseResponse) (*sim.Simulator, error) {
 	return s, nil
 }
 
+// materialize returns the workload ws builds, building it only when ws
+// differs from the recipe of the last one built.
+func (w *Worker) materialize(ws WorkloadSpec) (trace.Workload, error) {
+	spec, err := json.Marshal(ws)
+	if err != nil {
+		return trace.Workload{}, fmt.Errorf("farm: workload %q: %w", ws.Name, err)
+	}
+	if bytes.Equal(spec, w.builtSpec) {
+		return w.built, nil
+	}
+	built, err := ws.Build()
+	if err != nil {
+		return trace.Workload{}, err
+	}
+	w.bump(func(st *WorkerStats) { st.Builds++ })
+	w.builtSpec, w.built = spec, built
+	return built, nil
+}
+
 // uploadSnapshot checkpoints the run and posts it — terminally for a
 // finished relay segment. A stale ack means the lease was reaped,
 // re-issued, or beaten by a speculative twin, so the cell is abandoned.
@@ -265,10 +301,16 @@ func (w *Worker) uploadSnapshot(ctx context.Context, lease LeaseResponse, s *sim
 	if err := s.Checkpoint(&buf); err != nil {
 		return w.reportFailure(ctx, lease, err)
 	}
+	q := url.Values{
+		"cell":    {strconv.Itoa(lease.Cell)},
+		"attempt": {strconv.Itoa(lease.Attempt)},
+		"worker":  {w.ID},
+	}
+	if terminal {
+		q.Set("terminal", "1")
+	}
 	var ack Ack
-	if err := w.post(ctx, "/checkpoint", CheckpointMsg{
-		Cell: lease.Cell, Attempt: lease.Attempt, Worker: w.ID, Data: buf.Bytes(), Terminal: terminal,
-	}, &ack); err != nil {
+	if err := w.send(ctx, "/checkpoint?"+q.Encode(), "application/octet-stream", buf.Bytes(), &ack); err != nil {
 		return err
 	}
 	if ack.Stale {
@@ -310,22 +352,27 @@ func transient(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// post sends one JSON request to the coordinator and decodes the reply,
-// absorbing transient failures with bounded exponential backoff and
-// jitter (the jitter de-synchronizes a fleet of workers retrying into a
-// restarting coordinator).
+// post sends one JSON request to the coordinator and decodes the reply.
 func (w *Worker) post(ctx context.Context, path string, msg, reply any) error {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return fmt.Errorf("farm: encoding %s: %w", path, err)
 	}
+	return w.send(ctx, path, "application/json", body, reply)
+}
+
+// send posts body to the coordinator and decodes the JSON reply,
+// absorbing transient failures with bounded exponential backoff and
+// jitter (the jitter de-synchronizes a fleet of workers retrying into a
+// restarting coordinator).
+func (w *Worker) send(ctx context.Context, path, contentType string, body []byte, reply any) error {
 	maxRetries := w.MaxRetries
 	if maxRetries <= 0 {
 		maxRetries = 6
 	}
 	delay := 50 * time.Millisecond
 	for try := 0; ; try++ {
-		err := w.postOnce(ctx, path, body, reply)
+		err := w.postOnce(ctx, path, contentType, body, reply)
 		if err == nil || ctx.Err() != nil || try >= maxRetries || !transient(err) {
 			return err
 		}
@@ -345,12 +392,12 @@ func (w *Worker) post(ctx context.Context, path string, msg, reply any) error {
 	}
 }
 
-func (w *Worker) postOnce(ctx context.Context, path string, body []byte, reply any) error {
+func (w *Worker) postOnce(ctx context.Context, path, contentType string, body []byte, reply any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("farm: %s: %w", path, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	client := w.Client
 	if client == nil {
 		client = http.DefaultClient

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"time"
 
 	"bbsched/internal/checkpoint"
@@ -104,9 +103,7 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 			},
 		})
 	}
-	sort.Slice(snap.Events, func(a, b int) bool {
-		return eventRecordLess(snap.Events[a], snap.Events[b])
-	})
+	slices.SortFunc(snap.Events, compareEventRecords)
 	slices.SortFunc(snap.Running, func(a, b checkpoint.RunningRecord) int { return cmp.Compare(a.JobID, b.JobID) })
 	slices.SortFunc(snap.Jobs, func(a, b checkpoint.JobRecord) int { return cmp.Compare(a.ID, b.ID) })
 
@@ -132,7 +129,7 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	for id := range s.doneSparse {
 		snap.DoneSparse = append(snap.DoneSparse, int64(id))
 	}
-	sort.Slice(snap.DoneSparse, func(a, b int) bool { return snap.DoneSparse[a] < snap.DoneSparse[b] })
+	slices.Sort(snap.DoneSparse)
 	return snap
 }
 
@@ -326,7 +323,7 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if ev.Kind < evEnd || ev.Kind > evArrive {
 			return fmt.Errorf("snapshot event %d has unknown kind %d", i, ev.Kind)
 		}
-		if i > 0 && !eventRecordLess(snap.Events[i-1], ev) {
+		if i > 0 && compareEventRecords(snap.Events[i-1], ev) >= 0 {
 			return fmt.Errorf("snapshot events out of order at index %d", i)
 		}
 		if ev.Kind == evArrive {
@@ -509,14 +506,8 @@ func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64) (*job.Job
 	return j, nil
 }
 
-func eventRecordLess(a, b checkpoint.EventRecord) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.JobID < b.JobID
+func compareEventRecords(a, b checkpoint.EventRecord) int {
+	return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.JobID, b.JobID))
 }
 
 func intsToI64(xs []int) []int64 {

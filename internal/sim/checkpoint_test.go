@@ -576,15 +576,7 @@ func endEvent(s *checkpoint.Snapshot, id int64) int {
 
 // sortEvents puts a mutated snapshot's events back in their stored order.
 func sortEvents(s *checkpoint.Snapshot) {
-	slices.SortFunc(s.Events, func(a, b checkpoint.EventRecord) int {
-		switch {
-		case eventRecordLess(a, b):
-			return -1
-		case eventRecordLess(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(s.Events, compareEventRecords)
 }
 
 // jobByID returns the snapshot's record of one job.
@@ -652,7 +644,7 @@ func midRunSnapshot(tb testing.TB, jobs int) (trace.Workload, *Simulator, []byte
 // TestCheckpointAllocs holds the allocation counts of encoding, decoding
 // and restoring a mid-run snapshot of the 2 000-job throughput trace.
 // Allocation counts do not depend on the machine, so each ceiling is the
-// count measured when it was set (177, 450 and 598) plus 20%. The
+// count measured when it was set (172, 450 and 598) plus 20%. The
 // snapshot holds 138 jobs, so one more allocation per snapshot record
 // crosses every ceiling. Restore shares the workload's jobs: it builds the
 // engine and the state of the jobs in flight, not a copy of the 2 000.
@@ -667,7 +659,7 @@ func TestCheckpointAllocs(t *testing.T) {
 		ceiling float64
 		op      func() error
 	}{
-		{"encode", 213, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
+		{"encode", 207, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
 		{"decode", 540, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
 		{"restore", 718, func() error {
 			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(data), WithSeed(1))
