@@ -78,8 +78,11 @@ examples-smoke:
 # (first-result-wins), checkpoint-relay segment assembly, journal
 # crash/replay, content-addressed cache hits, the raw-checkpoint route
 # (TestFarmCheckpointRoute: bad query, old JSON body, empty, stale and
-# over-cap uploads) and per-worker recipe reuse
-# (TestFarmWorkerBuildsEachRecipeOnce); plus the checkpoint
+# over-cap uploads), per-worker recipe reuse
+# (TestFarmWorkerBuildsEachRecipeOnce), the coordinator's state machine
+# driven at chosen instants with its journal replayed
+# (TestFarmMachineTransitions) and a refused journal write
+# (TestFarmJournalWriteFailure); plus the checkpoint
 # golden-equivalence (its -short set includes theta-wfp-s4/Weighted_LP,
 # the LP run a restore at every event must reproduce), version-skew and
 # pinned-wire-bytes tests.

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,20 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"bbsched/internal/registry"
 	"bbsched/internal/sim"
-)
-
-// Cell lifecycle states.
-const (
-	cellPending = iota
-	cellLeased
-	cellDone
-	cellFailed
-	// cellSkipped marks a cell that can never run — an incompatible
-	// method×solver pair — decided at coordinator construction. Skipped
-	// cells are never leased and assemble with SweepRun.Skipped set.
-	cellSkipped
 )
 
 // Wire messages. Every route but /checkpoint carries a JSON body; a
@@ -116,64 +104,19 @@ type Stats struct {
 	Replayed int
 }
 
-// lease is one live grant of a cell (or relay segment) to a worker. With
-// speculation a cell can carry two concurrent leases; the first accepted
-// result or terminal snapshot wins and the loser's messages go stale.
-type lease struct {
-	attempt  int
-	worker   string
-	started  time.Time
-	deadline time.Time
-	steal    bool
-	segEnd   int
-}
-
-type cellRun struct {
-	spec Cell
-	// key is the cell's content-addressed recipe key; aliasOf is the
-	// lowest grid index sharing it (== own index for the canonical copy).
-	// Aliases are never leased — they complete when the canonical cell
-	// does, so duplicate cells in one grid simulate exactly once.
-	key     string
-	aliasOf int
-	state   int
-	// attempt is the monotone lease counter (attempt IDs gate stale
-	// messages); failures counts failed or expired attempts and is what
-	// MaxAttempts bounds — relay segments and speculative twins inflate
-	// attempt, never failures.
-	attempt  int
-	failures int
-	requeued bool
-	leases   []lease
-	// checkpoint is the latest uploaded snapshot; for relay cells, the
-	// last segment boundary. segDone counts completed relay segments.
-	checkpoint []byte
-	relay      bool
-	segDone    int
-	result     *sim.Result
-	lastErr    error
-}
-
 // Coordinator owns a grid sweep: it leases cells to workers, collects
 // checkpoints and results, requeues failed or expired attempts (resuming
 // from the last checkpoint), duplicates tail leases onto idle workers,
 // relays giant stream cells segment by segment, and assembles the
-// grid-ordered results.
+// grid-ordered results. It serializes the calls on its machine, reads
+// the clock, writes the journal and serves HTTP.
 type Coordinator struct {
-	grid        Grid
-	leaseTTL    time.Duration
-	maxAttempts int
-	speculate   bool
 	journalPath string
 
-	mu       sync.Mutex
-	cells    []cellRun
-	open     int // cells not yet done
-	stats    Stats
-	failErr  error
+	mu       sync.Mutex // guards m and journal
+	m        machine
 	journal  *journal
-	finished chan struct{}
-	wake     chan struct{}
+	finished chan struct{} // closed once the machine has drained
 	once     sync.Once
 }
 
@@ -183,13 +126,13 @@ type CoordinatorOption func(*Coordinator)
 // WithLeaseTTL sets how long a worker may hold a cell without renewing
 // (a checkpoint upload renews). Default 60s.
 func WithLeaseTTL(d time.Duration) CoordinatorOption {
-	return func(c *Coordinator) { c.leaseTTL = d }
+	return func(c *Coordinator) { c.m.leaseTTL = d }
 }
 
 // WithMaxAttempts bounds failed attempts per cell before the sweep
 // fails. Default 3.
 func WithMaxAttempts(n int) CoordinatorOption {
-	return func(c *Coordinator) { c.maxAttempts = n }
+	return func(c *Coordinator) { c.m.maxAttempts = n }
 }
 
 // WithSpeculation toggles tail work-stealing: when a worker asks for
@@ -199,7 +142,7 @@ func WithMaxAttempts(n int) CoordinatorOption {
 // both attempts compute the same answer and the first one in wins — so
 // speculation only moves the tail off stragglers. Default on.
 func WithSpeculation(enabled bool) CoordinatorOption {
-	return func(c *Coordinator) { c.speculate = enabled }
+	return func(c *Coordinator) { c.m.speculate = enabled }
 }
 
 // WithJournal persists terminal cell state (results and relay-segment
@@ -218,110 +161,37 @@ func NewCoordinator(g Grid, opts ...CoordinatorOption) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		grid:        g,
-		leaseTTL:    60 * time.Second,
-		maxAttempts: 3,
-		speculate:   true,
-		finished:    make(chan struct{}),
-		wake:        make(chan struct{}, 1),
+		m:        machine{grid: g, leaseTTL: 60 * time.Second, maxAttempts: 3, speculate: true},
+		finished: make(chan struct{}),
 	}
 	for _, apply := range opts {
 		apply(c)
 	}
-	if c.leaseTTL <= 0 {
-		return nil, fmt.Errorf("farm: non-positive lease TTL %v", c.leaseTTL)
+	if c.m.leaseTTL <= 0 {
+		return nil, fmt.Errorf("farm: non-positive lease TTL %v", c.m.leaseTTL)
 	}
-	if c.maxAttempts < 1 {
-		return nil, fmt.Errorf("farm: max attempts %d < 1", c.maxAttempts)
+	if c.m.maxAttempts < 1 {
+		return nil, fmt.Errorf("farm: max attempts %d < 1", c.m.maxAttempts)
 	}
-	// Probe each method×solver×machine pairing once and mark every cell of
-	// an incompatible pairing skipped up front: it is excluded from the
-	// open count, never leased, and assembles with Skipped set — the grid
-	// analogue of `bbsim -sweep all -solver` noting and skipping the pair.
-	type pairing struct {
-		method, solver, clusterName string
+	if err := c.m.addCells(); err != nil {
+		return nil, err
 	}
-	incompat := map[pairing]error{}
-	keyOwner := map[string]int{}
-	for idx, cell := range g.Cells() {
-		cr := cellRun{spec: cell, aliasOf: idx}
-		rkey, err := RecipeKey(cell)
+	if c.journalPath != "" {
+		j, recs, err := openJournal(c.journalPath, gridSHA(g))
 		if err != nil {
 			return nil, err
 		}
-		cr.key = rkey
-		pkey := pairing{cell.Method.Name, cell.Solver, cell.Workload.Gen.System.Cluster.Name}
-		skip, probed := incompat[pkey]
-		if !probed {
-			if _, err := cell.Method.Build(cell.Workload.Gen.System.Cluster, cell.Solver); errors.Is(err, registry.ErrIncompatibleSolver) {
-				skip = err
+		for _, rec := range recs {
+			if err := c.m.apply(rec); err != nil {
+				j.f.Close()
+				return nil, fmt.Errorf("farm: journal %s: %w", c.journalPath, err)
 			}
-			incompat[pkey] = skip
 		}
-		if skip != nil {
-			cr.state = cellSkipped
-			cr.lastErr = skip
-		}
-		if cr.state == cellPending {
-			if owner, dup := keyOwner[rkey]; dup {
-				cr.aliasOf = owner
-			} else {
-				keyOwner[rkey] = idx
-			}
-			cr.relay = g.relayCell(cell.Workload)
-			c.open++
-		}
-		c.cells = append(c.cells, cr)
+		c.journal = j
 	}
-	if err := c.replayJournal(); err != nil {
-		return nil, err
-	}
-	if c.open == 0 {
-		// Every cell skipped (or replayed): the sweep is trivially drained.
-		c.once.Do(func() { close(c.finished) })
-	}
+	// Every cell skipped (or replayed): the sweep is trivially drained.
+	c.settleLocked()
 	return c, nil
-}
-
-// replayJournal opens the configured journal, restores completed cells
-// and relay-segment progress from a previous coordinator's records, and
-// fans replayed results out to in-grid aliases.
-func (c *Coordinator) replayJournal() error {
-	if c.journalPath == "" {
-		return nil
-	}
-	j, recs, err := openJournal(c.journalPath, gridSHA(c.grid))
-	if err != nil {
-		return err
-	}
-	c.journal = j
-	for _, rec := range recs {
-		if rec.Cell < 0 || rec.Cell >= len(c.cells) {
-			return fmt.Errorf("farm: journal %s: cell %d out of range", c.journalPath, rec.Cell)
-		}
-		cell := &c.cells[rec.Cell]
-		switch rec.Kind {
-		case "result":
-			if cell.state != cellPending || cell.aliasOf != rec.Cell {
-				continue
-			}
-			var res sim.Result
-			if err := json.Unmarshal(rec.Result, &res); err != nil {
-				return fmt.Errorf("farm: journal %s: cell %d result: %w", c.journalPath, rec.Cell, err)
-			}
-			c.stats.Replayed++
-			c.completeLocked(rec.Cell, &res, false)
-		case "segment":
-			if cell.state != cellPending || rec.SegDone <= cell.segDone {
-				continue
-			}
-			cell.segDone = rec.SegDone
-			cell.checkpoint = rec.Checkpoint
-		default:
-			return fmt.Errorf("farm: journal %s: unknown record kind %q", c.journalPath, rec.Kind)
-		}
-	}
-	return nil
 }
 
 // Close releases the coordinator journal, if any. The coordinator itself
@@ -332,9 +202,9 @@ func (c *Coordinator) Close() error {
 	if c.journal == nil {
 		return nil
 	}
-	j := c.journal
+	f := c.journal.f
 	c.journal = nil
-	return j.close()
+	return f.Close()
 }
 
 // Handler returns the coordinator's HTTP API:
@@ -361,7 +231,8 @@ func (c *Coordinator) Handler() http.Handler {
 		if !ok {
 			return
 		}
-		writeJSON(w, Ack{Stale: !c.acceptCheckpoint(msg)})
+		live, err := c.acceptCheckpoint(msg)
+		writeAck(w, live, err)
 	})
 	mux.HandleFunc("POST /result", func(w http.ResponseWriter, r *http.Request) {
 		var msg ResultMsg
@@ -372,14 +243,15 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "result message without a result", http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, Ack{Stale: !c.acceptResult(msg)})
+		live, err := c.acceptResult(msg)
+		writeAck(w, live, err)
 	})
 	mux.HandleFunc("POST /fail", func(w http.ResponseWriter, r *http.Request) {
 		var msg FailMsg
 		if !decodeBody(w, r, &msg) {
 			return
 		}
-		writeJSON(w, Ack{Stale: !c.acceptFailure(msg)})
+		writeAck(w, c.acceptFailure(msg), nil)
 	})
 	return mux
 }
@@ -438,279 +310,65 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// lease reaps expired leases and grants the lowest-indexed runnable
-// pending cell. When nothing is pending but work is still in flight —
-// the grid tail — it speculatively duplicates the oldest single-leased
-// cell onto the idle worker instead of sending it away empty-handed.
-func (c *Coordinator) lease(worker string) LeaseResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reapLocked(time.Now())
-	if c.open == 0 || c.failErr != nil {
-		return LeaseResponse{Done: true, Cell: -1}
-	}
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.state != cellPending || cell.aliasOf != i {
-			continue
-		}
-		return c.grantLocked(i, worker, false)
-	}
-	if c.speculate {
-		if i := c.stealCandidateLocked(worker); i >= 0 {
-			c.stats.Steals++
-			return c.grantLocked(i, worker, true)
-		}
-	}
-	return LeaseResponse{Cell: -1}
-}
-
-// grantLocked issues a lease on cell i. A speculative grant duplicates
-// the primary lease's segment target and resumes from the latest
-// checkpoint; a normal grant on a relay cell targets the next segment
-// boundary.
-func (c *Coordinator) grantLocked(i int, worker string, steal bool) LeaseResponse {
-	cell := &c.cells[i]
-	cell.attempt++
-	segEnd := 0
-	if steal {
-		segEnd = cell.leases[0].segEnd
-	} else if cell.relay {
-		segEnd = (cell.segDone + 1) * c.grid.RelayJobs
-	}
-	now := time.Now()
-	cell.leases = append(cell.leases, lease{
-		attempt:  cell.attempt,
-		worker:   worker,
-		started:  now,
-		deadline: now.Add(c.leaseTTL),
-		steal:    steal,
-		segEnd:   segEnd,
-	})
-	cell.state = cellLeased
-	if !steal && cell.requeued {
-		c.stats.Retries++
-		if len(cell.checkpoint) > 0 {
-			c.stats.Resumes++
-		}
-		cell.requeued = false
-	}
-	return LeaseResponse{
-		Cell:             i,
-		Attempt:          cell.attempt,
-		Spec:             cell.spec,
-		CheckpointEvents: c.grid.CheckpointEvents,
-		Checkpoint:       cell.checkpoint,
-		LeaseMillis:      c.leaseTTL.Milliseconds(),
-		SegmentEnd:       segEnd,
-	}
-}
-
-// maxCellLeases caps concurrent attempts per cell: one primary plus up
-// to two speculative twins. Enough for a small fleet to gang up on the
-// last straggling cell (or one giant relay segment) without letting a
-// large fleet burn itself redundantly on a single lease.
-const maxCellLeases = 3
-
-// stealCandidateLocked picks the in-flight cell with the oldest primary
-// lease that still has twin capacity and no lease held by the requesting
-// worker, or -1.
-func (c *Coordinator) stealCandidateLocked(worker string) int {
-	best := -1
-	var bestStart time.Time
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.state != cellLeased || len(cell.leases) >= maxCellLeases {
-			continue
-		}
-		mine := false
-		for _, l := range cell.leases {
-			if l.worker == worker {
-				mine = true
-				break
-			}
-		}
-		if mine {
-			continue
-		}
-		if start := cell.leases[0].started; best < 0 || start.Before(bestStart) {
-			best, bestStart = i, start
-		}
-	}
-	return best
-}
-
-// leaseIndexLocked resolves (cell, attempt) to the index of the live
-// lease it references, or -1 when the message is stale.
-func (c *Coordinator) leaseIndexLocked(cell, attempt int) int {
-	if cell < 0 || cell >= len(c.cells) || c.cells[cell].state != cellLeased {
-		return -1
-	}
-	for li, l := range c.cells[cell].leases {
-		if l.attempt == attempt {
-			return li
-		}
-	}
-	return -1
-}
-
-func (c *Coordinator) acceptCheckpoint(msg CheckpointMsg) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	li := c.leaseIndexLocked(msg.Cell, msg.Attempt)
-	if li < 0 || len(msg.Data) == 0 {
-		return false
-	}
-	cell := &c.cells[msg.Cell]
-	if msg.Terminal {
-		if !cell.relay {
-			return false
-		}
-		steal := cell.leases[li].steal
-		cell.checkpoint = msg.Data
-		cell.segDone++
-		// Every lease on the old segment — including a speculative twin
-		// still running it — is now stale; the next segment is leasable
-		// immediately, by anyone.
-		cell.leases = nil
-		cell.state = cellPending
-		c.stats.Segments++
-		if steal {
-			c.stats.StealWins++
-		}
-		if c.journal != nil {
-			_ = c.journal.append(journalRec{Kind: "segment", Cell: msg.Cell, SegDone: cell.segDone, Checkpoint: msg.Data})
-		}
-		c.signalWake()
-		return true
-	}
-	cell.checkpoint = msg.Data
-	cell.leases[li].deadline = time.Now().Add(c.leaseTTL)
-	return true
-}
-
-func (c *Coordinator) acceptResult(msg ResultMsg) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	li := c.leaseIndexLocked(msg.Cell, msg.Attempt)
-	if li < 0 {
-		return false
-	}
-	if c.cells[msg.Cell].leases[li].steal {
-		c.stats.StealWins++
-	}
-	c.completeLocked(msg.Cell, msg.Result, true)
-	return true
-}
-
-// completeLocked marks cell i done with res, journals it, and fans the
-// result out to the cell's in-grid aliases (duplicate recipe keys), which
-// were never leased.
-func (c *Coordinator) completeLocked(i int, res *sim.Result, journal bool) {
-	cell := &c.cells[i]
-	cell.state = cellDone
-	cell.result = res
-	cell.leases = nil
-	cell.checkpoint = nil
-	c.open--
-	if journal && c.journal != nil {
-		if data, err := json.Marshal(res); err == nil {
-			_ = c.journal.append(journalRec{Kind: "result", Cell: i, Result: data})
-		}
-	}
-	for j := range c.cells {
-		alias := &c.cells[j]
-		if j == i || alias.aliasOf != i || alias.state != cellPending {
-			continue
-		}
-		alias.state = cellDone
-		alias.result = res
-		c.open--
-		c.stats.Deduped++
-	}
-	if c.open == 0 {
-		c.once.Do(func() { close(c.finished) })
-	}
-	c.signalWake()
-}
-
-func (c *Coordinator) acceptFailure(msg FailMsg) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	li := c.leaseIndexLocked(msg.Cell, msg.Attempt)
-	if li < 0 {
-		return false
-	}
-	c.stats.Failed++
-	cell := &c.cells[msg.Cell]
-	cell.failures++
-	cause := fmt.Errorf("worker %s: %s", msg.Worker, msg.Error)
-	cell.leases = append(cell.leases[:li], cell.leases[li+1:]...)
-	if len(cell.leases) == 0 {
-		c.requeueLocked(msg.Cell, cause)
-	} else {
-		// A twin attempt is still running; it may yet complete the cell.
-		cell.lastErr = cause
-	}
-	return true
-}
-
-// reapLocked drops every lease whose deadline has passed and requeues
-// cells left with no live attempt.
-func (c *Coordinator) reapLocked(now time.Time) {
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.state != cellLeased {
-			continue
-		}
-		var cause error
-		kept := cell.leases[:0]
-		for _, l := range cell.leases {
-			if now.After(l.deadline) {
-				c.stats.Expired++
-				cell.failures++
-				cause = fmt.Errorf("worker %s: lease expired", l.worker)
-				continue
-			}
-			kept = append(kept, l)
-		}
-		cell.leases = kept
-		if cause != nil {
-			cell.lastErr = cause
-			if len(cell.leases) == 0 {
-				c.requeueLocked(i, cause)
-			}
-		}
-	}
-}
-
-// requeueLocked returns a cell to the pending pool for another attempt —
-// keeping its last checkpoint so the retry resumes instead of restarting
-// — or fails the sweep when failed attempts are exhausted.
-func (c *Coordinator) requeueLocked(i int, cause error) {
-	cell := &c.cells[i]
-	cell.lastErr = cause
-	cell.leases = nil
-	if cell.failures >= c.maxAttempts {
-		cell.state = cellFailed
-		if c.failErr == nil {
-			c.failErr = fmt.Errorf("farm: cell %d (%s/%s/seed %d) failed %d attempts: %w",
-				i, cell.spec.Workload.Name, cell.spec.Method.Name, cell.spec.Seed, cell.failures, cause)
-		}
-		c.once.Do(func() { close(c.finished) })
+// writeAck answers an accept: an Ack, or a 500 when the journal could not
+// record it, which the worker retries.
+func writeAck(w http.ResponseWriter, live bool, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	cell.state = cellPending
-	cell.requeued = true
-	c.signalWake()
+	writeJSON(w, Ack{Stale: !live})
 }
 
-// signalWake nudges Wait without blocking (the channel holds one pending
-// wakeup; a second signal while one is queued is redundant anyway).
-func (c *Coordinator) signalWake() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
+// lease grants the worker a cell, or tells it to poll again or stop.
+func (c *Coordinator) lease(worker string) (resp LeaseResponse) {
+	c.step(func(now time.Time) (*journalRec, bool) {
+		resp = c.m.lease(worker, now)
+		return nil, true
+	})
+	return resp
+}
+
+func (c *Coordinator) acceptCheckpoint(msg CheckpointMsg) (bool, error) {
+	return c.step(func(now time.Time) (*journalRec, bool) { return c.m.checkpoint(msg, now) })
+}
+
+func (c *Coordinator) acceptResult(msg ResultMsg) (bool, error) {
+	return c.step(func(time.Time) (*journalRec, bool) { return c.m.result(msg) })
+}
+
+// acceptFailure cannot fail: a failure is not journaled.
+func (c *Coordinator) acceptFailure(msg FailMsg) bool {
+	live, _ := c.step(func(time.Time) (*journalRec, bool) { return nil, c.m.fail(msg) })
+	return live
+}
+
+// step runs one transition on the machine at the current instant. The
+// record it returns, if any, is journaled and only then applied: a failed
+// write returns its error and leaves the machine as it was, so the
+// worker's retry can still commit.
+func (c *Coordinator) step(transition func(now time.Time) (*journalRec, bool)) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, live := transition(time.Now())
+	if rec != nil {
+		if c.journal != nil {
+			if err := c.journal.append(*rec); err != nil {
+				return false, err
+			}
+		}
+		if err := c.m.apply(*rec); err != nil {
+			return false, err
+		}
+	}
+	c.settleLocked()
+	return live, nil
+}
+
+// settleLocked closes finished once the machine has drained.
+func (c *Coordinator) settleLocked() {
+	if c.m.drained() {
+		c.once.Do(func() { close(c.finished) })
 	}
 }
 
@@ -718,32 +376,25 @@ func (c *Coordinator) signalWake() {
 func (c *Coordinator) Progress() (done, total int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cells) - c.open, len(c.cells)
+	return len(c.m.cells) - c.m.open, len(c.m.cells)
 }
 
 // Stats returns a snapshot of the recovery counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	return c.m.stats
 }
 
 // Wait blocks until the sweep drains, a cell exhausts its attempts, or
-// ctx is cancelled. Completion and failure are event-driven (results,
-// failures, and terminal segments signal a wakeup channel, and draining
-// closes finished), so drain latency does not depend on the lease TTL;
-// the ticker survives only as the reaping fallback that catches workers
-// that died without saying goodbye. Like sim.RunSweep, Wait always
-// returns the full grid in grid order: completed cells carry their
-// Result, incompatible method×solver cells their identity with Skipped
-// set, and unfinished cells their identity with Canceled set, so an
-// interrupted sweep keeps its completed work.
+// ctx is cancelled; its ticker reaps the leases of workers that died
+// without saying goodbye. Like sim.RunSweep, Wait always returns the full
+// grid in grid order: completed cells carry their Result, incompatible
+// method×solver cells their identity with Skipped set, and unfinished
+// cells their identity with Canceled set, so an interrupted sweep keeps
+// its completed work.
 func (c *Coordinator) Wait(ctx context.Context) ([]sim.SweepRun, error) {
-	tick := c.leaseTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(max(c.m.leaseTTL/4, 10*time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -751,18 +402,14 @@ func (c *Coordinator) Wait(ctx context.Context) ([]sim.SweepRun, error) {
 			return c.assemble(), ctx.Err()
 		case <-c.finished:
 			c.mu.Lock()
-			err := c.failErr
+			err := c.m.failErr
 			c.mu.Unlock()
 			return c.assemble(), err
-		case <-c.wake:
-			// State moved (result, failure, requeue, terminal segment);
-			// terminal outcomes close finished, so there is nothing to
-			// re-check here — the select just re-arms without waiting out
-			// the ticker.
-		case now := <-ticker.C:
-			c.mu.Lock()
-			c.reapLocked(now)
-			c.mu.Unlock()
+		case <-ticker.C:
+			c.step(func(now time.Time) (*journalRec, bool) {
+				c.m.reap(now)
+				return nil, false
+			})
 		}
 	}
 }
@@ -771,13 +418,11 @@ func (c *Coordinator) Wait(ctx context.Context) ([]sim.SweepRun, error) {
 func (c *Coordinator) assemble() []sim.SweepRun {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]sim.SweepRun, len(c.cells))
-	for i := range c.cells {
-		cell := &c.cells[i]
-		name := cell.spec.Workload.Name
-		if name == "" {
-			name = cell.spec.Workload.Gen.System.Cluster.Name + "-" + variantLabel(cell.spec.Workload.Variant)
-		}
+	out := make([]sim.SweepRun, len(c.m.cells))
+	for i := range c.m.cells {
+		cell := &c.m.cells[i]
+		ws := cell.spec.Workload
+		name := cmp.Or(ws.Name, ws.Gen.System.Cluster.Name+"-"+cmp.Or(ws.Variant, "Original"))
 		out[i] = sim.SweepRun{Workload: name, Method: cell.spec.Method.Name, Seed: cell.spec.Seed}
 		switch cell.state {
 		case cellDone:
@@ -794,11 +439,4 @@ func (c *Coordinator) assemble() []sim.SweepRun {
 		}
 	}
 	return out
-}
-
-func variantLabel(v string) string {
-	if v == "" {
-		return "Original"
-	}
-	return v
 }

@@ -340,9 +340,10 @@ func TestFarmStaleAttemptsRejected(t *testing.T) {
 	if lease.Cell != 0 || lease.Attempt != 1 {
 		t.Fatalf("first lease = cell %d attempt %d, want cell 0 attempt 1", lease.Cell, lease.Attempt)
 	}
-	// The worker dies; the coordinator reaps and re-issues.
+	// The worker dies; the coordinator reaps past the hour-long lease and
+	// re-issues.
 	coord.mu.Lock()
-	coord.cells[0].leases[0].deadline = time.Now().Add(-time.Second)
+	coord.m.reap(time.Now().Add(2 * time.Hour))
 	coord.mu.Unlock()
 	lease2 := coord.lease("w2")
 	if lease2.Cell != 0 || lease2.Attempt != 2 {
@@ -352,21 +353,21 @@ func TestFarmStaleAttemptsRejected(t *testing.T) {
 		t.Fatalf("stats after reap: %+v", coord.Stats())
 	}
 	// Attempt 1's messages are all stale now.
-	if coord.acceptCheckpoint(CheckpointMsg{Cell: 0, Attempt: 1, Data: []byte("x")}) {
-		t.Error("stale checkpoint accepted")
+	if live, err := coord.acceptCheckpoint(CheckpointMsg{Cell: 0, Attempt: 1, Data: []byte("x")}); err != nil || live {
+		t.Errorf("stale checkpoint: live %v, err %v", live, err)
 	}
-	if coord.acceptResult(ResultMsg{Cell: 0, Attempt: 1, Result: &sim.Result{}}) {
-		t.Error("stale result accepted")
+	if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: 1, Result: &sim.Result{}}); err != nil || live {
+		t.Errorf("stale result: live %v, err %v", live, err)
 	}
 	if coord.acceptFailure(FailMsg{Cell: 0, Attempt: 1, Error: "boom"}) {
 		t.Error("stale failure accepted")
 	}
 	// Attempt 2's are live.
-	if !coord.acceptCheckpoint(CheckpointMsg{Cell: 0, Attempt: 2, Data: []byte("y")}) {
-		t.Error("live checkpoint rejected")
+	if live, err := coord.acceptCheckpoint(CheckpointMsg{Cell: 0, Attempt: 2, Data: []byte("y")}); err != nil || !live {
+		t.Errorf("live checkpoint: live %v, err %v", live, err)
 	}
-	if !coord.acceptResult(ResultMsg{Cell: 0, Attempt: 2, Result: &sim.Result{}}) {
-		t.Error("live result rejected")
+	if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: 2, Result: &sim.Result{}}); err != nil || !live {
+		t.Errorf("live result: live %v, err %v", live, err)
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
 	"bbsched/internal/checkpoint"
+	"bbsched/internal/sim"
 )
 
 // The coordinator journal is an append-only JSONL cell-state log that
 // lets the coordinator itself crash and resume: completed cells and
-// finished relay segments are recorded as they are accepted, and a new
+// finished relay segments are recorded before they are accepted, and a new
 // coordinator constructed over the same grid and journal path replays
 // them before leasing anything, so a restarted sweep recomputes only the
 // cells that were genuinely in flight.
@@ -37,11 +39,12 @@ type journalRec struct {
 	// Cell is the grid-order cell index for result/segment records.
 	Cell int `json:"cell"`
 	// Result carries a completed cell's result.
-	Result json.RawMessage `json:"result,omitempty"`
+	Result *sim.Result `json:"result,omitempty"`
 	// SegDone and Checkpoint carry a relay cell's completed-segment count
 	// and the terminal snapshot the next segment resumes from.
 	SegDone    int    `json:"seg_done,omitempty"`
 	Checkpoint []byte `json:"checkpoint,omitempty"`
+	attempt    int    // the live lease the record came from; never written
 }
 
 // journal is the open append handle. Appends happen under the
@@ -60,9 +63,8 @@ func gridSHA(g Grid) string {
 
 // openJournal opens (or creates) the journal at path for the grid with
 // the given SHA, returning the replayable records of a previous run. A
-// partial trailing line — the signature of a crash mid-append — is
-// dropped and truncated away; a corrupt record anywhere earlier is an
-// error.
+// partial or torn trailing line — the signature of a crash mid-append —
+// is dropped and truncated away; any other corrupt record is an error.
 func openJournal(path, sha string) (*journal, []journalRec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -84,8 +86,9 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 		}
 		var rec journalRec
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if len(data) == 0 {
-				break // corrupt final line: same crash signature, drop it
+			var torn *json.SyntaxError // a crash tears a line; it never reshapes one
+			if len(data) == 0 && errors.As(err, &torn) {
+				break
 			}
 			return nil, nil, fmt.Errorf("farm: journal %s: corrupt record %d: %w", path, len(recs)+1, err)
 		}
@@ -103,15 +106,11 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 		recs = append(recs, rec)
 		valid += nl + 1
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("farm: journal: %w", err)
 	}
 	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("farm: journal: %w", err)
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("farm: journal: %w", err)
 	}
@@ -138,6 +137,3 @@ func (j *journal) append(rec journalRec) error {
 	}
 	return nil
 }
-
-// Close releases the journal file.
-func (j *journal) close() error { return j.f.Close() }

@@ -49,10 +49,10 @@ func TestFarmSpeculationFirstResultWins(t *testing.T) {
 			t.Fatalf("Steals = %d, want 2", st.Steals)
 		}
 
-		if !coord.acceptResult(ResultMsg{Cell: 0, Attempt: l1.Attempt, Worker: "w1", Result: &sim.Result{TotalJobs: 1}}) {
+		if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: l1.Attempt, Worker: "w1", Result: &sim.Result{TotalJobs: 1}}); err != nil || !live {
 			t.Fatal("primary result rejected")
 		}
-		if coord.acceptResult(ResultMsg{Cell: 0, Attempt: l2.Attempt, Worker: "w2", Result: &sim.Result{TotalJobs: 2}}) {
+		if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: l2.Attempt, Worker: "w2", Result: &sim.Result{TotalJobs: 2}}); err != nil || live {
 			t.Fatal("losing twin's result accepted after the cell completed")
 		}
 		if st := coord.Stats(); st.StealWins != 0 {
@@ -73,10 +73,10 @@ func TestFarmSpeculationFirstResultWins(t *testing.T) {
 		}
 		l1 := coord.lease("w1")
 		l2 := coord.lease("w2")
-		if !coord.acceptResult(ResultMsg{Cell: 0, Attempt: l2.Attempt, Worker: "w2", Result: &sim.Result{TotalJobs: 2}}) {
+		if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: l2.Attempt, Worker: "w2", Result: &sim.Result{TotalJobs: 2}}); err != nil || !live {
 			t.Fatal("twin result rejected")
 		}
-		if coord.acceptResult(ResultMsg{Cell: 0, Attempt: l1.Attempt, Worker: "w1", Result: &sim.Result{TotalJobs: 1}}) {
+		if live, err := coord.acceptResult(ResultMsg{Cell: 0, Attempt: l1.Attempt, Worker: "w1", Result: &sim.Result{TotalJobs: 1}}); err != nil || live {
 			t.Fatal("beaten primary's result accepted")
 		}
 		if st := coord.Stats(); st.Steals != 1 || st.StealWins != 1 {

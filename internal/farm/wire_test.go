@@ -57,7 +57,7 @@ func TestFarmCheckpointRoute(t *testing.T) {
 	stored := func(want string) {
 		t.Helper()
 		coord.mu.Lock()
-		got := string(coord.cells[0].checkpoint)
+		got := string(coord.m.cells[0].checkpoint)
 		coord.mu.Unlock()
 		if got != want {
 			t.Fatalf("stored snapshot %q, want %q", got, want)
@@ -111,7 +111,7 @@ func TestFarmCheckpointRoute(t *testing.T) {
 	// Reap attempt 1 and re-lease the cell: attempt 1's uploads are stale
 	// and attempt 2's replace the snapshot the retry resumed from.
 	coord.mu.Lock()
-	coord.cells[0].leases[0].deadline = time.Now().Add(-time.Second)
+	coord.m.reap(time.Now().Add(2 * time.Hour))
 	coord.mu.Unlock()
 	if lease := coord.lease("w2"); lease.Cell != 0 || lease.Attempt != 2 || string(lease.Checkpoint) != "snap-1" {
 		t.Fatalf("re-lease = cell %d attempt %d checkpoint %q, want cell 0 attempt 2 from snap-1",
