@@ -128,17 +128,19 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
-# internal/solver + internal/queue + internal/backfill statement coverage
-# must not drop below the floor (cluster/sched floor captured with the
-# N-dimension harness; lp joined with the solver refactor at 95%+ package
-# coverage; solver joined with the zoo — greedy, portfolio; queue
-# joined when it began to carry its order from one scheduling pass to the
-# next; backfill when its planner began to reject jobs on flat keys).
+# internal/solver + internal/queue + internal/backfill + internal/trace
+# statement coverage must not drop below the floor (cluster/sched floor
+# captured with the N-dimension harness; lp joined with the solver
+# refactor at 95%+ package coverage; solver joined with the zoo — greedy,
+# portfolio; queue joined when it began to carry its order from one
+# scheduling pass to the next; backfill when its planner began to reject
+# jobs on flat keys; trace, which parses outside input, when its batch
+# readers became wrappers over the streaming decoders).
 COVER_FLOOR = 75.0
 cover-gate:
-	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue ./internal/backfill
+	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue ./internal/backfill ./internal/trace
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
-	echo "cluster+sched+lp+solver+queue+backfill coverage: $$total% (floor $(COVER_FLOOR)%)"; \
+	echo "cluster+sched+lp+solver+queue+backfill+trace coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 

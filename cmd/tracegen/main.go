@@ -1,6 +1,8 @@
 // Command tracegen generates synthetic Cori-like or Theta-like workload
 // traces (optionally with the paper's S1–S4 burst-buffer expansions or
-// S5–S7 local-SSD mixes) and writes them as CSV.
+// S5–S7 local-SSD mixes) and writes them as CSV. By default the trace is
+// trace.ApplyVariant over trace.Generate, the same workload bbsim
+// -variant and the paper matrices build.
 //
 // With -stream the trace is generated and written one job at a time
 // through the streaming pipeline (GenSource → variant combinators →
@@ -50,11 +52,20 @@ func main() {
 		dst = f
 	}
 
-	var err error
+	var (
+		src  trace.JobSource
+		name string
+		err  error
+	)
 	if *stream {
-		err = emitStream(dst, *system, *jobs, *seed, *scale, strings.ToUpper(*variant), *deps)
+		src, name, err = streamSource(*system, *jobs, *seed, *scale, *variant, *deps)
 	} else {
-		err = emitMaterialized(dst, *system, *jobs, *seed, *scale, strings.ToUpper(*variant), *deps)
+		var w trace.Workload
+		w, err = build(*system, *jobs, *seed, *scale, *variant, *deps)
+		src, name = trace.SourceOf(w), w.Name
+	}
+	if err == nil {
+		err = emit(dst, name, src)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
@@ -62,32 +73,9 @@ func main() {
 	}
 }
 
-func emitMaterialized(dst io.Writer, system string, jobs int, seed uint64, scale int, variant string, deps float64) error {
-	w, err := build(system, jobs, seed, scale, variant, deps)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteCSV(dst, w.Jobs); err != nil {
-		return err
-	}
-	st := trace.ComputeStats(w.Jobs)
-	fmt.Fprintf(os.Stderr, "%s: %d jobs, %d with BB requests (%.1f TB aggregate), horizon %ds\n",
-		w.Name, st.Jobs, st.BBJobs, float64(st.TotalBBGB)/1000, st.HorizonSec)
-	return nil
-}
-
-// emitStream writes the trace through the streaming pipeline, tracking
-// the summary line's statistics as running sums.
-func emitStream(dst io.Writer, system string, jobs int, seed uint64, scale int, variant string, deps float64) error {
-	sys, err := systemModel(system, scale)
-	if err != nil {
-		return err
-	}
-	src := trace.GenSource(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps})
-	src, _, name, err := trace.ApplyVariantSource(src, sys, variant, seed)
-	if err != nil {
-		return err
-	}
+// emit writes src as CSV and prints a summary line, tracking its
+// statistics as running sums so a stream is never held.
+func emit(dst io.Writer, name string, src trace.JobSource) error {
 	w := trace.NewCSVWriter(dst)
 	var n, bbJobs int
 	var bbGB, horizon int64
@@ -117,6 +105,17 @@ func emitStream(dst io.Writer, system string, jobs int, seed uint64, scale int, 
 	return nil
 }
 
+// streamSource is the streaming pipeline: GenSource → variant combinators.
+func streamSource(system string, jobs int, seed uint64, scale int, variant string, deps float64) (trace.JobSource, string, error) {
+	sys, err := systemModel(system, scale)
+	if err != nil {
+		return nil, "", err
+	}
+	src := trace.GenSource(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps})
+	src, _, name, err := trace.ApplyVariantSource(src, sys, variant, seed)
+	return src, name, err
+}
+
 func systemModel(system string, scale int) (trace.SystemModel, error) {
 	var sys trace.SystemModel
 	switch strings.ToLower(system) {
@@ -130,31 +129,12 @@ func systemModel(system string, scale int) (trace.SystemModel, error) {
 	return trace.Scale(sys, scale), nil
 }
 
+// build is the materialized pipeline: Generate → ApplyVariant.
 func build(system string, jobs int, seed uint64, scale int, variant string, deps float64) (trace.Workload, error) {
 	sys, err := systemModel(system, scale)
 	if err != nil {
 		return trace.Workload{}, err
 	}
 	base := trace.Generate(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps})
-	base.Name = sys.Cluster.Name + "-Original"
-
-	floor5, floor20 := trace.BBFloors(base)
-	switch variant {
-	case "ORIGINAL", "":
-		return base, nil
-	case "S1":
-		return trace.ExpandBB(base, sys.Cluster.Name+"-S1", 0.50, floor5, seed+1), nil
-	case "S2":
-		return trace.ExpandBB(base, sys.Cluster.Name+"-S2", 0.75, floor5, seed+2), nil
-	case "S3":
-		return trace.ExpandBB(base, sys.Cluster.Name+"-S3", 0.50, floor20, seed+3), nil
-	case "S4":
-		return trace.ExpandBB(base, sys.Cluster.Name+"-S4", 0.75, floor20, seed+4), nil
-	case "S5", "S6", "S7":
-		mix := map[string]trace.SSDMix{"S5": trace.S5, "S6": trace.S6, "S7": trace.S7}[variant]
-		s2 := trace.ExpandBB(base, sys.Cluster.Name+"-S2", 0.75, floor5, seed+2)
-		return trace.AddSSD(s2, sys.Cluster.Name+"-"+variant, mix, seed+5), nil
-	default:
-		return trace.Workload{}, fmt.Errorf("unknown variant %q", variant)
-	}
+	return trace.ApplyVariant(base, variant, seed)
 }

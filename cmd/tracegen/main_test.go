@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bbsched/internal/trace"
@@ -22,6 +24,33 @@ func TestBuildVariants(t *testing.T) {
 		ssd := variant >= "S5" && variant <= "S7"
 		if ssd && len(w.System.Cluster.SSDClasses) == 0 {
 			t.Fatalf("%s: SSD variant without SSD classes", variant)
+		}
+	}
+}
+
+// TestBuildMatchesApplyVariant: the materialized trace tracegen writes for
+// a variant is the workload trace.ApplyVariant derives from the same base,
+// the one bbsim -variant and the paper matrices run.
+func TestBuildMatchesApplyVariant(t *testing.T) {
+	base := trace.Generate(trace.GenConfig{System: trace.Scale(trace.Theta(), 32), Jobs: 150, Seed: 3, DependencyFraction: 0.1})
+	for _, variant := range trace.Variants() {
+		got, err := build("theta", 150, 3, 32, strings.ToUpper(variant), 0.1)
+		if err != nil {
+			t.Fatalf("%s: %v", variant, err)
+		}
+		want, err := trace.ApplyVariant(base, variant, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", variant, err)
+		}
+		var g, w bytes.Buffer
+		if err := trace.WriteCSV(&g, got.Jobs); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteCSV(&w, want.Jobs); err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || !reflect.DeepEqual(got.System, want.System) || !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s: tracegen builds %s, ApplyVariant %s, and their traces differ", variant, got.Name, want.Name)
 		}
 	}
 }

@@ -94,8 +94,10 @@ func loadCachedResult(dir, key string) (*sim.Result, bool) {
 
 // storeCachedResult writes the Result under key with a same-directory
 // tmp+rename so concurrent workers sharing one cache directory never
-// observe a torn entry (they may both write; last rename wins with
-// identical bytes).
+// observe a torn entry. Two writers of one key may differ in the
+// wall-clock AvgDecisionTime/MaxDecisionTime, and the last rename wins,
+// so a worker stores only the result the coordinator accepted for the
+// cell, the one the assembled grid holds.
 func storeCachedResult(dir, key string, res *sim.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

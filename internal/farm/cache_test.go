@@ -3,6 +3,8 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -220,4 +222,34 @@ func TestFarmDuplicateCellsLeasedOnce(t *testing.T) {
 		t.Fatalf("worker stats %+v: duplicate cells must be leased exactly once", st)
 	}
 	compareRuns(t, got, want)
+}
+
+// TestFarmResultPostOutlivesCancel: a worker cancelled while its result
+// post is in flight still hears the ack and caches the accepted result.
+// Callers cancel their workers as soon as Wait returns, which is exactly
+// between the coordinator's accept and the ack of the last result.
+func TestFarmResultPostOutlivesCancel(t *testing.T) {
+	g := matGrid(3)
+	g.Methods = g.Methods[:1] // one cell
+	coord, err := NewCoordinator(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/result" {
+			cancel()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	w := &Worker{Coordinator: srv.URL, ID: "cancelled", Poll: 2 * time.Millisecond, CacheDir: t.TempDir()}
+	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if st := w.Stats(); st.Completed != 1 || st.CacheStores != 1 {
+		t.Fatalf("worker stats %+v, want the result posted and cached", st)
+	}
 }

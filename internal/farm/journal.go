@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"bbsched/internal/checkpoint"
@@ -50,8 +51,17 @@ type journalRec struct {
 // journal is the open append handle. Appends happen under the
 // coordinator's mutex, so it needs no locking of its own.
 type journal struct {
-	f   *os.File
-	enc *json.Encoder
+	f    journalFile
+	size int64 // length of the complete records in f
+}
+
+// journalFile is what the journal needs of its *os.File (opened with
+// O_APPEND).
+type journalFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // gridSHA is the canonical grid identity the journal header pins.
@@ -114,7 +124,7 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("farm: journal: %w", err)
 	}
-	j := &journal{f: f, enc: json.NewEncoder(f)}
+	j := &journal{f: f, size: int64(valid)}
 	if len(recs) == 0 {
 		if err := j.append(journalRec{Kind: "grid", GridSHA: sha, Snapshot: checkpoint.Version}); err != nil {
 			f.Close()
@@ -127,13 +137,31 @@ func openJournal(path, sha string) (*journal, []journalRec, error) {
 }
 
 // append writes one record and syncs it to disk before the accept that
-// triggered it is acknowledged.
+// triggered it is acknowledged. The record and its newline go out in one
+// write. If the write or the sync fails, the file is cut back to its
+// complete records before the error returns, so the worker's retry starts
+// a line of its own instead of joining torn bytes into a corrupt record.
 func (j *journal) append(rec journalRec) error {
-	if err := j.enc.Encode(rec); err != nil {
+	line, err := json.Marshal(rec)
+	if err != nil {
 		return fmt.Errorf("farm: journal append: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("farm: journal sync: %w", err)
+	line = append(line, '\n')
+	if _, err := j.f.Write(line); err != nil {
+		return j.rollback(fmt.Errorf("farm: journal append: %w", err))
 	}
+	if err := j.f.Sync(); err != nil {
+		return j.rollback(fmt.Errorf("farm: journal sync: %w", err))
+	}
+	j.size += int64(len(line))
 	return nil
+}
+
+// rollback truncates the journal to its complete records after a failed
+// append and returns err, joined with the truncation's error if any.
+func (j *journal) rollback(err error) error {
+	if terr := j.f.Truncate(j.size); terr != nil {
+		return errors.Join(err, fmt.Errorf("farm: journal truncate: %w", terr))
+	}
+	return err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -119,5 +120,56 @@ func TestFarmJournalReplay(t *testing.T) {
 				t.Errorf("%s: error %q does not name version %s", tc.name, err, v)
 			}
 		}
+	}
+}
+
+// tearingFile writes half of its next write and fails it, as a disk that
+// fills up mid-append does.
+type tearingFile struct {
+	journalFile
+	tear bool
+	torn int
+}
+
+func (f *tearingFile) Write(p []byte) (int, error) {
+	if !f.tear {
+		return f.journalFile.Write(p)
+	}
+	f.tear = false
+	f.torn++
+	n, _ := f.journalFile.Write(p[:len(p)/2])
+	return n, syscall.ENOSPC
+}
+
+// TestFarmJournalTornAppend: an append the disk cuts short is refused
+// with a 500 and cut back out of the journal, so the worker's retry of the
+// result lands as a record of its own, and a coordinator restarted on the
+// journal replays every acknowledged cell.
+func TestFarmJournalTornAppend(t *testing.T) {
+	g := matGrid(3, 4) // 4 cells
+	want := serialReference(t, g)
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+	coord, err := NewCoordinator(g, WithJournal(jpath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := &tearingFile{journalFile: coord.journal.f, tear: true}
+	coord.journal.f = tf
+	got := runFarm(t, coord, []*Worker{{ID: "solo", Poll: 2 * time.Millisecond}}, time.Minute)
+	if tf.torn != 1 {
+		t.Fatalf("%d appends torn, want 1", tf.torn)
+	}
+	compareRuns(t, got, want)
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := NewCoordinator(g, WithJournal(jpath))
+	if err != nil {
+		t.Fatalf("journal refused after a torn append: %v", err)
+	}
+	defer again.Close()
+	if got, cells := again.Stats().Replayed, len(g.Cells()); got != cells {
+		t.Fatalf("Replayed = %d, want all %d acknowledged cells", got, cells)
 	}
 }

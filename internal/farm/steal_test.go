@@ -1,7 +1,10 @@
 package farm
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -131,4 +134,70 @@ func TestFarmStragglerSpeculation(t *testing.T) {
 		t.Errorf("stats %+v: recovery must come from speculation alone, not lease expiry", st)
 	}
 	compareRuns(t, got, want)
+}
+
+// TestFarmCacheHoldsAcceptedResult: a speculative twin that loses still
+// runs its cell to the end, and its Result differs from the winner's in
+// the wall-clock decision times. The cache entry must be the result the
+// coordinator accepted, so that a warm pass assembles the grid a cold
+// pass did. The primary holds its first step until the twin's result is
+// in, so the twin wins and the primary loses.
+func TestFarmCacheHoldsAcceptedResult(t *testing.T) {
+	g := matGrid(3)
+	g.Methods = g.Methods[:1] // one cell
+	g.CheckpointEvents = 0    // a stale checkpoint would abandon the loser before its result
+	coord, err := NewCoordinator(g, WithLeaseTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dir := t.TempDir()
+	primary := &Worker{Coordinator: srv.URL, ID: "primary", Poll: 2 * time.Millisecond, CacheDir: dir,
+		StepHook: func(cell, steps int) error {
+			for steps == 1 && ctx.Err() == nil {
+				if done, _ := coord.Progress(); done == 1 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		}}
+	twin := &Worker{Coordinator: srv.URL, ID: "twin", Poll: 2 * time.Millisecond, CacheDir: dir}
+	errs := make(chan error, 2)
+	go func() { errs <- primary.Run(ctx) }()
+	for primary.Stats().Leases == 0 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { errs <- twin.Run(ctx) }()
+	runs, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := coord.Stats(); st.Steals != 1 || st.StealWins != 1 {
+		t.Fatalf("coordinator stats %+v, want Steals 1 StealWins 1", st)
+	}
+	if st := primary.Stats(); st.Completed != 1 || st.CacheStores != 0 {
+		t.Fatalf("losing primary stats %+v, want its run completed and not cached", st)
+	}
+	key, err := RecipeKey(g.Cells()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, ok := loadCachedResult(dir, key)
+	if !ok {
+		t.Fatal("accepted result not cached")
+	}
+	got, _ := json.Marshal(cached)
+	want, _ := json.Marshal(runs[0].Result)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cache entry differs from the accepted result:\ncache:    %s\naccepted: %s", got, want)
+	}
 }

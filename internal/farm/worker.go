@@ -23,6 +23,14 @@ import (
 // finished it first).
 var errAbandon = errors.New("farm: abandon cell")
 
+// resultGrace is how long a result post may still take once the worker's
+// context is cancelled: the cell is done, and only the coordinator's
+// answer tells the worker whether to cache it. A caller that cancels its
+// workers as soon as Wait returns would otherwise cut the last post off
+// between the coordinator's accept and the ack, and lose that cell's
+// cache entry.
+const resultGrace = 2 * time.Second
+
 // WorkerStats counts one worker's lease outcomes and transport retries.
 type WorkerStats struct {
 	// Leases counts granted leases processed, including cache hits and
@@ -145,8 +153,9 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 		if k, err := RecipeKey(lease.Spec); err == nil {
 			key = k
 			if res, ok := loadCachedResult(w.CacheDir, key); ok {
-				// The cached Result is bit-identical to what re-simulating
-				// the recipe would produce — answer without simulating.
+				// The cached Result is what re-simulating the recipe would
+				// produce, but for the wall-clock decision times — answer
+				// without simulating.
 				// (Valid even on a segment lease: the key identifies the
 				// whole cell, and a full result completes it outright.)
 				w.bump(func(st *WorkerStats) { st.CacheHits++; st.Completed++ })
@@ -203,21 +212,31 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 	if err != nil {
 		return w.reportFailure(ctx, lease, err)
 	}
-	if key != "" {
-		// Cache before posting: the result is valid for the recipe even if
-		// the coordinator has moved on.
-		if storeCachedResult(w.CacheDir, key, res) == nil {
-			w.bump(func(st *WorkerStats) { st.CacheStores++ })
-		}
-	}
+	postCtx, stop := withGrace(ctx, resultGrace)
+	defer stop()
 	var ack Ack
-	if err := w.post(ctx, "/result", ResultMsg{
+	if err := w.post(postCtx, "/result", ResultMsg{
 		Cell: lease.Cell, Attempt: lease.Attempt, Worker: w.ID, Result: res,
 	}, &ack); err != nil {
 		return err
 	}
+	// Cache only the result the coordinator accepted: a speculative twin
+	// that lost carries its own wall-clock decision times, and its entry
+	// would replace the one matching the assembled grid.
+	if key != "" && !ack.Stale {
+		if storeCachedResult(w.CacheDir, key, res) == nil {
+			w.bump(func(st *WorkerStats) { st.CacheStores++ })
+		}
+	}
 	w.bump(func(st *WorkerStats) { st.Completed++ })
 	return nil
+}
+
+// withGrace returns a context that ends grace after ctx does.
+func withGrace(ctx context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
+	out, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(grace, cancel) })
+	return out, func() { stop(); cancel() }
 }
 
 // buildSimulator rebuilds the cell's run from its recipe — and from the

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bbsched/internal/cluster"
 	"bbsched/internal/job"
 	"bbsched/internal/moo"
 	"bbsched/internal/registry"
@@ -305,16 +306,31 @@ func TestRunSweepWithSolverShared(t *testing.T) {
 // and starvation forcing included — is swept at two workers over several
 // methods, replayed as a stream through a transform, and, at the same
 // time, checkpointed mid-run and restored into a new run over the same
-// jobs. Every field of every job must hash the same after as before, and
-// under -race no run may write what another reads.
+// jobs. The batch transforms (ExpandBB, AddSSD, AddExtraDemand,
+// WithStageOut) hand on the jobs they leave unchanged, so the workloads
+// they derive from it are swept too, sharing its jobs and one another's.
+// Every field of every job must hash the same after as before, and under
+// -race no run may write what another reads.
 func TestSharedWorkloadNeverWritten(t *testing.T) {
 	sys := trace.Scale(trace.Theta(), 32)
 	w := trace.Generate(trace.GenConfig{System: sys, Jobs: 150, Seed: 8, TargetLoad: 2, DependencyFraction: 0.2, BBDrainGBps: 20})
 	w.System.Policy = trace.WFP
+	moderate, _ := trace.BBFloors(w)
+	expanded := trace.ExpandBB(w, "shared-S2", 0.75, moderate, 9)
+	powered := w
+	powered.System = trace.WithExtraResource(w.System, cluster.ResourceSpec{Name: "power_kw", Capacity: 400, Unit: "kW"})
+	derived := []trace.Workload{
+		expanded,
+		trace.AddSSD(expanded, "shared-S6", trace.S6, 10),
+		trace.WithStageOut(expanded, 5),
+		trace.AddExtraDemand(powered, "shared-power", 0, 1, 4, 0.5, 11),
+	}
 	hash := func() [sha256.Size]byte {
 		h := sha256.New()
-		for _, j := range w.Jobs {
-			fmt.Fprintf(h, "%#v\n", *j)
+		for _, d := range append([]trace.Workload{w}, derived...) {
+			for _, j := range d.Jobs {
+				fmt.Fprintf(h, "%#v\n", *j)
+			}
 		}
 		return [sha256.Size]byte(h.Sum(nil))
 	}
@@ -346,7 +362,7 @@ func TestSharedWorkloadNeverWritten(t *testing.T) {
 		done <- err
 	}()
 	runs, err := RunSweep(context.Background(), Sweep{
-		Workloads: []trace.Workload{w},
+		Workloads: append([]trace.Workload{w}, derived...),
 		Streams: []StreamWorkload{{Name: w.Name + "-stream", System: w.System, Open: func() (trace.JobSource, error) {
 			return trace.StageOutSource(trace.SourceOf(w), 5), nil
 		}}},

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -22,19 +21,16 @@ const extraColPrefix = "res:"
 
 // WriteCSV serializes jobs to w in the repository's trace format. Each
 // extraNames entry appends one "res:<name>" column carrying the jobs'
-// demand in that extra dimension (in spec order).
+// demand in that extra dimension (in spec order). It is a loop over
+// CSVWriter.
 func WriteCSV(w io.Writer, jobs []*job.Job, extraNames ...string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeaderWith(extraNames)); err != nil {
-		return err
-	}
+	cw := NewCSVWriter(w, extraNames...)
 	for _, j := range jobs {
-		if err := cw.Write(csvRecord(j, len(extraNames))); err != nil {
+		if err := cw.Write(j); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.Flush()
 }
 
 // csvHeaderWith returns the header row for nExtra extra-dimension columns.
@@ -49,8 +45,7 @@ func csvHeaderWith(extraNames []string) []string {
 	return header
 }
 
-// csvRecord serializes one job row (shared by WriteCSV and CSVWriter so
-// the materialized and streaming writers cannot drift).
+// csvRecord serializes one job row.
 func csvRecord(j *job.Job, nExtra int) []string {
 	deps := make([]string, len(j.Deps))
 	for i, d := range j.Deps {
@@ -83,44 +78,23 @@ func ReadCSV(r io.Reader) ([]*job.Job, error) {
 
 // ReadCSVNamed parses a trace written by WriteCSV, returning the jobs and
 // the names of any extra resource dimensions found ("res:<name>" columns,
-// in file order — the demand vector's extra indices align with it).
+// in file order — the demand vector's extra indices align with it). It
+// drains a CSVSource, so it holds the file to the stream's contract: dense
+// IDs in submit order, deps on earlier jobs only. r is never closed.
 func ReadCSVNamed(r io.Reader) ([]*job.Job, []string, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	extraNames, err := parseCSVHeader(header)
+	src, err := NewCSVSource(struct{ io.Reader }{r})
 	if err != nil {
 		return nil, nil, err
 	}
-	// The header fixed the record width; the csv reader now enforces it
-	// (FieldsPerRecord was set from the first read).
-	var jobs []*job.Job
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		line++
-		j, err := parseRecord(rec, len(extraNames))
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		jobs = append(jobs, j)
+	jobs, err := Collect(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := job.ValidateWorkload(jobs); err != nil {
-		return nil, nil, fmt.Errorf("trace: %w", err)
-	}
-	return jobs, extraNames, nil
+	return jobs, src.ExtraNames(), nil
 }
 
 // parseCSVHeader validates a header row and returns the extra-dimension
-// names (shared by the materialized and streaming readers).
+// names.
 func parseCSVHeader(header []string) ([]string, error) {
 	if len(header) < len(csvHeader) {
 		return nil, fmt.Errorf("trace: header has %d columns, want at least %d", len(header), len(csvHeader))

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"bbsched/internal/job"
@@ -57,36 +58,22 @@ func (c GenConfig) withDefaults() GenConfig {
 
 // Generate produces a workload for cfg.System with the documented job-size,
 // runtime, and burst-buffer characteristics of the original (unexpanded)
-// trace. Jobs are sorted by submission time with dense IDs.
+// trace. Jobs are sorted by submission time with dense IDs. It stays a
+// batch algorithm beside GenSource because it calibrates the arrivals over
+// the whole trace: the interarrival mean comes from the total offered
+// node-seconds, known only once every job is drawn.
 func Generate(cfg GenConfig) Workload {
 	cfg = cfg.withDefaults()
 	if cfg.Jobs <= 0 {
 		return Workload{Name: cfg.System.Cluster.Name, System: cfg.System}
 	}
 	root := rng.New(cfg.Seed).Split("trace:" + cfg.System.Cluster.Name)
-	sizes := root.Split("sizes")
-	times := root.Split("runtimes")
-	bbs := root.Split("bb")
-	users := root.Split("users")
-	deps := root.Split("deps")
-
+	smp := newSampler(cfg, root)
 	jobs := make([]*job.Job, cfg.Jobs)
-	names := userNames(cfg.Users)
 	var totalNodeSec int64
 	for i := range jobs {
-		n := sampleNodes(sizes, cfg.System)
-		runtime, walltime := sampleRuntime(times, cfg.System)
-		var bb int64
-		if bbs.Bool(cfg.System.BBFraction) {
-			bb = sampleBB(bbs, 1, cfg.System.MaxBBRequestGB)
-		}
-		j := job.MustNew(i, 0, runtime, walltime, job.NewDemand(n, bb, 0))
-		j.User = names[users.Intn(cfg.Users)]
-		if bb > 0 && cfg.BBDrainGBps > 0 {
-			j.StageOutSec = int64(float64(bb) / cfg.BBDrainGBps)
-		}
-		jobs[i] = j
-		totalNodeSec += int64(n) * runtime
+		jobs[i] = smp.job(i)
+		totalNodeSec += int64(jobs[i].Demand.NodeCount()) * jobs[i].Runtime
 	}
 
 	assignArrivals(root.Split("arrivals"), jobs, cfg.System.Cluster.Nodes, totalNodeSec, cfg.TargetLoad)
@@ -95,9 +82,47 @@ func Generate(cfg GenConfig) Workload {
 		j.ID = i // dense IDs in submission order
 	}
 	if cfg.DependencyFraction > 0 {
-		addDependencies(deps, jobs, cfg.DependencyFraction)
+		addDependencies(root.Split("deps"), jobs, cfg.DependencyFraction)
 	}
 	return Workload{Name: cfg.System.Cluster.Name, System: cfg.System, Jobs: jobs}
+}
+
+// sampler draws the columns of a job that Generate and GenSource share —
+// size, runtime, burst buffer, user and stage-out — each from its own
+// stream split from the generator's root, leaving submit times and
+// dependencies to the generator.
+type sampler struct {
+	cfg                      GenConfig
+	sizes, times, bbs, users *rng.Stream
+	names                    []string // userNames(cfg.Users)
+}
+
+func newSampler(cfg GenConfig, root *rng.Stream) sampler {
+	return sampler{
+		cfg:   cfg,
+		sizes: root.Split("sizes"),
+		times: root.Split("runtimes"),
+		bbs:   root.Split("bb"),
+		users: root.Split("users"),
+		names: userNames(cfg.Users),
+	}
+}
+
+// job draws job id, submitted at time 0.
+func (g *sampler) job(id int) *job.Job {
+	sys := g.cfg.System
+	n := sampleNodes(g.sizes, sys)
+	runtime, walltime := sampleRuntime(g.times, sys)
+	var bb int64
+	if g.bbs.Bool(sys.BBFraction) {
+		bb = sampleBB(g.bbs, 1, sys.MaxBBRequestGB)
+	}
+	j := job.MustNew(id, 0, runtime, walltime, job.NewDemand(n, bb, 0))
+	j.User = g.names[g.users.Intn(g.cfg.Users)]
+	if bb > 0 && g.cfg.BBDrainGBps > 0 {
+		j.StageOutSec = int64(float64(bb) / g.cfg.BBDrainGBps)
+	}
+	return j
 }
 
 // sampleNodes draws a job node count.
@@ -213,10 +238,14 @@ func addDependencies(s *rng.Stream, jobs []*job.Job, frac float64) {
 // fraction of burst-buffer-requesting jobs to frac, assigning each newly
 // converted job a request resampled from the original requests at or above
 // floorGB (falling back to fresh heavy-tailed draws when the original pool
-// below the floor is empty). The input workload is not modified.
+// below the floor is empty). The input workload is not modified: the
+// result shares its unchanged jobs and holds copies of the converted ones.
+//
+// It stays a batch algorithm beside ExpandBBSource because it needs the
+// whole trace twice over: it converts exactly frac of the jobs, which
+// needs their count, and it resamples from the trace's own request pool.
 func ExpandBB(w Workload, name string, frac float64, floorGB int64, seed uint64) Workload {
-	out := w.Clone()
-	out.Name = name
+	out := Workload{Name: name, System: w.System, Jobs: slices.Clone(w.Jobs)}
 	s := rng.New(seed).Split("expand:" + name)
 
 	// Pool of original requests >= floor to resample from.
@@ -234,12 +263,12 @@ func ExpandBB(w Workload, name string, frac float64, floorGB int64, seed uint64)
 	}
 
 	have := 0
-	var without []*job.Job
-	for _, j := range out.Jobs {
+	var without []int // indices of the jobs without a request
+	for i, j := range out.Jobs {
 		if j.Demand.BB() > 0 {
 			have++
 		} else {
-			without = append(without, j)
+			without = append(without, i)
 		}
 	}
 	want := int(frac * float64(len(out.Jobs)))
@@ -251,8 +280,8 @@ func ExpandBB(w Workload, name string, frac float64, floorGB int64, seed uint64)
 	if need > len(without) {
 		need = len(without)
 	}
-	for _, j := range without[:need] {
-		j.Demand.Set(job.BurstBufferGB, draw())
+	for _, i := range without[:need] {
+		out.Jobs[i] = withDemand(out.Jobs[i], job.BurstBufferGB, draw())
 	}
 	return out
 }
@@ -277,26 +306,8 @@ var (
 // regardless of the mix — a >128 GB request restricts a job to big-SSD
 // nodes (§5), so a wider job could never be scheduled at all.
 func AddSSD(w Workload, name string, mix SSDMix, seed uint64) Workload {
-	out := w.Clone()
-	out.Name = name
-	out.System = WithSSD(w.System)
-	s := rng.New(seed).Split("ssd:" + name)
-	bigNodes := 0
-	for _, cl := range out.System.Cluster.SSDClasses {
-		if cl.CapacityGB > 128 {
-			bigNodes += cl.Count
-		}
-	}
-	for _, j := range out.Jobs {
-		var ssd int64
-		if s.Bool(mix.SmallFrac) || j.Demand.NodeCount() > bigNodes {
-			ssd = s.Int63n(128) + 1 // (0,128]
-		} else {
-			ssd = 128 + s.Int63n(128) + 1 // (128,256]
-		}
-		j.Demand.Set(job.LocalSSDGBPerNode, ssd)
-	}
-	return out
+	src, sys := addSSD(SourceOf(w), w.System, mix, rng.New(seed).Split("ssd:"+name))
+	return Workload{Name: name, System: sys, Jobs: mustCollect(src)}
 }
 
 // BBFloors returns the S1/S2 ("moderate", paper: >5 TB) and S3/S4
@@ -350,7 +361,7 @@ func BBFloors(w Workload) (moderate, heavy int64) {
 // generated workload, leaving the generator's RNG streams — and therefore
 // every other column of the trace — untouched.
 func AddExtraDemand(w Workload, name string, dim int, perNodeMin, perNodeMax int64, frac float64, seed uint64) Workload {
-	out := w.Clone()
+	out := Workload{Name: w.Name, System: w.System, Jobs: slices.Clone(w.Jobs)}
 	if name != "" {
 		out.Name = name
 	}
@@ -362,7 +373,7 @@ func AddExtraDemand(w Workload, name string, dim int, perNodeMin, perNodeMax int
 		perNodeMax = perNodeMin
 	}
 	s := rng.New(seed).Split("extra:" + out.Name + ":" + out.System.Cluster.Extra[dim].Name)
-	for _, j := range out.Jobs {
+	for i, j := range out.Jobs {
 		if !s.Bool(frac) {
 			continue
 		}
@@ -374,7 +385,7 @@ func AddExtraDemand(w Workload, name string, dim int, perNodeMin, perNodeMax int
 		if v > capTotal {
 			v = capTotal
 		}
-		j.Demand.Set(job.NumResources+job.Resource(dim), v)
+		out.Jobs[i] = withDemand(j, job.NumResources+job.Resource(dim), v)
 	}
 	return out
 }
@@ -384,18 +395,63 @@ func AddExtraDemand(w Workload, name string, dim int, perNodeMin, perNodeMax int
 // to retrofit stage-out onto expanded workloads whose BB requests were
 // assigned after generation.
 func WithStageOut(w Workload, drainGBps float64) Workload {
-	out := w.Clone()
-	if drainGBps <= 0 {
-		return out
+	w.Jobs = mustCollect(StageOutSource(SourceOf(w), drainGBps))
+	return w
+}
+
+// mustCollect drains a source over a workload's own jobs, which cannot fail.
+func mustCollect(src JobSource) []*job.Job {
+	jobs, err := Collect(src)
+	if err != nil {
+		panic(err)
 	}
-	for _, j := range out.Jobs {
-		if bb := j.Demand.BB(); bb > 0 {
-			j.StageOutSec = int64(float64(bb) / drainGBps)
-		} else {
-			j.StageOutSec = 0
+	return jobs
+}
+
+// variantSpec is one workload variant (see Variants): S1–S4 expand the
+// burst-buffer requests, S5–S7 layer a local-SSD mix on S2. ApplyVariant,
+// ApplyVariantSource and IsSSDVariant all read variantSpecs.
+type variantSpec struct {
+	name  string
+	frac  float64 // BB-requesting job fraction the expansion reaches
+	heavy bool    // resample above the heavy (S3/S4) floor, not the moderate one
+	off   uint64  // seed offset of the variant's own layer
+	mix   *SSDMix // local-SSD mix, layered on S2
+}
+
+var variantSpecs = []variantSpec{
+	{name: "Original"},
+	{name: "S1", frac: 0.50, off: 1},
+	{name: "S2", frac: 0.75, off: 2},
+	{name: "S3", frac: 0.50, heavy: true, off: 3},
+	{name: "S4", frac: 0.75, heavy: true, off: 4},
+	{name: "S5", off: 5, mix: &S5},
+	{name: "S6", off: 6, mix: &S6},
+	{name: "S7", off: 7, mix: &S7},
+}
+
+// lookupVariant returns the spec of the named variant (case-insensitive;
+// "" means Original).
+func lookupVariant(variant string) (variantSpec, error) {
+	v := strings.TrimSpace(variant)
+	if v == "" {
+		v = "Original"
+	}
+	for _, spec := range variantSpecs {
+		if strings.EqualFold(spec.name, v) {
+			return spec, nil
 		}
 	}
-	return out
+	return variantSpec{}, fmt.Errorf("trace: unknown variant %q (have %s)", variant, strings.Join(Variants(), ", "))
+}
+
+// floor picks the variant's resample floor from the moderate and heavy
+// floors (BBFloors, EstimateBBFloors).
+func (v variantSpec) floor(moderate, heavy int64) int64 {
+	if v.heavy {
+		return heavy
+	}
+	return moderate
 }
 
 // Variants lists the workload variant names in presentation order:
@@ -404,17 +460,18 @@ func WithStageOut(w Workload, drainGBps float64) Workload {
 // on SSD-equipped machines). Variant names are case-insensitive in
 // ApplyVariant.
 func Variants() []string {
-	return []string{"Original", "S1", "S2", "S3", "S4", "S5", "S6", "S7"}
+	names := make([]string, len(variantSpecs))
+	for i, v := range variantSpecs {
+		names[i] = v.name
+	}
+	return names
 }
 
 // IsSSDVariant reports whether the named variant carries local-SSD
 // requests (S5–S7) and therefore pairs with the §5 method roster.
 func IsSSDVariant(variant string) bool {
-	switch strings.ToUpper(strings.TrimSpace(variant)) {
-	case "S5", "S6", "S7":
-		return true
-	}
-	return false
+	spec, err := lookupVariant(variant)
+	return err == nil && spec.mix != nil
 }
 
 // ApplyVariant derives the named variant (see Variants; case-insensitive,
@@ -423,65 +480,46 @@ func IsSSDVariant(variant string) bool {
 // matrices — Matrix and SSDMatrix are built on it. The result is named
 // "<cluster>-<variant>".
 func ApplyVariant(base Workload, variant string, seed uint64) (Workload, error) {
-	v := strings.ToUpper(strings.TrimSpace(variant))
-	name := base.System.Cluster.Name
-	if v == "" || v == "ORIGINAL" {
-		out := base
-		out.Name = name + "-Original"
-		return out, nil
-	}
-	floor5, floor20 := BBFloors(base)
-	switch v {
-	case "S1":
-		return ExpandBB(base, name+"-S1", 0.50, floor5, seed+1), nil
-	case "S2":
-		return ExpandBB(base, name+"-S2", 0.75, floor5, seed+2), nil
-	case "S3":
-		return ExpandBB(base, name+"-S3", 0.50, floor20, seed+3), nil
-	case "S4":
-		return ExpandBB(base, name+"-S4", 0.75, floor20, seed+4), nil
-	case "S5", "S6", "S7":
-		mix := map[string]SSDMix{"S5": S5, "S6": S6, "S7": S7}[v]
-		off := map[string]uint64{"S5": 5, "S6": 6, "S7": 7}[v]
-		s2 := ExpandBB(base, name+"-S2", 0.75, floor5, seed+2)
-		return AddSSD(s2, name+"-"+v, mix, seed+off), nil
-	}
-	return Workload{}, fmt.Errorf("trace: unknown variant %q (have %s)", variant, strings.Join(Variants(), ", "))
-}
-
-// mustVariant applies a variant the caller knows is valid.
-func mustVariant(base Workload, variant string, seed uint64) Workload {
-	w, err := ApplyVariant(base, variant, seed)
+	spec, err := lookupVariant(variant)
 	if err != nil {
-		panic(err)
+		return Workload{}, err
 	}
-	return w
+	name := base.System.Cluster.Name + "-" + spec.name
+	switch {
+	case spec.mix != nil:
+		s2, _ := ApplyVariant(base, "S2", seed)
+		return AddSSD(s2, name, *spec.mix, seed+spec.off), nil
+	case spec.frac > 0:
+		return ExpandBB(base, name, spec.frac, spec.floor(BBFloors(base)), seed+spec.off), nil
+	}
+	base.Name = name
+	return base, nil
 }
 
 // Matrix returns the paper's ten §4 workloads — {Cori, Theta} × {Original,
 // S1..S4} — generated at the given job count and seed against the supplied
 // (possibly scaled) system models.
 func Matrix(cori, theta SystemModel, jobsPerTrace int, seed uint64) []Workload {
-	var out []Workload
-	for _, sys := range []SystemModel{cori, theta} {
-		base := Generate(GenConfig{System: sys, Jobs: jobsPerTrace, Seed: seed})
-		base.Name = sys.Cluster.Name + "-Original"
-		for _, v := range Variants()[:5] {
-			out = append(out, mustVariant(base, v, seed))
-		}
-	}
-	return out
+	return matrix(cori, theta, jobsPerTrace, seed, Variants()[:5])
 }
 
 // SSDMatrix returns the §5 case-study workloads: S5–S7 layered on the S2
 // expansion of each system, on SSD-equipped machines.
 func SSDMatrix(cori, theta SystemModel, jobsPerTrace int, seed uint64) []Workload {
+	return matrix(cori, theta, jobsPerTrace, seed, Variants()[5:])
+}
+
+// matrix derives variants from a generated base trace of each system.
+func matrix(cori, theta SystemModel, jobsPerTrace int, seed uint64, variants []string) []Workload {
 	var out []Workload
 	for _, sys := range []SystemModel{cori, theta} {
 		base := Generate(GenConfig{System: sys, Jobs: jobsPerTrace, Seed: seed})
-		base.Name = sys.Cluster.Name + "-Original"
-		for _, v := range Variants()[5:] {
-			out = append(out, mustVariant(base, v, seed))
+		for _, v := range variants {
+			w, err := ApplyVariant(base, v, seed)
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, w)
 		}
 	}
 	return out

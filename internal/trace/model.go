@@ -97,7 +97,7 @@ func Scale(m SystemModel, factor int) SystemModel {
 	}
 	out := m
 	out.Cluster.Name = fmt.Sprintf("%s/%d", m.Cluster.Name, factor)
-	out.Cluster.Nodes = maxInt(1, m.Cluster.Nodes/factor)
+	out.Cluster.Nodes = max(1, m.Cluster.Nodes/factor)
 	out.Cluster.BurstBufferGB = m.Cluster.BurstBufferGB / int64(factor)
 	out.MaxBBRequestGB = m.MaxBBRequestGB / int64(factor)
 	out.PersistentBBGB = m.PersistentBBGB / int64(factor)
@@ -124,7 +124,7 @@ func Scale(m SystemModel, factor int) SystemModel {
 		copy(classes, m.Cluster.SSDClasses)
 		total := 0
 		for i := range classes {
-			classes[i].Count = maxInt(1, classes[i].Count/factor)
+			classes[i].Count = max(1, classes[i].Count/factor)
 			total += classes[i].Count
 		}
 		out.Cluster.SSDClasses = classes
@@ -185,8 +185,9 @@ type Workload struct {
 	Jobs []*job.Job
 }
 
-// Clone deep-copies the workload, for a transform that derives changed
-// jobs from it (ExpandBB, AddSSD, …). Runs share a workload uncopied.
+// Clone deep-copies the workload, for a caller that writes the copy's
+// jobs. Runs share a workload uncopied, and the transforms (ExpandBB,
+// AddSSD, …) copy only the jobs they change.
 func (w Workload) Clone() Workload {
 	return Workload{Name: w.Name, System: w.System, Jobs: job.CloneAll(w.Jobs)}
 }
@@ -203,20 +204,13 @@ func (w Workload) Validate() error {
 	if err != nil {
 		return err
 	}
-	for i, j := range w.Jobs {
+	var seq sequence
+	for _, j := range w.Jobs {
 		if err := j.Validate(); err != nil {
 			return err
 		}
-		if j.ID != i {
-			return fmt.Errorf("workload %s: job ID %d breaks the dense submit-order sequence (want %d)", w.Name, j.ID, i)
-		}
-		if i > 0 && j.SubmitTime < w.Jobs[i-1].SubmitTime {
-			return fmt.Errorf("workload %s: job %d submits at %d, before previous job's %d", w.Name, j.ID, j.SubmitTime, w.Jobs[i-1].SubmitTime)
-		}
-		for _, d := range j.Deps {
-			if d < 0 || d >= j.ID {
-				return fmt.Errorf("workload %s: job %d dep %d does not reference an earlier job", w.Name, j.ID, d)
-			}
+		if err := seq.check(j); err != nil {
+			return fmt.Errorf("workload %s: %w", w.Name, err)
 		}
 		if j.Demand.NodeCount() > w.System.Cluster.Nodes {
 			return fmt.Errorf("workload %s: job %d requests %d nodes on a %d-node system",
@@ -275,11 +269,4 @@ func ComputeStats(jobs []*job.Job) Stats {
 		s.MedianNodes = nodes[len(nodes)/2]
 	}
 	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

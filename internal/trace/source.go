@@ -3,16 +3,10 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"bbsched/internal/job"
 	"bbsched/internal/rng"
 )
-
-// canonicalVariant normalizes a variant name for matching.
-func canonicalVariant(v string) string { return strings.ToUpper(strings.TrimSpace(v)) }
-
-func joinVariants() string { return strings.Join(Variants(), ", ") }
 
 // JobSource is the streaming workload contract: a pull-based iterator over
 // jobs in non-decreasing submit-time order with dense IDs (0, 1, 2, … in
@@ -32,6 +26,30 @@ type JobSource interface {
 	// Next returns the next job in submit order, or io.EOF when the
 	// stream is exhausted.
 	Next() (*job.Job, error)
+}
+
+// sequence checks the order JobSource promises, one job at a time: IDs
+// dense from 0, submit times non-decreasing, deps on earlier jobs only.
+type sequence struct {
+	next       int
+	lastSubmit int64
+}
+
+func (q *sequence) check(j *job.Job) error {
+	if j.ID != q.next {
+		return fmt.Errorf("job ID %d breaks the dense submit-order sequence (want %d)", j.ID, q.next)
+	}
+	if j.SubmitTime < q.lastSubmit {
+		return fmt.Errorf("job %d submits at %d, before previous job's %d", j.ID, j.SubmitTime, q.lastSubmit)
+	}
+	for _, d := range j.Deps {
+		if d < 0 || d >= j.ID {
+			return fmt.Errorf("job %d dep %d does not reference an earlier job", j.ID, d)
+		}
+	}
+	q.next++
+	q.lastSubmit = j.SubmitTime
+	return nil
 }
 
 // Horizoner is an optional JobSource refinement for sources that know
@@ -162,9 +180,22 @@ func Collect(src JobSource) ([]*job.Job, error) {
 	}
 }
 
+// wrapped is a combinator's source. Its Close forwards to that source:
+// early abandonment of a capped or transformed file stream must release
+// the file.
+type wrapped struct{ src JobSource }
+
+// Close implements Closer.
+func (w wrapped) Close() error {
+	if c, ok := w.src.(Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // limitSource caps a stream at n jobs.
 type limitSource struct {
-	src  JobSource
+	wrapped
 	left int
 }
 
@@ -172,14 +203,12 @@ type limitSource struct {
 // streaming analogue of SWFOptions.MaxJobs / truncating a slice). The
 // horizon, if src knows one, is discarded — truncation changes it.
 func LimitSource(src JobSource, n int) JobSource {
-	return &limitSource{src: src, left: n}
+	return &limitSource{wrapped: wrapped{src}, left: n}
 }
 
 func (l *limitSource) Next() (*job.Job, error) {
 	if l.left <= 0 {
-		if c, ok := l.src.(Closer); ok {
-			c.Close()
-		}
+		l.Close()
 		return nil, io.EOF
 	}
 	j, err := l.src.Next()
@@ -190,21 +219,12 @@ func (l *limitSource) Next() (*job.Job, error) {
 	return j, nil
 }
 
-// Close implements Closer by forwarding to the wrapped source: early
-// abandonment of a capped file stream must release the file.
-func (l *limitSource) Close() error {
-	if c, ok := l.src.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // mapSource applies a per-job transform, which returns the job it was
 // given when it changes nothing and a changed copy otherwise. Transforms
 // never change submit times, so a known horizon passes through.
 type mapSource struct {
-	src JobSource
-	fn  func(*job.Job) *job.Job
+	wrapped
+	fn func(*job.Job) *job.Job
 }
 
 func (m *mapSource) Next() (*job.Job, error) {
@@ -222,13 +242,6 @@ func (m *mapSource) Horizon() (int64, bool) {
 	return 0, false
 }
 
-func (m *mapSource) Close() error {
-	if c, ok := m.src.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // StageOutSource is the streaming counterpart of WithStageOut: every
 // burst-buffer job is given a stage-out phase of bb_size / drainGBps
 // seconds; non-BB jobs have stage-out cleared.
@@ -236,7 +249,7 @@ func StageOutSource(src JobSource, drainGBps float64) JobSource {
 	if drainGBps <= 0 {
 		return src
 	}
-	return &mapSource{src: src, fn: func(j *job.Job) *job.Job {
+	return &mapSource{wrapped: wrapped{src}, fn: func(j *job.Job) *job.Job {
 		var sec int64
 		if bb := j.Demand.BB(); bb > 0 {
 			sec = int64(float64(bb) / drainGBps)
@@ -267,7 +280,7 @@ func ExpandBBSource(src JobSource, sys SystemModel, frac float64, floorGB int64,
 		p = (frac - base) / (1 - base)
 	}
 	s := rng.New(seed).Split("expand-stream:" + sys.Cluster.Name)
-	return &mapSource{src: src, fn: func(j *job.Job) *job.Job {
+	return &mapSource{wrapped: wrapped{src}, fn: func(j *job.Job) *job.Job {
 		if j.Demand.BB() == 0 && s.Bool(p) {
 			return withDemand(j, job.BurstBufferGB, sampleBB(s, floorGB, sys.MaxBBRequestGB))
 		}
@@ -280,20 +293,24 @@ func ExpandBBSource(src JobSource, sys SystemModel, frac float64, floorGB int64,
 // returned alongside the source (jobs wider than the big-SSD node class
 // receive small requests, as in AddSSD).
 func AddSSDSource(src JobSource, sys SystemModel, mix SSDMix, seed uint64) (JobSource, SystemModel) {
+	return addSSD(src, sys, mix, rng.New(seed).Split("ssd-stream:"+sys.Cluster.Name))
+}
+
+// addSSD is AddSSD and AddSSDSource, drawing from s.
+func addSSD(src JobSource, sys SystemModel, mix SSDMix, s *rng.Stream) (JobSource, SystemModel) {
 	out := WithSSD(sys)
-	s := rng.New(seed).Split("ssd-stream:" + sys.Cluster.Name)
 	bigNodes := 0
 	for _, cl := range out.Cluster.SSDClasses {
 		if cl.CapacityGB > 128 {
 			bigNodes += cl.Count
 		}
 	}
-	return &mapSource{src: src, fn: func(j *job.Job) *job.Job {
+	return &mapSource{wrapped: wrapped{src}, fn: func(j *job.Job) *job.Job {
 		var ssd int64
 		if s.Bool(mix.SmallFrac) || j.Demand.NodeCount() > bigNodes {
-			ssd = s.Int63n(128) + 1
+			ssd = s.Int63n(128) + 1 // (0,128]
 		} else {
-			ssd = 128 + s.Int63n(128) + 1
+			ssd = 128 + s.Int63n(128) + 1 // (128,256]
 		}
 		return withDemand(j, job.LocalSSDGBPerNode, ssd)
 	}}, out
@@ -322,29 +339,19 @@ func EstimateBBFloors(sys SystemModel, seed uint64) (moderate, heavy int64) {
 // returns the wrapped source, the system the variant targets (SSD
 // variants switch to the SSD-equipped machine), and the conventional
 // "<cluster>-<variant>" workload name. Expansion floors come from
-// EstimateBBFloors; seed offsets match ApplyVariant.
+// EstimateBBFloors; fractions and seed offsets are ApplyVariant's.
 func ApplyVariantSource(src JobSource, sys SystemModel, variant string, seed uint64) (JobSource, SystemModel, string, error) {
-	v := canonicalVariant(variant)
-	name := sys.Cluster.Name
-	if v == "" || v == "ORIGINAL" {
-		return src, sys, name + "-Original", nil
+	spec, err := lookupVariant(variant)
+	if err != nil {
+		return nil, SystemModel{}, "", err
 	}
-	floor5, floor20 := EstimateBBFloors(sys, seed)
-	switch v {
-	case "S1":
-		return ExpandBBSource(src, sys, 0.50, floor5, seed+1), sys, name + "-S1", nil
-	case "S2":
-		return ExpandBBSource(src, sys, 0.75, floor5, seed+2), sys, name + "-S2", nil
-	case "S3":
-		return ExpandBBSource(src, sys, 0.50, floor20, seed+3), sys, name + "-S3", nil
-	case "S4":
-		return ExpandBBSource(src, sys, 0.75, floor20, seed+4), sys, name + "-S4", nil
-	case "S5", "S6", "S7":
-		mix := map[string]SSDMix{"S5": S5, "S6": S6, "S7": S7}[v]
-		off := map[string]uint64{"S5": 5, "S6": 6, "S7": 7}[v]
-		s2 := ExpandBBSource(src, sys, 0.75, floor5, seed+2)
-		out, ssdSys := AddSSDSource(s2, sys, mix, seed+off)
-		return out, ssdSys, name + "-" + v, nil
+	name := sys.Cluster.Name + "-" + spec.name
+	switch {
+	case spec.mix != nil:
+		s2, _, _, _ := ApplyVariantSource(src, sys, "S2", seed)
+		src, sys = AddSSDSource(s2, sys, *spec.mix, seed+spec.off)
+	case spec.frac > 0:
+		src = ExpandBBSource(src, sys, spec.frac, spec.floor(EstimateBBFloors(sys, seed)), seed+spec.off)
 	}
-	return nil, SystemModel{}, "", fmt.Errorf("trace: unknown variant %q (have %s)", variant, joinVariants())
+	return src, sys, name, nil
 }

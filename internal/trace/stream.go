@@ -14,47 +14,72 @@ import (
 	"bbsched/internal/rng"
 )
 
-// Streaming decoders: SWF and CSV sources that read one record per Next
-// and never hold the full file, so multi-year archive logs replay in
-// bounded memory. Both reuse the materialized readers' parse helpers
-// (field clamping, NaN rejection, memory saturation) so the two paths
-// cannot drift.
+// Streaming decoders and writer: SWF and CSV sources that read one record
+// per Next and never hold the full file, so multi-year archive logs replay
+// in bounded memory, and a CSV writer that takes one job per Write. They
+// are the only implementation of each format: ReadSWF, ReadCSV and
+// ReadCSVNamed drain a source, and WriteCSV is a loop over CSVWriter.
 //
-// Differences from the materialized readers, forced by the single-pass
-// contract:
-//   - SWF: the materialized reader sorts by submit time after the fact;
-//     the stream clamps mild timestamp disorder to the running maximum
-//     instead (archives carry jitter). Preceding-job links are dropped —
-//     resolving them needs the full SWF-ID map the stream refuses to hold.
-//   - CSV: records must already be in submit order with dense IDs (which
-//     is exactly what WriteCSV emits); violations are errors, not fixups.
+// What a single pass cannot do is left to the batch readers:
+//   - SWF: ReadSWF resolves preceding-job links (which need the full SWF-ID
+//     map the stream refuses to hold) and sorts by submit time after the
+//     fact; the stream drops the links and clamps mild timestamp disorder
+//     to the running maximum instead (archives carry jitter).
+//   - CSV: nothing. Records must already be in submit order with dense IDs
+//     and deps on earlier jobs (exactly what WriteCSV emits); a violation
+//     is an error, not a fixup, in the stream and in ReadCSV alike.
+
+// fileSource ends a decoder's stream: it closes the backing reader, if
+// that is an io.Closer, when the stream drains or fails, or on Close.
+type fileSource struct {
+	closer io.Closer
+	done   bool
+}
+
+func newFileSource(r io.Reader) fileSource {
+	c, _ := r.(io.Closer)
+	return fileSource{closer: c}
+}
+
+// finish marks the stream drained/failed, closes the backing file, and
+// returns err (or io.EOF for a clean drain).
+func (f *fileSource) finish(err error) error {
+	f.done = true
+	f.Close()
+	if err != nil {
+		return err
+	}
+	return io.EOF
+}
+
+// Close releases the backing file, if any. Safe to call repeatedly.
+func (f *fileSource) Close() error {
+	if f.closer == nil {
+		return nil
+	}
+	c := f.closer
+	f.closer = nil
+	return c.Close()
+}
 
 // SWFSource streams an SWF log (see ReadSWF for the format).
 type SWFSource struct {
+	fileSource
 	sc         *bufio.Scanner
-	closer     io.Closer
 	opts       SWFOptions
-	cores      int
 	line       int
 	emitted    int
 	lastSubmit int64
-	done       bool
+	fields     [swfNumFields]int64
 }
 
 // NewSWFSource returns a streaming SWF decoder over r. If r implements
 // io.Closer it is closed when the stream drains or fails.
 func NewSWFSource(r io.Reader, opts SWFOptions) *SWFSource {
-	cores := opts.CoresPerNode
-	if cores <= 0 {
-		cores = 1
-	}
+	opts.CoresPerNode = max(opts.CoresPerNode, 1)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	s := &SWFSource{sc: sc, opts: opts, cores: cores}
-	if c, ok := r.(io.Closer); ok {
-		s.closer = c
-	}
-	return s
+	return &SWFSource{fileSource: newFileSource(r), sc: sc, opts: opts}
 }
 
 // OpenSWF opens path as a streaming SWF source, transparently
@@ -119,78 +144,65 @@ func OpenTrace(path string, opts SWFOptions) (JobSource, error) {
 
 // Next implements JobSource.
 func (s *SWFSource) Next() (*job.Job, error) {
+	j, _, err := s.record()
+	if err != nil {
+		return nil, err
+	}
+	// Single-pass analogue of ReadSWF's sort: clamp out-of-order
+	// timestamps up to the running maximum.
+	if j.SubmitTime < s.lastSubmit {
+		j.SubmitTime = s.lastSubmit
+	}
+	s.lastSubmit = j.SubmitTime
+	return j, nil
+}
+
+// record returns the next kept job, numbered in emission order, and the
+// raw fields it was built from (valid until the next call), or io.EOF
+// once the log or opts.MaxJobs is spent.
+func (s *SWFSource) record() (*job.Job, *[swfNumFields]int64, error) {
 	if s.done {
-		return nil, io.EOF
+		return nil, nil, io.EOF
 	}
 	for {
 		if s.opts.MaxJobs > 0 && s.emitted >= s.opts.MaxJobs {
-			return nil, s.finish(nil)
+			return nil, nil, s.finish(nil)
 		}
 		if !s.sc.Scan() {
 			if err := s.sc.Err(); err != nil {
-				return nil, s.finish(fmt.Errorf("trace: swf: %w", err))
+				return nil, nil, s.finish(fmt.Errorf("trace: swf: %w", err))
 			}
-			return nil, s.finish(nil)
+			return nil, nil, s.finish(nil)
 		}
 		s.line++
 		text := strings.TrimSpace(s.sc.Text())
 		if text == "" || strings.HasPrefix(text, ";") {
 			continue
 		}
-		var v [swfNumFields]int64
-		if err := parseSWFFields(text, v[:]); err != nil {
-			return nil, s.finish(fmt.Errorf("trace: swf line %d: %w", s.line, err))
+		if err := parseSWFFields(text, s.fields[:]); err != nil {
+			return nil, nil, s.finish(fmt.Errorf("trace: swf line %d: %w", s.line, err))
 		}
-		j, err := swfJob(v[:], s.emitted, s.cores, s.opts)
+		j, err := swfJob(s.fields[:], s.emitted, s.opts)
 		if err != nil {
-			return nil, s.finish(fmt.Errorf("trace: swf line %d: %w", s.line, err))
+			return nil, nil, s.finish(fmt.Errorf("trace: swf line %d: %w", s.line, err))
 		}
 		if j == nil {
 			continue
 		}
-		// Single-pass analogue of the materialized reader's sort: clamp
-		// out-of-order timestamps up to the running maximum.
-		if j.SubmitTime < s.lastSubmit {
-			j.SubmitTime = s.lastSubmit
-		}
-		s.lastSubmit = j.SubmitTime
 		s.emitted++
-		return j, nil
+		return j, &s.fields, nil
 	}
-}
-
-// finish marks the stream drained/failed, closes the backing file, and
-// returns err (or io.EOF for a clean drain).
-func (s *SWFSource) finish(err error) error {
-	s.done = true
-	s.Close()
-	if err != nil {
-		return err
-	}
-	return io.EOF
-}
-
-// Close releases the backing file, if any. Safe to call repeatedly.
-func (s *SWFSource) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	c := s.closer
-	s.closer = nil
-	return c.Close()
 }
 
 // CSVSource streams a trace in the repository's CSV format (see
 // WriteCSV). Records must be in submit order with dense IDs and deps
 // referencing earlier jobs only — the invariants WriteCSV output holds.
 type CSVSource struct {
+	fileSource
 	cr         *csv.Reader
-	closer     io.Closer
 	extraNames []string
 	line       int
-	next       int // expected dense ID
-	lastSubmit int64
-	done       bool
+	seq        sequence
 }
 
 // NewCSVSource returns a streaming CSV decoder over r, reading and
@@ -206,11 +218,7 @@ func NewCSVSource(r io.Reader) (*CSVSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &CSVSource{cr: cr, extraNames: extraNames, line: 1}
-	if c, ok := r.(io.Closer); ok {
-		s.closer = c
-	}
-	return s, nil
+	return &CSVSource{fileSource: newFileSource(r), cr: cr, extraNames: extraNames, line: 1}, nil
 }
 
 // OpenCSV opens path as a streaming CSV source, transparently
@@ -250,45 +258,15 @@ func (s *CSVSource) Next() (*job.Job, error) {
 	if err != nil {
 		return nil, s.finish(fmt.Errorf("trace: line %d: %w", s.line, err))
 	}
-	if j.ID != s.next {
-		return nil, s.finish(fmt.Errorf("trace: line %d: job ID %d breaks the dense submit-order sequence (want %d); streaming requires WriteCSV-ordered traces", s.line, j.ID, s.next))
+	if err := s.seq.check(j); err != nil {
+		return nil, s.finish(fmt.Errorf("trace: line %d: %w", s.line, err))
 	}
-	if j.SubmitTime < s.lastSubmit {
-		return nil, s.finish(fmt.Errorf("trace: line %d: submit %d before previous %d; streaming requires submit-ordered traces", s.line, j.SubmitTime, s.lastSubmit))
-	}
-	for _, d := range j.Deps {
-		if d < 0 || d >= j.ID {
-			return nil, s.finish(fmt.Errorf("trace: line %d: dep %d does not reference an earlier job", s.line, d))
-		}
-	}
-	s.next++
-	s.lastSubmit = j.SubmitTime
 	return j, nil
 }
 
-func (s *CSVSource) finish(err error) error {
-	s.done = true
-	s.Close()
-	if err != nil {
-		return err
-	}
-	return io.EOF
-}
-
-// Close releases the backing file, if any. Safe to call repeatedly.
-func (s *CSVSource) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	c := s.closer
-	s.closer = nil
-	return c.Close()
-}
-
-// CSVWriter is the streaming counterpart of WriteCSV: one job per Write
-// call, header emitted lazily, nothing materialized — tracegen uses it to
-// produce million-job fixtures in constant memory. Output is
-// byte-identical to WriteCSV over the same jobs.
+// CSVWriter writes a trace one job per Write call, header emitted lazily,
+// nothing materialized — tracegen uses it to produce million-job fixtures
+// in constant memory. WriteCSV is a loop over it.
 type CSVWriter struct {
 	cw         *csv.Writer
 	extraNames []string
@@ -303,11 +281,8 @@ func NewCSVWriter(w io.Writer, extraNames ...string) *CSVWriter {
 
 // Write appends one job record (emitting the header first if needed).
 func (w *CSVWriter) Write(j *job.Job) error {
-	if !w.headerDone {
-		if err := w.cw.Write(csvHeaderWith(w.extraNames)); err != nil {
-			return err
-		}
-		w.headerDone = true
+	if err := w.header(); err != nil {
+		return err
 	}
 	return w.cw.Write(csvRecord(j, len(w.extraNames)))
 }
@@ -316,27 +291,31 @@ func (w *CSVWriter) Write(j *job.Job) error {
 // A header-only file is still valid: Flush emits the header if no job
 // was ever written.
 func (w *CSVWriter) Flush() error {
-	if !w.headerDone {
-		if err := w.cw.Write(csvHeaderWith(w.extraNames)); err != nil {
-			return err
-		}
-		w.headerDone = true
+	if err := w.header(); err != nil {
+		return err
 	}
 	w.cw.Flush()
 	return w.cw.Error()
 }
 
+// header writes the header row once.
+func (w *CSVWriter) header() error {
+	if w.headerDone {
+		return nil
+	}
+	if err := w.cw.Write(csvHeaderWith(w.extraNames)); err != nil {
+		return err
+	}
+	w.headerDone = true
+	return nil
+}
+
 // genSource streams jobs from the statistical generator without
 // materializing them (see GenSource).
 type genSource struct {
-	cfg     GenConfig
-	sizes   *rng.Stream
-	times   *rng.Stream
-	bbs     *rng.Stream
-	users   *rng.Stream
+	sampler
 	deps    *rng.Stream
 	arrive  *rng.Stream
-	names   []string // userNames(cfg.Users)
 	i       int
 	t       float64
 	nodeSec int64 // running Σ nodes×runtime, for load self-calibration
@@ -356,14 +335,9 @@ func GenSource(cfg GenConfig) JobSource {
 	cfg = cfg.withDefaults()
 	root := rng.New(cfg.Seed).Split("trace-stream:" + cfg.System.Cluster.Name)
 	return &genSource{
-		cfg:    cfg,
-		sizes:  root.Split("sizes"),
-		times:  root.Split("runtimes"),
-		bbs:    root.Split("bb"),
-		users:  root.Split("users"),
-		deps:   root.Split("deps"),
-		arrive: root.Split("arrivals"),
-		names:  userNames(cfg.Users),
+		sampler: newSampler(cfg, root),
+		deps:    root.Split("deps"),
+		arrive:  root.Split("arrivals"),
 	}
 }
 
@@ -371,28 +345,18 @@ func (g *genSource) Next() (*job.Job, error) {
 	if g.i >= g.cfg.Jobs {
 		return nil, io.EOF
 	}
-	sys := g.cfg.System
-	n := sampleNodes(g.sizes, sys)
-	runtime, walltime := sampleRuntime(g.times, sys)
-	var bb int64
-	if g.bbs.Bool(sys.BBFraction) {
-		bb = sampleBB(g.bbs, 1, sys.MaxBBRequestGB)
-	}
-	g.nodeSec += int64(n) * runtime
+	j := g.job(g.i)
+	g.nodeSec += int64(j.Demand.NodeCount()) * j.Runtime
 
 	// Interarrival calibration mirrors assignArrivals, with the trace-wide
 	// mean node-seconds replaced by the running mean over jobs seen so far.
 	const shape = 0.7
 	meanJobNodeSec := float64(g.nodeSec) / float64(g.i+1)
-	meanIA := meanJobNodeSec / (float64(sys.Cluster.Nodes) * g.cfg.TargetLoad)
+	meanIA := meanJobNodeSec / (float64(g.cfg.System.Cluster.Nodes) * g.cfg.TargetLoad)
 	scale := meanIA / math.Gamma(1+1/shape)
 	g.t += g.arrive.Weibull(shape, scale)
+	j.SubmitTime = int64(g.t)
 
-	j := job.MustNew(g.i, int64(g.t), runtime, walltime, job.NewDemand(n, bb, 0))
-	j.User = g.names[g.users.Intn(g.cfg.Users)]
-	if bb > 0 && g.cfg.BBDrainGBps > 0 {
-		j.StageOutSec = int64(float64(bb) / g.cfg.BBDrainGBps)
-	}
 	if g.i > 0 && g.cfg.DependencyFraction > 0 && g.deps.Bool(g.cfg.DependencyFraction) {
 		j.Deps = []int{g.deps.Intn(g.i)}
 	}

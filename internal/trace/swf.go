@@ -63,34 +63,20 @@ const (
 // via opts.CoresPerNode; requested time becomes the walltime estimate
 // (falling back to the actual runtime when absent, as archive logs often
 // omit it); SWF "preceding job" links become dependencies when the
-// referenced job exists in the import.
+// referenced job exists in the import. It drains an SWFSource's records
+// and adds what only a whole log allows: the preceding-job links, then a
+// sort by submit time where the stream clamps. r is never closed.
 func ReadSWF(r io.Reader, opts SWFOptions) ([]*job.Job, error) {
-	cores := opts.CoresPerNode
-	if cores <= 0 {
-		cores = 1
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-
+	src := NewSWFSource(struct{ io.Reader }{r}, opts)
 	var jobs []*job.Job
 	swfToOurs := map[int]int{} // SWF job number → our dense ID
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
-			continue
+	for {
+		j, v, err := src.record()
+		if err == io.EOF {
+			break
 		}
-		var v [swfNumFields]int64
-		if err := parseSWFFields(text, v[:]); err != nil {
-			return nil, fmt.Errorf("trace: swf line %d: %w", line, err)
-		}
-		j, err := swfJob(v[:], len(jobs), cores, opts)
 		if err != nil {
-			return nil, fmt.Errorf("trace: swf line %d: %w", line, err)
-		}
-		if j == nil {
-			continue // skipped record (failed/zero-runtime/zero-width)
+			return nil, err
 		}
 		if prev := int(v[swfPrecedingJob]); prev > 0 {
 			if ours, ok := swfToOurs[prev]; ok {
@@ -99,12 +85,6 @@ func ReadSWF(r io.Reader, opts SWFOptions) ([]*job.Job, error) {
 		}
 		swfToOurs[int(v[swfJobID])] = j.ID
 		jobs = append(jobs, j)
-		if opts.MaxJobs > 0 && len(jobs) >= opts.MaxJobs {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: swf: %w", err)
 	}
 	job.SortBySubmit(jobs)
 	// Renumber in submit order, then re-point every dependency once through
@@ -127,12 +107,12 @@ func ReadSWF(r io.Reader, opts SWFOptions) ([]*job.Job, error) {
 }
 
 // parseSWFFields parses one non-comment SWF line into v (len
-// swfNumFields), applying the fuzz-hardened numeric handling shared by
-// the materialized and streaming decoders: SWF is integer-valued but some
-// archives emit floats (e.g. average CPU time), so fields parse through
-// float; NaN is rejected; values clamp to ±job.MaxDemand before the
-// float→int64 conversion, whose overflow behaviour is otherwise
-// implementation-defined in Go (no SWF semantics exceed the demand cap).
+// swfNumFields), with fuzz-hardened numeric handling: SWF is
+// integer-valued but some archives emit floats (e.g. average CPU time), so
+// fields parse through float; NaN is rejected; values clamp to
+// ±job.MaxDemand before the float→int64 conversion, whose overflow
+// behaviour is otherwise implementation-defined in Go (no SWF semantics
+// exceed the demand cap).
 func parseSWFFields(text string, v []int64) error {
 	fields := strings.Fields(text)
 	if len(fields) != swfNumFields {
@@ -157,10 +137,10 @@ func parseSWFFields(text string, v []int64) error {
 }
 
 // swfJob builds a job with the given dense ID from parsed SWF fields,
-// applying the record-level conversions both decoders share. A (nil, nil)
-// return means the record is skipped: failed status under SkipFailed,
-// non-positive runtime (cancelled before start), or zero width.
-func swfJob(v []int64, id, cores int, opts SWFOptions) (*job.Job, error) {
+// applying the record-level conversions (opts.CoresPerNode is positive).
+// A (nil, nil) return means the record is skipped: failed status under
+// SkipFailed, non-positive runtime (cancelled before start), or zero width.
+func swfJob(v []int64, id int, opts SWFOptions) (*job.Job, error) {
 	if opts.SkipFailed && v[swfStatus] != 1 {
 		return nil, nil
 	}
@@ -175,7 +155,8 @@ func swfJob(v []int64, id, cores int, opts SWFOptions) (*job.Job, error) {
 	if procs <= 0 {
 		return nil, nil
 	}
-	nodes := int((procs + int64(cores) - 1) / int64(cores))
+	cores := int64(opts.CoresPerNode)
+	nodes := int((procs + cores - 1) / cores)
 	walltime := v[swfReqTime]
 	if walltime <= 0 {
 		walltime = runtime
