@@ -84,12 +84,12 @@ examples-smoke:
 # (TestFarmMachineTransitions) and a refused journal write
 # (TestFarmJournalWriteFailure); plus the checkpoint
 # golden-equivalence (its -short set includes theta-wfp-s4/Weighted_LP,
-# the LP run a restore at every event must reproduce), version-skew and
-# pinned-wire-bytes tests.
+# the LP run a restore at every event must reproduce), version-skew,
+# pinned-wire-bytes and every-bit-flip (the CRC-32C trailer) tests.
 farm-smoke:
 	$(GO) test -race -short -run '^TestFarm|^TestRecipeKey$$' ./internal/farm
 	$(GO) test -race -short -run '^TestGoldenCheckpointEquivalence$$|^TestCheckpointRoundTrip' ./internal/sim
-	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$' ./internal/checkpoint
+	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$|^TestDecodeRejectsEveryBitFlip$$' ./internal/checkpoint
 
 # Fuzz the trace parsers, the snapshot decoder (which takes bytes off
 # the network), the dead-window shortcuts (skipped answer == solved
@@ -112,11 +112,14 @@ farm-smoke:
 # containers is refused or runs to the end) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
-# budget buys a few hundred execs, hence -fuzzminimizetime.
+# budget buys a few hundred execs, hence -fuzzminimizetime. A mutated
+# snapshot fails its CRC-32C almost always, so FuzzDecodeSealed re-seals
+# each input and fuzzes the parser behind the checksum.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseCSV$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeSealed$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindow$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindowOnPass$$' -fuzztime 30s
@@ -128,19 +131,21 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Coverage gate: internal/cluster + internal/sched + internal/lp +
-# internal/solver + internal/queue + internal/backfill + internal/trace
-# statement coverage must not drop below the floor (cluster/sched floor
+# internal/solver + internal/queue + internal/backfill + internal/trace +
+# internal/checkpoint statement coverage must not drop below the floor (cluster/sched floor
 # captured with the N-dimension harness; lp joined with the solver
 # refactor at 95%+ package coverage; solver joined with the zoo — greedy,
 # portfolio; queue joined when it began to carry its order from one
 # scheduling pass to the next; backfill when its planner began to reject
 # jobs on flat keys; trace, which parses outside input, when its batch
-# readers became wrappers over the streaming decoders).
+# readers became wrappers over the streaming decoders; checkpoint, which
+# decodes snapshots off the network, at 100% when its format went to
+# version 4).
 COVER_FLOOR = 75.0
 cover-gate:
-	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue ./internal/backfill ./internal/trace
+	$(GO) test -short -coverprofile=cover.out ./internal/cluster ./internal/sched ./internal/lp ./internal/solver ./internal/queue ./internal/backfill ./internal/trace ./internal/checkpoint
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
-	echo "cluster+sched+lp+solver+queue+backfill+trace coverage: $$total% (floor $(COVER_FLOOR)%)"; \
+	echo "cluster+sched+lp+solver+queue+backfill+trace+checkpoint coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 

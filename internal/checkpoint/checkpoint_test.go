@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"bbsched/internal/metrics"
 	"bbsched/internal/rng"
@@ -76,6 +79,20 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
+// hashedSample is the sketch sample as a run over a materialized workload
+// writes it: the jobs named by hash, the records down to their run fields.
+func hashedSample() *Snapshot {
+	s := sampleSnapshot()
+	s.Hashed = true
+	for i := range s.JobsHash {
+		s.JobsHash[i] = byte(i + 1)
+	}
+	for i, j := range s.Jobs {
+		s.Jobs[i] = JobRecord{ID: j.ID, State: j.State, StartTime: j.StartTime, EndTime: j.EndTime, WindowAge: j.WindowAge}
+	}
+	return s
+}
+
 func exactSample() *Snapshot {
 	s := sampleSnapshot()
 	s.Stats.Sketch = false
@@ -91,6 +108,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}{
 		{"full", sampleSnapshot()},
 		{"exact", exactSample()},
+		{"hashed", hashedSample()},
 		{"minimal", &Snapshot{Workload: "w", Method: "m"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,27 +129,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 				t.Fatalf("re-encoded snapshot differs (%d vs %d bytes)", buf.Len(), again.Len())
 			}
-			if got.Workload != tc.snap.Workload || got.Seed != tc.snap.Seed ||
-				!reflect.DeepEqual(got.Stats, tc.snap.Stats) || !reflect.DeepEqual(got.Events, decodedOrNilEvents(tc.snap.Events)) {
+			if got.Workload != tc.snap.Workload || got.Seed != tc.snap.Seed || got.JobsHash != tc.snap.JobsHash ||
+				got.DecideTotalNS != tc.snap.DecideTotalNS || got.DecideMaxNS != tc.snap.DecideMaxNS ||
+				!reflect.DeepEqual(got.Jobs, decodedOrEmpty(tc.snap.Jobs)) ||
+				!reflect.DeepEqual(got.DoneSparse, tc.snap.DoneSparse) ||
+				!reflect.DeepEqual(got.Stats, tc.snap.Stats) || !reflect.DeepEqual(got.Events, decodedOrEmpty(tc.snap.Events)) {
 				t.Fatalf("decoded snapshot fields diverge:\n got %+v\nwant %+v", got, tc.snap)
 			}
 		})
 	}
 }
 
-// TestWireFormatPinned pins the bytes of the format: between them the two
-// samples set every field, so any change to a walk's order, widths or
-// coverage moves a hash. A deliberate format change bumps Version and
-// these constants together (version 3: finished jobs and the metrics-mode
-// flags left the wire, the exact back-end's waits joined it).
+// TestWireFormatPinned pins the bytes of the format: between them the
+// three samples set every field, so any change to a walk's order, widths
+// or coverage moves a hash. A deliberate format change bumps Version and
+// these constants together (version 4: a materialized workload's jobs
+// named by hash, the done set as a bitmap, the wall-clock trailer and the
+// CRC-32C).
 func TestWireFormatPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		snap *Snapshot
 		want string
 	}{
-		{"sketch", sampleSnapshot(), "9c0aaacc9bba44ddbf46f19ae88260395aef9262b60b182b2bb641cdbbe963dc"},
-		{"exact", exactSample(), "e24053f3f38550237367afbb9229cba85d34d331b3fe9c9ed25c95f8b55ddcc4"},
+		{"sketch", sampleSnapshot(), "e5e8182fe5e0d008d60cb9abd3ef5fd16a502a30d74254d16bec867797efb68a"},
+		{"exact", exactSample(), "aa6b98673a6c6e57e737d4775a2ccdc934868ee3c2b717c590d1a801acf199d2"},
+		{"hashed", hashedSample(), "68c54ead589d5dc6541c01d0ec5835031af0424c79381788c34788603c50797f"},
 	} {
 		var buf bytes.Buffer
 		if err := Encode(&buf, tc.snap); err != nil {
@@ -145,13 +168,13 @@ func TestWireFormatPinned(t *testing.T) {
 	}
 }
 
-// decodedOrNilEvents mirrors the decoder's empty-slice normalization for
-// the DeepEqual comparison above.
-func decodedOrNilEvents(ev []EventRecord) []EventRecord {
-	if len(ev) == 0 {
-		return []EventRecord{}
+// decodedOrEmpty mirrors the decoder's empty-list normalization for the
+// DeepEqual comparison above.
+func decodedOrEmpty[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return []T{}
 	}
-	return ev
+	return xs
 }
 
 // TestDecodeVersionSkew pins the version-skew contract: a snapshot
@@ -201,39 +224,62 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// seal closes body with the CRC-32C trailer, as Append does, so that a
+// test's hand-made bytes get past the checksum to the parser.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
+}
+
 // TestDecodeDefences pins what the decoder does with hostile bytes: the
 // error it reports, that no partial snapshot comes back with it, and that
-// a declared length it cannot trust costs a bounded allocation.
+// a declared length it cannot trust costs a bounded allocation. Every
+// case but the first three is sealed with a valid checksum, so that it
+// reaches the parser.
 func TestDecodeDefences(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	const header = 8 // magic + version
+	body := raw[:len(raw)-4]
 	// Offsets of the first list length (Jobs) in the sample — two strings
-	// and the seed, then the identity and clock integers — and of the last
-	// bool (SrcDone), which two one-ID lists and DoneLow follow.
-	jobsLen := header + 4 + len("Theta-S4") + 4 + len("BBSched") + 8 + 8*8
-	srcDone := len(raw) - (1 + (4 + 8) + 8 + (4 + 8))
+	// and the seed, the two shape integers, the Hashed flag and the four
+	// clock integers — and of the last bool (SrcDone), which a one-ID
+	// list, DoneLow, the one-word done set and the trailer follow; and of
+	// the done set's lowest ID.
+	jobsLen := headerLen + 4 + len("Theta-S4") + 4 + len("BBSched") + 8 + 2*8 + 1 + 4*8
+	doneLo := len(raw) - trailerLen - (8 + 4 + 8)
+	srcDone := doneLo - (1 + (4 + 8) + 8)
 
 	patch := func(at int, b ...byte) []byte {
-		out := append([]byte(nil), raw[:at]...)
+		out := append([]byte(nil), body[:at]...)
 		return append(out, b...)
 	}
 	// One job up to its Res length: ID, empty User, three times.
 	oneJob := append(patch(jobsLen, 1, 0, 0, 0), make([]byte, 8+4+3*8)...)
+	padding := make([]byte, trailerLen)
+	// The hashed sample cut off in its jobs hash, after the Hashed flag.
+	hashed, err := Append(nil, hashedSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashAt := jobsLen - 4*8
+	cutHash := append(append([]byte(nil), hashed[:hashAt+10]...), padding[:trailerLen-10]...)
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"short read", raw[:len(raw)-1], "truncated snapshot: unexpected EOF"},
+		{"short read", raw[:len(raw)-1], "checksum mismatch"},
+		{"flipped byte", append(patch(srcDone, raw[srcDone]^0x10), raw[srcDone+1:]...), "checksum mismatch"},
 		{"empty", nil, "truncated snapshot: unexpected EOF"},
-		{"corrupt bool", append(patch(srcDone, 2), raw[srcDone+1:]...), "corrupt bool byte 2"},
-		{"oversized string", patch(header, 0x01, 0x00, 0x01, 0x00), "string length 65537 exceeds 65536"},
-		{"huge list", patch(jobsLen, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},
-		{"huge scalar slice", append(oneJob, 0xff, 0xff, 0xff, 0xff), "truncated snapshot: unexpected EOF"},
+		{"corrupt bool", seal(append(patch(srcDone, 2), body[srcDone+1:]...)), "corrupt bool byte 2"},
+		{"oversized string", seal(append(patch(headerLen, 0x01, 0x00, 0x01, 0x00), padding...)), "string length 65537 exceeds 65536"},
+		{"huge list", seal(patch(jobsLen, 0xff, 0xff, 0xff, 0xff)), "truncated snapshot: unexpected EOF"},
+		{"jobs hash cut short", seal(cutHash), "truncated snapshot: unexpected EOF"},
+		{"huge scalar slice", seal(append(oneJob, 0xff, 0xff, 0xff, 0xff)), "truncated snapshot: unexpected EOF"},
+		{"done set past the largest ID", seal(append(patch(doneLo, 0xf0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), body[doneLo+8:]...)), "passes the largest ID"},
+		{"trailing bytes", seal(append(append([]byte(nil), body...), 0)), "1 bytes past the snapshot's end"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -246,16 +292,71 @@ func TestDecodeDefences(t *testing.T) {
 			if s != nil {
 				t.Fatalf("Decode returned a partial snapshot with error %v", err)
 			}
-			// prealloc JobRecords are well under 1 MB; 2³²−1 of them are not.
+			// The input is a few KB; 2³²−1 job records are not.
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 				t.Fatalf("decoding %d hostile bytes allocated %d bytes", len(tc.data), grew)
 			}
 		})
 	}
 
+	if _, err := Decode(iotest.ErrReader(io.ErrClosedPipe)); err == nil || !strings.Contains(err.Error(), "reading snapshot") {
+		t.Fatalf("decoding from a failing reader: got %v", err)
+	}
 	long := &Snapshot{Workload: strings.Repeat("x", maxString+1)}
 	if err := Encode(io.Discard, long); err == nil || !strings.Contains(err.Error(), "string length 65537 exceeds 65536") {
 		t.Fatalf("encoding an oversized string: got %v", err)
+	}
+	wide := &Snapshot{DoneSparse: []int64{math.MinInt64, math.MaxInt64}}
+	if err := Encode(io.Discard, wide); err == nil || !strings.Contains(err.Error(), "ID set spans") {
+		t.Fatalf("encoding a done set wider than the wire can carry: got %v", err)
+	}
+}
+
+// TestDecodeRejectsEveryBitFlip flips each bit of a small snapshot in
+// turn: the header's flips fail the magic or version check, and every
+// other one the CRC-32C, which catches any single-bit error.
+func TestDecodeRejectsEveryBitFlip(t *testing.T) {
+	raw, err := Append(nil, &Snapshot{Workload: "w", Method: "m", Pulled: 9, DoneLow: 2, DoneSparse: []int64{4, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("the snapshot as written does not decode: %v", err)
+	}
+	flipped := make([]byte, len(raw))
+	for bit := 0; bit < 8*len(raw); bit++ {
+		copy(flipped, raw)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if _, err := Decode(bytes.NewReader(flipped)); err == nil {
+			t.Fatalf("flipping bit %d of %d decodes", bit, 8*len(raw))
+		}
+	}
+}
+
+// TestBodyOmitsWallClock: two snapshots that differ only in their
+// wall-clock decision times share a body, and one that differs anywhere
+// else does not.
+func TestBodyOmitsWallClock(t *testing.T) {
+	encode := func(s *Snapshot) []byte {
+		b, err := Append(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, b := sampleSnapshot(), sampleSnapshot()
+	b.DecideTotalNS++
+	b.DecideMaxNS++
+	ea, eb := encode(a), encode(b)
+	if bytes.Equal(ea, eb) || !bytes.Equal(Body(ea), Body(eb)) {
+		t.Fatal("snapshots differing only in the wall clock do not share just their bodies")
+	}
+	b.Now++
+	if bytes.Equal(Body(ea), Body(encode(b))) {
+		t.Fatal("snapshots at different instants share a body")
+	}
+	if Body(ea[:trailerLen-1]) != nil {
+		t.Fatal("Body of bytes shorter than the trailer is not nil")
 	}
 }
 
@@ -295,6 +396,44 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
 			t.Fatalf("canonical form unstable: %d vs %d bytes", out.Len(), out2.Len())
+		}
+	})
+}
+
+// FuzzDecodeSealed is FuzzDecode past the checksum: it seals each input
+// with a valid CRC-32C trailer, so the mutations reach the parser instead
+// of failing the checksum, and holds the decoder to the same contract.
+func FuzzDecodeSealed(f *testing.F) {
+	valid, err := Append(nil, sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	hashed, err := Append(nil, hashedSample())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid[:len(valid)-4])
+	f.Add(hashed[:len(hashed)-4])
+	f.Add(valid[:headerLen+trailerLen])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := Decode(bytes.NewReader(seal(body)))
+		if err != nil {
+			return
+		}
+		out, err := Append(nil, s)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded snapshot failed: %v", err)
+		}
+		s2, err := Decode(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded snapshot failed: %v", err)
+		}
+		out2, err := Append(nil, s2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("canonical form unstable: %d vs %d bytes", len(out), len(out2))
 		}
 	})
 }

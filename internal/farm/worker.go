@@ -174,6 +174,8 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 	// cell's streaming source exactly once (Close is idempotent and a
 	// no-op for materialized cells).
 	defer s.Close()
+	// One upload buffer serves every checkpoint of the cell.
+	var snap bytes.Buffer
 	steps := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -183,7 +185,7 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 			// Relay-segment boundary: hand the exact source position back
 			// as a terminal snapshot; the next segment is someone else's
 			// lease (possibly ours, next poll).
-			if err := w.uploadSnapshot(ctx, lease, s, true); err != nil {
+			if err := w.uploadSnapshot(ctx, lease, s, &snap, true); err != nil {
 				return err
 			}
 			w.bump(func(st *WorkerStats) { st.Segments++ })
@@ -203,7 +205,7 @@ func (w *Worker) runCell(ctx context.Context, lease LeaseResponse) error {
 			}
 		}
 		if lease.CheckpointEvents > 0 && steps%lease.CheckpointEvents == 0 {
-			if err := w.uploadSnapshot(ctx, lease, s, false); err != nil {
+			if err := w.uploadSnapshot(ctx, lease, s, &snap, false); err != nil {
 				return err
 			}
 		}
@@ -312,12 +314,13 @@ func (w *Worker) materialize(ws WorkloadSpec) (trace.Workload, error) {
 	return built, nil
 }
 
-// uploadSnapshot checkpoints the run and posts it — terminally for a
-// finished relay segment. A stale ack means the lease was reaped,
-// re-issued, or beaten by a speculative twin, so the cell is abandoned.
-func (w *Worker) uploadSnapshot(ctx context.Context, lease LeaseResponse, s *sim.Simulator, terminal bool) error {
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
+// uploadSnapshot checkpoints the run into buf, which it empties first,
+// and posts it — terminally for a finished relay segment. A stale ack
+// means the lease was reaped, re-issued, or beaten by a speculative twin,
+// so the cell is abandoned.
+func (w *Worker) uploadSnapshot(ctx context.Context, lease LeaseResponse, s *sim.Simulator, buf *bytes.Buffer, terminal bool) error {
+	buf.Reset()
+	if err := s.Checkpoint(buf); err != nil {
 		return w.reportFailure(ctx, lease, err)
 	}
 	q := url.Values{

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -17,9 +19,9 @@ import (
 )
 
 // Checkpoint serializes the simulator's complete state to w in the
-// versioned internal/checkpoint format. Call it only at an event
-// boundary — after NewSimulator, between Step calls, or after the run
-// drains; never from inside an Observer callback, where an instant is
+// versioned internal/checkpoint format, in one Write. Call it only at an
+// event boundary — after NewSimulator, between Step calls, or after the
+// run drains; never from inside an Observer callback, where an instant is
 // half-processed. Restore rebuilds an equivalent simulator that
 // continues with a byte-identical event stream and an identical Result.
 //
@@ -29,9 +31,45 @@ import (
 // does not cover custom stateful components supplied by the caller —
 // Observers, a stateful method (e.g. core.Adaptive), or a method whose
 // solver carries cross-invocation state — which must be reconstructed
-// (or accepted as reset) by the caller on Restore.
+// (or accepted as reset) by the caller on Restore. A run over a
+// materialized workload names the workload's jobs by their hash instead
+// of writing them: its snapshot restores only over the same jobs.
 func (s *Simulator) Checkpoint(w io.Writer) error {
-	return checkpoint.Encode(w, s.snapshot())
+	// Encode into the writer's spare capacity when it offers it, as
+	// bytes.Buffer and bufio.Writer do: a caller that reuses one buffer
+	// then checkpoints without allocating or copying the bytes.
+	var dst []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		dst = ab.AvailableBuffer()
+	}
+	b, err := checkpoint.Append(dst, s.snapshot())
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// inFlight is one job the engine holds: its running record if it has
+// started, else its window age, and whether it waits in the queue.
+type inFlight struct {
+	j      *job.Job
+	r      *runningJob
+	age    int
+	queued bool
+}
+
+// flightKey orders the jobs in flight: a job's ID and where its inFlight
+// entry is. Sorting keys, which hold no pointers, moves no pointer, so
+// it runs without write barriers while the collector marks.
+type flightKey struct{ id, at int }
+
+// jobsHash returns trace.JobsHash of the workload's jobs, computed once.
+func (s *Simulator) jobsHash() [sha256.Size]byte {
+	if !s.hashed {
+		s.hash, s.hashed = trace.JobsHash(s.workload.Jobs), true
+	}
+	return s.hash
 }
 
 // snapshot captures the simulator state as a checkpoint.Snapshot. The
@@ -41,71 +79,102 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 // off the event heap, each running job off its one end or burst-buffer
 // release event.
 func (s *Simulator) snapshot() *checkpoint.Snapshot {
+	inFlightJobs := s.q.Len() + len(s.events) + len(s.pending) - s.pendHead
 	snap := &checkpoint.Snapshot{
 		Workload:      s.workload.Name,
 		Method:        s.plugin.Method().Name(),
 		Seed:          s.opt.seed,
 		NumClasses:    int64(s.cl.Snapshot().NumClasses()),
 		NumExtra:      int64(s.cl.NumExtra()),
+		Hashed:        len(s.workload.Jobs) > 0,
 		Now:           s.now,
 		Invocations:   int64(s.invocations),
-		DecideTotalNS: int64(s.decideTotal),
-		DecideMaxNS:   int64(s.decideMax),
 		WarmEnd:       s.warmEnd,
 		CoolStart:     s.coolStart,
+		Jobs:          make([]checkpoint.JobRecord, 0, inFlightJobs),
+		Events:        make([]checkpoint.EventRecord, 0, len(s.events)),
+		QueueIDs:      make([]int64, 0, s.q.Len()),
+		Running:       make([]checkpoint.RunningRecord, 0, len(s.events)),
+		PendingIDs:    make([]int64, 0, len(s.pending)-s.pendHead),
+		DecideTotalNS: int64(s.decideTotal),
+		DecideMaxNS:   int64(s.decideMax),
+	}
+	if snap.Hashed {
+		snap.JobsHash = s.jobsHash()
 	}
 
-	// Job table: every job still referenced by the engine, sorted by ID,
-	// with the state its container holds of it. Each such job is in one
-	// container: the queue, the running set, an arrival event or the
-	// look-ahead buffer. Jobs not yet pulled are not state — restore
-	// re-reads them from the repositioned source — and neither are
-	// finished ones, which finish has already folded into stats.
-	snap.Jobs = make([]checkpoint.JobRecord, 0, s.q.Len()+len(s.events)+len(s.pending)-s.pendHead)
-	snap.QueueIDs = make([]int64, 0, s.q.Len())
+	// The jobs in flight, each in one container: the queue, the running
+	// set, an arrival event or the look-ahead buffer. Jobs not yet pulled
+	// are not state — restore re-reads them from the repositioned source —
+	// and neither are finished ones, which finish has already folded into
+	// stats. Sorted by ID, they give the job table, the queue and the
+	// running set in their stored order.
+	flight := make([]inFlight, 0, inFlightJobs)
 	for j, age := range s.q.Waiting() {
-		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, age))
-		snap.QueueIDs = append(snap.QueueIDs, int64(j.ID))
+		flight = append(flight, inFlight{j: j, age: age, queued: true})
 	}
-	slices.Sort(snap.QueueIDs)
 	for _, j := range s.pending[s.pendHead:] {
-		snap.Jobs = append(snap.Jobs, jobRecord(j, job.Queued, -1, -1, 0))
+		flight = append(flight, inFlight{j: j})
+		snap.PendingIDs = append(snap.PendingIDs, int64(j.ID))
 	}
-
 	// Event heap, serialized in total (time, kind, job ID) order. A
 	// sorted array satisfies the heap property, so restore reloads it
-	// without re-sifting and pops in the identical order. Running records
-	// are stored in ID order.
-	snap.Events = make([]checkpoint.EventRecord, 0, len(s.events))
-	snap.Running = make([]checkpoint.RunningRecord, 0, len(s.events))
+	// without re-sifting and pops in the identical order.
 	for _, ev := range s.events {
 		snap.Events = append(snap.Events, checkpoint.EventRecord{T: ev.t, Kind: int64(ev.kind), JobID: int64(ev.j.ID)})
-		r := ev.r
-		if r == nil {
-			snap.Jobs = append(snap.Jobs, jobRecord(ev.j, job.Queued, -1, -1, 0))
-			continue
-		}
-		state := job.Running
-		if r.staging {
-			state = job.Finished // done but for its draining burst buffer (see finish)
-		}
-		snap.Jobs = append(snap.Jobs, jobRecord(r.j, state, r.start, r.end, r.age))
-		snap.Running = append(snap.Running, checkpoint.RunningRecord{
-			JobID:     int64(r.j.ID),
-			Release:   r.release,
-			Staging:   r.staging,
-			BBRelease: r.bbRelease,
-			Alloc: checkpoint.AllocRecord{
-				NodesByClass: intsToI64(r.alloc.NodesByClass),
-				BB:           r.alloc.BB,
-				WastedSSD:    r.alloc.WastedSSD,
-				Extra:        r.alloc.Extra,
-			},
-		})
+		flight = append(flight, inFlight{j: ev.j, r: ev.r})
 	}
 	slices.SortFunc(snap.Events, compareEventRecords)
-	slices.SortFunc(snap.Running, func(a, b checkpoint.RunningRecord) int { return cmp.Compare(a.JobID, b.JobID) })
-	slices.SortFunc(snap.Jobs, func(a, b checkpoint.JobRecord) int { return cmp.Compare(a.ID, b.ID) })
+	order := make([]flightKey, len(flight))
+	for i, f := range flight {
+		order[i] = flightKey{f.j.ID, i}
+	}
+	slices.SortFunc(order, func(a, b flightKey) int { return cmp.Compare(a.id, b.id) })
+
+	// The records' node and dependency lists are cut from one arena.
+	arena := make([]int64, 0, len(s.events)*int(snap.NumClasses))
+	cut := func(xs []int) []int64 {
+		if len(xs) == 0 {
+			return nil
+		}
+		at := len(arena)
+		for _, x := range xs {
+			arena = append(arena, int64(x))
+		}
+		return arena[at:len(arena):len(arena)]
+	}
+	for _, k := range order {
+		f := flight[k.at]
+		state, start, end, age := job.Queued, int64(-1), int64(-1), f.age
+		if r := f.r; r != nil {
+			state, start, end, age = job.Running, r.start, r.end, r.age
+			if r.staging {
+				state = job.Finished // done but for its draining burst buffer (see finish)
+			}
+			snap.Running = append(snap.Running, checkpoint.RunningRecord{
+				JobID:     int64(k.id),
+				Release:   r.release,
+				Staging:   r.staging,
+				BBRelease: r.bbRelease,
+				Alloc: checkpoint.AllocRecord{
+					NodesByClass: cut(r.alloc.NodesByClass),
+					BB:           r.alloc.BB,
+					WastedSSD:    r.alloc.WastedSSD,
+					Extra:        r.alloc.Extra,
+				},
+			})
+		}
+		if f.queued {
+			snap.QueueIDs = append(snap.QueueIDs, int64(k.id))
+		}
+		rec := checkpoint.JobRecord{ID: int64(k.id), State: int64(state), StartTime: start, EndTime: end, WindowAge: int64(age)}
+		if !snap.Hashed {
+			j := f.j
+			rec.User, rec.SubmitTime, rec.Runtime, rec.WalltimeEst = j.User, j.SubmitTime, j.Runtime, j.WalltimeEst
+			rec.Res, rec.StageOutSec, rec.Deps = j.Demand.Res, j.StageOutSec, cut(j.Deps)
+		}
+		snap.Jobs = append(snap.Jobs, rec)
+	}
 
 	snap.Usage = s.usage
 	snap.Collector = s.collector.State()
@@ -120,18 +189,16 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 	snap.Pulled = int64(s.pulled)
 	snap.LastSubmit = s.lastSubmit
 	snap.SrcDone = s.srcDone
-	snap.PendingIDs = make([]int64, 0, len(s.pending)-s.pendHead)
-	for _, j := range s.pending[s.pendHead:] {
-		snap.PendingIDs = append(snap.PendingIDs, int64(j.ID))
-	}
-	snap.DoneLow = int64(s.doneLow)
-	snap.DoneSparse = make([]int64, 0, len(s.doneSparse))
-	for id := range s.doneSparse {
-		snap.DoneSparse = append(snap.DoneSparse, int64(id))
-	}
-	slices.Sort(snap.DoneSparse)
+	snap.DoneLow = int64(s.done.low)
+	snap.DoneSparse = s.done.appendAbove(nil)
 	return snap
 }
+
+// ErrSnapshotNeedsJobs refuses to restore a snapshot of a run over a
+// materialized workload into a run fed by a source: the snapshot names its
+// jobs by the workload's hash, and a source has no jobs to hash or to take
+// theirs from.
+var ErrSnapshotNeedsJobs = errors.New("snapshot names its jobs by a materialized workload's hash; restore it over that workload, not a source")
 
 // Restore builds a simulator over the same workload, method, and options
 // as the checkpointed run and resumes it from the snapshot read from r.
@@ -141,10 +208,13 @@ func (s *Simulator) snapshot() *checkpoint.Snapshot {
 // The caller must pass the same workload, method, and options the
 // original run was built with — Restore validates the snapshot's
 // identity (workload and method names, seed, metrics mode, machine
-// shape, measurement window) against them and refuses mismatches. How
-// the jobs are supplied may differ as long as they are the same jobs: a
-// snapshot of a run over a workload's own jobs restores under
-// WithSource(trace.SourceOf(w)) on the job-less shell, and the reverse.
+// shape, measurement window) against them and refuses mismatches. A
+// snapshot of a run over a workload's own jobs names them by their hash
+// (trace.JobsHash) and carries none of their trace fields, so it restores
+// only over a workload whose jobs hash alike: under WithSource it is
+// refused with ErrSnapshotNeedsJobs. A snapshot of a run fed by a source
+// carries its jobs' trace fields; it restores under WithSource, or over a
+// workload's own jobs when they match its records field by field.
 // For WithSource runs, pass a freshly opened source; Restore repositions
 // it at the consumed-jobs mark by replaying (and discarding) the consumed
 // prefix through the full combinator pipeline, so stateful per-job
@@ -187,6 +257,14 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	if snap.WarmEnd != s.warmEnd || snap.CoolStart != s.coolStart {
 		return fmt.Errorf("snapshot measurement window [%d, %d] differs from run's [%d, %d]",
 			snap.WarmEnd, snap.CoolStart, s.warmEnd, s.coolStart)
+	}
+	if snap.Hashed {
+		if len(s.workload.Jobs) == 0 {
+			return ErrSnapshotNeedsJobs
+		}
+		if snap.JobsHash != s.jobsHash() {
+			return fmt.Errorf("snapshot is of other jobs than the workload's: they hash to %x, the workload's to %x", snap.JobsHash, s.jobsHash())
+		}
 	}
 
 	// Source position. These fields decide which jobs count as finished
@@ -245,7 +323,7 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 		if rec.State < int64(job.Queued) || rec.State > int64(job.Finished) {
 			return fmt.Errorf("snapshot job %d has unknown state %d", rec.ID, rec.State)
 		}
-		j, err := s.recordJob(rec, snap.Pulled)
+		j, err := s.recordJob(rec, snap.Pulled, snap.Hashed)
 		if err != nil {
 			return err
 		}
@@ -360,13 +438,13 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	// Finished-ID membership for dependency checks. The done set and the
 	// containers partition the pulled jobs: a job is done or in flight,
 	// and only a job staging out is both.
-	s.doneLow = int(snap.DoneLow)
+	s.done = doneSet{low: int(snap.DoneLow), base: int(snap.DoneLow) &^ 63}
 	for _, id := range snap.DoneSparse {
-		s.doneSparse[int(id)] = struct{}{}
+		s.done.set(int(id))
 	}
 	for i := range hs {
 		h := &hs[i]
-		staging, done := h.r != nil && h.r.staging, s.isDone(h.j.ID)
+		staging, done := h.r != nil && h.r.staging, s.done.has(h.j.ID)
 		switch {
 		case h.in == "":
 			return fmt.Errorf("snapshot job %d is in no container", h.j.ID)
@@ -381,8 +459,8 @@ func (s *Simulator) restore(snap *checkpoint.Snapshot) error {
 	if snap.Pulled-snap.DoneLow > int64(len(snap.Jobs)+len(snap.DoneSparse)) {
 		return fmt.Errorf("snapshot done set leaves out some of the %d pulled jobs above its watermark", snap.Pulled-snap.DoneLow)
 	}
-	for id := s.doneLow; id < int(snap.Pulled); id++ {
-		if _, ok := byID[int64(id)]; !ok && !s.isDone(id) {
+	for id := s.done.low; id < int(snap.Pulled); id++ {
+		if _, ok := byID[int64(id)]; !ok && !s.done.has(id) {
 			return fmt.Errorf("snapshot done set leaves out pulled job %d, which is in no container", id)
 		}
 	}
@@ -450,31 +528,14 @@ func (s *Simulator) restoreUsage(u metrics.Usage) error {
 	return nil
 }
 
-// jobRecord records job j with the state the run holds of it.
-func jobRecord(j *job.Job, state job.State, start, end int64, age int) checkpoint.JobRecord {
-	return checkpoint.JobRecord{
-		ID:          int64(j.ID),
-		User:        j.User,
-		SubmitTime:  j.SubmitTime,
-		Runtime:     j.Runtime,
-		WalltimeEst: j.WalltimeEst,
-		Res:         j.Demand.Res,
-		StageOutSec: j.StageOutSec,
-		Deps:        intsToI64(j.Deps),
-		State:       int64(state),
-		StartTime:   start,
-		EndTime:     end,
-		WindowAge:   int64(age),
-	}
-}
-
 // recordJob returns the job a snapshot record names, one of the pulled
-// jobs. A run over a workload's own jobs takes the workload's, once the
-// record matches it in every static field. A run fed by a source builds
-// it from the record, which carries the full static description (the job
-// takes over the record's demand vector), and holds it to what the
-// source's contract asks of a pulled job.
-func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64) (*job.Job, error) {
+// jobs. A run over a workload's own jobs takes the workload's: a hashed
+// snapshot's jobs hash alike (restore checked), and a record with trace
+// fields must match the workload's job in every one. A run fed by a source
+// builds the job from the record, which carries the full static
+// description (the job takes over the record's demand vector), and holds
+// it to what the source's contract asks of a pulled job.
+func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64, hashed bool) (*job.Job, error) {
 	if rec.ID < 0 || rec.ID >= pulled {
 		return nil, fmt.Errorf("snapshot job %d is not one of the %d jobs pulled", rec.ID, pulled)
 	}
@@ -483,9 +544,9 @@ func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64) (*job.Job
 			return nil, fmt.Errorf("snapshot job %d is not in the workload", rec.ID)
 		}
 		j := base[rec.ID]
-		if j.User != rec.User || j.SubmitTime != rec.SubmitTime || j.Runtime != rec.Runtime ||
+		if !hashed && (j.User != rec.User || j.SubmitTime != rec.SubmitTime || j.Runtime != rec.Runtime ||
 			j.WalltimeEst != rec.WalltimeEst || !j.Demand.Equal(job.Demand{Res: rec.Res}) ||
-			j.StageOutSec != rec.StageOutSec || !slices.EqualFunc(j.Deps, rec.Deps, func(d int, r int64) bool { return int64(d) == r }) {
+			j.StageOutSec != rec.StageOutSec || !slices.EqualFunc(j.Deps, rec.Deps, func(d int, r int64) bool { return int64(d) == r })) {
 			return nil, fmt.Errorf("snapshot job %d static fields differ from the workload's", rec.ID)
 		}
 		return j, nil
@@ -508,17 +569,6 @@ func (s *Simulator) recordJob(rec *checkpoint.JobRecord, pulled int64) (*job.Job
 
 func compareEventRecords(a, b checkpoint.EventRecord) int {
 	return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.JobID, b.JobID))
-}
-
-func intsToI64(xs []int) []int64 {
-	if xs == nil {
-		return nil
-	}
-	out := make([]int64, len(xs))
-	for i, x := range xs {
-		out[i] = int64(x)
-	}
-	return out
 }
 
 func i64ToInts(xs []int64) []int {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -110,12 +112,14 @@ func TestGoldenCheckpointEquivalence(t *testing.T) {
 // restores it, runs both halves to completion, and requires the spliced
 // event stream and Result to match an uninterrupted run bit-for-bit —
 // the cheap fast-feedback version of the chained golden test, over the
-// WFP + stage-out regime. How the jobs are supplied is not part of a
-// snapshot's identity, so besides the plain round trip a snapshot of a
-// run over the workload's own jobs must restore under
-// WithSource(SourceOf(w)) on the job-less shell, and the reverse. The
-// snapshot's job table must hold exactly the jobs its containers
-// reference: a finished job is in the accumulated metrics, not on the wire.
+// WFP + stage-out regime. Besides the plain round trip, a snapshot of a
+// run fed by WithSource(SourceOf(w)) on the job-less shell, which carries
+// its jobs' trace fields, must restore over the workload's own jobs. The
+// reverse is refused with ErrSnapshotNeedsJobs: a snapshot of a run over
+// the workload's own jobs names them by hash and carries none of their
+// trace fields. The snapshot's job table must hold exactly the jobs its
+// containers reference: a finished job is in the accumulated metrics, not
+// on the wire.
 func TestCheckpointRoundTripMaterialized(t *testing.T) {
 	jobs := 1200
 	if testing.Short() {
@@ -146,10 +150,11 @@ func TestCheckpointRoundTripMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		from, to supply
+		refused  error
 	}{
-		{"own-to-own", own, own},
-		{"own-to-source", own, source},
-		{"source-to-own", source, own},
+		{"own-to-own", own, own, nil},
+		{"own-to-source", own, source, ErrSnapshotNeedsJobs},
+		{"source-to-own", source, own, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var gotLog bytes.Buffer
@@ -196,8 +201,17 @@ func TestCheckpointRoundTripMaterialized(t *testing.T) {
 			if len(referenced) != 0 {
 				t.Fatalf("snapshot containers reference %d jobs the job table lacks", len(referenced))
 			}
+			if hashed := len(fw.Jobs) > 0; decoded.Hashed != hashed {
+				t.Fatalf("snapshot of a run over %d workload jobs has Hashed %v", len(fw.Jobs), decoded.Hashed)
+			}
 			tw, topts := tc.to(&gotLog)
 			restored, err := Restore(tw, m, bytes.NewReader(snap.Bytes()), topts...)
+			if tc.refused != nil {
+				if !errors.Is(err, tc.refused) {
+					t.Fatalf("restore returned %v, want %v", err, tc.refused)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,26 +425,64 @@ func TestRestoreRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksEveryStaticField: a snapshot record must describe the
-// job it names. Over a workload's own jobs restore takes the workload's
-// job, so a record that differs from it in any static field is refused —
-// here the first queued job's burst buffer raised by 7 GB, its user, its
-// stage-out, or a dependency on a job 100 000 IDs on, which can never
-// finish. A run fed by a source builds the job from the record and holds
-// it to what a pulled job must satisfy, so the dependency on a later job
-// is refused there too.
+// TestRestoreChecksEveryStaticField: a snapshot must restore over the
+// jobs it was taken of. Four changes to the first queued job are tried:
+// its burst buffer raised by 7 GB, its user, its stage-out, and a
+// dependency. A snapshot of a run over a workload names the jobs by hash,
+// so each change is made to the workload's job (the dependency on the job
+// before it, as the workload's own validation refuses a later one), and
+// the hash must refuse the changed workload. A snapshot of a run fed by a
+// source carries the trace fields, so each change is made to its record
+// (the dependency on a job 100 000 IDs on, which can never finish): over
+// the workload's own jobs the record must match the workload's job, and
+// is refused; a run fed by a source builds the job from the record and
+// holds it to what a pulled job must satisfy, which refuses the
+// dependency on a later job.
 func TestRestoreChecksEveryStaticField(t *testing.T) {
-	w, _, snap := midRunSnapshot(t, 2000)
+	w, _, hashed := midRunSnapshot(t, 2000)
 	shell := trace.Workload{Name: w.Name, System: w.System}
-	restore := func(mutate func(*checkpoint.JobRecord), source bool) error {
+	s, err := NewSimulator(shell, sched.Baseline{}, WithSeed(1), WithSource(trace.SourceOf(w)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fromSource bytes.Buffer
+	if err := s.Checkpoint(&fromSource); err != nil {
+		t.Fatal(err)
+	}
+	firstQueued := func(snap []byte) int64 {
 		decoded, err := checkpoint.Decode(bytes.NewReader(snap))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if len(decoded.QueueIDs) == 0 {
 			t.Fatal("the snapshot holds no queued job")
 		}
-		mutate(jobByID(decoded, decoded.QueueIDs[0]))
+		return decoded.QueueIDs[0]
+	}
+	// overWorkload restores the hashed snapshot over w with its first
+	// queued job changed by mutate.
+	overWorkload := func(mutate func(*job.Job)) error {
+		jobs := slices.Clone(w.Jobs)
+		id := firstQueued(hashed)
+		jobs[id] = jobs[id].Clone()
+		mutate(jobs[id])
+		changed := trace.Workload{Name: w.Name, System: w.System, Jobs: jobs}
+		_, err := Restore(changed, sched.Baseline{}, bytes.NewReader(hashed), WithSeed(1))
+		return err
+	}
+	// fromRecord restores the source-fed snapshot with its first queued
+	// job's record changed by mutate, from a source or over w.
+	fromRecord := func(mutate func(*checkpoint.JobRecord), source bool) error {
+		decoded, err := checkpoint.Decode(bytes.NewReader(fromSource.Bytes()))
+		if err != nil {
+			return err
+		}
+		mutate(jobByID(decoded, firstQueued(fromSource.Bytes())))
 		var buf bytes.Buffer
 		if err := checkpoint.Encode(&buf, decoded); err != nil {
 			return err
@@ -442,27 +494,136 @@ func TestRestoreChecksEveryStaticField(t *testing.T) {
 		}
 		return err
 	}
-	laterDep := func(r *checkpoint.JobRecord) { r.Deps = append(r.Deps, r.ID+100_000) }
+	if err := overWorkload(func(*job.Job) {}); err != nil {
+		t.Fatalf("the workload snapshot as taken does not restore: %v", err)
+	}
 	for _, source := range []bool{false, true} {
-		if err := restore(func(*checkpoint.JobRecord) {}, source); err != nil {
-			t.Fatalf("source=%v: the snapshot as taken does not restore: %v", source, err)
+		if err := fromRecord(func(*checkpoint.JobRecord) {}, source); err != nil {
+			t.Fatalf("source=%v: the source-fed snapshot as taken does not restore: %v", source, err)
 		}
 	}
+	laterDep := func(r *checkpoint.JobRecord) { r.Deps = append(r.Deps, r.ID+100_000) }
 	for _, tc := range []struct {
 		name   string
-		mutate func(*checkpoint.JobRecord)
+		job    func(*job.Job)
+		record func(*checkpoint.JobRecord)
 	}{
-		{"burst buffer", func(r *checkpoint.JobRecord) { r.Res[job.BurstBufferGB] += 7 }},
-		{"user", func(r *checkpoint.JobRecord) { r.User += "x" }},
-		{"stage-out", func(r *checkpoint.JobRecord) { r.StageOutSec++ }},
-		{"later dependency", laterDep},
+		{"burst buffer",
+			func(j *job.Job) { j.Demand.Res[job.BurstBufferGB] += 7 },
+			func(r *checkpoint.JobRecord) { r.Res[job.BurstBufferGB] += 7 }},
+		{"user", func(j *job.Job) { j.User += "x" }, func(r *checkpoint.JobRecord) { r.User += "x" }},
+		{"stage-out", func(j *job.Job) { j.StageOutSec++ }, func(r *checkpoint.JobRecord) { r.StageOutSec++ }},
+		{"dependency", func(j *job.Job) { j.Deps = append(j.Deps, j.ID-1) }, laterDep},
 	} {
-		if err := restore(tc.mutate, false); err == nil || !strings.Contains(err.Error(), "static fields differ") {
-			t.Errorf("%s: restore over the workload's jobs returned %v, want the record refused", tc.name, err)
+		if err := overWorkload(tc.job); err == nil || !strings.Contains(err.Error(), "other jobs than the workload's") {
+			t.Errorf("%s: restore over a changed workload returned %v, want the hash refused", tc.name, err)
+		}
+		if err := fromRecord(tc.record, false); err == nil || !strings.Contains(err.Error(), "static fields differ") {
+			t.Errorf("%s: restore of a changed record over the workload's jobs returned %v, want the record refused", tc.name, err)
 		}
 	}
-	if err := restore(laterDep, true); err == nil || !strings.Contains(err.Error(), "does not reference an earlier job") {
+	if err := fromRecord(laterDep, true); err == nil || !strings.Contains(err.Error(), "does not reference an earlier job") {
 		t.Errorf("later dependency: restore from a source returned %v, want the record refused", err)
+	}
+}
+
+// TestCheckpointBodiesMatch: two simulators of one recipe, stepped to the
+// same event, write the same snapshot body — all but the wall-clock
+// trailer, which carries their own decision timings — at every tenth
+// event of a run through the GA.
+func TestCheckpointBodiesMatch(t *testing.T) {
+	w := throughputWorkload(300, true)
+	m, err := registry.New("BBSched", goldenGA(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sims [2]*Simulator
+	for i := range sims {
+		if sims[i], err = NewSimulator(w, m, WithSeed(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bufs [2]bytes.Buffer
+	for step, compared := 0, 0; ; step++ {
+		more := false
+		for i, s := range sims {
+			if more, err = s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if step%10 != 0 {
+				continue
+			}
+			bufs[i].Reset()
+			if err := s.Checkpoint(&bufs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%10 == 0 {
+			if !bytes.Equal(checkpoint.Body(bufs[0].Bytes()), checkpoint.Body(bufs[1].Bytes())) {
+				t.Fatalf("at event %d the two runs' snapshot bodies differ", step)
+			}
+			compared++
+		}
+		if !more {
+			if compared < 10 {
+				t.Fatalf("compared only %d snapshots", compared)
+			}
+			return
+		}
+	}
+}
+
+// TestDoneSetMatchesMap finishes the jobs of a stream in a scrambled
+// order — some out of order by thousands of IDs, so the ring grows, wraps
+// and retires words — and holds membership and the IDs above the
+// watermark to a map and a sort after every finish.
+func TestDoneSetMatchesMap(t *testing.T) {
+	const n = 6000
+	r := rand.New(rand.NewPCG(1, 2))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	// Shuffle within windows of varying width: most jobs finish near their
+	// pull order, a few far from it.
+	for lo := 0; lo < n; {
+		width := 1 + r.IntN(64)
+		if r.IntN(20) == 0 {
+			width = 500 + r.IntN(2500)
+		}
+		hi := min(lo+width, n)
+		r.Shuffle(hi-lo, func(i, j int) { order[lo+i], order[lo+j] = order[lo+j], order[lo+i] })
+		lo = hi
+	}
+	var d doneSet
+	done := map[int]bool{}
+	for k, id := range order {
+		d.add(id)
+		done[id] = true
+		low := 0
+		for done[low] {
+			low++
+		}
+		if d.low != low {
+			t.Fatalf("after %d finishes the watermark is %d, want %d", k+1, d.low, low)
+		}
+		var want []int64
+		for id := range done {
+			if id > low {
+				want = append(want, int64(id))
+			}
+		}
+		slices.Sort(want)
+		if got := d.appendAbove(nil); !slices.Equal(got, want) {
+			t.Fatalf("after %d finishes the IDs above the watermark are %v, want %v", k+1, got, want)
+		}
+		if k%97 == 0 {
+			for id := 0; id < n; id++ {
+				if d.has(id) != done[id] {
+					t.Fatalf("after %d finishes has(%d) = %v", k+1, id, d.has(id))
+				}
+			}
+		}
 	}
 }
 
@@ -644,10 +805,13 @@ func midRunSnapshot(tb testing.TB, jobs int) (trace.Workload, *Simulator, []byte
 // TestCheckpointAllocs holds the allocation counts of encoding, decoding
 // and restoring a mid-run snapshot of the 2 000-job throughput trace.
 // Allocation counts do not depend on the machine, so each ceiling is the
-// count measured when it was set (172, 450 and 598) plus 20%. The
-// snapshot holds 138 jobs, so one more allocation per snapshot record
-// crosses every ceiling. Restore shares the workload's jobs: it builds the
-// engine and the state of the jobs in flight, not a copy of the 2 000.
+// count measured when it was set (20, 35 and 171, with snapshot format
+// version 4) plus 20%. The snapshot holds 138 jobs, so one more
+// allocation per snapshot record crosses every ceiling. Encoding appends
+// to the caller's buffer: it allocates the snapshot's lists and the
+// metric state's copies, a fixed number however many jobs are in flight.
+// Restore shares the workload's jobs: it builds the engine and the state
+// of the jobs in flight, not a copy of the 2 000.
 func TestCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -659,9 +823,9 @@ func TestCheckpointAllocs(t *testing.T) {
 		ceiling float64
 		op      func() error
 	}{
-		{"encode", 207, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
-		{"decode", 540, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
-		{"restore", 718, func() error {
+		{"encode", 24, func() error { buf.Reset(); return s.Checkpoint(&buf) }},
+		{"decode", 42, func() error { _, err := checkpoint.Decode(bytes.NewReader(data)); return err }},
+		{"restore", 205, func() error {
 			_, err := Restore(w, sched.Baseline{}, bytes.NewReader(data), WithSeed(1))
 			return err
 		}},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math"
@@ -204,10 +205,8 @@ type Simulator struct {
 	// Ingestion state. Every job enters through source: the caller's
 	// (WithSource) or a trace.SliceSource over the workload. pending is
 	// the bounded look-ahead FIFO between the source and the event heap;
-	// doneLow is the watermark below which every dense job ID has
-	// finished, with doneSparse holding the (small) set of finished IDs
-	// above it, so the done-set tracks the in-flight spread, not trace
-	// length.
+	// done is the set of finished IDs, a watermark and a bitmap over the
+	// in-flight spread above it, not over the trace.
 	source     trace.JobSource
 	srcClosed  bool
 	admitCl    *cluster.Cluster // pristine machine for per-pull validation
@@ -216,8 +215,7 @@ type Simulator struct {
 	srcDone    bool
 	pulled     int
 	lastSubmit int64
-	doneLow    int
-	doneSparse map[int]struct{}
+	done       doneSet
 
 	// stats accumulates the per-job metrics: finish folds each measured
 	// job into it, and the job itself is not kept.
@@ -246,6 +244,11 @@ type Simulator struct {
 
 	// live usage counters, kept incrementally
 	usage metrics.Usage
+
+	// hash caches trace.JobsHash of the workload's jobs; hashed says it
+	// is set, which the first checkpoint or restore that needs it does.
+	hash   [sha256.Size]byte
+	hashed bool
 
 	result *Result
 }
@@ -318,29 +321,28 @@ func NewSimulator(w trace.Workload, method sched.Method, opts ...Option) (*Simul
 		return nil, fmt.Errorf("sim: source has no known horizon to resolve the fractional measurement trim; use WithMeasureWindow, WithMeasurement(0, 0), or a horizon-reporting source")
 	}
 	s := &Simulator{
-		opt:        opt,
-		workload:   w,
-		cl:         cl,
-		q:          queue.New(pol),
-		plugin:     plugin,
-		totals:     sched.TotalsOf(w.System.Cluster),
-		extra:      w.System.Cluster.Extra,
-		rand:       rng.New(opt.seed).Split("sim:" + w.Name + ":" + method.Name()),
-		observers:  opt.observers,
-		events:     make(eventHeap, 0, opt.lookahead+1),
-		source:     opt.source,
-		pending:    make([]*job.Job, 0, opt.lookahead),
-		doneSparse: make(map[int]struct{}),
-		stats:      metrics.NewJobStats(slowdownFloorSec, opt.buckets, opt.streamStats, len(w.Jobs)),
-		warmEnd:    warmEnd,
-		coolStart:  coolStart,
+		opt:       opt,
+		workload:  w,
+		cl:        cl,
+		q:         queue.New(pol),
+		plugin:    plugin,
+		totals:    sched.TotalsOf(w.System.Cluster),
+		extra:     w.System.Cluster.Extra,
+		rand:      rng.New(opt.seed).Split("sim:" + w.Name + ":" + method.Name()),
+		observers: opt.observers,
+		events:    make(eventHeap, 0, opt.lookahead+1),
+		source:    opt.source,
+		pending:   make([]*job.Job, 0, opt.lookahead),
+		stats:     metrics.NewJobStats(slowdownFloorSec, opt.buckets, opt.streamStats, len(w.Jobs)),
+		warmEnd:   warmEnd,
+		coolStart: coolStart,
 	}
 	// A second pristine machine validates each pulled job's demand (the
 	// per-pull analogue of Workload.Validate's fit check).
 	if s.admitCl, err = cluster.New(w.System.Cluster); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.depsDone = s.isDone
+	s.depsDone = s.done.has
 	if len(s.extra) > 0 {
 		s.usage.Extra = make([]int64, len(s.extra))
 	}
@@ -382,33 +384,6 @@ func (s *Simulator) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-// isDone reports whether the job with the given ID has finished.
-func (s *Simulator) isDone(id int) bool {
-	if id < s.doneLow {
-		return true
-	}
-	_, ok := s.doneSparse[id]
-	return ok
-}
-
-// markDone records a finished job, compacting the record into a watermark
-// over the dense submit-ordered IDs: the sparse overflow set only holds
-// jobs that finished ahead of a still-running earlier job.
-func (s *Simulator) markDone(id int) {
-	if id != s.doneLow {
-		s.doneSparse[id] = struct{}{}
-		return
-	}
-	s.doneLow++
-	for len(s.doneSparse) > 0 {
-		if _, ok := s.doneSparse[s.doneLow]; !ok {
-			break
-		}
-		delete(s.doneSparse, s.doneLow)
-		s.doneLow++
-	}
 }
 
 // fill tops up the look-ahead buffer from the source and pushes every
@@ -773,7 +748,7 @@ func (s *Simulator) observerErr() error {
 func (s *Simulator) finish(r *runningJob) error {
 	j := r.j
 	r.end = s.now
-	s.markDone(j.ID)
+	s.done.add(j.ID)
 	// Per-job metrics cover the jobs submitted inside the measured
 	// interval, folded in completion order (the sums are floating-point).
 	if j.SubmitTime >= s.warmEnd && j.SubmitTime <= s.coolStart {

@@ -12,6 +12,8 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -224,6 +226,42 @@ func (w Workload) Validate() error {
 		}
 	}
 	return nil
+}
+
+// JobsHash is the SHA-256 of the jobs' trace fields — ID, user, submit
+// time, runtime, walltime estimate, demand vector, stage-out and
+// dependencies — in list order, each number a varint and each
+// variable-length field length-prefixed. Two job lists hash alike
+// exactly when they hold the same trace, so a checkpoint of a run over a
+// materialized workload names the jobs by this hash instead of carrying
+// them.
+func JobsHash(jobs []*job.Job) [sha256.Size]byte {
+	h := sha256.New()
+	b := make([]byte, 0, 8<<10)
+	word := func(x int64) { b = binary.AppendVarint(b, x) }
+	for _, j := range jobs {
+		if len(b) > 7<<10 {
+			h.Write(b)
+			b = b[:0]
+		}
+		word(int64(j.ID))
+		word(int64(len(j.User)))
+		b = append(b, j.User...)
+		word(j.SubmitTime)
+		word(j.Runtime)
+		word(j.WalltimeEst)
+		word(int64(len(j.Demand.Res)))
+		for _, r := range j.Demand.Res {
+			word(r)
+		}
+		word(j.StageOutSec)
+		word(int64(len(j.Deps)))
+		for _, d := range j.Deps {
+			word(int64(d))
+		}
+	}
+	h.Write(b)
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // Stats summarizes a workload for reports and Fig. 5 captions.

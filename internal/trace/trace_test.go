@@ -75,6 +75,48 @@ func TestGenerateValidWorkload(t *testing.T) {
 	}
 }
 
+// TestJobsHash: the hash is a function of the trace fields alone — a deep
+// copy hashes alike — and each trace field of any one job moves it, as
+// does a job dropped off the end. A value moved across a length prefix
+// (a user name's last byte into the next one) moves it too.
+func TestJobsHash(t *testing.T) {
+	w := Generate(GenConfig{System: smallTheta(), Jobs: 50, Seed: 3, DependencyFraction: 0.3})
+	want := JobsHash(w.Jobs)
+	if got := JobsHash(w.Clone().Jobs); got != want {
+		t.Fatal("a deep copy of the jobs hashes differently")
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*job.Job)
+	}{
+		{"ID", func(j *job.Job) { j.ID++ }},
+		{"user", func(j *job.Job) { j.User += "x" }},
+		{"submit", func(j *job.Job) { j.SubmitTime++ }},
+		{"runtime", func(j *job.Job) { j.Runtime++ }},
+		{"walltime", func(j *job.Job) { j.WalltimeEst++ }},
+		{"demand", func(j *job.Job) { j.Demand.Res[job.BurstBufferGB]++ }},
+		{"extra dimension", func(j *job.Job) { j.Demand.Res = append(j.Demand.Res, 0) }},
+		{"stage-out", func(j *job.Job) { j.StageOutSec++ }},
+		{"dependency", func(j *job.Job) { j.Deps = append(j.Deps, 0) }},
+	} {
+		c := w.Clone()
+		tc.mutate(c.Jobs[17])
+		if JobsHash(c.Jobs) == want {
+			t.Errorf("changing job 17's %s leaves the hash as it was", tc.name)
+		}
+	}
+	if JobsHash(w.Jobs[:49]) == want {
+		t.Error("dropping the last job leaves the hash as it was")
+	}
+	c := w.Clone()
+	c.Jobs[0].User, c.Jobs[1].User = "ab", "c"
+	d := w.Clone()
+	d.Jobs[0].User, d.Jobs[1].User = "a", "bc"
+	if JobsHash(c.Jobs) == JobsHash(d.Jobs) {
+		t.Error("moving a byte from one user name to the next leaves the hash as it was")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(GenConfig{System: smallTheta(), Jobs: 200, Seed: 7})
 	b := Generate(GenConfig{System: smallTheta(), Jobs: 200, Seed: 7})
