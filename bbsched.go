@@ -271,11 +271,13 @@ var (
 var (
 	// Methods lists every registered method in the paper's order.
 	Methods = registry.Methods
-	// NewMethod instantiates a registered method by name (the ssd flag
-	// selects the four-objective §5 build when the method has one).
+	// NewMethod instantiates a registered method by name for the paper's
+	// machine: over the two §4 objectives, or with ssd the four §5 ones.
 	NewMethod = registry.New
-	// NewMethodForCluster instantiates a method with per-dimension
-	// objectives generated from a concrete machine's resource spec.
+	// NewMethodForCluster instantiates a registered method by name over
+	// the objective list generated from a concrete machine's resource
+	// spec: one utilization objective per dimension, plus the §5 SSD pair
+	// with ssd. NewMethod is it on a machine without extra dimensions.
 	NewMethodForCluster = registry.NewForCluster
 )
 

@@ -371,10 +371,7 @@ func runStream(path, system string, scale int, variant string, maxJobs int, seed
 func runSweep(w trace.Workload, open func() (trace.JobSource, error), methodCSV, seedCSV string, defaultSeed uint64, ga moo.GAConfig, ssd bool, solverName string, workers int, opts []sim.Option) error {
 	var methods []sched.Method
 	if methodCSV == "all" {
-		var err error
-		if methods, err = registry.RosterForCluster(ga, w.System.Cluster, ssd); err != nil {
-			return err
-		}
+		methods = registry.Roster(ga, w.System.Cluster, ssd)
 	} else {
 		for _, n := range strings.Split(methodCSV, ",") {
 			if n = strings.TrimSpace(n); n == "" {

@@ -28,7 +28,7 @@ func main() {
 	// 256 GB nodes. Half the machine's nodes carry each class.
 	s6 := trace.AddSSD(s2, "Theta-S6", trace.S6, 45)
 
-	fourObj := core.NewFourObjective() // node, bb, ssd, -waste; 4x rule
+	fourObj := core.NewForObjectives(sched.FourObjectives()) // node, bb, ssd, -waste; 4x rule
 	methods := []sched.Method{
 		sched.Baseline{},
 		&sched.Constrained{MethodName: "Constrained_SSD", Target: sched.SSDUtil, GA: fourObj.GA},

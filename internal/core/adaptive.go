@@ -103,15 +103,6 @@ type WindowPolicy interface {
 	Size(queueLen int) int
 }
 
-// FixedWindow always returns its value (the paper's static window).
-type FixedWindow int
-
-// Name implements WindowPolicy.
-func (f FixedWindow) Name() string { return fmt.Sprintf("fixed(%d)", int(f)) }
-
-// Size implements WindowPolicy.
-func (f FixedWindow) Size(int) int { return int(f) }
-
 // AdaptiveWindow scales the window with queue length: size =
 // queueLen/Divisor clamped to [Min, Max]. Long workday queues get wide
 // windows (more optimization), short weekend queues keep base order.

@@ -106,16 +106,6 @@ func TestAdaptiveSelectionsAreValid(t *testing.T) {
 	}
 }
 
-func TestFixedWindowPolicy(t *testing.T) {
-	f := FixedWindow(7)
-	if f.Size(0) != 7 || f.Size(1000) != 7 {
-		t.Fatal("fixed window not fixed")
-	}
-	if !strings.Contains(f.Name(), "7") {
-		t.Fatal("name should carry the size")
-	}
-}
-
 func TestAdaptiveWindowPolicy(t *testing.T) {
 	w := NewAdaptiveWindow() // [5,50], /4
 	cases := map[int]int{0: 5, 10: 5, 40: 10, 100: 25, 400: 50, 10000: 50}

@@ -66,22 +66,14 @@ type BBSched struct {
 
 // New returns BBSched with the paper's §4.3 defaults for the two-objective
 // CPU + burst-buffer problem.
-func New() *BBSched {
-	return &BBSched{Objectives: sched.TwoObjectives(), GA: moo.DefaultGAConfig(), TradeoffFactor: 2}
-}
+func New() *BBSched { return NewForObjectives(sched.TwoObjectives()) }
 
-// NewFourObjective returns BBSched configured for the §5 case study:
-// node, burst buffer, SSD utilization and negated SSD waste, with the 4×
-// trade-off rule.
-func NewFourObjective() *BBSched {
-	return &BBSched{Objectives: sched.FourObjectives(), GA: moo.DefaultGAConfig(), TradeoffFactor: 4}
-}
-
-// NewForObjectives returns BBSched over an arbitrary objective list —
-// typically sched.ObjectivesFor(cfg, ssd), one utilization objective per
-// resource dimension. Objectives[0] must be sched.NodeUtil. The trade-off
-// factor scales with the objective count, matching the paper's choices (2
-// for the two-objective problem, 4 for four objectives).
+// NewForObjectives returns BBSched over an objective list — typically
+// sched.ObjectivesFor(cfg, ssd), one utilization objective per resource
+// dimension, plus the §5 SSD pair (sched.FourObjectives on the paper's
+// machine). Objectives[0] must be sched.NodeUtil. The trade-off factor is
+// the objective count, the paper's choices: 2 for the two-objective
+// problem, 4 for four objectives.
 func NewForObjectives(objectives []sched.Objective) *BBSched {
 	return &BBSched{Objectives: objectives, GA: moo.DefaultGAConfig(), TradeoffFactor: float64(len(objectives))}
 }

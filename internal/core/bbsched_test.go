@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,13 +155,19 @@ func TestBBSchedEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestNewFourObjectiveDefaults: the §5 build is NewForObjectives over
+// the four objectives, with the 4x trade-off rule, and New is the same
+// constructor over the two §3.2 objectives with the 2x rule.
 func TestNewFourObjectiveDefaults(t *testing.T) {
-	b := NewFourObjective()
+	b := NewForObjectives(sched.FourObjectives())
 	if len(b.Objectives) != 4 || b.TradeoffFactor != 4 {
 		t.Fatalf("four-objective defaults wrong: %+v", b)
 	}
 	if b.GA.Generations != 500 || b.GA.Population != 20 {
 		t.Fatalf("GA defaults wrong: %+v", b.GA)
+	}
+	if two := New(); !slices.Equal(two.Objectives, sched.TwoObjectives()) || two.TradeoffFactor != 2 || two.GA != b.GA {
+		t.Fatalf("two-objective defaults wrong: %+v", two)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 
+	"bbsched/internal/cluster"
 	"bbsched/internal/core"
 	"bbsched/internal/metrics"
 	"bbsched/internal/moo"
@@ -96,11 +97,11 @@ func buckets(sys trace.SystemModel) metrics.Buckets {
 // Methods returns the eight §4.3 comparison methods in the paper's order,
 // instantiated from the shared method registry (internal/registry) so the
 // experiment roster and the CLI roster can never drift apart.
-func Methods(ga moo.GAConfig) []sched.Method { return registry.Section4(ga) }
+func Methods(ga moo.GAConfig) []sched.Method { return registry.Roster(ga, cluster.Config{}, false) }
 
 // SSDMethods returns the seven §5 case-study methods, instantiated from
 // the shared method registry.
-func SSDMethods(ga moo.GAConfig) []sched.Method { return registry.Section5(ga) }
+func SSDMethods(ga moo.GAConfig) []sched.Method { return registry.Roster(ga, cluster.Config{}, true) }
 
 // bbsched2 builds the concrete two-objective BBSched instance the solver
 // and ablation studies mutate (trade-off factor, GA parameters).

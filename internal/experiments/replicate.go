@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
-	"bbsched/internal/sched"
 	"bbsched/internal/sim"
 	"bbsched/internal/trace"
 )
@@ -59,72 +58,47 @@ type ReplicatedResult struct {
 // Replicate runs every method on the workload across the given seeds
 // (both workload generation noise and solver noise vary per seed) and
 // returns per-method statistics. The paper reports single-trace numbers;
-// replication quantifies how much of a method gap is signal.
+// replication quantifies how much of a method gap is signal. Each seed is
+// one deterministic sweep over the methods, and every statistic sums its
+// samples in seed order, so the result is the same bit for bit at any
+// Parallelism.
 func Replicate(o Options, build func(seed uint64) trace.Workload, seeds []uint64) ([]ReplicatedResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
-	methodNames := []string{}
-	for _, m := range Methods(o.GA) {
-		methodNames = append(methodNames, m.Name())
-	}
-	type sample struct {
-		method string
-		res    *sim.Result
-	}
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		firstEr error
-		samples []sample
-		sem     = make(chan struct{}, o.parallelism())
-	)
+	ms := Methods(o.GA)
+	byMethod := make([][]*sim.Result, len(ms)) // per method, in seed order
+	var wlName string
 	for _, seed := range seeds {
 		w := build(seed)
-		for _, m := range Methods(o.GA) {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(w trace.Workload, m sched.Method, seed uint64) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res, err := runOne(w, m, sim.WithPlugin(o.plugin()), sim.WithSeed(seed),
-					sim.WithBuckets(buckets(w.System)))
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstEr == nil {
-						firstEr = fmt.Errorf("experiments: replicate seed %d %s: %w", seed, m.Name(), err)
-					}
-					return
-				}
-				samples = append(samples, sample{method: m.Name(), res: res})
-			}(w, m, seed)
+		runs, err := sim.RunSweep(context.Background(), sim.Sweep{
+			Workloads: []trace.Workload{w},
+			Methods:   ms,
+			Seeds:     []uint64{seed},
+			Workers:   o.parallelism(),
+			Options:   []sim.Option{sim.WithPlugin(o.plugin()), sim.WithBuckets(buckets(w.System))},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: replicate seed %d: %w", seed, err)
+		}
+		for i, r := range runs { // one workload and one seed: runs align with ms
+			byMethod[i] = append(byMethod[i], r.Result)
+			wlName = r.Workload
 		}
 	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-
-	byMethod := map[string][]*sim.Result{}
-	var wlName string
-	for _, s := range samples {
-		byMethod[s.method] = append(byMethod[s.method], s.res)
-		wlName = s.res.Workload
-	}
-	out := make([]ReplicatedResult, 0, len(methodNames))
-	for _, name := range methodNames {
-		rs := byMethod[name]
+	out := make([]ReplicatedResult, 0, len(ms))
+	for i, m := range ms {
+		rs := byMethod[i]
 		collect := func(get func(*sim.Result) float64) Stat {
 			vals := make([]float64, len(rs))
-			for i, r := range rs {
-				vals[i] = get(r)
+			for k, r := range rs {
+				vals[k] = get(r)
 			}
 			return NewStat(vals)
 		}
 		out = append(out, ReplicatedResult{
 			Workload:    wlName,
-			Method:      name,
+			Method:      m.Name(),
 			NodeUsage:   collect(func(r *sim.Result) float64 { return r.NodeUsage }),
 			BBUsage:     collect(func(r *sim.Result) float64 { return r.BBUsage }),
 			AvgWaitSec:  collect(func(r *sim.Result) float64 { return r.AvgWaitSec }),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,6 +63,31 @@ func TestReplicateSmall(t *testing.T) {
 		if r.NodeUsage.Mean <= 0 || r.NodeUsage.Mean > 1 {
 			t.Fatalf("%s: node usage mean = %v", r.Method, r.NodeUsage.Mean)
 		}
+	}
+}
+
+// TestReplicateWorkerCountInvariant: Replicate sums each statistic's
+// samples in seed order, so one worker and two give the same floats bit
+// for bit. Three seeds, because two samples sum alike in either order.
+func TestReplicateWorkerCountInvariant(t *testing.T) {
+	o := fastOptions()
+	o.Jobs = 20
+	_, theta := o.systems()
+	build := func(seed uint64) trace.Workload {
+		w := trace.Generate(trace.GenConfig{System: theta, Jobs: o.Jobs, Seed: seed})
+		w.Name = "Theta-rep"
+		return w
+	}
+	var rows [2][]ReplicatedResult
+	for i, workers := range []int{1, 2} {
+		o.Parallelism = workers
+		var err error
+		if rows[i], err = Replicate(o, build, []uint64{5, 6, 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Fatalf("Replicate differs between one and two workers:\n%+v\n%+v", rows[0], rows[1])
 	}
 }
 

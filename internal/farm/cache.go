@@ -24,12 +24,14 @@ import (
 
 // recipeKeySchema versions the key derivation itself; bump it whenever
 // the hashed material or its encoding changes so stale cache entries can
-// never be mistaken for current ones. It is 2 because the results a
-// recipe produces changed while the hashed material did not: the lp
-// backend stopped carrying a warm start from one scheduling pass to the
-// next, which moved every *_LP cell's Result. Until the key hashes an
-// engine version, a change of results bumps this constant.
-const recipeKeySchema = 2
+// never be mistaken for current ones. It has moved twice because the
+// results a recipe produces changed while the hashed material did not:
+// to 2 when the lp backend stopped carrying a warm start from one
+// scheduling pass to the next, which moved every *_LP cell's Result, and
+// to 3 when Weighted_LP with SSD on a machine without extra dimensions
+// began optimizing all four §5 objectives instead of two. Until the key
+// hashes an engine version, a change of results bumps this constant.
+const recipeKeySchema = 3
 
 // recipe is the canonical hashed material. Field order is fixed and the
 // encoding is encoding/json with its deterministic struct-field order, so

@@ -89,10 +89,12 @@ func TestRecipeKey(t *testing.T) {
 	// carrying state between scheduling passes, so *_LP recipes produce
 	// other Results and their cached ones must not be served. It moved a
 	// third time when checkpoint.Version went 3 → 4 (a materialized
-	// workload's jobs named by hash, a CRC-32C trailer). A change that
-	// moves either orphans every cache entry and journal in the field; if
-	// that is meant, bump recipeKeySchema and re-pin.
-	if want := "39e04e36005c96ea5a5bfeea9fbad622848a70958b4ded5ed2810c6eb8a9855b"; k0 != want {
+	// workload's jobs named by hash, a CRC-32C trailer), and a fourth when
+	// recipeKeySchema went 2 → 3: Weighted_LP with SSD on a machine
+	// without extra dimensions now optimizes all four §5 objectives. A
+	// change that moves either orphans every cache entry and journal in
+	// the field; if that is meant, bump recipeKeySchema and re-pin.
+	if want := "590da1619ef70a1d5262ba1542af45c8980ce836e56ca1b49b656333d79f7744"; k0 != want {
 		t.Fatalf("recipe key of the first test cell moved: %s, want %s", k0, want)
 	}
 	if got, want := gridSHA(testGrid()), "3a4d14f28caa40f3fd9efee048051fb195b6b12a7b204d8a251d5a310f395599"; got != want {

@@ -45,9 +45,7 @@ func (*Exact) Name() string { return "exact" }
 // Capabilities implements solver.Solver: branch-and-bound needs the
 // linear form for its bounds and returns one provably optimal selection,
 // not a front.
-func (*Exact) Capabilities() solver.Capabilities {
-	return solver.Capabilities{NeedsLinear: true}
-}
+func (*Exact) Capabilities() solver.Capabilities { return solver.Capabilities{} }
 
 // Solve implements solver.Solver. It is deterministic and draws nothing
 // from opts.Rand.

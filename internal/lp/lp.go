@@ -8,7 +8,7 @@
 // repair path.
 //
 // The backend implements solver.Solver for single-objective (scalarized)
-// problems exposing solver.Linearizable — sched's weighted and constrained
+// problems exposing solver.LinearProblem — sched's weighted and constrained
 // formulations — and routes every rounded candidate through the memoizing
 // Evaluator it is handed, so repeated candidates cost one map lookup. On
 // large windows it is far cheaper than the genetic algorithm: a few
@@ -113,9 +113,7 @@ func (s *Solver) Name() string { return "lp" }
 // Capabilities implements solver.Solver: the backend solves scalarized
 // (single-objective) instances with an exposed linear form; it does not
 // produce Pareto fronts.
-func (s *Solver) Capabilities() solver.Capabilities {
-	return solver.Capabilities{NeedsLinear: true}
-}
+func (s *Solver) Capabilities() solver.Capabilities { return solver.Capabilities{} }
 
 // Config returns the backend parameters (defaults resolved).
 func (s *Solver) Config() Config { return s.cfg }

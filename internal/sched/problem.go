@@ -59,40 +59,6 @@ func (o Objective) ExtraIndex() int {
 	return int(o - extraUtilBase)
 }
 
-// Linearizable reports whether the objective has a per-job linear
-// column LP backends can optimize. Utilization objectives are exactly
-// linear: their value is a fixed amount per selected job, independent
-// of placement. SSD waste is a placement outcome, but the allocator's
-// deterministic smallest-eligible-class-first placement admits a
-// build-time linearization against the window's snapshot (each job
-// costed as if placed alone — see SelectionProblem.linearWaste), so §5
-// four-objective scalarizations get the LP fast path too; exact
-// feasibility and scoring of rounded candidates still come from
-// Evaluate. Solver vetting uses this predicate at configuration time.
-func (o Objective) Linearizable() bool {
-	switch {
-	case o == NodeUtil, o == BBUtil, o == SSDUtil, o == SSDWasteNeg, o.IsExtra():
-		return true
-	}
-	return false
-}
-
-// LinearObjectives returns the subset of objs with per-job linear
-// columns — the objective list LP-backed method variants can optimize.
-// Since the §5 SSD-waste term gained a build-time linearization, every
-// canonical objective passes; the filter remains for forward
-// compatibility with future placement-only objectives. The input is not
-// modified.
-func LinearObjectives(objs []Objective) []Objective {
-	out := make([]Objective, 0, len(objs))
-	for _, o := range objs {
-		if o.Linearizable() {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // String returns the objective's short name.
 func (o Objective) String() string {
 	switch o {
@@ -435,7 +401,8 @@ func (p *SelectionProblem) Repair(g moo.Genome, drop func(n int) int) {
 // coefficient column — the amount job i contributes to o when selected —
 // into c, with no temporary column: a scalarization sums its objectives
 // in objective-then-job order either way, so c is the same bit for bit.
-// It reports false exactly when !o.Linearizable().
+// Every objective the package constructs has one; it reports false only
+// for an unknown Objective value.
 func (p *SelectionProblem) addObjectiveColumn(c []float64, w float64, o Objective) bool {
 	switch {
 	case o == NodeUtil:
@@ -590,7 +557,7 @@ func (p *SelectionProblem) linearConstraints(f *solver.LinearForm) {
 	}
 }
 
-// LinearForm implements solver.Linearizable for single-objective
+// LinearForm implements solver.LinearProblem for single-objective
 // instances (the constrained methods' formulation): maximize the
 // objective's demand column under the machine's knapsack rows.
 // Multi-objective instances have no scalar linear form. The form is built
@@ -662,7 +629,7 @@ func (s *scalarized) Repair(g moo.Genome, drop func(n int) int) { s.inner.Repair
 // where the inner problem is.
 func (s *scalarized) LiveSet(dst []int) ([]int, bool) { return s.inner.LiveSet(dst) }
 
-// LinearForm implements solver.Linearizable: the weighted sum of linear
+// LinearForm implements solver.LinearProblem: the weighted sum of linear
 // objective columns is itself linear, with coefficients
 // Σₖ wₖ·colₖ[i]/denomₖ (matching Evaluate's normalization). With the §5
 // waste term's build-time linearization every canonical objective

@@ -35,8 +35,8 @@ func ctxFor(jobs []*job.Job, c *cluster.Cluster, seed uint64) *Context {
 	}
 }
 
-func testGA() GASolverConfig {
-	return GASolverConfig{Generations: 300, Population: 20, MutationProb: 0.01}
+func testGA() moo.GAConfig {
+	return moo.GAConfig{Generations: 300, Population: 20, MutationProb: 0.01}
 }
 
 func selectedObjs(t *testing.T, jobs []*job.Job, idx []int) (nodes, bb int64) {
@@ -171,8 +171,8 @@ func TestMethodsNeverOversubscribe(t *testing.T) {
 	methods := []Method{
 		Baseline{},
 		BinPacking{},
-		NewWeighted("Weighted", 0.5, 0.5, GASolverConfig{Generations: 40, Population: 10, MutationProb: 0.01}),
-		&Constrained{MethodName: "Constrained_CPU", Target: NodeUtil, GA: GASolverConfig{Generations: 40, Population: 10, MutationProb: 0.01}},
+		NewWeighted("Weighted", 0.5, 0.5, moo.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}),
+		&Constrained{MethodName: "Constrained_CPU", Target: NodeUtil, GA: moo.GAConfig{Generations: 40, Population: 10, MutationProb: 0.01}},
 	}
 	f := func(seed uint16) bool {
 		st := r.SplitIndex(uint64(seed))

@@ -120,57 +120,6 @@ func TestLinearFormRefusals(t *testing.T) {
 	}
 }
 
-// TestLinearObjectives pins the linearizability predicate and filter the
-// solver vetting and the Weighted_LP dimension build rely on: every
-// canonical objective linearizes, including the §5 waste term.
-func TestLinearObjectives(t *testing.T) {
-	for _, o := range []Objective{NodeUtil, BBUtil, SSDUtil, SSDWasteNeg, ExtraUtil(0), ExtraUtil(3)} {
-		if !o.Linearizable() {
-			t.Errorf("%s not linearizable", o)
-		}
-	}
-	in := []Objective{NodeUtil, BBUtil, ExtraUtil(0), SSDUtil, SSDWasteNeg}
-	got := LinearObjectives(in)
-	if len(got) != len(in) {
-		t.Fatalf("LinearObjectives = %v, want %v", got, in)
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("LinearObjectives = %v, want %v", got, in)
-		}
-	}
-}
-
-// fakeLinearSolver mimics the LP backend's capability profile.
-type fakeLinearSolver struct{ fakeSolver }
-
-func (fakeLinearSolver) Capabilities() solver.Capabilities {
-	return solver.Capabilities{NeedsLinear: true}
-}
-
-// TestVetoSolverOnNonLinearObjectives checks configuration-time
-// vetting: with the §5 waste term's build-time linearization, the
-// four-objective scalarizations and the waste-target constrained method
-// accept linear-only backends instead of vetoing them.
-func TestVetoSolverOnNonLinearObjectives(t *testing.T) {
-	lin := fakeLinearSolver{fakeSolver{name: "linonly"}}
-	w := NewWeightedFor("W4", FourObjectives(), moo.DefaultGAConfig())
-	if err := w.VetoSolver(lin); err != nil {
-		t.Errorf("four-objective Weighted vetoed a linear-only backend: %v", err)
-	}
-	if err := w.VetoSolver(fakeSolver{name: "any"}); err != nil {
-		t.Errorf("non-linear backend vetoed: %v", err)
-	}
-	w2 := NewWeighted("W2", 0.5, 0.5, moo.DefaultGAConfig())
-	if err := w2.VetoSolver(lin); err != nil {
-		t.Errorf("two-objective Weighted vetoed a linear backend: %v", err)
-	}
-	c := &Constrained{MethodName: "C", Target: SSDWasteNeg, GA: moo.DefaultGAConfig()}
-	if err := c.VetoSolver(lin); err != nil {
-		t.Errorf("waste-target Constrained vetoed a linear-only backend: %v", err)
-	}
-}
-
 // fakeSolver lets plumbing tests observe backend swaps.
 type fakeSolver struct{ name string }
 

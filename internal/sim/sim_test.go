@@ -263,7 +263,7 @@ func TestSSDWorkloadDrains(t *testing.T) {
 	sys := trace.Scale(trace.Theta(), 64)
 	base := trace.Generate(trace.GenConfig{System: sys, Jobs: 80, Seed: 9})
 	w := trace.AddSSD(base, "ssd", trace.S6, 11)
-	b := core.NewFourObjective()
+	b := core.NewForObjectives(sched.FourObjectives())
 	b.GA = fastGA()
 	res, err := run(w, b)
 	if err != nil {

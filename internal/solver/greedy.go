@@ -27,7 +27,7 @@ func (*Greedy) Name() string { return "greedy" }
 
 // Capabilities implements Solver: density needs the linear form's value
 // and demand columns, and the fill produces one selection, not a front.
-func (*Greedy) Capabilities() Capabilities { return Capabilities{NeedsLinear: true} }
+func (*Greedy) Capabilities() Capabilities { return Capabilities{} }
 
 // Solve implements Solver. It is deterministic and draws nothing from
 // opts.Rand.

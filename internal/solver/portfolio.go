@@ -32,16 +32,8 @@ func NewPortfolio(members ...Solver) *Portfolio {
 func (*Portfolio) Name() string { return "portfolio" }
 
 // Capabilities implements Solver: the portfolio keeps one best solution,
-// not a merged front, so it is scalar-only; it needs the linear form only
-// when every member does (a ga member handles any problem the others
-// reject).
-func (pf *Portfolio) Capabilities() Capabilities {
-	caps := Capabilities{NeedsLinear: len(pf.Members) > 0}
-	for _, m := range pf.Members {
-		caps.NeedsLinear = caps.NeedsLinear && m.Capabilities().NeedsLinear
-	}
-	return caps
-}
+// not a merged front, so it is scalar-only.
+func (*Portfolio) Capabilities() Capabilities { return Capabilities{} }
 
 // Solve implements Solver by running every member in turn. Each member
 // gets its own memoizing evaluator, so its cache statistics and its GA

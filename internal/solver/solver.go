@@ -10,8 +10,8 @@
 // so existing problems plug in unchanged: a backend receives the problem
 // — typically already wrapped in a memoizing *moo.Evaluator — and returns
 // a set of non-dominated solutions. Backends that need more structure
-// than black-box evaluation declare it via Capabilities and discover it
-// via optional problem interfaces (Linearizable). A backend keeps no state
+// than black-box evaluation discover it via optional problem interfaces
+// (LinearProblem) and fail on a problem without it. A backend keeps no state
 // from one solve to the next, so every window's answer depends on that
 // window alone.
 package solver
@@ -39,9 +39,6 @@ type Capabilities struct {
 	// single-objective (scalarized) problems; core.BBSched's §3.2.4
 	// decision rule requires it.
 	ParetoFront bool
-	// NeedsLinear reports that the backend requires the problem to expose
-	// an LP structure via Linearizable and fails on problems that do not.
-	NeedsLinear bool
 }
 
 // Solver solves one window-selection problem instance. A solve is a pure
@@ -83,12 +80,12 @@ type LinearForm struct {
 	Caps []float64
 }
 
-// Linearizable is implemented by problems that can expose their LP
+// LinearProblem is implemented by problems that can expose their LP
 // structure. Ok is false when the instance has no exact linear form (for
 // example a multi-objective problem with no scalarization, or an
 // objective that depends on placement rather than selection alone); a
 // false return carries no LinearForm.
-type Linearizable interface {
+type LinearProblem interface {
 	LinearForm() (LinearForm, bool)
 }
 
@@ -98,7 +95,7 @@ func Linearize(p moo.Problem) (LinearForm, bool) {
 	if ev, ok := p.(*moo.Evaluator); ok {
 		p = ev.Problem()
 	}
-	lin, ok := p.(Linearizable)
+	lin, ok := p.(LinearProblem)
 	if !ok {
 		return LinearForm{}, false
 	}

@@ -72,8 +72,8 @@ func TestGACapabilities(t *testing.T) {
 		t.Errorf("Name = %q, want ga", ga.Name())
 	}
 	caps := ga.Capabilities()
-	if !caps.ParetoFront || caps.NeedsLinear {
-		t.Errorf("GA capabilities = %+v, want ParetoFront without NeedsLinear", caps)
+	if !caps.ParetoFront {
+		t.Errorf("GA capabilities = %+v, want ParetoFront", caps)
 	}
 }
 

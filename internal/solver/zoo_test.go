@@ -42,8 +42,8 @@ func members() []solver.Solver {
 func TestGreedyFeasibleAndDeterministic(t *testing.T) {
 	g := solver.NewGreedy()
 	caps := g.Capabilities()
-	if caps.ParetoFront || !caps.NeedsLinear {
-		t.Errorf("greedy capabilities = %+v, want NeedsLinear without ParetoFront", caps)
+	if caps.ParetoFront {
+		t.Errorf("greedy capabilities = %+v, want no ParetoFront", caps)
 	}
 	for _, w := range []int{8, 24, 64} {
 		p := windowProblem(t, w, uint64(w))
@@ -144,19 +144,10 @@ func TestPortfolioDeterministic(t *testing.T) {
 }
 
 // TestPortfolioCapabilities pins the portfolio's capability surface: it keeps
-// one best solution (no Pareto front — BBSched must veto it) and only
-// needs the linear form when every member does.
+// one best solution (no Pareto front — BBSched must veto it).
 func TestPortfolioCapabilities(t *testing.T) {
 	pf := solver.NewPortfolio(members()...)
-	caps := pf.Capabilities()
-	if caps.ParetoFront {
+	if pf.Capabilities().ParetoFront {
 		t.Error("portfolio claims Pareto fronts; it keeps one best solution")
-	}
-	if caps.NeedsLinear {
-		t.Error("portfolio with a ga member claims NeedsLinear")
-	}
-	linOnly := solver.NewPortfolio(lp.New(lp.DefaultConfig()), solver.NewGreedy())
-	if !linOnly.Capabilities().NeedsLinear {
-		t.Error("all-linear portfolio does not claim NeedsLinear")
 	}
 }
