@@ -273,6 +273,33 @@ func New(id int, submit, runtime, walltime int64, d Demand) (*Job, error) {
 	return j, nil
 }
 
+// packed is a job and a demand of up to NumResources dimensions in one
+// allocation: the job's Demand.Res points into res.
+type packed struct {
+	Job
+	res [NumResources]int64
+}
+
+// NewPacked is New for a demand given by its amounts, as NewDemandVector
+// takes them. A demand of at most NumResources dimensions lives in the
+// job's own allocation, so the trace decoders and the generator pay one
+// allocation per job; a wider one is a second.
+func NewPacked(id int, submit, runtime, walltime int64, nodes int, bbGB, ssdPerNodeGB int64, extra ...int64) (*Job, error) {
+	var j *Job
+	if len(extra) == 0 {
+		p := &packed{res: [NumResources]int64{int64(nodes), bbGB, ssdPerNodeGB}}
+		p.Demand.Res = p.res[:]
+		j = &p.Job
+	} else {
+		j = &Job{Demand: NewDemandVector(nodes, bbGB, ssdPerNodeGB, extra...)}
+	}
+	j.ID, j.SubmitTime, j.Runtime, j.WalltimeEst = id, submit, runtime, walltime
+	if err := j.Validate(); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
 // MustNew is New but panics on invalid input; for tests and literals.
 func MustNew(id int, submit, runtime, walltime int64, d Demand) *Job {
 	j, err := New(id, submit, runtime, walltime, d)

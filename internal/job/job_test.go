@@ -2,6 +2,7 @@ package job
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,6 +92,40 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(1, 0, 10, 20, NewDemand(4, 8, 0)); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
+	}
+}
+
+// TestNewPackedMatchesNew: NewPacked builds the job New builds from the
+// same demand, refuses what New refuses, and makes one allocation for a
+// demand of up to three dimensions.
+func TestNewPackedMatchesNew(t *testing.T) {
+	for _, extra := range [][]int64{nil, {75}, {75, 3}} {
+		want := MustNew(4, 10, 20, 30, NewDemandVector(8, 512, 16, extra...))
+		got, err := NewPacked(4, 10, 20, 30, 8, 512, 16, extra...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("extra %v: NewPacked = %+v, want %+v", extra, got, want)
+		}
+	}
+	if _, err := NewPacked(1, 0, 10, 10, 0, 0, 0); err == nil {
+		t.Error("zero-node demand accepted")
+	}
+	if _, err := NewPacked(1, -5, 10, 10, 1, 0, 0); err == nil {
+		t.Error("negative submit accepted")
+	}
+	// Set grows a packed demand out of the job's block, never past it.
+	j, _ := NewPacked(1, 0, 10, 10, 2, 4, 0)
+	d := j.Demand
+	d.Set(NumResources, 9)
+	if j.Demand.NumExtra() != 0 || d.Extra(0) != 9 || !d.Equal(NewDemandVector(2, 4, 0, 9)) {
+		t.Errorf("Set on a copy of a packed demand: job %v, copy %v", j.Demand, d)
+	}
+	if testing.CoverMode() == "" {
+		if n := testing.AllocsPerRun(100, func() { _, _ = NewPacked(1, 0, 10, 10, 2, 4, 0) }); n != 1 {
+			t.Errorf("NewPacked makes %.0f allocations, want 1", n)
+		}
 	}
 }
 

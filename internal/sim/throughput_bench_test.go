@@ -371,9 +371,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 // TestStreamAllocsPerJob holds the streaming path's allocations per job:
 // 20 000 GenSource jobs through WithSource and WithStreamingMetrics
 // (newStreamSimulator), construction and Result included. It measured
-// 2.02 allocs/job once the generators stopped formatting a user name per
-// job, and the ceiling is that plus 20%, so one more allocation per job —
-// in the generator, the engine or the sketches — crosses it.
+// 1.02 allocs/job once a job and its demand became one allocation
+// (job.NewPacked), and the ceiling is that plus 20%, so one more
+// allocation per job — in the generator, the engine or the sketches —
+// crosses it.
 func TestStreamAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -390,8 +391,8 @@ func TestStreamAllocsPerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	perJob := allocs / jobs
-	t.Logf("stream: %.0f allocs over %d jobs (%.3f allocs/job, ceiling 2.4)", allocs, jobs, perJob)
-	if perJob > 2.4 {
-		t.Fatalf("streaming run makes %.3f allocs/job, ceiling 2.4", perJob)
+	t.Logf("stream: %.0f allocs over %d jobs (%.3f allocs/job, ceiling 1.22)", allocs, jobs, perJob)
+	if perJob > 1.22 {
+		t.Fatalf("streaming run makes %.3f allocs/job, ceiling 1.22", perJob)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"bbsched/internal/job"
 )
@@ -33,40 +35,77 @@ func WriteCSV(w io.Writer, jobs []*job.Job, extraNames ...string) error {
 	return cw.Flush()
 }
 
-// csvHeaderWith returns the header row for nExtra extra-dimension columns.
-func csvHeaderWith(extraNames []string) []string {
-	if len(extraNames) == 0 {
-		return csvHeader
+// appendCSVHeader appends the header row for extraNames.
+func appendCSVHeader(b []byte, extraNames []string) []byte {
+	for i, col := range csvHeader {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCSVField(b, col)
 	}
-	header := append(append([]string(nil), csvHeader...), make([]string, len(extraNames))...)
-	for i, n := range extraNames {
-		header[len(csvHeader)+i] = extraColPrefix + n
+	for _, n := range extraNames {
+		b = append(b, ',')
+		b = appendCSVField(b, extraColPrefix+n)
 	}
-	return header
+	return append(b, '\n')
 }
 
-// csvRecord serializes one job row.
-func csvRecord(j *job.Job, nExtra int) []string {
-	deps := make([]string, len(j.Deps))
-	for i, d := range j.Deps {
-		deps[i] = strconv.Itoa(d)
+// appendCSVRecord appends one job row.
+func appendCSVRecord(b []byte, j *job.Job, nExtra int) []byte {
+	b = strconv.AppendInt(b, int64(j.ID), 10)
+	b = append(b, ',')
+	b = appendCSVField(b, j.User)
+	for _, v := range [...]int64{j.SubmitTime, j.Runtime, j.WalltimeEst, int64(j.Demand.NodeCount()),
+		j.Demand.BB(), j.Demand.SSDPerNode(), j.StageOutSec} {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, v, 10)
 	}
-	rec := []string{
-		strconv.Itoa(j.ID),
-		j.User,
-		strconv.FormatInt(j.SubmitTime, 10),
-		strconv.FormatInt(j.Runtime, 10),
-		strconv.FormatInt(j.WalltimeEst, 10),
-		strconv.Itoa(j.Demand.NodeCount()),
-		strconv.FormatInt(j.Demand.BB(), 10),
-		strconv.FormatInt(j.Demand.SSDPerNode(), 10),
-		strconv.FormatInt(j.StageOutSec, 10),
-		strings.Join(deps, ";"),
+	b = append(b, ',')
+	for i, d := range j.Deps {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
 	for k := 0; k < nExtra; k++ {
-		rec = append(rec, strconv.FormatInt(j.Demand.Extra(k), 10))
+		b = append(b, ',')
+		b = strconv.AppendInt(b, j.Demand.Extra(k), 10)
 	}
-	return rec
+	return append(b, '\n')
+}
+
+// appendCSVField appends a text field as encoding/csv's Writer writes
+// it: in quotes, each quote doubled, exactly when fieldNeedsQuotes says.
+func appendCSVField(b []byte, field string) []byte {
+	if !fieldNeedsQuotes(field) {
+		return append(b, field...)
+	}
+	b = append(b, '"')
+	for i := strings.IndexByte(field, '"'); i >= 0; i = strings.IndexByte(field, '"') {
+		b = append(b, field[:i+1]...)
+		b = append(b, '"')
+		field = field[i+1:]
+	}
+	b = append(b, field...)
+	return append(b, '"')
+}
+
+// fieldNeedsQuotes is encoding/csv's rule for a comma-separated field:
+// it holds a comma, quote, CR or LF, starts with a space, or is `\.`.
+func fieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		if c := field[i]; c == '\n' || c == '\r' || c == '"' || c == ',' {
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV parses a trace written by WriteCSV and validates the workload,
@@ -115,45 +154,41 @@ func parseCSVHeader(header []string) ([]string, error) {
 	return extraNames, nil
 }
 
-func parseRecord(rec []string, nExtra int) (*job.Job, error) {
-	id, err := strconv.Atoi(rec[0])
-	if err != nil {
-		return nil, fmt.Errorf("id: %w", err)
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string: a
+// sign and up to 18 digits, which cannot overflow, parse in place, and
+// anything else goes through strconv for its value or its error.
+func parseInt(b []byte) (int64, error) {
+	if v, ok := parseShortInt(b); ok {
+		return v, nil
 	}
-	ints := make([]int64, 7)
-	for i, field := range rec[2:9] {
-		v, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", csvHeader[i+2], err)
+	return strconv.ParseInt(string(b), 10, 64)
+}
+
+// atoi is parseInt for strconv.Atoi.
+func atoi(b []byte) (int, error) {
+	if v, ok := parseShortInt(b); ok {
+		return int(v), nil
+	}
+	return strconv.Atoi(string(b))
+}
+
+func parseShortInt(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (neg || b[0] == '+') {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var v int64
+	for _, c := range b {
+		if c -= '0'; c > 9 {
+			return 0, false
 		}
-		ints[i] = v
+		v = v*10 + int64(c)
 	}
-	extras := make([]int64, nExtra)
-	for k := range extras {
-		v, err := strconv.ParseInt(rec[len(csvHeader)+k], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("extra column %d: %w", k, err)
-		}
-		extras[k] = v
+	if neg {
+		v = -v
 	}
-	d := job.NewDemandVector(int(ints[3]), ints[4], ints[5], extras...)
-	j, err := job.New(id, ints[0], ints[1], ints[2], d)
-	if err != nil {
-		return nil, err
-	}
-	j.User = rec[1]
-	j.StageOutSec = ints[6]
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	if rec[9] != "" {
-		for _, part := range strings.Split(rec[9], ";") {
-			dep, err := strconv.Atoi(part)
-			if err != nil {
-				return nil, fmt.Errorf("deps: %w", err)
-			}
-			j.Deps = append(j.Deps, dep)
-		}
-	}
-	return j, nil
+	return v, true
 }

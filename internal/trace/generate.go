@@ -117,7 +117,10 @@ func (g *sampler) job(id int) *job.Job {
 	if g.bbs.Bool(sys.BBFraction) {
 		bb = sampleBB(g.bbs, 1, sys.MaxBBRequestGB)
 	}
-	j := job.MustNew(id, 0, runtime, walltime, job.NewDemand(n, bb, 0))
+	j, err := job.NewPacked(id, 0, runtime, walltime, n, bb, 0)
+	if err != nil {
+		panic(err)
+	}
 	j.User = g.names[g.users.Intn(g.cfg.Users)]
 	if bb > 0 && g.cfg.BBDrainGBps > 0 {
 		j.StageOutSec = int64(float64(bb) / g.cfg.BBDrainGBps)

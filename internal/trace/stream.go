@@ -2,8 +2,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
-	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,6 +29,20 @@ import (
 //   - CSV: nothing. Records must already be in submit order with dense IDs
 //     and deps on earlier jobs (exactly what WriteCSV emits); a violation
 //     is an error, not a fixup, in the stream and in ReadCSV alike.
+//
+// Where the work runs: a file opened by OpenCSV, OpenSWF or OpenTrace is
+// read, and gunzipped when its name ends in ".gz", on a goroutine of its
+// own that keeps a ring of four 4 KiB blocks filled ahead of the decoder
+// (readahead.go); Next still runs only on the caller's goroutine, and a
+// decoder over a caller's reader (NewCSVSource, NewSWFSource) reads it
+// synchronously. The CSV decoder and writer do not use encoding/csv:
+// CSVSource splits a record in the bufio.Reader's buffer and parses its
+// integers from the bytes, and CSVWriter appends a record into one reused
+// buffer. Both hold to encoding/csv's language and bytes; the
+// encoding/csv oracle and the fuzzer that compares them are in
+// csv_reference_test.go. A job and its demand are one allocation
+// (job.NewPacked), and a CSV source shares one string among the jobs of a
+// user.
 
 // fileSource ends a decoder's stream: it closes the backing reader, if
 // that is an io.Closer, when the stream drains or fails, or on Close.
@@ -74,7 +89,8 @@ type SWFSource struct {
 }
 
 // NewSWFSource returns a streaming SWF decoder over r. If r implements
-// io.Closer it is closed when the stream drains or fails.
+// io.Closer it is closed when the stream drains or fails. It reads r on
+// the caller's goroutine.
 func NewSWFSource(r io.Reader, opts SWFOptions) *SWFSource {
 	opts.CoresPerNode = max(opts.CoresPerNode, 1)
 	sc := bufio.NewScanner(r)
@@ -84,7 +100,8 @@ func NewSWFSource(r io.Reader, opts SWFOptions) *SWFSource {
 
 // OpenSWF opens path as a streaming SWF source, transparently
 // decompressing a ".gz" suffix (Parallel Workloads Archive logs ship
-// gzipped); the file is closed when the stream drains, fails, or Close is
+// gzipped) and reading the file ahead of the decoder on a goroutine of
+// its own; the file is closed when the stream drains, fails, or Close is
 // called.
 func OpenSWF(path string, opts SWFOptions) (*SWFSource, error) {
 	r, err := openTraceFile(path)
@@ -112,21 +129,22 @@ func (g *gzipReadCloser) Close() error {
 }
 
 // openTraceFile opens path for streaming, wrapping a gzip decompressor
-// when the name ends in ".gz".
+// when the name ends in ".gz", and reads it ahead of the decoder on a
+// goroutine of its own (see readAhead). A bad gzip header fails here.
 func openTraceFile(path string) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if !strings.HasSuffix(strings.ToLower(path), ".gz") {
-		return f, nil
+		return newReadAhead(f), nil
 	}
 	gz, err := gzip.NewReader(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return &gzipReadCloser{gz: gz, under: f}, nil
+	return newReadAhead(&gzipReadCloser{gz: gz, under: f}), nil
 }
 
 // OpenTrace opens path as a streaming source, dispatching on the file
@@ -197,33 +215,69 @@ func (s *SWFSource) record() (*job.Job, *[swfNumFields]int64, error) {
 // CSVSource streams a trace in the repository's CSV format (see
 // WriteCSV). Records must be in submit order with dense IDs and deps
 // referencing earlier jobs only — the invariants WriteCSV output holds.
+//
+// It reads the CSV that encoding/csv's Reader reads with its defaults
+// (quoted fields with "" escapes, embedded commas and newlines, CRLF line
+// ends, blank lines skipped, every record as wide as the header), but
+// splits a line without quotes in place and parses its integers from the
+// bytes, so a record costs no allocation of its own.
 type CSVSource struct {
 	fileSource
-	cr         *csv.Reader
+	br         *bufio.Reader
 	extraNames []string
-	line       int
+	line       int // records read, the header included
 	seq        sequence
+
+	fields  [][]byte // the record read last, valid until the next read
+	nFields int      // the header's width, which every record must have
+	rawLine int      // lines read, for syntax errors
+	quoted  []byte   // a record with quotes, unquoted; fields index it
+	long    []byte   // a line longer than br's buffer
+	extras  []int64
+	users   map[string]string
 }
+
+// Syntax errors, worded as encoding/csv words them.
+var (
+	errFieldCount = errors.New("wrong number of fields")
+	errBareQuote  = errors.New(`bare " in non-quoted-field`)
+	errQuote      = errors.New(`extraneous or missing " in quoted-field`)
+)
+
+// maxInternedUsers bounds the user names a CSVSource shares among its
+// jobs; a trace with more distinct users gives the rest a string each.
+const maxInternedUsers = 1 << 10
 
 // NewCSVSource returns a streaming CSV decoder over r, reading and
 // validating the header eagerly so format errors surface at open time.
 // If r implements io.Closer it is closed when the stream drains or fails.
+// It reads r on the caller's goroutine.
 func NewCSVSource(r io.Reader) (*CSVSource, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
+	size := 4096 // bufio's default
+	if _, ok := r.(*readAhead); ok {
+		size = 1024 // the ring holds the data: the buffer only joins lines across blocks
+	}
+	s := &CSVSource{fileSource: newFileSource(r), br: bufio.NewReaderSize(r, size), users: map[string]string{}}
+	if err := s.readRecord(); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
+	}
+	header := make([]string, len(s.fields))
+	for i, f := range s.fields {
+		header[i] = string(f)
 	}
 	extraNames, err := parseCSVHeader(header)
 	if err != nil {
 		return nil, err
 	}
-	return &CSVSource{fileSource: newFileSource(r), cr: cr, extraNames: extraNames, line: 1}, nil
+	s.extraNames, s.nFields, s.line = extraNames, len(header), 1
+	s.extras = make([]int64, len(extraNames))
+	return s, nil
 }
 
 // OpenCSV opens path as a streaming CSV source, transparently
-// decompressing a ".gz" suffix; the file is closed when the stream
-// drains, fails, or Close is called.
+// decompressing a ".gz" suffix and reading the file ahead of the decoder
+// on a goroutine of its own; the file is closed when the stream drains,
+// fails, or Close is called.
 func OpenCSV(path string) (*CSVSource, error) {
 	r, err := openTraceFile(path)
 	if err != nil {
@@ -246,7 +300,7 @@ func (s *CSVSource) Next() (*job.Job, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	rec, err := s.cr.Read()
+	err := s.readRecord()
 	if err == io.EOF {
 		return nil, s.finish(nil)
 	}
@@ -254,7 +308,7 @@ func (s *CSVSource) Next() (*job.Job, error) {
 		return nil, s.finish(fmt.Errorf("trace: line %d: %w", s.line, err))
 	}
 	s.line++
-	j, err := parseRecord(rec, len(s.extraNames))
+	j, err := s.job()
 	if err != nil {
 		return nil, s.finish(fmt.Errorf("trace: line %d: %w", s.line, err))
 	}
@@ -264,11 +318,228 @@ func (s *CSVSource) Next() (*job.Job, error) {
 	return j, nil
 }
 
+// readLine reads the next line as encoding/csv does: its end normalized
+// to one "\n", none at the end of the input (where a last "\r" is
+// dropped), and io.EOF only once no byte is left.
+func (s *CSVSource) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		s.long = append(s.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = s.br.ReadSlice('\n')
+			s.long = append(s.long, line...)
+		}
+		line = s.long
+	}
+	if n := len(line); n > 0 && err == io.EOF {
+		err = nil
+		if line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+	}
+	s.rawLine++
+	if n := len(line); n >= 2 && line[n-2] == '\r' && line[n-1] == '\n' {
+		line[n-2] = '\n'
+		line = line[:n-1]
+	}
+	return line, err
+}
+
+// lengthNL is 1 if b ends in a newline, else 0.
+func lengthNL(b []byte) int {
+	if len(b) > 0 && b[len(b)-1] == '\n' {
+		return 1
+	}
+	return 0
+}
+
+// readRecord reads the next record into s.fields, skipping blank lines,
+// and returns io.EOF at the end of the input. A line without quotes is
+// split where it lies; one with quotes is unquoted into s.quoted,
+// reading on while a quoted field spans lines.
+func (s *CSVSource) readRecord() error {
+	line, errRead := s.readLine()
+	for errRead == nil && len(line) == lengthNL(line) {
+		line, errRead = s.readLine()
+	}
+	if errRead == io.EOF {
+		return io.EOF
+	}
+	recLine := s.rawLine
+	s.fields = s.fields[:0]
+	if bytes.IndexByte(line, '"') >= 0 {
+		if err := s.unquote(line, errRead); err != nil {
+			return err
+		}
+	} else {
+		if errRead != nil {
+			return errRead
+		}
+		line = line[:len(line)-lengthNL(line)]
+		for i := bytes.IndexByte(line, ','); i >= 0; i = bytes.IndexByte(line, ',') {
+			s.fields = append(s.fields, line[:i])
+			line = line[i+1:]
+		}
+		s.fields = append(s.fields, line)
+	}
+	if s.nFields > 0 && len(s.fields) != s.nFields {
+		return fmt.Errorf("record on line %d: %w", recLine, errFieldCount)
+	}
+	return nil
+}
+
+// unquote parses a record that holds a quote, starting at line, into
+// s.quoted and s.fields: encoding/csv's field loop, step for step.
+func (s *CSVSource) unquote(line []byte, errRead error) error {
+	s.quoted = s.quoted[:0]
+	var ends [16]int
+	end := ends[:0]
+	var err error
+parseField:
+	for {
+		if len(line) == 0 || line[0] != '"' {
+			i := bytes.IndexByte(line, ',')
+			field := line
+			if i >= 0 {
+				field = field[:i]
+			} else {
+				field = field[:len(field)-lengthNL(field)]
+			}
+			if bytes.IndexByte(field, '"') >= 0 {
+				err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errBareQuote)
+				break parseField
+			}
+			s.quoted = append(s.quoted, field...)
+			end = append(end, len(s.quoted))
+			if i < 0 {
+				break parseField
+			}
+			line = line[i+1:]
+			continue parseField
+		}
+		line = line[1:]
+		for {
+			i := bytes.IndexByte(line, '"')
+			switch {
+			case i >= 0:
+				s.quoted = append(s.quoted, line[:i]...)
+				line = line[i+1:]
+				switch {
+				case len(line) > 0 && line[0] == '"': // "" is a quote
+					s.quoted = append(s.quoted, '"')
+					line = line[1:]
+				case len(line) > 0 && line[0] == ',': // the field ends
+					line = line[1:]
+					end = append(end, len(s.quoted))
+					continue parseField
+				case lengthNL(line) == len(line): // the record ends
+					end = append(end, len(s.quoted))
+					break parseField
+				default:
+					err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errQuote)
+					break parseField
+				}
+			case len(line) > 0: // the field goes on past the line
+				s.quoted = append(s.quoted, line...)
+				if errRead != nil {
+					break parseField
+				}
+				line, errRead = s.readLine()
+				if errRead == io.EOF {
+					errRead = nil
+				}
+			default: // the input ends inside the quotes
+				if errRead == nil {
+					err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errQuote)
+					break parseField
+				}
+				end = append(end, len(s.quoted))
+				break parseField
+			}
+		}
+	}
+	if err == nil {
+		err = errRead
+	}
+	if err != nil {
+		return err
+	}
+	start := 0
+	for _, e := range end {
+		s.fields = append(s.fields, s.quoted[start:e:e])
+		start = e
+	}
+	return nil
+}
+
+// job builds the job in s.fields, whose columns csvHeader names.
+func (s *CSVSource) job() (*job.Job, error) {
+	f := s.fields
+	id, err := atoi(f[0])
+	if err != nil {
+		return nil, fmt.Errorf("id: %w", err)
+	}
+	var ints [7]int64
+	for i := range ints {
+		if ints[i], err = parseInt(f[i+2]); err != nil {
+			return nil, fmt.Errorf("%s: %w", csvHeader[i+2], err)
+		}
+	}
+	for k := range s.extras {
+		if s.extras[k], err = parseInt(f[len(csvHeader)+k]); err != nil {
+			return nil, fmt.Errorf("extra column %d: %w", k, err)
+		}
+	}
+	j, err := job.NewPacked(id, ints[0], ints[1], ints[2], int(ints[3]), ints[4], ints[5], s.extras...)
+	if err != nil {
+		return nil, err
+	}
+	j.User = s.user(f[1])
+	j.StageOutSec = ints[6]
+	if err := j.Validate(); err != nil {
+		return nil, err
+	}
+	if deps := f[9]; len(deps) > 0 {
+		for {
+			i := bytes.IndexByte(deps, ';')
+			part := deps
+			if i >= 0 {
+				part = deps[:i]
+			}
+			dep, err := atoi(part)
+			if err != nil {
+				return nil, fmt.Errorf("deps: %w", err)
+			}
+			j.Deps = append(j.Deps, dep)
+			if i < 0 {
+				break
+			}
+			deps = deps[i+1:]
+		}
+	}
+	return j, nil
+}
+
+// user returns the name in b as a string the source's jobs share: a trace
+// names few users, so most records allocate no name.
+func (s *CSVSource) user(b []byte) string {
+	if u, ok := s.users[string(b)]; ok {
+		return u
+	}
+	u := string(b)
+	if len(s.users) < maxInternedUsers {
+		s.users[u] = u
+	}
+	return u
+}
+
 // CSVWriter writes a trace one job per Write call, header emitted lazily,
 // nothing materialized — tracegen uses it to produce million-job fixtures
-// in constant memory. WriteCSV is a loop over it.
+// in constant memory. WriteCSV is a loop over it. It writes the bytes
+// encoding/csv's Writer writes for the same rows.
 type CSVWriter struct {
-	cw         *csv.Writer
+	bw         *bufio.Writer
+	rec        []byte
 	extraNames []string
 	headerDone bool
 }
@@ -276,7 +547,7 @@ type CSVWriter struct {
 // NewCSVWriter returns a streaming trace writer; extraNames append one
 // "res:<name>" column each, exactly as in WriteCSV.
 func NewCSVWriter(w io.Writer, extraNames ...string) *CSVWriter {
-	return &CSVWriter{cw: csv.NewWriter(w), extraNames: extraNames}
+	return &CSVWriter{bw: bufio.NewWriter(w), extraNames: extraNames}
 }
 
 // Write appends one job record (emitting the header first if needed).
@@ -284,7 +555,9 @@ func (w *CSVWriter) Write(j *job.Job) error {
 	if err := w.header(); err != nil {
 		return err
 	}
-	return w.cw.Write(csvRecord(j, len(w.extraNames)))
+	w.rec = appendCSVRecord(w.rec[:0], j, len(w.extraNames))
+	_, err := w.bw.Write(w.rec)
+	return err
 }
 
 // Flush writes buffered records through and reports any write error.
@@ -294,8 +567,7 @@ func (w *CSVWriter) Flush() error {
 	if err := w.header(); err != nil {
 		return err
 	}
-	w.cw.Flush()
-	return w.cw.Error()
+	return w.bw.Flush()
 }
 
 // header writes the header row once.
@@ -303,7 +575,8 @@ func (w *CSVWriter) header() error {
 	if w.headerDone {
 		return nil
 	}
-	if err := w.cw.Write(csvHeaderWith(w.extraNames)); err != nil {
+	w.rec = appendCSVHeader(w.rec[:0], w.extraNames)
+	if _, err := w.bw.Write(w.rec); err != nil {
 		return err
 	}
 	w.headerDone = true

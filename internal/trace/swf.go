@@ -170,7 +170,7 @@ func swfJob(v []int64, id int, opts SWFOptions) (*job.Job, error) {
 	if submit < 0 {
 		submit = 0
 	}
-	d := job.NewDemand(nodes, 0, 0)
+	var extra []int64
 	if opts.MemoryAsDim != "" {
 		mem := v[swfReqMem]
 		if mem <= 0 {
@@ -179,9 +179,9 @@ func swfJob(v []int64, id int, opts SWFOptions) (*job.Job, error) {
 		if mem < 0 {
 			mem = 0
 		}
-		d = job.NewDemandVector(nodes, 0, 0, saturatingMul(mem, procs))
+		extra = []int64{saturatingMul(mem, procs)}
 	}
-	j, err := job.New(id, submit, runtime, walltime, d)
+	j, err := job.NewPacked(id, submit, runtime, walltime, nodes, 0, 0, extra...)
 	if err != nil {
 		return nil, err
 	}
