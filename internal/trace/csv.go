@@ -153,42 +153,3 @@ func parseCSVHeader(header []string) ([]string, error) {
 	}
 	return extraNames, nil
 }
-
-// parseInt is strconv.ParseInt(string(b), 10, 64) without the string: a
-// sign and up to 18 digits, which cannot overflow, parse in place, and
-// anything else goes through strconv for its value or its error.
-func parseInt(b []byte) (int64, error) {
-	if v, ok := parseShortInt(b); ok {
-		return v, nil
-	}
-	return strconv.ParseInt(string(b), 10, 64)
-}
-
-// atoi is parseInt for strconv.Atoi.
-func atoi(b []byte) (int, error) {
-	if v, ok := parseShortInt(b); ok {
-		return int(v), nil
-	}
-	return strconv.Atoi(string(b))
-}
-
-func parseShortInt(b []byte) (int64, bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	if len(b) > 0 && (neg || b[0] == '+') {
-		b = b[1:]
-	}
-	if len(b) == 0 || len(b) > 18 {
-		return 0, false
-	}
-	var v int64
-	for _, c := range b {
-		if c -= '0'; c > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(c)
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}

@@ -37,21 +37,27 @@ type readAhead struct {
 	blk     []byte        // the block being read
 	off     int           // how much of blk has been read
 	err     error         // the stream's end, once its chunk is read
-	src     io.Closer     // the decompressor and file, closed after the goroutine stops
+	file    io.Closer     // the file the goroutine reads, closed first
+	gz      io.Closer     // its decompressor, if any, closed once the goroutine stops
 	cleanup runtime.Cleanup
 }
 
-// newReadAhead starts the goroutine that reads src ahead of the caller.
-// Close stops it, then closes src. A readAhead dropped without Close stops
-// its goroutine when it is collected.
-func newReadAhead(src io.ReadCloser) *readAhead {
+// newReadAhead starts the goroutine that reads file ahead of the caller,
+// through gz when gz is not nil (gz then reads file). A readAhead dropped
+// without Close stops its goroutine when it is collected.
+func newReadAhead(file, gz io.ReadCloser) *readAhead {
+	var src io.Reader = file
+	if gz != nil {
+		src = gz
+	}
 	ring := make([]byte, readAheadBlocks*readAheadBlockSize)
 	r := &readAhead{
 		full: make(chan chunk, readAheadBlocks+1), // every block and the end: a send never blocks
 		free: make(chan []byte, readAheadBlocks),  // every block: the reader's send never blocks
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-		src:  src,
+		file: file,
+		gz:   gz,
 	}
 	for i := range readAheadBlocks {
 		r.free <- ring[i*readAheadBlockSize : (i+1)*readAheadBlockSize : (i+1)*readAheadBlockSize]
@@ -134,18 +140,25 @@ func (r *readAhead) release() {
 	r.full, r.free, r.blk, r.off = nil, nil, nil, 0
 }
 
-// Close stops the goroutine, mid-stream or after the end, and then closes
-// the decompressor and the file. Later reads return io.ErrClosedPipe;
-// a second Close is a no-op.
+// Close ends the stream, mid-stream or after the end: it closes the file,
+// which ends a read in flight on it (one on a stalled pipe included),
+// waits for the goroutine to stop, and then closes the decompressor, which
+// only the goroutine reads. Later reads return io.ErrClosedPipe; a second
+// Close is a no-op.
 func (r *readAhead) Close() error {
-	r.release()
-	if r.src == nil {
+	if r.file == nil {
 		return nil
 	}
-	src := r.src
-	r.src = nil
+	err := r.file.Close()
+	r.release()
+	if r.gz != nil {
+		if gerr := r.gz.Close(); err == nil {
+			err = gerr
+		}
+	}
+	r.file, r.gz = nil, nil
 	if r.err == nil {
 		r.err = io.ErrClosedPipe
 	}
-	return src.Close()
+	return err
 }

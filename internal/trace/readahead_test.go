@@ -109,6 +109,42 @@ func TestReadAheadCloseMidStream(t *testing.T) {
 	}
 }
 
+// TestReadAheadCloseStalledPipe: Close returns while the goroutine waits
+// in a read on a pipe whose writer has stalled, and that goroutine stops.
+func TestReadAheadCloseStalledPipe(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pw.Close()
+	// More than a block, less than the pipe holds: the goroutine hands on
+	// the first block, then waits for the rest of the next.
+	if _, err := pw.Write(generatedCSV(t, 150)); err != nil {
+		t.Fatal(err)
+	}
+	ra := newReadAhead(pr, nil)
+	src, err := NewCSVSource(ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Next(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- src.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waits on the stalled pipe")
+	}
+	if !stopped(ra.done) {
+		t.Fatal("Close returned before the read-ahead goroutine did")
+	}
+}
+
 // TestReadAheadDrainedHoldsNoRing: a source read to its end, clean or
 // failed, has stopped its goroutine and released the ring and the file,
 // for CSV and SWF, plain and gzipped.
@@ -143,7 +179,7 @@ func TestReadAheadDrainedHoldsNoRing(t *testing.T) {
 		if _, err := Collect(src); (err != nil) != c.fail {
 			t.Fatalf("%s: drain error %v", c.name, err)
 		}
-		if !stopped(ra.done) || ra.full != nil || ra.free != nil || ra.blk != nil || ra.src != nil {
+		if !stopped(ra.done) || ra.full != nil || ra.free != nil || ra.blk != nil || ra.file != nil {
 			t.Errorf("%s: drained source still holds its goroutine, ring or file", c.name)
 		}
 	}
