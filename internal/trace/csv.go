@@ -153,3 +153,13 @@ func parseCSVHeader(header []string) ([]string, error) {
 	}
 	return extraNames, nil
 }
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) through strconv.Atoi,
+// whose fast path parses a short number in place; only a value Atoi
+// rejects goes on to ParseInt, for its value or its error.
+func parseInt(b []byte) (int64, error) {
+	if v, err := strconv.Atoi(string(b)); err == nil {
+		return int64(v), nil
+	}
+	return strconv.ParseInt(string(b), 10, 64)
+}

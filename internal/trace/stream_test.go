@@ -342,3 +342,29 @@ func TestSourceCombinators(t *testing.T) {
 		t.Fatal("unknown variant accepted")
 	}
 }
+
+// BenchmarkCSVSourceDecode drains a generated 200k-job CSV held in memory
+// through NewCSVSource: the decoder alone, with no file and no read-ahead.
+func BenchmarkCSVSourceDecode(b *testing.B) {
+	const jobs = 200_000
+	raw := generatedCSV(b, jobs)
+	b.ReportAllocs()
+	for b.Loop() {
+		src, err := NewCSVSource(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err := src.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != jobs {
+			b.Fatalf("drained %d jobs, want %d", n, jobs)
+		}
+	}
+	b.ReportMetric(float64(b.N*jobs)/b.Elapsed().Seconds(), "jobs/s")
+}
