@@ -37,9 +37,9 @@ import (
 // (readahead.go); Next still runs only on the caller's goroutine, and a
 // decoder over a caller's reader (NewCSVSource, NewSWFSource) reads it
 // synchronously. The CSV decoder and writer do not use encoding/csv:
-// CSVSource splits a record in the bufio.Reader's buffer and parses its
-// integers with no allocated string, and CSVWriter appends a record into
-// one reused buffer. Both hold to encoding/csv's language and bytes; the
+// CSVSource unquotes a record from the bufio.Reader's slices into one
+// reused buffer and parses its integers with no allocated string, and
+// CSVWriter appends a record into one reused buffer. Both hold to encoding/csv's language and bytes; the
 // encoding/csv oracle and the fuzzer that compares them are in
 // csv_reference_test.go. A job and its demand are one allocation
 // (job.NewPacked), and a CSV source shares one string among the jobs of a
@@ -203,8 +203,8 @@ func (s *SWFSource) record() (*job.Job, *[swfNumFields]int64, error) {
 // It reads the CSV that encoding/csv's Reader reads with its defaults
 // (quoted fields with "" escapes, embedded commas and newlines, CRLF line
 // ends, blank lines skipped, every record as wide as the header), but
-// splits a line without quotes in place and parses its integers with no
-// allocated string, so a record costs no allocation of its own.
+// unquotes a record into one reused buffer and parses its integers with
+// no allocated string, so a record costs no allocation of its own.
 type CSVSource struct {
 	fileSource
 	br         *bufio.Reader
@@ -215,7 +215,7 @@ type CSVSource struct {
 	fields  [][]byte // the record read last, valid until the next read
 	nFields int      // the header's width, which every record must have
 	rawLine int      // lines read, for syntax errors
-	quoted  []byte   // a record with quotes, unquoted; fields index it
+	rec     []byte   // the record read last, unquoted; fields index it
 	long    []byte   // a line longer than br's buffer
 	extras  []int64
 	users   map[string]string
@@ -338,13 +338,9 @@ func lengthNL(b []byte) int {
 }
 
 // readRecord reads the next record into s.fields, skipping blank lines,
-// and returns io.EOF at the end of the input. A line without quotes is
-// split where it lies; one with quotes is unquoted into s.quoted,
-// reading on while a quoted field spans lines. For a line without quotes
-// unquote's fields are exactly the comma-separated pieces, but it copies
-// them and scans each twice: BenchmarkCSVSourceDecode takes ≈ 590 ns a
-// job splitting in place and ≈ 850 ns through unquote alone (medians of
-// five alternating runs on a 2-core Xeon).
+// and returns io.EOF at the end of the input: encoding/csv's field loop,
+// step for step, unquoting into s.rec and reading on while a quoted field
+// spans lines.
 func (s *CSVSource) readRecord() error {
 	line, errRead := s.readLine()
 	for errRead == nil && len(line) == lengthNL(line) {
@@ -354,32 +350,7 @@ func (s *CSVSource) readRecord() error {
 		return io.EOF
 	}
 	recLine := s.rawLine
-	s.fields = s.fields[:0]
-	if bytes.IndexByte(line, '"') >= 0 {
-		if err := s.unquote(line, errRead); err != nil {
-			return err
-		}
-	} else {
-		if errRead != nil {
-			return errRead
-		}
-		line = line[:len(line)-lengthNL(line)]
-		for i := bytes.IndexByte(line, ','); i >= 0; i = bytes.IndexByte(line, ',') {
-			s.fields = append(s.fields, line[:i])
-			line = line[i+1:]
-		}
-		s.fields = append(s.fields, line)
-	}
-	if s.nFields > 0 && len(s.fields) != s.nFields {
-		return fmt.Errorf("record on line %d: %w", recLine, errFieldCount)
-	}
-	return nil
-}
-
-// unquote parses a record that holds a quote, starting at line, into
-// s.quoted and s.fields: encoding/csv's field loop, step for step.
-func (s *CSVSource) unquote(line []byte, errRead error) error {
-	s.quoted = s.quoted[:0]
+	s.rec = s.rec[:0]
 	var ends [16]int
 	end := ends[:0]
 	var err error
@@ -397,8 +368,8 @@ parseField:
 				err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errBareQuote)
 				break parseField
 			}
-			s.quoted = append(s.quoted, field...)
-			end = append(end, len(s.quoted))
+			s.rec = append(s.rec, field...)
+			end = append(end, len(s.rec))
 			if i < 0 {
 				break parseField
 			}
@@ -410,25 +381,25 @@ parseField:
 			i := bytes.IndexByte(line, '"')
 			switch {
 			case i >= 0:
-				s.quoted = append(s.quoted, line[:i]...)
+				s.rec = append(s.rec, line[:i]...)
 				line = line[i+1:]
 				switch {
 				case len(line) > 0 && line[0] == '"': // "" is a quote
-					s.quoted = append(s.quoted, '"')
+					s.rec = append(s.rec, '"')
 					line = line[1:]
 				case len(line) > 0 && line[0] == ',': // the field ends
 					line = line[1:]
-					end = append(end, len(s.quoted))
+					end = append(end, len(s.rec))
 					continue parseField
 				case lengthNL(line) == len(line): // the record ends
-					end = append(end, len(s.quoted))
+					end = append(end, len(s.rec))
 					break parseField
 				default:
 					err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errQuote)
 					break parseField
 				}
 			case len(line) > 0: // the field goes on past the line
-				s.quoted = append(s.quoted, line...)
+				s.rec = append(s.rec, line...)
 				if errRead != nil {
 					break parseField
 				}
@@ -441,7 +412,7 @@ parseField:
 					err = fmt.Errorf("parse error on line %d: %w", s.rawLine, errQuote)
 					break parseField
 				}
-				end = append(end, len(s.quoted))
+				end = append(end, len(s.rec))
 				break parseField
 			}
 		}
@@ -452,10 +423,14 @@ parseField:
 	if err != nil {
 		return err
 	}
+	s.fields = s.fields[:0]
 	start := 0
 	for _, e := range end {
-		s.fields = append(s.fields, s.quoted[start:e:e])
+		s.fields = append(s.fields, s.rec[start:e:e])
 		start = e
+	}
+	if s.nFields > 0 && len(s.fields) != s.nFields {
+		return fmt.Errorf("record on line %d: %w", recLine, errFieldCount)
 	}
 	return nil
 }
