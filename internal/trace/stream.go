@@ -39,11 +39,11 @@ import (
 // synchronously. The CSV decoder and writer do not use encoding/csv:
 // CSVSource unquotes a record from the bufio.Reader's slices into one
 // reused buffer and parses its integers with no allocated string, and
-// CSVWriter appends a record into one reused buffer. Both hold to encoding/csv's language and bytes; the
-// encoding/csv oracle and the fuzzer that compares them are in
-// csv_reference_test.go. A job and its demand are one allocation
-// (job.NewPacked), and a CSV source shares one string among the jobs of a
-// user.
+// CSVWriter appends a record into one reused buffer. Both hold to
+// encoding/csv's language and bytes; the encoding/csv oracle and the
+// fuzzer that compares them are in csv_reference_test.go. A job and its
+// demand are one allocation (job.NewPacked), and a CSV source shares one
+// string among the jobs of a user.
 
 // fileSource ends a decoder's stream: it closes the backing reader, if
 // that is an io.Closer, when the stream drains or fails, or on Close.
