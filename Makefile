@@ -35,9 +35,11 @@ bench-smoke:
 
 # The solver perf harness: the member-loop GA vs the frozen seed
 # implementation (ga_reference_test.go) on the same fixed-seed instances,
-# 20 solves each.
+# 20 solves each; then the Evaluator's cache hit alone at dims 20, 70 and
+# 200, at the default bench time (a lookup is tens of nanoseconds).
 bench-solver:
 	$(GO) test -bench='^BenchmarkSolveGA' -benchtime=20x -run='^$$' ./internal/moo
+	$(GO) test -bench='^BenchmarkEvaluatorLookup$$' -run='^$$' ./internal/moo
 
 # The repository benchmark (bench/, declared by BENCHMARK.json) is a Go
 # module of its own, so `go build ./...` and `go test ./...` at the root
@@ -109,8 +111,10 @@ farm-smoke:
 # at the node-class and span-class edges) and the engine's unordered
 # window (pass by pass ==
 # the reference engine that orders every window and writes every age,
-# across a checkpoint) and the snapshot restore (a snapshot with mutated
-# containers is refused or runs to the end) for 30s per target (CI smoke; the seed
+# across a checkpoint), the snapshot restore (a snapshot with mutated
+# containers is refused or runs to the end) and the GA's intern table (one
+# Evaluator beside a map keyed by Genome.Key: same hits, misses, ids and
+# entries, across Resets that change the dimension) for 30s per target (CI smoke; the seed
 # corpora run in every plain `go test` too). The decoder's seed is a
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime. A mutated
@@ -127,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindow$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindowOnPass$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
+	$(GO) test ./internal/moo -run '^$$' -fuzz '^FuzzEvaluatorMatchesMap$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzGatherCells$$' -fuzztime 30s

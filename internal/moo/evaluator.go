@@ -1,5 +1,7 @@
 package moo
 
+import "math/bits"
+
 // EvalStats is the Evaluator's accounting since its last Reset: the cache,
 // and how long the GA ran on it.
 type EvalStats struct {
@@ -15,26 +17,33 @@ type EvalStats struct {
 	Generations uint64
 }
 
-// evalEntry is one memoized evaluation — one interned genotype.
+// evalEntry is one memoized evaluation — one interned genotype. Its index
+// in Evaluator.entries is its id: the dense index in creation order since
+// the last Reset, so two lookups return the same id exactly when their
+// genomes are equal, and the GA compares, dedupes and indexes scratch by
+// id. The canonical genome is words[off:] for its n genes.
 type evalEntry struct {
-	// id is the entry's dense index in creation order since the last
-	// Reset: two lookups return the same id exactly when their genomes are
-	// equal, so the GA compares, dedupes and indexes scratch by id.
-	id       int32
-	key      string
-	genome   Genome
 	objs     []float64
+	off, n   int32
 	feasible bool
 }
 
 // Evaluator wraps a Problem with a genome-keyed memoization cache: each
 // distinct genome is evaluated at most once per solve, after which every
 // re-encounter (re-evaluated survivors, crossover re-deriving a known
-// chromosome — the common case once the GA converges) is a map lookup.
+// chromosome — the common case once the GA converges) is a table probe.
 // The cache is also the GA's intern table: every entry carries a dense id
 // and the canonical genome and objective storage of its genotype, so the
 // generation loop moves 8-byte (id, age) members instead of solutions and
 // steady-state generations allocate nothing.
+//
+// The table is keyed on the genome's words, not on a string digest: an
+// open-addressed []int32 of ids (linear probing, at most half full, a
+// power of two long) hashed on the words, over the id-ordered entries and
+// one flat slice of canonical genome words. A probe compares words, and
+// neither a lookup nor a miss builds a key. Reset zeroes only the slots
+// its entries occupy, so it costs O(entries) however large an earlier
+// solve grew the table.
 //
 // An Evaluator is not safe for concurrent use: it serves one solve at a
 // time, as each sched.SolverSlot binding gives a solve its own. Reset
@@ -45,18 +54,12 @@ type evalEntry struct {
 type Evaluator struct {
 	inner Problem
 
-	entries map[string]*evalEntry
-	// entrySlab and wordSlab chunk-allocate cache entries and canonical
-	// genome words: one slab allocation amortizes over entrySlabSize
-	// misses instead of two heap objects per miss.
-	// Entries are carved in creation order, entrySlab[:used] so far, so the
-	// chunk's tail lists the newest ones — what Reset deletes by.
-	entrySlab []evalEntry
-	used      int
-	wordSlab  []uint64
-	// peak is the largest number of entries a Reset has found: what the
-	// table has grown to hold, and costs to wipe.
-	peak int
+	entries []evalEntry
+	words   []uint64
+	// table holds id+1 per occupied slot and 0 per free one; a genome's
+	// probe starts at the top bits of its hash, hash>>shift.
+	table []int32
+	shift uint
 
 	stats EvalStats
 
@@ -66,14 +69,9 @@ type Evaluator struct {
 	ga *gaSolver
 }
 
-// entrySlabSize is the entry/word slab chunk length, in entries, and the
-// size the table starts at.
-const entrySlabSize = 256
-
-// wipeRatio is how many entries of table capacity clear() wipes in the
-// time one delete() takes: a 512-slot table clears in ≈ 0.5 µs, a key
-// deletes in ≈ 30 ns.
-const wipeRatio = 16
+// initialSlots is the table's starting length: room for 256 entries, more
+// than most solves of a replay intern.
+const initialSlots = 512
 
 // NewEvaluator wraps p with a fresh cache. Wrapping an Evaluator returns
 // it unchanged.
@@ -81,7 +79,11 @@ func NewEvaluator(p Problem) *Evaluator {
 	if e, ok := p.(*Evaluator); ok {
 		return e
 	}
-	return &Evaluator{inner: p, entries: make(map[string]*evalEntry, entrySlabSize)}
+	return &Evaluator{
+		inner: p,
+		table: make([]int32, initialSlots),
+		shift: uint(64 - bits.TrailingZeros(initialSlots)),
+	}
 }
 
 // ReuseEvaluator rebinds e to p, clearing the cache but keeping its
@@ -96,28 +98,18 @@ func ReuseEvaluator(e *Evaluator, p Problem) *Evaluator {
 }
 
 // Reset rebinds the Evaluator to p and clears the cache and statistics,
-// retaining allocated capacity.
-//
-// clear() on a map wipes its whole table, so it costs what the largest
-// solve the Evaluator ever held costs — and most solves of a replay leave
-// one entry (a window with a single candidate) or a handful. When the
-// cache holds few entries for the table's size and the current slab chunk
-// lists them all (the newest n entries are its tail whenever n fit in it),
-// Reset deletes those keys instead.
+// retaining allocated capacity. It zeroes the slot of each entry and
+// nothing else of the table.
 func (e *Evaluator) Reset(p Problem) {
 	if inner, ok := p.(*Evaluator); ok {
 		p = inner.inner
 	}
 	e.inner = p
-	n := len(e.entries)
-	e.peak = max(e.peak, n)
-	if n <= e.used && n*wipeRatio <= max(e.peak, entrySlabSize) {
-		for i := e.used - n; i < e.used; i++ {
-			delete(e.entries, e.entrySlab[i].key)
-		}
-	} else {
-		clear(e.entries)
+	for id := range e.entries {
+		e.table[e.find(int32(id), int32(id)+1)] = 0
+		e.entries[id] = evalEntry{} // the objective vectors are the problem's: hold none
 	}
+	e.entries, e.words = e.entries[:0], e.words[:0]
 	e.stats = EvalStats{}
 }
 
@@ -133,52 +125,56 @@ func (e *Evaluator) NumObjectives() int { return e.inner.NumObjectives() }
 // Evaluate implements Problem with memoization. The returned objective
 // slice is shared cache storage: callers must not mutate it.
 func (e *Evaluator) Evaluate(g Genome) ([]float64, bool) {
-	ent := e.lookup(g)
+	ent := &e.entries[e.lookup(g)]
 	return ent.objs, ent.feasible
 }
 
-// lookup returns g's cache entry, evaluating the underlying problem on
-// first encounter. The entry's genome is a canonical clone of g, safe to
-// reference after g (a breeding scratch buffer) is overwritten.
-func (e *Evaluator) lookup(g Genome) *evalEntry {
-	var arr [keyBufSize]byte
-	key := g.appendKey(arr[:0])
-
-	if ent, ok := e.entries[string(key)]; ok {
-		e.stats.Hits++
-		return ent
+// lookup returns g's id, evaluating the underlying problem on first
+// encounter. The entry's genome is a canonical copy of g, safe to read
+// after g (a breeding scratch buffer) is overwritten.
+func (e *Evaluator) lookup(g Genome) int32 {
+	mask := len(e.table) - 1
+	i := int(g.hash() >> e.shift)
+	for ; e.table[i] != 0; i = (i + 1) & mask {
+		if id := e.table[i] - 1; e.genome(id).Equal(g) {
+			e.stats.Hits++
+			return id
+		}
 	}
 	e.stats.Misses++
-	ent := e.intern(key, g)
-	ent.objs, ent.feasible = e.inner.Evaluate(ent.genome)
-	return ent
+	id := int32(len(e.entries))
+	e.entries = append(e.entries, evalEntry{off: int32(len(e.words)), n: int32(g.n)})
+	e.words = append(e.words, g.w...)
+	if 2*len(e.entries) <= len(e.table) {
+		e.table[i] = id + 1
+	} else {
+		// Double the table and re-insert every entry, this one included.
+		e.table, e.shift = make([]int32, 2*len(e.table)), e.shift-1
+		for k := range e.entries {
+			e.table[e.find(int32(k), 0)] = int32(k) + 1
+		}
+	}
+	ent := &e.entries[id]
+	ent.objs, ent.feasible = e.inner.Evaluate(e.genome(id))
+	return id
 }
 
-// intern creates g's cache entry under the next dense id, with a
-// canonical clone of g. The caller has checked key is absent.
-func (e *Evaluator) intern(key []byte, g Genome) *evalEntry {
-	if e.used == len(e.entrySlab) {
-		e.entrySlab, e.used = make([]evalEntry, entrySlabSize), 0
+// find returns the first slot holding v on entry id's probe sequence:
+// id+1 finds its own slot, 0 the free slot it would take.
+func (e *Evaluator) find(id, v int32) int {
+	i := int(e.genome(id).hash() >> e.shift)
+	for e.table[i] != v {
+		i = (i + 1) & (len(e.table) - 1)
 	}
-	ent := &e.entrySlab[e.used]
-	e.used++
-	ent.id = int32(len(e.entries))
-	ent.key = string(key)
-	ent.genome = e.cloneGenome(g)
-	e.entries[ent.key] = ent
-	return ent
+	return i
 }
 
-// cloneGenome copies g into slab-backed canonical storage.
-func (e *Evaluator) cloneGenome(g Genome) Genome {
-	n := len(g.w)
-	if len(e.wordSlab) < n {
-		e.wordSlab = make([]uint64, entrySlabSize*n)
-	}
-	w := e.wordSlab[:n:n]
-	e.wordSlab = e.wordSlab[n:]
-	copy(w, g.w)
-	return Genome{w: w, n: g.n}
+// genome returns entry id's canonical genome. It aliases the Evaluator's
+// word storage, which the next Reset reuses: callers Clone what they keep.
+func (e *Evaluator) genome(id int32) Genome {
+	ent := &e.entries[id]
+	end := int(ent.off) + (int(ent.n)+63)/64
+	return Genome{w: e.words[ent.off:end:end], n: int(ent.n)}
 }
 
 // repairer returns the wrapped problem's Repairer, or nil. The Evaluator

@@ -69,9 +69,9 @@ func TestEvaluatorCanonicalGenomeSurvivesScratchReuse(t *testing.T) {
 	cp := &countingProblem{knapsack2: table1()}
 	ev := NewEvaluator(cp)
 	scratch := FromBools([]bool{true, false, true, false, false})
-	ent := ev.lookup(scratch)
+	id := ev.lookup(scratch)
 	scratch.Zero() // caller recycles its buffer
-	if !ent.genome.Equal(FromBools([]bool{true, false, true, false, false})) {
+	if !ev.genome(id).Equal(FromBools([]bool{true, false, true, false, false})) {
 		t.Fatal("cache entry genome aliased the caller's scratch buffer")
 	}
 }
@@ -138,3 +138,105 @@ func TestSolveGAThroughSharedEvaluator(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEvaluatorMatchesMap drives one Evaluator beside an oracle, a map
+// keyed by Genome.Key(), through Resets that change the dimension, bursts
+// of fresh genomes that grow the table past 1 024 entries (sparse ones one
+// gene short of the problem's dimension, beside full-length ones),
+// revisits, and one-bit neighbours of known genomes. Each lookup must hit
+// or miss as the map does, return the id the map assigned (dense, in
+// first-seen order), and hold the looked-up genome and the problem's
+// objectives under that id.
+//
+// Each op byte is one step: op&3 picks Reset (to dimension
+// evalFuzzDims[op>>2 mod 6]), a burst of 32·(1+op>>3) random genomes
+// (sparse and one gene short when op&4 is set), revisits, or neighbours,
+// 1+op>>2 of either.
+func FuzzEvaluatorMatchesMap(f *testing.F) {
+	f.Add(uint64(1), []byte{1<<2 | 0, 31<<3 | 1, 31<<3 | 1, 63<<2 | 2, 63<<2 | 3, 5<<2 | 0, 31<<3 | 4 | 1, 63<<2 | 3, 2<<2 | 0, 3<<3 | 1, 9<<2 | 2})
+	f.Add(uint64(7), []byte{0, 7<<3 | 1, 10<<2 | 2, 3<<2 | 0, 31<<3 | 1, 20<<2 | 3, 4<<2 | 0, 31<<3 | 4 | 1, 31<<3 | 1, 0, 3<<3 | 1})
+	problems := map[int]*knapsack2{}
+	for _, dim := range evalFuzzDims {
+		problems[dim] = randomKnapsack(dim, uint64(dim))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		s := rng.New(seed)
+		p := problems[evalFuzzDims[0]]
+		ev := NewEvaluator(p)
+		oracle := map[string]int32{}
+		var seen []Genome // first-seen order: seen[id]
+		var want EvalStats
+		check := func(g Genome) {
+			t.Helper()
+			id, ok := oracle[g.Key()]
+			if ok {
+				want.Hits++
+			} else {
+				id = int32(len(seen))
+				oracle[g.Key()] = id
+				seen = append(seen, g.Clone())
+				want.Misses++
+			}
+			if got := ev.lookup(g); got != id {
+				t.Fatalf("dim %d: genome %s looked up as id %d, want %d", g.Len(), g, got, id)
+			}
+			if !ev.genome(id).Equal(g) {
+				t.Fatalf("dim %d: id %d holds %s, looked up %s", g.Len(), id, ev.genome(id), g)
+			}
+			objs, feasible := p.Evaluate(g)
+			if ent := ev.entries[id]; ent.feasible != feasible || !equalObjs(ent.objs, objs) || len(ent.objs) != len(objs) {
+				t.Fatalf("dim %d: id %d holds %v/%v, the problem gives %v/%v", g.Len(), id, ent.objs, ent.feasible, objs, feasible)
+			}
+			if ev.Stats() != want {
+				t.Fatalf("dim %d: stats %+v, want %+v", g.Len(), ev.Stats(), want)
+			}
+		}
+		for _, op := range ops {
+			dim := p.Dim()
+			g := NewGenome(dim)
+			switch op & 3 {
+			case 0:
+				p = problems[evalFuzzDims[int(op>>2)%len(evalFuzzDims)]]
+				ev.Reset(p)
+				clear(oracle)
+				seen, want = seen[:0], EvalStats{}
+				for i, slot := range ev.table {
+					if slot != 0 {
+						t.Fatalf("slot %d holds id %d after Reset", i, slot-1)
+					}
+				}
+			case 1:
+				density := rng.NewBernoulli(0.5)
+				if op&4 != 0 && dim > 1 {
+					// One gene short: the same words as a full-length
+					// genome with its last gene clear, but another genome.
+					density, g = rng.NewBernoulli(1.0/16), NewGenome(dim-1)
+				}
+				for range 32 * (1 + int(op>>3)) {
+					s.FillBools(g.w, g.Len(), density)
+					check(g)
+				}
+			default:
+				for range 1 + int(op>>2) {
+					if len(seen) == 0 {
+						break
+					}
+					g = seen[s.Intn(len(seen))].Clone()
+					if op&3 == 3 {
+						g.FlipBit(s.Intn(g.Len()))
+					}
+					check(g)
+				}
+			}
+		}
+		for id, g := range seen {
+			if !ev.genome(int32(id)).Equal(g) {
+				t.Fatalf("id %d holds %s at the end, was %s", id, ev.genome(int32(id)), g)
+			}
+		}
+	})
+}
+
+// evalFuzzDims are FuzzEvaluatorMatchesMap's genome lengths: one gene, the
+// paper's window, and both sides of the one- and two-word boundaries.
+var evalFuzzDims = []int{1, 20, 63, 64, 65, 130}

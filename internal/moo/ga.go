@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"bbsched/internal/rng"
 )
@@ -87,15 +88,19 @@ func (c GAConfig) validate(p Problem) error {
 // All evaluation goes through an Evaluator (p is wrapped in a fresh one
 // unless it already is one), so each distinct genome is evaluated at most
 // once per solve, and the Evaluator's cache doubles as the intern table:
-// the generation loop runs on member{id, age} — the cache entry's dense id
+// a word-keyed open-addressed table over id-ordered entries, with no
+// string key per lookup or per miss, and a Reset that costs O(entries).
+// The generation loop runs on member{id, age} — the cache entry's dense id
 // plus the chromosome's age — so the population, children, pool, Set 1,
 // Set 2 and the next generation are pointer-free 8-byte records, "same
 // genotype" is an id compare, and Pareto domination is computed once per
-// distinct id in the pool and shared by its copies. Solutions exist only
-// where they leave the loop: the returned front and the Crowding
-// ablation's pool. The buffers live with the Evaluator, so a caller that
-// reuses one across solves (ReuseEvaluator) allocates per cache miss, not
-// per solve or per generation.
+// distinct id in the pool, over objective vectors laid out flat by id, and
+// shared by its copies. Solutions exist only where they leave the loop:
+// the returned front (whose genome digests, Solution.Key, are built only
+// when sorting it needs a tie-break) and the Crowding ablation's pool.
+// The buffers live with the Evaluator, so a caller that reuses one across
+// solves (ReuseEvaluator) allocates per cache miss — the problem's
+// objective vector — not per solve or per generation.
 func SolveGA(p Problem, cfg GAConfig, s *rng.Stream) ([]Solution, error) {
 	if err := cfg.validate(p); err != nil {
 		return nil, err
@@ -109,7 +114,8 @@ func SolveGA(p Problem, cfg GAConfig, s *rng.Stream) ([]Solution, error) {
 }
 
 // member is one chromosome of the generation loop: the interned id of its
-// genotype (evalEntry.id) and the generations it has survived.
+// genotype (its Evaluator entry's index) and the generations it has
+// survived.
 type member struct{ id, age int32 }
 
 // gaSolver carries one solve's state and the buffers every generation
@@ -122,14 +128,14 @@ type gaSolver struct {
 	dim    int
 	mutate rng.Bernoulli // cfg.MutationProb as an integer threshold
 
-	// byID maps a member's id to its cache entry (canonical genome,
-	// objectives, key). The Evaluator finds entries by genome key only, so
-	// the solver fills this index from the entries its own lookups return.
-	// mark and dominated are indexed the same way: mark[id] == epoch
-	// stamps an id as seen in the current pass (no clearing between
-	// passes), and dominated[id] is valid for the ids the last
-	// markDominated stamped.
-	byID      []*evalEntry
+	// Scratch indexed by id. objs[id*nobj:][:nobj] is id's objective
+	// vector, copied from its entry for the ids below synced, so
+	// markDominated compares contiguous floats. mark[id] == epoch stamps
+	// an id as seen in the current pass (no clearing between passes), and
+	// dominated[id] is valid for the ids the last markDominated stamped.
+	objs      []float64
+	nobj      int
+	synced    int32
 	mark      []int32
 	dominated []bool
 	epoch     int32
@@ -182,9 +188,7 @@ func (g *gaSolver) begin(cfg GAConfig, s *rng.Stream) {
 	g.cfg, g.s, g.dim = cfg, s, g.ev.Dim()
 	g.rep = g.ev.repairer()
 	g.mutate = rng.NewBernoulli(cfg.MutationProb)
-
-	clear(g.byID) // entries of the previous solve's problem
-	g.byID = g.byID[:0]
+	g.nobj, g.synced = g.ev.NumObjectives(), 0
 	g.archive = g.archive[:0]
 
 	nw := (g.dim + 63) / 64
@@ -206,21 +210,26 @@ func (g *gaSolver) begin(cfg GAConfig, s *rng.Stream) {
 	}
 }
 
-// intern records ent as the holder of its id and returns the id, growing
-// the id-indexed scratch to cover it.
-func (g *gaSolver) intern(ent *evalEntry) int32 {
-	// Ids arrive densely, so each loop runs about once per new id.
-	for int(ent.id) >= len(g.byID) {
-		g.byID = append(g.byID, nil)
+// intern returns id, first extending the id-indexed scratch over the ids
+// up to it and copying their objective vectors.
+func (g *gaSolver) intern(id int32) int32 {
+	// Ids arrive densely, so the loop runs about once per new id. A new
+	// id's stamp is zero and epochs start at one, so it reads as unseen.
+	for ; g.synced <= id; g.synced++ {
+		g.mark = append(g.mark[:g.synced], 0)
+		g.dominated = append(g.dominated[:g.synced], false)
+		at := int(g.synced) * g.nobj
+		g.objs = slices.Grow(g.objs[:at], g.nobj)[:at+g.nobj]
+		clear(g.objs[at:])
+		copy(g.objs[at:], g.ev.entries[g.synced].objs)
 	}
-	for len(g.mark) < len(g.byID) {
-		// Fresh stamps are zero and epochs start at one, so new ids read
-		// as unseen.
-		g.mark = append(g.mark, 0)
-		g.dominated = append(g.dominated, false)
-	}
-	g.byID[ent.id] = ent
-	return ent.id
+	return id
+}
+
+// objsOf returns id's objective vector in the flat copy.
+func (g *gaSolver) objsOf(id int32) []float64 {
+	at := int(id) * g.nobj
+	return g.objs[at : at+g.nobj : at+g.nobj]
 }
 
 // nextEpoch starts a new stamping pass over mark.
@@ -332,11 +341,10 @@ func (g *gaSolver) settled(pop []member) bool {
 	return true
 }
 
-// solution materialises a member. Genome and objectives are the
-// Evaluator's shared canonical storage: Clone before handing it out.
+// solution materialises a member. Genome and objectives are shared solver
+// storage: Clone before handing it out.
 func (g *gaSolver) solution(m member) Solution {
-	ent := g.byID[m.id]
-	return Solution{Genome: ent.genome, Objectives: ent.objs, Age: int(m.age), key: ent.key}
+	return Solution{Genome: g.ev.genome(m.id), Objectives: g.objsOf(m.id), Age: int(m.age)}
 }
 
 // record accumulates feasible evaluated chromosomes in Archive mode.
@@ -345,6 +353,10 @@ func (g *gaSolver) record(ms []member) {
 		g.archive = append(g.archive, ms...)
 	}
 }
+
+// coin draws an initial genome's genes: FillBools with it consumes the
+// stream exactly as a Bool(0.5) per gene does.
+var coin = rng.NewBernoulli(0.5)
 
 // initialPopulation draws random genomes, repairing or discarding
 // infeasible ones; the all-zero solution (select nothing) is always
@@ -356,17 +368,15 @@ func (g *gaSolver) initialPopulation() []member {
 	scratch := g.raw[0] // breeding has not started
 	drop := g.s.Intn    // initial candidates repair against the main stream directly
 	for tries := 0; len(pop) < cfg.Population && tries < cfg.Population*8; tries++ {
-		for i := 0; i < g.dim; i++ {
-			scratch.SetBit(i, g.s.Bool(0.5))
-		}
+		g.s.FillBools(scratch.w, g.dim, coin)
 		if id, ok := g.makeFeasible(scratch, drop); ok {
 			pop = append(pop, member{id: id})
 		}
 	}
 	if len(pop) < cfg.Population {
 		scratch.Zero()
-		if ent := g.ev.lookup(scratch); ent.feasible {
-			id := g.intern(ent)
+		if id := g.ev.lookup(scratch); g.ev.entries[id].feasible {
+			g.intern(id)
 			for len(pop) < cfg.Population {
 				pop = append(pop, member{id: id})
 			}
@@ -380,18 +390,18 @@ func (g *gaSolver) initialPopulation() []member {
 // Repair with drop once if available and needed, and returns the feasible
 // genotype's id.
 func (g *gaSolver) makeFeasible(scratch Genome, drop func(int) int) (int32, bool) {
-	ent := g.ev.lookup(scratch)
-	if !ent.feasible {
+	id := g.ev.lookup(scratch)
+	if !g.ev.entries[id].feasible {
 		if g.rep == nil {
 			return 0, false
 		}
 		g.rep.Repair(scratch, drop)
-		ent = g.ev.lookup(scratch)
-		if !ent.feasible {
+		id = g.ev.lookup(scratch)
+		if !g.ev.entries[id].feasible {
 			return 0, false
 		}
 	}
-	return g.intern(ent), true
+	return g.intern(id), true
 }
 
 // repairStream reseeds the scratch stream to child i's split of the main
@@ -428,7 +438,7 @@ func (g *gaSolver) breed(pop []member) []member {
 			if pa == pb && !mutated {
 				ids[count] = pa
 			} else {
-				c, a, b := g.raw[count], g.byID[pa].genome, g.byID[pb].genome
+				c, a, b := g.raw[count], g.ev.genome(pa), g.ev.genome(pb)
 				if k == 1 {
 					a, b = b, a
 				}
@@ -450,13 +460,13 @@ func (g *gaSolver) breed(pop []member) []member {
 		if id != needsEval {
 			continue
 		}
-		ent := g.ev.lookup(g.raw[i])
-		if !ent.feasible && g.rep != nil {
+		id := g.ev.lookup(g.raw[i])
+		if !g.ev.entries[id].feasible && g.rep != nil {
 			g.rep.Repair(g.raw[i], g.repairStream(i))
-			ent = g.ev.lookup(g.raw[i])
+			id = g.ev.lookup(g.raw[i])
 		}
-		if ent.feasible {
-			ids[i] = g.intern(ent)
+		if g.ev.entries[id].feasible {
+			ids[i] = g.intern(id)
 		} else {
 			ids[i] = infeasible
 		}
@@ -490,9 +500,10 @@ func (g *gaSolver) markDominated(pool []member) {
 	}
 	g.distinct = distinct
 	for _, i := range distinct {
+		oi := g.objsOf(i)
 		dominated := false
 		for _, j := range distinct {
-			if i != j && Dominates(g.byID[j].objs, g.byID[i].objs) {
+			if i != j && Dominates(g.objsOf(j), oi) {
 				dominated = true
 				break
 			}

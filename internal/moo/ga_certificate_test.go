@@ -89,7 +89,7 @@ func TestSelectNextKeepsParetoSet(t *testing.T) {
 				p.objs[v][k] = float64(s.Intn(levels))
 			}
 		}
-		g := &gaSolver{ev: NewEvaluator(p)}
+		g := &gaSolver{ev: NewEvaluator(p), nobj: m}
 		scratch := NewGenome(8)
 		idOf := func(v int) int32 {
 			scratch.w[0] = uint64(v)
@@ -260,9 +260,10 @@ func TestParetoOverSubsetMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestEvaluatorResetAfterLargeSolve drives Reset down both of its paths —
-// key-by-key after a small fill, the wipe after a large one, and a fill
-// that straddles a slab chunk — and requires an empty cache after each.
+// TestEvaluatorResetAfterLargeSolve resets after fills large and small —
+// one that grows the table to 8 192 slots, then small fills that use few
+// of them, and fills on either side of the initial 256-entry capacity —
+// and requires an empty cache after each: no entry and no occupied slot.
 func TestEvaluatorResetAfterLargeSolve(t *testing.T) {
 	k := randomKnapsack(12, 9)
 	cp := &countingProblem{knapsack2: k}
@@ -279,6 +280,11 @@ func TestEvaluatorResetAfterLargeSolve(t *testing.T) {
 		ev.Reset(cp)
 		if n := len(ev.entries); n != 0 {
 			t.Fatalf("round %d: %d entries survive Reset after a fill of %d", round, n, fill)
+		}
+		for i, slot := range ev.table {
+			if slot != 0 {
+				t.Fatalf("round %d: slot %d holds id %d after Reset from a fill of %d", round, i, slot-1, fill)
+			}
 		}
 	}
 }

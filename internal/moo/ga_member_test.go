@@ -35,7 +35,7 @@ func TestMarkDominatedMatchesDominatedFlags(t *testing.T) {
 				p.objs[v][k] = float64(s.Intn(levels))
 			}
 		}
-		g := &gaSolver{ev: NewEvaluator(p)}
+		g := &gaSolver{ev: NewEvaluator(p), nobj: m}
 		scratch := NewGenome(8)
 		ids := make([]int32, 1+s.Intn(12))
 		for i := range ids {
@@ -102,9 +102,9 @@ func busyKnapsack(dim int, seed uint64) *knapsack2 {
 }
 
 // TestSolveGAConvergedAllocs pins where a solve through a reused
-// Evaluator allocates: per cache miss (the entry's key and the problem's
-// objective vector) plus the returned front — nothing per generation and
-// no per-solve scratch, whatever the generation count.
+// Evaluator allocates: per cache miss (the problem's objective vector)
+// plus the returned front — nothing per generation and no per-solve
+// scratch, whatever the generation count.
 func TestSolveGAConvergedAllocs(t *testing.T) {
 	k := busyKnapsack(20, 1009)
 	ev := NewEvaluator(k)
@@ -121,13 +121,13 @@ func TestSolveGAConvergedAllocs(t *testing.T) {
 		}
 		solve() // sizes the buffers parked on the Evaluator
 		allocs := testing.AllocsPerRun(5, solve)
-		// Two per miss (the entry's key, the problem's objective vector)
-		// plus a 256-entry slab pair now and then; three per front member
-		// (its slot in the result, the clone's genome and objectives); and
-		// a dozen per solve: the caller's stream, the repair callback, the
-		// sort.
+		// One per miss (the problem's objective vector: the intern table
+		// and its genome words are reused across solves); three per front
+		// member (its slot in the result, the clone's genome and
+		// objectives); and a dozen per solve: the caller's stream, the
+		// repair callback, the sort.
 		stats := ev.Stats()
-		limit := 2*stats.Misses + stats.Misses/128 + 3*uint64(len(front)) + 12
+		limit := stats.Misses + 3*uint64(len(front)) + 12
 		if uint64(allocs) > limit {
 			t.Errorf("G=%d: %.0f allocs per solve with %d cache misses and a front of %d: over the limit of %d",
 				gens, allocs, stats.Misses, len(front), limit)

@@ -171,6 +171,17 @@ func (g Genome) Key() string {
 	return string(g.appendKey(arr[:0]))
 }
 
+// hash mixes the length and words for the Evaluator's table, which reads
+// the top bits: a multiplication by 2⁶⁴/φ per word (Fibonacci hashing),
+// after a rotation that brings the high bits so far down to be spread.
+func (g Genome) hash() uint64 {
+	h := uint64(g.n)
+	for _, w := range g.w {
+		h = (bits.RotateLeft64(h, 32) ^ w) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
 // keyBufSize fits the stack-allocated key scratch for genomes up to 1024
 // genes (128 digest bytes + 2 uvarint bytes) — the largest window a
 // registered workload solves; longer genomes spill to the heap inside

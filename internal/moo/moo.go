@@ -81,8 +81,8 @@ type Solution struct {
 	// ages than one that runs all G generations; nothing else differs.
 	Age int
 
-	// key caches Key(); the GA consults genotype identity every
-	// generation and rebuilding the digest dominated solver time.
+	// key caches Key(), built on first use: sorting a front needs it only
+	// to break a tie between equal objective vectors.
 	key string
 }
 
@@ -104,25 +104,31 @@ func (s *Solution) Key() string {
 
 // Dominates reports whether objective vector a Pareto-dominates b under
 // maximization: a is no worse in every objective and strictly better in at
-// least one. Vectors must have equal length.
+// least one. Vectors must have equal length. A NaN is never "no worse",
+// so a vector holding one neither dominates nor is dominated. The body is
+// one loop for every objective count, so it inlines into the solver's hot
+// loops: a two-objective case beside a call for the rest would not fit
+// the compiler's inlining budget.
 func Dominates(a, b []float64) bool {
-	if len(a) == 2 && len(b) == 2 {
-		// The two-objective §3.2 problem is the solver's hot loop.
-		return a[0] >= b[0] && a[1] >= b[1] && (a[0] > b[0] || a[1] > b[1])
-	}
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("moo: dominance between %d- and %d-dim vectors", len(a), len(b)))
+		panic(dimMismatch{len(a), len(b)})
 	}
 	strict := false
-	for i := range a {
-		if a[i] < b[i] {
+	for i, x := range a {
+		if !(x >= b[i]) {
 			return false
 		}
-		if a[i] > b[i] {
-			strict = true
-		}
+		strict = strict || x > b[i]
 	}
 	return strict
+}
+
+// dimMismatch is Dominates' panic value; a value rather than a formatted
+// string, so that Dominates makes no call.
+type dimMismatch struct{ a, b int }
+
+func (d dimMismatch) Error() string {
+	return fmt.Sprintf("moo: dominance between %d- and %d-dim vectors", d.a, d.b)
 }
 
 // dominatedFlags marks solutions dominated by some other pool member.
