@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke examples-smoke fuzz-smoke cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke examples-smoke fuzz-smoke fuzz-lists cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -159,7 +159,13 @@ cover-gate:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-lint: fmt vet
+lint: fmt vet fuzz-lists
+
+# The fuzz targets are kept by hand in two lists, fuzz-smoke above and the
+# fuzz matrix in .github/workflows/ci.yml: a func Fuzz* in the tree that
+# either list misses, or a list entry the tree lacks, fails lint.
+fuzz-lists:
+	bash scripts/check-fuzz-lists.sh
 
 # staticcheck is optional locally (CI installs it); skip with a hint when
 # the binary is absent.

@@ -129,7 +129,7 @@ func main() {
 		pop        = flag.Int("population", 20, "GA population")
 		noBackfill = flag.Bool("no-backfill", false, "disable EASY backfilling")
 		adaptive   = flag.Bool("adaptive", false, "wrap BBSched with the adaptive trade-off controller")
-		dynWindow  = flag.Bool("dynamic-window", false, "size the window from queue length instead of -window")
+		dynWindow  = flag.Bool("dynamic-window", false, "size the window from queue length (a quarter of it, clamped to [5, 50]) instead of -window")
 		stageOut   = flag.Float64("bb-drain-gbps", 0, "add stage-out phases at this drain bandwidth (0 = off)")
 		eventLog   = flag.String("eventlog", "", "write a JSONL event log to this file")
 		listM      = flag.Bool("methods", false, "list method names and exit")
@@ -297,12 +297,8 @@ func runSingle(w trace.Workload, open func() (trace.JobSource, error), methodNam
 
 // baseOptions are the simulator options shared by every run mode.
 func baseOptions(window, starve int, dynWindow, noBackfill bool) []sim.Option {
-	plugin := core.PluginConfig{WindowSize: window, StarvationBound: starve}
-	if dynWindow {
-		plugin.WindowPolicy = core.NewAdaptiveWindow()
-	}
 	opts := []sim.Option{
-		sim.WithPlugin(plugin),
+		sim.WithPlugin(core.PluginConfig{WindowSize: window, StarvationBound: starve, DynamicWindow: dynWindow}),
 		sim.WithBackfill(!noBackfill),
 	}
 	return opts

@@ -91,52 +91,3 @@ func (a *Adaptive) Select(ctx *sched.Context) ([]int, error) {
 	a.Inner.TradeoffFactor = a.factor
 	return a.Inner.Select(ctx)
 }
-
-// WindowPolicy sizes the scheduling window from queue state — §3.1 notes
-// the window "could be dynamically adjusted in response to system status"
-// (queues are longer on workdays than weekends).
-type WindowPolicy interface {
-	// Name identifies the policy in output.
-	Name() string
-	// Size returns the window size for the given queue length; it must be
-	// positive for positive queue lengths.
-	Size(queueLen int) int
-}
-
-// AdaptiveWindow scales the window with queue length: size =
-// queueLen/Divisor clamped to [Min, Max]. Long workday queues get wide
-// windows (more optimization), short weekend queues keep base order.
-type AdaptiveWindow struct {
-	// Min and Max bound the window (defaults 5 and 50 via NewAdaptiveWindow).
-	Min, Max int
-	// Divisor maps queue length to window size (default 4).
-	Divisor int
-}
-
-// NewAdaptiveWindow returns the default adaptive policy: queueLen/4
-// clamped to [5, 50].
-func NewAdaptiveWindow() AdaptiveWindow { return AdaptiveWindow{Min: 5, Max: 50, Divisor: 4} }
-
-// Name implements WindowPolicy.
-func (a AdaptiveWindow) Name() string {
-	return fmt.Sprintf("adaptive(%d..%d,/%d)", a.Min, a.Max, a.Divisor)
-}
-
-// Size implements WindowPolicy.
-func (a AdaptiveWindow) Size(queueLen int) int {
-	d := a.Divisor
-	if d <= 0 {
-		d = 4
-	}
-	s := queueLen / d
-	if s < a.Min {
-		s = a.Min
-	}
-	if s > a.Max {
-		s = a.Max
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}

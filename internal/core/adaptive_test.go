@@ -107,29 +107,40 @@ func TestAdaptiveSelectionsAreValid(t *testing.T) {
 }
 
 func TestAdaptiveWindowPolicy(t *testing.T) {
-	w := NewAdaptiveWindow() // [5,50], /4
+	p, err := NewPlugin(PluginConfig{DynamicWindow: true}, sched.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[int]int{0: 5, 10: 5, 40: 10, 100: 25, 400: 50, 10000: 50}
 	for qlen, want := range cases {
-		if got := w.Size(qlen); got != want {
-			t.Errorf("Size(%d) = %d, want %d", qlen, got, want)
+		if got := p.WindowSize(qlen); got != want {
+			t.Errorf("WindowSize(%d) = %d, want %d", qlen, got, want)
 		}
 	}
-	zero := AdaptiveWindow{Min: 0, Max: 10, Divisor: 0}
-	if zero.Size(0) < 1 {
-		t.Fatal("degenerate policy returned non-positive size")
+	// The dynamic window overrides a static size.
+	if p, _ := NewPlugin(PluginConfig{WindowSize: 20, DynamicWindow: true}, sched.Baseline{}); p.WindowSize(400) != 50 {
+		t.Fatalf("WindowSize(400) = %d beside a static 20, want 50", p.WindowSize(400))
 	}
 }
 
 func TestPluginWithWindowPolicy(t *testing.T) {
-	jobs, c := table1()
+	_, c := table1()
 	q := queue.New(queue.FCFS{})
-	for _, j := range jobs {
+	var jobs []*job.Job
+	for id := 1; id <= 24; id++ {
+		// 60 of the 100 nodes each: one job fits at a time.
+		j := job.MustNew(id, int64(id), 100, 100, job.NewDemand(60, 0, 0))
+		jobs = append(jobs, j)
 		q.Add(j)
 	}
-	// Policy yields window 1 for a 5-job queue → only the head is seen.
-	p, err := NewPlugin(PluginConfig{WindowPolicy: AdaptiveWindow{Min: 1, Max: 1, Divisor: 100}, StarvationBound: 50}, sched.Baseline{})
+	p, err := NewPlugin(PluginConfig{DynamicWindow: true, StarvationBound: 50}, sched.Baseline{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// 24 waiting jobs → a window of 24/4 = 6.
+	const window = 6
+	if got := p.WindowSize(q.Len()); got != window {
+		t.Fatalf("WindowSize(%d) = %d, want %d", q.Len(), got, window)
 	}
 	ctx := pluginCtx(q, c, 1)
 	ctx.Ranking = q.Rank(ctx.Now, func(int) bool { return false }, p.WindowSize(q.Len()))
@@ -138,34 +149,29 @@ func TestPluginWithWindowPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(started) != 1 || started[0].ID != 1 {
-		t.Fatalf("window-1 policy started %v", idsOf(started))
+		t.Fatalf("dynamic window started %v", idsOf(started))
 	}
-	// Unselected jobs behind the 1-wide window must NOT age (they were
-	// never in the window).
+	// The window jobs left behind age by one pass; the jobs behind the
+	// 6-wide window must NOT age (they were never in the window).
 	for _, j := range jobs[1:] {
-		if q.WindowAge(j.ID) != 0 {
-			t.Fatalf("job %d aged outside the window", j.ID)
+		want := 0
+		if j.ID <= window {
+			want = 1
+		}
+		if got := q.WindowAge(j.ID); got != want {
+			t.Fatalf("job %d has window age %d, want %d", j.ID, got, want)
 		}
 	}
 }
 
 func TestPluginConfigWindowPolicyValidation(t *testing.T) {
-	if err := (PluginConfig{WindowPolicy: NewAdaptiveWindow()}).Validate(); err != nil {
-		t.Fatalf("policy-only config rejected: %v", err)
+	if err := (PluginConfig{DynamicWindow: true}).Validate(); err != nil {
+		t.Fatalf("dynamic-window-only config rejected: %v", err)
 	}
 	if err := (PluginConfig{}).Validate(); err == nil {
-		t.Fatal("no window size and no policy accepted")
-	}
-	if err := (PluginConfig{WindowPolicy: brokenPolicy{}}).Validate(); err == nil {
-		t.Fatal("non-positive policy accepted")
+		t.Fatal("no window size and no dynamic window accepted")
 	}
 }
-
-// brokenPolicy returns a non-positive window size, which Validate rejects.
-type brokenPolicy struct{}
-
-func (brokenPolicy) Name() string { return "broken" }
-func (brokenPolicy) Size(int) int { return 0 }
 
 // TestAdaptiveFactorMovesOnDeadWindow: the controller reads the snapshot
 // before it delegates, so its factor steps on a pass whose window holds

@@ -224,10 +224,13 @@ type PluginConfig struct {
 	// the window for this many scheduling iterations (paper example: 50).
 	// Zero disables forcing.
 	StarvationBound int
-	// WindowPolicy, when non-nil, sizes the window dynamically from the
-	// queue length instead of the static WindowSize (§3.1's dynamic
-	// adjustment option).
-	WindowPolicy WindowPolicy
+	// DynamicWindow, when true, sizes the window from the queue length
+	// instead of the static WindowSize — §3.1 notes the window "could be
+	// dynamically adjusted in response to system status" (queues are
+	// longer on workdays than weekends). The window is a quarter of the
+	// waiting jobs, clamped to [5, 50]: long workday queues get wide
+	// windows (more optimization), short weekend queues keep base order.
+	DynamicWindow bool
 }
 
 // DefaultPluginConfig returns the paper's defaults: w=20, bound=50.
@@ -237,14 +240,11 @@ func DefaultPluginConfig() PluginConfig {
 
 // Validate checks the configuration.
 func (c PluginConfig) Validate() error {
-	if c.WindowSize <= 0 && c.WindowPolicy == nil {
-		return fmt.Errorf("core: window size %d without a window policy", c.WindowSize)
+	if c.WindowSize <= 0 && !c.DynamicWindow {
+		return fmt.Errorf("core: window size %d without a dynamic window", c.WindowSize)
 	}
 	if c.StarvationBound < 0 {
 		return fmt.Errorf("core: negative starvation bound %d", c.StarvationBound)
-	}
-	if c.WindowPolicy != nil && c.WindowPolicy.Size(1) < 1 {
-		return fmt.Errorf("core: window policy %s returns a non-positive size", c.WindowPolicy.Name())
 	}
 	return nil
 }
@@ -312,7 +312,7 @@ type DecideContext struct {
 	// walks after Ahead.
 	Ranking *queue.Ranking
 	// QueueLen is the number of waiting jobs, dependency-blocked ones
-	// included — what a WindowPolicy sizes the window from.
+	// included — what a dynamic window is sized from.
 	QueueLen int
 	// Snap is the machine's current free resources.
 	Snap cluster.Snapshot
@@ -323,12 +323,12 @@ type DecideContext struct {
 }
 
 // WindowSize returns the window a pass over queueLen waiting jobs takes:
-// the configured size, or the window policy's. The caller ranks the queue
-// with it as the front (queue.Queue.Pass), so the window is the queue's
-// front.
+// the configured size, or under DynamicWindow queueLen/4 clamped to
+// [5, 50]. The caller ranks the queue with it as the front
+// (queue.Queue.Pass), so the window is the queue's front.
 func (p *Plugin) WindowSize(queueLen int) int {
-	if p.cfg.WindowPolicy != nil {
-		return p.cfg.WindowPolicy.Size(queueLen)
+	if p.cfg.DynamicWindow {
+		return min(max(queueLen/4, 5), 50)
 	}
 	return p.cfg.WindowSize
 }

@@ -40,7 +40,7 @@ func Ablations(o Options) (string, error) {
 		{"bbsched_factor_4x", s4, factor(4), o.plugin(), false},
 		{"bbsched_adaptive_factor", s4, core.NewAdaptive(bb()), o.plugin(), false},
 		{"window_fixed_20", s4, bb(), o.plugin(), false},
-		{"window_adaptive", s4, bb(), core.PluginConfig{WindowPolicy: core.NewAdaptiveWindow(), StarvationBound: o.Starvation}, false},
+		{"window_adaptive", s4, bb(), core.PluginConfig{DynamicWindow: true, StarvationBound: o.Starvation}, false},
 		{"starvation_off", s4, bb(), core.PluginConfig{WindowSize: o.Window}, false},
 		{"starvation_10", s4, bb(), core.PluginConfig{WindowSize: o.Window, StarvationBound: 10}, false},
 		{"backfill_off", s4, bb(), o.plugin(), true},

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bbsched/internal/moo"
 	"bbsched/internal/sim"
 	"bbsched/internal/trace"
 )
@@ -129,8 +130,10 @@ func TestRecipeKey(t *testing.T) {
 }
 
 // TestMethodSpecWire: every moo.GAConfig field survives the wire (a field
-// added there must be added to methodWire), the retired Parallelism field
-// is written as 0 and accepted as 0 only, and the decode is strict.
+// added there must be added to methodWire), the retired Parallelism,
+// Archive and Selection fields are written as their zero values and
+// accepted as those only, a default spec's wire form is the one every
+// grid file, recipe key and journal has used, and the decode is strict.
 func TestMethodSpecWire(t *testing.T) {
 	in := MethodSpec{Name: "BBSched", SSD: true}
 	ga := reflect.ValueOf(&in.GA).Elem()
@@ -140,8 +143,6 @@ func TestMethodSpecWire(t *testing.T) {
 			f.SetInt(int64(i + 1))
 		case reflect.Float64:
 			f.SetFloat(0.25)
-		case reflect.Bool:
-			f.SetBool(true)
 		default:
 			t.Fatalf("GAConfig.%s: unhandled kind %s", ga.Type().Field(i).Name, f.Kind())
 		}
@@ -150,15 +151,24 @@ func TestMethodSpecWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"name":"BBSched","ga":{"Generations":1,"Population":2,"MutationProb":0.25,"Parallelism":0,"Archive":true,"Selection":5},"ssd":true}`; string(data) != want {
+	if want := `{"name":"BBSched","ga":{"Generations":1,"Population":2,"MutationProb":0.25,"Parallelism":0,"Archive":false,"Selection":0},"ssd":true}`; string(data) != want {
 		t.Fatalf("wire form %s, want %s", data, want)
 	}
 	var out MethodSpec
 	if err := json.Unmarshal(data, &out); err != nil || out != in {
 		t.Fatalf("round trip gave %+v (err %v), want %+v", out, err, in)
 	}
+	def, err := json.Marshal(MethodSpec{Name: "BBSched", GA: moo.DefaultGAConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"BBSched","ga":{"Generations":500,"Population":20,"MutationProb":0.0005,"Parallelism":0,"Archive":false,"Selection":0}}`; string(def) != want {
+		t.Fatalf("default wire form %s, want %s", def, want)
+	}
 	for _, bad := range []string{
 		`{"name":"BBSched","ga":{"Parallelism":4}}`,
+		`{"name":"BBSched","ga":{"Archive":true}}`,
+		`{"name":"BBSched","ga":{"Selection":1}}`,
 		`{"name":"BBSched","ga":{"Generatoins":60}}`,
 		`{"name":"BBSched","sdd":true}`,
 	} {

@@ -142,8 +142,10 @@ type MethodSpec struct {
 // have spelled it since the farm existed: the GA parameters under their Go
 // field names, in this order. Parallelism was a moo.GAConfig field until
 // the GA's batch-parallel evaluation was deleted (it never changed a
-// result); it stays on the wire, always 0, so that every grid file still
-// parses and every cache entry and journal keeps its address.
+// result), and Archive and Selection until the GA's unused Archive and
+// NSGA-II Crowding modes were. They stay on the wire, always 0, false and
+// 0, so that every grid file still parses and every cache entry and
+// journal keeps its address.
 type methodWire struct {
 	Name string `json:"name"`
 	GA   gaWire `json:"ga"`
@@ -156,20 +158,20 @@ type gaWire struct {
 	MutationProb float64
 	Parallelism  int
 	Archive      bool
-	Selection    moo.SelectionPolicy
+	Selection    int
 }
 
 // MarshalJSON implements json.Marshaler; see methodWire.
 func (ms MethodSpec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(methodWire{Name: ms.Name, SSD: ms.SSD, GA: gaWire{
 		Generations: ms.GA.Generations, Population: ms.GA.Population, MutationProb: ms.GA.MutationProb,
-		Archive: ms.GA.Archive, Selection: ms.GA.Selection,
 	}})
 }
 
 // UnmarshalJSON implements json.Unmarshaler. It is strict — an unknown
 // field is an error, as sweepd's grid decode has always required — and
-// rejects a non-zero Parallelism rather than silently running serially.
+// rejects a retired field set to anything but its zero value rather than
+// silently running the one GA there is.
 func (ms *MethodSpec) UnmarshalJSON(data []byte) error {
 	var w methodWire
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -177,12 +179,16 @@ func (ms *MethodSpec) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&w); err != nil {
 		return err
 	}
-	if w.GA.Parallelism != 0 {
+	switch {
+	case w.GA.Parallelism != 0:
 		return fmt.Errorf("farm: method %q: ga.Parallelism = %d, but the GA evaluates serially; remove the field", w.Name, w.GA.Parallelism)
+	case w.GA.Archive:
+		return fmt.Errorf("farm: method %q: ga.Archive = true, but the GA returns only its final generation's front; remove the field", w.Name)
+	case w.GA.Selection != 0:
+		return fmt.Errorf("farm: method %q: ga.Selection = %d, but the GA has only the paper's age-based selection; remove the field", w.Name, w.GA.Selection)
 	}
 	*ms = MethodSpec{Name: w.Name, SSD: w.SSD, GA: moo.GAConfig{
 		Generations: w.GA.Generations, Population: w.GA.Population, MutationProb: w.GA.MutationProb,
-		Archive: w.GA.Archive, Selection: w.GA.Selection,
 	}}
 	return nil
 }

@@ -9,7 +9,9 @@ import (
 	"bbsched/internal/rng"
 )
 
-// GAConfig holds the solver parameters of §3.2.3.
+// GAConfig holds the solver parameters of §3.2.3, G, P and p_m: the GA has
+// one survivor selection, the paper's, and returns its final generation's
+// front.
 type GAConfig struct {
 	// Generations is G, the evolution iteration count. Paper default 500.
 	Generations int
@@ -18,14 +20,6 @@ type GAConfig struct {
 	// MutationProb is p_m, the per-gene bit-flip probability applied to
 	// children. Paper default 0.0005 (0.05%).
 	MutationProb float64
-	// Archive, when true, additionally accumulates every feasible
-	// evaluated solution into the returned front instead of reporting only
-	// the final generation's Set 1. Off by default (paper behaviour);
-	// exposed for the ablation benches.
-	Archive bool
-	// Selection picks the survivor policy: AgeBased (paper default) or
-	// Crowding (NSGA-II style, for the selection ablation).
-	Selection SelectionPolicy
 }
 
 // DefaultGAConfig returns the paper's §4.3 defaults: G=500, P=20,
@@ -59,31 +53,30 @@ func (c GAConfig) validate(p Problem) error {
 // 2^L ≤ G·P — the certificate may cost at most the evaluations the run was
 // budgeted — the solver enumerates the 2^L selections once and keeps F*,
 // every feasible genotype no feasible genotype dominates (equal objective
-// vectors all kept). Under age-based selection with |F*| ≤ P it stops at
-// the first generation whose population holds all of F*, because:
+// vectors all kept). With |F*| ≤ P it stops at the first generation whose
+// population holds all of F*, because:
 //
 //   - F* stays. Every pool member is feasible, so it is in F* or dominated
 //     by a member of F*; with F* ⊆ pop ⊆ pool, Set 1's distinct genotypes
 //     are exactly F*, and selection's first pass takes them all (≤ P).
 //   - The front is F*. Whenever F* ⊆ pop the population's non-dominated
-//     genotypes are F* and nothing else (in Archive mode too: everything
-//     archived is feasible), so genomes and objectives returned are those
-//     generation G would return. Only Solution.Age differs.
+//     genotypes are F* and nothing else, so genomes and objectives returned
+//     are those generation G would return. Only Solution.Age differs.
 //   - Nothing reads what was skipped, provided the caller draws nothing
 //     from s after the solve: a certified solve leaves s at an earlier
 //     position than G generations would (sim hands each pass its own stream).
 //
 // No certificate, and all G generations as ever: no LiveSetter or !ok,
-// L = 0, 2^L > G·P, |F*| > P, or Crowding selection (its distance trim can
-// drop a Set 1 genotype). EvalStats.Generations reports what a solve ran.
+// L = 0, 2^L > G·P, or |F*| > P. EvalStats.Generations reports what a
+// solve ran.
 //
 // Evolution per generation: P children are bred by single-point crossover
 // of uniformly chosen parents, each child's genes flip with probability
 // p_m, infeasible children are repaired (or discarded if the problem does
-// not implement Repairer), and selection forms the next generation from
-// parents ∪ children: all of Set 1 (the pool's Pareto front) first —
-// trimmed preferring newer chromosomes if it exceeds P — then Set 2 filled
-// in age order (newest first).
+// not implement Repairer), and the paper's age-based selection (§3.2.2)
+// forms the next generation from parents ∪ children: all of Set 1 (the
+// pool's Pareto front) first — trimmed preferring newer chromosomes if it
+// exceeds P — then Set 2 filled in age order (newest first).
 //
 // All evaluation goes through an Evaluator (p is wrapped in a fresh one
 // unless it already is one), so each distinct genome is evaluated at most
@@ -95,9 +88,9 @@ func (c GAConfig) validate(p Problem) error {
 // Set 2 and the next generation are pointer-free 8-byte records, "same
 // genotype" is an id compare, and Pareto domination is computed once per
 // distinct id in the pool, over objective vectors laid out flat by id, and
-// shared by its copies. Solutions exist only where they leave the loop:
-// the returned front (whose genome digests, Solution.Key, are built only
-// when sorting it needs a tie-break) and the Crowding ablation's pool.
+// shared by its copies. Solutions exist only in the returned front, where
+// they leave the loop (their genome digests, Solution.Key, are built only
+// when sorting it needs a tie-break).
 // The buffers live with the Evaluator, so a caller that reuses one across
 // solves (ReuseEvaluator) allocates per cache miss — the problem's
 // objective vector — not per solve or per generation.
@@ -164,9 +157,6 @@ type gaSolver struct {
 	set2      []member
 	next      []member
 	ageSorted []member
-	sols      []Solution // the Crowding ablation's materialised pool
-
-	archive []member
 
 	// The termination certificate (see SolveGA): the problem's live set,
 	// the enumeration's running non-dominated list, and the ids of F* —
@@ -189,7 +179,6 @@ func (g *gaSolver) begin(cfg GAConfig, s *rng.Stream) {
 	g.rep = g.ev.repairer()
 	g.mutate = rng.NewBernoulli(cfg.MutationProb)
 	g.nobj, g.synced = g.ev.NumObjectives(), 0
-	g.archive = g.archive[:0]
 
 	nw := (g.dim + 63) / 64
 	if need := (cfg.Population + 1) * nw; cap(g.words) < need {
@@ -251,33 +240,22 @@ func (g *gaSolver) run() ([]Solution, error) {
 		// over-constrained (used resources already exceed capacity).
 		return nil, fmt.Errorf("moo: no feasible initial solution for %d-dim problem", g.dim)
 	}
-	g.record(pop)
 	g.certify()
 
 	gen := 0
 	for ; gen < cfg.Generations && !g.settled(pop); gen++ {
 		children := g.breed(pop)
-		g.record(children)
 		g.pool = append(append(g.pool[:0], pop...), children...)
-		if cfg.Selection == Crowding {
-			pop = g.selectCrowding(g.pool, cfg.Population)
-		} else {
-			pop = g.selectNext(g.pool, cfg.Population)
-		}
+		pop = g.selectNext(g.pool, cfg.Population)
 		for i := range pop {
 			pop[i].age++
 		}
 	}
 	g.ev.stats.Generations = uint64(gen)
 
-	// The final front: the population's non-dominated members — joined,
-	// in Archive mode, by every feasible chromosome the run evaluated —
-	// one solution per genotype, first occurrence winning.
+	// The final front: the population's non-dominated members, one
+	// solution per genotype, first occurrence winning.
 	front := g.paretoFront(pop)
-	if cfg.Archive {
-		g.pool = append(append(g.pool[:0], front...), g.archive...)
-		front = g.paretoFront(g.pool)
-	}
 	epoch := g.nextEpoch()
 	var out []Solution
 	for _, m := range front {
@@ -299,7 +277,7 @@ func (g *gaSolver) run() ([]Solution, error) {
 func (g *gaSolver) certify() {
 	g.cert = g.cert[:0]
 	ls, ok := g.ev.inner.(LiveSetter)
-	if !ok || g.cfg.Selection == Crowding {
+	if !ok {
 		return
 	}
 	g.live, ok = ls.LiveSet(g.live[:0])
@@ -345,13 +323,6 @@ func (g *gaSolver) settled(pop []member) bool {
 // storage: Clone before handing it out.
 func (g *gaSolver) solution(m member) Solution {
 	return Solution{Genome: g.ev.genome(m.id), Objectives: g.objsOf(m.id), Age: int(m.age)}
-}
-
-// record accumulates feasible evaluated chromosomes in Archive mode.
-func (g *gaSolver) record(ms []member) {
-	if g.cfg.Archive {
-		g.archive = append(g.archive, ms...)
-	}
 }
 
 // coin draws an initial genome's genes: FillBools with it consumes the
@@ -581,22 +552,6 @@ func (g *gaSolver) selectNext(pool []member, p int) []member {
 	take(set2)
 	fill(set1)
 	fill(set2)
-	g.next = next
-	return next
-}
-
-// selectCrowding is the NSGA-II ablation's selection over the pool
-// materialised as Solutions; like selectNext, the result aliases next.
-func (g *gaSolver) selectCrowding(pool []member, p int) []member {
-	sols := g.sols[:0]
-	for _, m := range pool {
-		sols = append(sols, g.solution(m))
-	}
-	g.sols = sols
-	next := g.next[:0]
-	for _, i := range selectCrowding(sols, p) {
-		next = append(next, pool[i])
-	}
 	g.next = next
 	return next
 }

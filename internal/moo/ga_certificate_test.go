@@ -154,10 +154,6 @@ func TestSelectNextKeepsParetoSet(t *testing.T) {
 func TestGACertificateEdges(t *testing.T) {
 	small := GAConfig{Generations: 3000, Population: 4, MutationProb: 0.1}
 	def := DefaultGAConfig()
-	crowd := def
-	crowd.Selection = Crowding
-	arch := def
-	arch.Archive = true
 	fourteen := randomKnapsack(14, 77) // caps far above any one item: L = 14
 	thirteen := randomKnapsack(13, 77)
 
@@ -169,10 +165,8 @@ func TestGACertificateEdges(t *testing.T) {
 		full   bool // must run cfg.Generations
 	}{
 		{"table1", liveKnapsack{table1()}, table1(), def, false},
-		{"table1/archive", liveKnapsack{table1()}, table1(), arch, false},
 		{"front of P", liveTable{antiDiagonal(4)}, antiDiagonal(4), small, false},
 		{"front of P+1", liveTable{antiDiagonal(5)}, antiDiagonal(5), small, true},
-		{"crowding", liveKnapsack{table1()}, table1(), crowd, true},
 		{"no interface", table1(), table1(), def, true},
 		{"L=14 at the defaults", liveKnapsack{fourteen}, fourteen, def, true},
 		{"zero generations", liveKnapsack{table1()}, table1(), GAConfig{Population: 20}, true},
@@ -203,8 +197,8 @@ func TestGACertificateEdges(t *testing.T) {
 
 // TestGACertifiedStopMatchesFullRunKnapsack is the differential check on
 // moo's own instances: busy knapsacks (few live items, the replay's shape)
-// and loose ones, every seed, Archive on and off — SolveGA with the live
-// set declared returns what it returns with the live set hidden.
+// and loose ones, every seed — SolveGA with the live set declared returns
+// what it returns with the live set hidden.
 func TestGACertifiedStopMatchesFullRunKnapsack(t *testing.T) {
 	cfg := GAConfig{Generations: 120, Population: 12, MutationProb: 0.01}
 	stopped := 0
@@ -213,7 +207,6 @@ func TestGACertifiedStopMatchesFullRunKnapsack(t *testing.T) {
 		if seed%3 == 0 {
 			k = randomKnapsack(4+int(seed%8), 3000+seed)
 		}
-		cfg.Archive = seed%2 == 1
 		got, gens := solveCounted(t, liveKnapsack{k}, cfg, seed)
 		want, _ := solveCounted(t, k, cfg, seed)
 		sameFront(t, "knapsack", got, want)

@@ -139,10 +139,9 @@ func TestSolveGAConvergedAllocs(t *testing.T) {
 }
 
 // TestSolveGAReusedEvaluatorMatchesFresh runs differently shaped solves —
-// wider then narrower genomes, larger then smaller populations, every
-// selection mode — through one Evaluator, whose parked solver scratch they
-// inherit from each other, and requires each front to equal the one a
-// fresh Evaluator gives.
+// wider then narrower genomes, larger then smaller populations — through
+// one Evaluator, whose parked solver scratch they inherit from each other,
+// and requires each front to equal the one a fresh Evaluator gives.
 func TestSolveGAReusedEvaluatorMatchesFresh(t *testing.T) {
 	steps := []struct {
 		p   Problem
@@ -150,8 +149,8 @@ func TestSolveGAReusedEvaluatorMatchesFresh(t *testing.T) {
 	}{
 		{randomKnapsack(130, 104), GAConfig{Generations: 30, Population: 24, MutationProb: 0.02}},
 		{table1(), GAConfig{Generations: 30, Population: 8, MutationProb: 0.02}},
-		{randomKnapsack(70, 103), GAConfig{Generations: 30, Population: 14, MutationProb: 0.01, Archive: true}},
-		{randomKnapsack(20, 101), GAConfig{Generations: 30, Population: 12, MutationProb: 0.01, Selection: Crowding}},
+		{randomKnapsack(70, 103), GAConfig{Generations: 30, Population: 14, MutationProb: 0.01}},
+		{randomKnapsack(20, 101), GAConfig{Generations: 30, Population: 12, MutationProb: 0.01}},
 		{table1(), GAConfig{Generations: 30, Population: 30, MutationProb: 0.3}},
 	}
 	var ev *Evaluator

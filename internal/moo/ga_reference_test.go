@@ -181,39 +181,21 @@ func refSolveGA(p refProblem, cfg GAConfig, s *rng.Stream) ([]refSolution, error
 		return nil, fmt.Errorf("moo: invalid reference configuration")
 	}
 
-	var archive []refSolution
-	record := func(sols []refSolution) {
-		if cfg.Archive {
-			for _, x := range sols {
-				archive = append(archive, x.Clone())
-			}
-		}
-	}
-
 	pop := refInitialPopulation(p, cfg, s)
 	if len(pop) == 0 {
 		return nil, fmt.Errorf("moo: no feasible initial solution for %d-dim problem", dim)
 	}
-	record(pop)
 
 	for g := 0; g < cfg.Generations; g++ {
 		children := refBreed(p, cfg, pop, s)
-		record(children)
 		pool := append(pop, children...)
-		if cfg.Selection == Crowding {
-			pop = refSelectCrowding(pool, cfg.Population)
-		} else {
-			pop = refSelectNext(pool, cfg.Population)
-		}
+		pop = refSelectNext(pool, cfg.Population)
 		for i := range pop {
 			pop[i].Age++
 		}
 	}
 
 	front := refParetoFilter(pop)
-	if cfg.Archive {
-		front = refParetoFilter(append(front, archive...))
-	}
 	front = refDedupeByBits(front)
 	out := make([]refSolution, len(front))
 	for i, f := range front {
@@ -336,92 +318,6 @@ func refSelectNext(pool []refSolution, p int) []refSolution {
 	return next
 }
 
-func refNonDominatedSort(pool []refSolution) [][]refSolution {
-	n := len(pool)
-	dominatedBy := make([]int, n)
-	dominates := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if Dominates(pool[i].Objectives, pool[j].Objectives) {
-				dominates[i] = append(dominates[i], j)
-			} else if Dominates(pool[j].Objectives, pool[i].Objectives) {
-				dominatedBy[i]++
-			}
-		}
-	}
-	var fronts [][]refSolution
-	current := []int{}
-	for i := 0; i < n; i++ {
-		if dominatedBy[i] == 0 {
-			current = append(current, i)
-		}
-	}
-	for len(current) > 0 {
-		front := make([]refSolution, 0, len(current))
-		var next []int
-		for _, i := range current {
-			front = append(front, pool[i])
-			for _, j := range dominates[i] {
-				dominatedBy[j]--
-				if dominatedBy[j] == 0 {
-					next = append(next, j)
-				}
-			}
-		}
-		fronts = append(fronts, front)
-		current = next
-	}
-	return fronts
-}
-
-func refCrowdingDistances(front []refSolution) []float64 {
-	fs := make([]Solution, len(front))
-	for i, s := range front {
-		fs[i] = Solution{Objectives: s.Objectives}
-	}
-	return crowdingDistances(fs)
-}
-
-// refSelectCrowding is the seed implementation verbatim, including the
-// sort over (unseen, distance) whose seen-map reads are always false at
-// sort time (the map is only written after sorting) — i.e. a stable sort
-// by descending crowding distance.
-func refSelectCrowding(pool []refSolution, p int) []refSolution {
-	next := make([]refSolution, 0, p)
-	seen := make(map[string]bool, p)
-	for _, front := range refNonDominatedSort(pool) {
-		if len(next)+len(front) <= p {
-			next = append(next, front...)
-			continue
-		}
-		dist := refCrowdingDistances(front)
-		order := make([]int, len(front))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			da, db := dist[order[a]], dist[order[b]]
-			ua, ub := !seen[front[order[a]].Key()], !seen[front[order[b]].Key()]
-			if ua != ub {
-				return ua
-			}
-			return da > db
-		})
-		for _, i := range order {
-			if len(next) == p {
-				break
-			}
-			seen[front[i].Key()] = true
-			next = append(next, front[i])
-		}
-		break
-	}
-	return next
-}
-
 func refMaxInt(a, b int) int {
 	if a > b {
 		return a
@@ -445,7 +341,7 @@ func randomKnapsack(dim int, seed uint64) *knapsack2 {
 // for fixed seeds, the bitset/memoized solver must return exactly the
 // Pareto front of the seed implementation — same genomes, same objective
 // vectors, same order — across dimensions (including the 65+-gene
-// word-boundary crossing), selection policies and archive mode.
+// word-boundary crossing).
 func TestSolveGAMatchesSeedReference(t *testing.T) {
 	type instance struct {
 		name string
@@ -463,8 +359,6 @@ func TestSolveGAMatchesSeedReference(t *testing.T) {
 		cfg  GAConfig
 	}{
 		{"serial", GAConfig{Generations: 60, Population: 14, MutationProb: 0.01}},
-		{"archive", GAConfig{Generations: 40, Population: 12, MutationProb: 0.01, Archive: true}},
-		{"crowding", GAConfig{Generations: 50, Population: 12, MutationProb: 0.01, Selection: Crowding}},
 	}
 	for _, inst := range instances {
 		for _, tc := range configs {

@@ -388,30 +388,6 @@ func TestExhaustiveDimCap(t *testing.T) {
 	}
 }
 
-func TestGAArchiveAtLeastAsGood(t *testing.T) {
-	st := rng.New(41)
-	k := &knapsack2{capNodes: 100, capBB: 100}
-	for i := 0; i < 15; i++ {
-		k.nodes = append(k.nodes, float64(1+st.Intn(50)))
-		k.bb = append(k.bb, float64(st.Intn(60)))
-	}
-	cfg := GAConfig{Generations: 100, Population: 12, MutationProb: 0.01}
-	plain, err := SolveGA(k, cfg, rng.New(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Archive = true
-	arch, err := SolveGA(k, cfg, rng.New(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The archive front is a Pareto filter over a superset of the evaluated
-	// solutions, so its dominated hypervolume can only grow.
-	if Hypervolume2D(arch, 0, 0) < Hypervolume2D(plain, 0, 0)-1e-9 {
-		t.Fatal("archive mode covered less hypervolume than final-generation mode")
-	}
-}
-
 func TestGenerationalDistance(t *testing.T) {
 	ref := []Solution{{Objectives: []float64{0, 0}}, {Objectives: []float64{10, 10}}}
 	approx := []Solution{{Objectives: []float64{3, 4}}} // dist 5 to origin

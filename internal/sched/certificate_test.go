@@ -34,10 +34,10 @@ var certifiedGA = moo.GAConfig{Generations: 200, Population: 20, MutationProb: 0
 
 // checkCertifiedStop is the differential check behind the test and the
 // fuzz target: on the decision drawn from seed, as the multi-objective
-// problem and as its weighted scalarization, Archive on and off, SolveGA
-// with the live set declared returns the genomes and the bit-identical
-// objectives it returns with the live set hidden. It reports how many of
-// the four solves stopped before generation G.
+// problem and as its weighted scalarization, SolveGA with the live set
+// declared returns the genomes and the bit-identical objectives it returns
+// with the live set hidden. It reports how many of the two solves stopped
+// before generation G.
 func checkCertifiedStop(t testing.TB, seed uint64) (stopped int) {
 	cfg, ctx := schedtest.Window(seed)
 	objectives := sched.ObjectivesFor(cfg, len(cfg.SSDClasses) > 0)
@@ -48,33 +48,29 @@ func checkCertifiedStop(t testing.TB, seed uint64) (stopped int) {
 	multi := sched.NewSelectionProblem(ctx.Window, ctx.Snap, objectives)
 	scalar := sched.NewScalarized(sched.NewSelectionProblem(ctx.Window, ctx.Snap, objectives), weights, ctx.Totals)
 	for pi, p := range []repairable{multi, scalar.(repairable)} {
-		for _, archive := range []bool{false, true} {
-			ga := certifiedGA
-			ga.Archive = archive
-			ev := moo.NewEvaluator(p)
-			got, gotErr := moo.SolveGA(ev, ga, rng.New(seed))
-			want, wantErr := moo.SolveGA(noLiveSet{p}, ga, rng.New(seed))
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("seed %d problem %d archive=%v: error %v, with the live set hidden %v", seed, pi, archive, gotErr, wantErr)
+		ev := moo.NewEvaluator(p)
+		got, gotErr := moo.SolveGA(ev, certifiedGA, rng.New(seed))
+		want, wantErr := moo.SolveGA(noLiveSet{p}, certifiedGA, rng.New(seed))
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("seed %d problem %d: error %v, with the live set hidden %v", seed, pi, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d problem %d: front of %d, with the live set hidden %d", seed, pi, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Genome.Equal(want[i].Genome) {
+				t.Fatalf("seed %d problem %d: member %d selects %v, with the live set hidden %v",
+					seed, pi, i, got[i].Genome, want[i].Genome)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d problem %d archive=%v: front of %d, with the live set hidden %d", seed, pi, archive, len(got), len(want))
-			}
-			for i := range want {
-				if !got[i].Genome.Equal(want[i].Genome) {
-					t.Fatalf("seed %d problem %d archive=%v: member %d selects %v, with the live set hidden %v",
-						seed, pi, archive, i, got[i].Genome, want[i].Genome)
-				}
-				for k := range want[i].Objectives {
-					if math.Float64bits(got[i].Objectives[k]) != math.Float64bits(want[i].Objectives[k]) {
-						t.Fatalf("seed %d problem %d archive=%v: member %d scores %v, with the live set hidden %v",
-							seed, pi, archive, i, got[i].Objectives, want[i].Objectives)
-					}
+			for k := range want[i].Objectives {
+				if math.Float64bits(got[i].Objectives[k]) != math.Float64bits(want[i].Objectives[k]) {
+					t.Fatalf("seed %d problem %d: member %d scores %v, with the live set hidden %v",
+						seed, pi, i, got[i].Objectives, want[i].Objectives)
 				}
 			}
-			if ev.Stats().Generations < uint64(ga.Generations) {
-				stopped++
-			}
+		}
+		if ev.Stats().Generations < uint64(certifiedGA.Generations) {
+			stopped++
 		}
 	}
 	return stopped
@@ -93,10 +89,10 @@ func TestGACertifiedStopMatchesFullRun(t *testing.T) {
 		stopped += checkCertifiedStop(t, seed)
 	}
 	// About half the windows are dead and some live sets exceed the budget;
-	// the rest should mostly settle.
-	t.Logf("%d of %d solves stopped on their certificate", stopped, 4*windows)
-	if stopped < windows/2 {
-		t.Fatalf("%d of %d solves stopped on their certificate: the check compares little", stopped, 4*windows)
+	// the rest should mostly settle: at least one solve in eight.
+	t.Logf("%d of %d solves stopped on their certificate", stopped, 2*windows)
+	if stopped < windows/4 {
+		t.Fatalf("%d of %d solves stopped on their certificate: the check compares little", stopped, 2*windows)
 	}
 }
 

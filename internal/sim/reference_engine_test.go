@@ -348,8 +348,8 @@ func newRefSimulator(w trace.Workload, method sched.Method, opts ...Option) (*re
 func (s *refSimulator) refDecide(inv *rng.Stream) ([]*job.Job, error) {
 	cfg := s.plugin.Config()
 	size := cfg.WindowSize
-	if cfg.WindowPolicy != nil {
-		size = cfg.WindowPolicy.Size(s.q.Len())
+	if cfg.DynamicWindow {
+		size = min(max(s.q.Len()/4, 5), 50)
 	}
 	window := s.q.Window(s.now, size, func(id int) bool { return s.done[id] })
 	if len(window) == 0 {

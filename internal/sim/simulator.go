@@ -75,9 +75,9 @@ func (o options) validate() error {
 type Option func(*options)
 
 // WithPlugin sets the full §3.1 window configuration (size, starvation
-// bound, dynamic window policy). The configuration is used verbatim — a
-// zero StarvationBound disables forcing, and a WindowPolicy may be
-// combined with a zero WindowSize.
+// bound, dynamic window). The configuration is used verbatim — a zero
+// StarvationBound disables forcing, and DynamicWindow may be combined with
+// a zero WindowSize.
 func WithPlugin(cfg core.PluginConfig) Option {
 	return func(o *options) { o.plugin = cfg }
 }

@@ -205,7 +205,7 @@ func TestExtensionsComposeInOneRun(t *testing.T) {
 	var events bytes.Buffer
 	s, err := NewSimulator(w, core.NewAdaptive(inner),
 		WithPlugin(core.PluginConfig{
-			WindowPolicy:    core.NewAdaptiveWindow(),
+			DynamicWindow:   true,
 			StarvationBound: 50,
 		}),
 		WithSeed(1), WithEventLog(&events))

@@ -8,9 +8,9 @@ import (
 // Read-ahead for opened trace files. The file reads and the gunzip of a
 // ".gz" trace run on a goroutine of their own, one per opened file, so a
 // simulation that streams a trace spends its own core on decoding records
-// and scheduling them, not on decompressing. The goroutine fills a fixed
-// ring of blocks and hands each filled one to the reader over a channel;
-// the reader hands it back once consumed. Only OpenCSV, OpenSWF and
+// and scheduling them, not on decompressing. The goroutine reads into a
+// fixed ring of blocks, one read per block, and hands each to the reader
+// over a channel; the reader hands it back once consumed. Only OpenCSV, OpenSWF and
 // OpenTrace read ahead: a decoder over a caller's reader
 // (NewCSVSource, NewSWFSource) reads it synchronously.
 
@@ -19,7 +19,7 @@ const (
 	readAheadBlockSize = 4 << 10
 )
 
-// chunk is one filled block, or the read error (io.EOF at a clean end)
+// chunk is one read's bytes, or the read error (io.EOF at a clean end)
 // that ends the stream after the blocks before it.
 type chunk struct {
 	buf []byte
@@ -91,19 +91,16 @@ func fillAhead(src io.Reader, full chan<- chunk, free <-chan []byte, stop, done 
 	}
 }
 
-// readBlock fills buf from src, stopping early only at an error (which
-// io.ReadFull would turn into io.ErrUnexpectedEOF at a partial block; the
-// stream's own error is kept here, io.EOF included).
+// readBlock reads into buf until a read yields bytes or fails, and hands
+// on what that read gave: a pipe whose writer sent less than a block and
+// stays open yields its jobs now, not once the writer closes. The
+// stream's own error is kept, io.EOF included.
 func readBlock(src io.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := src.Read(buf[n:])
-		n += m
-		if err != nil {
+	for {
+		if n, err := src.Read(buf); n > 0 || err != nil {
 			return n, err
 		}
 	}
-	return n, nil
 }
 
 // Read implements io.Reader over the filled blocks, in file order, then

@@ -145,6 +145,44 @@ func TestReadAheadCloseStalledPipe(t *testing.T) {
 	}
 }
 
+// TestReadAheadPipeShortWrite: a trace read from a pipe whose writer has
+// sent a header and ten jobs, less than a block, and stays open yields its
+// first job without waiting for the writer to close.
+func TestReadAheadPipeShortWrite(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := generatedCSV(t, 10)
+	if len(data) >= readAheadBlockSize {
+		t.Fatalf("%d B of trace fill a %d B block", len(data), readAheadBlockSize)
+	}
+	if _, err := pw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	ra := newReadAhead(pr, nil)
+	defer ra.Close()
+	first := make(chan error, 1)
+	go func() {
+		src, err := NewCSVSource(ra)
+		if err == nil {
+			_, err = src.Next()
+		}
+		first <- err
+	}()
+	select {
+	case err := <-first:
+		pw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		pw.Close() // the end of the input lets the reader return
+		<-first
+		t.Fatal("no job within 2 s of the write while the writer stays open")
+	}
+}
+
 // TestReadAheadDrainedHoldsNoRing: a source read to its end, clean or
 // failed, has stopped its goroutine and released the ring and the file,
 // for CSV and SWF, plain and gzipped.
