@@ -36,10 +36,12 @@ bench-smoke:
 # The solver perf harness: the member-loop GA vs the frozen seed
 # implementation (ga_reference_test.go) on the same fixed-seed instances,
 # 20 solves each; then the Evaluator's cache hit alone at dims 20, 70 and
-# 200, at the default bench time (a lookup is tens of nanoseconds).
+# 200, at the default bench time (a lookup is tens of nanoseconds); then
+# the certificate's walk on a busy window of 16 live jobs (evals/walk).
 bench-solver:
 	$(GO) test -bench='^BenchmarkSolveGA' -benchtime=20x -run='^$$' ./internal/moo
 	$(GO) test -bench='^BenchmarkEvaluatorLookup$$' -run='^$$' ./internal/moo
+	$(GO) test -bench='^BenchmarkCertify$$' -run='^$$' ./internal/moo
 
 # The repository benchmark (bench/, declared by BENCHMARK.json) is a Go
 # module of its own, so `go build ./...` and `go test ./...` at the root
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideDeadWindowOnPass$$' -fuzztime 30s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzGACertifiedStop$$' -fuzztime 30s
 	$(GO) test ./internal/moo -run '^$$' -fuzz '^FuzzEvaluatorMatchesMap$$' -fuzztime 30s
+	$(GO) test ./internal/moo -run '^$$' -fuzz '^FuzzParetoWalk$$' -fuzztime 30s
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzGatherCells$$' -fuzztime 30s

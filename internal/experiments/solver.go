@@ -326,8 +326,9 @@ func SolverComparison(o Options) (string, error) {
 // runs before its answer is settled (moo.SolveGA's certificate, read off
 // moo.EvalStats.Generations): consecutive windows of the workload against
 // a machine with a quarter of every resource free, per window size. A
-// solve is certified when it stopped before generation G; one over more
-// live jobs than 2^L ≤ G·P allows never is.
+// solve is certified when it stopped before generation G; one whose walk
+// over its live jobs' feasible selections needs more than G·P evaluations
+// never is.
 func gaGenerations(o Options, w trace.Workload) (string, error) {
 	snap := cluster.MustNew(w.System.Cluster).Snapshot()
 	for c := range snap.FreeByClass {

@@ -2,6 +2,7 @@ package moo
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -30,7 +31,7 @@ func SolveExhaustive(p Problem) ([]Solution, error) {
 		vars[i] = i
 	}
 	g := NewGenome(dim)
-	points := paretoOver(p, g, vars, false, nil)
+	points, _ := paretoOver(p, g, vars, false, math.MaxInt, nil)
 	front := make([]Solution, len(points))
 	for i, pt := range points {
 		g.w[0] = pt.mask // vars is the identity and dim ≤ 64: the mask is the genome's one word
@@ -47,41 +48,67 @@ type point struct {
 	objs []float64
 }
 
-// paretoOver is moo's one exhaustive routine, behind SolveExhaustive (all
-// variables) and the GA's termination certificate (the variables that can
-// be selected at all). It evaluates every selection over vars — at most 63
-// of them; every other variable stays unselected — through p, and appends
-// to front the feasible ones no feasible one dominates. With ties, every
-// selection is kept whose objective vector equals a kept one's; without,
-// the first such selection enumerated stands for them all. g is scratch of
-// p's dimension, all zero on entry and not on return. The running list is
+// paretoOver is moo's one enumeration routine, behind SolveExhaustive (all
+// variables, every selection) and the GA's termination certificate (the
+// variables that can be selected at all). It walks the selections over
+// vars — at most 64 of them; every other variable stays unselected — depth
+// first, extending each selection only by a variable later in vars than
+// any it holds, so it evaluates each selection through p at most once. It
+// appends to front the feasible ones no feasible one dominates, and
+// reports whether the walk finished within budget evaluations (counted as
+// they happen; a walk that would exceed it stops, and its front means
+// nothing).
+//
+// With monotone, p promises what LiveSetter promises — selecting a
+// variable never makes an infeasible genome feasible — and the walk
+// extends feasible selections only: every feasible selection is still
+// reached, through its subsets, which are feasible too. It keeps every
+// selection whose objective vector equals a kept one's, as the certificate
+// needs all of F*. Without, it visits all 2^len(vars) selections and keeps
+// one witness per objective vector, the smallest mask. g is scratch of p's
+// dimension, all zero on entry and not on return. The running list is
 // mutually non-dominated at every step, so memory follows the front, not
-// 2^len(vars); the objective slices are the ones Evaluate returned.
-func paretoOver(p Problem, g Genome, vars []int, ties bool, front []point) []point {
-	total := uint64(1) << uint(len(vars))
-	for mask := uint64(0); ; {
-		if objs, ok := p.Evaluate(g); ok {
-			front = admit(front, point{mask, objs}, ties)
+// the walk; the objective slices are the ones Evaluate returned.
+func paretoOver(p Problem, g Genome, vars []int, monotone bool, budget int, front []point) ([]point, bool) {
+	n := len(vars)
+	var mask uint64
+	for evals := 0; evals < budget; evals++ {
+		objs, ok := p.Evaluate(g)
+		if ok {
+			front = admit(front, point{mask, objs}, monotone)
 		}
-		if mask++; mask == total {
-			return front
+		j := bits.Len64(mask) // extend by the variable after the last one selected…
+		if monotone && !ok {
+			j = n // …unless no extension can be feasible
 		}
-		// Binary increment: the low run of ones clears and the next bit sets.
-		low := bits.TrailingZeros64(mask)
-		for k := 0; k < low; k++ {
-			g.SetBit(vars[k], false)
+		for ; j == n; j++ { // backtrack: drop the last variable, try the one after it
+			if mask == 0 {
+				return front, true
+			}
+			j = bits.Len64(mask) - 1
+			mask &^= 1 << uint(j)
+			g.SetBit(vars[j], false)
 		}
-		g.SetBit(vars[low], true)
+		mask |= 1 << uint(j)
+		g.SetBit(vars[j], true)
 	}
+	return front, false
 }
 
 // admit adds pt to a mutually non-dominated list unless a member dominates
-// it (or, without ties, equals it), evicting the members pt dominates.
+// it (or, without ties, equals it: then the smaller mask of the two stays),
+// evicting the members pt dominates.
 // When pt loses, nothing is evicted: a member pt dominated would be
 // dominated by the member that beat pt.
 func admit(front []point, pt point, ties bool) []point {
-	for _, f := range front {
-		if Dominates(f.objs, pt.objs) || (!ties && equalObjs(f.objs, pt.objs)) {
+	for i, f := range front {
+		if Dominates(f.objs, pt.objs) {
+			return front
+		}
+		if !ties && equalObjs(f.objs, pt.objs) {
+			if pt.mask < f.mask {
+				front[i] = pt // the smallest mask stands for them all
+			}
 			return front
 		}
 	}

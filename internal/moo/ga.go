@@ -49,12 +49,16 @@ func (c GAConfig) validate(p Problem) error {
 // lexicographically sorted). The stream makes runs reproducible.
 //
 // The run ends before generation G when nothing it returns can change any
-// more. If p declares a live set of L ≥ 1 variables (LiveSetter) with
-// 2^L ≤ G·P — the certificate may cost at most the evaluations the run was
-// budgeted — the solver enumerates the 2^L selections once and keeps F*,
+// more. If p declares a live set of L ≥ 1 variables (LiveSetter), the
+// solver walks the selections over it once, spending at most G·P
+// evaluations of p — the evaluations the run was budgeted — and keeps F*,
 // every feasible genotype no feasible genotype dominates (equal objective
-// vectors all kept). With |F*| ≤ P it stops at the first generation whose
-// population holds all of F*, because:
+// vectors all kept). The walk extends feasible selections only, which
+// LiveSetter's promise makes exact: no selection that holds an infeasible
+// one is feasible. So it never evaluates more than 2^L selections, and
+// usually far fewer: on a busy machine most selections of two or three
+// live jobs already fail. With |F*| ≤ P the solver stops at the first
+// generation whose population holds all of F*, because:
 //
 //   - F* stays. Every pool member is feasible, so it is in F* or dominated
 //     by a member of F*; with F* ⊆ pop ⊆ pool, Set 1's distinct genotypes
@@ -67,8 +71,10 @@ func (c GAConfig) validate(p Problem) error {
 //     position than G generations would (sim hands each pass its own stream).
 //
 // No certificate, and all G generations as ever: no LiveSetter or !ok,
-// L = 0, 2^L > G·P, or |F*| > P. EvalStats.Generations reports what a
-// solve ran.
+// L = 0 or L > 64, a walk that would exceed G·P evaluations, or |F*| > P.
+// The order the walk finds F* in decides only which Evaluator ids its
+// genotypes get, and ids are labels: no draw, selection or returned front
+// depends on them. EvalStats.Generations reports what a solve ran.
 //
 // Evolution per generation: P children are bred by single-point crossover
 // of uniformly chosen parents, each child's genes flip with probability
@@ -270,10 +276,11 @@ func (g *gaSolver) run() ([]Solution, error) {
 
 // certify builds the solve's termination certificate when it has one:
 // cert becomes the interned ids of F*, the feasible genotypes that no
-// feasible genotype dominates. The enumeration evaluates the raw problem,
-// not the cache — 2^L entries interned in an Evaluator kept across solves
-// would dwarf what the generations leave there — and compares with
-// Dominates on Evaluate's own values, which is what selection does.
+// feasible genotype dominates. The walk evaluates the raw problem, not
+// the cache — the selections it visits, interned in an Evaluator kept
+// across solves, would dwarf what the generations leave there — and
+// compares with Dominates on Evaluate's own values, which is what
+// selection does.
 func (g *gaSolver) certify() {
 	g.cert = g.cert[:0]
 	ls, ok := g.ev.inner.(LiveSetter)
@@ -282,14 +289,14 @@ func (g *gaSolver) certify() {
 	}
 	g.live, ok = ls.LiveSet(g.live[:0])
 	n := len(g.live)
-	// n ≤ 62: a selection over the live set is one word, and 1<<n cannot wrap.
-	if !ok || n == 0 || n > 62 || uint64(1)<<uint(n) > uint64(g.cfg.Generations)*uint64(g.cfg.Population) {
+	// n ≤ 64: a selection over the live set is one word.
+	if !ok || n == 0 || n > 64 {
 		return
 	}
 	scratch := g.raw[0] // breeding has not started
 	scratch.Zero()
-	g.exact = paretoOver(g.ev.inner, scratch, g.live, true, g.exact[:0])
-	if len(g.exact) <= g.cfg.Population {
+	g.exact, ok = paretoOver(g.ev.inner, scratch, g.live, true, g.cfg.Generations*g.cfg.Population, g.exact[:0])
+	if ok && len(g.exact) <= g.cfg.Population {
 		for _, pt := range g.exact {
 			scratch.Zero()
 			for m := pt.mask; m != 0; m &= m - 1 {
@@ -298,7 +305,9 @@ func (g *gaSolver) certify() {
 			g.cert = append(g.cert, g.intern(g.ev.lookup(scratch)))
 		}
 	}
-	clear(g.exact) // the objective vectors are the problem's: hold none past the solve
+	// The objective vectors are the problem's: hold none past the solve,
+	// nor the ones evictions left behind the list's end.
+	clear(g.exact[:cap(g.exact)])
 }
 
 // settled reports whether pop holds every genotype of the certificate:

@@ -81,3 +81,25 @@ func BenchmarkEvaluatorLookup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCertify times the certificate's walk on a busy window of 16
+// live jobs at the default budget, and reports the evaluations it spends
+// of the 2^16 selections.
+func BenchmarkCertify(b *testing.B) {
+	k := busyKnapsack(16, 11)
+	cp := &countingProblem{knapsack2: k}
+	live, _ := liveKnapsack{k}.LiveSet(nil)
+	cfg := DefaultGAConfig()
+	g := NewGenome(k.Dim())
+	var front []point
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Zero()
+		var ok bool
+		if front, ok = paretoOver(cp, g, live, true, cfg.Generations*cfg.Population, front[:0]); !ok {
+			b.Fatal("the walk ran out of budget")
+		}
+	}
+	b.ReportMetric(float64(cp.calls)/float64(b.N), "evals/walk")
+}

@@ -1,7 +1,9 @@
 package moo
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"bbsched/internal/rng"
@@ -154,8 +156,10 @@ func TestSelectNextKeepsParetoSet(t *testing.T) {
 func TestGACertificateEdges(t *testing.T) {
 	small := GAConfig{Generations: 3000, Population: 4, MutationProb: 0.1}
 	def := DefaultGAConfig()
-	fourteen := randomKnapsack(14, 77) // caps far above any one item: L = 14
+	fourteen := randomKnapsack(14, 77) // L = 14, and every selection fits
+	fourteen.capNodes, fourteen.capBB = math.Inf(1), math.Inf(1)
 	thirteen := randomKnapsack(13, 77)
+	sixteen := busyKnapsack(16, 11) // L = 16, of whose 2^16 selections the walk evaluates 1 278
 
 	cases := []struct {
 		name   string
@@ -169,6 +173,7 @@ func TestGACertificateEdges(t *testing.T) {
 		{"front of P+1", liveTable{antiDiagonal(5)}, antiDiagonal(5), small, true},
 		{"no interface", table1(), table1(), def, true},
 		{"L=14 at the defaults", liveKnapsack{fourteen}, fourteen, def, true},
+		{"busy L=16 at the defaults", liveKnapsack{sixteen}, sixteen, def, false},
 		{"zero generations", liveKnapsack{table1()}, table1(), GAConfig{Population: 20}, true},
 	}
 	for _, tc := range cases {
@@ -188,8 +193,16 @@ func TestGACertificateEdges(t *testing.T) {
 		sameFront(t, tc.name, front, want)
 	}
 
-	// L = 13 is inside the default budget (2^13 ≤ 500·20): whether the GA
-	// reaches F* in time is the instance's business, the front is not.
+	// The L=14 knapsack, whose F* is one genotype, runs all G generations
+	// only because its walk runs out of evaluations: 2^14 > 500·20.
+	live, _ := liveKnapsack{fourteen}.LiveSet(nil)
+	if _, ok := paretoOver(fourteen, NewGenome(14), live, true, def.Generations*def.Population, nil); ok {
+		t.Error("L=14 at the defaults: the walk finished within G·P evaluations")
+	}
+
+	// An L = 13 walk evaluates at most 2^13 ≤ 500·20 selections, so it
+	// always ends in a certificate: whether the GA reaches F* in time is
+	// the instance's business, the front is not.
 	got, _ := solveCounted(t, liveKnapsack{thirteen}, def, 5)
 	want, _ := solveCounted(t, thirteen, def, 5)
 	sameFront(t, "L=13", got, want)
@@ -219,10 +232,11 @@ func TestGACertifiedStopMatchesFullRunKnapsack(t *testing.T) {
 	}
 }
 
-// TestParetoOverSubsetMatchesExhaustive checks the shared enumeration from
-// both ends: over the live variables only it finds the objective points
-// SolveExhaustive finds over all of them, and with ties it keeps every
-// genotype on those points.
+// TestParetoOverSubsetMatchesExhaustive checks the shared walk from both
+// ends: visiting every selection over the live variables only, it finds
+// the objective points SolveExhaustive finds over all of them; extending
+// feasible selections only, with ties, it keeps every genotype on those
+// points.
 func TestParetoOverSubsetMatchesExhaustive(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		k := busyKnapsack(8+int(seed%9), 4000+seed)
@@ -231,11 +245,11 @@ func TestParetoOverSubsetMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points := paretoOver(k, NewGenome(k.Dim()), live, false, nil)
+		points, _ := paretoOver(k, NewGenome(k.Dim()), live, false, math.MaxInt, nil)
 		if len(points) != len(want) {
 			t.Fatalf("seed %d: %d points over %d live variables, %d over all %d", seed, len(points), len(live), len(want), k.Dim())
 		}
-		tied := paretoOver(k, NewGenome(k.Dim()), live, true, nil)
+		tied, _ := paretoOver(k, NewGenome(k.Dim()), live, true, math.MaxInt, nil)
 		for _, set := range [][]point{points, tied} {
 			for _, pt := range set {
 				found := false
@@ -251,6 +265,143 @@ func TestParetoOverSubsetMatchesExhaustive(t *testing.T) {
 			t.Fatalf("seed %d: keeping ties lost points: %d < %d", seed, len(tied), len(points))
 		}
 	}
+}
+
+// checkMonotone enumerates every genome of p (dim ≤ 16) and requires
+// LiveSetter's promise: each one-variable extension of an infeasible
+// genome is infeasible, and the live set is the feasible singletons.
+func checkMonotone(t *testing.T, label string, p Problem) {
+	t.Helper()
+	n := p.Dim()
+	feasible := make([]bool, 1<<uint(n))
+	g := NewGenome(n)
+	for mask := range feasible {
+		g.w[0] = uint64(mask)
+		_, feasible[mask] = p.Evaluate(g)
+	}
+	var want []int
+	for i := 0; i < n; i++ {
+		if feasible[1<<uint(i)] {
+			want = append(want, i)
+		}
+	}
+	if live, ok := p.(LiveSetter).LiveSet(nil); !ok || !slices.Equal(live, want) {
+		t.Fatalf("%s: live set %v (ok=%v), feasible singletons %v", label, live, ok, want)
+	}
+	for mask, ok := range feasible {
+		for i := 0; i < n && !ok; i++ {
+			if feasible[mask|1<<uint(i)] {
+				t.Fatalf("%s: %b is infeasible, yet feasible with variable %d added", label, mask, i)
+			}
+		}
+	}
+}
+
+// TestLiveSetterFixturesAreMonotone holds this file's LiveSetters to the
+// promise the certificate's walk prunes by.
+func TestLiveSetterFixturesAreMonotone(t *testing.T) {
+	checkMonotone(t, "table1", liveKnapsack{table1()})
+	checkMonotone(t, "antiDiagonal", liveTable{antiDiagonal(5)})
+	for seed := uint64(0); seed < 20; seed++ {
+		checkMonotone(t, "busy", liveKnapsack{busyKnapsack(4+int(seed%9), 5000+seed)})
+		checkMonotone(t, "loose", liveKnapsack{randomKnapsack(4+int(seed%9), 6000+seed)})
+	}
+}
+
+// FuzzParetoWalk holds the walk to brute force on random monotone
+// knapsacks, loose to busy, some with a few weight levels so that
+// objective vectors tie: extending feasible selections only, it keeps
+// exactly the selections over the live set that no feasible selection
+// dominates, ties included, in at most 2^L evaluations; visiting all 2^L,
+// it keeps the smallest mask of each of their objective vectors; and one
+// evaluation short of what it needs, it yields nothing, and the GA runs
+// all G generations for want of a certificate.
+func FuzzParetoWalk(f *testing.F) {
+	f.Add(uint64(0), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(7), uint8(8), uint8(63), uint8(0))
+	f.Add(uint64(42), uint8(10), uint8(9), uint8(0))
+	f.Add(uint64(1), uint8(9), uint8(18), uint8(2))
+	f.Add(uint64(3), uint8(10), uint8(27), uint8(3))
+	f.Add(uint64(1<<40), uint8(7), uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, size, tight, levels uint8) {
+		k := randomKnapsack(1+int(size%11), seed)
+		if q := float64(levels % 6); q > 0 {
+			for i := range k.nodes {
+				k.nodes[i], k.bb[i] = 1+math.Mod(k.nodes[i], q), math.Mod(k.bb[i], q)
+			}
+		}
+		k.capNodes, k.capBB = 0, 0
+		for i := range k.nodes {
+			k.capNodes += k.nodes[i]
+			k.capBB += k.bb[i]
+		}
+		k.capNodes *= float64(1+tight%8) / 8 // an eighth of the whole window's demand to all of it
+		k.capBB *= float64(1+tight/8%8) / 8
+		live, _ := liveKnapsack{k}.LiveSet(nil)
+		n := len(live)
+
+		// The oracle: every selection over the live set, its Pareto set
+		// with ties, in ascending mask order.
+		g := NewGenome(k.Dim())
+		var feasible, want []point
+		for mask := uint64(0); mask < 1<<uint(n); mask++ {
+			g.Zero()
+			for i := range live {
+				g.SetBit(live[i], mask>>uint(i)&1 == 1)
+			}
+			if objs, ok := k.Evaluate(g); ok {
+				feasible = append(feasible, point{mask, objs})
+			}
+		}
+		for _, a := range feasible {
+			if !slices.ContainsFunc(feasible, func(b point) bool { return Dominates(b.objs, a.objs) }) {
+				want = append(want, a)
+			}
+		}
+		byMask := func(a, b point) int { return cmp.Compare(a.mask, b.mask) }
+		same := func(label string, got, want []point) {
+			t.Helper()
+			slices.SortFunc(got, byMask)
+			if !slices.EqualFunc(got, want, func(a, b point) bool { return a.mask == b.mask && equalObjs(a.objs, b.objs) }) {
+				t.Fatalf("%s over %d live variables: kept %v, want %v", label, n, got, want)
+			}
+		}
+
+		cp := &countingProblem{knapsack2: k}
+		tied, ok := paretoOver(cp, NewGenome(k.Dim()), live, true, math.MaxInt, nil)
+		evals := cp.calls
+		if !ok || evals > 1<<uint(n) {
+			t.Fatalf("pruned walk: ok=%v after %d evaluations over %d live variables", ok, evals, n)
+		}
+		same("pruned walk", tied, want)
+
+		cp.calls = 0
+		full, _ := paretoOver(cp, NewGenome(k.Dim()), live, false, math.MaxInt, nil)
+		if cp.calls != 1<<uint(n) {
+			t.Fatalf("full walk evaluated %d of 2^%d selections", cp.calls, n)
+		}
+		var witnesses []point
+		for _, w := range want {
+			if !slices.ContainsFunc(witnesses, func(v point) bool { return equalObjs(v.objs, w.objs) }) {
+				witnesses = append(witnesses, w)
+			}
+		}
+		same("full walk", full, witnesses)
+
+		if again, ok := paretoOver(k, NewGenome(k.Dim()), live, true, evals, nil); !ok {
+			t.Fatalf("a budget of the %d evaluations the walk took ran out", evals)
+		} else {
+			same("walk on its exact budget", again, want)
+		}
+		if _, ok := paretoOver(k, NewGenome(k.Dim()), live, true, evals-1, nil); ok {
+			t.Fatalf("a budget of %d finished a walk of %d evaluations", evals-1, evals)
+		}
+		cfg := GAConfig{Generations: (evals - 1) / 4, Population: 4, MutationProb: 0.1}
+		if _, gens := solveCounted(t, liveKnapsack{k}, cfg, seed); gens != uint64(cfg.Generations) {
+			t.Fatalf("G·P = %d of the walk's %d evaluations, yet the GA stopped after %d of %d generations",
+				cfg.Generations*cfg.Population, evals, gens, cfg.Generations)
+		}
+	})
 }
 
 // TestEvaluatorResetAfterLargeSolve resets after fills large and small —

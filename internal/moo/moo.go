@@ -14,10 +14,12 @@
 //
 // The GA stops when its answer is settled: for a problem that declares
 // which variables can be selected at all (LiveSetter), the exact Pareto
-// set over those variables — the same enumeration SolveExhaustive runs
-// over all of them — certifies the generation after which nothing SolveGA
-// returns can change, and the run ends there (see SolveGA for the proof
-// and for when no certificate exists).
+// set over those variables certifies the generation after which nothing
+// SolveGA returns can change, and the run ends there (see SolveGA for the
+// proof and for when no certificate exists). It comes from the routine
+// behind SolveExhaustive, which walks all 2^w selections; for the
+// certificate the walk extends feasible selections only, and gives up
+// past the G·P evaluations a solve is budgeted.
 //
 // All objectives are maximized. Minimization objectives (e.g. wasted local
 // SSD, §5's f4) are expressed by negating the value, exactly as the paper
@@ -54,15 +56,19 @@ type Repairer interface {
 }
 
 // LiveSetter is an optional Problem extension for problems whose
-// constraints only tighten as variables are selected — a variable that is
-// infeasible selected alone is infeasible in every selection. SolveGA uses
-// it to learn when its answer is settled (see there); a problem that
-// cannot give the guarantee (negative demands, say) reports !ok, or does
-// not implement the interface, and loses nothing but that.
+// constraints only tighten as variables are selected: selecting one more
+// variable never makes an infeasible genome feasible. So a variable that
+// is infeasible selected alone is infeasible in every selection, and no
+// genome that holds an infeasible one is feasible — which lets SolveGA
+// walk only the feasible selections to learn when its answer is settled
+// (see there). A problem that cannot give the guarantee (negative
+// demands, say) reports !ok, or does not implement the interface, and
+// loses nothing but that.
 type LiveSetter interface {
 	// LiveSet appends to dst the variables i whose one-variable genome
-	// {i} is feasible under Evaluate, in ascending order. ok promises that
-	// every feasible genome selects variables from that list only.
+	// {i} is feasible under Evaluate, in ascending order. ok promises the
+	// monotonicity above, and so that every feasible genome selects
+	// variables from that list only.
 	LiveSet(dst []int) (live []int, ok bool)
 }
 

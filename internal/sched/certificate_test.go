@@ -28,8 +28,10 @@ func (n noLiveSet) NumObjectives() int                        { return n.p.NumOb
 func (n noLiveSet) Evaluate(g moo.Genome) ([]float64, bool)   { return n.p.Evaluate(g) }
 func (n noLiveSet) Repair(g moo.Genome, drop func(n int) int) { n.p.Repair(g, drop) }
 
-// certifiedGA is large enough that 2^L ≤ G·P covers every live set up to
-// eleven jobs, and small enough for a few hundred paired solves.
+// certifiedGA is large enough that its G·P = 4 000 evaluations cover the
+// certificate's walk over every live set up to eleven jobs (2^11 ≤ 4 000)
+// and over most busy ones beyond, and small enough for a few hundred
+// paired solves.
 var certifiedGA = moo.GAConfig{Generations: 200, Population: 20, MutationProb: 0.01}
 
 // checkCertifiedStop is the differential check behind the test and the
@@ -107,12 +109,16 @@ func FuzzGACertifiedStop(f *testing.F) {
 }
 
 // TestFeasibleGenomesInsideLiveSet is the guarantee LiveSet gives moo,
-// checked by enumeration on windows of up to 16 jobs: the live set is the
-// jobs whose one-job genome Evaluate accepts, every feasible genome selects
-// live jobs only (so every genome with a non-live bit is infeasible), and
-// the exhaustive front over the whole window lies inside it.
+// checked by enumeration on windows of up to 16 jobs on all three machine
+// kinds: the live set is the jobs whose one-job genome Evaluate accepts;
+// selecting one more job never makes an infeasible genome feasible (the
+// premise the certificate's walk prunes by — on the SSD machine AllocInto
+// places jobs greedily by class); so every feasible genome selects live
+// jobs only, and the exhaustive front over the whole window lies inside
+// the live set.
 func TestFeasibleGenomesInsideLiveSet(t *testing.T) {
 	checked := 0
+	kinds := map[string]int{}
 	for seed := uint64(0); checked < 120; seed++ {
 		cfg, ctx := schedtest.Window(seed)
 		n := len(ctx.Window)
@@ -120,6 +126,14 @@ func TestFeasibleGenomesInsideLiveSet(t *testing.T) {
 			continue
 		}
 		checked++
+		switch {
+		case len(cfg.SSDClasses) > 0:
+			kinds["SSD classes"]++
+		case len(cfg.Extra) > 0:
+			kinds["extra dimension"]++
+		default:
+			kinds["plain"]++
+		}
 		p := sched.NewSelectionProblem(ctx.Window, ctx.Snap, sched.ObjectivesFor(cfg, len(cfg.SSDClasses) > 0))
 		live, ok := p.LiveSet(nil)
 		if !ok {
@@ -138,12 +152,21 @@ func TestFeasibleGenomesInsideLiveSet(t *testing.T) {
 				t.Fatalf("seed %d: job %d alone is feasible=%v, live set %v", seed, i, feasible, live)
 			}
 		}
-		for mask := uint64(0); mask < 1<<uint(n); mask++ {
+		feasible := make([]bool, 1<<uint(n))
+		for mask := range feasible {
 			for i := 0; i < n; i++ {
 				g.SetBit(i, mask&(1<<uint(i)) != 0)
 			}
-			if _, feasible := p.Evaluate(g); feasible && mask&^liveMask != 0 {
+			if _, feasible[mask] = p.Evaluate(g); feasible[mask] && uint64(mask)&^liveMask != 0 {
 				t.Fatalf("seed %d: feasible genome %v selects outside the live set %v", seed, g, live)
+			}
+		}
+		for mask, ok := range feasible {
+			for i := 0; i < n && !ok; i++ {
+				if feasible[mask|1<<uint(i)] {
+					t.Fatalf("seed %d (%d SSD classes): selection %b does not fit, yet fits with job %d added",
+						seed, len(cfg.SSDClasses), mask, i)
+				}
 			}
 		}
 		front, err := moo.SolveExhaustive(p)
@@ -154,6 +177,11 @@ func TestFeasibleGenomesInsideLiveSet(t *testing.T) {
 			if sol.Genome.Words()[0]&^liveMask != 0 {
 				t.Fatalf("seed %d: exhaustive front member %v selects outside the live set %v", seed, sol.Genome, live)
 			}
+		}
+	}
+	for _, kind := range []string{"plain", "extra dimension", "SSD classes"} {
+		if kinds[kind] < 20 {
+			t.Fatalf("%d of %d windows on the %s machine: %v", kinds[kind], checked, kind, kinds)
 		}
 	}
 }

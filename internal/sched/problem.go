@@ -306,11 +306,15 @@ func (p *SelectionProblem) Evaluate(g moo.Genome) ([]float64, bool) {
 }
 
 // LiveSet implements moo.LiveSetter: the window jobs that fit the free
-// snapshot alone. Allocation only consumes, so a job that does not fit the
-// snapshot does not fit what other jobs left of it, and every feasible
-// selection is made of live jobs — provided no demand is negative (a
-// hand-built negative one hands resources back to the jobs after it);
-// with one in the window the problem declares no live set.
+// snapshot alone. Selecting one more job never makes an infeasible
+// selection fit — provided no demand is negative (a hand-built negative
+// one hands resources back to the jobs after it); with one in the window
+// the problem declares no live set. The column sums only grow; and on the
+// slow path AllocInto hands each job the smallest SSD class that holds it
+// first (classes ascend by capacity, so a job's classes are the ones from
+// its need up), which places a selection whatever its order whenever any
+// placement of it exists: a selection that fails still fails with a job
+// added. So every feasible selection is made of live jobs.
 //
 // "Fits alone" is Evaluate's answer on the one-job genome, restated
 // without the objective vector: the column compare on the fast path —

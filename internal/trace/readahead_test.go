@@ -118,7 +118,7 @@ func TestReadAheadCloseStalledPipe(t *testing.T) {
 	}
 	defer pw.Close()
 	// More than a block, less than the pipe holds: the goroutine hands on
-	// the first block, then waits for the rest of the next.
+	// what the pipe holds, then waits in a read for more.
 	if _, err := pw.Write(generatedCSV(t, 150)); err != nil {
 		t.Fatal(err)
 	}
