@@ -327,7 +327,8 @@ func SolverComparison(o Options) (string, error) {
 // moo.EvalStats.Generations): consecutive windows of the workload against
 // a machine with a quarter of every resource free, per window size. A
 // solve is certified when it stopped before generation G; one whose walk
-// over its live jobs' feasible selections needs more than G·P evaluations
+// over its live jobs' feasible selections runs out of its budget (G·P
+// evaluations up to L = 13 live jobs at the paper's G and P, G past that)
 // never is.
 func gaGenerations(o Options, w trace.Workload) (string, error) {
 	snap := cluster.MustNew(w.System.Cluster).Snapshot()

@@ -50,15 +50,20 @@ func (c GAConfig) validate(p Problem) error {
 //
 // The run ends before generation G when nothing it returns can change any
 // more. If p declares a live set of L ≥ 1 variables (LiveSetter), the
-// solver walks the selections over it once, spending at most G·P
-// evaluations of p — the evaluations the run was budgeted — and keeps F*,
-// every feasible genotype no feasible genotype dominates (equal objective
-// vectors all kept). The walk extends feasible selections only, which
-// LiveSetter's promise makes exact: no selection that holds an infeasible
-// one is feasible. So it never evaluates more than 2^L selections, and
-// usually far fewer: on a busy machine most selections of two or three
-// live jobs already fail. With |F*| ≤ P the solver stops at the first
-// generation whose population holds all of F*, because:
+// solver walks the selections over it once and keeps F*, every feasible
+// genotype no feasible genotype dominates (equal objective vectors all
+// kept). The walk extends feasible selections only, which LiveSetter's
+// promise makes exact: no selection that holds an infeasible one is
+// feasible. So it never evaluates more than 2^L selections, and usually
+// far fewer: on a busy machine most selections of two or three live jobs
+// already fail. Its evaluations of p skip the cache, and it gives up past
+// a budget: G·P evaluations when 2^L ≤ G·P, so that such a walk always
+// finishes, and G — one per generation a certificate can save — over
+// more selections. A walk over many live jobs finishes within G only on a
+// busy machine; on a freer one it would visit thousands of selections,
+// rarely to a certificate the population then reaches, and a refused walk
+// buys nothing. With |F*| ≤ P the solver stops at the first generation
+// whose population holds all of F*, because:
 //
 //   - F* stays. Every pool member is feasible, so it is in F* or dominated
 //     by a member of F*; with F* ⊆ pop ⊆ pool, Set 1's distinct genotypes
@@ -71,7 +76,7 @@ func (c GAConfig) validate(p Problem) error {
 //     position than G generations would (sim hands each pass its own stream).
 //
 // No certificate, and all G generations as ever: no LiveSetter or !ok,
-// L = 0 or L > 64, a walk that would exceed G·P evaluations, or |F*| > P.
+// L = 0 or L > 64, a walk that would exceed its budget, or |F*| > P.
 // The order the walk finds F* in decides only which Evaluator ids its
 // genotypes get, and ids are labels: no draw, selection or returned front
 // depends on them. EvalStats.Generations reports what a solve ran.
@@ -295,7 +300,7 @@ func (g *gaSolver) certify() {
 	}
 	scratch := g.raw[0] // breeding has not started
 	scratch.Zero()
-	g.exact, ok = paretoOver(g.ev.inner, scratch, g.live, true, g.cfg.Generations*g.cfg.Population, g.exact[:0])
+	g.exact, ok = paretoOver(g.ev.inner, scratch, g.live, true, walkBudget(g.cfg, n), g.exact[:0])
 	if ok && len(g.exact) <= g.cfg.Population {
 		for _, pt := range g.exact {
 			scratch.Zero()
@@ -308,6 +313,16 @@ func (g *gaSolver) certify() {
 	// The objective vectors are the problem's: hold none past the solve,
 	// nor the ones evictions left behind the list's end.
 	clear(g.exact[:cap(g.exact)])
+}
+
+// walkBudget is the most evaluations the certificate's walk over n live
+// variables may spend (see SolveGA): G·P when its 2^n selections are no
+// more, G otherwise.
+func walkBudget(cfg GAConfig, n int) int {
+	if gp := cfg.Generations * cfg.Population; n < 63 && 1<<uint(n) <= gp {
+		return gp
+	}
+	return cfg.Generations
 }
 
 // settled reports whether pop holds every genotype of the certificate:

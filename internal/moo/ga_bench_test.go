@@ -82,24 +82,34 @@ func BenchmarkEvaluatorLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCertify times the certificate's walk on a busy window of 16
-// live jobs at the default budget, and reports the evaluations it spends
-// of the 2^16 selections.
+// BenchmarkCertify times the certificate's walk on busy windows of 16
+// live jobs at the default budget, G evaluations: one the walk finishes
+// in 398 evaluations, and one whose walk would take 1 278 and is refused.
+// It reports the evaluations a walk spends of the 2^16 selections.
 func BenchmarkCertify(b *testing.B) {
-	k := busyKnapsack(16, 11)
-	cp := &countingProblem{knapsack2: k}
-	live, _ := liveKnapsack{k}.LiveSet(nil)
-	cfg := DefaultGAConfig()
-	g := NewGenome(k.Dim())
-	var front []point
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Zero()
-		var ok bool
-		if front, ok = paretoOver(cp, g, live, true, cfg.Generations*cfg.Population, front[:0]); !ok {
-			b.Fatal("the walk ran out of budget")
-		}
+	crowded := busyKnapsack(16, 11)
+	crowded.capNodes, crowded.capBB = 60, 80
+	for _, c := range []struct {
+		name string
+		k    *knapsack2
+		ok   bool
+	}{{"L=16/certified", crowded, true}, {"L=16/refused", busyKnapsack(16, 11), false}} {
+		b.Run(c.name, func(b *testing.B) {
+			cp := &countingProblem{knapsack2: c.k}
+			live, _ := liveKnapsack{c.k}.LiveSet(nil)
+			budget := walkBudget(DefaultGAConfig(), len(live))
+			g := NewGenome(c.k.Dim())
+			var front []point
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Zero()
+				var ok bool
+				if front, ok = paretoOver(cp, g, live, true, budget, front[:0]); ok != c.ok {
+					b.Fatalf("the walk finished within %d evaluations: %v", budget, ok)
+				}
+			}
+			b.ReportMetric(float64(cp.calls)/float64(b.N), "evals/walk")
+		})
 	}
-	b.ReportMetric(float64(cp.calls)/float64(b.N), "evals/walk")
 }

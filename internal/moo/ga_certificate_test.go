@@ -160,6 +160,16 @@ func TestGACertificateEdges(t *testing.T) {
 	fourteen.capNodes, fourteen.capBB = math.Inf(1), math.Inf(1)
 	thirteen := randomKnapsack(13, 77)
 	sixteen := busyKnapsack(16, 11) // L = 16, of whose 2^16 selections the walk evaluates 1 278
+	crowded := busyKnapsack(16, 11) // L = 16 still, and the walk evaluates 398
+	crowded.capNodes, crowded.capBB = 60, 80
+	// L = 64, every selection of three jobs too big and few of two fit:
+	// the walk evaluates 2 285 selections, mask bit 63 among them.
+	wide := randomKnapsack(64, 11)
+	for i := range wide.nodes {
+		wide.nodes[i] = 28 + math.Mod(wide.nodes[i], 32)
+	}
+	wide.capNodes = 60
+	long := GAConfig{Generations: 3000, Population: 20, MutationProb: def.MutationProb}
 
 	cases := []struct {
 		name   string
@@ -173,7 +183,9 @@ func TestGACertificateEdges(t *testing.T) {
 		{"front of P+1", liveTable{antiDiagonal(5)}, antiDiagonal(5), small, true},
 		{"no interface", table1(), table1(), def, true},
 		{"L=14 at the defaults", liveKnapsack{fourteen}, fourteen, def, true},
-		{"busy L=16 at the defaults", liveKnapsack{sixteen}, sixteen, def, false},
+		{"busy L=16 at the defaults", liveKnapsack{crowded}, crowded, def, false},
+		{"L=16 past G evaluations", liveKnapsack{sixteen}, sixteen, def, true},
+		{"busy L=64 within G evaluations", liveKnapsack{wide}, wide, long, false},
 		{"zero generations", liveKnapsack{table1()}, table1(), GAConfig{Population: 20}, true},
 	}
 	for _, tc := range cases {
@@ -193,16 +205,32 @@ func TestGACertificateEdges(t *testing.T) {
 		sameFront(t, tc.name, front, want)
 	}
 
-	// The L=14 knapsack, whose F* is one genotype, runs all G generations
-	// only because its walk runs out of evaluations: 2^14 > 500·20.
-	live, _ := liveKnapsack{fourteen}.LiveSet(nil)
-	if _, ok := paretoOver(fourteen, NewGenome(14), live, true, def.Generations*def.Population, nil); ok {
-		t.Error("L=14 at the defaults: the walk finished within G·P evaluations")
+	// Over more than G·P selections the walk gets G evaluations. The L=14
+	// knapsack, whose F* is one genotype, and the L=16 one run all G
+	// generations only because their walks run out of them; the L=64 one,
+	// given G = 3 000, walks to the end.
+	for _, w := range []struct {
+		name string
+		k    *knapsack2
+		cfg  GAConfig
+		ok   bool
+	}{{"L=14", fourteen, def, false}, {"L=16", sixteen, def, false}, {"L=64", wide, long, true}} {
+		live, _ := liveKnapsack{w.k}.LiveSet(nil)
+		budget := walkBudget(w.cfg, len(live))
+		if budget != w.cfg.Generations {
+			t.Errorf("%s: a budget of %d evaluations, want G = %d", w.name, budget, w.cfg.Generations)
+		}
+		if _, ok := paretoOver(w.k, NewGenome(w.k.Dim()), live, true, budget, nil); ok != w.ok {
+			t.Errorf("%s: the walk finished within %d evaluations: %v, want %v", w.name, budget, ok, w.ok)
+		}
 	}
 
-	// An L = 13 walk evaluates at most 2^13 ≤ 500·20 selections, so it
-	// always ends in a certificate: whether the GA reaches F* in time is
-	// the instance's business, the front is not.
+	// An L = 13 walk evaluates at most 2^13 ≤ 500·20 selections, its
+	// budget, so it always ends in a certificate: whether the GA reaches
+	// F* in time is the instance's business, the front is not.
+	if budget := walkBudget(def, 13); budget != def.Generations*def.Population {
+		t.Errorf("L=13: a budget of %d evaluations, want G·P", budget)
+	}
 	got, _ := solveCounted(t, liveKnapsack{thirteen}, def, 5)
 	want, _ := solveCounted(t, thirteen, def, 5)
 	sameFront(t, "L=13", got, want)

@@ -19,7 +19,7 @@
 // proof and for when no certificate exists). It comes from the routine
 // behind SolveExhaustive, which walks all 2^w selections; for the
 // certificate the walk extends feasible selections only, and gives up
-// past the G·P evaluations a solve is budgeted.
+// past G·P evaluations over at most G·P selections, past G over more.
 //
 // All objectives are maximized. Minimization objectives (e.g. wasted local
 // SSD, §5's f4) are expressed by negating the value, exactly as the paper

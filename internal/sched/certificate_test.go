@@ -29,9 +29,9 @@ func (n noLiveSet) Evaluate(g moo.Genome) ([]float64, bool)   { return n.p.Evalu
 func (n noLiveSet) Repair(g moo.Genome, drop func(n int) int) { n.p.Repair(g, drop) }
 
 // certifiedGA is large enough that its G·P = 4 000 evaluations cover the
-// certificate's walk over every live set up to eleven jobs (2^11 ≤ 4 000)
-// and over most busy ones beyond, and small enough for a few hundred
-// paired solves.
+// certificate's walk over every live set up to eleven jobs (2^11 ≤ 4 000),
+// and its G = 200 the walk over busy ones beyond, and small enough for a
+// few hundred paired solves.
 var certifiedGA = moo.GAConfig{Generations: 200, Population: 20, MutationProb: 0.01}
 
 // checkCertifiedStop is the differential check behind the test and the
