@@ -110,8 +110,10 @@ farm-smoke:
 # the brute-force best job behind the front, over clocks that advance,
 # repeat and go back), the backfill gather's cells (what a pass keeps and
 # hands out == a flat scan of Sorted, over jobs, free totals and EASY cuts
-# at the node-class and span-class edges) and the engine's unordered
-# window (pass by pass ==
+# at the node-class and span-class edges), rankings carried pass after
+# pass (the front == Sorted's, with its class counts and priority floor
+# checked, under policies whose priorities never fall and ones that do)
+# and the engine's unordered window (pass by pass ==
 # the reference engine that orders every window and writes every age,
 # across a checkpoint), the snapshot restore (a snapshot with mutated
 # containers is refused or runs to the end) and the GA's intern table (one
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test ./internal/backfill -run '^$$' -fuzz '^FuzzPlanRankedMatchesPlan$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzTailTournament$$' -fuzztime 30s
 	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzGatherCells$$' -fuzztime 30s
+	$(GO) test ./internal/queue -run '^$$' -fuzz '^FuzzRankingCarried$$' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLazyWindow$$' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s -fuzzminimizetime 1s
 

@@ -88,6 +88,40 @@ func BenchmarkRankSuccessivePasses(b *testing.B) {
 	}
 }
 
+// BenchmarkPassFullFront is the pass the engine makes over a wide window:
+// Pass with the window as the front, Ranking.Window against the free
+// totals, and Age, which ends a pass whose window no job fits alone — most
+// passes on a full machine. Between passes the clock advances some tens
+// of seconds, a front job starts and a job arrives, over a WFP queue 1 300
+// deep. Half the passes have no free node, so no front job's node class
+// fits; the others have 1–32 free nodes, as many as a job asks for.
+func BenchmarkPassFullFront(b *testing.B) {
+	ready := func(int) bool { return true }
+	const depth = 1300
+	for _, w := range []int{20, 1024} {
+		b.Run(fmt.Sprintf("n=%d/w=%d", depth, w), func(b *testing.B) {
+			q := benchQueue(depth)
+			r := rng.New(3001)
+			now := int64(4000)
+			q.Pass(now, ready, w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += 10 + int64(r.Intn(50))
+				q.Remove(q.slots[r.Intn(q.front)].ID)
+				q.Add(benchJob(r, depth+i+1, now-2000))
+				rk := q.Pass(now, ready, w)
+				free, freeBB := r.Intn(2)*(1+r.Intn(32)), int64(r.Intn(2000))
+				rk.Window(free, freeBB)
+				rk.Age(nil, free, freeBB)
+			}
+			if q.front != w {
+				b.Fatalf("front %d, want %d", q.front, w)
+			}
+		})
+	}
+}
+
 // BenchmarkQueueBytesPerJob reports what a waiting job costs the queue in
 // live heap — its slot, at the capacity append grew the array to, plus its
 // share of a ranking at the paper's window of 20 — as B/job: the queue's

@@ -1,9 +1,9 @@
 package queue
 
-// This file holds Policy, Overtaker and the built-in base-scheduler
+// This file holds Policy, Overtaker, Riser and the built-in base-scheduler
 // policies. A policy sees the queue's slots, not its jobs: Prioritize runs
-// the formula in a plain loop over flat keys, and Overtake bounds how long
-// the order of two of them can last.
+// the formula in a plain loop over flat keys, Overtake bounds how long the
+// order of two of them can last, and Rises promises one never falls.
 
 import (
 	"fmt"
@@ -29,7 +29,8 @@ type Policy interface {
 // The queue finds the method by type assertion, so a policy that embeds a
 // built-in one and changes its Prioritize must override Overtake too, or
 // hide it by embedding the Policy interface instead of the struct: an
-// inherited Overtake certifies the built-in formula, not the new one.
+// inherited Overtake certifies the built-in formula, not the new one. The
+// same holds for Riser.
 type Overtaker interface {
 	// Overtake is asked about two slots whose Prio is their priority at
 	// now, with a ordered before b there (priority descending, ties
@@ -38,6 +39,22 @@ type Overtaker interface {
 	// instant from now until then: never later than the first flip. A
 	// near tie answers now+1; math.MaxInt64 means never.
 	Overtake(a, b *Slot, now int64) int64
+}
+
+// Riser is implemented by a Policy that can promise a job's priority never
+// falls as the clock advances. The queue keeps a floor under its front
+// while every front job carries the promise: the latest key, in base
+// order, any of them held when its priority was last evaluated. A front
+// job's key at a later instant can only be ahead of the floor, so a job
+// behind the front that does not rank before the floor cannot displace
+// any of them, and the pass skips evaluating the front to find its worst
+// member. A policy without the method makes no promise for any job.
+type Riser interface {
+	// Rises reports whether the priority Prioritize computes for s, a NaN
+	// read as 0 as the queue reads it, is at every instant at least what
+	// it is at any earlier one. Like Overtake it speaks of instants at
+	// which now − SubmitTime does not overflow.
+	Rises(s *Slot) bool
 }
 
 // margin is the relative gap two jobs' priorities must keep, in real
@@ -76,6 +93,9 @@ func (FCFS) Prioritize(slots []Slot, _ int64) {
 
 // Overtake implements Overtaker: the order of two FCFS jobs never changes.
 func (FCFS) Overtake(_, _ *Slot, _ int64) int64 { return math.MaxInt64 }
+
+// Rises implements Riser: every priority is 0 at every instant.
+func (FCFS) Rises(*Slot) bool { return true }
 
 // WFP is ALCF's utility policy: priority grows with job size and with the
 // cube of waiting time relative to the requested walltime, so large jobs
@@ -149,6 +169,13 @@ func (WFP) Overtake(a, b *Slot, now int64) int64 {
 	return now + 2
 }
 
+// Rises implements Riser. The wait, clamped at 0, never falls, nor does
+// its ratio to a positive estimate, nor that ratio's cube: float division
+// and products of non-negative numbers round monotonically. Scaled by a
+// non-negative node count the priority never falls; by a negative one —
+// a hand-built job, which validation rejects — it falls as the job waits.
+func (WFP) Rises(s *Slot) bool { return s.Nodes >= 0 }
+
 // wfpAhead reports whether waits wa and wb keep a ahead of b, their lines'
 // slopes being in the ratio num/den cubed.
 func wfpAhead(wa, wb int64, num, den float64) bool {
@@ -212,6 +239,19 @@ func (m Multifactor) Prioritize(slots []Slot, now int64) {
 	for i := range slots {
 		slots[i].Prio = m.priority(&slots[i], now, ageW, sizeW, maxAge)
 	}
+}
+
+// Rises implements Riser. The age factor, the wait clamped to [0, maxAge]
+// over maxAge, never falls, so neither does the priority when the age
+// weight is not negative: a product with a non-negative weight and a sum
+// with the fixed size term round monotonically, and where they make a NaN
+// (an infinite weight times a zero age, or opposite infinities), the 0 the
+// queue reads it as is never above what the priority is later. A negative
+// age weight makes every priority fall as its job waits, and a NaN one
+// promises nothing.
+func (m Multifactor) Rises(*Slot) bool {
+	ageW, _, _ := m.weights()
+	return ageW >= 0
 }
 
 // Overtake implements Overtaker. A job's age factor grows at one rate from

@@ -3,6 +3,7 @@ package queue
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -117,6 +118,73 @@ func TestPolicyKeyMatchesJobFormula(t *testing.T) {
 	}
 }
 
+// TestRisesKeepsItsPromise holds every Riser to its word: over keys at the
+// formulas' edges — a zero or negative estimate, zero, one, negative and
+// job.MaxDemand nodes — and rising instants through the submit time
+// (WFP's wait < 0 clamp) and Multifactor's saturation kink, the priority
+// the queue reads, a NaN as 0, never falls for a key Rises accepts. The
+// keys it refuses — WFP's negative node counts, a negative age weight —
+// must be ones whose priority does fall, or the refusal costs the floor
+// for nothing.
+func TestRisesKeepsItsPromise(t *testing.T) {
+	const kink = 300 // the tuned Multifactors' MaxAgeSec
+	policies := []Policy{
+		FCFS{},
+		WFP{},
+		Multifactor{},
+		Multifactor{AgeWeight: 3, SizeWeight: -0.7, MaxAgeSec: kink, MachineNodes: 4392},
+		Multifactor{AgeWeight: math.Inf(1), MaxAgeSec: kink},
+		Multifactor{AgeWeight: math.Inf(1), SizeWeight: math.Inf(-1), MaxAgeSec: kink},
+		Multifactor{AgeWeight: -1000, MaxAgeSec: kink},
+	}
+	r := rng.New(613)
+	one := make([]Slot, 1)
+	prio := func(pol Policy, s Slot, now int64) float64 {
+		one[0] = s
+		pol.Prioritize(one, now)
+		patchNaN(&one[0])
+		return one[0].Prio
+	}
+	for _, pol := range policies {
+		riser := pol.(Riser)
+		refused, fell := 0, 0
+		for _, nodes := range []int64{-7, -1, 0, 1, 3, 4392, job.MaxDemand} {
+			for _, est := range []int64{-5, 0, 1, 7, 3600} {
+				for _, submit := range []int64{0, 999, 1_000_000_000} {
+					s := SlotOf(&job.Job{ID: 1, SubmitTime: submit, WalltimeEst: est, Demand: job.Demand{Res: []int64{nodes, 0}}})
+					var instants []int64
+					for _, d := range []int64{-100, -1, 0, 1, 2, kink - 1, kink, kink + 1, 604799, 604800, 604801, 1_000_000_000} {
+						instants = append(instants, submit+d)
+					}
+					for range 30 {
+						instants = append(instants, submit-1000+int64(r.Intn(2_000_000)))
+					}
+					slices.Sort(instants)
+					rises, fall := riser.Rises(&s), false
+					for k := 1; k < len(instants); k++ {
+						a, b := prio(pol, s, instants[k-1]), prio(pol, s, instants[k])
+						if b < a {
+							if rises {
+								t.Fatalf("%s %+v: Rises, but the priority falls from %v at %d to %v at %d", pol.Name(), s.Key, a, instants[k-1], b, instants[k])
+							}
+							fall = true
+						}
+					}
+					if !rises {
+						refused++
+						if fall {
+							fell++
+						}
+					}
+				}
+			}
+		}
+		if fell != refused {
+			t.Errorf("%s: %d keys refused, only %d of them fall", pol.Name(), refused, fell)
+		}
+	}
+}
+
 // TestSlotAndEntrySizes pins the two numbers a deep queue's memory scales
 // with — a slot per waiting job, an entry per ranked job — and that an
 // entry's clamped demands still never make the prefilter reject a job
@@ -164,6 +232,10 @@ func TestCheckInvariantCatches(t *testing.T) {
 		"waits twice":        func(q *Queue) { q.slots = append(q.slots, q.slots[2]) },
 		"front out of order": func(q *Queue) { q.slots[1], q.slots[2] = q.slots[2], q.slots[1] },
 		"front past its end": func(q *Queue) { q.front = len(q.slots) + 1 },
+		"class miscounted":   func(q *Queue) { q.frontClass[classOf(&q.slots[0])]-- },
+		"floor above the front": func(q *Queue) {
+			q.floor, q.floorAt, q.floored = markOf(&q.slots[0]), 500, true // slots[1] ranks after it
+		},
 	} {
 		for _, pol := range []Policy{FCFS{}, WFP{}} {
 			q := build(pol)
@@ -344,6 +416,25 @@ func randomJob(r *rng.Stream, id int) *job.Job {
 	return j
 }
 
+// negativeNodes is WFP over queues in which some jobs ask for a negative
+// node count, which job validation rejects but a hand-built job can carry:
+// WFP ranks such a job by a priority that falls as it waits, so Rises
+// refuses it and a front holding one keeps no floor.
+type negativeNodes struct{ WFP }
+
+func (negativeNodes) Name() string { return "WFP-negative-nodes" }
+
+// drawJob is randomJob for a queue ordered by pol: under negativeNodes one
+// job in four asks for -1 to -8 nodes. Other policies draw what randomJob
+// draws, from the same stream.
+func drawJob(r *rng.Stream, pol Policy, id int) *job.Job {
+	j := randomJob(r, id)
+	if _, ok := pol.(negativeNodes); ok && r.Bool(0.25) {
+		j.Demand.Set(job.Nodes, -1-int64(r.Intn(8)))
+	}
+	return j
+}
+
 // entryJobs unwraps entries, requiring each to carry its job's demands.
 func entryJobs(t *testing.T, entries []Entry) []*job.Job {
 	t.Helper()
@@ -494,6 +585,8 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 		WFP{},
 		Multifactor{MachineNodes: 64},
 		nanEvery{WFP{}},
+		Multifactor{AgeWeight: -1000},
+		negativeNodes{},
 	}
 	for pi, pol := range policies {
 		t.Run(fmt.Sprintf("%d-%s", pi, pol.Name()), func(t *testing.T) {
@@ -505,7 +598,7 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				jobs := make([]*job.Job, r.Intn(90))
 				for i := range jobs {
-					jobs[i] = randomJob(r, i+1)
+					jobs[i] = drawJob(r, pol, i+1)
 				}
 				depsDone := func(id int) bool { return id < 1002 }
 				now := int64(r.Intn(400))
@@ -548,16 +641,11 @@ func TestRankingMatchesSortedReference(t *testing.T) {
 // moves). Each case runs at each of testFronts and at a front drawn anew
 // every pass. After every Rank the queue's front must be the first front
 // dep-ready jobs of Sorted(now), and the ranking, consumed by a few random
-// calls, must match filter(Sorted(now)).
+// calls, must match filter(Sorted(now)). The policies are carriedPolicies:
+// those whose priorities never fall, which keep a floor under the front,
+// and those that do not, the adversarial ones among them.
 func TestRankingCarriedAcrossPasses(t *testing.T) {
-	policies := []Policy{
-		FCFS{},
-		WFP{},
-		Multifactor{MachineNodes: 64},
-		nanEvery{WFP{}},
-		reversing{},
-	}
-	for pi, pol := range policies {
+	for pi, pol := range carriedPolicies {
 		t.Run(fmt.Sprintf("%d-%s", pi, pol.Name()), func(t *testing.T) {
 			r := rng.New(uint64(211 + pi))
 			trials := 40
@@ -573,6 +661,38 @@ func TestRankingCarriedAcrossPasses(t *testing.T) {
 	}
 }
 
+// carriedPolicies are the policies TestRankingCarriedAcrossPasses and
+// FuzzRankingCarried carry rankings under.
+var carriedPolicies = []Policy{
+	FCFS{},
+	WFP{},
+	Multifactor{MachineNodes: 64},
+	nanEvery{WFP{}},
+	reversing{},
+	Multifactor{AgeWeight: -1000},
+	negativeNodes{},
+}
+
+// FuzzRankingCarried runs carryRanking from the fuzzed seed under every
+// policy of carriedPolicies, each at a front drawn from testFronts or
+// drawn anew every pass: the queue's front after every pass must be
+// Sorted's, the ranking must match filter(Sorted(now)), and CheckInvariant
+// — the front's counts, and no front job after a floor held — must hold
+// after every step.
+func FuzzRankingCarried(f *testing.F) {
+	for seed := uint64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	fronts := append(testFronts, frontDrawn)
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rng.New(seed)
+		for _, pol := range carriedPolicies {
+			tf := fronts[r.Intn(len(fronts))]
+			carryRanking(t, r, pol, tf, fmt.Sprintf("%s front %d", pol.Name(), tf))
+		}
+	})
+}
+
 // carryRanking is one TestRankingCarriedAcrossPasses case: 60 passes over
 // one queue ranked at front tf.
 func carryRanking(t *testing.T, r *rng.Stream, pol Policy, tf int, label string) {
@@ -583,7 +703,7 @@ func carryRanking(t *testing.T, r *rng.Stream, pol Policy, tf int, label string)
 	depsDone := func(id int) bool { return id < doneBelow }
 	for pass := 0; pass < 60; pass++ {
 		for n := r.Intn(12); n > 0; n-- {
-			j := randomJob(r, nextID)
+			j := drawJob(r, pol, nextID)
 			j.SubmitTime += now / 2 // arrivals follow the clock
 			nextID++
 			if err := q.Add(j); err != nil {

@@ -48,22 +48,31 @@
 // enters a job without dependencies at its submit time; Pass enters the
 // others once their dependencies hold.
 //
-// The front is ordered on demand. Its priorities are evaluated only when a
-// swap needs its worst member or a read needs an order, and it is put in
-// base order, by insertion from the order it last had, only when the
-// ranking is first read in order (Front, Take, Next, Rest, Prune, Aged;
-// Rank is Pass followed by that). Window reads it as it lies instead: one
-// pass over the front's demands finds the window's jobs that may fit the
-// free totals, and the front's priorities are evaluated only if Before
-// compares two of them. A job promoted into the front brings its priority
-// at the instant it was promoted, so no priority is evaluated twice at
-// one instant. Behind the front a priority is evaluated only for a job that is compared
-// or gathered, so a pass that reads no order costs a read of the window's
-// demands plus what changed, not the queue's depth. A queue that did
-// scramble (a restored one, the first pass, a clock set back, a front as
-// deep as the queue) exceeds the ordering's move budget, or needs more
-// jobs promoted than a sort costs, and is sorted once, so the worst case
-// stays O(n log n).
+// The front is ordered on demand. Its priorities are evaluated only when
+// the tail's winner may displace its worst member or a read needs an
+// order. Under a policy that promises a job's priority never falls
+// (Riser), the queue keeps a floor under a front whose jobs all carry the
+// promise: the latest key, in base order, any of them held when its
+// priority was last evaluated. No front job can rank after the floor at a
+// later instant, so a winner that does not rank before it displaces
+// nobody, and the pass ends without evaluating the front; a winner ahead
+// of it has the front evaluated, and the worst member that finds becomes
+// the floor. The front is put in base order, by insertion from the order
+// it last had, only when the ranking is first read in order (Front, Take,
+// Next, Rest, Prune, Aged; Rank is Pass followed by that). Window reads it
+// as it lies instead. The queue counts the front's jobs by node class, so
+// a window none of whose classes fits the free nodes is answered without
+// reading a slot; otherwise one pass over the front's demands finds the
+// window's jobs that may fit the free totals, and the front's priorities
+// are evaluated only if Before compares two of them. A job promoted into
+// the front brings its priority at the instant it was promoted, so no
+// priority is evaluated twice at one instant. Behind the front a priority
+// is evaluated only for a job that is compared or gathered, so a pass that
+// reads no order costs a read of the window's demands plus what changed,
+// not the queue's depth. A queue that did scramble (a restored one, the
+// first pass, a clock set back, a front as deep as the queue) exceeds the
+// ordering's move budget, or needs more jobs promoted than a sort costs,
+// and is sorted once, so the worst case stays O(n log n).
 //
 // A job's window age — the passes it has spent in the window without
 // being started, which starvation forcing reads — is the queue's: the job
@@ -152,6 +161,7 @@ func SlotOf(j *job.Job) Slot {
 type Queue struct {
 	policy Policy
 	over   Overtaker // policy's, or nil
+	riser  Riser     // policy's, or nil
 	// slots holds the waiting jobs: slots[:front] the best front dep-ready
 	// jobs of the last Rank, in its base order, then the tail in no order
 	// but laid out in cells: node class c's jobs are
@@ -168,11 +178,22 @@ type Queue struct {
 	// one instant), and those of the jobs promoted after them,
 	// slots[fresh:front], for freshAt; ordered reports whether the front is
 	// in base order at them. frontDeps counts the front's jobs that list a
-	// dependency.
+	// dependency, frontFalls those whose priority may fall (Riser), and
+	// frontClass those of each node class; frontCells has bit c set when
+	// there are any of class c.
 	frontAt, freshAt int64
 	fresh            int
 	ordered          bool
 	frontDeps        int
+	frontFalls       int
+	frontClass       [classes]int32
+	frontCells       uint64
+	// While floored, every front job's priority rises, and none ranks
+	// after floor at floorAt: at no later instant can one, so a job that
+	// does not rank before the floor there cannot displace one.
+	floor   mark
+	floorAt int64
+	floored bool
 	// passes counts the window passes the front was aged by (Ranking.Age),
 	// modulo 2^32.
 	passes uint32
@@ -187,7 +208,8 @@ type Queue struct {
 // New returns an empty queue ordered by policy.
 func New(policy Policy) *Queue {
 	over, _ := policy.(Overtaker)
-	return &Queue{policy: policy, over: over, frontAt: math.MinInt64, freshAt: math.MinInt64, tour: tournament{ids: map[int]place{}}}
+	riser, _ := policy.(Riser)
+	return &Queue{policy: policy, over: over, riser: riser, frontAt: math.MinInt64, freshAt: math.MinInt64, tour: tournament{ids: map[int]place{}}}
 }
 
 // Policy returns the queue's ordering policy.
@@ -215,6 +237,22 @@ func before(a, b *Slot) bool {
 		return a.SubmitTime < b.SubmitTime
 	}
 	return a.ID < b.ID
+}
+
+// mark is where a slot stood in base order at one instant: its priority
+// then, its submit time and its ID.
+type mark struct {
+	prio   float64
+	submit int64
+	id     int
+}
+
+func markOf(s *Slot) mark { return mark{s.Prio, s.SubmitTime, s.ID} }
+
+// aboveFloor reports whether s ranks before the floor.
+func (q *Queue) aboveFloor(s *Slot) bool {
+	f := Slot{Prio: q.floor.prio, Key: Key{ID: q.floor.id, SubmitTime: q.floor.submit}}
+	return before(s, &f)
 }
 
 // compare is before as a three-way comparison, for the fallback sort.
@@ -328,8 +366,10 @@ func (q *Queue) Contains(id int) bool {
 // job's, that IDs are unique, that a front last ordered is in base order
 // at the priorities last evaluated, that the tail is laid out in cells
 // whose sizes add up to their node class, with every job inside its own
-// cell and on its own leaf, and that the ID map finds each job; tests
-// call it after random operation sequences.
+// cell and on its own leaf, that the ID map finds each job, that the
+// front's counts are a recount's, and that while a floor is held no front
+// job ranks after it at its instant, priorities evaluated afresh from the
+// jobs; tests call it after random operation sequences.
 func (q *Queue) CheckInvariant() error {
 	if q.front < 0 || q.front > len(q.slots) {
 		return fmt.Errorf("queue: front %d of %d slots", q.front, len(q.slots))
@@ -390,6 +430,34 @@ func (q *Queue) CheckInvariant() error {
 	}
 	if live != t.live {
 		return fmt.Errorf("queue: %d dep-ready tail jobs counted as %d", live, t.live)
+	}
+	return q.checkFront()
+}
+
+// checkFront is CheckInvariant's check of the front's counts and floor.
+func (q *Queue) checkFront() error {
+	recount := Queue{riser: q.riser}
+	for i := range q.slots[:q.front] {
+		recount.count(&q.slots[i], 1)
+	}
+	if recount.frontDeps != q.frontDeps || recount.frontFalls != q.frontFalls || recount.frontClass != q.frontClass || recount.frontCells != q.frontCells {
+		return fmt.Errorf("queue: front counted as %d with dependencies, %d that may fall, %v by node class (%033b); a recount finds %d, %d, %v (%033b)",
+			q.frontDeps, q.frontFalls, q.frontClass, q.frontCells, recount.frontDeps, recount.frontFalls, recount.frontClass, recount.frontCells)
+	}
+	if !q.floored {
+		return nil
+	}
+	if q.frontFalls > 0 {
+		return fmt.Errorf("queue: a floor is held over %d front jobs whose priority may fall", q.frontFalls)
+	}
+	one := make([]Slot, 1)
+	for i := range q.slots[:q.front] {
+		one[0] = SlotOf(q.slots[i].Job)
+		q.policy.Prioritize(one, q.floorAt)
+		if patchNaN(&one[0]); markOf(&one[0]) != q.floor && !q.aboveFloor(&one[0]) {
+			return fmt.Errorf("queue: front job %d, priority %v at %d, ranks after the floor, job %d's priority %v",
+				one[0].ID, one[0].Prio, q.floorAt, q.floor.id, q.floor.prio)
+		}
 	}
 	return nil
 }
@@ -534,8 +602,9 @@ const repairBudget = 4
 // the rest in its tail until a caller reads past them. The tail's
 // tournament is brought to now and its winner promoted while the front
 // has room or it outranks the front's worst member. The front's priorities
-// are evaluated only when something compares them: that swap test, or a
-// read of the ranking that needs an order. Behind the front only the jobs
+// are evaluated only when something compares them: that swap test, when
+// the winner ranks before the front's floor or none is held, or a read of
+// the ranking that needs an order. Behind the front only the jobs
 // compared or gathered are prioritized. Only a job that has dependencies
 // is dereferenced. No allocation once the arrays have grown.
 func (q *Queue) Pass(now int64, depsDone func(id int) bool, front int) *Ranking {
@@ -566,13 +635,16 @@ func (q *Queue) Rank(now int64, depsDone func(id int) bool, front int) *Ranking 
 // members whose dependencies no longer hold go to the tail, a front asked
 // smaller is ordered and cut from its end, and then the tail's winner is
 // promoted while the front has room, or put in place of the worst member
-// while it outranks it — only then are the front's priorities evaluated,
-// and the worst found again after each swap. A front that must take in
+// while it outranks it. A winner that does not rank before the floor
+// displaces nobody, and the pass ends there; otherwise the front's
+// priorities are evaluated to find its worst member, which sets the floor,
+// and the worst is found again after each swap. A front that must take in
 // more jobs than a sort costs, or a tail shrunk to under a quarter of the
 // tournament's width, whose paths the sort's rebuild shortens, is sorted
 // once instead.
 func (q *Queue) admit(now int64, depsDone func(id int) bool, front int) {
 	q.dropBroken(depsDone)
+	q.floored = q.floored && now >= q.floorAt
 	worst := -1
 	if q.front > front {
 		if q.order(now, depsDone, front) {
@@ -581,6 +653,7 @@ func (q *Queue) admit(now int64, depsDone func(id int) bool, front int) {
 			}
 		}
 		worst = q.front - 1
+		q.setFloor(worst, now)
 	}
 	if n := len(q.slots); min(front-q.front, q.tour.live)*bits.Len(uint(n)) > n || q.tour.size > 16 && 4*(n-q.front) < q.tour.size {
 		q.sortReady(now, depsDone, front)
@@ -591,11 +664,15 @@ func (q *Queue) admit(now int64, depsDone func(id int) bool, front int) {
 		w := q.tour.winner()
 		s := q.leafSlot(w, now)
 		if q.front == front {
+			if front == 0 || worst < 0 && q.floored && !q.aboveFloor(s) {
+				return
+			}
 			if worst < 0 {
 				q.prioritize(now)
 				worst = q.worst()
+				q.setFloor(worst, now)
 			}
-			if front == 0 || !before(s, &q.slots[worst]) {
+			if !before(s, &q.slots[worst]) {
 				return
 			}
 			q.demote(worst, true)
@@ -682,6 +759,14 @@ func (q *Queue) prioAtFront(i int) int64 {
 		return q.frontAt
 	}
 	return q.freshAt
+}
+
+// setFloor makes front slot worst's key, its priority at now, the floor,
+// if the front has a worst member and every front job's priority rises.
+func (q *Queue) setFloor(worst int, now int64) {
+	if worst >= 0 && q.frontFalls == 0 {
+		q.floor, q.floorAt, q.floored = markOf(&q.slots[worst]), now, true
+	}
 }
 
 // worst returns the index of the front's worst member, -1 for an empty
@@ -785,13 +870,17 @@ func (r *Ranking) Len() int {
 // Window returns the jobs of the pass's window, the queue's front, that
 // MayFit freeNodes and freeBB, in the order the front holds them, before
 // the pass knows whether it needs the window's order: it reads only the
-// front's entries. Window takes nothing: the pass goes on to read the
-// window in order (Front, Take) or ends it with Age. Before and WindowAge
-// read the jobs it returned by index; the slice is the caller's until the
-// queue is ranked again.
+// front's entries, and none when no front job's node class fits
+// freeNodes. Window takes nothing: the pass goes on to read the window in
+// order (Front, Take) or ends it with Age. Before and WindowAge read the
+// jobs it returned by index; the slice is the caller's until the queue is
+// ranked again.
 func (r *Ranking) Window(freeNodes int, freeBB int64) []Entry {
 	q := r.q
 	r.window, r.at, r.prio = r.window[:0], r.at[:0], r.prio[:0]
+	if !q.frontMayFit(freeNodes) {
+		return r.window
+	}
 	for i := range q.slots[:q.front] {
 		if e := q.slots[i].Entry; e.MayFit(freeNodes, freeBB) {
 			r.at = append(r.at, int32(i))
@@ -799,6 +888,12 @@ func (r *Ranking) Window(freeNodes int, freeBB int64) []Entry {
 		}
 	}
 	return r.window
+}
+
+// frontMayFit reports whether the front holds a job whose node class's
+// smallest member fits freeNodes: only such a job may pass MayFit.
+func (q *Queue) frontMayFit(freeNodes int) bool {
+	return q.frontCells&(2<<min(nodeClass(freeNodes), classes-1)-1) != 0
 }
 
 // FrontLen returns how many jobs the queue's front holds: the best
@@ -913,17 +1008,19 @@ func (r *Ranking) Aged(dst []Entry, skip []*job.Job) []Entry {
 }
 
 // MayFit reports whether some job left in the ranking passes MayFit for
-// freeNodes and freeBB. Behind the front it reads only the node classes
-// that may hold such a job, and stops at the first.
+// freeNodes and freeBB. In the front and behind it, it reads only the
+// node classes that may hold such a job, and stops at the first.
 func (r *Ranking) MayFit(freeNodes int, freeBB int64) bool {
 	fits := func(e Entry) bool { return e.MayFit(freeNodes, freeBB) }
 	if slices.ContainsFunc(r.entries[r.lo:], fits) {
 		return true
 	}
 	q := r.q
-	for i := range r.unread {
-		if fits(q.slots[i].Entry) {
-			return true
+	if r.unread > 0 && q.frontMayFit(freeNodes) {
+		for i := range r.unread {
+			if fits(q.slots[i].Entry) {
+				return true
+			}
 		}
 	}
 	if r.pending == 0 {

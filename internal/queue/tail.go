@@ -362,7 +362,9 @@ func cut(list []int32, id int32) []int32 {
 
 // promote moves leaf id's job, prioritized at now, to the end of the
 // front, its age held as a front slot's: the first job of each cell from
-// its own down moves up into the hole it leaves.
+// its own down moves up into the hole it leaves. The floor, if held, takes
+// the later of its key and the job's, and moves to now; a job whose
+// priority may fall drops it.
 func (q *Queue) promote(id int32, now int64) {
 	if q.fresh == q.front || q.freshAt != now {
 		// The jobs promoted before join the rest, whose priorities are for
@@ -387,8 +389,15 @@ func (q *Queue) promote(id int32, now int64) {
 	q.slots[i] = s
 	q.front++
 	q.ordered = false
-	if s.HasDeps {
-		q.frontDeps++
+	q.count(&q.slots[i], 1)
+	switch {
+	case q.frontFalls > 0:
+		q.floored = false
+	case q.floored:
+		if !q.aboveFloor(&q.slots[i]) {
+			q.floor = markOf(&q.slots[i])
+		}
+		q.floorAt = now
 	}
 }
 
@@ -416,15 +425,31 @@ func (q *Queue) demote(i int, ready bool) {
 // leaveFront takes front slot i out of the front: the front closes up over
 // it, leaving its last slot, slots[front], free.
 func (q *Queue) leaveFront(i int) {
-	if q.slots[i].HasDeps {
-		q.frontDeps--
-	}
+	q.count(&q.slots[i], -1)
 	if i < q.fresh {
 		q.fresh--
 	}
 	q.rank.prio = q.rank.prio[:0] // Before's values are for slots that move
 	q.front--
 	copy(q.slots[i:q.front], q.slots[i+1:q.front+1])
+}
+
+// count adds d to the front's counts for the job at s: of jobs that list a
+// dependency, of jobs whose priority may fall, and of jobs in its node
+// class.
+func (q *Queue) count(s *Slot, d int) {
+	if s.HasDeps {
+		q.frontDeps += d
+	}
+	if q.riser == nil || !q.riser.Rises(s) {
+		q.frontFalls += d
+	}
+	c := classOf(s)
+	if q.frontClass[c] += int32(d); q.frontClass[c] > 0 {
+		q.frontCells |= 1 << c
+	} else {
+		q.frontCells &^= 1 << c
+	}
 }
 
 // checkDeps brings the dep-readiness of the tail's jobs with dependencies
@@ -511,19 +536,18 @@ func (q *Queue) child(c int, now int64) (int32, int64) {
 
 // rebuild makes slots[front:] the tail afresh: laid out in cells, every
 // priority evaluated at now, the tail on leaves by slot order, in a tree
-// as wide as the tail, every pair to decide anew. Every slot holds its
-// job's age as a front slot does, and a tail job takes its own back.
+// as wide as the tail, every pair to decide anew, the front counted
+// afresh and its floor dropped. Every slot holds its job's age as a front
+// slot does, and a tail job takes its own back.
 func (q *Queue) rebuild(now int64, depsDone func(id int) bool) {
 	tail := q.slots[q.front:]
 	slices.SortFunc(tail, compareCell)
 	q.sizes, q.cells = [classes][spanClasses]int32{}, [classes]uint32{}
 	t := &q.tour
-	q.frontDeps = 0
+	q.frontDeps, q.frontFalls, q.frontClass, q.frontCells, q.floored = 0, 0, [classes]int32{}, 0, false
 	for i := range q.slots[:q.front] {
 		t.ids[q.slots[i].ID] = place{leaf: -1}
-		if q.slots[i].HasDeps {
-			q.frontDeps++
-		}
+		q.count(&q.slots[i], 1)
 	}
 	t.leaves = slices.Grow(t.leaves[:0], len(tail))[:len(tail)]
 	t.free, t.freed, t.deps, t.live = t.free[:0], t.freed[:0], t.deps[:0], 0
