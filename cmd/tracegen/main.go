@@ -1,8 +1,9 @@
 // Command tracegen generates synthetic Cori-like or Theta-like workload
 // traces (optionally with the paper's S1–S4 burst-buffer expansions or
-// S5–S7 local-SSD mixes) and writes them as CSV. By default the trace is
-// trace.ApplyVariant over trace.Generate, the same workload bbsim
-// -variant and the paper matrices build.
+// S5–S7 local-SSD mixes) and writes them as CSV, gzipped when the output
+// name ends in ".gz". By default the trace is trace.ApplyVariant over
+// trace.Generate, the same workload bbsim -variant and the paper matrices
+// build.
 //
 // With -stream the trace is generated and written one job at a time
 // through the streaming pipeline (GenSource → variant combinators →
@@ -15,10 +16,11 @@
 //
 //	tracegen -system theta -jobs 5000 -variant S4 -o theta-s4.csv
 //	tracegen -system cori -scale 64 -variant S6 -o cori-s6.csv
-//	tracegen -stream -jobs 1000000 -variant S2 -o theta-s2-1m.csv
+//	tracegen -stream -jobs 1000000 -variant S2 -o theta-s2-1m.csv.gz
 package main
 
 import (
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"io"
@@ -37,20 +39,9 @@ func main() {
 		variant = flag.String("variant", "original", "original, S1..S4 (burst buffer), S5..S7 (local SSD)")
 		deps    = flag.Float64("deps", 0, "fraction of jobs given a dependency")
 		stream  = flag.Bool("stream", false, "generate and write one job at a time (constant memory; for very large -jobs)")
-		out     = flag.String("o", "-", "output file ('-' = stdout)")
+		out     = flag.String("o", "-", "output file ('-' = stdout; a name ending in .gz is gzipped)")
 	)
 	flag.Parse()
-
-	var dst io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		dst = f
-	}
 
 	var (
 		src  trace.JobSource
@@ -65,12 +56,39 @@ func main() {
 		src, name = trace.SourceOf(w), w.Name
 	}
 	if err == nil {
-		err = emit(dst, name, src)
+		err = write(*out, name, src)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
+}
+
+// write emits src to path ('-' = stdout), gzipped at BestSpeed when the
+// name ends in ".gz", as every trace reader (trace.OpenTrace, bbsim
+// -stream) expects of such a name.
+func write(path, name string, src trace.JobSource) error {
+	if path == "-" {
+		return emit(os.Stdout, name, src)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	var dst io.Writer = f
+	var gz *gzip.Writer
+	if strings.HasSuffix(strings.ToLower(path), ".gz") {
+		gz, _ = gzip.NewWriterLevel(f, gzip.BestSpeed) // a valid level: cannot fail
+		dst = gz
+	}
+	err = emit(dst, name, src)
+	if err == nil && gz != nil {
+		err = gz.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // emit writes src as CSV and prints a summary line, tracking its

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,5 +98,48 @@ func TestBuildOutputRoundTrips(t *testing.T) {
 	}
 	if len(back) != 60 {
 		t.Fatalf("round trip = %d jobs", len(back))
+	}
+}
+
+// TestWriteGzipReadsBack: an output named .csv.gz is gzip, and
+// trace.OpenTrace, which gunzips by that suffix, reads back the jobs
+// written; a plain name stays plain CSV.
+func TestWriteGzipReadsBack(t *testing.T) {
+	w, err := build("theta", 3000, 5, 32, "S4", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := trace.WriteCSV(&want, w.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"t.csv.gz", "T.CSV.GZ", "t.csv"} {
+		path := filepath.Join(dir, name)
+		if err := write(path, w.Name, trace.SourceOf(w)); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gz := bytes.HasPrefix(raw, []byte{0x1f, 0x8b}); gz != strings.HasSuffix(strings.ToLower(name), ".gz") {
+			t.Fatalf("%s: gzip header %v", name, gz)
+		}
+		src, err := trace.OpenTrace(path, trace.SWFOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := trace.Collect(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got bytes.Buffer
+		if err := trace.WriteCSV(&got, back); err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(w.Jobs) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: read back %d jobs, wrote %d, and they differ", name, len(back), len(w.Jobs))
+		}
 	}
 }

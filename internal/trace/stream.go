@@ -36,14 +36,20 @@ import (
 // own that keeps a ring of four 4 KiB blocks filled ahead of the decoder
 // (readahead.go); Next still runs only on the caller's goroutine, and a
 // decoder over a caller's reader (NewCSVSource, NewSWFSource) reads it
-// synchronously. The CSV decoder and writer do not use encoding/csv:
-// CSVSource unquotes a record from the bufio.Reader's slices into one
-// reused buffer and parses its integers with no allocated string, and
-// CSVWriter appends a record into one reused buffer. Both hold to
-// encoding/csv's language and bytes; the encoding/csv oracle and the
-// fuzzer that compares them are in csv_reference_test.go. A job and its
-// demand are one allocation (job.NewPacked), and a CSV source shares one
-// string among the jobs of a user.
+// synchronously. On the write side, CSVWriter formats records on the
+// caller's goroutine into 64 KiB blocks and a goroutine of its own writes
+// them to the caller's writer, a gzip.Writer's deflate included
+// (writebehind.go). That goroutine starts when the first block is full,
+// so a trace under 64 KiB is written by Flush on the caller's goroutine;
+// Flush waits for it to write every block and return, and until then the
+// caller must not write to its writer. The CSV decoder and writer do not
+// use encoding/csv: CSVSource unquotes a record from the bufio.Reader's
+// slices into one reused buffer and parses its integers with no allocated
+// string, and CSVWriter appends a record straight into its block. Both
+// hold to encoding/csv's language and bytes; the encoding/csv oracle and
+// the fuzzer that compares them are in csv_reference_test.go. A job and
+// its demand are one allocation (job.NewPacked), and a CSV or SWF source
+// shares one string among the jobs of a user.
 
 // fileSource ends a decoder's stream: it closes the backing reader, if
 // that is an io.Closer, when the stream drains or fails, or on Close.
@@ -87,6 +93,7 @@ type SWFSource struct {
 	emitted    int
 	lastSubmit int64
 	fields     [swfNumFields]int64
+	users      map[int64]string
 }
 
 // NewSWFSource returns a streaming SWF decoder over r. If r implements
@@ -96,7 +103,7 @@ func NewSWFSource(r io.Reader, opts SWFOptions) *SWFSource {
 	opts.CoresPerNode = max(opts.CoresPerNode, 1)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &SWFSource{fileSource: newFileSource(r), sc: sc, opts: opts}
+	return &SWFSource{fileSource: newFileSource(r), sc: sc, opts: opts, users: map[int64]string{}}
 }
 
 // OpenSWF opens path as a streaming SWF source, transparently
@@ -191,9 +198,25 @@ func (s *SWFSource) record() (*job.Job, *[swfNumFields]int64, error) {
 		if j == nil {
 			continue
 		}
+		if uid := s.fields[swfUserID]; uid >= 0 {
+			j.User = s.user(uid)
+		}
 		s.emitted++
 		return j, &s.fields, nil
 	}
+}
+
+// user returns the name of user uid as a string the source's jobs share,
+// as CSVSource.user does.
+func (s *SWFSource) user(uid int64) string {
+	if u, ok := s.users[uid]; ok {
+		return u
+	}
+	u := fmt.Sprintf("user%03d", uid)
+	if len(s.users) < maxInternedUsers {
+		s.users[uid] = u
+	}
+	return u
 }
 
 // CSVSource streams a trace in the repository's CSV format (see
@@ -228,8 +251,9 @@ var (
 	errQuote      = errors.New(`extraneous or missing " in quoted-field`)
 )
 
-// maxInternedUsers bounds the user names a CSVSource shares among its
-// jobs; a trace with more distinct users gives the rest a string each.
+// maxInternedUsers bounds the user names a CSVSource or SWFSource shares
+// among its jobs; a trace with more distinct users gives the rest a string
+// each.
 const maxInternedUsers = 1 << 10
 
 // NewCSVSource returns a streaming CSV decoder over r, reading and
@@ -500,9 +524,16 @@ func (s *CSVSource) user(b []byte) string {
 // nothing materialized — tracegen uses it to produce million-job fixtures
 // in constant memory. WriteCSV is a loop over it. It writes the bytes
 // encoding/csv's Writer writes for the same rows.
+//
+// Records are appended into 64 KiB blocks that a goroutine of the
+// writer's own writes to w (writebehind.go). The goroutine starts when the
+// first block is full; from then until Flush returns it owns w, so the
+// caller must not write to w, or close it, in between. Flush hands on the
+// last block, waits for the goroutine to write every block and return,
+// and reports the first write error; that error is sticky, as
+// bufio.Writer's is. A writer may be written again after Flush.
 type CSVWriter struct {
-	bw         *bufio.Writer
-	rec        []byte
+	wb         writeBehind
 	extraNames []string
 	headerDone bool
 }
@@ -510,40 +541,33 @@ type CSVWriter struct {
 // NewCSVWriter returns a streaming trace writer; extraNames append one
 // "res:<name>" column each, exactly as in WriteCSV.
 func NewCSVWriter(w io.Writer, extraNames ...string) *CSVWriter {
-	return &CSVWriter{bw: bufio.NewWriter(w), extraNames: extraNames}
+	return &CSVWriter{wb: writeBehind{dst: w, buf: make([]byte, 0, 4<<10)}, extraNames: extraNames}
 }
 
 // Write appends one job record (emitting the header first if needed).
 func (w *CSVWriter) Write(j *job.Job) error {
-	if err := w.header(); err != nil {
-		return err
+	if w.wb.err != nil {
+		return w.wb.err
 	}
-	w.rec = appendCSVRecord(w.rec[:0], j, len(w.extraNames))
-	_, err := w.bw.Write(w.rec)
-	return err
+	w.header()
+	w.wb.buf = appendCSVRecord(w.wb.buf, j, len(w.extraNames))
+	return w.wb.spill()
 }
 
 // Flush writes buffered records through and reports any write error.
 // A header-only file is still valid: Flush emits the header if no job
 // was ever written.
 func (w *CSVWriter) Flush() error {
-	if err := w.header(); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	w.header()
+	return w.wb.flush()
 }
 
-// header writes the header row once.
-func (w *CSVWriter) header() error {
-	if w.headerDone {
-		return nil
+// header appends the header row once.
+func (w *CSVWriter) header() {
+	if !w.headerDone {
+		w.wb.buf = appendCSVHeader(w.wb.buf, w.extraNames)
+		w.headerDone = true
 	}
-	w.rec = appendCSVHeader(w.rec[:0], w.extraNames)
-	if _, err := w.bw.Write(w.rec); err != nil {
-		return err
-	}
-	w.headerDone = true
-	return nil
 }
 
 // genSource streams jobs from the statistical generator without

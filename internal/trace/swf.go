@@ -137,7 +137,8 @@ func parseSWFFields(text string, v []int64) error {
 }
 
 // swfJob builds a job with the given dense ID from parsed SWF fields,
-// applying the record-level conversions (opts.CoresPerNode is positive).
+// applying the record-level conversions (opts.CoresPerNode is positive);
+// the source names its user.
 // A (nil, nil) return means the record is skipped: failed status under
 // SkipFailed, non-positive runtime (cancelled before start), or zero width.
 func swfJob(v []int64, id int, opts SWFOptions) (*job.Job, error) {
@@ -181,14 +182,7 @@ func swfJob(v []int64, id int, opts SWFOptions) (*job.Job, error) {
 		}
 		extra = []int64{saturatingMul(mem, procs)}
 	}
-	j, err := job.NewPacked(id, submit, runtime, walltime, nodes, 0, 0, extra...)
-	if err != nil {
-		return nil, err
-	}
-	if uid := v[swfUserID]; uid >= 0 {
-		j.User = fmt.Sprintf("user%03d", uid)
-	}
-	return j, nil
+	return job.NewPacked(id, submit, runtime, walltime, nodes, 0, 0, extra...)
 }
 
 // saturatingMul multiplies non-negative a×b, clamping to job.MaxDemand so
