@@ -96,7 +96,9 @@ farm-smoke:
 	$(GO) test -race -run '^TestDecodeVersionSkew$$|^TestEncodeDecodeRoundTrip$$|^TestWireFormatPinned$$|^TestDecodeRejectsEveryBitFlip$$' ./internal/checkpoint
 
 # Fuzz the trace parsers (and the CSV decoder against its encoding/csv
-# oracle: same accept or reject, jobs and extra names), the snapshot decoder (which takes bytes off
+# oracle: same accept or reject, jobs and extra names; the SWF decoder
+# against its strings.Fields oracle: same jobs, raw fields and error
+# text), the snapshot decoder (which takes bytes off
 # the network), the dead-window shortcuts (skipped answer == solved
 # answer, over generated windows, on every registered backend; and the
 # Plugin's unasked answer == the answer with every registered method
@@ -123,12 +125,13 @@ farm-smoke:
 # 1.5 KB snapshot: at the default 60s of minimization per new input its
 # budget buys a few hundred execs, hence -fuzzminimizetime. A mutated
 # snapshot fails its CRC-32C almost always, so FuzzDecodeSealed re-seals
-# each input and fuzzes the parser behind the checksum. The CSV oracle's
-# seeds run to a kilobyte, so it takes the same flag.
+# each input and fuzzes the parser behind the checksum. The CSV and SWF
+# oracles' seeds run to kilobytes, so they take the same flag.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseCSV$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVMatchesReference$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzSWFMatchesReference$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeSealed$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDeadWindowSkip$$' -fuzztime 30s

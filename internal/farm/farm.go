@@ -268,9 +268,9 @@ type Grid struct {
 	// across the fleet and migrates off slow workers at every boundary.
 	// Segment splits are bit-exact: the snapshot records the source
 	// position, so the assembled result is identical to an unsharded run.
-	// Zero disables relaying; positive values must be at least 512 (twice
-	// sim.Lookahead, the engine's source look-ahead, so every segment
-	// makes progress).
+	// Zero disables relaying; positive values must be at least 512 (four
+	// times sim.Lookahead, the engine's source look-ahead: a segment spans
+	// several refills, so every segment makes progress).
 	RelayJobs int `json:"relay_jobs,omitempty"`
 }
 
@@ -338,7 +338,7 @@ func (g Grid) Validate() error {
 		return err
 	}
 	if g.RelayJobs != 0 && g.RelayJobs < 512 {
-		return fmt.Errorf("farm: relay segment size %d too small (want >= 512, twice the source look-ahead)", g.RelayJobs)
+		return fmt.Errorf("farm: relay segment size %d too small (want >= 512, four times the source look-ahead)", g.RelayJobs)
 	}
 	for _, ws := range g.Workloads {
 		if ws.TracePath != "" {

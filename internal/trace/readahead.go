@@ -1,129 +1,267 @@
 package trace
 
 import (
+	"compress/gzip"
+	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"strings"
+	"sync"
+
+	"bbsched/internal/job"
 )
 
-// Read-ahead for opened trace files. The file reads and the gunzip of a
-// ".gz" trace run on a goroutine of their own, one per opened file, so a
-// simulation that streams a trace spends its own core on decoding records
-// and scheduling them, not on decompressing. The goroutine reads into a
-// fixed ring of blocks, one read per block, and hands each to the reader
-// over a channel; the reader hands it back once consumed. Only OpenCSV, OpenSWF and
-// OpenTrace read ahead: a decoder over a caller's reader
+// Read-ahead for opened trace files. The file reads, the gunzip of a
+// ".gz" trace and the decoding (CSV or SWF: header, sequence check, user
+// names, job.NewPacked) run on a goroutine of their own, one per opened
+// file, so a simulation that streams a trace spends its own core on
+// scheduling, not on parsing. The goroutine decodes into a fixed ring of
+// job batches and hands each full batch to the reader over a channel; the
+// reader hands it back once it has popped its jobs. Only OpenCSV,
+// OpenSWF and OpenTrace read ahead: a decoder over a caller's reader
 // (NewCSVSource, NewSWFSource) reads it synchronously.
+//
+// A batch is readAheadBatch jobs, the engine's look-ahead (sim.Lookahead),
+// and the ring holds two: while the engine works through one refill's
+// jobs, the goroutine decodes the next, so a refill finds a whole batch
+// waiting rather than one the goroutine is still filling.
 
 const (
-	readAheadBlocks    = 4
-	readAheadBlockSize = 4 << 10
+	readAheadBatch   = 128
+	readAheadBatches = 2
 )
 
-// chunk is one read's bytes, or the read error (io.EOF at a clean end)
-// that ends the stream after the blocks before it.
-type chunk struct {
-	buf []byte
-	err error
+// batch is a run of decoded jobs, in file order, and the error (io.EOF at
+// a clean end) that ends the stream after them.
+type batch struct {
+	jobs []*job.Job
+	err  error
 }
 
-// readAhead is the reader's side of the ring. Read is called on one
-// goroutine only (a JobSource's Next is); the filling goroutine touches a
-// block only between receiving it on free and sending it on full.
+// handOver lets a batch through before it is full. On a file whose reads
+// may block (a pipe, a terminal, a socket), the goroutine parks the jobs
+// decoded so far here while it waits in a read, so a reader waiting for
+// jobs can take them; if the reader is already waiting when the goroutine
+// is about to read, the goroutine sends them instead. A regular file has
+// no handOver, and its batches always fill.
+type handOver struct {
+	mu      sync.Mutex
+	waiting bool       // the reader waits on full for a batch
+	parked  []*job.Job // jobs the goroutine parked for a read; nil if none
+}
+
+// readAhead is the reader's side of the ring. next is called on one
+// goroutine only (a JobSource's Next is); the decoding goroutine touches a
+// batch only between receiving it on free and sending it on full.
 type readAhead struct {
-	full    chan chunk
-	free    chan []byte
+	full    chan batch
+	free    chan []*job.Job
 	stop    chan struct{}
-	done    chan struct{} // closed when the filling goroutine has returned
-	blk     []byte        // the block being read
-	off     int           // how much of blk has been read
-	err     error         // the stream's end, once its chunk is read
-	file    io.Closer     // the file the goroutine reads, closed first
-	gz      io.Closer     // its decompressor, if any, closed once the goroutine stops
+	done    chan struct{} // closed when the decoding goroutine has returned
+	ho      *handOver     // nil on a regular file
+	jobs    []*job.Job    // the batch being popped
+	off     int           // how many of jobs have been popped
+	err     error         // the stream's end, once its batch is received
+	file    *os.File      // the file the goroutine reads, closed first
+	gz      *gzip.Reader  // its decompressor, if any, closed once the goroutine stops
 	cleanup runtime.Cleanup
 }
 
-// newReadAhead starts the goroutine that reads file ahead of the caller,
-// through gz when gz is not nil (gz then reads file). A readAhead dropped
-// without Close stops its goroutine when it is collected.
-func newReadAhead(file, gz io.ReadCloser) *readAhead {
-	var src io.Reader = file
-	if gz != nil {
-		src = gz
+// decoder is the goroutine's side: the decoder's Next, the batch it fills
+// and the reader the decoder reads the file through when its reads may
+// block. It references none of the reader's side but the channels and the
+// handOver, so a dropped readAhead can be collected while it waits.
+type decoder struct {
+	next func() (*job.Job, error)
+	full chan<- batch
+	free <-chan []*job.Job
+	stop <-chan struct{}
+	done chan struct{}
+	jobs []*job.Job // the batch being filled; nil until a free one is taken
+
+	src io.Reader // the file, when its reads may block
+	ho  *handOver
+}
+
+// traceFile is an opened trace file, its bytes as a decoder reads them:
+// gunzipped when the name ends in ".gz", and through dec when a read of
+// it may block.
+type traceFile struct {
+	file *os.File
+	gz   *gzip.Reader
+	r    io.Reader // not an io.Closer: the read-ahead closes the file
+	dec  *decoder
+}
+
+// openTraceFile opens path for streaming (see newTraceFile).
+func openTraceFile(path string) (*traceFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	ring := make([]byte, readAheadBlocks*readAheadBlockSize)
+	return newTraceFile(f, path)
+}
+
+// newTraceFile wraps a gzip decompressor around f when path ends in
+// ".gz"; a bad gzip header fails here, and closes f.
+func newTraceFile(f *os.File, path string) (*traceFile, error) {
+	t := &traceFile{file: f, dec: &decoder{}}
+	var r io.Reader = f
+	if st, err := f.Stat(); err != nil || !st.Mode().IsRegular() {
+		t.dec.src, t.dec.ho = f, &handOver{}
+		r = t.dec
+	}
+	if strings.HasSuffix(strings.ToLower(path), ".gz") {
+		gz, err := gzip.NewReader(r)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("trace: %s: %w", path, err)
+		}
+		t.gz, r = gz, gz
+	}
+	t.r = struct{ io.Reader }{r}
+	return t, nil
+}
+
+// close closes a file no read-ahead was started on.
+func (t *traceFile) close() {
+	if t.gz != nil {
+		t.gz.Close()
+	}
+	t.file.Close()
+}
+
+// readAhead starts the goroutine that runs next, a decoder over t.r, ahead
+// of the caller. A readAhead dropped without Close stops its goroutine
+// when it is collected.
+func (t *traceFile) readAhead(next func() (*job.Job, error)) *readAhead {
+	ring := make([]*job.Job, readAheadBatches*readAheadBatch)
 	r := &readAhead{
-		full: make(chan chunk, readAheadBlocks+1), // every block and the end: a send never blocks
-		free: make(chan []byte, readAheadBlocks),  // every block: the reader's send never blocks
+		full: make(chan batch, readAheadBatches+1),    // every batch and the end: a send never blocks
+		free: make(chan []*job.Job, readAheadBatches), // every batch: the reader's send never blocks
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-		file: file,
-		gz:   gz,
+		ho:   t.dec.ho,
+		file: t.file,
+		gz:   t.gz,
 	}
-	for i := range readAheadBlocks {
-		r.free <- ring[i*readAheadBlockSize : (i+1)*readAheadBlockSize : (i+1)*readAheadBlockSize]
+	for i := range readAheadBatches {
+		r.free <- ring[i*readAheadBatch : i*readAheadBatch : (i+1)*readAheadBatch]
 	}
-	go fillAhead(src, r.full, r.free, r.stop, r.done)
+	d := t.dec
+	d.next, d.full, d.free, d.stop, d.done = next, r.full, r.free, r.stop, r.done
+	go d.run()
 	r.cleanup = runtime.AddCleanup(r, func(stop chan struct{}) { close(stop) }, r.stop)
 	return r
 }
 
-// fillAhead is the filling goroutine: it reads src into free blocks, in
-// order, until a read fails or ends, or stop closes. It references none
-// of the reader's side but its channels, so a dropped readAhead can be
-// collected while it waits.
-func fillAhead(src io.Reader, full chan<- chunk, free <-chan []byte, stop, done chan struct{}) {
-	defer close(done)
+// run is the decoding goroutine: it decodes jobs into free batches, in
+// order, and sends each full one, until the decoder ends or fails (the
+// end goes with the jobs before it) or stop closes.
+func (d *decoder) run() {
+	defer close(d.done)
 	for {
-		var buf []byte
-		select {
-		case buf = <-free:
-		case <-stop:
-			return
-		}
-		n, err := readBlock(src, buf)
-		if n > 0 {
-			full <- chunk{buf: buf[:n]}
-		}
+		j, err := d.next()
 		if err != nil {
-			full <- chunk{err: err}
+			d.full <- batch{jobs: d.jobs, err: err}
 			return
 		}
-	}
-}
-
-// readBlock reads into buf until a read yields bytes or fails, and hands
-// on what that read gave: a pipe whose writer sent less than a block and
-// stays open yields its jobs now, not once the writer closes. The
-// stream's own error is kept, io.EOF included.
-func readBlock(src io.Reader, buf []byte) (int, error) {
-	for {
-		if n, err := src.Read(buf); n > 0 || err != nil {
-			return n, err
+		if d.jobs == nil {
+			select {
+			case d.jobs = <-d.free:
+			case <-d.stop:
+				return
+			}
+		}
+		d.jobs = append(d.jobs, j)
+		if len(d.jobs) == cap(d.jobs) {
+			d.full <- batch{jobs: d.jobs}
+			d.jobs = nil
 		}
 	}
 }
 
-// Read implements io.Reader over the filled blocks, in file order, then
-// the stream's own error. Once that is read the goroutine has returned,
-// and the ring and its channels are released.
-func (r *readAhead) Read(p []byte) (int, error) {
-	for r.off == len(r.blk) {
-		if r.full == nil {
-			return 0, r.err
-		}
-		if r.blk != nil {
-			r.free <- r.blk[:cap(r.blk)]
-		}
-		c := <-r.full
-		r.blk, r.off = c.buf, 0
-		if c.err != nil {
-			r.err = c.err
+// Read reads the file for the decoder, on a file whose reads may block.
+// Before a read, the jobs decoded so far go to a reader that waits for
+// them, or are parked where one that comes to wait while the read blocks
+// takes them: a pipe whose writer sent less than a batch and stays open
+// yields its jobs now, not once the writer closes.
+func (d *decoder) Read(p []byte) (int, error) {
+	if len(d.jobs) == 0 {
+		return d.src.Read(p)
+	}
+	ho := d.ho
+	ho.mu.Lock()
+	if ho.waiting {
+		ho.waiting = false
+		ho.mu.Unlock()
+		d.full <- batch{jobs: d.jobs}
+		d.jobs = nil
+		return d.src.Read(p)
+	}
+	ho.parked = d.jobs
+	ho.mu.Unlock()
+	n, err := d.src.Read(p)
+	ho.mu.Lock()
+	if ho.parked == nil { // the reader took them
+		d.jobs = nil
+	}
+	ho.parked = nil
+	ho.mu.Unlock()
+	return n, err
+}
+
+// next pops the next decoded job, in file order, then returns the
+// stream's own error, io.EOF included. A popped batch goes back to the
+// goroutine, emptied, when the pop after its last job takes the next: its
+// jobs are then the engine's look-ahead, and the goroutine decodes at
+// most one batch beyond it. Once the error is returned the goroutine has
+// returned, and the ring and its channels are released.
+func (r *readAhead) next() (*job.Job, error) {
+	for r.off == len(r.jobs) {
+		if r.err != nil {
 			r.release()
+			return nil, r.err
 		}
+		if r.jobs != nil {
+			clear(r.jobs)
+			r.free <- r.jobs[:0]
+		}
+		b := r.take()
+		r.jobs, r.off, r.err = b.jobs, 0, b.err
 	}
-	n := copy(p, r.blk[r.off:])
-	r.off += n
-	return n, nil
+	j := r.jobs[r.off]
+	r.off++
+	return j, nil
+}
+
+// take receives the next batch: a full one, or on a file whose reads may
+// block, the jobs the goroutine parked for a read.
+func (r *readAhead) take() batch {
+	ho := r.ho
+	if ho == nil {
+		return <-r.full
+	}
+	ho.mu.Lock()
+	select {
+	case b := <-r.full: // sent before anything parked now
+		ho.mu.Unlock()
+		return b
+	default:
+	}
+	if p := ho.parked; p != nil {
+		ho.parked = nil
+		ho.mu.Unlock()
+		return batch{jobs: p}
+	}
+	ho.waiting = true
+	ho.mu.Unlock()
+	b := <-r.full
+	ho.mu.Lock()
+	ho.waiting = false
+	ho.mu.Unlock()
+	return b
 }
 
 // release waits for the goroutine to return and drops the ring.
@@ -134,13 +272,13 @@ func (r *readAhead) release() {
 	r.cleanup.Stop()
 	close(r.stop)
 	<-r.done
-	r.full, r.free, r.blk, r.off = nil, nil, nil, 0
+	r.full, r.free, r.jobs, r.off = nil, nil, nil, 0
 }
 
 // Close ends the stream, mid-stream or after the end: it closes the file,
 // which ends a read in flight on it (one on a stalled pipe included),
 // waits for the goroutine to stop, and then closes the decompressor, which
-// only the goroutine reads. Later reads return io.ErrClosedPipe; a second
+// only the goroutine reads. Later pops return io.ErrClosedPipe; a second
 // Close is a no-op.
 func (r *readAhead) Close() error {
 	if r.file == nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -69,7 +70,7 @@ func stopped(done chan struct{}) bool {
 
 // TestReadAheadCloseMidStream: Close on a source whose goroutine has
 // filled the ring and waits returns, with that goroutine gone; later
-// reads fail instead of blocking, and a second Close is a no-op.
+// pops fail instead of blocking, and a second Close is a no-op.
 func TestReadAheadCloseMidStream(t *testing.T) {
 	path := writeFile(t, "trace.csv.gz", gzipped(t, generatedCSV(t, 5000)))
 	before := runtime.NumGoroutine()
@@ -83,7 +84,7 @@ func TestReadAheadCloseMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for len(ra.free) > 0 { // the goroutine takes every block of the ring
+	for len(ra.free) > 0 { // the goroutine takes every batch of the ring
 		runtime.Gosched()
 	}
 	if err := src.Close(); err != nil {
@@ -92,11 +93,14 @@ func TestReadAheadCloseMidStream(t *testing.T) {
 	if !stopped(ra.done) {
 		t.Fatal("Close returned before the read-ahead goroutine did")
 	}
-	if ra.full != nil || ra.blk != nil {
+	if ra.full != nil || ra.jobs != nil {
 		t.Fatal("Close kept the ring")
 	}
-	if n, err := ra.Read(make([]byte, 8)); n != 0 || err == nil {
-		t.Fatalf("Read after Close = %d, %v", n, err)
+	if j, err := ra.next(); j != nil || err == nil {
+		t.Fatalf("pop after Close = %v, %v", j, err)
+	}
+	if j, err := src.Next(); j != nil || err == nil {
+		t.Fatalf("Next after Close = %v, %v", j, err)
 	}
 	if err := src.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -117,16 +121,16 @@ func TestReadAheadCloseStalledPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pw.Close()
-	// More than a block, less than the pipe holds: the goroutine hands on
+	// More than a batch, less than the pipe holds: the goroutine decodes
 	// what the pipe holds, then waits in a read for more.
 	if _, err := pw.Write(generatedCSV(t, 150)); err != nil {
 		t.Fatal(err)
 	}
-	ra := newReadAhead(pr, nil)
-	src, err := NewCSVSource(ra)
+	src, err := openPipeCSV(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ra := readAheadOf(t, src.closer)
 	if _, err := src.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,46 +150,61 @@ func TestReadAheadCloseStalledPipe(t *testing.T) {
 }
 
 // TestReadAheadPipeShortWrite: a trace read from a pipe whose writer has
-// sent a header and ten jobs, less than a block, and stays open yields its
-// first job without waiting for the writer to close.
+// sent a header and ten jobs, less than a batch, and stays open yields
+// those jobs without waiting for the writer to close.
 func TestReadAheadPipeShortWrite(t *testing.T) {
 	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := generatedCSV(t, 10)
-	if len(data) >= readAheadBlockSize {
-		t.Fatalf("%d B of trace fill a %d B block", len(data), readAheadBlockSize)
+	const jobs = 10
+	if jobs >= readAheadBatch {
+		t.Fatalf("%d jobs fill a %d-job batch", jobs, readAheadBatch)
 	}
-	if _, err := pw.Write(data); err != nil {
+	if _, err := pw.Write(generatedCSV(t, jobs)); err != nil {
 		t.Fatal(err)
 	}
-	ra := newReadAhead(pr, nil)
-	defer ra.Close()
-	first := make(chan error, 1)
+	var src *CSVSource
+	got := make(chan error, 1)
 	go func() {
-		src, err := NewCSVSource(ra)
-		if err == nil {
-			_, err = src.Next()
+		var err error
+		if src, err = openPipeCSV(pr); err == nil {
+			for range jobs {
+				if _, err = src.Next(); err != nil {
+					break
+				}
+			}
 		}
-		first <- err
+		got <- err
 	}()
 	select {
-	case err := <-first:
+	case err := <-got:
 		pw.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := src.Next(); err != io.EOF {
+			t.Fatalf("after the writer closed: %v, want io.EOF", err)
+		}
 	case <-time.After(2 * time.Second):
 		pw.Close() // the end of the input lets the reader return
-		<-first
-		t.Fatal("no job within 2 s of the write while the writer stays open")
+		<-got
+		t.Fatalf("not %d jobs within 2 s of the write while the writer stays open", jobs)
 	}
 }
 
+// openPipeCSV opens the read end of a pipe as OpenCSV opens a file.
+func openPipeCSV(pr *os.File) (*CSVSource, error) {
+	tf, err := newTraceFile(pr, "pipe.csv")
+	if err != nil {
+		return nil, err
+	}
+	return tf.openCSV()
+}
+
 // TestReadAheadDrainedHoldsNoRing: a source read to its end, clean or
-// failed, has stopped its goroutine and released the ring and the file,
-// for CSV and SWF, plain and gzipped.
+// failed, has stopped its goroutine and released the ring, its batches
+// and the file, for CSV and SWF, plain and gzipped.
 func TestReadAheadDrainedHoldsNoRing(t *testing.T) {
 	raw := generatedCSV(t, 3000)
 	gz := gzipped(t, raw)
@@ -217,7 +236,7 @@ func TestReadAheadDrainedHoldsNoRing(t *testing.T) {
 		if _, err := Collect(src); (err != nil) != c.fail {
 			t.Fatalf("%s: drain error %v", c.name, err)
 		}
-		if !stopped(ra.done) || ra.full != nil || ra.free != nil || ra.blk != nil || ra.file != nil {
+		if !stopped(ra.done) || ra.full != nil || ra.free != nil || ra.jobs != nil || ra.file != nil {
 			t.Errorf("%s: drained source still holds its goroutine, ring or file", c.name)
 		}
 	}
@@ -274,6 +293,99 @@ func collectUntilError(src JobSource, openErr error) ([]*job.Job, error) {
 	}
 }
 
+// TestReadAheadMatchesDecoder: OpenTrace yields, field by field, the jobs
+// the synchronous decoder reads from the same bytes, then the same error
+// text, for CSV and SWF, plain and gzipped, on traces that end short of,
+// at and past a batch, clean and with a bad record at each of those
+// places. A regular file's batches are whole but for the last.
+func TestReadAheadMatchesDecoder(t *testing.T) {
+	sizes := []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 3*readAheadBatch + 7}
+	jobs := Generate(GenConfig{System: testStreamSystem(), Jobs: sizes[len(sizes)-1], Seed: 3, DependencyFraction: 0.1}).Jobs
+	formats := []struct {
+		ext   string
+		write func(w io.Writer, jobs []*job.Job) error
+		bad   []string // a record the decoder refuses, one per kind
+		sync  func(data []byte) (JobSource, error)
+	}{
+		{".csv", func(w io.Writer, jobs []*job.Job) error { return WriteCSV(w, jobs) },
+			[]string{"x,u,0,10,10,1,0,0,0,\n", "0,u\"v,0,10,10,1,0,0,0,\n", "0,u,0,10,10,1,0,0\n", "7,u,0,10,10,1,0,0,0,\n"},
+			func(data []byte) (JobSource, error) { return NewCSVSource(bytes.NewReader(data)) }},
+		{".swf", func(w io.Writer, jobs []*job.Job) error { return WriteSWF(w, jobs, 1) },
+			[]string{"1 0 -1 100 64\n", "1 0 -1 x 64 -1 -1 64 200 -1 1 3 -1 -1 -1 -1 -1 -1\n"},
+			func(data []byte) (JobSource, error) { return NewSWFSource(bytes.NewReader(data), SWFOptions{}), nil }},
+	}
+	for _, f := range formats {
+		for _, n := range sizes {
+			var trace bytes.Buffer
+			if err := f.write(&trace, jobs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(trace.Bytes(), []byte("\n"))
+			lines = lines[:len(lines)-1] // the empty rest after the last newline
+			head := len(lines) - n       // the header or comment lines before the first job
+			inputs := map[string][]byte{"clean": trace.Bytes()}
+			for k, at := range sizes {
+				if at > n {
+					continue
+				}
+				bad := append(bytes.Join(lines[:head+at], nil), f.bad[k%len(f.bad)]...)
+				inputs[fmt.Sprintf("bad@%d", at)] = append(bad, bytes.Join(lines[head+at:], nil)...)
+			}
+			for name, data := range inputs {
+				for _, gz := range []bool{false, true} {
+					file, path := data, "trace"+f.ext
+					if gz {
+						file, path = gzipped(t, data), path+".gz"
+					}
+					label := fmt.Sprintf("%s/%d/%s", path, n, name)
+					want, wantErr := collectUntilError(f.sync(data))
+					opened, err := OpenTrace(writeFile(t, path, file), SWFOptions{})
+					got, gotErr := collectBatches(t, label, opened, err)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: OpenTrace read %d jobs, the decoder %d, or not the same jobs", label, len(got), len(want))
+					}
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Errorf("%s: OpenTrace ended on %v, the decoder on %v", label, gotErr, wantErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// collectBatches is collectUntilError over an opened source that also
+// checks that every batch it pops but the last is whole.
+func collectBatches(t *testing.T, label string, src JobSource, openErr error) ([]*job.Job, error) {
+	t.Helper()
+	if openErr != nil {
+		return nil, openErr
+	}
+	var ra *readAhead
+	switch s := src.(type) {
+	case *CSVSource:
+		ra = readAheadOf(t, s.closer)
+	case *SWFSource:
+		ra = readAheadOf(t, s.closer)
+	}
+	var jobs []*job.Job
+	short := -1 // the first batch that was not whole
+	for {
+		j, err := src.Next()
+		if err == io.EOF {
+			return jobs, nil
+		}
+		if err != nil {
+			return jobs, err
+		}
+		if ra.off == 1 && len(ra.jobs) < readAheadBatch && short < 0 {
+			short = len(jobs)
+		} else if ra.off == 1 && short >= 0 {
+			t.Errorf("%s: the batch that starts at job %d is short and not the last", label, short)
+		}
+		jobs = append(jobs, j)
+	}
+}
+
 // TestReadAheadDroppedStopsGoroutine: a source dropped mid-stream without
 // Close stops its goroutine once it is collected.
 func TestReadAheadDroppedStopsGoroutine(t *testing.T) {
@@ -298,8 +410,8 @@ func TestReadAheadDroppedStopsGoroutine(t *testing.T) {
 }
 
 // BenchmarkOpenTraceCSVGz drains a generated 200k-job .csv.gz through
-// OpenTrace: the gunzip on the read-ahead goroutine, the decoding on the
-// caller's. Compare -cpu 1 (both on one core) with -cpu 2.
+// OpenTrace: the gunzip and the decoding on the read-ahead goroutine, the
+// pops on the caller's. Compare -cpu 1 (both on one core) with -cpu 2.
 func BenchmarkOpenTraceCSVGz(b *testing.B) {
 	const jobs = 200_000
 	path := writeFile(b, "trace.csv.gz", gzipped(b, generatedCSV(b, jobs)))

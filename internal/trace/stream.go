@@ -3,12 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -32,11 +30,15 @@ import (
 //     is an error, not a fixup, in the stream and in ReadCSV alike.
 //
 // Where the work runs: a file opened by OpenCSV, OpenSWF or OpenTrace is
-// read, and gunzipped when its name ends in ".gz", on a goroutine of its
-// own that keeps a ring of four 4 KiB blocks filled ahead of the decoder
-// (readahead.go); Next still runs only on the caller's goroutine, and a
-// decoder over a caller's reader (NewCSVSource, NewSWFSource) reads it
-// synchronously. On the write side, CSVWriter formats records on the
+// read, gunzipped when its name ends in ".gz", and decoded on a goroutine
+// of its own, which hands the jobs over in batches of 128, the engine's
+// look-ahead, through a ring of two (readahead.go). Next of an opened
+// source pops the next job of a batch, and yields the jobs and errors the
+// same decoder over the same bytes yields; only the header of a CSV file
+// is read on the caller's goroutine, by the opener, so a bad header still
+// fails the open. A decoder over a caller's reader (NewCSVSource,
+// NewSWFSource) reads and decodes it in Next, on the caller's goroutine.
+// On the write side, CSVWriter formats records on the
 // caller's goroutine into 64 KiB blocks and a goroutine of its own writes
 // them to the caller's writer, a gzip.Writer's deflate included
 // (writebehind.go). That goroutine starts when the first block is full,
@@ -47,15 +49,39 @@ import (
 // slices into one reused buffer and parses its integers with no allocated
 // string, and CSVWriter appends a record straight into its block. Both
 // hold to encoding/csv's language and bytes; the encoding/csv oracle and
-// the fuzzer that compares them are in csv_reference_test.go. A job and
+// the fuzzer that compares them are in csv_reference_test.go. The SWF
+// decoder splits a line's bytes in place, and its strings.Fields oracle
+// is in swf_reference_test.go. A job and
 // its demand are one allocation (job.NewPacked), and a CSV or SWF source
 // shares one string among the jobs of a user.
 
 // fileSource ends a decoder's stream: it closes the backing reader, if
-// that is an io.Closer, when the stream drains or fails, or on Close.
+// that is an io.Closer, when the stream drains or fails, or on Close. On
+// an opened file, the backing reader is the read-ahead, and Next pops it.
 type fileSource struct {
 	closer io.Closer
+	ahead  *readAhead // an opened file's decoded jobs; nil over a caller's reader
 	done   bool
+}
+
+// aheadSource is the fileSource of an opened file, whose jobs the
+// read-ahead decodes.
+func aheadSource(ra *readAhead) fileSource { return fileSource{closer: ra, ahead: ra} }
+
+// pop returns the next job the read-ahead decoded, ending the stream at
+// the decoder's end.
+func (f *fileSource) pop() (*job.Job, error) {
+	if f.done {
+		return nil, io.EOF
+	}
+	j, err := f.ahead.next()
+	if err == io.EOF {
+		return nil, f.finish(nil)
+	}
+	if err != nil {
+		return nil, f.finish(err)
+	}
+	return j, nil
 }
 
 func newFileSource(r io.Reader) fileSource {
@@ -108,34 +134,21 @@ func NewSWFSource(r io.Reader, opts SWFOptions) *SWFSource {
 
 // OpenSWF opens path as a streaming SWF source, transparently
 // decompressing a ".gz" suffix (Parallel Workloads Archive logs ship
-// gzipped) and reading the file ahead of the decoder on a goroutine of
-// its own; the file is closed when the stream drains, fails, or Close is
-// called.
+// gzipped) and reading and decoding the file ahead of the caller on a
+// goroutine of its own; the file is closed when the stream drains, fails,
+// or Close is called.
 func OpenSWF(path string, opts SWFOptions) (*SWFSource, error) {
-	r, err := openTraceFile(path)
+	t, err := openTraceFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return NewSWFSource(r, opts), nil
+	return t.openSWF(opts), nil
 }
 
-// openTraceFile opens path for streaming, wrapping a gzip decompressor
-// when the name ends in ".gz", and reads it ahead of the decoder on a
-// goroutine of its own (see readAhead). A bad gzip header fails here.
-func openTraceFile(path string) (io.ReadCloser, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if !strings.HasSuffix(strings.ToLower(path), ".gz") {
-		return newReadAhead(f, nil), nil
-	}
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return newReadAhead(f, gz), nil
+// openSWF starts an SWF decoder over t on the read-ahead goroutine.
+func (t *traceFile) openSWF(opts SWFOptions) *SWFSource {
+	dec := NewSWFSource(t.r, opts)
+	return &SWFSource{fileSource: aheadSource(t.readAhead(dec.Next))}
 }
 
 // OpenTrace opens path as a streaming source, dispatching on the file
@@ -153,6 +166,9 @@ func OpenTrace(path string, opts SWFOptions) (JobSource, error) {
 
 // Next implements JobSource.
 func (s *SWFSource) Next() (*job.Job, error) {
+	if s.ahead != nil {
+		return s.pop()
+	}
 	j, _, err := s.record()
 	if err != nil {
 		return nil, err
@@ -184,11 +200,11 @@ func (s *SWFSource) record() (*job.Job, *[swfNumFields]int64, error) {
 			return nil, nil, s.finish(nil)
 		}
 		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
+		line := bytes.TrimSpace(s.sc.Bytes())
+		if len(line) == 0 || line[0] == ';' {
 			continue
 		}
-		if err := parseSWFFields(text, s.fields[:]); err != nil {
+		if err := parseSWFFields(line, s.fields[:]); err != nil {
 			return nil, nil, s.finish(fmt.Errorf("trace: swf line %d: %w", s.line, err))
 		}
 		j, err := swfJob(s.fields[:], s.emitted, s.opts)
@@ -261,11 +277,7 @@ const maxInternedUsers = 1 << 10
 // If r implements io.Closer it is closed when the stream drains or fails.
 // It reads r on the caller's goroutine.
 func NewCSVSource(r io.Reader) (*CSVSource, error) {
-	size := 4096 // bufio's default
-	if _, ok := r.(*readAhead); ok {
-		size = 1024 // the ring holds the data: the buffer only joins lines across blocks
-	}
-	s := &CSVSource{fileSource: newFileSource(r), br: bufio.NewReaderSize(r, size), users: map[string]string{}}
+	s := &CSVSource{fileSource: newFileSource(r), br: bufio.NewReader(r), users: map[string]string{}}
 	if err := s.readRecord(); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
@@ -283,20 +295,27 @@ func NewCSVSource(r io.Reader) (*CSVSource, error) {
 }
 
 // OpenCSV opens path as a streaming CSV source, transparently
-// decompressing a ".gz" suffix and reading the file ahead of the decoder
-// on a goroutine of its own; the file is closed when the stream drains,
-// fails, or Close is called.
+// decompressing a ".gz" suffix and reading and decoding the file ahead of
+// the caller on a goroutine of its own; the header is read here, so a bad
+// one fails the open. The file is closed when the stream drains, fails,
+// or Close is called.
 func OpenCSV(path string) (*CSVSource, error) {
-	r, err := openTraceFile(path)
+	t, err := openTraceFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewCSVSource(r)
+	return t.openCSV()
+}
+
+// openCSV reads t's header and starts a CSV decoder over the rest on the
+// read-ahead goroutine.
+func (t *traceFile) openCSV() (*CSVSource, error) {
+	dec, err := NewCSVSource(t.r)
 	if err != nil {
-		r.Close()
+		t.close()
 		return nil, err
 	}
-	return s, nil
+	return &CSVSource{fileSource: aheadSource(t.readAhead(dec.Next)), extraNames: dec.extraNames}, nil
 }
 
 // ExtraNames returns the extra resource dimension names declared by the
@@ -305,6 +324,9 @@ func (s *CSVSource) ExtraNames() []string { return s.extraNames }
 
 // Next implements JobSource.
 func (s *CSVSource) Next() (*job.Job, error) {
+	if s.ahead != nil {
+		return s.pop()
+	}
 	if s.done {
 		return nil, io.EOF
 	}

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"bbsched/internal/job"
 )
@@ -112,28 +115,76 @@ func ReadSWF(r io.Reader, opts SWFOptions) ([]*job.Job, error) {
 // fields parse through float; NaN is rejected; values clamp to
 // ±job.MaxDemand before the float→int64 conversion, whose overflow
 // behaviour is otherwise implementation-defined in Go (no SWF semantics
-// exceed the demand cap).
-func parseSWFFields(text string, v []int64) error {
-	fields := strings.Fields(text)
-	if len(fields) != swfNumFields {
-		return fmt.Errorf("%d fields, want %d", len(fields), swfNumFields)
+// exceed the demand cap). It splits the line in place, where
+// strings.Fields would, and reports the field count before any field's
+// error, as a split-then-parse does; the strings.Fields oracle is in
+// swf_reference_test.go.
+func parseSWFFields(line []byte, v []int64) error {
+	n := 0
+	var first error
+	for field, rest := nextSWFField(line); len(field) > 0; field, rest = nextSWFField(rest) {
+		if n < swfNumFields && first == nil {
+			if fv, err := parseSWFValue(field); err != nil {
+				first = fmt.Errorf("field %d: %w", n+1, err)
+			} else {
+				v[n] = fv
+			}
+		}
+		n++
 	}
-	for i, f := range fields {
-		fv, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return fmt.Errorf("field %d: %w", i+1, err)
-		}
-		if math.IsNaN(fv) {
-			return fmt.Errorf("field %d: NaN value", i+1)
-		}
-		if fv > float64(job.MaxDemand) {
-			fv = float64(job.MaxDemand)
-		} else if fv < -float64(job.MaxDemand) {
-			fv = -float64(job.MaxDemand)
-		}
-		v[i] = int64(fv)
+	if n != swfNumFields {
+		return fmt.Errorf("%d fields, want %d", n, swfNumFields)
 	}
-	return nil
+	return first
+}
+
+// nextSWFField returns b's first field, split as strings.Fields splits (on
+// the runes unicode.IsSpace accepts), and the rest of b after it; the
+// field is empty when b holds none.
+func nextSWFField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) {
+		size, space := runeAt(b[i:])
+		if !space {
+			break
+		}
+		i += size
+	}
+	j := i
+	for j < len(b) {
+		size, space := runeAt(b[j:])
+		if space {
+			break
+		}
+		j += size
+	}
+	return b[i:j], b[j:]
+}
+
+// runeAt returns the length of the rune b starts with and whether it is a
+// space; b is not empty.
+func runeAt(b []byte) (int, bool) {
+	if c := b[0]; c < utf8.RuneSelf {
+		return 1, asciiSpace[c]
+	}
+	r, size := utf8.DecodeRune(b)
+	return size, unicode.IsSpace(r)
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseSWFValue parses one SWF field through float, clamped to
+// ±job.MaxDemand.
+func parseSWFValue(b []byte) (int64, error) {
+	fv, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(fv) {
+		return 0, errors.New("NaN value")
+	}
+	return int64(max(min(fv, float64(job.MaxDemand)), -float64(job.MaxDemand))), nil
 }
 
 // swfJob builds a job with the given dense ID from parsed SWF fields,
