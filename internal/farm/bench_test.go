@@ -1,8 +1,11 @@
 package farm
 
 import (
+	"compress/gzip"
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -134,4 +137,50 @@ func BenchmarkFarm(b *testing.B) {
 	b.Run("steal-on", func(b *testing.B) { benchStraggler(b, true) })
 	b.Run("cache-cold", func(b *testing.B) { benchCache(b, false) })
 	b.Run("cache-warm", func(b *testing.B) { benchCache(b, true) })
+}
+
+// BenchmarkFarmRelayTrace times a stream cell over a .csv.gz trace file,
+// relayed in 512-job segments (the RelayJobs floor) by one worker. Every
+// segment re-opens the file and skips the jobs the segments before it
+// consumed (sim.Restore → trace.Skip, a pop per job through the opened
+// source), so with 8 192 jobs the worker decodes 61 440 skipped jobs
+// beside the 8 192 it simulates: the read-ahead's drain rate, with
+// nothing behind the pops, shows here and in no bench/ workload.
+func BenchmarkFarmRelayTrace(b *testing.B) {
+	const jobs, relay = 8192, 512
+	sys := trace.Scale(trace.Cori(), 128)
+	path := filepath.Join(b.TempDir(), "relay.csv.gz")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gz, _ := gzip.NewWriterLevel(f, gzip.BestSpeed)
+	w := trace.Generate(trace.GenConfig{System: sys, Jobs: jobs, Seed: 6, TargetLoad: 0.9})
+	if err := trace.WriteCSV(gz, w.Jobs); err != nil {
+		b.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	g := Grid{
+		Workloads: []WorkloadSpec{
+			{Name: "relay-trace", Gen: trace.GenConfig{System: sys}, Stream: true, TracePath: path},
+		},
+		Methods:          []MethodSpec{{Name: "Baseline", GA: testGA()}},
+		Seeds:            []uint64{3},
+		Opts:             RunOptions{Window: 5, StarvationBound: 50, Measure: "full"},
+		CheckpointEvents: 1 << 20,
+		RelayJobs:        relay,
+	}
+	segments := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := benchFarmRun(b, g, []*Worker{{ID: "w1", Poll: 2 * time.Millisecond}}, WithLeaseTTL(time.Hour))
+		segments += st.Segments
+	}
+	b.ReportMetric(float64(segments)/float64(b.N), "segments/op")
+	b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

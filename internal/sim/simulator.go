@@ -41,10 +41,9 @@ type options struct {
 // Lookahead is how many jobs beyond the current event frontier every run
 // buffers ahead of its source: large enough to amortize source pulls,
 // small enough that memory stays bounded by queue depth plus this window.
-// It is also the batch an opened trace file's read-ahead decodes on its
-// own goroutine (internal/trace/readahead.go), so a refill takes one whole
-// batch.
-const Lookahead = 128
+// It is the batch an opened trace file's read-ahead decodes on its own
+// goroutine, so a refill takes one whole batch.
+const Lookahead = trace.ReadAheadBatch
 
 // slowdownFloorSec bounds the bounded-slowdown denominator in seconds.
 const slowdownFloorSec = 60

@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"bbsched/internal/job"
 )
@@ -17,38 +16,28 @@ import (
 // names, job.NewPacked) run on a goroutine of their own, one per opened
 // file, so a simulation that streams a trace spends its own core on
 // scheduling, not on parsing. The goroutine decodes into a fixed ring of
-// job batches and hands each full batch to the reader over a channel; the
+// job batches and hands each full batch (on a pipe, also the jobs decoded
+// before each read: see decoder.Read) to the reader over a channel; the
 // reader hands it back once it has popped its jobs. Only OpenCSV,
 // OpenSWF and OpenTrace read ahead: a decoder over a caller's reader
 // (NewCSVSource, NewSWFSource) reads it synchronously.
 //
-// A batch is readAheadBatch jobs, the engine's look-ahead (sim.Lookahead),
-// and the ring holds two: while the engine works through one refill's
-// jobs, the goroutine decodes the next, so a refill finds a whole batch
-// waiting rather than one the goroutine is still filling.
+// The ring holds two batches: while the engine works through one
+// refill's jobs, the goroutine decodes the next, so a refill finds a whole
+// batch waiting rather than one the goroutine is still filling.
 
-const (
-	readAheadBatch   = 128
-	readAheadBatches = 2
-)
+// ReadAheadBatch is how many decoded jobs an opened file's read-ahead
+// hands over at once. The engine's look-ahead (sim.Lookahead) is defined
+// as it, so a refill takes one whole batch.
+const ReadAheadBatch = 128
+
+const readAheadBatches = 2
 
 // batch is a run of decoded jobs, in file order, and the error (io.EOF at
 // a clean end) that ends the stream after them.
 type batch struct {
 	jobs []*job.Job
 	err  error
-}
-
-// handOver lets a batch through before it is full. On a file whose reads
-// may block (a pipe, a terminal, a socket), the goroutine parks the jobs
-// decoded so far here while it waits in a read, so a reader waiting for
-// jobs can take them; if the reader is already waiting when the goroutine
-// is about to read, the goroutine sends them instead. A regular file has
-// no handOver, and its batches always fill.
-type handOver struct {
-	mu      sync.Mutex
-	waiting bool       // the reader waits on full for a batch
-	parked  []*job.Job // jobs the goroutine parked for a read; nil if none
 }
 
 // readAhead is the reader's side of the ring. next is called on one
@@ -59,7 +48,6 @@ type readAhead struct {
 	free    chan []*job.Job
 	stop    chan struct{}
 	done    chan struct{} // closed when the decoding goroutine has returned
-	ho      *handOver     // nil on a regular file
 	jobs    []*job.Job    // the batch being popped
 	off     int           // how many of jobs have been popped
 	err     error         // the stream's end, once its batch is received
@@ -69,9 +57,9 @@ type readAhead struct {
 }
 
 // decoder is the goroutine's side: the decoder's Next, the batch it fills
-// and the reader the decoder reads the file through when its reads may
-// block. It references none of the reader's side but the channels and the
-// handOver, so a dropped readAhead can be collected while it waits.
+// and the file the decoder reads through Read when its reads may block. It
+// references none of the reader's side but the channels, so a dropped
+// readAhead can be collected while it waits.
 type decoder struct {
 	next func() (*job.Job, error)
 	full chan<- batch
@@ -81,7 +69,6 @@ type decoder struct {
 	jobs []*job.Job // the batch being filled; nil until a free one is taken
 
 	src io.Reader // the file, when its reads may block
-	ho  *handOver
 }
 
 // traceFile is an opened trace file, its bytes as a decoder reads them:
@@ -109,7 +96,7 @@ func newTraceFile(f *os.File, path string) (*traceFile, error) {
 	t := &traceFile{file: f, dec: &decoder{}}
 	var r io.Reader = f
 	if st, err := f.Stat(); err != nil || !st.Mode().IsRegular() {
-		t.dec.src, t.dec.ho = f, &handOver{}
+		t.dec.src = f
 		r = t.dec
 	}
 	if strings.HasSuffix(strings.ToLower(path), ".gz") {
@@ -136,18 +123,17 @@ func (t *traceFile) close() {
 // of the caller. A readAhead dropped without Close stops its goroutine
 // when it is collected.
 func (t *traceFile) readAhead(next func() (*job.Job, error)) *readAhead {
-	ring := make([]*job.Job, readAheadBatches*readAheadBatch)
+	ring := make([]*job.Job, readAheadBatches*ReadAheadBatch)
 	r := &readAhead{
 		full: make(chan batch, readAheadBatches+1),    // every batch and the end: a send never blocks
 		free: make(chan []*job.Job, readAheadBatches), // every batch: the reader's send never blocks
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-		ho:   t.dec.ho,
 		file: t.file,
 		gz:   t.gz,
 	}
 	for i := range readAheadBatches {
-		r.free <- ring[i*readAheadBatch : i*readAheadBatch : (i+1)*readAheadBatch]
+		r.free <- ring[i*ReadAheadBatch : i*ReadAheadBatch : (i+1)*ReadAheadBatch]
 	}
 	d := t.dec
 	d.next, d.full, d.free, d.stop, d.done = next, r.full, r.free, r.stop, r.done
@@ -182,34 +168,18 @@ func (d *decoder) run() {
 	}
 }
 
-// Read reads the file for the decoder, on a file whose reads may block.
-// Before a read, the jobs decoded so far go to a reader that waits for
-// them, or are parked where one that comes to wait while the read blocks
-// takes them: a pipe whose writer sent less than a batch and stays open
-// yields its jobs now, not once the writer closes.
+// Read reads the file for the decoder, on a file whose reads may block
+// (a pipe, a terminal, a socket). The jobs decoded so far go to the
+// reader first, as a batch that is not full: a pipe whose writer sent
+// less than a batch and stays open yields its jobs now, not once the
+// writer closes. On a regular file the decoder reads the file itself,
+// and every batch but the last is full.
 func (d *decoder) Read(p []byte) (int, error) {
-	if len(d.jobs) == 0 {
-		return d.src.Read(p)
-	}
-	ho := d.ho
-	ho.mu.Lock()
-	if ho.waiting {
-		ho.waiting = false
-		ho.mu.Unlock()
+	if len(d.jobs) > 0 {
 		d.full <- batch{jobs: d.jobs}
 		d.jobs = nil
-		return d.src.Read(p)
 	}
-	ho.parked = d.jobs
-	ho.mu.Unlock()
-	n, err := d.src.Read(p)
-	ho.mu.Lock()
-	if ho.parked == nil { // the reader took them
-		d.jobs = nil
-	}
-	ho.parked = nil
-	ho.mu.Unlock()
-	return n, err
+	return d.src.Read(p)
 }
 
 // next pops the next decoded job, in file order, then returns the
@@ -228,40 +198,12 @@ func (r *readAhead) next() (*job.Job, error) {
 			clear(r.jobs)
 			r.free <- r.jobs[:0]
 		}
-		b := r.take()
+		b := <-r.full
 		r.jobs, r.off, r.err = b.jobs, 0, b.err
 	}
 	j := r.jobs[r.off]
 	r.off++
 	return j, nil
-}
-
-// take receives the next batch: a full one, or on a file whose reads may
-// block, the jobs the goroutine parked for a read.
-func (r *readAhead) take() batch {
-	ho := r.ho
-	if ho == nil {
-		return <-r.full
-	}
-	ho.mu.Lock()
-	select {
-	case b := <-r.full: // sent before anything parked now
-		ho.mu.Unlock()
-		return b
-	default:
-	}
-	if p := ho.parked; p != nil {
-		ho.parked = nil
-		ho.mu.Unlock()
-		return batch{jobs: p}
-	}
-	ho.waiting = true
-	ho.mu.Unlock()
-	b := <-r.full
-	ho.mu.Lock()
-	ho.waiting = false
-	ho.mu.Unlock()
-	return b
 }
 
 // release waits for the goroutine to return and drops the ring.

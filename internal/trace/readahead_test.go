@@ -158,8 +158,8 @@ func TestReadAheadPipeShortWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	const jobs = 10
-	if jobs >= readAheadBatch {
-		t.Fatalf("%d jobs fill a %d-job batch", jobs, readAheadBatch)
+	if jobs >= ReadAheadBatch {
+		t.Fatalf("%d jobs fill a %d-job batch", jobs, ReadAheadBatch)
 	}
 	if _, err := pw.Write(generatedCSV(t, jobs)); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func collectUntilError(src JobSource, openErr error) ([]*job.Job, error) {
 // at and past a batch, clean and with a bad record at each of those
 // places. A regular file's batches are whole but for the last.
 func TestReadAheadMatchesDecoder(t *testing.T) {
-	sizes := []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 3*readAheadBatch + 7}
+	sizes := []int{0, 1, ReadAheadBatch - 1, ReadAheadBatch, ReadAheadBatch + 1, 3*ReadAheadBatch + 7}
 	jobs := Generate(GenConfig{System: testStreamSystem(), Jobs: sizes[len(sizes)-1], Seed: 3, DependencyFraction: 0.1}).Jobs
 	formats := []struct {
 		ext   string
@@ -377,7 +377,7 @@ func collectBatches(t *testing.T, label string, src JobSource, openErr error) ([
 		if err != nil {
 			return jobs, err
 		}
-		if ra.off == 1 && len(ra.jobs) < readAheadBatch && short < 0 {
+		if ra.off == 1 && len(ra.jobs) < ReadAheadBatch && short < 0 {
 			short = len(jobs)
 		} else if ra.off == 1 && short >= 0 {
 			t.Errorf("%s: the batch that starts at job %d is short and not the last", label, short)
