@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke examples-smoke fuzz-smoke fuzz-lists cover-gate lint fmt vet staticcheck clean
+.PHONY: all build test test-full race bench bench-smoke bench-solver bench-module bench-digests sweep-smoke farm-smoke examples-smoke cmd-smoke fuzz-smoke fuzz-lists cover-gate lint fmt vet staticcheck clean
 
 all: lint build test
 
@@ -74,6 +74,21 @@ examples-smoke:
 		echo "go run ./$$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
+
+# Run the commands once each on a small workload. go build ./... only
+# compiles them, so a break in their flags' wiring into trace.Recipe
+# fails here instead: a streamed tracegen trace replayed by bbsim -stream,
+# a generated bbsim sweep on the SSD machine, and sweepd's template grid
+# on two in-process workers. tracegen defaults to -scale 1 and bbsim to
+# 32, so the trace is written at 32 to replay at bbsim's defaults.
+cmd-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -ex && \
+	$(GO) build -o "$$tmp/" ./cmd/tracegen ./cmd/bbsim ./cmd/sweepd && \
+	"$$tmp/tracegen" -stream -scale 32 -jobs 3000 -variant S2 -o "$$tmp/t.csv.gz" && \
+	"$$tmp/bbsim" -stream "$$tmp/t.csv.gz" -method Baseline > /dev/null && \
+	"$$tmp/bbsim" -jobs 300 -variant S6 -sweep Baseline,Bin_Packing -seeds 1,2 > /dev/null && \
+	"$$tmp/sweepd" -print-grid > "$$tmp/grid.json" && \
+	"$$tmp/sweepd" -grid "$$tmp/grid.json" -addr 127.0.0.1:0 -workers 2 > /dev/null
 
 # Distributed-farm smoke under -race: an in-process coordinator, three
 # HTTP workers, and two injected crashes (one pre-checkpoint, one

@@ -3,6 +3,8 @@
 //
 // The trace comes either from a CSV file written by tracegen (-trace) or
 // from the built-in generator (-system/-jobs/-variant as in tracegen).
+// Generated and -stream workloads are built through trace.Recipe, the
+// recipe tracegen and the sweep farm build theirs through too.
 // Methods are listed and instantiated from the shared method registry, so
 // -methods always matches what the experiments harness runs.
 //
@@ -117,7 +119,7 @@ func main() {
 		streamFile = flag.String("stream", "", "replay a trace file (.swf or .csv) through the streaming engine without materializing it: bounded-memory metrics, full-run measurement")
 		maxJobs    = flag.Int("max-jobs", 0, "with -stream, ingest at most this many jobs from the file (0 = all)")
 		system     = flag.String("system", "theta", "system model: cori or theta")
-		scale      = flag.Int("scale", 32, "machine scale divisor")
+		scale      = flag.Int("scale", 32, "machine scale divisor (1 = full size; tracegen defaults to 1, so pass the same -scale to both)")
 		jobs       = flag.Int("jobs", 500, "generated job count (ignored with -trace)")
 		variant    = flag.String("variant", "original", "original, S1..S7")
 		seed       = flag.Uint64("seed", 42, "seed")
@@ -182,6 +184,15 @@ func main() {
 		}
 	}
 
+	rec, err := recipe(*system, *scale, *jobs, *seed, *variant, *stageOut)
+	if err != nil {
+		fail(err)
+	}
+	opts := baseOptions(*window, *starve, *dynWindow, *noBackfill)
+	var (
+		w    trace.Workload
+		open func() (trace.JobSource, error)
+	)
 	if *streamFile != "" {
 		if *traceFile != "" {
 			fail(fmt.Errorf("-stream and -trace are mutually exclusive"))
@@ -189,56 +200,58 @@ func main() {
 		if len(extraRes.specs) > 0 || len(extraDemands.demands) > 0 {
 			fail(fmt.Errorf("-extra/-extra-demand retrofit a materialized workload; use -trace"))
 		}
-		if err := runStream(*streamFile, *system, *scale, *variant, *maxJobs, *seed,
-			*methodName, *solverName, *sweep, *seedList, *workers, ga, *stageOut,
-			*eventLog, *adaptive, baseOptions(*window, *starve, *dynWindow, *noBackfill)); err != nil {
+		// The workload is named by its file and its jobs are re-opened per
+		// run. Metrics accumulate in bounded memory and cover the full run:
+		// a file stream has no known horizon for the fractional trim.
+		rec.Name, rec.TracePath, rec.MaxJobs, rec.Stream = *streamFile, *streamFile, *maxJobs, true
+		if err := rec.Validate(); err != nil {
 			fail(err)
 		}
-		return
-	}
-	if *maxJobs > 0 {
-		fail(fmt.Errorf("-max-jobs only applies to -stream (use -jobs for the generator)"))
-	}
-
-	w, csvExtraNames, err := loadWorkload(*traceFile, *system, *jobs, *seed, *scale, *variant)
-	if err != nil {
-		fail(err)
-	}
-	if *stageOut > 0 {
-		w = trace.WithStageOut(w, *stageOut)
-	}
-	// Extra resource dimensions: extend the machine, bind any CSV extra
-	// columns to the declared dimensions by name, then retrofit the
-	// requested synthetic demands onto the workload.
-	for _, spec := range extraRes.specs {
-		w.System = trace.WithExtraResource(w.System, spec)
-	}
-	if w, err = bindTraceExtras(w, csvExtraNames); err != nil {
-		fail(err)
-	}
-	for _, d := range extraDemands.demands {
-		dim := -1
-		for i, spec := range w.System.Cluster.Extra {
-			if spec.Name == d.name {
-				dim = i
-				break
+		w = trace.Workload{Name: rec.Name, System: rec.System()}
+		open = func() (trace.JobSource, error) {
+			_, src, err := rec.Open()
+			return src, err
+		}
+		opts = append(opts, sim.WithStreamingMetrics(), sim.WithMeasurement(0, 0))
+	} else {
+		if *maxJobs > 0 {
+			fail(fmt.Errorf("-max-jobs only applies to -stream (use -jobs for the generator)"))
+		}
+		var csvExtraNames []string
+		if w, csvExtraNames, err = loadWorkload(*traceFile, rec); err != nil {
+			fail(err)
+		}
+		// Extra resource dimensions: extend the machine, bind any CSV extra
+		// columns to the declared dimensions by name, then retrofit the
+		// requested synthetic demands onto the workload.
+		for _, spec := range extraRes.specs {
+			w.System = trace.WithExtraResource(w.System, spec)
+		}
+		if w, err = bindTraceExtras(w, csvExtraNames); err != nil {
+			fail(err)
+		}
+		for _, d := range extraDemands.demands {
+			dim := -1
+			for i, spec := range w.System.Cluster.Extra {
+				if spec.Name == d.name {
+					dim = i
+					break
+				}
 			}
+			if dim < 0 {
+				fail(fmt.Errorf("-extra-demand %s: no such -extra dimension", d.name))
+			}
+			w = trace.AddExtraDemand(w, "", dim, d.min, d.max, d.frac, *seed+uint64(dim))
 		}
-		if dim < 0 {
-			fail(fmt.Errorf("-extra-demand %s: no such -extra dimension", d.name))
-		}
-		w = trace.AddExtraDemand(w, "", dim, d.min, d.max, d.frac, *seed+uint64(dim))
 	}
 	// SSD-equipped workloads pair with the four-objective §5 method
 	// variants; plain workloads with the two-objective §4 ones.
 	ssd := len(w.System.Cluster.SSDClasses) > 0
 
-	opts := baseOptions(*window, *starve, *dynWindow, *noBackfill)
-
 	if *sweep != "" {
-		err = runSweep(w, nil, *sweep, *seedList, *seed, ga, ssd, *solverName, *workers, opts)
+		err = runSweep(w, open, *sweep, *seedList, *seed, ga, ssd, *solverName, *workers, opts)
 	} else {
-		err = runSingle(w, nil, *methodName, *solverName, *adaptive, *eventLog, *seed, ga, ssd, opts)
+		err = runSingle(w, open, *methodName, *solverName, *adaptive, *eventLog, *seed, ga, ssd, opts)
 	}
 	if err != nil {
 		fail(err)
@@ -302,62 +315,6 @@ func baseOptions(window, starve int, dynWindow, noBackfill bool) []sim.Option {
 		sim.WithBackfill(!noBackfill),
 	}
 	return opts
-}
-
-// openStream opens path as a streaming job source — SWF or CSV by
-// extension, gzip-compressed files (".gz") transparently — caps it at
-// maxJobs, and layers the requested variant and stage-out transforms on
-// top. It returns the wrapped source and the system model the variant
-// targets.
-func openStream(path, system string, scale int, variant string, maxJobs int, seed uint64, drainGBps float64) (trace.JobSource, trace.SystemModel, error) {
-	sys, err := systemModel(system, scale)
-	if err != nil {
-		return nil, trace.SystemModel{}, err
-	}
-	src, err := trace.OpenTrace(path, trace.SWFOptions{})
-	if err != nil {
-		return nil, trace.SystemModel{}, err
-	}
-	if maxJobs > 0 {
-		src = trace.LimitSource(src, maxJobs)
-	}
-	src, sys, _, err = trace.ApplyVariantSource(src, sys, variant, seed)
-	if err != nil {
-		return nil, trace.SystemModel{}, err
-	}
-	if drainGBps > 0 {
-		src = trace.StageOutSource(src, drainGBps)
-	}
-	return src, sys, nil
-}
-
-// runStream drives a single run or a sweep over a file-backed stream.
-// Metrics accumulate in bounded memory and cover the full run (a file
-// stream has no known horizon for the fractional warm-up/cool-down trim).
-func runStream(path, system string, scale int, variant string, maxJobs int, seed uint64,
-	methodName, solverName, sweepCSV, seedCSV string, workers int, ga moo.GAConfig,
-	drainGBps float64, eventLog string, adaptive bool, opts []sim.Option) error {
-	// Resolve the variant's system (and whether it is SSD-equipped) from a
-	// probe open, so method construction matches what each run will see.
-	probe, sys, err := openStream(path, system, scale, variant, maxJobs, seed, drainGBps)
-	if err != nil {
-		return err
-	}
-	if c, ok := probe.(trace.Closer); ok {
-		c.Close()
-	}
-	ssd := len(sys.Cluster.SSDClasses) > 0
-	opts = append(opts, sim.WithStreamingMetrics(), sim.WithMeasurement(0, 0))
-
-	shell := trace.Workload{Name: path, System: sys}
-	open := func() (trace.JobSource, error) {
-		src, _, err := openStream(path, system, scale, variant, maxJobs, seed, drainGBps)
-		return src, err
-	}
-	if sweepCSV != "" {
-		return runSweep(shell, open, sweepCSV, seedCSV, seed, ga, ssd, solverName, workers, opts)
-	}
-	return runSingle(shell, open, methodName, solverName, adaptive, eventLog, seed, ga, ssd, opts)
 }
 
 // runSweep runs method × seed combinations over one workload on the
@@ -450,12 +407,29 @@ func runSweep(w trace.Workload, open func() (trace.JobSource, error), methodCSV,
 	return nil
 }
 
-// loadWorkload loads or generates the workload. For a CSV trace it also
-// returns the file's extra-resource column names (res:<name>), in file
-// order; the caller binds them to declared -extra dimensions by name.
-func loadWorkload(traceFile, system string, jobs int, seed uint64, scale int, variant string) (trace.Workload, []string, error) {
+// recipe is the workload recipe the generator flags describe: -seed
+// seeds both the generator and the variant's draws.
+func recipe(system string, scale, jobs int, seed uint64, variant string, drainGBps float64) (trace.Recipe, error) {
+	sys, err := trace.SystemByName(system, scale)
+	if err != nil {
+		return trace.Recipe{}, err
+	}
+	return trace.Recipe{
+		Gen:     trace.GenConfig{System: sys, Jobs: jobs, Seed: seed},
+		Variant: variant, VariantSeed: seed, StageOutGBps: drainGBps,
+	}, nil
+}
+
+// loadWorkload builds rec, or with a CSV trace file reads its jobs onto
+// rec's machine (rec.System) with rec's stage-out. For a file it also
+// returns the extra-resource column names (res:<name>), in file order;
+// the caller binds them to declared -extra dimensions by name.
+func loadWorkload(traceFile string, rec trace.Recipe) (trace.Workload, []string, error) {
 	if traceFile == "" {
-		w, err := buildGenerated(system, jobs, seed, scale, variant)
+		if err := rec.Validate(); err != nil {
+			return trace.Workload{}, nil, err
+		}
+		w, err := rec.Build()
 		return w, nil, err
 	}
 	f, err := os.Open(traceFile)
@@ -467,14 +441,11 @@ func loadWorkload(traceFile, system string, jobs int, seed uint64, scale int, va
 	if err != nil {
 		return trace.Workload{}, nil, err
 	}
-	sys, err := systemModel(system, scale)
-	if err != nil {
-		return trace.Workload{}, nil, err
+	w := trace.Workload{Name: traceFile, System: rec.System(), Jobs: js}
+	if rec.StageOutGBps > 0 {
+		w = trace.WithStageOut(w, rec.StageOutGBps)
 	}
-	if trace.IsSSDVariant(variant) {
-		sys = trace.WithSSD(sys)
-	}
-	return trace.Workload{Name: traceFile, System: sys, Jobs: js}, extraNames, nil
+	return w, extraNames, nil
 }
 
 // bindTraceExtras re-aligns CSV extra-demand columns (in csvNames order)
@@ -512,26 +483,6 @@ func bindTraceExtras(w trace.Workload, csvNames []string) (trace.Workload, error
 	}
 	w.Jobs = jobs
 	return w, nil
-}
-
-func systemModel(system string, scale int) (trace.SystemModel, error) {
-	switch strings.ToLower(system) {
-	case "cori":
-		return trace.Scale(trace.Cori(), scale), nil
-	case "theta":
-		return trace.Scale(trace.Theta(), scale), nil
-	}
-	return trace.SystemModel{}, fmt.Errorf("unknown system %q", system)
-}
-
-func buildGenerated(system string, jobs int, seed uint64, scale int, variant string) (trace.Workload, error) {
-	sys, err := systemModel(system, scale)
-	if err != nil {
-		return trace.Workload{}, err
-	}
-	base := trace.Generate(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed})
-	base.Name = sys.Cluster.Name + "-Original"
-	return trace.ApplyVariant(base, variant, seed)
 }
 
 func printResult(r *sim.Result) {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bbsched/internal/cluster"
@@ -10,9 +11,30 @@ import (
 	"bbsched/internal/trace"
 )
 
+// generated is the workload bbsim generates for these flags.
+func generated(system string, jobs int, seed uint64, scale int, variant string) (trace.Workload, error) {
+	rec, err := recipe(system, scale, jobs, seed, variant, 0)
+	if err != nil {
+		return trace.Workload{}, err
+	}
+	w, _, err := loadWorkload("", rec)
+	return w, err
+}
+
+// theta32 is the recipe of bbsim's default machine, for the trace-file
+// tests, whose -jobs is ignored.
+func theta32(t *testing.T, seed uint64, variant string) trace.Recipe {
+	t.Helper()
+	rec, err := recipe("theta", 32, 0, seed, variant, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func TestBuildGeneratedVariants(t *testing.T) {
 	for _, variant := range []string{"original", "s1", "S4", "s6"} {
-		w, err := buildGenerated("theta", 80, 1, 32, variant)
+		w, err := generated("theta", 80, 1, 32, variant)
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
@@ -20,16 +42,29 @@ func TestBuildGeneratedVariants(t *testing.T) {
 			t.Fatalf("%s: %v", variant, err)
 		}
 	}
-	if _, err := buildGenerated("theta", 10, 1, 32, "S99"); err == nil {
+	if _, err := generated("theta", 10, 1, 32, "S99"); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
-	if _, err := buildGenerated("mira", 10, 1, 32, "original"); err == nil {
+	if _, err := generated("mira", 10, 1, 32, "original"); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
+// TestRecipeRejectsBadFlags: a job count below one and a scale below one
+// fail instead of running an empty workload or the full-size machine.
+func TestRecipeRejectsBadFlags(t *testing.T) {
+	for _, jobs := range []int{0, -5} {
+		if _, err := generated("theta", jobs, 1, 32, "original"); err == nil {
+			t.Fatalf("-jobs %d accepted", jobs)
+		}
+	}
+	if _, err := generated("theta", 10, 1, -3, "original"); err == nil {
+		t.Fatal("-scale -3 accepted")
+	}
+}
+
 func TestLoadWorkloadFromCSV(t *testing.T) {
-	w, err := buildGenerated("theta", 40, 3, 32, "original")
+	w, err := generated("theta", 40, 3, 32, "original")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +78,7 @@ func TestLoadWorkloadFromCSV(t *testing.T) {
 	}
 	f.Close()
 
-	loaded, _, err := loadWorkload(path, "theta", 0, 3, 32, "original")
+	loaded, _, err := loadWorkload(path, theta32(t, 3, "original"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +88,19 @@ func TestLoadWorkloadFromCSV(t *testing.T) {
 	if loaded.System.Cluster.Nodes != w.System.Cluster.Nodes {
 		t.Fatal("system model mismatch")
 	}
+	// An SSD variant replays the file on the recipe's SSD machine.
+	rec := theta32(t, 3, "S6")
+	ssd, _, err := loadWorkload(path, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ssd.System, rec.System()) || len(ssd.System.Cluster.SSDClasses) == 0 {
+		t.Fatalf("S6 trace replays on %+v, want the recipe's SSD machine", ssd.System.Cluster)
+	}
 }
 
 func TestLoadWorkloadMissingFile(t *testing.T) {
-	if _, _, err := loadWorkload("/nonexistent/trace.csv", "theta", 0, 32, 32, "original"); err == nil {
+	if _, _, err := loadWorkload("/nonexistent/trace.csv", theta32(t, 32, "original")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -79,7 +123,7 @@ func TestBindTraceExtrasByName(t *testing.T) {
 	}
 	f.Close()
 
-	w, names, err := loadWorkload(path, "theta", 0, 1, 32, "original")
+	w, names, err := loadWorkload(path, theta32(t, 1, "original"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,17 @@
 // Command tracegen generates synthetic Cori-like or Theta-like workload
 // traces (optionally with the paper's S1–S4 burst-buffer expansions or
 // S5–S7 local-SSD mixes) and writes them as CSV, gzipped when the output
-// name ends in ".gz". By default the trace is trace.ApplyVariant over
-// trace.Generate, the same workload bbsim -variant and the paper matrices
-// build.
+// name ends in ".gz". The flags describe a trace.Recipe, the recipe bbsim
+// and the sweep farm build their workloads through: by default it is
+// built (trace.ApplyVariant over trace.Generate, the same workload bbsim
+// -variant and the paper matrices build).
 //
-// With -stream the trace is generated and written one job at a time
-// through the streaming pipeline (GenSource → variant combinators →
-// CSVWriter), so arbitrarily long traces — the 1M-job bench input, say —
-// are produced in constant memory. Streaming variants approximate the
-// materialized expansions distributionally (see ApplyVariantSource), so
-// the two modes emit different bytes for S1–S7.
+// With -stream the recipe is opened instead, and the trace is generated
+// and written one job at a time through the streaming pipeline (GenSource
+// → variant combinators → CSVWriter), so arbitrarily long traces — the
+// 1M-job bench input, say — are produced in constant memory. Streaming
+// variants approximate the materialized expansions distributionally (see
+// ApplyVariantSource), so the two modes emit different bytes for S1–S7.
 //
 // Usage:
 //
@@ -35,7 +36,7 @@ func main() {
 		system  = flag.String("system", "theta", "system model: cori or theta")
 		jobs    = flag.Int("jobs", 1000, "number of jobs")
 		seed    = flag.Uint64("seed", 42, "generator seed")
-		scale   = flag.Int("scale", 1, "machine scale divisor (1 = full size)")
+		scale   = flag.Int("scale", 1, "machine scale divisor (1 = full size; bbsim defaults to 32, so pass the same -scale to both)")
 		variant = flag.String("variant", "original", "original, S1..S4 (burst buffer), S5..S7 (local SSD)")
 		deps    = flag.Float64("deps", 0, "fraction of jobs given a dependency")
 		stream  = flag.Bool("stream", false, "generate and write one job at a time (constant memory; for very large -jobs)")
@@ -43,20 +44,21 @@ func main() {
 	)
 	flag.Parse()
 
+	rec, err := recipe(*system, *scale, *jobs, *seed, *variant, *deps, *stream)
 	var (
-		src  trace.JobSource
-		name string
-		err  error
+		w   trace.Workload // with -stream, the job-less shell
+		src trace.JobSource
 	)
-	if *stream {
-		src, name, err = streamSource(*system, *jobs, *seed, *scale, *variant, *deps)
-	} else {
-		var w trace.Workload
-		w, err = build(*system, *jobs, *seed, *scale, *variant, *deps)
-		src, name = trace.SourceOf(w), w.Name
+	switch {
+	case err != nil:
+	case rec.Stream:
+		w, src, err = rec.Open()
+	default:
+		w, err = rec.Build()
+		src = trace.SourceOf(w)
 	}
 	if err == nil {
-		err = write(*out, name, src)
+		err = write(*out, w.Name, src)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
@@ -123,36 +125,16 @@ func emit(dst io.Writer, name string, src trace.JobSource) error {
 	return nil
 }
 
-// streamSource is the streaming pipeline: GenSource → variant combinators.
-func streamSource(system string, jobs int, seed uint64, scale int, variant string, deps float64) (trace.JobSource, string, error) {
-	sys, err := systemModel(system, scale)
+// recipe is the recipe the flags describe, validated: -seed seeds both the
+// generator and the variant's draws.
+func recipe(system string, scale, jobs int, seed uint64, variant string, deps float64, stream bool) (trace.Recipe, error) {
+	sys, err := trace.SystemByName(system, scale)
 	if err != nil {
-		return nil, "", err
+		return trace.Recipe{}, err
 	}
-	src := trace.GenSource(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps})
-	src, _, name, err := trace.ApplyVariantSource(src, sys, variant, seed)
-	return src, name, err
-}
-
-func systemModel(system string, scale int) (trace.SystemModel, error) {
-	var sys trace.SystemModel
-	switch strings.ToLower(system) {
-	case "cori":
-		sys = trace.Cori()
-	case "theta":
-		sys = trace.Theta()
-	default:
-		return trace.SystemModel{}, fmt.Errorf("unknown system %q (want cori or theta)", system)
+	rec := trace.Recipe{
+		Gen:     trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps},
+		Variant: variant, VariantSeed: seed, Stream: stream,
 	}
-	return trace.Scale(sys, scale), nil
-}
-
-// build is the materialized pipeline: Generate → ApplyVariant.
-func build(system string, jobs int, seed uint64, scale int, variant string, deps float64) (trace.Workload, error) {
-	sys, err := systemModel(system, scale)
-	if err != nil {
-		return trace.Workload{}, err
-	}
-	base := trace.Generate(trace.GenConfig{System: sys, Jobs: jobs, Seed: seed, DependencyFraction: deps})
-	return trace.ApplyVariant(base, variant, seed)
+	return rec, rec.Validate()
 }

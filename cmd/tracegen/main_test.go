@@ -11,6 +11,16 @@ import (
 	"bbsched/internal/trace"
 )
 
+// build is the materialized trace tracegen writes for these flags: their
+// recipe, built.
+func build(system string, jobs int, seed uint64, scale int, variant string, deps float64) (trace.Workload, error) {
+	rec, err := recipe(system, scale, jobs, seed, variant, deps, false)
+	if err != nil {
+		return trace.Workload{}, err
+	}
+	return rec.Build()
+}
+
 func TestBuildVariants(t *testing.T) {
 	for _, variant := range []string{"ORIGINAL", "S1", "S2", "S3", "S4", "S5", "S6", "S7"} {
 		w, err := build("theta", 120, 1, 32, variant, 0)
@@ -80,6 +90,19 @@ func TestBuildRejectsUnknown(t *testing.T) {
 	}
 	if _, err := build("theta", 10, 1, 1, "S9", 0); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestRecipeRejectsBadFlags: a job count or scale below one fails instead
+// of writing a header-only trace or a full-size machine's.
+func TestRecipeRejectsBadFlags(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		if _, err := recipe("theta", 32, 0, 1, "original", 0, stream); err == nil {
+			t.Fatalf("stream %v: -jobs 0 accepted", stream)
+		}
+		if _, err := recipe("theta", 0, 10, 1, "original", 0, stream); err == nil {
+			t.Fatalf("stream %v: -scale 0 accepted", stream)
+		}
 	}
 }
 

@@ -202,9 +202,6 @@ func MustNew(cfg Config) *Cluster {
 // Config returns the machine description.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// TotalBB returns the machine's burst-buffer pool size in GB.
-func (c *Cluster) TotalBB() int64 { return c.cfg.BurstBufferGB }
-
 // FreeNodes returns the currently idle node count.
 func (c *Cluster) FreeNodes() int { return c.free.FreeNodes() }
 

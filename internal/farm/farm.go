@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"bbsched/internal/cluster"
 	"bbsched/internal/moo"
@@ -32,101 +31,10 @@ import (
 	"bbsched/internal/trace"
 )
 
-// WorkloadSpec describes a workload every worker can rebuild bit-for-bit
-// from the recipe alone — the farm ships recipes, never job tables.
-type WorkloadSpec struct {
-	// Name overrides the derived "<cluster>-<variant>" workload name when
-	// non-empty.
-	Name string `json:"name,omitempty"`
-	// Gen generates the base trace (system model, job count, seed, load).
-	Gen trace.GenConfig `json:"gen"`
-	// Variant derives one of the paper's workload variants (S1–S7, or
-	// empty/"original" for the unmodified trace).
-	Variant string `json:"variant,omitempty"`
-	// VariantSeed seeds the variant's expansion draws.
-	VariantSeed uint64 `json:"variant_seed,omitempty"`
-	// StageOutGBps, when positive, applies burst-buffer stage-out phases
-	// at the given drain rate after the variant.
-	StageOutGBps float64 `json:"stage_out_gbps,omitempty"`
-	// Stream drives the run through the streaming ingestion path: the
-	// worker opens a fresh generated source (re-opened again on every
-	// retry and checkpoint resume) instead of materializing the trace,
-	// and the run uses bounded-memory streaming metrics.
-	Stream bool `json:"stream,omitempty"`
-	// TracePath streams jobs from an on-disk trace instead of the
-	// generator: ".swf" decodes as an SWF archive log, anything else as
-	// the repository CSV format, and a ".gz" suffix decompresses
-	// transparently. Stream must be true; Gen.System still names the
-	// machine model. Every worker must see the identical file at this
-	// path — the recipe key covers the path, not the bytes.
-	TracePath string `json:"trace_path,omitempty"`
-	// MaxJobs caps a TracePath stream (0 = the whole file).
-	MaxJobs int `json:"max_jobs,omitempty"`
-}
-
-// jobCount returns the spec's expected job count, 0 when unknown (an
-// uncapped trace file).
-func (ws WorkloadSpec) jobCount() int {
-	if ws.TracePath != "" {
-		return ws.MaxJobs
-	}
-	return ws.Gen.Jobs
-}
-
-// Build materializes the spec into a workload (Stream must be false).
-func (ws WorkloadSpec) Build() (trace.Workload, error) {
-	if ws.Stream {
-		return trace.Workload{}, fmt.Errorf("farm: workload %q is stream-backed; use Open", ws.Name)
-	}
-	base := trace.Generate(ws.Gen)
-	base.Name = ws.Gen.System.Cluster.Name + "-Original"
-	w, err := trace.ApplyVariant(base, ws.Variant, ws.VariantSeed)
-	if err != nil {
-		return trace.Workload{}, fmt.Errorf("farm: workload %q: %w", ws.Name, err)
-	}
-	if ws.StageOutGBps > 0 {
-		w = trace.WithStageOut(w, ws.StageOutGBps)
-	}
-	if ws.Name != "" {
-		w.Name = ws.Name
-	}
-	return w, nil
-}
-
-// Open opens a fresh streaming pipeline for a stream-backed spec: the
-// job-less workload shell and a single-use source. Sources are re-opened
-// from the top on every attempt; checkpoint restore repositions them by
-// replaying the consumed prefix, so stateful variant combinators stay in
-// sync.
-func (ws WorkloadSpec) Open() (trace.Workload, trace.JobSource, error) {
-	if !ws.Stream {
-		return trace.Workload{}, nil, fmt.Errorf("farm: workload %q is materialized; use Build", ws.Name)
-	}
-	var src trace.JobSource
-	if ws.TracePath != "" {
-		opened, err := trace.OpenTrace(ws.TracePath, trace.SWFOptions{MaxJobs: ws.MaxJobs})
-		if err != nil {
-			return trace.Workload{}, nil, fmt.Errorf("farm: workload %q: %w", ws.Name, err)
-		}
-		if ws.MaxJobs > 0 {
-			opened = trace.LimitSource(opened, ws.MaxJobs)
-		}
-		src = opened
-	} else {
-		src = trace.GenSource(ws.Gen)
-	}
-	src, sys, name, err := trace.ApplyVariantSource(src, ws.Gen.System, ws.Variant, ws.VariantSeed)
-	if err != nil {
-		return trace.Workload{}, nil, fmt.Errorf("farm: workload %q: %w", ws.Name, err)
-	}
-	if ws.StageOutGBps > 0 {
-		src = trace.StageOutSource(src, ws.StageOutGBps)
-	}
-	if ws.Name != "" {
-		name = ws.Name
-	}
-	return trace.Workload{Name: name, System: sys}, src, nil
-}
+// WorkloadSpec is the workload recipe a grid cell carries: every worker
+// rebuilds the workload bit-for-bit from it alone, so the farm ships
+// recipes, never job tables.
+type WorkloadSpec = trace.Recipe
 
 // MethodSpec names a registry method build for the grid.
 type MethodSpec struct {
@@ -281,7 +189,10 @@ func (g Grid) relayCell(ws WorkloadSpec) bool {
 	if g.RelayJobs <= 0 || !ws.Stream {
 		return false
 	}
-	n := ws.jobCount()
+	n := ws.Gen.Jobs
+	if ws.TracePath != "" {
+		n = ws.MaxJobs
+	}
 	return n == 0 || n > g.RelayJobs
 }
 
@@ -321,8 +232,8 @@ func (g Grid) Cells() []Cell {
 
 // Validate rejects malformed grids at submission time: every method and
 // solver name must resolve in the registry (instantiating each pairing
-// once also runs solver vetoes), every workload recipe must name a
-// variant that exists, and stream cells must carry a resolvable
+// once also runs solver vetoes), every workload recipe must pass
+// trace.Recipe.Validate, and stream cells must carry a resolvable
 // measurement mode.
 func (g Grid) Validate() error {
 	if len(g.Workloads) == 0 {
@@ -341,19 +252,8 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("farm: relay segment size %d too small (want >= 512, four times the source look-ahead)", g.RelayJobs)
 	}
 	for _, ws := range g.Workloads {
-		if ws.TracePath != "" {
-			if !ws.Stream {
-				return fmt.Errorf("farm: workload %q: trace_path requires stream (trace files replay through the streaming path)", ws.Name)
-			}
-			if ws.MaxJobs < 0 {
-				return fmt.Errorf("farm: workload %q: negative max_jobs %d", ws.Name, ws.MaxJobs)
-			}
-		} else if ws.Gen.Jobs <= 0 {
-			return fmt.Errorf("farm: workload %q generates %d jobs", ws.Name, ws.Gen.Jobs)
-		}
-		if !validVariant(ws.Variant) {
-			return fmt.Errorf("farm: workload %q: unknown variant %q (have %s)",
-				ws.Name, ws.Variant, strings.Join(trace.Variants(), ", "))
+		if err := ws.Validate(); err != nil {
+			return err
 		}
 		if ws.Stream && g.Opts.Measure == "" {
 			return fmt.Errorf("farm: stream workload %q needs measure \"full\" or \"window\" (streams have no known horizon)", ws.Name)
@@ -377,17 +277,4 @@ func (g Grid) Validate() error {
 		}
 	}
 	return nil
-}
-
-func validVariant(v string) bool {
-	v = strings.ToUpper(strings.TrimSpace(v))
-	if v == "" || v == "ORIGINAL" {
-		return true
-	}
-	for _, have := range trace.Variants() {
-		if strings.ToUpper(have) == v {
-			return true
-		}
-	}
-	return false
 }

@@ -108,14 +108,6 @@ func (d Demand) NumExtra() int {
 // specs), reading absent dimensions as zero.
 func (d Demand) Extra(i int) int64 { return d.Get(NumResources + Resource(i)) }
 
-// Extras returns a copy of the extra-dimension amounts.
-func (d Demand) Extras() []int64 {
-	if d.NumExtra() == 0 {
-		return nil
-	}
-	return append([]int64(nil), d.Res[NumResources:]...)
-}
-
 // NodeCount returns the node dimension as an int.
 func (d Demand) NodeCount() int { return int(d.Get(Nodes)) }
 

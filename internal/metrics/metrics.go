@@ -133,15 +133,6 @@ func (c *Collector) Integrals() (nodeSec, bbSec, ssdAssignedSec, ssdRequestedSec
 	return c.nodeSec, c.bbSec, c.ssdAssignedSec, c.ssdRequestedSec
 }
 
-// ExtraIntegrals returns the accumulated resource-seconds per extra
-// dimension (nil when none were observed).
-func (c *Collector) ExtraIntegrals() []float64 {
-	if c.extraSec == nil {
-		return nil
-	}
-	return append([]float64(nil), c.extraSec...)
-}
-
 // DimCapacity names one extra resource dimension's machine capacity.
 type DimCapacity struct {
 	// Name identifies the dimension (the cluster resource spec's name).

@@ -413,7 +413,8 @@ func mustCollect(src JobSource) []*job.Job {
 
 // variantSpec is one workload variant (see Variants): S1–S4 expand the
 // burst-buffer requests, S5–S7 layer a local-SSD mix on S2. ApplyVariant,
-// ApplyVariantSource and IsSSDVariant all read variantSpecs.
+// ApplyVariantSource, IsSSDVariant and Recipe.Validate all read
+// variantSpecs, through lookupVariant.
 type variantSpec struct {
 	name  string
 	frac  float64 // BB-requesting job fraction the expansion reaches

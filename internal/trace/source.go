@@ -111,9 +111,6 @@ func (s *SliceSource) Horizon() (int64, bool) {
 	return s.horizon, true
 }
 
-// Remaining returns the number of jobs not yet pulled.
-func (s *SliceSource) Remaining() int { return len(s.jobs) - s.i }
-
 // Skipper is an optional JobSource refinement for sources that can
 // discard a prefix without materializing it. Only sources whose position
 // is their sole state may implement it: a combinator whose per-job
